@@ -8,8 +8,8 @@
 //! The toolkit follows the operation diagram of Figure 10 in the paper:
 //!
 //! 1. **DBG construction** ([`ops::construct`]) — reads → k-mer vertices with
-//!    packed adjacency bitmaps, via two mini-MapReduce phases with coverage
-//!    filtering.
+//!    packed adjacency bitmaps: a bucketed (k+1)-mer count with coverage
+//!    filtering, then one mini-MapReduce pass that builds the vertices.
 //! 2. **Contig labeling** ([`ops::label`], [`ops::label_sv`]) — marks every
 //!    maximal unambiguous path with a unique label, using either bidirectional
 //!    list ranking (the BPPA the paper recommends) or the simplified S-V

@@ -1,40 +1,35 @@
 //! Operation ① — de Bruijn graph construction (Section IV-B).
 //!
-//! Two mini-MapReduce phases turn raw reads into k-mer vertices with packed
-//! adjacency bitmaps:
+//! Two passes turn raw reads into k-mer vertices with packed adjacency
+//! bitmaps:
 //!
-//! * **Phase (i)**: every read is split at `N` characters, each ACGT segment is
-//!   cut into (k+1)-mers with a sliding window (Figure 4), and the canonical
-//!   (k+1)-mers are counted by radix-sorting each batch's packed (k+1)-mers
-//!   and run-length encoding the sorted runs (no hash table in the hot loop).
-//!   Counts are thereby pre-aggregated per input batch (the paper
-//!   pre-aggregates per worker) before the shuffle, and (k+1)-mers whose
-//!   total count does not exceed the user threshold θ are discarded as likely
-//!   sequencing errors.
+//! * **Phase (i)** ([`count_kplus1_mers_on`]): every read is cut into
+//!   (k+1)-mers with a sliding window (Figure 4) that restarts at every `N`,
+//!   and the canonical (k+1)-mers seen more than θ times are kept — the rest
+//!   are discarded as likely sequencing errors. Since the keys carry no
+//!   payload and most of them are discarded, this is not a shuffle but a
+//!   **bucketed count** ([`ppa_pregel::keycount`]): one scan of the read
+//!   bytes ([`CanonicalScanner::scan_ascii`]) scatters each packed canonical
+//!   (k+1)-mer into a bucket addressed by its top bits, then every bucket is
+//!   radix-sorted while it is cache-resident and run-length counted. The
+//!   survivors come out in key order and are hash-partitioned by worker for
+//!   phase (ii), exactly as a mini-MapReduce reduce would have left them.
 //! * **Phase (ii)**: every surviving (k+1)-mer contributes one out-edge slot to
 //!   its prefix k-mer vertex and one in-edge slot to its suffix k-mer vertex
 //!   (with the appropriate polarity, Figure 6/8); the partial adjacencies are
-//!   shuffled by k-mer vertex ID and merged into complete [`KmerVertex`]s.
+//!   shuffled by k-mer vertex ID through the mini MapReduce and merged into
+//!   complete [`KmerVertex`]s.
 
 use crate::adj::{edge_contributions, PackedAdj};
 use crate::node::KmerVertex;
+use ppa_pregel::fxhash::hash_one;
+use ppa_pregel::keycount::{count_keys_on, KeySink};
 use ppa_pregel::mapreduce::{map_reduce_spillable_on, Emitter, MapReduceMetrics};
 use ppa_pregel::ExecCtx;
 use ppa_seq::kmer::CanonicalScanner;
-use ppa_seq::{Base, FastxRecord, Kmer, ReadSet};
+use ppa_seq::{FastxRecord, Kmer, ReadSet};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::time::{Duration, Instant};
-
-thread_local! {
-    /// Per-thread (k+1)-mer buffer + radix scratch for phase (i)'s
-    /// sort-then-count. The map tasks run on the persistent pool threads of
-    /// the [`ExecCtx`], so the capacity warmed up on the first batch is
-    /// reused by every later batch — and every later construction job —
-    /// executed on that thread.
-    static KMER_COUNT_BUFS: RefCell<(Vec<u64>, Vec<u64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
 
 /// Configuration of DBG construction.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,8 +39,9 @@ pub struct ConstructConfig {
     /// Coverage threshold θ: a (k+1)-mer is kept only if its count is strictly
     /// greater than θ. `0` keeps everything (useful for error-free input).
     pub min_coverage: u32,
-    /// How many reads each map task processes at once (larger batches give
-    /// better pre-aggregation, mirroring the per-worker counting of the paper).
+    /// The scan task granule of phase (i): reads are handed to the workers in
+    /// runs of this many, and under a spill cap a worker checks its buffered
+    /// (k+1)-mers against the budget after each run.
     pub batch_size: usize,
 }
 
@@ -71,7 +67,14 @@ pub struct ConstructStats {
     /// Total number of directed adjacency slots across all vertices (edge
     /// records; each physical edge contributes two).
     pub adjacency_slots: u64,
-    /// Metrics of the counting phase.
+    /// Metrics of the counting phase, in the mini-MapReduce shape:
+    /// `input_records` = read batches, `pairs_shuffled` = (k+1)-mer
+    /// occurrences scattered — one bare 8-byte key each, where the shuffle
+    /// this replaced moved 16-byte `(key, count)` pairs pre-aggregated per
+    /// batch, so the count is higher by that pre-aggregation ratio while the
+    /// bytes moved are lower — `groups` = distinct (k+1)-mers,
+    /// `output_records` = (k+1)-mers kept, `spilled_runs` = times a worker's
+    /// scatter buffers were flushed to disk under a spill cap.
     pub phase1: MapReduceMetrics,
     /// Metrics of the vertex-building phase.
     pub phase2: MapReduceMetrics,
@@ -96,7 +99,9 @@ impl ConstructOutcome {
     /// consuming the outcome. Use [`to_nodes`](ConstructOutcome::to_nodes)
     /// when the compact vertices are still needed afterwards.
     pub fn into_nodes(self) -> Vec<crate::AsmNode> {
-        self.to_nodes()
+        // By value: each compact vertex (and its coverage vector) is freed as
+        // soon as it is expanded, instead of all of them after the last.
+        self.vertices.into_iter().map(|v| v.to_asm_node()).collect()
     }
 
     /// Like [`into_nodes`](ConstructOutcome::into_nodes), but borrows the
@@ -113,84 +118,63 @@ pub fn build_dbg(reads: &ReadSet, config: &ConstructConfig, workers: usize) -> C
     build_dbg_on(&ExecCtx::new(workers), reads, config)
 }
 
-/// Runs DBG construction on a caller-provided execution context: both
-/// mini-MapReduce phases dispatch onto its persistent worker pool, and the
-/// worker count is the pool size.
-pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) -> ConstructOutcome {
+/// Phase (i) on its own: counts the canonical (k+1)-mers of `reads` on the
+/// context's pool and returns those seen more than `config.min_coverage`
+/// times with their counts (saturating at `u32::MAX`), partitioned by
+/// `hash(key) % workers` and key-sorted within each partition — the order in
+/// which [`build_dbg_on`] feeds them to phase (ii).
+pub fn count_kplus1_mers_on(
+    ctx: &ExecCtx,
+    reads: &ReadSet,
+    config: &ConstructConfig,
+) -> (Vec<(u64, u32)>, MapReduceMetrics) {
     assert!(
         config.k >= 1 && config.k <= 31,
         "k must be in 1..=31 so that k-mer vertex IDs leave the top two bits free"
     );
-    let start = Instant::now();
     let k = config.k;
-    let theta = config.min_coverage;
-
-    // ---- phase (i): count canonical (k+1)-mers ------------------------------
-    // Both phases run through the spillable mini MapReduce: with a
-    // `SpillPolicy` cap on the context the map side writes sorted runs to
-    // disk once its buffers exceed the per-worker budget, and without one
-    // the pass is byte-identical to the resident mini MapReduce.
+    let scanner = CanonicalScanner::new(k + 1).expect("k validated above");
     let batches: Vec<&[FastxRecord]> = reads.records.chunks(config.batch_size.max(1)).collect();
-    let (counted, phase1) = map_reduce_spillable_on(
+    let (sorted, metrics) = count_keys_on(
         ctx,
-        batches,
-        |batch: &[FastxRecord], out: &mut Emitter<'_, u64, u32>| {
-            // Pre-aggregate within the batch to cut shuffle volume, by
-            // sorting the batch's packed canonical (k+1)-mers (LSD radix —
-            // `ppa_pregel::radix`) and run-length counting the sorted runs.
-            // This removes the hash table from the hottest loop of the whole
-            // pipeline: the inner window loop now only appends a `u64` to a
-            // warm buffer, and the counting work becomes 2–4 cache-friendly
-            // counting passes per batch. The rolling scanner canonicalises
-            // each window incrementally and reads the segment bytes in
-            // place, so no per-segment `Vec<Base>` or per-window
-            // bit-reversal is needed.
-            KMER_COUNT_BUFS.with(|bufs| {
-                let (kmers, scratch) = &mut *bufs.borrow_mut();
-                kmers.clear();
-                let mut scanner = CanonicalScanner::new(k + 1).expect("k validated above");
-                for read in batch {
-                    for segment in read.acgt_segments() {
-                        if segment.len() < k + 1 {
-                            continue;
-                        }
-                        scanner.reset();
-                        for &c in segment {
-                            let base = Base::from_ascii_checked(c).expect("segment is ACGT-only");
-                            if let Some(canonical) = scanner.push(base) {
-                                kmers.push(canonical.kmer.packed());
-                            }
-                        }
-                    }
-                }
-                ppa_pregel::radix::sort_keys(kmers, scratch);
-                let n = kmers.len();
-                let mut i = 0usize;
-                while i < n {
-                    let key = kmers[i];
-                    let mut j = i + 1;
-                    while j < n && kmers[j] == key {
-                        j += 1;
-                    }
-                    out.emit(key, (j - i).min(u32::MAX as usize) as u32);
-                    i = j;
-                }
-            });
-        },
-        |_worker, key: &u64, counts: &mut [u32], out: &mut Vec<(u64, u32)>| {
-            let total: u64 = counts.iter().map(|&c| c as u64).sum();
-            let total = total.min(u32::MAX as u64) as u32;
-            if total > theta {
-                out.push((*key, total));
+        &batches,
+        2 * (k as u32 + 1),
+        // A read of `len` bases has at most `len − k` windows of k+1.
+        |batch| batch.iter().map(|r| r.seq.len().saturating_sub(k)).sum(),
+        |batch, sink: &mut KeySink| {
+            for read in batch.iter() {
+                scanner.scan_ascii(&read.seq, |kplus1| sink.push(kplus1));
             }
         },
+        config.min_coverage,
     );
-    let counted: Vec<(u64, u32)> = counted.into_iter().flatten().collect();
-    // `groups` counts every distinct (k+1)-mer that reached reduce.
+    // Stable partition of the key-sorted survivors: each worker's share
+    // stays key-sorted, shares follow in worker order.
+    let workers = ctx.workers() as u64;
+    let mut shares: Vec<Vec<(u64, u32)>> = vec![Vec::new(); workers as usize];
+    for pair in sorted {
+        shares[(hash_one(&pair.0) % workers) as usize].push(pair);
+    }
+    (shares.into_iter().flatten().collect(), metrics)
+}
+
+/// Runs DBG construction on a caller-provided execution context: both
+/// phases dispatch onto its persistent worker pool, and the worker count is
+/// the pool size.
+pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) -> ConstructOutcome {
+    let start = Instant::now();
+    let k = config.k;
+
+    // ---- phase (i): count canonical (k+1)-mers ------------------------------
+    let (counted, phase1) = count_kplus1_mers_on(ctx, reads, config);
+    // `groups` counts every distinct (k+1)-mer, kept or not.
     let distinct_kplus1 = phase1.groups;
     let kept_kplus1 = counted.len() as u64;
 
     // ---- phase (ii): build k-mer vertices with packed adjacency -------------
+    // Through the spillable mini MapReduce: with a `SpillPolicy` cap on the
+    // context the map side writes sorted runs to disk once its buffers exceed
+    // the per-worker budget; without one the pass is fully resident.
     let (vertices, phase2) = map_reduce_spillable_on(
         ctx,
         counted,

@@ -81,7 +81,7 @@ impl Rule {
             Rule::CancellationPoints => {
                 "every `pub fn *_on` in core/src/ops must call a \
                  control-polling runner entry point (run/run_on/map_reduce*/\
-                 convert_on/connected_components)"
+                 count_keys_on/convert_on/connected_components)"
             }
         }
     }

@@ -49,6 +49,7 @@ const POLLING_CALLEES: &[&str] = &[
     "map_reduce_with_metrics_on",
     "map_reduce_partitioned_on",
     "map_reduce_spillable_on",
+    "count_keys_on",
     "convert_on",
     "connected_components",
 ];
@@ -429,8 +430,8 @@ fn check_cancellation_points(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
                 col: name_tok.col,
                 message: format!(
                     "op entry point `{name}` never reaches a control-polling runner path \
-                     (run/run_on/try_run_on/run_from_pairs/map_reduce*_on/convert_on/\
-                     connected_components); a JobControl could not stop it"
+                     (run/run_on/try_run_on/run_from_pairs/map_reduce*_on/count_keys_on/\
+                     convert_on/connected_components); a JobControl could not stop it"
                 ),
             });
         }

@@ -389,6 +389,7 @@ fn op_routed_through_polling_runners_is_quiet() {
         "pub fn c_on(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(adj, &c); sv }\n",
         "pub fn d_on(ctx: &ExecCtx) -> u64 { set.convert_on(ctx, f, merge).len() as u64 }\n",
         "pub fn e_on(ctx: &ExecCtx) -> u64 { try_run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
+        "pub fn f_on(ctx: &ExecCtx) -> u64 { count_keys_on(ctx, &t, 64, hint, scan, 1).1.groups }\n",
     ];
     for src in srcs {
         assert!(
@@ -414,6 +415,34 @@ fn run(e: Option<u64>) -> u64 {
     let diags = diags_for("crates/core/src/ops/walk.rs", src);
     assert_eq!(rules_of(&diags), vec![Rule::CancellationPoints]);
     assert_eq!(diags[0].line, 2);
+}
+
+#[test]
+fn a_counting_op_is_stoppable_only_through_the_polling_counter() {
+    // `count_keys_on` polls the job control between its scatter and count
+    // phases; an entry point that counts keys in a private loop polls nothing.
+    let private_loop = r#"
+pub fn count_kmers_on(ctx: &ExecCtx, reads: &[Read]) -> u64 {
+    let mut sink = Vec::new();
+    for read in reads.iter() {
+        scan(read, &mut sink);
+    }
+    sink.sort_unstable();
+    sink.len() as u64
+}
+"#;
+    let diags = diags_for("crates/core/src/ops/construct.rs", private_loop);
+    assert_eq!(rules_of(&diags), vec![Rule::CancellationPoints]);
+    assert!(diags[0].message.contains("count_kmers_on"));
+    assert!(diags[0].message.contains("count_keys_on"));
+
+    let through_the_counter = r#"
+pub fn count_kmers_on(ctx: &ExecCtx, reads: &[Read]) -> u64 {
+    let (kept, _metrics) = count_keys_on(ctx, reads, 64, bound, scan, 1);
+    kept.len() as u64
+}
+"#;
+    assert!(diags_for("crates/core/src/ops/construct.rs", through_the_counter).is_empty());
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! the vertex store's resident bytes; the engine side polls the handle
 //! **cooperatively at BSP barriers only** — every superstep boundary of the
 //! [`runner`](crate::runner), the map→reduce hand-off of the
-//! [mini MapReduce](crate::mapreduce), and the shuffle boundary of
+//! [mini MapReduce](crate::mapreduce), the scatter→count hand-off of the
+//! [key counter](crate::keycount), and the shuffle boundary of
 //! [`VertexSet::convert_on`](crate::vertex_set::VertexSet::convert_on) — the
 //! same superstep-boundary consistency discipline the BSP model already
 //! enforces for fault tolerance.

@@ -76,7 +76,8 @@ pub enum EngineError {
         /// Why the control plane stopped the job.
         reason: CancelReason,
         /// The superstep boundary at which the poll fired; 0 for barrier
-        /// polls outside a superstep loop (MapReduce and convert shuffles).
+        /// polls outside a superstep loop (MapReduce and convert shuffles,
+        /// the key counter's scatter→count hand-off).
         superstep: usize,
     },
     /// An out-of-core spill operation failed (I/O error, or a truncated or
@@ -415,12 +416,13 @@ struct CtxInner {
     /// production). Probed by the runner and pipeline at their crash points.
     faults: Mutex<Option<Arc<ArmedFaults>>>,
     /// Installed job-control handle, if any. Polled cooperatively by the
-    /// runner, the mini MapReduce and `VertexSet::convert_on` at their BSP
-    /// barriers, and by the pipeline at stage boundaries.
+    /// runner, the mini MapReduce, the key counter and
+    /// `VertexSet::convert_on` at their BSP barriers, and by the pipeline at
+    /// stage boundaries.
     control: Mutex<Option<JobControl>>,
-    /// Installed spill policy, if any. Read once per job by the runner and
-    /// the mini MapReduce; programs whose types provide spill codecs then
-    /// run in bounded-memory mode against the policy's byte cap.
+    /// Installed spill policy, if any. Read once per job by the runner, the
+    /// mini MapReduce and the key counter; programs whose types provide spill
+    /// codecs then run in bounded-memory mode against the policy's byte cap.
     spill: Mutex<Option<SpillPolicy>>,
 }
 
@@ -502,6 +504,20 @@ impl ExecCtx {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone()
+    }
+
+    /// One cooperative control poll at a shuffle barrier that sits outside a
+    /// superstep loop (mini MapReduce, `convert`, the bucketed key counter):
+    /// a trip is raised as [`EngineError::Cancelled`] on the calling —
+    /// coordinator — thread, so the pool never sees the unwind. There is no
+    /// superstep counter or bookkept store at these barriers: 0 for both.
+    pub(crate) fn poll_barrier(&self) {
+        if let Some(reason) = self.control().and_then(|control| control.poll(0)) {
+            std::panic::panic_any(EngineError::Cancelled {
+                reason,
+                superstep: 0,
+            });
+        }
     }
 
     /// Installs a [`SpillPolicy`] on this context: jobs run on the context

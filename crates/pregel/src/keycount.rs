@@ -1,0 +1,927 @@
+//! Bucketed key counting: one scan, one prefix scatter, one cache-resident
+//! sort + run-length pass per bucket.
+//!
+//! Counting the occurrences of packed integer keys and keeping the frequent
+//! ones — operation ① of the paper counts canonical (k+1)-mers and discards
+//! those seen at most θ times — does not need a general shuffle: the keys
+//! carry no payload, and almost all of them are thrown away. [`count_keys_on`]
+//! therefore never builds `(key, count)` pairs, never hash-partitions and
+//! never merges. It runs two phases on the context's worker pool:
+//!
+//! * **scatter** — every worker walks its share of the scan tasks once and
+//!   appends each bare `u64` key to one of 2^b buckets addressed by the key's
+//!   top b bits (a [`KeySink`]). b follows from the key width, the number of
+//!   keys and the cache a bucket has to fit (see `Layout::plan`), so it is a
+//!   computed value, never a setting; keys narrower than b bits simply get
+//!   one bucket per key value.
+//! * **count** — workers take contiguous bucket ranges holding about the
+//!   same number of keys each (canonical k-mers crowd the low buckets),
+//!   concatenate a bucket's fragments from every scatter worker, sort the
+//!   bucket with [`crate::radix`] while it sits in cache, run-length count it
+//!   (saturating at `u32::MAX`) and emit the keys counted more than θ times.
+//!   Buckets partition the key space by prefix and ranges ascend with the
+//!   worker index, so the concatenated output is globally key-sorted.
+//!
+//! The job's [`JobControl`](crate::JobControl) is polled at the barrier
+//! between the phases, on the coordinator thread. Each key is held once, as
+//! eight bytes, in buffers sized up front from the caller's per-task key
+//! bound; they live for the duration of the call and are never parked in the
+//! [`ExecCtx`] scratch cache.
+//!
+//! # Under a spill cap
+//!
+//! With a [`SpillPolicy`](crate::SpillPolicy) cap on the context the same two
+//! phases run. A scatter worker checks its buffered bytes after every scan
+//! task but its last against the `cap / (4 × workers)` budget the spillable
+//! mini MapReduce uses; over it, every non-empty bucket is appended —
+//! unsorted — as one bucket-addressed segment to the worker's segment file
+//! in the job's temp directory (`spill::KeySegmentWriter`), and the buffers
+//! start over. b is derived from the budget where that is tighter than the
+//! cache, so that one bucket and its sort scratch fit the budget in the count
+//! phase, which reads a bucket's segments back ahead of its in-RAM fragments.
+//! Every key is written at most once and read at most once.
+
+use crate::engine::{EngineError, ExecCtx};
+use crate::mapreduce::MapReduceMetrics;
+use crate::spill::{KeySegmentFile, KeySegmentReader, KeySegmentWriter, SpillDir, SpillError};
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Bytes a bucket's keys **and** its radix scratch may take together: half
+/// of a typical per-core L2, so the radix passes over a bucket (up to seven
+/// byte digits below a 10-bit prefix) never leave the cache.
+const BUCKET_CACHE_BYTES: usize = 512 << 10;
+
+/// How far above the mean the fullest bucket is expected to be: canonical
+/// k-mers — the smaller of a k-mer and its reverse complement — fall on a
+/// prefix `x ∈ [0, 1)` with density `2(1 − x)`.
+const BUCKET_SKEW: usize = 2;
+
+/// At most 2^12 buckets: beyond that the scatter's open write streams
+/// outnumber the TLB entries and cache lines that keep appending cheap.
+const MAX_BUCKET_BITS: u32 = 12;
+
+/// log2 of the keys per buffer chunk: at least a cache line, at most a page.
+const MIN_CHUNK_SHIFT: u32 = 3;
+const MAX_CHUNK_SHIFT: u32 = 9;
+
+/// `NONE` in the chunk links.
+const NO_CHUNK: u32 = u32::MAX;
+
+/// How a job's keys are spread over buckets and buffer chunks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
+    /// `key >> shift` is the key's bucket (`shift` may be 64: one bucket).
+    shift: u32,
+    /// Buckets − 1.
+    mask: u64,
+    /// log2 of the keys per buffer chunk.
+    chunk_shift: u32,
+}
+
+impl Layout {
+    /// Plans the layout for `total_keys` keys of `key_bits` bits, of which a
+    /// scatter worker buffers at most `buffered_keys` at a time, under an
+    /// optional per-worker spill budget in bytes.
+    fn plan(
+        key_bits: u32,
+        total_keys: usize,
+        buffered_keys: usize,
+        budget: Option<usize>,
+    ) -> Layout {
+        // The fullest bucket plus its scratch must fit the cache — or the
+        // spill budget, where that is tighter.
+        let fit = budget.map_or(BUCKET_CACHE_BYTES, |b| b.min(BUCKET_CACHE_BYTES));
+        let mean_keys = (fit / (2 * 8 * BUCKET_SKEW)).max(1);
+        let wanted = total_keys.div_ceil(mean_keys).max(1);
+        let bits = wanted
+            .next_power_of_two()
+            .trailing_zeros()
+            .min(MAX_BUCKET_BITS)
+            .min(key_bits);
+        let buckets = 1usize << bits;
+        // Every bucket ends in a partly filled chunk: keep those ends to
+        // about half of what the worker buffers.
+        let chunk_keys = (buffered_keys / (2 * buckets)).max(1);
+        Layout {
+            shift: key_bits - bits,
+            mask: buckets as u64 - 1,
+            chunk_shift: chunk_keys.ilog2().clamp(MIN_CHUNK_SHIFT, MAX_CHUNK_SHIFT),
+        }
+    }
+
+    fn buckets(&self) -> usize {
+        self.mask as usize + 1
+    }
+
+    /// Chunks that hold `keys` keys however they spread over the buckets.
+    fn chunks_for(&self, keys: usize) -> usize {
+        (keys >> self.chunk_shift) + self.buckets() + 1
+    }
+}
+
+/// Where a scan task puts the keys it extracts: [`push`](KeySink::push)
+/// appends the key to the bucket its top bits address.
+///
+/// One sink per scatter worker. All buckets share one flat slab carved into
+/// fixed-size chunks, so the memory is one allocation sized from the known
+/// key bound, and a bucket is the linked list of the chunks it filled.
+pub struct KeySink {
+    layout: Layout,
+    /// `chunks × 2^chunk_shift` keys; zero pages until written.
+    slab: Vec<u64>,
+    /// Chunks handed out since the last [`clear`](KeySink::clear).
+    used_chunks: usize,
+    /// Per bucket: slab index of its next key. On a chunk boundary — also
+    /// the initial 0 — the bucket needs a fresh chunk first.
+    next: Vec<usize>,
+    /// Per bucket: its first and last chunk and how many it holds.
+    chains: Vec<Chain>,
+    /// Per chunk: the chunk that follows it in its bucket.
+    link: Vec<u32>,
+}
+
+#[derive(Clone, Copy)]
+struct Chain {
+    first: u32,
+    last: u32,
+    chunks: u32,
+}
+
+const EMPTY_CHAIN: Chain = Chain {
+    first: NO_CHUNK,
+    last: NO_CHUNK,
+    chunks: 0,
+};
+
+impl KeySink {
+    fn new(layout: Layout, chunks: usize) -> KeySink {
+        KeySink {
+            layout,
+            slab: vec![0; chunks << layout.chunk_shift],
+            used_chunks: 0,
+            next: vec![0; layout.buckets()],
+            chains: vec![EMPTY_CHAIN; layout.buckets()],
+            link: Vec::with_capacity(chunks),
+        }
+    }
+
+    /// Appends one key.
+    #[inline(always)]
+    pub fn push(&mut self, key: u64) {
+        // `wrapping_shr` + mask: a 64-bit key in a single bucket shifts by
+        // 64, which must yield 0.
+        let bucket = (key.wrapping_shr(self.layout.shift) & self.layout.mask) as usize;
+        let mut at = self.next[bucket];
+        if at & ((1 << self.layout.chunk_shift) - 1) == 0 {
+            at = self.open_chunk(bucket);
+        }
+        self.slab[at] = key;
+        self.next[bucket] = at + 1;
+    }
+
+    /// Hands `bucket` the next free chunk and returns its first slab index.
+    /// The slab only grows if a scan pushed more keys than its task declared.
+    #[cold]
+    fn open_chunk(&mut self, bucket: usize) -> usize {
+        let chunk = self.used_chunks;
+        let at = chunk << self.layout.chunk_shift;
+        if at == self.slab.len() {
+            self.slab
+                .resize((2 * at).max(1 << self.layout.chunk_shift), 0);
+        }
+        self.used_chunks += 1;
+        self.link.push(NO_CHUNK);
+        let chain = &mut self.chains[bucket];
+        match chain.chunks {
+            0 => chain.first = chunk as u32,
+            _ => self.link[chain.last as usize] = chunk as u32,
+        }
+        chain.last = chunk as u32;
+        chain.chunks += 1;
+        at
+    }
+
+    /// Keys buffered for `bucket`.
+    fn len_of(&self, bucket: usize) -> usize {
+        match self.chains[bucket].chunks as usize {
+            0 => 0,
+            chunks => {
+                let chunk_keys = 1usize << self.layout.chunk_shift;
+                let in_last = (self.next[bucket] - 1) % chunk_keys + 1;
+                (chunks - 1) * chunk_keys + in_last
+            }
+        }
+    }
+
+    /// The buffered keys of `bucket`, chunk by chunk, in push order.
+    fn fragments(&self, bucket: usize) -> impl Iterator<Item = &[u64]> {
+        let chunk_keys = 1usize << self.layout.chunk_shift;
+        let mut chunk = self.chains[bucket].first;
+        let mut left = self.len_of(bucket);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let take = left.min(chunk_keys);
+            let start = (chunk as usize) << self.layout.chunk_shift;
+            left -= take;
+            chunk = self.link[chunk as usize];
+            Some(&self.slab[start..start + take])
+        })
+    }
+
+    /// Bytes of the chunks in use — what the spill budget is held against.
+    fn buffered_bytes(&self) -> usize {
+        (self.used_chunks << self.layout.chunk_shift) * 8
+    }
+
+    /// Forgets every buffered key; the slab is kept.
+    fn clear(&mut self) {
+        self.used_chunks = 0;
+        self.next.fill(0);
+        self.chains.fill(EMPTY_CHAIN);
+        self.link.clear();
+    }
+
+    /// Appends every non-empty bucket to `writer` as one segment and starts
+    /// over. Returns the keys written.
+    fn flush_to(&mut self, writer: &mut KeySegmentWriter) -> Result<u64, SpillError> {
+        let mut keys = 0u64;
+        for bucket in 0..self.layout.buckets() {
+            let len = self.len_of(bucket);
+            if len > 0 {
+                writer.append(bucket as u32, len, self.fragments(bucket))?;
+                keys += len as u64;
+            }
+        }
+        self.clear();
+        Ok(keys)
+    }
+}
+
+/// What one scatter worker hands to the count phase.
+struct Scattered {
+    /// The keys still in RAM.
+    sink: KeySink,
+    /// The segments it spilled, if its budget tripped.
+    spilled: Option<KeySegmentFile>,
+    /// Keys pushed, spilled or not.
+    keys: u64,
+    /// Times the budget tripped.
+    flushes: u64,
+}
+
+/// Spill plumbing resolved at pass entry: the job-scoped temp directory and
+/// the per-worker buffer budget in bytes.
+type SpillSetup = Option<(Arc<SpillDir>, usize)>;
+
+/// One scatter worker: scans its tasks into a sink, spilling when over
+/// budget.
+fn scatter<I, SF>(
+    worker: usize,
+    tasks: &[I],
+    layout: Layout,
+    chunks: usize,
+    spill: &SpillSetup,
+    scan: &SF,
+) -> Result<Scattered, SpillError>
+where
+    SF: Fn(&I, &mut KeySink),
+{
+    let mut sink = KeySink::new(layout, chunks);
+    let mut writer: Option<KeySegmentWriter> = None;
+    let (mut keys, mut flushes) = (0u64, 0u64);
+    for (done, task) in tasks.iter().enumerate() {
+        scan(task, &mut sink);
+        // Not after the last task: the count phase starts next and takes
+        // what is buffered as it is; writing it out would only buy reading
+        // it back.
+        let more = done + 1 < tasks.len();
+        if let Some((dir, budget)) = spill.as_ref().filter(|_| more) {
+            if sink.buffered_bytes() > *budget {
+                let mut open = match writer.take() {
+                    Some(open) => open,
+                    None => KeySegmentWriter::create(dir, &format!("keys-{worker}.seg"))?,
+                };
+                keys += sink.flush_to(&mut open)?;
+                flushes += 1;
+                writer = Some(open);
+            }
+        }
+    }
+    keys += (0..layout.buckets())
+        .map(|b| sink.len_of(b) as u64)
+        .sum::<u64>();
+    Ok(Scattered {
+        sink,
+        spilled: writer.map(KeySegmentWriter::finish).transpose()?,
+        keys,
+        flushes,
+    })
+}
+
+/// What one count worker produced: the surviving `(key, count)`s of its
+/// bucket range in key order, the distinct keys it saw, the bytes it read
+/// back from segment files.
+struct Counted {
+    kept: Vec<(u64, u32)>,
+    distinct: u64,
+    read_bytes: u64,
+}
+
+/// One count worker: gathers, sorts and run-length counts the buckets of
+/// `range`, keeping the keys counted more than `theta` times.
+fn count_range(
+    worker: usize,
+    range: Range<usize>,
+    sides: &[Scattered],
+    fullest: usize,
+    theta: u32,
+) -> Result<Counted, SpillError> {
+    let mut readers: Vec<Option<KeySegmentReader<'_>>> = sides
+        .iter()
+        .map(|side| side.spilled.as_ref().map(KeySegmentFile::open).transpose())
+        .collect::<Result<_, _>>()?;
+    // Count worker w vouches for scatter worker w's file, so every header is
+    // checked — and its bytes counted — exactly once.
+    if let Some(Some(reader)) = readers.get_mut(worker) {
+        reader.validate_header()?;
+    }
+    let mut keys: Vec<u64> = Vec::with_capacity(fullest);
+    let mut scratch: Vec<u64> = Vec::new();
+    let mut kept = Vec::new();
+    let mut distinct = 0u64;
+    for bucket in range {
+        keys.clear();
+        for (side, reader) in sides.iter().zip(&mut readers) {
+            if let (Some(file), Some(reader)) = (&side.spilled, reader) {
+                for segment in file.segments_of(bucket as u32) {
+                    reader.read_into(segment, &mut keys)?;
+                }
+            }
+        }
+        for side in sides {
+            for fragment in side.sink.fragments(bucket) {
+                keys.extend_from_slice(fragment);
+            }
+        }
+        crate::radix::sort_keys(&mut keys, &mut scratch);
+        for run in keys.chunk_by(|a, b| a == b) {
+            distinct += 1;
+            let count = run.len().min(u32::MAX as usize) as u32;
+            if count > theta {
+                kept.push((run[0], count));
+            }
+        }
+    }
+    Ok(Counted {
+        kept,
+        distinct,
+        read_bytes: readers.iter().flatten().map(|r| r.bytes_read()).sum(),
+    })
+}
+
+/// Splits `0..totals.len()` into `parts` contiguous ranges whose totals are
+/// as even as bucket granularity allows.
+fn balanced_ranges(totals: &[u64], parts: usize) -> Vec<Range<usize>> {
+    let total: u128 = totals.iter().map(|&t| u128::from(t)).sum();
+    let (mut end, mut acc) = (0usize, 0u128);
+    (1..=parts)
+        .map(|part| {
+            let start = end;
+            let goal = total * part as u128 / parts as u128;
+            while end < totals.len() && (acc < goal || part == parts) {
+                acc += u128::from(totals[end]);
+                end += 1;
+            }
+            start..end
+        })
+        .collect()
+}
+
+/// Spill failures leave the pass as a typed panic payload on the coordinator
+/// thread, like every other engine error.
+fn raise(e: SpillError) -> ! {
+    std::panic::panic_any(EngineError::Spill(e))
+}
+
+/// Counts the `u64` keys the scan tasks extract and returns, in ascending
+/// key order, every key seen **more than** `theta` times with its count
+/// (saturating at `u32::MAX`).
+///
+/// `tasks` are handed to the pool workers in contiguous runs; `scan` pushes
+/// a task's keys into the worker's [`KeySink`], and `max_keys` bounds how
+/// many keys it will push for that task (the buffers are sized from it; a
+/// scan that exceeds its bound only costs a reallocation). Keys must fit
+/// `key_bits` bits. A task is also the granule of the spill-budget check
+/// when the context carries a [`SpillPolicy`](crate::SpillPolicy) cap — see
+/// the [module docs](self).
+///
+/// The returned [`MapReduceMetrics`] keep the shape of the mini MapReduce
+/// pass this replaces in DBG construction: `input_records` = tasks,
+/// `pairs_shuffled` = keys scattered (8 bytes each), `groups` = distinct
+/// keys, `output_records` = keys kept, plus the spill counters
+/// (`spilled_runs` = budget trips).
+///
+/// # Panics
+///
+/// Raises [`EngineError::Cancelled`] if the context's job control trips at
+/// the scatter→count barrier and [`EngineError::Spill`] if segment I/O
+/// fails, both by panic on the calling thread (caught by `try_run`-style
+/// wrappers); panics if `key_bits` is not in `1..=64`.
+pub fn count_keys_on<I, HF, SF>(
+    ctx: &ExecCtx,
+    tasks: &[I],
+    key_bits: u32,
+    max_keys: HF,
+    scan: SF,
+    theta: u32,
+) -> (Vec<(u64, u32)>, MapReduceMetrics)
+where
+    I: Sync,
+    HF: Fn(&I) -> usize,
+    SF: Fn(&I, &mut KeySink) + Sync,
+{
+    count_keys_with_barrier(ctx, tasks, key_bits, max_keys, scan, theta, |_| {
+        ctx.poll_barrier()
+    })
+}
+
+/// [`count_keys_on`] with the coordinator's action at the scatter→count
+/// barrier made explicit (production polls the job control there; tests
+/// damage segment files).
+fn count_keys_with_barrier<I, HF, SF>(
+    ctx: &ExecCtx,
+    tasks: &[I],
+    key_bits: u32,
+    max_keys: HF,
+    scan: SF,
+    theta: u32,
+    barrier: impl FnOnce(&[Scattered]),
+) -> (Vec<(u64, u32)>, MapReduceMetrics)
+where
+    I: Sync,
+    HF: Fn(&I) -> usize,
+    SF: Fn(&I, &mut KeySink) + Sync,
+{
+    assert!(
+        (1..=64).contains(&key_bits),
+        "key_bits must be in 1..=64, got {key_bits}"
+    );
+    let start = Instant::now();
+    let workers = ctx.workers();
+    let spill: SpillSetup = ctx.spill().and_then(|p| p.cap()).map(|cap| {
+        let dir = SpillDir::create("kc").unwrap_or_else(|e| raise(e));
+        (dir, ((cap as usize) / (4 * workers)).max(1))
+    });
+    let budget = spill.as_ref().map(|(_, budget)| *budget);
+
+    // ---- plan: size everything from the declared key bounds ----------------
+    let per_worker = tasks.len().div_ceil(workers).max(1);
+    let bounds: Vec<usize> = tasks.iter().map(&max_keys).collect();
+    let total_keys: usize = bounds.iter().sum();
+    let largest_task = bounds.iter().copied().max().unwrap_or(0);
+    // A worker holds all its keys, or — capped — the budget plus the one
+    // task that overshoots it before the check.
+    let buffered = |keys: usize| match budget {
+        Some(budget) => keys.min(budget / 8 + largest_task),
+        None => keys,
+    };
+    let shares: Vec<usize> = bounds
+        .chunks(per_worker)
+        .map(|share| buffered(share.iter().sum()))
+        .collect();
+    let layout = Layout::plan(
+        key_bits,
+        total_keys,
+        shares.iter().copied().max().unwrap_or(0),
+        budget,
+    );
+
+    // ---- scatter: scan and append every key to its prefix bucket -----------
+    let inputs: Vec<(&[I], usize)> = tasks.chunks(per_worker).zip(shares).collect();
+    let sides: Vec<Scattered> = ctx
+        .pool()
+        .run_per_worker(inputs, |w, (tasks, keys)| {
+            scatter(w, tasks, layout, layout.chunks_for(keys), &spill, &scan)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| raise(e));
+
+    // ---- barrier: balance the buckets over the count workers ---------------
+    let mut totals = vec![0u64; layout.buckets()];
+    for side in &sides {
+        for (bucket, total) in totals.iter_mut().enumerate() {
+            *total += side.sink.len_of(bucket) as u64;
+        }
+        for segment in side.spilled.iter().flat_map(|f| f.segments()) {
+            totals[segment.bucket as usize] += u64::from(segment.keys);
+        }
+    }
+    let fullest = totals.iter().copied().max().unwrap_or(0) as usize;
+    let ranges = balanced_ranges(&totals, workers);
+    // An unwind from here drops `sides`, deleting the segment files.
+    barrier(&sides);
+
+    // ---- count: sort each bucket in cache, run-length count, filter --------
+    let counted: Vec<Counted> = ctx
+        .pool()
+        .run_per_worker(ranges, |w, range| {
+            count_range(w, range, &sides, fullest, theta)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| raise(e));
+
+    let mut metrics = MapReduceMetrics {
+        input_records: tasks.len() as u64,
+        ..Default::default()
+    };
+    for side in &sides {
+        metrics.pairs_shuffled += side.keys;
+        metrics.spilled_runs += side.flushes;
+        metrics.spilled_bytes += side.spilled.as_ref().map_or(0, |f| f.bytes);
+    }
+    // Unmapping the buffers is several per cent of a short pass, so the pool
+    // does it, one scatter side per worker. This also deletes segment files.
+    ctx.pool().run_per_worker(sides, |_, side| drop(side));
+    let mut kept = Vec::with_capacity(counted.iter().map(|c| c.kept.len()).sum());
+    for part in counted {
+        metrics.groups += part.distinct;
+        metrics.spill_read_bytes += part.read_bytes;
+        kept.extend(part.kept);
+    }
+    metrics.output_records = kept.len() as u64;
+    metrics.elapsed = start.elapsed();
+    (kept, metrics)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::control::{CancelReason, JobControl};
+    use crate::fxhash::FxHashMap;
+    use crate::spill::SpillPolicy;
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The plain formulation: count everything in a hash map, filter, sort.
+    fn oracle(tasks: &[Vec<u64>], theta: u32) -> (Vec<(u64, u32)>, u64) {
+        let mut counts: FxHashMap<u64, u64> = FxHashMap::default();
+        for key in tasks.iter().flatten() {
+            *counts.entry(*key).or_insert(0) += 1;
+        }
+        let distinct = counts.len() as u64;
+        let mut kept: Vec<(u64, u32)> = counts
+            .into_iter()
+            .filter(|&(_, n)| n > u64::from(theta))
+            .map(|(key, n)| (key, n as u32))
+            .collect();
+        kept.sort_unstable();
+        (kept, distinct)
+    }
+
+    fn count(
+        ctx: &ExecCtx,
+        tasks: &[Vec<u64>],
+        key_bits: u32,
+        theta: u32,
+    ) -> (Vec<(u64, u32)>, MapReduceMetrics) {
+        count_keys_on(
+            ctx,
+            tasks,
+            key_bits,
+            Vec::len,
+            |task, sink| task.iter().for_each(|&key| sink.push(key)),
+            theta,
+        )
+    }
+
+    /// `tasks` tasks of `per_task` keys drawn from `distinct` values spread
+    /// over all `key_bits` bits (xorshift; deterministic).
+    fn keyed_tasks(tasks: usize, per_task: usize, distinct: u64, key_bits: u32) -> Vec<Vec<u64>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..tasks)
+            .map(|_| {
+                (0..per_task)
+                    .map(|_| {
+                        // Spread the value over the key width, then square the
+                        // draw so that some keys are much more frequent.
+                        let v = (next() % distinct) * (next() % distinct) % distinct;
+                        v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - key_bits)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counts_match_the_hash_map_across_workers_and_thresholds() {
+        let tasks = keyed_tasks(23, 3_000, 5_000, 64);
+        for workers in [1, 2, 3, 4] {
+            let ctx = ExecCtx::new(workers);
+            for theta in [0, 1, 2, 40] {
+                let (kept, metrics) = count(&ctx, &tasks, 64, theta);
+                let (expected, distinct) = oracle(&tasks, theta);
+                assert_eq!(kept, expected, "workers={workers} theta={theta}");
+                assert_eq!(metrics.input_records, 23);
+                assert_eq!(metrics.pairs_shuffled, 23 * 3_000);
+                assert_eq!(metrics.groups, distinct);
+                assert_eq!(metrics.output_records, expected.len() as u64);
+                assert_eq!(
+                    (
+                        metrics.spilled_bytes,
+                        metrics.spill_read_bytes,
+                        metrics.spilled_runs
+                    ),
+                    (0, 0, 0),
+                    "no cap, no disk"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn keys_narrower_than_the_bucket_bits_get_a_bucket_per_value() {
+        // 400k keys want 2^5 buckets at least; 3-bit keys only have 8 values.
+        let tasks = keyed_tasks(8, 50_000, 8, 3);
+        let layout = Layout::plan(3, 400_000, 200_000, None);
+        assert_eq!((layout.buckets(), layout.shift), (8, 0));
+        let (kept, metrics) = count(&ExecCtx::new(2), &tasks, 3, 0);
+        assert_eq!(kept, oracle(&tasks, 0).0);
+        assert!(metrics.groups <= 8);
+    }
+
+    #[test]
+    fn full_width_keys_and_a_single_bucket_shift_by_64() {
+        // Few keys: one bucket, `shift == key_bits == 64`.
+        let tasks = vec![vec![u64::MAX, 0, u64::MAX, 1 << 63, 7, 0, u64::MAX]];
+        assert_eq!(Layout::plan(64, 7, 7, None).shift, 64);
+        let (kept, _) = count(&ExecCtx::new(3), &tasks, 64, 1);
+        assert_eq!(kept, vec![(0, 2), (u64::MAX, 3)]);
+    }
+
+    #[test]
+    fn empty_input_and_empty_tasks() {
+        let ctx = ExecCtx::new(2);
+        let (kept, metrics) = count(&ctx, &[], 10, 0);
+        assert!(kept.is_empty());
+        assert_eq!(metrics.groups, 0);
+        let (kept, metrics) = count(&ctx, &[vec![], vec![5], vec![]], 10, 0);
+        assert_eq!(kept, vec![(5, 1)]);
+        assert_eq!(metrics.input_records, 3);
+    }
+
+    #[test]
+    fn the_layout_follows_key_count_cache_and_budget() {
+        // Mean bucket = 512 KiB / (keys + scratch) / skew = 16 Ki keys.
+        assert_eq!(Layout::plan(64, 16 << 10, 1 << 20, None).buckets(), 1);
+        assert_eq!(Layout::plan(64, (16 << 10) + 1, 1 << 20, None).buckets(), 2);
+        assert_eq!(Layout::plan(64, 10 << 20, 1 << 20, None).buckets(), 1024);
+        // Never more than 2^12 buckets, however many keys.
+        assert_eq!(
+            Layout::plan(64, usize::MAX / 2, 1 << 20, None).buckets(),
+            4096
+        );
+        // A 64 KiB budget shrinks the buckets eightfold, a huge one changes
+        // nothing.
+        assert_eq!(
+            Layout::plan(64, 1 << 20, 1 << 20, Some(64 << 10)).buckets(),
+            512
+        );
+        assert_eq!(
+            Layout::plan(64, 1 << 20, 1 << 20, Some(1 << 40)),
+            Layout::plan(64, 1 << 20, 1 << 20, None)
+        );
+        // Chunks: a page when there is room, a cache line when there is not.
+        assert_eq!(
+            Layout::plan(64, 1 << 20, 1 << 20, None).chunk_shift,
+            MAX_CHUNK_SHIFT
+        );
+        assert_eq!(
+            Layout::plan(64, 1 << 20, 0, None).chunk_shift,
+            MIN_CHUNK_SHIFT
+        );
+    }
+
+    #[test]
+    fn a_sink_keeps_push_order_per_bucket_and_outgrows_a_low_bound() {
+        let layout = Layout {
+            shift: 4,
+            mask: 3,
+            chunk_shift: MIN_CHUNK_SHIFT,
+        };
+        // Room for one chunk per bucket only; 100 keys per bucket follow.
+        let mut sink = KeySink::new(layout, 4);
+        for i in 0..400u64 {
+            sink.push(((i % 4) << 4) | ((i / 4) % 16));
+        }
+        for bucket in 0..4 {
+            assert_eq!(sink.len_of(bucket), 100);
+            let keys: Vec<u64> = sink.fragments(bucket).flatten().copied().collect();
+            let expected: Vec<u64> = (0..100)
+                .map(|i| ((bucket as u64) << 4) | (i % 16))
+                .collect();
+            assert_eq!(keys, expected);
+        }
+        assert_eq!(sink.buffered_bytes(), 4 * 13 * 8 * 8);
+        sink.clear();
+        assert_eq!(sink.buffered_bytes(), 0);
+        assert_eq!(sink.len_of(2), 0);
+        assert_eq!(sink.fragments(2).count(), 0);
+        sink.push(0x2F);
+        assert_eq!(sink.fragments(2).collect::<Vec<_>>(), vec![&[0x2F][..]]);
+    }
+
+    #[test]
+    fn ranges_are_contiguous_cover_everything_and_balance_a_skewed_load() {
+        // The canonical k-mer shape: load falling linearly with the bucket.
+        let totals: Vec<u64> = (0..64u64).map(|b| 2 * (64 - b)).collect();
+        let ranges = balanced_ranges(&totals, 4);
+        assert_eq!(ranges.len(), 4);
+        assert_eq!(ranges[0].start, 0);
+        assert_eq!(ranges[3].end, 64);
+        let share = totals.iter().sum::<u64>() / 4;
+        for (i, range) in ranges.iter().enumerate() {
+            if i > 0 {
+                assert_eq!(range.start, ranges[i - 1].end);
+            }
+            let load: u64 = totals[range.clone()].iter().sum();
+            assert!(
+                load.abs_diff(share) <= 128,
+                "range {range:?} carries {load}, an even share is {share}"
+            );
+        }
+        assert!(ranges[0].len() < ranges[3].len(), "low buckets are fuller");
+        // Degenerate shapes still cover every bucket exactly once.
+        assert_eq!(balanced_ranges(&[0, 0, 0], 2), vec![0..0, 0..3]);
+        assert_eq!(balanced_ranges(&[9], 3), vec![0..1, 1..1, 1..1]);
+        assert_eq!(balanced_ranges(&[], 2), vec![0..0, 0..0]);
+    }
+
+    /// Runs the count under `cap` and checks it against the resident run.
+    fn capped_matches_resident(cap: u64, workers: usize) -> MapReduceMetrics {
+        let tasks = keyed_tasks(40, 2_000, 6_000, 40);
+        let ctx = ExecCtx::new(workers);
+        let (resident, resident_metrics) = count(&ctx, &tasks, 40, 1);
+        ctx.set_spill(SpillPolicy::At(cap));
+        let (capped, metrics) = count(&ctx, &tasks, 40, 1);
+        ctx.clear_spill();
+        assert_eq!(capped, resident, "cap={cap} workers={workers}");
+        assert_eq!(metrics.pairs_shuffled, resident_metrics.pairs_shuffled);
+        assert_eq!(metrics.groups, resident_metrics.groups);
+        assert_eq!(metrics.output_records, resident_metrics.output_records);
+        metrics
+    }
+
+    #[test]
+    fn a_capped_count_equals_the_resident_one_and_reads_back_what_it_wrote() {
+        for workers in [1, 3] {
+            // 80k keys = 640 kB. A 4 MiB cap never trips its budget …
+            let roomy = capped_matches_resident(4 << 20, workers);
+            assert_eq!(
+                (roomy.spilled_bytes, roomy.spilled_runs),
+                (0, 0),
+                "a budget above the working set must not touch disk"
+            );
+            // … a 256 KiB cap trips it a few times per worker …
+            let tight = capped_matches_resident(256 << 10, workers);
+            assert!(tight.spilled_runs >= 3, "got {tight:?}");
+            assert_eq!(tight.spill_read_bytes, tight.spilled_bytes);
+            // … and under a 1 KiB cap every task is flushed as it ends,
+            // except each worker's last.
+            let tiny = capped_matches_resident(1 << 10, workers);
+            assert_eq!(tiny.spilled_runs, 40 - workers as u64);
+            assert_eq!(tiny.spill_read_bytes, tiny.spilled_bytes);
+            assert!(tight.spilled_bytes < tiny.spilled_bytes);
+        }
+    }
+
+    #[test]
+    fn a_cancel_at_the_barrier_unwinds_typed_and_the_pool_survives() {
+        let tasks = keyed_tasks(6, 500, 100, 20);
+        let ctx = ExecCtx::new(2);
+        let control = JobControl::new();
+        control.cancel();
+        ctx.set_control(control.clone());
+        let scanned = std::sync::atomic::AtomicUsize::new(0);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            count_keys_on(
+                &ctx,
+                &tasks,
+                20,
+                Vec::len,
+                |task, sink| {
+                    scanned.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    task.iter().for_each(|&key| sink.push(key));
+                },
+                0,
+            )
+        }))
+        .expect_err("a latched cancel must stop the count");
+        ctx.clear_control();
+        assert_eq!(
+            payload.downcast_ref::<EngineError>(),
+            Some(&EngineError::Cancelled {
+                reason: CancelReason::Requested,
+                superstep: 0,
+            })
+        );
+        // The poll sits between the phases: the scatter ran, once per task.
+        assert_eq!(scanned.into_inner(), 6);
+        assert_eq!(control.checks(), 1);
+        // Raised on the coordinator, so the pool is clean.
+        assert_eq!(count(&ctx, &tasks, 20, 0).0, oracle(&tasks, 0).0);
+    }
+
+    /// Runs a spilling count whose barrier action rewrites worker 0's
+    /// segment file with `damage`, and returns the typed panic payload.
+    fn count_with_damaged_segments(damage: fn(Vec<u8>) -> Vec<u8>) -> EngineError {
+        let tasks = keyed_tasks(12, 1_000, 300, 30);
+        let ctx = ExecCtx::new(2);
+        ctx.set_spill(SpillPolicy::At(1 << 10));
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            count_keys_with_barrier(
+                &ctx,
+                &tasks,
+                30,
+                Vec::len,
+                |task: &Vec<u64>, sink: &mut KeySink| task.iter().for_each(|&key| sink.push(key)),
+                0,
+                |sides| {
+                    let file = sides[0].spilled.as_ref().expect("the 1 KiB cap spills");
+                    let bytes = std::fs::read(file.path()).expect("read segment file");
+                    std::fs::write(file.path(), damage(bytes)).expect("damage segment file");
+                },
+            )
+        }))
+        .expect_err("a damaged segment file must stop the count");
+        ctx.clear_spill();
+        // The failure crossed the pool as a value and was raised on the
+        // coordinator: the same context counts again, resident.
+        assert_eq!(count(&ctx, &tasks, 30, 0).0, oracle(&tasks, 0).0);
+        payload
+            .downcast_ref::<EngineError>()
+            .expect("a typed engine error, not a codec panic")
+            .clone()
+    }
+
+    #[test]
+    fn damaged_segment_files_surface_as_engine_spill_errors() {
+        let err = count_with_damaged_segments(|mut bytes| {
+            bytes.truncate(bytes.len() - 3);
+            bytes
+        });
+        assert!(
+            matches!(err, EngineError::Spill(SpillError::Truncated { .. })),
+            "got {err:?}"
+        );
+        let err = count_with_damaged_segments(|mut bytes| {
+            // The bucket index of the first frame (header 20 + length 4).
+            bytes[24] ^= 0x40;
+            bytes
+        });
+        assert!(
+            matches!(err, EngineError::Spill(SpillError::Corrupt { .. })),
+            "got {err:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_counts_match_the_hash_map(
+            tasks in proptest::collection::vec(
+                proptest::collection::vec(0u64..1 << 12, 0..200), 0..12),
+            shift in 0u32..52,
+            workers in 1usize..5,
+            theta in 0u32..3,
+            cap in 0u64..64 << 10,
+        ) {
+            // Small values shifted up: clustered keys, every key width.
+            let tasks: Vec<Vec<u64>> = tasks
+                .into_iter()
+                .map(|t| t.into_iter().map(|key| key << shift).collect())
+                .collect();
+            let ctx = ExecCtx::new(workers);
+            // Two runs in three under a cap, from a byte to 64 KiB.
+            if cap % 3 != 0 {
+                ctx.set_spill(SpillPolicy::At(cap));
+            }
+            let (kept, metrics) = count(&ctx, &tasks, 12 + shift, theta);
+            let (expected, distinct) = oracle(&tasks, theta);
+            prop_assert_eq!(kept, expected);
+            prop_assert_eq!(metrics.groups, distinct);
+            prop_assert_eq!(metrics.spill_read_bytes, metrics.spilled_bytes);
+        }
+    }
+}

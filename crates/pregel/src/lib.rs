@@ -26,7 +26,9 @@
 //!
 //! * [`mapreduce`] — the *mini MapReduce* procedure used to build vertices
 //!   from input that is not one-line-per-vertex (DBG construction, contig
-//!   merging and bubble filtering all use it);
+//!   merging and bubble filtering all use it), with [`keycount`] beside it
+//!   for the one pass that only counts bare keys and keeps the frequent ones
+//!   (the (k+1)-mer count DBG construction starts from);
 //! * [`VertexSet::convert`] — in-memory job concatenation: the output vertices
 //!   of one job are transformed into the input vertices of the next job and
 //!   re-shuffled by vertex ID without a round-trip through external storage
@@ -81,7 +83,8 @@
 //! # Execution engine
 //!
 //! All of the parallel entry points — the superstep runner's compute and
-//! shuffle phases, the mini MapReduce's map and reduce phases, and
+//! shuffle phases, the mini MapReduce's map and reduce phases, the key
+//! counter's scatter and count phases, and
 //! [`VertexSet::convert`] — execute on the persistent worker pool of
 //! [`engine`] (per-superstep aggregate folding is a cheap O(workers) pass
 //! that stays on the dispatching thread): threads are spawned once per
@@ -109,6 +112,7 @@ pub mod engine;
 pub mod fault;
 pub mod fxhash;
 pub mod kernels;
+pub mod keycount;
 mod kmerge;
 pub mod mapreduce;
 pub mod metrics;
@@ -124,6 +128,7 @@ pub use config::PregelConfig;
 pub use control::{CancelReason, JobControl};
 pub use engine::{EngineError, ExecCtx, WorkerPool};
 pub use fault::{ArmedFaults, Fault, FaultPlan};
+pub use keycount::{count_keys_on, KeySink};
 pub use mapreduce::{
     map_reduce, map_reduce_on, map_reduce_spillable_on, map_reduce_with_metrics,
     map_reduce_with_metrics_on, MapReduceMetrics,

@@ -1,12 +1,14 @@
 //! The *mini MapReduce* procedure of the paper's second API extension.
 //!
 //! Some assembly steps are not naturally vertex-centric: DBG construction
-//! turns reads into (k+1)-mers and then into k-mer vertices, contig merging
-//! groups labeled vertices by contig label, and bubble filtering groups
-//! contigs by their pair of ambiguous end vertices. The paper extends Pregel+
-//! with a mini MapReduce pass: a `map(.)` UDF emits key–value pairs, the pairs
-//! are shuffled by key to workers, sorted/grouped, and a `reduce(.)` UDF
-//! processes each group.
+//! turns counted (k+1)-mers into k-mer vertices, contig merging groups
+//! labeled vertices by contig label, and bubble filtering groups contigs by
+//! their pair of ambiguous end vertices. The paper extends Pregel+ with a
+//! mini MapReduce pass: a `map(.)` UDF emits key–value pairs, the pairs are
+//! shuffled by key to workers, sorted/grouped, and a `reduce(.)` UDF
+//! processes each group. (Counting the (k+1)-mers themselves — payload-free
+//! keys, nearly all discarded — is not a shuffle; it runs through
+//! [`crate::keycount`].)
 //!
 //! [`map_reduce`] reproduces that pass with one thread per worker. Grouping is
 //! **sort-based**: every reduce worker concatenates the pair buffers addressed
@@ -82,7 +84,9 @@ impl<K: Hash, V> Emitter<'_, K, V> {
 pub struct MapReduceMetrics {
     /// Number of input records fed to `map`.
     pub input_records: u64,
-    /// Number of key–value pairs emitted by `map` (the shuffle volume).
+    /// Number of key–value pairs emitted by `map` (the shuffle volume). For
+    /// a [`count_keys_on`](crate::keycount::count_keys_on) pass: the keys
+    /// scattered, 8 bytes each.
     pub pairs_shuffled: u64,
     /// Number of distinct keys (groups) processed by `reduce`.
     pub groups: u64,
@@ -96,7 +100,9 @@ pub struct MapReduceMetrics {
     pub spilled_bytes: u64,
     /// Bytes streamed back from run files by the reduce-side merge.
     pub spill_read_bytes: u64,
-    /// Sorted run files written by the map phase.
+    /// Sorted run files written by the map phase; for a
+    /// [`count_keys_on`](crate::keycount::count_keys_on) pass, the times a
+    /// worker flushed its buckets as segments.
     pub spilled_runs: u64,
 }
 
@@ -402,17 +408,9 @@ where
     }
 
     // Cooperative control poll at the map→reduce barrier (the pass's one BSP
-    // boundary): raised on the coordinator thread, so a trip unwinds without
-    // the pool ever seeing it. No superstep or store here — resident bytes 0.
-    // An unwind here drops `incoming`, deleting any spilled run files.
-    if let Some(control) = ctx.control() {
-        if let Some(reason) = control.poll(0) {
-            std::panic::panic_any(EngineError::Cancelled {
-                reason,
-                superstep: 0,
-            });
-        }
-    }
+    // boundary). An unwind here drops `incoming`, deleting any spilled run
+    // files.
+    ctx.poll_barrier();
 
     // ---- reduce phase: flat sort-based grouping, then reduce each key run.
     let codecs = spill.as_ref().map(|(_, _, kc, vc)| (*kc, *vc));

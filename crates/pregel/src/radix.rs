@@ -1,19 +1,21 @@
 //! Stable LSD radix sort for the message plane's fixed-width keys.
 //!
-//! Every presort in this workspace — the runner's per-destination outbox
-//! presort, the mini-MapReduce shuffle presort, `VertexSet::convert`'s
-//! presort and construct phase (i)'s (k+1)-mer counting — sorts records by a
-//! packed integer key (vertex IDs, shuffle keys, canonical k-mers are all
-//! `u64`). [`sort_pairs`] and [`sort_keys`] replace the comparison sorts on
-//! those sites with a **stable least-significant-digit radix sort**:
+//! Every sort in this workspace is by a packed integer key (vertex IDs,
+//! shuffle keys, canonical k-mers are all `u64`). The presorts — the runner's
+//! per-destination outbox presort, the mini-MapReduce shuffle presort and
+//! `VertexSet::convert`'s presort — sort `(key, payload)` records with
+//! [`sort_pairs`]; the bucketed key counter ([`crate::keycount`], construct
+//! phase (i)'s (k+1)-mer counting) sorts bare keys with [`sort_keys`], one
+//! cache-resident prefix bucket at a time, before run-length counting them.
+//! Both are a **stable least-significant-digit radix sort**:
 //!
 //! * an **adaptive digit schedule**: a cheap envelope pass folds the bitwise
 //!   OR and AND of every key, which proves exactly which bits differ
 //!   ([`kernels::key_envelope`] is the
 //!   vectorized form). Digits on which every key agrees are **skipped** —
-//!   partition-clustered or small-range keys (the common case: k-mer counts,
-//!   contig labels and vertex IDs rarely span all 64 bits) sort in 2–4
-//!   byte-digit passes;
+//!   partition-clustered or small-range keys (the common case: contig
+//!   labels and vertex IDs rarely span all 64 bits, and the keys of one
+//!   counting bucket share their top bits) sort in fewer byte-digit passes;
 //! * when six or more bytes are active (uniform full-width keys — the shape
 //!   that used to lose 0.85× to pdqsort), large inputs switch to six
 //!   **11-bit digits** with 2048-bucket stack histograms, two fewer scatter

@@ -1,7 +1,7 @@
 //! Out-of-core spill layer: bounded-memory execution for the data plane.
 //!
-//! Two independent mechanisms share this module's framing, codecs, and typed
-//! errors:
+//! Three independent mechanisms share this module's framing, codecs, and
+//! typed errors:
 //!
 //! * **Shuffle-run spilling** — when a superstep's (or the mini-MapReduce
 //!   map phase's) per-destination outbox grows past its share of the
@@ -19,6 +19,11 @@
 //!   roughly `workers × extent bytes`), writing each window back after use;
 //!   compaction rewrites the generation file once superseded extent images
 //!   outweigh the live ones.
+//! * **Key-segment spilling** — when a scatter worker of the bucketed key
+//!   counter ([`crate::keycount`]) outgrows its share of the cap, it appends
+//!   every non-empty prefix bucket, unsorted, as one bucket-addressed
+//!   segment to its `KeySegmentWriter` file; the count phase reads each
+//!   bucket's segments back, once, by offset (`KeySegmentReader`).
 //!
 //! All file formats share one framing: an 8-byte magic (`PPASPIL1`), a
 //! `u32` format version, a `u64` record/slot count, then `u32`
@@ -42,8 +47,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// File magic shared by run files, partition generation files, and spill
-/// round-trip files: `PPASPIL1` as a little-endian `u64`.
+/// File magic shared by run files, key-segment files, partition generation
+/// files, and spill round-trip files: `PPASPIL1` as a little-endian `u64`.
 const MAGIC: u64 = u64::from_le_bytes(*b"PPASPIL1");
 
 /// Format version written after the magic.
@@ -666,6 +671,241 @@ pub(crate) fn merge_run_sources<K: Ord, V>(
     Ok(disk_bytes)
 }
 
+/// Where one bucket-addressed key segment sits in a [`KeySegmentFile`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeySegment {
+    /// The bucket every key of the segment belongs to.
+    pub(crate) bucket: u32,
+    /// Keys in the segment.
+    pub(crate) keys: u32,
+    /// Byte offset of the segment's frame (its length prefix).
+    offset: u64,
+}
+
+/// Byte offset of the header's record count (patched when the writer
+/// finishes, since segments are appended flush by flush).
+const HEADER_COUNT_OFFSET: u64 = 12;
+
+/// Appends **unsorted** bucket-addressed key segments to one file in the
+/// shared spill framing: one frame per segment, its payload the bucket index
+/// (`u32`) followed by the segment's keys (`u64` each). The bucketed key
+/// counter ([`crate::keycount`]) flushes its scatter buffers through this
+/// when they outgrow the spill budget; the segment index stays in RAM.
+pub(crate) struct KeySegmentWriter {
+    w: BufWriter<std::fs::File>,
+    path: PathBuf,
+    dir: Arc<SpillDir>,
+    bytes: u64,
+    segments: Vec<KeySegment>,
+}
+
+impl KeySegmentWriter {
+    /// Creates `name` inside `dir` and writes the header.
+    pub(crate) fn create(dir: &Arc<SpillDir>, name: &str) -> Result<Self, SpillError> {
+        let path = dir.file(name);
+        let file =
+            std::fs::File::create(&path).map_err(|e| io_err(&path, "create segment file", e))?;
+        let mut w = BufWriter::new(file);
+        let mut head = Vec::new();
+        encode_header(&mut head, 0);
+        w.write_all(&head)
+            .map_err(|e| io_err(&path, "write segment header", e))?;
+        Ok(KeySegmentWriter {
+            w,
+            path,
+            dir: Arc::clone(dir),
+            bytes: head.len() as u64,
+            segments: Vec::new(),
+        })
+    }
+
+    /// Appends one segment: `keys` keys of `bucket`, handed over as the
+    /// fragments they were buffered in.
+    pub(crate) fn append<'a>(
+        &mut self,
+        bucket: u32,
+        keys: usize,
+        fragments: impl Iterator<Item = &'a [u64]>,
+    ) -> Result<(), SpillError> {
+        let len = u32::try_from(keys)
+            .ok()
+            .and_then(|n| n.checked_mul(8)?.checked_add(4))
+            .filter(|len| *len <= MAX_FRAME)
+            .ok_or_else(|| SpillError::Corrupt {
+                path: self.path.display().to_string(),
+                detail: format!("a segment of {keys} keys exceeds the {MAX_FRAME}-byte frame cap"),
+            })?;
+        let path = &self.path;
+        let mut put = |bytes: &[u8]| {
+            self.w
+                .write_all(bytes)
+                .map_err(|e| io_err(path, "write key segment", e))
+        };
+        put(&len.to_le_bytes())?;
+        put(&bucket.to_le_bytes())?;
+        for fragment in fragments {
+            for key in fragment {
+                put(&key.to_le_bytes())?;
+            }
+        }
+        self.segments.push(KeySegment {
+            bucket,
+            keys: keys as u32,
+            offset: self.bytes,
+        });
+        self.bytes += 4 + u64::from(len);
+        Ok(())
+    }
+
+    /// Flushes, patches the header's segment count and hands back the
+    /// readable file.
+    pub(crate) fn finish(self) -> Result<KeySegmentFile, SpillError> {
+        let KeySegmentWriter {
+            w,
+            path,
+            dir,
+            bytes,
+            mut segments,
+        } = self;
+        let mut file = w
+            .into_inner()
+            .map_err(|e| io_err(&path, "flush segment file", e.into_error()))?;
+        file.seek(SeekFrom::Start(HEADER_COUNT_OFFSET))
+            .and_then(|_| file.write_all(&(segments.len() as u64).to_le_bytes()))
+            .map_err(|e| io_err(&path, "patch segment count", e))?;
+        // Stable: a bucket's segments stay in the order they were flushed.
+        segments.sort_by_key(|s| s.bucket);
+        Ok(KeySegmentFile {
+            path,
+            bytes,
+            segments,
+            _dir: dir,
+        })
+    }
+}
+
+/// A finished key-segment file plus its in-RAM segment index. The file is
+/// deleted when the handle drops (every segment is read back at most once).
+pub(crate) struct KeySegmentFile {
+    path: PathBuf,
+    /// Bytes written, including the header.
+    pub(crate) bytes: u64,
+    /// Every segment, ordered by bucket and, within a bucket, by flush.
+    segments: Vec<KeySegment>,
+    /// Keeps the owning directory alive until the file is consumed.
+    _dir: Arc<SpillDir>,
+}
+
+impl KeySegmentFile {
+    /// The on-disk location (tests damage the file through it).
+    #[cfg(test)]
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// All segments, ordered by bucket and, within a bucket, by flush.
+    pub(crate) fn segments(&self) -> &[KeySegment] {
+        &self.segments
+    }
+
+    /// The segments of `bucket`, in the order they were flushed.
+    pub(crate) fn segments_of(&self, bucket: u32) -> &[KeySegment] {
+        let start = self.segments.partition_point(|s| s.bucket < bucket);
+        let end = self.segments.partition_point(|s| s.bucket <= bucket);
+        self.segments.get(start..end).unwrap_or(&[])
+    }
+
+    /// Opens the file for segment reads (one handle, one cursor, per reader).
+    pub(crate) fn open(&self) -> Result<KeySegmentReader<'_>, SpillError> {
+        let file = std::fs::File::open(&self.path)
+            .map_err(|e| io_err(&self.path, "open segment file", e))?;
+        Ok(KeySegmentReader {
+            file,
+            of: self,
+            bytes_read: 0,
+        })
+    }
+}
+
+impl Drop for KeySegmentFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// Random-access reader over one [`KeySegmentFile`].
+pub(crate) struct KeySegmentReader<'a> {
+    file: std::fs::File,
+    of: &'a KeySegmentFile,
+    bytes_read: u64,
+}
+
+impl KeySegmentReader<'_> {
+    fn seek(&mut self, offset: u64) -> Result<(), SpillError> {
+        self.file
+            .seek(SeekFrom::Start(offset))
+            .map(|_| ())
+            .map_err(|e| io_err(&self.of.path, "seek in segment file", e))
+    }
+
+    /// Checks the header against the in-RAM index.
+    pub(crate) fn validate_header(&mut self) -> Result<(), SpillError> {
+        self.seek(0)?;
+        let mut frames = FrameReader::new(&self.file, MAX_FRAME);
+        let count = read_header(&mut frames, &self.of.path)?;
+        self.bytes_read += frames.offset();
+        if count != self.of.segments.len() as u64 {
+            return Err(SpillError::Corrupt {
+                path: self.of.path.display().to_string(),
+                detail: format!(
+                    "header counts {count} segments, the index holds {}",
+                    self.of.segments.len()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// Appends the keys of `segment` to `out`.
+    pub(crate) fn read_into(
+        &mut self,
+        segment: &KeySegment,
+        out: &mut Vec<u64>,
+    ) -> Result<(), SpillError> {
+        self.seek(segment.offset)?;
+        let path = &self.of.path;
+        let corrupt = |detail: String| SpillError::Corrupt {
+            path: path.display().to_string(),
+            detail: format!("segment at offset {}: {detail}", segment.offset),
+        };
+        let mut frames = FrameReader::new(&self.file, MAX_FRAME);
+        let mut frame = frames.frame().map_err(|e| frame_err(path, e))?;
+        self.bytes_read += 4 + frame.len() as u64;
+        let bucket =
+            u32::decode(&mut frame).ok_or_else(|| corrupt("bucket index missing".into()))?;
+        if bucket != segment.bucket {
+            return Err(corrupt(format!(
+                "holds bucket {bucket}, the index says {}",
+                segment.bucket
+            )));
+        }
+        if frame.len() != segment.keys as usize * 8 {
+            return Err(corrupt(format!(
+                "holds {} key bytes, the index says {} keys",
+                frame.len(),
+                segment.keys
+            )));
+        }
+        out.extend(frame.chunks_exact(8).filter_map(|b| u64::decode(&mut &*b)));
+        Ok(())
+    }
+
+    /// Bytes read through this handle so far.
+    pub(crate) fn bytes_read(&self) -> u64 {
+        self.bytes_read
+    }
+}
+
 /// One append-only partition generation file.
 struct GenFile {
     path: PathBuf,
@@ -1225,6 +1465,106 @@ mod tests {
             "got {err:?}"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Bytes of the shared header: magic, version, record count.
+    const HEADER_BYTES: usize = 20;
+
+    /// Three flushes over buckets {0, 2, 5}: bucket 2 is written twice.
+    fn sample_segment_file(dir: &Arc<SpillDir>) -> KeySegmentFile {
+        let mut w = KeySegmentWriter::create(dir, "s.seg").expect("create segment file");
+        let frag = |keys: &'static [u64]| std::iter::once(keys);
+        w.append(2, 3, frag(&[20, 21, 22])).expect("append");
+        w.append(5, 1, frag(&[u64::MAX])).expect("append");
+        w.append(0, 2, [&[1u64][..], &[0u64][..]].into_iter())
+            .expect("append fragmented");
+        w.append(2, 2, frag(&[23, 24])).expect("append");
+        w.finish().expect("finish")
+    }
+
+    #[test]
+    fn key_segments_roundtrip_by_bucket_in_flush_order() {
+        let dir = SpillDir::create("unit").expect("create spill dir");
+        let file = sample_segment_file(&dir);
+        assert_eq!(file.segments().len(), 4);
+        assert_eq!(file.segments_of(1), &[]);
+        assert_eq!(file.segments_of(9), &[]);
+        let mut reader = file.open().expect("open");
+        reader.validate_header().expect("header matches the index");
+        let mut read = |bucket: u32| {
+            let mut keys = Vec::new();
+            for segment in file.segments_of(bucket) {
+                reader.read_into(segment, &mut keys).expect("read segment");
+            }
+            keys
+        };
+        // Read out of file order on purpose: segments are addressed.
+        assert_eq!(read(5), vec![u64::MAX]);
+        assert_eq!(read(2), vec![20, 21, 22, 23, 24]);
+        assert_eq!(read(0), vec![1, 0]);
+        // Header + every frame once = every byte written.
+        assert_eq!(reader.bytes_read(), file.bytes);
+        assert_eq!(
+            std::fs::metadata(file.path()).expect("stat").len(),
+            file.bytes
+        );
+        let path = file.path().to_path_buf();
+        drop(reader);
+        drop(file);
+        assert!(!path.exists(), "segment file must vanish with its handle");
+    }
+
+    #[test]
+    fn damaged_key_segment_files_are_typed_errors() {
+        let dir = SpillDir::create("unit").expect("create spill dir");
+        let file = sample_segment_file(&dir);
+        let intact = std::fs::read(file.path()).expect("read back");
+        let read_all = |file: &KeySegmentFile| -> Result<(), SpillError> {
+            let mut reader = file.open()?;
+            reader.validate_header()?;
+            let mut keys = Vec::new();
+            for segment in file.segments() {
+                reader.read_into(segment, &mut keys)?;
+            }
+            Ok(())
+        };
+        read_all(&file).expect("intact file reads");
+
+        // Cut inside the last frame.
+        std::fs::write(file.path(), &intact[..intact.len() - 5]).expect("truncate");
+        let err = read_all(&file).expect_err("truncated frame");
+        assert!(matches!(err, SpillError::Truncated { .. }), "got {err:?}");
+
+        // Cut inside the header.
+        std::fs::write(file.path(), &intact[..10]).expect("truncate");
+        let err = read_all(&file).expect_err("truncated header");
+        assert!(matches!(err, SpillError::Truncated { .. }), "got {err:?}");
+
+        // A frame that claims another bucket (first frame's bucket field).
+        let mut wrong_bucket = intact.clone();
+        wrong_bucket[HEADER_BYTES + 4] ^= 1;
+        std::fs::write(file.path(), &wrong_bucket).expect("corrupt");
+        let err = read_all(&file).expect_err("bucket mismatch");
+        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+
+        // A frame whose length prefix disagrees with the index.
+        let mut wrong_len = intact.clone();
+        wrong_len[HEADER_BYTES] -= 8;
+        std::fs::write(file.path(), &wrong_len).expect("corrupt");
+        let err = read_all(&file).expect_err("length mismatch");
+        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+
+        // A header that counts other segments than the index, a foreign magic.
+        let mut wrong_count = intact.clone();
+        wrong_count[HEADER_COUNT_OFFSET as usize] += 1;
+        std::fs::write(file.path(), &wrong_count).expect("corrupt");
+        let err = read_all(&file).expect_err("count mismatch");
+        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+        let mut wrong_magic = intact;
+        wrong_magic[0] ^= 0xFF;
+        std::fs::write(file.path(), &wrong_magic).expect("corrupt");
+        let err = read_all(&file).expect_err("bad magic");
+        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
     }
 
     #[test]

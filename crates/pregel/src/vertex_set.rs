@@ -1485,17 +1485,8 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
                 incoming[dst].push(buf);
             }
         }
-        // Cooperative control poll at the convert shuffle barrier, raised on
-        // the coordinator thread so a trip never reaches the pool workers.
-        // Convert has no superstep counter or bookkept store — 0 for both.
-        if let Some(control) = ctx.control() {
-            if let Some(reason) = control.poll(0) {
-                std::panic::panic_any(crate::engine::EngineError::Cancelled {
-                    reason,
-                    superstep: 0,
-                });
-            }
-        }
+        // Cooperative control poll at the convert shuffle barrier.
+        ctx.poll_barrier();
         let parts: Vec<Partition<I2, V2>> = ctx.pool().run_per_worker(incoming, |_w, mut bufs| {
             // Duplicate IDs arrive as one contiguous run of the merged
             // stream (ties prefer the lower source worker), so folding

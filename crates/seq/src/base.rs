@@ -69,7 +69,7 @@ impl Base {
     /// Like [`Base::from_ascii`] but returns `None` instead of an error, which
     /// is convenient when splitting reads on `N` characters.
     #[inline]
-    pub fn from_ascii_checked(c: u8) -> Option<Base> {
+    pub const fn from_ascii_checked(c: u8) -> Option<Base> {
         match c {
             b'A' | b'a' => Some(Base::A),
             b'C' | b'c' => Some(Base::C),

@@ -54,7 +54,11 @@ impl FastxRecord {
     }
 
     /// Splits the sequence on `N`s (and any other non-ACGT character) into
-    /// maximal ACGT-only segments, as required before (k+1)-mer extraction.
+    /// maximal ACGT-only segments, as required before k-mer extraction.
+    /// Allocates the segment list; a hot loop that only needs the canonical
+    /// k-mers should use
+    /// [`CanonicalScanner::scan_ascii`](crate::kmer::CanonicalScanner::scan_ascii),
+    /// which applies the same breaks in one pass over the bytes.
     pub fn acgt_segments(&self) -> Vec<&[u8]> {
         let mut segments = Vec::new();
         let mut start = None;

@@ -415,7 +415,85 @@ impl CanonicalScanner {
             orientation,
         })
     }
+
+    /// Bulk entry: walks a read's raw ASCII bytes **once** and hands the
+    /// packed canonical form of every complete window to `sink`, left to
+    /// right. Any byte that is not `A`/`C`/`G`/`T` (either case) — `N`, an
+    /// IUPAC code, anything else — restarts the window, so no k-mer spans it
+    /// and stretches shorter than `k` contribute nothing. This is the scan
+    /// DBG construction feeds its (k+1)-mer counter from: one table lookup
+    /// per base, no per-read segment list and no [`Base`] round-trip.
+    ///
+    /// The walk keeps its own window, so it neither reads nor disturbs the
+    /// state [`push`](CanonicalScanner::push) is rolling.
+    ///
+    /// ```
+    /// use ppa_seq::kmer::CanonicalScanner;
+    /// use ppa_seq::Kmer;
+    ///
+    /// let scan = |k: usize, read: &str| -> Vec<String> {
+    ///     let mut out = Vec::new();
+    ///     CanonicalScanner::new(k).unwrap().scan_ascii(read.as_bytes(), |key| {
+    ///         out.push(Kmer::from_packed(key, k).unwrap().to_string())
+    ///     });
+    ///     out
+    /// };
+    ///
+    /// // Windows "ACG", "CGT", "GTA" in canonical form (rc(GTA) = TAC).
+    /// assert_eq!(scan(3, "ACGTA"), ["ACG", "ACG", "GTA"]);
+    /// // An N breaks the read: no window spans it, and the two-base stretch
+    /// // after it is too short to yield one.
+    /// assert_eq!(scan(3, "ACGNTA"), ["ACG"]);
+    /// // Lower-case bases are bases.
+    /// assert_eq!(scan(3, "acGta"), scan(3, "ACGTA"));
+    /// // A read shorter than k yields nothing.
+    /// assert!(scan(3, "AC").is_empty());
+    /// // Tiny k: every base is its own window (T canonicalises to A).
+    /// assert_eq!(scan(1, "TNG"), ["A", "C"]);
+    ///
+    /// // k = 32 fills all 64 bits of the key: 33 T's are two windows whose
+    /// // canonical form is 32 A's — packed, zero.
+    /// let mut keys = Vec::new();
+    /// CanonicalScanner::new(32).unwrap().scan_ascii(&[b'T'; 33], |key| keys.push(key));
+    /// assert_eq!(keys, [0, 0]);
+    /// let mut keys = Vec::new();
+    /// CanonicalScanner::new(32).unwrap().scan_ascii(&[b'C'; 32], |key| keys.push(key));
+    /// assert_eq!(keys, [0x5555_5555_5555_5555]);
+    /// ```
+    #[inline]
+    pub fn scan_ascii(&self, seq: &[u8], mut sink: impl FnMut(u64)) {
+        let k = self.k as usize;
+        let (mut fwd, mut rc, mut filled) = (0u64, 0u64, 0usize);
+        for &c in seq {
+            let code = ASCII_CODE[c as usize] as u64;
+            if code > 3 {
+                // Stale bits need no clearing: k fresh bases shift every one
+                // of them out of both words before the next window completes.
+                filled = 0;
+                continue;
+            }
+            fwd = ((fwd << 2) | code) & self.mask;
+            rc = (rc >> 2) | ((3 ^ code) << self.rc_shift);
+            filled += 1;
+            if filled >= k {
+                sink(fwd.min(rc));
+            }
+        }
+    }
 }
+
+/// 2-bit code of every ASCII byte, 4 for bytes that are not a base.
+const ASCII_CODE: [u8; 256] = {
+    let mut table = [4u8; 256];
+    let mut c = 0usize;
+    while c < 256 {
+        if let Some(base) = Base::from_ascii_checked(c as u8) {
+            table[c] = base as u8;
+        }
+        c += 1;
+    }
+    table
+};
 
 /// Iterates over the canonical form of every k-mer window of a base slice,
 /// left to right, using the rolling [`CanonicalScanner`].
@@ -642,7 +720,45 @@ mod tests {
         assert_eq!(rolled.len(), 2);
     }
 
+    /// The per-segment formulation `scan_ascii` replaces in DBG construction:
+    /// split on non-ACGT bytes, then roll every base of every segment.
+    fn segment_then_push(seq: &[u8], k: usize) -> Vec<u64> {
+        let record = crate::FastxRecord::new_fasta("r", seq.to_vec());
+        let mut scanner = CanonicalScanner::new(k).unwrap();
+        let mut keys = Vec::new();
+        for segment in record.acgt_segments() {
+            scanner.reset();
+            for &c in segment {
+                let base = Base::from_ascii_checked(c).unwrap();
+                keys.extend(scanner.push(base).map(|c| c.kmer.packed()));
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn scan_ascii_leaves_the_rolling_window_alone() {
+        let mut scanner = CanonicalScanner::new(3).unwrap();
+        assert!(scanner.push(Base::G).is_none());
+        assert!(scanner.push(Base::T).is_none());
+        scanner.scan_ascii(b"ACGTACGT", |_| {});
+        let c = scanner.push(Base::A).unwrap();
+        assert_eq!(c.kmer, km("GTA").canonical().kmer);
+    }
+
     proptest! {
+        #[test]
+        fn prop_scan_ascii_matches_segment_then_push(
+            s in proptest::collection::vec(0usize..12, 0..120),
+            k in 1usize..=32,
+        ) {
+            // N, a non-IUPAC byte and lower case mixed in at ~1 in 3.
+            let seq: Vec<u8> = s.iter().map(|&i| b"ACGTACGTacNx"[i]).collect();
+            let mut keys = Vec::new();
+            CanonicalScanner::new(k).unwrap().scan_ascii(&seq, |key| keys.push(key));
+            prop_assert_eq!(keys, segment_then_push(&seq, k));
+        }
+
         #[test]
         fn prop_scanner_matches_naive_canonical(
             s in proptest::collection::vec(0u8..4, 1..60),

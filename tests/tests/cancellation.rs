@@ -10,9 +10,10 @@ use ppa_assembler::pipeline::{
     CheckpointPolicy, GraphState, Pipeline, PipelineError, PipelineObserver, StageReport,
 };
 use ppa_assembler::{checkpoint, AssemblyConfig};
-use ppa_pregel::{CancelReason, ExecCtx, Fault, FaultPlan, JobControl};
+use ppa_pregel::{CancelReason, ExecCtx, Fault, FaultPlan, JobControl, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
+use ppa_tests::our_spill_dirs;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -314,6 +315,70 @@ fn an_async_cancel_unwinds_cleanly_and_the_pool_stays_reusable() {
         reused, expected,
         "job 2 on the surviving pool diverged from the reference run"
     );
+}
+
+/// Cancels its handle when the named stage starts — after the pipeline's
+/// own poll at that stage's boundary, before the stage's first barrier.
+struct CancelWhenStageStarts {
+    control: JobControl,
+    stage: &'static str,
+}
+
+impl PipelineObserver for CancelWhenStageStarts {
+    fn on_stage_start(&mut self, stage: &str) {
+        if stage == self.stage {
+            self.control.cancel();
+        }
+    }
+}
+
+/// The only spilling test of this binary, so its `our_spill_dirs` scan
+/// cannot race a sibling's live job directory.
+#[test]
+fn a_cancel_during_kmer_counting_trips_at_the_scatter_count_barrier() {
+    let reads = simulated_reads();
+    let ctx = ExecCtx::new(WORKERS);
+    let expected = baseline(&reads, &ctx);
+
+    // Under a spill cap, so the counting pass owns a temp directory when
+    // the trip unwinds it.
+    ctx.set_spill(SpillPolicy::At(16 * 1024));
+    let control = JobControl::new();
+    ctx.set_control(control.clone());
+    let mut obs = CancelWhenStageStarts {
+        control: control.clone(),
+        stage: "construct",
+    };
+    let mut state = GraphState::new(&reads);
+    let err = Pipeline::paper_workflow(&config())
+        .observe(&mut obs)
+        .try_run(&mut state, &ctx)
+        .expect_err("the cancel must stop construction");
+    ctx.clear_control();
+    ctx.clear_spill();
+    assert!(
+        matches!(&err, PipelineError::Cancelled {
+            reason: CancelReason::Requested,
+            stage,
+            superstep: Some(0),
+        } if stage == "construct"),
+        "got {err:?}"
+    );
+    // Two polls: the pipeline's at the construct boundary (still live), the
+    // counter's between its scatter and count phases (tripped) — phase (ii)'s
+    // map→reduce barrier was never reached.
+    assert_eq!(control.checks(), 2);
+    assert!(
+        our_spill_dirs().is_empty(),
+        "the unwind must remove the counting pass's temp dir, found {:?}",
+        our_spill_dirs()
+    );
+
+    // The trip was raised on the coordinator: the same pool runs the whole
+    // workflow again, byte-identically.
+    let mut reused = GraphState::new(&reads);
+    Pipeline::paper_workflow(&config()).run(&mut reused, &ctx);
+    assert_eq!(reused, expected);
 }
 
 /// Counts pipeline attempts, to pin that `Cancelled` is never retried.

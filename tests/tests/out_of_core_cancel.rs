@@ -10,7 +10,7 @@ use ppa_assembler::{assemble, assemble_with_control, AssemblyConfig, PipelineErr
 use ppa_pregel::{CancelReason, ExecCtx, JobControl, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
-use std::path::PathBuf;
+use ppa_tests::our_spill_dirs;
 
 fn simulated_reads() -> ReadSet {
     let reference = GenomeConfig {
@@ -32,23 +32,6 @@ fn simulated_reads() -> ReadSet {
         seed: 405,
     }
     .simulate(&reference)
-}
-
-/// Spill job directories belonging to *this* process.
-fn our_spill_dirs() -> Vec<PathBuf> {
-    let prefix = format!("ppa-spill-{}-", std::process::id());
-    let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else {
-        return Vec::new();
-    };
-    entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&prefix))
-        })
-        .collect()
 }
 
 #[test]
