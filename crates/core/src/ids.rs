@@ -11,15 +11,18 @@
 //! * **contig vertices** (Figure 7c): the most significant bit is set and the
 //!   remaining bits hold `worker ‖ ordinal`, because a contig's sequence can be
 //!   arbitrarily long and cannot be embedded in the ID.
-//! * **flipped IDs**: during contig labeling a contig-end replaces its edge to
-//!   an ambiguous vertex by a self-loop whose target carries a *flipped*
-//!   second-most-significant bit, marking "this pointer has reached a contig
-//!   end".
+//!
+//! The paper has a fourth kind, *flipped* IDs: during contig labeling a
+//! contig end replaces its edge to an ambiguous vertex by a self-loop whose
+//! target carries a flipped bit, marking "this pointer has reached a contig
+//! end". Here labeling runs on dense `u32` ranks of the node set's IDs (see
+//! `ranks.rs` and [`crate::ops::label`]) and the flip bit is bit 31 of a
+//! rank; no 64-bit ID ever carries it.
 //!
 //! Deviation from the paper: the paper gives the worker field 32 bits; here it
-//! gets 30 bits (more than enough for any realistic worker count) so that the
-//! flip bit (bit 62) can never collide with a contig ID. Contig ordinals also
-//! start at 1 so that no contig ID equals NULL.
+//! gets 30 bits (more than enough for any realistic worker count), which
+//! leaves bit 62 of a contig ID clear. Contig ordinals also start at 1 so that
+//! no contig ID equals NULL.
 
 use ppa_seq::{Kmer, SeqError};
 
@@ -28,9 +31,6 @@ pub const NULL_ID: u64 = 1 << 63;
 
 /// Bit marking contig (and NULL) IDs.
 const CONTIG_MARK: u64 = 1 << 63;
-
-/// The contig-end "flip" bit used by bidirectional list ranking.
-const FLIP_BIT: u64 = 1 << 62;
 
 /// Number of bits for the contig ordinal.
 const ORDINAL_BITS: u32 = 32;
@@ -53,7 +53,7 @@ pub fn kmer_id(kmer: &Kmer) -> u64 {
 
 /// Reconstructs the k-mer encoded in a k-mer vertex ID.
 pub fn kmer_from_id(id: u64, k: usize) -> Result<Kmer, SeqError> {
-    Kmer::from_packed(id & !(CONTIG_MARK | FLIP_BIT), k)
+    Kmer::from_packed(id & !CONTIG_MARK, k)
 }
 
 /// Builds a contig vertex ID from the worker that created it and its ordinal
@@ -104,36 +104,16 @@ pub fn is_kmer_id(id: u64) -> bool {
     id & CONTIG_MARK == 0
 }
 
-/// Sets the contig-end flip bit (idempotent).
-#[inline]
-pub fn flip(id: u64) -> u64 {
-    id | FLIP_BIT
-}
-
-/// Clears the contig-end flip bit (idempotent).
-#[inline]
-pub fn unflip(id: u64) -> u64 {
-    id & !FLIP_BIT
-}
-
-/// Whether the contig-end flip bit is set.
-#[inline]
-pub fn is_flipped(id: u64) -> bool {
-    id & FLIP_BIT != 0
-}
-
-/// Renders an ID for debugging: `kmer:<packed>`, `contig:<worker>/<ordinal>`,
-/// `NULL`, with a trailing `~` when the flip bit is set.
+/// Renders an ID for debugging: `kmer:<packed>`, `contig:<worker>/<ordinal>`
+/// or `NULL`.
 pub fn describe(id: u64) -> String {
-    let flipped = if is_flipped(id) { "~" } else { "" };
-    let base = unflip(id);
-    if is_null(base) {
-        format!("NULL{flipped}")
-    } else if is_contig_id(base) {
-        let (w, o) = contig_parts(base);
-        format!("contig:{w}/{o}{flipped}")
+    if is_null(id) {
+        "NULL".to_string()
+    } else if is_contig_id(id) {
+        let (w, o) = contig_parts(id);
+        format!("contig:{w}/{o}")
     } else {
-        format!("kmer:{base:#x}{flipped}")
+        format!("kmer:{id:#x}")
     }
 }
 
@@ -182,30 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn flip_bit_roundtrip() {
-        let k = Kmer::from_str_exact("ACGTA").unwrap();
-        let id = kmer_id(&k);
-        let f = flip(id);
-        assert!(is_flipped(f));
-        assert!(!is_flipped(id));
-        assert_eq!(unflip(f), id);
-        assert_eq!(flip(f), f, "flip is idempotent");
-        assert_eq!(unflip(id), id, "unflip is idempotent");
-        // The flipped ID still decodes to the same k-mer.
-        assert_eq!(kmer_from_id(f, 5).unwrap(), k);
-    }
-
-    #[test]
-    fn flip_does_not_clash_with_contig_ids() {
-        let c = contig_id(WORKER_MASK as u32, u32::MAX);
-        assert!(!is_flipped(c), "contig IDs must leave the flip bit clear");
-        let fc = flip(c);
-        assert!(is_flipped(fc));
-        assert_eq!(unflip(fc), c);
-        assert!(is_contig_id(unflip(fc)));
-    }
-
-    #[test]
     fn id_spaces_are_disjoint() {
         let kmer = kmer_id(&Kmer::from_str_exact("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA").unwrap());
         let contig = contig_id(0, 1);
@@ -220,6 +176,6 @@ mod tests {
         assert_eq!(describe(NULL_ID), "NULL");
         assert!(describe(contig_id(2, 9)).contains("contig:2/9"));
         let k = kmer_id(&Kmer::from_str_exact("ACGT").unwrap());
-        assert!(describe(flip(k)).ends_with('~'));
+        assert_eq!(describe(k), format!("kmer:{k:#x}"));
     }
 }

@@ -65,6 +65,7 @@ pub mod node;
 pub mod ops;
 pub mod pipeline;
 pub mod polarity;
+mod ranks;
 pub mod stats;
 pub mod workflow;
 

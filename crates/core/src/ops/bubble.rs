@@ -10,6 +10,7 @@
 
 use crate::node::{AsmNode, NodeSeq};
 use crate::polarity::Direction;
+use ppa_pregel::fxhash::FxHashSet;
 use ppa_pregel::mapreduce::{map_reduce_with_metrics_on, Emitter, MapReduceMetrics};
 use ppa_pregel::ExecCtx;
 use ppa_seq::{banded_edit_distance, DnaString};
@@ -157,7 +158,7 @@ pub fn filter_bubbles_on(
 
 /// Convenience helper: removes the pruned contigs from a node list in place.
 pub fn remove_pruned(contigs: &mut Vec<AsmNode>, pruned: &[u64]) {
-    let set: std::collections::HashSet<u64> = pruned.iter().copied().collect();
+    let set: FxHashSet<u64> = pruned.iter().copied().collect();
     contigs.retain(|c| !set.contains(&c.id));
 }
 

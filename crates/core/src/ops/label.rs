@@ -25,12 +25,27 @@
 //!    exactly as the paper prescribes.
 //!
 //! The final label of a vertex is the smaller of its two contig-end IDs.
+//!
+//! # Rank space
+//!
+//! The jobs do not run on the 64-bit vertex IDs. The node set is translated
+//! once into a rank dictionary (`ranks.rs`) — its sorted ID column — and both
+//! the BPPA and its S-V fallback address vertices by their dense `u32`
+//! **rank** in it: a message record is 16 bytes, the shuffle sorts on
+//! ⌈log₂ n⌉ key bits, the flip bit is bit 31 of a rank and the per-vertex
+//! state is two pointers. Ranks order as IDs do, so "the smaller end" and
+//! "the smallest ID of the cycle" are decided on ranks; a neighbour ID outside
+//! the node set becomes the one-past-the-end rank, and what is sent there is
+//! dropped as it would be for the missing ID. The outcome is translated back,
+//! in the order a job over the IDs themselves would have left it (see
+//! [`LabelOutcome::labels`]).
 
-use crate::ids::{flip, is_flipped, unflip};
-use crate::node::{AsmNode, VertexType};
+use crate::node::AsmNode;
 use crate::polarity::Side;
+use crate::ranks::{RankDict, RANK_FLIP};
 use ppa_pregel::aggregate::Count;
 use ppa_pregel::algorithms::connected_components;
+use ppa_pregel::fxhash::hash_one;
 use ppa_pregel::{
     Context, ExecCtx, Metrics, PregelConfig, SpillCodec, SpillCodecs, VertexProgram, VertexSet,
 };
@@ -40,7 +55,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelOutcome {
     /// `(vertex id, label)` for every unambiguous vertex. Vertices sharing a
-    /// label belong to the same maximal unambiguous path (or cycle).
+    /// label belong to the same maximal unambiguous path (or cycle). Ordered
+    /// by owning worker (`hash_one(&id) % workers`), then by ID — contig IDs
+    /// are minted from this order.
     pub labels: Vec<(u64, u64)>,
     /// IDs of ambiguous (⟨m-n⟩) vertices, which receive no label.
     pub ambiguous: Vec<u64>,
@@ -54,26 +71,61 @@ pub struct LabelOutcome {
 const LEFT: usize = 0;
 const RIGHT: usize = 1;
 
-/// Per-vertex state of the list-ranking program.
-#[derive(Debug, Clone)]
-pub(crate) struct LrState {
-    vtype: VertexType,
-    /// Neighbour on each side (`[left, right]`), if any.
-    neighbor: [Option<u64>; 2],
-    /// All neighbours — used by ambiguous vertices for the superstep-0
-    /// broadcast (an ⟨m-n⟩ vertex can have more than one neighbour per side).
-    broadcast: Vec<u64>,
-    /// Current pointer per side; flipped IDs mark a reached contig end.
-    ptr: [u64; 2],
-    /// Whether the pointer on each side has reached a contig end.
-    done: [bool; 2],
+/// Marks a pointer as having reached a contig end (idempotent).
+#[inline]
+fn flip(rank: u32) -> u32 {
+    rank | RANK_FLIP
 }
 
-impl LrState {
-    fn fully_done(&self) -> bool {
-        self.done[0] && self.done[1]
-    }
+#[inline]
+fn unflip(ptr: u32) -> u32 {
+    ptr & !RANK_FLIP
 }
+
+#[inline]
+fn is_flipped(ptr: u32) -> bool {
+    ptr & RANK_FLIP != 0
+}
+
+/// Whether both pointers of a vertex have reached their contig end.
+#[inline]
+fn finished(ptr: &[u32; 2]) -> bool {
+    is_flipped(ptr[LEFT]) && is_flipped(ptr[RIGHT])
+}
+
+/// The worker a vertex key hashes to, as `VertexSet` places it.
+#[inline]
+fn owner<K: std::hash::Hash>(key: &K, workers: usize) -> usize {
+    (hash_one(key) % workers as u64) as usize
+}
+
+/// Per-vertex state of the list-ranking program.
+#[derive(Debug, Clone, PartialEq)]
+enum LrState {
+    /// An ambiguous vertex. Its superstep-0 broadcast list (an ⟨m-n⟩ vertex
+    /// can have more than one neighbour per side) is
+    /// `broadcast[worker][start..end]` of the [`LrProgram`].
+    Branch { start: u32, end: u32 },
+    /// An unambiguous vertex: the pointer per side (`[left, right]`) — the
+    /// rank of a vertex further along that side, or, flipped, of the contig
+    /// end the side has reached.
+    Path { ptr: [u32; 2] },
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum LrMsg {
+    /// Superstep 0: "I am ambiguous" broadcast (carries the sender's rank).
+    Ambiguous(u32),
+    /// "Send me your other pointer" (carries the requester's rank).
+    Request(u32),
+    /// Reply to a request: the responder's rank and its other pointer.
+    Response { responder: u32, other: u32 },
+}
+
+// The sizes the rank-space plane exists for: a shuffle record of a `u32`
+// destination and its message, and a value-column slot.
+const _: () = assert!(std::mem::size_of::<(u32, LrMsg)>() == 16);
+const _: () = assert!(std::mem::size_of::<LrState>() <= 32);
 
 // Spill codecs for the labeling job's state and messages, so list ranking can
 // opt into the engine's out-of-core execution (partition sealing and shuffle
@@ -82,104 +134,42 @@ impl LrState {
 
 impl SpillCodec for LrState {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.vtype as u8).encode(buf);
-        for n in &self.neighbor {
-            match n {
-                Some(id) => {
-                    1u8.encode(buf);
-                    id.encode(buf);
-                }
-                None => 0u8.encode(buf),
-            }
-        }
-        (self.broadcast.len() as u64).encode(buf);
-        for id in &self.broadcast {
-            id.encode(buf);
-        }
-        for p in &self.ptr {
-            p.encode(buf);
-        }
-        for d in &self.done {
-            d.encode(buf);
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let vtype = match u8::decode(buf)? {
-            0 => VertexType::Isolated,
-            1 => VertexType::One,
-            2 => VertexType::OneOne,
-            3 => VertexType::Branch,
-            _ => return None,
+        let (tag, a, b) = match *self {
+            LrState::Branch { start, end } => (0u8, start, end),
+            LrState::Path { ptr } => (1u8, ptr[LEFT], ptr[RIGHT]),
         };
-        let mut neighbor = [None, None];
-        for slot in &mut neighbor {
-            *slot = match u8::decode(buf)? {
-                0 => None,
-                1 => Some(u64::decode(buf)?),
-                _ => return None,
-            };
-        }
-        let len = u64::decode(buf)? as usize;
-        if buf.len() < len.checked_mul(8)? {
-            return None;
-        }
-        let mut broadcast = Vec::with_capacity(len);
-        for _ in 0..len {
-            broadcast.push(u64::decode(buf)?);
-        }
-        let ptr = [u64::decode(buf)?, u64::decode(buf)?];
-        let done = [bool::decode(buf)?, bool::decode(buf)?];
-        Some(LrState {
-            vtype,
-            neighbor,
-            broadcast,
-            ptr,
-            done,
-        })
-    }
-}
-
-impl SpillCodec for LrMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            LrMsg::Ambiguous(id) => {
-                0u8.encode(buf);
-                id.encode(buf);
-            }
-            LrMsg::Request(id) => {
-                1u8.encode(buf);
-                id.encode(buf);
-            }
-            LrMsg::Response { responder, other } => {
-                2u8.encode(buf);
-                responder.encode(buf);
-                other.encode(buf);
-            }
-        }
+        (tag, a, b).encode(buf);
     }
 
     fn decode(buf: &mut &[u8]) -> Option<Self> {
-        match u8::decode(buf)? {
-            0 => Some(LrMsg::Ambiguous(u64::decode(buf)?)),
-            1 => Some(LrMsg::Request(u64::decode(buf)?)),
-            2 => Some(LrMsg::Response {
-                responder: u64::decode(buf)?,
-                other: u64::decode(buf)?,
-            }),
+        match <(u8, u32, u32)>::decode(buf)? {
+            (0, start, end) => Some(LrState::Branch { start, end }),
+            (1, left, right) => Some(LrState::Path { ptr: [left, right] }),
             _ => None,
         }
     }
 }
 
-#[derive(Debug, Clone)]
-enum LrMsg {
-    /// Superstep 0: "I am ambiguous" broadcast (carries the sender ID).
-    Ambiguous(u64),
-    /// "Send me your other pointer" (carries the requester ID).
-    Request(u64),
-    /// Reply to a request: the responder's ID and its other pointer.
-    Response { responder: u64, other: u64 },
+impl SpillCodec for LrMsg {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match *self {
+            LrMsg::Ambiguous(rank) => (0u8, rank).encode(buf),
+            LrMsg::Request(rank) => (1u8, rank).encode(buf),
+            LrMsg::Response { responder, other } => (2u8, responder, other).encode(buf),
+        }
+    }
+
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        match u8::decode(buf)? {
+            0 => Some(LrMsg::Ambiguous(u32::decode(buf)?)),
+            1 => Some(LrMsg::Request(u32::decode(buf)?)),
+            2 => Some(LrMsg::Response {
+                responder: u32::decode(buf)?,
+                other: u32::decode(buf)?,
+            }),
+            _ => None,
+        }
+    }
 }
 
 struct LrProgram {
@@ -188,20 +178,24 @@ struct LrProgram {
     /// cycles.
     superstep_budget: usize,
     stalled: AtomicBool,
+    /// Per worker, the neighbour ranks of its ambiguous vertices, one list
+    /// after the other ([`LrState::Branch`] holds the bounds).
+    broadcast: Vec<Vec<u32>>,
 }
 
 impl LrProgram {
-    fn new(num_vertices: usize) -> LrProgram {
+    fn new(num_vertices: usize, broadcast: Vec<Vec<u32>>) -> LrProgram {
         let log = (usize::BITS - num_vertices.next_power_of_two().leading_zeros()) as usize;
         LrProgram {
             superstep_budget: 2 * (log + 2) + 4,
             stalled: AtomicBool::new(false),
+            broadcast,
         }
     }
 }
 
 impl VertexProgram for LrProgram {
-    type Id = u64;
+    type Id = u32;
     type Value = LrState;
     type Message = LrMsg;
     type Aggregate = Count;
@@ -213,67 +207,42 @@ impl VertexProgram for LrProgram {
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
-        id: u64,
+        rank: u32,
         value: &mut LrState,
         messages: &mut [LrMsg],
     ) {
         let superstep = ctx.superstep();
-        if superstep == 0 {
-            if value.vtype == VertexType::Branch {
-                for i in 0..value.broadcast.len() {
-                    let n = value.broadcast[i];
-                    ctx.send_message(n, LrMsg::Ambiguous(id));
+        let ptr = match value {
+            LrState::Branch { start, end } => {
+                if superstep == 0 {
+                    for &n in &self.broadcast[ctx.worker()][*start as usize..*end as usize] {
+                        ctx.send_message(n, LrMsg::Ambiguous(rank));
+                    }
                 }
-                // Ambiguous vertices take no further part; unambiguous ones
-                // stay active so that superstep 1 initialises them.
+                // Ambiguous vertices take no further part.
                 ctx.vote_to_halt();
+                return;
             }
-            return;
-        }
+            // Unambiguous vertices stay active so that superstep 1 sees the
+            // broadcasts.
+            LrState::Path { .. } if superstep == 0 => return,
+            LrState::Path { ptr } => ptr,
+        };
 
-        if value.vtype == VertexType::Branch {
-            ctx.vote_to_halt();
-            return;
-        }
-
-        if superstep == 1 {
-            // Initialise the ID pair from the superstep-0 broadcasts.
-            let ambiguous_neighbors: Vec<u64> = messages
-                .iter()
-                .filter_map(|m| {
-                    if let LrMsg::Ambiguous(a) = m {
-                        Some(*a)
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            for side in [LEFT, RIGHT] {
-                match value.neighbor[side] {
-                    Some(n) if !ambiguous_neighbors.contains(&n) => {
-                        value.ptr[side] = n;
-                        value.done[side] = false;
-                    }
-                    _ => {
-                        value.ptr[side] = flip(id);
-                        value.done[side] = true;
-                    }
-                }
-            }
-        } else {
-            // Responses first: requests are answered from the post-update
-            // snapshot (requests and responses arrive in different supersteps,
-            // so the order only matters for robustness, not semantics).
-            for msg in messages.iter() {
-                if let LrMsg::Response { responder, other } = msg {
-                    for side in [LEFT, RIGHT] {
-                        if !value.done[side] && value.ptr[side] == *responder {
-                            value.ptr[side] = *other;
-                            if is_flipped(*other) {
-                                value.done[side] = true;
-                            }
-                        }
-                    }
+        // Pointers first: a side whose neighbour turned out ambiguous
+        // (superstep 1) ends here, and a response advances the pointer it
+        // answers. Requests are then answered from the post-update snapshot
+        // (requests and responses arrive in different supersteps, so the
+        // order only matters for robustness, not semantics).
+        for msg in messages.iter() {
+            let (from, to) = match *msg {
+                LrMsg::Ambiguous(neighbor) => (neighbor, flip(rank)),
+                LrMsg::Response { responder, other } => (responder, other),
+                LrMsg::Request(_) => continue,
+            };
+            for p in ptr.iter_mut() {
+                if *p == from {
+                    *p = to;
                 }
             }
         }
@@ -283,23 +252,22 @@ impl VertexProgram for LrProgram {
         // per round), exactly one of the two pointers leads back to the
         // requester — see the module documentation.
         for msg in messages.iter() {
-            let LrMsg::Request(from) = msg else {
+            let LrMsg::Request(from) = *msg else {
                 continue;
             };
-            let from = *from;
-            let left_matches = unflip(value.ptr[LEFT]) == from;
-            let right_matches = unflip(value.ptr[RIGHT]) == from;
+            let left_matches = unflip(ptr[LEFT]) == from;
+            let right_matches = unflip(ptr[RIGHT]) == from;
             let reply = match (left_matches, right_matches) {
-                (true, false) => Some(value.ptr[RIGHT]),
-                (false, true) => Some(value.ptr[LEFT]),
+                (true, false) => Some(ptr[RIGHT]),
+                (false, true) => Some(ptr[LEFT]),
                 (true, true) => None, // 2-cycle: no direction leads away.
                 (false, false) => {
                     // Defensive: should not happen for well-formed paths;
                     // prefer a finished pointer so the requester terminates.
-                    Some(if is_flipped(value.ptr[LEFT]) {
-                        value.ptr[LEFT]
+                    Some(if is_flipped(ptr[LEFT]) {
+                        ptr[LEFT]
                     } else {
-                        value.ptr[RIGHT]
+                        ptr[RIGHT]
                     })
                 }
             };
@@ -307,7 +275,7 @@ impl VertexProgram for LrProgram {
                 ctx.send_message(
                     from,
                     LrMsg::Response {
-                        responder: id,
+                        responder: rank,
                         other,
                     },
                 );
@@ -315,11 +283,11 @@ impl VertexProgram for LrProgram {
         }
 
         // Request phase on odd supersteps.
-        if superstep % 2 == 1 && !value.fully_done() {
+        if superstep % 2 == 1 && !finished(ptr) {
             ctx.aggregate(Count(1));
-            for side in [LEFT, RIGHT] {
-                if !value.done[side] {
-                    ctx.send_message(value.ptr[side], LrMsg::Request(id));
+            for p in *ptr {
+                if !is_flipped(p) {
+                    ctx.send_message(p, LrMsg::Request(rank));
                 }
             }
         }
@@ -341,29 +309,26 @@ impl VertexProgram for LrProgram {
     }
 }
 
-/// Builds the per-vertex labeling state from the assembly nodes.
-pub(crate) fn build_lr_states(nodes: &[AsmNode]) -> impl Iterator<Item = (u64, LrState)> + '_ {
-    nodes.iter().map(|node| {
-        let vtype = node.vertex_type();
-        let left = node.sole_edge_on(Side::Left).map(|e| e.neighbor);
-        let right = node.sole_edge_on(Side::Right).map(|e| e.neighbor);
-        let broadcast = if vtype == VertexType::Branch {
-            node.neighbor_ids()
-        } else {
-            vec![]
+/// The one neighbour (if any) on each side (`[left, right]`) of an unambiguous
+/// node; `None` for an ambiguous one, which has a side with several.
+fn sole_neighbors(node: &AsmNode) -> Option<[Option<u64>; 2]> {
+    let mut sole = [None, None];
+    for edge in node.real_edges() {
+        let side = match edge.side() {
+            Side::Left => LEFT,
+            Side::Right => RIGHT,
         };
-        (
-            node.id,
-            LrState {
-                vtype,
-                neighbor: [left, right],
-                broadcast,
-                ptr: [flip(node.id), flip(node.id)],
-                done: [true, true],
-            },
-        )
-    })
+        if sole[side].replace(edge.neighbor).is_some() {
+            return None;
+        }
+    }
+    Some(sole)
 }
+
+/// Outcome marks of the rank → ID read-back; every label is a rank, and
+/// ranks stay below [`RANK_FLIP`].
+const AMBIGUOUS: u32 = u32::MAX;
+const UNRESOLVED: u32 = u32::MAX - 1;
 
 /// Labels every maximal unambiguous path using bidirectional list ranking,
 /// falling back to the simplified S-V algorithm for unambiguous cycles.
@@ -372,56 +337,120 @@ pub fn label_contigs_lr(nodes: &[AsmNode], workers: usize) -> LabelOutcome {
     label_contigs_lr_on(&ExecCtx::new(workers), nodes)
 }
 
-/// [`label_contigs_lr`] on a caller-provided execution context: the list-
-/// ranking job and its S-V cycle fallback both run on the context's
-/// persistent pool (worker count = pool size).
+/// [`label_contigs_lr`] on a caller-provided execution context: the
+/// translation into rank space, the list-ranking job, its S-V cycle fallback
+/// and the translation back all run on the context's persistent pool (worker
+/// count = pool size).
 pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let config = PregelConfig::with_workers(ctx.workers())
+    let workers = ctx.workers();
+    let config = PregelConfig::with_workers(workers)
         .max_supersteps(4_000)
         .exec_ctx(ctx.clone());
-    let program = LrProgram::new(nodes.len());
-    let mut set: VertexSet<u64, LrState> =
-        VertexSet::from_pairs(config.workers, build_lr_states(nodes));
+    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id);
+    let ids = dict.ids();
 
+    // Every worker builds the states of the ranks it will own, ascending, with
+    // the neighbour IDs translated.
+    let (parts, broadcast): (Vec<_>, Vec<_>) = ctx
+        .pool()
+        .run_per_worker(vec![(); workers], |w, ()| {
+            let mut states: Vec<(u32, LrState)> = Vec::with_capacity(ids.len() / workers + 1);
+            let mut broadcast: Vec<u32> = Vec::new();
+            for rank in (0..dict.len()).filter(|rank| owner(rank, workers) == w) {
+                let node = &nodes[dict.source(rank)];
+                let state = match sole_neighbors(node) {
+                    None => {
+                        let start = broadcast.len() as u32;
+                        broadcast.extend(node.real_edges().map(|e| dict.rank(e.neighbor)));
+                        LrState::Branch {
+                            start,
+                            end: broadcast.len() as u32,
+                        }
+                    }
+                    // A side without a neighbour is a contig end from the start.
+                    Some(sole) => LrState::Path {
+                        ptr: sole.map(|n| n.map_or(flip(rank), |id| dict.rank(id))),
+                    },
+                };
+                states.push((rank, state));
+            }
+            (states, broadcast)
+        })
+        .into_iter()
+        .unzip();
+
+    let program = LrProgram::new(nodes.len(), broadcast);
+    let mut set: VertexSet<u32, LrState> = VertexSet::from_sorted_parts_on(ctx, parts);
     let mut metrics = ppa_pregel::run(&program, &config, &mut set);
     let stalled = program.stalled.load(Ordering::Relaxed);
 
-    let mut labels: Vec<(u64, u64)> = Vec::new();
-    let mut ambiguous: Vec<u64> = Vec::new();
-    let mut unresolved: Vec<(u64, LrState)> = Vec::new();
-    for (id, state) in set.into_pairs() {
-        match state.vtype {
-            VertexType::Branch => ambiguous.push(id),
-            _ if state.fully_done() => {
-                let label = unflip(state.ptr[LEFT]).min(unflip(state.ptr[RIGHT]));
-                labels.push((id, label));
-            }
-            _ => unresolved.push((id, state)),
-        }
+    // Per rank: the rank of its label, or a mark.
+    let mut outcome = vec![UNRESOLVED; ids.len()];
+    for (rank, state) in set.iter() {
+        outcome[rank as usize] = match state {
+            LrState::Branch { .. } => AMBIGUOUS,
+            LrState::Path { ptr } if finished(ptr) => unflip(ptr[LEFT]).min(unflip(ptr[RIGHT])),
+            LrState::Path { .. } => UNRESOLVED,
+        };
     }
+    drop(set);
 
     // S-V fallback for unambiguous cycles (and any vertex the stall left
-    // unresolved): label each with the smallest vertex ID of its component.
-    let used_cycle_fallback = stalled || !unresolved.is_empty();
-    if !unresolved.is_empty() {
-        let members: std::collections::HashSet<u64> =
-            unresolved.iter().map(|(id, _)| *id).collect();
-        let adjacency: Vec<(u64, Vec<u64>)> = unresolved
-            .iter()
-            .map(|(id, state)| {
-                let nbrs: Vec<u64> = state
-                    .neighbor
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .filter(|n| members.contains(n))
-                    .collect();
-                (*id, nbrs)
-            })
-            .collect();
-        let (cc, sv_metrics) = connected_components(adjacency, &config);
+    // unresolved): label each with the smallest vertex of its component.
+    let unresolved = |rank: u32| outcome.get(rank as usize) == Some(&UNRESOLVED);
+    let adjacency: Vec<(u32, Vec<u32>)> = (0..dict.len())
+        .filter(|&rank| unresolved(rank))
+        .map(|rank| {
+            let neighbors = sole_neighbors(&nodes[dict.source(rank)])
+                .into_iter()
+                .flatten()
+                .flatten()
+                .map(|id| dict.rank(id))
+                .filter(|&n| unresolved(n))
+                .collect();
+            (rank, neighbors)
+        })
+        .collect();
+    let used_cycle_fallback = stalled || !adjacency.is_empty();
+    let mut cycles: Vec<(u32, u32)> = Vec::new();
+    if !adjacency.is_empty() {
+        let sv_metrics;
+        (cycles, sv_metrics) = connected_components(adjacency, &config);
         metrics.absorb(&sv_metrics);
-        labels.extend(cc);
+        cycles.sort_unstable();
+    }
+
+    // Back to IDs, in the order a job over the IDs would have left them: by
+    // the worker owning the ID, then by ID; the cycles after the paths.
+    let per_worker = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
+        let mut labels: Vec<(u64, u64)> = Vec::new();
+        let mut ambiguous: Vec<u64> = Vec::new();
+        for (id, label) in ids
+            .iter()
+            .zip(&outcome)
+            .filter(|(id, _)| owner(*id, workers) == w)
+        {
+            match *label {
+                AMBIGUOUS => ambiguous.push(*id),
+                UNRESOLVED => {}
+                label => labels.push((*id, ids[label as usize])),
+            }
+        }
+        let cycles: Vec<(u64, u64)> = cycles
+            .iter()
+            .map(|&(rank, label)| (ids[rank as usize], ids[label as usize]))
+            .filter(|(id, _)| owner(id, workers) == w)
+            .collect();
+        (labels, ambiguous, cycles)
+    });
+    let mut labels: Vec<(u64, u64)> = Vec::with_capacity(ids.len());
+    let mut ambiguous: Vec<u64> = Vec::new();
+    for (path_labels, branch_ids, _) in &per_worker {
+        labels.extend_from_slice(path_labels);
+        ambiguous.extend_from_slice(branch_ids);
+    }
+    for (_, _, cycle_labels) in &per_worker {
+        labels.extend_from_slice(cycle_labels);
     }
 
     LabelOutcome {
@@ -436,7 +465,7 @@ pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
 pub(crate) mod tests {
     use super::*;
     use crate::ids::kmer_id;
-    use crate::node::Edge;
+    use crate::node::{Edge, VertexType};
     use crate::ops::construct::{build_dbg, ConstructConfig};
     use crate::polarity::{Direction, Polarity};
     use ppa_seq::{FastxRecord, Kmer, ReadSet};
@@ -691,5 +720,34 @@ pub(crate) mod tests {
         let outcome = label_contigs_lr(&nodes, 1);
         assert_eq!(groups_of(&outcome).len(), 1);
         assert_eq!(outcome.labels.len(), 2);
+    }
+
+    #[test]
+    fn spill_codecs_round_trip_and_reject_truncated_input() {
+        fn check<T: SpillCodec + PartialEq + std::fmt::Debug>(value: T) {
+            let mut buf = Vec::new();
+            value.encode(&mut buf);
+            let mut rest = buf.as_slice();
+            assert_eq!(T::decode(&mut rest), Some(value));
+            assert!(rest.is_empty());
+            for cut in 0..buf.len() {
+                assert_eq!(T::decode(&mut &buf[..cut]), None, "cut at {cut}");
+            }
+            buf[0] = 9; // no such variant
+            assert_eq!(T::decode(&mut buf.as_slice()), None);
+        }
+        check(LrState::Branch {
+            start: 3,
+            end: 70_000,
+        });
+        check(LrState::Path {
+            ptr: [flip(5), u32::MAX >> 1],
+        });
+        check(LrMsg::Ambiguous(7));
+        check(LrMsg::Request(RANK_FLIP - 1));
+        check(LrMsg::Response {
+            responder: 1,
+            other: flip(2),
+        });
     }
 }

@@ -17,8 +17,8 @@
 use super::label::LabelOutcome;
 use crate::node::{AsmNode, VertexType};
 use ppa_pregel::algorithms::connected_components;
+use ppa_pregel::fxhash::FxHashSet;
 use ppa_pregel::{ExecCtx, PregelConfig};
-use std::collections::HashSet;
 
 /// Labels every maximal unambiguous path with the smallest vertex ID of the
 /// path, using the simplified S-V algorithm. (Private worker pool; inside a
@@ -39,7 +39,7 @@ pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
         .filter(|n| n.vertex_type() == VertexType::Branch)
         .map(|n| n.id)
         .collect();
-    let ambiguous_set: HashSet<u64> = ambiguous.iter().copied().collect();
+    let ambiguous_set: FxHashSet<u64> = ambiguous.iter().copied().collect();
 
     let adjacency: Vec<(u64, Vec<u64>)> = nodes
         .iter()

@@ -17,11 +17,11 @@
 use crate::ids::contig_id;
 use crate::node::{AsmNode, Edge, NodeSeq};
 use crate::polarity::{Direction, Polarity, Side};
+use ppa_pregel::fxhash::{FxHashMap, FxHashSet};
 use ppa_pregel::mapreduce::{map_reduce_partitioned_on, Emitter, MapReduceMetrics};
 use ppa_pregel::ExecCtx;
 use ppa_seq::{DnaString, Orientation};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Configuration of contig merging.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -136,7 +136,7 @@ pub(crate) fn stitch_group(
     tip_length_threshold: usize,
 ) -> Option<ContigDraft> {
     assert!(!members.is_empty());
-    let by_id: HashMap<u64, &AsmNode> = members.iter().map(|n| (n.id, *n)).collect();
+    let by_id: FxHashMap<u64, &AsmNode> = members.iter().map(|n| (n.id, *n)).collect();
 
     // Locate a contig end: a member with a side that has no edge leading back
     // into the group.
@@ -189,7 +189,7 @@ pub(crate) fn stitch_group(
         NodeSeq::Contig(_) => start_node.coverage,
         NodeSeq::Kmer(_) => u32::MAX,
     };
-    let mut visited: HashSet<u64> = HashSet::new();
+    let mut visited: FxHashSet<u64> = FxHashSet::default();
     visited.insert(start_node.id);
     let mut current: &AsmNode = start_node;
     let mut current_orientation = start_orientation;
@@ -281,7 +281,7 @@ pub fn merge_contigs_on(
     labels: &[(u64, u64)],
     config: &MergeConfig,
 ) -> MergeOutcome {
-    let by_id: HashMap<u64, &AsmNode> = nodes.iter().map(|n| (n.id, n)).collect();
+    let by_id: FxHashMap<u64, &AsmNode> = nodes.iter().map(|n| (n.id, n)).collect();
     let inputs: Vec<(u64, u64)> = labels.to_vec();
     let k = config.k;
     let tip = config.tip_length_threshold;
@@ -334,6 +334,7 @@ mod tests {
     use crate::node::VertexType;
     use crate::ops::label::label_contigs_lr;
     use crate::ops::label::tests::nodes_from_reads;
+    use std::collections::HashSet;
 
     fn merge_cfg(k: usize, tip: usize) -> MergeConfig {
         MergeConfig {

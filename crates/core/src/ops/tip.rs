@@ -23,9 +23,9 @@ use crate::ids::{is_null, NULL_ID};
 use crate::node::{AsmNode, Edge, VertexType};
 use crate::polarity::Side;
 use ppa_pregel::aggregate::Count;
+use ppa_pregel::fxhash::FxHashSet;
 use ppa_pregel::{Context, ExecCtx, Metrics, PregelConfig, VertexProgram, VertexSet};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Configuration of tip removing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -464,7 +464,7 @@ pub fn remove_tips_on(
     let metrics = ppa_pregel::run(&program, &pregel_config, &mut set);
 
     // Collect survivors and rebuild their edges against the surviving set.
-    let mut surviving_ids: HashSet<u64> = HashSet::new();
+    let mut surviving_ids: FxHashSet<u64> = FxHashSet::default();
     for (id, state) in set.iter() {
         let alive = match state {
             TipState::Kmer { deleted, .. } => !*deleted,
@@ -534,6 +534,7 @@ mod tests {
     use crate::ops::label::label_contigs_lr;
     use crate::ops::label::tests::nodes_from_reads;
     use crate::ops::merge::{merge_contigs, MergeConfig};
+    use std::collections::HashSet;
 
     /// Builds the post-merging graph (ambiguous k-mers + contigs) for a read set.
     fn merged_graph(reads: &[&str], k: usize, merge_tip: usize) -> (Vec<AsmNode>, Vec<AsmNode>) {

@@ -85,9 +85,9 @@ use crate::ops::tip::{remove_tips_on, TipConfig};
 use crate::stats::{n50, CorrectionStats, LabelStats, MergeStats, WorkflowStats};
 use crate::workflow::{AssemblyConfig, Contig, LabelingAlgorithm};
 use ppa_pregel::engine::panic_message;
+use ppa_pregel::fxhash::{FxHashMap, FxHashSet};
 use ppa_pregel::{CancelReason, EngineError, ExecCtx, Metrics};
 use ppa_seq::{ReadSet, SeqError};
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -761,7 +761,7 @@ impl Stage for Merge {
             dropped_tips: merged.dropped_tips,
             mapreduce: merged.mapreduce.clone(),
         };
-        let ambiguous: HashSet<u64> = labels.ambiguous.iter().copied().collect();
+        let ambiguous: FxHashSet<u64> = labels.ambiguous.iter().copied().collect();
         let nodes = std::mem::take(&mut state.nodes);
         state.ambiguous_kmers = nodes
             .into_iter()
@@ -1107,7 +1107,7 @@ impl<'o> Pipeline<'o> {
         state: &mut GraphState<'_>,
         ctx: &ExecCtx,
         start_at: usize,
-        rounds: &mut HashMap<String, usize>,
+        rounds: &mut FxHashMap<String, usize>,
         catch: bool,
         reports: &mut Vec<StageReport>,
     ) -> Result<(), PipelineError> {
@@ -1261,7 +1261,7 @@ impl<'o> Pipeline<'o> {
         for obs in self.observers.iter_mut() {
             obs.on_pipeline_start();
         }
-        let mut rounds: HashMap<String, usize> = HashMap::new();
+        let mut rounds: FxHashMap<String, usize> = FxHashMap::default();
         let mut reports: Vec<StageReport> = Vec::new();
         if let Err(e) = self.execute(state, ctx, 0, &mut rounds, false, &mut reports) {
             panic!("{e}");
@@ -1292,7 +1292,7 @@ impl<'o> Pipeline<'o> {
         for obs in self.observers.iter_mut() {
             obs.on_pipeline_start();
         }
-        let mut rounds: HashMap<String, usize> = HashMap::new();
+        let mut rounds: FxHashMap<String, usize> = FxHashMap::default();
         let mut reports: Vec<StageReport> = Vec::new();
         let result = self.execute(state, ctx, 0, &mut rounds, true, &mut reports);
         let total = total.elapsed();
@@ -1326,7 +1326,7 @@ impl<'o> Pipeline<'o> {
         for obs in self.observers.iter_mut() {
             obs.on_pipeline_start();
         }
-        let mut rounds: HashMap<String, usize> = manifest.rounds.iter().cloned().collect();
+        let mut rounds: FxHashMap<String, usize> = manifest.rounds.iter().cloned().collect();
         let mut reports: Vec<StageReport> = Vec::new();
         let result = self.execute(
             &mut state,
@@ -1402,7 +1402,7 @@ impl<'o> Pipeline<'o> {
         for obs in self.observers.iter_mut() {
             obs.on_pipeline_start();
         }
-        let mut rounds: HashMap<String, usize> = HashMap::new();
+        let mut rounds: FxHashMap<String, usize> = FxHashMap::default();
         let mut reports: Vec<StageReport> = Vec::new();
         let mut start_at = 0;
         let mut result = Ok(());

@@ -1,0 +1,225 @@
+//! Dense `u32` ranks for the 64-bit vertex IDs of one node set.
+//!
+//! A vertex ID ([`crate::ids`]) spends up to 64 bits addressing one of a few
+//! hundred thousand vertices. A [`RankDict`] is the sorted ID column of a
+//! node set; a vertex's **rank** is its position in it. Ranks order exactly
+//! as IDs do, so a minimum taken over ranks names the vertex with the
+//! smallest ID, and every ID outside the set shares the one-past-the-end rank
+//! [`RankDict::len`], which is no vertex — a Pregel message sent there is
+//! dropped like one sent to the missing ID. Contig labeling runs in rank
+//! space (see [`crate::ops::label`]) and translates back once at the end.
+
+use ppa_pregel::ExecCtx;
+
+/// Bit 31 of a rank: list ranking's contig-end *flip* mark, which is why a
+/// node set (and its one-past-the-end rank) has to stay below it.
+pub(crate) const RANK_FLIP: u32 = 1 << 31;
+
+/// Checks that `nodes` vertices and the absent rank fit below [`RANK_FLIP`].
+pub(crate) fn fits_rank_space(nodes: usize) -> bool {
+    nodes < RANK_FLIP as usize
+}
+
+/// The sorted IDs of a node set, with a prefix index for ID → rank lookups.
+pub(crate) struct RankDict {
+    /// Strictly ascending vertex IDs; the rank of `ids[r]` is `r`.
+    ids: Vec<u64>,
+    /// `source[r]`: position in the build input of the vertex of rank `r`.
+    source: Vec<u32>,
+    /// IDs with `(id - ids[0]) >> shift == p` have the ranks
+    /// `starts[p]..starts[p + 1]`: about one ID per prefix, so a lookup is a
+    /// table read and a search over a handful of neighbouring IDs.
+    shift: u32,
+    starts: Vec<u32>,
+}
+
+impl RankDict {
+    /// Ranks the IDs `id_of(0..count)` on the context's pool: every worker
+    /// radix-sorts one contiguous share, the shares are merged on the calling
+    /// thread. An ID given twice keeps its last position, as
+    /// `VertexSet::from_pairs` would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` does not fit below [`RANK_FLIP`].
+    pub(crate) fn build_on(
+        ctx: &ExecCtx,
+        count: usize,
+        id_of: impl Fn(usize) -> u64 + Sync,
+    ) -> RankDict {
+        assert!(
+            fits_rank_space(count),
+            "{count} vertices do not fit the 31-bit rank space of contig labeling"
+        );
+        let workers = ctx.workers();
+        let sorted: Vec<Vec<(u64, u32)>> = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
+            let mut share: Vec<(u64, u32)> = (count * w / workers..count * (w + 1) / workers)
+                .map(|i| (id_of(i), i as u32))
+                .collect();
+            ppa_pregel::radix::sort_pairs(&mut share, &mut Vec::new());
+            share
+        });
+
+        // Merge; on equal IDs the lower share goes first, so the entry that
+        // survives a run of duplicates is the input's last.
+        let mut ids: Vec<u64> = Vec::with_capacity(count);
+        let mut source: Vec<u32> = Vec::with_capacity(count);
+        let mut heads = vec![0usize; workers];
+        loop {
+            let mut next: Option<(u64, usize)> = None;
+            for (w, share) in sorted.iter().enumerate() {
+                if let Some(&(id, _)) = share.get(heads[w]) {
+                    if next.is_none_or(|(least, _)| id < least) {
+                        next = Some((id, w));
+                    }
+                }
+            }
+            let Some((id, w)) = next else { break };
+            let at = sorted[w][heads[w]].1;
+            heads[w] += 1;
+            if ids.last() == Some(&id) {
+                *source.last_mut().expect("parallel to ids") = at;
+            } else {
+                ids.push(id);
+                source.push(at);
+            }
+        }
+        drop(sorted);
+
+        let span = ids.last().map_or(0, |last| last - ids[0]);
+        let prefix_bits = ids.len().next_power_of_two().trailing_zeros();
+        let shift = (u64::BITS - span.leading_zeros()).saturating_sub(prefix_bits);
+        let mut starts = vec![0u32; (span >> shift) as usize + 2];
+        for id in &ids {
+            starts[((id - ids[0]) >> shift) as usize + 1] += 1;
+        }
+        for p in 1..starts.len() {
+            starts[p] += starts[p - 1];
+        }
+        RankDict {
+            ids,
+            source,
+            shift,
+            starts,
+        }
+    }
+
+    /// Number of distinct IDs — also the rank of every ID outside the set.
+    pub(crate) fn len(&self) -> u32 {
+        self.ids.len() as u32
+    }
+
+    /// The strictly ascending IDs; a rank is an index into this.
+    pub(crate) fn ids(&self) -> &[u64] {
+        &self.ids
+    }
+
+    /// Position in the build input of the vertex of rank `rank`.
+    pub(crate) fn source(&self, rank: u32) -> usize {
+        self.source[rank as usize] as usize
+    }
+
+    /// The rank of `id`, or [`len`](RankDict::len) if the set does not hold it.
+    pub(crate) fn rank(&self, id: u64) -> u32 {
+        let absent = self.len();
+        let Some(offset) = self.ids.first().and_then(|first| id.checked_sub(*first)) else {
+            return absent;
+        };
+        let p = (offset >> self.shift) as usize;
+        if p + 1 >= self.starts.len() {
+            return absent;
+        }
+        let (lo, hi) = (self.starts[p] as usize, self.starts[p + 1] as usize);
+        match self.ids[lo..hi].binary_search(&id) {
+            Ok(at) => (lo + at) as u32,
+            Err(_) => absent,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ids::contig_id;
+
+    fn dict(ids: &[u64]) -> RankDict {
+        RankDict::build_on(&ExecCtx::new(3), ids.len(), |i| ids[i])
+    }
+
+    #[test]
+    fn rank_space_ends_below_the_flip_bit() {
+        assert!(fits_rank_space(0));
+        assert!(fits_rank_space((1 << 31) - 1));
+        // 2^31 vertices would put the absent rank on the flip bit itself.
+        assert!(!fits_rank_space(1 << 31));
+        assert!(!fits_rank_space(usize::MAX));
+    }
+
+    #[test]
+    fn ranks_order_as_ids_and_absent_ids_share_one_rank() {
+        // Round-2 shape: k-mer IDs mixed with contig IDs, given unsorted.
+        let ids = [
+            contig_id(1, 2),
+            0x3fff_ffff_ffff_fff0,
+            7,
+            contig_id(0, 1),
+            0,
+            contig_id(1, 1),
+            1 << 40,
+        ];
+        let d = dict(&ids);
+        assert_eq!(d.len() as usize, ids.len());
+        assert!(d.ids().windows(2).all(|w| w[0] < w[1]));
+        for (at, id) in ids.iter().enumerate() {
+            let rank = d.rank(*id);
+            assert_eq!(d.ids()[rank as usize], *id);
+            assert_eq!(d.source(rank), at);
+        }
+        for absent in [
+            1,
+            8,
+            (1 << 40) + 1,
+            contig_id(0, 2),
+            contig_id(2, 1),
+            u64::MAX,
+        ] {
+            assert_eq!(d.rank(absent), d.len(), "{absent:#x}");
+        }
+    }
+
+    #[test]
+    fn every_id_of_a_large_set_is_found_and_its_gaps_are_not() {
+        // Multiples of a large odd number: spread over the whole 62-bit range.
+        let ids: Vec<u64> = (0..5_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 2)
+            .collect();
+        let d = dict(&ids);
+        assert_eq!(d.len(), 5_000);
+        for (at, id) in ids.iter().enumerate() {
+            assert_eq!(d.source(d.rank(*id)), at);
+            if d.ids().binary_search(&(id + 1)).is_err() {
+                assert_eq!(d.rank(id + 1), d.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_id_keeps_its_last_position() {
+        let d = dict(&[9, 4, 9, 4, 4, 2]);
+        assert_eq!(d.ids(), &[2, 4, 9]);
+        assert_eq!(
+            [d.source(0), d.source(1), d.source(2)],
+            [5, 4, 2],
+            "later duplicates replace earlier ones"
+        );
+    }
+
+    #[test]
+    fn empty_and_single_sets() {
+        let d = dict(&[]);
+        assert_eq!(d.len(), 0);
+        assert_eq!(d.rank(5), 0);
+        let d = dict(&[5]);
+        assert_eq!((d.rank(5), d.rank(4), d.rank(6)), (0, 1, 1));
+    }
+}

@@ -16,7 +16,8 @@ pub enum Rule {
     /// `thread::spawn` / `thread::scope` only inside the engine's worker
     /// pool (and the pre-pool legacy baseline).
     EngineOnlyThreading,
-    /// No `std::collections::HashMap` in `pregel`/`core` non-test code.
+    /// No `std::collections::{HashMap, HashSet}` in `pregel`/`core` non-test
+    /// code, however imported.
     NoSiphashHotPath,
     /// `#[target_feature]` fns are only callable from their defining
     /// dispatch module.
@@ -71,8 +72,8 @@ impl Rule {
                  and bench/src/legacy.rs"
             }
             Rule::NoSiphashHotPath => {
-                "std::collections::HashMap banned in pregel/core non-test \
-                 code; use FxHashMap"
+                "std::collections::{HashMap, HashSet} banned in pregel/core \
+                 non-test code; use FxHashMap/FxHashSet"
             }
             Rule::DispatchOnlyIntrinsics => {
                 "#[target_feature] fns may only be called from the file that \

@@ -29,7 +29,8 @@ const CODEC_FILES: &[&str] = &[
 /// pre-pool legacy baseline kept for benchmarking.
 const THREAD_ALLOWLIST: &[&str] = &["crates/pregel/src/engine.rs", "crates/bench/src/legacy.rs"];
 
-/// Path prefixes where SipHash `HashMap` is banned in favor of `FxHashMap`.
+/// Path prefixes where the SipHash `HashMap`/`HashSet` are banned in favor of
+/// `FxHashMap`/`FxHashSet`.
 const SIPHASH_SCOPES: &[&str] = &["crates/pregel/", "crates/core/"];
 
 /// Directory whose public `*_on` entry points must be cancellable.
@@ -327,6 +328,9 @@ fn check_engine_only_threading(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>)
 // no-siphash-hot-path
 // ---------------------------------------------------------------------------
 
+/// The std hash containers, SipHash-keyed unless told otherwise.
+const SIPHASH_CONTAINERS: &[&str] = &["HashMap", "HashSet"];
+
 fn check_no_siphash(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
     if !SIPHASH_SCOPES.iter().any(|p| file.path.starts_with(p)) {
         return;
@@ -338,16 +342,38 @@ fn check_no_siphash(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
         }
         let path_sep = toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
             && toks.get(i + 2).is_some_and(|t| t.is_punct(':'));
-        let is_hashmap = toks.get(i + 3).is_some_and(|t| t.is_ident("HashMap"));
-        if path_sep && is_hashmap {
-            let t = toks.get(i + 3).unwrap_or(tok);
+        if !path_sep {
+            continue;
+        }
+        // `collections::HashMap`, or every container named in a brace import
+        // `collections::{HashMap, HashSet}` (up to the matching brace).
+        let first = i + 3;
+        let end = if toks.get(first).is_some_and(|t| t.is_punct('{')) {
+            let mut depth = 0usize;
+            toks[first..]
+                .iter()
+                .position(|t| {
+                    depth += usize::from(t.is_punct('{'));
+                    depth -= usize::from(t.is_punct('}'));
+                    depth == 0
+                })
+                .map_or(toks.len(), |close| first + close)
+        } else {
+            toks.len().min(first + 1)
+        };
+        let named = toks.get(first..end).unwrap_or(&[]);
+        for t in named {
+            let Some(container) = SIPHASH_CONTAINERS.iter().find(|c| t.is_ident(c)) else {
+                continue;
+            };
             diags.push(Diagnostic {
                 rule: Rule::NoSiphashHotPath,
                 file: file.path.clone(),
                 line: t.line,
                 col: t.col,
-                message: "SipHash `HashMap` on a hot path; use `crate::fxhash::FxHashMap`"
-                    .to_string(),
+                message: format!(
+                    "SipHash `{container}` on a hot path; use `crate::fxhash::Fx{container}`"
+                ),
             });
         }
     }

@@ -267,6 +267,34 @@ fn std_hashmap_in_pregel_and_core_fires() {
 }
 
 #[test]
+fn brace_imported_std_hash_containers_fire_once_each() {
+    let src =
+        "use std::collections::{BTreeMap, HashMap, HashSet};\npub type M = HashMap<u64, u64>;\n";
+    let diags = diags_for("crates/core/src/ops/merge.rs", src);
+    assert_eq!(
+        rules_of(&diags),
+        vec![Rule::NoSiphashHotPath, Rule::NoSiphashHotPath]
+    );
+    assert!(diags[0].message.contains("FxHashMap"));
+    assert!(diags[1].message.contains("FxHashSet"));
+    assert_eq!((diags[0].line, diags[1].line), (1, 1));
+    // A brace import without either container is fine, nested or not.
+    let src = "use std::collections::{btree_map::{Entry, Keys}, BTreeSet, VecDeque};\n";
+    assert!(diags_for("crates/core/src/ops/merge.rs", src).is_empty());
+}
+
+#[test]
+fn std_hashset_fires_by_path_and_by_import() {
+    let src = "pub fn f(v: &[u64]) -> usize {\n    let s: std::collections::HashSet<u64> = v.iter().copied().collect();\n    s.len()\n}\n";
+    let diags = diags_for("crates/core/src/ops/bubble.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::NoSiphashHotPath]);
+    assert_eq!(diags[0].line, 2);
+    let src = "use std::collections::HashSet;\npub type S = HashSet<u64>;\n";
+    let diags = diags_for("crates/pregel/src/runner.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::NoSiphashHotPath]);
+}
+
+#[test]
 fn std_hashmap_outside_hot_crates_is_quiet() {
     let src = "use std::collections::HashMap;\npub type M = HashMap<u64, u64>;\n";
     assert!(diags_for("crates/quality/src/lib.rs", src).is_empty());

@@ -77,7 +77,8 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 // ppa_lint: allow(no-siphash-hot-path)
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed with the Fx hasher.
+/// A `HashSet` keyed with the Fx hasher (the alias definition, as above).
+// ppa_lint: allow(no-siphash-hot-path)
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 /// Hashes a single value with the Fx hasher; used for worker partitioning.

@@ -708,6 +708,19 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
         self.stamps.push(0);
     }
 
+    /// Builds a partition from pairs in strictly ascending ID order.
+    fn from_sorted(pairs: Vec<(I, V)>) -> Partition<I, V> {
+        let mut part = Partition::empty();
+        part.ids.reserve(pairs.len());
+        part.values.reserve(pairs.len());
+        part.stamps.reserve(pairs.len());
+        for (id, value) in pairs {
+            part.push_sorted(id, value);
+        }
+        part.debug_validate();
+        part
+    }
+
     /// Builds a partition from arbitrarily ordered pairs; later duplicates
     /// replace earlier ones. Sorts a narrow `(id, index)` key column with the
     /// radix plane, then gathers each winning payload once.
@@ -720,15 +733,7 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
         // sequential vertex IDs staged in input order); skip the sort and the
         // duplicate merge outright.
         if pairs.windows(2).all(|w| w[0].0 < w[1].0) {
-            let mut part = Partition::empty();
-            part.ids.reserve(pairs.len());
-            part.values.reserve(pairs.len());
-            part.stamps.reserve(pairs.len());
-            for (id, value) in pairs {
-                part.push_sorted(id, value);
-            }
-            part.debug_validate();
-            return part;
+            return Partition::from_sorted(pairs);
         }
         let mut keys: Vec<(I, u32)> = pairs
             .iter()
@@ -1255,6 +1260,35 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
         }
     }
 
+    /// Builds a vertex set from pairs the caller has already placed and
+    /// ordered: `parts[w]` holds exactly the vertices worker `w` owns
+    /// (`hash_one(&id) % workers == w`), in strictly ascending ID order. Each
+    /// pool worker appends its list straight onto its columns — no staging,
+    /// no sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a list is out of order or holds an ID another worker owns:
+    /// message delivery relies on both.
+    pub fn from_sorted_parts_on(ctx: &ExecCtx, parts: Vec<Vec<(I, V)>>) -> VertexSet<I, V> {
+        let workers = parts.len();
+        ctx.assert_matches(workers, "VertexSet partitioning");
+        let parts = ctx.pool().run_per_worker(parts, |w, pairs| {
+            assert!(
+                pairs.windows(2).all(|p| p[0].0 < p[1].0),
+                "from_sorted_parts_on: partition {w} is not in strictly ascending ID order"
+            );
+            if let Some((id, _)) = pairs
+                .iter()
+                .find(|(id, _)| hash_one(id) % workers as u64 != w as u64)
+            {
+                panic!("from_sorted_parts_on: partition {w} does not own {id:?}");
+            }
+            Partition::from_sorted(pairs)
+        });
+        VertexSet { parts }
+    }
+
     /// The number of workers (partitions).
     pub fn workers(&self) -> usize {
         self.parts.len()
@@ -1556,6 +1590,34 @@ mod tests {
         }
         // every partition got something
         assert!(s.parts.iter().all(|p| p.len() > 0));
+    }
+
+    #[test]
+    fn sorted_parts_build_the_set_from_pairs_builds() {
+        let ctx = ExecCtx::new(3);
+        let mut parts: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 3];
+        for id in 0..1000u32 {
+            parts[(hash_one(&id) % 3) as usize].push((id, id * 2));
+        }
+        let built = VertexSet::from_sorted_parts_on(&ctx, parts);
+        let staged = VertexSet::from_pairs(3, (0..1000u32).map(|id| (id, id * 2)));
+        assert_eq!(built.into_pairs(), staged.into_pairs());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not own")]
+    fn sorted_parts_reject_a_misplaced_id() {
+        let id = 7u32;
+        let wrong = (hash_one(&id) as usize + 1) % 2;
+        let mut parts: Vec<Vec<(u32, ())>> = vec![Vec::new(); 2];
+        parts[wrong].push((id, ()));
+        VertexSet::from_sorted_parts_on(&ExecCtx::new(2), parts);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending ID order")]
+    fn sorted_parts_reject_an_unsorted_list() {
+        VertexSet::from_sorted_parts_on(&ExecCtx::new(1), vec![vec![(2u32, ()), (1, ())]]);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! fault-tolerance layer must compose with it — a crash while spill files are
 //! active resumes from the last checkpoint byte for byte.
 
+use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
+use ppa_assembler::ops::label::label_contigs_lr_on;
 use ppa_assembler::pipeline::{CheckpointPolicy, GraphState, Pipeline, PipelineError};
 use ppa_assembler::{assemble, Assembly, AssemblyConfig};
 use ppa_pregel::{ExecCtx, Fault, FaultPlan, SpillPolicy};
@@ -95,6 +97,43 @@ fn spilled_contigs_are_byte_identical_across_caps_and_worker_counts() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn a_capped_list_ranking_job_spills_its_rank_space_plane() {
+    // The labeling job alone: its `u32` state and 16-byte message records
+    // must still outgrow the caps the sweep above uses, go through their
+    // spill codecs both ways and label exactly as the resident job does.
+    let reads = simulated_reads();
+    let ctx = ExecCtx::new(2);
+    let construct = ConstructConfig {
+        k: 21,
+        min_coverage: 1,
+        ..Default::default()
+    };
+    let nodes = build_dbg_on(&ctx, &reads, &construct).into_nodes();
+    let resident = label_contigs_lr_on(&ctx, &nodes);
+    assert_eq!(resident.metrics.spilled_bytes, 0);
+
+    for cap in [64 * 1024, 16 * 1024] {
+        ctx.set_spill(SpillPolicy::At(cap));
+        let capped = label_contigs_lr_on(&ctx, &nodes);
+        ctx.clear_spill();
+        assert!(
+            capped.metrics.spilled_bytes > 0 && capped.metrics.spill_read_bytes > 0,
+            "cap={cap}: the list-ranking job must write and read back spill files, got {} / {}",
+            capped.metrics.spilled_bytes,
+            capped.metrics.spill_read_bytes
+        );
+        assert_eq!(capped.labels, resident.labels, "cap={cap}");
+        assert_eq!(capped.ambiguous, resident.ambiguous, "cap={cap}");
+        assert_eq!(capped.metrics.supersteps, resident.metrics.supersteps);
+        assert_eq!(
+            capped.metrics.total_messages,
+            resident.metrics.total_messages
+        );
+        assert_eq!(capped.metrics.total_dropped, 0);
     }
 }
 
