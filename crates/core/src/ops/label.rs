@@ -38,17 +38,16 @@
 //! the node set becomes the one-past-the-end rank, and what is sent there is
 //! dropped as it would be for the missing ID. The outcome is translated back,
 //! in the order a job over the IDs themselves would have left it (see
-//! [`LabelOutcome::labels`]).
+//! [`LabelOutcome::labels`]). The way in and out — dictionary, per-worker
+//! store build, read-back — is `ranks.rs`'s and shared with S-V labeling
+//! ([`super::label_sv`]).
 
 use crate::node::AsmNode;
 use crate::polarity::Side;
-use crate::ranks::{RankDict, RANK_FLIP};
+use crate::ranks::{RankDict, AMBIGUOUS, RANK_FLIP, UNRESOLVED};
 use ppa_pregel::aggregate::Count;
 use ppa_pregel::algorithms::connected_components;
-use ppa_pregel::fxhash::hash_one;
-use ppa_pregel::{
-    Context, ExecCtx, Metrics, PregelConfig, SpillCodec, SpillCodecs, VertexProgram, VertexSet,
-};
+use ppa_pregel::{Context, ExecCtx, Metrics, PregelConfig, SpillCodec, SpillCodecs, VertexProgram};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Result of a contig-labeling run (either algorithm).
@@ -91,12 +90,6 @@ fn is_flipped(ptr: u32) -> bool {
 #[inline]
 fn finished(ptr: &[u32; 2]) -> bool {
     is_flipped(ptr[LEFT]) && is_flipped(ptr[RIGHT])
-}
-
-/// The worker a vertex key hashes to, as `VertexSet` places it.
-#[inline]
-fn owner<K: std::hash::Hash>(key: &K, workers: usize) -> usize {
-    (hash_one(key) % workers as u64) as usize
 }
 
 /// Per-vertex state of the list-ranking program.
@@ -311,7 +304,7 @@ impl VertexProgram for LrProgram {
 
 /// The one neighbour (if any) on each side (`[left, right]`) of an unambiguous
 /// node; `None` for an ambiguous one, which has a side with several.
-fn sole_neighbors(node: &AsmNode) -> Option<[Option<u64>; 2]> {
+pub(crate) fn sole_neighbors(node: &AsmNode) -> Option<[Option<u64>; 2]> {
     let mut sole = [None, None];
     for edge in node.real_edges() {
         let side = match edge.side() {
@@ -325,11 +318,6 @@ fn sole_neighbors(node: &AsmNode) -> Option<[Option<u64>; 2]> {
     Some(sole)
 }
 
-/// Outcome marks of the rank → ID read-back; every label is a rank, and
-/// ranks stay below [`RANK_FLIP`].
-const AMBIGUOUS: u32 = u32::MAX;
-const UNRESOLVED: u32 = u32::MAX - 1;
-
 /// Labels every maximal unambiguous path using bidirectional list ranking,
 /// falling back to the simplified S-V algorithm for unambiguous cycles.
 /// (Private worker pool; inside a workflow, prefer [`label_contigs_lr_on`].)
@@ -342,50 +330,37 @@ pub fn label_contigs_lr(nodes: &[AsmNode], workers: usize) -> LabelOutcome {
 /// and the translation back all run on the context's persistent pool (worker
 /// count = pool size).
 pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let workers = ctx.workers();
-    let config = PregelConfig::with_workers(workers)
+    let config = PregelConfig::with_workers(ctx.workers())
         .max_supersteps(4_000)
         .exec_ctx(ctx.clone());
     let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id);
-    let ids = dict.ids();
 
-    // Every worker builds the states of the ranks it will own, ascending, with
-    // the neighbour IDs translated.
-    let (parts, broadcast): (Vec<_>, Vec<_>) = ctx
-        .pool()
-        .run_per_worker(vec![(); workers], |w, ()| {
-            let mut states: Vec<(u32, LrState)> = Vec::with_capacity(ids.len() / workers + 1);
-            let mut broadcast: Vec<u32> = Vec::new();
-            for rank in (0..dict.len()).filter(|rank| owner(rank, workers) == w) {
-                let node = &nodes[dict.source(rank)];
-                let state = match sole_neighbors(node) {
-                    None => {
-                        let start = broadcast.len() as u32;
-                        broadcast.extend(node.real_edges().map(|e| dict.rank(e.neighbor)));
-                        LrState::Branch {
-                            start,
-                            end: broadcast.len() as u32,
-                        }
-                    }
-                    // A side without a neighbour is a contig end from the start.
-                    Some(sole) => LrState::Path {
-                        ptr: sole.map(|n| n.map_or(flip(rank), |id| dict.rank(id))),
-                    },
-                };
-                states.push((rank, state));
+    // The states of the ranks each worker will own, with the neighbour IDs
+    // translated; an ambiguous vertex parks its broadcast list on the slab.
+    let (mut set, broadcast) = dict.store_on(ctx, |rank, slab| {
+        let node = &nodes[dict.source(rank)];
+        Some(match sole_neighbors(node) {
+            None => {
+                let start = slab.len() as u32;
+                slab.extend(node.real_edges().map(|e| dict.rank(e.neighbor)));
+                LrState::Branch {
+                    start,
+                    end: slab.len() as u32,
+                }
             }
-            (states, broadcast)
+            // A side without a neighbour is a contig end from the start.
+            Some(sole) => LrState::Path {
+                ptr: sole.map(|n| n.map_or(flip(rank), |id| dict.rank(id))),
+            },
         })
-        .into_iter()
-        .unzip();
+    });
 
     let program = LrProgram::new(nodes.len(), broadcast);
-    let mut set: VertexSet<u32, LrState> = VertexSet::from_sorted_parts_on(ctx, parts);
     let mut metrics = ppa_pregel::run(&program, &config, &mut set);
     let stalled = program.stalled.load(Ordering::Relaxed);
 
     // Per rank: the rank of its label, or a mark.
-    let mut outcome = vec![UNRESOLVED; ids.len()];
+    let mut outcome = vec![UNRESOLVED; dict.len() as usize];
     for (rank, state) in set.iter() {
         outcome[rank as usize] = match state {
             LrState::Branch { .. } => AMBIGUOUS,
@@ -412,45 +387,16 @@ pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
         })
         .collect();
     let used_cycle_fallback = stalled || !adjacency.is_empty();
-    let mut cycles: Vec<(u32, u32)> = Vec::new();
+    let (mut labels, ambiguous) = dict.read_back_on(ctx, &outcome);
     if !adjacency.is_empty() {
-        let sv_metrics;
-        (cycles, sv_metrics) = connected_components(adjacency, &config);
+        let (cycles, sv_metrics) = connected_components(adjacency, &config);
         metrics.absorb(&sv_metrics);
-        cycles.sort_unstable();
-    }
-
-    // Back to IDs, in the order a job over the IDs would have left them: by
-    // the worker owning the ID, then by ID; the cycles after the paths.
-    let per_worker = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
-        let mut labels: Vec<(u64, u64)> = Vec::new();
-        let mut ambiguous: Vec<u64> = Vec::new();
-        for (id, label) in ids
-            .iter()
-            .zip(&outcome)
-            .filter(|(id, _)| owner(*id, workers) == w)
-        {
-            match *label {
-                AMBIGUOUS => ambiguous.push(*id),
-                UNRESOLVED => {}
-                label => labels.push((*id, ids[label as usize])),
-            }
+        // The cycles after the paths, as a job over the IDs left them.
+        outcome.fill(UNRESOLVED);
+        for (rank, label) in cycles {
+            outcome[rank as usize] = label;
         }
-        let cycles: Vec<(u64, u64)> = cycles
-            .iter()
-            .map(|&(rank, label)| (ids[rank as usize], ids[label as usize]))
-            .filter(|(id, _)| owner(id, workers) == w)
-            .collect();
-        (labels, ambiguous, cycles)
-    });
-    let mut labels: Vec<(u64, u64)> = Vec::with_capacity(ids.len());
-    let mut ambiguous: Vec<u64> = Vec::new();
-    for (path_labels, branch_ids, _) in &per_worker {
-        labels.extend_from_slice(path_labels);
-        ambiguous.extend_from_slice(branch_ids);
-    }
-    for (_, _, cycle_labels) in &per_worker {
-        labels.extend_from_slice(cycle_labels);
+        labels.extend(dict.read_back_on(ctx, &outcome).0);
     }
 
     LabelOutcome {

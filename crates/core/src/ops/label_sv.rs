@@ -9,16 +9,23 @@
 //! paper's Tables II and III compare their superstep/message/runtime costs,
 //! which is why this variant exists as a separately measurable operation.
 //!
-//! The implementation reuses the generic [`connected_components`] PPA from the
-//! framework crate: after the same superstep-0-style identification of
-//! ambiguous vertices, the unambiguous subgraph is handed to S-V and the
-//! resulting component representative becomes the contig label.
+//! The job is the generic simplified S-V PPA of the framework crate
+//! ([`ppa_pregel::algorithms::sv`]), run in **rank space** like list ranking:
+//! the node set is translated through the same rank dictionary (`ranks.rs`),
+//! the unambiguous subgraph becomes a store of dense `u32` ranks — an
+//! ambiguous vertex is left out and filtered from its neighbours' lists, a
+//! neighbour ID outside the node set becomes the one-past-the-end rank, where
+//! messages are dropped as they would be for the missing ID — and the
+//! component representative, the smallest rank and so the smallest ID, is
+//! translated back as the contig label. A shuffle record is 8 bytes, sorted
+//! on ⌈log₂ n⌉ key bits; with fixed-size states and bare-rank messages the job
+//! also runs out of core under a `SpillPolicy` cap.
 
-use super::label::LabelOutcome;
-use crate::node::{AsmNode, VertexType};
-use ppa_pregel::algorithms::connected_components;
-use ppa_pregel::fxhash::FxHashSet;
-use ppa_pregel::{ExecCtx, PregelConfig};
+use super::label::{sole_neighbors, LabelOutcome};
+use crate::node::AsmNode;
+use crate::ranks::{RankDict, UNRESOLVED};
+use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
+use ppa_pregel::{ExecCtx, Metrics, PregelConfig};
 
 /// Labels every maximal unambiguous path with the smallest vertex ID of the
 /// path, using the simplified S-V algorithm. (Private worker pool; inside a
@@ -27,34 +34,72 @@ pub fn label_contigs_sv(nodes: &[AsmNode], workers: usize) -> LabelOutcome {
     label_contigs_sv_on(&ExecCtx::new(workers), nodes)
 }
 
-/// [`label_contigs_sv`] on a caller-provided execution context: the S-V job
-/// runs on the context's persistent pool (worker count = pool size).
+/// Parents that are still being hooked are not contig labels.
+fn assert_converged(metrics: &Metrics) {
+    assert!(
+        metrics.converged,
+        "S-V labeling has not converged after {} supersteps",
+        metrics.supersteps
+    );
+}
+
+/// [`label_contigs_sv`] on a caller-provided execution context: the
+/// translation into rank space, the S-V job and the translation back all run
+/// on the context's persistent pool (worker count = pool size).
+///
+/// # Panics
+///
+/// Panics if the job has not converged within its superstep budget.
 pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let config = PregelConfig::with_workers(ctx.workers())
+    let workers = ctx.workers();
+    let config = PregelConfig::with_workers(workers)
         .max_supersteps(4_000)
         .exec_ctx(ctx.clone());
+    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id);
 
+    // Per node, in node order, the ranks of its sole neighbours, or `None` for
+    // an ambiguous vertex: every worker reads one contiguous share of the
+    // nodes.
+    let sides: Vec<Option<[Option<u32>; 2]>> = ctx
+        .pool()
+        .run_per_worker(vec![(); workers], |w, ()| {
+            nodes[nodes.len() * w / workers..nodes.len() * (w + 1) / workers]
+                .iter()
+                .map(|node| {
+                    sole_neighbors(node).map(|sole| sole.map(|n| n.map(|id| dict.rank(id))))
+                })
+                .collect::<Vec<_>>()
+        })
+        .concat();
     let ambiguous: Vec<u64> = nodes
         .iter()
-        .filter(|n| n.vertex_type() == VertexType::Branch)
-        .map(|n| n.id)
-        .collect();
-    let ambiguous_set: FxHashSet<u64> = ambiguous.iter().copied().collect();
-
-    let adjacency: Vec<(u64, Vec<u64>)> = nodes
-        .iter()
-        .filter(|n| !ambiguous_set.contains(&n.id))
-        .map(|n| {
-            let nbrs: Vec<u64> = n
-                .real_edges()
-                .map(|e| e.neighbor)
-                .filter(|id| !ambiguous_set.contains(id))
-                .collect();
-            (n.id, nbrs)
-        })
+        .zip(&sides)
+        .filter(|(_, sole)| sole.is_none())
+        .map(|(node, _)| node.id)
         .collect();
 
-    let (labels, metrics) = connected_components(adjacency, &config);
+    // Ambiguous vertices take no part and are filtered from the neighbour
+    // lists; an ID outside the node set stays, as the absent rank.
+    let marked: Vec<bool> = (0..dict.len())
+        .map(|rank| sides[dict.source(rank)].is_none())
+        .collect();
+    let (mut set, neighbors) = dict.store_on(ctx, |rank, slab| {
+        let unambiguous = sides[dict.source(rank)]?
+            .into_iter()
+            .flatten()
+            .filter(|&n| marked.get(n as usize) != Some(&true));
+        Some(SvState::push(slab, rank, unambiguous))
+    });
+
+    let program: SvProgram<u32, Spillable> = SvProgram::new(neighbors);
+    let metrics = ppa_pregel::run(&program, &config, &mut set);
+    assert_converged(&metrics);
+
+    let mut outcome = vec![UNRESOLVED; dict.len() as usize];
+    for (rank, state) in set.iter() {
+        outcome[rank as usize] = state.parent();
+    }
+    let (labels, _) = dict.read_back_on(ctx, &outcome);
     LabelOutcome {
         labels,
         ambiguous,
@@ -154,6 +199,19 @@ mod tests {
             sv.metrics.total_messages,
             lr.metrics.total_messages
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "S-V labeling has not converged after 6 supersteps")]
+    fn a_job_cut_off_by_its_superstep_budget_is_loud() {
+        // Seven vertices in a row need more than one round of hooking; six
+        // supersteps stop the program in the middle of its second round.
+        let path: Vec<(u32, Vec<u32>)> = (0..7u32)
+            .map(|v| (v, (0..7u32).filter(|n| n.abs_diff(v) == 1).collect()))
+            .collect();
+        let config = PregelConfig::with_workers(2).max_supersteps(6);
+        let (_, metrics) = ppa_pregel::algorithms::connected_components(path, &config);
+        assert_converged(&metrics);
     }
 
     #[test]

@@ -6,10 +6,18 @@
 //! as IDs do, so a minimum taken over ranks names the vertex with the
 //! smallest ID, and every ID outside the set shares the one-past-the-end rank
 //! [`RankDict::len`], which is no vertex — a Pregel message sent there is
-//! dropped like one sent to the missing ID. Contig labeling runs in rank
-//! space (see [`crate::ops::label`]) and translates back once at the end.
+//! dropped like one sent to the missing ID.
+//!
+//! Both contig labelings — list ranking ([`crate::ops::label`]) and simplified
+//! S-V ([`crate::ops::label_sv`]) — run in rank space and share the way in and
+//! out: [`RankDict::build_on`], [`RankDict::store_on`] (every pool worker
+//! builds the states of the ranks it will own, variable-length lists in one
+//! slab per worker) and [`RankDict::read_back_on`] (one outcome per rank back
+//! to `(id, label)` pairs, in the order a job over the IDs themselves would
+//! have left them).
 
-use ppa_pregel::ExecCtx;
+use ppa_pregel::fxhash::hash_one;
+use ppa_pregel::{ExecCtx, VertexSet};
 
 /// Bit 31 of a rank: list ranking's contig-end *flip* mark, which is why a
 /// node set (and its one-past-the-end rank) has to stay below it.
@@ -18,6 +26,17 @@ pub(crate) const RANK_FLIP: u32 = 1 << 31;
 /// Checks that `nodes` vertices and the absent rank fit below [`RANK_FLIP`].
 pub(crate) fn fits_rank_space(nodes: usize) -> bool {
     nodes < RANK_FLIP as usize
+}
+
+/// Outcome marks of [`RankDict::read_back_on`]; every label is a rank, and
+/// ranks stay below [`RANK_FLIP`].
+pub(crate) const AMBIGUOUS: u32 = u32::MAX;
+pub(crate) const UNRESOLVED: u32 = u32::MAX - 1;
+
+/// The worker a vertex key hashes to, as `VertexSet` places it.
+#[inline]
+fn owner<K: std::hash::Hash>(key: &K, workers: usize) -> usize {
+    (hash_one(key) % workers as u64) as usize
 }
 
 /// The sorted IDs of a node set, with a prefix index for ID → rank lookups.
@@ -109,11 +128,6 @@ impl RankDict {
         self.ids.len() as u32
     }
 
-    /// The strictly ascending IDs; a rank is an index into this.
-    pub(crate) fn ids(&self) -> &[u64] {
-        &self.ids
-    }
-
     /// Position in the build input of the vertex of rank `rank`.
     pub(crate) fn source(&self, rank: u32) -> usize {
         self.source[rank as usize] as usize
@@ -134,6 +148,68 @@ impl RankDict {
             Ok(at) => (lo + at) as u32,
             Err(_) => absent,
         }
+    }
+
+    /// The rank-space vertex store of a labeling job, built on the context's
+    /// pool: worker `w` walks the ranks it will own (`hash_one(&rank) %
+    /// workers == w`) in ascending order, so the store appends them straight
+    /// onto its columns. `state_of(rank, slab)` gives the vertex's state — it
+    /// may park a variable-length list on `slab`, its worker's, and keep the
+    /// bounds — or `None` for a rank that takes no part in the job. Returns
+    /// the store and the slabs, one per worker.
+    pub(crate) fn store_on<S: Send>(
+        &self,
+        ctx: &ExecCtx,
+        state_of: impl Fn(u32, &mut Vec<u32>) -> Option<S> + Sync,
+    ) -> (VertexSet<u32, S>, Vec<Vec<u32>>) {
+        let workers = ctx.workers();
+        let (parts, slabs): (Vec<_>, Vec<_>) = ctx
+            .pool()
+            .run_per_worker(vec![(); workers], |w, ()| {
+                let mut states: Vec<(u32, S)> = Vec::with_capacity(self.ids.len() / workers + 1);
+                let mut slab: Vec<u32> = Vec::new();
+                for rank in (0..self.len()).filter(|rank| owner(rank, workers) == w) {
+                    if let Some(state) = state_of(rank, &mut slab) {
+                        states.push((rank, state));
+                    }
+                }
+                (states, slab)
+            })
+            .into_iter()
+            .unzip();
+        (VertexSet::from_sorted_parts_on(ctx, parts), slabs)
+    }
+
+    /// Back to IDs. `outcome[rank]` is the rank of the vertex's label,
+    /// [`AMBIGUOUS`] or [`UNRESOLVED`] (no entry). Returns the `(id, label)`
+    /// pairs and the ambiguous IDs in the order a job over the IDs would have
+    /// left them — by the worker owning the ID, then by ID — each pool worker
+    /// emitting the share *it* would have owned.
+    pub(crate) fn read_back_on(
+        &self,
+        ctx: &ExecCtx,
+        outcome: &[u32],
+    ) -> (Vec<(u64, u64)>, Vec<u64>) {
+        let workers = ctx.workers();
+        let per_worker = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
+            let mut labels: Vec<(u64, u64)> = Vec::new();
+            let mut ambiguous: Vec<u64> = Vec::new();
+            for (id, label) in self
+                .ids
+                .iter()
+                .zip(outcome)
+                .filter(|(id, _)| owner(*id, workers) == w)
+            {
+                match *label {
+                    AMBIGUOUS => ambiguous.push(*id),
+                    UNRESOLVED => {}
+                    label => labels.push((*id, self.ids[label as usize])),
+                }
+            }
+            (labels, ambiguous)
+        });
+        let (labels, ambiguous): (Vec<_>, Vec<_>) = per_worker.into_iter().unzip();
+        (labels.concat(), ambiguous.concat())
     }
 }
 
@@ -169,10 +245,10 @@ mod tests {
         ];
         let d = dict(&ids);
         assert_eq!(d.len() as usize, ids.len());
-        assert!(d.ids().windows(2).all(|w| w[0] < w[1]));
+        assert!(d.ids.windows(2).all(|w| w[0] < w[1]));
         for (at, id) in ids.iter().enumerate() {
             let rank = d.rank(*id);
-            assert_eq!(d.ids()[rank as usize], *id);
+            assert_eq!(d.ids[rank as usize], *id);
             assert_eq!(d.source(rank), at);
         }
         for absent in [
@@ -197,7 +273,7 @@ mod tests {
         assert_eq!(d.len(), 5_000);
         for (at, id) in ids.iter().enumerate() {
             assert_eq!(d.source(d.rank(*id)), at);
-            if d.ids().binary_search(&(id + 1)).is_err() {
+            if d.ids.binary_search(&(id + 1)).is_err() {
                 assert_eq!(d.rank(id + 1), d.len());
             }
         }
@@ -206,7 +282,7 @@ mod tests {
     #[test]
     fn a_repeated_id_keeps_its_last_position() {
         let d = dict(&[9, 4, 9, 4, 4, 2]);
-        assert_eq!(d.ids(), &[2, 4, 9]);
+        assert_eq!(d.ids, &[2, 4, 9]);
         assert_eq!(
             [d.source(0), d.source(1), d.source(2)],
             [5, 4, 2],

@@ -17,4 +17,4 @@ pub mod list_ranking;
 pub mod sv;
 
 pub use list_ranking::{list_ranking, ListItem};
-pub use sv::connected_components;
+pub use sv::{connected_components, Spillable, SvProgram, SvState};

@@ -1,20 +1,23 @@
-//! Rank-space list ranking against the program it replaced.
+//! Rank-space contig labeling against the programs it replaced.
 //!
-//! `label_contigs_lr_on` runs the BPPA and its S-V cycle fallback on dense
-//! `u32` ranks of the node set's vertex IDs. The reference below is the
-//! labeling as it ran before: the same program on the 64-bit IDs themselves
-//! (flip bit at bit 62), kept here — on the public Pregel API only — so that
-//! every outcome the rest of the workflow depends on can be pinned: `labels`
-//! and `ambiguous` with their order (contig IDs are minted from it), the
+//! `label_contigs_lr_on` (the BPPA and its S-V cycle fallback) and
+//! `label_contigs_sv_on` (simplified S-V) run on dense `u32` ranks of the
+//! node set's vertex IDs. The references below are the two labelings as they
+//! ran before: list ranking on the 64-bit IDs themselves (flip bit at bit
+//! 62), and S-V with tagged messages and a neighbour `Vec` per vertex, also
+//! on the IDs — kept here, on the public Pregel API only, so that every
+//! outcome the rest of the workflow depends on can be pinned: `labels` and
+//! `ambiguous` with their order (contig IDs are minted from it), the
 //! superstep and message counts, and the dropped-message count.
 
 use ppa_assembler::ids::{contig_id, kmer_id};
 use ppa_assembler::ops::construct::{build_dbg, ConstructConfig};
 use ppa_assembler::ops::label::{label_contigs_lr_on, LabelOutcome};
+use ppa_assembler::ops::label_sv::label_contigs_sv_on;
 use ppa_assembler::{AsmNode, Direction, Edge, Polarity, Side, VertexType};
-use ppa_pregel::aggregate::Count;
+use ppa_pregel::aggregate::{BoolOr, Count};
 use ppa_pregel::algorithms::connected_components;
-use ppa_pregel::{Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};
+use ppa_pregel::{run_from_pairs, Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};
 use ppa_seq::{DnaString, FastxRecord, Kmer, ReadSet};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -256,6 +259,145 @@ fn reference_label(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
 }
 
 // ---------------------------------------------------------------------------
+// The reference: simplified S-V on 64-bit vertex IDs, tagged messages
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+struct RefSvState {
+    neighbors: Vec<u64>,
+    parent: u64,
+    changed_this_round: bool,
+}
+
+#[derive(Debug, Clone)]
+enum RefSvMsg {
+    /// A neighbour's current parent (phase 0 → 1).
+    NeighborParent(u64),
+    /// Request to hook the receiving root under the carried vertex (phase 1 → 2).
+    Hook(u64),
+    /// "Tell me your parent" — carries the requester (phase 2 → 3).
+    GetParent(u64),
+    /// The parent's parent (phase 3 → 0).
+    ParentIs(u64),
+}
+
+struct RefSvProgram;
+
+impl VertexProgram for RefSvProgram {
+    type Id = u64;
+    type Value = RefSvState;
+    type Message = RefSvMsg;
+    type Aggregate = BoolOr;
+
+    fn compute(
+        &self,
+        ctx: &mut Context<'_, Self>,
+        id: u64,
+        value: &mut RefSvState,
+        messages: &mut [RefSvMsg],
+    ) {
+        match ctx.superstep() % 4 {
+            0 => {
+                for msg in messages.iter() {
+                    if let RefSvMsg::ParentIs(p) = msg {
+                        if *p < value.parent {
+                            value.parent = *p;
+                            value.changed_this_round = true;
+                        }
+                    }
+                }
+                for &n in &value.neighbors {
+                    ctx.send_message(n, RefSvMsg::NeighborParent(value.parent));
+                }
+            }
+            1 => {
+                let best = messages
+                    .iter()
+                    .filter_map(|msg| match msg {
+                        RefSvMsg::NeighborParent(p) => Some(*p),
+                        _ => None,
+                    })
+                    .min();
+                if let Some(x) = best {
+                    if x < value.parent {
+                        ctx.send_message(value.parent, RefSvMsg::Hook(x));
+                    }
+                }
+            }
+            2 => {
+                let best = messages
+                    .iter()
+                    .filter_map(|msg| match msg {
+                        RefSvMsg::Hook(x) => Some(*x),
+                        _ => None,
+                    })
+                    .min();
+                if let Some(x) = best {
+                    if value.parent == id && x < value.parent {
+                        value.parent = x;
+                        value.changed_this_round = true;
+                    }
+                }
+                if value.parent != id {
+                    ctx.send_message(value.parent, RefSvMsg::GetParent(id));
+                }
+            }
+            _ => {
+                for msg in messages.iter() {
+                    if let RefSvMsg::GetParent(from) = msg {
+                        ctx.send_message(*from, RefSvMsg::ParentIs(value.parent));
+                    }
+                }
+                ctx.aggregate(BoolOr(value.changed_this_round));
+                value.changed_this_round = false;
+            }
+        }
+    }
+
+    fn should_terminate(&self, aggregate: &BoolOr, superstep: usize) -> bool {
+        superstep % 4 == 3 && !aggregate.0
+    }
+}
+
+fn reference_label_sv(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
+    let config = PregelConfig::with_workers(ctx.workers())
+        .max_supersteps(4_000)
+        .exec_ctx(ctx.clone());
+    let ambiguous: Vec<u64> = nodes
+        .iter()
+        .filter(|n| n.vertex_type() == VertexType::Branch)
+        .map(|n| n.id)
+        .collect();
+    let ambiguous_set: HashSet<u64> = ambiguous.iter().copied().collect();
+    let states = nodes
+        .iter()
+        .filter(|n| !ambiguous_set.contains(&n.id))
+        .map(|n| {
+            let state = RefSvState {
+                neighbors: n
+                    .real_edges()
+                    .map(|e| e.neighbor)
+                    .filter(|id| !ambiguous_set.contains(id))
+                    .collect(),
+                parent: n.id,
+                changed_this_round: false,
+            };
+            (n.id, state)
+        });
+    let (set, metrics) = run_from_pairs(&RefSvProgram, &config, states);
+    LabelOutcome {
+        labels: set
+            .into_pairs()
+            .into_iter()
+            .map(|(id, state)| (id, state.parent))
+            .collect(),
+        ambiguous,
+        metrics,
+        used_cycle_fallback: false,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Node sets
 // ---------------------------------------------------------------------------
 
@@ -349,13 +491,21 @@ fn round_two_nodes() -> Vec<AsmNode> {
 // The pin
 // ---------------------------------------------------------------------------
 
-/// Runs both labelings on 1–4 workers and returns the 2-worker outcome.
-fn assert_matches_reference(nodes: &[AsmNode], what: &str) -> LabelOutcome {
+type Labeling = fn(&ExecCtx, &[AsmNode]) -> LabelOutcome;
+
+/// Runs a labeling and its reference on 1–4 workers and returns the
+/// labeling's 2-worker outcome.
+fn assert_same_outcome(
+    nodes: &[AsmNode],
+    what: &str,
+    labeling: Labeling,
+    reference: Labeling,
+) -> LabelOutcome {
     let mut two_workers = None;
     for workers in 1..=4 {
         let ctx = ExecCtx::new(workers);
-        let got = label_contigs_lr_on(&ctx, nodes);
-        let want = reference_label(&ctx, nodes);
+        let got = labeling(&ctx, nodes);
+        let want = reference(&ctx, nodes);
         let at = format!("{what}, {workers} workers");
         assert_eq!(got.labels, want.labels, "labels: {at}");
         assert_eq!(got.ambiguous, want.ambiguous, "ambiguous: {at}");
@@ -385,6 +535,28 @@ fn assert_matches_reference(nodes: &[AsmNode], what: &str) -> LabelOutcome {
     two_workers.expect("the sweep covers 2 workers")
 }
 
+/// List ranking against its reference.
+fn assert_matches_reference(nodes: &[AsmNode], what: &str) -> LabelOutcome {
+    assert_same_outcome(
+        nodes,
+        &format!("LR, {what}"),
+        label_contigs_lr_on,
+        reference_label,
+    )
+}
+
+/// Simplified S-V against its reference; it never takes a fallback.
+fn assert_sv_matches_reference(nodes: &[AsmNode], what: &str) -> LabelOutcome {
+    let outcome = assert_same_outcome(
+        nodes,
+        &format!("S-V, {what}"),
+        label_contigs_sv_on,
+        reference_label_sv,
+    );
+    assert!(outcome.metrics.converged && !outcome.used_cycle_fallback);
+    outcome
+}
+
 #[test]
 fn the_figure_11_path() {
     let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
@@ -394,30 +566,41 @@ fn the_figure_11_path() {
     assert!(!outcome.used_cycle_fallback);
     let label = outcome.labels[0].1;
     assert!(outcome.labels.iter().all(|(_, l)| *l == label));
+
+    let outcome = assert_sv_matches_reference(&nodes, "seven-vertex path");
+    assert_eq!(outcome.metrics.total_dropped, 0);
+    let least = nodes.iter().map(|n| n.id).min().expect("non-empty");
+    assert!(outcome.labels.iter().all(|(_, l)| *l == least));
 }
 
 #[test]
 fn a_fork() {
     let nodes = nodes_from_reads(&["TTACTTGATCCG", "TTACTTGAACGG"], 5);
-    let outcome = assert_matches_reference(&nodes, "fork");
-    assert_eq!(outcome.metrics.total_dropped, 0);
-    assert!(!outcome.ambiguous.is_empty());
+    for pin in [assert_matches_reference, assert_sv_matches_reference] {
+        let outcome = pin(&nodes, "fork");
+        assert_eq!(outcome.metrics.total_dropped, 0);
+        assert!(!outcome.ambiguous.is_empty());
+    }
 }
 
 #[test]
 fn a_two_vertex_path() {
     let nodes = nodes_from_reads(&["ACGGTC"], 5);
     assert_eq!(nodes.len(), 2);
-    let outcome = assert_matches_reference(&nodes, "two-vertex path");
-    assert_eq!(outcome.metrics.total_dropped, 0);
+    for pin in [assert_matches_reference, assert_sv_matches_reference] {
+        let outcome = pin(&nodes, "two-vertex path");
+        assert_eq!(outcome.metrics.total_dropped, 0);
+    }
 }
 
 #[test]
 fn isolated_vertices_and_the_empty_set() {
-    let outcome = assert_matches_reference(&kmer_nodes(9, 53), "isolated vertices");
-    assert_eq!(outcome.metrics.total_dropped, 0);
-    assert!(outcome.labels.iter().all(|(id, label)| id == label));
-    assert_matches_reference(&[], "empty node set");
+    for pin in [assert_matches_reference, assert_sv_matches_reference] {
+        let outcome = pin(&kmer_nodes(9, 53), "isolated vertices");
+        assert_eq!(outcome.metrics.total_dropped, 0);
+        assert!(outcome.labels.iter().all(|(id, label)| id == label));
+        pin(&[], "empty node set");
+    }
 }
 
 #[test]
@@ -427,6 +610,10 @@ fn cycles_take_the_fallback() {
         let outcome = assert_matches_reference(&nodes, &format!("{n}-cycle"));
         assert!(outcome.used_cycle_fallback);
         let least = nodes.iter().map(|n| n.id).min().expect("non-empty");
+        assert!(outcome.labels.iter().all(|(_, l)| *l == least));
+
+        // S-V labels a cycle like any other component.
+        let outcome = assert_sv_matches_reference(&nodes, &format!("{n}-cycle"));
         assert!(outcome.labels.iter().all(|(_, l)| *l == least));
     }
 }
@@ -447,6 +634,27 @@ fn a_path_and_two_cycles() {
     assert_eq!(outcome.metrics.total_dropped, 0);
     let labels: HashSet<u64> = outcome.labels.iter().map(|(_, l)| *l).collect();
     assert_eq!(labels.len(), 3, "one path, two cycles");
+
+    let outcome = assert_sv_matches_reference(&nodes, "path + two cycles");
+    assert_eq!(outcome.metrics.total_dropped, 0);
+    let sv_labels: HashSet<u64> = outcome.labels.iter().map(|(_, l)| *l).collect();
+    assert_eq!(sv_labels.len(), 3);
+}
+
+#[test]
+fn a_self_loop_and_a_doubled_neighbour() {
+    // Both sides of a vertex lead to the same vertex: to itself (0), or to
+    // one neighbour twice (1 ⇄ 2); 3 → 4 is an ordinary path beside them.
+    let mut nodes = kmer_nodes(5, 71);
+    for (from, to) in [(0, 0), (1, 2), (2, 1), (3, 4)] {
+        link(&mut nodes, from, to);
+    }
+    assert!(nodes.iter().all(|n| n.vertex_type() != VertexType::Branch));
+    let outcome = assert_sv_matches_reference(&nodes, "self-loop + doubled neighbour");
+    assert_eq!(outcome.metrics.total_dropped, 0);
+    let labels: HashSet<u64> = outcome.labels.iter().map(|(_, l)| *l).collect();
+    assert_eq!(labels.len(), 3);
+    assert_matches_reference(&nodes, "self-loop + doubled neighbour");
 }
 
 #[test]
@@ -460,6 +668,15 @@ fn a_round_two_node_set_of_kmers_and_contigs() {
     for at in [3, 0, 4, 1, 5] {
         assert!(outcome.labels.contains(&(nodes[at].id, chain_label)));
     }
+
+    // S-V labels the chain by its smallest ID: a k-mer.
+    let outcome = assert_sv_matches_reference(&nodes, "k-mers + contigs");
+    assert_eq!(outcome.metrics.total_dropped, 0);
+    assert_eq!(outcome.ambiguous, vec![nodes[2].id]);
+    let least = nodes[0].id.min(nodes[1].id);
+    for at in [3, 0, 4, 1, 5] {
+        assert!(outcome.labels.contains(&(nodes[at].id, least)));
+    }
 }
 
 #[test]
@@ -472,14 +689,18 @@ fn a_neighbour_missing_from_the_node_set() {
         .position(|n| n.vertex_type() == VertexType::OneOne)
         .expect("a seven-vertex path has inner vertices");
     nodes.remove(mid);
-    let outcome = assert_matches_reference(&nodes, "missing neighbour");
-    assert!(outcome.metrics.total_dropped > 0);
+    for pin in [assert_matches_reference, assert_sv_matches_reference] {
+        let outcome = pin(&nodes, "missing neighbour");
+        assert!(outcome.metrics.total_dropped > 0);
+    }
 
     // Two missing neighbours of one vertex share the absent rank.
     let mut nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
     nodes.retain(|n| n.vertex_type() == VertexType::OneOne);
-    let outcome = assert_matches_reference(&nodes, "missing path ends");
-    assert!(outcome.metrics.total_dropped > 0);
+    for pin in [assert_matches_reference, assert_sv_matches_reference] {
+        let outcome = pin(&nodes, "missing path ends");
+        assert!(outcome.metrics.total_dropped > 0);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -551,7 +772,7 @@ fn generated_reads(seed: u64) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
-    fn prop_random_read_sets_label_as_the_reference_does(
+    fn prop_random_read_sets_label_as_the_references_do(
         seed in 1u64..u64::MAX,
         k_pick in 0usize..4,
     ) {
@@ -560,7 +781,9 @@ proptest! {
         let refs: Vec<&str> = reads.iter().map(|r| r.as_str()).collect();
         let nodes = nodes_from_reads(&refs, k);
         prop_assert!(!nodes.is_empty());
-        let outcome = assert_matches_reference(&nodes, &format!("seed {seed}, k = {k}"));
-        prop_assert_eq!(outcome.metrics.total_dropped, 0);
+        for pin in [assert_matches_reference, assert_sv_matches_reference] {
+            let outcome = pin(&nodes, &format!("seed {seed}, k = {k}"));
+            prop_assert_eq!(outcome.metrics.total_dropped, 0);
+        }
     }
 }

@@ -7,7 +7,7 @@
 use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
 use ppa_assembler::ops::label::label_contigs_lr_on;
 use ppa_assembler::pipeline::{CheckpointPolicy, GraphState, Pipeline, PipelineError};
-use ppa_assembler::{assemble, Assembly, AssemblyConfig};
+use ppa_assembler::{assemble, Assembly, AssemblyConfig, LabelingAlgorithm};
 use ppa_pregel::{ExecCtx, Fault, FaultPlan, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
@@ -134,6 +134,36 @@ fn a_capped_list_ranking_job_spills_its_rank_space_plane() {
             resident.metrics.total_messages
         );
         assert_eq!(capped.metrics.total_dropped, 0);
+    }
+}
+
+#[test]
+fn a_capped_sv_workflow_spills_its_labeling_and_assembles_the_same_contigs() {
+    // The cap bounds the other labeling choice too: with fixed-size states
+    // and bare-rank messages the S-V job has spill codecs.
+    let reads = simulated_reads();
+    for workers in 1..=4 {
+        let sv = |spill| AssemblyConfig {
+            labeling: LabelingAlgorithm::SimplifiedSV,
+            ..config(workers, spill)
+        };
+        let resident = assemble(&reads, &sv(SpillPolicy::Off));
+        assert!(!resident.contigs.is_empty());
+        assert_eq!(spilled_bytes(&resident), 0);
+
+        let capped = assemble(&reads, &sv(SpillPolicy::At(16 * 1024)));
+        assert_eq!(
+            fingerprint(&capped),
+            fingerprint(&resident),
+            "workers={workers}: capped S-V contigs diverged"
+        );
+        let label = &capped.stats.label_round1;
+        assert!(
+            label.spilled_bytes > 0,
+            "workers={workers}: the S-V job must spill under a 16 KiB cap"
+        );
+        assert_eq!(label.supersteps, resident.stats.label_round1.supersteps);
+        assert_eq!(label.messages, resident.stats.label_round1.messages);
     }
 }
 
