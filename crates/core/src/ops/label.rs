@@ -31,16 +31,18 @@
 //! The jobs do not run on the 64-bit vertex IDs. The node set is translated
 //! once into a rank dictionary (`ranks.rs`) — its sorted ID column — and both
 //! the BPPA and its S-V fallback address vertices by their dense `u32`
-//! **rank** in it: a message record is 16 bytes, the shuffle sorts on
-//! ⌈log₂ n⌉ key bits, the flip bit is bit 31 of a rank and the per-vertex
-//! state is two pointers. Ranks order as IDs do, so "the smaller end" and
-//! "the smallest ID of the cycle" are decided on ranks; a neighbour ID outside
-//! the node set becomes the one-past-the-end rank, and what is sent there is
-//! dropped as it would be for the missing ID. The outcome is translated back,
-//! in the order a job over the IDs themselves would have left it (see
-//! [`LabelOutcome::labels`]). The way in and out — dictionary, per-worker
-//! store build, read-back — is `ranks.rs`'s and shared with S-V labeling
-//! ([`super::label_sv`]).
+//! **rank** in it: a message record is 16 bytes, the flip bit is bit 31 of a
+//! rank and the per-vertex state is two pointers. Ranks order as IDs do, so
+//! "the smaller end" and "the smallest ID of the cycle" are decided on ranks;
+//! a neighbour ID outside the node set becomes the one-past-the-end rank, and
+//! what is sent there is dropped as it would be for the missing ID. The
+//! outcome is translated back, in the order a job over the IDs themselves
+//! would have left it (see [`LabelOutcome::labels`]). The way in and out —
+//! dictionary, per-worker state build, running the job, read-back — is
+//! `ranks.rs`'s and shared with S-V labeling ([`super::label_sv`]); it also
+//! decides which of the engine's planes the BPPA runs on (the dense one,
+//! unless a spill cap has to be honoured). Nothing here depends on that: a
+//! pointer update compares ranks, never arrival order.
 
 use crate::node::AsmNode;
 use crate::polarity::Side;
@@ -171,8 +173,10 @@ struct LrProgram {
     /// cycles.
     superstep_budget: usize,
     stalled: AtomicBool,
-    /// Per worker, the neighbour ranks of its ambiguous vertices, one list
-    /// after the other ([`LrState::Branch`] holds the bounds).
+    /// Per worker — the worker whose store holds the vertex, which is the one
+    /// `Context::worker` names when it computes — the neighbour ranks of its
+    /// ambiguous vertices, one list after the other ([`LrState::Branch`]
+    /// holds the bounds).
     broadcast: Vec<Vec<u32>>,
 }
 
@@ -326,18 +330,18 @@ pub fn label_contigs_lr(nodes: &[AsmNode], workers: usize) -> LabelOutcome {
 }
 
 /// [`label_contigs_lr`] on a caller-provided execution context: the
-/// translation into rank space, the list-ranking job, its S-V cycle fallback
-/// and the translation back all run on the context's persistent pool (worker
-/// count = pool size).
+/// translation into rank space, the list-ranking job (`RankDict::run_on`), its
+/// S-V cycle fallback and the translation back all run on the context's
+/// persistent pool (worker count = pool size).
 pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
     let config = PregelConfig::with_workers(ctx.workers())
         .max_supersteps(4_000)
         .exec_ctx(ctx.clone());
     let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id);
 
-    // The states of the ranks each worker will own, with the neighbour IDs
+    // The states of the ranks each worker will hold, with the neighbour IDs
     // translated; an ambiguous vertex parks its broadcast list on the slab.
-    let (mut set, broadcast) = dict.store_on(ctx, |rank, slab| {
+    let state_of = |rank: u32, slab: &mut Vec<u32>| {
         let node = &nodes[dict.source(rank)];
         Some(match sole_neighbors(node) {
             None => {
@@ -353,22 +357,17 @@ pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
                 ptr: sole.map(|n| n.map_or(flip(rank), |id| dict.rank(id))),
             },
         })
-    });
-
-    let program = LrProgram::new(nodes.len(), broadcast);
-    let mut metrics = ppa_pregel::run(&program, &config, &mut set);
-    let stalled = program.stalled.load(Ordering::Relaxed);
-
+    };
     // Per rank: the rank of its label, or a mark.
-    let mut outcome = vec![UNRESOLVED; dict.len() as usize];
-    for (rank, state) in set.iter() {
-        outcome[rank as usize] = match state {
-            LrState::Branch { .. } => AMBIGUOUS,
-            LrState::Path { ptr } if finished(ptr) => unflip(ptr[LEFT]).min(unflip(ptr[RIGHT])),
-            LrState::Path { .. } => UNRESOLVED,
-        };
-    }
-    drop(set);
+    let outcome_of = |state: &LrState| match state {
+        LrState::Branch { .. } => AMBIGUOUS,
+        LrState::Path { ptr } if finished(ptr) => unflip(ptr[LEFT]).min(unflip(ptr[RIGHT])),
+        LrState::Path { .. } => UNRESOLVED,
+    };
+    let program_of = |broadcast| LrProgram::new(nodes.len(), broadcast);
+    let (program, mut metrics, mut outcome) =
+        dict.run_on(ctx, &config, state_of, program_of, outcome_of);
+    let stalled = program.stalled.load(Ordering::Relaxed);
 
     // S-V fallback for unambiguous cycles (and any vertex the stall left
     // unresolved): label each with the smallest vertex of its component.

@@ -17,13 +17,16 @@
 //! neighbour ID outside the node set becomes the one-past-the-end rank, where
 //! messages are dropped as they would be for the missing ID — and the
 //! component representative, the smallest rank and so the smallest ID, is
-//! translated back as the contig label. A shuffle record is 8 bytes, sorted
-//! on ⌈log₂ n⌉ key bits; with fixed-size states and bare-rank messages the job
-//! also runs out of core under a `SpillPolicy` cap.
+//! translated back as the contig label. A shuffle record is 8 bytes.
+//! `RankDict::run_on` builds the store and runs the job, on the engine's dense
+//! plane or, when a `SpillPolicy` cap has to be honoured, on its sorted,
+//! spillable one (fixed-size states and bare-rank messages have codecs); every
+//! phase of S-V takes a minimum over its inbox or answers each message on its
+//! own, so the order messages arrive in does not matter.
 
 use super::label::{sole_neighbors, LabelOutcome};
 use crate::node::AsmNode;
-use crate::ranks::{RankDict, UNRESOLVED};
+use crate::ranks::RankDict;
 use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
 use ppa_pregel::{ExecCtx, Metrics, PregelConfig};
 
@@ -83,22 +86,22 @@ pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
     let marked: Vec<bool> = (0..dict.len())
         .map(|rank| sides[dict.source(rank)].is_none())
         .collect();
-    let (mut set, neighbors) = dict.store_on(ctx, |rank, slab| {
+    let state_of = |rank: u32, slab: &mut Vec<u32>| {
         let unambiguous = sides[dict.source(rank)]?
             .into_iter()
             .flatten()
             .filter(|&n| marked.get(n as usize) != Some(&true));
         Some(SvState::push(slab, rank, unambiguous))
-    });
-
-    let program: SvProgram<u32, Spillable> = SvProgram::new(neighbors);
-    let metrics = ppa_pregel::run(&program, &config, &mut set);
+    };
+    let (_, metrics, outcome) = dict.run_on(
+        ctx,
+        &config,
+        state_of,
+        SvProgram::<u32, Spillable>::new,
+        SvState::parent,
+    );
     assert_converged(&metrics);
 
-    let mut outcome = vec![UNRESOLVED; dict.len() as usize];
-    for (rank, state) in set.iter() {
-        outcome[rank as usize] = state.parent();
-    }
     let (labels, _) = dict.read_back_on(ctx, &outcome);
     LabelOutcome {
         labels,

@@ -10,14 +10,23 @@
 //!
 //! Both contig labelings — list ranking ([`crate::ops::label`]) and simplified
 //! S-V ([`crate::ops::label_sv`]) — run in rank space and share the way in and
-//! out: [`RankDict::build_on`], [`RankDict::store_on`] (every pool worker
-//! builds the states of the ranks it will own, variable-length lists in one
-//! slab per worker) and [`RankDict::read_back_on`] (one outcome per rank back
-//! to `(id, label)` pairs, in the order a job over the IDs themselves would
-//! have left them).
+//! out: [`RankDict::build_on`], [`RankDict::run_on`] (every pool worker builds
+//! the states of the ranks it will own, variable-length lists in one slab per
+//! worker; the job runs; one outcome per rank comes back) and
+//! [`RankDict::read_back_on`] (the outcomes back to `(id, label)` pairs, in
+//! the order a job over the IDs themselves would have left them).
+//!
+//! `run_on` is also the one place that knows which of the engine's two
+//! planes a labeling job runs on. Ranks are consecutive integers, so a
+//! resident job uses the dense plane ([`ppa_pregel::dense`]): range
+//! ownership, states in a plain array, a counting scatter for delivery. A job
+//! that has to honour a `SpillPolicy` cap keeps the sorted, spillable plane
+//! (hash ownership over a [`VertexSet`]), the only one that can seal its
+//! store and spill its shuffle. Neither the labelings nor their callers see
+//! the difference: `read_back_on` orders the outcome by ID, not by owner.
 
 use ppa_pregel::fxhash::hash_one;
-use ppa_pregel::{ExecCtx, VertexSet};
+use ppa_pregel::{DenseSet, ExecCtx, Metrics, PregelConfig, VertexProgram, VertexSet};
 
 /// Bit 31 of a rank: list ranking's contig-end *flip* mark, which is why a
 /// node set (and its one-past-the-end rank) has to stay below it.
@@ -150,14 +159,53 @@ impl RankDict {
         }
     }
 
-    /// The rank-space vertex store of a labeling job, built on the context's
-    /// pool: worker `w` walks the ranks it will own (`hash_one(&rank) %
-    /// workers == w`) in ascending order, so the store appends them straight
-    /// onto its columns. `state_of(rank, slab)` gives the vertex's state — it
+    /// Runs a labeling job over the ranks on the context's pool and returns
+    /// the program, the job's metrics and `outcome_of(final state)` per rank
+    /// ([`UNRESOLVED`] for a rank without a state).
+    ///
+    /// Every worker builds the states of the ranks its store will hold, in
+    /// ascending order: `state_of(rank, slab)` gives the vertex's state — it
     /// may park a variable-length list on `slab`, its worker's, and keep the
-    /// bounds — or `None` for a rank that takes no part in the job. Returns
-    /// the store and the slabs, one per worker.
-    pub(crate) fn store_on<S: Send>(
+    /// bounds — or `None` for a rank that takes no part in the job.
+    /// `program_of` gets the slabs, one per worker, indexed as
+    /// `Context::worker` is when the vertex computes.
+    pub(crate) fn run_on<P>(
+        &self,
+        ctx: &ExecCtx,
+        config: &PregelConfig,
+        state_of: impl Fn(u32, &mut Vec<u32>) -> Option<P::Value> + Sync,
+        program_of: impl FnOnce(Vec<Vec<u32>>) -> P,
+        outcome_of: impl Fn(&P::Value) -> u32 + Sync,
+    ) -> (P, Metrics, Vec<u32>)
+    where
+        P: VertexProgram<Id = u32>,
+        P::Value: Sync,
+    {
+        let mut outcome = vec![UNRESOLVED; self.ids.len()];
+        // The choice of plane (see the module docs), from what the job can
+        // observe: a cap on the context that the program is able to honour.
+        let capped = ctx.spill().is_some_and(|policy| policy.cap().is_some());
+        if capped && P::spill_codecs().is_some() {
+            let (mut set, slabs) = self.sorted_store_on(ctx, state_of);
+            let program = program_of(slabs);
+            let metrics = ppa_pregel::run_on(ctx, &program, config, &mut set);
+            for (rank, state) in set.iter() {
+                outcome[rank as usize] = outcome_of(state);
+            }
+            (program, metrics, outcome)
+        } else {
+            let (mut set, slabs) = DenseSet::from_fn_on(ctx, self.len(), state_of);
+            let program = program_of(slabs);
+            let metrics = ppa_pregel::run_dense_on(ctx, &program, config, &mut set);
+            set.read_on(ctx, &mut outcome, outcome_of);
+            (program, metrics, outcome)
+        }
+    }
+
+    /// The hash-partitioned store of a capped job: worker `w` walks the ranks
+    /// a `VertexSet` places on it (`hash_one(&rank) % workers == w`) in
+    /// ascending order, so the store appends them straight onto its columns.
+    fn sorted_store_on<S: Send>(
         &self,
         ctx: &ExecCtx,
         state_of: impl Fn(u32, &mut Vec<u32>) -> Option<S> + Sync,

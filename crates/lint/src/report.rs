@@ -81,7 +81,7 @@ impl Rule {
             }
             Rule::CancellationPoints => {
                 "every `pub fn *_on` in core/src/ops must call a \
-                 control-polling runner entry point (run/run_on/map_reduce*/\
+                 control-polling runner entry point (run/run_on/run_dense_on/map_reduce*/\
                  count_keys_on/convert_on/connected_components)"
             }
         }

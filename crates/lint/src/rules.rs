@@ -45,6 +45,7 @@ const OPS_DIR: &str = "crates/core/src/ops/";
 const POLLING_CALLEES: &[&str] = &[
     "run_on",
     "try_run_on",
+    "run_dense_on",
     "run_from_pairs",
     "map_reduce_on",
     "map_reduce_with_metrics_on",
@@ -456,7 +457,7 @@ fn check_cancellation_points(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
                 col: name_tok.col,
                 message: format!(
                     "op entry point `{name}` never reaches a control-polling runner path \
-                     (run/run_on/try_run_on/run_from_pairs/map_reduce*_on/count_keys_on/\
+                     (run/run_on/try_run_on/run_dense_on/run_from_pairs/map_reduce*_on/count_keys_on/\
                      convert_on/connected_components); a JobControl could not stop it"
                 ),
             });

@@ -418,6 +418,8 @@ fn op_routed_through_polling_runners_is_quiet() {
         "pub fn d_on(ctx: &ExecCtx) -> u64 { set.convert_on(ctx, f, merge).len() as u64 }\n",
         "pub fn e_on(ctx: &ExecCtx) -> u64 { try_run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
         "pub fn f_on(ctx: &ExecCtx) -> u64 { count_keys_on(ctx, &t, 64, hint, scan, 1).1.groups }\n",
+        // The dense plane's runner polls at every superstep boundary too.
+        "pub fn g_on(ctx: &ExecCtx) -> u64 { run_dense_on(ctx, &p, &c, &mut ranks).supersteps as u64 }\n",
     ];
     for src in srcs {
         assert!(

@@ -139,8 +139,11 @@ pub struct SvProgram<I, S = Resident> {
 }
 
 impl<I, S> SvProgram<I, S> {
-    /// `neighbors[w]` is the slab the states of worker `w`'s vertices
-    /// (`hash_one(&id) % workers == w`) were pushed onto.
+    /// `neighbors[w]` is the slab the states of worker `w`'s vertices were
+    /// pushed onto — `w` being the worker whose store holds the vertex, the
+    /// one [`Context::worker`] names when it computes: `hash_one(&id) %
+    /// workers` in a [`VertexSet`], the owner of the rank's range in a
+    /// [`DenseSet`](crate::DenseSet).
     pub fn new(neighbors: Vec<Vec<I>>) -> SvProgram<I, S> {
         SvProgram {
             neighbors,
@@ -390,6 +393,7 @@ mod tests {
                 prev_aggregate: &prev,
                 local_aggregate: &mut local,
                 outbox: &mut outbox,
+                route: crate::vertex::Route::Hash,
                 messages_sent: &mut sent,
                 halt: false,
             };

@@ -105,12 +105,14 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Renders a panic payload as a message (payloads are `&str` or `String` in
-/// practice).
+/// practice, or an [`EngineError`] raised on a coordinator thread).
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
+    } else if let Some(err) = payload.downcast_ref::<EngineError>() {
+        err.to_string()
     } else {
         "non-string panic payload".to_string()
     }

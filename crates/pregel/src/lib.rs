@@ -64,6 +64,13 @@
 //!   straggler scan walks a packed halted bitset instead of iterating a
 //!   hash map. The pre-columnar hash store is preserved in
 //!   `ppa_bench::legacy`; `BENCH_vertex_store.json` records the comparison.
+//! * **dense ranks skip all of the above** — a job whose vertex IDs are the
+//!   consecutive `u32` ranks `0..n` (contig labeling, after its rank
+//!   dictionary) runs on the [`dense`] plane instead: a [`DenseSet`] owns
+//!   ranks by range and keeps states in a plain array, `send_message` routes
+//!   with a multiply–shift, and delivery is one stable counting scatter into
+//!   a CSR inbox — no hash, no presort, no k-way merge, no merge-join. The
+//!   sorted plane stays the general one (any ID type, combiners, spilling).
 //! * **sender-side combining** — when a program sets
 //!   [`USE_COMBINER`](VertexProgram::USE_COMBINER), duplicate destinations are
 //!   folded in the sorted outbound buffers before the hand-off (and again
@@ -108,6 +115,7 @@ pub mod algorithms;
 pub mod chain;
 pub mod config;
 pub mod control;
+pub mod dense;
 pub mod engine;
 pub mod fault;
 pub mod fxhash;
@@ -126,6 +134,7 @@ pub use aggregate::{Aggregate, BoolOr, Count, MaxU64, MinU64, NoAggregate, SumU6
 pub use chain::ChainMode;
 pub use config::PregelConfig;
 pub use control::{CancelReason, JobControl};
+pub use dense::{run_dense_on, DenseSet};
 pub use engine::{EngineError, ExecCtx, WorkerPool};
 pub use fault::{ArmedFaults, Fault, FaultPlan};
 pub use keycount::{count_keys_on, KeySink};

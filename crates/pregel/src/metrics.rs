@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Metrics of a single superstep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SuperstepMetrics {
     /// Superstep number (0-based).
     pub superstep: usize,
@@ -108,6 +108,30 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Folds one finished superstep into the job totals, keeping its row when
+    /// `keep` (per-superstep tracking) is on.
+    pub(crate) fn record(&mut self, step: SuperstepMetrics, keep: bool) {
+        // Running mean: superstep 0 is always dense (every vertex starts
+        // active), so the peak carries no information — the mean is what
+        // separates sparse-frontier jobs from dense ones.
+        self.avg_frontier_density +=
+            (step.frontier_density - self.avg_frontier_density) / (self.supersteps + 1) as f64;
+        self.peak_store_resident_bytes = self
+            .peak_store_resident_bytes
+            .max(step.store_resident_bytes);
+        self.total_cancellation_checks += step.cancellation_checks;
+        self.supersteps += 1;
+        self.total_messages += step.messages_sent;
+        self.total_dropped += step.messages_dropped;
+        self.total_compute_calls += step.active_vertices as u64;
+        self.spilled_bytes += step.spilled_bytes;
+        self.spill_read_bytes += step.spill_read_bytes;
+        self.spilled_runs += step.spilled_runs;
+        if keep {
+            self.per_superstep.push(step);
+        }
+    }
+
     /// Merges another job's metrics into this one (used when an operation runs
     /// several Pregel jobs back to back, e.g. list ranking plus its S-V cycle
     /// fallback, and we want the combined cost).

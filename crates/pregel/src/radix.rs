@@ -351,6 +351,64 @@ fn scatter<T, const B: usize>(
     unsafe { dst.set_len(n) };
 }
 
+/// The dense plane's exchange ([`crate::dense`]): one stable counting-sort
+/// pass whose digit is a whole dense slot, `rank − base`. Moves the payload
+/// of every `(rank, payload)` record of `sources` — taken in order, so a
+/// slot's payloads end up in (source, position) order — into `inbox`, grouped
+/// by slot, and leaves the CSR bounds in `offsets`: slot `s` owns
+/// `inbox[offsets[s]..offsets[s + 1]]`. `offsets` has one entry per slot
+/// plus two (the last is the placement cursors' lead). Sources are left
+/// empty, capacity kept; nothing is allocated once `inbox` has grown.
+///
+/// # Panics
+///
+/// Panics if a rank lies outside `base..base + slots`, or if the sources
+/// hold more than `u32::MAX` records.
+pub(crate) fn scatter_to_slots<M>(
+    sources: &mut [Vec<(u32, M)>],
+    base: u32,
+    offsets: &mut [u32],
+    inbox: &mut Vec<M>,
+) {
+    // Count slot `s` at `s + 2`: after the prefix sum `offsets[s + 1]` is
+    // where slot `s` starts, and once placement has advanced it by the
+    // slot's count it is where slot `s + 1` starts — so `offsets[s]` is.
+    offsets.fill(0);
+    let mut total = 0usize;
+    for source in sources.iter() {
+        total += source.len();
+        for (rank, _) in source {
+            offsets[rank.wrapping_sub(base) as usize + 2] += 1;
+        }
+    }
+    assert!(
+        total <= u32::MAX as usize,
+        "an inbox is capped at u32::MAX messages"
+    );
+    for s in 1..offsets.len() {
+        offsets[s] += offsets[s - 1];
+    }
+    inbox.clear();
+    inbox.reserve(total);
+    let dst = inbox.as_mut_ptr();
+    for source in sources.iter_mut() {
+        for (rank, payload) in source.drain(..) {
+            let cursor = &mut offsets[rank.wrapping_sub(base) as usize + 1];
+            // SAFETY: the counting pass read these same records (`sources` is
+            // borrowed exclusively throughout), so slot `s`'s cursor starts
+            // at the number of records in lower slots and is advanced once
+            // per record of `s`: every write lands on a distinct index below
+            // `total`, inside the capacity reserved above. `inbox` has length
+            // 0 until `set_len`, so nothing initialised is overwritten, and a
+            // panic mid-loop (an out-of-range index above) only leaks.
+            unsafe { std::ptr::write(dst.add(*cursor as usize), payload) };
+            *cursor += 1;
+        }
+    }
+    // SAFETY: exactly `total` distinct indices in `0..total` were written.
+    unsafe { inbox.set_len(total) };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +545,42 @@ mod tests {
             records,
             vec![((1, 0), 3), ((1, 9), 1), ((2, 1), 0), ((2, 1), 2)]
         );
+    }
+
+    #[test]
+    fn scatter_to_slots_groups_by_slot_in_source_then_send_order() {
+        // Slots 10..14 (base 10); payload = (source, position).
+        let mut sources: Vec<Vec<(u32, (u8, u8))>> = vec![
+            vec![(12, (0, 0)), (10, (0, 1)), (12, (0, 2))],
+            vec![],
+            vec![(13, (2, 0)), (12, (2, 1)), (10, (2, 2)), (10, (2, 3))],
+        ];
+        let mut offsets = vec![7u32; 4 + 2]; // stale contents are overwritten
+        let mut inbox = vec![(9, 9)];
+        scatter_to_slots(&mut sources, 10, &mut offsets, &mut inbox);
+        assert_eq!(&offsets[..5], &[0, 3, 3, 6, 7]);
+        assert_eq!(
+            inbox,
+            vec![(0, 1), (2, 2), (2, 3), (0, 0), (0, 2), (2, 1), (2, 0)]
+        );
+        assert!(sources.iter().all(|s| s.is_empty()));
+        assert!(sources[2].capacity() >= 4, "drained, capacity kept");
+
+        // Nothing to deliver: every slot is empty.
+        scatter_to_slots(&mut sources, 10, &mut offsets, &mut inbox);
+        assert_eq!(&offsets[..5], &[0; 5]);
+        assert!(inbox.is_empty());
+    }
+
+    #[test]
+    fn scatter_to_slots_rejects_a_rank_outside_its_slots() {
+        for stray in [9u32, 14, u32::MAX] {
+            let outcome = std::panic::catch_unwind(|| {
+                let mut sources = vec![vec![(11u32, 1u64), (stray, 2)]];
+                scatter_to_slots(&mut sources, 10, &mut [0; 4 + 2], &mut Vec::new());
+            });
+            assert!(outcome.is_err(), "rank {stray} is not in 10..14");
+        }
     }
 
     #[test]

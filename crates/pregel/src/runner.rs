@@ -60,20 +60,38 @@
 //!
 //! This mirrors the bulk-synchronous structure of Pregel+ with the network
 //! replaced by in-memory buffer handoff.
+//!
+//! # Two planes
+//!
+//! This module is the **sorted plane**: it serves every vertex ID type, at
+//! the price of finding each message's vertex by sorting — a presort per
+//! outbox, a k-way merge per inbox, a merge-join against the ID column — and
+//! it is the one plane that combines and that runs out of core, because
+//! sorted runs are what spill files hold and key-ordered extents what a
+//! sealed store faults in. [`crate::dense`] is the **dense plane** for jobs
+//! whose IDs are the consecutive ranks `0..n`: range ownership, states in a
+//! plain array, one counting scatter per inbox and nothing to sort, but
+//! resident only and without a combiner. The caller picks by constructing a
+//! [`VertexSet`] or a [`DenseSet`](crate::DenseSet) — contig labeling does so
+//! in one place, from whether the context carries a spill cap — and both
+//! runners share the superstep contract: fault probes, the control poll at
+//! every boundary (`poll_boundary`), termination, and [`Metrics`].
 
 use crate::aggregate::Aggregate;
 use crate::config::PregelConfig;
+use crate::control::JobControl;
 use crate::engine::{EngineError, ExecCtx};
+use crate::fault::ArmedFaults;
 use crate::kernels;
 use crate::metrics::{Metrics, SuperstepMetrics};
 use crate::spill::{
     merge_run_sources, write_run, DiskRun, MergeSource, PartSeal, RunReader, SpillCodecs, SpillDir,
     SpillError,
 };
-use crate::vertex::{Context, VertexKey, VertexProgram};
+use crate::vertex::{Context, Route, VertexKey, VertexProgram};
 use crate::vertex_set::{set_bit, RunColumns, VertexSet};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One `(destination vertex, message)` buffer per destination worker.
 type OutboxColumn<P> = Vec<Vec<(<P as VertexProgram>::Id, <P as VertexProgram>::Message)>>;
@@ -308,6 +326,7 @@ impl<P: VertexProgram> WorkerEnv<'_, P> {
             prev_aggregate: self.prev_aggregate,
             local_aggregate: &mut self.local_aggregate,
             outbox,
+            route: Route::Hash,
             messages_sent: &mut self.messages_sent,
             halt: false,
         };
@@ -762,38 +781,8 @@ pub fn run_on<P: VertexProgram>(
         } else {
             id_packed as f64 / id_plain as f64
         };
-        // Running mean: superstep 0 is always dense (activate_all wakes every
-        // vertex), so the peak carries no information — the mean is what
-        // separates sparse-frontier jobs from dense ones.
-        metrics.avg_frontier_density +=
-            (frontier_density - metrics.avg_frontier_density) / (metrics.supersteps + 1) as f64;
-        metrics.peak_store_resident_bytes =
-            metrics.peak_store_resident_bytes.max(store_resident_bytes);
-
         // ---- cooperative control poll (superstep boundary) ------------------
-        // The store is barrier-consistent here and `store_resident_bytes` is
-        // fresh, so this is where the memory budget is checked. A `Stall`
-        // fault (testing hook) sleeps first, making deadline trips
-        // deterministic without real wall-clock races.
-        if let Some(f) = &faults {
-            if let Some(millis) = f.probe_stall(superstep) {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-            }
-        }
-        let cancellation_checks = match &control {
-            Some(control) => {
-                if let Some(reason) = control.poll(store_resident_bytes) {
-                    // Raised on the coordinator thread, between phases: the
-                    // pool never sees this panic and stays reusable. The
-                    // caller (try_run_on or the pipeline's catch_unwind)
-                    // downcasts the payload back into the typed error.
-                    std::panic::panic_any(EngineError::Cancelled { reason, superstep });
-                }
-                1u64
-            }
-            None => 0,
-        };
-        metrics.total_cancellation_checks += cancellation_checks;
+        let cancellation_checks = poll_boundary(&faults, &control, superstep, store_resident_bytes);
 
         // ---- shuffle phase (dispatched onto the persistent pool) ------------
         let shuffle_start = Instant::now();
@@ -922,18 +911,8 @@ pub fn run_on<P: VertexProgram>(
         let shuffle_elapsed = shuffle_start.elapsed();
 
         // ---- metrics & termination ------------------------------------------
-        metrics.supersteps += 1;
-        metrics.total_messages += messages_this_step;
-        metrics.total_dropped += dropped_this_step;
-        metrics.total_compute_calls += active_this_step as u64;
-        metrics.spilled_bytes += spilled_bytes_step;
-        metrics.spill_read_bytes += spill_read_step;
-        metrics.spilled_runs += spilled_runs_step;
-        if config.track_supersteps {
-            let busy = ctx.pool().busy_nanos().saturating_sub(busy_before);
-            let phase_wall = compute_elapsed + shuffle_elapsed;
-            let capacity = phase_wall.as_nanos() as u64 * workers as u64;
-            metrics.per_superstep.push(SuperstepMetrics {
+        metrics.record(
+            SuperstepMetrics {
                 superstep,
                 active_vertices: active_this_step,
                 messages_sent: messages_this_step,
@@ -941,11 +920,11 @@ pub fn run_on<P: VertexProgram>(
                 elapsed: step_start.elapsed(),
                 compute_elapsed,
                 shuffle_elapsed,
-                pool_utilization: if capacity == 0 {
-                    0.0
-                } else {
-                    (busy as f64 / capacity as f64).min(1.0)
-                },
+                pool_utilization: pool_utilization(
+                    ctx,
+                    busy_before,
+                    compute_elapsed + shuffle_elapsed,
+                ),
                 frontier_density,
                 store_resident_bytes,
                 id_column_compression,
@@ -953,8 +932,9 @@ pub fn run_on<P: VertexProgram>(
                 spilled_bytes: spilled_bytes_step,
                 spill_read_bytes: spill_read_step,
                 spilled_runs: spilled_runs_step,
-            });
-        }
+            },
+            config.track_supersteps,
+        );
 
         if program.should_terminate(&aggregate, superstep) {
             metrics.converged = true;
@@ -1004,6 +984,41 @@ pub fn run_on<P: VertexProgram>(
 
     metrics.elapsed = job_start.elapsed();
     metrics
+}
+
+/// The coordinator's stop at a superstep boundary, shared by both planes: the
+/// store is barrier-consistent and `store_resident_bytes` fresh, so this is
+/// where the memory budget is checked. A `Stall` fault (testing hook) sleeps
+/// first, making deadline trips deterministic without real wall-clock races.
+/// A trip is raised here, between phases — the pool never sees the panic and
+/// stays reusable; the caller (`try_run_on` or the pipeline's `catch_unwind`)
+/// downcasts the payload back into the typed error. Returns the polls made.
+pub(crate) fn poll_boundary(
+    faults: &Option<Arc<ArmedFaults>>,
+    control: &Option<JobControl>,
+    superstep: usize,
+    store_resident_bytes: u64,
+) -> u64 {
+    if let Some(millis) = faults.as_ref().and_then(|f| f.probe_stall(superstep)) {
+        std::thread::sleep(Duration::from_millis(millis));
+    }
+    let Some(control) = control else { return 0 };
+    if let Some(reason) = control.poll(store_resident_bytes) {
+        std::panic::panic_any(EngineError::Cancelled { reason, superstep });
+    }
+    1
+}
+
+/// The share of the pool's capacity over `phase_wall` that its workers spent
+/// running jobs since `busy_before` was read.
+pub(crate) fn pool_utilization(ctx: &ExecCtx, busy_before: u64, phase_wall: Duration) -> f64 {
+    let busy = ctx.pool().busy_nanos().saturating_sub(busy_before);
+    let capacity = phase_wall.as_nanos() as u64 * ctx.workers() as u64;
+    if capacity == 0 {
+        0.0
+    } else {
+        (busy as f64 / capacity as f64).min(1.0)
+    }
 }
 
 /// Sender-side combining: folds adjacent messages for the same vertex in the

@@ -1,7 +1,9 @@
 //! The vertex-centric programming interface: [`VertexProgram`] and [`Context`].
 
 use crate::aggregate::Aggregate;
+use crate::dense::RankRanges;
 use crate::fxhash::hash_one;
+use crate::radix::SortKey;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -21,7 +23,7 @@ impl<T> VertexKey for T where T: Copy + Eq + Hash + Ord + Send + Sync + Debug + 
 /// [`compute`](VertexProgram::compute) for every vertex that is active or has
 /// pending messages.
 pub trait VertexProgram: Sync {
-    /// Vertex identifier type. The [`SortKey`](crate::radix::SortKey) bound
+    /// Vertex identifier type. The [`SortKey`] bound
     /// lets the message plane presort outboxes with the LSD radix sort when
     /// the ID has a monotone `u64` image (it does for the assembler's packed
     /// 64-bit IDs), falling back to comparison sorting otherwise.
@@ -87,6 +89,17 @@ pub trait VertexProgram: Sync {
     }
 }
 
+/// How [`Context::send_message`] finds the worker that holds a vertex.
+pub(crate) enum Route<'a> {
+    /// `hash_one(&id) % workers`, where a [`VertexSet`](crate::VertexSet)
+    /// places it (the sorted plane).
+    Hash,
+    /// The owner of the ID's rank among a [`DenseSet`](crate::DenseSet)'s
+    /// ranges (the dense plane). An ID no worker owns is dropped at the
+    /// sender, not handed to the exchange, and counted here.
+    Range(RankRanges, &'a mut u64),
+}
+
 /// Per-superstep, per-worker execution context handed to
 /// [`VertexProgram::compute`].
 pub struct Context<'a, P: VertexProgram + ?Sized> {
@@ -98,6 +111,7 @@ pub struct Context<'a, P: VertexProgram + ?Sized> {
     pub(crate) local_aggregate: &'a mut P::Aggregate,
     /// One outgoing buffer per destination worker.
     pub(crate) outbox: &'a mut [Vec<(P::Id, P::Message)>],
+    pub(crate) route: Route<'a>,
     pub(crate) messages_sent: &'a mut u64,
     pub(crate) halt: bool,
 }
@@ -143,9 +157,18 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
     /// the beginning of the next superstep.
     #[inline]
     pub fn send_message(&mut self, to: P::Id, message: P::Message) {
-        let dst = (hash_one(&to) % self.num_workers as u64) as usize;
-        self.outbox[dst].push((to, message));
         *self.messages_sent += 1;
+        let dst = match &mut self.route {
+            Route::Hash => (hash_one(&to) % self.num_workers as u64) as usize,
+            Route::Range(ranges, unrouted) => match ranges.owner(to.radix_key()) {
+                Some(owner) => owner,
+                None => {
+                    **unrouted += 1;
+                    return;
+                }
+            },
+        };
+        self.outbox[dst].push((to, message));
     }
 
     /// Votes to halt: the vertex becomes inactive until it receives a message.
@@ -190,6 +213,7 @@ mod tests {
             prev_aggregate: &prev,
             local_aggregate: &mut local,
             outbox: &mut outbox,
+            route: Route::Hash,
             messages_sent: &mut sent,
             halt: false,
         };

@@ -2,11 +2,16 @@
 //! buffer and the ping-pong scratch are warm, sorting performs **no** heap
 //! allocation — the property that makes the runner's steady-state presort
 //! (scratch parked in the `ExecCtx` via the per-worker planes) free of
-//! per-superstep allocation.
+//! per-superstep allocation. The dense plane makes the same promise for its
+//! job-local outboxes, CSR offsets and inbox: past the first supersteps of a
+//! job, a superstep costs the pool's two phase hand-offs and nothing that
+//! grows with the job.
 //!
 //! This file must stay a single-test binary: the counting allocator below is
 //! process-global, and a concurrently running test would pollute the count.
 
+use ppa_pregel::aggregate::NoAggregate;
+use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, PregelConfig, VertexProgram};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,6 +52,39 @@ fn refill(records: &mut Vec<(u64, u64)>, n: u64, seed: u64) {
     }
 }
 
+/// Every vertex of a ring hands one message to its successor in each of the
+/// first `laps` supersteps: the same traffic, worker pair by worker pair,
+/// superstep after superstep.
+struct Laps(usize);
+
+impl VertexProgram for Laps {
+    type Id = u32;
+    type Value = u64;
+    type Message = u64;
+    type Aggregate = NoAggregate;
+
+    fn compute(&self, ctx: &mut Context<'_, Self>, id: u32, value: &mut u64, inbox: &mut [u64]) {
+        *value += inbox.iter().sum::<u64>();
+        if ctx.superstep() < self.0 {
+            ctx.send_message((id + 1) % ctx.num_vertices() as u32, id as u64);
+        }
+        ctx.vote_to_halt();
+    }
+}
+
+/// Heap allocations of one dense job of `laps + 1` supersteps over `ranks`
+/// vertices (store construction not counted).
+fn dense_job_allocations(ctx: &ExecCtx, ranks: u32, laps: usize) -> u64 {
+    let (mut set, _) = DenseSet::from_fn_on(ctx, ranks, |_, _: &mut ()| Some(0u64));
+    let config = PregelConfig::with_workers(ctx.workers()).track_supersteps(false);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let metrics = run_dense_on(ctx, &Laps(laps), &config, &mut set);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(metrics.supersteps, laps + 1);
+    assert_eq!(metrics.total_messages, ranks as u64 * laps as u64);
+    allocations
+}
+
 #[test]
 fn steady_state_radix_sort_is_allocation_free() {
     const N: u64 = 100_000;
@@ -71,4 +109,21 @@ fn steady_state_radix_sort_is_allocation_free() {
         allocations, 0,
         "steady-state radix sorting must not touch the heap"
     );
+
+    // The dense plane: twelve more supersteps of a 100 000-vertex job cost
+    // exactly what they cost an 8-vertex job — the two pool hand-offs per
+    // superstep (boxed jobs, input and result vectors) — so no outbox, offset
+    // array or inbox is allocated or regrown after the first supersteps.
+    let ctx = ExecCtx::new(2);
+    let per_step = |ranks: u32| {
+        let extra = dense_job_allocations(&ctx, ranks, 24) - dense_job_allocations(&ctx, ranks, 12);
+        assert_eq!(extra % 12, 0, "every steady-state superstep costs the same");
+        extra / 12
+    };
+    let (large, small) = (per_step(100_000), per_step(8));
+    assert_eq!(
+        large, small,
+        "a steady-state dense superstep must not allocate per vertex or message"
+    );
+    assert!(small <= 24, "two phase hand-offs, got {small} allocations");
 }
