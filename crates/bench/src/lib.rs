@@ -1,9 +1,9 @@
 //! Shared harness utilities for regenerating the paper's tables and figures.
 //!
-//! Every binary in `src/bin/` corresponds to one table or figure of the
-//! paper's evaluation (see DESIGN.md §4 for the index); this library holds the
-//! pieces they share: command-line parsing, dataset generation at a chosen
-//! scale, and fixed-width table printing.
+//! Every binary in `src/bin/` corresponds to one table, figure or ablation of
+//! the paper's evaluation; this library holds the pieces they share:
+//! command-line parsing, dataset generation at a chosen scale, and
+//! fixed-width table printing.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -113,53 +113,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 pub fn secs(d: std::time::Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
-
-/// Times `f` over `reps` runs (after one untimed warm-up) and returns
-/// `(min, mean)` seconds — the measurement shared by the snapshot bins so
-/// every `BENCH_*.json` uses the same policy.
-pub fn time_runs<F: FnMut()>(reps: usize, mut f: F) -> (f64, f64) {
-    f();
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = std::time::Instant::now();
-        f();
-        times.push(start.elapsed().as_secs_f64());
-    }
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    (min, mean)
-}
-
-/// `--reps N --out PATH` arguments shared by the snapshot bins.
-pub struct SnapshotArgs {
-    /// Timed repetitions per workload.
-    pub reps: usize,
-    /// Output path of the JSON snapshot.
-    pub out_path: String,
-}
-
-impl SnapshotArgs {
-    /// Parses `std::env::args`, with the given default output path.
-    pub fn parse(default_out: &str) -> SnapshotArgs {
-        let mut parsed = SnapshotArgs {
-            reps: 5,
-            out_path: default_out.to_string(),
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
-            match flag.as_str() {
-                "--reps" => {
-                    parsed.reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N")
-                }
-                "--out" => parsed.out_path = args.next().expect("--out PATH"),
-                other => panic!("unknown flag {other}"),
-            }
-        }
-        parsed
-    }
-}
-
-pub mod legacy;
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,7 @@ pub enum Rule {
     /// the checkpoint and binary-codec files.
     PanicFreeCodecs,
     /// `thread::spawn` / `thread::scope` only inside the engine's worker
-    /// pool (and the pre-pool legacy baseline).
+    /// pool.
     EngineOnlyThreading,
     /// No `std::collections::{HashMap, HashSet}` in `pregel`/`core` non-test
     /// code, however imported.
@@ -67,10 +67,7 @@ impl Rule {
                 "no unwrap/expect/panic!/slice-index in non-test code of \
                  core/src/checkpoint.rs and shims/serde's bin codecs"
             }
-            Rule::EngineOnlyThreading => {
-                "thread::spawn/thread::scope only in pregel/src/engine.rs \
-                 and bench/src/legacy.rs"
-            }
+            Rule::EngineOnlyThreading => "thread::spawn/thread::scope only in pregel/src/engine.rs",
             Rule::NoSiphashHotPath => {
                 "std::collections::{HashMap, HashSet} banned in pregel/core \
                  non-test code; use FxHashMap/FxHashSet"

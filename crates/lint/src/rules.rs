@@ -25,9 +25,8 @@ const CODEC_FILES: &[&str] = &[
     "shims/serde/src/lib.rs",
 ];
 
-/// Files allowed to spawn OS threads: the persistent worker pool and the
-/// pre-pool legacy baseline kept for benchmarking.
-const THREAD_ALLOWLIST: &[&str] = &["crates/pregel/src/engine.rs", "crates/bench/src/legacy.rs"];
+/// Files allowed to spawn OS threads: the persistent worker pool only.
+const THREAD_ALLOWLIST: &[&str] = &["crates/pregel/src/engine.rs"];
 
 /// Path prefixes where the SipHash `HashMap`/`HashSet` are banned in favor of
 /// `FxHashMap`/`FxHashSet`.

@@ -236,7 +236,6 @@ fn thread_scope_outside_engine_fires() {
 fn thread_spawn_in_allowlisted_files_is_quiet() {
     let src = "pub fn run() { std::thread::spawn(|| ()).join().ok(); }\n";
     assert!(diags_for("crates/pregel/src/engine.rs", src).is_empty());
-    assert!(diags_for("crates/bench/src/legacy.rs", src).is_empty());
 }
 
 #[test]
@@ -298,7 +297,7 @@ fn std_hashset_fires_by_path_and_by_import() {
 fn std_hashmap_outside_hot_crates_is_quiet() {
     let src = "use std::collections::HashMap;\npub type M = HashMap<u64, u64>;\n";
     assert!(diags_for("crates/quality/src/lib.rs", src).is_empty());
-    assert!(diags_for("crates/bench/src/legacy.rs", src).is_empty());
+    assert!(diags_for("crates/bench/src/lib.rs", src).is_empty());
 }
 
 #[test]

@@ -28,7 +28,6 @@ fn real_workspace_is_clean() {
         "crates/pregel/src/radix.rs",
         "crates/core/src/checkpoint.rs",
         "shims/serde/src/lib.rs",
-        "crates/bench/src/legacy.rs",
         "crates/core/src/ops/label.rs",
     ] {
         assert!(

@@ -10,8 +10,7 @@
 //!   four supersteps each.
 //!
 //! They are exposed here as reusable library functions so that they can be
-//! benchmarked head-to-head on synthetic graphs (the micro benches) and used
-//! outside of genome assembly (see the `pregel_toolkit` example).
+//! used outside of genome assembly (see the `pregel_toolkit` example).
 
 pub mod list_ranking;
 pub mod sv;

@@ -11,8 +11,7 @@
 //! is dispatched by handing each parked worker a job through a
 //! condvar-protected slot and waiting on a completion latch. On a
 //! short-superstep chain workload the hand-off is an order of magnitude
-//! cheaper than a scope spawn (see `BENCH_worker_pool.json`, regenerated by
-//! `cargo run -p ppa_bench --release --bin worker_pool`).
+//! cheaper than a scope spawn.
 //!
 //! [`ExecCtx`] is the handle the rest of the workspace passes around:
 //!

@@ -14,7 +14,7 @@
 //!
 //! 1. If the scalar override is on ([`force_scalar_kernels`] or the
 //!    `PPA_SCALAR_KERNELS` environment variable), the portable scalar twin
-//!    runs. This is the CI forced-fallback path and the bench baseline.
+//!    runs. This is the CI forced-fallback path.
 //! 2. Otherwise, on `x86_64`, `is_x86_feature_detected!` probes AVX2 / POPCNT
 //!    once (cached in an atomic) and the widest supported implementation
 //!    runs. SSE2 is the `x86_64` baseline, so the "scalar" twins already
@@ -52,9 +52,6 @@
 //! 3. Pin equivalence in the `tests` module with a proptest that sweeps
 //!    lengths across lane boundaries (empty, sub-lane, exact multiple,
 //!    ragged tail) and misaligned sub-slices (`&data[off..]`).
-//! 4. Give the bench bin (`ppa_bench --bin simd_kernels`) a shape that hits
-//!    it, measured against the scalar twin via
-//!    [`force_scalar_kernels`].
 
 #[cfg(target_arch = "x86_64")]
 use std::sync::atomic::AtomicU8;
@@ -79,10 +76,9 @@ fn env_scalar() -> bool {
 
 /// Forces (or releases) the portable scalar implementation of every kernel.
 ///
-/// Process-global, like `radix::force_comparison_plane`; benches and the CI
-/// fallback job use it to measure/exercise the scalar twins. The
-/// `PPA_SCALAR_KERNELS` environment variable (any value but `"0"`) forces
-/// scalar independently of this switch.
+/// Process-global; tests and the CI fallback job use it to exercise the
+/// scalar twins. The `PPA_SCALAR_KERNELS` environment variable (any value
+/// but `"0"`) forces scalar independently of this switch.
 pub fn force_scalar_kernels(on: bool) {
     FORCE_SCALAR.store(on, Ordering::Relaxed);
 }
@@ -96,7 +92,7 @@ pub fn scalar_kernels_forced() -> bool {
 /// vertex-store partitions, disabling delta/bit-packing.
 ///
 /// Construction-time: partitions built while the switch is on stay plain for
-/// their lifetime. Used by benches to measure packed vs plain columns.
+/// their lifetime. Used by tests to pin packed and plain columns identical.
 pub fn force_plain_id_columns(on: bool) {
     FORCE_PLAIN_COLUMNS.store(on, Ordering::Relaxed);
 }
@@ -222,7 +218,7 @@ pub const WIDE_BUCKETS: usize = 1 << 11;
 /// Narrow mode is the classic byte-per-digit schedule restricted to the
 /// bytes on which keys actually differ. When six or more bytes are active —
 /// the uniform full-width shape that regressed 0.85× vs the comparison sort
-/// in `BENCH_radix_sort.json` — the plan switches to six 11-bit digits,
+/// on byte digits — the plan switches to six 11-bit digits,
 /// trading larger (but still stack-resident) histograms for two fewer
 /// scatter passes.
 #[derive(Debug, Clone, Copy)]
@@ -288,8 +284,8 @@ pub fn digit_plan(or_acc: u64, and_acc: u64, allow_wide: bool) -> DigitPlan {
 }
 
 /// Scalar reference histogrammer: all eight byte-digit histograms in one
-/// pass over a contiguous key column (the pre-adaptive shape, kept as the
-/// benchmarkable baseline for the planned histogrammer).
+/// pass over a contiguous key column (the pre-adaptive shape the planned
+/// histogrammer replaced).
 pub fn histograms8(keys: &[u64], hist: &mut [[u32; 256]; 8]) {
     for &k in keys {
         for (d, h) in hist.iter_mut().enumerate() {

@@ -62,8 +62,7 @@
 //!   columns, so the sorted message runs meet the vertex store in a single
 //!   linear merge-join (a galloping cursor, no hash probe per run), and the
 //!   straggler scan walks a packed halted bitset instead of iterating a
-//!   hash map. The pre-columnar hash store is preserved in
-//!   `ppa_bench::legacy`; `BENCH_vertex_store.json` records the comparison.
+//!   hash map.
 //! * **dense ranks skip all of the above** — a job whose vertex IDs are the
 //!   consecutive `u32` ranks `0..n` (contig labeling, after its rank
 //!   dictionary) runs on the [`dense`] plane instead: a [`DenseSet`] owns
@@ -82,11 +81,6 @@
 //!   allocation. Map UDFs likewise emit through
 //!   [`mapreduce::Emitter`] straight into the shuffle buffers.
 //!
-//! The pre-refactor hash-grouping plane is preserved in the bench crate
-//! (`ppa_bench::legacy`); `cargo bench -p ppa_bench --bench message_plane`
-//! compares the two and `BENCH_message_plane.json` records the snapshot
-//! (≈3× on message-heavy labeling, ≈7× on a 1M-pair shuffle).
-//!
 //! # Execution engine
 //!
 //! All of the parallel entry points — the superstep runner's compute and
@@ -102,10 +96,7 @@
 //! `AssemblyConfig::exec` in `ppa_assembler`), so a whole multi-job workflow
 //! runs on one worker team; entry points called without a context build a
 //! private single-job pool. The `ExecCtx` also owns the runner's shuffle
-//! planes between jobs, extending buffer reuse across whole job chains. The
-//! per-phase scoped-spawn dispatch this replaced is preserved in
-//! `ppa_bench::legacy`; `BENCH_worker_pool.json` records the comparison on a
-//! short-superstep chain workload.
+//! planes between jobs, extending buffer reuse across whole job chains.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -42,8 +42,8 @@
 //! the message plane's regime — tens of thousands to millions of 16-byte
 //! `(u64, payload)` records per buffer, keys far narrower than 64 bits — the
 //! 2–4 skip-reduced passes beat the ~16–20 comparison levels of a large
-//! pdqsort by 1.5–4× (see `BENCH_radix_sort.json`). Comparison sorting
-//! remains the right tool for tiny buffers (hence the insertion cutoff),
+//! pdqsort. Comparison sorting remains the right tool for tiny buffers
+//! (hence the insertion cutoff),
 //! for keys without a cheap monotone integer image (hence the [`SortKey`]
 //! fallback), and for nearly-sorted data where pdqsort's run detection is
 //! hard to beat.
@@ -51,12 +51,9 @@
 //! Keys opt in through [`SortKey`]: types with a monotone, injective `u64`
 //! image (`RADIX = true`) take the radix path; everything else (strings,
 //! wide tuples) falls back to a stable comparison sort, so generic shuffle
-//! code routes through this module unconditionally. The pre-radix
-//! comparison plane stays reachable for benchmarking via
-//! [`force_comparison_plane`] (wrapped by `ppa_bench::legacy`).
+//! code routes through this module unconditionally.
 
 use crate::kernels;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Inputs of at most this many records are sorted with an in-place insertion
 /// sort instead of counting passes.
@@ -66,25 +63,6 @@ pub const INSERTION_CUTOFF: usize = 64;
 /// 48 KiB of histograms and 16 KiB of scatter offsets would dominate the
 /// sort itself.
 pub const WIDE_CUTOFF: usize = 1 << 15;
-
-/// Bench-only switch forcing every [`sort_pairs`]/[`sort_keys`] call onto the
-/// comparison-sort fallback.
-static FORCE_COMPARISON: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or stops forcing) the comparison-sort fallback globally.
-///
-/// This exists so `ppa_bench` can measure the pre-radix comparison plane
-/// end-to-end inside one binary (`ppa_bench::legacy::with_comparison_plane`);
-/// nothing else should call it. The forced path is the same **stable** sort
-/// contract, just implemented by `slice::sort_by` instead of counting passes.
-pub fn force_comparison_plane(on: bool) {
-    FORCE_COMPARISON.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`force_comparison_plane`] is currently engaged.
-pub fn comparison_plane_forced() -> bool {
-    FORCE_COMPARISON.load(Ordering::Relaxed)
-}
 
 /// A sort key of the message plane.
 ///
@@ -199,7 +177,7 @@ impl<A: Ord, B: Ord, C: Ord> SortKey for (A, B, C) {}
 /// order of the runner rely on. On return `scratch` is empty (capacity
 /// kept); reuse it across calls to keep steady-state sorting allocation-free.
 pub fn sort_pairs<K: SortKey, V>(records: &mut Vec<(K, V)>, scratch: &mut Vec<(K, V)>) {
-    if !K::RADIX || comparison_plane_forced() {
+    if !K::RADIX {
         records.sort_by(|a, b| a.0.cmp(&b.0));
         return;
     }
@@ -210,7 +188,7 @@ pub fn sort_pairs<K: SortKey, V>(records: &mut Vec<(K, V)>, scratch: &mut Vec<(K
 /// comparison fallback uses the in-place unstable sort; the radix path is
 /// shared with [`sort_pairs`]. On return `scratch` is empty (capacity kept).
 pub fn sort_keys<K: SortKey>(keys: &mut Vec<K>, scratch: &mut Vec<K>) {
-    if !K::RADIX || comparison_plane_forced() {
+    if !K::RADIX {
         keys.sort_unstable();
         return;
     }
@@ -414,27 +392,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Serialises the tests that flip or depend on the process-global
-    /// comparison-plane toggle (the test harness runs siblings in parallel).
-    static PLANE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// RAII engagement of the forced comparison plane: resets on drop even
-    /// if the holding test panics, so a failure cannot poison other tests.
-    struct ForcedPlane;
-
-    impl ForcedPlane {
-        fn engage() -> ForcedPlane {
-            force_comparison_plane(true);
-            ForcedPlane
-        }
-    }
-
-    impl Drop for ForcedPlane {
-        fn drop(&mut self) {
-            force_comparison_plane(false);
-        }
-    }
-
     fn radix_sorted(mut records: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         let mut scratch = Vec::new();
         sort_pairs(&mut records, &mut scratch);
@@ -597,22 +554,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_comparison_plane_produces_the_same_order() {
-        let _serial = PLANE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let records: Vec<(u64, u64)> = (0..500u64).map(|i| ((i * 37) % 64, i)).collect();
-        let radix = radix_sorted(records.clone());
-        let forced = {
-            let _plane = ForcedPlane::engage();
-            radix_sorted(records)
-        };
-        assert_eq!(radix, forced, "both paths are stable sorts by key");
-    }
-
-    #[test]
     fn scratch_capacity_is_reused_across_sorts() {
-        // Asserts radix-path behavior, so it must not overlap the forced-
-        // plane test above.
-        let _serial = PLANE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut scratch: Vec<(u64, u64)> = Vec::new();
         let mut records: Vec<(u64, u64)> = (0..4096u64).rev().map(|i| (i, i)).collect();
         sort_pairs(&mut records, &mut scratch);

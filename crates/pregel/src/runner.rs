@@ -33,16 +33,14 @@
 //! grouping (one heap `Vec` per receiving vertex per superstep), which
 //! dominated the shuffle cost, and the earlier hash-partitioned vertex store
 //! (one hash probe per delivered run, a bucket-array walk per straggler
-//! scan); see the `message_plane` and `vertex_store` benchmarks for the
-//! before/after comparisons.
+//! scan).
 //!
 //! Both phases are dispatched onto the persistent worker pool of an
 //! [`ExecCtx`] — either the one carried by
 //! [`PregelConfig::exec`](crate::config::PregelConfig::exec) (shared across a
 //! whole workflow, with the planes parked in the context between jobs) or a
 //! private single-job context; no per-superstep thread scope is created
-//! anywhere. See the `engine` module docs and the `worker_pool` benchmark for
-//! the scoped-spawn comparison.
+//! anywhere. See the `engine` module docs for the scoped-spawn comparison.
 //!
 //! # Out-of-core execution
 //!

@@ -23,10 +23,7 @@
 //! the `halted` bitset, skipping 64 halted vertices per word compare, and a
 //! full-partition scan touches three dense arrays instead of a hash table's
 //! scattered buckets. The columns also drop the hash map's bucket/control
-//! overhead; [`VertexSet::resident_bytes`] reports the footprint and the
-//! `vertex_store` benchmark (`BENCH_vertex_store.json`) records the
-//! before/after comparison against the hash store preserved in
-//! `ppa_bench::legacy`.
+//! overhead; [`VertexSet::resident_bytes`] reports the footprint.
 //!
 //! # Mutation model
 //!

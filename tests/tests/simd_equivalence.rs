@@ -10,8 +10,36 @@
 //! error-heavy workload, including the sidecar/compaction path.)
 
 use ppa_assembler::{assemble, AssemblyConfig};
-use ppa_bench::legacy::{with_plain_id_columns, with_scalar_kernels};
 use ppa_readsim::preset_by_name;
+
+/// Forces the process-global kernel switches while alive and releases all of
+/// them on drop, also when the holding test panics: `scalar` forces the portable
+/// twins of `ppa_pregel::kernels` and `ppa_seq::kernels` together, `plain`
+/// keeps newly built sorted-ID columns uncompressed.
+struct Forced;
+
+impl Forced {
+    fn engage(scalar: bool, plain: bool) -> Forced {
+        ppa_pregel::kernels::force_scalar_kernels(scalar);
+        ppa_seq::kernels::force_scalar_kernels(scalar);
+        ppa_pregel::kernels::force_plain_id_columns(plain);
+        Forced
+    }
+}
+
+impl Drop for Forced {
+    fn drop(&mut self) {
+        ppa_pregel::kernels::force_scalar_kernels(false);
+        ppa_seq::kernels::force_scalar_kernels(false);
+        ppa_pregel::kernels::force_plain_id_columns(false);
+    }
+}
+
+/// [`contig_fingerprint`] with the given switches forced.
+fn forced_fingerprint(workers: usize, scalar: bool, plain: bool) -> (Vec<String>, usize, usize) {
+    let _forced = Forced::engage(scalar, plain);
+    contig_fingerprint(workers)
+}
 
 fn contig_fingerprint(workers: usize) -> (Vec<String>, usize, usize) {
     let dataset = preset_by_name("sim-hc2").unwrap().scaled(0.1).generate();
@@ -36,10 +64,9 @@ fn contig_fingerprint(workers: usize) -> (Vec<String>, usize, usize) {
 fn forced_scalar_and_plain_columns_match_dispatched_assembly() {
     for workers in [1, 4] {
         let dispatched = contig_fingerprint(workers);
-        let scalar = with_scalar_kernels(|| contig_fingerprint(workers));
-        let plain = with_plain_id_columns(|| contig_fingerprint(workers));
-        let scalar_plain =
-            with_scalar_kernels(|| with_plain_id_columns(|| contig_fingerprint(workers)));
+        let scalar = forced_fingerprint(workers, true, false);
+        let plain = forced_fingerprint(workers, false, true);
+        let scalar_plain = forced_fingerprint(workers, true, true);
         assert_eq!(
             dispatched, scalar,
             "forced-scalar kernels diverged (workers={workers})"
