@@ -10,10 +10,11 @@
 //!   payload and most of them are discarded, this is not a shuffle but a
 //!   **bucketed count** ([`ppa_pregel::keycount`]): one scan of the read
 //!   bytes ([`CanonicalScanner::scan_ascii`]) scatters each packed canonical
-//!   (k+1)-mer into a bucket addressed by its top bits, then every bucket is
-//!   radix-sorted while it is cache-resident and run-length counted. The
-//!   survivors come out in key order and are hash-partitioned by worker for
-//!   phase (ii), exactly as a mini-MapReduce reduce would have left them.
+//!   (k+1)-mer, 8 bytes held once, into a bucket addressed by its top bits,
+//!   then every bucket is counted in a hash table that stays in cache and
+//!   only its survivors are sorted. The survivors come out in key order and
+//!   are hash-partitioned by worker for phase (ii), exactly as a
+//!   mini-MapReduce reduce would have left them.
 //! * **Phase (ii)**: every surviving (k+1)-mer contributes one out-edge slot to
 //!   its prefix k-mer vertex and one in-edge slot to its suffix k-mer vertex
 //!   (with the appropriate polarity, Figure 6/8); the partial adjacencies are

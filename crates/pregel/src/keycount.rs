@@ -1,5 +1,5 @@
 //! Bucketed key counting: one scan, one prefix scatter, one cache-resident
-//! sort + run-length pass per bucket.
+//! hash count per bucket.
 //!
 //! Counting the occurrences of packed integer keys and keeping the frequent
 //! ones — operation ① of the paper counts canonical (k+1)-mers and discards
@@ -15,10 +15,12 @@
 //!   computed value, never a setting; keys narrower than b bits simply get
 //!   one bucket per key value.
 //! * **count** — workers take contiguous bucket ranges holding about the
-//!   same number of keys each (canonical k-mers crowd the low buckets),
-//!   concatenate a bucket's fragments from every scatter worker, sort the
-//!   bucket with [`crate::radix`] while it sits in cache, run-length count it
-//!   (saturating at `u32::MAX`) and emit the keys counted more than θ times.
+//!   same number of keys each (canonical k-mers crowd the low buckets) and
+//!   stream a bucket's fragments from every scatter worker into a flat
+//!   open-addressing table small enough to stay in cache (counts saturate
+//!   at `u32::MAX`). Reading the table back yields the distinct keys; only
+//!   those counted more than θ times are sorted, with [`crate::radix`], so
+//!   the keys the threshold discards — most of them — are never sorted.
 //!   Buckets partition the key space by prefix and ranges ascend with the
 //!   worker index, so the concatenated output is globally key-sorted.
 //!
@@ -37,7 +39,7 @@
 //! unsorted — as one bucket-addressed segment to the worker's segment file
 //! in the job's temp directory (`spill::KeySegmentWriter`), and the buffers
 //! start over. b is derived from the budget where that is tighter than the
-//! cache, so that one bucket and its sort scratch fit the budget in the count
+//! cache, so that one bucket's counting table fits the budget in the count
 //! phase, which reads a bucket's segments back ahead of its in-RAM fragments.
 //! Every key is written at most once and read at most once.
 
@@ -48,10 +50,18 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Bytes a bucket's keys **and** its radix scratch may take together: half
-/// of a typical per-core L2, so the radix passes over a bucket (up to seven
-/// byte digits below a 10-bit prefix) never leave the cache.
+/// Bytes the fullest bucket's counting table may take: half of a typical
+/// per-core L2, so the probes of a bucket's keys into its table — one random
+/// access per key — never leave the cache.
 const BUCKET_CACHE_BYTES: usize = 512 << 10;
+
+/// Bytes per counting-table slot: a `u64` key and its `u32` count, plus the
+/// share of the filled-slot list — one `usize` per distinct key, at most one
+/// key per two slots.
+const SLOT_BYTES: usize = 8 + 4 + 8 / 2;
+
+/// The odd multiplier of the table's multiply–shift hash (2^64 / φ).
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// How far above the mean the fullest bucket is expected to be: canonical
 /// k-mers — the smaller of a k-mer and its reverse complement — fall on a
@@ -90,10 +100,14 @@ impl Layout {
         buffered_keys: usize,
         budget: Option<usize>,
     ) -> Layout {
-        // The fullest bucket plus its scratch must fit the cache — or the
-        // spill budget, where that is tighter.
+        // The fullest bucket's table must fit the cache — or the spill
+        // budget, where that is tighter: it holds at most half as many keys
+        // as the largest power of two of slots that does.
         let fit = budget.map_or(BUCKET_CACHE_BYTES, |b| b.min(BUCKET_CACHE_BYTES));
-        let mean_keys = (fit / (2 * 8 * BUCKET_SKEW)).max(1);
+        let fitting_slots = (fit / SLOT_BYTES)
+            .checked_ilog2()
+            .map_or(0, |b| 1usize << b);
+        let mean_keys = (fitting_slots / (2 * BUCKET_SKEW)).max(1);
         let wanted = total_keys.div_ceil(mean_keys).max(1);
         let bits = wanted
             .next_power_of_two()
@@ -331,13 +345,95 @@ struct Counted {
     read_bytes: u64,
 }
 
-/// One count worker: gathers, sorts and run-length counts the buckets of
-/// `range`, keeping the keys counted more than `theta` times.
+/// Slots of the table that counts a bucket of `keys` keys: a power of two
+/// at least twice the keys, so the load stays at most ½ however many of
+/// them are distinct, and the table never grows.
+fn table_slots(keys: usize) -> usize {
+    (2 * keys).next_power_of_two()
+}
+
+/// One count worker's flat open-addressing table: keys and `u32` counts in
+/// parallel arrays, linear probing from a multiply–shift hash. A count of 0
+/// marks an empty slot, so every `u64` is a legal key. A bucket uses the
+/// first [`table_slots`] slots, and [`drain`](CountTable::drain) empties
+/// each slot as it reads it, so the table is never cleared between buckets.
+struct CountTable {
+    keys: Vec<u64>,
+    counts: Vec<u32>,
+    /// The slots filled since the last drain, in fill order. Most slots stay
+    /// empty — the table is sized by keys, not distinct keys — so the drain
+    /// visits these instead of scanning every slot.
+    filled: Vec<usize>,
+    /// 64 − log2 of the slots in use: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl CountTable {
+    /// An empty table for buckets of at most `keys` keys.
+    fn new(keys: usize) -> CountTable {
+        let slots = table_slots(keys);
+        CountTable {
+            keys: vec![0; slots],
+            counts: vec![0; slots],
+            filled: Vec::with_capacity(slots / 2),
+            shift: 64,
+        }
+    }
+
+    /// Sizes the slots in use for a bucket of `keys` keys (at least one, at
+    /// most the bound the table was built for).
+    fn start(&mut self, keys: usize) {
+        self.shift = 64 - table_slots(keys).trailing_zeros();
+    }
+
+    /// Counts one occurrence of every key of `keys`, saturating at
+    /// `u32::MAX`.
+    fn add_all(&mut self, keys: &[u64]) {
+        let mask = (u64::MAX >> self.shift) as usize;
+        let (table, counts) = (&mut self.keys[..=mask], &mut self.counts[..=mask]);
+        for &key in keys {
+            let mut slot = (key.wrapping_mul(HASH_MUL) >> self.shift) as usize;
+            loop {
+                match counts[slot] {
+                    0 => {
+                        table[slot] = key;
+                        counts[slot] = 1;
+                        self.filled.push(slot);
+                        break;
+                    }
+                    n if table[slot] == key => {
+                        counts[slot] = n.saturating_add(1);
+                        break;
+                    }
+                    _ => slot = (slot + 1) & mask,
+                }
+            }
+        }
+    }
+
+    /// Reads the filled slots back, emptying each: appends the keys counted
+    /// more than `theta` times to `kept` (in fill order) and returns how
+    /// many distinct keys there were.
+    fn drain(&mut self, theta: u32, kept: &mut Vec<(u64, u32)>) -> u64 {
+        let distinct = self.filled.len() as u64;
+        for slot in self.filled.drain(..) {
+            let count = std::mem::take(&mut self.counts[slot]);
+            if count > theta {
+                kept.push((self.keys[slot], count));
+            }
+        }
+        distinct
+    }
+}
+
+/// One count worker: hash-counts the buckets of `range` (`totals` holds
+/// every bucket's keys) and keeps, key-sorted, the keys counted more than
+/// `theta` times.
 fn count_range(
     worker: usize,
     range: Range<usize>,
     sides: &[Scattered],
-    fullest: usize,
+    totals: &[u64],
     theta: u32,
 ) -> Result<Counted, SpillError> {
     let mut readers: Vec<Option<KeySegmentReader<'_>>> = sides
@@ -349,32 +445,35 @@ fn count_range(
     if let Some(Some(reader)) = readers.get_mut(worker) {
         reader.validate_header()?;
     }
-    let mut keys: Vec<u64> = Vec::with_capacity(fullest);
-    let mut scratch: Vec<u64> = Vec::new();
+    let fullest = totals[range.clone()].iter().copied().max().unwrap_or(0);
+    let mut table = CountTable::new(fullest as usize);
+    // Allocated only once a bucket has spilled segments to read back.
+    let mut spilled: Vec<u64> = Vec::new();
+    let (mut found, mut scratch) = (Vec::new(), Vec::new());
     let mut kept = Vec::new();
     let mut distinct = 0u64;
     for bucket in range {
-        keys.clear();
+        if totals[bucket] == 0 {
+            continue;
+        }
+        table.start(totals[bucket] as usize);
+        spilled.clear();
         for (side, reader) in sides.iter().zip(&mut readers) {
             if let (Some(file), Some(reader)) = (&side.spilled, reader) {
                 for segment in file.segments_of(bucket as u32) {
-                    reader.read_into(segment, &mut keys)?;
+                    reader.read_into(segment, &mut spilled)?;
                 }
             }
         }
+        table.add_all(&spilled);
         for side in sides {
             for fragment in side.sink.fragments(bucket) {
-                keys.extend_from_slice(fragment);
+                table.add_all(fragment);
             }
         }
-        crate::radix::sort_keys(&mut keys, &mut scratch);
-        for run in keys.chunk_by(|a, b| a == b) {
-            distinct += 1;
-            let count = run.len().min(u32::MAX as usize) as u32;
-            if count > theta {
-                kept.push((run[0], count));
-            }
-        }
+        distinct += table.drain(theta, &mut found);
+        crate::radix::sort_pairs(&mut found, &mut scratch);
+        kept.append(&mut found);
     }
     Ok(Counted {
         kept,
@@ -521,16 +620,15 @@ where
             totals[segment.bucket as usize] += u64::from(segment.keys);
         }
     }
-    let fullest = totals.iter().copied().max().unwrap_or(0) as usize;
     let ranges = balanced_ranges(&totals, workers);
     // An unwind from here drops `sides`, deleting the segment files.
     barrier(&sides);
 
-    // ---- count: sort each bucket in cache, run-length count, filter --------
+    // ---- count: hash-count each bucket in cache, sort what survives --------
     let counted: Vec<Counted> = ctx
         .pool()
         .run_per_worker(ranges, |w, range| {
-            count_range(w, range, &sides, fullest, theta)
+            count_range(w, range, &sides, &totals, theta)
         })
         .into_iter()
         .collect::<Result<_, _>>()
@@ -624,30 +722,92 @@ mod tests {
             .collect()
     }
 
+    /// Inputs that put the counting table at its edges. Each is few enough
+    /// keys for a single bucket.
+    fn table_edge_inputs() -> Vec<Vec<Vec<u64>>> {
+        // 1024 distinct keys: a table of 2048 slots at its maximum load, ½.
+        let distinct: Vec<u64> = (0..1024u64)
+            .map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D))
+            .collect();
+        // One key in every task, so in every scatter worker's sink.
+        let repeated = vec![vec![0xDEAD_BEEF; 100]; 8];
+        // Keys whose hashes all start with 20 one bits: each one's probe
+        // starts at the last slot of any table up to 2^20 slots, so the
+        // chains wrap past the table's end.
+        let mut inverse = HASH_MUL;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(HASH_MUL.wrapping_mul(inverse)));
+        }
+        assert_eq!(HASH_MUL.wrapping_mul(inverse), 1);
+        let wrapping: Vec<Vec<u64>> = (1..=6u64)
+            .map(|t| {
+                (0..300u64)
+                    .map(|i| ((0xF_FFFF << 44) | (i % (50 * t))).wrapping_mul(inverse))
+                    .collect()
+            })
+            .collect();
+        // The ends of the key range, side by side.
+        let extremes = vec![
+            vec![0, u64::MAX, 0],
+            vec![u64::MAX, 0],
+            vec![0, u64::MAX, u64::MAX, 7],
+        ];
+        vec![
+            distinct.chunks(100).map(<[u64]>::to_vec).collect(),
+            repeated,
+            wrapping,
+            extremes,
+        ]
+    }
+
     #[test]
     fn counts_match_the_hash_map_across_workers_and_thresholds() {
-        let tasks = keyed_tasks(23, 3_000, 5_000, 64);
-        for workers in [1, 2, 3, 4] {
-            let ctx = ExecCtx::new(workers);
-            for theta in [0, 1, 2, 40] {
-                let (kept, metrics) = count(&ctx, &tasks, 64, theta);
-                let (expected, distinct) = oracle(&tasks, theta);
-                assert_eq!(kept, expected, "workers={workers} theta={theta}");
-                assert_eq!(metrics.input_records, 23);
-                assert_eq!(metrics.pairs_shuffled, 23 * 3_000);
-                assert_eq!(metrics.groups, distinct);
-                assert_eq!(metrics.output_records, expected.len() as u64);
-                assert_eq!(
-                    (
-                        metrics.spilled_bytes,
-                        metrics.spill_read_bytes,
-                        metrics.spilled_runs
-                    ),
-                    (0, 0, 0),
-                    "no cap, no disk"
-                );
+        let mut inputs = vec![keyed_tasks(23, 3_000, 5_000, 64)];
+        inputs.extend(table_edge_inputs());
+        for tasks in &inputs {
+            let keys: usize = tasks.iter().map(Vec::len).sum();
+            for workers in [1, 2, 3, 4] {
+                let ctx = ExecCtx::new(workers);
+                for theta in [0, 1, 2, 40] {
+                    let (kept, metrics) = count(&ctx, tasks, 64, theta);
+                    let (expected, distinct) = oracle(tasks, theta);
+                    assert_eq!(
+                        kept, expected,
+                        "keys={keys} workers={workers} theta={theta}"
+                    );
+                    assert_eq!(metrics.input_records, tasks.len() as u64);
+                    assert_eq!(metrics.pairs_shuffled, keys as u64);
+                    assert_eq!(metrics.groups, distinct);
+                    assert_eq!(metrics.output_records, expected.len() as u64);
+                    assert_eq!(
+                        (
+                            metrics.spilled_bytes,
+                            metrics.spill_read_bytes,
+                            metrics.spilled_runs
+                        ),
+                        (0, 0, 0),
+                        "no cap, no disk"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_drain_leaves_the_table_empty_for_the_next_bucket() {
+        let mut table = CountTable::new(100);
+        let mut kept = Vec::new();
+        table.start(100);
+        table.add_all(&[5, 0, 5, u64::MAX, 5]);
+        assert_eq!(table.drain(1, &mut kept), 3);
+        assert_eq!(kept, vec![(5, 3)]);
+        assert!(table.counts.iter().all(|&c| c == 0), "a slot stayed filled");
+        // A smaller bucket next: fewer slots in use, counted from zero.
+        table.start(2);
+        table.add_all(&[9, 5]);
+        kept.clear();
+        assert_eq!(table.drain(0, &mut kept), 2);
+        assert_eq!(kept, vec![(9, 1), (5, 1)], "fill order");
     }
 
     #[test]
@@ -683,10 +843,11 @@ mod tests {
 
     #[test]
     fn the_layout_follows_key_count_cache_and_budget() {
-        // Mean bucket = 512 KiB / (keys + scratch) / skew = 16 Ki keys.
-        assert_eq!(Layout::plan(64, 16 << 10, 1 << 20, None).buckets(), 1);
-        assert_eq!(Layout::plan(64, (16 << 10) + 1, 1 << 20, None).buckets(), 2);
-        assert_eq!(Layout::plan(64, 10 << 20, 1 << 20, None).buckets(), 1024);
+        // 512 KiB fit 32 Ki slots of 16 bytes, a table for 16 Ki keys: the
+        // mean bucket is 8 Ki keys, the fullest twice that under the skew.
+        assert_eq!(Layout::plan(64, 8 << 10, 1 << 20, None).buckets(), 1);
+        assert_eq!(Layout::plan(64, (8 << 10) + 1, 1 << 20, None).buckets(), 2);
+        assert_eq!(Layout::plan(64, 10 << 20, 1 << 20, None).buckets(), 2048);
         // Never more than 2^12 buckets, however many keys.
         assert_eq!(
             Layout::plan(64, usize::MAX / 2, 1 << 20, None).buckets(),
@@ -696,12 +857,28 @@ mod tests {
         // nothing.
         assert_eq!(
             Layout::plan(64, 1 << 20, 1 << 20, Some(64 << 10)).buckets(),
-            512
+            1024
         );
         assert_eq!(
             Layout::plan(64, 1 << 20, 1 << 20, Some(1 << 40)),
             Layout::plan(64, 1 << 20, 1 << 20, None)
         );
+        // The planned fullest bucket's table fits the cache share, and
+        // under a cap the per-worker budget, wherever the bucket bits are
+        // not at their cap.
+        for budget in [None, Some(1 << 40), Some(64 << 10), Some(5_000)] {
+            let fit = budget.map_or(BUCKET_CACHE_BYTES, |b: usize| b.min(BUCKET_CACHE_BYTES));
+            for total in [1, 1_000, 8 << 10, (8 << 10) + 1, 100_000] {
+                let layout = Layout::plan(64, total, 1 << 20, budget);
+                let fullest = BUCKET_SKEW * total.div_ceil(layout.buckets());
+                assert!(layout.buckets() < 1 << MAX_BUCKET_BITS);
+                assert!(
+                    table_slots(fullest) * SLOT_BYTES <= fit,
+                    "{total} keys in {} buckets under {budget:?}",
+                    layout.buckets()
+                );
+            }
+        }
         // Chunks: a page when there is room, a cache line when there is not.
         assert_eq!(
             Layout::plan(64, 1 << 20, 1 << 20, None).chunk_shift,

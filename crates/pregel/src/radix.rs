@@ -4,10 +4,10 @@
 //! shuffle keys, canonical k-mers are all `u64`). The presorts — the runner's
 //! per-destination outbox presort, the mini-MapReduce shuffle presort and
 //! `VertexSet::convert`'s presort — sort `(key, payload)` records with
-//! [`sort_pairs`]; the bucketed key counter ([`crate::keycount`], construct
-//! phase (i)'s (k+1)-mer counting) sorts bare keys with [`sort_keys`], one
-//! cache-resident prefix bucket at a time, before run-length counting them.
-//! Both are a **stable least-significant-digit radix sort**:
+//! [`sort_pairs`], and so does the bucketed key counter
+//! ([`crate::keycount`], construct phase (i)'s (k+1)-mer counting) for the
+//! `(key, count)`s each prefix bucket keeps. [`sort_pairs`] is a **stable
+//! least-significant-digit radix sort**:
 //!
 //! * an **adaptive digit schedule**: a cheap envelope pass folds the bitwise
 //!   OR and AND of every key, which proves exactly which bits differ
@@ -182,17 +182,6 @@ pub fn sort_pairs<K: SortKey, V>(records: &mut Vec<(K, V)>, scratch: &mut Vec<(K
         return;
     }
     lsd_radix(records, scratch, |r: &(K, V)| r.0.radix_key());
-}
-
-/// Sorts bare keys (no payload). Stability is meaningless here, so the
-/// comparison fallback uses the in-place unstable sort; the radix path is
-/// shared with [`sort_pairs`]. On return `scratch` is empty (capacity kept).
-pub fn sort_keys<K: SortKey>(keys: &mut Vec<K>, scratch: &mut Vec<K>) {
-    if !K::RADIX {
-        keys.sort_unstable();
-        return;
-    }
-    lsd_radix(keys, scratch, |k: &K| k.radix_key());
 }
 
 /// Stable insertion sort by a `u64` image (used below the cutoff).
@@ -538,19 +527,6 @@ mod tests {
             });
             assert!(outcome.is_err(), "rank {stray} is not in 10..14");
         }
-    }
-
-    #[test]
-    fn sort_keys_sorts_bare_keys() {
-        let mut keys: Vec<u64> = (0..5000u64)
-            .map(|i| (i * 2_654_435_761) % 100_003)
-            .collect();
-        let mut expected = keys.clone();
-        expected.sort_unstable();
-        let mut scratch = Vec::new();
-        sort_keys(&mut keys, &mut scratch);
-        assert_eq!(keys, expected);
-        assert!(scratch.is_empty());
     }
 
     #[test]
