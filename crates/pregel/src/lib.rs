@@ -7,8 +7,9 @@
 //!
 //! * vertices are hash-partitioned over a configurable number of **workers**
 //!   (the stand-in for cluster machines), each driven by its own thread;
-//!   within a partition they live in sorted struct-of-arrays **columns**
-//!   (see [`vertex_set`]), not a hash map;
+//!   within a partition they live in struct-of-arrays **columns** sorted by
+//!   one plain ID column (see [`vertex_set`]), not a hash map, built in bulk
+//!   and handed from job to job whole;
 //! * computation proceeds in **supersteps**; in each superstep every active
 //!   vertex (or every vertex with incoming messages) executes a user-defined
 //!   [`VertexProgram::compute`] which may mutate its value, send messages to

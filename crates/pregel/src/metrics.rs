@@ -41,9 +41,10 @@ pub struct SuperstepMetrics {
     /// halt bits, stamps) at the end of this superstep. Heap owned by the
     /// vertex values themselves is not included.
     pub store_resident_bytes: u64,
-    /// Bytes held by the store's sorted ID columns divided by what plain
-    /// element storage would need (delta/bit-packed columns push this well
-    /// below 1.0; exactly 1.0 when the columns are plain or empty).
+    /// Always 1.0: both planes store vertex IDs uncompressed (the sorted
+    /// plane as a plain ID column, the dense plane as none at all). Kept for
+    /// the readers of this field — the benchmark reports it and the
+    /// checkpoint format carries it.
     pub id_column_compression: f64,
     /// Cooperative job-control polls performed at this superstep's boundary:
     /// 1 when a [`JobControl`](crate::control::JobControl) was installed on

@@ -10,9 +10,9 @@
 //! least-significant-digit radix sort**:
 //!
 //! * an **adaptive digit schedule**: a cheap envelope pass folds the bitwise
-//!   OR and AND of every key, which proves exactly which bits differ
-//!   ([`kernels::key_envelope`] is the
-//!   vectorized form). Digits on which every key agrees are **skipped** —
+//!   OR and AND of every key, which proves exactly which bits differ, and
+//!   [`kernels::digit_plan`] turns that into the digit schedule. Digits on
+//!   which every key agrees are **skipped** —
 //!   partition-clustered or small-range keys (the common case: contig
 //!   labels and vertex IDs rarely span all 64 bits, and the keys of one
 //!   counting bucket share their top bits) sort in fewer byte-digit passes;
@@ -83,19 +83,6 @@ pub trait SortKey: Ord {
         debug_assert!(!Self::RADIX, "RADIX keys must override radix_key()");
         0
     }
-
-    /// Inverse of [`radix_key`](SortKey::radix_key): reconstructs the key
-    /// from its `u64` image. Only called on images actually produced by
-    /// `radix_key` and only when [`RADIX`](SortKey::RADIX) is `true` — the
-    /// compressed sorted-ID columns of `VertexSet` store the image and
-    /// decode on access.
-    fn from_radix_key(image: u64) -> Self
-    where
-        Self: Sized,
-    {
-        let _ = image;
-        unreachable!("from_radix_key is only defined for RADIX keys")
-    }
 }
 
 macro_rules! radix_unsigned {
@@ -105,10 +92,6 @@ macro_rules! radix_unsigned {
             #[inline(always)]
             fn radix_key(&self) -> u64 {
                 *self as u64
-            }
-            #[inline(always)]
-            fn from_radix_key(image: u64) -> Self {
-                image as $t
             }
         }
     )*};
@@ -126,10 +109,6 @@ macro_rules! radix_signed {
                 // positive ones, preserving `Ord`.
                 (*self as i64 as u64) ^ (1u64 << 63)
             }
-            #[inline(always)]
-            fn from_radix_key(image: u64) -> Self {
-                (image ^ (1u64 << 63)) as i64 as $t
-            }
         }
     )*};
 }
@@ -142,10 +121,6 @@ impl SortKey for bool {
     fn radix_key(&self) -> u64 {
         *self as u64
     }
-    #[inline(always)]
-    fn from_radix_key(image: u64) -> Self {
-        image != 0
-    }
 }
 
 impl SortKey for char {
@@ -153,12 +128,6 @@ impl SortKey for char {
     #[inline(always)]
     fn radix_key(&self) -> u64 {
         *self as u64
-    }
-    #[inline(always)]
-    fn from_radix_key(image: u64) -> Self {
-        // The image is always a value previously produced by `radix_key`,
-        // i.e. a valid scalar.
-        char::from_u32(image as u32).expect("radix image of a char")
     }
 }
 
@@ -445,28 +414,6 @@ mod tests {
         let mut expected = records.clone();
         expected.sort_by_key(|r| r.0);
         assert_eq!(radix_sorted(records), expected);
-    }
-
-    #[test]
-    fn from_radix_key_inverts_radix_key() {
-        for v in [0u64, 1, u64::MAX, 0xDEAD_BEEF] {
-            assert_eq!(u64::from_radix_key(v.radix_key()), v);
-        }
-        for v in [i64::MIN, -1, 0, 1, i64::MAX] {
-            assert_eq!(i64::from_radix_key(v.radix_key()), v);
-        }
-        for v in [i32::MIN, -7, 0, i32::MAX] {
-            assert_eq!(i32::from_radix_key(v.radix_key()), v);
-        }
-        for v in [u8::MIN, 7, u8::MAX] {
-            assert_eq!(u8::from_radix_key(v.radix_key()), v);
-        }
-        for v in [false, true] {
-            assert_eq!(bool::from_radix_key(v.radix_key()), v);
-        }
-        for v in ['a', '\u{10FFFF}', '中'] {
-            assert_eq!(char::from_radix_key(v.radix_key()), v);
-        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ use crate::spill::{
     SpillError,
 };
 use crate::vertex::{Context, Route, VertexKey, VertexProgram};
-use crate::vertex_set::{set_bit, RunColumns, VertexSet};
+use crate::vertex_set::{lower_bound_from, set_bit, RunColumns, VertexSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -390,19 +390,16 @@ impl<P: VertexProgram> Delivery<'_, P> {
     /// `last` (inclusive; `None` = everything) against the sorted ID column.
     /// Both sequences ascend, so one monotone galloping cursor visits each
     /// side at most once — no hash probe per run, one contiguous slice per
-    /// vertex, nothing allocated; packed columns decode each frame at most
-    /// once per pass.
+    /// vertex, nothing allocated.
     fn deliver(
         &mut self,
         env: &mut WorkerEnv<'_, P>,
         cols: &mut RunColumns<'_, P::Id, P::Value>,
         last: Option<P::Id>,
     ) -> Result<(), SpillError> {
-        // Copy the shared column reference out of `cols` so the decoding
-        // cursor's borrow is independent of the `&mut cols` that
-        // `compute_slot` takes.
+        // Copy the shared column slice out of `cols` so reading IDs does not
+        // borrow the `&mut cols` that `compute_slot` takes.
         let ids = cols.ids;
-        let mut cur = ids.cursor();
         let slots = ids.len();
         let mut cursor = 0usize;
         let n_in = self.in_ids.len();
@@ -417,8 +414,8 @@ impl<P: VertexProgram> Delivery<'_, P> {
                 j += 1;
             }
             self.next_msg = j;
-            cursor = cur.lower_bound_from(cursor, &id);
-            if cursor < slots && cur.get(cursor) == id {
+            cursor = lower_bound_from(ids, cursor, &id);
+            if cursor < slots && ids[cursor] == id {
                 env.compute_slot(cols, cursor, id, self.outbox, &mut self.in_msgs[i..j]);
                 self.check_spill(env)?;
             } else {
@@ -440,7 +437,6 @@ impl<P: VertexProgram> Delivery<'_, P> {
         cols: &mut RunColumns<'_, P::Id, P::Value>,
     ) -> Result<(), SpillError> {
         let ids = cols.ids;
-        let mut cur = ids.cursor();
         let slots = ids.len();
         let mut wi = 0usize;
         while let Some(w) = kernels::next_word_with_zero(cols.halted, wi) {
@@ -455,8 +451,7 @@ impl<P: VertexProgram> Delivery<'_, P> {
                 if cols.stamps[slot] == env.stamp {
                     continue;
                 }
-                let id = cur.get(slot);
-                env.compute_slot(cols, slot, id, self.outbox, &mut []);
+                env.compute_slot(cols, slot, ids[slot], self.outbox, &mut []);
                 self.check_spill(env)?;
             }
             wi = w + 1;
@@ -773,12 +768,6 @@ pub fn run_on<P: VertexProgram>(
                 .flatten()
                 .map(PartSeal::resident_bytes)
                 .sum::<usize>()) as u64;
-        let (id_packed, id_plain) = vertices.id_column_bytes();
-        let id_column_compression = if id_plain == 0 {
-            1.0
-        } else {
-            id_packed as f64 / id_plain as f64
-        };
         // ---- cooperative control poll (superstep boundary) ------------------
         let cancellation_checks = poll_boundary(&faults, &control, superstep, store_resident_bytes);
 
@@ -925,7 +914,7 @@ pub fn run_on<P: VertexProgram>(
                 ),
                 frontier_density,
                 store_resident_bytes,
-                id_column_compression,
+                id_column_compression: 1.0,
                 cancellation_checks,
                 spilled_bytes: spilled_bytes_step,
                 spill_read_bytes: spill_read_step,

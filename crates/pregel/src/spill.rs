@@ -38,7 +38,7 @@
 //! RAII `Drop` impls, including on the cancellation unwind path.
 
 use crate::vertex::VertexProgram;
-use crate::vertex_set::{IdColumn, RunColumns};
+use crate::vertex_set::RunColumns;
 use serde::bin::{FrameError, FrameReader};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
@@ -959,8 +959,8 @@ pub(crate) struct PartSeal<I, V> {
     garbage_bytes: u64,
     /// Extent index currently materialised in the window buffers.
     loaded: Option<usize>,
-    // Reusable single-extent window buffers (always the `Plain` ID variant).
-    win_ids: IdColumn<I>,
+    // Reusable single-extent window buffers.
+    win_ids: Vec<I>,
     win_values: Vec<Option<V>>,
     win_halted: Vec<u64>,
     win_stamps: Vec<u32>,
@@ -996,7 +996,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
             next_gen: 0,
             garbage_bytes: 0,
             loaded: None,
-            win_ids: IdColumn::plain(),
+            win_ids: Vec::new(),
             win_values: Vec::new(),
             win_halted: Vec::new(),
             win_stamps: Vec::new(),
@@ -1015,7 +1015,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
     }
 
     fn clear_window(&mut self) {
-        self.win_ids.as_plain_mut().clear();
+        self.win_ids.clear();
         self.win_values.clear();
         self.win_halted.clear();
         self.win_stamps.clear();
@@ -1033,7 +1033,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
                 self.clear_window();
             }
             let slot = self.win_values.len();
-            self.win_ids.as_plain_mut().push(id);
+            self.win_ids.push(id);
             self.win_values.push(value);
             self.win_stamps.push(stamp);
             if slot & 63 == 0 {
@@ -1062,7 +1062,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
         for w in &self.win_halted {
             w.encode(&mut scratch);
         }
-        let ids = self.win_ids.as_plain_mut();
+        let ids = &self.win_ids;
         for ((id, value), stamp) in ids.iter().zip(&self.win_values).zip(&self.win_stamps) {
             (self.id_codec.encode)(id, &mut scratch);
             stamp.encode(&mut scratch);
@@ -1112,7 +1112,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
                     })?),
                     _ => return Err(corrupt(format!("extent slot {i}: bad value presence flag"))),
                 };
-                self.win_ids.as_plain_mut().push(id);
+                self.win_ids.push(id);
                 self.win_values.push(value);
                 self.win_stamps.push(stamp);
             }
@@ -1163,8 +1163,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
     /// Writes the current window out as a brand-new extent (seal time only).
     fn flush_window_as_extent(&mut self) -> Result<(), SpillError> {
         let slots = self.win_values.len();
-        let ids = self.win_ids.as_plain_mut();
-        let (first, last) = match (ids.first().copied(), ids.last().copied()) {
+        let (first, last) = match (self.win_ids.first().copied(), self.win_ids.last().copied()) {
             (Some(f), Some(l)) => (f, l),
             _ => return Err(self.internal("empty extent window")),
         };
@@ -1329,7 +1328,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
     ) -> Result<(), SpillError> {
         for e in 0..self.extents.len() {
             self.load_extent(e)?;
-            let ids = std::mem::take(self.win_ids.as_plain_mut());
+            let ids = std::mem::take(&mut self.win_ids);
             let values = std::mem::take(&mut self.win_values);
             let stamps = std::mem::take(&mut self.win_stamps);
             let words = std::mem::take(&mut self.win_halted);
@@ -1340,8 +1339,8 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
                 f(id, value, bit(&words, slot), stamp);
             }
             // Give the capacity back to the window for the next extent.
-            *self.win_ids.as_plain_mut() = ids;
-            self.win_ids.as_plain_mut().clear();
+            self.win_ids = ids;
+            self.win_ids.clear();
         }
         Ok(())
     }
@@ -1360,7 +1359,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
     /// the seal's actual RAM footprint, reported in `store_resident_bytes`
     /// while the partition is sealed.
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.win_ids.heap_bytes()
+        self.win_ids.capacity() * std::mem::size_of::<I>()
             + self.win_values.capacity() * std::mem::size_of::<Option<V>>()
             + self.win_halted.capacity() * 8
             + self.win_stamps.capacity() * 4

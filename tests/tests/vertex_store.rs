@@ -16,9 +16,9 @@
 //!   two correction rounds) yields the same contig content for every worker
 //!   count.
 //!
-//! (The store's mutation API has its own hash-oracle property test inside
-//! `ppa_pregel::vertex_set`, and halt-flag equivalence against a sequential
-//! BSP oracle lives in `ppa_pregel::runner`.)
+//! (The store's bulk build and reads have their own hash-oracle property
+//! test inside `ppa_pregel::vertex_set`, and halt-flag equivalence against a
+//! sequential BSP oracle lives in `ppa_pregel::runner`.)
 
 use hash_store::{run_hash_store, HashStoreCtx, HashStoreProgram};
 use ppa_assembler::ops::construct::ConstructConfig;
