@@ -8,13 +8,16 @@
 //!   and the canonical (k+1)-mers seen more than θ times are kept — the rest
 //!   are discarded as likely sequencing errors. Since the keys carry no
 //!   payload and most of them are discarded, this is not a shuffle but a
-//!   **bucketed count** ([`ppa_pregel::keycount`]): one scan of the read
-//!   bytes ([`CanonicalScanner::scan_ascii`]) scatters each packed canonical
-//!   (k+1)-mer, 8 bytes held once, into a bucket addressed by its top bits,
-//!   then every bucket is counted in a hash table that stays in cache and
-//!   only its survivors are sorted. The survivors come out in key order and
-//!   are hash-partitioned by worker for phase (ii), exactly as a
-//!   mini-MapReduce reduce would have left them.
+//!   **bucketed count** ([`ppa_pregel::keycount`]). One scan of the read
+//!   bytes ([`SuperKmerScanner::scan`]) cuts each read into super-k-mers —
+//!   runs of consecutive windows that share their minimizer, two words for
+//!   up to `k + 2 − m` windows — and scatters them into buckets addressed by
+//!   the minimizer's hash, about 1.5 bytes per window where a bare packed
+//!   key took 8. Every bucket's super-k-mers are then expanded back into
+//!   canonical (k+1)-mers and counted in a hash table that stays in cache;
+//!   only the survivors are sorted, once. They come out in key order and are
+//!   hash-partitioned by worker for phase (ii), exactly as a mini-MapReduce
+//!   reduce would have left them.
 //! * **Phase (ii)**: every surviving (k+1)-mer contributes one out-edge slot to
 //!   its prefix k-mer vertex and one in-edge slot to its suffix k-mer vertex
 //!   (with the appropriate polarity, Figure 6/8); the partial adjacencies are
@@ -24,13 +27,16 @@
 use crate::adj::{edge_contributions, PackedAdj};
 use crate::node::KmerVertex;
 use ppa_pregel::fxhash::hash_one;
-use ppa_pregel::keycount::{count_keys_on, KeySink};
+use ppa_pregel::keycount::{count_keys_on, KeySink, Record, Records, KEYS_SHIFT};
 use ppa_pregel::mapreduce::{map_reduce_spillable_on, Emitter, MapReduceMetrics};
 use ppa_pregel::ExecCtx;
-use ppa_seq::kmer::CanonicalScanner;
+use ppa_seq::kmer::{SuperKmer, SuperKmerScanner};
 use ppa_seq::{FastxRecord, Kmer, ReadSet};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
+
+// A super-k-mer's window count is where the counter reads a record's keys.
+const _: () = assert!(SuperKmer::WINDOWS_SHIFT == KEYS_SHIFT);
 
 /// Configuration of DBG construction.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,7 +48,7 @@ pub struct ConstructConfig {
     pub min_coverage: u32,
     /// The scan task granule of phase (i): reads are handed to the workers in
     /// runs of this many, and under a spill cap a worker checks its buffered
-    /// (k+1)-mers against the budget after each run.
+    /// super-k-mers against the budget after each run.
     pub batch_size: usize,
 }
 
@@ -70,12 +76,12 @@ pub struct ConstructStats {
     pub adjacency_slots: u64,
     /// Metrics of the counting phase, in the mini-MapReduce shape:
     /// `input_records` = read batches, `pairs_shuffled` = (k+1)-mer
-    /// occurrences scattered — one bare 8-byte key each, where the shuffle
+    /// occurrences scattered — one per window, though they cross the scatter
+    /// as 16-byte super-k-mers of about ten windows each, where the shuffle
     /// this replaced moved 16-byte `(key, count)` pairs pre-aggregated per
-    /// batch, so the count is higher by that pre-aggregation ratio while the
-    /// bytes moved are lower — `groups` = distinct (k+1)-mers,
-    /// `output_records` = (k+1)-mers kept, `spilled_runs` = times a worker's
-    /// scatter buffers were flushed to disk under a spill cap.
+    /// batch — `groups` = distinct (k+1)-mers, `output_records` = (k+1)-mers
+    /// kept, `spilled_runs` = times a worker's scatter buffers were flushed
+    /// to disk under a spill cap.
     pub phase1: MapReduceMetrics,
     /// Metrics of the vertex-building phase.
     pub phase2: MapReduceMetrics,
@@ -134,18 +140,21 @@ pub fn count_kplus1_mers_on(
         "k must be in 1..=31 so that k-mer vertex IDs leave the top two bits free"
     );
     let k = config.k;
-    let scanner = CanonicalScanner::new(k + 1).expect("k validated above");
+    let scanner = SuperKmerScanner::new(k + 1).expect("k validated above");
     let batches: Vec<&[FastxRecord]> = reads.records.chunks(config.batch_size.max(1)).collect();
     let (sorted, metrics) = count_keys_on(
         ctx,
         &batches,
-        2 * (k as u32 + 1),
         // A read of `len` bases has at most `len − k` windows of k+1.
         |batch| batch.iter().map(|r| r.seq.len().saturating_sub(k)).sum(),
         |batch, sink: &mut KeySink| {
             for read in batch.iter() {
-                scanner.scan_ascii(&read.seq, |kplus1| sink.push(kplus1));
+                scanner.scan(&read.seq, |sk| sink.push(sk.minimizer_hash(), sk.record));
             }
+        },
+        Records {
+            max_keys: scanner.max_windows() as u32,
+            expand: |records: &[Record], keys: &mut Vec<u64>| scanner.decode_into(records, keys),
         },
         config.min_coverage,
     );
@@ -347,6 +356,54 @@ mod tests {
         assert!(
             out.vertices.is_empty(),
             "reads shorter than k+1 contribute nothing"
+        );
+    }
+
+    #[test]
+    fn the_scatter_holds_under_two_and_a_half_bytes_per_window() {
+        // Simulated 1 %-error reads from both strands at k = 31, the shape of
+        // the paper's input; a bare packed key took 8 bytes per window.
+        let genome = ppa_readsim::GenomeConfig {
+            length: 20_000,
+            seed: 3,
+            ..Default::default()
+        }
+        .generate();
+        let reads = ppa_readsim::ReadSimConfig {
+            read_length: 150,
+            coverage: 40.0,
+            substitution_rate: 0.01,
+            indel_rate: 0.0,
+            n_rate: 0.0,
+            both_strands: true,
+            seed: 4,
+        }
+        .simulate(&genome);
+        // Four batches, two per worker, and a 64 KiB budget per worker that
+        // one batch's records overrun: each worker flushes what its sink
+        // holds after its first batch and keeps its second in RAM.
+        let config = ConstructConfig {
+            k: 31,
+            min_coverage: 1,
+            batch_size: reads.len().div_ceil(4),
+        };
+        let ctx = ExecCtx::new(2);
+        ctx.set_spill(ppa_pregel::SpillPolicy::At(512 << 10));
+        let (_, phase1) = count_kplus1_mers_on(&ctx, &reads, &config);
+        ctx.clear_spill();
+        assert_eq!(phase1.spilled_runs, 2);
+        let windows: usize = reads
+            .records
+            .chunks(config.batch_size)
+            .step_by(2)
+            .flatten()
+            .map(|read| read.seq.len() - config.k)
+            .sum();
+        let per_window = phase1.spilled_bytes as f64 / windows as f64;
+        assert!(windows > 200_000, "{windows} windows");
+        assert!(
+            per_window <= 2.5,
+            "{per_window:.2} bytes per window left the sinks"
         );
     }
 

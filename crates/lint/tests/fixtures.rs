@@ -416,7 +416,7 @@ fn op_routed_through_polling_runners_is_quiet() {
         "pub fn c_on(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(adj, &c); sv }\n",
         "pub fn d_on(ctx: &ExecCtx) -> u64 { set.convert_on(ctx, f, merge).len() as u64 }\n",
         "pub fn e_on(ctx: &ExecCtx) -> u64 { try_run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
-        "pub fn f_on(ctx: &ExecCtx) -> u64 { count_keys_on(ctx, &t, 64, hint, scan, 1).1.groups }\n",
+        "pub fn f_on(ctx: &ExecCtx) -> u64 { count_keys_on(ctx, &t, hint, scan, records, 1).1.groups }\n",
         // The dense plane's runner polls at every superstep boundary too.
         "pub fn g_on(ctx: &ExecCtx) -> u64 { run_dense_on(ctx, &p, &c, &mut ranks).supersteps as u64 }\n",
     ];
@@ -467,7 +467,7 @@ pub fn count_kmers_on(ctx: &ExecCtx, reads: &[Read]) -> u64 {
 
     let through_the_counter = r#"
 pub fn count_kmers_on(ctx: &ExecCtx, reads: &[Read]) -> u64 {
-    let (kept, _metrics) = count_keys_on(ctx, reads, 64, bound, scan, 1);
+    let (kept, _metrics) = count_keys_on(ctx, reads, bound, scan, records, 1);
     kept.len() as u64
 }
 "#;

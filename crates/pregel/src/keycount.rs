@@ -1,32 +1,41 @@
-//! Bucketed key counting: one scan, one prefix scatter, one cache-resident
-//! hash count per bucket.
+//! Bucketed key counting: one scan, one scatter of multi-key records, one
+//! cache-resident hash count per bucket.
 //!
 //! Counting the occurrences of packed integer keys and keeping the frequent
 //! ones — operation ① of the paper counts canonical (k+1)-mers and discards
 //! those seen at most θ times — does not need a general shuffle: the keys
-//! carry no payload, and almost all of them are thrown away. [`count_keys_on`]
-//! therefore never builds `(key, count)` pairs, never hash-partitions and
-//! never merges. It runs two phases on the context's worker pool:
+//! carry no payload, and almost all of them are thrown away. Nor does it have
+//! to move one key at a time. Consecutive windows of a read share all but one
+//! base, so a caller that packs a run of them into one [`Record`] ships each
+//! base once instead of once per window: DBG construction scatters
+//! super-k-mers, runs of windows that share a minimizer
+//! (`ppa_seq::kmer::SuperKmerScanner`), at about 1.5 bytes per window instead
+//! of 8. [`count_keys_on`] never builds `(key, count)` pairs, never
+//! hash-partitions and never merges. It runs two phases on the context's
+//! worker pool:
 //!
 //! * **scatter** — every worker walks its share of the scan tasks once and
-//!   appends each bare `u64` key to one of 2^b buckets addressed by the key's
-//!   top b bits (a [`KeySink`]). b follows from the key width, the number of
-//!   keys and the cache a bucket has to fit (see `Layout::plan`), so it is a
-//!   computed value, never a setting; keys narrower than b bits simply get
-//!   one bucket per key value.
+//!   appends each record, two `u64`s, to one of 2^b buckets addressed by the
+//!   top b bits of a hash the caller hands over with it (a [`KeySink`]). The
+//!   caller's hash must send every key of a record, and every occurrence of
+//!   a key, to one bucket: a super-k-mer's windows share their minimizer,
+//!   and the hash is the minimizer's. The sink counts the keys each bucket's
+//!   records stand for. b follows from the number of keys and the cache a
+//!   bucket's table has to fit (see `Layout::plan`), so it is a computed
+//!   value, never a setting.
 //! * **count** — workers take contiguous bucket ranges holding about the
-//!   same number of keys each (canonical k-mers crowd the low buckets) and
-//!   stream a bucket's fragments from every scatter worker into a flat
-//!   open-addressing table small enough to stay in cache (counts saturate
-//!   at `u32::MAX`). Reading the table back yields the distinct keys; only
-//!   those counted more than θ times are sorted, with [`crate::radix`], so
-//!   the keys the threshold discards — most of them — are never sorted.
-//!   Buckets partition the key space by prefix and ranges ascend with the
-//!   worker index, so the concatenated output is globally key-sorted.
+//!   same number of keys each, expand a bucket's records from every scatter
+//!   worker through the caller's [`Records::expand`], and count the keys in a
+//!   flat open-addressing table sized from the bucket's key count and small
+//!   enough to stay in cache (counts saturate at `u32::MAX`). Reading the
+//!   table back yields the distinct keys. Only those counted more than θ
+//!   times are kept; each count worker sorts its survivors with
+//!   [`crate::radix`], and the coordinator merges the workers' runs. The
+//!   keys the threshold discards — most of them — are never sorted.
 //!
 //! The job's [`JobControl`](crate::JobControl) is polled at the barrier
-//! between the phases, on the coordinator thread. Each key is held once, as
-//! eight bytes, in buffers sized up front from the caller's per-task key
+//! between the phases, on the coordinator thread. Each record is held once,
+//! as sixteen bytes, in buffers sized up front from the caller's per-task key
 //! bound; they live for the duration of the call and are never parked in the
 //! [`ExecCtx`] scratch cache.
 //!
@@ -35,13 +44,15 @@
 //! With a [`SpillPolicy`](crate::SpillPolicy) cap on the context the same two
 //! phases run. A scatter worker checks its buffered bytes after every scan
 //! task but its last against the `cap / (4 × workers)` budget the spillable
-//! mini MapReduce uses; over it, every non-empty bucket is appended —
-//! unsorted — as one bucket-addressed segment to the worker's segment file
-//! in the job's temp directory (`spill::KeySegmentWriter`), and the buffers
-//! start over. b is derived from the budget where that is tighter than the
-//! cache, so that one bucket's counting table fits the budget in the count
-//! phase, which reads a bucket's segments back ahead of its in-RAM fragments.
-//! Every key is written at most once and read at most once.
+//! mini MapReduce uses; over it, every non-empty bucket's records are
+//! appended — unsorted — as one bucket-addressed segment to the worker's
+//! segment file in the job's temp directory (`spill::KeySegmentWriter`), and
+//! the buffers start over. b is derived from the budget where that is
+//! tighter than the cache, so that a bucket's counting table is planned to
+//! fit the budget in the count phase, which reads a bucket's segments back
+//! ahead of its in-RAM records. Every record is written at most once and
+//! read at most once, and the read-back checks every record's key count
+//! before a key is expanded from it.
 
 use crate::engine::{EngineError, ExecCtx};
 use crate::mapreduce::MapReduceMetrics;
@@ -50,7 +61,31 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Bytes the fullest bucket's counting table may take: half of a typical
+/// One scattered record: two words standing for one or more keys. The
+/// caller packs them as it likes, except that the second word's top bits,
+/// from [`KEYS_SHIFT`] up, count the keys the record stands for.
+pub type Record = [u64; 2];
+
+/// Where a record's key count starts in its second word.
+pub const KEYS_SHIFT: u32 = 56;
+
+/// The number of keys `record` stands for.
+#[inline(always)]
+pub(crate) fn keys_of(record: &Record) -> u32 {
+    (record[1] >> KEYS_SHIFT) as u32
+}
+
+/// How a job's records turn back into keys.
+pub struct Records<E> {
+    /// The most keys one record stands for. A record read back from a spill
+    /// segment that counts none or more than this is corrupt.
+    pub max_keys: u32,
+    /// Appends the keys of every record of the slice, in order, to the
+    /// vector — for each record as many as its count says.
+    pub expand: E,
+}
+
+/// Bytes a bucket's counting table should take at most: half of a typical
 /// per-core L2, so the probes of a bucket's keys into its table — one random
 /// access per key — never leave the cache.
 const BUCKET_CACHE_BYTES: usize = 512 << 10;
@@ -63,65 +98,65 @@ const SLOT_BYTES: usize = 8 + 4 + 8 / 2;
 /// The odd multiplier of the table's multiply–shift hash (2^64 / φ).
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// How far above the mean the fullest bucket is expected to be: canonical
-/// k-mers — the smaller of a k-mer and its reverse complement — fall on a
-/// prefix `x ∈ [0, 1)` with density `2(1 − x)`.
-const BUCKET_SKEW: usize = 2;
-
 /// At most 2^12 buckets: beyond that the scatter's open write streams
 /// outnumber the TLB entries and cache lines that keep appending cheap.
 const MAX_BUCKET_BITS: u32 = 12;
 
-/// log2 of the keys per buffer chunk: at least a cache line, at most a page.
-const MIN_CHUNK_SHIFT: u32 = 3;
-const MAX_CHUNK_SHIFT: u32 = 9;
+/// log2 of the records per buffer chunk: a cache line at least, a kibibyte
+/// at most (a bucket's unfilled chunk tail is then ≤ 1 KiB).
+const MIN_CHUNK_SHIFT: u32 = 2;
+const MAX_CHUNK_SHIFT: u32 = 6;
+
+/// Bytes of one record, buffered or in a spill segment.
+pub(crate) const RECORD_BYTES: usize = std::mem::size_of::<Record>();
 
 /// `NONE` in the chunk links.
 const NO_CHUNK: u32 = u32::MAX;
 
-/// How a job's keys are spread over buckets and buffer chunks.
+/// How a job's records are spread over buckets and buffer chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Layout {
-    /// `key >> shift` is the key's bucket (`shift` may be 64: one bucket).
+    /// `hash >> shift` is the record's bucket (`shift` may be 64: one
+    /// bucket).
     shift: u32,
     /// Buckets − 1.
     mask: u64,
-    /// log2 of the keys per buffer chunk.
+    /// log2 of the records per buffer chunk.
     chunk_shift: u32,
 }
 
 impl Layout {
-    /// Plans the layout for `total_keys` keys of `key_bits` bits, of which a
-    /// scatter worker buffers at most `buffered_keys` at a time, under an
-    /// optional per-worker spill budget in bytes.
-    fn plan(
-        key_bits: u32,
-        total_keys: usize,
-        buffered_keys: usize,
-        budget: Option<usize>,
-    ) -> Layout {
-        // The fullest bucket's table must fit the cache — or the spill
-        // budget, where that is tighter: it holds at most half as many keys
-        // as the largest power of two of slots that does.
+    /// Plans the layout for `total_keys` keys, of which a scatter worker
+    /// holds at most `held_records` records — under a spill budget, when it
+    /// checks the budget — with an optional per-worker budget in bytes.
+    fn plan(total_keys: usize, held_records: usize, budget: Option<usize>) -> Layout {
+        // A bucket's table should fit the cache — or the spill budget, where
+        // that is tighter: it holds at most half as many keys as the largest
+        // power of two of slots that does. The mean bucket is planned at half
+        // that again, because a bucket gathers the windows of a few whole
+        // minimizers and so buckets are lumpy (simulated 150× reads: the
+        // 99th-percentile bucket holds 2.6× the mean, the fullest 4.1×). A
+        // bucket past the share only probes a slower level of cache.
         let fit = budget.map_or(BUCKET_CACHE_BYTES, |b| b.min(BUCKET_CACHE_BYTES));
         let fitting_slots = (fit / SLOT_BYTES)
             .checked_ilog2()
             .map_or(0, |b| 1usize << b);
-        let mean_keys = (fitting_slots / (2 * BUCKET_SKEW)).max(1);
+        let mean_keys = (fitting_slots / 4).max(1);
         let wanted = total_keys.div_ceil(mean_keys).max(1);
         let bits = wanted
             .next_power_of_two()
             .trailing_zeros()
-            .min(MAX_BUCKET_BITS)
-            .min(key_bits);
+            .min(MAX_BUCKET_BITS);
         let buckets = 1usize << bits;
         // Every bucket ends in a partly filled chunk: keep those ends to
-        // about half of what the worker buffers.
-        let chunk_keys = (buffered_keys / (2 * buckets)).max(1);
+        // about half of what the worker holds.
+        let chunk_records = (held_records / (2 * buckets)).max(1);
         Layout {
-            shift: key_bits - bits,
+            shift: 64 - bits,
             mask: buckets as u64 - 1,
-            chunk_shift: chunk_keys.ilog2().clamp(MIN_CHUNK_SHIFT, MAX_CHUNK_SHIFT),
+            chunk_shift: chunk_records
+                .ilog2()
+                .clamp(MIN_CHUNK_SHIFT, MAX_CHUNK_SHIFT),
         }
     }
 
@@ -129,27 +164,33 @@ impl Layout {
         self.mask as usize + 1
     }
 
-    /// Chunks that hold `keys` keys however they spread over the buckets.
-    fn chunks_for(&self, keys: usize) -> usize {
-        (keys >> self.chunk_shift) + self.buckets() + 1
+    /// Chunks that hold `records` records however they spread over the
+    /// buckets.
+    fn chunks_for(&self, records: usize) -> usize {
+        (records >> self.chunk_shift) + self.buckets() + 1
     }
 }
 
-/// Where a scan task puts the keys it extracts: [`push`](KeySink::push)
-/// appends the key to the bucket its top bits address.
+/// Where a scan task puts the records it extracts:
+/// [`push`](KeySink::push) appends a record to the bucket its hash's top
+/// bits address.
 ///
 /// One sink per scatter worker. All buckets share one flat slab carved into
 /// fixed-size chunks, so the memory is one allocation sized from the known
-/// key bound, and a bucket is the linked list of the chunks it filled.
+/// key bound (a record stands for one key at least), and a bucket is the
+/// linked list of the chunks it filled. The slab's pages are mapped on
+/// first write, so what is resident is what was pushed.
 pub struct KeySink {
     layout: Layout,
-    /// `chunks × 2^chunk_shift` keys; zero pages until written.
-    slab: Vec<u64>,
+    /// `chunks × 2^chunk_shift` records; zero pages until written.
+    slab: Vec<Record>,
     /// Chunks handed out since the last [`clear`](KeySink::clear).
     used_chunks: usize,
-    /// Per bucket: slab index of its next key. On a chunk boundary — also
+    /// Per bucket: slab index of its next record. On a chunk boundary — also
     /// the initial 0 — the bucket needs a fresh chunk first.
     next: Vec<usize>,
+    /// Per bucket: the keys its records stand for.
+    keys: Vec<u64>,
     /// Per bucket: its first and last chunk and how many it holds.
     chains: Vec<Chain>,
     /// Per chunk: the chunk that follows it in its bucket.
@@ -173,37 +214,40 @@ impl KeySink {
     fn new(layout: Layout, chunks: usize) -> KeySink {
         KeySink {
             layout,
-            slab: vec![0; chunks << layout.chunk_shift],
+            slab: vec![[0; 2]; chunks << layout.chunk_shift],
             used_chunks: 0,
             next: vec![0; layout.buckets()],
+            keys: vec![0; layout.buckets()],
             chains: vec![EMPTY_CHAIN; layout.buckets()],
             link: Vec::with_capacity(chunks),
         }
     }
 
-    /// Appends one key.
+    /// Appends one record to the bucket `hash` addresses.
     #[inline(always)]
-    pub fn push(&mut self, key: u64) {
-        // `wrapping_shr` + mask: a 64-bit key in a single bucket shifts by
-        // 64, which must yield 0.
-        let bucket = (key.wrapping_shr(self.layout.shift) & self.layout.mask) as usize;
+    pub fn push(&mut self, hash: u64, record: Record) {
+        // `wrapping_shr` + mask: a single bucket shifts by 64, which must
+        // yield 0.
+        let bucket = (hash.wrapping_shr(self.layout.shift) & self.layout.mask) as usize;
         let mut at = self.next[bucket];
         if at & ((1 << self.layout.chunk_shift) - 1) == 0 {
             at = self.open_chunk(bucket);
         }
-        self.slab[at] = key;
+        self.slab[at] = record;
         self.next[bucket] = at + 1;
+        self.keys[bucket] += u64::from(keys_of(&record));
     }
 
     /// Hands `bucket` the next free chunk and returns its first slab index.
-    /// The slab only grows if a scan pushed more keys than its task declared.
+    /// The slab only grows if a scan pushed more records than its task
+    /// declared keys.
     #[cold]
     fn open_chunk(&mut self, bucket: usize) -> usize {
         let chunk = self.used_chunks;
         let at = chunk << self.layout.chunk_shift;
         if at == self.slab.len() {
             self.slab
-                .resize((2 * at).max(1 << self.layout.chunk_shift), 0);
+                .resize((2 * at).max(1 << self.layout.chunk_shift), [0; 2]);
         }
         self.used_chunks += 1;
         self.link.push(NO_CHUNK);
@@ -217,28 +261,28 @@ impl KeySink {
         at
     }
 
-    /// Keys buffered for `bucket`.
+    /// Records buffered for `bucket`.
     fn len_of(&self, bucket: usize) -> usize {
         match self.chains[bucket].chunks as usize {
             0 => 0,
             chunks => {
-                let chunk_keys = 1usize << self.layout.chunk_shift;
-                let in_last = (self.next[bucket] - 1) % chunk_keys + 1;
-                (chunks - 1) * chunk_keys + in_last
+                let chunk_records = 1usize << self.layout.chunk_shift;
+                let in_last = (self.next[bucket] - 1) % chunk_records + 1;
+                (chunks - 1) * chunk_records + in_last
             }
         }
     }
 
-    /// The buffered keys of `bucket`, chunk by chunk, in push order.
-    fn fragments(&self, bucket: usize) -> impl Iterator<Item = &[u64]> {
-        let chunk_keys = 1usize << self.layout.chunk_shift;
+    /// The buffered records of `bucket`, chunk by chunk, in push order.
+    fn fragments(&self, bucket: usize) -> impl Iterator<Item = &[Record]> {
+        let chunk_records = 1usize << self.layout.chunk_shift;
         let mut chunk = self.chains[bucket].first;
         let mut left = self.len_of(bucket);
         std::iter::from_fn(move || {
             if left == 0 {
                 return None;
             }
-            let take = left.min(chunk_keys);
+            let take = left.min(chunk_records);
             let start = (chunk as usize) << self.layout.chunk_shift;
             left -= take;
             chunk = self.link[chunk as usize];
@@ -248,26 +292,32 @@ impl KeySink {
 
     /// Bytes of the chunks in use — what the spill budget is held against.
     fn buffered_bytes(&self) -> usize {
-        (self.used_chunks << self.layout.chunk_shift) * 8
+        (self.used_chunks << self.layout.chunk_shift) * RECORD_BYTES
     }
 
-    /// Forgets every buffered key; the slab is kept.
+    /// Forgets every buffered record; the slab is kept.
     fn clear(&mut self) {
         self.used_chunks = 0;
         self.next.fill(0);
+        self.keys.fill(0);
         self.chains.fill(EMPTY_CHAIN);
         self.link.clear();
     }
 
     /// Appends every non-empty bucket to `writer` as one segment and starts
-    /// over. Returns the keys written.
+    /// over. Returns the keys the written records stand for.
     fn flush_to(&mut self, writer: &mut KeySegmentWriter) -> Result<u64, SpillError> {
         let mut keys = 0u64;
         for bucket in 0..self.layout.buckets() {
             let len = self.len_of(bucket);
             if len > 0 {
-                writer.append(bucket as u32, len, self.fragments(bucket))?;
-                keys += len as u64;
+                writer.append(
+                    bucket as u32,
+                    len,
+                    self.keys[bucket],
+                    self.fragments(bucket),
+                )?;
+                keys += self.keys[bucket];
             }
         }
         self.clear();
@@ -277,11 +327,11 @@ impl KeySink {
 
 /// What one scatter worker hands to the count phase.
 struct Scattered {
-    /// The keys still in RAM.
+    /// The records still in RAM.
     sink: KeySink,
     /// The segments it spilled, if its budget tripped.
     spilled: Option<KeySegmentFile>,
-    /// Keys pushed, spilled or not.
+    /// Keys its records stand for, spilled or not.
     keys: u64,
     /// Times the budget tripped.
     flushes: u64,
@@ -325,9 +375,7 @@ where
             }
         }
     }
-    keys += (0..layout.buckets())
-        .map(|b| sink.len_of(b) as u64)
-        .sum::<u64>();
+    keys += sink.keys.iter().sum::<u64>();
     Ok(Scattered {
         sink,
         spilled: writer.map(KeySegmentWriter::finish).transpose()?,
@@ -426,16 +474,20 @@ impl CountTable {
     }
 }
 
-/// One count worker: hash-counts the buckets of `range` (`totals` holds
-/// every bucket's keys) and keeps, key-sorted, the keys counted more than
-/// `theta` times.
-fn count_range(
+/// One count worker: expands and hash-counts the buckets of `range`
+/// (`totals` holds every bucket's keys) and keeps, key-sorted, the keys
+/// counted more than `theta` times.
+fn count_range<E>(
     worker: usize,
     range: Range<usize>,
     sides: &[Scattered],
     totals: &[u64],
+    records: &Records<E>,
     theta: u32,
-) -> Result<Counted, SpillError> {
+) -> Result<Counted, SpillError>
+where
+    E: Fn(&[Record], &mut Vec<u64>),
+{
     let mut readers: Vec<Option<KeySegmentReader<'_>>> = sides
         .iter()
         .map(|side| side.spilled.as_ref().map(KeySegmentFile::open).transpose())
@@ -448,8 +500,8 @@ fn count_range(
     let fullest = totals[range.clone()].iter().copied().max().unwrap_or(0);
     let mut table = CountTable::new(fullest as usize);
     // Allocated only once a bucket has spilled segments to read back.
-    let mut spilled: Vec<u64> = Vec::new();
-    let (mut found, mut scratch) = (Vec::new(), Vec::new());
+    let mut spilled: Vec<Record> = Vec::new();
+    let mut keys: Vec<u64> = Vec::new();
     let mut kept = Vec::new();
     let mut distinct = 0u64;
     for bucket in range {
@@ -461,25 +513,55 @@ fn count_range(
         for (side, reader) in sides.iter().zip(&mut readers) {
             if let (Some(file), Some(reader)) = (&side.spilled, reader) {
                 for segment in file.segments_of(bucket as u32) {
-                    reader.read_into(segment, &mut spilled)?;
+                    reader.read_into(segment, records.max_keys, &mut spilled)?;
                 }
             }
         }
-        table.add_all(&spilled);
-        for side in sides {
-            for fragment in side.sink.fragments(bucket) {
-                table.add_all(fragment);
-            }
+        let in_ram = sides.iter().flat_map(|side| side.sink.fragments(bucket));
+        for fragment in std::iter::once(&spilled[..]).chain(in_ram) {
+            keys.clear();
+            (records.expand)(fragment, &mut keys);
+            table.add_all(&keys);
         }
-        distinct += table.drain(theta, &mut found);
-        crate::radix::sort_pairs(&mut found, &mut scratch);
-        kept.append(&mut found);
+        distinct += table.drain(theta, &mut kept);
     }
+    crate::radix::sort_pairs(&mut kept, &mut Vec::new());
     Ok(Counted {
         kept,
         distinct,
         read_bytes: readers.iter().flatten().map(|r| r.bytes_read()).sum(),
     })
+}
+
+/// Merges key-sorted runs that share no key into one key-sorted run,
+/// pairwise: ⌈log₂ runs⌉ linear passes. (The heap-driven
+/// `kmerge::merge_sorted_buffers` took twice as long on 250 k survivors.)
+fn merge_disjoint_runs(mut runs: Vec<Vec<(u64, u32)>>) -> Vec<(u64, u32)> {
+    while runs.len() > 1 {
+        let mut pairs = runs.into_iter();
+        runs = std::iter::from_fn(|| {
+            let a = pairs.next()?;
+            let Some(b) = pairs.next() else {
+                return Some(a);
+            };
+            let mut merged = Vec::with_capacity(a.len() + b.len());
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                if a[i].0 < b[j].0 {
+                    merged.push(a[i]);
+                    i += 1;
+                } else {
+                    merged.push(b[j]);
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&a[i..]);
+            merged.extend_from_slice(&b[j..]);
+            Some(merged)
+        })
+        .collect();
+    }
+    runs.pop().unwrap_or_default()
 }
 
 /// Splits `0..totals.len()` into `parts` contiguous ranges whose totals are
@@ -506,44 +588,46 @@ fn raise(e: SpillError) -> ! {
     std::panic::panic_any(EngineError::Spill(e))
 }
 
-/// Counts the `u64` keys the scan tasks extract and returns, in ascending
-/// key order, every key seen **more than** `theta` times with its count
-/// (saturating at `u32::MAX`).
+/// Counts the `u64` keys the scan tasks' records stand for and returns, in
+/// ascending key order, every key seen **more than** `theta` times with its
+/// count (saturating at `u32::MAX`).
 ///
 /// `tasks` are handed to the pool workers in contiguous runs; `scan` pushes
-/// a task's keys into the worker's [`KeySink`], and `max_keys` bounds how
-/// many keys it will push for that task (the buffers are sized from it; a
-/// scan that exceeds its bound only costs a reallocation). Keys must fit
-/// `key_bits` bits. A task is also the granule of the spill-budget check
-/// when the context carries a [`SpillPolicy`](crate::SpillPolicy) cap — see
-/// the [module docs](self).
+/// a task's records into the worker's [`KeySink`], each with the hash that
+/// picks its bucket, and `task_keys` bounds how many keys those records
+/// stand for (the buffers are sized from it; a scan that exceeds its bound
+/// only costs a reallocation). `records` turns records back into keys. A
+/// task is also the granule of the spill-budget check when the context
+/// carries a [`SpillPolicy`](crate::SpillPolicy) cap — see the
+/// [module docs](self).
 ///
 /// The returned [`MapReduceMetrics`] keep the shape of the mini MapReduce
 /// pass this replaces in DBG construction: `input_records` = tasks,
-/// `pairs_shuffled` = keys scattered (8 bytes each), `groups` = distinct
-/// keys, `output_records` = keys kept, plus the spill counters
+/// `pairs_shuffled` = keys the scattered records stand for, `groups` =
+/// distinct keys, `output_records` = keys kept, plus the spill counters
 /// (`spilled_runs` = budget trips).
 ///
 /// # Panics
 ///
 /// Raises [`EngineError::Cancelled`] if the context's job control trips at
 /// the scatter→count barrier and [`EngineError::Spill`] if segment I/O
-/// fails, both by panic on the calling thread (caught by `try_run`-style
-/// wrappers); panics if `key_bits` is not in `1..=64`.
-pub fn count_keys_on<I, HF, SF>(
+/// fails or a segment reads back corrupt, both by panic on the calling
+/// thread (caught by `try_run`-style wrappers).
+pub fn count_keys_on<I, HF, SF, E>(
     ctx: &ExecCtx,
     tasks: &[I],
-    key_bits: u32,
-    max_keys: HF,
+    task_keys: HF,
     scan: SF,
+    records: Records<E>,
     theta: u32,
 ) -> (Vec<(u64, u32)>, MapReduceMetrics)
 where
     I: Sync,
     HF: Fn(&I) -> usize,
     SF: Fn(&I, &mut KeySink) + Sync,
+    E: Fn(&[Record], &mut Vec<u64>) + Sync,
 {
-    count_keys_with_barrier(ctx, tasks, key_bits, max_keys, scan, theta, |_| {
+    count_keys_with_barrier(ctx, tasks, task_keys, scan, records, theta, |_| {
         ctx.poll_barrier()
     })
 }
@@ -551,12 +635,12 @@ where
 /// [`count_keys_on`] with the coordinator's action at the scatter→count
 /// barrier made explicit (production polls the job control there; tests
 /// damage segment files).
-fn count_keys_with_barrier<I, HF, SF>(
+fn count_keys_with_barrier<I, HF, SF, E>(
     ctx: &ExecCtx,
     tasks: &[I],
-    key_bits: u32,
-    max_keys: HF,
+    task_keys: HF,
     scan: SF,
+    records: Records<E>,
     theta: u32,
     barrier: impl FnOnce(&[Scattered]),
 ) -> (Vec<(u64, u32)>, MapReduceMetrics)
@@ -564,11 +648,8 @@ where
     I: Sync,
     HF: Fn(&I) -> usize,
     SF: Fn(&I, &mut KeySink) + Sync,
+    E: Fn(&[Record], &mut Vec<u64>) + Sync,
 {
-    assert!(
-        (1..=64).contains(&key_bits),
-        "key_bits must be in 1..=64, got {key_bits}"
-    );
     let start = Instant::now();
     let workers = ctx.workers();
     let spill: SpillSetup = ctx.spill().and_then(|p| p.cap()).map(|cap| {
@@ -579,32 +660,39 @@ where
 
     // ---- plan: size everything from the declared key bounds ----------------
     let per_worker = tasks.len().div_ceil(workers).max(1);
-    let bounds: Vec<usize> = tasks.iter().map(&max_keys).collect();
+    let bounds: Vec<usize> = tasks.iter().map(&task_keys).collect();
     let total_keys: usize = bounds.iter().sum();
     let largest_task = bounds.iter().copied().max().unwrap_or(0);
-    // A worker holds all its keys, or — capped — the budget plus the one
-    // task that overshoots it before the check.
-    let buffered = |keys: usize| match budget {
-        Some(budget) => keys.min(budget / 8 + largest_task),
-        None => keys,
-    };
-    let shares: Vec<usize> = bounds
+    // A record stands for a key at least, so a worker holds at most as many
+    // records as its keys. Capped, it holds the budget's worth when it
+    // checks — what the chunk ends are planned against — plus, at most, the
+    // one task that overshoots it before the check.
+    let share_keys: Vec<usize> = bounds
         .chunks(per_worker)
-        .map(|share| buffered(share.iter().sum()))
+        .map(|share| share.iter().sum())
         .collect();
+    let held = |keys: usize, overshoot: usize| {
+        budget.map_or(keys, |budget| keys.min(budget / RECORD_BYTES + overshoot))
+    };
     let layout = Layout::plan(
-        key_bits,
         total_keys,
-        shares.iter().copied().max().unwrap_or(0),
+        share_keys
+            .iter()
+            .map(|&keys| held(keys, 0))
+            .max()
+            .unwrap_or(0),
         budget,
     );
 
-    // ---- scatter: scan and append every key to its prefix bucket -----------
-    let inputs: Vec<(&[I], usize)> = tasks.chunks(per_worker).zip(shares).collect();
+    // ---- scatter: scan and append every record to its hash bucket ----------
+    let inputs: Vec<(&[I], usize)> = tasks
+        .chunks(per_worker)
+        .zip(share_keys.iter().map(|&keys| held(keys, largest_task)))
+        .collect();
     let sides: Vec<Scattered> = ctx
         .pool()
-        .run_per_worker(inputs, |w, (tasks, keys)| {
-            scatter(w, tasks, layout, layout.chunks_for(keys), &spill, &scan)
+        .run_per_worker(inputs, |w, (tasks, records)| {
+            scatter(w, tasks, layout, layout.chunks_for(records), &spill, &scan)
         })
         .into_iter()
         .collect::<Result<_, _>>()
@@ -613,22 +701,22 @@ where
     // ---- barrier: balance the buckets over the count workers ---------------
     let mut totals = vec![0u64; layout.buckets()];
     for side in &sides {
-        for (bucket, total) in totals.iter_mut().enumerate() {
-            *total += side.sink.len_of(bucket) as u64;
+        for (total, keys) in totals.iter_mut().zip(&side.sink.keys) {
+            *total += keys;
         }
         for segment in side.spilled.iter().flat_map(|f| f.segments()) {
-            totals[segment.bucket as usize] += u64::from(segment.keys);
+            totals[segment.bucket as usize] += segment.keys;
         }
     }
     let ranges = balanced_ranges(&totals, workers);
     // An unwind from here drops `sides`, deleting the segment files.
     barrier(&sides);
 
-    // ---- count: hash-count each bucket in cache, sort what survives --------
+    // ---- count: expand and hash-count each bucket in cache -----------------
     let counted: Vec<Counted> = ctx
         .pool()
         .run_per_worker(ranges, |w, range| {
-            count_range(w, range, &sides, &totals, theta)
+            count_range(w, range, &sides, &totals, &records, theta)
         })
         .into_iter()
         .collect::<Result<_, _>>()
@@ -646,12 +734,16 @@ where
     // Unmapping the buffers is several per cent of a short pass, so the pool
     // does it, one scatter side per worker. This also deletes segment files.
     ctx.pool().run_per_worker(sides, |_, side| drop(side));
-    let mut kept = Vec::with_capacity(counted.iter().map(|c| c.kept.len()).sum());
+    let mut parts = Vec::with_capacity(counted.len());
     for part in counted {
         metrics.groups += part.distinct;
         metrics.spill_read_bytes += part.read_bytes;
-        kept.extend(part.kept);
+        parts.push(part.kept);
     }
+    // The survivors — a few per cent of the distinct keys, the only keys
+    // ever sorted — left each count worker sorted. A key lives in one bucket
+    // and so in one worker's share: merging the shares orders them all.
+    let kept = merge_disjoint_runs(parts);
     metrics.output_records = kept.len() as u64;
     metrics.elapsed = start.elapsed();
     (kept, metrics)
@@ -682,25 +774,76 @@ mod tests {
         (kept, distinct)
     }
 
-    fn count(
+    /// The most keys a test record stands for.
+    const RUN: u32 = 5;
+
+    /// The tests' record format: `[key, n << KEYS_SHIFT]` stands for `n`
+    /// copies of `key`.
+    fn expand_runs(records: &[Record], keys: &mut Vec<u64>) {
+        for record in records {
+            keys.extend(std::iter::repeat_n(record[0], keys_of(record) as usize));
+        }
+    }
+
+    type Expand = fn(&[Record], &mut Vec<u64>);
+
+    fn runs() -> Records<Expand> {
+        Records {
+            max_keys: RUN,
+            expand: expand_runs,
+        }
+    }
+
+    /// Pushes a task's keys, up to [`RUN`] equal neighbours per record, each
+    /// record to the bucket `route(key)` addresses.
+    fn push_runs(task: &[u64], sink: &mut KeySink, route: fn(u64) -> u64) {
+        for run in task.chunk_by(|a, b| a == b) {
+            for piece in run.chunks(RUN as usize) {
+                sink.push(
+                    route(piece[0]),
+                    [piece[0], (piece.len() as u64) << KEYS_SHIFT],
+                );
+            }
+        }
+    }
+
+    /// Spreads any keys evenly over the buckets (splitmix64's finalizer).
+    fn mixed(key: u64) -> u64 {
+        let mut h = key ^ (key >> 30);
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^ (h >> 31)
+    }
+
+    /// Routes by the key's own top bits: clustered keys crowd a few buckets.
+    fn prefix(key: u64) -> u64 {
+        key
+    }
+
+    fn count_routed(
         ctx: &ExecCtx,
         tasks: &[Vec<u64>],
-        key_bits: u32,
+        route: fn(u64) -> u64,
         theta: u32,
     ) -> (Vec<(u64, u32)>, MapReduceMetrics) {
         count_keys_on(
             ctx,
             tasks,
-            key_bits,
             Vec::len,
-            |task, sink| task.iter().for_each(|&key| sink.push(key)),
+            |task, sink| push_runs(task, sink, route),
+            runs(),
             theta,
         )
     }
 
+    fn count(ctx: &ExecCtx, tasks: &[Vec<u64>], theta: u32) -> (Vec<(u64, u32)>, MapReduceMetrics) {
+        count_routed(ctx, tasks, mixed, theta)
+    }
+
     /// `tasks` tasks of `per_task` keys drawn from `distinct` values spread
-    /// over all `key_bits` bits (xorshift; deterministic).
-    fn keyed_tasks(tasks: usize, per_task: usize, distinct: u64, key_bits: u32) -> Vec<Vec<u64>> {
+    /// over all `width` bits (xorshift; deterministic).
+    fn keyed_tasks(tasks: usize, per_task: usize, distinct: u64, width: u32) -> Vec<Vec<u64>> {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -715,7 +858,7 @@ mod tests {
                         // Spread the value over the key width, then square the
                         // draw so that some keys are much more frequent.
                         let v = (next() % distinct) * (next() % distinct) % distinct;
-                        v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - key_bits)
+                        v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - width)
                     })
                     .collect()
             })
@@ -729,7 +872,8 @@ mod tests {
         let distinct: Vec<u64> = (0..1024u64)
             .map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D))
             .collect();
-        // One key in every task, so in every scatter worker's sink.
+        // One key in every task, so in every scatter worker's sink, in runs
+        // that fill records to the brim.
         let repeated = vec![vec![0xDEAD_BEEF; 100]; 8];
         // Keys whose hashes all start with 20 one bits: each one's probe
         // starts at the last slot of any table up to 2^20 slots, so the
@@ -768,15 +912,23 @@ mod tests {
             let keys: usize = tasks.iter().map(Vec::len).sum();
             for workers in [1, 2, 3, 4] {
                 let ctx = ExecCtx::new(workers);
-                for theta in [0, 1, 2, 40] {
-                    let (kept, metrics) = count(&ctx, tasks, 64, theta);
+                for (theta, route) in [
+                    (0, mixed as fn(u64) -> u64),
+                    (1, prefix),
+                    (2, mixed),
+                    (40, prefix),
+                ] {
+                    let (kept, metrics) = count_routed(&ctx, tasks, route, theta);
                     let (expected, distinct) = oracle(tasks, theta);
                     assert_eq!(
                         kept, expected,
                         "keys={keys} workers={workers} theta={theta}"
                     );
                     assert_eq!(metrics.input_records, tasks.len() as u64);
-                    assert_eq!(metrics.pairs_shuffled, keys as u64);
+                    assert_eq!(
+                        metrics.pairs_shuffled, keys as u64,
+                        "every key, not every record"
+                    );
                     assert_eq!(metrics.groups, distinct);
                     assert_eq!(metrics.output_records, expected.len() as u64);
                     assert_eq!(
@@ -811,32 +963,33 @@ mod tests {
     }
 
     #[test]
-    fn keys_narrower_than_the_bucket_bits_get_a_bucket_per_value() {
-        // 400k keys want 2^5 buckets at least; 3-bit keys only have 8 values.
-        let tasks = keyed_tasks(8, 50_000, 8, 3);
-        let layout = Layout::plan(3, 400_000, 200_000, None);
-        assert_eq!((layout.buckets(), layout.shift), (8, 0));
-        let (kept, metrics) = count(&ExecCtx::new(2), &tasks, 3, 0);
-        assert_eq!(kept, oracle(&tasks, 0).0);
-        assert!(metrics.groups <= 8);
+    fn a_single_hash_puts_every_record_in_one_bucket() {
+        // 400k keys want 2^6 buckets, and all of them land in the last.
+        let tasks = keyed_tasks(8, 50_000, 3_000, 64);
+        let (kept, metrics) = count_routed(&ExecCtx::new(3), &tasks, |_| u64::MAX, 1);
+        let (expected, distinct) = oracle(&tasks, 1);
+        assert_eq!(kept, expected);
+        assert_eq!(metrics.groups, distinct);
     }
 
     #[test]
     fn full_width_keys_and_a_single_bucket_shift_by_64() {
-        // Few keys: one bucket, `shift == key_bits == 64`.
+        // Few keys: one bucket, `shift == 64`.
         let tasks = vec![vec![u64::MAX, 0, u64::MAX, 1 << 63, 7, 0, u64::MAX]];
-        assert_eq!(Layout::plan(64, 7, 7, None).shift, 64);
-        let (kept, _) = count(&ExecCtx::new(3), &tasks, 64, 1);
-        assert_eq!(kept, vec![(0, 2), (u64::MAX, 3)]);
+        assert_eq!(Layout::plan(7, 7, None).shift, 64);
+        for route in [mixed, prefix] {
+            let (kept, _) = count_routed(&ExecCtx::new(3), &tasks, route, 1);
+            assert_eq!(kept, vec![(0, 2), (u64::MAX, 3)]);
+        }
     }
 
     #[test]
     fn empty_input_and_empty_tasks() {
         let ctx = ExecCtx::new(2);
-        let (kept, metrics) = count(&ctx, &[], 10, 0);
+        let (kept, metrics) = count(&ctx, &[], 0);
         assert!(kept.is_empty());
         assert_eq!(metrics.groups, 0);
-        let (kept, metrics) = count(&ctx, &[vec![], vec![5], vec![]], 10, 0);
+        let (kept, metrics) = count(&ctx, &[vec![], vec![5], vec![]], 0);
         assert_eq!(kept, vec![(5, 1)]);
         assert_eq!(metrics.input_records, 3);
     }
@@ -844,84 +997,87 @@ mod tests {
     #[test]
     fn the_layout_follows_key_count_cache_and_budget() {
         // 512 KiB fit 32 Ki slots of 16 bytes, a table for 16 Ki keys: the
-        // mean bucket is 8 Ki keys, the fullest twice that under the skew.
-        assert_eq!(Layout::plan(64, 8 << 10, 1 << 20, None).buckets(), 1);
-        assert_eq!(Layout::plan(64, (8 << 10) + 1, 1 << 20, None).buckets(), 2);
-        assert_eq!(Layout::plan(64, 10 << 20, 1 << 20, None).buckets(), 2048);
+        // mean bucket is planned at 8 Ki keys, the fullest may be twice that.
+        assert_eq!(Layout::plan(8 << 10, 1 << 20, None).buckets(), 1);
+        assert_eq!(Layout::plan((8 << 10) + 1, 1 << 20, None).buckets(), 2);
+        assert_eq!(Layout::plan(10 << 20, 1 << 20, None).buckets(), 2048);
         // Never more than 2^12 buckets, however many keys.
-        assert_eq!(
-            Layout::plan(64, usize::MAX / 2, 1 << 20, None).buckets(),
-            4096
-        );
+        assert_eq!(Layout::plan(usize::MAX / 2, 1 << 20, None).buckets(), 4096);
         // A 64 KiB budget shrinks the buckets eightfold, a huge one changes
         // nothing.
         assert_eq!(
-            Layout::plan(64, 1 << 20, 1 << 20, Some(64 << 10)).buckets(),
+            Layout::plan(1 << 20, 1 << 20, Some(64 << 10)).buckets(),
             1024
         );
         assert_eq!(
-            Layout::plan(64, 1 << 20, 1 << 20, Some(1 << 40)),
-            Layout::plan(64, 1 << 20, 1 << 20, None)
+            Layout::plan(1 << 20, 1 << 20, Some(1 << 40)),
+            Layout::plan(1 << 20, 1 << 20, None)
         );
-        // The planned fullest bucket's table fits the cache share, and
-        // under a cap the per-worker budget, wherever the bucket bits are
-        // not at their cap.
+        // A mean bucket's table takes half of what the cache share, and
+        // under a cap the per-worker budget, allows, wherever the bucket bits
+        // are not at their cap.
         for budget in [None, Some(1 << 40), Some(64 << 10), Some(5_000)] {
             let fit = budget.map_or(BUCKET_CACHE_BYTES, |b: usize| b.min(BUCKET_CACHE_BYTES));
             for total in [1, 1_000, 8 << 10, (8 << 10) + 1, 100_000] {
-                let layout = Layout::plan(64, total, 1 << 20, budget);
-                let fullest = BUCKET_SKEW * total.div_ceil(layout.buckets());
+                let layout = Layout::plan(total, 1 << 20, budget);
+                let mean = total.div_ceil(layout.buckets());
                 assert!(layout.buckets() < 1 << MAX_BUCKET_BITS);
                 assert!(
-                    table_slots(fullest) * SLOT_BYTES <= fit,
+                    table_slots(2 * mean) * SLOT_BYTES <= fit,
                     "{total} keys in {} buckets under {budget:?}",
                     layout.buckets()
                 );
             }
         }
-        // Chunks: a page when there is room, a cache line when there is not.
+        // Chunks: a kibibyte when there is room, a cache line when there is
+        // not.
         assert_eq!(
-            Layout::plan(64, 1 << 20, 1 << 20, None).chunk_shift,
+            Layout::plan(1 << 20, 1 << 20, None).chunk_shift,
             MAX_CHUNK_SHIFT
         );
-        assert_eq!(
-            Layout::plan(64, 1 << 20, 0, None).chunk_shift,
-            MIN_CHUNK_SHIFT
-        );
+        assert_eq!(Layout::plan(1 << 20, 0, None).chunk_shift, MIN_CHUNK_SHIFT);
+        assert_eq!((1 << MAX_CHUNK_SHIFT) * RECORD_BYTES, 1 << 10);
+        assert_eq!((1 << MIN_CHUNK_SHIFT) * RECORD_BYTES, 64);
     }
 
     #[test]
     fn a_sink_keeps_push_order_per_bucket_and_outgrows_a_low_bound() {
         let layout = Layout {
-            shift: 4,
+            shift: 62,
             mask: 3,
             chunk_shift: MIN_CHUNK_SHIFT,
         };
-        // Room for one chunk per bucket only; 100 keys per bucket follow.
+        // Room for one chunk per bucket only; 100 records per bucket follow,
+        // the i-th standing for i % 3 + 1 keys.
         let mut sink = KeySink::new(layout, 4);
+        let record = |i: u64| [i, (i % 3 + 1) << KEYS_SHIFT];
         for i in 0..400u64 {
-            sink.push(((i % 4) << 4) | ((i / 4) % 16));
+            sink.push((i % 4) << 62, record(i));
         }
         for bucket in 0..4 {
             assert_eq!(sink.len_of(bucket), 100);
-            let keys: Vec<u64> = sink.fragments(bucket).flatten().copied().collect();
-            let expected: Vec<u64> = (0..100)
-                .map(|i| ((bucket as u64) << 4) | (i % 16))
-                .collect();
-            assert_eq!(keys, expected);
+            let records: Vec<Record> = sink.fragments(bucket).flatten().copied().collect();
+            let expected: Vec<Record> = (0..100).map(|i| record(4 * i + bucket as u64)).collect();
+            assert_eq!(records, expected);
+            let keys: u64 = expected.iter().map(|r| u64::from(keys_of(r))).sum();
+            assert_eq!(sink.keys[bucket], keys);
         }
-        assert_eq!(sink.buffered_bytes(), 4 * 13 * 8 * 8);
+        assert_eq!(sink.buffered_bytes(), 4 * 25 * 4 * RECORD_BYTES);
         sink.clear();
         assert_eq!(sink.buffered_bytes(), 0);
         assert_eq!(sink.len_of(2), 0);
+        assert_eq!(sink.keys[2], 0);
         assert_eq!(sink.fragments(2).count(), 0);
-        sink.push(0x2F);
-        assert_eq!(sink.fragments(2).collect::<Vec<_>>(), vec![&[0x2F][..]]);
+        sink.push(2 << 62, record(7));
+        assert_eq!(
+            sink.fragments(2).collect::<Vec<_>>(),
+            vec![&[record(7)][..]]
+        );
     }
 
     #[test]
     fn ranges_are_contiguous_cover_everything_and_balance_a_skewed_load() {
-        // The canonical k-mer shape: load falling linearly with the bucket.
+        // Load falling linearly with the bucket.
         let totals: Vec<u64> = (0..64u64).map(|b| 2 * (64 - b)).collect();
         let ranges = balanced_ranges(&totals, 4);
         assert_eq!(ranges.len(), 4);
@@ -949,9 +1105,9 @@ mod tests {
     fn capped_matches_resident(cap: u64, workers: usize) -> MapReduceMetrics {
         let tasks = keyed_tasks(40, 2_000, 6_000, 40);
         let ctx = ExecCtx::new(workers);
-        let (resident, resident_metrics) = count(&ctx, &tasks, 40, 1);
+        let (resident, resident_metrics) = count(&ctx, &tasks, 1);
         ctx.set_spill(SpillPolicy::At(cap));
-        let (capped, metrics) = count(&ctx, &tasks, 40, 1);
+        let (capped, metrics) = count(&ctx, &tasks, 1);
         ctx.clear_spill();
         assert_eq!(capped, resident, "cap={cap} workers={workers}");
         assert_eq!(metrics.pairs_shuffled, resident_metrics.pairs_shuffled);
@@ -963,8 +1119,9 @@ mod tests {
     #[test]
     fn a_capped_count_equals_the_resident_one_and_reads_back_what_it_wrote() {
         for workers in [1, 3] {
-            // 80k keys = 640 kB. A 4 MiB cap never trips its budget …
-            let roomy = capped_matches_resident(4 << 20, workers);
+            // 80k keys, nearly a record each: 1.3 MB. An 8 MiB cap never
+            // trips its budget …
+            let roomy = capped_matches_resident(8 << 20, workers);
             assert_eq!(
                 (roomy.spilled_bytes, roomy.spilled_runs),
                 (0, 0),
@@ -995,12 +1152,12 @@ mod tests {
             count_keys_on(
                 &ctx,
                 &tasks,
-                20,
                 Vec::len,
                 |task, sink| {
                     scanned.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    task.iter().for_each(|&key| sink.push(key));
+                    push_runs(task, sink, mixed);
                 },
+                runs(),
                 0,
             )
         }))
@@ -1017,22 +1174,25 @@ mod tests {
         assert_eq!(scanned.into_inner(), 6);
         assert_eq!(control.checks(), 1);
         // Raised on the coordinator, so the pool is clean.
-        assert_eq!(count(&ctx, &tasks, 20, 0).0, oracle(&tasks, 0).0);
+        assert_eq!(count(&ctx, &tasks, 0).0, oracle(&tasks, 0).0);
     }
 
-    /// Runs a spilling count whose barrier action rewrites worker 0's
-    /// segment file with `damage`, and returns the typed panic payload.
-    fn count_with_damaged_segments(damage: fn(Vec<u8>) -> Vec<u8>) -> EngineError {
-        let tasks = keyed_tasks(12, 1_000, 300, 30);
-        let ctx = ExecCtx::new(2);
+    /// Runs a spilling count of `tasks` whose barrier action rewrites worker
+    /// 0's segment file with `damage`, and returns the outcome: the kept
+    /// keys, or the typed error the count raised.
+    fn count_with_damaged_segments(
+        ctx: &ExecCtx,
+        tasks: &[Vec<u64>],
+        damage: impl FnOnce(Vec<u8>) -> Vec<u8>,
+    ) -> Result<Vec<(u64, u32)>, EngineError> {
         ctx.set_spill(SpillPolicy::At(1 << 10));
-        let payload = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             count_keys_with_barrier(
-                &ctx,
-                &tasks,
-                30,
+                ctx,
+                tasks,
                 Vec::len,
-                |task: &Vec<u64>, sink: &mut KeySink| task.iter().for_each(|&key| sink.push(key)),
+                |task: &Vec<u64>, sink: &mut KeySink| push_runs(task, sink, mixed),
+                runs(),
                 0,
                 |sides| {
                     let file = sides[0].spilled.as_ref().expect("the 1 KiB cap spills");
@@ -1040,37 +1200,108 @@ mod tests {
                     std::fs::write(file.path(), damage(bytes)).expect("damage segment file");
                 },
             )
-        }))
-        .expect_err("a damaged segment file must stop the count");
+            .0
+        }));
         ctx.clear_spill();
-        // The failure crossed the pool as a value and was raised on the
-        // coordinator: the same context counts again, resident.
-        assert_eq!(count(&ctx, &tasks, 30, 0).0, oracle(&tasks, 0).0);
-        payload
-            .downcast_ref::<EngineError>()
-            .expect("a typed engine error, not a codec panic")
-            .clone()
+        outcome.map_err(|payload| {
+            payload
+                .downcast_ref::<EngineError>()
+                .expect("a typed engine error, not a codec panic")
+                .clone()
+        })
     }
+
+    /// Bytes before worker 0's first record: the file header (20), the
+    /// first frame's length prefix (4) and its bucket index (4).
+    const FIRST_RECORD: usize = 28;
 
     #[test]
     fn damaged_segment_files_surface_as_engine_spill_errors() {
-        let err = count_with_damaged_segments(|mut bytes| {
+        let tasks = keyed_tasks(12, 1_000, 300, 30);
+        let ctx = ExecCtx::new(2);
+        let spill_error = |damage: fn(Vec<u8>) -> Vec<u8>| {
+            let err = count_with_damaged_segments(&ctx, &tasks, damage)
+                .expect_err("a damaged segment file must stop the count");
+            // The failure crossed the pool as a value and was raised on the
+            // coordinator: the same context counts again, resident.
+            assert_eq!(count(&ctx, &tasks, 0).0, oracle(&tasks, 0).0);
+            match err {
+                EngineError::Spill(e) => e,
+                other => panic!("expected a spill error, got {other:?}"),
+            }
+        };
+        let err = spill_error(|mut bytes| {
             bytes.truncate(bytes.len() - 3);
             bytes
         });
-        assert!(
-            matches!(err, EngineError::Spill(SpillError::Truncated { .. })),
-            "got {err:?}"
-        );
-        let err = count_with_damaged_segments(|mut bytes| {
-            // The bucket index of the first frame (header 20 + length 4).
+        assert!(matches!(err, SpillError::Truncated { .. }), "got {err:?}");
+        // The bucket index of the first frame.
+        let err = spill_error(|mut bytes| {
             bytes[24] ^= 0x40;
             bytes
         });
+        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+        // A record that stands for no key, or for more than any record may:
+        // caught before a key is expanded from it.
+        for keys in [0, RUN as u8 + 1, 0xFF] {
+            let err = count_with_damaged_segments(&ctx, &tasks, |mut bytes| {
+                bytes[FIRST_RECORD + 15] = keys;
+                bytes
+            })
+            .expect_err("an out-of-range key count must stop the count");
+            assert!(
+                matches!(&err, EngineError::Spill(SpillError::Corrupt { detail, .. }) if detail.contains("stands for")),
+                "keys={keys}: got {err:?}"
+            );
+        }
+        // A count inside the range that no longer sums to the segment's
+        // keys: the table was sized from the sum.
+        let err = spill_error(|mut bytes| {
+            let count = &mut bytes[FIRST_RECORD + 15];
+            *count = if *count == 1 { 2 } else { 1 };
+            bytes
+        });
+        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn a_mutated_segment_file_reads_back_typed_or_counts_never_panics() {
+        // Two tasks per worker, one flush each: worker 0's file holds its
+        // first task's records.
+        let tasks = keyed_tasks(4, 40, 30, 30);
+        let ctx = ExecCtx::new(2);
+        let intact = std::cell::RefCell::new(Vec::new());
+        count_with_damaged_segments(&ctx, &tasks, |bytes| {
+            intact.replace(bytes.clone());
+            bytes
+        })
+        .expect("an undamaged file counts");
+        let intact = intact.into_inner();
+        assert!(intact.len() > 200, "{} bytes", intact.len());
+        let mut outcomes = [0usize; 2];
+        let mut tally = |outcome: Result<Vec<(u64, u32)>, EngineError>| match outcome {
+            Ok(_) => outcomes[0] += 1,
+            Err(EngineError::Spill(_)) => outcomes[1] += 1,
+            Err(other) => panic!("expected a spill error, got {other:?}"),
+        };
+        for cut in 0..intact.len() {
+            tally(count_with_damaged_segments(&ctx, &tasks, |mut bytes| {
+                bytes.truncate(cut);
+                bytes
+            }));
+        }
+        // Every bit of the header and of the first frames.
+        for bit in 0..8 * 160 {
+            tally(count_with_damaged_segments(&ctx, &tasks, |mut bytes| {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                bytes
+            }));
+        }
         assert!(
-            matches!(err, EngineError::Spill(SpillError::Corrupt { .. })),
-            "got {err:?}"
+            outcomes[0] > 0 && outcomes[1] > intact.len(),
+            "{outcomes:?}"
         );
+        assert_eq!(count(&ctx, &tasks, 0).0, oracle(&tasks, 0).0);
     }
 
     proptest! {
@@ -1081,20 +1312,29 @@ mod tests {
                 proptest::collection::vec(0u64..1 << 12, 0..200), 0..12),
             shift in 0u32..52,
             workers in 1usize..5,
-            theta in 0u32..3,
-            cap in 0u64..64 << 10,
+            settings in (0u32..3, 0u64..64 << 10),
         ) {
-            // Small values shifted up: clustered keys, every key width.
+            let (theta, cap) = settings;
+            // Small values shifted up: clustered keys, every key width; runs
+            // of equal keys every other task.
             let tasks: Vec<Vec<u64>> = tasks
                 .into_iter()
-                .map(|t| t.into_iter().map(|key| key << shift).collect())
+                .enumerate()
+                .map(|(i, mut t)| {
+                    if i % 2 == 1 {
+                        t.sort_unstable();
+                    }
+                    t.into_iter().map(|key| key << shift).collect()
+                })
                 .collect();
             let ctx = ExecCtx::new(workers);
             // Two runs in three under a cap, from a byte to 64 KiB.
             if cap % 3 != 0 {
                 ctx.set_spill(SpillPolicy::At(cap));
             }
-            let (kept, metrics) = count(&ctx, &tasks, 12 + shift, theta);
+            // Routed by the keys' own prefix half the time: lopsided buckets.
+            let route = if cap % 2 == 0 { prefix } else { mixed };
+            let (kept, metrics) = count_routed(&ctx, &tasks, route, theta);
             let (expected, distinct) = oracle(&tasks, theta);
             prop_assert_eq!(kept, expected);
             prop_assert_eq!(metrics.groups, distinct);

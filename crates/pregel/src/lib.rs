@@ -28,8 +28,9 @@
 //! * [`mapreduce`] — the *mini MapReduce* procedure used to build vertices
 //!   from input that is not one-line-per-vertex (DBG construction, contig
 //!   merging and bubble filtering all use it), with [`keycount`] beside it
-//!   for the one pass that only counts bare keys and keeps the frequent ones
-//!   (the (k+1)-mer count DBG construction starts from);
+//!   for the one pass that only counts keys and keeps the frequent ones,
+//!   scattering records that each stand for a run of keys (the (k+1)-mer
+//!   count DBG construction starts from, fed super-k-mers);
 //! * [`VertexSet::convert`] — in-memory job concatenation: the output vertices
 //!   of one job are transformed into the input vertices of the next job and
 //!   re-shuffled by vertex ID without a round-trip through external storage
@@ -129,7 +130,7 @@ pub use control::{CancelReason, JobControl};
 pub use dense::{run_dense_on, DenseSet};
 pub use engine::{EngineError, ExecCtx, WorkerPool};
 pub use fault::{ArmedFaults, Fault, FaultPlan};
-pub use keycount::{count_keys_on, KeySink};
+pub use keycount::{count_keys_on, KeySink, Record, Records};
 pub use mapreduce::{
     map_reduce, map_reduce_on, map_reduce_spillable_on, map_reduce_with_metrics,
     map_reduce_with_metrics_on, MapReduceMetrics,

@@ -86,7 +86,8 @@ pub struct MapReduceMetrics {
     pub input_records: u64,
     /// Number of key–value pairs emitted by `map` (the shuffle volume). For
     /// a [`count_keys_on`](crate::keycount::count_keys_on) pass: the keys
-    /// scattered, 8 bytes each.
+    /// the scattered records stand for — one per (k+1)-mer window in DBG
+    /// construction, though a 16-byte record carries about ten of them.
     pub pairs_shuffled: u64,
     /// Number of distinct keys (groups) processed by `reduce`.
     pub groups: u64,
@@ -96,13 +97,15 @@ pub struct MapReduceMetrics {
     pub elapsed: Duration,
     /// Bytes written to sorted map-side run files. 0 unless the pass ran via
     /// [`map_reduce_spillable_on`] under a [`SpillPolicy`](crate::SpillPolicy)
-    /// cap that tripped.
+    /// cap that tripped; for a
+    /// [`count_keys_on`](crate::keycount::count_keys_on) pass, the bytes of
+    /// the record segments its scatter workers flushed.
     pub spilled_bytes: u64,
     /// Bytes streamed back from run files by the reduce-side merge.
     pub spill_read_bytes: u64,
     /// Sorted run files written by the map phase; for a
     /// [`count_keys_on`](crate::keycount::count_keys_on) pass, the times a
-    /// worker flushed its buckets as segments.
+    /// worker flushed its buckets' records as segments.
     pub spilled_runs: u64,
 }
 

@@ -21,9 +21,10 @@
 //!   outweigh the live ones.
 //! * **Key-segment spilling** — when a scatter worker of the bucketed key
 //!   counter ([`crate::keycount`]) outgrows its share of the cap, it appends
-//!   every non-empty prefix bucket, unsorted, as one bucket-addressed
-//!   segment to its `KeySegmentWriter` file; the count phase reads each
-//!   bucket's segments back, once, by offset (`KeySegmentReader`).
+//!   the records of every non-empty bucket, unsorted, as one
+//!   bucket-addressed segment to its `KeySegmentWriter` file; the count
+//!   phase reads each bucket's segments back, once, by offset
+//!   (`KeySegmentReader`), and checks every record's key count on the way.
 //!
 //! All file formats share one framing: an 8-byte magic (`PPASPIL1`), a
 //! `u32` format version, a `u64` record/slot count, then `u32`
@@ -37,6 +38,7 @@
 //! directory; the directory and every run/generation file are removed by
 //! RAII `Drop` impls, including on the cancellation unwind path.
 
+use crate::keycount::{keys_of, Record, RECORD_BYTES};
 use crate::vertex::VertexProgram;
 use crate::vertex_set::RunColumns;
 use serde::bin::{FrameError, FrameReader};
@@ -674,10 +676,12 @@ pub(crate) fn merge_run_sources<K: Ord, V>(
 /// Where one bucket-addressed key segment sits in a [`KeySegmentFile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct KeySegment {
-    /// The bucket every key of the segment belongs to.
+    /// The bucket every record of the segment belongs to.
     pub(crate) bucket: u32,
-    /// Keys in the segment.
-    pub(crate) keys: u32,
+    /// Records in the segment.
+    records: u32,
+    /// Keys its records stand for.
+    pub(crate) keys: u64,
     /// Byte offset of the segment's frame (its length prefix).
     offset: u64,
 }
@@ -686,11 +690,12 @@ pub(crate) struct KeySegment {
 /// finishes, since segments are appended flush by flush).
 const HEADER_COUNT_OFFSET: u64 = 12;
 
-/// Appends **unsorted** bucket-addressed key segments to one file in the
+/// Appends **unsorted** bucket-addressed record segments to one file in the
 /// shared spill framing: one frame per segment, its payload the bucket index
-/// (`u32`) followed by the segment's keys (`u64` each). The bucketed key
-/// counter ([`crate::keycount`]) flushes its scatter buffers through this
-/// when they outgrow the spill budget; the segment index stays in RAM.
+/// (`u32`) followed by the segment's [`Record`]s (two `u64`s each). The
+/// bucketed key counter ([`crate::keycount`]) flushes its scatter buffers
+/// through this when they outgrow the spill budget; the segment index —
+/// with each segment's record and key counts — stays in RAM.
 pub(crate) struct KeySegmentWriter {
     w: BufWriter<std::fs::File>,
     path: PathBuf,
@@ -719,22 +724,27 @@ impl KeySegmentWriter {
         })
     }
 
-    /// Appends one segment: `keys` keys of `bucket`, handed over as the
-    /// fragments they were buffered in.
+    /// Appends one segment: `records` records of `bucket`, standing for
+    /// `keys` keys, handed over as the fragments they were buffered in.
     pub(crate) fn append<'a>(
         &mut self,
         bucket: u32,
-        keys: usize,
-        fragments: impl Iterator<Item = &'a [u64]>,
+        records: usize,
+        keys: u64,
+        fragments: impl Iterator<Item = &'a [Record]>,
     ) -> Result<(), SpillError> {
-        let len = u32::try_from(keys)
-            .ok()
-            .and_then(|n| n.checked_mul(8)?.checked_add(4))
+        let too_long = || SpillError::Corrupt {
+            path: self.path.display().to_string(),
+            detail: format!(
+                "a segment of {records} records exceeds the {MAX_FRAME}-byte frame cap"
+            ),
+        };
+        let count = u32::try_from(records).map_err(|_| too_long())?;
+        let len = count
+            .checked_mul(RECORD_BYTES as u32)
+            .and_then(|n| n.checked_add(4))
             .filter(|len| *len <= MAX_FRAME)
-            .ok_or_else(|| SpillError::Corrupt {
-                path: self.path.display().to_string(),
-                detail: format!("a segment of {keys} keys exceeds the {MAX_FRAME}-byte frame cap"),
-            })?;
+            .ok_or_else(too_long)?;
         let path = &self.path;
         let mut put = |bytes: &[u8]| {
             self.w
@@ -744,13 +754,15 @@ impl KeySegmentWriter {
         put(&len.to_le_bytes())?;
         put(&bucket.to_le_bytes())?;
         for fragment in fragments {
-            for key in fragment {
-                put(&key.to_le_bytes())?;
+            for &[head, tail] in fragment {
+                put(&head.to_le_bytes())?;
+                put(&tail.to_le_bytes())?;
             }
         }
         self.segments.push(KeySegment {
             bucket,
-            keys: keys as u32,
+            records: count,
+            keys,
             offset: self.bytes,
         });
         self.bytes += 4 + u64::from(len);
@@ -866,11 +878,16 @@ impl KeySegmentReader<'_> {
         Ok(())
     }
 
-    /// Appends the keys of `segment` to `out`.
+    /// Appends the records of `segment` to `out`, each checked to stand for
+    /// `1..=max_keys` keys and all of them together for the segment's keys —
+    /// the count phase sizes a bucket's table from those, and expands a
+    /// record into as many keys as it counts. On an error `out` is left as
+    /// it was.
     pub(crate) fn read_into(
         &mut self,
         segment: &KeySegment,
-        out: &mut Vec<u64>,
+        max_keys: u32,
+        out: &mut Vec<Record>,
     ) -> Result<(), SpillError> {
         self.seek(segment.offset)?;
         let path = &self.of.path;
@@ -889,14 +906,37 @@ impl KeySegmentReader<'_> {
                 segment.bucket
             )));
         }
-        if frame.len() != segment.keys as usize * 8 {
+        if frame.len() != segment.records as usize * RECORD_BYTES {
             return Err(corrupt(format!(
-                "holds {} key bytes, the index says {} keys",
+                "holds {} record bytes, the index says {} records",
                 frame.len(),
+                segment.records
+            )));
+        }
+        let start = out.len();
+        let mut keys = 0u64;
+        let mut rest = frame;
+        while let Some((head, tail)) = <(u64, u64)>::decode(&mut rest) {
+            let record = [head, tail];
+            let n = keys_of(&record);
+            if !(1..=max_keys).contains(&n) {
+                let at = out.len() - start;
+                out.truncate(start);
+                return Err(corrupt(format!(
+                    "record {at} stands for {n} keys, not 1..={max_keys}"
+                )));
+            }
+            keys += u64::from(n);
+            out.push(record);
+        }
+        if keys != segment.keys {
+            let records = out.len() - start;
+            out.truncate(start);
+            return Err(corrupt(format!(
+                "its {records} records stand for {keys} keys, the index says {}",
                 segment.keys
             )));
         }
-        out.extend(frame.chunks_exact(8).filter_map(|b| u64::decode(&mut &*b)));
         Ok(())
     }
 
@@ -1469,15 +1509,23 @@ mod tests {
     /// Bytes of the shared header: magic, version, record count.
     const HEADER_BYTES: usize = 20;
 
+    /// A test record: `key` standing for `n` keys.
+    fn rec(key: u64, n: u64) -> Record {
+        [key, n << crate::keycount::KEYS_SHIFT]
+    }
+
     /// Three flushes over buckets {0, 2, 5}: bucket 2 is written twice.
     fn sample_segment_file(dir: &Arc<SpillDir>) -> KeySegmentFile {
         let mut w = KeySegmentWriter::create(dir, "s.seg").expect("create segment file");
-        let frag = |keys: &'static [u64]| std::iter::once(keys);
-        w.append(2, 3, frag(&[20, 21, 22])).expect("append");
-        w.append(5, 1, frag(&[u64::MAX])).expect("append");
-        w.append(0, 2, [&[1u64][..], &[0u64][..]].into_iter())
+        let a = [rec(20, 1), rec(21, 2), rec(22, 3)];
+        let b = [rec(u64::MAX, 4)];
+        let (c0, c1) = ([rec(1, 1)], [rec(0, 1)]);
+        let d = [rec(23, 1), rec(24, 1)];
+        w.append(2, 3, 6, std::iter::once(&a[..])).expect("append");
+        w.append(5, 1, 4, std::iter::once(&b[..])).expect("append");
+        w.append(0, 2, 2, [&c0[..], &c1[..]].into_iter())
             .expect("append fragmented");
-        w.append(2, 2, frag(&[23, 24])).expect("append");
+        w.append(2, 2, 2, std::iter::once(&d[..])).expect("append");
         w.finish().expect("finish")
     }
 
@@ -1488,19 +1536,31 @@ mod tests {
         assert_eq!(file.segments().len(), 4);
         assert_eq!(file.segments_of(1), &[]);
         assert_eq!(file.segments_of(9), &[]);
+        assert_eq!(
+            file.segments_of(2)
+                .iter()
+                .map(|s| s.keys)
+                .collect::<Vec<_>>(),
+            [6, 2]
+        );
         let mut reader = file.open().expect("open");
         reader.validate_header().expect("header matches the index");
         let mut read = |bucket: u32| {
-            let mut keys = Vec::new();
+            let mut records = Vec::new();
             for segment in file.segments_of(bucket) {
-                reader.read_into(segment, &mut keys).expect("read segment");
+                reader
+                    .read_into(segment, 4, &mut records)
+                    .expect("read segment");
             }
-            keys
+            records
         };
         // Read out of file order on purpose: segments are addressed.
-        assert_eq!(read(5), vec![u64::MAX]);
-        assert_eq!(read(2), vec![20, 21, 22, 23, 24]);
-        assert_eq!(read(0), vec![1, 0]);
+        assert_eq!(read(5), vec![rec(u64::MAX, 4)]);
+        assert_eq!(
+            read(2),
+            vec![rec(20, 1), rec(21, 2), rec(22, 3), rec(23, 1), rec(24, 1)]
+        );
+        assert_eq!(read(0), vec![rec(1, 1), rec(0, 1)]);
         // Header + every frame once = every byte written.
         assert_eq!(reader.bytes_read(), file.bytes);
         assert_eq!(
@@ -1518,51 +1578,74 @@ mod tests {
         let dir = SpillDir::create("unit").expect("create spill dir");
         let file = sample_segment_file(&dir);
         let intact = std::fs::read(file.path()).expect("read back");
-        let read_all = |file: &KeySegmentFile| -> Result<(), SpillError> {
+        let read_all = |file: &KeySegmentFile, max_keys: u32| -> Result<(), SpillError> {
             let mut reader = file.open()?;
             reader.validate_header()?;
-            let mut keys = Vec::new();
+            let mut records = Vec::new();
             for segment in file.segments() {
-                reader.read_into(segment, &mut keys)?;
+                let before = records.len();
+                reader
+                    .read_into(segment, max_keys, &mut records)
+                    .inspect_err(|_| {
+                        assert_eq!(records.len(), before, "a failed read appends nothing")
+                    })?;
             }
             Ok(())
         };
-        read_all(&file).expect("intact file reads");
+        read_all(&file, 4).expect("intact file reads");
+
+        // A record standing for more keys than the reader allows.
+        let err = read_all(&file, 3).expect_err("record over the key cap");
+        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
 
         // Cut inside the last frame.
         std::fs::write(file.path(), &intact[..intact.len() - 5]).expect("truncate");
-        let err = read_all(&file).expect_err("truncated frame");
+        let err = read_all(&file, 4).expect_err("truncated frame");
         assert!(matches!(err, SpillError::Truncated { .. }), "got {err:?}");
 
         // Cut inside the header.
         std::fs::write(file.path(), &intact[..10]).expect("truncate");
-        let err = read_all(&file).expect_err("truncated header");
+        let err = read_all(&file, 4).expect_err("truncated header");
         assert!(matches!(err, SpillError::Truncated { .. }), "got {err:?}");
 
         // A frame that claims another bucket (first frame's bucket field).
         let mut wrong_bucket = intact.clone();
         wrong_bucket[HEADER_BYTES + 4] ^= 1;
         std::fs::write(file.path(), &wrong_bucket).expect("corrupt");
-        let err = read_all(&file).expect_err("bucket mismatch");
+        let err = read_all(&file, 4).expect_err("bucket mismatch");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
 
         // A frame whose length prefix disagrees with the index.
         let mut wrong_len = intact.clone();
-        wrong_len[HEADER_BYTES] -= 8;
+        wrong_len[HEADER_BYTES] -= 16;
         std::fs::write(file.path(), &wrong_len).expect("corrupt");
-        let err = read_all(&file).expect_err("length mismatch");
+        let err = read_all(&file, 4).expect_err("length mismatch");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+
+        // Key counts of the first record (the top byte of its second word):
+        // out of range, or in range but no longer summing to the index's.
+        let count_at = HEADER_BYTES + 8 + 15;
+        for count in [0u8, 5, 0xFF, 2] {
+            let mut wrong_count = intact.clone();
+            wrong_count[count_at] = count;
+            std::fs::write(file.path(), &wrong_count).expect("corrupt");
+            let err = read_all(&file, 4).expect_err("bad key count");
+            assert!(
+                matches!(err, SpillError::Corrupt { .. }),
+                "count {count}: got {err:?}"
+            );
+        }
 
         // A header that counts other segments than the index, a foreign magic.
         let mut wrong_count = intact.clone();
         wrong_count[HEADER_COUNT_OFFSET as usize] += 1;
         std::fs::write(file.path(), &wrong_count).expect("corrupt");
-        let err = read_all(&file).expect_err("count mismatch");
+        let err = read_all(&file, 4).expect_err("count mismatch");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
         let mut wrong_magic = intact;
         wrong_magic[0] ^= 0xFF;
         std::fs::write(file.path(), &wrong_magic).expect("corrupt");
-        let err = read_all(&file).expect_err("bad magic");
+        let err = read_all(&file, 4).expect_err("bad magic");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
     }
 

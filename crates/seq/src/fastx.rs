@@ -57,7 +57,7 @@ impl FastxRecord {
     /// maximal ACGT-only segments, as required before k-mer extraction.
     /// Allocates the segment list; a hot loop that only needs the canonical
     /// k-mers should use
-    /// [`CanonicalScanner::scan_ascii`](crate::kmer::CanonicalScanner::scan_ascii),
+    /// [`SuperKmerScanner::scan`](crate::kmer::SuperKmerScanner::scan),
     /// which applies the same breaks in one pass over the bytes.
     pub fn acgt_segments(&self) -> Vec<&[u8]> {
         let mut segments = Vec::new();

@@ -242,17 +242,10 @@ impl Kmer {
 
     /// The reverse complement of this k-mer.
     pub fn reverse_complement(&self) -> Kmer {
-        // Complement all bases (bitwise NOT under the 2-bit code), then reverse
-        // the order of the 2-bit groups.
-        let mut x = !self.packed;
-        // Reverse 2-bit groups within the 64-bit word.
-        x = ((x & 0x3333_3333_3333_3333) << 2) | ((x >> 2) & 0x3333_3333_3333_3333);
-        x = ((x & 0x0F0F_0F0F_0F0F_0F0F) << 4) | ((x >> 4) & 0x0F0F_0F0F_0F0F_0F0F);
-        x = x.swap_bytes();
-        // The reversed groups are now left-aligned; shift right so that the
-        // sequence is right-aligned again.
-        let packed = (x >> (64 - 2 * self.k() as u32)) & Kmer::mask(self.k);
-        Kmer { packed, k: self.k }
+        Kmer {
+            packed: reverse_complement_packed(self.packed, self.k()),
+            k: self.k,
+        }
     }
 
     /// The canonical representative: the lexicographically smaller of this
@@ -341,9 +334,9 @@ pub struct CanonicalKmer {
 /// window's canonical form costs two shifts and a comparison instead of the
 /// full [`Kmer::reverse_complement`] bit-reversal per window.
 ///
-/// This is the hot inner loop of DBG construction (every base of every read
-/// passes through it), which is why it works on raw 2-bit codes and never
-/// materialises a `Kmer` until a window is complete:
+/// It works on raw 2-bit codes and never materialises a `Kmer` until a
+/// window is complete (DBG construction's counting pass scans whole reads
+/// with [`SuperKmerScanner`] instead):
 ///
 /// ```
 /// use ppa_seq::kmer::CanonicalScanner;
@@ -415,69 +408,269 @@ impl CanonicalScanner {
             orientation,
         })
     }
+}
 
-    /// Bulk entry: walks a read's raw ASCII bytes **once** and hands the
-    /// packed canonical form of every complete window to `sink`, left to
-    /// right. Any byte that is not `A`/`C`/`G`/`T` (either case) — `N`, an
-    /// IUPAC code, anything else — restarts the window, so no k-mer spans it
-    /// and stretches shorter than `k` contribute nothing. This is the scan
-    /// DBG construction feeds its (k+1)-mer counter from: one table lookup
-    /// per base, no per-read segment list and no [`Base`] round-trip.
-    ///
-    /// The walk keeps its own window, so it neither reads nor disturbs the
-    /// state [`push`](CanonicalScanner::push) is rolling.
-    ///
-    /// ```
-    /// use ppa_seq::kmer::CanonicalScanner;
-    /// use ppa_seq::Kmer;
-    ///
-    /// let scan = |k: usize, read: &str| -> Vec<String> {
-    ///     let mut out = Vec::new();
-    ///     CanonicalScanner::new(k).unwrap().scan_ascii(read.as_bytes(), |key| {
-    ///         out.push(Kmer::from_packed(key, k).unwrap().to_string())
-    ///     });
-    ///     out
-    /// };
-    ///
-    /// // Windows "ACG", "CGT", "GTA" in canonical form (rc(GTA) = TAC).
-    /// assert_eq!(scan(3, "ACGTA"), ["ACG", "ACG", "GTA"]);
-    /// // An N breaks the read: no window spans it, and the two-base stretch
-    /// // after it is too short to yield one.
-    /// assert_eq!(scan(3, "ACGNTA"), ["ACG"]);
-    /// // Lower-case bases are bases.
-    /// assert_eq!(scan(3, "acGta"), scan(3, "ACGTA"));
-    /// // A read shorter than k yields nothing.
-    /// assert!(scan(3, "AC").is_empty());
-    /// // Tiny k: every base is its own window (T canonicalises to A).
-    /// assert_eq!(scan(1, "TNG"), ["A", "C"]);
-    ///
-    /// // k = 32 fills all 64 bits of the key: 33 T's are two windows whose
-    /// // canonical form is 32 A's — packed, zero.
-    /// let mut keys = Vec::new();
-    /// CanonicalScanner::new(32).unwrap().scan_ascii(&[b'T'; 33], |key| keys.push(key));
-    /// assert_eq!(keys, [0, 0]);
-    /// let mut keys = Vec::new();
-    /// CanonicalScanner::new(32).unwrap().scan_ascii(&[b'C'; 32], |key| keys.push(key));
-    /// assert_eq!(keys, [0x5555_5555_5555_5555]);
-    /// ```
+/// Complements the `k` bases (1 ≤ k ≤ 32) packed right-aligned in `packed`
+/// and reverses their order; bits above `2k` are ignored.
+#[inline]
+fn reverse_complement_packed(packed: u64, k: usize) -> u64 {
+    // Complement all bases (bitwise NOT under the 2-bit code), then reverse
+    // the order of the 2-bit groups within the word.
+    let mut x = !packed;
+    x = ((x & 0x3333_3333_3333_3333) << 2) | ((x >> 2) & 0x3333_3333_3333_3333);
+    x = ((x & 0x0F0F_0F0F_0F0F_0F0F) << 4) | ((x >> 4) & 0x0F0F_0F0F_0F0F_0F0F);
+    // The reversed groups are now left-aligned: the k bases are the top 2k
+    // bits, and shifting them down drops what stood above 2k.
+    x.swap_bytes() >> (64 - 2 * k as u32)
+}
+
+/// Bases of the m-mers whose order picks a window's minimizer. A scanner
+/// clamps it to its window length, so windows of at most this many bases are
+/// their own minimizer.
+pub const MINIMIZER_LEN: usize = 11;
+
+/// The m-mer order: `rank(x) = (x ^ ORDER_SALT) · ORDER_MUL` over the packed
+/// canonical m-mer `x`. Multiplying by an odd number is a bijection of
+/// `u64`, so distinct m-mers never tie; the salt keeps poly-A (packed 0) from
+/// being the minimizer of every window that holds it.
+const ORDER_SALT: u64 = 0x5851_F42D_4C95_7F2D;
+const ORDER_MUL: u64 = 0x2545_F491_4F6C_DD1D;
+
+#[inline(always)]
+fn rank(mmer: u64) -> u64 {
+    (mmer ^ ORDER_SALT).wrapping_mul(ORDER_MUL)
+}
+
+/// Ring of the latest m-mer ranks: a power of two above any window's m-mer
+/// count (at most `MAX_K − MINIMIZER_LEN + 1 = 22`).
+const RANK_RING: usize = 32;
+
+/// A super-k-mer: a run of consecutive windows of one read that share their
+/// minimizer, packed into two words.
+///
+/// `record[0]` is the first window's bases as read, packed like
+/// [`Kmer::packed`] (forward strand, not canonicalised). `record[1]` holds
+/// the base each further window adds — the i-th at bits `2i..2i + 2` — and
+/// the window count in its top bits, from [`SuperKmer::WINDOWS_SHIFT`] up. A
+/// record holds at most [`SuperKmerScanner::max_windows`] windows, so at most
+/// 21 tail bases, which never reach the count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SuperKmer {
+    /// The packed record: the first window, then the tail bases and the
+    /// window count.
+    pub record: [u64; 2],
+    /// The minimizer's rank in the m-mer order (one rank, one m-mer).
+    rank: u64,
+}
+
+impl SuperKmer {
+    /// Where the window count starts in `record[1]`.
+    pub const WINDOWS_SHIFT: u32 = 56;
+
+    /// Windows in the record, at least one.
     #[inline]
-    pub fn scan_ascii(&self, seq: &[u8], mut sink: impl FnMut(u64)) {
-        let k = self.k as usize;
+    pub fn windows(&self) -> usize {
+        (self.record[1] >> Self::WINDOWS_SHIFT) as usize
+    }
+
+    /// A hash of the minimizer whose top bits are evenly spread. The rank
+    /// itself will not do: it is the smallest of its window's, so its top
+    /// bits crowd towards zero. MurmurHash3's 64-bit finalizer mixes every
+    /// bit of it into every bit of the hash.
+    #[inline]
+    pub fn minimizer_hash(&self) -> u64 {
+        let mut h = self.rank;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
+    }
+}
+
+/// Cuts reads into [`SuperKmer`]s and expands them back into canonical
+/// k-mers: the scan DBG construction feeds its (k+1)-mer counter from
+/// (KMC 2, Deorowicz et al., *Bioinformatics* 2015; minimizers: Roberts et
+/// al., *Bioinformatics* 2004).
+///
+/// A window's **minimizer** is the smallest, in a fixed pseudo-random order,
+/// of the canonical m-mers it contains (m = [`MINIMIZER_LEN`], clamped to k).
+/// A window and its reverse complement contain the same canonical m-mers, so
+/// both strands of a k-mer have one minimizer. A super-k-mer is a run of
+/// consecutive windows with the same minimizer. It ends where the minimizer
+/// changes, at any byte that is not `A`/`C`/`G`/`T` (either case), or after
+/// [`max_windows`](SuperKmerScanner::max_windows) windows. The cap matters:
+/// a poly-A read keeps one minimizer for its whole length. Runs of a read
+/// shorter than k contribute nothing.
+///
+/// [`decode_into`](SuperKmerScanner::decode_into) rolls the forward and
+/// reverse-complement words through a record's tail and yields the
+/// canonical form of each of its windows. Decoding what
+/// [`scan`](SuperKmerScanner::scan) emits gives, in order, the canonical
+/// k-mer of every window of the read.
+///
+/// ```
+/// use ppa_seq::kmer::{SuperKmerScanner, MINIMIZER_LEN};
+/// use ppa_seq::Kmer;
+///
+/// let scanner = SuperKmerScanner::new(15).unwrap();
+/// assert_eq!(scanner.max_windows(), 15 - MINIMIZER_LEN + 1);
+/// let cut = |read: &[u8]| {
+///     let mut records = Vec::new();
+///     scanner.scan(read, |sk| records.push(sk));
+///     records
+/// };
+///
+/// // An N splits the read into runs of 30 and 18 bases, 16 and 4 windows:
+/// // no window spans it.
+/// let read = b"ACGTTGCAAGGCTTAACGGATCCATGACGTNACGTTGCAAGGCTTAACG";
+/// let records = cut(read);
+/// let mut keys = Vec::new();
+/// let raw: Vec<[u64; 2]> = records.iter().map(|sk| sk.record).collect();
+/// scanner.decode_into(&raw, &mut keys);
+/// let naive: Vec<u64> = read
+///     .split(|&c| c == b'N')
+///     .flat_map(|run| run.windows(15))
+///     .map(|w| Kmer::from_str_exact(std::str::from_utf8(w).unwrap()).unwrap())
+///     .map(|w| w.canonical().kmer.packed())
+///     .collect();
+/// assert_eq!(keys, naive);
+/// assert_eq!(records.iter().map(|sk| sk.windows()).sum::<usize>(), 16 + 4);
+///
+/// // 40 A's: 26 windows with one minimizer, cut at 5 windows a record.
+/// let windows: Vec<usize> = cut(&[b'A'; 40]).iter().map(|sk| sk.windows()).collect();
+/// assert_eq!(windows, [5, 5, 5, 5, 5, 1]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SuperKmerScanner {
+    k: usize,
+    m: usize,
+    mask: u64,
+    /// Shift that places a complemented base at the high end of the rc word.
+    rc_shift: u32,
+    mmer_mask: u64,
+    /// Shift from the window's rc word down to the rc of its last m bases.
+    mmer_rc_shift: u32,
+    /// m-mers per window, `k − m + 1`: also the most windows a record holds.
+    span: usize,
+}
+
+impl SuperKmerScanner {
+    /// Creates a scanner for windows of `k` bases (1 ≤ k ≤ [`MAX_K`]).
+    pub fn new(k: usize) -> Result<SuperKmerScanner, SeqError> {
+        if k == 0 || k > MAX_K {
+            return Err(SeqError::InvalidK(k));
+        }
+        let m = MINIMIZER_LEN.min(k);
+        Ok(SuperKmerScanner {
+            k,
+            m,
+            mask: Kmer::mask(k as u8),
+            rc_shift: 2 * (k as u32 - 1),
+            mmer_mask: Kmer::mask(m as u8),
+            mmer_rc_shift: 2 * (k - m) as u32,
+            span: k - m + 1,
+        })
+    }
+
+    /// The most windows a record holds, `k − m + 1` — as many as one m-mer
+    /// occurrence can be part of.
+    pub fn max_windows(&self) -> usize {
+        self.span
+    }
+
+    /// Walks a read's raw ASCII bytes once and hands every super-k-mer to
+    /// `emit`, left to right: one table lookup per base, and one record per
+    /// run of windows instead of one key per window.
+    #[inline]
+    pub fn scan(&self, seq: &[u8], mut emit: impl FnMut(SuperKmer)) {
+        let (k, m, span) = (self.k, self.m, self.span);
         let (mut fwd, mut rc, mut filled) = (0u64, 0u64, 0usize);
+        // The ranks of the latest m-mers, by the `filled` count at their end.
+        let mut ranks = [0u64; RANK_RING];
+        // The current window's smallest rank and where it ended (the latest
+        // of equal ranks, so that it expires last).
+        let (mut min_rank, mut min_at) = (u64::MAX, 0usize);
+        // The open record: first window, tail bases, windows (0 = none open)
+        // and minimizer rank.
+        let (mut head, mut tail, mut windows, mut open_rank) = (0u64, 0u64, 0usize, 0u64);
+        let pack = |head: u64, tail: u64, windows: usize, rank: u64| SuperKmer {
+            record: [head, tail | (windows as u64) << SuperKmer::WINDOWS_SHIFT],
+            rank,
+        };
         for &c in seq {
             let code = ASCII_CODE[c as usize] as u64;
             if code > 3 {
+                if windows > 0 {
+                    emit(pack(head, tail, windows, open_rank));
+                    windows = 0;
+                }
                 // Stale bits need no clearing: k fresh bases shift every one
                 // of them out of both words before the next window completes.
                 filled = 0;
+                min_rank = u64::MAX;
                 continue;
             }
             fwd = ((fwd << 2) | code) & self.mask;
             rc = (rc >> 2) | ((3 ^ code) << self.rc_shift);
             filled += 1;
-            if filled >= k {
-                sink(fwd.min(rc));
+            if filled < m {
+                continue;
             }
+            let r = rank((fwd & self.mmer_mask).min(rc >> self.mmer_rc_shift));
+            ranks[filled % RANK_RING] = r;
+            if r <= min_rank {
+                (min_rank, min_at) = (r, filled);
+            } else if filled - min_at >= span {
+                // The minimum slid out of the window: rescan the m-mers still
+                // in it. Before the first window is full nothing expires.
+                min_rank = u64::MAX;
+                for at in filled + 1 - span..=filled {
+                    let r = ranks[at % RANK_RING];
+                    if r <= min_rank {
+                        (min_rank, min_at) = (r, at);
+                    }
+                }
+            }
+            if filled < k {
+                continue;
+            }
+            if windows > 0 && windows < span && min_rank == open_rank {
+                tail |= code << (2 * (windows - 1));
+                windows += 1;
+            } else {
+                if windows > 0 {
+                    emit(pack(head, tail, windows, open_rank));
+                }
+                (head, tail, windows, open_rank) = (fwd, 0, 1, min_rank);
+            }
+        }
+        if windows > 0 {
+            emit(pack(head, tail, windows, open_rank));
+        }
+    }
+
+    /// Appends the packed canonical form of every window of `records`, in
+    /// order, to `keys`. Each record's window count must be within
+    /// `1..=`[`max_windows`](SuperKmerScanner::max_windows), as
+    /// [`scan`](SuperKmerScanner::scan) makes them; a record read back from
+    /// storage must be checked first.
+    #[inline]
+    pub fn decode_into(&self, records: &[[u64; 2]], keys: &mut Vec<u64>) {
+        for &[head, tail] in records {
+            let mut fwd = head & self.mask;
+            let mut rc = reverse_complement_packed(fwd, self.k);
+            keys.push(fwd.min(rc));
+            let mut bases = tail;
+            // A range's length is known up front: `extend` reserves once
+            // instead of checking the capacity per key.
+            keys.extend((1..tail >> SuperKmer::WINDOWS_SHIFT).map(|_| {
+                let code = bases & 3;
+                bases >>= 2;
+                fwd = ((fwd << 2) | code) & self.mask;
+                rc = (rc >> 2) | ((3 ^ code) << self.rc_shift);
+                fwd.min(rc)
+            }));
         }
     }
 }
@@ -720,43 +913,140 @@ mod tests {
         assert_eq!(rolled.len(), 2);
     }
 
-    /// The per-segment formulation `scan_ascii` replaces in DBG construction:
-    /// split on non-ACGT bytes, then roll every base of every segment.
-    fn segment_then_push(seq: &[u8], k: usize) -> Vec<u64> {
-        let record = crate::FastxRecord::new_fasta("r", seq.to_vec());
-        let mut scanner = CanonicalScanner::new(k).unwrap();
-        let mut keys = Vec::new();
-        for segment in record.acgt_segments() {
-            scanner.reset();
-            for &c in segment {
-                let base = Base::from_ascii_checked(c).unwrap();
-                keys.extend(scanner.push(base).map(|c| c.kmer.packed()));
+    fn reverse_complement_ascii(read: &[u8]) -> Vec<u8> {
+        read.iter()
+            .rev()
+            .map(|&c| match c {
+                b'A' => b'T',
+                b'C' => b'G',
+                b'G' => b'C',
+                b'T' => b'A',
+                b'a' => b't',
+                b'c' => b'g',
+                b'g' => b'c',
+                b't' => b'a',
+                other => other,
+            })
+            .collect()
+    }
+
+    /// A read built from `(kind, len, seed)` pieces with every shape the
+    /// super-k-mer scanner must get right: random ACGT in either case, `N`s,
+    /// IUPAC codes, reverse palindromes, reverse-complement copies of what
+    /// came before, poly-A and (AC)ₙ runs.
+    fn pieced_read(pieces: &[(u8, usize, u64)]) -> Vec<u8> {
+        let mut read = Vec::new();
+        for &(kind, len, seed) in pieces {
+            let mut state = seed | 1;
+            let mut base = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                b"ACGT"[(state % 4) as usize]
+            };
+            match kind {
+                0 | 1 => read.extend((0..len).map(|_| base())),
+                2 => read.extend((0..len).map(|_| base().to_ascii_lowercase())),
+                3 => read.extend(std::iter::repeat_n(b'N', len % 3 + 1)),
+                4 => read.push(b"RYKMSWBDHV"[len % 10]),
+                5 => {
+                    let half: Vec<u8> = (0..len).map(|_| base()).collect();
+                    read.extend(&half);
+                    read.extend(reverse_complement_ascii(&half));
+                }
+                6 => {
+                    let copy = reverse_complement_ascii(&read[read.len().saturating_sub(len)..]);
+                    read.extend(copy);
+                }
+                7 => read.extend(std::iter::repeat_n(b'A', len)),
+                _ => (0..len).for_each(|_| read.extend(b"AC")),
             }
         }
-        keys
+        read
+    }
+
+    /// `(run, canonical window)` for every window of `k` bases of `read`,
+    /// `run` numbering the ACGT stretches between other bytes: each window
+    /// canonicalised on its own by `Kmer::canonical`.
+    fn naive_windows(read: &[u8], k: usize) -> Vec<(usize, Kmer)> {
+        read.split(|&c| Base::from_ascii_checked(c).is_none())
+            .enumerate()
+            .flat_map(|(run, bases)| {
+                bases.windows(k).map(move |w| {
+                    let text = String::from_utf8(w.to_ascii_uppercase()).unwrap();
+                    (run, Kmer::from_str_exact(&text).unwrap().canonical().kmer)
+                })
+            })
+            .collect()
+    }
+
+    /// A window's minimizer the slow way: canonicalise each of its m-mers and
+    /// take the one of smallest rank.
+    fn naive_minimizer(window: Kmer, m: usize) -> u64 {
+        window
+            .to_bases()
+            .windows(m)
+            .map(|mmer| Kmer::from_bases(mmer).unwrap().canonical().kmer.packed())
+            .min_by_key(|&mmer| rank(mmer))
+            .unwrap()
     }
 
     #[test]
-    fn scan_ascii_leaves_the_rolling_window_alone() {
-        let mut scanner = CanonicalScanner::new(3).unwrap();
-        assert!(scanner.push(Base::G).is_none());
-        assert!(scanner.push(Base::T).is_none());
-        scanner.scan_ascii(b"ACGTACGT", |_| {});
-        let c = scanner.push(Base::A).unwrap();
-        assert_eq!(c.kmer, km("GTA").canonical().kmer);
+    fn super_kmer_scanner_rejects_invalid_k_and_clamps_m() {
+        assert!(SuperKmerScanner::new(0).is_err());
+        assert!(SuperKmerScanner::new(MAX_K + 1).is_err());
+        let short = SuperKmerScanner::new(MINIMIZER_LEN - 1).unwrap();
+        assert_eq!((short.m, short.max_windows()), (MINIMIZER_LEN - 1, 1));
+        let full = SuperKmerScanner::new(MAX_K).unwrap();
+        assert_eq!((full.m, full.max_windows()), (MINIMIZER_LEN, 22));
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
-        fn prop_scan_ascii_matches_segment_then_push(
-            s in proptest::collection::vec(0usize..12, 0..120),
-            k in 1usize..=32,
+        fn prop_super_kmers_decode_to_every_canonical_window_in_order(
+            pieces in proptest::collection::vec((0u8..9, 1usize..40, 0u64..u64::MAX), 0..10),
         ) {
-            // N, a non-IUPAC byte and lower case mixed in at ~1 in 3.
-            let seq: Vec<u8> = s.iter().map(|&i| b"ACGTACGTacNx"[i]).collect();
-            let mut keys = Vec::new();
-            CanonicalScanner::new(k).unwrap().scan_ascii(&seq, |key| keys.push(key));
-            prop_assert_eq!(keys, segment_then_push(&seq, k));
+            let read = pieced_read(&pieces);
+            for k in 1..=MAX_K {
+                let scanner = SuperKmerScanner::new(k).unwrap();
+                let mut records = Vec::new();
+                scanner.scan(&read, |sk| records.push(sk));
+                let naive = naive_windows(&read, k);
+                let raw: Vec<[u64; 2]> = records.iter().map(|sk| sk.record).collect();
+                let mut keys = Vec::new();
+                scanner.decode_into(&raw, &mut keys);
+                let expected: Vec<u64> = naive.iter().map(|(_, w)| w.packed()).collect();
+                prop_assert_eq!(keys, expected, "k = {}", k);
+
+                // Record by record: within the cap, one run and one
+                // minimizer, and ended only where it had to end.
+                let mut at = 0;
+                let mut previous: Option<(usize, SuperKmer)> = None;
+                for sk in records {
+                    let windows = sk.windows();
+                    prop_assert!((1..=scanner.max_windows()).contains(&windows), "k = {}", k);
+                    let run = naive[at].0;
+                    for &(r, window) in &naive[at..at + windows] {
+                        prop_assert_eq!(r, run, "k = {}: a record spans a break", k);
+                        prop_assert_eq!(
+                            rank(naive_minimizer(window, scanner.m)),
+                            sk.rank,
+                            "k = {}", k
+                        );
+                    }
+                    if let Some((previous_run, previous)) = previous {
+                        prop_assert!(
+                            previous_run != run
+                                || previous.rank != sk.rank
+                                || previous.windows() == scanner.max_windows(),
+                            "k = {}: a record ended early", k
+                        );
+                    }
+                    previous = Some((run, sk));
+                    at += windows;
+                }
+            }
         }
 
         #[test]

@@ -9,7 +9,7 @@ use ppa_assembler::{edge_contributions, EdgeSlot, KmerVertex, PackedAdj};
 use ppa_pregel::mapreduce::{map_reduce_partitioned_on, Emitter};
 use ppa_pregel::{ExecCtx, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
-use ppa_seq::kmer::CanonicalScanner;
+use ppa_seq::kmer::{CanonicalScanner, SuperKmerScanner};
 use ppa_seq::{Base, FastxRecord, Kmer, ReadSet};
 use ppa_tests::our_spill_dirs;
 use proptest::prelude::*;
@@ -299,6 +299,17 @@ fn counted_order_and_vertices_equal_the_mapreduce_formulation_byte_for_byte() {
 // (c) capped = resident, every key over the disk at most once, nothing left
 // ---------------------------------------------------------------------------
 
+/// The bytes construct phase (i) scatters for `reads`: one 16-byte record
+/// per super-k-mer of k+1 bases.
+fn record_bytes(reads: &ReadSet, k: usize) -> u64 {
+    let scanner = SuperKmerScanner::new(k + 1).unwrap();
+    let mut records = 0u64;
+    for read in &reads.records {
+        scanner.scan(&read.seq, |_| records += 1);
+    }
+    16 * records
+}
+
 /// The only spilling test of this binary, so its `our_spill_dirs` scans
 /// cannot race a sibling's live job directory.
 #[test]
@@ -316,17 +327,24 @@ fn a_capped_construction_equals_the_resident_one_and_cleans_up() {
     let resident = build_dbg_on(&ctx, &reads, &config);
     assert_eq!(resident.stats.phase1.spilled_bytes, 0);
     assert_eq!(resident.stats.phase1.spilled_runs, 0);
-    let key_bytes = 8 * resident_phase1.pairs_shuffled;
+    let windows: u64 = reads.records.iter().map(|r| r.seq.len() as u64 - 21).sum();
+    assert_eq!(resident_phase1.pairs_shuffled, windows, "one per window");
+    let records = record_bytes(&reads, config.k);
+    assert!(
+        records < 4 * windows,
+        "{records} record bytes for {windows} windows"
+    );
 
-    // A scan task is 100 reads x 79 windows = 63 kB of keys. Under the 2 MiB
-    // cap (256 KiB budget per worker) a worker flushes every few tasks, in
-    // segments of hundreds of keys (framing under 2 %); under the 16 KiB cap
-    // (2 KiB budget) it flushes after every task but its last, into 4096
-    // buckets of a key or two each (framing up to 8 bytes per 8-byte key).
+    // A scan task is 100 reads x 79 windows, cut into ~1.2 k super-k-mers of
+    // 16 bytes: ~20 kB. Under the 512 KiB cap (64 KiB budget per worker) a
+    // worker flushes every few tasks, in segments of tens of records
+    // (framing under 5 %); under the 16 KiB cap (2 KiB budget) it flushes
+    // after every task but its last, into 4096 buckets of a record or two
+    // each (framing up to 8 bytes per 16-byte record).
     let mut flushes = Vec::new();
     for (cap, most_bytes) in [
-        (2 << 20, key_bytes + key_bytes / 50),
-        (16 << 10, 2 * key_bytes + 40),
+        (512 << 10, records + records / 20),
+        (16 << 10, records + records / 2 + 40),
     ] {
         ctx.set_spill(SpillPolicy::At(cap));
         let (counted, phase1) = count_kplus1_mers_on(&ctx, &reads, &config);
@@ -337,14 +355,14 @@ fn a_capped_construction_equals_the_resident_one_and_cleans_up() {
         assert_eq!(phase1.pairs_shuffled, resident_phase1.pairs_shuffled);
         assert_eq!(phase1.groups, resident_phase1.groups);
 
-        // Every key crosses the disk at most once, 8 bytes plus its share of
-        // an 8-byte segment frame, and comes back exactly once.
+        // Every record crosses the disk at most once, 16 bytes plus its
+        // share of an 8-byte segment frame, and comes back exactly once.
         let p1 = &capped.stats.phase1;
         assert!(p1.spilled_bytes > 0, "cap={cap} must spill");
         assert_eq!(p1.spill_read_bytes, p1.spilled_bytes, "cap={cap}");
         assert!(
             p1.spilled_bytes <= most_bytes,
-            "cap={cap}: {} bytes written for {key_bytes} bytes of keys",
+            "cap={cap}: {} bytes written for {records} bytes of records",
             p1.spilled_bytes
         );
         flushes.push(p1.spilled_runs);
