@@ -250,7 +250,6 @@ mod tests {
     use super::*;
     use crate::ppa::PpaAssembler;
     use ppa_readsim::{GenomeConfig, ReadSimConfig};
-    use ppa_seq::FastxRecord;
 
     #[test]
     fn assembles_an_error_free_genome() {
@@ -281,10 +280,7 @@ mod tests {
         // overlap by k−1 = 4 bases, but the joining 6-mer "ACGTGA" occurs in
         // neither read, so PPA-assembler keeps the two loci separate while the
         // existence-based probing of ABySS links them into one contig.
-        let reads = ReadSet::from_records(vec![
-            FastxRecord::new_fasta("a", b"TTACGTG".to_vec()),
-            FastxRecord::new_fasta("b", b"CGTGATT".to_vec()),
-        ]);
+        let reads: ReadSet = [("a", "TTACGTG"), ("b", "CGTGATT")].into_iter().collect();
         let params = BaselineParams {
             k: 5,
             min_kmer_coverage: 0,

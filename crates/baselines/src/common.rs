@@ -4,8 +4,9 @@ use ppa_pregel::fxhash::FxHashMap;
 use ppa_pregel::mapreduce::{map_reduce_on, Emitter};
 use ppa_pregel::ExecCtx;
 use ppa_seq::kmer::CanonicalScanner;
-use ppa_seq::{Base, FastxRecord, Kmer, ReadSet};
+use ppa_seq::{Base, Kmer, ReadSet};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Counts canonical k-mers of the given size across all reads (splitting at
 /// `N`s), in parallel, and drops those whose count does not exceed
@@ -32,14 +33,14 @@ pub fn count_canonical_kmers_on(
         // path behaved the same way) instead of panicking inside a worker.
         return HashMap::new();
     }
-    let batches: Vec<&[FastxRecord]> = reads.records.chunks(512).collect();
+    let batches: Vec<Range<usize>> = reads.records.chunk_ranges(512).collect();
     let counted = map_reduce_on(
         ctx,
         batches,
-        |batch: &[FastxRecord], out: &mut Emitter<'_, u64, u32>| {
+        |batch: Range<usize>, out: &mut Emitter<'_, u64, u32>| {
             let mut local: FxHashMap<u64, u32> = FxHashMap::default();
             let mut scanner = CanonicalScanner::new(k).expect("baseline k in range");
-            for read in batch {
+            for read in reads.records.range(batch) {
                 for segment in read.acgt_segments() {
                     if segment.len() < k {
                         continue;
@@ -75,15 +76,12 @@ pub fn kmer_of(packed: u64, k: usize) -> Kmer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_seq::FastxRecord;
 
     fn reads(seqs: &[&str]) -> ReadSet {
-        ReadSet::from_records(
-            seqs.iter()
-                .enumerate()
-                .map(|(i, s)| FastxRecord::new_fasta(format!("r{i}"), s.as_bytes().to_vec()))
-                .collect(),
-        )
+        seqs.iter()
+            .enumerate()
+            .map(|(i, s)| (format!("r{i}"), s))
+            .collect()
     }
 
     #[test]

@@ -41,7 +41,11 @@
 //! corruption surface as typed [`CheckpointError`]s. A manifest also records
 //! a fingerprint of the pipeline configuration and of the input reads, so
 //! resuming with a different config or a different read set is rejected with
-//! [`CheckpointError::Mismatch`] instead of silently producing garbage.
+//! [`CheckpointError::Mismatch`] instead of silently producing garbage. The
+//! reads fingerprint digests the read slab's four columns
+//! ([`reads_fingerprint`]); a snapshot from before the slab, whose
+//! fingerprint digested per-read records with their qualities, is rejected
+//! the same way.
 //!
 //! After a successful save the pipeline keeps only the newest snapshot:
 //! [`save`] prunes every other `stage-*` subdirectory.
@@ -235,13 +239,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// per round with independent multiplies, roughly an order of magnitude
 /// faster, while a single flipped bit still changes the folded value.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut lanes = [
-        0xcbf2_9ce4_8422_2325u64,
-        0x9ae1_6a3b_2f90_404fu64,
-        0x6c62_272e_07bb_0142u64,
-        0xaf63_bd4c_8601_b7dfu64,
-    ];
+    let mut lanes = CHECKSUM_LANES;
     // Panic-free word load: `chunks_exact(8)` guarantees 8 bytes, but the
     // codec rules ban `expect`, so assemble the word with a bounded copy.
     fn lane_word(word: &[u8]) -> u64 {
@@ -254,7 +252,7 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     let mut chunks = bytes.chunks_exact(32);
     for chunk in &mut chunks {
         for (lane, word) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
-            *lane = (*lane ^ lane_word(word)).wrapping_mul(PRIME);
+            *lane = (*lane ^ lane_word(word)).wrapping_mul(CHECKSUM_PRIME);
         }
     }
     let tail = chunks.remainder();
@@ -264,31 +262,67 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
             *dst = src;
         }
         for (lane, word) in lanes.iter_mut().zip(padded.chunks_exact(8)) {
-            *lane = (*lane ^ lane_word(word)).wrapping_mul(PRIME);
+            *lane = (*lane ^ lane_word(word)).wrapping_mul(CHECKSUM_PRIME);
         }
     }
-    // Word-granular FNV-style fold: one multiply per lane (cheap enough to
-    // keep `checksum64` fast on small per-read buffers too).
-    let mut fold = 0xcbf2_9ce4_8422_2325u64;
-    for lane in lanes {
-        fold = (fold ^ lane).wrapping_mul(PRIME);
-    }
-    (fold ^ bytes.len() as u64).wrapping_mul(PRIME)
+    fold_lanes(lanes, bytes.len())
 }
 
-/// Fingerprint of an input read set: record count plus every record's id,
-/// sequence and quality bytes. A resumed run must present the same reads the
-/// checkpoint was taken from. Sequence and quality buffers are digested with
-/// the striped [`checksum64`] — this runs on every save *and* every load, so
-/// it must not re-hash megabytes of reads byte by byte.
-pub fn reads_fingerprint(reads: &ReadSet) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(reads.records.len() as u64);
-    for r in &reads.records {
-        h.write_str(&r.id);
-        h.write_u64(checksum64(&r.seq));
-        h.write_u64(checksum64(&r.qual));
+/// [`checksum64`] of the words' little-endian bytes, without materialising
+/// them (the read set's offset columns).
+fn checksum64_words(words: &[u64]) -> u64 {
+    let mut lanes = CHECKSUM_LANES;
+    let mut quads = words.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &word) in lanes.iter_mut().zip(quad) {
+            *lane = (*lane ^ word).wrapping_mul(CHECKSUM_PRIME);
+        }
     }
+    let tail = quads.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u64; 4];
+        for (dst, &src) in padded.iter_mut().zip(tail) {
+            *dst = src;
+        }
+        for (lane, word) in lanes.iter_mut().zip(padded) {
+            *lane = (*lane ^ word).wrapping_mul(CHECKSUM_PRIME);
+        }
+    }
+    fold_lanes(lanes, words.len() * 8)
+}
+
+const CHECKSUM_PRIME: u64 = 0x0000_0100_0000_01b3;
+const CHECKSUM_LANES: [u64; 4] = [
+    0xcbf2_9ce4_8422_2325,
+    0x9ae1_6a3b_2f90_404f,
+    0x6c62_272e_07bb_0142,
+    0xaf63_bd4c_8601_b7df,
+];
+
+/// Word-granular FNV-style fold: one multiply per lane (cheap enough to
+/// keep [`checksum64`] fast on small buffers too), then the byte length.
+fn fold_lanes(lanes: [u64; 4], len: usize) -> u64 {
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    for lane in lanes {
+        fold = (fold ^ lane).wrapping_mul(CHECKSUM_PRIME);
+    }
+    (fold ^ len as u64).wrapping_mul(CHECKSUM_PRIME)
+}
+
+/// Fingerprint of an input read set: the read count plus one striped
+/// [`checksum64`] per column of its slab — bases, names and both end-offset
+/// columns, so a moved read boundary changes it even when the bases and
+/// names do not. A resumed run must present the same reads the checkpoint
+/// was taken from; this runs on every save *and* every load, so it must not
+/// re-hash megabytes of reads byte by byte.
+pub fn reads_fingerprint(reads: &ReadSet) -> u64 {
+    let slab = &reads.records;
+    let mut h = Fnv64::new();
+    h.write_u64(slab.len() as u64);
+    h.write_u64(checksum64(slab.bases()));
+    h.write_u64(checksum64_words(slab.base_ends()));
+    h.write_u64(checksum64(slab.names()));
+    h.write_u64(checksum64_words(slab.name_ends()));
     h.finish()
 }
 
@@ -1112,7 +1146,6 @@ pub fn load_latest<'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_seq::FastxRecord;
     use proptest::prelude::*;
 
     /// A deterministic SplitMix64 for building arbitrary states from a seed.
@@ -1236,10 +1269,9 @@ mod tests {
         use std::sync::OnceLock;
         static READS: OnceLock<ReadSet> = OnceLock::new();
         READS.get_or_init(|| {
-            ReadSet::from_records(vec![
-                FastxRecord::new_fastq("r1", b"ACGTACGT".to_vec(), b"IIIIIIII".to_vec()),
-                FastxRecord::new_fastq("r2", b"TTGCATGC".to_vec(), b"IIIIIIII".to_vec()),
-            ])
+            [("r1", "ACGTACGT"), ("r2", "TTGCATGC")]
+                .into_iter()
+                .collect()
         })
     }
 
@@ -1358,16 +1390,25 @@ mod tests {
         let state = arb_state(&mut mix, reads);
         let dir = tmp_dir("reads-mismatch");
         save(&dir, &state, &meta(1)).unwrap();
-        let other = ReadSet::from_records(vec![FastxRecord::new_fastq(
-            "other",
-            b"GGGG".to_vec(),
-            b"IIII".to_vec(),
-        )]);
-        let err = load_latest(&dir, &other).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Mismatch { ref what, .. } if what == "input reads"),
-            "{err}"
-        );
+        // Other reads; one name byte changed; the same bases and names with
+        // one read boundary moved (a bases-and-names digest misses that);
+        // the same names with their boundary moved.
+        let foreign: [&[(&str, &str)]; 4] = [
+            &[("other", "GGGG")],
+            &[("r1", "ACGTACGT"), ("r3", "TTGCATGC")],
+            &[("r1", "ACGTACGTT"), ("r2", "TGCATGC")],
+            &[("r", "ACGTACGT"), ("1r2", "TTGCATGC")],
+        ];
+        for records in foreign {
+            let other: ReadSet = records.iter().copied().collect();
+            assert_eq!(other.records.bases().len(), other.total_bases());
+            let err = load_latest(&dir, &other).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Mismatch { ref what, .. } if what == "input reads"),
+                "{records:?}: {err}"
+            );
+        }
+        assert!(load_latest(&dir, reads).is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1455,6 +1496,16 @@ mod tests {
             let mut extended = data.clone();
             extended.push(0);
             assert_ne!(checksum64(&data), checksum64(&extended), "len {len}+1 zero");
+        }
+    }
+
+    #[test]
+    fn word_checksum_equals_the_checksum_of_little_endian_bytes() {
+        let mut mix = Mix(8);
+        for len in [0usize, 1, 3, 4, 5, 8, 13] {
+            let words: Vec<u64> = (0..len).map(|_| mix.next()).collect();
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(checksum64_words(&words), checksum64(&bytes), "{len} words");
         }
     }
 

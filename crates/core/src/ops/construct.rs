@@ -31,8 +31,9 @@ use ppa_pregel::keycount::{count_keys_on, KeySink, Record, Records, KEYS_SHIFT};
 use ppa_pregel::mapreduce::{map_reduce_spillable_on, Emitter, MapReduceMetrics};
 use ppa_pregel::ExecCtx;
 use ppa_seq::kmer::{SuperKmer, SuperKmerScanner};
-use ppa_seq::{FastxRecord, Kmer, ReadSet};
+use ppa_seq::{Kmer, ReadSet};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 // A super-k-mer's window count is where the counter reads a record's keys.
@@ -141,15 +142,20 @@ pub fn count_kplus1_mers_on(
     );
     let k = config.k;
     let scanner = SuperKmerScanner::new(k + 1).expect("k validated above");
-    let batches: Vec<&[FastxRecord]> = reads.records.chunks(config.batch_size.max(1)).collect();
+    // Tasks are runs of read indices; each scans its reads' slices of the
+    // one bases column.
+    let batches: Vec<Range<usize>> = reads.records.chunk_ranges(config.batch_size).collect();
     let (sorted, metrics) = count_keys_on(
         ctx,
         &batches,
         // A read of `len` bases has at most `len − k` windows of k+1.
-        |batch| batch.iter().map(|r| r.seq.len().saturating_sub(k)).sum(),
+        |batch| {
+            let batch = reads.records.range(batch.clone());
+            batch.map(|r| r.len().saturating_sub(k)).sum()
+        },
         |batch, sink: &mut KeySink| {
-            for read in batch.iter() {
-                scanner.scan(&read.seq, |sk| sink.push(sk.minimizer_hash(), sk.record));
+            for read in reads.records.range(batch.clone()) {
+                scanner.scan(read.seq, |sk| sink.push(sk.minimizer_hash(), sk.record));
             }
         },
         Records {
@@ -222,16 +228,13 @@ pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) ->
 mod tests {
     use super::*;
     use crate::node::VertexType;
-    use ppa_seq::FastxRecord;
     use std::collections::HashMap;
 
     fn reads_from(seqs: &[&str]) -> ReadSet {
-        ReadSet::from_records(
-            seqs.iter()
-                .enumerate()
-                .map(|(i, s)| FastxRecord::new_fasta(format!("r{i}"), s.as_bytes().to_vec()))
-                .collect(),
-        )
+        seqs.iter()
+            .enumerate()
+            .map(|(i, s)| (format!("r{i}"), s))
+            .collect()
     }
 
     fn config(k: usize, theta: u32) -> ConstructConfig {
@@ -394,10 +397,10 @@ mod tests {
         assert_eq!(phase1.spilled_runs, 2);
         let windows: usize = reads
             .records
-            .chunks(config.batch_size)
+            .chunk_ranges(config.batch_size)
             .step_by(2)
-            .flatten()
-            .map(|read| read.seq.len() - config.k)
+            .flat_map(|batch| reads.records.range(batch))
+            .map(|read| read.len() - config.k)
             .sum();
         let per_window = phase1.spilled_bytes as f64 / windows as f64;
         assert!(windows > 200_000, "{windows} windows");

@@ -413,16 +413,15 @@ pub(crate) mod tests {
     use crate::node::{Edge, VertexType};
     use crate::ops::construct::{build_dbg, ConstructConfig};
     use crate::polarity::{Direction, Polarity};
-    use ppa_seq::{FastxRecord, Kmer, ReadSet};
+    use ppa_seq::{Kmer, ReadSet};
     use std::collections::{HashMap, HashSet};
 
     pub(crate) fn nodes_from_reads(seqs: &[&str], k: usize) -> Vec<AsmNode> {
-        let reads = ReadSet::from_records(
-            seqs.iter()
-                .enumerate()
-                .map(|(i, s)| FastxRecord::new_fasta(format!("r{i}"), s.as_bytes().to_vec()))
-                .collect(),
-        );
+        let reads = seqs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (format!("r{i}"), s))
+            .collect::<ReadSet>();
         build_dbg(
             &reads,
             &ConstructConfig {

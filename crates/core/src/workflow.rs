@@ -15,7 +15,7 @@
 use crate::pipeline::{CheckpointPolicy, GraphState, Pipeline, PipelineError};
 use crate::stats::{n50, WorkflowStats};
 use ppa_pregel::{ExecCtx, JobControl, SpillPolicy};
-use ppa_seq::{DnaString, FastxRecord, ReadSet, SeqError};
+use ppa_seq::{DnaString, ReadSet, SeqError};
 use serde::{Deserialize, Serialize};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -154,17 +154,14 @@ impl Assembly {
     /// Converts the contigs to FASTA records (e.g. for QUAST-style assessment
     /// or writing to disk).
     pub fn to_fasta(&self) -> ReadSet {
-        ReadSet::from_records(
-            self.contigs
-                .iter()
-                .map(|c| {
-                    FastxRecord::new_fasta(
-                        format!("contig_{:#x}_cov_{}", c.id, c.coverage),
-                        c.sequence.to_ascii().into_bytes(),
-                    )
-                })
-                .collect(),
-        )
+        let mut fasta = ReadSet::with_base_capacity(self.total_length());
+        for c in &self.contigs {
+            fasta.push(
+                format!("contig_{:#x}_cov_{}", c.id, c.coverage).as_bytes(),
+                c.sequence.to_ascii().as_bytes(),
+            );
+        }
+        fasta
     }
 }
 
@@ -209,15 +206,27 @@ fn exec_ctx(config: &AssemblyConfig) -> ExecCtx {
 /// and surfaces malformed records as a recoverable [`PipelineError::Input`]
 /// (carrying the 1-based line number of the offending record) instead of a
 /// panic. Empty input yields an empty [`ReadSet`].
-pub fn read_input<R: BufRead>(mut reader: R) -> Result<ReadSet, PipelineError> {
+pub fn read_input<R: BufRead>(reader: R) -> Result<ReadSet, PipelineError> {
+    parse_input(reader, 0)
+}
+
+/// [`read_input`] that reserves the bases column for an input of
+/// `input_len` bytes first, so the slab never reallocates: the bases take at
+/// most the whole input in FASTA and at most half of it in FASTQ, whose
+/// quality lines are as long as the sequence lines.
+fn parse_input<R: BufRead>(mut reader: R, input_len: usize) -> Result<ReadSet, PipelineError> {
     let first = {
         let buf = reader.fill_buf().map_err(SeqError::from)?;
         buf.first().copied()
     };
     match first {
         None => Ok(ReadSet::new()),
-        Some(b'>') => ReadSet::read_fasta(reader).map_err(PipelineError::Input),
-        Some(b'@') => ReadSet::read_fastq(reader).map_err(PipelineError::Input),
+        Some(b'>') => ReadSet::with_base_capacity(input_len)
+            .parse_fasta(reader)
+            .map_err(PipelineError::Input),
+        Some(b'@') => ReadSet::with_base_capacity(input_len / 2)
+            .parse_fastq(reader)
+            .map_err(PipelineError::Input),
         Some(c) => Err(PipelineError::Input(SeqError::Parse {
             line: 1,
             msg: format!(
@@ -228,11 +237,15 @@ pub fn read_input<R: BufRead>(mut reader: R) -> Result<ReadSet, PipelineError> {
     }
 }
 
-/// [`read_input`] over a file path; open errors become
-/// [`PipelineError::Input`] too.
+/// [`read_input`] over a file path, with the bases column reserved once from
+/// the file length; open errors become [`PipelineError::Input`] too.
 pub fn read_input_path(path: impl AsRef<Path>) -> Result<ReadSet, PipelineError> {
     let file = std::fs::File::open(path).map_err(SeqError::from)?;
-    read_input(std::io::BufReader::new(file))
+    let len = file.metadata().map_or(0, |m| m.len());
+    parse_input(
+        std::io::BufReader::with_capacity(1 << 16, file),
+        usize::try_from(len).unwrap_or(0),
+    )
 }
 
 /// Fallible [`assemble`]: a stage panic (including worker panics surfaced at
@@ -557,7 +570,7 @@ mod tests {
         let reparsed = ReadSet::read_fasta(std::io::Cursor::new(buf)).unwrap();
         assert_eq!(reparsed.len(), assembly.contigs.len());
         assert_eq!(
-            reparsed.records[0].seq.len(),
+            reparsed.records.get(0).unwrap().len(),
             assembly.contigs[0].len(),
             "sequences survive the FASTA round-trip"
         );

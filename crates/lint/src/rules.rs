@@ -22,6 +22,7 @@ const CODEC_FILES: &[&str] = &[
     "crates/core/src/checkpoint.rs",
     "crates/pregel/src/chain.rs",
     "crates/pregel/src/spill.rs",
+    "crates/seq/src/fastx.rs",
     "shims/serde/src/lib.rs",
 ];
 

@@ -160,6 +160,23 @@ fn question_mark_indexing_fires() {
 }
 
 #[test]
+fn the_fastx_decoder_is_a_codec_file() {
+    // Reads files a user hands in: a malformed header must be a typed parse
+    // error, not a slice-index panic.
+    let src = r#"
+pub fn name(header: &str) -> &str {
+    header[1..].split_whitespace().next().unwrap_or("")
+}
+pub fn name_checked(header: &[u8]) -> &[u8] {
+    header.get(1..).unwrap_or_default()
+}
+"#;
+    let diags = diags_for("crates/seq/src/fastx.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::PanicFreeCodecs]);
+    assert_eq!(diags[0].line, 3);
+}
+
+#[test]
 fn non_indexing_brackets_are_quiet() {
     let src = r#"
 #[derive(Debug)]

@@ -10,12 +10,18 @@
 //!   error-correction operations remove, plus optional indels and `N` calls;
 //! * the number of reads is chosen to hit a target **coverage** (the paper's
 //!   datasets are 10–40×).
+//!
+//! Reads go straight into the [`ReadSet`]'s base slab; they carry names but
+//! no qualities (nothing downstream reads them, and
+//! [`ReadSet::write_fastq`] writes `I` filler), so an erroneous base is not
+//! marked in the output.
 
 use crate::genome::ReferenceGenome;
-use ppa_seq::{Base, FastxRecord, ReadSet};
+use ppa_seq::{Base, ReadSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Parameters of the read simulator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,21 +93,23 @@ impl ReadSimConfig {
         );
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n_reads = self.read_count(ref_len);
-        let mut records = Vec::with_capacity(n_reads);
+        let mut reads = ReadSet::with_base_capacity(n_reads * self.read_length);
         let ref_bases = reference.sequence.to_bases();
+        // Reused per-read buffers: the slab copies out of them.
+        let (mut template, mut seq, mut name) = (Vec::new(), Vec::new(), String::new());
 
         for read_idx in 0..n_reads {
             let start = rng.gen_range(0..=ref_len - self.read_length);
             let window = &ref_bases[start..start + self.read_length];
             let reverse = self.both_strands && rng.gen_bool(0.5);
-            let template: Vec<Base> = if reverse {
-                ppa_seq::base::reverse_complement(window)
+            template.clear();
+            if reverse {
+                template.extend(window.iter().rev().map(|b| b.complement()));
             } else {
-                window.to_vec()
-            };
+                template.extend_from_slice(window);
+            }
 
-            let mut seq: Vec<u8> = Vec::with_capacity(self.read_length + 4);
-            let mut qual: Vec<u8> = Vec::with_capacity(self.read_length + 4);
+            seq.clear();
             for &base in &template {
                 // Indels first (rare): deletion skips the base, insertion adds a
                 // random base before it.
@@ -112,12 +120,10 @@ impl ReadSimConfig {
                     } else {
                         // insertion
                         seq.push(random_base(&mut rng).to_ascii());
-                        qual.push(b'#');
                     }
                 }
                 if self.n_rate > 0.0 && rng.gen_bool(self.n_rate) {
                     seq.push(b'N');
-                    qual.push(b'!');
                     continue;
                 }
                 let emitted =
@@ -127,17 +133,14 @@ impl ReadSimConfig {
                         base
                     };
                 seq.push(emitted.to_ascii());
-                qual.push(if emitted == base { b'I' } else { b'#' });
             }
 
             let strand = if reverse { '-' } else { '+' };
-            records.push(FastxRecord::new_fastq(
-                format!("sim_{read_idx}:{start}:{strand}"),
-                seq,
-                qual,
-            ));
+            name.clear();
+            write!(name, "sim_{read_idx}:{start}:{strand}").expect("writing to a String");
+            reads.push(name.as_bytes(), &seq);
         }
-        ReadSet::from_records(records)
+        reads
     }
 }
 
@@ -159,6 +162,15 @@ fn substitute(rng: &mut StdRng, original: Base) -> Base {
 mod tests {
     use super::*;
     use crate::genome::GenomeConfig;
+
+    /// Field `i` of a `sim_<index>:<start>:<strand>` read name.
+    fn name_field(name: &[u8], i: usize) -> &str {
+        std::str::from_utf8(name)
+            .unwrap()
+            .split(':')
+            .nth(i)
+            .unwrap()
+    }
 
     fn small_reference() -> ReferenceGenome {
         GenomeConfig {
@@ -205,9 +217,9 @@ mod tests {
         for r in &reads.records {
             // Read id encodes the start position; the sequence must be an exact
             // substring of the reference.
-            let start: usize = r.id.split(':').nth(1).unwrap().parse().unwrap();
+            let start: usize = name_field(r.name, 1).parse().unwrap();
             let window = &ref_ascii[start..start + 50];
-            assert_eq!(std::str::from_utf8(&r.seq).unwrap(), window);
+            assert_eq!(std::str::from_utf8(r.seq).unwrap(), window);
         }
     }
 
@@ -220,11 +232,10 @@ mod tests {
         let mut reverse = 0usize;
         let ref_ascii = reference.sequence.to_ascii();
         for r in &reads.records {
-            let parts: Vec<&str> = r.id.split(':').collect();
-            let start: usize = parts[1].parse().unwrap();
+            let start: usize = name_field(r.name, 1).parse().unwrap();
             let window = &ref_ascii[start..start + 60];
-            let seq = std::str::from_utf8(&r.seq).unwrap().to_string();
-            if parts[2] == "+" {
+            let seq = std::str::from_utf8(r.seq).unwrap().to_string();
+            if name_field(r.name, 2) == "+" {
                 assert_eq!(seq, window);
                 forward += 1;
             } else {
@@ -255,7 +266,7 @@ mod tests {
         let mut mismatches = 0usize;
         let mut total = 0usize;
         for r in &reads.records {
-            let start: usize = r.id.split(':').nth(1).unwrap().parse().unwrap();
+            let start: usize = name_field(r.name, 1).parse().unwrap();
             let window = &ref_ascii.as_bytes()[start..start + 100];
             for (a, b) in r.seq.iter().zip(window) {
                 total += 1;

@@ -31,5 +31,5 @@ pub use base::Base;
 pub use dna_string::DnaString;
 pub use edit::{banded_edit_distance, edit_distance};
 pub use error::SeqError;
-pub use fastx::{FastxRecord, ReadSet};
+pub use fastx::{Read, ReadSet, ReadSlab};
 pub use kmer::{CanonicalKmer, Kmer, Orientation};

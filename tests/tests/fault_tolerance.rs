@@ -310,6 +310,50 @@ fn damaged_or_foreign_snapshots_error_without_panicking() {
         "got {err:?}"
     );
 
+    // The same reads with one name byte changed, or with the same bases and
+    // names but the first read boundary moved one base → Mismatch as well.
+    let bases = reads.records.bases();
+    let mut ends: Vec<usize> = reads
+        .records
+        .base_ends()
+        .iter()
+        .map(|&e| e as usize)
+        .collect();
+    ends[0] += 1;
+    let moved: ReadSet = reads
+        .records
+        .iter()
+        .zip(&ends)
+        .scan(0, |start, (read, &end)| {
+            let seq = &bases[*start..end];
+            *start = end;
+            Some((read.name, seq))
+        })
+        .collect();
+    let renamed: ReadSet = reads
+        .records
+        .iter()
+        .enumerate()
+        .map(|(i, read)| {
+            let mut name = read.name.to_vec();
+            if i == 1 {
+                name[0] ^= 1;
+            }
+            (name, read.seq)
+        })
+        .collect();
+    for (case, foreign) in [("moved boundary", &moved), ("renamed read", &renamed)] {
+        assert_eq!(foreign.records.bases().len(), bases.len(), "{case}");
+        let err = Pipeline::paper_workflow(&config())
+            .resume(&tmp.0, foreign, &ctx)
+            .expect_err(case);
+        assert!(
+            matches!(&err, PipelineError::Checkpoint(CheckpointError::Mismatch { what, .. })
+                if what == "input reads"),
+            "{case}: got {err:?}"
+        );
+    }
+
     // A pipeline with different parameters → fingerprint Mismatch.
     let other_config = AssemblyConfig {
         tip_length_threshold: 40,

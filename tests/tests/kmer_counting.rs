@@ -10,10 +10,11 @@ use ppa_pregel::mapreduce::{map_reduce_partitioned_on, Emitter};
 use ppa_pregel::{ExecCtx, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::kmer::{CanonicalScanner, SuperKmerScanner};
-use ppa_seq::{Base, FastxRecord, Kmer, ReadSet};
+use ppa_seq::{Base, Kmer, ReadSet};
 use ppa_tests::our_spill_dirs;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // (a) differential against a HashMap
@@ -82,13 +83,11 @@ fn generated_reads(seed: u64) -> ReadSet {
         }
         reads.push(read);
     }
-    ReadSet::from_records(
-        reads
-            .into_iter()
-            .enumerate()
-            .map(|(i, seq)| FastxRecord::new_fasta(format!("r{i}"), seq))
-            .collect(),
-    )
+    reads
+        .into_iter()
+        .enumerate()
+        .map(|(i, seq)| (format!("r{i}"), seq))
+        .collect()
 }
 
 /// The plain count: every ACGT-only window of k+1 bases, canonicalised by
@@ -145,7 +144,7 @@ fn the_generator_plants_what_it_promises() {
     // Guards the differential above against a generator that quietly stops
     // producing the hard cases.
     let reads = generated_reads(7);
-    let has = |f: &dyn Fn(&[u8]) -> bool| reads.records.iter().any(|r| f(&r.seq));
+    let has = |f: &dyn Fn(&[u8]) -> bool| reads.records.iter().any(|r| f(r.seq));
     assert!(has(&|s| s.contains(&b'N')));
     assert!(has(&|s| s.iter().any(u8::is_ascii_lowercase)));
     assert!(has(&|s| s.len() < 4));
@@ -155,12 +154,12 @@ fn the_generator_plants_what_it_promises() {
         .count();
     assert!(palindromes > 0, "no palindromic 4-mer in the reads");
     let set: std::collections::HashSet<Vec<u8>> =
-        reads.records.iter().map(|r| r.seq.clone()).collect();
+        reads.records.iter().map(|r| r.seq.to_vec()).collect();
     assert!(
         reads
             .records
             .iter()
-            .any(|r| r.seq.len() > 8 && set.contains(&reverse_complement(&r.seq))),
+            .any(|r| r.seq.len() > 8 && set.contains(&reverse_complement(r.seq))),
         "no reverse-complement duplicate read"
     );
 }
@@ -179,14 +178,18 @@ fn mapreduce_construct(
     config: &ConstructConfig,
 ) -> (Vec<(u64, u32)>, u64, Vec<KmerVertex>) {
     let (k, theta) = (config.k, config.min_coverage);
-    let batches: Vec<&[FastxRecord]> = reads.records.chunks(config.batch_size).collect();
+    let batches: Vec<Range<usize>> = reads.records.chunk_ranges(config.batch_size).collect();
     let (counted, phase1) = map_reduce_partitioned_on(
         ctx,
         batches,
-        |batch: &[FastxRecord], out: &mut Emitter<'_, u64, u32>| {
+        |batch: Range<usize>, out: &mut Emitter<'_, u64, u32>| {
             let mut scanner = CanonicalScanner::new(k + 1).unwrap();
             let mut kmers = Vec::new();
-            for segment in batch.iter().flat_map(|read| read.acgt_segments()) {
+            for segment in reads
+                .records
+                .range(batch)
+                .flat_map(|read| read.acgt_segments())
+            {
                 scanner.reset();
                 for &c in segment {
                     let base = Base::from_ascii_checked(c).unwrap();
@@ -305,7 +308,7 @@ fn record_bytes(reads: &ReadSet, k: usize) -> u64 {
     let scanner = SuperKmerScanner::new(k + 1).unwrap();
     let mut records = 0u64;
     for read in &reads.records {
-        scanner.scan(&read.seq, |_| records += 1);
+        scanner.scan(read.seq, |_| records += 1);
     }
     16 * records
 }

@@ -18,7 +18,7 @@ use ppa_assembler::{AsmNode, Direction, Edge, Polarity, Side, VertexType};
 use ppa_pregel::aggregate::{BoolOr, Count};
 use ppa_pregel::algorithms::connected_components;
 use ppa_pregel::{run_from_pairs, Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};
-use ppa_seq::{DnaString, FastxRecord, Kmer, ReadSet};
+use ppa_seq::{DnaString, Kmer, ReadSet};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -402,12 +402,11 @@ fn reference_label_sv(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
 // ---------------------------------------------------------------------------
 
 fn nodes_from_reads(seqs: &[&str], k: usize) -> Vec<AsmNode> {
-    let reads = ReadSet::from_records(
-        seqs.iter()
-            .enumerate()
-            .map(|(i, s)| FastxRecord::new_fasta(format!("r{i}"), s.as_bytes().to_vec()))
-            .collect(),
-    );
+    let reads = seqs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (format!("r{i}"), s))
+        .collect::<ReadSet>();
     let config = ConstructConfig {
         k,
         min_coverage: 0,

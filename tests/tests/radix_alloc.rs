@@ -5,14 +5,18 @@
 //! per-superstep allocation. The dense plane makes the same promise for its
 //! job-local outboxes, CSR offsets and inbox: past the first supersteps of a
 //! job, a superstep costs the pool's two phase hand-offs and nothing that
-//! grows with the job.
+//! grows with the job. The FASTA/FASTQ parser promises no per-read
+//! allocation: its columns grow geometrically and its line buffers are
+//! reused, so 10 000 reads cost a few reallocations more than 100.
 //!
 //! This file must stay a single-test binary: the counting allocator below is
 //! process-global, and a concurrently running test would pollute the count.
 
 use ppa_pregel::aggregate::NoAggregate;
 use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, PregelConfig, VertexProgram};
+use ppa_seq::ReadSet;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -85,6 +89,40 @@ fn dense_job_allocations(ctx: &ExecCtx, ranks: u32, laps: usize) -> u64 {
     allocations
 }
 
+/// `reads` FASTQ and FASTA records of 150 bases under multi-field headers,
+/// the FASTA wrapped at 60 columns.
+fn reads_files(reads: usize) -> (String, String) {
+    let (mut fastq, mut fasta) = (String::new(), String::new());
+    for i in 0..reads {
+        let seq: String = (0..150)
+            .map(|j| ['A', 'C', 'G', 'T'][(i * 7 + j * j) % 4])
+            .collect();
+        fastq += &format!("@read_{i} lane=1\n{seq}\n+\n{}\n", "I".repeat(150));
+        fasta += &format!(
+            ">read_{i} lane=1\n{}\n{}\n{}\n",
+            &seq[..60],
+            &seq[60..120],
+            &seq[120..]
+        );
+    }
+    (fastq, fasta)
+}
+
+/// Heap allocations of parsing `reads` records, FASTQ and FASTA (input
+/// construction not counted).
+fn parse_allocations(reads: usize) -> (u64, u64) {
+    let (fastq, fasta) = reads_files(reads);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let parsed = ReadSet::read_fastq(Cursor::new(fastq.as_bytes())).unwrap();
+    let fastq_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(parsed.len(), reads);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let parsed = ReadSet::read_fasta(Cursor::new(fasta.as_bytes())).unwrap();
+    let fasta_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(parsed.total_bases(), 150 * reads);
+    (fastq_allocations, fasta_allocations)
+}
+
 #[test]
 fn steady_state_radix_sort_is_allocation_free() {
     const N: u64 = 100_000;
@@ -129,4 +167,19 @@ fn steady_state_radix_sort_is_allocation_free() {
         "a steady-state dense superstep must not allocate per vertex or message"
     );
     assert!(small <= 24, "two phase hand-offs, got {small} allocations");
+
+    // The read slab: four columns doubling from empty reallocate about
+    // log2(100) = 7 times more each for 100x the reads; one allocation per
+    // read would be ~10 000 more.
+    let (fastq_small, fasta_small) = parse_allocations(100);
+    let (fastq_large, fasta_large) = parse_allocations(10_000);
+    for (format, small, large) in [
+        ("FASTQ", fastq_small, fastq_large),
+        ("FASTA", fasta_small, fasta_large),
+    ] {
+        assert!(
+            large <= small + 40,
+            "{format}: 10 000 reads cost {large} allocations, 100 reads {small}"
+        );
+    }
 }
