@@ -175,9 +175,7 @@ impl Assembler for AbyssLike {
         let counts = count_canonical_kmers_on(&ctx, reads, k, params.min_kmer_coverage);
 
         // Probe phase: existence-based edges.
-        let config = PregelConfig::with_workers(params.workers)
-            .max_supersteps(2_000_000)
-            .exec_ctx(ctx.clone());
+        let config = PregelConfig::default().max_supersteps(2_000_000);
         let probe_pairs = counts.iter().map(|(&packed, &count)| {
             (
                 packed,
@@ -188,8 +186,8 @@ impl Assembler for AbyssLike {
             )
         });
         let mut probe_set: VertexSet<u64, ProbeState> =
-            VertexSet::from_pairs(config.workers, probe_pairs);
-        let probe_metrics = ppa_pregel::run(&ProbeProgram, &config, &mut probe_set);
+            VertexSet::from_pairs(ctx.workers(), probe_pairs);
+        let probe_metrics = ppa_pregel::run_on(&ctx, &ProbeProgram, &config, &mut probe_set);
 
         let nodes: Vec<AsmNode> = probe_set
             .into_pairs()
@@ -209,8 +207,8 @@ impl Assembler for AbyssLike {
             )
         });
         let mut prop_set: VertexSet<u64, PropState> =
-            VertexSet::from_pairs(config.workers, prop_pairs);
-        let prop_metrics = ppa_pregel::run(&PropProgram, &config, &mut prop_set);
+            VertexSet::from_pairs(ctx.workers(), prop_pairs);
+        let prop_metrics = ppa_pregel::run_on(&ctx, &PropProgram, &config, &mut prop_set);
 
         let labels: Vec<(u64, u64)> = prop_set
             .into_pairs()

@@ -34,7 +34,7 @@ pub fn count_canonical_kmers_on(
         return HashMap::new();
     }
     let batches: Vec<Range<usize>> = reads.records.chunk_ranges(512).collect();
-    let counted = map_reduce_on(
+    let (counted, _) = map_reduce_on(
         ctx,
         batches,
         |batch: Range<usize>, out: &mut Emitter<'_, u64, u32>| {
@@ -58,14 +58,14 @@ pub fn count_canonical_kmers_on(
                 out.emit(key, count);
             }
         },
-        |key: &u64, counts: &mut [u32], out: &mut Vec<(u64, u32)>| {
+        |_w: usize, key: &u64, counts: &mut [u32], out: &mut Vec<(u64, u32)>| {
             let total: u32 = counts.iter().sum();
             if total > min_coverage {
                 out.push((*key, total));
             }
         },
     );
-    counted.into_iter().collect()
+    counted.into_iter().flatten().collect()
 }
 
 /// Renders a packed k-mer back into a [`Kmer`].

@@ -5,10 +5,13 @@
 //!
 //! Usage: `cargo run -p ppa-bench --release --bin ablation_chaining -- --dataset sim-hc2 --scale 0.1`
 
-use ppa_assembler::ops::construct::{build_dbg, ConstructConfig};
-use ppa_assembler::ops::label::label_contigs_lr;
+use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
+use ppa_assembler::ops::label::label_contigs_lr_on;
 use ppa_bench::{print_table, secs, HarnessArgs};
-use ppa_pregel::chain::{spill_roundtrip, SpillCodec};
+use ppa_pregel::spill::{
+    decode_spill_stream, encode_spill_bytes, read_spill_file, write_spill_file, SpillError,
+};
+use ppa_pregel::{ExecCtx, SpillCodec};
 use std::time::Instant;
 
 /// Spill codec for the compact k-mer vertex: ID plus bitmap plus coverages.
@@ -43,18 +46,43 @@ impl SpillCodec for SpillVertex {
     }
 }
 
+/// Serialises `items` in the engine's spill format and parses them back —
+/// through a temporary file with `to_disk`, else in memory — returning the
+/// items read back and the bytes written.
+fn spill_roundtrip<T: SpillCodec>(
+    items: Vec<T>,
+    to_disk: bool,
+) -> Result<(Vec<T>, u64), SpillError> {
+    if to_disk {
+        let path =
+            std::env::temp_dir().join(format!("ppa-ablation-chaining-{}.bin", std::process::id()));
+        let bytes = write_spill_file(&path, &items)?;
+        drop(items);
+        let back = read_spill_file(&path);
+        let _ = std::fs::remove_file(&path);
+        Ok((back?, bytes))
+    } else {
+        let buf = encode_spill_bytes(&items);
+        drop(items);
+        Ok((
+            decode_spill_stream(buf.as_slice(), "<memory>")?,
+            buf.len() as u64,
+        ))
+    }
+}
+
 fn main() {
     let args = HarnessArgs::parse();
     let dataset = args.generate_dataset();
-    let workers = args.workers.last().copied().unwrap_or(4);
-    let construct = build_dbg(
+    let ctx = ExecCtx::new(args.workers.last().copied().unwrap_or(4));
+    let construct = build_dbg_on(
+        &ctx,
         &dataset.reads,
         &ConstructConfig {
             k: args.k,
             min_coverage: 1,
             batch_size: 1024,
         },
-        workers,
     );
 
     // In-memory hand-off (the PPA-assembler extension).
@@ -62,11 +90,11 @@ fn main() {
     let nodes = construct.to_nodes();
     let in_memory_convert = start.elapsed();
     let label_start = Instant::now();
-    let _ = label_contigs_lr(&nodes, workers);
+    let _ = label_contigs_lr_on(&ctx, &nodes);
     let label_elapsed = label_start.elapsed();
 
     // Emulated HDFS round-trip: serialise the vertices, parse them back, then
-    // convert. `SpillToDisk` additionally writes the bytes to a temp file.
+    // convert. The temp-file row additionally writes the bytes to disk.
     let mut rows = Vec::new();
     rows.push(vec![
         "in-memory convert (paper's extension)".into(),
@@ -83,13 +111,14 @@ fn main() {
                 coverages: v.adj.iter().map(|(_, c)| c).collect(),
             })
             .collect();
+        let records = spill_items.len();
         let start = Instant::now();
-        let (back, stats) =
+        let (back, bytes) =
             spill_roundtrip(spill_items, to_disk).expect("spill round-trip must succeed");
         let roundtrip = start.elapsed();
         assert_eq!(back.len(), construct.vertices.len());
         rows.push(vec![
-            format!("{label} ({} records, {} bytes)", stats.records, stats.bytes),
+            format!("{label} ({records} records, {bytes} bytes)"),
             secs(roundtrip + in_memory_convert),
             secs(roundtrip),
         ]);

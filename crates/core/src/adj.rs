@@ -90,6 +90,7 @@ impl EdgeSlot {
     /// Encodes the slot as the 8-bit adjacency item of Figure 8(b):
     /// `0 0 0 X X Y Z Z` with `XX` = base, `Y` = in/out, `ZZ` = polarity.
     #[inline]
+    // ppa_lint: allow(test-only-pub) Figure 8(b)'s encoding, which the tests pin to the paper's examples
     pub fn to_compact(&self) -> CompactNeighbor {
         CompactNeighbor(
             (self.base.code() << 3)
@@ -103,10 +104,12 @@ impl EdgeSlot {
 ///
 /// The value `0b1000_0000` is the NULL marker indicating a dead end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+// ppa_lint: allow(test-only-pub) Figure 8(b)'s 8-bit adjacency item, the paper's documented per-neighbour format
 pub struct CompactNeighbor(pub u8);
 
 impl CompactNeighbor {
     /// The NULL (dead-end) marker.
+    // ppa_lint: allow(test-only-pub) Figure 8(b)'s dead-end item
     pub const NULL: CompactNeighbor = CompactNeighbor(0b1000_0000);
 
     /// Whether this item is the NULL marker.

@@ -36,7 +36,7 @@
 //! The `MANIFEST` is written **last**: a crash mid-save leaves a snapshot
 //! without a manifest, which [`latest`] ignores, so a resumed run never sees
 //! a half-written checkpoint. On load, every section file is validated
-//! against the manifest's recorded length and striped [`checksum64`], and the
+//! against the manifest's recorded length and striped `checksum64`, and the
 //! decoders themselves never panic on malformed bytes — truncation and
 //! corruption surface as typed [`CheckpointError`]s. A manifest also records
 //! a fingerprint of the pipeline configuration and of the input reads, so
@@ -48,7 +48,7 @@
 //! the same way.
 //!
 //! After a successful save the pipeline keeps only the newest snapshot:
-//! [`save`] prunes every other `stage-*` subdirectory.
+//! [`save_with_reads_fingerprint`] prunes every other `stage-*` subdirectory.
 
 use crate::node::{AsmNode, Edge, NodeSeq};
 use crate::ops::label::LabelOutcome;
@@ -70,7 +70,7 @@ const MAGIC: [u8; 8] = *b"PPACKPT1";
 /// the out-of-core spill counters.
 const VERSION: u32 = 4;
 /// The manifest file name inside a snapshot directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
+const MANIFEST_FILE: &str = "MANIFEST";
 
 /// The section files of a snapshot, in write order.
 const SECTIONS: [&str; 5] = [
@@ -238,7 +238,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// multi-megabyte snapshots. Striping across four lanes processes 32 bytes
 /// per round with independent multiplies, roughly an order of magnitude
 /// faster, while a single flipped bit still changes the folded value.
-pub fn checksum64(bytes: &[u8]) -> u64 {
+fn checksum64(bytes: &[u8]) -> u64 {
     let mut lanes = CHECKSUM_LANES;
     // Panic-free word load: `chunks_exact(8)` guarantees 8 bytes, but the
     // codec rules ban `expect`, so assemble the word with a bounded copy.
@@ -310,7 +310,7 @@ fn fold_lanes(lanes: [u64; 4], len: usize) -> u64 {
 }
 
 /// Fingerprint of an input read set: the read count plus one striped
-/// [`checksum64`] per column of its slab — bases, names and both end-offset
+/// `checksum64` per column of its slab — bases, names and both end-offset
 /// columns, so a moved read boundary changes it even when the bases and
 /// names do not. A resumed run must present the same reads the checkpoint
 /// was taken from; this runs on every save *and* every load, so it must not
@@ -931,8 +931,8 @@ fn decode_output(file: &str, bytes: &[u8]) -> Result<Vec<Contig>, CheckpointErro
 // Save / load
 // ---------------------------------------------------------------------------
 
-/// Pipeline-side inputs to [`save`]: the resume point and the identity of the
-/// run taking the snapshot.
+/// Pipeline-side inputs to [`save_with_reads_fingerprint`]: the resume point
+/// and the identity of the run taking the snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointMeta {
     /// Number of flattened stages completed (names the snapshot directory).
@@ -950,18 +950,12 @@ pub struct CheckpointMeta {
 /// `MANIFEST` last, so a crash mid-save never leaves a loadable half-written
 /// snapshot; on success every older (or staler) `stage-*` sibling is pruned.
 /// Returns the snapshot directory.
-pub fn save(
-    dir: &Path,
-    state: &GraphState<'_>,
-    meta: &CheckpointMeta,
-) -> Result<PathBuf, CheckpointError> {
-    save_with_reads_fingerprint(dir, state, meta, reads_fingerprint(state.reads))
-}
-
-/// [`save`] with a precomputed [`reads_fingerprint`] of `state.reads`. The
-/// reads are immutable for the lifetime of a pipeline execution, so a caller
-/// saving many snapshots of the same run (e.g. `CheckpointPolicy::EveryStage`)
-/// fingerprints them once instead of re-hashing megabytes per stage.
+///
+/// `reads_fingerprint` is the precomputed [`reads_fingerprint`] of
+/// `state.reads`. The reads are immutable for the lifetime of a pipeline
+/// execution, so a caller saving many snapshots of the same run (e.g.
+/// `CheckpointPolicy::EveryStage`) fingerprints them once instead of
+/// re-hashing megabytes per stage.
 pub fn save_with_reads_fingerprint(
     dir: &Path,
     state: &GraphState<'_>,
@@ -1148,6 +1142,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Saves `state` with its reads fingerprinted on the spot.
+    fn save(
+        dir: &Path,
+        state: &GraphState<'_>,
+        meta: &CheckpointMeta,
+    ) -> Result<PathBuf, CheckpointError> {
+        save_with_reads_fingerprint(dir, state, meta, reads_fingerprint(state.reads))
+    }
+
     /// A deterministic SplitMix64 for building arbitrary states from a seed.
     struct Mix(u64);
 
@@ -1167,7 +1170,9 @@ mod tests {
 
     fn arb_dna(mix: &mut Mix, max_len: u64) -> DnaString {
         let len = mix.below(max_len + 1) as usize;
-        DnaString::from_bases_iter((0..len).map(|_| ppa_seq::Base::from_code((mix.below(4)) as u8)))
+        (0..len)
+            .map(|_| ppa_seq::Base::from_code((mix.below(4)) as u8))
+            .collect::<DnaString>()
     }
 
     fn arb_node(mix: &mut Mix) -> AsmNode {

@@ -24,7 +24,7 @@
 //! leaves bit 62 of a contig ID clear. Contig ordinals also start at 1 so that
 //! no contig ID equals NULL.
 
-use ppa_seq::{Kmer, SeqError};
+use ppa_seq::Kmer;
 
 /// The dummy neighbour ID marking a dead end (Figure 7b).
 pub const NULL_ID: u64 = 1 << 63;
@@ -51,11 +51,6 @@ pub fn kmer_id(kmer: &Kmer) -> u64 {
     kmer.packed()
 }
 
-/// Reconstructs the k-mer encoded in a k-mer vertex ID.
-pub fn kmer_from_id(id: u64, k: usize) -> Result<Kmer, SeqError> {
-    Kmer::from_packed(id & !CONTIG_MARK, k)
-}
-
 /// Builds a contig vertex ID from the worker that created it and its ordinal
 /// on that worker (1-based).
 ///
@@ -76,16 +71,6 @@ pub fn contig_id(worker: u32, ordinal: u32) -> u64 {
     CONTIG_MARK | ((worker as u64) << ORDINAL_BITS) | ordinal as u64
 }
 
-/// Extracts `(worker, ordinal)` from a contig ID.
-#[inline]
-pub fn contig_parts(id: u64) -> (u32, u32) {
-    debug_assert!(is_contig_id(id));
-    (
-        ((id >> ORDINAL_BITS) & WORKER_MASK) as u32,
-        (id & 0xFFFF_FFFF) as u32,
-    )
-}
-
 /// Whether `id` is the NULL dummy neighbour.
 #[inline]
 pub fn is_null(id: u64) -> bool {
@@ -98,29 +83,22 @@ pub fn is_contig_id(id: u64) -> bool {
     id & CONTIG_MARK != 0 && !is_null(id)
 }
 
-/// Whether `id` identifies a k-mer vertex.
-#[inline]
-pub fn is_kmer_id(id: u64) -> bool {
-    id & CONTIG_MARK == 0
-}
-
-/// Renders an ID for debugging: `kmer:<packed>`, `contig:<worker>/<ordinal>`
-/// or `NULL`.
-pub fn describe(id: u64) -> String {
-    if is_null(id) {
-        "NULL".to_string()
-    } else if is_contig_id(id) {
-        let (w, o) = contig_parts(id);
-        format!("contig:{w}/{o}")
-    } else {
-        format!("kmer:{id:#x}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_seq::Kmer;
+
+    /// Whether `id` identifies a k-mer vertex.
+    fn is_kmer_id(id: u64) -> bool {
+        id & CONTIG_MARK == 0
+    }
+
+    /// Extracts `(worker, ordinal)` from a contig ID.
+    fn contig_parts(id: u64) -> (u32, u32) {
+        (
+            ((id >> ORDINAL_BITS) & WORKER_MASK) as u32,
+            (id & 0xFFFF_FFFF) as u32,
+        )
+    }
 
     #[test]
     fn kmer_id_matches_packed_encoding() {
@@ -132,7 +110,7 @@ mod tests {
         assert!(is_kmer_id(id));
         assert!(!is_contig_id(id));
         assert!(!is_null(id));
-        assert_eq!(kmer_from_id(id, 5).unwrap(), k);
+        assert_eq!(Kmer::from_packed(id, 5).unwrap(), k);
     }
 
     #[test]
@@ -169,13 +147,5 @@ mod tests {
         assert!(is_contig_id(contig) && !is_kmer_id(contig));
         assert_ne!(contig, NULL_ID);
         assert_ne!(kmer, NULL_ID);
-    }
-
-    #[test]
-    fn describe_is_readable() {
-        assert_eq!(describe(NULL_ID), "NULL");
-        assert!(describe(contig_id(2, 9)).contains("contig:2/9"));
-        let k = kmer_id(&Kmer::from_str_exact("ACGT").unwrap());
-        assert_eq!(describe(k), format!("kmer:{k:#x}"));
     }
 }

@@ -80,6 +80,5 @@ pub use pipeline::{
 pub use polarity::{Direction, Polarity, Side};
 pub use ppa_pregel::{CancelReason, JobControl};
 pub use workflow::{
-    assemble, assemble_with_checkpoints, assemble_with_control, read_input, read_input_path,
-    resume_assembly, try_assemble, Assembly, AssemblyConfig, Contig, LabelingAlgorithm,
+    assemble, read_input_path, try_assemble, Assembly, AssemblyConfig, Contig, LabelingAlgorithm,
 };

@@ -115,16 +115,7 @@ pub enum VertexType {
     Branch,
 }
 
-impl VertexType {
-    /// Whether the vertex may be merged into a contig.
-    #[inline]
-    pub fn is_unambiguous(&self) -> bool {
-        matches!(
-            self,
-            VertexType::One | VertexType::OneOne | VertexType::Isolated
-        )
-    }
-}
+impl VertexType {}
 
 /// A node of the assembly graph: either a k-mer vertex or a contig vertex.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -161,16 +152,6 @@ impl AsmNode {
             coverage,
             edges: Vec::new(),
         }
-    }
-
-    /// Whether this node is a contig vertex.
-    pub fn is_contig(&self) -> bool {
-        matches!(self.seq, NodeSeq::Contig(_))
-    }
-
-    /// Whether this node is a k-mer vertex.
-    pub fn is_kmer(&self) -> bool {
-        matches!(self.seq, NodeSeq::Kmer(_))
     }
 
     /// Sequence length in bases.
@@ -225,14 +206,6 @@ impl AsmNode {
     /// Adds an edge.
     pub fn push_edge(&mut self, edge: Edge) {
         self.edges.push(edge);
-    }
-
-    /// Removes every edge to the given neighbour, returning how many were
-    /// removed.
-    pub fn remove_edges_to(&mut self, neighbor: u64) -> usize {
-        let before = self.edges.len();
-        self.edges.retain(|e| e.neighbor != neighbor);
-        before - self.edges.len()
     }
 
     /// IDs of all real neighbours (possibly with duplicates for parallel edges).
@@ -345,7 +318,6 @@ mod tests {
     fn vertex_types_cover_all_cases() {
         let mut node = AsmNode::new_kmer(km("ACGTA"));
         assert_eq!(node.vertex_type(), VertexType::Isolated);
-        assert!(node.vertex_type().is_unambiguous());
 
         // One edge on the right → ⟨1⟩.
         node.push_edge(edge(10, Direction::Out, Polarity::LL, 3));
@@ -354,12 +326,10 @@ mod tests {
         // Add one on the left → ⟨1-1⟩.
         node.push_edge(edge(11, Direction::In, Polarity::LL, 2));
         assert_eq!(node.vertex_type(), VertexType::OneOne);
-        assert!(node.vertex_type().is_unambiguous());
 
         // A second edge on the right → ⟨m-n⟩.
         node.push_edge(edge(12, Direction::Out, Polarity::LH, 1));
         assert_eq!(node.vertex_type(), VertexType::Branch);
-        assert!(!node.vertex_type().is_unambiguous());
     }
 
     #[test]
@@ -382,7 +352,7 @@ mod tests {
         // One real neighbour → type ⟨1⟩ (a dangling contig = tip candidate).
         assert_eq!(contig.vertex_type(), VertexType::One);
         assert_eq!(contig.neighbor_ids(), vec![77]);
-        assert!(contig.is_contig() && !contig.is_kmer());
+        assert!(matches!(contig.seq, NodeSeq::Contig(_)));
     }
 
     #[test]
@@ -395,17 +365,6 @@ mod tests {
         assert_eq!(node.edges_on(Side::Left).count(), 1);
         assert_eq!(node.sole_edge_on(Side::Left).unwrap().neighbor, 11);
         assert!(node.sole_edge_on(Side::Right).is_none());
-    }
-
-    #[test]
-    fn remove_edges_to_neighbor() {
-        let mut node = AsmNode::new_kmer(km("ACGTA"));
-        node.push_edge(edge(10, Direction::Out, Polarity::LL, 3));
-        node.push_edge(edge(10, Direction::In, Polarity::HH, 1));
-        node.push_edge(edge(11, Direction::In, Polarity::LL, 2));
-        assert_eq!(node.remove_edges_to(10), 2);
-        assert_eq!(node.edges.len(), 1);
-        assert_eq!(node.remove_edges_to(99), 0);
     }
 
     #[test]
@@ -437,7 +396,7 @@ mod tests {
         let neighbors: Vec<String> = node
             .edges
             .iter()
-            .map(|e| ids::kmer_from_id(e.neighbor, 4).unwrap().to_string())
+            .map(|e| Kmer::from_packed(e.neighbor, 4).unwrap().to_string())
             .collect();
         assert!(neighbors.contains(&"CGGC".to_string()));
         assert!(neighbors.contains(&"CGTA".to_string()));

@@ -8,10 +8,10 @@
 //! contig when another contig of the same group is within a user-defined edit
 //! distance and has higher coverage.
 
-use crate::node::{AsmNode, NodeSeq};
+use crate::node::AsmNode;
 use crate::polarity::Direction;
 use ppa_pregel::fxhash::FxHashSet;
-use ppa_pregel::mapreduce::{map_reduce_with_metrics_on, Emitter, MapReduceMetrics};
+use ppa_pregel::mapreduce::{map_reduce_on, Emitter, MapReduceMetrics};
 use ppa_pregel::ExecCtx;
 use ppa_seq::{banded_edit_distance, DnaString};
 use serde::{Deserialize, Serialize};
@@ -34,6 +34,7 @@ impl Default for BubbleConfig {
 
 /// Output of bubble filtering.
 #[derive(Debug, Clone)]
+// ppa_lint: allow(test-only-pub) the return type of `filter_bubbles_on`
 pub struct BubbleOutcome {
     /// IDs of the contigs that were pruned.
     pub pruned: Vec<u64>,
@@ -54,16 +55,9 @@ struct Candidate {
     coverage: u32,
 }
 
-/// Runs bubble filtering over the given contig vertices and returns the list
-/// of pruned contig IDs. The caller removes them from its node set. (Private
-/// pool of `workers` threads; inside a workflow, prefer
-/// [`filter_bubbles_on`].)
-pub fn filter_bubbles(contigs: &[AsmNode], config: &BubbleConfig, workers: usize) -> BubbleOutcome {
-    filter_bubbles_on(&ExecCtx::new(workers), contigs, config)
-}
-
-/// Runs bubble filtering on a caller-provided execution context (the worker
-/// count is the context's pool size).
+/// Runs bubble filtering over the given contig vertices on `ctx`'s workers
+/// and returns the list of pruned contig IDs. The caller removes them from
+/// its node set.
 pub fn filter_bubbles_on(
     ctx: &ExecCtx,
     contigs: &[AsmNode],
@@ -71,7 +65,7 @@ pub fn filter_bubbles_on(
 ) -> BubbleOutcome {
     let max_dist = config.max_edit_distance;
     let inputs: Vec<&AsmNode> = contigs.iter().collect();
-    let (results, mapreduce) = map_reduce_with_metrics_on(
+    let (results, mapreduce) = map_reduce_on(
         ctx,
         inputs,
         |contig: &AsmNode, out: &mut Emitter<'_, (u64, u64), Candidate>| {
@@ -102,7 +96,7 @@ pub fn filter_bubbles_on(
                 _ => {}
             }
         },
-        |_key: &(u64, u64), group: &mut [Candidate], out: &mut Vec<(bool, Vec<u64>)>| {
+        |_w: usize, _key: &(u64, u64), group: &mut [Candidate], out: &mut Vec<(bool, Vec<u64>)>| {
             if group.len() < 2 {
                 out.push((false, Vec::new()));
                 return;
@@ -143,7 +137,7 @@ pub fn filter_bubbles_on(
 
     let mut pruned = Vec::new();
     let mut candidate_groups = 0usize;
-    for (is_candidate, ids) in results {
+    for (is_candidate, ids) in results.into_iter().flatten() {
         if is_candidate {
             candidate_groups += 1;
         }
@@ -160,12 +154,6 @@ pub fn filter_bubbles_on(
 pub fn remove_pruned(contigs: &mut Vec<AsmNode>, pruned: &[u64]) {
     let set: FxHashSet<u64> = pruned.iter().copied().collect();
     contigs.retain(|c| !set.contains(&c.id));
-}
-
-/// Returns `true` if the node is a contig with a sequence (helper for callers
-/// mixing k-mer and contig nodes).
-pub fn is_contig_node(node: &AsmNode) -> bool {
-    matches!(node.seq, NodeSeq::Contig(_))
 }
 
 #[cfg(test)]
@@ -219,7 +207,7 @@ mod tests {
         // differs by one substitution and has low coverage.
         let main = contig_between(1, "GGCACAATTAGG", 40, END_A, END_B);
         let error = contig_between(2, "GGCACTATTAGG", 2, END_A, END_B);
-        let out = filter_bubbles(&[main.clone(), error.clone()], &config(), 2);
+        let out = filter_bubbles_on(&ExecCtx::new(2), &[main.clone(), error.clone()], &config());
         assert_eq!(out.pruned, vec![error.id]);
         assert_eq!(out.candidate_groups, 1);
         let mut contigs = vec![main, error];
@@ -234,7 +222,7 @@ mod tests {
         // (e.g. a real biological variant) must both survive.
         let a = contig_between(1, "GGCACAATTAGGCCAATT", 40, END_A, END_B);
         let b = contig_between(2, "GGCATTTTGGGGTTTAAC", 3, END_A, END_B);
-        let out = filter_bubbles(&[a, b], &config(), 2);
+        let out = filter_bubbles_on(&ExecCtx::new(2), &[a, b], &config());
         assert!(out.pruned.is_empty());
         assert_eq!(out.candidate_groups, 1);
     }
@@ -243,7 +231,7 @@ mod tests {
     fn contigs_with_different_end_pairs_are_not_compared() {
         let a = contig_between(1, "GGCACAATTAGG", 40, END_A, END_B);
         let b = contig_between(2, "GGCACTATTAGG", 2, END_A, 300);
-        let out = filter_bubbles(&[a, b], &config(), 2);
+        let out = filter_bubbles_on(&ExecCtx::new(2), &[a, b], &config());
         assert!(out.pruned.is_empty());
         assert_eq!(out.candidate_groups, 0);
     }
@@ -258,7 +246,7 @@ mod tests {
             .unwrap()
             .reverse_complement();
         let error = contig_between(2, &rc_seq.to_ascii(), 2, END_B, END_A);
-        let out = filter_bubbles(&[main, error], &config(), 2);
+        let out = filter_bubbles_on(&ExecCtx::new(2), &[main, error], &config());
         assert_eq!(out.pruned.len(), 1);
     }
 
@@ -267,7 +255,7 @@ mod tests {
         let mut dangling = contig_between(1, "GGCACAATTAGG", 5, END_A, END_B);
         dangling.edges[1].neighbor = crate::ids::NULL_ID;
         let other = contig_between(2, "GGCACTATTAGG", 40, END_A, END_B);
-        let out = filter_bubbles(&[dangling, other], &config(), 2);
+        let out = filter_bubbles_on(&ExecCtx::new(2), &[dangling, other], &config());
         assert!(out.pruned.is_empty());
         assert_eq!(out.candidate_groups, 0);
     }
@@ -277,7 +265,7 @@ mod tests {
         let best = contig_between(1, "GGCACAATTAGG", 50, END_A, END_B);
         let worse = contig_between(2, "GGCACTATTAGG", 5, END_A, END_B);
         let worst = contig_between(3, "GGCACTATTCGG", 2, END_A, END_B);
-        let out = filter_bubbles(&[best.clone(), worse, worst], &config(), 2);
+        let out = filter_bubbles_on(&ExecCtx::new(2), &[best.clone(), worse, worst], &config());
         assert_eq!(out.pruned.len(), 2);
         assert!(!out.pruned.contains(&best.id));
     }
@@ -286,7 +274,7 @@ mod tests {
     fn equal_coverage_prunes_exactly_one() {
         let a = contig_between(1, "GGCACAATTAGG", 10, END_A, END_B);
         let b = contig_between(2, "GGCACTATTAGG", 10, END_A, END_B);
-        let out = filter_bubbles(&[a, b], &config(), 2);
+        let out = filter_bubbles_on(&ExecCtx::new(2), &[a, b], &config());
         assert_eq!(out.pruned.len(), 1);
     }
 
@@ -295,23 +283,15 @@ mod tests {
         // Both ends attach to the same ambiguous vertex: not a bubble candidate
         // (the paper requires two distinct neighbours nb1 < nb2).
         let a = contig_between(1, "GGCACAATTAGG", 10, END_A, END_A);
-        let out = filter_bubbles(&[a], &config(), 2);
+        let out = filter_bubbles_on(&ExecCtx::new(2), &[a], &config());
         assert!(out.pruned.is_empty());
         assert_eq!(out.candidate_groups, 0);
     }
 
     #[test]
     fn empty_input() {
-        let out = filter_bubbles(&[], &config(), 2);
+        let out = filter_bubbles_on(&ExecCtx::new(2), &[], &config());
         assert!(out.pruned.is_empty());
         assert_eq!(out.candidate_groups, 0);
-    }
-
-    #[test]
-    fn is_contig_node_helper() {
-        let c = contig_between(1, "ACGT", 1, END_A, END_B);
-        assert!(is_contig_node(&c));
-        let k = AsmNode::new_kmer(ppa_seq::Kmer::from_str_exact("ACGTA").unwrap());
-        assert!(!is_contig_node(&k));
     }
 }

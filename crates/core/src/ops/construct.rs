@@ -92,6 +92,7 @@ pub struct ConstructStats {
 
 /// Output of DBG construction: the k-mer vertices in their compact form.
 #[derive(Debug, Clone)]
+// ppa_lint: allow(test-only-pub) the return type of `build_dbg_on`
 pub struct ConstructOutcome {
     /// The k-mer vertices with packed adjacency.
     pub vertices: Vec<KmerVertex>,
@@ -119,18 +120,12 @@ impl ConstructOutcome {
     }
 }
 
-/// Runs DBG construction over a read set on a private pool of `workers`
-/// threads (inside a workflow, prefer [`build_dbg_on`] with the shared
-/// context).
-pub fn build_dbg(reads: &ReadSet, config: &ConstructConfig, workers: usize) -> ConstructOutcome {
-    build_dbg_on(&ExecCtx::new(workers), reads, config)
-}
-
 /// Phase (i) on its own: counts the canonical (k+1)-mers of `reads` on the
 /// context's pool and returns those seen more than `config.min_coverage`
 /// times with their counts (saturating at `u32::MAX`), partitioned by
 /// `hash(key) % workers` and key-sorted within each partition — the order in
 /// which [`build_dbg_on`] feeds them to phase (ii).
+// ppa_lint: allow(test-only-pub) phase (i) alone, the seam `tests/kmer_counting.rs` diffs against a reference count
 pub fn count_kplus1_mers_on(
     ctx: &ExecCtx,
     reads: &ReadSet,
@@ -246,7 +241,7 @@ mod tests {
     }
 
     fn dbg(reads: &ReadSet, config: &ConstructConfig) -> ConstructOutcome {
-        build_dbg(reads, config, 3)
+        build_dbg_on(&ExecCtx::new(3), reads, config)
     }
 
     #[test]
@@ -413,13 +408,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be in")]
     fn oversized_k_rejected() {
-        build_dbg(
+        build_dbg_on(
+            &ExecCtx::new(2),
             &ReadSet::new(),
             &ConstructConfig {
                 k: 32,
                 ..Default::default()
             },
-            2,
         );
     }
 

@@ -323,20 +323,12 @@ pub(crate) fn sole_neighbors(node: &AsmNode) -> Option<[Option<u64>; 2]> {
 }
 
 /// Labels every maximal unambiguous path using bidirectional list ranking,
-/// falling back to the simplified S-V algorithm for unambiguous cycles.
-/// (Private worker pool; inside a workflow, prefer [`label_contigs_lr_on`].)
-pub fn label_contigs_lr(nodes: &[AsmNode], workers: usize) -> LabelOutcome {
-    label_contigs_lr_on(&ExecCtx::new(workers), nodes)
-}
-
-/// [`label_contigs_lr`] on a caller-provided execution context: the
+/// falling back to the simplified S-V algorithm for unambiguous cycles. The
 /// translation into rank space, the list-ranking job (`RankDict::run_on`), its
-/// S-V cycle fallback and the translation back all run on the context's
-/// persistent pool (worker count = pool size).
+/// S-V cycle fallback and the translation back all run on `ctx`'s persistent
+/// pool (worker count = pool size).
 pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let config = PregelConfig::with_workers(ctx.workers())
-        .max_supersteps(4_000)
-        .exec_ctx(ctx.clone());
+    let config = PregelConfig::default().max_supersteps(4_000);
     let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id);
 
     // The states of the ranks each worker will hold, with the neighbour IDs
@@ -388,7 +380,7 @@ pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
     let used_cycle_fallback = stalled || !adjacency.is_empty();
     let (mut labels, ambiguous) = dict.read_back_on(ctx, &outcome);
     if !adjacency.is_empty() {
-        let (cycles, sv_metrics) = connected_components(adjacency, &config);
+        let (cycles, sv_metrics) = connected_components(ctx, adjacency, &config);
         metrics.absorb(&sv_metrics);
         // The cycles after the paths, as a job over the IDs left them.
         outcome.fill(UNRESOLVED);
@@ -411,7 +403,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::ids::kmer_id;
     use crate::node::{Edge, VertexType};
-    use crate::ops::construct::{build_dbg, ConstructConfig};
+    use crate::ops::construct::{build_dbg_on, ConstructConfig};
     use crate::polarity::{Direction, Polarity};
     use ppa_seq::{Kmer, ReadSet};
     use std::collections::{HashMap, HashSet};
@@ -422,14 +414,14 @@ pub(crate) mod tests {
             .enumerate()
             .map(|(i, s)| (format!("r{i}"), s))
             .collect::<ReadSet>();
-        build_dbg(
+        build_dbg_on(
+            &ExecCtx::new(2),
             &reads,
             &ConstructConfig {
                 k,
                 min_coverage: 0,
                 batch_size: 4,
             },
-            2,
         )
         .into_nodes()
     }
@@ -508,7 +500,7 @@ pub(crate) mod tests {
         // seven vertices share one label.
         let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
         assert_eq!(nodes.len(), 7);
-        let outcome = label_contigs_lr(&nodes, 3);
+        let outcome = label_contigs_lr_on(&ExecCtx::new(3), &nodes);
         assert!(outcome.ambiguous.is_empty());
         assert_eq!(outcome.labels.len(), 7);
         let groups = groups_of(&outcome);
@@ -538,7 +530,7 @@ pub(crate) mod tests {
         // Two reads diverge after a shared prefix; the fork vertex is ⟨m-n⟩ and
         // must not be labelled, and the branches get distinct labels.
         let nodes = nodes_from_reads(&["TTACTTGATCCG", "TTACTTGAACGG"], 5);
-        let outcome = label_contigs_lr(&nodes, 2);
+        let outcome = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
         assert!(
             !outcome.ambiguous.is_empty(),
             "the fork must create ambiguous vertices"
@@ -570,7 +562,7 @@ pub(crate) mod tests {
             ],
             5,
         );
-        let outcome = label_contigs_lr(&nodes, 3);
+        let outcome = label_contigs_lr_on(&ExecCtx::new(3), &nodes);
         assert_eq!(
             groups_sorted(&outcome),
             unambiguous_component_oracle(&nodes)
@@ -621,7 +613,7 @@ pub(crate) mod tests {
     fn cycle_falls_back_to_sv() {
         let nodes = synthetic_cycle(12);
         assert!(nodes.iter().all(|n| n.vertex_type() == VertexType::OneOne));
-        let outcome = label_contigs_lr(&nodes, 2);
+        let outcome = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
         assert!(
             outcome.used_cycle_fallback,
             "cycles require the S-V fallback"
@@ -641,7 +633,7 @@ pub(crate) mod tests {
         // must still match the component oracle.
         let mut nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
         nodes.extend(synthetic_cycle(8));
-        let outcome = label_contigs_lr(&nodes, 3);
+        let outcome = label_contigs_lr_on(&ExecCtx::new(3), &nodes);
         assert!(outcome.used_cycle_fallback);
         assert_eq!(
             groups_sorted(&outcome),
@@ -651,7 +643,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_input() {
-        let outcome = label_contigs_lr(&[], 2);
+        let outcome = label_contigs_lr_on(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
         assert!(outcome.ambiguous.is_empty());
         assert!(outcome.metrics.converged);
@@ -661,7 +653,7 @@ pub(crate) mod tests {
     fn two_vertex_path() {
         let nodes = nodes_from_reads(&["ACGGTC"], 5);
         assert_eq!(nodes.len(), 2);
-        let outcome = label_contigs_lr(&nodes, 1);
+        let outcome = label_contigs_lr_on(&ExecCtx::new(1), &nodes);
         assert_eq!(groups_of(&outcome).len(), 1);
         assert_eq!(outcome.labels.len(), 2);
     }

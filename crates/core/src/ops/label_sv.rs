@@ -30,13 +30,6 @@ use crate::ranks::RankDict;
 use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
 use ppa_pregel::{ExecCtx, Metrics, PregelConfig};
 
-/// Labels every maximal unambiguous path with the smallest vertex ID of the
-/// path, using the simplified S-V algorithm. (Private worker pool; inside a
-/// workflow, prefer [`label_contigs_sv_on`].)
-pub fn label_contigs_sv(nodes: &[AsmNode], workers: usize) -> LabelOutcome {
-    label_contigs_sv_on(&ExecCtx::new(workers), nodes)
-}
-
 /// Parents that are still being hooked are not contig labels.
 fn assert_converged(metrics: &Metrics) {
     assert!(
@@ -46,18 +39,17 @@ fn assert_converged(metrics: &Metrics) {
     );
 }
 
-/// [`label_contigs_sv`] on a caller-provided execution context: the
-/// translation into rank space, the S-V job and the translation back all run
-/// on the context's persistent pool (worker count = pool size).
+/// Labels every maximal unambiguous path with the smallest vertex ID of the
+/// path, using the simplified S-V algorithm. The translation into rank space,
+/// the S-V job and the translation back all run on `ctx`'s persistent pool
+/// (worker count = pool size).
 ///
 /// # Panics
 ///
 /// Panics if the job has not converged within its superstep budget.
 pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
     let workers = ctx.workers();
-    let config = PregelConfig::with_workers(workers)
-        .max_supersteps(4_000)
-        .exec_ctx(ctx.clone());
+    let config = PregelConfig::default().max_supersteps(4_000);
     let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id);
 
     // Per node, in node order, the ranks of its sole neighbours, or `None` for
@@ -113,7 +105,7 @@ pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
 
 #[cfg(test)]
 mod tests {
-    use super::super::label::label_contigs_lr;
+    use super::super::label::label_contigs_lr_on;
     use super::super::label::tests::{
         groups_sorted, nodes_from_reads, unambiguous_component_oracle,
     };
@@ -122,7 +114,7 @@ mod tests {
     #[test]
     fn sv_matches_oracle_on_simple_path() {
         let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
-        let outcome = label_contigs_sv(&nodes, 2);
+        let outcome = label_contigs_sv_on(&ExecCtx::new(2), &nodes);
         assert_eq!(
             groups_sorted(&outcome),
             unambiguous_component_oracle(&nodes)
@@ -142,8 +134,8 @@ mod tests {
         ];
         for seqs in inputs {
             let nodes = nodes_from_reads(&seqs, 5);
-            let lr = label_contigs_lr(&nodes, 2);
-            let sv = label_contigs_sv(&nodes, 2);
+            let lr = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
+            let sv = label_contigs_sv_on(&ExecCtx::new(2), &nodes);
             assert_eq!(
                 groups_sorted(&lr),
                 groups_sorted(&sv),
@@ -161,7 +153,7 @@ mod tests {
     fn sv_handles_cycles_without_fallback() {
         // S-V needs no special casing for cycles, unlike list ranking.
         let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
-        let outcome = label_contigs_sv(&nodes, 2);
+        let outcome = label_contigs_sv_on(&ExecCtx::new(2), &nodes);
         assert!(!outcome.used_cycle_fallback);
     }
 
@@ -186,8 +178,8 @@ mod tests {
                 .all(|n| n.vertex_type() != crate::node::VertexType::Branch),
             "the repeat-free genome must not create ambiguous vertices"
         );
-        let lr = label_contigs_lr(&nodes, 2);
-        let sv = label_contigs_sv(&nodes, 2);
+        let lr = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
+        let sv = label_contigs_sv_on(&ExecCtx::new(2), &nodes);
         assert!(!lr.used_cycle_fallback);
         assert_eq!(groups_sorted(&lr), groups_sorted(&sv));
         assert!(
@@ -212,14 +204,15 @@ mod tests {
         let path: Vec<(u32, Vec<u32>)> = (0..7u32)
             .map(|v| (v, (0..7u32).filter(|n| n.abs_diff(v) == 1).collect()))
             .collect();
-        let config = PregelConfig::with_workers(2).max_supersteps(6);
-        let (_, metrics) = ppa_pregel::algorithms::connected_components(path, &config);
+        let config = PregelConfig::default().max_supersteps(6);
+        let (_, metrics) =
+            ppa_pregel::algorithms::connected_components(&ExecCtx::new(2), path, &config);
         assert_converged(&metrics);
     }
 
     #[test]
     fn sv_empty_input() {
-        let outcome = label_contigs_sv(&[], 2);
+        let outcome = label_contigs_sv_on(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
         assert!(outcome.ambiguous.is_empty());
     }

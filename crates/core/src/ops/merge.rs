@@ -18,7 +18,7 @@ use crate::ids::contig_id;
 use crate::node::{AsmNode, Edge, NodeSeq};
 use crate::polarity::{Direction, Polarity, Side};
 use ppa_pregel::fxhash::{FxHashMap, FxHashSet};
-use ppa_pregel::mapreduce::{map_reduce_partitioned_on, Emitter, MapReduceMetrics};
+use ppa_pregel::mapreduce::{map_reduce_on, Emitter, MapReduceMetrics};
 use ppa_pregel::ExecCtx;
 use ppa_seq::{DnaString, Orientation};
 use serde::{Deserialize, Serialize};
@@ -43,6 +43,7 @@ impl Default for MergeConfig {
 
 /// Output of contig merging.
 #[derive(Debug, Clone)]
+// ppa_lint: allow(test-only-pub) the return type of `merge_contigs_on`
 pub struct MergeOutcome {
     /// The newly created contig vertices.
     pub contigs: Vec<AsmNode>,
@@ -260,21 +261,9 @@ pub(crate) fn stitch_group(
     })
 }
 
-/// Runs contig merging: groups the labelled vertices by label with a
-/// mini-MapReduce pass and stitches every group into a contig vertex.
-/// (Private pool of `workers` threads; inside a workflow, prefer
-/// [`merge_contigs_on`].)
-pub fn merge_contigs(
-    nodes: &[AsmNode],
-    labels: &[(u64, u64)],
-    config: &MergeConfig,
-    workers: usize,
-) -> MergeOutcome {
-    merge_contigs_on(&ExecCtx::new(workers), nodes, labels, config)
-}
-
-/// Runs contig merging on a caller-provided execution context (the worker
-/// count is the context's pool size).
+/// Runs contig merging on `ctx`'s workers: groups the labelled vertices by
+/// label with a mini-MapReduce pass and stitches every group into a contig
+/// vertex.
 pub fn merge_contigs_on(
     ctx: &ExecCtx,
     nodes: &[AsmNode],
@@ -286,7 +275,7 @@ pub fn merge_contigs_on(
     let k = config.k;
     let tip = config.tip_length_threshold;
 
-    let (per_worker, mapreduce) = map_reduce_partitioned_on(
+    let (per_worker, mapreduce) = map_reduce_on(
         ctx,
         inputs,
         |(node_id, label): (u64, u64), out: &mut Emitter<'_, u64, &AsmNode>| {
@@ -332,7 +321,7 @@ mod tests {
     use super::*;
     use crate::ids::is_contig_id;
     use crate::node::VertexType;
-    use crate::ops::label::label_contigs_lr;
+    use crate::ops::label::label_contigs_lr_on;
     use crate::ops::label::tests::nodes_from_reads;
     use std::collections::HashSet;
 
@@ -345,8 +334,8 @@ mod tests {
 
     fn assemble_single_contig(reads: &[&str], k: usize) -> AsmNode {
         let nodes = nodes_from_reads(reads, k);
-        let labels = label_contigs_lr(&nodes, 2);
-        let out = merge_contigs(&nodes, &labels.labels, &merge_cfg(k, 0), 3);
+        let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
+        let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &labels.labels, &merge_cfg(k, 0));
         assert_eq!(out.contigs.len(), 1, "expected exactly one contig");
         out.contigs.into_iter().next().unwrap()
     }
@@ -417,8 +406,8 @@ mod tests {
         // Fork: shared prefix then two branches. The branch contigs must point
         // at the ambiguous fork vertex.
         let nodes = nodes_from_reads(&["TTACTTGATCCGTT", "TTACTTGAACGGTT"], 5);
-        let labels = label_contigs_lr(&nodes, 2);
-        let out = merge_contigs(&nodes, &labels.labels, &merge_cfg(5, 0), 3);
+        let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
+        let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &labels.labels, &merge_cfg(5, 0));
         assert!(out.contigs.len() >= 2);
         let ambiguous: HashSet<u64> = labels.ambiguous.iter().copied().collect();
         // At least one contig must have a real (ambiguous) neighbour, and all
@@ -442,15 +431,15 @@ mod tests {
     #[test]
     fn short_dangling_groups_are_dropped_as_tips() {
         let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
-        let labels = label_contigs_lr(&nodes, 2);
+        let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
         // The single 10 bp contig dangles on both sides; with a threshold of 80
         // it is discarded.
-        let out = merge_contigs(&nodes, &labels.labels, &merge_cfg(4, 80), 3);
+        let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &labels.labels, &merge_cfg(4, 80));
         assert_eq!(out.contigs.len(), 0);
         assert_eq!(out.dropped_tips, 1);
         assert_eq!(out.groups, 1);
         // With threshold 0 it is kept.
-        let kept = merge_contigs(&nodes, &labels.labels, &merge_cfg(4, 0), 3);
+        let kept = merge_contigs_on(&ExecCtx::new(3), &nodes, &labels.labels, &merge_cfg(4, 0));
         assert_eq!(kept.contigs.len(), 1);
         assert_eq!(kept.dropped_tips, 0);
     }
@@ -461,8 +450,8 @@ mod tests {
         // fallback, then merge it: the contig must contain every member and
         // have NULL ends.
         let nodes = crate::ops::label::tests::synthetic_cycle(12);
-        let labels = label_contigs_lr(&nodes, 2);
-        let out = merge_contigs(&nodes, &labels.labels, &merge_cfg(6, 0), 3);
+        let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
+        let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &labels.labels, &merge_cfg(6, 0));
         assert_eq!(out.contigs.len(), 1);
         let contig = &out.contigs[0];
         assert_eq!(contig.vertex_type(), VertexType::Isolated);
@@ -474,7 +463,7 @@ mod tests {
     #[test]
     fn empty_labels_produce_no_contigs() {
         let nodes = nodes_from_reads(&["CTGCCGT"], 4);
-        let out = merge_contigs(&nodes, &[], &merge_cfg(4, 0), 3);
+        let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &[], &merge_cfg(4, 0));
         assert!(out.contigs.is_empty());
         assert_eq!(out.groups, 0);
     }
@@ -482,8 +471,8 @@ mod tests {
     #[test]
     fn contig_ids_are_unique_and_contig_typed() {
         let nodes = nodes_from_reads(&["TTACTTGATCCGTT", "TTACTTGAACGGTT", "GGCATTACTTGA"], 5);
-        let labels = label_contigs_lr(&nodes, 2);
-        let out = merge_contigs(&nodes, &labels.labels, &merge_cfg(5, 0), 3);
+        let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
+        let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &labels.labels, &merge_cfg(5, 0));
         let ids: HashSet<u64> = out.contigs.iter().map(|c| c.id).collect();
         assert_eq!(ids.len(), out.contigs.len(), "contig IDs must be unique");
         assert!(ids.iter().all(|id| is_contig_id(*id)));

@@ -15,9 +15,9 @@ pub mod label_sv;
 pub mod merge;
 pub mod tip;
 
-pub use bubble::{filter_bubbles, filter_bubbles_on, BubbleConfig, BubbleOutcome};
-pub use construct::{build_dbg, build_dbg_on, ConstructConfig, ConstructOutcome};
-pub use label::{label_contigs_lr, label_contigs_lr_on, LabelOutcome};
-pub use label_sv::{label_contigs_sv, label_contigs_sv_on};
-pub use merge::{merge_contigs, merge_contigs_on, MergeConfig, MergeOutcome};
-pub use tip::{remove_tips, remove_tips_on, TipConfig, TipOutcome};
+pub use bubble::{filter_bubbles_on, BubbleConfig, BubbleOutcome};
+pub use construct::{build_dbg_on, ConstructConfig, ConstructOutcome};
+pub use label::{label_contigs_lr_on, LabelOutcome};
+pub use label_sv::label_contigs_sv_on;
+pub use merge::{merge_contigs_on, MergeConfig, MergeOutcome};
+pub use tip::{remove_tips_on, TipConfig, TipOutcome};

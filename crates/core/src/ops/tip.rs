@@ -49,6 +49,7 @@ impl Default for TipConfig {
 
 /// Output of tip removing.
 #[derive(Debug, Clone)]
+// ppa_lint: allow(test-only-pub) the return type of `remove_tips_on`
 pub struct TipOutcome {
     /// Surviving ambiguous k-mer vertices, with adjacency rebuilt in terms of
     /// surviving k-mers and contigs (ready for the next labeling round).
@@ -409,29 +410,15 @@ impl VertexProgram for TipProgram {
 }
 
 /// Runs tip removing over the ambiguous k-mer vertices and the contig vertices
-/// produced by merging (after bubble filtering). (Private pool of `workers`
-/// threads; inside a workflow, prefer [`remove_tips_on`].)
-pub fn remove_tips(
-    ambiguous_kmers: &[AsmNode],
-    contigs: &[AsmNode],
-    config: &TipConfig,
-    workers: usize,
-) -> TipOutcome {
-    remove_tips_on(&ExecCtx::new(workers), ambiguous_kmers, contigs, config)
-}
-
-/// Runs tip removing on a caller-provided execution context: the underlying
-/// Pregel job executes on the context's persistent pool (worker count = pool
-/// size).
+/// produced by merging (after bubble filtering). The Pregel job executes on
+/// `ctx`'s persistent pool (worker count = pool size).
 pub fn remove_tips_on(
     ctx: &ExecCtx,
     ambiguous_kmers: &[AsmNode],
     contigs: &[AsmNode],
     config: &TipConfig,
 ) -> TipOutcome {
-    let pregel_config = PregelConfig::with_workers(ctx.workers())
-        .max_supersteps(10_000)
-        .exec_ctx(ctx.clone());
+    let pregel_config = PregelConfig::default().max_supersteps(10_000);
     let program = TipProgram {
         k: config.k,
         threshold: config.tip_length_threshold,
@@ -460,8 +447,8 @@ pub fn remove_tips_on(
                 },
             )
         }));
-    let mut set: VertexSet<u64, TipState> = VertexSet::from_pairs(pregel_config.workers, pairs);
-    let metrics = ppa_pregel::run(&program, &pregel_config, &mut set);
+    let mut set: VertexSet<u64, TipState> = VertexSet::from_pairs(ctx.workers(), pairs);
+    let metrics = ppa_pregel::run_on(ctx, &program, &pregel_config, &mut set);
 
     // Collect survivors and rebuild their edges against the surviving set.
     let mut surviving_ids: FxHashSet<u64> = FxHashSet::default();
@@ -531,23 +518,23 @@ pub fn remove_tips_on(
 mod tests {
     use super::*;
     use crate::ops::bubble::remove_pruned;
-    use crate::ops::label::label_contigs_lr;
+    use crate::ops::label::label_contigs_lr_on;
     use crate::ops::label::tests::nodes_from_reads;
-    use crate::ops::merge::{merge_contigs, MergeConfig};
+    use crate::ops::merge::{merge_contigs_on, MergeConfig};
     use std::collections::HashSet;
 
     /// Builds the post-merging graph (ambiguous k-mers + contigs) for a read set.
     fn merged_graph(reads: &[&str], k: usize, merge_tip: usize) -> (Vec<AsmNode>, Vec<AsmNode>) {
         let nodes = nodes_from_reads(reads, k);
-        let labels = label_contigs_lr(&nodes, 2);
-        let merged = merge_contigs(
+        let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
+        let merged = merge_contigs_on(
+            &ExecCtx::new(2),
             &nodes,
             &labels.labels,
             &MergeConfig {
                 k,
                 tip_length_threshold: merge_tip,
             },
-            2,
         );
         let ambiguous: Vec<AsmNode> = nodes
             .iter()
@@ -593,7 +580,7 @@ mod tests {
         );
         assert!(contigs.len() >= 2, "main path plus tip expected");
         let before = contigs.len();
-        let out = remove_tips(&ambiguous, &contigs, &tip_cfg(9, 30), 2);
+        let out = remove_tips_on(&ExecCtx::new(2), &ambiguous, &contigs, &tip_cfg(9, 30));
         assert!(
             out.deleted_contigs >= 1 || out.deleted_kmers >= 1,
             "the short dangling branch must be removed"
@@ -612,7 +599,7 @@ mod tests {
         let refs: Vec<&str> = reads.iter().map(|s| s.as_str()).collect();
         let (ambiguous, contigs) = merged_graph(&refs, 9, 0);
         // With a tiny threshold nothing qualifies as a tip.
-        let out = remove_tips(&ambiguous, &contigs, &tip_cfg(9, 1), 2);
+        let out = remove_tips_on(&ExecCtx::new(2), &ambiguous, &contigs, &tip_cfg(9, 1));
         assert_eq!(out.deleted_contigs, 0);
         assert_eq!(out.deleted_kmers, 0);
         assert_eq!(out.contigs.len(), contigs.len());
@@ -624,7 +611,7 @@ mod tests {
         // An error-free single path has no ambiguous vertices at all.
         let (ambiguous, contigs) = merged_graph(&["CTGCCGTACA", "GCCGTACAGG"], 4, 0);
         assert!(ambiguous.is_empty());
-        let out = remove_tips(&ambiguous, &contigs, &tip_cfg(4, 80), 2);
+        let out = remove_tips_on(&ExecCtx::new(2), &ambiguous, &contigs, &tip_cfg(4, 80));
         assert_eq!(out.deleted_contigs, 0);
         assert_eq!(out.contigs.len(), contigs.len());
     }
@@ -634,7 +621,7 @@ mod tests {
         let reads = tippy_reads();
         let refs: Vec<&str> = reads.iter().map(|s| s.as_str()).collect();
         let (ambiguous, contigs) = merged_graph(&refs, 9, 0);
-        let out = remove_tips(&ambiguous, &contigs, &tip_cfg(9, 0), 2);
+        let out = remove_tips_on(&ExecCtx::new(2), &ambiguous, &contigs, &tip_cfg(9, 0));
         // No deletions with threshold 0, but adjacency must now reference
         // contigs instead of merged-away unambiguous k-mers.
         let contig_ids: HashSet<u64> = out.contigs.iter().map(|c| c.id).collect();
@@ -663,21 +650,21 @@ mod tests {
         let reads = tippy_reads();
         let refs: Vec<&str> = reads.iter().map(|s| s.as_str()).collect();
         let (ambiguous, mut contigs) = merged_graph(&refs, 9, 0);
-        let bubbles = crate::ops::bubble::filter_bubbles(
+        let bubbles = crate::ops::bubble::filter_bubbles_on(
+            &ExecCtx::new(2),
             &contigs,
             &crate::ops::bubble::BubbleConfig {
                 max_edit_distance: 5,
             },
-            2,
         );
         remove_pruned(&mut contigs, &bubbles.pruned);
-        let out = remove_tips(&ambiguous, &contigs, &tip_cfg(9, 30), 2);
+        let out = remove_tips_on(&ExecCtx::new(2), &ambiguous, &contigs, &tip_cfg(9, 30));
         assert!(out.metrics.converged);
     }
 
     #[test]
     fn empty_input() {
-        let out = remove_tips(&[], &[], &TipConfig::default(), 2);
+        let out = remove_tips_on(&ExecCtx::new(2), &[], &[], &TipConfig::default());
         assert!(out.kmers.is_empty());
         assert!(out.contigs.is_empty());
         assert_eq!(out.deleted_kmers + out.deleted_contigs, 0);

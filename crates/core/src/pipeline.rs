@@ -197,6 +197,7 @@ impl PipelineError {
     /// checkpoint I/O errors are transient (a crash can be re-run, a full
     /// disk can recover); malformed input and cancellations are not —
     /// [`Pipeline::try_run_with_retries`] fails fast on them.
+    // ppa_lint: allow(test-only-pub) the retry policy's verdict, public so a caller retrying on its own can ask it
     pub fn is_transient(&self) -> bool {
         match self {
             PipelineError::Stage { .. } | PipelineError::Checkpoint(_) => true,
@@ -792,6 +793,7 @@ impl Stage for Merge {
 /// Operation ④ — bubble filtering: prunes low-coverage parallel contigs from
 /// `state.contigs` in place.
 #[derive(Debug, Clone)]
+// ppa_lint: allow(test-only-pub) the Stage of paper operation ④, for custom pipelines
 pub struct FilterBubbles {
     /// The bubble-filtering parameters (edit-distance threshold).
     pub config: BubbleConfig,
@@ -1031,6 +1033,7 @@ impl<'o> Pipeline<'o> {
     }
 
     /// The number of stage executions one `run` performs.
+    // ppa_lint: allow(test-only-pub) the seam `tests/{cancellation,fault_tolerance}.rs` walk every stage boundary with
     pub fn stage_count(&self) -> usize {
         self.items
             .iter()
@@ -1390,6 +1393,7 @@ impl<'o> Pipeline<'o> {
     /// once — reports from work a failed attempt lost are replaced by the
     /// retry's. Observers, however, see each boundary as it executes,
     /// including re-executions.
+    // ppa_lint: allow(test-only-pub) the checkpointed, retrying way to run a pipeline
     pub fn try_run_with_retries<'r>(
         &mut self,
         state: &mut GraphState<'r>,

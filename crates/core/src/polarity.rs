@@ -48,17 +48,6 @@ pub enum Side {
     Right,
 }
 
-impl Side {
-    /// The opposite side.
-    #[inline]
-    pub fn opposite(self) -> Side {
-        match self {
-            Side::Left => Side::Right,
-            Side::Right => Side::Left,
-        }
-    }
-}
-
 /// Edge polarity ⟨source label : target label⟩ (Figure 6 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Polarity {
@@ -133,7 +122,7 @@ impl Polarity {
     }
 
     /// Display form matching the paper, e.g. `⟨L:H⟩`.
-    pub fn notation(self) -> &'static str {
+    fn notation(self) -> &'static str {
         match self {
             Polarity::LL => "<L:L>",
             Polarity::LH => "<L:H>",
@@ -263,8 +252,6 @@ mod tests {
         assert_eq!(Polarity::LH.to_string(), "<L:H>");
         assert_eq!(Polarity::HH.to_string(), "<H:H>");
         assert_eq!(Direction::Out.reversed(), Direction::In);
-        assert_eq!(Side::Left.opposite(), Side::Right);
-        assert_eq!(Side::Right.opposite(), Side::Left);
     }
 
     proptest! {

@@ -3,22 +3,27 @@
 //!
 //! [`assemble`] runs: DBG construction → contig labeling → contig merging →
 //! (bubble filtering → tip removing → labeling → merging)×`error_correction_rounds`,
-//! with every intermediate hand-off performed in memory (the `convert`
-//! extension). It is a thin wrapper over
+//! with every intermediate hand-off performed in memory: each stage reads
+//! and writes the columns of one [`GraphState`], and the operations that
+//! regroup vertices (construction, merging, bubble filtering) do so with
+//! mini-MapReduce passes on the run's worker pool. It is a thin wrapper over
 //! [`Pipeline::paper_workflow`](crate::pipeline::Pipeline::paper_workflow)
 //! with [`WorkflowStats`] attached as the
 //! observer, so the bench harnesses can regenerate the paper's tables and
-//! figures from [`Assembly::stats`]. Users who want a different strategy
-//! compose their own [`crate::pipeline::Pipeline`] (or call the operations in
-//! [`crate::ops`] directly).
+//! figures from [`Assembly::stats`]. [`try_assemble`] is the fallible twin.
+//! Users who want a different strategy — or checkpointing, resuming and
+//! retries — compose their own [`crate::pipeline::Pipeline`] (or call the
+//! operations in [`crate::ops`] directly); a [`JobControl`](ppa_pregel::JobControl)
+//! installed on [`AssemblyConfig::exec`] with
+//! [`ExecCtx::set_control`] makes either entry point cancellable.
 
-use crate::pipeline::{CheckpointPolicy, GraphState, Pipeline, PipelineError};
+use crate::pipeline::{GraphState, Pipeline, PipelineError};
 use crate::stats::{n50, WorkflowStats};
-use ppa_pregel::{ExecCtx, JobControl, SpillPolicy};
+use ppa_pregel::{ExecCtx, SpillPolicy};
 use ppa_seq::{DnaString, ReadSet, SeqError};
 use serde::{Deserialize, Serialize};
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Which algorithm performs contig labeling (operation ②).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,11 +55,13 @@ pub struct AssemblyConfig {
     pub error_correction_rounds: usize,
     /// Contigs shorter than this are dropped from the final output.
     pub min_contig_length: usize,
-    /// Out-of-core policy: with [`SpillPolicy::At`], every operation of the
-    /// workflow (the Pregel jobs of labeling and tip removing, and the mini-
-    /// MapReduce phases of construction) may spill sorted shuffle runs and
-    /// sealed partition columns to disk once its resident bytes exceed the
-    /// cap, bounding peak memory at the cost of extra I/O. The default
+    /// Out-of-core policy: with [`SpillPolicy::At`], the operations that
+    /// honour the cap — construction's phase (i) key count and phase (ii)
+    /// mini MapReduce, and the labeling job (list ranking or S-V, which then
+    /// runs on the sorted plane) — may spill records, sorted shuffle runs and
+    /// sealed partition columns to disk once their resident bytes exceed it,
+    /// bounding peak memory at the cost of extra I/O. Merging, bubble
+    /// filtering and tip removing always run resident. The default
     /// [`SpillPolicy::Off`] keeps the run byte-identical to the purely
     /// resident engine.
     pub spill: SpillPolicy,
@@ -202,15 +209,8 @@ fn exec_ctx(config: &AssemblyConfig) -> ExecCtx {
     ctx
 }
 
-/// Reads FASTA or FASTQ input, auto-detecting the format from the first byte,
-/// and surfaces malformed records as a recoverable [`PipelineError::Input`]
-/// (carrying the 1-based line number of the offending record) instead of a
-/// panic. Empty input yields an empty [`ReadSet`].
-pub fn read_input<R: BufRead>(reader: R) -> Result<ReadSet, PipelineError> {
-    parse_input(reader, 0)
-}
-
-/// [`read_input`] that reserves the bases column for an input of
+/// Parses FASTA or FASTQ input, auto-detecting the format from the first
+/// byte, into a [`ReadSet`] whose bases column is reserved for an input of
 /// `input_len` bytes first, so the slab never reallocates: the bases take at
 /// most the whole input in FASTA and at most half of it in FASTQ, whose
 /// quality lines are as long as the sequence lines.
@@ -237,8 +237,11 @@ fn parse_input<R: BufRead>(mut reader: R, input_len: usize) -> Result<ReadSet, P
     }
 }
 
-/// [`read_input`] over a file path, with the bases column reserved once from
-/// the file length; open errors become [`PipelineError::Input`] too.
+/// Reads a FASTA or FASTQ file, auto-detecting the format from the first
+/// byte, with the bases column reserved once from the file length. Malformed
+/// records surface as a recoverable [`PipelineError::Input`] (carrying the
+/// 1-based line number of the offending record) instead of a panic, and so
+/// do open errors. Empty input yields an empty [`ReadSet`].
 pub fn read_input_path(path: impl AsRef<Path>) -> Result<ReadSet, PipelineError> {
     let file = std::fs::File::open(path).map_err(SeqError::from)?;
     let len = file.metadata().map_or(0, |m| m.len());
@@ -258,87 +261,6 @@ pub fn try_assemble(reads: &ReadSet, config: &AssemblyConfig) -> Result<Assembly
     Pipeline::paper_workflow(config)
         .observe(&mut stats)
         .try_run(&mut state, &ctx)?;
-    Ok(Assembly {
-        contigs: state.output,
-        stats,
-    })
-}
-
-/// [`try_assemble`] under a caller-held [`JobControl`]: the handle is
-/// installed on the run's execution context, every Pregel superstep boundary,
-/// MapReduce/convert shuffle barrier and pipeline stage boundary polls it
-/// cooperatively, and a trip — [`cancel`](JobControl::cancel), an expired
-/// deadline, or a memory-budget overrun — unwinds as
-/// [`PipelineError::Cancelled`] with the worker pool left reusable. Keep a
-/// clone of the handle (it is `Arc`-shared) to cancel from another thread.
-///
-/// The handle is removed from the context again on every exit path, so a
-/// shared [`AssemblyConfig::exec`] context is not left carrying a tripped
-/// latch into the next run.
-pub fn assemble_with_control(
-    reads: &ReadSet,
-    config: &AssemblyConfig,
-    control: &JobControl,
-) -> Result<Assembly, PipelineError> {
-    let ctx = exec_ctx(config);
-    ctx.set_control(control.clone());
-    let mut stats = WorkflowStats::default();
-    let mut state = GraphState::new(reads);
-    let result = Pipeline::paper_workflow(config)
-        .observe(&mut stats)
-        .try_run(&mut state, &ctx);
-    ctx.clear_control();
-    result?;
-    Ok(Assembly {
-        contigs: state.output,
-        stats,
-    })
-}
-
-/// [`assemble`] with stage-boundary checkpointing and bounded retries: the
-/// paper workflow snapshots its [`GraphState`] under `dir` per `policy`, and
-/// a failed stage is retried from the latest snapshot (or from scratch when
-/// none was saved yet), up to `max_attempts` total attempts.
-pub fn assemble_with_checkpoints(
-    reads: &ReadSet,
-    config: &AssemblyConfig,
-    dir: impl Into<PathBuf>,
-    policy: CheckpointPolicy,
-    max_attempts: usize,
-) -> Result<Assembly, PipelineError> {
-    let ctx = exec_ctx(config);
-    let mut stats = WorkflowStats::default();
-    let mut state = GraphState::new(reads);
-    Pipeline::paper_workflow(config)
-        .checkpoint_to(dir, policy)
-        .observe(&mut stats)
-        .try_run_with_retries(&mut state, &ctx, max_attempts)?;
-    Ok(Assembly {
-        contigs: state.output,
-        stats,
-    })
-}
-
-/// Resumes an interrupted [`assemble_with_checkpoints`] run from the latest
-/// snapshot under `dir`, replaying only the remaining stages (and continuing
-/// to snapshot per `policy`). The snapshot must have been written by the same
-/// workflow: same configuration fingerprint, worker count and read set.
-///
-/// The returned [`Assembly::stats`] cover the replayed stages only — an
-/// assembly resumed at the final stage reports timings for that stage alone.
-pub fn resume_assembly(
-    reads: &ReadSet,
-    config: &AssemblyConfig,
-    dir: impl Into<PathBuf>,
-    policy: CheckpointPolicy,
-) -> Result<Assembly, PipelineError> {
-    let ctx = exec_ctx(config);
-    let dir = dir.into();
-    let mut stats = WorkflowStats::default();
-    let (state, _reports) = Pipeline::paper_workflow(config)
-        .checkpoint_to(dir.clone(), policy)
-        .observe(&mut stats)
-        .resume(&dir, reads, &ctx)?;
     Ok(Assembly {
         contigs: state.output,
         stats,
@@ -567,7 +489,9 @@ mod tests {
         assert_eq!(fasta.len(), assembly.contigs.len());
         let mut buf = Vec::new();
         fasta.write_fasta(&mut buf).unwrap();
-        let reparsed = ReadSet::read_fasta(std::io::Cursor::new(buf)).unwrap();
+        let reparsed = ReadSet::new()
+            .parse_fasta(std::io::Cursor::new(buf))
+            .unwrap();
         assert_eq!(reparsed.len(), assembly.contigs.len());
         assert_eq!(
             reparsed.records.get(0).unwrap().len(),
@@ -578,25 +502,23 @@ mod tests {
 
     #[test]
     fn read_input_detects_format_and_surfaces_parse_errors() {
-        let fasta = read_input(std::io::Cursor::new(b">r1\nACGT\n".to_vec())).unwrap();
+        let read_input = |bytes: &[u8]| parse_input(bytes, 0);
+        let fasta = read_input(b">r1\nACGT\n").unwrap();
         assert_eq!(fasta.len(), 1);
-        let fastq = read_input(std::io::Cursor::new(b"@r1\nACGT\n+\nIIII\n".to_vec())).unwrap();
+        let fastq = read_input(b"@r1\nACGT\n+\nIIII\n").unwrap();
         assert_eq!(fastq.len(), 1);
-        assert_eq!(
-            read_input(std::io::Cursor::new(Vec::new())).unwrap().len(),
-            0
-        );
+        assert_eq!(read_input(b"").unwrap().len(), 0);
 
         // A malformed record comes back as a typed, recoverable input error
         // carrying the offending line, not a panic.
-        let err = read_input(std::io::Cursor::new(b"@r1\nACGT\n+\nII\n".to_vec())).unwrap_err();
+        let err = read_input(b"@r1\nACGT\n+\nII\n").unwrap_err();
         match err {
             crate::pipeline::PipelineError::Input(ppa_seq::SeqError::Parse { line, .. }) => {
                 assert_eq!(line, 4)
             }
             other => panic!("expected a parse error with line context, got {other:?}"),
         }
-        let err = read_input(std::io::Cursor::new(b"#junk\n".to_vec())).unwrap_err();
+        let err = read_input(b"#junk\n").unwrap_err();
         assert!(err.to_string().contains("unrecognized input format"));
     }
 
@@ -611,6 +533,7 @@ mod tests {
 
     #[test]
     fn checkpointed_assembly_survives_an_injected_crash() {
+        use crate::pipeline::CheckpointPolicy;
         let (_, reads) = simulate(2_000, 20.0, 0.0, 71);
         let mut config = small_config(21);
         let ctx = ExecCtx::new(config.workers);
@@ -622,17 +545,20 @@ mod tests {
         let armed = ctx.inject_faults(ppa_pregel::FaultPlan::single(
             ppa_pregel::Fault::StageEntry { stage: 6 },
         ));
-        let assembly =
-            assemble_with_checkpoints(&reads, &config, &dir, CheckpointPolicy::EveryStage, 2)
-                .expect("the retry recovers the assembly");
+        let mut state = GraphState::new(&reads);
+        Pipeline::paper_workflow(&config)
+            .checkpoint_to(&dir, CheckpointPolicy::EveryStage)
+            .try_run_with_retries(&mut state, &ctx, 2)
+            .expect("the retry recovers the assembly");
         ctx.clear_faults();
         assert!(armed.all_fired());
-        assert_eq!(assembly.contigs, baseline.contigs);
+        assert_eq!(state.output, baseline.contigs);
 
         // The completed run leaves a resumable snapshot behind.
-        let resumed = resume_assembly(&reads, &config, &dir, CheckpointPolicy::Off)
+        let (resumed, _) = Pipeline::paper_workflow(&config)
+            .resume(&dir, &reads, &ctx)
             .expect("resume from the final snapshot");
-        assert_eq!(resumed.contigs, baseline.contigs);
+        assert_eq!(resumed.output, baseline.contigs);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -645,17 +571,20 @@ mod tests {
         let baseline = assemble(&reads, &config);
 
         // A live handle that never trips: identical output, no cancel marker.
-        let control = ppa_pregel::JobControl::new();
-        let assembly = assemble_with_control(&reads, &config, &control).expect("no trip");
+        ctx.set_control(ppa_pregel::JobControl::new());
+        let assembly = try_assemble(&reads, &config).expect("no trip");
+        ctx.clear_control();
         assert_eq!(assembly.contigs, baseline.contigs);
         assert!(assembly.stats.cancelled.is_none());
 
-        // A pre-cancelled handle stops at the very first stage boundary — and
-        // the exit path removed it from the shared context, so the next plain
-        // run on the same pool is unaffected.
+        // A pre-cancelled handle stops at the very first stage boundary —
+        // and once it is cleared from the shared context, the next plain run
+        // on the same pool is unaffected.
         let control = ppa_pregel::JobControl::new();
         control.cancel();
-        let err = assemble_with_control(&reads, &config, &control).unwrap_err();
+        ctx.set_control(control);
+        let err = try_assemble(&reads, &config).unwrap_err();
+        ctx.clear_control();
         match &err {
             crate::pipeline::PipelineError::Cancelled {
                 stage, superstep, ..

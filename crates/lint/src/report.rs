@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-/// The architectural rules: the five launch rules plus the job-control
-/// cancellation rule. Future invariants (spill-file codecs) get added here
-/// and in `rules.rs`.
+/// The architectural rules: the five launch rules, the job-control
+/// cancellation rule and the public-surface rule. Future invariants
+/// (spill-file codecs) get added here and in `rules.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// `unsafe` only in allowlisted modules, always with a `// SAFETY:`
@@ -26,6 +26,10 @@ pub enum Rule {
     /// control-polling runner path, so an installed `JobControl` can stop
     /// any long-running operation at a barrier.
     CancellationPoints,
+    /// A `pub` item of `ppa_pregel`, `ppa_assembler` or `ppa_seq` must be
+    /// named by some non-test code outside its own file; surface that only
+    /// tests reach is deleted, narrowed, or kept with a reasoned allow.
+    TestOnlyPub,
 }
 
 /// All rules, in reporting order.
@@ -36,6 +40,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::NoSiphashHotPath,
     Rule::DispatchOnlyIntrinsics,
     Rule::CancellationPoints,
+    Rule::TestOnlyPub,
 ];
 
 impl Rule {
@@ -48,6 +53,7 @@ impl Rule {
             Rule::NoSiphashHotPath => "no-siphash-hot-path",
             Rule::DispatchOnlyIntrinsics => "dispatch-only-intrinsics",
             Rule::CancellationPoints => "cancellation-points",
+            Rule::TestOnlyPub => "test-only-pub",
         }
     }
 
@@ -78,8 +84,13 @@ impl Rule {
             }
             Rule::CancellationPoints => {
                 "every `pub fn *_on` in core/src/ops must call a \
-                 control-polling runner entry point (run/run_on/run_dense_on/map_reduce*/\
-                 count_keys_on/convert_on/connected_components)"
+                 control-polling runner entry point (run_on/try_run_on/run_dense_on/\
+                 map_reduce_on/map_reduce_spillable_on/count_keys_on/convert_on/\
+                 connected_components)"
+            }
+            Rule::TestOnlyPub => {
+                "a `pub` item of pregel/core/seq must be named by non-test code \
+                 outside its own file (suppressions need a reason)"
             }
         }
     }

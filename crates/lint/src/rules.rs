@@ -20,7 +20,6 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
 /// The codec files that must never panic on malformed bytes.
 const CODEC_FILES: &[&str] = &[
     "crates/core/src/checkpoint.rs",
-    "crates/pregel/src/chain.rs",
     "crates/pregel/src/spill.rs",
     "crates/seq/src/fastx.rs",
     "shims/serde/src/lib.rs",
@@ -36,20 +35,19 @@ const SIPHASH_SCOPES: &[&str] = &["crates/pregel/", "crates/core/"];
 /// Directory whose public `*_on` entry points must be cancellable.
 const OPS_DIR: &str = "crates/core/src/ops/";
 
+/// The library crates whose `pub` items must each have a non-test caller
+/// outside their own file.
+const SURFACE_SCOPES: &[&str] = &["crates/pregel/src/", "crates/core/src/", "crates/seq/src/"];
+
 /// Runner entry points whose barriers poll the installed `JobControl`. An op
 /// routed through any of these is stoppable mid-flight. An explicit allowlist
 /// rather than a `*_on` suffix heuristic: method calls like
-/// `node.sole_edge_on(side)` must not satisfy the rule by accident, which is
-/// also why bare `run` only counts as a *path* call (`ppa_pregel::run(`,
-/// `runner::run(`) — see `is_polling_call`.
+/// `node.sole_edge_on(side)` must not satisfy the rule by accident.
 const POLLING_CALLEES: &[&str] = &[
     "run_on",
     "try_run_on",
     "run_dense_on",
-    "run_from_pairs",
     "map_reduce_on",
-    "map_reduce_with_metrics_on",
-    "map_reduce_partitioned_on",
     "map_reduce_spillable_on",
     "count_keys_on",
     "convert_on",
@@ -103,6 +101,7 @@ pub fn analyze_sources(files: &[SourceSpec<'_>]) -> Vec<Diagnostic> {
         .collect();
 
     let intrinsics = collect_intrinsics(&analyzed);
+    let mentions = collect_mentions(&analyzed);
 
     let mut diags = Vec::new();
     for file in &analyzed {
@@ -115,6 +114,7 @@ pub fn analyze_sources(files: &[SourceSpec<'_>]) -> Vec<Diagnostic> {
         check_no_siphash(file, &mut diags);
         check_dispatch_only_intrinsics(file, &intrinsics, &mut diags);
         check_cancellation_points(file, &mut diags);
+        check_test_only_pub(file, &mentions, &mut diags);
     }
 
     diags.retain(|d| {
@@ -136,7 +136,8 @@ fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/") || path.contains("/tests/") || path.contains("/benches/")
 }
 
-/// Extracts `ppa_lint: allow(rule-a, rule-b)` directives from comments.
+/// Extracts `ppa_lint: allow(rule-a, rule-b)` directives from comments. An
+/// allow of `test-only-pub` counts only with a reason after the `)`.
 fn collect_allows(lexed: &Lexed) -> HashMap<usize, Vec<String>> {
     let mut allows: HashMap<usize, Vec<String>> = HashMap::new();
     for (idx, info) in lexed.lines.iter().enumerate() {
@@ -152,10 +153,12 @@ fn collect_allows(lexed: &Lexed) -> HashMap<usize, Vec<String>> {
             let Some(close) = args.find(')') else {
                 continue;
             };
+            let reasoned = !args[close + 1..].trim().is_empty();
             let names = args[..close]
                 .split(',')
                 .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty());
+                .filter(|s| !s.is_empty())
+                .filter(|s| reasoned || s != Rule::TestOnlyPub.name());
             allows.entry(idx + 1).or_default().extend(names);
         }
     }
@@ -385,22 +388,12 @@ fn check_no_siphash(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------------
 
 /// Whether the token at `i` is a call to a control-polling runner entry
-/// point: an allowlisted identifier followed by `(`, or a *path* call to
-/// `run` (`::run(`).
+/// point: an allowlisted identifier followed by `(`.
 fn is_polling_call(toks: &[Token], i: usize) -> bool {
-    let Some(name) = toks[i].ident() else {
-        return false;
-    };
-    if !toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-        return false;
-    }
-    if POLLING_CALLEES.contains(&name) {
-        return true;
-    }
-    name == "run"
-        && i.checked_sub(1)
-            .and_then(|p| toks.get(p))
-            .is_some_and(|p| p.is_punct(':'))
+    toks[i]
+        .ident()
+        .is_some_and(|name| POLLING_CALLEES.contains(&name))
+        && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
 }
 
 /// Every `pub fn *_on` in `crates/core/src/ops/` must route through a
@@ -457,12 +450,117 @@ fn check_cancellation_points(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
                 col: name_tok.col,
                 message: format!(
                     "op entry point `{name}` never reaches a control-polling runner path \
-                     (run/run_on/try_run_on/run_dense_on/run_from_pairs/map_reduce*_on/count_keys_on/\
-                     convert_on/connected_components); a JobControl could not stop it"
+                     ({}); a JobControl could not stop it",
+                    POLLING_CALLEES.join("/")
                 ),
             });
         }
         i = j.max(i + 1);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// test-only-pub
+// ---------------------------------------------------------------------------
+
+/// Item keywords whose name `test-only-pub` checks. Modules, re-exports and
+/// fields are not items it weighs.
+const PUB_ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "union", "trait", "type", "const", "static",
+];
+
+/// Maps every identifier named in non-test code to the files naming it.
+/// `use` declarations do not count — a re-export is not a caller — and
+/// neither do comments, literals or test regions, which the lexer already
+/// keeps out of the code tokens or marks.
+fn collect_mentions(files: &[AnalyzedFile]) -> HashMap<&str, Vec<&str>> {
+    let mut mentions: HashMap<&str, Vec<&str>> = HashMap::new();
+    for file in files.iter().filter(|f| !f.is_test_file) {
+        let mut in_use = false;
+        for tok in &file.lexed.tokens {
+            if tok.is_ident("use") {
+                in_use = true;
+            } else if in_use && tok.is_punct(';') {
+                in_use = false;
+            }
+            let Some(name) = tok.ident().filter(|_| !tok.in_test && !in_use) else {
+                continue;
+            };
+            let named_by = mentions.entry(name).or_default();
+            if named_by.last() != Some(&file.path.as_str()) {
+                named_by.push(&file.path);
+            }
+        }
+    }
+    mentions
+}
+
+/// Qualifiers that may stand between `pub` and an item keyword.
+const FN_QUALIFIERS: &[&str] = &["unsafe", "async", "extern"];
+
+/// The name token of the item a `pub` at `i` introduces, if it is an
+/// unrestricted `pub` on one of [`PUB_ITEM_KEYWORDS`].
+fn pub_item_name(toks: &[Token], i: usize) -> Option<&Token> {
+    if !toks[i].is_ident("pub") || toks.get(i + 1)?.is_punct('(') {
+        return None;
+    }
+    // Skip the qualifiers of `pub const unsafe extern "C" fn` and kin; a
+    // `const` is one only when more of the fn header follows it.
+    let mut j = i + 1;
+    while let Some(t) = toks.get(j) {
+        let header_follows = toks
+            .get(j + 1)
+            .and_then(Token::ident)
+            .is_some_and(|n| n == "fn" || FN_QUALIFIERS.contains(&n));
+        let qualifier = t.tok == Tok::Literal
+            || t.ident().is_some_and(|n| FN_QUALIFIERS.contains(&n))
+            || (t.is_ident("const") && header_follows);
+        if !qualifier {
+            break;
+        }
+        j += 1;
+    }
+    let keyword = toks.get(j)?.ident()?;
+    let name = toks.get(j + 1)?;
+    (PUB_ITEM_KEYWORDS.contains(&keyword) && name.ident().is_some()).then_some(name)
+}
+
+/// Every `pub` item of the surface crates must be named by non-test code in
+/// some other file; one that only its own file (or tests) names is surface
+/// nothing uses.
+fn check_test_only_pub(
+    file: &AnalyzedFile,
+    mentions: &HashMap<&str, Vec<&str>>,
+    diags: &mut Vec<Diagnostic>,
+) {
+    if !SURFACE_SCOPES.iter().any(|p| file.path.starts_with(p)) {
+        return;
+    }
+    let toks = &file.lexed.tokens;
+    for i in 0..toks.len() {
+        if toks[i].in_test {
+            continue;
+        }
+        let Some(name_tok) = pub_item_name(toks, i) else {
+            continue;
+        };
+        let name = name_tok.ident().unwrap_or_default();
+        let named_elsewhere = mentions
+            .get(name)
+            .is_some_and(|files| files.iter().any(|f| *f != file.path));
+        if !named_elsewhere {
+            diags.push(Diagnostic {
+                rule: Rule::TestOnlyPub,
+                file: file.path.clone(),
+                line: toks[i].line,
+                col: toks[i].col,
+                message: format!(
+                    "`pub` item `{name}` is named by no non-test code outside this file; \
+                     delete it, narrow it to `pub(crate)` or private, or keep it with \
+                     `// ppa_lint: allow(test-only-pub) <reason>`"
+                ),
+            });
+        }
     }
 }
 

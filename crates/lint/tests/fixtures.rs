@@ -1,14 +1,23 @@
 //! Fixture tests: embedded source snippets → expected diagnostics.
 //!
-//! Each launch rule gets at least one fixture proving it fires on a
-//! violating snippet and stays quiet on a suppressed or allowlisted one,
+//! Each rule gets at least one fixture proving it fires on a violating
+//! snippet and stays quiet on a suppressed or allowlisted one,
 //! plus lexer-robustness fixtures (strings containing keywords, nested
 //! block comments, raw strings, `cfg(test)` nesting).
 
 use ppa_lint::{analyze_pairs, Diagnostic, Rule};
 
+/// Lints snippets for every rule but `test-only-pub`. A snippet's `pub`
+/// items have no caller in the few files a fixture lints, so that rule would
+/// fire on every one of them; it is checked by its own fixtures below.
+fn lint(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+    let mut diags = analyze_pairs(files);
+    diags.retain(|d| d.rule != Rule::TestOnlyPub);
+    diags
+}
+
 fn diags_for(path: &str, src: &str) -> Vec<Diagnostic> {
-    analyze_pairs(&[(path, src)])
+    lint(&[(path, src)])
 }
 
 fn rules_of(diags: &[Diagnostic]) -> Vec<Rule> {
@@ -369,7 +378,7 @@ pub fn fast_path(keys: &[u64]) -> u64 {
     unsafe { envelope_avx2(keys) }
 }
 "#;
-    let diags = analyze_pairs(&[
+    let diags = lint(&[
         ("crates/pregel/src/kernels.rs", DISPATCH_DEF),
         ("crates/pregel/src/engine.rs", caller),
     ]);
@@ -380,7 +389,7 @@ pub fn fast_path(keys: &[u64]) -> u64 {
 
 #[test]
 fn target_feature_call_inside_defining_file_is_quiet() {
-    let diags = analyze_pairs(&[("crates/pregel/src/kernels.rs", DISPATCH_DEF)]);
+    let diags = lint(&[("crates/pregel/src/kernels.rs", DISPATCH_DEF)]);
     assert!(diags.is_empty(), "unexpected: {diags:?}");
 }
 
@@ -397,7 +406,7 @@ mod tests {
     }
 }
 "#;
-    let diags = analyze_pairs(&[
+    let diags = lint(&[
         ("crates/pregel/src/kernels.rs", DISPATCH_DEF),
         ("crates/pregel/src/radix.rs", caller),
     ]);
@@ -428,9 +437,10 @@ pub fn grind_on(ctx: &ExecCtx, nodes: &[u64]) -> u64 {
 #[test]
 fn op_routed_through_polling_runners_is_quiet() {
     let srcs = [
-        "pub fn a_on(ctx: &ExecCtx) -> u64 { let m = ppa_pregel::run(&p, &c, &mut s); m }\n",
-        "pub fn b_on(ctx: &ExecCtx) -> u64 { map_reduce_with_metrics_on(ctx, i, m, r).1 }\n",
-        "pub fn c_on(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(adj, &c); sv }\n",
+        "pub fn a_on(ctx: &ExecCtx) -> u64 { let m = ppa_pregel::run_on(ctx, &p, &c, &mut s); m }\n",
+        "pub fn b_on(ctx: &ExecCtx) -> u64 { map_reduce_on(ctx, i, m, r).1 }\n",
+        "pub fn c_on(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(ctx, adj, &c); sv }\n",
+        "pub fn h_on(ctx: &ExecCtx) -> u64 { map_reduce_spillable_on(ctx, i, m, r).1 }\n",
         "pub fn d_on(ctx: &ExecCtx) -> u64 { set.convert_on(ctx, f, merge).len() as u64 }\n",
         "pub fn e_on(ctx: &ExecCtx) -> u64 { try_run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
         "pub fn f_on(ctx: &ExecCtx) -> u64 { count_keys_on(ctx, &t, hint, scan, records, 1).1.groups }\n",
@@ -447,12 +457,12 @@ fn op_routed_through_polling_runners_is_quiet() {
 
 #[test]
 fn lookalike_on_calls_do_not_satisfy_the_rule() {
-    // `node.sole_edge_on(side)` ends in `_on` but polls nothing, and a bare
-    // `run(..)` that is not a path call could be any local helper.
+    // `node.sole_edge_on(side)` ends in `_on` but polls nothing, and `run`
+    // is no runner entry point (a path call to it names none either).
     let src = r#"
 pub fn walk_on(nodes: &[Node]) -> u64 {
     let e = nodes.first().map(|n| n.sole_edge_on(0));
-    run(e)
+    run(e) + ppa_pregel::run(e)
 }
 fn run(e: Option<u64>) -> u64 {
     e.unwrap_or(0)
@@ -511,6 +521,52 @@ fn cancellation_points_is_scoped_to_ops_and_suppressible() {
 pub fn fused_on(x: u64) -> u64 { x }
 "#;
     assert!(diags_for("crates/core/src/ops/fused.rs", suppressed).is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// test-only-pub
+// ---------------------------------------------------------------------------
+
+const SURFACE: &str = r#"
+pub fn used_elsewhere() -> u64 { 1 }
+pub fn only_tested() -> u64 { 2 }
+pub(crate) fn crate_only() -> u64 { 3 }
+pub struct Outcome { pub field: u64 }
+"#;
+
+#[test]
+fn pub_item_named_only_by_tests_fires() {
+    let caller = r#"
+use ppa_pregel::surface::only_tested;
+pub fn run() -> u64 { ppa_pregel::surface::used_elsewhere() + Outcome { field: 0 }.field }
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn probe() { assert_eq!(super::only_tested(), 2); }
+}
+"#;
+    let diags = analyze_pairs(&[
+        ("crates/pregel/src/surface.rs", SURFACE),
+        ("crates/bench/src/lib.rs", caller),
+        ("tests/tests/probe.rs", "fn t() { only_tested(); }\n"),
+    ]);
+    // A `use` is no caller, nor are test regions and test files; a
+    // `pub(crate)` item and a field are not surface the rule weighs.
+    assert_eq!(rules_of(&diags), vec![Rule::TestOnlyPub]);
+    assert_eq!(diags[0].file, "crates/pregel/src/surface.rs");
+    assert_eq!(diags[0].line, 3);
+    assert!(diags[0].message.contains("only_tested"));
+}
+
+#[test]
+fn test_only_pub_needs_a_reasoned_suppression_and_stays_in_its_crates() {
+    let reasoned = "// ppa_lint: allow(test-only-pub) the seam the kmer tests diff against\npub fn seam() {}\n";
+    assert!(analyze_pairs(&[("crates/seq/src/seam.rs", reasoned)]).is_empty());
+    let bare = "// ppa_lint: allow(test-only-pub)\npub fn seam() {}\n";
+    let diags = analyze_pairs(&[("crates/seq/src/seam.rs", bare)]);
+    assert_eq!(rules_of(&diags), vec![Rule::TestOnlyPub]);
+    // Outside pregel/core/seq the rule has nothing to say.
+    assert!(analyze_pairs(&[("crates/quality/src/lib.rs", "pub fn lone() {}\n")]).is_empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -27,20 +27,8 @@ impl Aggregate for NoAggregate {
     fn combine(&mut self, _other: &Self) {}
 }
 
-/// Sum of `u64` contributions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SumU64(pub u64);
-
-impl Aggregate for SumU64 {
-    fn identity() -> Self {
-        SumU64(0)
-    }
-    fn combine(&mut self, other: &Self) {
-        self.0 += other.0;
-    }
-}
-
-/// Counter of contributions (each vertex contributes 1 by constructing `Count(1)`).
+/// Sum of `u64` contributions — a counter when each vertex contributes
+/// `Count(1)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Count(pub u64);
 
@@ -66,63 +54,16 @@ impl Aggregate for BoolOr {
     }
 }
 
-/// Maximum of `u64` contributions (identity is 0).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaxU64(pub u64);
-
-impl Aggregate for MaxU64 {
-    fn identity() -> Self {
-        MaxU64(0)
-    }
-    fn combine(&mut self, other: &Self) {
-        self.0 = self.0.max(other.0);
-    }
-}
-
-/// Minimum of `u64` contributions (identity is `u64::MAX`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MinU64(pub u64);
-
-impl Default for MinU64 {
-    fn default() -> Self {
-        MinU64(u64::MAX)
-    }
-}
-
-impl Aggregate for MinU64 {
-    fn identity() -> Self {
-        MinU64(u64::MAX)
-    }
-    fn combine(&mut self, other: &Self) {
-        self.0 = self.0.min(other.0);
-    }
-}
-
-/// A pair of aggregates combined component-wise, for programs that need two
-/// global values at once (e.g. "number of active vertices" and "any change").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Pair<A, B>(pub A, pub B);
-
-impl<A: Aggregate, B: Aggregate> Aggregate for Pair<A, B> {
-    fn identity() -> Self {
-        Pair(A::identity(), B::identity())
-    }
-    fn combine(&mut self, other: &Self) {
-        self.0.combine(&other.0);
-        self.1.combine(&other.1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sum_and_count() {
-        let mut s = SumU64::identity();
-        s.combine(&SumU64(5));
-        s.combine(&SumU64(7));
-        assert_eq!(s, SumU64(12));
+        let mut s = Count::identity();
+        s.combine(&Count(5));
+        s.combine(&Count(7));
+        assert_eq!(s, Count(12));
         let mut c = Count::identity();
         c.combine(&Count(1));
         c.combine(&Count(1));
@@ -138,29 +79,6 @@ mod tests {
         b.combine(&BoolOr(true));
         b.combine(&BoolOr(false));
         assert!(b.0);
-    }
-
-    #[test]
-    fn min_max() {
-        let mut mx = MaxU64::identity();
-        mx.combine(&MaxU64(3));
-        mx.combine(&MaxU64(9));
-        mx.combine(&MaxU64(1));
-        assert_eq!(mx.0, 9);
-        let mut mn = MinU64::identity();
-        mn.combine(&MinU64(3));
-        mn.combine(&MinU64(9));
-        assert_eq!(mn.0, 3);
-        assert_eq!(MinU64::default(), MinU64::identity());
-    }
-
-    #[test]
-    fn pair_combines_componentwise() {
-        let mut p = Pair::<Count, BoolOr>::identity();
-        p.combine(&Pair(Count(2), BoolOr(false)));
-        p.combine(&Pair(Count(3), BoolOr(true)));
-        assert_eq!(p.0 .0, 5);
-        assert!(p.1 .0);
     }
 
     #[test]

@@ -16,10 +16,12 @@
 
 use crate::aggregate::NoAggregate;
 use crate::config::PregelConfig;
+use crate::engine::ExecCtx;
 use crate::metrics::Metrics;
 use crate::radix::SortKey;
-use crate::runner::run_from_pairs;
+use crate::runner::run_on;
 use crate::vertex::{Context, VertexKey, VertexProgram};
+use crate::vertex_set::VertexSet;
 
 /// One element of a linked list to be ranked.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,9 +97,10 @@ impl<I: VertexKey + SortKey> VertexProgram for ListRankingProgram<I> {
     }
 }
 
-/// Runs list ranking over the given elements and returns `(id, sum)` pairs
-/// (in unspecified order) together with the job metrics.
+/// Runs list ranking over the given elements on `ctx`'s workers and returns
+/// `(id, sum)` pairs (in unspecified order) together with the job metrics.
 pub fn list_ranking<I: VertexKey + SortKey>(
+    ctx: &ExecCtx,
     items: Vec<ListItem<I>>,
     config: &PregelConfig,
 ) -> (Vec<(I, u64)>, Metrics) {
@@ -111,7 +114,8 @@ pub fn list_ranking<I: VertexKey + SortKey>(
             },
         )
     });
-    let (set, metrics) = run_from_pairs(&program, config, pairs);
+    let mut set = VertexSet::from_pairs(ctx.workers(), pairs);
+    let metrics = run_on(ctx, &program, config, &mut set);
     let out = set
         .into_pairs()
         .into_iter()
@@ -126,7 +130,7 @@ mod tests {
     use std::collections::HashMap;
 
     fn config() -> PregelConfig {
-        PregelConfig::with_workers(4).max_supersteps(200)
+        PregelConfig::default().max_supersteps(200)
     }
 
     /// Brute-force oracle: follow predecessor pointers to the head.
@@ -157,7 +161,7 @@ mod tests {
                 value: 1,
             })
             .collect();
-        let (result, metrics) = list_ranking(items, &config());
+        let (result, metrics) = list_ranking(&ExecCtx::new(4), items, &config());
         let result: HashMap<u64, u64> = result.into_iter().collect();
         for i in 1..=5u64 {
             assert_eq!(result[&i], i);
@@ -181,7 +185,7 @@ mod tests {
                 value: 1,
             })
             .collect();
-        let (result, metrics) = list_ranking(items, &config());
+        let (result, metrics) = list_ranking(&ExecCtx::new(4), items, &config());
         let result: HashMap<u64, u64> = result.into_iter().collect();
         assert_eq!(result[&(n - 1)], n);
         assert_eq!(result[&0], 1);
@@ -213,7 +217,7 @@ mod tests {
             value: i,
         }));
         let expected = oracle(&items);
-        let (result, metrics) = list_ranking(items, &config());
+        let (result, metrics) = list_ranking(&ExecCtx::new(4), items, &config());
         for (id, sum) in result {
             assert_eq!(sum, expected[&id], "vertex {id}");
         }
@@ -231,7 +235,7 @@ mod tests {
             })
             .collect();
         let expected = oracle(&items);
-        let (result, _metrics) = list_ranking(items, &config());
+        let (result, _metrics) = list_ranking(&ExecCtx::new(4), items, &config());
         for (id, sum) in result {
             assert_eq!(sum, expected[&id]);
         }
@@ -247,14 +251,14 @@ mod tests {
                 value: 1,
             })
             .collect();
-        let cfg = PregelConfig::with_workers(2).max_supersteps(40);
-        let (_, metrics) = list_ranking(items, &cfg);
+        let cfg = PregelConfig::default().max_supersteps(40);
+        let (_, metrics) = list_ranking(&ExecCtx::new(2), items, &cfg);
         assert!(!metrics.converged);
     }
 
     #[test]
     fn empty_input() {
-        let (out, metrics) = list_ranking(Vec::<ListItem<u64>>::new(), &config());
+        let (out, metrics) = list_ranking(&ExecCtx::new(4), Vec::<ListItem<u64>>::new(), &config());
         assert!(out.is_empty());
         assert!(metrics.converged);
     }

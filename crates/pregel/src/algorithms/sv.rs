@@ -36,10 +36,11 @@
 
 use crate::aggregate::BoolOr;
 use crate::config::PregelConfig;
+use crate::engine::ExecCtx;
 use crate::fxhash::hash_one;
 use crate::metrics::Metrics;
 use crate::radix::SortKey;
-use crate::runner::run;
+use crate::runner::run_on;
 use crate::spill::{SpillCodec, SpillCodecs};
 use crate::vertex::{Context, VertexKey, VertexProgram};
 use crate::vertex_set::VertexSet;
@@ -107,6 +108,7 @@ impl<I: SpillCodec> SpillCodec for SvState<I> {
 /// Whether an [`SvProgram`] job can run out of core. The engine asks the
 /// program *type* for its spill codecs and [`connected_components`] promises
 /// none for its ID type, so the choice is a type parameter of the program.
+// ppa_lint: allow(test-only-pub) the bound on the public `SvProgram`'s spill parameter
 pub trait SvSpill<I: VertexKey + SortKey>: Sized + Sync {
     /// What [`VertexProgram::spill_codecs`] returns for the program.
     fn codecs() -> Option<SpillCodecs<SvProgram<I, Self>>>;
@@ -234,12 +236,13 @@ impl<I: VertexKey + SortKey, S: SvSpill<I>> VertexProgram for SvProgram<I, S> {
 /// every edge should be present in both endpoint's lists (the function does
 /// not symmetrise the input). Returns `(vertex, component)` pairs where the
 /// component representative is the smallest vertex ID in the component,
-/// together with the job metrics.
+/// together with the job metrics. The job runs on `ctx`'s workers.
 pub fn connected_components<I: VertexKey + SortKey>(
+    ctx: &ExecCtx,
     adjacency: Vec<(I, Vec<I>)>,
     config: &PregelConfig,
 ) -> (Vec<(I, I)>, Metrics) {
-    let workers = config.workers.max(1);
+    let workers = ctx.workers();
     let mut neighbors: Vec<Vec<I>> = (0..workers).map(|_| Vec::new()).collect();
     let states = adjacency.into_iter().map(|(id, list)| {
         let slab = &mut neighbors[(hash_one(&id) % workers as u64) as usize];
@@ -247,7 +250,7 @@ pub fn connected_components<I: VertexKey + SortKey>(
     });
     let mut set = VertexSet::from_pairs(workers, states);
     let program: SvProgram<I> = SvProgram::new(neighbors);
-    let metrics = run(&program, config, &mut set);
+    let metrics = run_on(ctx, &program, config, &mut set);
     let out = set
         .into_pairs()
         .into_iter()
@@ -263,7 +266,7 @@ mod tests {
     use std::collections::HashMap;
 
     fn config() -> PregelConfig {
-        PregelConfig::with_workers(4).max_supersteps(400)
+        PregelConfig::default().max_supersteps(400)
     }
 
     /// Union-find oracle.
@@ -312,7 +315,8 @@ mod tests {
 
     fn run_and_check(n: u64, edges: &[(u64, u64)]) -> Metrics {
         let expected = oracle(n, edges);
-        let (result, metrics) = connected_components(adjacency(n, edges), &config());
+        let (result, metrics) =
+            connected_components(&ExecCtx::new(4), adjacency(n, edges), &config());
         assert_eq!(result.len() as u64, n);
         for (v, comp) in result {
             assert_eq!(comp, expected[&v], "vertex {v}");
@@ -361,7 +365,8 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let (out, metrics) = connected_components(Vec::<(u64, Vec<u64>)>::new(), &config());
+        let (out, metrics) =
+            connected_components(&ExecCtx::new(4), Vec::<(u64, Vec<u64>)>::new(), &config());
         assert!(out.is_empty());
         assert!(metrics.converged);
     }
@@ -490,7 +495,7 @@ mod tests {
                 .filter(|(a, b)| a != b)
                 .collect();
             let expected = oracle(n, &edges);
-            let (result, metrics) = connected_components(adjacency(n, &edges), &config());
+            let (result, metrics) = connected_components(&ExecCtx::new(4), adjacency(n, &edges), &config());
             prop_assert!(metrics.converged);
             for (v, comp) in result {
                 prop_assert_eq!(comp, expected[&v]);

@@ -1,15 +1,16 @@
 //! Runtime configuration for the Pregel engine.
+//!
+//! Where a job runs, and on how many workers, is not configuration: it is the
+//! [`ExecCtx`](crate::ExecCtx) the caller passes to
+//! [`run_on`](crate::run_on) / [`try_run_on`](crate::try_run_on) /
+//! [`run_dense_on`](crate::run_dense_on). A `PregelConfig` only bounds and
+//! instruments the job.
 
-use crate::engine::ExecCtx;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for a Pregel job.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PregelConfig {
-    /// Number of logical workers. Vertices are hash-partitioned over workers
-    /// and each worker runs on its own thread, mirroring the
-    /// machines-times-workers grid of the paper's cluster experiments.
-    pub workers: usize,
     /// Safety cap on the number of supersteps; the engine aborts with a panic
     /// if a program exceeds it (all algorithms in this workspace are PPAs and
     /// terminate in `O(log n)` supersteps, so hitting the cap indicates a bug).
@@ -17,25 +18,9 @@ pub struct PregelConfig {
     /// Whether to record a per-superstep metrics breakdown in addition to the
     /// job totals.
     pub track_supersteps: bool,
-    /// Persistent execution context to run on. When set, the job executes on
-    /// the context's long-lived worker pool (and parks its shuffle planes in
-    /// the context between jobs); when `None`, the runner builds a private
-    /// single-job pool. Runtime-only: not part of the serialised
-    /// configuration.
-    #[serde(skip)]
-    pub exec: Option<ExecCtx>,
 }
 
 impl PregelConfig {
-    /// Creates a configuration with the given number of workers and default
-    /// limits.
-    pub fn with_workers(workers: usize) -> PregelConfig {
-        PregelConfig {
-            workers: workers.max(1),
-            ..Default::default()
-        }
-    }
-
     /// Sets the superstep cap.
     pub fn max_supersteps(mut self, cap: usize) -> PregelConfig {
         self.max_supersteps = cap;
@@ -47,25 +32,13 @@ impl PregelConfig {
         self.track_supersteps = track;
         self
     }
-
-    /// Runs the job on the given persistent execution context. Also aligns
-    /// `workers` with the context's pool size (the two must agree).
-    pub fn exec_ctx(mut self, ctx: ExecCtx) -> PregelConfig {
-        self.workers = ctx.workers();
-        self.exec = Some(ctx);
-        self
-    }
 }
 
 impl Default for PregelConfig {
     fn default() -> PregelConfig {
         PregelConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
             max_supersteps: 10_000,
             track_supersteps: true,
-            exec: None,
         }
     }
 }
@@ -75,31 +48,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_has_at_least_one_worker() {
-        assert!(PregelConfig::default().workers >= 1);
-    }
-
-    #[test]
-    fn with_workers_clamps_zero() {
-        assert_eq!(PregelConfig::with_workers(0).workers, 1);
-        assert_eq!(PregelConfig::with_workers(7).workers, 7);
-    }
-
-    #[test]
     fn builder_methods() {
-        let c = PregelConfig::with_workers(2)
+        let c = PregelConfig::default()
             .max_supersteps(99)
             .track_supersteps(false);
         assert_eq!(c.max_supersteps, 99);
         assert!(!c.track_supersteps);
-        assert_eq!(c.exec, None);
-    }
-
-    #[test]
-    fn exec_ctx_aligns_worker_count() {
-        let ctx = ExecCtx::new(3);
-        let c = PregelConfig::with_workers(8).exec_ctx(ctx.clone());
-        assert_eq!(c.workers, 3);
-        assert_eq!(c.exec, Some(ctx));
     }
 }

@@ -36,10 +36,10 @@ pub enum CancelReason {
     /// [`JobControl::cancel`] was called (an operator or supervisor request).
     Requested,
     /// The wall-clock deadline armed with
-    /// [`set_deadline_in`](JobControl::set_deadline_in) passed.
+    /// [`with_deadline_in`](JobControl::with_deadline_in) passed.
     Deadline,
     /// The vertex store's resident bytes exceeded the budget armed with
-    /// [`set_memory_budget`](JobControl::set_memory_budget).
+    /// [`with_memory_budget`](JobControl::with_memory_budget).
     MemoryBudget,
 }
 
@@ -133,35 +133,27 @@ impl JobControl {
         self.latch(CancelReason::Requested);
     }
 
-    /// Arms (or re-arms) a deadline `timeout` from now. Polls after the
-    /// deadline trip with [`CancelReason::Deadline`].
-    pub fn set_deadline_in(&self, timeout: Duration) {
+    /// Arms (or re-arms, for every clone) a deadline `timeout` from now.
+    /// Polls after the deadline trip with [`CancelReason::Deadline`].
+    #[must_use]
+    // ppa_lint: allow(test-only-pub) the control plane's deadline knob, for callers that bound a job's wall-clock
+    pub fn with_deadline_in(self, timeout: Duration) -> JobControl {
         let nanos = (self.inner.epoch.elapsed() + timeout).as_nanos();
         // Saturate: a u64 of nanoseconds is ~584 years of runway.
         self.inner.deadline_nanos.store(
             u64::try_from(nanos).unwrap_or(u64::MAX).max(1),
             Ordering::SeqCst,
         );
-    }
-
-    /// Chainable [`set_deadline_in`](JobControl::set_deadline_in).
-    #[must_use]
-    pub fn with_deadline_in(self, timeout: Duration) -> JobControl {
-        self.set_deadline_in(timeout);
         self
     }
 
-    /// Arms a resident-bytes budget for the vertex store: a superstep
-    /// boundary observing more than `bytes` resident trips with
-    /// [`CancelReason::MemoryBudget`]. A budget of 0 disarms the guard.
-    pub fn set_memory_budget(&self, bytes: u64) {
-        self.inner.memory_budget.store(bytes, Ordering::SeqCst);
-    }
-
-    /// Chainable [`set_memory_budget`](JobControl::set_memory_budget).
+    /// Arms (or re-arms, for every clone) a resident-bytes budget for the
+    /// vertex store: a superstep boundary observing more than `bytes`
+    /// resident trips with [`CancelReason::MemoryBudget`]. A budget of 0
+    /// disarms the guard.
     #[must_use]
     pub fn with_memory_budget(self, bytes: u64) -> JobControl {
-        self.set_memory_budget(bytes);
+        self.inner.memory_budget.store(bytes, Ordering::SeqCst);
         self
     }
 
@@ -185,11 +177,6 @@ impl JobControl {
             return Some(self.latch(CancelReason::MemoryBudget));
         }
         None
-    }
-
-    /// Whether a trip has latched.
-    pub fn is_cancelled(&self) -> bool {
-        self.reason().is_some()
     }
 
     /// The latched reason, if any.
@@ -224,7 +211,7 @@ mod tests {
     #[test]
     fn fresh_handle_is_live_and_counts_checks() {
         let control = JobControl::new();
-        assert!(!control.is_cancelled());
+        assert!(control.reason().is_none());
         assert_eq!(control.poll(u64::MAX), None);
         assert_eq!(control.poll(0), None);
         assert_eq!(control.checks(), 2);
@@ -238,16 +225,19 @@ mod tests {
         assert_eq!(control.poll(0), Some(CancelReason::Requested));
         assert_eq!(control.reason(), Some(CancelReason::Requested));
         // The first reason wins; a later deadline cannot overwrite it.
-        control.set_deadline_in(Duration::ZERO);
+        let _ = control.clone().with_deadline_in(Duration::ZERO);
         assert_eq!(control.poll(0), Some(CancelReason::Requested));
     }
 
     #[test]
     fn expired_deadline_trips_on_poll() {
         let control = JobControl::new().with_deadline_in(Duration::ZERO);
-        assert!(!control.is_cancelled(), "deadlines fire on poll, not arm");
+        assert!(
+            control.reason().is_none(),
+            "deadlines fire on poll, not arm"
+        );
         assert_eq!(control.poll(0), Some(CancelReason::Deadline));
-        assert!(control.is_cancelled());
+        assert!(control.reason().is_some());
     }
 
     #[test]

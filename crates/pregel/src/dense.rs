@@ -254,11 +254,11 @@ fn on_pool<T>(phase: Result<T, EngineError>) -> T {
 /// the counting scatter; `id_column_compression` is 1.0 — there is no ID
 /// column). A worker panic is raised on the calling thread as
 /// [`EngineError::WorkerPanic`](crate::EngineError), after the phase has
-/// drained, so the pool stays reusable. `config.exec` is ignored.
+/// drained, so the pool stays reusable.
 ///
 /// # Panics
 ///
-/// Panics if `ctx`, `config` and `vertices` disagree on the worker count.
+/// Panics if `ctx`'s pool size differs from the partitioning of `vertices`.
 pub fn run_dense_on<P: VertexProgram<Id = u32>>(
     ctx: &ExecCtx,
     program: &P,
@@ -272,10 +272,6 @@ pub fn run_dense_on<P: VertexProgram<Id = u32>>(
         )
     };
     let workers = vertices.workers();
-    assert_eq!(
-        config.workers, workers,
-        "PregelConfig.workers must match DenseSet partitioning"
-    );
     ctx.assert_matches(workers, "DenseSet partitioning");
     let job_start = Instant::now();
 
@@ -499,5 +495,26 @@ mod tests {
         );
         let (empty, _) = DenseSet::<u8>::from_fn_on(&ctx, 0, |_, _: &mut ()| None);
         assert!(empty.is_empty() && empty.ranks() == 0);
+    }
+
+    /// Halts at once: the job does nothing but check its partitioning.
+    struct Halt;
+
+    impl VertexProgram for Halt {
+        type Id = u32;
+        type Value = ();
+        type Message = ();
+        type Aggregate = crate::aggregate::NoAggregate;
+
+        fn compute(&self, ctx: &mut Context<'_, Self>, _id: u32, _v: &mut (), _m: &mut [()]) {
+            ctx.vote_to_halt();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must match")]
+    fn mismatched_worker_count_panics() {
+        let (mut set, _) = DenseSet::from_fn_on(&ExecCtx::new(3), 3, |_, _: &mut ()| Some(()));
+        let _ = run_dense_on(&ExecCtx::new(2), &Halt, &PregelConfig::default(), &mut set);
     }
 }

@@ -15,8 +15,9 @@
 //!
 //! [`ExecCtx`] is the handle the rest of the workspace passes around:
 //!
-//! * it owns the pool (shared via `Arc`, so cloning an `ExecCtx` — e.g. into
-//!   a [`PregelConfig`](crate::PregelConfig) — shares the same threads);
+//! * it owns the pool (shared via `Arc`, so cloning an `ExecCtx` shares the
+//!   same threads) and is the one way every job, pass and operation is told
+//!   where, and on how many workers, it runs;
 //! * it owns a typed **scratch cache** in which the superstep runner parks
 //!   its per-worker shuffle planes between jobs, so consecutive Pregel jobs
 //!   of the same message type reuse their buffers instead of reallocating
@@ -152,7 +153,7 @@ fn lock(m: &Mutex<PoolState>) -> MutexGuard<'_, PoolState> {
 ///
 /// Construction spawns the threads; every subsequent phase reuses them. The
 /// pool is the **only** place in the workspace that spawns threads for the
-/// steady-state parallel paths (runner, mini-MapReduce, `VertexSet::convert`).
+/// steady-state parallel paths (runner, mini-MapReduce, `VertexSet::convert_on`).
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -394,13 +395,12 @@ fn worker_main(shared: &PoolShared, w: usize) {
     }
 }
 
-/// The execution context handed down from `AssemblyConfig`/`PregelConfig` to
-/// every parallel entry point: one shared [`WorkerPool`] plus the scratch
-/// cache in which the superstep runner parks its shuffle planes between jobs.
+/// The execution context passed to every parallel entry point: one shared
+/// [`WorkerPool`] plus the scratch cache in which the superstep runner parks
+/// its shuffle planes between jobs.
 ///
 /// Cloning is cheap and shares the pool (and scratch), so a workflow
-/// constructs one `ExecCtx` and clones it into each operation's
-/// configuration. Equality is identity: two `ExecCtx`s are equal iff they
+/// constructs one `ExecCtx` and hands it to each operation. Equality is identity: two `ExecCtx`s are equal iff they
 /// share the same pool.
 #[derive(Clone)]
 pub struct ExecCtx {
@@ -535,6 +535,7 @@ impl ExecCtx {
     }
 
     /// Removes any installed [`SpillPolicy`].
+    // ppa_lint: allow(test-only-pub) `set_spill`'s inverse, for a caller handing a shared context on uncapped
     pub fn clear_spill(&self) {
         *self
             .inner
@@ -768,7 +769,7 @@ mod tests {
         // Clones share the installed handle, like the pool: cancelling the
         // caller's handle is visible through the context's clone.
         control.cancel();
-        assert!(ctx.clone().control().expect("installed").is_cancelled());
+        assert!(ctx.clone().control().expect("installed").reason().is_some());
         ctx.clear_control();
         assert!(ctx.control().is_none());
     }

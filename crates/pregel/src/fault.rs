@@ -98,6 +98,7 @@ impl FaultPlan {
     }
 
     /// Adds a fault (builder style).
+    // ppa_lint: allow(test-only-pub) fault-injection seam: tests arm plans of several faults
     pub fn with(mut self, fault: Fault) -> FaultPlan {
         self.faults.push(fault);
         self
@@ -216,6 +217,7 @@ impl ArmedFaults {
     }
 
     /// Whether every fault in the plan has fired.
+    // ppa_lint: allow(test-only-pub) fault-injection seam: tests check their faults were reached
     pub fn all_fired(&self) -> bool {
         self.fired.iter().all(|f| f.load(Ordering::SeqCst))
     }

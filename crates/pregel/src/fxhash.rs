@@ -15,6 +15,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// The FxHash hasher state.
 #[derive(Default, Clone, Copy)]
+// ppa_lint: allow(test-only-pub) named by the public `FxHashMap`/`FxHashSet` aliases
 pub struct FxHasher {
     hash: u64,
 }
@@ -68,6 +69,7 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`], usable as the `S` parameter of `HashMap`.
+// ppa_lint: allow(test-only-pub) the `S` of the public `FxHashMap`/`FxHashSet` aliases
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the Fx hasher.

@@ -31,11 +31,11 @@
 //!   for the one pass that only counts keys and keeps the frequent ones,
 //!   scattering records that each stand for a run of keys (the (k+1)-mer
 //!   count DBG construction starts from, fed super-k-mers);
-//! * [`VertexSet::convert`] — in-memory job concatenation: the output vertices
+//! * [`VertexSet::convert_on`] — in-memory job concatenation: the output vertices
 //!   of one job are transformed into the input vertices of the next job and
 //!   re-shuffled by vertex ID without a round-trip through external storage
-//!   ([`chain`] additionally provides an explicit "spill" emulation of that
-//!   round-trip for ablation experiments).
+//!   (the `ablation_chaining` bench prices that round-trip with the
+//!   [`spill`] file format).
 //!
 //! Finally, [`algorithms`] contains generic *Practical Pregel Algorithms*
 //! (list ranking and the simplified Shiloach–Vishkin connected components)
@@ -88,24 +88,24 @@
 //! All of the parallel entry points — the superstep runner's compute and
 //! shuffle phases, the mini MapReduce's map and reduce phases, the key
 //! counter's scatter and count phases, and
-//! [`VertexSet::convert`] — execute on the persistent worker pool of
+//! [`VertexSet::convert_on`] — execute on the persistent worker pool of
 //! [`engine`] (per-superstep aggregate folding is a cheap O(workers) pass
 //! that stays on the dispatching thread): threads are spawned once per
 //! [`ExecCtx`] and phases are handed
 //! to the parked workers, instead of creating a fresh `std::thread::scope`
-//! team per superstep/phase. An `ExecCtx` travels inside
-//! [`PregelConfig::exec`](config::PregelConfig::exec) (and, one level up,
-//! `AssemblyConfig::exec` in `ppa_assembler`), so a whole multi-job workflow
-//! runs on one worker team; entry points called without a context build a
-//! private single-job pool. The `ExecCtx` also owns the runner's shuffle
-//! planes between jobs, extending buffer reuse across whole job chains.
+//! team per superstep/phase. Every entry point — [`run_on`], [`try_run_on`],
+//! [`run_dense_on`], [`map_reduce_on`], [`map_reduce_spillable_on`],
+//! [`count_keys_on`] — takes the `ExecCtx` as its first argument, and it is
+//! the only place a worker count lives (one level up, `AssemblyConfig::exec`
+//! in `ppa_assembler` carries it), so a whole multi-job workflow runs on one
+//! worker team. The `ExecCtx` also owns the runner's shuffle planes between
+//! jobs, extending buffer reuse across whole job chains.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod aggregate;
 pub mod algorithms;
-pub mod chain;
 pub mod config;
 pub mod control;
 pub mod dense;
@@ -123,21 +123,17 @@ pub mod spill;
 pub mod vertex;
 pub mod vertex_set;
 
-pub use aggregate::{Aggregate, BoolOr, Count, MaxU64, MinU64, NoAggregate, SumU64};
-pub use chain::ChainMode;
+pub use aggregate::{Aggregate, BoolOr, Count, NoAggregate};
 pub use config::PregelConfig;
 pub use control::{CancelReason, JobControl};
 pub use dense::{run_dense_on, DenseSet};
 pub use engine::{EngineError, ExecCtx, WorkerPool};
 pub use fault::{ArmedFaults, Fault, FaultPlan};
 pub use keycount::{count_keys_on, KeySink, Record, Records};
-pub use mapreduce::{
-    map_reduce, map_reduce_on, map_reduce_spillable_on, map_reduce_with_metrics,
-    map_reduce_with_metrics_on, MapReduceMetrics,
-};
+pub use mapreduce::{map_reduce_on, map_reduce_spillable_on, MapReduceMetrics};
 pub use metrics::{Metrics, SuperstepMetrics};
 pub use radix::SortKey;
-pub use runner::{run, run_from_pairs, run_on, try_run_on};
+pub use runner::{run_on, try_run_on};
 pub use spill::{SpillCodec, SpillCodecs, SpillError, SpillPolicy};
 pub use vertex::{Context, VertexKey, VertexProgram};
 pub use vertex_set::VertexSet;

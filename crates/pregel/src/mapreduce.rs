@@ -10,7 +10,7 @@
 //! keys, nearly all discarded — is not a shuffle; it runs through
 //! [`crate::keycount`].)
 //!
-//! [`map_reduce`] reproduces that pass with one thread per worker. Grouping is
+//! [`map_reduce_on`] reproduces that pass with one thread per worker. Grouping is
 //! **sort-based**: every reduce worker concatenates the pair buffers addressed
 //! to it into one flat buffer, sorts it by key once, and hands each group to
 //! the reduce UDF as a mutable slice of values carved out of a single flat
@@ -22,14 +22,12 @@
 //! comparison fallback), so equal-key values reach `reduce` in emission
 //! order.
 //!
-//! The partitioned variant [`map_reduce_partitioned`] exposes which worker
-//! produced each output, which contig merging needs in order to mint contig
-//! IDs of the form `worker ‖ ordinal` (Figure 7c).
+//! The reduce UDF is told which worker runs it and the outputs come back per
+//! worker, which contig merging needs in order to mint contig IDs of the form
+//! `worker ‖ ordinal` (Figure 7c).
 //!
-//! Both phases dispatch onto a persistent [`ExecCtx`] worker pool: the `*_on`
-//! variants run on a caller-provided context (one pool shared by a whole
-//! workflow), while the plain variants build a private single-pass context —
-//! either way, no per-phase thread scope is created.
+//! Both phases dispatch onto the caller's [`ExecCtx`] worker pool (one pool
+//! shared by a whole workflow); no per-phase thread scope is created.
 //!
 //! # Out-of-core execution
 //!
@@ -109,111 +107,18 @@ pub struct MapReduceMetrics {
     pub spilled_runs: u64,
 }
 
-/// Runs a mini-MapReduce pass and returns the outputs of every group,
-/// concatenated in worker order (deterministic for a fixed worker count).
+/// Runs a mini-MapReduce pass on `ctx`'s worker pool (the worker count is the
+/// pool size) and returns the outputs of every reduce worker, in worker order
+/// (deterministic for a fixed worker count), plus the pass's metrics.
 ///
-/// The reduce UDF receives each group as `(&key, &mut [value])` — the slice
-/// is a window into the worker's flat, key-sorted value buffer (it may be
-/// reordered freely, e.g. sorted, but only lives for the duration of the
-/// call) — and pushes its outputs into the worker's shared output vector, so
-/// neither side of the shuffle allocates a container per key.
-pub fn map_reduce<I, K, V, O, MF, RF>(
-    inputs: Vec<I>,
-    workers: usize,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> Vec<O>
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(&K, &mut [V], &mut Vec<O>) + Sync,
-{
-    map_reduce_with_metrics(inputs, workers, map_fn, reduce_fn).0
-}
-
-/// Like [`map_reduce`] but also returns [`MapReduceMetrics`].
-pub fn map_reduce_with_metrics<I, K, V, O, MF, RF>(
-    inputs: Vec<I>,
-    workers: usize,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> (Vec<O>, MapReduceMetrics)
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(&K, &mut [V], &mut Vec<O>) + Sync,
-{
-    map_reduce_with_metrics_on(&ExecCtx::new(workers), inputs, map_fn, reduce_fn)
-}
-
-/// [`map_reduce`] on a caller-provided execution context (the worker count is
-/// the context's pool size).
+/// The reduce UDF receives the index of the worker executing it and each
+/// group as `(&key, &mut [value])` — the slice is a window into the worker's
+/// flat, key-sorted value buffer (it may be reordered freely, e.g. sorted,
+/// but only lives for the duration of the call) — and pushes its outputs into
+/// the worker's shared output vector, so neither side of the shuffle
+/// allocates a container per key. Callers that need neither the worker index
+/// nor the per-worker split ignore the one and flatten the other.
 pub fn map_reduce_on<I, K, V, O, MF, RF>(
-    ctx: &ExecCtx,
-    inputs: Vec<I>,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> Vec<O>
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(&K, &mut [V], &mut Vec<O>) + Sync,
-{
-    map_reduce_with_metrics_on(ctx, inputs, map_fn, reduce_fn).0
-}
-
-/// [`map_reduce_with_metrics`] on a caller-provided execution context.
-pub fn map_reduce_with_metrics_on<I, K, V, O, MF, RF>(
-    ctx: &ExecCtx,
-    inputs: Vec<I>,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> (Vec<O>, MapReduceMetrics)
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(&K, &mut [V], &mut Vec<O>) + Sync,
-{
-    let (per_worker, metrics) =
-        map_reduce_partitioned_on(ctx, inputs, map_fn, |_w, k, vs, out| reduce_fn(k, vs, out));
-    (per_worker.into_iter().flatten().collect(), metrics)
-}
-
-/// The fully general mini-MapReduce: the reduce UDF additionally receives the
-/// index of the worker executing it, and the outputs are returned per worker.
-pub fn map_reduce_partitioned<I, K, V, O, MF, RF>(
-    inputs: Vec<I>,
-    workers: usize,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> (Vec<Vec<O>>, MapReduceMetrics)
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(usize, &K, &mut [V], &mut Vec<O>) + Sync,
-{
-    map_reduce_partitioned_on(&ExecCtx::new(workers), inputs, map_fn, reduce_fn)
-}
-
-/// [`map_reduce_partitioned`] on a caller-provided execution context: both
-/// the map and the reduce phase dispatch onto the context's persistent pool
-/// instead of spawning a thread scope each.
-pub fn map_reduce_partitioned_on<I, K, V, O, MF, RF>(
     ctx: &ExecCtx,
     inputs: Vec<I>,
     map_fn: MF,
@@ -230,7 +135,7 @@ where
     map_reduce_inner(ctx, inputs, map_fn, reduce_fn, None)
 }
 
-/// The bounded-memory mini MapReduce: like [`map_reduce_partitioned_on`], but
+/// The bounded-memory mini MapReduce: like [`map_reduce_on`], but
 /// when the context carries a [`SpillPolicy`](crate::SpillPolicy) byte cap the
 /// map phase spills presorted run files to disk once a worker's buffered
 /// pairs exceed `cap / (4 × workers)` bytes, and the reduce phase streams
@@ -494,11 +399,32 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One pass on a fresh `workers`-worker context with a reduce that
+    /// ignores the worker index, flattened in worker order.
+    fn flat<I, K, V, O>(
+        inputs: Vec<I>,
+        workers: usize,
+        map_fn: impl Fn(I, &mut Emitter<'_, K, V>) + Sync,
+        reduce_fn: impl Fn(&K, &mut [V], &mut Vec<O>) + Sync,
+    ) -> (Vec<O>, MapReduceMetrics)
+    where
+        I: Send,
+        K: Hash + Eq + Ord + SortKey + Send,
+        V: Send,
+        O: Send,
+    {
+        let (per_worker, metrics) =
+            map_reduce_on(&ExecCtx::new(workers), inputs, map_fn, |_w, k, vs, out| {
+                reduce_fn(k, vs, out)
+            });
+        (per_worker.into_iter().flatten().collect(), metrics)
+    }
+
     #[test]
     fn word_count() {
         let docs = ["a b a", "b c", "a", ""];
         let inputs: Vec<String> = docs.iter().map(|s| s.to_string()).collect();
-        let (counts, metrics) = map_reduce_with_metrics(
+        let (counts, metrics) = flat(
             inputs,
             3,
             |doc: String, out: &mut Emitter<'_, String, u64>| {
@@ -531,7 +457,7 @@ mod tests {
         // Keep only keys whose total exceeds a threshold — the same pattern as
         // the coverage filter θ in DBG construction.
         let inputs: Vec<u64> = (0..100).collect();
-        let out = map_reduce(
+        let out = flat(
             inputs,
             4,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 10, 1),
@@ -541,7 +467,8 @@ mod tests {
                     out.push(*k);
                 }
             },
-        );
+        )
+        .0;
         let mut out = out;
         out.sort();
         assert_eq!(out, vec![0, 2, 4, 6, 8]);
@@ -550,9 +477,9 @@ mod tests {
     #[test]
     fn partitioned_exposes_worker_index() {
         let inputs: Vec<u64> = (0..50).collect();
-        let (per_worker, _) = map_reduce_partitioned(
+        let (per_worker, _) = map_reduce_on(
+            &ExecCtx::new(4),
             inputs,
-            4,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x, x),
             |w: usize, _k: &u64, vs: &mut [u64], out: &mut Vec<(usize, u64)>| {
                 out.extend(vs.iter().map(|&v| (w, v)));
@@ -577,14 +504,15 @@ mod tests {
         let ctx = ExecCtx::new(3);
         for round in 1u64..=4 {
             let inputs: Vec<u64> = (0..60).collect();
-            let mut out = map_reduce_on(
+            let (per_worker, _) = map_reduce_on(
                 &ctx,
                 inputs,
                 |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 5, x * round),
-                |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| {
+                |_w: usize, k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| {
                     out.push((*k, vs.iter().sum::<u64>()))
                 },
             );
+            let mut out: Vec<(u64, u64)> = per_worker.into_iter().flatten().collect();
             out.sort_unstable();
             let expected: u64 = (0..60u64).map(|x| x * round).sum();
             assert_eq!(out.iter().map(|&(_, s)| s).sum::<u64>(), expected);
@@ -595,7 +523,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let (out, metrics) = map_reduce_with_metrics(
+        let (out, metrics) = flat(
             Vec::<u64>::new(),
             4,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x, x),
@@ -608,12 +536,13 @@ mod tests {
     #[test]
     fn single_worker_is_sequential_but_correct() {
         let inputs: Vec<u64> = (0..20).collect();
-        let out = map_reduce(
+        let out = flat(
             inputs,
             1,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 2, x),
             |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, usize)>| out.push((*k, vs.len())),
-        );
+        )
+        .0;
         let mut out = out;
         out.sort();
         assert_eq!(out, vec![(0, 10), (1, 10)]);
@@ -623,12 +552,13 @@ mod tests {
     fn group_order_is_sorted_within_worker() {
         // With one worker, outputs must appear in ascending key order.
         let inputs: Vec<u64> = vec![5, 3, 9, 1, 7];
-        let out = map_reduce(
+        let out = flat(
             inputs,
             1,
             |x: u64, out: &mut Emitter<'_, u64, ()>| out.emit(x, ()),
             |k: &u64, _vs: &mut [()], out: &mut Vec<u64>| out.push(*k),
-        );
+        )
+        .0;
         assert_eq!(out, vec![1, 3, 5, 7, 9]);
     }
 
@@ -637,7 +567,7 @@ mod tests {
         // The reduce UDF is allowed to reorder its group in place (bubble
         // filtering sorts candidates by contig ID, for example).
         let inputs: Vec<u64> = vec![9, 3, 7, 1, 5];
-        let out = map_reduce(
+        let out = flat(
             inputs,
             2,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 2, x),
@@ -645,7 +575,8 @@ mod tests {
                 vs.sort_unstable();
                 out.push(vs.to_vec());
             },
-        );
+        )
+        .0;
         for group in out {
             assert!(group.windows(2).all(|w| w[0] <= w[1]));
         }
@@ -709,12 +640,12 @@ mod tests {
         ) {
             // Aggregating reduce (the combiner-style shape).
             let expected = hash_grouped_sums(&pairs);
-            let out = map_reduce(
+            let out = flat(
                 pairs.clone(),
                 workers,
                 |p: (u64, u64), out: &mut Emitter<'_, u64, u64>| out.emit(p.0, p.1),
                 |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| out.push((*k, vs.iter().sum::<u64>())),
-            );
+            ).0;
             prop_assert_eq!(out.len(), expected.len());
             for (k, sum) in out {
                 prop_assert_eq!(sum, expected[&k]);
@@ -722,12 +653,12 @@ mod tests {
 
             // Identity reduce (the non-combiner shape): every value survives,
             // grouped with its key.
-            let out = map_reduce(
+            let out = flat(
                 pairs.clone(),
                 workers,
                 |p: (u64, u64), out: &mut Emitter<'_, u64, u64>| out.emit(p.0, p.1),
                 |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| out.extend(vs.iter().map(|&v| (*k, v))),
-            );
+            ).0;
             let mut got = out;
             let mut want = pairs.clone();
             got.sort_unstable();
@@ -741,12 +672,12 @@ mod tests {
         ) {
             let mut reference: Option<Vec<(u64, u64)>> = None;
             for workers in [1usize, 2, 5] {
-                let mut out = map_reduce(
+                let mut out = flat(
                     pairs.clone(),
                     workers,
                     |p: (u64, u64), out: &mut Emitter<'_, u64, u64>| out.emit(p.0, p.1),
                     |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| out.push((*k, vs.iter().sum::<u64>())),
-                );
+                ).0;
                 out.sort_unstable();
                 match &reference {
                     Some(r) => prop_assert_eq!(r, &out),

@@ -162,15 +162,6 @@ impl Metrics {
         self.per_superstep
             .extend(other.per_superstep.iter().cloned());
     }
-
-    /// Messages per superstep, averaged.
-    pub fn avg_messages_per_superstep(&self) -> f64 {
-        if self.supersteps == 0 {
-            0.0
-        } else {
-            self.total_messages as f64 / self.supersteps as f64
-        }
-    }
 }
 
 impl std::fmt::Display for Metrics {
@@ -266,17 +257,6 @@ mod tests {
         };
         a.absorb(&b);
         assert!(!a.converged);
-    }
-
-    #[test]
-    fn avg_messages() {
-        let m = Metrics {
-            supersteps: 4,
-            total_messages: 10,
-            ..Default::default()
-        };
-        assert!((m.avg_messages_per_superstep() - 2.5).abs() < 1e-12);
-        assert_eq!(Metrics::default().avg_messages_per_superstep(), 0.0);
     }
 
     #[test]

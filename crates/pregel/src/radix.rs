@@ -3,7 +3,7 @@
 //! Every sort in this workspace is by a packed integer key (vertex IDs,
 //! shuffle keys, canonical k-mers are all `u64`). The presorts — the runner's
 //! per-destination outbox presort, the mini-MapReduce shuffle presort and
-//! `VertexSet::convert`'s presort — sort `(key, payload)` records with
+//! `VertexSet::convert_on`'s presort — sort `(key, payload)` records with
 //! [`sort_pairs`], and so does the bucketed key counter
 //! ([`crate::keycount`], construct phase (i)'s (k+1)-mer counting) for the
 //! `(key, count)`s each prefix bucket keeps. [`sort_pairs`] is a **stable
@@ -21,7 +21,7 @@
 //!   **11-bit digits** with 2048-bucket stack histograms, two fewer scatter
 //!   passes over the data;
 //! * histograms for all scheduled digits are built in **one** read pass;
-//! * inputs at or below [`INSERTION_CUTOFF`] use an in-place insertion sort
+//! * inputs at or below `INSERTION_CUTOFF` (64) use an in-place insertion sort
 //!   instead (the per-destination buffers of a fine-grained shuffle are often
 //!   tiny);
 //! * scatter passes **ping-pong** between the record buffer and one caller
@@ -57,12 +57,12 @@ use crate::kernels;
 
 /// Inputs of at most this many records are sorted with an in-place insertion
 /// sort instead of counting passes.
-pub const INSERTION_CUTOFF: usize = 64;
+const INSERTION_CUTOFF: usize = 64;
 
 /// Inputs below this size never take the wide (11-bit) digit schedule: its
 /// 48 KiB of histograms and 16 KiB of scatter offsets would dominate the
 /// sort itself.
-pub const WIDE_CUTOFF: usize = 1 << 15;
+const WIDE_CUTOFF: usize = 1 << 15;
 
 /// A sort key of the message plane.
 ///
@@ -142,7 +142,7 @@ impl<A: Ord, B: Ord, C: Ord> SortKey for (A, B, C) {}
 /// Radix keys take the LSD path using `scratch` as the ping-pong buffer;
 /// other keys use a stable comparison sort. Either way the sort is **stable**
 /// — records with equal keys keep their input order, which the fold-by-run
-/// duplicate merging of `VertexSet::convert` and the per-sender delivery
+/// duplicate merging of `VertexSet::convert_on` and the per-sender delivery
 /// order of the runner rely on. On return `scratch` is empty (capacity
 /// kept); reuse it across calls to keep steady-state sorting allocation-free.
 pub fn sort_pairs<K: SortKey, V>(records: &mut Vec<(K, V)>, scratch: &mut Vec<(K, V)>) {

@@ -1,7 +1,7 @@
 //! The superstep execution engine with a sort-based, buffer-reusing message
 //! plane.
 //!
-//! [`run`] drives a [`VertexProgram`] over a [`VertexSet`] until no vertex is
+//! [`run_on`] drives a [`VertexProgram`] over a [`VertexSet`] until no vertex is
 //! active and no message is in flight (or the program's
 //! [`should_terminate`](VertexProgram::should_terminate) fires), collecting
 //! [`Metrics`] along the way. Each superstep has two parallel phases:
@@ -35,12 +35,11 @@
 //! (one hash probe per delivered run, a bucket-array walk per straggler
 //! scan).
 //!
-//! Both phases are dispatched onto the persistent worker pool of an
-//! [`ExecCtx`] — either the one carried by
-//! [`PregelConfig::exec`](crate::config::PregelConfig::exec) (shared across a
-//! whole workflow, with the planes parked in the context between jobs) or a
-//! private single-job context; no per-superstep thread scope is created
-//! anywhere. See the `engine` module docs for the scoped-spawn comparison.
+//! Both phases are dispatched onto the persistent worker pool of the
+//! caller's [`ExecCtx`] (shared across a whole workflow, with the planes
+//! parked in the context between jobs); no per-superstep thread scope is
+//! created anywhere. See the `engine` module docs for the scoped-spawn
+//! comparison.
 //!
 //! # Out-of-core execution
 //!
@@ -514,48 +513,25 @@ fn compute_sealed<P: VertexProgram>(
     Ok(seal.total_halted() == seal.total_slots() as u64)
 }
 
-/// Runs `program` over `vertices` until convergence and returns the metrics.
-///
-/// Executes on the persistent worker pool of
-/// [`config.exec`](crate::config::PregelConfig::exec) when one is set (the
-/// common case inside a workflow — all jobs share one pool and reuse its
-/// shuffle planes), or on a private single-job pool otherwise.
+/// Runs `program` over `vertices` on `ctx`'s persistent worker pool until
+/// convergence and returns the metrics. Inside a workflow all jobs share one
+/// context, so they share its pool and reuse the shuffle planes it parks
+/// between jobs.
 ///
 /// The vertex set keeps the final vertex values; a typical operation runs a
-/// job and then inspects or [`convert`](VertexSet::convert)s the set.
+/// job and then inspects or [`convert_on`](VertexSet::convert_on)s the set.
 ///
 /// # Panics
 ///
-/// Panics if `config.workers` differs from the partitioning of `vertices`
-/// (construct the set with the same worker count), or if the superstep cap is
+/// Panics if `ctx`'s pool size differs from the partitioning of `vertices`
+/// (construct the set with `ctx.workers()`), or if the superstep cap is
 /// exceeded with `debug_assertions` enabled.
-pub fn run<P: VertexProgram>(
-    program: &P,
-    config: &PregelConfig,
-    vertices: &mut VertexSet<P::Id, P::Value>,
-) -> Metrics {
-    match config.exec.as_ref() {
-        Some(ctx) => run_on(ctx, program, config, vertices),
-        None => run_on(&ExecCtx::new(config.workers), program, config, vertices),
-    }
-}
-
-/// Like [`run`], but on an explicit execution context (ignoring
-/// `config.exec`). `ctx`, `config` and `vertices` must agree on the worker
-/// count.
 pub fn run_on<P: VertexProgram>(
     ctx: &ExecCtx,
     program: &P,
     config: &PregelConfig,
     vertices: &mut VertexSet<P::Id, P::Value>,
 ) -> Metrics {
-    assert_eq!(
-        config.workers,
-        vertices.workers(),
-        "PregelConfig.workers ({}) must match VertexSet partitioning ({})",
-        config.workers,
-        vertices.workers()
-    );
     ctx.assert_matches(vertices.workers(), "VertexSet partitioning");
     let workers = vertices.workers();
     let total_vertices = vertices.len();
@@ -1050,6 +1026,7 @@ fn combine_buf<P: VertexProgram>(
 /// coordinator, and every temporary spill file is removed by the unwind. Any
 /// other panic — a program bug, an injected worker fault — is re-raised
 /// unchanged.
+// ppa_lint: allow(test-only-pub) the job entry that returns a control trip as a value, for callers outside a pipeline
 pub fn try_run_on<P: VertexProgram>(
     ctx: &ExecCtx,
     program: &P,
@@ -1067,23 +1044,24 @@ pub fn try_run_on<P: VertexProgram>(
     }
 }
 
-/// Convenience wrapper: partitions `pairs` over `config.workers` workers, runs
-/// the program, and returns both the final vertex set and the metrics.
-pub fn run_from_pairs<P: VertexProgram>(
-    program: &P,
-    config: &PregelConfig,
-    pairs: impl IntoIterator<Item = (P::Id, P::Value)>,
-) -> (VertexSet<P::Id, P::Value>, Metrics) {
-    let mut set = VertexSet::from_pairs(config.workers, pairs);
-    let metrics = run(program, config, &mut set);
-    (set, metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{BoolOr, NoAggregate, SumU64};
+    use crate::aggregate::{BoolOr, Count, NoAggregate};
     use proptest::prelude::*;
+
+    /// Partitions `pairs` over `workers` workers and runs `program` on a
+    /// fresh context of that size.
+    fn run_pairs<P: VertexProgram>(
+        program: &P,
+        workers: usize,
+        config: &PregelConfig,
+        pairs: impl IntoIterator<Item = (P::Id, P::Value)>,
+    ) -> (VertexSet<P::Id, P::Value>, Metrics) {
+        let mut set = VertexSet::from_pairs(workers, pairs);
+        let metrics = run_on(&ExecCtx::new(workers), program, config, &mut set);
+        (set, metrics)
+    }
 
     /// Each vertex starts with a number and floods the maximum over a ring;
     /// classic Pregel smoke test exercising reactivation and halting.
@@ -1125,7 +1103,7 @@ mod tests {
     fn max_flood_on_ring_converges() {
         let n = 64u64;
         let program = MaxFlood { ring: n as usize };
-        let config = PregelConfig::with_workers(4);
+        let config = PregelConfig::default();
         let pairs = (0..n).map(|i| {
             (
                 i,
@@ -1135,7 +1113,7 @@ mod tests {
                 },
             )
         });
-        let (set, metrics) = run_from_pairs(&program, &config, pairs);
+        let (set, metrics) = run_pairs(&program, 4, &config, pairs);
         let expected = (0..n).map(|i| i * 7 % 97).max().unwrap();
         for (_, v) in set.iter() {
             assert_eq!(v.value, expected);
@@ -1157,22 +1135,22 @@ mod tests {
         type Id = u64;
         type Value = ();
         type Message = ();
-        type Aggregate = SumU64;
+        type Aggregate = Count;
 
         fn compute(&self, ctx: &mut Context<'_, Self>, _id: u64, _v: &mut (), _m: &mut [()]) {
-            ctx.aggregate(SumU64(1));
+            ctx.aggregate(Count(1));
             // Never vote to halt: termination must come from should_terminate.
         }
 
-        fn should_terminate(&self, agg: &SumU64, _superstep: usize) -> bool {
+        fn should_terminate(&self, agg: &Count, _superstep: usize) -> bool {
             agg.0 > 0
         }
     }
 
     #[test]
     fn aggregator_and_forced_termination() {
-        let config = PregelConfig::with_workers(3);
-        let (_, metrics) = run_from_pairs(&CountAndStop, &config, (0..10).map(|i| (i, ())));
+        let config = PregelConfig::default();
+        let (_, metrics) = run_pairs(&CountAndStop, 3, &config, (0..10).map(|i| (i, ())));
         assert!(metrics.converged);
         assert_eq!(metrics.supersteps, 1);
         assert_eq!(metrics.total_compute_calls, 10);
@@ -1212,8 +1190,8 @@ mod tests {
 
     #[test]
     fn combiner_merges_messages() {
-        let config = PregelConfig::with_workers(4);
-        let (set, metrics) = run_from_pairs(&SumToRoot, &config, (0..100).map(|i| (i, 0u64)));
+        let config = PregelConfig::default();
+        let (set, metrics) = run_pairs(&SumToRoot, 4, &config, (0..100).map(|i| (i, 0u64)));
         assert_eq!(*set.get(&0).unwrap(), 100);
         // 100 logical messages were sent even though the combiner merged them.
         assert_eq!(metrics.total_messages, 100);
@@ -1250,8 +1228,8 @@ mod tests {
                 *acc += incoming;
             }
         }
-        let config = PregelConfig::with_workers(2);
-        let (set, _) = run_from_pairs(&CountSlice, &config, (0..40).map(|i| (i, 0u64)));
+        let config = PregelConfig::default();
+        let (set, _) = run_pairs(&CountSlice, 2, &config, (0..40).map(|i| (i, 0u64)));
         assert_eq!(*set.get(&3).unwrap(), 40 * 5);
     }
 
@@ -1272,8 +1250,8 @@ mod tests {
 
     #[test]
     fn messages_to_missing_vertices_are_dropped() {
-        let config = PregelConfig::with_workers(2);
-        let (_, metrics) = run_from_pairs(&SendToNowhere, &config, (0..5).map(|i| (i, ())));
+        let config = PregelConfig::default();
+        let (_, metrics) = run_pairs(&SendToNowhere, 2, &config, (0..5).map(|i| (i, ())));
         assert_eq!(metrics.total_dropped, 5);
         assert!(metrics.converged);
     }
@@ -1291,8 +1269,8 @@ mod tests {
 
     #[test]
     fn superstep_cap_stops_runaway_jobs() {
-        let config = PregelConfig::with_workers(2).max_supersteps(5);
-        let (_, metrics) = run_from_pairs(&NeverHalts, &config, (0..3).map(|i| (i, ())));
+        let config = PregelConfig::default().max_supersteps(5);
+        let (_, metrics) = run_pairs(&NeverHalts, 2, &config, (0..3).map(|i| (i, ())));
         assert!(!metrics.converged);
         assert_eq!(metrics.supersteps, 5);
     }
@@ -1325,9 +1303,10 @@ mod tests {
 
     #[test]
     fn frontier_density_reflects_sparse_frontiers() {
-        let config = PregelConfig::with_workers(2);
-        let (_, metrics) = run_from_pairs(
+        let config = PregelConfig::default();
+        let (_, metrics) = run_pairs(
             &SparseWalk { steps: 10 },
+            2,
             &config,
             (0..1000).map(|i| (i, 0u64)),
         );
@@ -1343,8 +1322,9 @@ mod tests {
         assert!(metrics.avg_frontier_density > 0.0);
         assert!(metrics.peak_store_resident_bytes > 0);
         // A dense program over the same set reports a dense mean.
-        let (_, dense) = run_from_pairs(
+        let (_, dense) = run_pairs(
             &NeverHalts,
+            2,
             &config.clone().max_supersteps(3),
             (0..10).map(|i| (i, ())),
         );
@@ -1353,8 +1333,8 @@ mod tests {
 
     #[test]
     fn empty_vertex_set_converges_immediately() {
-        let config = PregelConfig::with_workers(2);
-        let (set, metrics) = run_from_pairs(&NeverHalts, &config, std::iter::empty::<(u64, ())>());
+        let config = PregelConfig::default();
+        let (set, metrics) = run_pairs(&NeverHalts, 2, &config, std::iter::empty::<(u64, ())>());
         assert!(set.is_empty());
         assert!(metrics.converged);
         assert_eq!(metrics.supersteps, 1);
@@ -1365,7 +1345,7 @@ mod tests {
         let ctx = ExecCtx::new(2);
         let control = crate::control::JobControl::new();
         ctx.set_control(control.clone());
-        let config = PregelConfig::with_workers(2)
+        let config = PregelConfig::default()
             .max_supersteps(4)
             .track_supersteps(true);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..6).map(|i| (i, ())));
@@ -1409,7 +1389,7 @@ mod tests {
                 control.cancel();
             })
         };
-        let config = PregelConfig::with_workers(2).max_supersteps(1000);
+        let config = PregelConfig::default().max_supersteps(1000);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..8).map(|i| (i, ())));
         let err = try_run_on(&ctx, &NeverHalts, &config, &mut set).unwrap_err();
         watcher.join().expect("watcher thread");
@@ -1427,9 +1407,10 @@ mod tests {
         assert!(err.to_string().contains("cancelled"));
 
         // The pool is immediately reusable and deterministic.
-        let (set, metrics) = run_from_pairs(
+        let (set, metrics) = run_pairs(
             &SumToRoot,
-            &PregelConfig::with_workers(2),
+            2,
+            &PregelConfig::default(),
             (0..100).map(|i| (i, 0u64)),
         );
         assert_eq!(*set.get(&0).unwrap(), 100);
@@ -1442,7 +1423,7 @@ mod tests {
         let ctx = ExecCtx::new(2);
         // 1 byte: any non-empty store exceeds it at the first boundary.
         ctx.set_control(JobControl::new().with_memory_budget(1));
-        let config = PregelConfig::with_workers(2).max_supersteps(10);
+        let config = PregelConfig::default().max_supersteps(10);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..8).map(|i| (i, ())));
         let err = try_run_on(&ctx, &NeverHalts, &config, &mut set).unwrap_err();
         ctx.clear_control();
@@ -1471,7 +1452,7 @@ mod tests {
             millis: 600,
         }));
         ctx.set_control(JobControl::new().with_deadline_in(Duration::from_millis(150)));
-        let config = PregelConfig::with_workers(2).max_supersteps(10);
+        let config = PregelConfig::default().max_supersteps(10);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..8).map(|i| (i, ())));
         let err = try_run_on(&ctx, &NeverHalts, &config, &mut set).unwrap_err();
         ctx.clear_control();
@@ -1495,7 +1476,7 @@ mod tests {
             superstep: 0,
             worker: 0,
         }));
-        let config = PregelConfig::with_workers(2).max_supersteps(5);
+        let config = PregelConfig::default().max_supersteps(5);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..4).map(|i| (i, ())));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             try_run_on(&ctx, &NeverHalts, &config, &mut set)
@@ -1512,8 +1493,12 @@ mod tests {
     #[should_panic(expected = "must match")]
     fn mismatched_worker_count_panics() {
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(3, (0..3).map(|i| (i, ())));
-        let config = PregelConfig::with_workers(2);
-        let _ = run(&NeverHalts, &config, &mut set);
+        let _ = run_on(
+            &ExecCtx::new(2),
+            &NeverHalts,
+            &PregelConfig::default(),
+            &mut set,
+        );
     }
 
     // ---- out-of-core spilling ------------------------------------------------
@@ -1618,7 +1603,7 @@ mod tests {
         if let Some(cap) = cap {
             ctx.set_spill(crate::spill::SpillPolicy::At(cap));
         }
-        let config = PregelConfig::with_workers(workers);
+        let config = PregelConfig::default();
         let mut set: VertexSet<u64, u64> = VertexSet::from_pairs(
             workers,
             (0u64..20_000).map(|i| (i, i.wrapping_mul(2654435761) % 997)),
@@ -1683,7 +1668,7 @@ mod tests {
             if let Some(cap) = cap {
                 ctx.set_spill(crate::spill::SpillPolicy::At(cap));
             }
-            let config = PregelConfig::with_workers(4);
+            let config = PregelConfig::default();
             let mut set: VertexSet<u64, u64> = VertexSet::from_pairs(4, (0..n).map(|i| (i, 0u64)));
             let metrics = run_on(&ctx, &SpillSum, &config, &mut set);
             ctx.clear_spill();
@@ -1700,7 +1685,7 @@ mod tests {
     fn programs_without_codecs_ignore_the_spill_policy() {
         let ctx = ExecCtx::new(2);
         ctx.set_spill(crate::spill::SpillPolicy::At(1));
-        let config = PregelConfig::with_workers(2).max_supersteps(3);
+        let config = PregelConfig::default().max_supersteps(3);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..16).map(|i| (i, ())));
         let metrics = run_on(&ctx, &NeverHalts, &config, &mut set);
         ctx.clear_spill();
@@ -1721,7 +1706,7 @@ mod tests {
         ctx.set_spill(crate::spill::SpillPolicy::At(2048));
         ctx.set_control(JobControl::new().with_memory_budget(1));
         let program = HopFlood { n: 512, hops: 6 };
-        let config = PregelConfig::with_workers(2);
+        let config = PregelConfig::default();
         let mut set: VertexSet<u64, u64> = VertexSet::from_pairs(2, (0..512).map(|i| (i, i % 97)));
         let err = try_run_on(&ctx, &program, &config, &mut set).unwrap_err();
         ctx.clear_control();
@@ -1839,12 +1824,12 @@ mod tests {
                 plan[sender as usize].push((target, payload));
             }
             let expected = oracle_sums(n, &plan);
-            let config = PregelConfig::with_workers(workers);
+            let config = PregelConfig::default();
 
             // Without a combiner.
             let program = PlannedScatter { plan: plan.clone(), combine: false };
             let (set, metrics) =
-                run_from_pairs(&program, &config, (0..n).map(|i| (i, 0u64)));
+                run_pairs(&program, workers, &config, (0..n).map(|i| (i, 0u64)));
             for (id, v) in set.iter() {
                 prop_assert_eq!(*v, expected[id as usize]);
             }
@@ -1854,7 +1839,7 @@ mod tests {
             // With a sum combiner: same delivered totals, same logical count.
             let program = PlannedScatterCombined { plan };
             let (set, metrics) =
-                run_from_pairs(&program, &config, (0..n).map(|i| (i, 0u64)));
+                run_pairs(&program, workers, &config, (0..n).map(|i| (i, 0u64)));
             for (id, v) in set.iter() {
                 prop_assert_eq!(*v, expected[id as usize]);
             }
@@ -1991,8 +1976,8 @@ mod tests {
         ) {
             let program = HaltPattern { n, rounds };
             let (expected, oracle_steps) = oracle_run(&program);
-            let config = PregelConfig::with_workers(workers);
-            let (set, metrics) = run_from_pairs(&program, &config, (0..n).map(|i| (i, i)));
+            let config = PregelConfig::default();
+            let (set, metrics) = run_pairs(&program, workers, &config, (0..n).map(|i| (i, i)));
             prop_assert_eq!(metrics.supersteps, oracle_steps);
             for (id, value, halted) in expected {
                 prop_assert_eq!(set.get(&id), Some(&value), "value of {}", id);

@@ -457,7 +457,7 @@ pub fn decode_spill_stream<T: SpillCodec, R: Read>(
 }
 
 /// Writes `items` to `path` in the shared spill framing, returning the bytes
-/// written. Used by `chain::spill_roundtrip`'s on-disk mode.
+/// written.
 pub fn write_spill_file<T: SpillCodec>(path: &Path, items: &[T]) -> Result<u64, SpillError> {
     let bytes = encode_spill_bytes(items);
     let file = std::fs::File::create(path).map_err(|e| io_err(path, "create spill file", e))?;
@@ -1433,6 +1433,54 @@ impl<I, V> Drop for PartSeal<I, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn primitive_codecs_roundtrip() {
+        let mut buf = Vec::new();
+        42u64.encode(&mut buf);
+        7u32.encode(&mut buf);
+        vec![1u8, 2, 3].encode(&mut buf);
+        (5u64, 6u64).encode(&mut buf);
+        let mut s = buf.as_slice();
+        assert_eq!(u64::decode(&mut s), Some(42));
+        assert_eq!(u32::decode(&mut s), Some(7));
+        assert_eq!(Vec::<u8>::decode(&mut s), Some(vec![1, 2, 3]));
+        assert_eq!(<(u64, u64)>::decode(&mut s), Some((5, 6)));
+        assert!(u64::decode(&mut s).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_truncation() {
+        let mut buf = Vec::new();
+        1234u64.encode(&mut buf);
+        let mut s = &buf[..4];
+        assert!(u64::decode(&mut s).is_none());
+        let mut buf2 = Vec::new();
+        vec![9u8; 100].encode(&mut buf2);
+        let mut s2 = &buf2[..20];
+        assert!(Vec::<u8>::decode(&mut s2).is_none());
+    }
+
+    #[test]
+    fn spill_roundtrip_in_memory() {
+        let items: Vec<(u64, u64)> = (0..1000).map(|i| (i, i * i)).collect();
+        let bytes = encode_spill_bytes(&items);
+        assert!(bytes.len() >= 16_000);
+        let back: Vec<(u64, u64)> =
+            decode_spill_stream(bytes.as_slice(), "<memory>").expect("in-memory roundtrip");
+        assert_eq!(back, items);
+    }
+
+    #[test]
+    fn spill_roundtrip_on_disk() {
+        let dir = SpillDir::create("unit").expect("create spill dir");
+        let path = dir.file("items.bin");
+        let items: Vec<u64> = (0..100).collect();
+        let bytes = write_spill_file(&path, &items).expect("write spill file");
+        assert_eq!(bytes, std::fs::metadata(&path).expect("spill file").len());
+        let back: Vec<u64> = read_spill_file(&path).expect("on-disk roundtrip");
+        assert_eq!(back, items);
+    }
 
     #[test]
     fn spill_dir_is_removed_on_drop() {

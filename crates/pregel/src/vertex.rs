@@ -143,6 +143,7 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
 
     /// The aggregate combined over all vertices in the *previous* superstep.
     #[inline]
+    // ppa_lint: allow(test-only-pub) the vertex-program API's read side of the aggregator
     pub fn aggregated(&self) -> &P::Aggregate {
         self.prev_aggregate
     }
@@ -181,14 +182,14 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::SumU64;
+    use crate::aggregate::Count;
 
     struct Dummy;
     impl VertexProgram for Dummy {
         type Id = u64;
         type Value = ();
         type Message = u64;
-        type Aggregate = SumU64;
+        type Aggregate = Count;
         fn compute(
             &self,
             _ctx: &mut Context<'_, Self>,
@@ -201,8 +202,8 @@ mod tests {
 
     #[test]
     fn context_accessors_and_sending() {
-        let prev = SumU64(7);
-        let mut local = SumU64(0);
+        let prev = Count(7);
+        let mut local = Count(0);
         let mut outbox = vec![Vec::new(), Vec::new(), Vec::new()];
         let mut sent = 0u64;
         let mut ctx: Context<'_, Dummy> = Context {
@@ -222,8 +223,8 @@ mod tests {
         assert_eq!(ctx.num_workers(), 3);
         assert_eq!(ctx.num_vertices(), 10);
         assert_eq!(ctx.aggregated().0, 7);
-        ctx.aggregate(SumU64(5));
-        ctx.aggregate(SumU64(2));
+        ctx.aggregate(Count(5));
+        ctx.aggregate(Count(2));
         ctx.send_message(42, 100);
         ctx.send_message(43, 200);
         ctx.vote_to_halt();
@@ -236,7 +237,7 @@ mod tests {
 
     #[test]
     fn default_should_terminate_is_false() {
-        assert!(!Dummy.should_terminate(&SumU64(5), 10));
+        assert!(!Dummy.should_terminate(&Count(5), 10));
     }
 
     #[test]

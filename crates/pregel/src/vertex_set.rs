@@ -36,7 +36,7 @@
 //! during a job the runner rewrites only values, halt bits and stamps in
 //! place; the crate-internal `activate_all` zeroes the last two at job start.
 //!
-//! The [`convert`](VertexSet::convert) method implements the paper's first
+//! The [`convert_on`](VertexSet::convert_on) method implements the paper's first
 //! API extension (Section II, "Our Extensions to Pregel API"): the output
 //! vertices of one job are transformed in place into the input vertices of
 //! the next job and re-shuffled by the new vertex IDs, without a round-trip
@@ -427,7 +427,7 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
 
     /// The worker that owns vertex `id`.
     #[inline]
-    pub fn worker_of(&self, id: &I) -> usize {
+    fn worker_of(&self, id: &I) -> usize {
         (hash_one(id) % self.parts.len() as u64) as usize
     }
 
@@ -457,15 +457,6 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
     /// are yielded by value ([`VertexKey`] is `Copy`).
     pub fn iter(&self) -> impl Iterator<Item = (I, &V)> {
         self.parts.iter().flat_map(|p| p.iter())
-    }
-
-    /// Consumes the set and returns all values (order as per
-    /// [`iter`](VertexSet::iter)).
-    pub fn into_values(self) -> Vec<V> {
-        self.parts
-            .into_iter()
-            .flat_map(|p| p.into_entries().map(|(_, v)| v))
-            .collect()
     }
 
     /// Consumes the set and returns all `(id, value)` pairs (order as per
@@ -501,7 +492,7 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
     /// the first violation. Runs after every bulk build, after unsealing and
     /// at `activate_all` (job start); release builds compile it to nothing.
     #[inline]
-    pub fn debug_validate(&self) {
+    fn debug_validate(&self) {
         for p in &self.parts {
             p.debug_validate();
         }
@@ -531,32 +522,16 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
     /// one source worker fold in emission order, sources fold in worker
     /// order.
     ///
-    /// Runs on a private single-pass pool; inside a workflow, prefer
-    /// [`convert_on`](VertexSet::convert_on) with the shared context.
-    pub fn convert<I2, V2, F, M>(self, f: F, merge: M) -> VertexSet<I2, V2>
-    where
-        I2: VertexKey + SortKey,
-        V2: Send,
-        F: Fn(I, V) -> Vec<(I2, V2)> + Sync,
-        M: Fn(&mut V2, V2) + Sync,
-        V: Send,
-        I: Send,
-    {
-        let ctx = ExecCtx::new(self.workers());
-        self.convert_on(&ctx, f, merge)
-    }
-
-    /// [`convert`](VertexSet::convert) on a caller-provided execution
-    /// context (which must match the set's worker count).
-    ///
-    /// Like the runner's and the mini MapReduce's shuffles, grouping is
-    /// **sort-based**: every source worker presorts its per-destination
+    /// The shuffle runs on `ctx`'s workers (which must match the set's
+    /// worker count). Like the runner's and the mini MapReduce's shuffles,
+    /// grouping is **sort-based**: every source worker presorts its per-destination
     /// buffers by the new vertex ID (stable, so same-ID pairs keep their
     /// emission order) and each destination k-way-merges the pre-sorted
     /// buffers, folding duplicate-ID runs with `merge` as they stream past.
     /// The merged stream arrives in ascending ID order, so it is appended
     /// **directly onto the new sorted columns** — the destination partition
     /// is built without any regrouping step.
+    // ppa_lint: allow(test-only-pub) the paper's in-memory job-chaining extension (Section II), library surface
     pub fn convert_on<I2, V2, F, M>(self, ctx: &ExecCtx, f: F, merge: M) -> VertexSet<I2, V2>
     where
         I2: VertexKey + SortKey,
@@ -620,12 +595,6 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
             part
         });
         VertexSet { parts }
-    }
-
-    /// Repartitions the set over a different number of workers.
-    pub fn repartition(self, workers: usize) -> VertexSet<I, V> {
-        let workers = workers.max(1);
-        VertexSet::from_pairs(workers, self.into_pairs())
     }
 }
 
@@ -712,8 +681,11 @@ mod tests {
         // merge adds them up, so each output vertex has value 4 (two inputs ×
         // two emissions).
         let s: VertexSet<u64, u64> = VertexSet::from_pairs(4, (0..100).map(|i| (i, 0)));
-        let out: VertexSet<u64, u64> =
-            s.convert(|id, _v| vec![(id / 2, 1), (id / 2, 1)], |acc, v| *acc += v);
+        let out: VertexSet<u64, u64> = s.convert_on(
+            &ExecCtx::new(4),
+            |id, _v| vec![(id / 2, 1), (id / 2, 1)],
+            |acc, v| *acc += v,
+        );
         assert_eq!(out.len(), 50);
         for (_, v) in out.iter() {
             assert_eq!(*v, 4);
@@ -724,7 +696,8 @@ mod tests {
     fn convert_can_change_types_and_drop() {
         let s: VertexSet<u64, u64> = VertexSet::from_pairs(2, (0..10).map(|i| (i, i)));
         // Keep only even vertices, as strings keyed by (i, 0) tuples.
-        let out: VertexSet<(u64, u8), String> = s.convert(
+        let out: VertexSet<(u64, u8), String> = s.convert_on(
+            &ExecCtx::new(2),
             |id, v| {
                 if id % 2 == 0 {
                     vec![((id, 0u8), format!("v{v}"))]
@@ -736,19 +709,6 @@ mod tests {
         );
         assert_eq!(out.len(), 5);
         assert_eq!(out.get(&(4, 0)).unwrap(), "v4");
-    }
-
-    #[test]
-    fn repartition_preserves_contents() {
-        let s: VertexSet<u64, u64> = VertexSet::from_pairs(2, (0..50).map(|i| (i, i + 1)));
-        let r = s.clone().repartition(7);
-        assert_eq!(r.workers(), 7);
-        assert_eq!(r.len(), 50);
-        let mut a = s.into_pairs();
-        let mut b = r.into_pairs();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -839,7 +799,7 @@ mod tests {
             expected.sort_unstable();
             let mut expected_values: Vec<u64> = expected.iter().map(|&(_, v)| v).collect();
             expected_values.sort_unstable();
-            let mut values = store.clone().into_values();
+            let mut values: Vec<u64> = store.iter().map(|(_, v)| *v).collect();
             values.sort_unstable();
             prop_assert_eq!(values, expected_values);
             let mut got = store.into_pairs();
@@ -883,7 +843,8 @@ mod tests {
             };
             let expected = hash_grouping_oracle(&set, f);
             // Fold with an order-sensitive merge: append to a per-ID list.
-            let got: VertexSet<u64, Vec<u64>> = set.convert(
+            let got: VertexSet<u64, Vec<u64>> = set.convert_on(
+                &ExecCtx::new(workers),
                 move |id, v| f(id, v).into_iter().map(|(nid, nval)| (nid, vec![nval])).collect(),
                 |acc, mut v| acc.append(&mut v),
             );
@@ -913,7 +874,8 @@ mod tests {
             // a pure function of the input.
             let build = || -> Vec<(u64, Vec<u64>)> {
                 let set: VertexSet<u64, u64> = VertexSet::from_pairs(workers, pairs.clone());
-                let out: VertexSet<u64, Vec<u64>> = set.convert(
+                let out: VertexSet<u64, Vec<u64>> = set.convert_on(
+                &ExecCtx::new(workers),
                     |id, v| vec![(id % 13, vec![v]), (id % 7, vec![v + 1])],
                     |acc, mut v| acc.append(&mut v),
                 );
@@ -937,7 +899,8 @@ mod tests {
             let mut reference: Option<Vec<(u64, u64)>> = None;
             for workers in [1usize, 2, 5] {
                 let set: VertexSet<u64, u64> = VertexSet::from_pairs(workers, pairs.clone());
-                let out: VertexSet<u64, u64> = set.convert(
+                let out: VertexSet<u64, u64> = set.convert_on(
+                &ExecCtx::new(workers),
                     |id, v| vec![(id % 11, v), (id % 5, v + 1)],
                     |acc, v| *acc += v,
                 );

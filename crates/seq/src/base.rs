@@ -25,10 +25,6 @@ pub enum Base {
     T = 0b11,
 }
 
-/// All four bases in code order, convenient for iteration when enumerating the
-/// possible neighbours of a k-mer.
-pub const ALL_BASES: [Base; 4] = [Base::A, Base::C, Base::G, Base::T];
-
 impl Base {
     /// Decodes a 2-bit code (only the two low bits are observed).
     #[inline]
@@ -114,11 +110,6 @@ pub fn parse_bases(s: &str) -> Result<Vec<Base>, SeqError> {
     s.bytes().map(Base::from_ascii).collect()
 }
 
-/// Renders a slice of bases as an ASCII string.
-pub fn bases_to_string(bases: &[Base]) -> String {
-    bases.iter().map(|b| b.to_char()).collect()
-}
-
 /// Reverse-complements a slice of bases into a new vector.
 pub fn reverse_complement(bases: &[Base]) -> Vec<Base> {
     bases.iter().rev().map(|b| b.complement()).collect()
@@ -127,6 +118,9 @@ pub fn reverse_complement(bases: &[Base]) -> Vec<Base> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All four bases in code order.
+    const ALL_BASES: [Base; 4] = [Base::A, Base::C, Base::G, Base::T];
 
     #[test]
     fn codes_match_paper() {
@@ -175,7 +169,10 @@ mod tests {
     fn parse_and_render() {
         let bases = parse_bases("ATTGCAAGT").unwrap();
         assert_eq!(bases.len(), 9);
-        assert_eq!(bases_to_string(&bases), "ATTGCAAGT");
+        assert_eq!(
+            bases.iter().map(|b| b.to_char()).collect::<String>(),
+            "ATTGCAAGT"
+        );
         assert!(parse_bases("ATTNGC").is_err());
     }
 
@@ -184,7 +181,10 @@ mod tests {
         // Figure 3 of the paper: strand 1 = ATTGCAAGTC, strand 2 (5'→3') = GACTTGCAAT.
         let strand1 = parse_bases("ATTGCAAGTC").unwrap();
         let rc = reverse_complement(&strand1);
-        assert_eq!(bases_to_string(&rc), "GACTTGCAAT");
+        assert_eq!(
+            rc.iter().map(|b| b.to_char()).collect::<String>(),
+            "GACTTGCAAT"
+        );
     }
 
     #[test]

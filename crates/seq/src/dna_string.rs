@@ -55,7 +55,7 @@ impl DnaString {
     }
 
     /// Builds a sequence from an iterator of bases.
-    pub fn from_bases_iter<I: IntoIterator<Item = Base>>(iter: I) -> DnaString {
+    fn from_bases_iter<I: IntoIterator<Item = Base>>(iter: I) -> DnaString {
         let iter = iter.into_iter();
         let mut s = DnaString::with_capacity(iter.size_hint().0);
         for b in iter {
@@ -165,6 +165,7 @@ impl DnaString {
     }
 
     /// Returns the sub-sequence `[start, start+len)` as a new `DnaString`.
+    // ppa_lint: allow(test-only-pub) sequence slicing, which the end-to-end tests cut reference segments with
     pub fn substring(&self, start: usize, len: usize) -> DnaString {
         assert!(start + len <= self.len, "substring out of range");
         DnaString::from_bases_iter((start..start + len).map(|i| self.get(i)))

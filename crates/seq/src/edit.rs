@@ -9,30 +9,6 @@
 
 use crate::DnaString;
 
-/// Full O(n·m) Levenshtein distance between two base sequences.
-///
-/// Uses two rolling rows so memory is O(min(n, m)).
-pub fn edit_distance(a: &DnaString, b: &DnaString) -> usize {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let n = short.len();
-    if n == 0 {
-        return long.len();
-    }
-    let short_bases = short.to_bases();
-    let long_bases = long.to_bases();
-    let mut prev: Vec<usize> = (0..=n).collect();
-    let mut curr = vec![0usize; n + 1];
-    for (i, &lb) in long_bases.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, &sb) in short_bases.iter().enumerate() {
-            let cost = usize::from(lb != sb);
-            curr[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(curr[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[n]
-}
-
 /// Banded edit distance with early exit.
 ///
 /// Returns `Some(d)` if the edit distance `d` between `a` and `b` is at most
@@ -90,18 +66,33 @@ pub fn banded_edit_distance(a: &DnaString, b: &DnaString, max_dist: usize) -> Op
     }
 }
 
-/// Hamming distance between two equal-length sequences; `None` if lengths differ.
-pub fn hamming_distance(a: &DnaString, b: &DnaString) -> Option<usize> {
-    if a.len() != b.len() {
-        return None;
-    }
-    Some(a.iter().zip(b.iter()).filter(|(x, y)| x != y).count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Full O(n·m) Levenshtein distance: the reference the banded
+    /// computation is checked against.
+    fn edit_distance(a: &DnaString, b: &DnaString) -> usize {
+        let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let n = short.len();
+        if n == 0 {
+            return long.len();
+        }
+        let short_bases = short.to_bases();
+        let long_bases = long.to_bases();
+        let mut prev: Vec<usize> = (0..=n).collect();
+        let mut curr = vec![0usize; n + 1];
+        for (i, &lb) in long_bases.iter().enumerate() {
+            curr[0] = i + 1;
+            for (j, &sb) in short_bases.iter().enumerate() {
+                let cost = usize::from(lb != sb);
+                curr[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(curr[j] + 1);
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        prev[n]
+    }
 
     fn ds(s: &str) -> DnaString {
         DnaString::from_ascii(s).unwrap()
@@ -112,7 +103,6 @@ mod tests {
         let a = ds("ATTGCAAGTC");
         assert_eq!(edit_distance(&a, &a), 0);
         assert_eq!(banded_edit_distance(&a, &a, 0), Some(0));
-        assert_eq!(hamming_distance(&a, &a), Some(0));
     }
 
     #[test]
@@ -122,7 +112,6 @@ mod tests {
         let b = ds("GCTAG");
         assert_eq!(edit_distance(&a, &b), 1);
         assert_eq!(banded_edit_distance(&a, &b, 5), Some(1));
-        assert_eq!(hamming_distance(&a, &b), Some(1));
     }
 
     #[test]
@@ -161,12 +150,6 @@ mod tests {
         assert_eq!(banded_edit_distance(&a, &b, 8), Some(8));
     }
 
-    #[test]
-    fn hamming_requires_equal_length() {
-        assert_eq!(hamming_distance(&ds("ACG"), &ds("ACGT")), None);
-        assert_eq!(hamming_distance(&ds("ACGT"), &ds("TCGA")), Some(2));
-    }
-
     proptest! {
         #[test]
         fn prop_banded_agrees_with_full(
@@ -175,8 +158,8 @@ mod tests {
             band in 0usize..20
         ) {
             use crate::base::Base;
-            let a = DnaString::from_bases_iter(a.iter().map(|c| Base::from_code(*c)));
-            let b = DnaString::from_bases_iter(b.iter().map(|c| Base::from_code(*c)));
+            let a = a.iter().map(|c| Base::from_code(*c)).collect::<DnaString>();
+            let b = b.iter().map(|c| Base::from_code(*c)).collect::<DnaString>();
             let full = edit_distance(&a, &b);
             match banded_edit_distance(&a, &b, band) {
                 Some(d) => prop_assert_eq!(d, full),
@@ -190,8 +173,8 @@ mod tests {
             b in proptest::collection::vec(0u8..4, 0..40)
         ) {
             use crate::base::Base;
-            let a = DnaString::from_bases_iter(a.iter().map(|c| Base::from_code(*c)));
-            let b = DnaString::from_bases_iter(b.iter().map(|c| Base::from_code(*c)));
+            let a = a.iter().map(|c| Base::from_code(*c)).collect::<DnaString>();
+            let b = b.iter().map(|c| Base::from_code(*c)).collect::<DnaString>();
             // Symmetry
             prop_assert_eq!(edit_distance(&a, &b), edit_distance(&b, &a));
             // Identity of indiscernibles

@@ -75,6 +75,7 @@ impl fmt::Debug for Read<'_> {
 
 /// The columns of a read set (see the [module docs](self) for the layout).
 #[derive(Clone, Default, PartialEq, Eq)]
+// ppa_lint: allow(test-only-pub) the type of the public `ReadSet::records`
 pub struct ReadSlab {
     bases: Vec<u8>,
     base_ends: Vec<u64>,
@@ -171,6 +172,7 @@ fn span<'a>(column: &'a [u8], ends: &[u64], i: usize) -> Option<&'a [u8]> {
 
 /// Iterator over the reads of a [`ReadSlab`] (see [`ReadSlab::iter`]).
 #[derive(Debug, Clone)]
+// ppa_lint: allow(test-only-pub) the return type of the public `ReadSlab::iter`
 pub struct Reads<'a> {
     slab: &'a ReadSlab,
     next: usize,
@@ -264,13 +266,10 @@ impl ReadSet {
     /// 1-based line number at which the problem was detected, never a panic.
     /// Lines may end in `\n` or `\r\n`; blank lines between records are
     /// skipped. Qualities are checked and dropped.
-    pub fn read_fastq<R: BufRead>(reader: R) -> Result<ReadSet, SeqError> {
-        ReadSet::new().parse_fastq(reader)
-    }
-
-    /// [`read_fastq`](ReadSet::read_fastq), appending to this set (reserve
-    /// with [`with_base_capacity`](ReadSet::with_base_capacity) when the
-    /// input size is known). Line numbers count from the reader's start.
+    ///
+    /// The reads are appended to this set (reserve with
+    /// [`with_base_capacity`](ReadSet::with_base_capacity) when the input
+    /// size is known). Line numbers count from the reader's start.
     pub fn parse_fastq<R: BufRead>(mut self, mut reader: R) -> Result<ReadSet, SeqError> {
         let (mut header, mut line) = (Vec::new(), Vec::new());
         let mut line_no = 0;
@@ -330,12 +329,8 @@ impl ReadSet {
     /// Malformed input — sequence data before the first header, or a sequence
     /// character outside `ACGTN` (case-insensitive) — is reported as
     /// [`SeqError::Parse`] with the 1-based line number, never a panic.
-    /// Trailing whitespace (`\r` included) and blank lines are ignored.
-    pub fn read_fasta<R: BufRead>(reader: R) -> Result<ReadSet, SeqError> {
-        ReadSet::new().parse_fasta(reader)
-    }
-
-    /// [`read_fasta`](ReadSet::read_fasta), appending to this set; see
+    /// Trailing whitespace (`\r` included) and blank lines are ignored. The
+    /// reads are appended to this set, as in
     /// [`parse_fastq`](ReadSet::parse_fastq).
     pub fn parse_fasta<R: BufRead>(mut self, mut reader: R) -> Result<ReadSet, SeqError> {
         let slab = &mut self.records;
@@ -521,7 +516,7 @@ mod tests {
     #[test]
     fn fastq_roundtrip() {
         let input = "@read1 extra info\nACGTN\n+\nIIIII\n@read2\nTTTT\n+anything\nJJJJ\n";
-        let rs = ReadSet::read_fastq(Cursor::new(input)).unwrap();
+        let rs = ReadSet::new().parse_fastq(Cursor::new(input)).unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(read(&rs, 0).name, b"read1");
         assert_eq!(read(&rs, 0).seq, b"ACGTN");
@@ -529,38 +524,55 @@ mod tests {
         let mut out = Vec::new();
         rs.write_fastq(&mut out).unwrap();
         assert_eq!(out, b"@read1\nACGTN\n+\nIIIII\n@read2\nTTTT\n+\nIIII\n");
-        let reparsed = ReadSet::read_fastq(Cursor::new(out)).unwrap();
+        let reparsed = ReadSet::new().parse_fastq(Cursor::new(out)).unwrap();
         assert_eq!(reparsed, rs);
     }
 
     #[test]
     fn fastq_malformed_inputs() {
-        assert!(ReadSet::read_fastq(Cursor::new("ACGT\n")).is_err());
-        assert!(ReadSet::read_fastq(Cursor::new("@r\nACGT\n")).is_err());
-        assert!(ReadSet::read_fastq(Cursor::new("@r\nACGT\nX\nIIII\n")).is_err());
-        assert!(ReadSet::read_fastq(Cursor::new("@r\nACGT\n+\nII\n")).is_err());
-        assert!(ReadSet::read_fastq(Cursor::new("")).unwrap().is_empty());
+        assert!(ReadSet::new().parse_fastq(Cursor::new("ACGT\n")).is_err());
+        assert!(ReadSet::new()
+            .parse_fastq(Cursor::new("@r\nACGT\n"))
+            .is_err());
+        assert!(ReadSet::new()
+            .parse_fastq(Cursor::new("@r\nACGT\nX\nIIII\n"))
+            .is_err());
+        assert!(ReadSet::new()
+            .parse_fastq(Cursor::new("@r\nACGT\n+\nII\n"))
+            .is_err());
+        assert!(ReadSet::new()
+            .parse_fastq(Cursor::new(""))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn fastq_errors_carry_line_context() {
         // Truncated record: the header on line 5 has no sequence line.
-        let e = ReadSet::read_fastq(Cursor::new("@r1\nACGT\n+\nIIII\n@r2\n")).unwrap_err();
+        let e = ReadSet::new()
+            .parse_fastq(Cursor::new("@r1\nACGT\n+\nIIII\n@r2\n"))
+            .unwrap_err();
         assert!(
             matches!(e, SeqError::Parse { line: 5, ref msg } if msg.contains("sequence line")),
             "{e}"
         );
         // Quality line on line 4 shorter than the sequence.
-        let e = ReadSet::read_fastq(Cursor::new("@r\nACGT\n+\nII\n")).unwrap_err();
+        let e = ReadSet::new()
+            .parse_fastq(Cursor::new("@r\nACGT\n+\nII\n"))
+            .unwrap_err();
         assert_eq!(
             e,
             parse_error(4, "quality length 2 != sequence length 4 for \"@r\"".into())
         );
         // Non-ACGTN character on the sequence line (line 2).
-        let e = ReadSet::read_fastq(Cursor::new("@r\nAC-T\n+\nIIII\n")).unwrap_err();
+        let e = ReadSet::new()
+            .parse_fastq(Cursor::new("@r\nAC-T\n+\nIIII\n"))
+            .unwrap_err();
         assert_eq!(e, parse_error(2, "invalid sequence character '-'".into()));
         // Missing '+' separator on line 3.
-        let e = ReadSet::read_fastq(Cursor::new("@r\nACGT\nIIII\n")).unwrap_err();
+        let e = ReadSet::new()
+            .parse_fastq(Cursor::new("@r\nACGT\nIIII\n"))
+            .unwrap_err();
         assert_eq!(
             e,
             parse_error(3, "expected '+' separator, got \"IIII\"".into())
@@ -569,14 +581,16 @@ mod tests {
 
     #[test]
     fn fastq_accepts_n_and_lowercase() {
-        let rs = ReadSet::read_fastq(Cursor::new("@r\nacgtN\n+\nIIIII\n")).unwrap();
+        let rs = ReadSet::new()
+            .parse_fastq(Cursor::new("@r\nacgtN\n+\nIIIII\n"))
+            .unwrap();
         assert_eq!(read(&rs, 0).seq, b"acgtN");
     }
 
     #[test]
     fn fastq_accepts_crlf_and_blank_lines() {
         let crlf = "\r\n@a x\r\nACGT\r\n+\r\nIIII\r\n \r\n@b\r\nGG\r\n+\r\nII";
-        let rs = ReadSet::read_fastq(Cursor::new(crlf)).unwrap();
+        let rs = ReadSet::new().parse_fastq(Cursor::new(crlf)).unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(
             (read(&rs, 0).name, read(&rs, 0).seq),
@@ -590,13 +604,17 @@ mod tests {
 
     #[test]
     fn fasta_errors_carry_line_context() {
-        let e = ReadSet::read_fasta(Cursor::new("ACGT\n")).unwrap_err();
+        let e = ReadSet::new()
+            .parse_fasta(Cursor::new("ACGT\n"))
+            .unwrap_err();
         assert_eq!(
             e,
             parse_error(1, "sequence data before first '>' header".into())
         );
         // Second sequence line of the record (line 3) has a bad character.
-        let e = ReadSet::read_fasta(Cursor::new(">c\nACGT\nAC!T\n")).unwrap_err();
+        let e = ReadSet::new()
+            .parse_fasta(Cursor::new(">c\nACGT\nAC!T\n"))
+            .unwrap_err();
         assert_eq!(e, parse_error(3, "invalid sequence character '!'".into()));
     }
 
@@ -608,7 +626,7 @@ mod tests {
             .collect();
         let mut out = Vec::new();
         rs.write_fasta(&mut out).unwrap();
-        let reparsed = ReadSet::read_fasta(Cursor::new(out)).unwrap();
+        let reparsed = ReadSet::new().parse_fasta(Cursor::new(out)).unwrap();
         assert_eq!(reparsed, rs);
         assert_eq!(read(&reparsed, 0).seq, seq.as_bytes());
         assert_eq!(read(&reparsed, 1).name, b"contig_2");
@@ -617,7 +635,7 @@ mod tests {
     #[test]
     fn fasta_keeps_empty_records_and_trims_line_ends() {
         let input = ">a desc\r\nAC \r\n\r\ngt\n>b\n>c\nNN\t";
-        let rs = ReadSet::read_fasta(Cursor::new(input)).unwrap();
+        let rs = ReadSet::new().parse_fasta(Cursor::new(input)).unwrap();
         let reads: Vec<(&[u8], &[u8])> = rs.records.iter().map(|r| (r.name, r.seq)).collect();
         assert_eq!(
             reads,
@@ -632,7 +650,7 @@ mod tests {
 
     #[test]
     fn fasta_rejects_headerless_data() {
-        assert!(ReadSet::read_fasta(Cursor::new("ACGT\n")).is_err());
+        assert!(ReadSet::new().parse_fasta(Cursor::new("ACGT\n")).is_err());
     }
 
     #[test]

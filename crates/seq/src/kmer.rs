@@ -13,7 +13,7 @@
 //! (lexicographically smaller of the k-mer and its reverse complement,
 //! Section III "Directionality") and prefix/suffix extraction of a (k+1)-mer.
 
-use crate::base::{Base, ALL_BASES};
+use crate::base::Base;
 use crate::{DnaString, SeqError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -69,18 +69,6 @@ pub struct Kmer {
 }
 
 impl Kmer {
-    /// Creates the empty 0-mer used as a builder seed. Not a valid DBG vertex.
-    #[inline]
-    pub fn empty(k: usize) -> Result<Kmer, SeqError> {
-        if k == 0 || k > MAX_K {
-            return Err(SeqError::InvalidK(k));
-        }
-        Ok(Kmer {
-            packed: 0,
-            k: k as u8,
-        })
-    }
-
     /// Builds a k-mer from a slice of bases; `bases.len()` defines k.
     pub fn from_bases(bases: &[Base]) -> Result<Kmer, SeqError> {
         if bases.is_empty() || bases.len() > MAX_K {
@@ -97,6 +85,7 @@ impl Kmer {
     }
 
     /// Parses a k-mer from an ASCII string of `A`/`C`/`G`/`T`.
+    // ppa_lint: allow(test-only-pub) the k-mer literal the tests across crates build fixtures from
     pub fn from_str_exact(s: &str) -> Result<Kmer, SeqError> {
         let bases = crate::base::parse_bases(s)?;
         Kmer::from_bases(&bases)
@@ -272,32 +261,6 @@ impl Kmer {
     pub fn is_canonical(&self) -> bool {
         self.packed <= self.reverse_complement().packed
     }
-
-    /// Whether this k-mer equals its own reverse complement (a palindrome);
-    /// only possible for even k.
-    pub fn is_palindrome(&self) -> bool {
-        *self == self.reverse_complement()
-    }
-
-    /// All four k-mers obtainable by appending a base on the right and
-    /// dropping the left-most base (the possible out-neighbours in a simple
-    /// directed DBG, ignoring which ones actually occur in the reads).
-    pub fn successors(&self) -> [Kmer; 4] {
-        let mut out = [*self; 4];
-        for (i, b) in ALL_BASES.iter().enumerate() {
-            out[i] = self.extend_right(*b);
-        }
-        out
-    }
-
-    /// All four k-mers obtainable by prepending a base on the left.
-    pub fn predecessors(&self) -> [Kmer; 4] {
-        let mut out = [*self; 4];
-        for (i, b) in ALL_BASES.iter().enumerate() {
-            out[i] = self.extend_left(*b);
-        }
-        out
-    }
 }
 
 impl fmt::Display for Kmer {
@@ -322,6 +285,7 @@ impl fmt::Debug for Kmer {
 /// canonical (`Forward`, label `L`) or had to be reverse-complemented
 /// (`ReverseComplement`, label `H`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+// ppa_lint: allow(test-only-pub) the return type of the public `Kmer::canonical` and `CanonicalScanner::push`
 pub struct CanonicalKmer {
     /// The canonical k-mer.
     pub kmer: Kmer,
@@ -427,6 +391,7 @@ fn reverse_complement_packed(packed: u64, k: usize) -> u64 {
 /// Bases of the m-mers whose order picks a window's minimizer. A scanner
 /// clamps it to its window length, so windows of at most this many bases are
 /// their own minimizer.
+// ppa_lint: allow(test-only-pub) the documented m the `SuperKmerScanner` example checks its window bound against
 pub const MINIMIZER_LEN: usize = 11;
 
 /// The m-mer order: `rank(x) = (x ^ ORDER_SALT) · ORDER_MUL` over the packed
@@ -688,16 +653,6 @@ const ASCII_CODE: [u8; 256] = {
     table
 };
 
-/// Iterates over the canonical form of every k-mer window of a base slice,
-/// left to right, using the rolling [`CanonicalScanner`].
-///
-/// Returns an empty iterator if the sequence is shorter than `k` (or `k` is
-/// out of range).
-pub fn canonical_kmers_of(bases: &[Base], k: usize) -> impl Iterator<Item = CanonicalKmer> + '_ {
-    let mut scanner = CanonicalScanner::new(k).ok();
-    bases.iter().filter_map(move |&b| scanner.as_mut()?.push(b))
-}
-
 /// Iterates over all k-mers of a base slice, left to right.
 ///
 /// Returns an empty iterator if the sequence is shorter than `k`.
@@ -730,6 +685,14 @@ mod tests {
 
     fn km(s: &str) -> Kmer {
         Kmer::from_str_exact(s).unwrap()
+    }
+
+    /// The canonical form of every k-mer window of `bases`, left to right,
+    /// through the rolling [`CanonicalScanner`]; empty if the sequence is
+    /// shorter than `k` (or `k` is out of range).
+    fn canonical_kmers_of(bases: &[Base], k: usize) -> impl Iterator<Item = CanonicalKmer> + '_ {
+        let mut scanner = CanonicalScanner::new(k).ok();
+        bases.iter().filter_map(move |&b| scanner.as_mut()?.push(b))
     }
 
     #[test]
@@ -825,25 +788,6 @@ mod tests {
         let c2 = km("AC").canonical();
         assert_eq!(c2.kmer.to_string(), "AC");
         assert_eq!(c2.orientation, Orientation::Forward);
-    }
-
-    #[test]
-    fn palindrome_detection() {
-        assert!(km("ACGT").is_palindrome()); // rc(ACGT) = ACGT
-        assert!(!km("AAA").is_palindrome());
-    }
-
-    #[test]
-    fn successors_predecessors() {
-        let k = km("CCG");
-        let succ: Vec<String> = k.successors().iter().map(|s| s.to_string()).collect();
-        assert_eq!(succ, vec!["CGA", "CGC", "CGG", "CGT"]);
-        // Paper example (Section IV-A): 4-mer "CCGT" has possible in-neighbours
-        // ACCG, CCCG, GCCG, TCCG.
-        let k = km("CCGT");
-        let mut preds: Vec<String> = k.predecessors().iter().map(|s| s.to_string()).collect();
-        preds.sort();
-        assert_eq!(preds, vec!["ACCG", "CCCG", "GCCG", "TCCG"]);
     }
 
     #[test]

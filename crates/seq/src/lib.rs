@@ -29,7 +29,7 @@ pub mod kmer;
 
 pub use base::Base;
 pub use dna_string::DnaString;
-pub use edit::{banded_edit_distance, edit_distance};
+pub use edit::banded_edit_distance;
 pub use error::SeqError;
 pub use fastx::{Read, ReadSet, ReadSlab};
 pub use kmer::{CanonicalKmer, Kmer, Orientation};

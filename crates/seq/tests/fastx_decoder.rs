@@ -20,11 +20,11 @@ const FASTA: &str = ">c1 first contig\nACGTACGTAC\nGTACGTacgt\nNNNN\n\n>c2\r\nTT
 type Parsed = Result<Vec<(Vec<u8>, Vec<u8>)>, SeqError>;
 
 fn parse_fastq(input: &[u8]) -> Parsed {
-    ReadSet::read_fastq(Cursor::new(input)).map(pairs)
+    ReadSet::new().parse_fastq(Cursor::new(input)).map(pairs)
 }
 
 fn parse_fasta(input: &[u8]) -> Parsed {
-    ReadSet::read_fasta(Cursor::new(input)).map(pairs)
+    ReadSet::new().parse_fasta(Cursor::new(input)).map(pairs)
 }
 
 fn pairs(reads: ReadSet) -> Vec<(Vec<u8>, Vec<u8>)> {

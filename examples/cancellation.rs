@@ -13,7 +13,7 @@ use ppa_assembler::pipeline::{
     CheckpointPolicy, GraphState, Pipeline, PipelineError, PipelineObserver, StageReport,
 };
 use ppa_assembler::stats::WorkflowStats;
-use ppa_assembler::{assemble_with_control, AssemblyConfig, JobControl};
+use ppa_assembler::{try_assemble, AssemblyConfig, JobControl};
 use ppa_pregel::{EngineError, ExecCtx};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 
@@ -72,10 +72,13 @@ fn main() {
         ..Default::default()
     };
 
-    // 2. The uninterrupted reference run, through the control-plane front
-    //    door: a live handle costs one poll per barrier and never trips.
+    // 2. The uninterrupted reference run under a handle installed on the
+    //    run's context: a live handle costs one poll per barrier and never
+    //    trips.
     let control = JobControl::new();
-    let baseline = assemble_with_control(&reads, &config, &control).expect("no trip armed");
+    ctx.set_control(control.clone());
+    let baseline = try_assemble(&reads, &config).expect("no trip armed");
+    ctx.clear_control();
     println!(
         "baseline: {} contigs, N50 {} bp ({} cooperative polls, cancelled: {:?})",
         baseline.contigs.len(),
@@ -131,8 +134,10 @@ fn main() {
     // 5. The other two trip kinds ride the same path: a deadline (here one
     //    the run has already missed) or a resident-bytes budget fires at the
     //    next barrier, mid-superstep, with the reason latched on the handle.
-    let control = JobControl::new().with_memory_budget(1);
-    match assemble_with_control(&reads, &config, &control) {
+    ctx.set_control(JobControl::new().with_memory_budget(1));
+    let outcome = try_assemble(&reads, &config);
+    ctx.clear_control();
+    match outcome {
         Err(PipelineError::Cancelled {
             reason,
             stage,

@@ -10,7 +10,7 @@
 
 use ppa_pregel::aggregate::NoAggregate;
 use ppa_pregel::algorithms::{connected_components, list_ranking, ListItem};
-use ppa_pregel::{run_from_pairs, Context, ExecCtx, PregelConfig, VertexProgram};
+use ppa_pregel::{run_on, Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};
 
 /// Classic Pregel example: single-source shortest paths on an unweighted graph.
 struct ShortestPaths {
@@ -59,10 +59,10 @@ impl VertexProgram for ShortestPaths {
 }
 
 fn main() {
-    // One long-lived pool for every job in this program; cloning the context
-    // into each config shares the same threads.
+    // One long-lived pool for every job in this program: each job is handed
+    // the same context, so all three share its threads.
     let ctx = ExecCtx::new(4);
-    let config = PregelConfig::with_workers(4).exec_ctx(ctx.clone());
+    let config = PregelConfig::default();
 
     // A 6×6 grid graph.
     let side = 6u64;
@@ -91,7 +91,8 @@ fn main() {
             )
         })
     });
-    let (result, metrics) = run_from_pairs(&ShortestPaths { source: 0 }, &config, pairs);
+    let mut result = VertexSet::from_pairs(ctx.workers(), pairs);
+    let metrics = run_on(&ctx, &ShortestPaths { source: 0 }, &config, &mut result);
     let corner = result.get(&vertex(side - 1, side - 1)).unwrap().distance;
     println!(
         "shortest paths on a {side}×{side} grid: distance to the far corner = {corner} \
@@ -107,7 +108,7 @@ fn main() {
             value: 1,
         })
         .collect();
-    let (ranks, metrics) = list_ranking(items, &config);
+    let (ranks, metrics) = list_ranking(&ctx, items, &config);
     let max_rank = ranks.iter().map(|(_, r)| *r).max().unwrap();
     println!(
         "list ranking of a 1000-element list: max prefix sum = {max_rank} \
@@ -131,7 +132,7 @@ fn main() {
             adjacency.push((id, nbrs));
         }
     }
-    let (components, metrics) = connected_components(adjacency, &config);
+    let (components, metrics) = connected_components(&ctx, adjacency, &config);
     let distinct: std::collections::HashSet<u64> = components.iter().map(|(_, c)| *c).collect();
     println!(
         "simplified S-V over 4 disjoint chains: {} components found ({} supersteps, {} messages)",

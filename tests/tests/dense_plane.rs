@@ -38,7 +38,7 @@ where
     P::Value: Clone,
 {
     let ctx = ExecCtx::new(workers);
-    let config = PregelConfig::with_workers(workers).max_supersteps(200);
+    let config = PregelConfig::default().max_supersteps(200);
     let state_of = |rank: u32| graph[rank as usize].as_deref().map(|out| init(rank, out));
 
     let ranks = 0..graph.len() as u32;
@@ -338,7 +338,7 @@ impl VertexProgram for Ring {
 
 fn ring_on(ctx: &ExecCtx, program: &Ring) -> (Vec<u64>, Metrics) {
     let (mut set, _) = DenseSet::from_fn_on(ctx, 64, |_, _: &mut ()| Some(0u64));
-    let config = PregelConfig::with_workers(ctx.workers());
+    let config = PregelConfig::default();
     let metrics = run_dense_on(ctx, program, &config, &mut set);
     (set.iter().map(|(_, v)| *v).collect(), metrics)
 }

@@ -110,9 +110,9 @@ fn reduce_groups_arrive_ascending_by_key_within_each_worker() {
     // path with several pre-sorted source buffers is exactly what a multi-map,
     // multi-reduce pass exercises.)
     let inputs: Vec<u64> = (0..10_000).rev().collect();
-    let (per_worker, _) = ppa_pregel::mapreduce::map_reduce_partitioned(
+    let (per_worker, _) = ppa_pregel::mapreduce::map_reduce_on(
+        &ppa_pregel::ExecCtx::new(5),
         inputs,
-        5,
         |x: u64, out: &mut ppa_pregel::mapreduce::Emitter<'_, u64, u64>| out.emit(x % 701, x),
         |_w: usize, k: &u64, _vs: &mut [u64], out: &mut Vec<u64>| out.push(*k),
     );

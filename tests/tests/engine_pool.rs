@@ -3,11 +3,11 @@
 //! byte-identical results to per-operation fresh pools, and a shared
 //! `ExecCtx` must be reusable across whole assemblies.
 
-use ppa_assembler::ops::bubble::{filter_bubbles, filter_bubbles_on, remove_pruned, BubbleConfig};
-use ppa_assembler::ops::construct::{build_dbg, build_dbg_on, ConstructConfig};
-use ppa_assembler::ops::label::{label_contigs_lr, label_contigs_lr_on};
-use ppa_assembler::ops::merge::{merge_contigs, merge_contigs_on, MergeConfig};
-use ppa_assembler::ops::tip::{remove_tips, remove_tips_on, TipConfig};
+use ppa_assembler::ops::bubble::{filter_bubbles_on, remove_pruned, BubbleConfig};
+use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
+use ppa_assembler::ops::label::label_contigs_lr_on;
+use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
+use ppa_assembler::ops::tip::{remove_tips_on, TipConfig};
 use ppa_assembler::{assemble, AsmNode, Assembly, AssemblyConfig};
 use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
@@ -77,32 +77,22 @@ fn five_ops(reads: &ReadSet, shared: Option<&ExecCtx>) -> Vec<(u64, u32, String)
         k: K,
         tip_length_threshold: 80,
     };
+    // The shared context, or a fresh pool for every operation.
+    let ctx_of = || shared.cloned().unwrap_or_else(|| ExecCtx::new(WORKERS));
 
     // ① DBG construction.
-    let outcome = match shared {
-        Some(ctx) => build_dbg_on(ctx, reads, &construct_cfg),
-        None => build_dbg(reads, &construct_cfg, WORKERS),
-    };
+    let outcome = build_dbg_on(&ctx_of(), reads, &construct_cfg);
     let nodes: Vec<AsmNode> = outcome.into_nodes();
 
     // ② contig labeling.
-    let label = match shared {
-        Some(ctx) => label_contigs_lr_on(ctx, &nodes),
-        None => label_contigs_lr(&nodes, WORKERS),
-    };
+    let label = label_contigs_lr_on(&ctx_of(), &nodes);
 
     // ③ contig merging.
-    let merged = match shared {
-        Some(ctx) => merge_contigs_on(ctx, &nodes, &label.labels, &merge_cfg),
-        None => merge_contigs(&nodes, &label.labels, &merge_cfg, WORKERS),
-    };
+    let merged = merge_contigs_on(&ctx_of(), &nodes, &label.labels, &merge_cfg);
     let mut contigs = merged.contigs;
 
     // ④ bubble filtering.
-    let bubbles = match shared {
-        Some(ctx) => filter_bubbles_on(ctx, &contigs, &bubble_cfg),
-        None => filter_bubbles(&contigs, &bubble_cfg, WORKERS),
-    };
+    let bubbles = filter_bubbles_on(&ctx_of(), &contigs, &bubble_cfg);
     remove_pruned(&mut contigs, &bubbles.pruned);
 
     // ⑤ tip removing.
@@ -111,10 +101,7 @@ fn five_ops(reads: &ReadSet, shared: Option<&ExecCtx>) -> Vec<(u64, u32, String)
         .into_iter()
         .filter(|n| ambiguous.contains(&n.id))
         .collect();
-    let tips = match shared {
-        Some(ctx) => remove_tips_on(ctx, &ambiguous_kmers, &contigs, &tip_cfg),
-        None => remove_tips(&ambiguous_kmers, &contigs, &tip_cfg, WORKERS),
-    };
+    let tips = remove_tips_on(&ctx_of(), &ambiguous_kmers, &contigs, &tip_cfg);
 
     let survivors: Vec<AsmNode> = tips
         .kmers

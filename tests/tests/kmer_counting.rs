@@ -1,12 +1,12 @@
 //! Construction phase (i) — the bucketed (k+1)-mer counter — against three
 //! independent yardsticks: a plain `HashMap` count over naively canonicalised
 //! windows, the mini-MapReduce formulation it replaced (rebuilt here, on the
-//! public `map_reduce_partitioned_on`, as a reference), and itself under a
+//! public `map_reduce_on`, as a reference), and itself under a
 //! spill cap.
 
 use ppa_assembler::ops::construct::{build_dbg_on, count_kplus1_mers_on, ConstructConfig};
 use ppa_assembler::{edge_contributions, EdgeSlot, KmerVertex, PackedAdj};
-use ppa_pregel::mapreduce::{map_reduce_partitioned_on, Emitter};
+use ppa_pregel::mapreduce::{map_reduce_on, Emitter};
 use ppa_pregel::{ExecCtx, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::kmer::{CanonicalScanner, SuperKmerScanner};
@@ -150,7 +150,10 @@ fn the_generator_plants_what_it_promises() {
     assert!(has(&|s| s.len() < 4));
     let palindromes = hash_map_count(&reads, 3)
         .keys()
-        .filter(|&&key| Kmer::from_packed(key, 4).unwrap().is_palindrome())
+        .filter(|&&key| {
+            let kmer = Kmer::from_packed(key, 4).unwrap();
+            kmer == kmer.reverse_complement()
+        })
         .count();
     assert!(palindromes > 0, "no palindromic 4-mer in the reads");
     let set: std::collections::HashSet<Vec<u8>> =
@@ -179,7 +182,7 @@ fn mapreduce_construct(
 ) -> (Vec<(u64, u32)>, u64, Vec<KmerVertex>) {
     let (k, theta) = (config.k, config.min_coverage);
     let batches: Vec<Range<usize>> = reads.records.chunk_ranges(config.batch_size).collect();
-    let (counted, phase1) = map_reduce_partitioned_on(
+    let (counted, phase1) = map_reduce_on(
         ctx,
         batches,
         |batch: Range<usize>, out: &mut Emitter<'_, u64, u32>| {
@@ -210,7 +213,7 @@ fn mapreduce_construct(
         },
     );
     let counted: Vec<(u64, u32)> = counted.into_iter().flatten().collect();
-    let (vertices, _) = map_reduce_partitioned_on(
+    let (vertices, _) = map_reduce_on(
         ctx,
         counted.clone(),
         |(packed, count): (u64, u32), out: &mut Emitter<'_, u64, (u8, u32)>| {

@@ -11,13 +11,13 @@
 //! superstep and message counts, and the dropped-message count.
 
 use ppa_assembler::ids::{contig_id, kmer_id};
-use ppa_assembler::ops::construct::{build_dbg, ConstructConfig};
+use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
 use ppa_assembler::ops::label::{label_contigs_lr_on, LabelOutcome};
 use ppa_assembler::ops::label_sv::label_contigs_sv_on;
 use ppa_assembler::{AsmNode, Direction, Edge, Polarity, Side, VertexType};
 use ppa_pregel::aggregate::{BoolOr, Count};
 use ppa_pregel::algorithms::connected_components;
-use ppa_pregel::{run_from_pairs, Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};
+use ppa_pregel::{run_on, Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};
 use ppa_seq::{DnaString, Kmer, ReadSet};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -186,9 +186,7 @@ impl VertexProgram for RefProgram {
 }
 
 fn reference_label(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let config = PregelConfig::with_workers(ctx.workers())
-        .max_supersteps(4_000)
-        .exec_ctx(ctx.clone());
+    let config = PregelConfig::default().max_supersteps(4_000);
     let log = (usize::BITS - nodes.len().next_power_of_two().leading_zeros()) as usize;
     let program = RefProgram {
         superstep_budget: 2 * (log + 2) + 4,
@@ -211,9 +209,9 @@ fn reference_label(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
         };
         (node.id, state)
     });
-    let mut set: VertexSet<u64, RefState> = VertexSet::from_pairs(config.workers, states);
+    let mut set: VertexSet<u64, RefState> = VertexSet::from_pairs(ctx.workers(), states);
 
-    let mut metrics = ppa_pregel::run(&program, &config, &mut set);
+    let mut metrics = ppa_pregel::run_on(ctx, &program, &config, &mut set);
     let stalled = program.stalled.load(Ordering::Relaxed);
 
     let mut labels: Vec<(u64, u64)> = Vec::new();
@@ -245,7 +243,7 @@ fn reference_label(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
                 (*id, nbrs)
             })
             .collect();
-        let (cc, sv_metrics) = connected_components(adjacency, &config);
+        let (cc, sv_metrics) = connected_components(ctx, adjacency, &config);
         metrics.absorb(&sv_metrics);
         labels.extend(cc);
     }
@@ -360,9 +358,7 @@ impl VertexProgram for RefSvProgram {
 }
 
 fn reference_label_sv(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let config = PregelConfig::with_workers(ctx.workers())
-        .max_supersteps(4_000)
-        .exec_ctx(ctx.clone());
+    let config = PregelConfig::default().max_supersteps(4_000);
     let ambiguous: Vec<u64> = nodes
         .iter()
         .filter(|n| n.vertex_type() == VertexType::Branch)
@@ -384,7 +380,8 @@ fn reference_label_sv(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
             };
             (n.id, state)
         });
-    let (set, metrics) = run_from_pairs(&RefSvProgram, &config, states);
+    let mut set = VertexSet::from_pairs(ctx.workers(), states);
+    let metrics = run_on(ctx, &RefSvProgram, &config, &mut set);
     LabelOutcome {
         labels: set
             .into_pairs()
@@ -412,7 +409,7 @@ fn nodes_from_reads(seqs: &[&str], k: usize) -> Vec<AsmNode> {
         min_coverage: 0,
         batch_size: 4,
     };
-    build_dbg(&reads, &config, 2).into_nodes()
+    build_dbg_on(&ExecCtx::new(2), &reads, &config).into_nodes()
 }
 
 /// `count` distinct canonical 8-mers, as unconnected k-mer nodes.

@@ -6,7 +6,7 @@
 //! temp directory for this process's `ppa-spill-<pid>-*` job directories
 //! cannot race other spilling tests.
 
-use ppa_assembler::{assemble, assemble_with_control, AssemblyConfig, PipelineError};
+use ppa_assembler::{assemble, try_assemble, AssemblyConfig, PipelineError};
 use ppa_pregel::{CancelReason, ExecCtx, JobControl, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
@@ -52,9 +52,9 @@ fn a_cancelled_spilling_run_removes_its_temp_files() {
     // A 1-byte memory budget trips at the first bookkept superstep of the
     // label stage — after the capped job has created its spill directory and
     // sealed the over-cap vertex store to disk.
-    let control = JobControl::new().with_memory_budget(1);
-    let err =
-        assemble_with_control(&reads, &config, &control).expect_err("the 1-byte budget must trip");
+    ctx.set_control(JobControl::new().with_memory_budget(1));
+    let err = try_assemble(&reads, &config).expect_err("the 1-byte budget must trip");
+    ctx.clear_control();
     assert!(
         matches!(
             &err,

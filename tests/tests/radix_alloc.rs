@@ -80,7 +80,7 @@ impl VertexProgram for Laps {
 /// vertices (store construction not counted).
 fn dense_job_allocations(ctx: &ExecCtx, ranks: u32, laps: usize) -> u64 {
     let (mut set, _) = DenseSet::from_fn_on(ctx, ranks, |_, _: &mut ()| Some(0u64));
-    let config = PregelConfig::with_workers(ctx.workers()).track_supersteps(false);
+    let config = PregelConfig::default().track_supersteps(false);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let metrics = run_dense_on(ctx, &Laps(laps), &config, &mut set);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
@@ -113,11 +113,15 @@ fn reads_files(reads: usize) -> (String, String) {
 fn parse_allocations(reads: usize) -> (u64, u64) {
     let (fastq, fasta) = reads_files(reads);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let parsed = ReadSet::read_fastq(Cursor::new(fastq.as_bytes())).unwrap();
+    let parsed = ReadSet::new()
+        .parse_fastq(Cursor::new(fastq.as_bytes()))
+        .unwrap();
     let fastq_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(parsed.len(), reads);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let parsed = ReadSet::read_fasta(Cursor::new(fasta.as_bytes())).unwrap();
+    let parsed = ReadSet::new()
+        .parse_fasta(Cursor::new(fasta.as_bytes()))
+        .unwrap();
     let fasta_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(parsed.total_bases(), 150 * reads);
     (fastq_allocations, fasta_allocations)

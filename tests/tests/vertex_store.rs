@@ -8,7 +8,7 @@
 //!   pre-columnar delivery loop on the same pool and message plane, kept
 //!   below as the reference) produces the same final values and job totals,
 //!   across worker counts;
-//! * **operation level** — `remove_tips` over one fixed post-merge graph is
+//! * **operation level** — `remove_tips_on` over one fixed post-merge graph is
 //!   byte-identical for every worker count (the store's partitioning must
 //!   not leak into the REQUEST/DELETE protocol), exercising the
 //!   removal-heavy path;
@@ -23,10 +23,10 @@
 use hash_store::{run_hash_store, HashStoreCtx, HashStoreProgram};
 use ppa_assembler::ops::construct::ConstructConfig;
 use ppa_assembler::ops::merge::MergeConfig;
-use ppa_assembler::ops::tip::{remove_tips, TipConfig};
+use ppa_assembler::ops::tip::{remove_tips_on, TipConfig};
 use ppa_assembler::pipeline::{Construct, Label, Merge};
 use ppa_assembler::{assemble, AssemblyConfig, GraphState, Pipeline};
-use ppa_pregel::{Context, ExecCtx, NoAggregate, PregelConfig, VertexProgram};
+use ppa_pregel::{Context, ExecCtx, NoAggregate, PregelConfig, VertexProgram, VertexSet};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
 use proptest::prelude::*;
@@ -290,9 +290,8 @@ where
 {
     let ctx = ExecCtx::new(workers);
     let (mut old, old_metrics) = run_hash_store(program, &ctx, (0..n).map(|i| (i, init(i))), 1_000);
-    let config = PregelConfig::with_workers(workers).exec_ctx(ctx);
-    let (set, new_metrics) =
-        ppa_pregel::run_from_pairs(program, &config, (0..n).map(|i| (i, init(i))));
+    let mut set = VertexSet::from_pairs(workers, (0..n).map(|i| (i, init(i))));
+    let new_metrics = ppa_pregel::run_on(&ctx, program, &PregelConfig::default(), &mut set);
     let mut new = set.into_pairs();
     old.sort_unstable();
     new.sort_unstable();
@@ -472,7 +471,12 @@ fn remove_tips_is_identical_across_worker_counts() {
         tip_length_threshold: 80,
     };
     let fingerprint = |workers: usize| {
-        let out = remove_tips(&state.ambiguous_kmers, &state.contigs, &config, workers);
+        let out = remove_tips_on(
+            &ExecCtx::new(workers),
+            &state.ambiguous_kmers,
+            &state.contigs,
+            &config,
+        );
         let mut kmers: Vec<u64> = out.kmers.iter().map(|n| n.id).collect();
         let mut contigs: Vec<(u64, usize)> = out.contigs.iter().map(|c| (c.id, c.len())).collect();
         kmers.sort_unstable();
