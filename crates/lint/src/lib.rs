@@ -2,9 +2,9 @@
 //! enforces the workspace's architectural invariants.
 //!
 //! The ROADMAP writes the project's safety story down in prose: `unsafe`
-//! lives only in the SIMD kernel layer / worker pool / radix scatter, the
-//! checkpoint codecs never panic on malformed bytes, only the engine spawns
-//! threads, and hot paths avoid SipHash. This crate turns that prose into
+//! lives only in the worker pool and the radix scatter, the checkpoint
+//! codecs never panic on malformed bytes, only the engine spawns threads,
+//! and hot paths avoid SipHash. This crate turns that prose into
 //! typed diagnostics with `file:line` spans, so CI can reject violations
 //! before a reviewer has to remember them. See `crates/lint/README.md` for
 //! the rule catalogue and suppression syntax.

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-/// The architectural rules: the five launch rules, the job-control
-/// cancellation rule and the public-surface rule. Future invariants
-/// (spill-file codecs) get added here and in `rules.rs`.
+/// The architectural rules: four launch rules, the job-control cancellation
+/// rule and the public-surface rule. Future invariants (spill-file codecs)
+/// get added here and in `rules.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// `unsafe` only in allowlisted modules, always with a `// SAFETY:`
@@ -19,9 +19,6 @@ pub enum Rule {
     /// No `std::collections::{HashMap, HashSet}` in `pregel`/`core` non-test
     /// code, however imported.
     NoSiphashHotPath,
-    /// `#[target_feature]` fns are only callable from their defining
-    /// dispatch module.
-    DispatchOnlyIntrinsics,
     /// Every public `*_on` op entry point must route through a
     /// control-polling runner path, so an installed `JobControl` can stop
     /// any long-running operation at a barrier.
@@ -38,7 +35,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::PanicFreeCodecs,
     Rule::EngineOnlyThreading,
     Rule::NoSiphashHotPath,
-    Rule::DispatchOnlyIntrinsics,
     Rule::CancellationPoints,
     Rule::TestOnlyPub,
 ];
@@ -51,7 +47,6 @@ impl Rule {
             Rule::PanicFreeCodecs => "panic-free-codecs",
             Rule::EngineOnlyThreading => "engine-only-threading",
             Rule::NoSiphashHotPath => "no-siphash-hot-path",
-            Rule::DispatchOnlyIntrinsics => "dispatch-only-intrinsics",
             Rule::CancellationPoints => "cancellation-points",
             Rule::TestOnlyPub => "test-only-pub",
         }
@@ -67,7 +62,7 @@ impl Rule {
         match self {
             Rule::UnsafeAudit => {
                 "`unsafe` needs an adjacent `// SAFETY:` comment and is only \
-                 permitted in pregel/{kernels,engine,radix}.rs"
+                 permitted in pregel/{engine,radix}.rs"
             }
             Rule::PanicFreeCodecs => {
                 "no unwrap/expect/panic!/slice-index in non-test code of \
@@ -77,10 +72,6 @@ impl Rule {
             Rule::NoSiphashHotPath => {
                 "std::collections::{HashMap, HashSet} banned in pregel/core \
                  non-test code; use FxHashMap/FxHashSet"
-            }
-            Rule::DispatchOnlyIntrinsics => {
-                "#[target_feature] fns may only be called from the file that \
-                 defines them (the dispatch layer)"
             }
             Rule::CancellationPoints => {
                 "every `pub fn *_on` in core/src/ops must call a \

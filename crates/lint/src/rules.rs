@@ -9,13 +9,9 @@ use crate::lexer::{lex, Lexed, Tok, Token};
 use crate::report::{Diagnostic, Rule};
 use std::collections::HashMap;
 
-/// Files where `unsafe` is architecturally permitted (the SIMD kernel
-/// layer, the worker pool's lifetime erasure, the radix scatter).
-const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/pregel/src/kernels.rs",
-    "crates/pregel/src/engine.rs",
-    "crates/pregel/src/radix.rs",
-];
+/// Files where `unsafe` is architecturally permitted (the worker pool's
+/// lifetime erasure, the radix scatter).
+const UNSAFE_ALLOWLIST: &[&str] = &["crates/pregel/src/engine.rs", "crates/pregel/src/radix.rs"];
 
 /// The codec files that must never panic on malformed bytes.
 const CODEC_FILES: &[&str] = &[
@@ -100,7 +96,6 @@ pub fn analyze_sources(files: &[SourceSpec<'_>]) -> Vec<Diagnostic> {
         })
         .collect();
 
-    let intrinsics = collect_intrinsics(&analyzed);
     let mentions = collect_mentions(&analyzed);
 
     let mut diags = Vec::new();
@@ -112,7 +107,6 @@ pub fn analyze_sources(files: &[SourceSpec<'_>]) -> Vec<Diagnostic> {
         check_panic_free_codecs(file, &mut diags);
         check_engine_only_threading(file, &mut diags);
         check_no_siphash(file, &mut diags);
-        check_dispatch_only_intrinsics(file, &intrinsics, &mut diags);
         check_cancellation_points(file, &mut diags);
         check_test_only_pub(file, &mentions, &mut diags);
     }
@@ -558,99 +552,6 @@ fn check_test_only_pub(
                     "`pub` item `{name}` is named by no non-test code outside this file; \
                      delete it, narrow it to `pub(crate)` or private, or keep it with \
                      `// ppa_lint: allow(test-only-pub) <reason>`"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// dispatch-only-intrinsics
-// ---------------------------------------------------------------------------
-
-/// Pass 1: map every `#[target_feature]` fn name to the file defining it.
-fn collect_intrinsics(files: &[AnalyzedFile]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    for file in files {
-        let toks = &file.lexed.tokens;
-        let mut i = 0;
-        while i < toks.len() {
-            if !(toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('['))) {
-                i += 1;
-                continue;
-            }
-            // Scan the attribute token tree to its matching `]`.
-            let mut j = i + 2;
-            let mut bracket = 1usize;
-            let mut has_target_feature = false;
-            while j < toks.len() && bracket > 0 {
-                if toks[j].is_punct('[') {
-                    bracket += 1;
-                } else if toks[j].is_punct(']') {
-                    bracket -= 1;
-                } else if toks[j].is_ident("target_feature") {
-                    has_target_feature = true;
-                }
-                j += 1;
-            }
-            if has_target_feature {
-                // Skip any further attributes / qualifiers up to the `fn`.
-                let mut k = j;
-                let limit = (j + 64).min(toks.len());
-                while k < limit {
-                    if toks[k].is_ident("fn") {
-                        if let Some(name) = toks.get(k + 1).and_then(|t| t.ident()) {
-                            map.insert(name.to_string(), file.path.clone());
-                        }
-                        break;
-                    }
-                    if toks[k].is_punct('{') || toks[k].is_punct(';') {
-                        break;
-                    }
-                    k += 1;
-                }
-            }
-            i = j;
-        }
-    }
-    map
-}
-
-/// Pass 2: flag calls to a `#[target_feature]` fn from any other file.
-fn check_dispatch_only_intrinsics(
-    file: &AnalyzedFile,
-    intrinsics: &HashMap<String, String>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    if intrinsics.is_empty() {
-        return;
-    }
-    let toks = &file.lexed.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.in_test {
-            continue;
-        }
-        let Some(name) = tok.ident() else { continue };
-        let Some(def_file) = intrinsics.get(name) else {
-            continue;
-        };
-        if *def_file == file.path {
-            continue;
-        }
-        let is_call = toks.get(i + 1).is_some_and(|t| t.is_punct('('));
-        let is_def = i
-            .checked_sub(1)
-            .and_then(|p| toks.get(p))
-            .is_some_and(|p| p.is_ident("fn"));
-        if is_call && !is_def {
-            diags.push(Diagnostic {
-                rule: Rule::DispatchOnlyIntrinsics,
-                file: file.path.clone(),
-                line: tok.line,
-                col: tok.col,
-                message: format!(
-                    "call to `#[target_feature]` fn `{name}` outside its dispatch layer \
-                     ({def_file})"
                 ),
             });
         }

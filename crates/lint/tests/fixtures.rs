@@ -48,7 +48,7 @@ pub fn f(p: *const u8) -> u8 {
     unsafe { *p }
 }
 "#;
-    let diags = diags_for("crates/pregel/src/kernels.rs", src);
+    let diags = diags_for("crates/pregel/src/radix.rs", src);
     assert_eq!(rules_of(&diags), vec![Rule::UnsafeAudit]);
     assert!(diags[0].message.contains("SAFETY"));
 }
@@ -69,18 +69,18 @@ pub fn trailing(p: *const u8) -> u8 {
    spanning lines also counts. */
 pub unsafe fn g() {}
 "#;
-    assert!(diags_for("crates/pregel/src/kernels.rs", src).is_empty());
+    assert!(diags_for("crates/pregel/src/radix.rs", src).is_empty());
 }
 
 #[test]
 fn safety_comment_above_attributes_is_adjacent() {
     let src = r#"
-// SAFETY: caller must ensure AVX2; dispatch-gated.
+// SAFETY: caller must ensure `p` is valid.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub unsafe fn g() {}
 "#;
-    assert!(diags_for("crates/pregel/src/kernels.rs", src).is_empty());
+    assert!(diags_for("crates/pregel/src/radix.rs", src).is_empty());
 }
 
 #[test]
@@ -90,7 +90,7 @@ fn safety_comment_separated_by_blank_line_is_not_adjacent() {
 
 pub unsafe fn g() {}
 "#;
-    let diags = diags_for("crates/pregel/src/kernels.rs", src);
+    let diags = diags_for("crates/pregel/src/radix.rs", src);
     assert_eq!(rules_of(&diags), vec![Rule::UnsafeAudit]);
 }
 
@@ -350,67 +350,6 @@ mod tests {
 }
 "#;
     assert!(diags_for("crates/pregel/src/mapreduce.rs", src).is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// dispatch-only-intrinsics
-// ---------------------------------------------------------------------------
-
-const DISPATCH_DEF: &str = r#"
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller must ensure AVX2 (dispatcher-gated).
-unsafe fn envelope_avx2(keys: &[u64]) -> u64 {
-    keys.len() as u64
-}
-
-pub fn envelope(keys: &[u64]) -> u64 {
-    // SAFETY: AVX2 verified by the dispatcher.
-    unsafe { envelope_avx2(keys) }
-}
-"#;
-
-#[test]
-fn target_feature_call_outside_dispatch_layer_fires() {
-    let caller = r#"
-pub fn fast_path(keys: &[u64]) -> u64 {
-    // SAFETY: (not enough — this bypasses the dispatcher)
-    unsafe { envelope_avx2(keys) }
-}
-"#;
-    let diags = lint(&[
-        ("crates/pregel/src/kernels.rs", DISPATCH_DEF),
-        ("crates/pregel/src/engine.rs", caller),
-    ]);
-    assert_eq!(rules_of(&diags), vec![Rule::DispatchOnlyIntrinsics]);
-    assert!(diags[0].message.contains("envelope_avx2"));
-    assert!(diags[0].message.contains("kernels.rs"));
-}
-
-#[test]
-fn target_feature_call_inside_defining_file_is_quiet() {
-    let diags = lint(&[("crates/pregel/src/kernels.rs", DISPATCH_DEF)]);
-    assert!(diags.is_empty(), "unexpected: {diags:?}");
-}
-
-#[test]
-fn target_feature_call_in_test_code_is_quiet() {
-    let caller = r#"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn parity() {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let _ = unsafe { envelope_avx2(&[1, 2]) };
-        }
-    }
-}
-"#;
-    let diags = lint(&[
-        ("crates/pregel/src/kernels.rs", DISPATCH_DEF),
-        ("crates/pregel/src/radix.rs", caller),
-    ]);
-    assert!(diags.is_empty(), "unexpected: {diags:?}");
 }
 
 // ---------------------------------------------------------------------------

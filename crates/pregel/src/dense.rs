@@ -40,11 +40,10 @@
 use crate::aggregate::Aggregate;
 use crate::config::PregelConfig;
 use crate::engine::{EngineError, ExecCtx};
-use crate::kernels;
 use crate::metrics::{Metrics, SuperstepMetrics};
 use crate::runner::{poll_boundary, pool_utilization};
 use crate::vertex::{Context, Route, VertexProgram};
-use crate::vertex_set::set_bit;
+use crate::vertex_set::{next_word_with_zero, set_bit};
 use std::time::Instant;
 
 /// Range ownership of the ranks `0..ranks` over a job's workers: the owner of
@@ -356,7 +355,7 @@ pub fn run_dense_on<P: VertexProgram<Id = u32>>(
             // zero bit is a present, unhalted slot; one with messages was
             // computed above. `compute` only touches the current word.
             let mut from = 0;
-            while let Some(word) = kernels::next_word_with_zero(halted, from) {
+            while let Some(word) = next_word_with_zero(halted, from) {
                 let mut active = !halted[word];
                 while active != 0 {
                     let slot = (word << 6) + active.trailing_zeros() as usize;
@@ -370,7 +369,7 @@ pub fn run_dense_on<P: VertexProgram<Id = u32>>(
                 }
                 from = word + 1;
             }
-            counts.quiescent = kernels::next_word_with_zero(halted, 0).is_none();
+            counts.quiescent = next_word_with_zero(halted, 0).is_none();
             counts
         }));
         let compute_elapsed = step_start.elapsed();

@@ -112,7 +112,6 @@ pub mod dense;
 pub mod engine;
 pub mod fault;
 pub mod fxhash;
-pub mod kernels;
 pub mod keycount;
 mod kmerge;
 pub mod mapreduce;

@@ -79,14 +79,13 @@ use crate::config::PregelConfig;
 use crate::control::JobControl;
 use crate::engine::{EngineError, ExecCtx};
 use crate::fault::ArmedFaults;
-use crate::kernels;
 use crate::metrics::{Metrics, SuperstepMetrics};
 use crate::spill::{
     merge_run_sources, write_run, DiskRun, MergeSource, PartSeal, RunReader, SpillCodecs, SpillDir,
     SpillError,
 };
 use crate::vertex::{Context, Route, VertexKey, VertexProgram};
-use crate::vertex_set::{lower_bound_from, set_bit, RunColumns, VertexSet};
+use crate::vertex_set::{lower_bound_from, next_word_with_zero, set_bit, RunColumns, VertexSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -425,8 +424,8 @@ impl<P: VertexProgram> Delivery<'_, P> {
         Ok(())
     }
 
-    /// Pass 2: active vertices that received nothing — a vectorized scan for
-    /// halted words with a zero bit (64+ halted vertices skipped per compare),
+    /// Pass 2: active vertices that received nothing — a word scan for
+    /// halted words with a zero bit (64 halted vertices skipped per compare),
     /// with the stamp column filtering out slots already computed in pass 1.
     /// `compute_slot` only ever touches the current word's bits, so the
     /// forward scan never misses a regained zero.
@@ -438,7 +437,7 @@ impl<P: VertexProgram> Delivery<'_, P> {
         let ids = cols.ids;
         let slots = ids.len();
         let mut wi = 0usize;
-        while let Some(w) = kernels::next_word_with_zero(cols.halted, wi) {
+        while let Some(w) = next_word_with_zero(cols.halted, wi) {
             let base = w << 6;
             let mut cand = !cols.halted[w];
             if slots - base < 64 {
@@ -656,13 +655,15 @@ pub fn run_on<P: VertexProgram>(
                     let all_halted = match seal.as_mut() {
                         None => {
                             // Resident path: both passes over the in-RAM
-                            // columns, then a masked popcount over the halted
-                            // words (bits beyond the slot count stay zero)
+                            // columns, then a popcount over the halted words
+                            // (bits beyond the slot count stay zero)
                             // decides quiescence.
                             let mut cols = part.run_columns();
                             del.deliver(&mut env, &mut cols, None)?;
                             del.sweep(&mut env, &mut cols)?;
-                            kernels::popcount(cols.halted) as usize == cols.ids.len()
+                            let halted: usize =
+                                cols.halted.iter().map(|w| w.count_ones() as usize).sum();
+                            halted == cols.ids.len()
                         }
                         Some(seal) => compute_sealed(&mut env, &mut del, seal)?,
                     };

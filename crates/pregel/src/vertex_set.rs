@@ -59,6 +59,18 @@ pub(crate) fn set_bit(words: &mut [u64], slot: usize, on: bool) {
     }
 }
 
+/// Index of the first word at or after `from` that is not all-ones, i.e.
+/// still has an unhalted slot: both runners' pass-2 scans skip whole halted
+/// words with it.
+#[inline]
+pub(crate) fn next_word_with_zero(words: &[u64], from: usize) -> Option<usize> {
+    words
+        .get(from..)?
+        .iter()
+        .position(|&w| w != u64::MAX)
+        .map(|i| from + i)
+}
+
 /// Reads bit `slot` of a packed bitset (test-only counterpart of
 /// [`set_bit`]: the engine reads halt state word-at-a-time instead).
 #[cfg(test)]
@@ -805,6 +817,30 @@ mod tests {
             let mut got = store.into_pairs();
             got.sort_unstable();
             prop_assert_eq!(got, expected);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_next_word_with_zero_matches_oracle(
+            data in proptest::collection::vec(0u8..2, 0..64),
+            from in 0usize..70,
+        ) {
+            // bools → words: true = all-ones, false = one clear bit. `from`
+            // reaches past the end.
+            let words: Vec<u64> = data
+                .into_iter()
+                .enumerate()
+                .map(|(i, full)| if full != 0 { u64::MAX } else { u64::MAX ^ (1 << (i % 64)) })
+                .collect();
+            let oracle = words
+                .iter()
+                .enumerate()
+                .skip(from.min(words.len()))
+                .find(|(_, &w)| w != u64::MAX)
+                .map(|(i, _)| i);
+            prop_assert_eq!(next_word_with_zero(&words, from), oracle);
         }
     }
 

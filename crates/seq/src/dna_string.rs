@@ -8,7 +8,6 @@
 //! the paper.
 
 use crate::base::Base;
-use crate::kernels;
 use crate::kmer::{Kmer, MAX_K};
 use crate::SeqError;
 use serde::{Deserialize, Serialize};
@@ -118,15 +117,8 @@ impl DnaString {
     /// Word-parallel: the incoming packed words are spliced onto the partial
     /// last word with two shifts each (32 bases per step) instead of a
     /// base-by-base push loop — contig concatenation is a hot path of the
-    /// merging phase. The scalar twin runs when
-    /// [`kernels::scalar_kernels_forced`] is engaged.
+    /// merging phase.
     pub fn extend_from(&mut self, other: &DnaString) {
-        if kernels::scalar_kernels_forced() {
-            for b in other.iter() {
-                self.push(b);
-            }
-            return;
-        }
         if other.len == 0 {
             return;
         }
@@ -177,14 +169,8 @@ impl DnaString {
     /// slots at once (`rc_word`, the same SWAR network as
     /// [`Kmer::reverse_complement`]); the mapped words stream in reverse
     /// order and one whole-stream shift drops the pad that the partial last
-    /// word contributes at the front. The scalar twin runs when
-    /// [`kernels::scalar_kernels_forced`] is engaged.
+    /// word contributes at the front.
     pub fn reverse_complement(&self) -> DnaString {
-        if kernels::scalar_kernels_forced() {
-            return DnaString::from_bases_iter(
-                (0..self.len).rev().map(|i| self.get(i).complement()),
-            );
-        }
         let mut words: Vec<u64> = self.words.iter().rev().map(|&w| rc_word(w)).collect();
         // A partial last word's zero pad is complemented and reversed to the
         // front of the new stream; shift the whole stream left to drop it
@@ -318,18 +304,8 @@ impl Ord for DnaString {
     /// comparison of the sequences — 32 bases per compare. Two sequences
     /// with equal word vectors can still differ in length (the shorter one's
     /// missing bases read as the zero pad, i.e. `A`s), in which case the
-    /// shorter — a strict prefix — sorts first. The scalar twin runs when
-    /// [`kernels::scalar_kernels_forced`] is engaged.
+    /// shorter — a strict prefix — sorts first.
     fn cmp(&self, other: &DnaString) -> Ordering {
-        if kernels::scalar_kernels_forced() {
-            for (a, b) in self.iter().zip(other.iter()) {
-                match a.code().cmp(&b.code()) {
-                    Ordering::Equal => {}
-                    o => return o,
-                }
-            }
-            return self.len.cmp(&other.len);
-        }
         self.words.cmp(&other.words).then(self.len.cmp(&other.len))
     }
 }
@@ -494,20 +470,35 @@ mod tests {
         assert_eq!(s.to_ascii(), "TGCCG");
     }
 
-    /// Runs `f` with the scalar twins forced; serialized so concurrent
-    /// pinning tests cannot release the switch under each other.
-    fn with_forced_scalar<T>(f: impl FnOnce() -> T) -> T {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        struct Release;
-        impl Drop for Release {
-            fn drop(&mut self) {
-                kernels::force_scalar_kernels(false);
-            }
-        }
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _release = Release;
-        kernels::force_scalar_kernels(true);
-        f()
+    /// The reverse complement of an ASCII sequence, base by base.
+    fn ascii_rc(s: &str) -> String {
+        s.chars()
+            .rev()
+            .map(|c| match c {
+                'A' => 'T',
+                'C' => 'G',
+                'G' => 'C',
+                'T' => 'A',
+                _ => unreachable!("non-ACGT base {c}"),
+            })
+            .collect()
+    }
+
+    /// Checks the word-parallel ops of `s` and `t` against plain string
+    /// references built from their `to_ascii()` renderings: reverse
+    /// complement, concatenation, string order and the smaller strand. The
+    /// expected sequences are parsed back base by base, so structural `Eq`
+    /// also pins the word count and the zero tail.
+    fn check_against_ascii(s: &DnaString, t: &DnaString) {
+        let parse = |x: &str| DnaString::from_ascii(x).unwrap();
+        let (a, b) = (s.to_ascii(), t.to_ascii());
+        let rc = ascii_rc(&a);
+        assert_eq!(s.reverse_complement(), parse(&rc), "rc of {a}");
+        assert_eq!(s.canonical(), parse(&a.clone().min(rc)), "canonical of {a}");
+        assert_eq!(s.cmp(t), a.cmp(&b), "{a} vs {b}");
+        let mut e = s.clone();
+        e.extend_from(t);
+        assert_eq!(e, parse(&(a + &b)), "extend by {b}");
     }
 
     #[test]
@@ -517,17 +508,7 @@ mod tests {
         for n in [0usize, 1, 31, 32, 33, 63, 64, 65, 96] {
             let s = DnaString::from_bases_iter((0..n).map(|i| Base::from_code((i % 4) as u8)));
             let t = DnaString::from_bases_iter((0..n).map(|i| Base::from_code((i % 3) as u8)));
-            let (rc, canon, cmp, ext) = with_forced_scalar(|| {
-                let mut e = s.clone();
-                e.extend_from(&t);
-                (s.reverse_complement(), s.canonical(), s.cmp(&t), e)
-            });
-            assert_eq!(s.reverse_complement(), rc, "rc len {n}");
-            assert_eq!(s.canonical(), canon, "canonical len {n}");
-            assert_eq!(s.cmp(&t), cmp, "cmp len {n}");
-            let mut e = s.clone();
-            e.extend_from(&t);
-            assert_eq!(e, ext, "extend len {n}");
+            check_against_ascii(&s, &t);
         }
     }
 
@@ -558,20 +539,7 @@ mod tests {
         ) {
             let s = DnaString::from_bases_iter(a.iter().map(|c| Base::from_code(*c)));
             let t = DnaString::from_bases_iter(b.iter().map(|c| Base::from_code(*c)));
-            let (rc, canon, cmp, ext) = with_forced_scalar(|| {
-                let mut e = s.clone();
-                e.extend_from(&t);
-                (s.reverse_complement(), s.canonical(), s.cmp(&t), e)
-            });
-            prop_assert_eq!(s.reverse_complement(), rc);
-            prop_assert_eq!(s.canonical(), canon);
-            prop_assert_eq!(s.cmp(&t), cmp);
-            let mut e = s.clone();
-            e.extend_from(&t);
-            prop_assert_eq!(e, ext);
-            // Independent oracle: with A<C<G<T mapping to ASCII order,
-            // sequence order must equal string order.
-            prop_assert_eq!(s.cmp(&t), s.to_ascii().cmp(&t.to_ascii()));
+            check_against_ascii(&s, &t);
         }
 
         #[test]

@@ -9,7 +9,9 @@
 //!   extension, reverse complement and canonicalisation exactly as required by
 //!   the de Bruijn graph construction of the paper (Section III / Figure 7a).
 //! * [`DnaString`] — an arbitrary-length 2-bit packed DNA sequence used for
-//!   contigs and reference genomes (Figure 9's contig bitmap).
+//!   contigs and reference genomes (Figure 9's contig bitmap); ordering,
+//!   reverse complement and splicing run word-parallel, 32 bases per `u64`
+//!   step, on every target.
 //! * FASTA/FASTQ parsing and writing ([`fastx`]).
 //! * Banded and full [edit distance](edit) used by bubble filtering.
 //!
@@ -24,7 +26,6 @@ pub mod dna_string;
 pub mod edit;
 pub mod error;
 pub mod fastx;
-pub mod kernels;
 pub mod kmer;
 
 pub use base::Base;

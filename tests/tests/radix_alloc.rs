@@ -157,9 +157,6 @@ fn steady_state_radix_sort_is_allocation_free() {
     // superstep (boxed jobs, input and result vectors) — so no outbox, offset
     // array or inbox is allocated or regrown after the first supersteps.
     let ctx = ExecCtx::new(2);
-    // The kernels read `PPA_SCALAR_KERNELS` once, on first dispatch, and that
-    // read allocates when the variable is set; do it outside the count.
-    ppa_pregel::kernels::scalar_kernels_forced();
     let per_step = |ranks: u32| {
         let extra = dense_job_allocations(&ctx, ranks, 24) - dense_job_allocations(&ctx, ranks, 12);
         assert_eq!(extra % 12, 0, "every steady-state superstep costs the same");
