@@ -170,6 +170,13 @@ impl PackedAdj {
         self.bitmap
     }
 
+    /// Reassembles an adjacency from its bitmap and its coverage counters,
+    /// one per set bit, in ascending bit order.
+    pub(crate) fn from_parts(bitmap: u32, coverages: Vec<u32>) -> PackedAdj {
+        debug_assert_eq!(coverages.len(), bitmap.count_ones() as usize);
+        PackedAdj { bitmap, coverages }
+    }
+
     /// Position of `bit` within the coverage vector.
     #[inline]
     fn slot_position(&self, bit: u32) -> usize {

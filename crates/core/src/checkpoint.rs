@@ -18,18 +18,20 @@
 //!
 //! | file            | contents                                             |
 //! |-----------------|------------------------------------------------------|
-//! | `nodes.col`     | [`GraphState::nodes`] as flat columns                |
+//! | `nodes.col`     | [`GraphState::nodes`]: packed k-mer columns for [`NodeSet::Packed`], node columns for [`NodeSet::Expanded`] (the manifest records which) |
 //! | `labels.col`    | [`GraphState::labels`]: labels, ambiguous IDs, Pregel metrics |
-//! | `contigs.col`   | [`GraphState::contigs`] as flat columns              |
-//! | `ambiguous.col` | [`GraphState::ambiguous_kmers`] as flat columns      |
+//! | `contigs.col`   | [`GraphState::contigs`] as node columns              |
+//! | `ambiguous.col` | [`GraphState::ambiguous_kmers`] as node columns      |
 //! | `output.col`    | [`GraphState::output`] contigs as flat columns       |
-//! | `MANIFEST`      | magic + version, pipeline position, repeat-loop round counters, config/reads fingerprints, worker count, per-file `(length, striped checksum)` |
+//! | `MANIFEST`      | magic + version, pipeline position, repeat-loop round counters, config/reads fingerprints, worker count, the form of [`GraphState::nodes`], per-file `(length, striped checksum)` |
 //!
-//! Node sections are **column dumps**, matching the columnar vertex store: an
-//! ID column, a coverage column, a sequence-tag column, the packed k-mer and
-//! 2-bit contig-word columns, an edge-count column, and flattened edge
-//! columns (neighbor / packed direction+polarity / coverage). All integers
-//! are little-endian via the `serde::bin` shim.
+//! Sections are **column dumps**. Node columns are an ID column, a coverage
+//! column, a sequence-tag column, the packed k-mer and 2-bit contig-word
+//! columns, an edge-count column, and flattened edge columns (neighbor /
+//! packed direction+polarity / coverage). Packed k-mer columns keep Figure
+//! 8's form: a packed canonical k-mer column, a k column, a 32-bit adjacency
+//! bitmap column and the flattened per-slot coverages. All integers are
+//! little-endian via the `serde::bin` shim.
 //!
 //! # Crash safety and validation
 //!
@@ -50,9 +52,10 @@
 //! After a successful save the pipeline keeps only the newest snapshot:
 //! [`save_with_reads_fingerprint`] prunes every other `stage-*` subdirectory.
 
-use crate::node::{AsmNode, Edge, NodeSeq};
+use crate::adj::PackedAdj;
+use crate::node::{AsmNode, Edge, KmerVertex, NodeSeq};
 use crate::ops::label::LabelOutcome;
-use crate::pipeline::GraphState;
+use crate::pipeline::{GraphState, NodeSet};
 use crate::polarity::{Direction, Polarity};
 use crate::workflow::Contig;
 use ppa_pregel::{Metrics, SuperstepMetrics};
@@ -67,8 +70,9 @@ use std::time::Duration;
 const MAGIC: [u8; 8] = *b"PPACKPT1";
 /// Format version stamped into and checked against every manifest.
 /// v3 added the cancellation-check counters to the metrics codec; v4 added
-/// the out-of-core spill counters.
-const VERSION: u32 = 4;
+/// the out-of-core spill counters; v5 added the node-set form, which selects
+/// the codec of `nodes.col`.
+const VERSION: u32 = 5;
 /// The manifest file name inside a snapshot directory.
 const MANIFEST_FILE: &str = "MANIFEST";
 
@@ -358,6 +362,9 @@ pub struct Manifest {
     pub workers: usize,
     /// [`GraphState::rewired`] at the snapshot.
     pub rewired: bool,
+    /// Whether [`GraphState::nodes`] was [`NodeSet::Packed`], so `nodes.col`
+    /// holds packed k-mer columns rather than node columns.
+    packed_nodes: bool,
     /// Section files with their recorded lengths and checksums.
     files: Vec<FileEntry>,
 }
@@ -379,6 +386,7 @@ impl Manifest {
         w.u64(self.reads_fingerprint)?;
         w.u64(self.workers as u64)?;
         w.bool(self.rewired)?;
+        w.bool(self.packed_nodes)?;
         w.u64(self.files.len() as u64)?;
         for f in &self.files {
             w.str(&f.name)?;
@@ -418,6 +426,7 @@ impl Manifest {
         let reads_fp = r.u64().map_err(|e| bin_err(file, e))?;
         let workers = r.u64().map_err(|e| bin_err(file, e))? as usize;
         let rewired = r.bool().map_err(|e| bin_err(file, e))?;
+        let packed_nodes = r.bool().map_err(|e| bin_err(file, e))?;
         let n_files = r.u64().map_err(|e| bin_err(file, e))? as usize;
         let mut files = Vec::new();
         for _ in 0..n_files {
@@ -443,6 +452,7 @@ impl Manifest {
             reads_fingerprint: reads_fp,
             workers,
             rewired,
+            packed_nodes,
             files,
         })
     }
@@ -696,6 +706,74 @@ fn decode_nodes(file: &str, bytes: &[u8]) -> Result<Vec<AsmNode>, CheckpointErro
         });
     }
     Ok(nodes)
+}
+
+/// Encodes packed k-mer vertices as flat columns: packed canonical k-mers, k
+/// values, adjacency bitmaps, then every vertex's coverages in bit order.
+fn encode_kmers(vertices: &[KmerVertex]) -> Result<Vec<u8>, CheckpointError> {
+    let mut w = Writer::new(Vec::new());
+    w.u64(vertices.len() as u64)?;
+    for v in vertices {
+        w.u64(v.kmer.packed())?;
+    }
+    for v in vertices {
+        w.u8(v.kmer.k() as u8)?;
+    }
+    for v in vertices {
+        w.u32(v.adj.bitmap())?;
+    }
+    for v in vertices {
+        for (_, coverage) in v.adj.iter() {
+            w.u32(coverage)?;
+        }
+    }
+    Ok(w.into_inner())
+}
+
+fn decode_kmers(file: &str, bytes: &[u8]) -> Result<Vec<KmerVertex>, CheckpointError> {
+    let mut r = Reader::new(bytes);
+    let e = |r: BinError| bin_err(file, r);
+    let corrupt = |detail: String| CheckpointError::Corrupt {
+        file: file.into(),
+        detail,
+    };
+    let n = r.u64().map_err(e)? as usize;
+    if n > bytes.len() {
+        return Err(corrupt(format!(
+            "vertex count {n} exceeds file size {}",
+            bytes.len()
+        )));
+    }
+    let mut packed = Vec::with_capacity(n);
+    for _ in 0..n {
+        packed.push(r.u64().map_err(e)?);
+    }
+    let mut ks = Vec::with_capacity(n);
+    for _ in 0..n {
+        ks.push(r.u8().map_err(e)?);
+    }
+    let mut bitmaps = Vec::with_capacity(n);
+    for _ in 0..n {
+        bitmaps.push(r.u32().map_err(e)?);
+    }
+    let mut vertices = Vec::with_capacity(n);
+    for (i, ((packed, k), bitmap)) in packed.into_iter().zip(ks).zip(bitmaps).enumerate() {
+        let kmer = Kmer::from_packed(packed, k as usize)
+            .map_err(|err| corrupt(format!("k-mer column entry for vertex {i}: {err}")))?;
+        if !kmer.is_canonical() {
+            return Err(corrupt(format!("k-mer of vertex {i} is not canonical")));
+        }
+        let mut coverages = Vec::with_capacity(bitmap.count_ones() as usize);
+        for _ in 0..bitmap.count_ones() {
+            coverages.push(r.u32().map_err(e)?);
+        }
+        let adj = PackedAdj::from_parts(bitmap, coverages);
+        vertices.push(KmerVertex { kmer, adj });
+    }
+    if !r.is_empty() {
+        return Err(corrupt(format!("{} trailing bytes", r.remaining())));
+    }
+    Ok(vertices)
 }
 
 fn encode_metrics(w: &mut Writer<Vec<u8>>, m: &Metrics) -> Result<(), CheckpointError> {
@@ -966,8 +1044,12 @@ pub fn save_with_reads_fingerprint(
     let ckpt = dir.join(&name);
     fs::create_dir_all(&ckpt)?;
     let [s_nodes, s_labels, s_contigs, s_ambiguous, s_output] = SECTIONS;
+    let nodes = match &state.nodes {
+        NodeSet::Packed(vertices) => encode_kmers(vertices)?,
+        NodeSet::Expanded(nodes) => encode_nodes(nodes)?,
+    };
     let sections: [(&str, Vec<u8>); 5] = [
-        (s_nodes, encode_nodes(&state.nodes)?),
+        (s_nodes, nodes),
         (s_labels, encode_labels(state.labels.as_ref())?),
         (s_contigs, encode_nodes(&state.contigs)?),
         (s_ambiguous, encode_nodes(&state.ambiguous_kmers)?),
@@ -989,6 +1071,7 @@ pub fn save_with_reads_fingerprint(
         reads_fingerprint,
         workers: meta.workers,
         rewired: state.rewired,
+        packed_nodes: matches!(state.nodes, NodeSet::Packed(_)),
         files,
     };
     fs::write(ckpt.join(MANIFEST_FILE), manifest.encode()?)?;
@@ -1110,7 +1193,11 @@ pub fn load<'r>(
         });
     };
     let [s_nodes, s_labels, s_contigs, s_ambiguous, s_output] = SECTIONS;
-    let nodes = decode_nodes(s_nodes, &b_nodes)?;
+    let nodes = if manifest.packed_nodes {
+        NodeSet::Packed(decode_kmers(s_nodes, &b_nodes)?)
+    } else {
+        NodeSet::Expanded(decode_nodes(s_nodes, &b_nodes)?)
+    };
     let labels = decode_labels(s_labels, &b_labels)?;
     let contigs = decode_nodes(s_contigs, &b_contigs)?;
     let ambiguous_kmers = decode_nodes(s_ambiguous, &b_ambiguous)?;
@@ -1205,6 +1292,34 @@ mod tests {
         }
     }
 
+    /// A packed k-mer vertex: a canonical k-mer and a random bitmap with one
+    /// coverage per set bit (the bitmap need not describe a real graph).
+    fn arb_kmer_vertex(mix: &mut Mix) -> KmerVertex {
+        let k = 1 + mix.below(31) as usize;
+        let bases: Vec<ppa_seq::Base> = (0..k)
+            .map(|_| ppa_seq::Base::from_code(mix.below(4) as u8))
+            .collect();
+        let kmer = Kmer::from_bases(&bases).unwrap().canonical().kmer;
+        let bitmap = (mix.next() as u32) & (mix.next() as u32) & (mix.next() as u32);
+        let coverages = (0..bitmap.count_ones())
+            .map(|_| mix.below(1000) as u32)
+            .collect();
+        KmerVertex {
+            kmer,
+            adj: PackedAdj::from_parts(bitmap, coverages),
+        }
+    }
+
+    /// Either node-set form, with up to `max` nodes.
+    fn arb_node_set(mix: &mut Mix, max: u64) -> NodeSet {
+        let n = mix.below(max);
+        if mix.below(2) == 0 {
+            NodeSet::Packed((0..n).map(|_| arb_kmer_vertex(mix)).collect())
+        } else {
+            NodeSet::Expanded((0..n).map(|_| arb_node(mix)).collect())
+        }
+    }
+
     fn arb_metrics(mix: &mut Mix) -> Metrics {
         Metrics {
             supersteps: mix.below(50) as usize,
@@ -1244,7 +1359,7 @@ mod tests {
     fn arb_state(mix: &mut Mix, reads: &'static ReadSet) -> GraphState<'static> {
         GraphState {
             reads,
-            nodes: (0..mix.below(20)).map(|_| arb_node(mix)).collect(),
+            nodes: arb_node_set(mix, 20),
             labels: if mix.below(2) == 0 {
                 Some(LabelOutcome {
                     labels: (0..mix.below(20))
@@ -1347,43 +1462,78 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A state with a non-empty node set, packed or expanded.
+    fn state_with_nodes(mix: &mut Mix, packed: bool) -> GraphState<'static> {
+        let mut state = arb_state(mix, test_reads());
+        state.nodes = if packed {
+            NodeSet::Packed(vec![arb_kmer_vertex(mix), arb_kmer_vertex(mix)])
+        } else {
+            NodeSet::Expanded(vec![arb_node(mix)])
+        };
+        state
+    }
+
     #[test]
     fn truncated_section_is_a_typed_error() {
         let reads = test_reads();
-        let mut mix = Mix(9);
-        let mut state = arb_state(&mut mix, reads);
-        // Ensure there is something to truncate.
-        state.nodes.push(arb_node(&mut mix));
-        let dir = tmp_dir("truncate");
-        let ckpt = save(&dir, &state, &meta(1)).unwrap();
-        let path = ckpt.join("nodes.col");
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = load_latest(&dir, reads).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Truncated { ref file, .. } if file == "nodes.col"),
-            "{err}"
-        );
-        fs::remove_dir_all(&dir).unwrap();
+        for (seed, packed) in [(9, false), (19, true)] {
+            let state = state_with_nodes(&mut Mix(seed), packed);
+            let dir = tmp_dir(&format!("truncate-{packed}"));
+            let ckpt = save(&dir, &state, &meta(1)).unwrap();
+            let path = ckpt.join("nodes.col");
+            let bytes = fs::read(&path).unwrap();
+            fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+            let err = load_latest(&dir, reads).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Truncated { ref file, .. } if file == "nodes.col"),
+                "{err}"
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
     fn corrupted_section_is_a_typed_error() {
         let reads = test_reads();
-        let mut mix = Mix(10);
-        let mut state = arb_state(&mut mix, reads);
-        state.contigs.push(arb_node(&mut mix));
-        let dir = tmp_dir("corrupt");
+        for (seed, file) in [(10, "contigs.col"), (20, "nodes.col")] {
+            let mut mix = Mix(seed);
+            let mut state = state_with_nodes(&mut mix, true);
+            state.contigs.push(arb_node(&mut mix));
+            let dir = tmp_dir(&format!("corrupt-{file}"));
+            let ckpt = save(&dir, &state, &meta(1)).unwrap();
+            let path = ckpt.join(file);
+            let mut bytes = fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF; // flip bits, keep the length
+            fs::write(&path, &bytes).unwrap();
+            let err = load_latest(&dir, reads).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Corrupt { file: ref f, .. } if f == file),
+                "{err}"
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_version_4_snapshot_is_refused() {
+        let reads = test_reads();
+        let state = arb_state(&mut Mix(13), reads);
+        let dir = tmp_dir("v4");
         let ckpt = save(&dir, &state, &meta(1)).unwrap();
-        let path = ckpt.join("contigs.col");
+        // The version follows the 8-byte magic.
+        let path = ckpt.join(MANIFEST_FILE);
         let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF; // flip bits, keep the length
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         let err = load_latest(&dir, reads).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Corrupt { ref file, .. } if file == "contigs.col"),
-            "{err}"
+        assert_eq!(
+            err,
+            CheckpointError::Mismatch {
+                what: "format version".into(),
+                expected: "4".into(),
+                actual: "5".into(),
+            }
         );
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1524,10 +1674,19 @@ mod tests {
         let state = arb_state(&mut mix, reads);
 
         // In-memory round-trip of every section codec.
-        let nodes = decode_nodes("nodes.col", &encode_nodes(&state.nodes).unwrap())
-            .map_err(|e| e.to_string())?;
-        if nodes != state.nodes {
+        let (nodes, kmers) = match &state.nodes {
+            NodeSet::Expanded(nodes) => (nodes.clone(), Vec::new()),
+            NodeSet::Packed(kmers) => (Vec::new(), kmers.clone()),
+        };
+        let decoded =
+            decode_nodes("nodes.col", &encode_nodes(&nodes).unwrap()).map_err(|e| e.to_string())?;
+        if decoded != nodes {
             return Err(format!("node round-trip diverged for seed {seed}"));
+        }
+        let decoded =
+            decode_kmers("nodes.col", &encode_kmers(&kmers).unwrap()).map_err(|e| e.to_string())?;
+        if decoded != kmers {
+            return Err(format!("packed k-mer round-trip diverged for seed {seed}"));
         }
         let labels = decode_labels("labels.col", &encode_labels(state.labels.as_ref()).unwrap())
             .map_err(|e| e.to_string())?;
@@ -1540,12 +1699,28 @@ mod tests {
             return Err(format!("output round-trip diverged for seed {seed}"));
         }
 
-        // Any truncation of the node bytes is rejected with a typed error
-        // (decoders must never panic on malformed input).
-        let bytes = encode_nodes(&state.nodes).unwrap();
+        // Any truncation of either node codec is rejected with a typed
+        // error, and a flipped bit never panics: it decodes to a typed error
+        // or to some other well-formed set (decoders must never panic on
+        // malformed input; the manifest's checksum catches the flip).
+        let bytes = encode_nodes(&nodes).unwrap();
         let cut = (seed as usize) % bytes.len().max(1);
         if cut < bytes.len() && decode_nodes("nodes.col", &bytes[..cut]).is_ok() {
             return Err(format!("truncation at {cut} not rejected for seed {seed}"));
+        }
+        let mut bytes = encode_kmers(&kmers).unwrap();
+        let cut = (seed as usize) % bytes.len().max(1);
+        if cut < bytes.len() && decode_kmers("nodes.col", &bytes[..cut]).is_ok() {
+            return Err(format!(
+                "packed truncation at {cut} not rejected for seed {seed}"
+            ));
+        }
+        let bit = (seed as usize / 7) % (8 * bytes.len());
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(flipped) = decode_kmers("nodes.col", &bytes) {
+            if flipped == kmers {
+                return Err(format!("bit flip {bit} went unseen for seed {seed}"));
+            }
         }
         Ok(())
     }

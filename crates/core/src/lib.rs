@@ -72,10 +72,10 @@ pub mod workflow;
 pub use adj::{edge_contributions, CompactNeighbor, EdgeSlot, PackedAdj};
 pub use checkpoint::{CheckpointError, CheckpointMeta, Manifest};
 pub use ids::NULL_ID;
-pub use node::{AsmNode, Edge, KmerVertex, NodeSeq, VertexType};
+pub use node::{AsmNode, Edge, GraphNode, KmerVertex, NodeSeq, VertexType};
 pub use pipeline::{
-    CheckpointPolicy, GraphState, Pipeline, PipelineError, PipelineObserver, Stage, StageDetails,
-    StageReport,
+    CheckpointPolicy, GraphState, NodeSet, Pipeline, PipelineError, PipelineObserver, Stage,
+    StageDetails, StageReport,
 };
 pub use polarity::{Direction, Polarity, Side};
 pub use ppa_pregel::{CancelReason, JobControl};

@@ -8,10 +8,14 @@
 //! mixture of both kinds, and the later operations — bubble filtering, tip
 //! removing, the second labeling/merging round — treat them uniformly.
 //! [`AsmNode`] is that uniform representation; [`KmerVertex`] is the compact
-//! construction-time form that gets converted into it (the in-memory job
-//! concatenation of the paper).
+//! construction-time form, which labeling and merging read as it is.
+//!
+//! Both forms implement [`GraphNode`], the read interface that operations ②
+//! and ③ are written against, so that the k-mer vertices built by ① reach ③
+//! in their packed form and only the ⟨m-n⟩ k-mers that ③ parks for tip
+//! removing are expanded into [`AsmNode`]s.
 
-use crate::adj::PackedAdj;
+use crate::adj::{EdgeSlot, PackedAdj};
 use crate::ids;
 use crate::polarity::{side_of, Direction, Polarity, Side};
 use ppa_seq::{DnaString, Kmer, Orientation};
@@ -174,17 +178,6 @@ impl AsmNode {
         self.real_edges().filter(move |e| e.side() == side)
     }
 
-    /// The single real edge on a side, if there is exactly one.
-    pub fn sole_edge_on(&self, side: Side) -> Option<&Edge> {
-        let mut it = self.edges_on(side);
-        let first = it.next()?;
-        if it.next().is_some() {
-            None
-        } else {
-            Some(first)
-        }
-    }
-
     /// Vertex type per Section IV-A: ⟨1⟩, ⟨1-1⟩ or ⟨m-n⟩ (plus `Isolated`).
     pub fn vertex_type(&self) -> VertexType {
         let mut left = 0usize;
@@ -214,6 +207,58 @@ impl AsmNode {
     }
 }
 
+/// Read access to an assembly-graph node, whichever form it is stored in:
+/// what contig labeling and merging need to know about a node, with the
+/// adjacency format hidden.
+pub trait GraphNode {
+    /// The vertex ID (Figure 7).
+    fn id(&self) -> u64;
+
+    /// The edges that lead to a real neighbour, decoded, in storage order.
+    fn real_edges(&self) -> impl Iterator<Item = Edge> + '_;
+
+    /// The single real edge on a side, if there is exactly one.
+    fn sole_edge_on(&self, side: Side) -> Option<Edge> {
+        let mut on_side = self.real_edges().filter(|e| e.side() == side);
+        let first = on_side.next()?;
+        on_side.next().is_none().then_some(first)
+    }
+
+    /// Node coverage, as [`AsmNode::coverage`] defines it.
+    fn coverage(&self) -> u32;
+
+    /// Whether the node is a contig vertex.
+    fn is_contig(&self) -> bool;
+
+    /// The node's sequence in the requested orientation.
+    fn oriented(&self, orientation: Orientation) -> DnaString;
+}
+
+impl GraphNode for AsmNode {
+    #[inline]
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn real_edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        AsmNode::real_edges(self).copied()
+    }
+
+    #[inline]
+    fn coverage(&self) -> u32 {
+        self.coverage
+    }
+
+    #[inline]
+    fn is_contig(&self) -> bool {
+        matches!(self.seq, NodeSeq::Contig(_))
+    }
+
+    fn oriented(&self, orientation: Orientation) -> DnaString {
+        self.seq.oriented(orientation)
+    }
+}
+
 /// The compact construction-time representation of a k-mer vertex: canonical
 /// k-mer plus the packed 32-bit adjacency of Figure 8(a).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -238,24 +283,29 @@ impl KmerVertex {
         ids::kmer_id(&self.kmer)
     }
 
-    /// Expands the packed adjacency into the unified [`AsmNode`] form — the
-    /// `convert(.)` step between the DBG-construction job and the
-    /// contig-labeling job.
+    /// Expands the packed adjacency into the unified [`AsmNode`] form, with
+    /// exactly one edge allocated per occupied slot — the paper's
+    /// `convert(.)` step, which the pipeline takes only for the k-mers that
+    /// outlive merging.
     pub fn to_asm_node(&self) -> AsmNode {
-        let mut node = AsmNode::new_kmer(self.kmer);
-        let mut max_cov = 0u32;
-        for (slot, coverage) in self.adj.iter() {
-            let neighbor = slot.neighbor_of(&self.kmer);
-            node.push_edge(Edge {
-                neighbor: ids::kmer_id(&neighbor),
-                direction: slot.direction,
-                polarity: slot.polarity,
-                coverage,
-            });
-            max_cov = max_cov.max(coverage);
+        let mut edges = Vec::with_capacity(self.adj.degree());
+        edges.extend(GraphNode::real_edges(self));
+        AsmNode {
+            id: self.id(),
+            seq: NodeSeq::Kmer(self.kmer),
+            coverage: GraphNode::coverage(self),
+            edges,
         }
-        node.coverage = max_cov;
-        node
+    }
+
+    /// The edge an occupied slot stands for.
+    fn decode(&self, slot: EdgeSlot, coverage: u32) -> Edge {
+        Edge {
+            neighbor: ids::kmer_id(&slot.neighbor_of(&self.kmer)),
+            direction: slot.direction,
+            polarity: slot.polarity,
+            coverage,
+        }
     }
 
     /// Approximate memory footprint in bytes (ID + bitmap + counters), used to
@@ -265,10 +315,38 @@ impl KmerVertex {
     }
 }
 
+impl GraphNode for KmerVertex {
+    #[inline]
+    fn id(&self) -> u64 {
+        KmerVertex::id(self)
+    }
+
+    /// Decodes every occupied slot of the bitmap into an edge
+    /// ([`EdgeSlot::neighbor_of`]), in bit order.
+    fn real_edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.adj
+            .iter()
+            .map(|(slot, coverage)| self.decode(slot, coverage))
+    }
+
+    /// The maximum incident edge coverage (`0` without edges).
+    fn coverage(&self) -> u32 {
+        self.adj.iter().map(|(_, c)| c).max().unwrap_or(0)
+    }
+
+    #[inline]
+    fn is_contig(&self) -> bool {
+        false
+    }
+
+    fn oriented(&self, orientation: Orientation) -> DnaString {
+        NodeSeq::Kmer(self.kmer).oriented(orientation)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adj::EdgeSlot;
     use crate::ids::NULL_ID;
     use ppa_seq::Base;
 
@@ -392,6 +470,7 @@ mod tests {
         let node = v.to_asm_node();
         assert_eq!(node.id, v.id());
         assert_eq!(node.edges.len(), 2);
+        assert_eq!(node.edges.capacity(), 2, "one edge allocated per slot");
         assert_eq!(node.coverage, 9);
         let neighbors: Vec<String> = node
             .edges

@@ -103,10 +103,14 @@ pub struct ConstructOutcome {
 }
 
 impl ConstructOutcome {
-    /// Expands every vertex into the unified [`crate::AsmNode`] representation
-    /// (the in-memory `convert(.)` hand-off to the contig-labeling job),
-    /// consuming the outcome. Use [`to_nodes`](ConstructOutcome::to_nodes)
-    /// when the compact vertices are still needed afterwards.
+    /// Expands every vertex into the unified [`crate::AsmNode`] representation,
+    /// consuming the outcome. The pipeline does not take this step: labeling
+    /// and merging read the packed vertices through
+    /// [`GraphNode`](crate::node::GraphNode), and only the ambiguous k-mers
+    /// that merging parks are expanded. It serves callers that want the
+    /// expanded graph whole (the baselines, reference comparisons). Use
+    /// [`to_nodes`](ConstructOutcome::to_nodes) when the compact vertices are
+    /// still needed afterwards.
     pub fn into_nodes(self) -> Vec<crate::AsmNode> {
         // By value: each compact vertex (and its coverage vector) is freed as
         // soon as it is expanded, instead of all of them after the last.
@@ -166,7 +170,18 @@ pub fn count_kplus1_mers_on(
     for pair in sorted {
         shares[(hash_one(&pair.0) % workers) as usize].push(pair);
     }
-    (shares.into_iter().flatten().collect(), metrics)
+    (concat(shares), metrics)
+}
+
+/// The per-worker vectors one after the other, in one allocation of exactly
+/// their total length (collecting a `flatten` grows by doubling, up to twice
+/// that).
+fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        all.extend(part);
+    }
+    all
 }
 
 /// Runs DBG construction on a caller-provided execution context: both
@@ -204,7 +219,7 @@ pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) ->
             out.push(KmerVertex { kmer, adj });
         },
     );
-    let vertices: Vec<KmerVertex> = vertices.into_iter().flatten().collect();
+    let vertices = concat(vertices);
 
     let adjacency_slots: u64 = vertices.iter().map(|v| v.adj.degree() as u64).sum();
     let stats = ConstructStats {
@@ -403,6 +418,27 @@ mod tests {
             per_window <= 2.5,
             "{per_window:.2} bytes per window left the sinks"
         );
+    }
+
+    #[test]
+    fn survivors_and_vertices_are_allocated_to_their_exact_length() {
+        // Enough (k+1)-mers that a doubling vector would overshoot.
+        let genome = ppa_readsim::GenomeConfig {
+            length: 5_000,
+            seed: 8,
+            ..Default::default()
+        }
+        .generate();
+        let reads = ppa_readsim::ReadSimConfig::error_free(100, 10.0).simulate(&genome);
+        let config = config(21, 0);
+        for workers in [1, 3] {
+            let ctx = ExecCtx::new(workers);
+            let (counted, _) = count_kplus1_mers_on(&ctx, &reads, &config);
+            assert!(counted.len() > 2_000);
+            assert_eq!(counted.capacity(), counted.len(), "{workers} workers");
+            let out = build_dbg_on(&ctx, &reads, &config);
+            assert_eq!(out.vertices.capacity(), out.vertices.len());
+        }
     }
 
     #[test]

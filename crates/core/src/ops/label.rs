@@ -44,7 +44,7 @@
 //! unless a spill cap has to be honoured). Nothing here depends on that: a
 //! pointer update compares ranks, never arrival order.
 
-use crate::node::AsmNode;
+use crate::node::GraphNode;
 use crate::polarity::Side;
 use crate::ranks::{RankDict, AMBIGUOUS, RANK_FLIP, UNRESOLVED};
 use ppa_pregel::aggregate::Count;
@@ -308,7 +308,7 @@ impl VertexProgram for LrProgram {
 
 /// The one neighbour (if any) on each side (`[left, right]`) of an unambiguous
 /// node; `None` for an ambiguous one, which has a side with several.
-pub(crate) fn sole_neighbors(node: &AsmNode) -> Option<[Option<u64>; 2]> {
+pub(crate) fn sole_neighbors(node: &impl GraphNode) -> Option<[Option<u64>; 2]> {
     let mut sole = [None, None];
     for edge in node.real_edges() {
         let side = match edge.side() {
@@ -326,10 +326,11 @@ pub(crate) fn sole_neighbors(node: &AsmNode) -> Option<[Option<u64>; 2]> {
 /// falling back to the simplified S-V algorithm for unambiguous cycles. The
 /// translation into rank space, the list-ranking job (`RankDict::run_on`), its
 /// S-V cycle fallback and the translation back all run on `ctx`'s persistent
-/// pool (worker count = pool size).
-pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
+/// pool (worker count = pool size). The nodes may be in either form
+/// ([`GraphNode`]); the outcome does not depend on which.
+pub fn label_contigs_lr_on<N: GraphNode + Sync>(ctx: &ExecCtx, nodes: &[N]) -> LabelOutcome {
     let config = PregelConfig::default().max_supersteps(4_000);
-    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id);
+    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id());
 
     // The states of the ranks each worker will hold, with the neighbour IDs
     // translated; an ambiguous vertex parks its broadcast list on the slab.
@@ -402,7 +403,7 @@ pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
 pub(crate) mod tests {
     use super::*;
     use crate::ids::kmer_id;
-    use crate::node::{Edge, VertexType};
+    use crate::node::{AsmNode, Edge, VertexType};
     use crate::ops::construct::{build_dbg_on, ConstructConfig};
     use crate::polarity::{Direction, Polarity};
     use ppa_seq::{Kmer, ReadSet};
@@ -643,7 +644,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_input() {
-        let outcome = label_contigs_lr_on(&ExecCtx::new(2), &[]);
+        let outcome = label_contigs_lr_on::<AsmNode>(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
         assert!(outcome.ambiguous.is_empty());
         assert!(outcome.metrics.converged);

@@ -25,7 +25,7 @@
 //! own, so the order messages arrive in does not matter.
 
 use super::label::{sole_neighbors, LabelOutcome};
-use crate::node::AsmNode;
+use crate::node::GraphNode;
 use crate::ranks::RankDict;
 use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
 use ppa_pregel::{ExecCtx, Metrics, PregelConfig};
@@ -42,15 +42,16 @@ fn assert_converged(metrics: &Metrics) {
 /// Labels every maximal unambiguous path with the smallest vertex ID of the
 /// path, using the simplified S-V algorithm. The translation into rank space,
 /// the S-V job and the translation back all run on `ctx`'s persistent pool
-/// (worker count = pool size).
+/// (worker count = pool size). The nodes may be in either form
+/// ([`GraphNode`]); the outcome does not depend on which.
 ///
 /// # Panics
 ///
 /// Panics if the job has not converged within its superstep budget.
-pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
+pub fn label_contigs_sv_on<N: GraphNode + Sync>(ctx: &ExecCtx, nodes: &[N]) -> LabelOutcome {
     let workers = ctx.workers();
     let config = PregelConfig::default().max_supersteps(4_000);
-    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id);
+    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id());
 
     // Per node, in node order, the ranks of its sole neighbours, or `None` for
     // an ambiguous vertex: every worker reads one contiguous share of the
@@ -70,7 +71,7 @@ pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
         .iter()
         .zip(&sides)
         .filter(|(_, sole)| sole.is_none())
-        .map(|(node, _)| node.id)
+        .map(|(node, _)| node.id())
         .collect();
 
     // Ambiguous vertices take no part and are filtered from the neighbour
@@ -110,6 +111,7 @@ mod tests {
         groups_sorted, nodes_from_reads, unambiguous_component_oracle,
     };
     use super::*;
+    use crate::node::AsmNode;
 
     #[test]
     fn sv_matches_oracle_on_simple_path() {
@@ -212,7 +214,7 @@ mod tests {
 
     #[test]
     fn sv_empty_input() {
-        let outcome = label_contigs_sv_on(&ExecCtx::new(2), &[]);
+        let outcome = label_contigs_sv_on::<AsmNode>(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
         assert!(outcome.ambiguous.is_empty());
     }

@@ -15,7 +15,7 @@
 //! tip-length threshold is discarded immediately instead of being emitted.
 
 use crate::ids::contig_id;
-use crate::node::{AsmNode, Edge, NodeSeq};
+use crate::node::{AsmNode, Edge, GraphNode};
 use crate::polarity::{Direction, Polarity, Side};
 use ppa_pregel::fxhash::{FxHashMap, FxHashSet};
 use ppa_pregel::mapreduce::{map_reduce_on, Emitter, MapReduceMetrics};
@@ -131,23 +131,23 @@ fn outside_neighbor_label(edge: &Edge, member_orientation: Orientation) -> Orien
 ///
 /// Returns `None` if the group is a short dangling tip (paper: "exit reduce if
 /// the aggregated contig length is not above the tip-length threshold").
-pub(crate) fn stitch_group(
-    members: &[&AsmNode],
+pub(crate) fn stitch_group<N: GraphNode>(
+    members: &[&N],
     k: usize,
     tip_length_threshold: usize,
 ) -> Option<ContigDraft> {
     assert!(!members.is_empty());
-    let by_id: FxHashMap<u64, &AsmNode> = members.iter().map(|n| (n.id, *n)).collect();
+    let by_id: FxHashMap<u64, &N> = members.iter().map(|n| (n.id(), *n)).collect();
 
     // Locate a contig end: a member with a side that has no edge leading back
     // into the group.
-    let outer_side_of = |node: &AsmNode, side: Side| -> bool {
+    let outer_side_of = |node: &N, side: Side| -> bool {
         match node.sole_edge_on(side) {
             None => true,
             Some(e) => !by_id.contains_key(&e.neighbor),
         }
     };
-    let mut start: Option<(&AsmNode, Side)> = None;
+    let mut start: Option<(&N, Side)> = None;
     for node in members {
         if outer_side_of(node, Side::Left) {
             start = Some((node, Side::Left));
@@ -161,7 +161,7 @@ pub(crate) fn stitch_group(
     let is_cycle = start.is_none();
     let (start_node, entry_side) = start.unwrap_or_else(|| {
         // Cycle: start from the smallest member ID for determinism.
-        let node = members.iter().min_by_key(|n| n.id).expect("non-empty");
+        let node = members.iter().min_by_key(|n| n.id()).expect("non-empty");
         (node, Side::Left)
     });
 
@@ -178,21 +178,22 @@ pub(crate) fn stitch_group(
         } else {
             Some((
                 e.neighbor,
-                outside_neighbor_label(e, start_orientation),
+                outside_neighbor_label(&e, start_orientation),
                 e.coverage,
             ))
         }
     });
 
     // Walk the path, stitching sequences.
-    let mut sequence = start_node.seq.oriented(start_orientation);
-    let mut coverage: u32 = match &start_node.seq {
-        NodeSeq::Contig(_) => start_node.coverage,
-        NodeSeq::Kmer(_) => u32::MAX,
+    let mut sequence = start_node.oriented(start_orientation);
+    let mut coverage: u32 = if start_node.is_contig() {
+        start_node.coverage()
+    } else {
+        u32::MAX
     };
     let mut visited: FxHashSet<u64> = FxHashSet::default();
-    visited.insert(start_node.id);
-    let mut current: &AsmNode = start_node;
+    visited.insert(start_node.id());
+    let mut current: &N = start_node;
     let mut current_orientation = start_orientation;
     let mut out_neighbor: Option<(u64, Orientation, u32)> = None;
     let mut closed_cycle = false;
@@ -208,7 +209,7 @@ pub(crate) fn stitch_group(
         if !by_id.contains_key(&edge.neighbor) {
             out_neighbor = Some((
                 edge.neighbor,
-                outside_neighbor_label(edge, current_orientation),
+                outside_neighbor_label(&edge, current_orientation),
                 edge.coverage,
             ));
             break;
@@ -218,19 +219,19 @@ pub(crate) fn stitch_group(
             break;
         }
         let next = by_id[&edge.neighbor];
-        let next_or = next_orientation(edge);
+        let next_or = next_orientation(&edge);
         coverage = coverage.min(edge.coverage);
-        if let NodeSeq::Contig(_) = &next.seq {
-            coverage = coverage.min(next.coverage);
+        if next.is_contig() {
+            coverage = coverage.min(next.coverage());
         }
-        let oriented = next.seq.oriented(next_or);
+        let oriented = next.oriented(next_or);
         debug_assert!(oriented.len() >= k.saturating_sub(1));
         // Consecutive members overlap by k-1 bases.
         let overlap = (k - 1).min(oriented.len());
         for i in overlap..oriented.len() {
             sequence.push(oriented.get(i));
         }
-        visited.insert(next.id);
+        visited.insert(next.id());
         current = next;
         current_orientation = next_or;
     }
@@ -243,7 +244,7 @@ pub(crate) fn stitch_group(
 
     if coverage == u32::MAX {
         // Single k-mer member with no internal edge: fall back to its own coverage.
-        coverage = start_node.coverage;
+        coverage = start_node.coverage();
     }
 
     let dangling = !closed_cycle && (in_neighbor.is_none() || out_neighbor.is_none());
@@ -263,14 +264,15 @@ pub(crate) fn stitch_group(
 
 /// Runs contig merging on `ctx`'s workers: groups the labelled vertices by
 /// label with a mini-MapReduce pass and stitches every group into a contig
-/// vertex.
-pub fn merge_contigs_on(
+/// vertex. The nodes may be in either form ([`GraphNode`]); the outcome does
+/// not depend on which.
+pub fn merge_contigs_on<N: GraphNode + Sync>(
     ctx: &ExecCtx,
-    nodes: &[AsmNode],
+    nodes: &[N],
     labels: &[(u64, u64)],
     config: &MergeConfig,
 ) -> MergeOutcome {
-    let by_id: FxHashMap<u64, &AsmNode> = nodes.iter().map(|n| (n.id, n)).collect();
+    let by_id: FxHashMap<u64, &N> = nodes.iter().map(|n| (n.id(), n)).collect();
     let inputs: Vec<(u64, u64)> = labels.to_vec();
     let k = config.k;
     let tip = config.tip_length_threshold;
@@ -278,15 +280,12 @@ pub fn merge_contigs_on(
     let (per_worker, mapreduce) = map_reduce_on(
         ctx,
         inputs,
-        |(node_id, label): (u64, u64), out: &mut Emitter<'_, u64, &AsmNode>| {
+        |(node_id, label): (u64, u64), out: &mut Emitter<'_, u64, &N>| {
             if let Some(node) = by_id.get(&node_id) {
                 out.emit(label, *node);
             }
         },
-        |_worker: usize,
-         _label: &u64,
-         members: &mut [&AsmNode],
-         out: &mut Vec<Option<ContigDraft>>| {
+        |_worker: usize, _label: &u64, members: &mut [&N], out: &mut Vec<Option<ContigDraft>>| {
             out.push(stitch_group(members, k, tip));
         },
     );
@@ -320,7 +319,7 @@ pub fn merge_contigs_on(
 mod tests {
     use super::*;
     use crate::ids::is_contig_id;
-    use crate::node::VertexType;
+    use crate::node::{NodeSeq, VertexType};
     use crate::ops::label::label_contigs_lr_on;
     use crate::ops::label::tests::nodes_from_reads;
     use std::collections::HashSet;

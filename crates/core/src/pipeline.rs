@@ -75,7 +75,7 @@
 //! ```
 
 use crate::checkpoint::{self, CheckpointError, CheckpointMeta, Fnv64};
-use crate::node::AsmNode;
+use crate::node::{AsmNode, GraphNode, KmerVertex};
 use crate::ops::bubble::{filter_bubbles_on, remove_pruned, BubbleConfig};
 use crate::ops::construct::{build_dbg_on, ConstructConfig, ConstructStats};
 use crate::ops::label::{label_contigs_lr_on, LabelOutcome};
@@ -96,6 +96,39 @@ use std::time::{Duration, Instant};
 // Graph state
 // ---------------------------------------------------------------------------
 
+/// The node set that labeling and merging operate on, in the form the stage
+/// that produced it left it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NodeSet {
+    /// The k-mer vertices exactly as [`Construct`] built them: canonical
+    /// k-mer plus packed adjacency (Figure 8), about 64 bytes per vertex.
+    Packed(Vec<KmerVertex>),
+    /// Expanded [`AsmNode`]s: the mixed k-mer + contig set [`Label`]
+    /// rebuilds after [`RemoveTips`] rewired the graph.
+    Expanded(Vec<AsmNode>),
+}
+
+impl Default for NodeSet {
+    fn default() -> Self {
+        NodeSet::Expanded(Vec::new())
+    }
+}
+
+impl NodeSet {
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        match self {
+            NodeSet::Packed(v) => v.len(),
+            NodeSet::Expanded(v) => v.len(),
+        }
+    }
+
+    /// Whether the set holds no node.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// The unified working state a [`Pipeline`] threads through its stages: what
 /// `assemble()` used to shuttle between operations as local variables.
 ///
@@ -105,11 +138,12 @@ use std::time::{Duration, Instant};
 pub struct GraphState<'r> {
     /// The input read set ([`Construct`] consumes it).
     pub reads: &'r ReadSet,
-    /// The current node set that labeling and merging operate on: the k-mer
-    /// vertices after [`Construct`]; the mixed k-mer + contig set rebuilt by
-    /// [`Label`] after a [`RemoveTips`] rewired the graph. [`Merge`] drains
-    /// it (into `ambiguous_kmers` and `contigs`).
-    pub nodes: Vec<AsmNode>,
+    /// The current node set that labeling and merging operate on: the packed
+    /// k-mer vertices after [`Construct`] ([`NodeSet::Packed`]); the mixed
+    /// k-mer + contig set rebuilt by [`Label`] after a [`RemoveTips`] rewired
+    /// the graph ([`NodeSet::Expanded`]). [`Merge`] drains it (into
+    /// `ambiguous_kmers`, the only k-mers it expands, and `contigs`).
+    pub nodes: NodeSet,
     /// The most recent labeling outcome ([`Label`] sets it, [`Merge`] takes
     /// it).
     pub labels: Option<LabelOutcome>,
@@ -133,7 +167,7 @@ impl<'r> GraphState<'r> {
     pub fn new(reads: &'r ReadSet) -> GraphState<'r> {
         GraphState {
             reads,
-            nodes: Vec::new(),
+            nodes: NodeSet::default(),
             labels: None,
             contigs: Vec::new(),
             ambiguous_kmers: Vec::new(),
@@ -618,7 +652,7 @@ pub trait Stage {
     }
 }
 
-/// Operation ① — DBG construction: `state.reads` → `state.nodes`.
+/// Operation ① — DBG construction: `state.reads` → `state.nodes`, packed.
 #[derive(Debug, Clone)]
 pub struct Construct {
     /// The construction parameters (k, θ, batch size).
@@ -640,7 +674,7 @@ impl Stage for Construct {
     fn run(&self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> StageReport {
         let outcome = build_dbg_on(ctx, state.reads, &self.config);
         let stats = outcome.stats.clone();
-        state.nodes = outcome.into_nodes();
+        state.nodes = NodeSet::Packed(outcome.vertices);
         state.labels = None;
         state.contigs.clear();
         state.ambiguous_kmers.clear();
@@ -680,6 +714,13 @@ impl Label {
     pub fn simplified_sv() -> Label {
         Label::new(LabelingAlgorithm::SimplifiedSV)
     }
+
+    fn label<N: GraphNode + Sync>(&self, ctx: &ExecCtx, nodes: &[N]) -> LabelOutcome {
+        match self.algorithm {
+            LabelingAlgorithm::ListRanking => label_contigs_lr_on(ctx, nodes),
+            LabelingAlgorithm::SimplifiedSV => label_contigs_sv_on(ctx, nodes),
+        }
+    }
 }
 
 impl Stage for Label {
@@ -698,16 +739,18 @@ impl Stage for Label {
                 "the Label stage found a drained node set whose adjacency was not rebuilt: \
                  after Merge, run RemoveTips before re-labeling"
             );
-            state.nodes = state
-                .ambiguous_kmers
-                .iter()
-                .cloned()
-                .chain(state.contigs.iter().cloned())
-                .collect();
+            state.nodes = NodeSet::Expanded(
+                state
+                    .ambiguous_kmers
+                    .iter()
+                    .cloned()
+                    .chain(state.contigs.iter().cloned())
+                    .collect(),
+            );
         }
-        let outcome = match self.algorithm {
-            LabelingAlgorithm::ListRanking => label_contigs_lr_on(ctx, &state.nodes),
-            LabelingAlgorithm::SimplifiedSV => label_contigs_sv_on(ctx, &state.nodes),
+        let outcome = match &state.nodes {
+            NodeSet::Packed(nodes) => self.label(ctx, nodes),
+            NodeSet::Expanded(nodes) => self.label(ctx, nodes),
         };
         let stats = LabelStats::from_metrics(
             &outcome.metrics,
@@ -755,19 +798,30 @@ impl Stage for Merge {
             .labels
             .take()
             .expect("the Merge stage requires a preceding Label stage");
-        let merged = merge_contigs_on(ctx, &state.nodes, &labels.labels, &self.config);
+        let merged = match &state.nodes {
+            NodeSet::Packed(nodes) => merge_contigs_on(ctx, nodes, &labels.labels, &self.config),
+            NodeSet::Expanded(nodes) => merge_contigs_on(ctx, nodes, &labels.labels, &self.config),
+        };
         let stats = MergeStats {
             groups: merged.groups,
             contigs: merged.contigs.len(),
             dropped_tips: merged.dropped_tips,
             mapreduce: merged.mapreduce.clone(),
         };
+        // The ambiguous k-mers are the only ones that outlive the merge, and
+        // the only ones expanded.
         let ambiguous: FxHashSet<u64> = labels.ambiguous.iter().copied().collect();
-        let nodes = std::mem::take(&mut state.nodes);
-        state.ambiguous_kmers = nodes
-            .into_iter()
-            .filter(|n| ambiguous.contains(&n.id))
-            .collect();
+        state.ambiguous_kmers = match std::mem::take(&mut state.nodes) {
+            NodeSet::Packed(nodes) => nodes
+                .iter()
+                .filter(|v| ambiguous.contains(&v.id()))
+                .map(KmerVertex::to_asm_node)
+                .collect(),
+            NodeSet::Expanded(nodes) => nodes
+                .into_iter()
+                .filter(|n| ambiguous.contains(&n.id))
+                .collect(),
+        };
         state.contigs = merged.contigs;
         state.rewired = false;
         let nodes_after = state.ambiguous_kmers.len() + state.contigs.len();
@@ -855,7 +909,7 @@ impl Stage for RemoveTips {
         let tips = remove_tips_on(ctx, &state.ambiguous_kmers, &state.contigs, &self.config);
         // The mixed working set is rebuilt lazily by the next Label stage, so
         // consecutive tip rounds do not each materialise a full graph copy.
-        state.nodes.clear();
+        state.nodes = NodeSet::default();
         state.ambiguous_kmers = tips.kmers;
         state.contigs = tips.contigs;
         state.rewired = true;

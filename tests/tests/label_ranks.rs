@@ -14,7 +14,7 @@ use ppa_assembler::ids::{contig_id, kmer_id};
 use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
 use ppa_assembler::ops::label::{label_contigs_lr_on, LabelOutcome};
 use ppa_assembler::ops::label_sv::label_contigs_sv_on;
-use ppa_assembler::{AsmNode, Direction, Edge, Polarity, Side, VertexType};
+use ppa_assembler::{AsmNode, Direction, Edge, GraphNode, Polarity, Side, VertexType};
 use ppa_pregel::aggregate::{BoolOr, Count};
 use ppa_pregel::algorithms::connected_components;
 use ppa_pregel::{run_on, Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};

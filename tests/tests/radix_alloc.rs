@@ -8,34 +8,47 @@
 //! grows with the job. The FASTA/FASTQ parser promises no per-read
 //! allocation: its columns grow geometrically and its line buffers are
 //! reused, so 10 000 reads cost a few reallocations more than 100.
+//! Construction hands its k-mer vertices on in their packed form (Figure 8):
+//! the node set `Construct` leaves in a `GraphState` holds at most 80 heap
+//! bytes per vertex, where the expanded `AsmNode` graph held about 136.
 //!
 //! This file must stay a single-test binary: the counting allocator below is
 //! process-global, and a concurrently running test would pollute the count.
 
+use ppa_assembler::ops::construct::ConstructConfig;
+use ppa_assembler::pipeline::{Construct, GraphState, NodeSet, Stage};
 use ppa_pregel::aggregate::NoAggregate;
 use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, PregelConfig, VertexProgram};
+use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested and not yet freed.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// `System`, plus a counter of every allocation/reallocation.
+/// `System`, plus a counter of every allocation/reallocation and of the
+/// live bytes.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -127,6 +140,39 @@ fn parse_allocations(reads: usize) -> (u64, u64) {
     (fastq_allocations, fasta_allocations)
 }
 
+/// Heap bytes per k-mer vertex of the node set `Construct` leaves in a
+/// `GraphState`, on 1 %-error reads of a simulated 20 kb genome at k = 31:
+/// the live bytes that emptying the node set frees, over its vertex count.
+fn construct_bytes_per_vertex(ctx: &ExecCtx) -> f64 {
+    let genome = GenomeConfig {
+        length: 20_000,
+        seed: 5,
+        ..Default::default()
+    }
+    .generate();
+    let reads = ReadSimConfig {
+        read_length: 100,
+        coverage: 30.0,
+        substitution_rate: 0.01,
+        indel_rate: 0.0,
+        n_rate: 0.0,
+        both_strands: true,
+        seed: 6,
+    }
+    .simulate(&genome);
+    let mut state = GraphState::new(&reads);
+    Construct::new(ConstructConfig::default()).run(&mut state, ctx);
+    let vertices = state.nodes.len();
+    assert!(
+        matches!(state.nodes, NodeSet::Packed(_)) && vertices > 15_000,
+        "{vertices} vertices"
+    );
+    let held = LIVE_BYTES.load(Ordering::Relaxed);
+    state.nodes = NodeSet::default();
+    let freed = held - LIVE_BYTES.load(Ordering::Relaxed);
+    freed as f64 / vertices as f64
+}
+
 #[test]
 fn steady_state_radix_sort_is_allocation_free() {
     const N: u64 = 100_000;
@@ -183,4 +229,12 @@ fn steady_state_radix_sort_is_allocation_free() {
             "{format}: 10 000 reads cost {large} allocations, 100 reads {small}"
         );
     }
+
+    // The packed node set: a 48-byte `KmerVertex` plus its coverage counters,
+    // in a vector of exactly its length.
+    let per_vertex = construct_bytes_per_vertex(&ctx);
+    assert!(
+        per_vertex <= 80.0,
+        "Construct left {per_vertex:.1} heap bytes per k-mer vertex"
+    );
 }
