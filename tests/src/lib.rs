@@ -1,5 +1,15 @@
 //! Integration test support crate; tests live in `../tests`.
+//!
+//! What the test binaries share: a naive reference of operations ①②③
+//! ([`oracle`]), the adversarial read generator the property tests feed it
+//! and the engine ([`adversarial_reads`]), and small helpers — temp
+//! directories, contig fingerprints, spill-directory scans.
 
+pub mod oracle;
+
+use ppa_assembler::workflow::Contig;
+use ppa_pregel::fxhash::hash_one;
+use ppa_seq::ReadSet;
 use std::path::PathBuf;
 
 /// The `ppa-spill-<pid>-*` job directories of *this* process still present
@@ -19,5 +29,152 @@ pub fn our_spill_dirs() -> Vec<PathBuf> {
                 .and_then(|n| n.to_str())
                 .is_some_and(|n| n.starts_with(&prefix))
         })
+        .collect()
+}
+
+/// A unique, cleaned-on-drop temp directory (for checkpoint snapshots):
+/// `ppa-<tag>-<pid>` under the system temp directory, emptied on creation.
+pub struct TmpDir(pub PathBuf);
+
+impl TmpDir {
+    /// The directory for `tag`; a test binary prefixes its tags with its
+    /// own name, so binaries running side by side never share one.
+    pub fn new(tag: &str) -> TmpDir {
+        let dir = std::env::temp_dir().join(format!("ppa-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TmpDir(dir)
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Byte-level fingerprint of contigs: IDs, coverages and sequences, in order.
+pub fn fingerprint(contigs: &[Contig]) -> Vec<(u64, u32, String)> {
+    contigs
+        .iter()
+        .map(|c| (c.id, c.coverage, c.sequence.to_ascii()))
+        .collect()
+}
+
+/// Worker-count-independent fingerprint: canonical sequences only, sorted
+/// (contig IDs encode the minting worker and orientation depends on group
+/// traversal order, so only sequence content is comparable across layouts).
+pub fn canonical_multiset(contigs: &[Contig]) -> Vec<String> {
+    let mut seqs: Vec<String> = contigs
+        .iter()
+        .map(|c| c.sequence.canonical().to_ascii())
+        .collect();
+    seqs.sort();
+    seqs
+}
+
+/// `ids` in the order a job over `u64` IDs leaves its per-vertex output: by
+/// owning worker (`hash_one(&id) % workers`), then ascending.
+pub fn in_job_order(ids: impl IntoIterator<Item = u64>, workers: usize) -> Vec<u64> {
+    let mut ids: Vec<u64> = ids.into_iter().collect();
+    ids.sort_unstable_by_key(|&id| (hash_one(&id) % workers as u64, id));
+    ids
+}
+
+/// Deterministic xorshift stream for read generators.
+pub struct Rng(pub u64);
+
+impl Rng {
+    fn next_u64(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// A value in `0..n`.
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// `n` random bases.
+    pub fn bases(&mut self, n: usize) -> Vec<u8> {
+        (0..n).map(|_| b"ACGT"[self.below(4)]).collect()
+    }
+}
+
+/// The reverse complement of an ASCII sequence; bytes other than `ACGT`
+/// (`N`, lower case) are kept as they are.
+pub fn reverse_complement(seq: &[u8]) -> Vec<u8> {
+    seq.iter()
+        .rev()
+        .map(|&c| match c {
+            b'A' => b'T',
+            b'C' => b'G',
+            b'G' => b'C',
+            b'T' => b'A',
+            other => other,
+        })
+        .collect()
+}
+
+/// Reads over a small genome with every shape the operations must get
+/// right:
+/// - a three-fold repeat (forks);
+/// - a reverse palindrome of 32 bases, so of every even length up to 32
+///   around its centre ((k+1)-mers that are their own reverse complement),
+///   in one error-free read at least;
+/// - substitution errors (singletons for θ to discard, tips and bubbles),
+///   `N`s and lower case;
+/// - reverse-complement duplicates of earlier reads (both strands must land
+///   on one canonical key);
+/// - reads of 1 to 70 bases, so some shorter than k+1;
+/// - one error-free read of a short unit repeated (a cycle of k-mers, which
+///   stays unambiguous as long as no other read shares them).
+pub fn adversarial_reads(seed: u64) -> ReadSet {
+    let mut rng = Rng(seed | 1);
+    let repeat = rng.bases(14);
+    let half = rng.bases(16);
+    let mut genome = Vec::new();
+    for _ in 0..3 {
+        let len = 40 + rng.below(40);
+        genome.extend(rng.bases(len));
+        genome.extend(&repeat);
+    }
+    let palindrome = genome.len();
+    genome.extend(&half);
+    genome.extend(reverse_complement(&half));
+    genome.extend(rng.bases(30));
+
+    let mut reads: Vec<Vec<u8>> = Vec::new();
+    for _ in 0..30 + rng.below(50) {
+        if !reads.is_empty() && rng.below(5) == 0 {
+            let earlier = reads[rng.below(reads.len())].clone();
+            reads.push(reverse_complement(&earlier));
+            continue;
+        }
+        let len = 1 + rng.below(70);
+        let start = rng.below(genome.len() - len);
+        let mut read = genome[start..start + len].to_vec();
+        for c in read.iter_mut() {
+            match rng.below(50) {
+                0 => *c = b"ACGT"[rng.below(4)],
+                1 => *c = b'N',
+                2 => *c = c.to_ascii_lowercase(),
+                _ => {}
+            }
+        }
+        reads.push(read);
+    }
+    let at = rng.below(reads.len());
+    reads.insert(at, genome[palindrome - 4..palindrome + 36].to_vec());
+    let period = 3 + rng.below(10);
+    let unit = rng.bases(period);
+    let len = 40 + rng.below(31);
+    let at = rng.below(reads.len());
+    reads.insert(at, unit.iter().copied().cycle().take(len).collect());
+    reads
+        .into_iter()
+        .enumerate()
+        .map(|(i, seq)| (format!("r{i}"), seq))
         .collect()
 }

@@ -13,8 +13,7 @@ use ppa_assembler::{checkpoint, AssemblyConfig};
 use ppa_pregel::{CancelReason, ExecCtx, Fault, FaultPlan, JobControl, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
-use ppa_tests::our_spill_dirs;
-use std::path::PathBuf;
+use ppa_tests::{our_spill_dirs, TmpDir};
 use std::time::Duration;
 
 const WORKERS: usize = 2;
@@ -53,23 +52,6 @@ fn simulated_reads() -> ReadSet {
         seed: 1313,
     }
     .simulate(&reference)
-}
-
-/// A unique, cleaned-on-drop temp directory for checkpoint snapshots.
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> TmpDir {
-        let dir = std::env::temp_dir().join(format!("ppa-cancel-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// The uninterrupted reference run every cancelled-then-resumed scenario
@@ -114,7 +96,7 @@ fn cancel_at_every_stage_boundary_snapshots_and_resumes_byte_identically() {
     );
 
     for stage in 0..STAGES {
-        let tmp = TmpDir::new(&format!("boundary-{stage}"));
+        let tmp = TmpDir::new(&format!("cancel-boundary-{stage}"));
         let control = JobControl::new();
         // Boundary 0 precedes every stage end, so the cancel arrives before
         // the run instead of from the observer.
@@ -196,7 +178,7 @@ fn a_deadline_trips_mid_superstep_and_resume_completes_the_assembly() {
     // inside the label stage, the workflow's first Pregel job — until the
     // 1.5s deadline has expired, making the trip point deterministic
     // regardless of machine speed.
-    let tmp = TmpDir::new("deadline");
+    let tmp = TmpDir::new("cancel-deadline");
     let armed = ctx.inject_faults(FaultPlan::single(Fault::Stall {
         superstep: 1,
         millis: 2_000,
@@ -243,7 +225,7 @@ fn a_memory_budget_trips_on_the_first_bookkept_superstep_and_resumes() {
 
     // A 1-byte budget trips at the first barrier that books a non-empty
     // vertex store: superstep 0 of the label stage's first Pregel job.
-    let tmp = TmpDir::new("budget");
+    let tmp = TmpDir::new("cancel-budget");
     let control = JobControl::new().with_memory_budget(1);
     ctx.set_control(control.clone());
     let mut state = GraphState::new(&reads);

@@ -5,9 +5,10 @@
 //! the full pipeline is byte-for-byte deterministic, and the assembled
 //! *content* does not depend on the worker count (only IDs/orientations may).
 
-use ppa_assembler::{assemble, Assembly, AssemblyConfig, LabelingAlgorithm};
+use ppa_assembler::{assemble, AssemblyConfig, LabelingAlgorithm};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
+use ppa_tests::{canonical_multiset, fingerprint};
 
 fn simulated_reads(seed: u64) -> ReadSet {
     let reference = GenomeConfig {
@@ -46,28 +47,6 @@ fn config(workers: usize, labeling: LabelingAlgorithm) -> AssemblyConfig {
     }
 }
 
-/// Full byte-level fingerprint of an assembly: IDs, coverages and sequences.
-fn fingerprint(assembly: &Assembly) -> Vec<(u64, u32, String)> {
-    assembly
-        .contigs
-        .iter()
-        .map(|c| (c.id, c.coverage, c.sequence.to_ascii()))
-        .collect()
-}
-
-/// Worker-count-independent fingerprint: canonical sequences only, sorted
-/// (contig IDs encode the minting worker and orientation depends on group
-/// traversal order, so only sequence content is comparable across layouts).
-fn canonical_multiset(assembly: &Assembly) -> Vec<String> {
-    let mut seqs: Vec<String> = assembly
-        .contigs
-        .iter()
-        .map(|c| c.sequence.canonical().to_ascii())
-        .collect();
-    seqs.sort();
-    seqs
-}
-
 #[test]
 fn pipeline_is_byte_identical_across_runs() {
     let reads = simulated_reads(71);
@@ -80,8 +59,8 @@ fn pipeline_is_byte_identical_across_runs() {
         for _ in 0..2 {
             let again = assemble(&reads, &config(4, labeling));
             assert_eq!(
-                fingerprint(&first),
-                fingerprint(&again),
+                fingerprint(&first.contigs),
+                fingerprint(&again.contigs),
                 "repeated runs must produce byte-identical contigs ({labeling:?})"
             );
         }
@@ -95,8 +74,8 @@ fn pipeline_content_is_worker_count_independent() {
     for workers in [2usize, 3, 7] {
         let other = assemble(&reads, &config(workers, LabelingAlgorithm::ListRanking));
         assert_eq!(
-            canonical_multiset(&reference),
-            canonical_multiset(&other),
+            canonical_multiset(&reference.contigs),
+            canonical_multiset(&other.contigs),
             "worker count {workers} changed the assembled sequences"
         );
     }

@@ -3,6 +3,7 @@
 use ppa_assembler::{assemble, AssemblyConfig, LabelingAlgorithm};
 use ppa_quality::{AlignmentConfig, QuastReport};
 use ppa_readsim::{preset_by_name, GenomeConfig, ReadSimConfig};
+use ppa_tests::canonical_multiset;
 
 fn assembly_config(k: usize, workers: usize) -> AssemblyConfig {
     AssemblyConfig {
@@ -119,20 +120,9 @@ fn worker_count_does_not_change_the_assembly() {
     .simulate(&reference);
     let single = assemble(&reads, &assembly_config(25, 1));
     let many = assemble(&reads, &assembly_config(25, 8));
-    let mut a: Vec<String> = single
-        .contigs
-        .iter()
-        .map(|c| c.sequence.canonical().to_ascii())
-        .collect();
-    let mut b: Vec<String> = many
-        .contigs
-        .iter()
-        .map(|c| c.sequence.canonical().to_ascii())
-        .collect();
-    a.sort();
-    b.sort();
     assert_eq!(
-        a, b,
+        canonical_multiset(&single.contigs),
+        canonical_multiset(&many.contigs),
         "assembly must be deterministic w.r.t. the worker count"
     );
 }

@@ -8,10 +8,11 @@ use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
 use ppa_assembler::ops::label::label_contigs_lr_on;
 use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
 use ppa_assembler::ops::tip::{remove_tips_on, TipConfig};
-use ppa_assembler::{assemble, AsmNode, Assembly, AssemblyConfig};
+use ppa_assembler::{assemble, AsmNode, AssemblyConfig};
 use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
+use ppa_tests::fingerprint;
 
 const K: usize = 21;
 const WORKERS: usize = 3;
@@ -46,15 +47,6 @@ fn node_fingerprint(nodes: &[AsmNode]) -> Vec<(u64, u32, String)> {
         .collect();
     out.sort();
     out
-}
-
-/// Byte-level fingerprint of an assembly's contigs.
-fn assembly_fingerprint(assembly: &Assembly) -> Vec<(u64, u32, String)> {
-    assembly
-        .contigs
-        .iter()
-        .map(|c| (c.id, c.coverage, c.sequence.to_ascii()))
-        .collect()
 }
 
 /// Drives all five operations — ① construction, ② labeling, ③ merging,
@@ -150,8 +142,8 @@ fn shared_ctx_assembly_is_byte_identical_to_private_ctx_assembly() {
     );
     assert!(!private.contigs.is_empty());
     assert_eq!(
-        assembly_fingerprint(&private),
-        assembly_fingerprint(&with_shared)
+        fingerprint(&private.contigs),
+        fingerprint(&with_shared.contigs)
     );
 
     // The same context is reusable for a second, identical assembly — parked
@@ -164,8 +156,8 @@ fn shared_ctx_assembly_is_byte_identical_to_private_ctx_assembly() {
         },
     );
     assert_eq!(
-        assembly_fingerprint(&with_shared),
-        assembly_fingerprint(&again)
+        fingerprint(&with_shared.contigs),
+        fingerprint(&again.contigs)
     );
 }
 

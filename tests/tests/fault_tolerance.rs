@@ -11,7 +11,7 @@ use ppa_assembler::{checkpoint, AssemblyConfig, CheckpointError};
 use ppa_pregel::{ExecCtx, Fault, FaultPlan};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
-use std::path::PathBuf;
+use ppa_tests::TmpDir;
 
 const WORKERS: usize = 2;
 
@@ -51,23 +51,6 @@ fn simulated_reads() -> ReadSet {
     .simulate(&reference)
 }
 
-/// A unique, cleaned-on-drop temp directory for checkpoint snapshots.
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> TmpDir {
-        let dir = std::env::temp_dir().join(format!("ppa-ft-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// The uninterrupted reference run every crash scenario must reproduce.
 fn baseline<'r>(reads: &'r ReadSet, ctx: &ExecCtx) -> GraphState<'r> {
     let mut state = GraphState::new(reads);
@@ -87,7 +70,7 @@ fn crash_at_every_stage_boundary_resumes_byte_identically() {
     );
 
     for stage in 0..STAGES {
-        let tmp = TmpDir::new(&format!("boundary-{stage}"));
+        let tmp = TmpDir::new(&format!("ft-boundary-{stage}"));
 
         // Crash exactly at the boundary: entry to flattened stage `stage`.
         let armed = ctx.inject_faults(FaultPlan::single(Fault::StageEntry { stage }));
@@ -178,7 +161,7 @@ fn mid_stage_worker_crashes_recover_from_the_last_checkpoint() {
         },
     ];
     for (i, fault) in mid_stage_faults.into_iter().enumerate() {
-        let tmp = TmpDir::new(&format!("mid-{i}"));
+        let tmp = TmpDir::new(&format!("ft-mid-{i}"));
         let armed = ctx.inject_faults(FaultPlan::single(fault));
         let mut state = GraphState::new(&reads);
         let reports = Pipeline::paper_workflow(&config())
@@ -202,7 +185,7 @@ fn checkpoint_write_failure_is_typed_and_the_retry_recovers() {
     let expected = baseline(&reads, &ctx);
 
     // First: the failure is a typed checkpoint error, not a panic.
-    let tmp = TmpDir::new("ckpt-write-err");
+    let tmp = TmpDir::new("ft-ckpt-write-err");
     ctx.inject_faults(FaultPlan::single(Fault::CheckpointWrite { nth: 2 }));
     let mut state = GraphState::new(&reads);
     let err = Pipeline::paper_workflow(&config())
@@ -219,7 +202,7 @@ fn checkpoint_write_failure_is_typed_and_the_retry_recovers() {
     // Second: the driver loop retries from the surviving snapshot (save #1)
     // and completes; the once-per-fault semantics let save #2 succeed on the
     // retry, exactly like a transient disk error.
-    let tmp = TmpDir::new("ckpt-write-retry");
+    let tmp = TmpDir::new("ft-ckpt-write-retry");
     let armed = ctx.inject_faults(FaultPlan::single(Fault::CheckpointWrite { nth: 2 }));
     let mut state = GraphState::new(&reads);
     let reports = Pipeline::paper_workflow(&config())
@@ -236,7 +219,7 @@ fn checkpoint_write_failure_is_typed_and_the_retry_recovers() {
 fn damaged_or_foreign_snapshots_error_without_panicking() {
     let reads = simulated_reads();
     let ctx = ExecCtx::new(WORKERS);
-    let tmp = TmpDir::new("damage");
+    let tmp = TmpDir::new("ft-damage");
     let mut state = GraphState::new(&reads);
     Pipeline::paper_workflow(&config())
         .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
@@ -369,7 +352,7 @@ fn damaged_or_foreign_snapshots_error_without_panicking() {
     );
 
     // No snapshot at all → NotFound.
-    let empty = TmpDir::new("empty");
+    let empty = TmpDir::new("ft-empty");
     let err = Pipeline::paper_workflow(&config())
         .resume(&empty.0, &reads, &ctx)
         .expect_err("an empty directory cannot be resumed");

@@ -1,111 +1,23 @@
-//! Construction phase (i) — the bucketed (k+1)-mer counter — against three
-//! independent yardsticks: a plain `HashMap` count over naively canonicalised
-//! windows, the mini-MapReduce formulation it replaced (rebuilt here, on the
-//! public `map_reduce_on`, as a reference), and itself under a
-//! spill cap.
+//! Operation ① — the bucketed (k+1)-mer counter and the vertices built
+//! from its survivors — against the naive oracle (`ppa_tests::oracle`): a
+//! std `HashMap` count over upper-cased, naively canonicalised windows, and
+//! each kept (k+1)-mer joining its two k-mers. Checked for content on
+//! generated and simulated reads, for the partition order phase (ii) and
+//! the labelings rely on, and against itself under a spill cap.
 
 use ppa_assembler::ops::construct::{build_dbg_on, count_kplus1_mers_on, ConstructConfig};
-use ppa_assembler::{edge_contributions, EdgeSlot, KmerVertex, PackedAdj};
-use ppa_pregel::mapreduce::{map_reduce_on, Emitter};
 use ppa_pregel::{ExecCtx, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
-use ppa_seq::kmer::{CanonicalScanner, SuperKmerScanner};
-use ppa_seq::{Base, Kmer, ReadSet};
-use ppa_tests::our_spill_dirs;
+use ppa_seq::kmer::SuperKmerScanner;
+use ppa_seq::ReadSet;
+use ppa_tests::oracle::{self, Node};
+use ppa_tests::{adversarial_reads, in_job_order, our_spill_dirs, reverse_complement};
 use proptest::prelude::*;
-use std::collections::HashMap;
-use std::ops::Range;
+use std::collections::{BTreeMap, HashSet};
 
 // ---------------------------------------------------------------------------
-// (a) differential against a HashMap
+// (a) content, on generated reads
 // ---------------------------------------------------------------------------
-
-/// Deterministic xorshift stream for the read generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-fn reverse_complement(seq: &[u8]) -> Vec<u8> {
-    seq.iter()
-        .rev()
-        .map(|&c| match c {
-            b'A' => b'T',
-            b'C' => b'G',
-            b'G' => b'C',
-            b'T' => b'A',
-            other => other,
-        })
-        .collect()
-}
-
-/// Reads over a small genome with every shape the counter must get right:
-/// substitution errors (singleton (k+1)-mers for θ to discard), `N`s and
-/// lower case, reverse-complement duplicates of earlier reads (both strands
-/// must land on one canonical key), an embedded reverse-palindrome of every
-/// even length up to 32 (a (k+1)-mer that is its own reverse complement),
-/// and reads shorter than k+1.
-fn generated_reads(seed: u64) -> ReadSet {
-    let mut rng = Rng(seed | 1);
-    let half: Vec<u8> = (0..16).map(|_| b"ACGT"[rng.below(4)]).collect();
-    let mut genome: Vec<u8> = (0..120).map(|_| b"ACGT"[rng.below(4)]).collect();
-    genome.extend(&half);
-    genome.extend(reverse_complement(&half));
-    genome.extend((0..60).map(|_| b"ACGT"[rng.below(4)]));
-
-    let mut reads: Vec<Vec<u8>> = Vec::new();
-    for _ in 0..40 + rng.below(40) {
-        if !reads.is_empty() && rng.below(5) == 0 {
-            let earlier = reads[rng.below(reads.len())].clone();
-            reads.push(reverse_complement(&earlier));
-            continue;
-        }
-        let len = 1 + rng.below(70);
-        let start = rng.below(genome.len() - len);
-        let mut read = genome[start..start + len].to_vec();
-        for c in read.iter_mut() {
-            match rng.below(40) {
-                0 => *c = b"ACGT"[rng.below(4)],
-                1 => *c = b'N',
-                2 => *c = c.to_ascii_lowercase(),
-                _ => {}
-            }
-        }
-        reads.push(read);
-    }
-    reads
-        .into_iter()
-        .enumerate()
-        .map(|(i, seq)| (format!("r{i}"), seq))
-        .collect()
-}
-
-/// The plain count: every ACGT-only window of k+1 bases, canonicalised by
-/// the non-rolling `Kmer::canonical`, in a std `HashMap`.
-fn hash_map_count(reads: &ReadSet, k: usize) -> HashMap<u64, u64> {
-    let mut counts = HashMap::new();
-    for read in &reads.records {
-        for window in read.seq.windows(k + 1) {
-            let Ok(text) = std::str::from_utf8(window) else {
-                continue;
-            };
-            if let Ok(kmer) = Kmer::from_str_exact(&text.to_ascii_uppercase()) {
-                *counts.entry(kmer.canonical().kmer.packed()).or_insert(0) += 1;
-            }
-        }
-    }
-    counts
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -119,126 +31,91 @@ proptest! {
     ) {
         // Odd k: the planted palindromes are (k+1)-mers. k = 31: 64-bit keys.
         let k = [1, 2, 3, 4, 7, 15, 21, 31][k_pick];
-        let reads = generated_reads(seed);
+        let reads = adversarial_reads(seed);
         let config = ConstructConfig { k, min_coverage: theta, batch_size };
         let (counted, metrics) = count_kplus1_mers_on(&ExecCtx::new(workers), &reads, &config);
 
-        let expected = hash_map_count(&reads, k);
-        let mut kept: Vec<(u64, u32)> = expected
-            .iter()
-            .filter(|&(_, &n)| n > u64::from(theta))
-            .map(|(&key, &n)| (key, n as u32))
-            .collect();
-        kept.sort_unstable();
+        let expected = oracle::construct(reads.records.iter().map(|r| r.seq), k, theta);
         let mut got = counted;
         got.sort_unstable();
-        prop_assert_eq!(got, kept);
-        prop_assert_eq!(metrics.groups, expected.len() as u64);
-        prop_assert_eq!(metrics.pairs_shuffled, expected.values().sum::<u64>());
+        prop_assert_eq!(got, expected.kept(theta));
+        prop_assert_eq!(metrics.groups, expected.counts.len() as u64);
+        prop_assert_eq!(metrics.pairs_shuffled, expected.counts.values().sum::<u64>());
         prop_assert_eq!(metrics.input_records, reads.len().div_ceil(batch_size) as u64);
     }
 }
 
 #[test]
 fn the_generator_plants_what_it_promises() {
-    // Guards the differential above against a generator that quietly stops
+    // Guards the differentials against a generator that quietly stops
     // producing the hard cases.
-    let reads = generated_reads(7);
-    let has = |f: &dyn Fn(&[u8]) -> bool| reads.records.iter().any(|r| f(r.seq));
+    let reads = adversarial_reads(7);
+    let seqs: Vec<&[u8]> = reads.records.iter().map(|r| r.seq).collect();
+    let has = |f: &dyn Fn(&[u8]) -> bool| seqs.iter().any(|s| f(s));
     assert!(has(&|s| s.contains(&b'N')));
     assert!(has(&|s| s.iter().any(u8::is_ascii_lowercase)));
-    assert!(has(&|s| s.len() < 4));
-    let palindromes = hash_map_count(&reads, 3)
-        .keys()
-        .filter(|&&key| {
-            let kmer = Kmer::from_packed(key, 4).unwrap();
-            kmer == kmer.reverse_complement()
-        })
-        .count();
-    assert!(palindromes > 0, "no palindromic 4-mer in the reads");
-    let set: std::collections::HashSet<Vec<u8>> =
-        reads.records.iter().map(|r| r.seq.to_vec()).collect();
+    assert!(has(&|s| s.len() < 4), "a read shorter than k+1");
+    assert!(seqs.iter().all(|s| (1..=70).contains(&s.len())));
+    assert!(has(&|s| s.len() > 60));
+    let set: HashSet<&[u8]> = seqs.iter().copied().collect();
     assert!(
-        reads
-            .records
-            .iter()
-            .any(|r| r.seq.len() > 8 && set.contains(&reverse_complement(r.seq))),
+        has(&|s| s.len() > 8 && set.contains(&reverse_complement(s)[..])),
         "no reverse-complement duplicate read"
     );
+
+    // Windows as the counter reads them: upper-cased, ACGT only.
+    let windows = |len: usize| -> Vec<Vec<u8>> {
+        let mut all = Vec::new();
+        for s in &seqs {
+            let s = s.to_ascii_uppercase();
+            let clean = s
+                .windows(len)
+                .filter(|w| w.iter().all(|b| b"ACGT".contains(b)));
+            all.extend(clean.map(<[u8]>::to_vec));
+        }
+        all
+    };
+    for len in (2..=32).step_by(2) {
+        assert!(
+            windows(len).iter().any(|w| *w == reverse_complement(w)),
+            "no reverse palindrome of {len} bases"
+        );
+    }
+    // The three-fold repeat: a 14-mer read with three different 5-base
+    // flanks on each side (a substitution changes one flank, not both).
+    type Flanks = (HashSet<Vec<u8>>, HashSet<Vec<u8>>);
+    let mut flanks: BTreeMap<Vec<u8>, Flanks> = BTreeMap::new();
+    for w in windows(24) {
+        let (left, right) = flanks.entry(w[5..19].to_vec()).or_default();
+        left.insert(w[..5].to_vec());
+        right.insert(w[19..].to_vec());
+    }
+    assert!(
+        flanks.values().any(|(l, r)| l.len() >= 3 && r.len() >= 3),
+        "no 14-mer in three contexts"
+    );
+    // Substitutions: a 20-mer and a variant one base apart, both seen.
+    let twenty: HashSet<Vec<u8>> = windows(20).into_iter().collect();
+    let substituted = twenty.iter().any(|w| {
+        (0..w.len()).any(|i| {
+            b"ACGT".iter().any(|&b| {
+                let mut v = w.clone();
+                v[i] = b;
+                b != w[i] && twenty.contains(&v)
+            })
+        })
+    });
+    assert!(substituted, "no substitution error");
+    // The tandem repeat: a read that is one short unit over and over.
+    assert!(
+        has(&|s| s.len() >= 40 && (3..=12).any(|p| s[p..] == s[..s.len() - p])),
+        "no tandem-repeat read"
+    );
 }
 
 // ---------------------------------------------------------------------------
-// (b) byte identity with the mini-MapReduce formulation this replaced
+// (b) content and order on simulated reads
 // ---------------------------------------------------------------------------
-
-/// Construction as it was before the bucketed counter: phase (i) sorts each
-/// batch's (k+1)-mers, emits `(key, count)` pairs through the
-/// hash-partitioned shuffle and sums them per key. Returns the intermediate
-/// `counted` vector, the distinct (k+1)-mers and the vertices.
-fn mapreduce_construct(
-    ctx: &ExecCtx,
-    reads: &ReadSet,
-    config: &ConstructConfig,
-) -> (Vec<(u64, u32)>, u64, Vec<KmerVertex>) {
-    let (k, theta) = (config.k, config.min_coverage);
-    let batches: Vec<Range<usize>> = reads.records.chunk_ranges(config.batch_size).collect();
-    let (counted, phase1) = map_reduce_on(
-        ctx,
-        batches,
-        |batch: Range<usize>, out: &mut Emitter<'_, u64, u32>| {
-            let mut scanner = CanonicalScanner::new(k + 1).unwrap();
-            let mut kmers = Vec::new();
-            for segment in reads
-                .records
-                .range(batch)
-                .flat_map(|read| read.acgt_segments())
-            {
-                scanner.reset();
-                for &c in segment {
-                    let base = Base::from_ascii_checked(c).unwrap();
-                    kmers.extend(scanner.push(base).map(|c| c.kmer.packed()));
-                }
-            }
-            kmers.sort_unstable();
-            for run in kmers.chunk_by(|a, b| a == b) {
-                out.emit(run[0], run.len() as u32);
-            }
-        },
-        |_w, key: &u64, counts: &mut [u32], out: &mut Vec<(u64, u32)>| {
-            let total = counts.iter().map(|&c| u64::from(c)).sum::<u64>();
-            let total = total.min(u64::from(u32::MAX)) as u32;
-            if total > theta {
-                out.push((*key, total));
-            }
-        },
-    );
-    let counted: Vec<(u64, u32)> = counted.into_iter().flatten().collect();
-    let (vertices, _) = map_reduce_on(
-        ctx,
-        counted.clone(),
-        |(packed, count): (u64, u32), out: &mut Emitter<'_, u64, (u8, u32)>| {
-            let kplus1 = Kmer::from_packed(packed, k + 1).unwrap();
-            let ((src, s_slot), (tgt, t_slot)) = edge_contributions(&kplus1);
-            out.emit(src.packed(), (s_slot.bit() as u8, count));
-            out.emit(tgt.packed(), (t_slot.bit() as u8, count));
-        },
-        |_w, key: &u64, slots: &mut [(u8, u32)], out: &mut Vec<KmerVertex>| {
-            let mut adj = PackedAdj::new();
-            for &(bit, coverage) in slots.iter() {
-                adj.add(EdgeSlot::from_bit(u32::from(bit)), coverage);
-            }
-            out.push(KmerVertex {
-                kmer: Kmer::from_packed(*key, k).unwrap(),
-                adj,
-            });
-        },
-    );
-    (
-        counted,
-        phase1.groups,
-        vertices.into_iter().flatten().collect(),
-    )
-}
 
 fn simulated_reads(genome: usize, coverage: f64, n_rate: f64, seed: u64) -> ReadSet {
     let reference = GenomeConfig {
@@ -263,7 +140,7 @@ fn simulated_reads(genome: usize, coverage: f64, n_rate: f64, seed: u64) -> Read
 }
 
 #[test]
-fn counted_order_and_vertices_equal_the_mapreduce_formulation_byte_for_byte() {
+fn counted_and_vertices_match_the_oracle_in_partition_order() {
     let reads = simulated_reads(5_000, 30.0, 0.002, 77);
     for (k, theta, batch_size) in [(31, 1, 256), (21, 2, 1024), (4, 0, 64)] {
         let config = ConstructConfig {
@@ -271,27 +148,32 @@ fn counted_order_and_vertices_equal_the_mapreduce_formulation_byte_for_byte() {
             min_coverage: theta,
             batch_size,
         };
+        let want = oracle::construct(reads.records.iter().map(|r| r.seq), k, theta);
+        let kept: BTreeMap<u64, u32> = want.kept(theta).into_iter().collect();
+        assert!(kept.len() > 100, "k={k}: the pin must pin something");
         for workers in [1, 2, 3, 4] {
+            let at = format!("k={k} workers={workers}");
             let ctx = ExecCtx::new(workers);
-            let (ref_counted, ref_distinct, ref_vertices) =
-                mapreduce_construct(&ctx, &reads, &config);
-            assert!(ref_counted.len() > 100, "k={k}: the pin must pin something");
-
             let (counted, phase1) = count_kplus1_mers_on(&ctx, &reads, &config);
-            assert_eq!(
-                counted, ref_counted,
-                "k={k} workers={workers}: `counted` differs in content or order"
-            );
-            assert_eq!(phase1.groups, ref_distinct);
-            assert_eq!(phase1.output_records, ref_counted.len() as u64);
+            assert_eq!(counted.len(), kept.len(), "{at}");
+            assert_eq!(counted.iter().copied().collect::<BTreeMap<_, _>>(), kept);
+            let keys: Vec<u64> = counted.iter().map(|&(key, _)| key).collect();
+            assert_eq!(keys, in_job_order(kept.keys().copied(), workers), "{at}");
+            assert_eq!(phase1.groups, want.counts.len() as u64);
+            assert_eq!(phase1.output_records, kept.len() as u64);
 
             let dbg = build_dbg_on(&ctx, &reads, &config);
-            assert_eq!(
-                dbg.vertices, ref_vertices,
-                "k={k} workers={workers}: vertices differ in content or order"
-            );
-            assert_eq!(dbg.stats.distinct_kplus1_mers, ref_distinct);
-            assert_eq!(dbg.stats.kept_kplus1_mers, ref_counted.len() as u64);
+            let ids: Vec<u64> = dbg.vertices.iter().map(|v| v.id()).collect();
+            let want_ids = want.nodes.iter().map(|n| n.id);
+            assert_eq!(ids, in_job_order(want_ids, workers), "vertex order: {at}");
+            for vertex in &dbg.vertices {
+                let got = Node::from_asm(&vertex.to_asm_node());
+                let node = &want.nodes[want.nodes.partition_point(|n| n.id < got.id)];
+                assert_eq!(got.link_multiset(), node.link_multiset(), "{at}");
+                assert_eq!(got.coverage, node.coverage, "{at}");
+            }
+            assert_eq!(dbg.stats.distinct_kplus1_mers, want.counts.len() as u64);
+            assert_eq!(dbg.stats.kept_kplus1_mers, kept.len() as u64);
             assert_eq!(dbg.stats.phase1.groups, phase1.groups);
             assert_eq!(
                 dbg.stats.phase1.pairs_shuffled, phase1.pairs_shuffled,

@@ -1,398 +1,39 @@
-//! Rank-space contig labeling against the programs it replaced.
+//! Operation ② — both labelings — against the naive oracle
+//! (`ppa_tests::oracle`), which walks the chains by hand.
 //!
 //! `label_contigs_lr_on` (the BPPA and its S-V cycle fallback) and
-//! `label_contigs_sv_on` (simplified S-V) run on dense `u32` ranks of the
-//! node set's vertex IDs. The references below are the two labelings as they
-//! ran before: list ranking on the 64-bit IDs themselves (flip bit at bit
-//! 62), and S-V with tagged messages and a neighbour `Vec` per vertex, also
-//! on the IDs — kept here, on the public Pregel API only, so that every
-//! outcome the rest of the workflow depends on can be pinned: `labels` and
-//! `ambiguous` with their order (contig IDs are minted from it), the
-//! superstep and message counts, and the dropped-message count.
+//! `label_contigs_sv_on` (simplified S-V) run in rank space on the engine.
+//! On every hand-made graph, at 1–4 workers, they must give:
+//! - the oracle's labels and ambiguous IDs;
+//! - the documented order, which contig IDs are minted from: by owning
+//!   worker (`hash_one(&id) % workers`), then by ID — list ranking's
+//!   fallback vertices after its path vertices, S-V's ambiguous IDs in node
+//!   order;
+//! - literal superstep, message and dropped-message counts and fallback
+//!   flag, the same at every worker count.
+//!
+//! On generated reads (`ppa_tests::adversarial_reads`) the property test
+//! checks ①②③ against the oracle, and ②③ again on the node set the paper
+//! workflow's first bubble filtering and tip removal leave for round two.
+//! It pins no literal costs; it checks that they do not depend on the worker
+//! count, that no message is dropped, and that list ranking without its
+//! fallback stays within its O(log ℓ_max) superstep bound.
 
 use ppa_assembler::ids::{contig_id, kmer_id};
+use ppa_assembler::ops::bubble::BubbleConfig;
 use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
 use ppa_assembler::ops::label::{label_contigs_lr_on, LabelOutcome};
 use ppa_assembler::ops::label_sv::label_contigs_sv_on;
-use ppa_assembler::{AsmNode, Direction, Edge, GraphNode, Polarity, Side, VertexType};
-use ppa_pregel::aggregate::{BoolOr, Count};
-use ppa_pregel::algorithms::connected_components;
-use ppa_pregel::{run_on, Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};
+use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
+use ppa_assembler::ops::tip::TipConfig;
+use ppa_assembler::pipeline::{Construct, FilterBubbles, Label, Merge, RemoveTips};
+use ppa_assembler::{AsmNode, Direction, Edge, GraphNode, GraphState, Pipeline, Polarity};
+use ppa_pregel::ExecCtx;
 use ppa_seq::{DnaString, Kmer, ReadSet};
+use ppa_tests::oracle::{self, ChainKind, Labels, Node};
+use ppa_tests::{adversarial_reads, in_job_order};
 use proptest::prelude::*;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-// ---------------------------------------------------------------------------
-// The reference: list ranking on 64-bit vertex IDs
-// ---------------------------------------------------------------------------
-
-const FLIP_BIT: u64 = 1 << 62;
-
-fn flip(id: u64) -> u64 {
-    id | FLIP_BIT
-}
-
-fn unflip(id: u64) -> u64 {
-    id & !FLIP_BIT
-}
-
-fn is_flipped(id: u64) -> bool {
-    id & FLIP_BIT != 0
-}
-
-const LEFT: usize = 0;
-const RIGHT: usize = 1;
-
-#[derive(Debug, Clone)]
-struct RefState {
-    vtype: VertexType,
-    neighbor: [Option<u64>; 2],
-    broadcast: Vec<u64>,
-    ptr: [u64; 2],
-    done: [bool; 2],
-}
-
-impl RefState {
-    fn fully_done(&self) -> bool {
-        self.done[0] && self.done[1]
-    }
-}
-
-#[derive(Debug, Clone)]
-enum RefMsg {
-    Ambiguous(u64),
-    Request(u64),
-    Response { responder: u64, other: u64 },
-}
-
-struct RefProgram {
-    superstep_budget: usize,
-    stalled: AtomicBool,
-}
-
-impl VertexProgram for RefProgram {
-    type Id = u64;
-    type Value = RefState;
-    type Message = RefMsg;
-    type Aggregate = Count;
-
-    fn compute(
-        &self,
-        ctx: &mut Context<'_, Self>,
-        id: u64,
-        value: &mut RefState,
-        messages: &mut [RefMsg],
-    ) {
-        let superstep = ctx.superstep();
-        if superstep == 0 {
-            if value.vtype == VertexType::Branch {
-                for &n in &value.broadcast {
-                    ctx.send_message(n, RefMsg::Ambiguous(id));
-                }
-                ctx.vote_to_halt();
-            }
-            return;
-        }
-        if value.vtype == VertexType::Branch {
-            ctx.vote_to_halt();
-            return;
-        }
-
-        if superstep == 1 {
-            let ambiguous_neighbors: Vec<u64> = messages
-                .iter()
-                .filter_map(|m| match m {
-                    RefMsg::Ambiguous(a) => Some(*a),
-                    _ => None,
-                })
-                .collect();
-            for side in [LEFT, RIGHT] {
-                match value.neighbor[side] {
-                    Some(n) if !ambiguous_neighbors.contains(&n) => {
-                        value.ptr[side] = n;
-                        value.done[side] = false;
-                    }
-                    _ => {
-                        value.ptr[side] = flip(id);
-                        value.done[side] = true;
-                    }
-                }
-            }
-        } else {
-            for msg in messages.iter() {
-                if let RefMsg::Response { responder, other } = msg {
-                    for side in [LEFT, RIGHT] {
-                        if !value.done[side] && value.ptr[side] == *responder {
-                            value.ptr[side] = *other;
-                            if is_flipped(*other) {
-                                value.done[side] = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        for msg in messages.iter() {
-            let RefMsg::Request(from) = msg else {
-                continue;
-            };
-            let from = *from;
-            let left_matches = unflip(value.ptr[LEFT]) == from;
-            let right_matches = unflip(value.ptr[RIGHT]) == from;
-            let reply = match (left_matches, right_matches) {
-                (true, false) => Some(value.ptr[RIGHT]),
-                (false, true) => Some(value.ptr[LEFT]),
-                (true, true) => None,
-                (false, false) => Some(if is_flipped(value.ptr[LEFT]) {
-                    value.ptr[LEFT]
-                } else {
-                    value.ptr[RIGHT]
-                }),
-            };
-            if let Some(other) = reply {
-                ctx.send_message(
-                    from,
-                    RefMsg::Response {
-                        responder: id,
-                        other,
-                    },
-                );
-            }
-        }
-
-        if superstep % 2 == 1 && !value.fully_done() {
-            ctx.aggregate(Count(1));
-            for side in [LEFT, RIGHT] {
-                if !value.done[side] {
-                    ctx.send_message(value.ptr[side], RefMsg::Request(id));
-                }
-            }
-        }
-        ctx.vote_to_halt();
-    }
-
-    fn should_terminate(&self, aggregate: &Count, superstep: usize) -> bool {
-        if superstep.is_multiple_of(2) {
-            return false;
-        }
-        if superstep >= self.superstep_budget && aggregate.0 > 0 {
-            self.stalled.store(true, Ordering::Relaxed);
-            return true;
-        }
-        false
-    }
-}
-
-fn reference_label(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let config = PregelConfig::default().max_supersteps(4_000);
-    let log = (usize::BITS - nodes.len().next_power_of_two().leading_zeros()) as usize;
-    let program = RefProgram {
-        superstep_budget: 2 * (log + 2) + 4,
-        stalled: AtomicBool::new(false),
-    };
-    let states = nodes.iter().map(|node| {
-        let vtype = node.vertex_type();
-        let broadcast = if vtype == VertexType::Branch {
-            node.neighbor_ids()
-        } else {
-            vec![]
-        };
-        let state = RefState {
-            vtype,
-            neighbor: [Side::Left, Side::Right]
-                .map(|side| node.sole_edge_on(side).map(|e| e.neighbor)),
-            broadcast,
-            ptr: [flip(node.id), flip(node.id)],
-            done: [true, true],
-        };
-        (node.id, state)
-    });
-    let mut set: VertexSet<u64, RefState> = VertexSet::from_pairs(ctx.workers(), states);
-
-    let mut metrics = ppa_pregel::run_on(ctx, &program, &config, &mut set);
-    let stalled = program.stalled.load(Ordering::Relaxed);
-
-    let mut labels: Vec<(u64, u64)> = Vec::new();
-    let mut ambiguous: Vec<u64> = Vec::new();
-    let mut unresolved: Vec<(u64, RefState)> = Vec::new();
-    for (id, state) in set.into_pairs() {
-        match state.vtype {
-            VertexType::Branch => ambiguous.push(id),
-            _ if state.fully_done() => {
-                labels.push((id, unflip(state.ptr[LEFT]).min(unflip(state.ptr[RIGHT]))));
-            }
-            _ => unresolved.push((id, state)),
-        }
-    }
-
-    let used_cycle_fallback = stalled || !unresolved.is_empty();
-    if !unresolved.is_empty() {
-        let members: HashSet<u64> = unresolved.iter().map(|(id, _)| *id).collect();
-        let adjacency: Vec<(u64, Vec<u64>)> = unresolved
-            .iter()
-            .map(|(id, state)| {
-                let nbrs = state
-                    .neighbor
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .filter(|n| members.contains(n))
-                    .collect();
-                (*id, nbrs)
-            })
-            .collect();
-        let (cc, sv_metrics) = connected_components(ctx, adjacency, &config);
-        metrics.absorb(&sv_metrics);
-        labels.extend(cc);
-    }
-
-    LabelOutcome {
-        labels,
-        ambiguous,
-        metrics,
-        used_cycle_fallback,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The reference: simplified S-V on 64-bit vertex IDs, tagged messages
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct RefSvState {
-    neighbors: Vec<u64>,
-    parent: u64,
-    changed_this_round: bool,
-}
-
-#[derive(Debug, Clone)]
-enum RefSvMsg {
-    /// A neighbour's current parent (phase 0 → 1).
-    NeighborParent(u64),
-    /// Request to hook the receiving root under the carried vertex (phase 1 → 2).
-    Hook(u64),
-    /// "Tell me your parent" — carries the requester (phase 2 → 3).
-    GetParent(u64),
-    /// The parent's parent (phase 3 → 0).
-    ParentIs(u64),
-}
-
-struct RefSvProgram;
-
-impl VertexProgram for RefSvProgram {
-    type Id = u64;
-    type Value = RefSvState;
-    type Message = RefSvMsg;
-    type Aggregate = BoolOr;
-
-    fn compute(
-        &self,
-        ctx: &mut Context<'_, Self>,
-        id: u64,
-        value: &mut RefSvState,
-        messages: &mut [RefSvMsg],
-    ) {
-        match ctx.superstep() % 4 {
-            0 => {
-                for msg in messages.iter() {
-                    if let RefSvMsg::ParentIs(p) = msg {
-                        if *p < value.parent {
-                            value.parent = *p;
-                            value.changed_this_round = true;
-                        }
-                    }
-                }
-                for &n in &value.neighbors {
-                    ctx.send_message(n, RefSvMsg::NeighborParent(value.parent));
-                }
-            }
-            1 => {
-                let best = messages
-                    .iter()
-                    .filter_map(|msg| match msg {
-                        RefSvMsg::NeighborParent(p) => Some(*p),
-                        _ => None,
-                    })
-                    .min();
-                if let Some(x) = best {
-                    if x < value.parent {
-                        ctx.send_message(value.parent, RefSvMsg::Hook(x));
-                    }
-                }
-            }
-            2 => {
-                let best = messages
-                    .iter()
-                    .filter_map(|msg| match msg {
-                        RefSvMsg::Hook(x) => Some(*x),
-                        _ => None,
-                    })
-                    .min();
-                if let Some(x) = best {
-                    if value.parent == id && x < value.parent {
-                        value.parent = x;
-                        value.changed_this_round = true;
-                    }
-                }
-                if value.parent != id {
-                    ctx.send_message(value.parent, RefSvMsg::GetParent(id));
-                }
-            }
-            _ => {
-                for msg in messages.iter() {
-                    if let RefSvMsg::GetParent(from) = msg {
-                        ctx.send_message(*from, RefSvMsg::ParentIs(value.parent));
-                    }
-                }
-                ctx.aggregate(BoolOr(value.changed_this_round));
-                value.changed_this_round = false;
-            }
-        }
-    }
-
-    fn should_terminate(&self, aggregate: &BoolOr, superstep: usize) -> bool {
-        superstep % 4 == 3 && !aggregate.0
-    }
-}
-
-fn reference_label_sv(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let config = PregelConfig::default().max_supersteps(4_000);
-    let ambiguous: Vec<u64> = nodes
-        .iter()
-        .filter(|n| n.vertex_type() == VertexType::Branch)
-        .map(|n| n.id)
-        .collect();
-    let ambiguous_set: HashSet<u64> = ambiguous.iter().copied().collect();
-    let states = nodes
-        .iter()
-        .filter(|n| !ambiguous_set.contains(&n.id))
-        .map(|n| {
-            let state = RefSvState {
-                neighbors: n
-                    .real_edges()
-                    .map(|e| e.neighbor)
-                    .filter(|id| !ambiguous_set.contains(id))
-                    .collect(),
-                parent: n.id,
-                changed_this_round: false,
-            };
-            (n.id, state)
-        });
-    let mut set = VertexSet::from_pairs(ctx.workers(), states);
-    let metrics = run_on(ctx, &RefSvProgram, &config, &mut set);
-    LabelOutcome {
-        labels: set
-            .into_pairs()
-            .into_iter()
-            .map(|(id, state)| (id, state.parent))
-            .collect(),
-        ambiguous,
-        metrics,
-        used_cycle_fallback: false,
-    }
-}
+use std::collections::{BTreeMap, HashSet};
 
 // ---------------------------------------------------------------------------
 // Node sets
@@ -484,133 +125,130 @@ fn round_two_nodes() -> Vec<AsmNode> {
 }
 
 // ---------------------------------------------------------------------------
-// The pin
+// The checks
 // ---------------------------------------------------------------------------
 
-type Labeling = fn(&ExecCtx, &[AsmNode]) -> LabelOutcome;
+/// A labeling's supersteps, messages, dropped messages and fallback flag.
+type Costs = (usize, u64, u64, bool);
 
-/// Runs a labeling and its reference on 1–4 workers and returns the
-/// labeling's 2-worker outcome.
-fn assert_same_outcome(
-    nodes: &[AsmNode],
-    what: &str,
-    labeling: Labeling,
-    reference: Labeling,
-) -> LabelOutcome {
-    let mut two_workers = None;
-    for workers in 1..=4 {
-        let ctx = ExecCtx::new(workers);
-        let got = labeling(&ctx, nodes);
-        let want = reference(&ctx, nodes);
-        let at = format!("{what}, {workers} workers");
-        assert_eq!(got.labels, want.labels, "labels: {at}");
-        assert_eq!(got.ambiguous, want.ambiguous, "ambiguous: {at}");
-        assert_eq!(got.used_cycle_fallback, want.used_cycle_fallback, "{at}");
-        assert_eq!(got.metrics.converged, want.metrics.converged, "{at}");
-        assert_eq!(
-            got.metrics.supersteps, want.metrics.supersteps,
-            "supersteps: {at}"
-        );
-        assert_eq!(
-            got.metrics.total_messages, want.metrics.total_messages,
-            "messages: {at}"
-        );
-        assert_eq!(
-            got.metrics.total_dropped, want.metrics.total_dropped,
-            "dropped messages: {at}"
-        );
-        assert_eq!(
-            got.labels.len() + got.ambiguous.len(),
-            nodes.len(),
-            "every vertex is labelled or ambiguous: {at}"
-        );
-        if workers == 2 {
-            two_workers = Some(got);
-        }
-    }
-    two_workers.expect("the sweep covers 2 workers")
-}
-
-/// List ranking against its reference.
-fn assert_matches_reference(nodes: &[AsmNode], what: &str) -> LabelOutcome {
-    assert_same_outcome(
-        nodes,
-        &format!("LR, {what}"),
-        label_contigs_lr_on,
-        reference_label,
+fn costs_of(outcome: &LabelOutcome) -> Costs {
+    let m = &outcome.metrics;
+    (
+        m.supersteps,
+        m.total_messages,
+        m.total_dropped,
+        outcome.used_cycle_fallback,
     )
 }
 
-/// Simplified S-V against its reference; it never takes a fallback.
-fn assert_sv_matches_reference(nodes: &[AsmNode], what: &str) -> LabelOutcome {
-    let outcome = assert_same_outcome(
-        nodes,
-        &format!("S-V, {what}"),
-        label_contigs_sv_on,
-        reference_label_sv,
-    );
-    assert!(outcome.metrics.converged && !outcome.used_cycle_fallback);
-    outcome
+fn ids_of(labels: &[(u64, u64)]) -> Vec<u64> {
+    labels.iter().map(|&(id, _)| id).collect()
+}
+
+/// Both labelings of `nodes` at 1–4 workers against the oracle's `want`:
+/// labels, ambiguous IDs and their order. Returns the costs of list ranking
+/// and S-V, after checking that they do not depend on the worker count.
+fn check_labels<N: GraphNode + Sync>(nodes: &[N], want: &Labels, what: &str) -> (Costs, Costs) {
+    let fallback: HashSet<u64> = want
+        .chains
+        .iter()
+        .filter(|chain| chain.kind != ChainKind::Path)
+        .flat_map(|chain| chain.members.iter().copied())
+        .collect();
+    let mut costs = None;
+    for workers in 1..=4 {
+        let ctx = ExecCtx::new(workers);
+        let at = format!("{what}, {workers} workers");
+        let lr = label_contigs_lr_on(&ctx, nodes);
+        let sv = label_contigs_sv_on(&ctx, nodes);
+
+        assert_eq!(lr.labels.len(), want.lr.len(), "LR labels: {at}");
+        assert_eq!(
+            lr.labels.iter().copied().collect::<BTreeMap<_, _>>(),
+            want.lr,
+            "LR labels: {at}"
+        );
+        assert_eq!(sv.labels.len(), want.sv.len(), "S-V labels: {at}");
+        assert_eq!(
+            sv.labels.iter().copied().collect::<BTreeMap<_, _>>(),
+            want.sv,
+            "S-V labels: {at}"
+        );
+        assert_eq!(lr.used_cycle_fallback, want.used_cycle_fallback(), "{at}");
+        assert!(lr.metrics.converged && sv.metrics.converged, "{at}");
+        assert!(!sv.used_cycle_fallback, "{at}");
+
+        let paths = want.lr.keys().copied().filter(|id| !fallback.contains(id));
+        let lr_order = [
+            in_job_order(paths, workers),
+            in_job_order(fallback.iter().copied(), workers),
+        ]
+        .concat();
+        assert_eq!(ids_of(&lr.labels), lr_order, "LR label order: {at}");
+        let sv_order = in_job_order(want.sv.keys().copied(), workers);
+        assert_eq!(ids_of(&sv.labels), sv_order, "S-V label order: {at}");
+        let ambiguous = in_job_order(want.ambiguous.iter().copied(), workers);
+        assert_eq!(lr.ambiguous, ambiguous, "LR ambiguous: {at}");
+        let in_node_order: Vec<u64> = nodes
+            .iter()
+            .map(|n| n.id())
+            .filter(|id| want.ambiguous.contains(id))
+            .collect();
+        assert_eq!(sv.ambiguous, in_node_order, "S-V ambiguous: {at}");
+
+        let these = (costs_of(&lr), costs_of(&sv));
+        assert_eq!(*costs.get_or_insert(these), these, "costs: {at}");
+    }
+    costs.expect("the sweep runs")
+}
+
+/// [`check_labels`] against the oracle's reading of `nodes`.
+fn check_against_oracle(nodes: &[AsmNode], what: &str) -> (Costs, Costs) {
+    let want = oracle::label(&nodes.iter().map(Node::from_asm).collect::<Vec<_>>());
+    check_labels(nodes, &want, what)
 }
 
 #[test]
 fn the_figure_11_path() {
     let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
     assert_eq!(nodes.len(), 7);
-    let outcome = assert_matches_reference(&nodes, "seven-vertex path");
-    assert_eq!(outcome.metrics.total_dropped, 0);
-    assert!(!outcome.used_cycle_fallback);
-    let label = outcome.labels[0].1;
-    assert!(outcome.labels.iter().all(|(_, l)| *l == label));
-
-    let outcome = assert_sv_matches_reference(&nodes, "seven-vertex path");
-    assert_eq!(outcome.metrics.total_dropped, 0);
-    let least = nodes.iter().map(|n| n.id).min().expect("non-empty");
-    assert!(outcome.labels.iter().all(|(_, l)| *l == least));
+    let costs = check_against_oracle(&nodes, "seven-vertex path");
+    assert_eq!(costs, ((8, 56, 0, false), (16, 101, 0, false)));
 }
 
 #[test]
 fn a_fork() {
     let nodes = nodes_from_reads(&["TTACTTGATCCG", "TTACTTGAACGG"], 5);
-    for pin in [assert_matches_reference, assert_sv_matches_reference] {
-        let outcome = pin(&nodes, "fork");
-        assert_eq!(outcome.metrics.total_dropped, 0);
-        assert!(!outcome.ambiguous.is_empty());
-    }
+    let costs = check_against_oracle(&nodes, "fork");
+    assert_eq!(costs, ((6, 55, 0, false), (16, 135, 0, false)));
 }
 
 #[test]
 fn a_two_vertex_path() {
     let nodes = nodes_from_reads(&["ACGGTC"], 5);
     assert_eq!(nodes.len(), 2);
-    for pin in [assert_matches_reference, assert_sv_matches_reference] {
-        let outcome = pin(&nodes, "two-vertex path");
-        assert_eq!(outcome.metrics.total_dropped, 0);
-    }
+    let costs = check_against_oracle(&nodes, "two-vertex path");
+    assert_eq!(costs, ((4, 4, 0, false), (8, 9, 0, false)));
 }
 
 #[test]
 fn isolated_vertices_and_the_empty_set() {
-    for pin in [assert_matches_reference, assert_sv_matches_reference] {
-        let outcome = pin(&kmer_nodes(9, 53), "isolated vertices");
-        assert_eq!(outcome.metrics.total_dropped, 0);
-        assert!(outcome.labels.iter().all(|(id, label)| id == label));
-        pin(&[], "empty node set");
-    }
+    let costs = check_against_oracle(&kmer_nodes(9, 53), "isolated vertices");
+    assert_eq!(costs, ((2, 0, 0, false), (4, 0, 0, false)));
+    let costs = check_against_oracle(&[], "empty node set");
+    assert_eq!(costs, ((1, 0, 0, false), (1, 0, 0, false)));
 }
 
 #[test]
 fn cycles_take_the_fallback() {
-    for n in [2, 3, 12, 37] {
-        let nodes = synthetic_cycle(n);
-        let outcome = assert_matches_reference(&nodes, &format!("{n}-cycle"));
-        assert!(outcome.used_cycle_fallback);
-        let least = nodes.iter().map(|n| n.id).min().expect("non-empty");
-        assert!(outcome.labels.iter().all(|(_, l)| *l == least));
-
-        // S-V labels a cycle like any other component.
-        let outcome = assert_sv_matches_reference(&nodes, &format!("{n}-cycle"));
-        assert!(outcome.labels.iter().all(|(_, l)| *l == least));
+    for (n, lr, sv) in [
+        (2, (11, 17, 0, true), (8, 13, 0, false)),
+        (3, (24, 64, 0, true), (8, 22, 0, false)),
+        (12, (44, 567, 0, true), (24, 303, 0, false)),
+        (37, (56, 3019, 0, true), (32, 1317, 0, false)),
+    ] {
+        let costs = check_against_oracle(&synthetic_cycle(n), &format!("{n}-cycle"));
+        assert_eq!(costs, (lr, sv), "{n}-cycle");
     }
 }
 
@@ -625,16 +263,8 @@ fn a_path_and_two_cycles() {
     close_ring(&mut rings, &evens);
     close_ring(&mut rings, &odds);
     nodes.extend(rings);
-    let outcome = assert_matches_reference(&nodes, "path + two cycles");
-    assert!(outcome.used_cycle_fallback);
-    assert_eq!(outcome.metrics.total_dropped, 0);
-    let labels: HashSet<u64> = outcome.labels.iter().map(|(_, l)| *l).collect();
-    assert_eq!(labels.len(), 3, "one path, two cycles");
-
-    let outcome = assert_sv_matches_reference(&nodes, "path + two cycles");
-    assert_eq!(outcome.metrics.total_dropped, 0);
-    let sv_labels: HashSet<u64> = outcome.labels.iter().map(|(_, l)| *l).collect();
-    assert_eq!(sv_labels.len(), 3);
+    let costs = check_against_oracle(&nodes, "path + two cycles");
+    assert_eq!(costs, ((54, 4930, 0, true), (28, 2047, 0, false)));
 }
 
 #[test]
@@ -645,34 +275,15 @@ fn a_self_loop_and_a_doubled_neighbour() {
     for (from, to) in [(0, 0), (1, 2), (2, 1), (3, 4)] {
         link(&mut nodes, from, to);
     }
-    assert!(nodes.iter().all(|n| n.vertex_type() != VertexType::Branch));
-    let outcome = assert_sv_matches_reference(&nodes, "self-loop + doubled neighbour");
-    assert_eq!(outcome.metrics.total_dropped, 0);
-    let labels: HashSet<u64> = outcome.labels.iter().map(|(_, l)| *l).collect();
-    assert_eq!(labels.len(), 3);
-    assert_matches_reference(&nodes, "self-loop + doubled neighbour");
+    let costs = check_against_oracle(&nodes, "self-loop + doubled neighbour");
+    assert_eq!(costs, ((12, 27, 0, true), (8, 26, 0, false)));
 }
 
 #[test]
 fn a_round_two_node_set_of_kmers_and_contigs() {
     let nodes = round_two_nodes();
-    let outcome = assert_matches_reference(&nodes, "k-mers + contigs");
-    assert_eq!(outcome.metrics.total_dropped, 0);
-    assert_eq!(outcome.ambiguous, vec![nodes[2].id]);
-    // The chain is labelled by its smaller end: a k-mer-free end is a contig.
-    let chain_label = nodes[3].id.min(nodes[5].id);
-    for at in [3, 0, 4, 1, 5] {
-        assert!(outcome.labels.contains(&(nodes[at].id, chain_label)));
-    }
-
-    // S-V labels the chain by its smallest ID: a k-mer.
-    let outcome = assert_sv_matches_reference(&nodes, "k-mers + contigs");
-    assert_eq!(outcome.metrics.total_dropped, 0);
-    assert_eq!(outcome.ambiguous, vec![nodes[2].id]);
-    let least = nodes[0].id.min(nodes[1].id);
-    for at in [3, 0, 4, 1, 5] {
-        assert!(outcome.labels.contains(&(nodes[at].id, least)));
-    }
+    let costs = check_against_oracle(&nodes, "k-mers + contigs");
+    assert_eq!(costs, ((8, 35, 0, false), (16, 66, 0, false)));
 }
 
 #[test]
@@ -682,88 +293,142 @@ fn a_neighbour_missing_from_the_node_set() {
     let mut nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
     let mid = nodes
         .iter()
-        .position(|n| n.vertex_type() == VertexType::OneOne)
+        .position(|n| n.edges.len() == 2)
         .expect("a seven-vertex path has inner vertices");
     nodes.remove(mid);
-    for pin in [assert_matches_reference, assert_sv_matches_reference] {
-        let outcome = pin(&nodes, "missing neighbour");
-        assert!(outcome.metrics.total_dropped > 0);
-    }
+    let costs = check_against_oracle(&nodes, "missing neighbour");
+    assert_eq!(costs, ((19, 84, 10, true), (12, 56, 6, false)));
 
     // Two missing neighbours of one vertex share the absent rank.
     let mut nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
-    nodes.retain(|n| n.vertex_type() == VertexType::OneOne);
-    for pin in [assert_matches_reference, assert_sv_matches_reference] {
-        let outcome = pin(&nodes, "missing path ends");
-        assert!(outcome.metrics.total_dropped > 0);
-    }
+    nodes.retain(|n| n.edges.len() == 2);
+    let costs = check_against_oracle(&nodes, "missing path ends");
+    assert_eq!(costs, ((21, 102, 18, true), (12, 58, 6, false)));
 }
 
 // ---------------------------------------------------------------------------
-// Random read sets
+// Generated reads: ①②③, then ②③ on a round-two node set
 // ---------------------------------------------------------------------------
 
-/// Deterministic xorshift stream for the read generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+/// What one generated case exercised.
+#[derive(Debug, Default)]
+struct Exercised {
+    fork: bool,
+    cycle_fallback: bool,
+    tip_dropped: bool,
+    round_two: bool,
 }
 
-fn reverse_complement(seq: &[u8]) -> Vec<u8> {
-    seq.iter()
-        .rev()
-        .map(|&c| match c {
-            b'A' => b'T',
-            b'C' => b'G',
-            b'G' => b'C',
-            _ => b'A',
-        })
-        .collect()
+/// ⌈log₂ n⌉ for n ≥ 1.
+fn ceil_log2(n: usize) -> usize {
+    n.next_power_of_two().trailing_zeros() as usize
 }
 
-/// Reads over a small genome with a planted repeat (forks), substitution
-/// errors (tips and bubbles) and reverse-complement duplicates of earlier
-/// reads.
-fn generated_reads(seed: u64) -> Vec<String> {
-    let mut rng = Rng(seed | 1);
-    let repeat: Vec<u8> = (0..12).map(|_| b"ACGT"[rng.below(4)]).collect();
-    let mut genome: Vec<u8> = Vec::new();
-    for _ in 0..3 {
-        genome.extend((0..40 + rng.below(40)).map(|_| b"ACGT"[rng.below(4)]));
-        genome.extend(&repeat);
+/// ② then ③ of `nodes` at 1–4 workers against the oracle's reading `want`
+/// of the same graph. Returns the oracle's labels and merge.
+fn check_label_and_merge<N: GraphNode + Sync>(
+    nodes: &[N],
+    want: &[Node],
+    merge: &MergeConfig,
+    what: &str,
+) -> (Labels, oracle::Merged) {
+    let labels = oracle::label(want);
+    let (lr, sv) = check_labels(nodes, &labels, what);
+    assert_eq!((lr.2, sv.2), (0, 0), "dropped messages: {what}");
+    // List ranking's schedule (module doc): superstep 0 broadcasts, 1 sets
+    // the pointers and sends the first requests, and each further round — a
+    // response superstep, then a request superstep — doubles every pointer's
+    // reach. After superstep 2t+1 a pointer has reached its end iff the
+    // chain is at most 2^t long, and that superstep sends nothing: the job
+    // ends after 2⌈log₂ ℓ_max⌉ + 2 supersteps.
+    if !lr.3 {
+        let bound = 2 * ceil_log2(labels.longest_path().max(1)) + 2;
+        assert!(lr.0 <= bound, "{} supersteps > {bound}: {what}", lr.0);
     }
-    let mut reads: Vec<Vec<u8>> = Vec::new();
-    for _ in 0..20 + rng.below(40) {
-        if !reads.is_empty() && rng.below(5) == 0 {
-            let earlier = reads[rng.below(reads.len())].clone();
-            reads.push(reverse_complement(&earlier));
-            continue;
+
+    let (k, tip) = (merge.k, merge.tip_length_threshold);
+    let merged = oracle::merge(want, &labels.lr, k, tip);
+    let expected = oracle::contig_multiset(merged.contigs.iter().cloned(), k);
+    for workers in 1..=4 {
+        let ctx = ExecCtx::new(workers);
+        let at = format!("{what}, {workers} workers");
+        let labelled = label_contigs_lr_on(&ctx, nodes);
+        let got = merge_contigs_on(&ctx, nodes, &labelled.labels, merge);
+        let contigs = got.contigs.iter().map(|c| {
+            let node = Node::from_asm(c);
+            (node.seq, node.coverage)
+        });
+        assert_eq!(oracle::contig_multiset(contigs, k), expected, "{at}");
+        assert_eq!(got.dropped_tips, merged.dropped_tips, "tips: {at}");
+        assert_eq!(got.groups, merged.groups, "groups: {at}");
+    }
+    (labels, merged)
+}
+
+/// One generated case: ① by vertex content at 1–4 workers, ②③ on its
+/// graph, and ②③ on the node set round two labels after ④⑤.
+fn oracle_case(seed: u64, k: usize) -> Exercised {
+    let what = format!("seed {seed}, k = {k}");
+    let reads = adversarial_reads(seed);
+    let construct = ConstructConfig {
+        k,
+        min_coverage: 0,
+        batch_size: 8,
+    };
+    let merge = MergeConfig {
+        k,
+        tip_length_threshold: 2 * k,
+    };
+    let want = oracle::construct(reads.records.iter().map(|r| r.seq), k, 0);
+    for workers in 1..=4 {
+        let dbg = build_dbg_on(&ExecCtx::new(workers), &reads, &construct);
+        let got: BTreeMap<u64, Node> = dbg
+            .to_nodes()
+            .iter()
+            .map(|n| (n.id, Node::from_asm(n)))
+            .collect();
+        assert_eq!(got.len(), want.nodes.len(), "vertices: {what}");
+        for node in &want.nodes {
+            let mine = &got[&node.id];
+            assert_eq!(mine.link_multiset(), node.link_multiset(), "{what}");
         }
-        let len = 12 + rng.below(50);
-        let start = rng.below(genome.len() - len);
-        let mut read = genome[start..start + len].to_vec();
-        for c in read.iter_mut() {
-            if rng.below(50) == 0 {
-                *c = b"ACGT"[rng.below(4)];
-            }
-        }
-        reads.push(read);
     }
-    reads
-        .into_iter()
-        .map(|r| String::from_utf8(r).expect("ASCII bases"))
-        .collect()
+    let dbg = build_dbg_on(&ExecCtx::new(2), &reads, &construct);
+    let (labels, merged) = check_label_and_merge(&dbg.vertices, &want.nodes, &merge, &what);
+
+    // The node set the paper workflow's second labeling round sees.
+    let mut state = GraphState::new(&reads);
+    Pipeline::new()
+        .then(Construct::new(construct))
+        .then(Label::list_ranking())
+        .then(Merge::new(merge.clone()))
+        .then(FilterBubbles::new(BubbleConfig::default()))
+        .then(RemoveTips::new(TipConfig {
+            k,
+            tip_length_threshold: 2 * k,
+        }))
+        .run(&mut state, &ExecCtx::new(2));
+    let round_two: Vec<AsmNode> = state
+        .ambiguous_kmers
+        .iter()
+        .chain(&state.contigs)
+        .cloned()
+        .collect();
+    let want_two: Vec<Node> = round_two.iter().map(Node::from_asm).collect();
+    let (labels_two, _) =
+        check_label_and_merge(&round_two, &want_two, &merge, &format!("{what}, round two"));
+
+    Exercised {
+        fork: !labels.ambiguous.is_empty(),
+        cycle_fallback: labels.chains.iter().any(|c| c.kind == ChainKind::Cycle),
+        tip_dropped: merged.dropped_tips > 0,
+        round_two: !state.contigs.is_empty()
+            && !state.ambiguous_kmers.is_empty()
+            && !labels_two.lr.is_empty(),
+    }
 }
+
+const KS: [usize; 4] = [5, 7, 11, 21];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -772,14 +437,33 @@ proptest! {
         seed in 1u64..u64::MAX,
         k_pick in 0usize..4,
     ) {
-        let k = [5, 7, 11, 21][k_pick];
-        let reads = generated_reads(seed);
-        let refs: Vec<&str> = reads.iter().map(|r| r.as_str()).collect();
-        let nodes = nodes_from_reads(&refs, k);
-        prop_assert!(!nodes.is_empty());
-        for pin in [assert_matches_reference, assert_sv_matches_reference] {
-            let outcome = pin(&nodes, &format!("seed {seed}, k = {k}"));
-            prop_assert_eq!(outcome.metrics.total_dropped, 0);
-        }
+        oracle_case(seed, KS[k_pick]);
     }
+}
+
+#[test]
+fn the_oracle_cases_are_not_vacuous() {
+    // The property test's own cases: the proptest shim draws them from a
+    // seed derived from the test's path and the case index.
+    let name = concat!(
+        module_path!(),
+        "::",
+        "prop_random_read_sets_label_as_the_references_do"
+    );
+    let base = proptest::seed_for(name);
+    let mut seen = Exercised::default();
+    for case in 0..24u64 {
+        let mut rng = proptest::rng_from_seed(base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let seed = (1u64..u64::MAX).generate(&mut rng);
+        let k_pick = (0usize..4).generate(&mut rng);
+        let case = oracle_case(seed, KS[k_pick]);
+        seen.fork |= case.fork;
+        seen.cycle_fallback |= case.cycle_fallback;
+        seen.tip_dropped |= case.tip_dropped;
+        seen.round_two |= case.round_two;
+    }
+    assert!(seen.fork, "no case has a fork: {seen:?}");
+    assert!(seen.cycle_fallback, "no case has an unambiguous cycle");
+    assert!(seen.tip_dropped, "no case drops a tip in ③");
+    assert!(seen.round_two, "no case labels a round-two node set");
 }

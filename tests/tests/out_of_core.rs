@@ -11,7 +11,7 @@ use ppa_assembler::{assemble, Assembly, AssemblyConfig, LabelingAlgorithm};
 use ppa_pregel::{ExecCtx, Fault, FaultPlan, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
-use std::path::PathBuf;
+use ppa_tests::{fingerprint, TmpDir};
 
 fn config(workers: usize, spill: SpillPolicy) -> AssemblyConfig {
     AssemblyConfig {
@@ -46,15 +46,6 @@ fn simulated_reads() -> ReadSet {
     .simulate(&reference)
 }
 
-/// Byte-level fingerprint of the assembled contigs.
-fn fingerprint(assembly: &Assembly) -> Vec<(u64, u32, String)> {
-    assembly
-        .contigs
-        .iter()
-        .map(|c| (c.id, c.coverage, c.sequence.to_ascii()))
-        .collect()
-}
-
 /// Total bytes spilled across every stage of a run.
 fn spilled_bytes(assembly: &Assembly) -> u64 {
     let stats = &assembly.stats;
@@ -79,14 +70,14 @@ fn spilled_contigs_are_byte_identical_across_caps_and_worker_counts() {
             0,
             "SpillPolicy::Off must not touch disk"
         );
-        let reference = fingerprint(&resident);
+        let reference = fingerprint(&resident.contigs);
 
         // Sweep the cap across an order of magnitude; the smallest cap is far
         // below the working set, so it must actually exercise the disk path.
         for (cap, must_spill) in [(256 * 1024, false), (64 * 1024, true), (16 * 1024, true)] {
             let spilled = assemble(&reads, &config(workers, SpillPolicy::At(cap)));
             assert_eq!(
-                fingerprint(&spilled),
+                fingerprint(&spilled.contigs),
                 reference,
                 "workers={workers} cap={cap}: spilled contigs diverged"
             );
@@ -153,8 +144,8 @@ fn a_capped_sv_workflow_spills_its_labeling_and_assembles_the_same_contigs() {
 
         let capped = assemble(&reads, &sv(SpillPolicy::At(16 * 1024)));
         assert_eq!(
-            fingerprint(&capped),
-            fingerprint(&resident),
+            fingerprint(&capped.contigs),
+            fingerprint(&resident.contigs),
             "workers={workers}: capped S-V contigs diverged"
         );
         let label = &capped.stats.label_round1;
@@ -182,24 +173,10 @@ fn a_shared_context_does_not_leak_the_previous_runs_spill_policy() {
     assert!(spilled_bytes(&spilled) > 0);
     let resident = assemble(&reads, &shared(SpillPolicy::Off));
     assert_eq!(spilled_bytes(&resident), 0);
-    assert_eq!(fingerprint(&spilled), fingerprint(&resident));
-}
-
-/// A unique, cleaned-on-drop temp directory for checkpoint snapshots.
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> TmpDir {
-        let dir = std::env::temp_dir().join(format!("ppa-ooc-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+    assert_eq!(
+        fingerprint(&spilled.contigs),
+        fingerprint(&resident.contigs)
+    );
 }
 
 #[test]
@@ -221,7 +198,7 @@ fn a_crash_with_active_spill_files_resumes_byte_identically() {
     // while its spill directory (sealed columns + shuffle runs) is live on
     // disk; the unwind must clean it up and the resume must reproduce the
     // uninterrupted run byte for byte.
-    let tmp = TmpDir::new("crash");
+    let tmp = TmpDir::new("ooc-crash");
     let armed = ctx.inject_faults(FaultPlan::single(Fault::Superstep {
         stage: 1,
         superstep: 1,

@@ -12,85 +12,8 @@ use ppa_assembler::ops::label_sv::label_contigs_sv_on;
 use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig, MergeOutcome};
 use ppa_pregel::ExecCtx;
 use ppa_seq::ReadSet;
+use ppa_tests::adversarial_reads;
 use proptest::prelude::*;
-
-/// Deterministic xorshift stream for the read generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn bases(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| b"ACGT"[self.below(4)]).collect()
-    }
-}
-
-fn reverse_complement(seq: &[u8]) -> Vec<u8> {
-    seq.iter()
-        .rev()
-        .map(|&c| match c {
-            b'A' => b'T',
-            b'C' => b'G',
-            b'G' => b'C',
-            b'T' => b'A',
-            other => other,
-        })
-        .collect()
-}
-
-/// Reads over a small genome with a planted three-fold repeat (forks), an
-/// embedded reverse-palindrome, substitution errors (tips and bubbles), `N`s
-/// and lower case, reverse-complement duplicates of earlier reads and reads
-/// shorter than k.
-fn generated_reads(seed: u64) -> ReadSet {
-    let mut rng = Rng(seed | 1);
-    let repeat = rng.bases(14);
-    let half = rng.bases(12);
-    let mut genome = Vec::new();
-    for _ in 0..3 {
-        let len = 40 + rng.below(40);
-        genome.extend(rng.bases(len));
-        genome.extend(&repeat);
-    }
-    genome.extend(&half);
-    genome.extend(reverse_complement(&half));
-    genome.extend(rng.bases(30));
-
-    let mut reads: Vec<Vec<u8>> = Vec::new();
-    for _ in 0..30 + rng.below(40) {
-        if !reads.is_empty() && rng.below(5) == 0 {
-            let earlier = reads[rng.below(reads.len())].clone();
-            reads.push(reverse_complement(&earlier));
-            continue;
-        }
-        let len = 1 + rng.below(60);
-        let start = rng.below(genome.len() - len);
-        let mut read = genome[start..start + len].to_vec();
-        for c in read.iter_mut() {
-            match rng.below(60) {
-                0 => *c = b"ACGT"[rng.below(4)],
-                1 => *c = b'N',
-                2 => *c = c.to_ascii_lowercase(),
-                _ => {}
-            }
-        }
-        reads.push(read);
-    }
-    reads
-        .into_iter()
-        .enumerate()
-        .map(|(i, seq)| (format!("r{i}"), seq))
-        .collect()
-}
 
 fn assert_same_labels(packed: &LabelOutcome, expanded: &LabelOutcome, at: &str) {
     assert_eq!(packed.labels, expanded.labels, "labels: {at}");
@@ -182,7 +105,7 @@ proptest! {
         theta in 0u32..2,
     ) {
         let k = [5, 7, 11, 21][k_pick];
-        let reads = generated_reads(seed);
+        let reads = adversarial_reads(seed);
         let config = ConstructConfig { k, min_coverage: theta, batch_size: 8 };
         let dbg = build_dbg_on(&ExecCtx::new(2), &reads, &config);
         assert_packed_matches_expanded(&dbg, &format!("seed {seed}, k = {k}, θ = {theta}"));

@@ -13,10 +13,11 @@ use ppa_assembler::pipeline::{
     RemoveTips, StageReport,
 };
 use ppa_assembler::stats::WorkflowStats;
-use ppa_assembler::{assemble, Assembly, AssemblyConfig, Contig, LabelingAlgorithm};
+use ppa_assembler::{assemble, AssemblyConfig, LabelingAlgorithm};
 use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
+use ppa_tests::fingerprint;
 use std::time::Duration;
 
 fn simulate(length: usize, coverage: f64, error: f64, seed: u64) -> ReadSet {
@@ -39,21 +40,6 @@ fn simulate(length: usize, coverage: f64, error: f64, seed: u64) -> ReadSet {
         seed: seed + 1,
     }
     .simulate(&reference)
-}
-
-fn fingerprint_assembly(assembly: &Assembly) -> Vec<(u64, u32, String)> {
-    assembly
-        .contigs
-        .iter()
-        .map(|c| (c.id, c.coverage, c.sequence.to_ascii()))
-        .collect()
-}
-
-fn fingerprint_output(output: &[Contig]) -> Vec<(u64, u32, String)> {
-    output
-        .iter()
-        .map(|c| (c.id, c.coverage, c.sequence.to_ascii()))
-        .collect()
 }
 
 /// The seed scenarios the workflow tests exercise: error-free, noisy with θ
@@ -114,8 +100,8 @@ fn assemble_is_byte_identical_to_hand_built_paper_workflow() {
             "scenario {i} must assemble"
         );
         assert_eq!(
-            fingerprint_assembly(&via_assemble),
-            fingerprint_output(&state.output),
+            fingerprint(&via_assemble.contigs),
+            fingerprint(&state.output),
             "scenario {i}: assemble() and the hand-built paper workflow must \
              produce byte-identical contigs"
         );
@@ -196,8 +182,8 @@ fn explicit_stage_list_matches_the_preset() {
 
     assert!(!state_preset.output.is_empty());
     assert_eq!(
-        fingerprint_output(&state_hand.output),
-        fingerprint_output(&state_preset.output)
+        fingerprint(&state_hand.output),
+        fingerprint(&state_preset.output)
     );
 }
 
