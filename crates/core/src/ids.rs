@@ -10,7 +10,11 @@
 //!   most significant bit is set.
 //! * **contig vertices** (Figure 7c): the most significant bit is set and the
 //!   remaining bits hold `worker ‖ ordinal`, because a contig's sequence can be
-//!   arbitrarily long and cannot be embedded in the ID.
+//!   arbitrarily long and cannot be embedded in the ID. In the paper `worker`
+//!   is the reduce worker that stitched the contig. Here it is the worker
+//!   that owns the contig's label, `hash_one(&label) % workers`, whichever
+//!   pool worker stitched it; `ordinal` numbers that worker's contigs from 1
+//!   in ascending label order (see [`crate::ops::merge`]).
 //!
 //! The paper has a fourth kind, *flipped* IDs: during contig labeling a
 //! contig end replaces its edge to an ambiguous vertex by a self-loop whose

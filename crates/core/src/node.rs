@@ -230,8 +230,21 @@ pub trait GraphNode {
     /// Whether the node is a contig vertex.
     fn is_contig(&self) -> bool;
 
-    /// The node's sequence in the requested orientation.
-    fn oriented(&self, orientation: Orientation) -> DnaString;
+    /// Appends the node's sequence in `orientation` ([`NodeSeq::oriented`])
+    /// from base `skip` on to `out` (nothing if `skip` reaches the end),
+    /// without building the oriented sequence: how contig merging adds a
+    /// member past its k−1 overlap.
+    fn append_oriented(&self, orientation: Orientation, skip: usize, out: &mut DnaString);
+}
+
+/// [`GraphNode::append_oriented`] for a k-mer: the tail of the oriented
+/// k-mer is the low end of its packed word.
+fn append_kmer_tail(kmer: Kmer, orientation: Orientation, skip: usize, out: &mut DnaString) {
+    let oriented = match orientation {
+        Orientation::Forward => kmer,
+        Orientation::ReverseComplement => kmer.reverse_complement(),
+    };
+    out.extend_from_packed(oriented.packed(), oriented.k().saturating_sub(skip));
 }
 
 impl GraphNode for AsmNode {
@@ -254,8 +267,19 @@ impl GraphNode for AsmNode {
         matches!(self.seq, NodeSeq::Contig(_))
     }
 
-    fn oriented(&self, orientation: Orientation) -> DnaString {
-        self.seq.oriented(orientation)
+    fn append_oriented(&self, orientation: Orientation, skip: usize, out: &mut DnaString) {
+        match &self.seq {
+            NodeSeq::Kmer(kmer) => append_kmer_tail(*kmer, orientation, skip, out),
+            NodeSeq::Contig(seq) => {
+                let len = seq.len();
+                for i in skip..len {
+                    out.push(match orientation {
+                        Orientation::Forward => seq.get(i),
+                        Orientation::ReverseComplement => seq.get(len - 1 - i).complement(),
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -339,8 +363,8 @@ impl GraphNode for KmerVertex {
         false
     }
 
-    fn oriented(&self, orientation: Orientation) -> DnaString {
-        NodeSeq::Kmer(self.kmer).oriented(orientation)
+    fn append_oriented(&self, orientation: Orientation, skip: usize, out: &mut DnaString) {
+        append_kmer_tail(self.kmer, orientation, skip, out);
     }
 }
 
@@ -443,6 +467,51 @@ mod tests {
         assert_eq!(node.edges_on(Side::Left).count(), 1);
         assert_eq!(node.sole_edge_on(Side::Left).unwrap().neighbor, 11);
         assert!(node.sole_edge_on(Side::Right).is_none());
+    }
+
+    /// `out` after `node.append_oriented(o, skip, ..)` must equal `prefix`
+    /// followed by `seq.oriented(o)` from base `skip` on.
+    fn check_append<N: GraphNode>(node: &N, seq: &NodeSeq, prefix: &DnaString, what: &str) {
+        for o in [Orientation::Forward, Orientation::ReverseComplement] {
+            let full = seq.oriented(o);
+            for skip in 0..=full.len() {
+                let mut out = prefix.clone();
+                node.append_oriented(o, skip, &mut out);
+                let mut expected = prefix.clone();
+                for i in skip..full.len() {
+                    expected.push(full.get(i));
+                }
+                assert_eq!(out, expected, "{what}, {o:?}, skip {skip}");
+            }
+        }
+    }
+
+    #[test]
+    fn append_oriented_is_the_tail_of_oriented() {
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        for k in 1..=31usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let kmer = Kmer::from_packed(state >> (64 - 2 * k), k).unwrap();
+            let vertex = KmerVertex::new(kmer.canonical().kmer);
+            // Vary where the appended bases land in the output's last word.
+            let prefix = DnaString::from_bases(
+                &(0..(k * 7) % 40)
+                    .map(|i| Base::from_code((i % 4) as u8))
+                    .collect::<Vec<_>>(),
+            );
+            let seq = NodeSeq::Kmer(vertex.kmer);
+            check_append(&vertex, &seq, &prefix, &format!("KmerVertex k={k}"));
+        }
+        // A contig member of round two, longer than a word.
+        let contig = AsmNode::new_contig(
+            ids::contig_id(1, 7),
+            DnaString::from_ascii(&"GATTACACCGT".repeat(7)).unwrap(),
+            3,
+        );
+        let prefix = DnaString::from_ascii("TTG").unwrap();
+        check_append(&contig, &contig.seq, &prefix, "contig");
     }
 
     #[test]

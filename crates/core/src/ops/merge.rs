@@ -6,22 +6,51 @@
 //! orientation contributes its reverse complement, and consecutive members
 //! overlap by k−1 bases. The resulting contig vertex records its coverage (the
 //! minimum edge coverage merged into it), and its two end neighbours with the
-//! contig-side polarity normalised to `L` (Figure 9).
+//! contig-side polarity normalised to `L` (Figure 9). Following the paper, a
+//! group that dangles (at least one end has no ambiguous neighbour) and whose
+//! total length does not exceed the tip-length threshold is discarded
+//! immediately instead of being emitted.
 //!
-//! The grouping is a mini-MapReduce keyed by contig label; the reduce step is
-//! executed per worker, and contig IDs are minted as `worker ‖ ordinal`
-//! (Figure 7c). Following the paper, a group that dangles (at least one end has
-//! no ambiguous neighbour) and whose total length does not exceed the
-//! tip-length threshold is discarded immediately instead of being emitted.
+//! # Grouping
+//!
+//! A label names one member of its group (list ranking's smaller end ID,
+//! S-V's smallest ID), so the node set's sorted ID column — the same rank
+//! dictionary labeling builds (`ranks.rs`) — turns every `(vertex, label)`
+//! pair into two dense `u32`s: the vertex's position in the node set and the
+//! label's rank. One stable counting pass over the label
+//! ranks lays the members out group by group in a single CSR column, each
+//! group in the order of `labels`, and the dictionary is dropped before any
+//! contig is stitched. The groups are then stitched on the pool, largest
+//! first, each on the least-loaded worker (longest processing time first),
+//! and each worker reuses one member map and one set of visited marks for
+//! all of its groups; a k-mer member's tail is written from its packed word,
+//! so no sequence is built per member.
+//!
+//! Contig IDs are minted afterwards as `worker ‖ ordinal` (Figure 7c): the
+//! worker of a group is `hash_one(&label) % workers`, and each worker numbers
+//! its kept groups from 1 in ascending label order, skipping dropped tips.
+//! The contigs come out in that (worker, label) order. Which pool worker
+//! stitched a group changes nothing.
+//!
+//! **Deviation from the paper:** Yan et al. group the labelled vertices with
+//! a mini MapReduce keyed by label and mint the IDs in its reduce workers.
+//! Here there is no MapReduce: labels name vertices, so a sorted ID index
+//! groups them without a shuffle, and dealing groups by size balances the
+//! stitching by work where hashing labels to reduce workers balanced it by
+//! group count. The round structure (group by
+//! label, stitch every group, mint `worker ‖ ordinal`) and the IDs are the
+//! paper's, byte for byte what the MapReduce formulation minted.
 
 use crate::ids::contig_id;
 use crate::node::{AsmNode, Edge, GraphNode};
 use crate::polarity::{Direction, Polarity, Side};
-use ppa_pregel::fxhash::{FxHashMap, FxHashSet};
-use ppa_pregel::mapreduce::{map_reduce_on, Emitter, MapReduceMetrics};
+use crate::ranks::RankDict;
+use ppa_pregel::fxhash::{hash_one, FxHashMap};
+use ppa_pregel::mapreduce::MapReduceMetrics;
 use ppa_pregel::ExecCtx;
 use ppa_seq::{DnaString, Orientation};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Configuration of contig merging.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,7 +80,12 @@ pub struct MergeOutcome {
     pub dropped_tips: usize,
     /// Number of label groups processed.
     pub groups: usize,
-    /// Mini-MapReduce metrics of the grouping pass.
+    /// The pass in the mini-MapReduce's terms, as the paper's formulation
+    /// would have counted it: `input_records` = labels given,
+    /// `pairs_shuffled` = labelled vertices found in the node set, `groups` =
+    /// `output_records` = label groups. `elapsed` is the whole pass, grouping
+    /// through minting. The spill fields are always 0: grouping never
+    /// spilled.
     pub mapreduce: MapReduceMetrics,
 }
 
@@ -65,10 +99,6 @@ pub(crate) struct ContigDraft {
     pub in_neighbor: Option<(u64, Orientation, u32)>,
     /// Same for the ambiguous vertex following the contig.
     pub out_neighbor: Option<(u64, Orientation, u32)>,
-    /// Number of member vertices merged.
-    pub members: usize,
-    /// Whether the group was a cycle (no contig ends).
-    pub is_cycle: bool,
 }
 
 impl ContigDraft {
@@ -127,191 +157,322 @@ fn outside_neighbor_label(edge: &Edge, member_orientation: Orientation) -> Orien
     }
 }
 
-/// Stitches one label group into a contig draft.
-///
-/// Returns `None` if the group is a short dangling tip (paper: "exit reduce if
-/// the aggregated contig length is not above the tip-length threshold").
-pub(crate) fn stitch_group<N: GraphNode>(
-    members: &[&N],
-    k: usize,
-    tip_length_threshold: usize,
-) -> Option<ContigDraft> {
-    assert!(!members.is_empty());
-    let by_id: FxHashMap<u64, &N> = members.iter().map(|n| (n.id(), *n)).collect();
+/// Per-worker scratch of the stitching phase, reused across its groups.
+#[derive(Default)]
+struct Stitcher {
+    /// Member ID → position in the group's member list.
+    index: FxHashMap<u64, u32>,
+    /// Whether the walk has reached the member at that position.
+    visited: Vec<bool>,
+}
 
-    // Locate a contig end: a member with a side that has no edge leading back
-    // into the group.
-    let outer_side_of = |node: &N, side: Side| -> bool {
-        match node.sole_edge_on(side) {
-            None => true,
-            Some(e) => !by_id.contains_key(&e.neighbor),
-        }
-    };
-    let mut start: Option<(&N, Side)> = None;
-    for node in members {
-        if outer_side_of(node, Side::Left) {
-            start = Some((node, Side::Left));
-            break;
-        }
-        if outer_side_of(node, Side::Right) {
-            start = Some((node, Side::Right));
-            break;
-        }
-    }
-    let is_cycle = start.is_none();
-    let (start_node, entry_side) = start.unwrap_or_else(|| {
-        // Cycle: start from the smallest member ID for determinism.
-        let node = members.iter().min_by_key(|n| n.id()).expect("non-empty");
-        (node, Side::Left)
-    });
+impl Stitcher {
+    /// Stitches one label group — `members` are positions in `nodes` — into a
+    /// contig draft.
+    ///
+    /// Returns `None` if the group is a short dangling tip (paper: "exit
+    /// reduce if the aggregated contig length is not above the tip-length
+    /// threshold").
+    fn stitch<N: GraphNode>(
+        &mut self,
+        nodes: &[N],
+        members: &[u32],
+        k: usize,
+        tip_length_threshold: usize,
+    ) -> Option<ContigDraft> {
+        assert!(!members.is_empty());
+        let node = |at: u32| &nodes[members[at as usize] as usize];
+        let Stitcher { index, visited } = self;
+        index.clear();
+        index.extend((0..members.len() as u32).map(|at| (node(at).id(), at)));
+        visited.clear();
+        visited.resize(members.len(), false);
 
-    let start_orientation = if entry_side == Side::Left {
-        Orientation::Forward
-    } else {
-        Orientation::ReverseComplement
-    };
+        // Locate a contig end: a member with a side that has no edge leading
+        // back into the group.
+        let outer_side_of = |node: &N, side: Side| -> bool {
+            match node.sole_edge_on(side) {
+                None => true,
+                Some(e) => !index.contains_key(&e.neighbor),
+            }
+        };
+        let start = (0..members.len() as u32).find_map(|at| {
+            [Side::Left, Side::Right]
+                .into_iter()
+                .find(|side| outer_side_of(node(at), *side))
+                .map(|side| (at, side))
+        });
+        let (start_at, entry_side) = start.unwrap_or_else(|| {
+            // Cycle: start from the smallest member ID for determinism.
+            let at = (0..members.len() as u32)
+                .min_by_key(|at| node(*at).id())
+                .expect("non-empty");
+            (at, Side::Left)
+        });
+        let start_node = node(start_at);
 
-    // In-neighbour: the outside edge on the entry side, if any.
-    let in_neighbor = start_node.sole_edge_on(entry_side).and_then(|e| {
-        if by_id.contains_key(&e.neighbor) {
-            None
+        let start_orientation = if entry_side == Side::Left {
+            Orientation::Forward
         } else {
-            Some((
-                e.neighbor,
-                outside_neighbor_label(&e, start_orientation),
-                e.coverage,
-            ))
+            Orientation::ReverseComplement
+        };
+
+        // In-neighbour: the outside edge on the entry side, if any.
+        let in_neighbor = start_node.sole_edge_on(entry_side).and_then(|e| {
+            if index.contains_key(&e.neighbor) {
+                None
+            } else {
+                Some((
+                    e.neighbor,
+                    outside_neighbor_label(&e, start_orientation),
+                    e.coverage,
+                ))
+            }
+        });
+
+        // Walk the path, stitching sequences (exact capacity for k-mers).
+        let mut sequence = DnaString::with_capacity(k + members.len() - 1);
+        start_node.append_oriented(start_orientation, 0, &mut sequence);
+        let mut coverage: u32 = if start_node.is_contig() {
+            start_node.coverage()
+        } else {
+            u32::MAX
+        };
+        visited[start_at as usize] = true;
+        let mut merged = 1usize;
+        let mut current: &N = start_node;
+        let mut current_orientation = start_orientation;
+        let mut out_neighbor: Option<(u64, Orientation, u32)> = None;
+        let mut closed_cycle = false;
+
+        loop {
+            let exit_side = match current_orientation {
+                Orientation::Forward => Side::Right,
+                Orientation::ReverseComplement => Side::Left,
+            };
+            let Some(edge) = current.sole_edge_on(exit_side) else {
+                break; // dangling end
+            };
+            let Some(&next_at) = index.get(&edge.neighbor) else {
+                out_neighbor = Some((
+                    edge.neighbor,
+                    outside_neighbor_label(&edge, current_orientation),
+                    edge.coverage,
+                ));
+                break;
+            };
+            if visited[next_at as usize] {
+                closed_cycle = true;
+                break;
+            }
+            let next = node(next_at);
+            let next_or = next_orientation(&edge);
+            coverage = coverage.min(edge.coverage);
+            if next.is_contig() {
+                coverage = coverage.min(next.coverage());
+            }
+            // Consecutive members overlap by k-1 bases.
+            next.append_oriented(next_or, k - 1, &mut sequence);
+            visited[next_at as usize] = true;
+            merged += 1;
+            current = next;
+            current_orientation = next_or;
         }
+
+        debug_assert_eq!(
+            merged,
+            members.len(),
+            "label group does not form a single path/cycle"
+        );
+
+        if coverage == u32::MAX {
+            // Single k-mer member with no internal edge: fall back to its own
+            // coverage.
+            coverage = start_node.coverage();
+        }
+
+        let dangling = !closed_cycle && (in_neighbor.is_none() || out_neighbor.is_none());
+        if dangling && sequence.len() <= tip_length_threshold {
+            return None;
+        }
+
+        Some(ContigDraft {
+            seq: sequence,
+            coverage,
+            in_neighbor,
+            out_neighbor,
+        })
+    }
+}
+
+/// One label group: its label and its members' span of the CSR column.
+struct Group {
+    label: u64,
+    begin: u32,
+    end: u32,
+}
+
+impl Group {
+    fn len(&self) -> u32 {
+        self.end - self.begin
+    }
+}
+
+/// The label groups in ascending label order, with their members — positions
+/// in `nodes` of the labelled vertices found there, each group in `labels`
+/// order — in one CSR column.
+fn group_on<N: GraphNode + Sync>(
+    ctx: &ExecCtx,
+    nodes: &[N],
+    labels: &[(u64, u64)],
+) -> (Vec<Group>, Vec<u32>) {
+    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id());
+    let absent = dict.len();
+    // (node position, label rank) of every labelled vertex in the set, one
+    // contiguous share of `labels` per worker.
+    let workers = ctx.workers();
+    let shares: Vec<Vec<(u32, u32)>> = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
+        let share = &labels[labels.len() * w / workers..labels.len() * (w + 1) / workers];
+        share
+            .iter()
+            .filter_map(|&(id, label)| {
+                let rank = dict.rank(id);
+                (rank != absent).then(|| {
+                    let group = dict.rank(label);
+                    assert!(
+                        group != absent,
+                        "label {label:#x} of vertex {id:#x} names no vertex of the node set"
+                    );
+                    (dict.source(rank) as u32, group)
+                })
+            })
+            .collect()
     });
 
-    // Walk the path, stitching sequences.
-    let mut sequence = start_node.oriented(start_orientation);
-    let mut coverage: u32 = if start_node.is_contig() {
-        start_node.coverage()
-    } else {
-        u32::MAX
-    };
-    let mut visited: FxHashSet<u64> = FxHashSet::default();
-    visited.insert(start_node.id());
-    let mut current: &N = start_node;
-    let mut current_orientation = start_orientation;
-    let mut out_neighbor: Option<(u64, Orientation, u32)> = None;
-    let mut closed_cycle = false;
-
-    loop {
-        let exit_side = match current_orientation {
-            Orientation::Forward => Side::Right,
-            Orientation::ReverseComplement => Side::Left,
-        };
-        let Some(edge) = current.sole_edge_on(exit_side) else {
-            break; // dangling end
-        };
-        if !by_id.contains_key(&edge.neighbor) {
-            out_neighbor = Some((
-                edge.neighbor,
-                outside_neighbor_label(&edge, current_orientation),
-                edge.coverage,
-            ));
-            break;
-        }
-        if visited.contains(&edge.neighbor) {
-            closed_cycle = true;
-            break;
-        }
-        let next = by_id[&edge.neighbor];
-        let next_or = next_orientation(&edge);
-        coverage = coverage.min(edge.coverage);
-        if next.is_contig() {
-            coverage = coverage.min(next.coverage());
-        }
-        let oriented = next.oriented(next_or);
-        debug_assert!(oriented.len() >= k.saturating_sub(1));
-        // Consecutive members overlap by k-1 bases.
-        let overlap = (k - 1).min(oriented.len());
-        for i in overlap..oriented.len() {
-            sequence.push(oriented.get(i));
-        }
-        visited.insert(next.id());
-        current = next;
-        current_orientation = next_or;
+    // Stable counting sort by label rank: `starts[g]` is where group `g`
+    // begins, then its placement cursor.
+    let mut starts = vec![0u32; absent as usize + 1];
+    for &(_, group) in shares.iter().flatten() {
+        starts[group as usize + 1] += 1;
     }
-
-    debug_assert_eq!(
-        visited.len(),
-        members.len(),
-        "label group does not form a single path/cycle"
-    );
-
-    if coverage == u32::MAX {
-        // Single k-mer member with no internal edge: fall back to its own coverage.
-        coverage = start_node.coverage();
+    for g in 1..starts.len() {
+        starts[g] += starts[g - 1];
     }
-
-    let dangling = !closed_cycle && (in_neighbor.is_none() || out_neighbor.is_none());
-    if dangling && sequence.len() <= tip_length_threshold {
-        return None;
+    let groups: Vec<Group> = (0..absent)
+        .filter(|&g| starts[g as usize + 1] > starts[g as usize])
+        .map(|g| Group {
+            label: dict.id(g),
+            begin: starts[g as usize],
+            end: starts[g as usize + 1],
+        })
+        .collect();
+    drop(dict);
+    let mut members = vec![0u32; shares.iter().map(Vec::len).sum()];
+    for &(position, group) in shares.iter().flatten() {
+        let cursor = &mut starts[group as usize];
+        members[*cursor as usize] = position;
+        *cursor += 1;
     }
+    (groups, members)
+}
 
-    Some(ContigDraft {
-        seq: sequence,
-        coverage,
-        in_neighbor,
-        out_neighbor,
-        members: visited.len(),
-        is_cycle: closed_cycle || is_cycle,
-    })
+/// Longest processing time first: the groups by member count, largest first
+/// (ties by label), each dealt to the worker with the fewest members so far
+/// (ties to the lowest worker).
+fn lpt_plan(groups: &[Group], workers: usize) -> Vec<Vec<u32>> {
+    let mut order: Vec<u32> = (0..groups.len() as u32).collect();
+    order.sort_by_key(|&g| std::cmp::Reverse(groups[g as usize].len()));
+    let mut load = vec![0u64; workers];
+    let mut plan: Vec<Vec<u32>> = vec![Vec::new(); workers];
+    for g in order {
+        let w = (0..workers).min_by_key(|&w| load[w]).expect("a worker");
+        load[w] += groups[g as usize].len() as u64;
+        plan[w].push(g);
+    }
+    plan
+}
+
+/// Stitches the groups on the pool, worker `w` taking `plan[w]`, and mints
+/// the contig IDs. The outcome is the same for every plan that deals each
+/// group once.
+fn stitch_on<N: GraphNode + Sync>(
+    ctx: &ExecCtx,
+    nodes: &[N],
+    groups: &[Group],
+    members: &[u32],
+    plan: Vec<Vec<u32>>,
+    config: &MergeConfig,
+) -> (Vec<AsmNode>, usize) {
+    let (k, tip) = (config.k, config.tip_length_threshold);
+    let mut at = vec![(0u32, 0u32); groups.len()];
+    for (w, share) in plan.iter().enumerate() {
+        for (i, &g) in share.iter().enumerate() {
+            at[g as usize] = (w as u32, i as u32);
+        }
+    }
+    let mut drafts: Vec<Vec<Option<ContigDraft>>> = ctx.pool().run_per_worker(plan, |_, share| {
+        let mut stitcher = Stitcher::default();
+        share
+            .into_iter()
+            .map(|g| {
+                let group = &groups[g as usize];
+                let members = &members[group.begin as usize..group.end as usize];
+                stitcher.stitch(nodes, members, k, tip)
+            })
+            .collect()
+    });
+
+    let kept = drafts.iter().flatten().filter(|d| d.is_some()).count();
+    let mut contigs = Vec::with_capacity(kept);
+    let workers = ctx.workers() as u64;
+    for owner in 0..workers {
+        let mut ordinal = 0u32;
+        for (group, &(w, i)) in groups.iter().zip(&at) {
+            if hash_one(&group.label) % workers != owner {
+                continue;
+            }
+            if let Some(draft) = drafts[w as usize][i as usize].take() {
+                ordinal += 1;
+                contigs.push(draft.into_node(contig_id(owner as u32, ordinal)));
+            }
+        }
+    }
+    (contigs, groups.len() - kept)
 }
 
 /// Runs contig merging on `ctx`'s workers: groups the labelled vertices by
-/// label with a mini-MapReduce pass and stitches every group into a contig
-/// vertex. The nodes may be in either form ([`GraphNode`]); the outcome does
+/// label and stitches every group into a contig vertex (see the module
+/// docs). The nodes may be in either form ([`GraphNode`]); the outcome does
 /// not depend on which.
+///
+/// # Panics
+///
+/// Panics if a label of a vertex in `nodes` names no vertex of `nodes`:
+/// both labelings name a group by one of its members.
 pub fn merge_contigs_on<N: GraphNode + Sync>(
     ctx: &ExecCtx,
     nodes: &[N],
     labels: &[(u64, u64)],
     config: &MergeConfig,
 ) -> MergeOutcome {
-    let by_id: FxHashMap<u64, &N> = nodes.iter().map(|n| (n.id(), n)).collect();
-    let inputs: Vec<(u64, u64)> = labels.to_vec();
-    let k = config.k;
-    let tip = config.tip_length_threshold;
-
-    let (per_worker, mapreduce) = map_reduce_on(
-        ctx,
-        inputs,
-        |(node_id, label): (u64, u64), out: &mut Emitter<'_, u64, &N>| {
-            if let Some(node) = by_id.get(&node_id) {
-                out.emit(label, *node);
-            }
-        },
-        |_worker: usize, _label: &u64, members: &mut [&N], out: &mut Vec<Option<ContigDraft>>| {
-            out.push(stitch_group(members, k, tip));
-        },
-    );
-
-    let mut contigs = Vec::new();
-    let mut dropped_tips = 0usize;
-    let mut groups = 0usize;
-    for (worker, drafts) in per_worker.into_iter().enumerate() {
-        let mut ordinal = 0u32;
-        for draft in drafts {
-            groups += 1;
-            match draft {
-                Some(d) => {
-                    ordinal += 1;
-                    contigs.push(d.into_node(contig_id(worker as u32, ordinal)));
-                }
-                None => dropped_tips += 1,
-            }
-        }
-    }
-
+    let start = Instant::now();
+    let (groups, members) = group_on(ctx, nodes, labels);
+    // The pass's one barrier, where the paper's map → reduce hand-off sits.
+    ctx.poll_barrier();
+    let plan = lpt_plan(&groups, ctx.workers());
+    let (contigs, dropped_tips) = stitch_on(ctx, nodes, &groups, &members, plan, config);
     MergeOutcome {
         contigs,
         dropped_tips,
-        groups,
-        mapreduce,
+        groups: groups.len(),
+        mapreduce: MapReduceMetrics {
+            input_records: labels.len() as u64,
+            pairs_shuffled: members.len() as u64,
+            groups: groups.len() as u64,
+            output_records: groups.len() as u64,
+            elapsed: start.elapsed(),
+            ..MapReduceMetrics::default()
+        },
     }
 }
 
@@ -322,7 +483,9 @@ mod tests {
     use crate::node::{NodeSeq, VertexType};
     use crate::ops::label::label_contigs_lr_on;
     use crate::ops::label::tests::nodes_from_reads;
+    use ppa_pregel::{CancelReason, EngineError, JobControl};
     use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn merge_cfg(k: usize, tip: usize) -> MergeConfig {
         MergeConfig {
@@ -465,6 +628,140 @@ mod tests {
         let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &[], &merge_cfg(4, 0));
         assert!(out.contigs.is_empty());
         assert_eq!(out.groups, 0);
+    }
+
+    /// Six reads with no 7-mer in common (nor with a reverse complement),
+    /// each its own unambiguous path: five long enough to keep and one of
+    /// 12 bases, a dangling tip under a threshold of 15.
+    const SIX_PATHS: [&str; 6] = [
+        "CCGTCGTTGAGTGTATGGCAAGGCAGAGCG",
+        "GAGGTTCAAGAACAAGAATGGCCT",
+        "TTGTGTAATTTGACATGCTTAAGTGTTGTTTATG",
+        "ACCTACACTGCT",
+        "AACTAGAACCCAAATGACTAACTAACCA",
+        "GGATGAAATGGGCGAGTTTGC",
+    ];
+
+    /// The label of the path a read spells: that of its first k-mer.
+    fn label_of(labels: &[(u64, u64)], read: &str, k: usize) -> u64 {
+        let id = ppa_seq::Kmer::from_str_exact(&read[..k])
+            .unwrap()
+            .canonical()
+            .kmer
+            .packed();
+        labels.iter().find(|(v, _)| *v == id).expect("labelled").1
+    }
+
+    #[test]
+    fn contig_ids_are_minted_by_label_owner_and_ascending_label() {
+        let (k, tip) = (7, 15);
+        let nodes = nodes_from_reads(&SIX_PATHS, k);
+        let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes).labels;
+        let mut paths: Vec<(u64, &str)> = SIX_PATHS
+            .iter()
+            .map(|read| (label_of(&labels, read, k), *read))
+            .collect();
+        paths.sort();
+        paths.dedup_by_key(|(label, _)| *label);
+        assert_eq!(paths.len(), 6, "one group per read");
+        // The dropped group is not the last one, so ordinals must skip it.
+        let dropped_at = paths.iter().position(|(_, r)| r.len() <= tip).unwrap();
+        assert!(dropped_at + 1 < paths.len(), "{paths:?}");
+
+        for workers in 1..=4u64 {
+            let mut expected = Vec::new();
+            for owner in 0..workers {
+                let mut ordinal = 0;
+                for (label, read) in &paths {
+                    if hash_one(label) % workers == owner && read.len() > tip {
+                        ordinal += 1;
+                        let seq = DnaString::from_ascii(read).unwrap().canonical();
+                        expected.push((contig_id(owner as u32, ordinal), seq.to_ascii()));
+                    }
+                }
+            }
+            let ctx = ExecCtx::new(workers as usize);
+            let out = merge_contigs_on(&ctx, &nodes, &labels, &merge_cfg(k, tip));
+            let got: Vec<(u64, String)> = out
+                .contigs
+                .iter()
+                .map(|c| (c.id, c.seq.to_dna().canonical().to_ascii()))
+                .collect();
+            assert_eq!(got, expected, "{workers} workers");
+            assert_eq!((out.groups, out.dropped_tips), (6, 1));
+            let mr = &out.mapreduce;
+            assert_eq!(mr.input_records, labels.len() as u64);
+            assert_eq!(mr.pairs_shuffled, labels.len() as u64);
+            assert_eq!((mr.groups, mr.output_records), (6, 6));
+            assert_eq!(
+                (mr.spilled_bytes, mr.spill_read_bytes, mr.spilled_runs),
+                (0, 0, 0)
+            );
+
+            // Which worker stitches which group changes nothing: every group
+            // on the last worker in descending label order, or dealt round
+            // robin, mints what the size-balanced plan mints.
+            let (groups, members) = group_on(&ctx, &nodes, &labels);
+            let config = merge_cfg(k, tip);
+            let stitch = |plan| stitch_on(&ctx, &nodes, &groups, &members, plan, &config);
+            let balanced = stitch(lpt_plan(&groups, workers as usize));
+            assert_eq!(balanced.0, out.contigs);
+            let mut last: Vec<Vec<u32>> = vec![Vec::new(); workers as usize];
+            last[workers as usize - 1] = (0..groups.len() as u32).rev().collect();
+            let mut dealt: Vec<Vec<u32>> = vec![Vec::new(); workers as usize];
+            for g in 0..groups.len() as u32 {
+                dealt[g as usize % workers as usize].push(g);
+            }
+            for plan in [last, dealt] {
+                assert_eq!(stitch(plan), balanced, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn lpt_deals_the_largest_groups_first_to_the_least_loaded_worker() {
+        let sizes = [3u32, 9, 4, 4, 1, 8];
+        let mut groups = Vec::new();
+        let mut begin = 0;
+        for (label, size) in sizes.iter().enumerate() {
+            groups.push(Group {
+                label: label as u64,
+                begin,
+                end: begin + size,
+            });
+            begin += size;
+        }
+        // 9 → w0, 8 → w1, 4 (label 2) → w1 (8 < 9), 4 (label 3) → w0
+        // (9 < 12), 3 → w1 (12 < 13), 1 → w0 (13 < 15).
+        assert_eq!(lpt_plan(&groups, 2), vec![vec![1, 3, 4], vec![5, 2, 0]]);
+        assert_eq!(lpt_plan(&groups, 1), vec![vec![1, 5, 2, 3, 0, 4]]);
+    }
+
+    #[test]
+    fn a_tripped_control_cancels_the_merge_and_the_pool_runs_the_next() {
+        let nodes = nodes_from_reads(&SIX_PATHS, 7);
+        let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes).labels;
+        let ctx = ExecCtx::new(2);
+        let control = JobControl::new();
+        control.cancel();
+        ctx.set_control(control.clone());
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            merge_contigs_on(&ctx, &nodes, &labels, &merge_cfg(7, 15))
+        }))
+        .expect_err("a latched cancel must stop the merge");
+        ctx.clear_control();
+        assert_eq!(
+            payload.downcast_ref::<EngineError>(),
+            Some(&EngineError::Cancelled {
+                reason: CancelReason::Requested,
+                superstep: 0,
+            })
+        );
+        assert_eq!(control.checks(), 1);
+        let after = merge_contigs_on(&ctx, &nodes, &labels, &merge_cfg(7, 15));
+        let fresh = merge_contigs_on(&ExecCtx::new(2), &nodes, &labels, &merge_cfg(7, 15));
+        assert_eq!(after.contigs, fresh.contigs);
+        assert_eq!(after.contigs.len(), 5);
     }
 
     #[test]

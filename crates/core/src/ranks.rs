@@ -16,6 +16,9 @@
 //! [`RankDict::read_back_on`] (the outcomes back to `(id, label)` pairs, in
 //! the order a job over the IDs themselves would have left them).
 //!
+//! Contig merging ([`crate::ops::merge`]) builds the same dictionary to
+//! join its labels to node positions, and groups by the labels' ranks.
+//!
 //! `run_on` is also the one place that knows which of the engine's two
 //! planes a labeling job runs on. Ranks are consecutive integers, so a
 //! resident job uses the dense plane ([`ppa_pregel::dense`]): range
@@ -135,6 +138,11 @@ impl RankDict {
     /// Number of distinct IDs — also the rank of every ID outside the set.
     pub(crate) fn len(&self) -> u32 {
         self.ids.len() as u32
+    }
+
+    /// The ID of rank `rank`.
+    pub(crate) fn id(&self, rank: u32) -> u64 {
+        self.ids[rank as usize]
     }
 
     /// Position in the build input of the vertex of rank `rank`.

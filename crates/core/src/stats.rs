@@ -94,7 +94,8 @@ pub struct MergeStats {
     pub contigs: usize,
     /// Short dangling groups dropped as tips.
     pub dropped_tips: usize,
-    /// Mini-MapReduce metrics of the grouping pass.
+    /// The merging pass in mini-MapReduce terms
+    /// ([`MergeOutcome::mapreduce`](crate::ops::MergeOutcome::mapreduce)).
     pub mapreduce: MapReduceMetrics,
 }
 

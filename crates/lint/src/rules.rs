@@ -35,7 +35,9 @@ const OPS_DIR: &str = "crates/core/src/ops/";
 /// outside their own file.
 const SURFACE_SCOPES: &[&str] = &["crates/pregel/src/", "crates/core/src/", "crates/seq/src/"];
 
-/// Runner entry points whose barriers poll the installed `JobControl`. An op
+/// Runner entry points whose barriers poll the installed `JobControl`, plus
+/// `ExecCtx::poll_barrier` itself, which an op with a barrier of its own
+/// (contig merging, between grouping and stitching) calls directly. An op
 /// routed through any of these is stoppable mid-flight. An explicit allowlist
 /// rather than a `*_on` suffix heuristic: method calls like
 /// `node.sole_edge_on(side)` must not satisfy the rule by accident.
@@ -48,6 +50,7 @@ const POLLING_CALLEES: &[&str] = &[
     "count_keys_on",
     "convert_on",
     "connected_components",
+    "poll_barrier",
 ];
 
 /// Identifiers that legitimately precede a `[` without being an indexable

@@ -441,6 +441,32 @@ pub fn count_kmers_on(ctx: &ExecCtx, reads: &[Read]) -> u64 {
 }
 
 #[test]
+fn an_op_with_its_own_barrier_is_stoppable_only_if_it_polls_there() {
+    // Grouping and stitching on the pool through `run_per_worker` polls
+    // nothing; one `poll_barrier` between the two phases makes the op
+    // stoppable.
+    let unpolled = r#"
+pub fn merge_groups_on(ctx: &ExecCtx, labels: &[(u64, u64)]) -> usize {
+    let groups = ctx.pool().run_per_worker(shares, |w, share| group(share));
+    ctx.pool().run_per_worker(plan, |w, part| stitch(&groups, part)).len()
+}
+"#;
+    let diags = diags_for("crates/core/src/ops/merge.rs", unpolled);
+    assert_eq!(rules_of(&diags), vec![Rule::CancellationPoints]);
+    assert!(diags[0].message.contains("merge_groups_on"));
+    assert!(diags[0].message.contains("poll_barrier"));
+
+    let polled = r#"
+pub fn merge_groups_on(ctx: &ExecCtx, labels: &[(u64, u64)]) -> usize {
+    let groups = ctx.pool().run_per_worker(shares, |w, share| group(share));
+    ctx.poll_barrier();
+    ctx.pool().run_per_worker(plan, |w, part| stitch(&groups, part)).len()
+}
+"#;
+    assert!(diags_for("crates/core/src/ops/merge.rs", polled).is_empty());
+}
+
+#[test]
 fn private_and_non_on_fns_are_exempt_from_cancellation_points() {
     let src = r#"
 fn helper_on(x: u64) -> u64 { x }

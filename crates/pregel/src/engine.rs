@@ -417,9 +417,9 @@ struct CtxInner {
     /// production). Probed by the runner and pipeline at their crash points.
     faults: Mutex<Option<Arc<ArmedFaults>>>,
     /// Installed job-control handle, if any. Polled cooperatively by the
-    /// runner, the mini MapReduce, the key counter and
-    /// `VertexSet::convert_on` at their BSP barriers, and by the pipeline at
-    /// stage boundaries.
+    /// runner, the mini MapReduce, the key counter,
+    /// `VertexSet::convert_on` and contig merging at their BSP barriers, and
+    /// by the pipeline at stage boundaries.
     control: Mutex<Option<JobControl>>,
     /// Installed spill policy, if any. Read once per job by the runner, the
     /// mini MapReduce and the key counter; programs whose types provide spill
@@ -507,12 +507,13 @@ impl ExecCtx {
             .clone()
     }
 
-    /// One cooperative control poll at a shuffle barrier that sits outside a
-    /// superstep loop (mini MapReduce, `convert`, the bucketed key counter):
-    /// a trip is raised as [`EngineError::Cancelled`] on the calling —
-    /// coordinator — thread, so the pool never sees the unwind. There is no
-    /// superstep counter or bookkept store at these barriers: 0 for both.
-    pub(crate) fn poll_barrier(&self) {
+    /// One cooperative control poll at a barrier that sits outside a
+    /// superstep loop (mini MapReduce, `convert`, the bucketed key counter,
+    /// contig merging between grouping and stitching): a trip is raised as
+    /// [`EngineError::Cancelled`] on the calling — coordinator — thread, so
+    /// the pool never sees the unwind. There is no superstep counter or
+    /// bookkept store at these barriers: 0 for both.
+    pub fn poll_barrier(&self) {
         if let Some(reason) = self.control().and_then(|control| control.poll(0)) {
             std::panic::panic_any(EngineError::Cancelled {
                 reason,

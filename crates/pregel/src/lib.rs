@@ -26,8 +26,9 @@
 //! provided:
 //!
 //! * [`mapreduce`] — the *mini MapReduce* procedure used to build vertices
-//!   from input that is not one-line-per-vertex (DBG construction, contig
-//!   merging and bubble filtering all use it), with [`keycount`] beside it
+//!   from input that is not one-line-per-vertex (DBG construction and
+//!   bubble filtering use it; the paper's contig merging did too, which here
+//!   groups by label ranks without a shuffle), with [`keycount`] beside it
 //!   for the one pass that only counts keys and keeps the frequent ones,
 //!   scattering records that each stand for a run of keys (the (k+1)-mer
 //!   count DBG construction starts from, fed super-k-mers);

@@ -6,9 +6,12 @@
 //! their pair of ambiguous end vertices. The paper extends Pregel+ with a
 //! mini MapReduce pass: a `map(.)` UDF emits key–value pairs, the pairs are
 //! shuffled by key to workers, sorted/grouped, and a `reduce(.)` UDF
-//! processes each group. (Counting the (k+1)-mers themselves — payload-free
-//! keys, nearly all discarded — is not a shuffle; it runs through
-//! [`crate::keycount`].)
+//! processes each group. Here DBG construction and bubble filtering use it.
+//! Contig merging does not: its labels name vertices, so `ppa_assembler`'s
+//! merge ranks them in a sorted ID index, groups them with one counting pass
+//! and mints the paper's `worker ‖ ordinal` IDs itself. (Counting the
+//! (k+1)-mers themselves — payload-free keys, nearly all discarded — is not
+//! a shuffle; it runs through [`crate::keycount`].)
 //!
 //! [`map_reduce_on`] reproduces that pass with one thread per worker. Grouping is
 //! **sort-based**: every reduce worker concatenates the pair buffers addressed
@@ -23,8 +26,8 @@
 //! order.
 //!
 //! The reduce UDF is told which worker runs it and the outputs come back per
-//! worker, which contig merging needs in order to mint contig IDs of the form
-//! `worker ‖ ordinal` (Figure 7c).
+//! worker, so a caller can number its outputs per worker, as the paper's
+//! contig IDs `worker ‖ ordinal` (Figure 7c) are.
 //!
 //! Both phases dispatch onto the caller's [`ExecCtx`] worker pool (one pool
 //! shared by a whole workflow); no per-phase thread scope is created.

@@ -142,6 +142,31 @@ impl DnaString {
         debug_assert!(self.tail_bits_zero());
     }
 
+    /// Appends the `n` right-most bases of `packed`, a right-aligned 2-bit
+    /// word in [`Kmer::packed`]'s layout (`n` ≤ 32; higher bits are ignored).
+    ///
+    /// Word-level: the bases are left-aligned with one shift and spliced onto
+    /// the partial last word, at most two word writes and no per-base
+    /// decode — how contig merging appends a k-mer member's tail.
+    pub fn extend_from_packed(&mut self, packed: u64, n: usize) {
+        assert!(n <= BASES_PER_WORD, "{n} bases do not fit one word");
+        if n == 0 {
+            return;
+        }
+        let word = packed << (64 - 2 * n);
+        let m2 = (self.len % BASES_PER_WORD) * 2;
+        if m2 == 0 {
+            self.words.push(word);
+        } else {
+            *self.words.last_mut().expect("partial last word") |= word >> m2;
+            if m2 + 2 * n > 64 {
+                self.words.push(word << (64 - m2));
+            }
+        }
+        self.len += n;
+        debug_assert!(self.tail_bits_zero());
+    }
+
     /// Whether every bit past the last base is zero (the structural-`Eq`
     /// invariant; debug checks only).
     fn tail_bits_zero(&self) -> bool {
@@ -509,6 +534,32 @@ mod tests {
             let s = DnaString::from_bases_iter((0..n).map(|i| Base::from_code((i % 4) as u8)));
             let t = DnaString::from_bases_iter((0..n).map(|i| Base::from_code((i % 3) as u8)));
             check_against_ascii(&s, &t);
+        }
+    }
+
+    #[test]
+    fn extend_from_packed_appends_the_low_bases_at_every_offset() {
+        // A full 32-base word: taking n < 32 of its bases must ignore the
+        // bits above them, wherever the string's last word is cut.
+        let word: u64 = 0x1B6C_F0A5_9E27_D3C4;
+        let ascii = |w: u64, n: usize| -> String {
+            (0..n)
+                .map(|i| Base::from_code((w >> (2 * (n - 1 - i))) as u8 & 3).to_char())
+                .collect()
+        };
+        for offset in [0usize, 1, 17, 31, 32, 33, 63] {
+            let prefix =
+                DnaString::from_bases_iter((0..offset).map(|i| Base::from_code((i % 4) as u8)));
+            for n in 0..=32 {
+                let mut s = prefix.clone();
+                s.extend_from_packed(word, n);
+                let expected = prefix.to_ascii() + &ascii(word, n);
+                assert_eq!(
+                    s,
+                    DnaString::from_ascii(&expected).unwrap(),
+                    "offset {offset}, n {n}"
+                );
+            }
         }
     }
 

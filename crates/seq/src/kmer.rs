@@ -167,14 +167,9 @@ impl Kmer {
     /// Word-level: the right-aligned packed representation left-aligns into
     /// the string's single word with one shift — no per-base decode.
     pub fn to_dna_string(&self) -> DnaString {
-        let k = self.k();
-        let word = if k == MAX_K {
-            self.packed
-        } else {
-            self.packed << (64 - 2 * k)
-        };
-        DnaString::from_raw_parts(vec![word], k)
-            .expect("a left-aligned packed k-mer is a valid one-word DnaString")
+        let mut s = DnaString::with_capacity(self.k());
+        s.extend_from_packed(self.packed, self.k());
+        s
     }
 
     /// Slides the window one base to the right: drops the left-most base and

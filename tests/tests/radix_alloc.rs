@@ -11,11 +11,18 @@
 //! Construction hands its k-mer vertices on in their packed form (Figure 8):
 //! the node set `Construct` leaves in a `GraphState` holds at most 80 heap
 //! bytes per vertex, where the expanded `AsmNode` graph held about 136.
+//! Contig merging (③) groups the labelled vertices through one sorted ID
+//! index and a `u32` CSR column: its heap high-water over what was live at
+//! its entry stays under 48 bytes per labelled vertex, where the
+//! MapReduce-based grouping (an all-node hash map, a copy of the labels and
+//! the shuffle buffers) took 60 on the same reads.
 //!
 //! This file must stay a single-test binary: the counting allocator below is
 //! process-global, and a concurrently running test would pollute the count.
 
 use ppa_assembler::ops::construct::ConstructConfig;
+use ppa_assembler::ops::label::label_contigs_lr_on;
+use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
 use ppa_assembler::pipeline::{Construct, GraphState, NodeSet, Stage};
 use ppa_pregel::aggregate::NoAggregate;
 use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, PregelConfig, VertexProgram};
@@ -28,15 +35,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Bytes requested and not yet freed.
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+/// The most `LIVE_BYTES` has reached since it was last reset.
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// `System`, plus a counter of every allocation/reallocation and of the
-/// live bytes.
+/// `System`, plus a counter of every allocation/reallocation, of the live
+/// bytes and of their high-water mark.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        let live = LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        PEAK_BYTES.fetch_max(live + layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -47,7 +57,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        let live = LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed) + new_size as u64;
+        PEAK_BYTES.fetch_max(live - layout.size() as u64, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
@@ -140,17 +151,15 @@ fn parse_allocations(reads: usize) -> (u64, u64) {
     (fastq_allocations, fasta_allocations)
 }
 
-/// Heap bytes per k-mer vertex of the node set `Construct` leaves in a
-/// `GraphState`, on 1 %-error reads of a simulated 20 kb genome at k = 31:
-/// the live bytes that emptying the node set frees, over its vertex count.
-fn construct_bytes_per_vertex(ctx: &ExecCtx) -> f64 {
+/// 1 %-error reads of a simulated 20 kb genome.
+fn simulated_reads() -> ReadSet {
     let genome = GenomeConfig {
         length: 20_000,
         seed: 5,
         ..Default::default()
     }
     .generate();
-    let reads = ReadSimConfig {
+    ReadSimConfig {
         read_length: 100,
         coverage: 30.0,
         substitution_rate: 0.01,
@@ -159,8 +168,14 @@ fn construct_bytes_per_vertex(ctx: &ExecCtx) -> f64 {
         both_strands: true,
         seed: 6,
     }
-    .simulate(&genome);
-    let mut state = GraphState::new(&reads);
+    .simulate(&genome)
+}
+
+/// Heap bytes per k-mer vertex of the node set `Construct` leaves in a
+/// `GraphState`, on [`simulated_reads`] at k = 31: the live bytes that
+/// emptying the node set frees, over its vertex count.
+fn construct_bytes_per_vertex(ctx: &ExecCtx, reads: &ReadSet) -> f64 {
+    let mut state = GraphState::new(reads);
     Construct::new(ConstructConfig::default()).run(&mut state, ctx);
     let vertices = state.nodes.len();
     assert!(
@@ -171,6 +186,30 @@ fn construct_bytes_per_vertex(ctx: &ExecCtx) -> f64 {
     state.nodes = NodeSet::default();
     let freed = held - LIVE_BYTES.load(Ordering::Relaxed);
     freed as f64 / vertices as f64
+}
+
+/// Contig merging's heap high-water, over the bytes live at its entry, per
+/// labelled vertex: operation ③ on the packed node set of
+/// [`simulated_reads`] after list-ranking labeling (the contigs it returns
+/// count too).
+fn merge_peak_bytes_per_labelled_vertex(ctx: &ExecCtx, reads: &ReadSet) -> f64 {
+    let mut state = GraphState::new(reads);
+    Construct::new(ConstructConfig::default()).run(&mut state, ctx);
+    let NodeSet::Packed(nodes) = &state.nodes else {
+        panic!("Construct leaves the packed form");
+    };
+    let labels = label_contigs_lr_on(ctx, nodes).labels;
+    assert!(labels.len() > 15_000, "{} labelled vertices", labels.len());
+    let config = MergeConfig {
+        k: 31,
+        tip_length_threshold: 80,
+    };
+    let entry = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(entry, Ordering::Relaxed);
+    let merged = merge_contigs_on(ctx, nodes, &labels, &config);
+    let high_water = PEAK_BYTES.load(Ordering::Relaxed) - entry;
+    assert!(!merged.contigs.is_empty());
+    high_water as f64 / labels.len() as f64
 }
 
 #[test]
@@ -232,9 +271,18 @@ fn steady_state_radix_sort_is_allocation_free() {
 
     // The packed node set: a 48-byte `KmerVertex` plus its coverage counters,
     // in a vector of exactly its length.
-    let per_vertex = construct_bytes_per_vertex(&ctx);
+    let reads = simulated_reads();
+    let per_vertex = construct_bytes_per_vertex(&ctx, &reads);
     assert!(
         per_vertex <= 80.0,
         "Construct left {per_vertex:.1} heap bytes per k-mer vertex"
+    );
+
+    // Contig merging: the sorted ID index, two `u32` columns and the
+    // contigs, nothing keyed by 64-bit IDs over the whole node set.
+    let per_labelled = merge_peak_bytes_per_labelled_vertex(&ctx, &reads);
+    assert!(
+        per_labelled < 48.0,
+        "merging peaked {per_labelled:.1} heap bytes per labelled vertex above its entry"
     );
 }
