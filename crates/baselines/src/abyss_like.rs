@@ -176,7 +176,7 @@ impl Assembler for AbyssLike {
 
         // Probe phase: existence-based edges.
         let config = PregelConfig::default().max_supersteps(2_000_000);
-        let probe_pairs = counts.iter().map(|(&packed, &count)| {
+        let probe_pairs = counts.iter().map(|&(packed, count)| {
             (
                 packed,
                 ProbeState {

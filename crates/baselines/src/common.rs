@@ -1,71 +1,59 @@
 //! Shared helpers for the baseline strategies.
 
-use ppa_pregel::fxhash::FxHashMap;
-use ppa_pregel::mapreduce::{map_reduce_on, Emitter};
+use ppa_pregel::fxhash::hash_one;
+use ppa_pregel::keycount::{count_keys_on, KeySink, Record, Records, KEYS_SHIFT};
 use ppa_pregel::ExecCtx;
 use ppa_seq::kmer::CanonicalScanner;
 use ppa_seq::{Base, Kmer, ReadSet};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Counts canonical k-mers of the given size across all reads (splitting at
-/// `N`s), in parallel, and drops those whose count does not exceed
-/// `min_coverage`. (Private worker pool; prefer
-/// [`count_canonical_kmers_on`] when the caller already has a context.)
-pub fn count_canonical_kmers(
-    reads: &ReadSet,
-    k: usize,
-    min_coverage: u32,
-    workers: usize,
-) -> HashMap<u64, u32> {
-    count_canonical_kmers_on(&ExecCtx::new(workers), reads, k, min_coverage)
-}
-
-/// [`count_canonical_kmers`] on a caller-provided execution context.
+/// `N`s) on `ctx`'s pool and returns, in ascending key order, those whose
+/// count exceeds `min_coverage`, with their counts. Every k-mer is scattered
+/// as a record of its own.
 pub fn count_canonical_kmers_on(
     ctx: &ExecCtx,
     reads: &ReadSet,
     k: usize,
     min_coverage: u32,
-) -> HashMap<u64, u32> {
+) -> Vec<(u64, u32)> {
     if k == 0 || k > ppa_seq::kmer::MAX_K {
         // Out-of-range k yields no k-mers (the pre-scanner sliding-window
         // path behaved the same way) instead of panicking inside a worker.
-        return HashMap::new();
+        return Vec::new();
     }
     let batches: Vec<Range<usize>> = reads.records.chunk_ranges(512).collect();
-    let (counted, _) = map_reduce_on(
+    let (counted, _) = count_keys_on(
         ctx,
-        batches,
-        |batch: Range<usize>, out: &mut Emitter<'_, u64, u32>| {
-            let mut local: FxHashMap<u64, u32> = FxHashMap::default();
+        &batches,
+        |batch| {
+            let batch = reads.records.range(batch.clone());
+            batch.map(|r| r.len().saturating_sub(k - 1)).sum()
+        },
+        |batch, sink: &mut KeySink| {
             let mut scanner = CanonicalScanner::new(k).expect("baseline k in range");
-            for read in reads.records.range(batch) {
+            for read in reads.records.range(batch.clone()) {
                 for segment in read.acgt_segments() {
-                    if segment.len() < k {
-                        continue;
-                    }
                     scanner.reset();
                     for &c in segment {
                         let base = Base::from_ascii_checked(c).expect("ACGT segment");
                         if let Some(canonical) = scanner.push(base) {
-                            *local.entry(canonical.kmer.packed()).or_insert(0) += 1;
+                            let key = canonical.kmer.packed();
+                            sink.push(hash_one(&key), [key, 1 << KEYS_SHIFT]);
                         }
                     }
                 }
             }
-            for (key, count) in local {
-                out.emit(key, count);
-            }
         },
-        |_w: usize, key: &u64, counts: &mut [u32], out: &mut Vec<(u64, u32)>| {
-            let total: u32 = counts.iter().sum();
-            if total > min_coverage {
-                out.push((*key, total));
-            }
+        Records {
+            max_keys: 1,
+            expand: |records: &[Record], keys: &mut Vec<u64>| {
+                keys.extend(records.iter().map(|record| record[0]));
+            },
         },
+        min_coverage,
     );
-    counted.into_iter().flatten().collect()
+    counted
 }
 
 /// Renders a packed k-mer back into a [`Kmer`].
@@ -87,9 +75,9 @@ mod tests {
     #[test]
     fn counts_merge_across_strands_and_reads() {
         let rs = reads(&["CTGCCGTACA", "TGTACGGCAG"]); // second is the reverse complement
-        let counts = count_canonical_kmers(&rs, 4, 0, 2);
+        let counts = count_canonical_kmers_on(&ExecCtx::new(2), &rs, 4, 0);
         assert!(!counts.is_empty());
-        for (&packed, &count) in &counts {
+        for &(packed, count) in &counts {
             let kmer = kmer_of(packed, 4);
             assert!(kmer.is_canonical());
             assert_eq!(count, 2, "k-mer {kmer} should be seen once per strand");
@@ -99,15 +87,17 @@ mod tests {
     #[test]
     fn out_of_range_k_yields_no_kmers() {
         let rs = reads(&["ACGTACGTAC"]);
-        assert!(count_canonical_kmers(&rs, 0, 0, 2).is_empty());
-        assert!(count_canonical_kmers(&rs, 33, 0, 2).is_empty());
+        let ctx = ExecCtx::new(2);
+        assert!(count_canonical_kmers_on(&ctx, &rs, 0, 0).is_empty());
+        assert!(count_canonical_kmers_on(&ctx, &rs, 33, 0).is_empty());
     }
 
     #[test]
     fn coverage_filter_applies() {
         let rs = reads(&["ACGTACGTAC", "ACGTACGTAC", "TTTTGGGGCC"]);
-        let strict = count_canonical_kmers(&rs, 5, 1, 2);
-        let lenient = count_canonical_kmers(&rs, 5, 0, 2);
+        let ctx = ExecCtx::new(2);
+        let strict = count_canonical_kmers_on(&ctx, &rs, 5, 1);
+        let lenient = count_canonical_kmers_on(&ctx, &rs, 5, 0);
         assert!(strict.len() < lenient.len());
     }
 }

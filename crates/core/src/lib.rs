@@ -9,7 +9,8 @@
 //!
 //! 1. **DBG construction** ([`ops::construct`]) — reads → k-mer vertices with
 //!    packed adjacency bitmaps: a bucketed (k+1)-mer count with coverage
-//!    filtering, then one mini-MapReduce pass that builds the vertices.
+//!    filtering, then a bucketed fold of the survivors' edges into vertices,
+//!    both on `ppa_pregel`'s one keyed pass.
 //! 2. **Contig labeling** ([`ops::label`], [`ops::label_sv`]) — marks every
 //!    maximal unambiguous path with a unique label, using either bidirectional
 //!    list ranking (the BPPA the paper recommends) or the simplified S-V

@@ -4,14 +4,21 @@
 //! ambiguous vertices (Figure 5): one path is the true sequence, the others
 //! are usually caused by read errors and have much lower coverage. This
 //! operation groups contigs by their unordered pair of ambiguous end
-//! neighbours with a mini-MapReduce pass, and inside every group prunes a
-//! contig when another contig of the same group is within a user-defined edit
-//! distance and has higher coverage.
+//! neighbours, and inside every group prunes a contig when another contig of
+//! the same group is within a user-defined edit distance and has higher
+//! coverage.
+//!
+//! The paper groups with a mini-MapReduce keyed by the end pair. The
+//! candidates are few — one per contig with two distinct ambiguous ends, a
+//! few thousand, in a few dozen to a few hundred groups on the benchmark's
+//! workloads — so here they are sorted by (end pair, contig ID) and the
+//! groups are the runs of that order. The comparisons, the pass's work, run
+//! on the pool, each worker a contiguous share of the groups; the job
+//! control is polled between grouping and comparing.
 
 use crate::node::AsmNode;
 use crate::polarity::Direction;
 use ppa_pregel::fxhash::FxHashSet;
-use ppa_pregel::mapreduce::{map_reduce_on, Emitter, MapReduceMetrics};
 use ppa_pregel::ExecCtx;
 use ppa_seq::{banded_edit_distance, DnaString};
 use serde::{Deserialize, Serialize};
@@ -41,112 +48,111 @@ pub struct BubbleOutcome {
     /// Number of end-pair groups containing more than one contig (bubble
     /// candidates).
     pub candidate_groups: usize,
-    /// Mini-MapReduce metrics of the grouping pass.
-    pub mapreduce: MapReduceMetrics,
 }
 
-/// The value shuffled for every bubble-candidate contig.
-#[derive(Debug, Clone)]
-struct Candidate {
-    id: u64,
-    /// Sequence oriented so that it reads from the smaller ambiguous end to
-    /// the larger one, making sequences of the same group directly comparable.
-    seq: DnaString,
-    coverage: u32,
+/// A contig whose two ends attach to distinct ambiguous vertices.
+struct Candidate<'a> {
+    /// The end neighbours' IDs, smaller first.
+    ends: (u64, u64),
+    contig: &'a AsmNode,
+    /// Whether the contig reads from the larger end to the smaller one.
+    reversed: bool,
+}
+
+impl Candidate<'_> {
+    /// Only contigs whose both ends attach to (distinct) ambiguous vertices
+    /// can form a bubble.
+    fn of(contig: &AsmNode) -> Option<Candidate<'_>> {
+        let in_edge = contig.edges.iter().find(|e| e.direction == Direction::In)?;
+        let out_edge = contig
+            .edges
+            .iter()
+            .find(|e| e.direction == Direction::Out)?;
+        let (a, b) = (in_edge.neighbor, out_edge.neighbor);
+        (!in_edge.is_null() && !out_edge.is_null() && a != b).then(|| Candidate {
+            ends: (a.min(b), a.max(b)),
+            contig,
+            reversed: a > b,
+        })
+    }
+
+    /// The sequence read from the smaller end to the larger one, making the
+    /// sequences of one group directly comparable: the stored sequence reads
+    /// in-neighbour → out-neighbour, so a contig whose in-neighbour is the
+    /// larger end is compared as its reverse complement.
+    fn oriented_seq(&self) -> DnaString {
+        let seq = self.contig.seq.to_dna();
+        if self.reversed {
+            seq.reverse_complement()
+        } else {
+            seq
+        }
+    }
+}
+
+/// Compares the contigs of one group, in ascending ID order, and returns the
+/// IDs of those pruned: a contig goes when a sibling not yet pruned is within
+/// `max_dist` edits and has higher coverage (on a tie, the later one goes).
+fn prune_group(group: &[Candidate<'_>], max_dist: usize) -> Vec<u64> {
+    let seqs: Vec<DnaString> = group.iter().map(Candidate::oriented_seq).collect();
+    let coverage = |i: usize| group[i].contig.coverage;
+    let mut pruned = vec![false; group.len()];
+    for i in 0..group.len() {
+        if pruned[i] {
+            continue;
+        }
+        for j in i + 1..group.len() {
+            if pruned[j] {
+                continue;
+            }
+            let close =
+                max_dist > 0 && banded_edit_distance(&seqs[i], &seqs[j], max_dist - 1).is_some();
+            if close {
+                if coverage(i) < coverage(j) {
+                    pruned[i] = true;
+                    break; // i is gone; stop comparing it further.
+                } else {
+                    pruned[j] = true;
+                }
+            }
+        }
+    }
+    let ids = group.iter().zip(&pruned).filter(|(_, p)| **p);
+    ids.map(|(c, _)| c.contig.id).collect()
 }
 
 /// Runs bubble filtering over the given contig vertices on `ctx`'s workers
 /// and returns the list of pruned contig IDs. The caller removes them from
 /// its node set.
+///
+/// # Panics
+///
+/// Raises [`EngineError::Cancelled`](ppa_pregel::EngineError::Cancelled) by
+/// panic if the context's job control trips between grouping and comparing.
 pub fn filter_bubbles_on(
     ctx: &ExecCtx,
     contigs: &[AsmNode],
     config: &BubbleConfig,
 ) -> BubbleOutcome {
-    let max_dist = config.max_edit_distance;
-    let inputs: Vec<&AsmNode> = contigs.iter().collect();
-    let (results, mapreduce) = map_reduce_on(
-        ctx,
-        inputs,
-        |contig: &AsmNode, out: &mut Emitter<'_, (u64, u64), Candidate>| {
-            // Only contigs whose both ends attach to (distinct) ambiguous
-            // vertices can form a bubble.
-            let in_edge = contig.edges.iter().find(|e| e.direction == Direction::In);
-            let out_edge = contig.edges.iter().find(|e| e.direction == Direction::Out);
-            match (in_edge, out_edge) {
-                (Some(a), Some(b)) if !a.is_null() && !b.is_null() && a.neighbor != b.neighbor => {
-                    let (lo, hi) = (a.neighbor.min(b.neighbor), a.neighbor.max(b.neighbor));
-                    // Orient the sequence lo → hi: the stored sequence reads
-                    // in-neighbour → out-neighbour, so if the in-neighbour is
-                    // the larger endpoint we compare reverse complements.
-                    let seq = if a.neighbor <= b.neighbor {
-                        contig.seq.to_dna()
-                    } else {
-                        contig.seq.to_dna().reverse_complement()
-                    };
-                    out.emit(
-                        (lo, hi),
-                        Candidate {
-                            id: contig.id,
-                            seq,
-                            coverage: contig.coverage,
-                        },
-                    );
-                }
-                _ => {}
-            }
-        },
-        |_w: usize, _key: &(u64, u64), group: &mut [Candidate], out: &mut Vec<(bool, Vec<u64>)>| {
-            if group.len() < 2 {
-                out.push((false, Vec::new()));
-                return;
-            }
-            // Deterministic processing order regardless of shuffle order.
-            group.sort_by_key(|c| c.id);
-            let mut pruned = vec![false; group.len()];
-            for i in 0..group.len() {
-                if pruned[i] {
-                    continue;
-                }
-                for j in i + 1..group.len() {
-                    if pruned[j] {
-                        continue;
-                    }
-                    let close = max_dist > 0
-                        && banded_edit_distance(&group[i].seq, &group[j].seq, max_dist - 1)
-                            .is_some();
-                    if close {
-                        if group[i].coverage < group[j].coverage {
-                            pruned[i] = true;
-                            break; // i is gone; stop comparing it further.
-                        } else {
-                            pruned[j] = true;
-                        }
-                    }
-                }
-            }
-            let ids: Vec<u64> = group
-                .iter()
-                .zip(&pruned)
-                .filter(|(_, p)| **p)
-                .map(|(c, _)| c.id)
-                .collect();
-            out.push((true, ids));
-        },
-    );
-
-    let mut pruned = Vec::new();
-    let mut candidate_groups = 0usize;
-    for (is_candidate, ids) in results.into_iter().flatten() {
-        if is_candidate {
-            candidate_groups += 1;
-        }
-        pruned.extend(ids);
-    }
+    let mut candidates: Vec<Candidate<'_>> = contigs.iter().filter_map(Candidate::of).collect();
+    candidates.sort_unstable_by_key(|c| (c.ends, c.contig.id));
+    let groups: Vec<&[Candidate<'_>]> = candidates
+        .chunk_by(|a, b| a.ends == b.ends)
+        .filter(|group| group.len() > 1)
+        .collect();
+    // The pass's one barrier, where the paper's map → reduce hand-off sits.
+    ctx.poll_barrier();
+    let workers = ctx.workers();
+    let pruned = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
+        let share = &groups[groups.len() * w / workers..groups.len() * (w + 1) / workers];
+        let pruned = share
+            .iter()
+            .flat_map(|group| prune_group(group, config.max_edit_distance));
+        pruned.collect::<Vec<u64>>()
+    });
     BubbleOutcome {
-        pruned,
-        candidate_groups,
-        mapreduce,
+        pruned: pruned.concat(),
+        candidate_groups: groups.len(),
     }
 }
 
@@ -162,7 +168,9 @@ mod tests {
     use crate::ids::contig_id;
     use crate::node::Edge;
     use crate::polarity::Polarity;
+    use ppa_pregel::{CancelReason, EngineError, JobControl};
     use ppa_seq::Orientation;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Builds a contig node between two ambiguous endpoints.
     fn contig_between(
@@ -293,5 +301,59 @@ mod tests {
         let out = filter_bubbles_on(&ExecCtx::new(2), &[], &config());
         assert!(out.pruned.is_empty());
         assert_eq!(out.candidate_groups, 0);
+    }
+
+    #[test]
+    fn groups_are_compared_in_id_order_whatever_the_input_order() {
+        // Two bubbles and a contig with its own end pair, shuffled: the
+        // outcome does not depend on the order the contigs come in or on the
+        // worker count.
+        let contigs = vec![
+            contig_between(4, "GGCACTATTAGG", 3, 300, 400),
+            contig_between(1, "GGCACAATTAGG", 40, END_A, END_B),
+            contig_between(5, "GGCACAATTAGG", 30, 300, 400),
+            contig_between(2, "GGCACTATTAGG", 2, END_A, END_B),
+            contig_between(6, "GGCACTATTAGG", 9, END_A, 400),
+            contig_between(3, "GGCACTATTCGG", 2, END_A, END_B),
+        ];
+        let ids =
+            |ordinals: &[u32]| -> Vec<u64> { ordinals.iter().map(|&o| contig_id(0, o)).collect() };
+        for workers in [1, 2, 3] {
+            let mut input = contigs.clone();
+            for _ in 0..contigs.len() {
+                let out = filter_bubbles_on(&ExecCtx::new(workers), &input, &config());
+                assert_eq!(out.pruned, ids(&[2, 3, 4]), "workers={workers}");
+                assert_eq!(out.candidate_groups, 2);
+                input.rotate_left(1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_tripped_control_cancels_the_filter_and_the_pool_runs_the_next() {
+        let contigs = vec![
+            contig_between(1, "GGCACAATTAGG", 40, END_A, END_B),
+            contig_between(2, "GGCACTATTAGG", 2, END_A, END_B),
+        ];
+        let ctx = ExecCtx::new(2);
+        let control = JobControl::new();
+        control.cancel();
+        ctx.set_control(control.clone());
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            filter_bubbles_on(&ctx, &contigs, &config())
+        }))
+        .expect_err("a latched cancel must stop bubble filtering");
+        ctx.clear_control();
+        assert_eq!(
+            payload.downcast_ref::<EngineError>(),
+            Some(&EngineError::Cancelled {
+                reason: CancelReason::Requested,
+                superstep: 0,
+            })
+        );
+        assert_eq!(control.checks(), 1);
+        let after = filter_bubbles_on(&ctx, &contigs, &config());
+        assert_eq!(after.pruned, vec![contigs[1].id]);
+        assert_eq!(after.candidate_groups, 1);
     }
 }

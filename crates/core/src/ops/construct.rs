@@ -1,35 +1,49 @@
 //! Operation ① — de Bruijn graph construction (Section IV-B).
 //!
 //! Two passes turn raw reads into k-mer vertices with packed adjacency
-//! bitmaps:
+//! bitmaps. Both are one keyed pass of [`ppa_pregel::keycount`]: a scatter
+//! of fixed-width records into buckets (the shuffle) and a fold of each
+//! worker's contiguous range of buckets (the reduce).
 //!
 //! * **Phase (i)** ([`count_kplus1_mers_on`]): every read is cut into
 //!   (k+1)-mers with a sliding window (Figure 4) that restarts at every `N`,
 //!   and the canonical (k+1)-mers seen more than θ times are kept — the rest
-//!   are discarded as likely sequencing errors. Since the keys carry no
-//!   payload and most of them are discarded, this is not a shuffle but a
-//!   **bucketed count** ([`ppa_pregel::keycount`]). One scan of the read
-//!   bytes ([`SuperKmerScanner::scan`]) cuts each read into super-k-mers —
-//!   runs of consecutive windows that share their minimizer, two words for
-//!   up to `k + 2 − m` windows — and scatters them into buckets addressed by
-//!   the minimizer's hash, about 1.5 bytes per window where a bare packed
-//!   key took 8. Every bucket's super-k-mers are then expanded back into
-//!   canonical (k+1)-mers and counted in a hash table that stays in cache;
-//!   only the survivors are sorted, once. They come out in key order and are
-//!   hash-partitioned by worker for phase (ii), exactly as a mini-MapReduce
-//!   reduce would have left them.
-//! * **Phase (ii)**: every surviving (k+1)-mer contributes one out-edge slot to
-//!   its prefix k-mer vertex and one in-edge slot to its suffix k-mer vertex
-//!   (with the appropriate polarity, Figure 6/8); the partial adjacencies are
-//!   shuffled by k-mer vertex ID through the mini MapReduce and merged into
-//!   complete [`KmerVertex`]s.
+//!   are discarded as likely sequencing errors. One scan of the read bytes
+//!   ([`SuperKmerScanner::scan`]) cuts each read into super-k-mers — runs of
+//!   consecutive windows that share their minimizer, two words for up to
+//!   `k + 2 − m` windows — and scatters them into buckets addressed by the
+//!   minimizer's hash, about 1.5 bytes per window where a bare packed key
+//!   took 8. The fold expands every bucket's super-k-mers back into
+//!   canonical (k+1)-mers and counts them in a hash table that stays in
+//!   cache; only the survivors are sorted, once, and they come out in key
+//!   order.
+//! * **Phase (ii)**: every surviving (k+1)-mer contributes one out-edge slot
+//!   to its prefix k-mer vertex and one in-edge slot to its suffix k-mer
+//!   vertex (with the appropriate polarity, Figure 6/8). Each contribution
+//!   is scattered as a one-key record, `[k-mer, slot << 32 | coverage]`,
+//!   to the bucket the k-mer's own top bits address, so the buckets are key
+//!   ranges. The fold sorts each bucket's records by k-mer and folds every
+//!   run into one complete [`KmerVertex`]; the order of a run does not
+//!   matter, because [`PackedAdj::add`] sums per slot. The vertices come
+//!   out **sorted by k-mer** — by vertex ID — with no further sort.
+//!
+//! Under a [`SpillPolicy`](ppa_pregel::SpillPolicy) cap both passes spill
+//! over-budget buckets as segments and read each back once.
+//!
+//! **Deviation from the paper:** Yan et al. state construction as
+//! MapReduce-style rounds on their mini-MapReduce API extension, and chain
+//! the jobs that follow with their `convert` extension. The rounds are kept
+//! here (scatter = shuffle, fold = reduce), but there is no general
+//! MapReduce and no `convert` job chaining: both phases run on the one
+//! keyed pass, whose records are two words wide, and the vertices are handed
+//! to labeling as a plain vector.
 
-use crate::adj::{edge_contributions, PackedAdj};
+use crate::adj::{edge_contributions, EdgeSlot, PackedAdj};
 use crate::node::KmerVertex;
-use ppa_pregel::fxhash::hash_one;
-use ppa_pregel::keycount::{count_keys_on, KeySink, Record, Records, KEYS_SHIFT};
-use ppa_pregel::mapreduce::{map_reduce_spillable_on, Emitter, MapReduceMetrics};
-use ppa_pregel::ExecCtx;
+use ppa_pregel::keycount::{
+    count_keys_on, fold_buckets_on, Buckets, KeySink, Record, Records, KEYS_SHIFT,
+};
+use ppa_pregel::{ExecCtx, MapReduceMetrics};
 use ppa_seq::kmer::{SuperKmer, SuperKmerScanner};
 use ppa_seq::{Kmer, ReadSet};
 use serde::{Deserialize, Serialize};
@@ -84,7 +98,10 @@ pub struct ConstructStats {
     /// kept, `spilled_runs` = times a worker's scatter buffers were flushed
     /// to disk under a spill cap.
     pub phase1: MapReduceMetrics,
-    /// Metrics of the vertex-building phase.
+    /// Metrics of the vertex-building phase: `input_records` = (k+1)-mers
+    /// kept, `pairs_shuffled` = the edge records they scattered, two each,
+    /// `groups` = `output_records` = vertices, and the spill counters of the
+    /// segments, as for `phase1`.
     pub phase2: MapReduceMetrics,
     /// Wall-clock time of the whole operation.
     pub elapsed: Duration,
@@ -126,9 +143,8 @@ impl ConstructOutcome {
 
 /// Phase (i) on its own: counts the canonical (k+1)-mers of `reads` on the
 /// context's pool and returns those seen more than `config.min_coverage`
-/// times with their counts (saturating at `u32::MAX`), partitioned by
-/// `hash(key) % workers` and key-sorted within each partition — the order in
-/// which [`build_dbg_on`] feeds them to phase (ii).
+/// times with their counts (saturating at `u32::MAX`), in ascending key
+/// order — the order in which [`build_dbg_on`] feeds them to phase (ii).
 // ppa_lint: allow(test-only-pub) phase (i) alone, the seam `tests/kmer_counting.rs` diffs against a reference count
 pub fn count_kplus1_mers_on(
     ctx: &ExecCtx,
@@ -144,7 +160,7 @@ pub fn count_kplus1_mers_on(
     // Tasks are runs of read indices; each scans its reads' slices of the
     // one bases column.
     let batches: Vec<Range<usize>> = reads.records.chunk_ranges(config.batch_size).collect();
-    let (sorted, metrics) = count_keys_on(
+    count_keys_on(
         ctx,
         &batches,
         // A read of `len` bases has at most `len − k` windows of k+1.
@@ -162,25 +178,51 @@ pub fn count_kplus1_mers_on(
             expand: |records: &[Record], keys: &mut Vec<u64>| scanner.decode_into(records, keys),
         },
         config.min_coverage,
-    );
-    // Stable partition of the key-sorted survivors: each worker's share
-    // stays key-sorted, shares follow in worker order.
-    let workers = ctx.workers() as u64;
-    let mut shares: Vec<Vec<(u64, u32)>> = vec![Vec::new(); workers as usize];
-    for pair in sorted {
-        shares[(hash_one(&pair.0) % workers) as usize].push(pair);
-    }
-    (concat(shares), metrics)
+    )
+}
+
+/// Survivors per phase (ii) scan task: 4 096 edge records, 64 KiB. Under a
+/// spill cap a worker checks its buffered records after every task.
+const VERTEX_TASK: usize = 1 << 11;
+
+/// Phase (ii)'s fold: sorts each bucket's edge records by k-mer and folds
+/// every run into one vertex, so a worker's vertices leave sorted.
+fn fold_vertices(buckets: &mut Buckets<'_>, k: usize) -> Vec<KmerVertex> {
+    let mut vertices = Vec::new();
+    let mut edges: Vec<Record> = Vec::new();
+    buckets.each(|keys, records| {
+        edges.clear();
+        edges.reserve(keys);
+        for fragment in records {
+            edges.extend_from_slice(fragment);
+        }
+        edges.sort_unstable_by_key(|edge| edge[0]);
+        for run in edges.chunk_by(|a, b| a[0] == b[0]) {
+            let mut adj = PackedAdj::new();
+            for edge in run {
+                let slot = EdgeSlot::from_bit((edge[1] >> 32) as u32 & 0xFF);
+                adj.add(slot, edge[1] as u32);
+            }
+            let kmer = Kmer::from_packed(run[0][0], k).expect("valid k-mer key");
+            vertices.push(KmerVertex { kmer, adj });
+        }
+    });
+    vertices
 }
 
 /// The per-worker vectors one after the other, in one allocation of exactly
-/// their total length (collecting a `flatten` grows by doubling, up to twice
-/// that).
+/// their total length. The first vector is grown to take the rest, so the
+/// allocator can extend it in place instead of holding a second full copy
+/// while the parts are copied.
 fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
-    let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    let total: usize = parts.iter().map(Vec::len).sum();
+    let mut parts = parts.into_iter();
+    let mut all = parts.next().unwrap_or_default();
+    all.reserve_exact(total - all.len());
     for part in parts {
         all.extend(part);
     }
+    all.shrink_to_fit();
     all
 }
 
@@ -198,28 +240,38 @@ pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) ->
     let kept_kplus1 = counted.len() as u64;
 
     // ---- phase (ii): build k-mer vertices with packed adjacency -------------
-    // Through the spillable mini MapReduce: with a `SpillPolicy` cap on the
-    // context the map side writes sorted runs to disk once its buffers exceed
-    // the per-worker budget; without one the pass is fully resident.
-    let (vertices, phase2) = map_reduce_spillable_on(
+    // Every survivor scatters its two edge contributions to the buckets of
+    // their k-mers' key ranges: a k-mer's 2k bits moved to the top of the
+    // word, so its bucket is its leading bits. The survivors are freed at
+    // the scatter→fold barrier with the scan that owns them.
+    let tasks: Vec<Range<usize>> = (0..counted.len())
+        .step_by(VERTEX_TASK)
+        .map(|start| start..counted.len().min(start + VERTEX_TASK))
+        .collect();
+    let to_top = 64 - 2 * k as u32;
+    let (parts, mut phase2) = fold_buckets_on(
         ctx,
-        counted,
-        |(packed, count): (u64, u32), out: &mut Emitter<'_, u64, (u8, u32)>| {
-            let kplus1 = Kmer::from_packed(packed, k + 1).expect("valid (k+1)-mer key");
-            let ((src, s_slot), (tgt, t_slot)) = edge_contributions(&kplus1);
-            out.emit(src.packed(), (s_slot.bit() as u8, count));
-            out.emit(tgt.packed(), (t_slot.bit() as u8, count));
-        },
-        |_worker, key: &u64, slots: &mut [(u8, u32)], out: &mut Vec<KmerVertex>| {
-            let kmer = Kmer::from_packed(*key, k).expect("valid k-mer key");
-            let mut adj = PackedAdj::new();
-            for &(bit, coverage) in slots.iter() {
-                adj.add(crate::adj::EdgeSlot::from_bit(bit as u32), coverage);
+        &tasks,
+        |task| 2 * task.len(),
+        move |task, sink: &mut KeySink| {
+            for &(packed, count) in &counted[task.clone()] {
+                let kplus1 = Kmer::from_packed(packed, k + 1).expect("valid (k+1)-mer key");
+                let ((src, s_slot), (tgt, t_slot)) = edge_contributions(&kplus1);
+                for (kmer, slot) in [(src, s_slot), (tgt, t_slot)] {
+                    let edge = 1 << KEYS_SHIFT | u64::from(slot.bit()) << 32 | u64::from(count);
+                    sink.push(kmer.packed() << to_top, [kmer.packed(), edge]);
+                }
             }
-            out.push(KmerVertex { kmer, adj });
         },
+        1,
+        |buckets: &mut Buckets<'_>| fold_vertices(buckets, k),
     );
-    let vertices = concat(vertices);
+    // The buckets are key ranges and the workers' ranges follow each other:
+    // the vertices leave sorted by k-mer.
+    let vertices = concat(parts);
+    phase2.input_records = kept_kplus1;
+    phase2.groups = vertices.len() as u64;
+    phase2.output_records = vertices.len() as u64;
 
     let adjacency_slots: u64 = vertices.iter().map(|v| v.adj.degree() as u64).sum();
     let stats = ConstructStats {

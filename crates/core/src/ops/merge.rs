@@ -46,8 +46,8 @@ use crate::node::{AsmNode, Edge, GraphNode};
 use crate::polarity::{Direction, Polarity, Side};
 use crate::ranks::RankDict;
 use ppa_pregel::fxhash::{hash_one, FxHashMap};
-use ppa_pregel::mapreduce::MapReduceMetrics;
 use ppa_pregel::ExecCtx;
+use ppa_pregel::MapReduceMetrics;
 use ppa_seq::{DnaString, Orientation};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;

@@ -6,7 +6,7 @@
 //! (Tables II and III), the vertex-count reduction across rounds and the N50
 //! before/after the second merging round (claims in Section V).
 
-use ppa_pregel::mapreduce::MapReduceMetrics;
+use ppa_pregel::MapReduceMetrics;
 use ppa_pregel::Metrics;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;

@@ -5,8 +5,10 @@
 //! (bubble filtering → tip removing → labeling → merging)×`error_correction_rounds`,
 //! with every intermediate hand-off performed in memory: each stage reads
 //! and writes the columns of one [`GraphState`], and the operations that
-//! regroup vertices (construction, merging, bubble filtering) do so with
-//! mini-MapReduce passes on the run's worker pool. It is a thin wrapper over
+//! regroup vertices (construction, merging, bubble filtering) do so on the
+//! run's worker pool: construction with the keyed pass of
+//! `ppa_pregel::keycount`, merging and bubble filtering with a sort of their
+//! own. It is a thin wrapper over
 //! [`Pipeline::paper_workflow`](crate::pipeline::Pipeline::paper_workflow)
 //! with [`WorkflowStats`] attached as the
 //! observer, so the bench harnesses can regenerate the paper's tables and
@@ -56,12 +58,13 @@ pub struct AssemblyConfig {
     /// Contigs shorter than this are dropped from the final output.
     pub min_contig_length: usize,
     /// Out-of-core policy: with [`SpillPolicy::At`], the operations that
-    /// honour the cap — construction's phase (i) key count and phase (ii)
-    /// mini MapReduce, and the labeling job (list ranking or S-V, which then
-    /// runs on the sorted plane) — may spill records, sorted shuffle runs and
-    /// sealed partition columns to disk once their resident bytes exceed it,
-    /// bounding peak memory at the cost of extra I/O. Merging, bubble
-    /// filtering and tip removing always run resident. The default
+    /// honour the cap — both of construction's keyed passes, the phase (i)
+    /// key count and the phase (ii) vertex fold, and the labeling job (list
+    /// ranking or S-V, which then runs on the sorted plane) — may spill
+    /// records, sorted shuffle runs and sealed partition columns to disk
+    /// once their resident bytes exceed it, bounding peak memory at the cost
+    /// of extra I/O. Merging, bubble filtering and tip removing always run
+    /// resident. The default
     /// [`SpillPolicy::Off`] keeps the run byte-identical to the purely
     /// resident engine.
     pub spill: SpillPolicy,
@@ -606,8 +609,8 @@ mod tests {
         let baseline = assemble(&reads, &config);
         assert!(!baseline.contigs.is_empty());
 
-        // A generous cap never trips; a tiny cap forces both the MapReduce
-        // phases of construction and the labeling job out of core. Either
+        // A generous cap never trips; a tiny cap forces both keyed passes
+        // of construction and the labeling job out of core. Either
         // way the contigs must be byte-identical to the resident run.
         for cap in [1u64 << 30, 24 * 1024] {
             let spilled = assemble(

@@ -76,8 +76,7 @@ impl Rule {
             Rule::CancellationPoints => {
                 "every `pub fn *_on` in core/src/ops must call a \
                  control-polling runner entry point (run_on/try_run_on/run_dense_on/\
-                 map_reduce_on/map_reduce_spillable_on/count_keys_on/convert_on/\
-                 connected_components/poll_barrier)"
+                 count_keys_on/fold_buckets_on/connected_components/poll_barrier)"
             }
             Rule::TestOnlyPub => {
                 "a `pub` item of pregel/core/seq must be named by non-test code \

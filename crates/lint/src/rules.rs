@@ -37,7 +37,8 @@ const SURFACE_SCOPES: &[&str] = &["crates/pregel/src/", "crates/core/src/", "cra
 
 /// Runner entry points whose barriers poll the installed `JobControl`, plus
 /// `ExecCtx::poll_barrier` itself, which an op with a barrier of its own
-/// (contig merging, between grouping and stitching) calls directly. An op
+/// (contig merging between grouping and stitching, bubble filtering between
+/// grouping and comparing) calls directly. An op
 /// routed through any of these is stoppable mid-flight. An explicit allowlist
 /// rather than a `*_on` suffix heuristic: method calls like
 /// `node.sole_edge_on(side)` must not satisfy the rule by accident.
@@ -45,10 +46,8 @@ const POLLING_CALLEES: &[&str] = &[
     "run_on",
     "try_run_on",
     "run_dense_on",
-    "map_reduce_on",
-    "map_reduce_spillable_on",
     "count_keys_on",
-    "convert_on",
+    "fold_buckets_on",
     "connected_components",
     "poll_barrier",
 ];

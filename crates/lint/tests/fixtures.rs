@@ -285,7 +285,7 @@ pub fn raw() -> &'static str {
 #[test]
 fn std_hashmap_in_pregel_and_core_fires() {
     let src = "use std::collections::HashMap;\npub type M = HashMap<u64, u64>;\n";
-    let diags = diags_for("crates/pregel/src/mapreduce.rs", src);
+    let diags = diags_for("crates/pregel/src/keycount.rs", src);
     assert_eq!(rules_of(&diags), vec![Rule::NoSiphashHotPath]);
     let diags = diags_for("crates/core/src/adj.rs", src);
     assert_eq!(rules_of(&diags), vec![Rule::NoSiphashHotPath]);
@@ -349,7 +349,7 @@ mod tests {
     }
 }
 "#;
-    assert!(diags_for("crates/pregel/src/mapreduce.rs", src).is_empty());
+    assert!(diags_for("crates/pregel/src/keycount.rs", src).is_empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -377,10 +377,8 @@ pub fn grind_on(ctx: &ExecCtx, nodes: &[u64]) -> u64 {
 fn op_routed_through_polling_runners_is_quiet() {
     let srcs = [
         "pub fn a_on(ctx: &ExecCtx) -> u64 { let m = ppa_pregel::run_on(ctx, &p, &c, &mut s); m }\n",
-        "pub fn b_on(ctx: &ExecCtx) -> u64 { map_reduce_on(ctx, i, m, r).1 }\n",
+        "pub fn b_on(ctx: &ExecCtx) -> u64 { fold_buckets_on(ctx, &t, hint, scan, 1, fold).1.groups }\n",
         "pub fn c_on(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(ctx, adj, &c); sv }\n",
-        "pub fn h_on(ctx: &ExecCtx) -> u64 { map_reduce_spillable_on(ctx, i, m, r).1 }\n",
-        "pub fn d_on(ctx: &ExecCtx) -> u64 { set.convert_on(ctx, f, merge).len() as u64 }\n",
         "pub fn e_on(ctx: &ExecCtx) -> u64 { try_run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
         "pub fn f_on(ctx: &ExecCtx) -> u64 { count_keys_on(ctx, &t, hint, scan, records, 1).1.groups }\n",
         // The dense plane's runner polls at every superstep boundary too.

@@ -255,7 +255,7 @@ fn json_report_round_trips_through_a_parser() {
         },
         Diagnostic {
             rule: Rule::NoSiphashHotPath,
-            file: "crates/pregel/src/mapreduce.rs".into(),
+            file: "crates/pregel/src/keycount.rs".into(),
             line: 42,
             col: 1,
             message: "std::collections::HashMap in hot path".into(),

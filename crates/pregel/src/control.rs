@@ -5,10 +5,10 @@
 //! [`cancel`](JobControl::cancel) the job, arm a wall-clock deadline, or cap
 //! the vertex store's resident bytes; the engine side polls the handle
 //! **cooperatively at BSP barriers only** — every superstep boundary of the
-//! [`runner`](crate::runner), the map→reduce hand-off of the
-//! [mini MapReduce](crate::mapreduce), the scatter→count hand-off of the
-//! [key counter](crate::keycount), and the shuffle boundary of
-//! [`VertexSet::convert_on`](crate::vertex_set::VertexSet::convert_on) — the
+//! [`runner`](crate::runner), the scatter→fold hand-off of the
+//! [keyed pass](crate::keycount), and the barriers contig merging and bubble
+//! filtering poll themselves through
+//! [`ExecCtx::poll_barrier`](crate::engine::ExecCtx::poll_barrier) — the
 //! same superstep-boundary consistency discipline the BSP model already
 //! enforces for fault tolerance.
 //!

@@ -5,7 +5,7 @@
 //! The paper's assembler chains many *short* supersteps across five
 //! Pregel/MapReduce operations, so per-superstep overhead sits on the
 //! critical path. Before this module existed, every superstep's compute and
-//! shuffle phase — and every map/reduce/convert phase — created a fresh
+//! shuffle phase — and every map and reduce phase — created a fresh
 //! `std::thread::scope` worker team: two thread spawns + joins per worker per
 //! superstep. [`WorkerPool`] spawns its threads **once**; afterwards a phase
 //! is dispatched by handing each parked worker a job through a
@@ -76,8 +76,8 @@ pub enum EngineError {
         /// Why the control plane stopped the job.
         reason: CancelReason,
         /// The superstep boundary at which the poll fired; 0 for barrier
-        /// polls outside a superstep loop (MapReduce and convert shuffles,
-        /// the key counter's scatter→count hand-off).
+        /// polls outside a superstep loop (the keyed pass's scatter→fold
+        /// hand-off, contig merging and bubble filtering).
         superstep: usize,
     },
     /// An out-of-core spill operation failed (I/O error, or a truncated or
@@ -153,7 +153,7 @@ fn lock(m: &Mutex<PoolState>) -> MutexGuard<'_, PoolState> {
 ///
 /// Construction spawns the threads; every subsequent phase reuses them. The
 /// pool is the **only** place in the workspace that spawns threads for the
-/// steady-state parallel paths (runner, mini-MapReduce, `VertexSet::convert_on`).
+/// steady-state parallel paths (runner, keyed pass, the ops' own phases).
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -417,12 +417,11 @@ struct CtxInner {
     /// production). Probed by the runner and pipeline at their crash points.
     faults: Mutex<Option<Arc<ArmedFaults>>>,
     /// Installed job-control handle, if any. Polled cooperatively by the
-    /// runner, the mini MapReduce, the key counter,
-    /// `VertexSet::convert_on` and contig merging at their BSP barriers, and
-    /// by the pipeline at stage boundaries.
+    /// runner, the keyed pass, contig merging and bubble filtering at their
+    /// BSP barriers, and by the pipeline at stage boundaries.
     control: Mutex<Option<JobControl>>,
-    /// Installed spill policy, if any. Read once per job by the runner, the
-    /// mini MapReduce and the key counter; programs whose types provide spill
+    /// Installed spill policy, if any. Read once per job by the runner and
+    /// the keyed pass; programs whose types provide spill
     /// codecs then run in bounded-memory mode against the policy's byte cap.
     spill: Mutex<Option<SpillPolicy>>,
 }
@@ -508,8 +507,9 @@ impl ExecCtx {
     }
 
     /// One cooperative control poll at a barrier that sits outside a
-    /// superstep loop (mini MapReduce, `convert`, the bucketed key counter,
-    /// contig merging between grouping and stitching): a trip is raised as
+    /// superstep loop (the keyed pass between scatter and fold, contig
+    /// merging between grouping and stitching, bubble filtering between
+    /// grouping and comparing): a trip is raised as
     /// [`EngineError::Cancelled`] on the calling — coordinator — thread, so
     /// the pool never sees the unwind. There is no superstep counter or
     /// bookkept store at these barriers: 0 for both.

@@ -1,61 +1,68 @@
-//! Bucketed key counting: one scan, one scatter of multi-key records, one
-//! cache-resident hash count per bucket.
+//! The keyed pass: one scan, one scatter of fixed-width records into hash
+//! buckets, one fold per bucket range. It is the workspace's one way to
+//! aggregate keyed data outside a Pregel job — the paper's mini MapReduce,
+//! with the scatter as its shuffle and the fold as its reduce.
 //!
-//! Counting the occurrences of packed integer keys and keeping the frequent
-//! ones — operation ① of the paper counts canonical (k+1)-mers and discards
-//! those seen at most θ times — does not need a general shuffle: the keys
-//! carry no payload, and almost all of them are thrown away. Nor does it have
-//! to move one key at a time. Consecutive windows of a read share all but one
-//! base, so a caller that packs a run of them into one [`Record`] ships each
-//! base once instead of once per window: DBG construction scatters
-//! super-k-mers, runs of windows that share a minimizer
+//! A record is two `u64`s and stands for one or more keys. That is enough
+//! for what the assembler aggregates: DBG construction counts canonical
+//! (k+1)-mers (operation ①, phase (i)), whose keys carry no payload and
+//! mostly get thrown away, and folds each kept (k+1)-mer's two edge
+//! contributions into k-mer vertices (phase (ii)), one key and one packed
+//! slot-and-coverage word per record. Consecutive windows of a read share all
+//! but one base, so phase (i) packs a run of them into one [`Record`] and
+//! ships each base once instead of once per window: it scatters super-k-mers,
+//! runs of windows that share a minimizer
 //! (`ppa_seq::kmer::SuperKmerScanner`), at about 1.5 bytes per window instead
-//! of 8. [`count_keys_on`] never builds `(key, count)` pairs, never
-//! hash-partitions and never merges. It runs two phases on the context's
-//! worker pool:
+//! of 8. [`fold_buckets_on`] never builds `(key, value)` pairs, never
+//! presorts and never merges. It runs two phases on the context's worker
+//! pool:
 //!
 //! * **scatter** — every worker walks its share of the scan tasks once and
-//!   appends each record, two `u64`s, to one of 2^b buckets addressed by the
-//!   top b bits of a hash the caller hands over with it (a [`KeySink`]). The
-//!   caller's hash must send every key of a record, and every occurrence of
-//!   a key, to one bucket: a super-k-mer's windows share their minimizer,
-//!   and the hash is the minimizer's. The sink counts the keys each bucket's
+//!   appends each record to one of 2^b buckets addressed by the top b bits
+//!   of a hash the caller hands over with it (a [`KeySink`]). The caller's
+//!   hash must send every key of a record, and every occurrence of a key, to
+//!   one bucket: a super-k-mer's windows share their minimizer, and the hash
+//!   is the minimizer's. A hash that is the key's own leading bits makes the
+//!   buckets key ranges, in key order. The sink counts the keys each bucket's
 //!   records stand for. b follows from the number of keys and the cache a
-//!   bucket's table has to fit (see `Layout::plan`), so it is a computed
-//!   value, never a setting.
-//! * **count** — workers take contiguous bucket ranges holding about the
-//!   same number of keys each, expand a bucket's records from every scatter
-//!   worker through the caller's [`Records::expand`], and count the keys in a
-//!   flat open-addressing table sized from the bucket's key count and small
-//!   enough to stay in cache (counts saturate at `u32::MAX`). Reading the
-//!   table back yields the distinct keys. Only those counted more than θ
-//!   times are kept; each count worker sorts its survivors with
-//!   [`crate::radix`], and the coordinator merges the workers' runs. The
-//!   keys the threshold discards — most of them — are never sorted.
+//!   bucket's working set has to fit (see `Layout::plan`), so it is a
+//!   computed value, never a setting.
+//! * **fold** — workers take contiguous bucket ranges holding about the same
+//!   number of keys each, and the caller's fold walks its range through
+//!   [`Buckets::each`]: bucket by bucket, in ascending order, with the
+//!   records every scatter worker put there. [`count_keys_on`]'s fold
+//!   expands a bucket's records through the caller's [`Records::expand`] and
+//!   counts the keys in a flat open-addressing table sized from the bucket's
+//!   key count and small enough to stay in cache (counts saturate at
+//!   `u32::MAX`). Reading the table back yields the distinct keys. Only
+//!   those counted more than θ times are kept; each fold worker sorts its
+//!   survivors with [`crate::radix`], and the coordinator merges the
+//!   workers' runs. The keys the threshold discards — most of them — are
+//!   never sorted.
 //!
 //! The job's [`JobControl`](crate::JobControl) is polled at the barrier
 //! between the phases, on the coordinator thread. Each record is held once,
 //! as sixteen bytes, in buffers sized up front from the caller's per-task key
 //! bound; they live for the duration of the call and are never parked in the
-//! [`ExecCtx`] scratch cache.
+//! [`ExecCtx`] scratch cache. The scan closure is dropped at the barrier, so
+//! what it owns — phase (ii)'s survivors — is freed before the fold.
 //!
 //! # Under a spill cap
 //!
 //! With a [`SpillPolicy`](crate::SpillPolicy) cap on the context the same two
 //! phases run. A scatter worker checks its buffered bytes after every scan
-//! task but its last against the `cap / (4 × workers)` budget the spillable
-//! mini MapReduce uses; over it, every non-empty bucket's records are
-//! appended — unsorted — as one bucket-addressed segment to the worker's
-//! segment file in the job's temp directory (`spill::KeySegmentWriter`), and
-//! the buffers start over. b is derived from the budget where that is
-//! tighter than the cache, so that a bucket's counting table is planned to
-//! fit the budget in the count phase, which reads a bucket's segments back
-//! ahead of its in-RAM records. Every record is written at most once and
-//! read at most once, and the read-back checks every record's key count
-//! before a key is expanded from it.
+//! task but its last against a `cap / (4 × workers)` budget; over it, every
+//! non-empty bucket's records are appended — unsorted — as one
+//! bucket-addressed segment to the worker's segment file in the job's temp
+//! directory (`spill::KeySegmentWriter`), and the buffers start over. b is
+//! derived from the budget where that is tighter than the cache, so that a
+//! bucket's working set is planned to fit the budget in the fold, which
+//! reads a bucket's segments back ahead of its in-RAM records. Every record
+//! is written at most once and read at most once, and the read-back checks
+//! every record's key count before the fold sees it.
 
 use crate::engine::{EngineError, ExecCtx};
-use crate::mapreduce::MapReduceMetrics;
+use crate::metrics::MapReduceMetrics;
 use crate::spill::{KeySegmentFile, KeySegmentReader, KeySegmentWriter, SpillDir, SpillError};
 use std::ops::Range;
 use std::sync::Arc;
@@ -325,7 +332,7 @@ impl KeySink {
     }
 }
 
-/// What one scatter worker hands to the count phase.
+/// What one scatter worker hands to the fold phase.
 struct Scattered {
     /// The records still in RAM.
     sink: KeySink,
@@ -359,7 +366,7 @@ where
     let (mut keys, mut flushes) = (0u64, 0u64);
     for (done, task) in tasks.iter().enumerate() {
         scan(task, &mut sink);
-        // Not after the last task: the count phase starts next and takes
+        // Not after the last task: the fold phase starts next and takes
         // what is buffered as it is; writing it out would only buy reading
         // it back.
         let more = done + 1 < tasks.len();
@@ -384,13 +391,102 @@ where
     })
 }
 
-/// What one count worker produced: the surviving `(key, count)`s of its
-/// bucket range in key order, the distinct keys it saw, the bytes it read
-/// back from segment files.
-struct Counted {
-    kept: Vec<(u64, u32)>,
-    distinct: u64,
-    read_bytes: u64,
+/// A fold worker's share of the buckets: a contiguous range of them, with
+/// the records every scatter worker put there, spilled or still in RAM.
+/// [`each`](Buckets::each) hands them to the fold one bucket at a time; a
+/// bucket's segments are read back, and checked, only then.
+pub struct Buckets<'a> {
+    range: Range<usize>,
+    sides: &'a [Scattered],
+    /// Every bucket's keys.
+    totals: &'a [u64],
+    /// Per scatter worker: a reader of its segment file, if it spilled.
+    readers: Vec<Option<KeySegmentReader<'a>>>,
+    /// The most keys one record stands for.
+    max_keys: u32,
+    /// The first read-back failure; [`each`](Buckets::each) stops at it.
+    failed: Option<SpillError>,
+}
+
+impl<'a> Buckets<'a> {
+    fn open(
+        worker: usize,
+        range: Range<usize>,
+        sides: &'a [Scattered],
+        totals: &'a [u64],
+        max_keys: u32,
+    ) -> Result<Buckets<'a>, SpillError> {
+        let mut readers: Vec<Option<KeySegmentReader<'a>>> = sides
+            .iter()
+            .map(|side| side.spilled.as_ref().map(KeySegmentFile::open).transpose())
+            .collect::<Result<_, _>>()?;
+        // Fold worker w vouches for scatter worker w's file, so every header
+        // is checked — and its bytes counted — exactly once.
+        if let Some(Some(reader)) = readers.get_mut(worker) {
+            reader.validate_header()?;
+        }
+        Ok(Buckets {
+            range,
+            sides,
+            totals,
+            readers,
+            max_keys,
+            failed: None,
+        })
+    }
+
+    /// The most keys one bucket of the range holds.
+    pub(crate) fn fullest(&self) -> usize {
+        let most = self.totals[self.range.clone()].iter().copied().max();
+        most.unwrap_or(0) as usize
+    }
+
+    /// Calls `fold` on every non-empty bucket of the range, in ascending
+    /// order, with the keys the bucket's records stand for and the records
+    /// themselves, a slice at a time: those read back from segments first,
+    /// then every scatter worker's in RAM, in worker order, each in push
+    /// order. Stops at the first segment that does not read back; the pass
+    /// then raises that error, whatever the fold returns.
+    pub fn each(&mut self, mut fold: impl FnMut(usize, &mut dyn Iterator<Item = &[Record]>)) {
+        let sides = self.sides;
+        // Allocated only once a bucket has spilled segments to read back.
+        let mut spilled: Vec<Record> = Vec::new();
+        for bucket in self.range.clone() {
+            if self.totals[bucket] == 0 {
+                continue;
+            }
+            spilled.clear();
+            if let Err(e) = self.read_back(bucket, &mut spilled) {
+                self.failed = Some(e);
+                return;
+            }
+            let in_ram = sides.iter().flat_map(|side| side.sink.fragments(bucket));
+            let mut records = std::iter::once(&spilled[..]).chain(in_ram);
+            fold(self.totals[bucket] as usize, &mut records);
+        }
+    }
+
+    /// Appends the records `bucket`'s segments hold to `into`, checking each
+    /// record's key count against `max_keys` and their sum against the
+    /// segment's.
+    fn read_back(&mut self, bucket: usize, into: &mut Vec<Record>) -> Result<(), SpillError> {
+        for (side, reader) in self.sides.iter().zip(&mut self.readers) {
+            if let (Some(file), Some(reader)) = (&side.spilled, reader) {
+                for segment in file.segments_of(bucket as u32) {
+                    reader.read_into(segment, self.max_keys, into)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The bytes read back from segment files, or the first failure.
+    fn finish(self) -> Result<u64, SpillError> {
+        match self.failed {
+            Some(e) => Err(e),
+            None => Ok(self.readers.iter().flatten().map(|r| r.bytes_read()).sum()),
+        }
+    }
 }
 
 /// Slots of the table that counts a bucket of `keys` keys: a power of two
@@ -400,7 +496,7 @@ fn table_slots(keys: usize) -> usize {
     (2 * keys).next_power_of_two()
 }
 
-/// One count worker's flat open-addressing table: keys and `u32` counts in
+/// One fold worker's flat open-addressing table: keys and `u32` counts in
 /// parallel arrays, linear probing from a multiply–shift hash. A count of 0
 /// marks an empty slot, so every `u64` is a legal key. A bucket uses the
 /// first [`table_slots`] slots, and [`drain`](CountTable::drain) empties
@@ -474,63 +570,28 @@ impl CountTable {
     }
 }
 
-/// One count worker: expands and hash-counts the buckets of `range`
-/// (`totals` holds every bucket's keys) and keeps, key-sorted, the keys
-/// counted more than `theta` times.
-fn count_range<E>(
-    worker: usize,
-    range: Range<usize>,
-    sides: &[Scattered],
-    totals: &[u64],
-    records: &Records<E>,
-    theta: u32,
-) -> Result<Counted, SpillError>
+/// Phase (i)'s fold: hash-counts the keys of every bucket of the range in
+/// one cache-sized table and keeps, key-sorted, those counted more than
+/// `theta` times. Returns them and the distinct keys seen.
+fn count_buckets<E>(buckets: &mut Buckets<'_>, expand: &E, theta: u32) -> (Vec<(u64, u32)>, u64)
 where
     E: Fn(&[Record], &mut Vec<u64>),
 {
-    let mut readers: Vec<Option<KeySegmentReader<'_>>> = sides
-        .iter()
-        .map(|side| side.spilled.as_ref().map(KeySegmentFile::open).transpose())
-        .collect::<Result<_, _>>()?;
-    // Count worker w vouches for scatter worker w's file, so every header is
-    // checked — and its bytes counted — exactly once.
-    if let Some(Some(reader)) = readers.get_mut(worker) {
-        reader.validate_header()?;
-    }
-    let fullest = totals[range.clone()].iter().copied().max().unwrap_or(0);
-    let mut table = CountTable::new(fullest as usize);
-    // Allocated only once a bucket has spilled segments to read back.
-    let mut spilled: Vec<Record> = Vec::new();
+    let mut table = CountTable::new(buckets.fullest());
     let mut keys: Vec<u64> = Vec::new();
     let mut kept = Vec::new();
     let mut distinct = 0u64;
-    for bucket in range {
-        if totals[bucket] == 0 {
-            continue;
-        }
-        table.start(totals[bucket] as usize);
-        spilled.clear();
-        for (side, reader) in sides.iter().zip(&mut readers) {
-            if let (Some(file), Some(reader)) = (&side.spilled, reader) {
-                for segment in file.segments_of(bucket as u32) {
-                    reader.read_into(segment, records.max_keys, &mut spilled)?;
-                }
-            }
-        }
-        let in_ram = sides.iter().flat_map(|side| side.sink.fragments(bucket));
-        for fragment in std::iter::once(&spilled[..]).chain(in_ram) {
+    buckets.each(|bucket_keys, records| {
+        table.start(bucket_keys);
+        for fragment in records {
             keys.clear();
-            (records.expand)(fragment, &mut keys);
+            expand(fragment, &mut keys);
             table.add_all(&keys);
         }
         distinct += table.drain(theta, &mut kept);
-    }
+    });
     crate::radix::sort_pairs(&mut kept, &mut Vec::new());
-    Ok(Counted {
-        kept,
-        distinct,
-        read_bytes: readers.iter().flatten().map(|r| r.bytes_read()).sum(),
-    })
+    (kept, distinct)
 }
 
 /// Merges key-sorted runs that share no key into one key-sorted run,
@@ -561,7 +622,11 @@ fn merge_disjoint_runs(mut runs: Vec<Vec<(u64, u32)>>) -> Vec<(u64, u32)> {
         })
         .collect();
     }
-    runs.pop().unwrap_or_default()
+    // One run is a fold worker's own vector: trimmed to its length, as a
+    // merged run is allocated.
+    let mut kept = runs.pop().unwrap_or_default();
+    kept.shrink_to_fit();
+    kept
 }
 
 /// Splits `0..totals.len()` into `parts` contiguous ranges whose totals are
@@ -588,67 +653,70 @@ fn raise(e: SpillError) -> ! {
     std::panic::panic_any(EngineError::Spill(e))
 }
 
-/// Counts the `u64` keys the scan tasks' records stand for and returns, in
-/// ascending key order, every key seen **more than** `theta` times with its
-/// count (saturating at `u32::MAX`).
+/// The keyed pass: scatters the records the scan tasks extract into hash
+/// buckets and folds each worker's range of buckets with `fold`. Returns the
+/// folds' outputs in bucket order — worker by worker, each worker's range
+/// following the one before — and the pass's metrics.
 ///
 /// `tasks` are handed to the pool workers in contiguous runs; `scan` pushes
 /// a task's records into the worker's [`KeySink`], each with the hash that
 /// picks its bucket, and `task_keys` bounds how many keys those records
 /// stand for (the buffers are sized from it; a scan that exceeds its bound
-/// only costs a reallocation). `records` turns records back into keys. A
-/// task is also the granule of the spill-budget check when the context
-/// carries a [`SpillPolicy`](crate::SpillPolicy) cap — see the
-/// [module docs](self).
+/// only costs a reallocation). No record may stand for more than `max_keys`
+/// keys. A task is also the granule of the spill-budget check when the
+/// context carries a [`SpillPolicy`](crate::SpillPolicy) cap — see the
+/// [module docs](self). `scan` is dropped once the scatter is done, so what
+/// it owns is freed before the fold starts.
 ///
-/// The returned [`MapReduceMetrics`] keep the shape of the mini MapReduce
-/// pass this replaces in DBG construction: `input_records` = tasks,
-/// `pairs_shuffled` = keys the scattered records stand for, `groups` =
-/// distinct keys, `output_records` = keys kept, plus the spill counters
-/// (`spilled_runs` = budget trips).
+/// The metrics count `input_records` = tasks, `pairs_shuffled` = keys the
+/// scattered records stand for, the spill counters (`spilled_runs` = budget
+/// trips) and `elapsed`; `groups` and `output_records` are the caller's to
+/// fill.
 ///
 /// # Panics
 ///
 /// Raises [`EngineError::Cancelled`] if the context's job control trips at
-/// the scatter→count barrier and [`EngineError::Spill`] if segment I/O
-/// fails or a segment reads back corrupt, both by panic on the calling
-/// thread (caught by `try_run`-style wrappers).
-pub fn count_keys_on<I, HF, SF, E>(
+/// the scatter→fold barrier and [`EngineError::Spill`] if segment I/O fails
+/// or a segment reads back corrupt, both by panic on the calling thread
+/// (caught by `try_run`-style wrappers).
+pub fn fold_buckets_on<I, HF, SF, T, FF>(
     ctx: &ExecCtx,
     tasks: &[I],
     task_keys: HF,
     scan: SF,
-    records: Records<E>,
-    theta: u32,
-) -> (Vec<(u64, u32)>, MapReduceMetrics)
+    max_keys: u32,
+    fold: FF,
+) -> (Vec<T>, MapReduceMetrics)
 where
     I: Sync,
     HF: Fn(&I) -> usize,
     SF: Fn(&I, &mut KeySink) + Sync,
-    E: Fn(&[Record], &mut Vec<u64>) + Sync,
+    T: Send,
+    FF: Fn(&mut Buckets<'_>) -> T + Sync,
 {
-    count_keys_with_barrier(ctx, tasks, task_keys, scan, records, theta, |_| {
+    fold_buckets_with_barrier(ctx, tasks, task_keys, scan, max_keys, fold, |_| {
         ctx.poll_barrier()
     })
 }
 
-/// [`count_keys_on`] with the coordinator's action at the scatter→count
+/// [`fold_buckets_on`] with the coordinator's action at the scatter→fold
 /// barrier made explicit (production polls the job control there; tests
 /// damage segment files).
-fn count_keys_with_barrier<I, HF, SF, E>(
+fn fold_buckets_with_barrier<I, HF, SF, T, FF>(
     ctx: &ExecCtx,
     tasks: &[I],
     task_keys: HF,
     scan: SF,
-    records: Records<E>,
-    theta: u32,
+    max_keys: u32,
+    fold: FF,
     barrier: impl FnOnce(&[Scattered]),
-) -> (Vec<(u64, u32)>, MapReduceMetrics)
+) -> (Vec<T>, MapReduceMetrics)
 where
     I: Sync,
     HF: Fn(&I) -> usize,
     SF: Fn(&I, &mut KeySink) + Sync,
-    E: Fn(&[Record], &mut Vec<u64>) + Sync,
+    T: Send,
+    FF: Fn(&mut Buckets<'_>) -> T + Sync,
 {
     let start = Instant::now();
     let workers = ctx.workers();
@@ -697,8 +765,9 @@ where
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| raise(e));
+    drop(scan);
 
-    // ---- barrier: balance the buckets over the count workers ---------------
+    // ---- barrier: balance the buckets over the fold workers ----------------
     let mut totals = vec![0u64; layout.buckets()];
     for side in &sides {
         for (total, keys) in totals.iter_mut().zip(&side.sink.keys) {
@@ -712,11 +781,13 @@ where
     // An unwind from here drops `sides`, deleting the segment files.
     barrier(&sides);
 
-    // ---- count: expand and hash-count each bucket in cache -----------------
-    let counted: Vec<Counted> = ctx
+    // ---- fold: each worker its range of buckets ----------------------------
+    let folded: Vec<(T, u64)> = ctx
         .pool()
         .run_per_worker(ranges, |w, range| {
-            count_range(w, range, &sides, &totals, &records, theta)
+            let mut buckets = Buckets::open(w, range, &sides, &totals, max_keys)?;
+            let out = fold(&mut buckets);
+            Ok((out, buckets.finish()?))
         })
         .into_iter()
         .collect::<Result<_, _>>()
@@ -734,16 +805,86 @@ where
     // Unmapping the buffers is several per cent of a short pass, so the pool
     // does it, one scatter side per worker. This also deletes segment files.
     ctx.pool().run_per_worker(sides, |_, side| drop(side));
-    let mut parts = Vec::with_capacity(counted.len());
-    for part in counted {
-        metrics.groups += part.distinct;
-        metrics.spill_read_bytes += part.read_bytes;
-        parts.push(part.kept);
+    let mut outs = Vec::with_capacity(folded.len());
+    for (out, read_bytes) in folded {
+        metrics.spill_read_bytes += read_bytes;
+        outs.push(out);
+    }
+    metrics.elapsed = start.elapsed();
+    (outs, metrics)
+}
+
+/// Counts the `u64` keys the scan tasks' records stand for and returns, in
+/// ascending key order, every key seen **more than** `theta` times with its
+/// count (saturating at `u32::MAX`).
+///
+/// A [`fold_buckets_on`] pass (see there for `tasks`, `task_keys` and
+/// `scan`) whose fold is the count: `records` turns a bucket's records back
+/// into keys, each bucket's keys are counted in one cache-sized hash table,
+/// and each fold worker sorts its survivors; the sorted runs are merged.
+///
+/// The returned [`MapReduceMetrics`] are the pass's, with `groups` =
+/// distinct keys and `output_records` = keys kept.
+///
+/// # Panics
+///
+/// As [`fold_buckets_on`].
+pub fn count_keys_on<I, HF, SF, E>(
+    ctx: &ExecCtx,
+    tasks: &[I],
+    task_keys: HF,
+    scan: SF,
+    records: Records<E>,
+    theta: u32,
+) -> (Vec<(u64, u32)>, MapReduceMetrics)
+where
+    I: Sync,
+    HF: Fn(&I) -> usize,
+    SF: Fn(&I, &mut KeySink) + Sync,
+    E: Fn(&[Record], &mut Vec<u64>) + Sync,
+{
+    count_keys_with_barrier(ctx, tasks, task_keys, scan, records, theta, |_| {
+        ctx.poll_barrier()
+    })
+}
+
+/// [`count_keys_on`] with an explicit barrier action, as
+/// [`fold_buckets_with_barrier`].
+fn count_keys_with_barrier<I, HF, SF, E>(
+    ctx: &ExecCtx,
+    tasks: &[I],
+    task_keys: HF,
+    scan: SF,
+    records: Records<E>,
+    theta: u32,
+    barrier: impl FnOnce(&[Scattered]),
+) -> (Vec<(u64, u32)>, MapReduceMetrics)
+where
+    I: Sync,
+    HF: Fn(&I) -> usize,
+    SF: Fn(&I, &mut KeySink) + Sync,
+    E: Fn(&[Record], &mut Vec<u64>) + Sync,
+{
+    let start = Instant::now();
+    let Records { max_keys, expand } = records;
+    let (parts, mut metrics) = fold_buckets_with_barrier(
+        ctx,
+        tasks,
+        task_keys,
+        scan,
+        max_keys,
+        |buckets| count_buckets(buckets, &expand, theta),
+        barrier,
+    );
+    let mut runs = Vec::with_capacity(parts.len());
+    for (kept, distinct) in parts {
+        metrics.groups += distinct;
+        runs.push(kept);
     }
     // The survivors — a few per cent of the distinct keys, the only keys
-    // ever sorted — left each count worker sorted. A key lives in one bucket
+    // ever sorted — left each fold worker sorted. A key lives in one bucket
     // and so in one worker's share: merging the shares orders them all.
-    let kept = merge_disjoint_runs(parts);
+    let kept = merge_disjoint_runs(runs);
     metrics.output_records = kept.len() as u64;
     metrics.elapsed = start.elapsed();
     (kept, metrics)
@@ -1302,6 +1443,79 @@ mod tests {
             "{outcomes:?}"
         );
         assert_eq!(count(&ctx, &tasks, 0).0, oracle(&tasks, 0).0);
+    }
+
+    /// Sets its flag when dropped.
+    struct DropFlag<'a>(&'a std::sync::atomic::AtomicBool);
+
+    impl Drop for DropFlag<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_fold_over_key_range_buckets_sees_every_record_once_in_key_order() {
+        // One-key records `[key, value]` addressed by the key's own top
+        // bits: the buckets are key ranges, so a fold that sorts each bucket
+        // leaves its output sorted across the workers' ranges.
+        let tasks = keyed_tasks(30, 1_000, 40_000, 64);
+        let mut sums: std::collections::BTreeMap<u64, u64> = Default::default();
+        for &key in tasks.iter().flatten() {
+            *sums.entry(key).or_insert(0) += key & 0xFFFF;
+        }
+        let expected: Vec<(u64, u64)> = sums.into_iter().collect();
+        for workers in 1..=4 {
+            for cap in [None, Some(1 << 30), Some(1 << 10)] {
+                let ctx = ExecCtx::new(workers);
+                if let Some(cap) = cap {
+                    ctx.set_spill(SpillPolicy::At(cap));
+                }
+                let scanned = std::sync::atomic::AtomicBool::new(false);
+                let guard = DropFlag(&scanned);
+                let (parts, metrics) = fold_buckets_on(
+                    &ctx,
+                    &tasks,
+                    Vec::len,
+                    move |task: &Vec<u64>, sink: &mut KeySink| {
+                        let _owned = &guard;
+                        for &key in task {
+                            sink.push(key, [key, (1 << KEYS_SHIFT) | (key & 0xFFFF)]);
+                        }
+                    },
+                    1,
+                    |buckets: &mut Buckets<'_>| {
+                        assert!(
+                            scanned.load(std::sync::atomic::Ordering::SeqCst),
+                            "the scan is dropped before the fold"
+                        );
+                        let (mut out, mut records) = (Vec::new(), Vec::new());
+                        buckets.each(|keys, fragments| {
+                            records.clear();
+                            for fragment in fragments {
+                                records.extend_from_slice(fragment);
+                            }
+                            assert_eq!(records.len(), keys, "one key per record");
+                            records.sort_unstable();
+                            for run in records.chunk_by(|a, b| a[0] == b[0]) {
+                                let sum = run.iter().map(|r| r[1] & 0xFFFF).sum::<u64>();
+                                out.push((run[0][0], sum));
+                            }
+                        });
+                        out
+                    },
+                );
+                ctx.clear_spill();
+                let at = format!("workers={workers} cap={cap:?}");
+                assert_eq!(parts.len(), workers, "{at}");
+                assert_eq!(parts.concat(), expected, "{at}");
+                assert_eq!(metrics.input_records, 30, "{at}");
+                assert_eq!(metrics.pairs_shuffled, 30_000, "{at}");
+                assert_eq!((metrics.groups, metrics.output_records), (0, 0), "{at}");
+                assert_eq!(metrics.spill_read_bytes, metrics.spilled_bytes, "{at}");
+                assert_eq!(metrics.spilled_bytes > 0, cap == Some(1 << 10), "{at}");
+            }
+        }
     }
 
     proptest! {

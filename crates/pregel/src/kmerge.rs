@@ -1,10 +1,9 @@
 //! Shared k-way merge over pre-sorted `(key, value)` buffers.
 //!
-//! Both shuffle planes — the superstep runner and the mini-MapReduce reduce
-//! phase — consume one pre-sorted buffer per source worker and need the
-//! merged stream in `(key, source)` order (ties broken by the lower source
-//! worker, which keeps the merge a pure function of the per-sender buffers
-//! and therefore deterministic). The merge drains the buffers in place, so
+//! The superstep runner's sorted plane consumes one pre-sorted buffer per
+//! source worker and needs the merged stream in `(key, source)` order (ties
+//! broken by the lower source worker, which keeps the merge a pure function
+//! of the per-sender buffers and therefore deterministic). The merge drains the buffers in place, so
 //! callers get their `Vec` capacity back for reuse.
 //!
 //! Sources are tracked in a hand-rolled binary min-heap keyed by each

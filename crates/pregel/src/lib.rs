@@ -22,21 +22,19 @@
 //!   superstep breakdown), which is exactly the data reported in Tables II and
 //!   III of the paper.
 //!
-//! The two API extensions described in Section II of the paper are also
-//! provided:
-//!
-//! * [`mapreduce`] — the *mini MapReduce* procedure used to build vertices
-//!   from input that is not one-line-per-vertex (DBG construction and
-//!   bubble filtering use it; the paper's contig merging did too, which here
-//!   groups by label ranks without a shuffle), with [`keycount`] beside it
-//!   for the one pass that only counts keys and keeps the frequent ones,
-//!   scattering records that each stand for a run of keys (the (k+1)-mer
-//!   count DBG construction starts from, fed super-k-mers);
-//! * [`VertexSet::convert_on`] — in-memory job concatenation: the output vertices
-//!   of one job are transformed into the input vertices of the next job and
-//!   re-shuffled by vertex ID without a round-trip through external storage
-//!   (the `ablation_chaining` bench prices that round-trip with the
-//!   [`spill`] file format).
+//! The paper adds two API extensions for the steps that are not
+//! vertex-centric (Section II): a *mini MapReduce* that builds vertices from
+//! input that is not one-line-per-vertex, and `convert`, in-memory job
+//! chaining. Here one keyed pass stands in for the first: [`keycount`]
+//! scatters fixed-width records into hash buckets (the shuffle) and folds
+//! each worker's contiguous range of buckets (the reduce) —
+//! [`fold_buckets_on`], with [`count_keys_on`] the fold that counts keys and
+//! keeps the frequent ones. DBG construction runs both of its phases on it.
+//! Contig merging and bubble filtering group their few keys with a sort of
+//! their own, and the jobs hand their outputs to each other as plain vectors,
+//! so there is no general MapReduce and no `convert` (the `ablation_chaining`
+//! bench prices the storage round-trip the paper's `convert` avoids with the
+//! [`spill`] file format).
 //!
 //! Finally, [`algorithms`] contains generic *Practical Pregel Algorithms*
 //! (list ranking and the simplified Shiloach–Vishkin connected components)
@@ -44,9 +42,8 @@
 //!
 //! # Message-plane architecture
 //!
-//! Both the superstep engine and the mini MapReduce move data through the
-//! same **sort-based, buffer-reusing shuffle** instead of hash-grouping into
-//! per-key containers:
+//! The superstep engine moves data through a **sort-based, buffer-reusing
+//! shuffle** instead of hash-grouping into per-key containers:
 //!
 //! * **sorted delivery** — senders append `(destination, payload)` records to
 //!   one flat buffer per destination worker and sort each buffer before the
@@ -57,9 +54,7 @@
 //!   ([`SortKey`]), ping-ponging through reusable scratch buffers, with a
 //!   stable comparison fallback for keys without a monotone `u64` image.
 //!   [`VertexProgram::compute`] receives
-//!   `&mut [Message]` and the mini-MapReduce reduce UDF receives
-//!   `&mut [Value]` plus an output sink — no owned `Vec` per vertex or key on
-//!   either side.
+//!   `&mut [Message]` — no owned `Vec` per vertex.
 //! * **merge-join delivery into sorted columns** — each partition of a
 //!   [`VertexSet`] stores its vertices as ID-sorted struct-of-arrays
 //!   columns, so the sorted message runs meet the vertex store in a single
@@ -81,22 +76,20 @@
 //! * **buffer reuse** — outboxes, the merged id/message arrays and the
 //!   combine scratch live in per-worker planes allocated once per job; a
 //!   steady-state superstep performs no per-vertex or per-superstep container
-//!   allocation. Map UDFs likewise emit through
-//!   [`mapreduce::Emitter`] straight into the shuffle buffers.
+//!   allocation.
 //!
 //! # Execution engine
 //!
 //! All of the parallel entry points — the superstep runner's compute and
-//! shuffle phases, the mini MapReduce's map and reduce phases, the key
-//! counter's scatter and count phases, and
-//! [`VertexSet::convert_on`] — execute on the persistent worker pool of
+//! shuffle phases and the keyed pass's scatter and fold phases — execute on
+//! the persistent worker pool of
 //! [`engine`] (per-superstep aggregate folding is a cheap O(workers) pass
 //! that stays on the dispatching thread): threads are spawned once per
 //! [`ExecCtx`] and phases are handed
 //! to the parked workers, instead of creating a fresh `std::thread::scope`
 //! team per superstep/phase. Every entry point — [`run_on`], [`try_run_on`],
-//! [`run_dense_on`], [`map_reduce_on`], [`map_reduce_spillable_on`],
-//! [`count_keys_on`] — takes the `ExecCtx` as its first argument, and it is
+//! [`run_dense_on`], [`fold_buckets_on`], [`count_keys_on`] — takes the
+//! `ExecCtx` as its first argument, and it is
 //! the only place a worker count lives (one level up, `AssemblyConfig::exec`
 //! in `ppa_assembler` carries it), so a whole multi-job workflow runs on one
 //! worker team. The `ExecCtx` also owns the runner's shuffle planes between
@@ -115,7 +108,6 @@ pub mod fault;
 pub mod fxhash;
 pub mod keycount;
 mod kmerge;
-pub mod mapreduce;
 pub mod metrics;
 pub mod radix;
 pub mod runner;
@@ -129,9 +121,8 @@ pub use control::{CancelReason, JobControl};
 pub use dense::{run_dense_on, DenseSet};
 pub use engine::{EngineError, ExecCtx, WorkerPool};
 pub use fault::{ArmedFaults, Fault, FaultPlan};
-pub use keycount::{count_keys_on, KeySink, Record, Records};
-pub use mapreduce::{map_reduce_on, map_reduce_spillable_on, MapReduceMetrics};
-pub use metrics::{Metrics, SuperstepMetrics};
+pub use keycount::{count_keys_on, fold_buckets_on, KeySink, Record, Records};
+pub use metrics::{MapReduceMetrics, Metrics, SuperstepMetrics};
 pub use radix::SortKey;
 pub use runner::{run_on, try_run_on};
 pub use spill::{SpillCodec, SpillCodecs, SpillError, SpillPolicy};

@@ -177,6 +177,38 @@ impl std::fmt::Display for Metrics {
     }
 }
 
+/// Metrics of one keyed pass ([`fold_buckets_on`](crate::keycount::fold_buckets_on)
+/// and the passes built on it), in the shape of the paper's mini MapReduce:
+/// input records are mapped to keyed pairs, the pairs are shuffled, and each
+/// key's group is reduced to outputs. Each caller documents what its records,
+/// pairs and groups are.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MapReduceMetrics {
+    /// Number of input records fed to the pass.
+    pub input_records: u64,
+    /// Number of keyed pairs the pass shuffled. For a
+    /// [`fold_buckets_on`](crate::keycount::fold_buckets_on) pass: the keys
+    /// the scattered records stand for — one per (k+1)-mer window in DBG
+    /// construction's count, though a 16-byte record carries about ten of
+    /// them.
+    pub pairs_shuffled: u64,
+    /// Number of distinct keys (groups) reduced.
+    pub groups: u64,
+    /// Number of output records produced.
+    pub output_records: u64,
+    /// Wall-clock time of the whole pass.
+    pub elapsed: Duration,
+    /// Bytes written to disk: for a
+    /// [`fold_buckets_on`](crate::keycount::fold_buckets_on) pass, the bytes
+    /// of the record segments its scatter workers flushed under a
+    /// [`SpillPolicy`](crate::SpillPolicy) cap. 0 when nothing spilled.
+    pub spilled_bytes: u64,
+    /// Bytes read back from spill files.
+    pub spill_read_bytes: u64,
+    /// Times a scatter worker flushed its buckets' records as segments.
+    pub spilled_runs: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,11 @@
 //! Stable LSD radix sort for the message plane's fixed-width keys.
 //!
 //! Every sort in this workspace is by a packed integer key (vertex IDs,
-//! shuffle keys, canonical k-mers are all `u64`). The presorts — the runner's
-//! per-destination outbox presort, the mini-MapReduce shuffle presort and
-//! `VertexSet::convert_on`'s presort — sort `(key, payload)` records with
+//! shuffle keys, canonical k-mers are all `u64`). The runner's
+//! per-destination outbox presort sorts `(key, payload)` records with
 //! [`sort_pairs`], and so does the bucketed key counter
 //! ([`crate::keycount`], construct phase (i)'s (k+1)-mer counting) for the
-//! `(key, count)`s each prefix bucket keeps. [`sort_pairs`] is a **stable
+//! `(key, count)`s its fold workers keep. [`sort_pairs`] is a **stable
 //! least-significant-digit radix sort**:
 //!
 //! * an **adaptive digit schedule**: a cheap envelope pass folds the bitwise
@@ -30,10 +29,7 @@
 //!   per-worker `WorkerPlane`, which the engine parks in the
 //!   [`ExecCtx`](crate::engine::ExecCtx) typed scratch cache between jobs,
 //!   making steady-state sorting allocation-free across supersteps *and*
-//!   jobs. (The mini-MapReduce and `convert` shuffles reuse one scratch
-//!   across all of a worker's destination buffers within a pass; their
-//!   records may borrow non-`'static` data, which the `ExecCtx` cache —
-//!   keyed by `TypeId` — cannot hold.)
+//!   jobs.
 //!
 //! # When radix wins
 //!
@@ -205,9 +201,8 @@ impl<A: Ord, B: Ord, C: Ord> SortKey for (A, B, C) {}
 ///
 /// Radix keys take the LSD path using `scratch` as the ping-pong buffer;
 /// other keys use a stable comparison sort. Either way the sort is **stable**
-/// — records with equal keys keep their input order, which the fold-by-run
-/// duplicate merging of `VertexSet::convert_on` and the per-sender delivery
-/// order of the runner rely on. On return `scratch` is empty (capacity
+/// — records with equal keys keep their input order, which the per-sender
+/// delivery order of the runner relies on. On return `scratch` is empty (capacity
 /// kept); reuse it across calls to keep steady-state sorting allocation-free.
 pub fn sort_pairs<K: SortKey, V>(records: &mut Vec<(K, V)>, scratch: &mut Vec<(K, V)>) {
     if !K::RADIX {

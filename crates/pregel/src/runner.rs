@@ -518,7 +518,7 @@ fn compute_sealed<P: VertexProgram>(
 /// between jobs.
 ///
 /// The vertex set keeps the final vertex values; a typical operation runs a
-/// job and then inspects or [`convert_on`](VertexSet::convert_on)s the set.
+/// job and then reads the set back.
 ///
 /// # Panics
 ///

@@ -3,8 +3,8 @@
 //! Three independent mechanisms share this module's framing, codecs, and
 //! typed errors:
 //!
-//! * **Shuffle-run spilling** — when a superstep's (or the mini-MapReduce
-//!   map phase's) per-destination outbox grows past its share of the
+//! * **Shuffle-run spilling** — when a superstep's per-destination outbox
+//!   grows past its share of the
 //!   [`SpillPolicy`] byte cap, each destination buffer is radix-presorted
 //!   (and pre-combined when the program declares a combiner) and written out
 //!   as one sorted on-disk run (`write_run`). Delivery then merges disk
@@ -19,11 +19,11 @@
 //!   roughly `workers × extent bytes`), writing each window back after use;
 //!   compaction rewrites the generation file once superseded extent images
 //!   outweigh the live ones.
-//! * **Key-segment spilling** — when a scatter worker of the bucketed key
-//!   counter ([`crate::keycount`]) outgrows its share of the cap, it appends
-//!   the records of every non-empty bucket, unsorted, as one
-//!   bucket-addressed segment to its `KeySegmentWriter` file; the count
-//!   phase reads each bucket's segments back, once, by offset
+//! * **Key-segment spilling** — when a scatter worker of the keyed pass
+//!   ([`crate::keycount`]) outgrows its share of the cap, it appends the
+//!   records of every non-empty bucket, unsorted, as one bucket-addressed
+//!   segment to its `KeySegmentWriter` file; the fold phase reads each
+//!   bucket's segments back, once, by offset
 //!   (`KeySegmentReader`), and checks every record's key count on the way.
 //!
 //! All file formats share one framing: an 8-byte magic (`PPASPIL1`), a
@@ -291,7 +291,7 @@ impl<T> Clone for Codec<T> {
 impl<T> Copy for Codec<T> {}
 
 /// The [`Codec`] vtable of a [`SpillCodec`] type.
-pub fn codec_of<T: SpillCodec>() -> Codec<T> {
+fn codec_of<T: SpillCodec>() -> Codec<T> {
     Codec {
         encode: <T as SpillCodec>::encode,
         decode: <T as SpillCodec>::decode,

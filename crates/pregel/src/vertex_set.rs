@@ -35,13 +35,6 @@
 //! read-only — a point read is a binary search over the ID column — and
 //! during a job the runner rewrites only values, halt bits and stamps in
 //! place; the crate-internal `activate_all` zeroes the last two at job start.
-//!
-//! The [`convert_on`](VertexSet::convert_on) method implements the paper's first
-//! API extension (Section II, "Our Extensions to Pregel API"): the output
-//! vertices of one job are transformed in place into the input vertices of
-//! the next job and re-shuffled by the new vertex IDs, without a round-trip
-//! through HDFS. Its sort-merge shuffle streams in ID order, so the merged
-//! output *is* the new sorted column — no rebuild step.
 
 use crate::engine::ExecCtx;
 use crate::fxhash::hash_one;
@@ -157,7 +150,7 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
     }
 
     /// Appends a vertex with an ID greater than every stored one — the bulk
-    /// build path (`from_unsorted`, `convert`'s merge output).
+    /// build path (`from_unsorted`, `from_sorted_parts_on`).
     fn push_sorted(&mut self, id: I, value: V) {
         debug_assert!(
             self.ids.last().is_none_or(|last| *last < id),
@@ -518,96 +511,6 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
         let slot = p.ids.binary_search(id).ok()?;
         Some(get_bit(&p.halted, slot))
     }
-
-    /// In-memory job concatenation (the paper's `convert(v)` UDF).
-    ///
-    /// Every vertex of the finished job is transformed by `f` into zero or
-    /// more `(id, value)` pairs for the next job; the generated pairs are then
-    /// shuffled to their new owner workers. The transformation runs in
-    /// parallel, one pool worker per partition, mirroring how "each machine
-    /// generates a set of objects of type V<sub>j'</sub> by calling
-    /// convert(.) on its assigned vertices".
-    ///
-    /// If several pairs share an ID, `merge` folds the later value into the
-    /// earlier one (needed e.g. when two half-built adjacency lists of the
-    /// same k-mer must be unioned). Merge order is deterministic: pairs of
-    /// one source worker fold in emission order, sources fold in worker
-    /// order.
-    ///
-    /// The shuffle runs on `ctx`'s workers (which must match the set's
-    /// worker count). Like the runner's and the mini MapReduce's shuffles,
-    /// grouping is **sort-based**: every source worker presorts its per-destination
-    /// buffers by the new vertex ID (stable, so same-ID pairs keep their
-    /// emission order) and each destination k-way-merges the pre-sorted
-    /// buffers, folding duplicate-ID runs with `merge` as they stream past.
-    /// The merged stream arrives in ascending ID order, so it is appended
-    /// **directly onto the new sorted columns** — the destination partition
-    /// is built without any regrouping step.
-    // ppa_lint: allow(test-only-pub) the paper's in-memory job-chaining extension (Section II), library surface
-    pub fn convert_on<I2, V2, F, M>(self, ctx: &ExecCtx, f: F, merge: M) -> VertexSet<I2, V2>
-    where
-        I2: VertexKey + SortKey,
-        V2: Send,
-        F: Fn(I, V) -> Vec<(I2, V2)> + Sync,
-        M: Fn(&mut V2, V2) + Sync,
-        V: Send,
-        I: Send,
-    {
-        let workers = self.workers();
-        ctx.assert_matches(workers, "VertexSet partitioning");
-        // Phase 1: per-worker transformation into per-destination buffers,
-        // each presorted by destination ID with the stable LSD radix sort of
-        // `crate::radix` (stability keeps same-ID emission order, so the
-        // merge fold order matches the sequential semantics). One scratch
-        // serves all of a worker's destination buffers.
-        let shuffled: Vec<Vec<Vec<(I2, V2)>>> =
-            ctx.pool().run_per_worker(self.parts, |_w, part| {
-                let mut out: Vec<Vec<(I2, V2)>> = (0..workers).map(|_| Vec::new()).collect();
-                for (id, value) in part.into_entries() {
-                    for (nid, nval) in f(id, value) {
-                        let dst = (hash_one(&nid) % workers as u64) as usize;
-                        out[dst].push((nid, nval));
-                    }
-                }
-                let mut scratch: Vec<(I2, V2)> = Vec::new();
-                for buf in out.iter_mut() {
-                    crate::radix::sort_pairs(buf, &mut scratch);
-                }
-                out
-            });
-        // Phase 2: transpose, then k-way-merge per destination worker
-        // straight into the new columns.
-        let mut incoming: Vec<Vec<Vec<(I2, V2)>>> = (0..workers).map(|_| Vec::new()).collect();
-        for src in shuffled {
-            for (dst, buf) in src.into_iter().enumerate() {
-                incoming[dst].push(buf);
-            }
-        }
-        // Cooperative control poll at the convert shuffle barrier.
-        ctx.poll_barrier();
-        let parts: Vec<Partition<I2, V2>> = ctx.pool().run_per_worker(incoming, |_w, mut bufs| {
-            // Duplicate IDs arrive as one contiguous run of the merged
-            // stream (ties prefer the lower source worker), so folding
-            // needs only the previous record, and each distinct ID is
-            // appended to the sorted columns exactly once.
-            let mut part: Partition<I2, V2> = Partition::with_capacity(0);
-            let mut open: Option<(I2, V2)> = None;
-            crate::kmerge::merge_sorted_buffers(&mut bufs, |id, val| match &mut open {
-                Some((last, acc)) if *last == id => merge(acc, val),
-                _ => {
-                    if let Some((last, acc)) = open.take() {
-                        part.push_sorted(last, acc);
-                    }
-                    open = Some((id, val));
-                }
-            });
-            if let Some((last, acc)) = open {
-                part.push_sorted(last, acc);
-            }
-            part
-        });
-        VertexSet { parts }
-    }
 }
 
 impl<I: VertexKey + SortKey, V: Send> Default for VertexSet<I, V> {
@@ -688,66 +591,9 @@ mod tests {
     }
 
     #[test]
-    fn convert_reshuffles_and_merges() {
-        // Each input vertex i emits two pairs keyed by i/2 with value 1; the
-        // merge adds them up, so each output vertex has value 4 (two inputs ×
-        // two emissions).
-        let s: VertexSet<u64, u64> = VertexSet::from_pairs(4, (0..100).map(|i| (i, 0)));
-        let out: VertexSet<u64, u64> = s.convert_on(
-            &ExecCtx::new(4),
-            |id, _v| vec![(id / 2, 1), (id / 2, 1)],
-            |acc, v| *acc += v,
-        );
-        assert_eq!(out.len(), 50);
-        for (_, v) in out.iter() {
-            assert_eq!(*v, 4);
-        }
-    }
-
-    #[test]
-    fn convert_can_change_types_and_drop() {
-        let s: VertexSet<u64, u64> = VertexSet::from_pairs(2, (0..10).map(|i| (i, i)));
-        // Keep only even vertices, as strings keyed by (i, 0) tuples.
-        let out: VertexSet<(u64, u8), String> = s.convert_on(
-            &ExecCtx::new(2),
-            |id, v| {
-                if id % 2 == 0 {
-                    vec![((id, 0u8), format!("v{v}"))]
-                } else {
-                    vec![]
-                }
-            },
-            |_, _| panic!("no duplicates expected"),
-        );
-        assert_eq!(out.len(), 5);
-        assert_eq!(out.get(&(4, 0)).unwrap(), "v4");
-    }
-
-    #[test]
     fn zero_workers_clamped_to_one() {
         let s: VertexSet<u64, ()> = VertexSet::new(0);
         assert_eq!(s.workers(), 1);
-    }
-
-    #[test]
-    fn convert_on_shared_ctx_works_across_conversions() {
-        let ctx = ExecCtx::new(3);
-        let s: VertexSet<u64, u64> = VertexSet::from_pairs(3, (0..90).map(|i| (i, 1)));
-        let once: VertexSet<u64, u64> =
-            s.convert_on(&ctx, |id, v| vec![(id / 3, v)], |acc, v| *acc += v);
-        assert_eq!(once.len(), 30);
-        let twice: VertexSet<u64, u64> =
-            once.convert_on(&ctx, |id, v| vec![(id / 3, v)], |acc, v| *acc += v);
-        assert_eq!(twice.len(), 10);
-        assert!(twice.iter().all(|(_, v)| *v == 9));
-    }
-
-    #[test]
-    #[should_panic(expected = "must match")]
-    fn convert_on_rejects_mismatched_ctx() {
-        let ctx = ExecCtx::new(2);
-        let s: VertexSet<u64, u64> = VertexSet::from_pairs(3, (0..9).map(|i| (i, 1)));
-        let _: VertexSet<u64, u64> = s.convert_on(&ctx, |id, v| vec![(id, v)], |acc, v| *acc += v);
     }
 
     #[test]
@@ -841,112 +687,6 @@ mod tests {
                 .find(|(_, &w)| w != u64::MAX)
                 .map(|(i, _)| i);
             prop_assert_eq!(next_word_with_zero(&words, from), oracle);
-        }
-    }
-
-    // ---- property tests: sort-merge convert vs. hash-grouping oracle --------
-
-    /// The pre-migration hash-grouping semantics: fold every emitted pair, in
-    /// (source worker, emission order), into a map via entry lookup.
-    fn hash_grouping_oracle<F>(set: &VertexSet<u64, u64>, f: F) -> Vec<(u64, Vec<u64>)>
-    where
-        F: Fn(u64, u64) -> Vec<(u64, u64)>,
-    {
-        let mut grouped: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
-        for (id, value) in set.iter() {
-            for (nid, nval) in f(id, *value) {
-                grouped.entry(nid).or_default().push(nval);
-            }
-        }
-        let mut out: Vec<(u64, Vec<u64>)> = grouped.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn prop_convert_matches_hash_grouping(
-            pairs in proptest::collection::vec((0u64..200, 1u64..1_000), 0..150),
-            workers in 1usize..6,
-            fan in 1u64..4,
-        ) {
-            let set: VertexSet<u64, u64> = VertexSet::from_pairs(workers, pairs.clone());
-            // Fan each vertex out to `fan` destination IDs to force ID
-            // collisions across (and within) source workers.
-            let f = move |id: u64, v: u64| -> Vec<(u64, u64)> {
-                (0..fan).map(|i| (id % (17 + i), v + i)).collect()
-            };
-            let expected = hash_grouping_oracle(&set, f);
-            // Fold with an order-sensitive merge: append to a per-ID list.
-            let got: VertexSet<u64, Vec<u64>> = set.convert_on(
-                &ExecCtx::new(workers),
-                move |id, v| f(id, v).into_iter().map(|(nid, nval)| (nid, vec![nval])).collect(),
-                |acc, mut v| acc.append(&mut v),
-            );
-            let mut got: Vec<(u64, Vec<u64>)> = got.into_pairs();
-            got.sort_unstable();
-            prop_assert_eq!(got.len(), expected.len());
-            for ((gid, gvals), (eid, evals)) in got.into_iter().zip(expected) {
-                prop_assert_eq!(gid, eid);
-                // The multiset of folded values must agree; the fold order of
-                // the sort-merge path is additionally checked for determinism
-                // below.
-                let mut gvals = gvals;
-                let mut evals = evals;
-                gvals.sort_unstable();
-                evals.sort_unstable();
-                prop_assert_eq!(gvals, evals);
-            }
-        }
-
-        #[test]
-        fn prop_convert_is_deterministic_with_order_sensitive_merge(
-            pairs in proptest::collection::vec((0u64..100, 1u64..1_000), 0..120),
-            workers in 1usize..5,
-        ) {
-            // `merge` keeps the concatenation order, so equality between two
-            // runs proves the whole shuffle (presort + k-way merge + fold) is
-            // a pure function of the input.
-            let build = || -> Vec<(u64, Vec<u64>)> {
-                let set: VertexSet<u64, u64> = VertexSet::from_pairs(workers, pairs.clone());
-                let out: VertexSet<u64, Vec<u64>> = set.convert_on(
-                &ExecCtx::new(workers),
-                    |id, v| vec![(id % 13, vec![v]), (id % 7, vec![v + 1])],
-                    |acc, mut v| acc.append(&mut v),
-                );
-                let mut out = out.into_pairs();
-                out.sort_unstable();
-                out
-            };
-            let first = build();
-            for _ in 0..2 {
-                prop_assert_eq!(build(), first.clone());
-            }
-        }
-
-        #[test]
-        fn prop_convert_is_identical_across_worker_counts(
-            pairs in proptest::collection::vec((0u64..100, 1u64..1_000), 0..120),
-        ) {
-            // With a commutative-associative merge, the radix-backed shuffle
-            // must yield byte-identical contents for any worker count (the
-            // partitioning changes which buffers exist, not what folds).
-            let mut reference: Option<Vec<(u64, u64)>> = None;
-            for workers in [1usize, 2, 5] {
-                let set: VertexSet<u64, u64> = VertexSet::from_pairs(workers, pairs.clone());
-                let out: VertexSet<u64, u64> = set.convert_on(
-                &ExecCtx::new(workers),
-                    |id, v| vec![(id % 11, v), (id % 5, v + 1)],
-                    |acc, v| *acc += v,
-                );
-                let mut out = out.into_pairs();
-                out.sort_unstable();
-                match &reference {
-                    Some(r) => prop_assert_eq!(r, &out),
-                    None => reference = Some(out),
-                }
-            }
         }
     }
 

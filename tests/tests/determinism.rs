@@ -1,11 +1,19 @@
 //! Shuffle-semantics regression tests for the sort-based message plane.
 //!
-//! The runner and mini-MapReduce deliver messages from flat sorted buffers;
-//! these tests pin down the user-visible contract: for a fixed configuration
-//! the full pipeline is byte-for-byte deterministic, and the assembled
-//! *content* does not depend on the worker count (only IDs/orientations may).
+//! The runner delivers messages from flat sorted buffers and the keyed
+//! passes fold flat buckets; these tests pin down the user-visible contract:
+//! for a fixed configuration the full pipeline is byte-for-byte
+//! deterministic, and the assembled *content* does not depend on the worker
+//! count (only IDs/orientations may).
 
-use ppa_assembler::{assemble, AssemblyConfig, LabelingAlgorithm};
+use ppa_assembler::ops::bubble::BubbleConfig;
+use ppa_assembler::ops::construct::ConstructConfig;
+use ppa_assembler::ops::merge::MergeConfig;
+use ppa_assembler::ops::tip::TipConfig;
+use ppa_assembler::pipeline::{Construct, FilterBubbles, FilterLength, Label, Merge, RemoveTips};
+use ppa_assembler::{assemble, Assembly, AssemblyConfig, GraphState, KmerVertex};
+use ppa_assembler::{LabelingAlgorithm, NodeSet, Pipeline};
+use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
 use ppa_tests::{canonical_multiset, fingerprint};
@@ -81,26 +89,94 @@ fn pipeline_content_is_worker_count_independent() {
     }
 }
 
+/// The FASTA bytes of `config`'s paper workflow over `reads`, with
+/// construct's vertex set put through `permute` before labeling.
+fn fasta_with_permuted_vertices(
+    reads: &ReadSet,
+    config: &AssemblyConfig,
+    permute: fn(&mut Vec<KmerVertex>),
+) -> Vec<u8> {
+    let ctx = ExecCtx::new(config.workers);
+    let mut state = GraphState::new(reads);
+    Pipeline::new()
+        .then(Construct::new(ConstructConfig {
+            k: config.k,
+            min_coverage: config.min_kmer_coverage,
+            batch_size: 1024,
+        }))
+        .run(&mut state, &ctx);
+    let NodeSet::Packed(vertices) = &mut state.nodes else {
+        panic!("construct leaves packed vertices");
+    };
+    permute(vertices);
+    let merge = MergeConfig {
+        k: config.k,
+        tip_length_threshold: config.tip_length_threshold,
+    };
+    Pipeline::new()
+        .then(Label::new(config.labeling))
+        .then(Merge::new(merge.clone()))
+        .repeat(
+            config.error_correction_rounds,
+            vec![
+                Box::new(FilterBubbles::new(BubbleConfig {
+                    max_edit_distance: config.bubble_edit_distance,
+                })),
+                Box::new(RemoveTips::new(TipConfig {
+                    k: config.k,
+                    tip_length_threshold: config.tip_length_threshold,
+                })),
+                Box::new(Label::new(config.labeling)),
+                Box::new(Merge::new(merge)),
+            ],
+        )
+        .then(FilterLength::new(config.min_contig_length))
+        .run(&mut state, &ctx);
+    let assembly = Assembly {
+        contigs: state.output,
+        stats: Default::default(),
+    };
+    let mut fasta = Vec::new();
+    assembly
+        .to_fasta()
+        .write_fasta(&mut fasta)
+        .expect("write to memory");
+    fasta
+}
+
 #[test]
-fn reduce_groups_arrive_ascending_by_key_within_each_worker() {
-    // The ordering contract contig-ordinal minting relies on: the sort-merge
-    // grouping hands every reduce worker its groups in strictly ascending key
-    // order, regardless of how many map sources fed the shuffle. (The merge
-    // path with several pre-sorted source buffers is exactly what a multi-map,
-    // multi-reduce pass exercises.)
-    let inputs: Vec<u64> = (0..10_000).rev().collect();
-    let (per_worker, _) = ppa_pregel::mapreduce::map_reduce_on(
-        &ppa_pregel::ExecCtx::new(5),
-        inputs,
-        |x: u64, out: &mut ppa_pregel::mapreduce::Emitter<'_, u64, u64>| out.emit(x % 701, x),
-        |_w: usize, k: &u64, _vs: &mut [u64], out: &mut Vec<u64>| out.push(*k),
-    );
-    assert_eq!(per_worker.len(), 5);
-    for keys in &per_worker {
-        assert!(!keys.is_empty(), "every worker should own some keys");
-        assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "group keys not strictly ascending within a worker: {keys:?}"
-        );
+fn contigs_do_not_depend_on_the_order_of_constructs_vertices() {
+    // Construct leaves its vertices sorted by k-mer. Labeling and merging
+    // must not rely on that: a reversed or rotated vertex set assembles to
+    // the same FASTA bytes, contig IDs included.
+    let reads = simulated_reads(97);
+    let permutations: [fn(&mut Vec<KmerVertex>); 3] = [
+        |_| {},
+        |vertices| vertices.reverse(),
+        |vertices| {
+            let third = vertices.len() / 3;
+            vertices.rotate_left(third);
+        },
+    ];
+    for labeling in [
+        LabelingAlgorithm::ListRanking,
+        LabelingAlgorithm::SimplifiedSV,
+    ] {
+        for workers in 1..=4 {
+            let config = config(workers, labeling);
+            let mut direct = Vec::new();
+            assemble(&reads, &config)
+                .to_fasta()
+                .write_fasta(&mut direct)
+                .expect("write to memory");
+            assert!(direct.len() > 1_000, "{} FASTA bytes", direct.len());
+            for (i, permute) in permutations.iter().enumerate() {
+                let fasta = fasta_with_permuted_vertices(&reads, &config, *permute);
+                assert!(
+                    fasta == direct,
+                    "permutation {i} changed the contigs ({labeling:?}, {workers} workers)"
+                );
+            }
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! from its survivors — against the naive oracle (`ppa_tests::oracle`): a
 //! std `HashMap` count over upper-cased, naively canonicalised windows, and
 //! each kept (k+1)-mer joining its two k-mers. Checked for content on
-//! generated and simulated reads, for the partition order phase (ii) and
-//! the labelings rely on, and against itself under a spill cap.
+//! generated and simulated reads, for the key order both phases leave their
+//! output in, and against itself under a spill cap.
 
 use ppa_assembler::ops::construct::{build_dbg_on, count_kplus1_mers_on, ConstructConfig};
 use ppa_pregel::{ExecCtx, SpillPolicy};
@@ -11,7 +11,7 @@ use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::kmer::SuperKmerScanner;
 use ppa_seq::ReadSet;
 use ppa_tests::oracle::{self, Node};
-use ppa_tests::{adversarial_reads, in_job_order, our_spill_dirs, reverse_complement};
+use ppa_tests::{adversarial_reads, our_spill_dirs, reverse_complement};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 
@@ -36,9 +36,7 @@ proptest! {
         let (counted, metrics) = count_kplus1_mers_on(&ExecCtx::new(workers), &reads, &config);
 
         let expected = oracle::construct(reads.records.iter().map(|r| r.seq), k, theta);
-        let mut got = counted;
-        got.sort_unstable();
-        prop_assert_eq!(got, expected.kept(theta));
+        prop_assert_eq!(counted, expected.kept(theta), "in key order");
         prop_assert_eq!(metrics.groups, expected.counts.len() as u64);
         prop_assert_eq!(metrics.pairs_shuffled, expected.counts.values().sum::<u64>());
         prop_assert_eq!(metrics.input_records, reads.len().div_ceil(batch_size) as u64);
@@ -140,7 +138,7 @@ fn simulated_reads(genome: usize, coverage: f64, n_rate: f64, seed: u64) -> Read
 }
 
 #[test]
-fn counted_and_vertices_match_the_oracle_in_partition_order() {
+fn counted_and_vertices_match_the_oracle_in_key_order() {
     let reads = simulated_reads(5_000, 30.0, 0.002, 77);
     for (k, theta, batch_size) in [(31, 1, 256), (21, 2, 1024), (4, 0, 64)] {
         let config = ConstructConfig {
@@ -155,20 +153,17 @@ fn counted_and_vertices_match_the_oracle_in_partition_order() {
             let at = format!("k={k} workers={workers}");
             let ctx = ExecCtx::new(workers);
             let (counted, phase1) = count_kplus1_mers_on(&ctx, &reads, &config);
-            assert_eq!(counted.len(), kept.len(), "{at}");
-            assert_eq!(counted.iter().copied().collect::<BTreeMap<_, _>>(), kept);
-            let keys: Vec<u64> = counted.iter().map(|&(key, _)| key).collect();
-            assert_eq!(keys, in_job_order(kept.keys().copied(), workers), "{at}");
+            let kept_in_order: Vec<(u64, u32)> = kept.iter().map(|(&key, &n)| (key, n)).collect();
+            assert_eq!(counted, kept_in_order, "{at}");
             assert_eq!(phase1.groups, want.counts.len() as u64);
             assert_eq!(phase1.output_records, kept.len() as u64);
 
             let dbg = build_dbg_on(&ctx, &reads, &config);
             let ids: Vec<u64> = dbg.vertices.iter().map(|v| v.id()).collect();
-            let want_ids = want.nodes.iter().map(|n| n.id);
-            assert_eq!(ids, in_job_order(want_ids, workers), "vertex order: {at}");
-            for vertex in &dbg.vertices {
+            let want_ids: Vec<u64> = want.nodes.iter().map(|n| n.id).collect();
+            assert_eq!(ids, want_ids, "vertex order: {at}");
+            for (vertex, node) in dbg.vertices.iter().zip(&want.nodes) {
                 let got = Node::from_asm(&vertex.to_asm_node());
-                let node = &want.nodes[want.nodes.partition_point(|n| n.id < got.id)];
                 assert_eq!(got.link_multiset(), node.link_multiset(), "{at}");
                 assert_eq!(got.coverage, node.coverage, "{at}");
             }
@@ -215,6 +210,18 @@ fn a_capped_construction_equals_the_resident_one_and_cleans_up() {
     let resident = build_dbg_on(&ctx, &reads, &config);
     assert_eq!(resident.stats.phase1.spilled_bytes, 0);
     assert_eq!(resident.stats.phase1.spilled_runs, 0);
+    let resident_p2 = &resident.stats.phase2;
+    assert_eq!(resident_p2.input_records, resident.stats.kept_kplus1_mers);
+    assert_eq!(
+        resident_p2.pairs_shuffled,
+        2 * resident.stats.kept_kplus1_mers
+    );
+    assert_eq!(resident_p2.groups, resident.stats.vertices);
+    assert_eq!(resident_p2.output_records, resident.stats.vertices);
+    assert_eq!(
+        (resident_p2.spilled_bytes, resident_p2.spilled_runs),
+        (0, 0)
+    );
     let windows: u64 = reads.records.iter().map(|r| r.seq.len() as u64 - 21).sum();
     assert_eq!(resident_phase1.pairs_shuffled, windows, "one per window");
     let records = record_bytes(&reads, config.k);
@@ -254,6 +261,33 @@ fn a_capped_construction_equals_the_resident_one_and_cleans_up() {
             p1.spilled_bytes
         );
         flushes.push(p1.spilled_runs);
+        // Phase (ii) spills its edge records the same way, two per kept
+        // (k+1)-mer, and keeps the resident pass's counts.
+        let (p2, resident_p2) = (&capped.stats.phase2, &resident.stats.phase2);
+        assert!(p2.spilled_bytes > 0, "cap={cap}: phase (ii) must spill");
+        assert!(p2.spilled_runs > 0, "cap={cap}");
+        assert_eq!(p2.spill_read_bytes, p2.spilled_bytes, "cap={cap}");
+        assert_eq!(
+            (
+                p2.input_records,
+                p2.pairs_shuffled,
+                p2.groups,
+                p2.output_records
+            ),
+            (
+                resident_p2.input_records,
+                resident_p2.pairs_shuffled,
+                resident_p2.groups,
+                resident_p2.output_records
+            ),
+            "cap={cap}"
+        );
+        assert!(
+            p2.spilled_bytes <= 16 * p2.pairs_shuffled + 8 * p2.pairs_shuffled / 2,
+            "cap={cap}: {} bytes written for {} edge records",
+            p2.spilled_bytes,
+            p2.pairs_shuffled
+        );
         assert!(
             our_spill_dirs().is_empty(),
             "cap={cap}: leftovers {:?}",
