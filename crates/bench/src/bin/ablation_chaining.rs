@@ -107,8 +107,8 @@ fn main() {
             .iter()
             .map(|v| SpillVertex {
                 id: v.id(),
-                bitmap: v.adj.bitmap(),
-                coverages: v.adj.iter().map(|(_, c)| c).collect(),
+                bitmap: v.bitmap(),
+                coverages: v.coverages().to_vec(),
             })
             .collect();
         let records = spill_items.len();

@@ -1,4 +1,4 @@
-//! Compact adjacency representations for k-mer vertices (Figure 8).
+//! Compact adjacency of k-mer vertices (Figure 8).
 //!
 //! Right after DBG construction the graph consists solely of k-mer vertices,
 //! and the overlapping k-mers make this the most memory-hungry stage of the
@@ -9,6 +9,13 @@
 //! counter per set bit. The neighbour's ID is not stored at all: it can be
 //! recomputed from the owning k-mer and the bit's meaning
 //! ([`EdgeSlot::neighbor_of`]).
+//!
+//! The graph keeps Figure 8(a) as columns
+//! ([`KmerGraph`](crate::node::KmerGraph)): a bitmap column beside the k-mer
+//! column, and every vertex's counters, in bit order, in one flat coverage
+//! column, so no vertex owns an allocation. This module holds what a bit
+//! means ([`EdgeSlot`]) and which slots an observed (k+1)-mer occupies
+//! ([`edge_contributions`]).
 //!
 //! The per-neighbour **8-bit item** of Figure 8(b) ([`CompactNeighbor`]) is the
 //! uncompressed equivalent used once vertices start tracking heterogeneous
@@ -136,118 +143,6 @@ impl CompactNeighbor {
     }
 }
 
-/// The packed 32-bit adjacency of a k-mer vertex (Figure 8a): a bitmap of the
-/// occupied [`EdgeSlot`]s plus one coverage counter per occupied slot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PackedAdj {
-    bitmap: u32,
-    /// Coverage counters, ordered by ascending bit index of the occupied slots.
-    coverages: Vec<u32>,
-}
-
-impl PackedAdj {
-    /// Creates an empty adjacency.
-    pub fn new() -> PackedAdj {
-        PackedAdj::default()
-    }
-
-    /// Number of occupied slots (the vertex degree, counting parallel edges of
-    /// different polarity separately, as the DBG does).
-    #[inline]
-    pub fn degree(&self) -> usize {
-        self.bitmap.count_ones() as usize
-    }
-
-    /// Whether no slot is occupied.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bitmap == 0
-    }
-
-    /// The raw bitmap.
-    #[inline]
-    pub fn bitmap(&self) -> u32 {
-        self.bitmap
-    }
-
-    /// Reassembles an adjacency from its bitmap and its coverage counters,
-    /// one per set bit, in ascending bit order.
-    pub(crate) fn from_parts(bitmap: u32, coverages: Vec<u32>) -> PackedAdj {
-        debug_assert_eq!(coverages.len(), bitmap.count_ones() as usize);
-        PackedAdj { bitmap, coverages }
-    }
-
-    /// Position of `bit` within the coverage vector.
-    #[inline]
-    fn slot_position(&self, bit: u32) -> usize {
-        (self.bitmap & ((1u32 << bit) - 1)).count_ones() as usize
-    }
-
-    /// Adds `coverage` to the given slot, creating it if absent.
-    pub fn add(&mut self, slot: EdgeSlot, coverage: u32) {
-        let bit = slot.bit();
-        let pos = self.slot_position(bit);
-        if self.bitmap & (1 << bit) != 0 {
-            self.coverages[pos] = self.coverages[pos].saturating_add(coverage);
-        } else {
-            self.bitmap |= 1 << bit;
-            self.coverages.insert(pos, coverage);
-        }
-    }
-
-    /// The coverage of a slot, or `None` if the slot is unoccupied.
-    pub fn coverage(&self, slot: EdgeSlot) -> Option<u32> {
-        let bit = slot.bit();
-        if self.bitmap & (1 << bit) == 0 {
-            None
-        } else {
-            Some(self.coverages[self.slot_position(bit)])
-        }
-    }
-
-    /// Removes a slot, returning its coverage if it was present.
-    pub fn remove(&mut self, slot: EdgeSlot) -> Option<u32> {
-        let bit = slot.bit();
-        if self.bitmap & (1 << bit) == 0 {
-            return None;
-        }
-        let pos = self.slot_position(bit);
-        self.bitmap &= !(1 << bit);
-        Some(self.coverages.remove(pos))
-    }
-
-    /// Merges another partial adjacency into this one, summing coverages of
-    /// slots present in both (used by the reduce step of DBG construction when
-    /// combining the partial adjacency lists produced by different workers).
-    pub fn merge(&mut self, other: &PackedAdj) {
-        for (slot, cov) in other.iter() {
-            self.add(slot, cov);
-        }
-    }
-
-    /// Iterates over the occupied slots and their coverages, in bit order.
-    pub fn iter(&self) -> impl Iterator<Item = (EdgeSlot, u32)> + '_ {
-        let mut remaining = self.bitmap;
-        let mut idx = 0usize;
-        std::iter::from_fn(move || {
-            if remaining == 0 {
-                return None;
-            }
-            let bit = remaining.trailing_zeros();
-            remaining &= remaining - 1;
-            let cov = self.coverages[idx];
-            idx += 1;
-            Some((EdgeSlot::from_bit(bit), cov))
-        })
-    }
-
-    /// Approximate in-memory footprint in bytes (bitmap + counters), used to
-    /// report the memory benefit of the packed format.
-    pub fn footprint_bytes(&self) -> usize {
-        4 + 4 * self.coverages.len()
-    }
-}
-
 /// Computes, for an observed (k+1)-mer with the given coverage, the two
 /// partial adjacency contributions it induces: one slot on its prefix vertex
 /// (an out-edge) and one slot on its suffix vertex (an in-edge).
@@ -327,76 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_adj_add_get_remove() {
-        let mut adj = PackedAdj::new();
-        assert!(adj.is_empty());
-        let a = EdgeSlot {
-            polarity: Polarity::LL,
-            direction: Direction::Out,
-            base: Base::C,
-        };
-        let b = EdgeSlot {
-            polarity: Polarity::HH,
-            direction: Direction::In,
-            base: Base::T,
-        };
-        adj.add(a, 5);
-        adj.add(b, 9);
-        adj.add(a, 2); // merges coverage
-        assert_eq!(adj.degree(), 2);
-        assert_eq!(adj.coverage(a), Some(7));
-        assert_eq!(adj.coverage(b), Some(9));
-        assert_eq!(
-            adj.coverage(EdgeSlot {
-                polarity: Polarity::LH,
-                direction: Direction::Out,
-                base: Base::A
-            }),
-            None
-        );
-        assert_eq!(adj.remove(a), Some(7));
-        assert_eq!(adj.remove(a), None);
-        assert_eq!(adj.degree(), 1);
-        assert_eq!(
-            adj.coverage(b),
-            Some(9),
-            "removal must not disturb other slots"
-        );
-    }
-
-    #[test]
-    fn packed_adj_iteration_and_merge() {
-        let mut a = PackedAdj::new();
-        let mut b = PackedAdj::new();
-        let s1 = EdgeSlot {
-            polarity: Polarity::LL,
-            direction: Direction::Out,
-            base: Base::A,
-        };
-        let s2 = EdgeSlot {
-            polarity: Polarity::LH,
-            direction: Direction::In,
-            base: Base::G,
-        };
-        let s3 = EdgeSlot {
-            polarity: Polarity::HL,
-            direction: Direction::Out,
-            base: Base::T,
-        };
-        a.add(s1, 1);
-        a.add(s2, 2);
-        b.add(s2, 3);
-        b.add(s3, 4);
-        a.merge(&b);
-        let collected: Vec<(EdgeSlot, u32)> = a.iter().collect();
-        assert_eq!(collected.len(), 3);
-        assert_eq!(a.coverage(s1), Some(1));
-        assert_eq!(a.coverage(s2), Some(5));
-        assert_eq!(a.coverage(s3), Some(4));
-        assert!(a.footprint_bytes() <= 4 + 4 * 32);
-    }
-
-    #[test]
     fn edge_contributions_simple_forward_edge() {
         // 3-mer "ATT" (canonical: ATT vs rc AAT → AAT is smaller! Let's check:
         // AAT < ATT, so canonical form of this (k+1)-mer is AAT.) Use "ACG"
@@ -451,26 +276,6 @@ mod tests {
             // Compact encoding round-trips.
             prop_assert_eq!(s_slot.to_compact().decode().unwrap(), s_slot);
             prop_assert_eq!(t_slot.to_compact().decode().unwrap(), t_slot);
-        }
-
-        #[test]
-        fn prop_packed_adj_tracks_reference_map(
-            ops in proptest::collection::vec((0u32..32, 1u32..100), 0..60)
-        ) {
-            use std::collections::HashMap;
-            let mut adj = PackedAdj::new();
-            let mut reference: HashMap<u32, u32> = HashMap::new();
-            for (bit, cov) in ops {
-                adj.add(EdgeSlot::from_bit(bit), cov);
-                *reference.entry(bit).or_insert(0) += cov;
-            }
-            prop_assert_eq!(adj.degree(), reference.len());
-            for (bit, cov) in &reference {
-                prop_assert_eq!(adj.coverage(EdgeSlot::from_bit(*bit)), Some(*cov));
-            }
-            let from_iter: HashMap<u32, u32> =
-                adj.iter().map(|(s, c)| (s.bit(), c)).collect();
-            prop_assert_eq!(from_iter, reference);
         }
     }
 }

@@ -52,8 +52,7 @@
 //! After a successful save the pipeline keeps only the newest snapshot:
 //! [`save_with_reads_fingerprint`] prunes every other `stage-*` subdirectory.
 
-use crate::adj::PackedAdj;
-use crate::node::{AsmNode, Edge, KmerVertex, NodeSeq};
+use crate::node::{AsmNode, Edge, KmerGraph, NodeSeq};
 use crate::ops::label::LabelOutcome;
 use crate::pipeline::{GraphState, NodeSet};
 use crate::polarity::{Direction, Polarity};
@@ -708,29 +707,30 @@ fn decode_nodes(file: &str, bytes: &[u8]) -> Result<Vec<AsmNode>, CheckpointErro
     Ok(nodes)
 }
 
-/// Encodes packed k-mer vertices as flat columns: packed canonical k-mers, k
-/// values, adjacency bitmaps, then every vertex's coverages in bit order.
-fn encode_kmers(vertices: &[KmerVertex]) -> Result<Vec<u8>, CheckpointError> {
+/// Encodes the k-mer graph as flat columns: packed canonical k-mers, the
+/// graph's k repeated per vertex, adjacency bitmaps, then every vertex's
+/// coverages in bit order — the coverage column as it is.
+fn encode_kmers(graph: &KmerGraph) -> Result<Vec<u8>, CheckpointError> {
     let mut w = Writer::new(Vec::new());
-    w.u64(vertices.len() as u64)?;
-    for v in vertices {
-        w.u64(v.kmer.packed())?;
+    w.u64(graph.len() as u64)?;
+    for v in graph.iter() {
+        w.u64(v.id())?;
     }
-    for v in vertices {
-        w.u8(v.kmer.k() as u8)?;
+    for _ in 0..graph.len() {
+        w.u8(graph.k() as u8)?;
     }
-    for v in vertices {
-        w.u32(v.adj.bitmap())?;
+    for v in graph.iter() {
+        w.u32(v.bitmap())?;
     }
-    for v in vertices {
-        for (_, coverage) in v.adj.iter() {
+    for v in graph.iter() {
+        for &coverage in v.coverages() {
             w.u32(coverage)?;
         }
     }
     Ok(w.into_inner())
 }
 
-fn decode_kmers(file: &str, bytes: &[u8]) -> Result<Vec<KmerVertex>, CheckpointError> {
+fn decode_kmers(file: &str, bytes: &[u8]) -> Result<KmerGraph, CheckpointError> {
     let mut r = Reader::new(bytes);
     let e = |r: BinError| bin_err(file, r);
     let corrupt = |detail: String| CheckpointError::Corrupt {
@@ -748,32 +748,34 @@ fn decode_kmers(file: &str, bytes: &[u8]) -> Result<Vec<KmerVertex>, CheckpointE
     for _ in 0..n {
         packed.push(r.u64().map_err(e)?);
     }
-    let mut ks = Vec::with_capacity(n);
-    for _ in 0..n {
-        ks.push(r.u8().map_err(e)?);
+    // One k for the whole graph, repeated per vertex.
+    let mut k = None;
+    for i in 0..n {
+        let ki = r.u8().map_err(e)?;
+        if k.is_some_and(|k| k != ki) {
+            return Err(corrupt(format!(
+                "k column not constant: vertex {i} has k = {ki}"
+            )));
+        }
+        k = Some(ki);
     }
+    let k = k.map_or(0, usize::from);
     let mut bitmaps = Vec::with_capacity(n);
     for _ in 0..n {
         bitmaps.push(r.u32().map_err(e)?);
     }
-    let mut vertices = Vec::with_capacity(n);
-    for (i, ((packed, k), bitmap)) in packed.into_iter().zip(ks).zip(bitmaps).enumerate() {
-        let kmer = Kmer::from_packed(packed, k as usize)
-            .map_err(|err| corrupt(format!("k-mer column entry for vertex {i}: {err}")))?;
-        if !kmer.is_canonical() {
-            return Err(corrupt(format!("k-mer of vertex {i} is not canonical")));
-        }
-        let mut coverages = Vec::with_capacity(bitmap.count_ones() as usize);
-        for _ in 0..bitmap.count_ones() {
-            coverages.push(r.u32().map_err(e)?);
-        }
-        let adj = PackedAdj::from_parts(bitmap, coverages);
-        vertices.push(KmerVertex { kmer, adj });
+    let slots: u64 = bitmaps.iter().map(|b| u64::from(b.count_ones())).sum();
+    let mut coverages = Vec::with_capacity(slots.min(bytes.len() as u64) as usize);
+    for _ in 0..slots {
+        coverages.push(r.u32().map_err(e)?);
     }
     if !r.is_empty() {
         return Err(corrupt(format!("{} trailing bytes", r.remaining())));
     }
-    Ok(vertices)
+    // Checks, in every build, what `KmerGraph::debug_validate` checks after
+    // construction: canonical, strictly ascending k-mers (round 1 ranks by
+    // position) and one counter per set bit.
+    KmerGraph::from_columns(k, packed, bitmaps, coverages).map_err(corrupt)
 }
 
 fn encode_metrics(w: &mut Writer<Vec<u8>>, m: &Metrics) -> Result<(), CheckpointError> {
@@ -1045,7 +1047,7 @@ pub fn save_with_reads_fingerprint(
     fs::create_dir_all(&ckpt)?;
     let [s_nodes, s_labels, s_contigs, s_ambiguous, s_output] = SECTIONS;
     let nodes = match &state.nodes {
-        NodeSet::Packed(vertices) => encode_kmers(vertices)?,
+        NodeSet::Packed(graph) => encode_kmers(graph)?,
         NodeSet::Expanded(nodes) => encode_nodes(nodes)?,
     };
     let sections: [(&str, Vec<u8>); 5] = [
@@ -1292,29 +1294,35 @@ mod tests {
         }
     }
 
-    /// A packed k-mer vertex: a canonical k-mer and a random bitmap with one
-    /// coverage per set bit (the bitmap need not describe a real graph).
-    fn arb_kmer_vertex(mix: &mut Mix) -> KmerVertex {
+    /// A k-mer graph of at most `n` vertices: distinct canonical k-mers of
+    /// one random k, ascending, each with a random bitmap and one coverage
+    /// per set bit (the bitmaps need not describe a real graph).
+    fn arb_kmer_graph(mix: &mut Mix, n: u64) -> KmerGraph {
         let k = 1 + mix.below(31) as usize;
-        let bases: Vec<ppa_seq::Base> = (0..k)
-            .map(|_| ppa_seq::Base::from_code(mix.below(4) as u8))
+        let mut kmers: Vec<u64> = (0..n)
+            .map(|_| {
+                let bases: Vec<ppa_seq::Base> = (0..k)
+                    .map(|_| ppa_seq::Base::from_code(mix.below(4) as u8))
+                    .collect();
+                Kmer::from_bases(&bases).unwrap().canonical().kmer.packed()
+            })
             .collect();
-        let kmer = Kmer::from_bases(&bases).unwrap().canonical().kmer;
-        let bitmap = (mix.next() as u32) & (mix.next() as u32) & (mix.next() as u32);
-        let coverages = (0..bitmap.count_ones())
-            .map(|_| mix.below(1000) as u32)
+        kmers.sort_unstable();
+        kmers.dedup();
+        let bitmaps: Vec<u32> = kmers
+            .iter()
+            .map(|_| (mix.next() as u32) & (mix.next() as u32) & (mix.next() as u32))
             .collect();
-        KmerVertex {
-            kmer,
-            adj: PackedAdj::from_parts(bitmap, coverages),
-        }
+        let slots: u32 = bitmaps.iter().map(|b| b.count_ones()).sum();
+        let coverages = (0..slots).map(|_| mix.below(1000) as u32).collect();
+        KmerGraph::from_columns(k, kmers, bitmaps, coverages).unwrap()
     }
 
     /// Either node-set form, with up to `max` nodes.
     fn arb_node_set(mix: &mut Mix, max: u64) -> NodeSet {
         let n = mix.below(max);
         if mix.below(2) == 0 {
-            NodeSet::Packed((0..n).map(|_| arb_kmer_vertex(mix)).collect())
+            NodeSet::Packed(arb_kmer_graph(mix, n))
         } else {
             NodeSet::Expanded((0..n).map(|_| arb_node(mix)).collect())
         }
@@ -1466,7 +1474,7 @@ mod tests {
     fn state_with_nodes(mix: &mut Mix, packed: bool) -> GraphState<'static> {
         let mut state = arb_state(mix, test_reads());
         state.nodes = if packed {
-            NodeSet::Packed(vec![arb_kmer_vertex(mix), arb_kmer_vertex(mix)])
+            NodeSet::Packed(arb_kmer_graph(mix, 2))
         } else {
             NodeSet::Expanded(vec![arb_node(mix)])
         };
@@ -1675,7 +1683,7 @@ mod tests {
 
         // In-memory round-trip of every section codec.
         let (nodes, kmers) = match &state.nodes {
-            NodeSet::Expanded(nodes) => (nodes.clone(), Vec::new()),
+            NodeSet::Expanded(nodes) => (nodes.clone(), KmerGraph::with_capacity(31, 0, 0)),
             NodeSet::Packed(kmers) => (Vec::new(), kmers.clone()),
         };
         let decoded =
@@ -1722,7 +1730,90 @@ mod tests {
                 return Err(format!("bit flip {bit} went unseen for seed {seed}"));
             }
         }
+        // Two vertices swapped, or one k changed: the decoder itself names
+        // the broken column (on disk the checksum would refuse it first).
+        for (mutation, want) in [
+            (swap_first_kmers as fn(&mut [u8]), "not strictly ascending"),
+            (change_second_k, "k column not constant"),
+        ] {
+            if kmers.len() < 2 {
+                break;
+            }
+            let mut bytes = encode_kmers(&kmers).unwrap();
+            mutation(&mut bytes);
+            match decode_kmers("nodes.col", &bytes) {
+                Err(CheckpointError::Corrupt { detail, .. }) if detail.contains(want) => {}
+                other => return Err(format!("{want}: {other:?} for seed {seed}")),
+            }
+        }
         Ok(())
+    }
+
+    /// Swaps the first two entries of an encoded k-mer column.
+    fn swap_first_kmers(bytes: &mut [u8]) {
+        let (first, second) = bytes[8..24].split_at_mut(8);
+        first.swap_with_slice(second);
+    }
+
+    /// Gives the second vertex of an encoded k-mer graph another k.
+    fn change_second_k(bytes: &mut [u8]) {
+        let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
+        let at = 8 + 8 * n + 1;
+        bytes[at] = bytes[at] % 31 + 1;
+    }
+
+    #[test]
+    fn a_descending_or_mixed_k_column_is_corrupt() {
+        let graph = arb_kmer_graph(&mut Mix(21), 40);
+        assert!(graph.len() > 2);
+        let bytes = encode_kmers(&graph).unwrap();
+        assert_eq!(decode_kmers("nodes.col", &bytes), Ok(graph));
+        for (mutation, want) in [
+            (swap_first_kmers as fn(&mut [u8]), "not strictly ascending"),
+            (change_second_k, "k column not constant"),
+        ] {
+            let mut bytes = bytes.clone();
+            mutation(&mut bytes);
+            let err = decode_kmers("nodes.col", &bytes).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Corrupt { ref file, ref detail }
+                    if file == "nodes.col" && detail.contains(want)),
+                "{err}"
+            );
+        }
+        // A repeated k-mer is no more ascending than a swapped pair.
+        let mut bytes = bytes.clone();
+        let first: [u8; 8] = bytes[8..16].try_into().unwrap();
+        bytes[16..24].copy_from_slice(&first);
+        assert!(matches!(
+            decode_kmers("nodes.col", &bytes),
+            Err(CheckpointError::Corrupt { ref detail, .. }) if detail.contains("ascending")
+        ));
+    }
+
+    #[test]
+    fn the_packed_node_section_keeps_its_version_5_bytes() {
+        // Figure 9's path, a fork off it and a cycle of 4-mers; the digest
+        // was taken from the per-vertex encoding this format was defined by.
+        let reads: ReadSet = [
+            ("path", "CTGCCGTACA"),
+            ("fork", "CCGTACGGA"),
+            ("cycle", "ATCGGAATCGGAATCG"),
+        ]
+        .into_iter()
+        .collect();
+        let config = crate::ops::construct::ConstructConfig {
+            k: 4,
+            min_coverage: 0,
+            batch_size: 1,
+        };
+        let ctx = ppa_pregel::ExecCtx::new(2);
+        let graph = crate::ops::construct::build_dbg_on(&ctx, &reads, &config).vertices;
+        assert_eq!(graph.len(), 13);
+        let bytes = encode_kmers(&graph).unwrap();
+        assert_eq!(bytes.len(), 281);
+        assert_eq!(fnv1a(&bytes), 0xf5c2_f8c1_baa0_3828);
+        assert_eq!(decode_kmers("nodes.col", &bytes), Ok(graph));
     }
 
     proptest! {

@@ -70,10 +70,10 @@ mod ranks;
 pub mod stats;
 pub mod workflow;
 
-pub use adj::{edge_contributions, CompactNeighbor, EdgeSlot, PackedAdj};
+pub use adj::{edge_contributions, CompactNeighbor, EdgeSlot};
 pub use checkpoint::{CheckpointError, CheckpointMeta, Manifest};
 pub use ids::NULL_ID;
-pub use node::{AsmNode, Edge, GraphNode, KmerVertex, NodeSeq, VertexType};
+pub use node::{AsmNode, Edge, GraphNode, KmerGraph, KmerRef, NodeSeq, NodeSource, VertexType};
 pub use pipeline::{
     CheckpointPolicy, GraphState, NodeSet, Pipeline, PipelineError, PipelineObserver, Stage,
     StageDetails, StageReport,

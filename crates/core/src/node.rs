@@ -7,15 +7,23 @@
 //! neighbours (Figure 9). After the first contig-merging round the graph is a
 //! mixture of both kinds, and the later operations — bubble filtering, tip
 //! removing, the second labeling/merging round — treat them uniformly.
-//! [`AsmNode`] is that uniform representation; [`KmerVertex`] is the compact
-//! construction-time form, which labeling and merging read as it is.
+//! [`AsmNode`] is that uniform representation.
 //!
-//! Both forms implement [`GraphNode`], the read interface that operations ②
-//! and ③ are written against, so that the k-mer vertices built by ① reach ③
-//! in their packed form and only the ⟨m-n⟩ k-mers that ③ parks for tip
-//! removing are expanded into [`AsmNode`]s.
+//! Construction's k-mer vertices are not `AsmNode`s: [`KmerGraph`] keeps
+//! Figure 8's vertex — canonical k-mer, 32-bit adjacency bitmap, one
+//! coverage counter per set bit — as columns, a k-mer column, a bitmap
+//! column and one flat coverage column cut up by an offset column, sorted
+//! by k-mer. No vertex owns an allocation, and the k-mer column doubles as
+//! the sorted ID column labeling ranks vertices by.
+//!
+//! Operations ② and ③ read a node set through [`NodeSource`] (indexed
+//! nodes, plus the sorted ID column when there is one) and a node through
+//! [`GraphNode`]. `[AsmNode]` and [`KmerGraph`] (whose nodes are
+//! [`KmerRef`] views) are the two sources, so construct's vertices reach ③
+//! as columns and only the ⟨m-n⟩ k-mers that ③ parks for tip removing are
+//! expanded into [`AsmNode`]s.
 
-use crate::adj::{EdgeSlot, PackedAdj};
+use crate::adj::EdgeSlot;
 use crate::ids;
 use crate::polarity::{side_of, Direction, Polarity, Side};
 use ppa_seq::{DnaString, Kmer, Orientation};
@@ -283,36 +291,385 @@ impl GraphNode for AsmNode {
     }
 }
 
-/// The compact construction-time representation of a k-mer vertex: canonical
-/// k-mer plus the packed 32-bit adjacency of Figure 8(a).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KmerVertex {
-    /// The canonical k-mer.
-    pub kmer: Kmer,
-    /// Packed adjacency bitmap and per-edge coverages.
-    pub adj: PackedAdj,
+/// Read access to a node set by position: what operations ② and ③ need of
+/// it, whichever form it is stored in.
+pub trait NodeSource: Sync {
+    /// The read view of one node.
+    type Node<'a>: GraphNode + Copy
+    where
+        Self: 'a;
+
+    /// Number of nodes.
+    fn len(&self) -> usize;
+
+    /// Whether the set holds no node.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The node at position `i`.
+    fn node(&self, i: usize) -> Self::Node<'_>;
+
+    /// The node IDs in position order, if the set keeps them strictly
+    /// ascending: a node's position is then its rank, and the column is
+    /// labeling's rank dictionary as it is (`ranks.rs`).
+    fn sorted_ids(&self) -> Option<&[u64]> {
+        None
+    }
 }
 
-impl KmerVertex {
-    /// Creates a vertex with an empty adjacency.
-    pub fn new(kmer: Kmer) -> KmerVertex {
-        KmerVertex {
-            kmer,
-            adj: PackedAdj::new(),
+impl NodeSource for [AsmNode] {
+    type Node<'a> = &'a AsmNode;
+
+    fn len(&self) -> usize {
+        <[AsmNode]>::len(self)
+    }
+
+    #[inline]
+    fn node(&self, i: usize) -> &AsmNode {
+        &self[i]
+    }
+}
+
+/// So that a `&Vec<AsmNode>` is a node source as it is.
+impl NodeSource for Vec<AsmNode> {
+    type Node<'a> = &'a AsmNode;
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    #[inline]
+    fn node(&self, i: usize) -> &AsmNode {
+        &self[i]
+    }
+}
+
+impl<N: GraphNode + ?Sized> GraphNode for &N {
+    #[inline]
+    fn id(&self) -> u64 {
+        (**self).id()
+    }
+
+    fn real_edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        (**self).real_edges()
+    }
+
+    fn sole_edge_on(&self, side: Side) -> Option<Edge> {
+        (**self).sole_edge_on(side)
+    }
+
+    #[inline]
+    fn coverage(&self) -> u32 {
+        (**self).coverage()
+    }
+
+    #[inline]
+    fn is_contig(&self) -> bool {
+        (**self).is_contig()
+    }
+
+    fn append_oriented(&self, orientation: Orientation, skip: usize, out: &mut DnaString) {
+        (**self).append_oriented(orientation, skip, out)
+    }
+}
+
+/// Construct's k-mer vertices as columns (Figure 8): per vertex its
+/// canonical k-mer, which is its ID, and its 32-bit adjacency bitmap; per
+/// occupied slot one coverage counter, every vertex's in bit order, in one
+/// flat column that `offsets` (one entry per vertex plus one) cuts up.
+///
+/// The k-mers are strictly ascending, so the k-mer column is the sorted ID
+/// column labeling ranks vertices by, and a vertex's position is its rank.
+/// No vertex owns an allocation: the graph is four vectors, about 24 bytes
+/// per vertex on simulated reads (two slots each).
+#[derive(Debug, Clone)]
+pub struct KmerGraph {
+    k: usize,
+    kmers: Vec<u64>,
+    bitmaps: Vec<u32>,
+    /// `coverages[offsets[i]..offsets[i + 1]]` are vertex `i`'s.
+    offsets: Vec<u32>,
+    coverages: Vec<u32>,
+}
+
+/// Two graphs are equal if they hold the same vertices; an empty graph has
+/// no k-mer to give its k a meaning.
+impl PartialEq for KmerGraph {
+    fn eq(&self, other: &KmerGraph) -> bool {
+        (self.is_empty() || self.k == other.k)
+            && self.kmers == other.kmers
+            && self.bitmaps == other.bitmaps
+            && self.offsets == other.offsets
+            && self.coverages == other.coverages
+    }
+}
+
+impl KmerGraph {
+    /// An empty graph of k-mers of length `k`, with room for `vertices`
+    /// vertices and `slots` occupied slots.
+    pub(crate) fn with_capacity(k: usize, vertices: usize, slots: usize) -> KmerGraph {
+        let mut offsets = Vec::with_capacity(vertices + 1);
+        offsets.push(0);
+        KmerGraph {
+            k,
+            kmers: Vec::with_capacity(vertices),
+            bitmaps: Vec::with_capacity(vertices),
+            offsets,
+            coverages: Vec::with_capacity(slots),
         }
     }
 
+    /// The graph the columns of a decoded checkpoint describe, or why they
+    /// describe none ([`validate`](KmerGraph::validate)): the offsets are
+    /// derived from the bitmaps, and the slot total must fit them.
+    pub(crate) fn from_columns(
+        k: usize,
+        kmers: Vec<u64>,
+        bitmaps: Vec<u32>,
+        coverages: Vec<u32>,
+    ) -> Result<KmerGraph, String> {
+        let mut offsets = Vec::with_capacity(bitmaps.len() + 1);
+        let mut end = 0u32;
+        offsets.push(end);
+        for bitmap in &bitmaps {
+            end = end
+                .checked_add(bitmap.count_ones())
+                .ok_or("the slot total overflows the u32 offsets")?;
+            offsets.push(end);
+        }
+        let graph = KmerGraph {
+            k,
+            kmers,
+            bitmaps,
+            offsets,
+            coverages,
+        };
+        graph.validate()?;
+        Ok(graph)
+    }
+
+    /// The k of every vertex's k-mer.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of vertices.
+    pub fn len(&self) -> usize {
+        self.kmers.len()
+    }
+
+    /// Whether the graph has no vertex.
+    pub fn is_empty(&self) -> bool {
+        self.kmers.is_empty()
+    }
+
+    /// The vertices in ascending ID order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = KmerRef<'_>> + '_ {
+        (0..self.len()).map(|i| self.node(i))
+    }
+
+    /// Total occupied slots: the edge records, two per physical edge.
+    pub(crate) fn adjacency_slots(&self) -> usize {
+        self.coverages.len()
+    }
+
+    /// Heap bytes the columns hold, capacity included.
+    // ppa_lint: allow(test-only-pub) the exact size the allocation pins hold the counting allocator to
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.kmers.capacity() * size_of::<u64>()
+            + (self.bitmaps.capacity() + self.offsets.capacity() + self.coverages.capacity())
+                * size_of::<u32>()
+    }
+
+    /// Expands every vertex into an [`AsmNode`], in ID order.
+    pub fn to_nodes(&self) -> Vec<AsmNode> {
+        self.iter().map(|v| v.to_asm_node()).collect()
+    }
+
+    /// Appends a vertex with no occupied slot. Its k-mer must exceed the
+    /// last one's.
+    pub(crate) fn push_vertex(&mut self, kmer: u64) {
+        self.kmers.push(kmer);
+        self.bitmaps.push(0);
+        self.offsets.push(self.coverages.len() as u32);
+    }
+
+    /// Adds `coverage` to `slot` of the last vertex, occupying the slot if
+    /// it is free; counters saturate at `u32::MAX`.
+    pub(crate) fn add_slot(&mut self, slot: EdgeSlot, coverage: u32) {
+        let bit = slot.bit();
+        let bitmap = self.bitmaps.last_mut().expect("a vertex to add to");
+        let first =
+            *self.offsets.last().expect("n + 1 offsets") as usize - bitmap.count_ones() as usize;
+        let at = first + (*bitmap & ((1u32 << bit) - 1)).count_ones() as usize;
+        if *bitmap & (1 << bit) != 0 {
+            self.coverages[at] = self.coverages[at].saturating_add(coverage);
+        } else {
+            *bitmap |= 1 << bit;
+            self.coverages.insert(at, coverage);
+            let end = self.offsets.last_mut().expect("n + 1 offsets");
+            *end =
+                u32::try_from(self.coverages.len()).expect("the slot total fits the u32 offsets");
+        }
+    }
+
+    /// The graphs one after the other — each one's k-mers all greater than
+    /// the one's before — in columns of exactly their total length. The first
+    /// graph's columns are grown to take the rest, so the allocator can
+    /// extend them in place instead of holding a second full copy while the
+    /// parts are copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the occupied slots do not fit the `u32` offsets.
+    pub(crate) fn concat(k: usize, parts: Vec<KmerGraph>) -> KmerGraph {
+        let vertices: usize = parts.iter().map(KmerGraph::len).sum();
+        let slots: usize = parts.iter().map(KmerGraph::adjacency_slots).sum();
+        assert!(
+            u32::try_from(slots).is_ok(),
+            "{slots} occupied slots do not fit the u32 offsets"
+        );
+        let mut parts = parts.into_iter();
+        let mut all = parts
+            .next()
+            .unwrap_or_else(|| KmerGraph::with_capacity(k, 0, 0));
+        let more = vertices - all.len();
+        all.kmers.reserve_exact(more);
+        all.bitmaps.reserve_exact(more);
+        all.offsets.reserve_exact(more);
+        all.coverages.reserve_exact(slots - all.coverages.len());
+        for part in parts {
+            let base = all.coverages.len() as u32;
+            all.kmers.extend_from_slice(&part.kmers);
+            all.bitmaps.extend_from_slice(&part.bitmaps);
+            all.offsets
+                .extend(part.offsets[1..].iter().map(|end| end + base));
+            all.coverages.extend_from_slice(&part.coverages);
+        }
+        all.kmers.shrink_to_fit();
+        all.bitmaps.shrink_to_fit();
+        all.offsets.shrink_to_fit();
+        all.coverages.shrink_to_fit();
+        all
+    }
+
+    /// Why the columns are not a k-mer graph, if they are not: the k-mers
+    /// must be canonical k-mers of the graph's k and strictly ascending, the
+    /// offsets must start at 0 and be monotone, and each vertex must own one
+    /// counter per set bit of its bitmap, the last vertex's ending the
+    /// coverage column.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let n = self.kmers.len();
+        if self.bitmaps.len() != n || self.offsets.len() != n + 1 {
+            return Err(format!(
+                "{n} k-mers, {} bitmaps and {} offsets",
+                self.bitmaps.len(),
+                self.offsets.len()
+            ));
+        }
+        if self.offsets.first() != Some(&0)
+            || self.offsets.last().map(|&end| end as usize) != Some(self.coverages.len())
+        {
+            return Err("the offsets do not span the coverage column".into());
+        }
+        for i in 0..n {
+            let kmer =
+                Kmer::from_packed(self.kmers[i], self.k).map_err(|e| format!("vertex {i}: {e}"))?;
+            if !kmer.is_canonical() {
+                return Err(format!("vertex {i}: {kmer} is not canonical"));
+            }
+            if i > 0 && self.kmers[i - 1] >= self.kmers[i] {
+                return Err(format!("vertex {i}: k-mers not strictly ascending"));
+            }
+            let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+            if end < start || end - start != self.bitmaps[i].count_ones() {
+                return Err(format!(
+                    "vertex {i}: slots {start}..{end} for bitmap {:#010x}",
+                    self.bitmaps[i]
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`validate`](KmerGraph::validate), in debug builds, panicking on a
+    /// violation.
+    pub(crate) fn debug_validate(&self) {
+        if cfg!(debug_assertions) {
+            if let Err(why) = self.validate() {
+                panic!("not a k-mer graph: {why}");
+            }
+        }
+    }
+}
+
+impl NodeSource for KmerGraph {
+    type Node<'a> = KmerRef<'a>;
+
+    fn len(&self) -> usize {
+        KmerGraph::len(self)
+    }
+
+    #[inline]
+    fn node(&self, i: usize) -> KmerRef<'_> {
+        let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+        KmerRef {
+            kmer: Kmer::from_packed(self.kmers[i], self.k).expect("a k-mer of the graph's k"),
+            bitmap: self.bitmaps[i],
+            coverages: &self.coverages[start..end],
+        }
+    }
+
+    fn sorted_ids(&self) -> Option<&[u64]> {
+        Some(&self.kmers)
+    }
+}
+
+/// One vertex of a [`KmerGraph`]: its canonical k-mer, its adjacency bitmap
+/// and its coverage counters, borrowed from the columns.
+#[derive(Debug, Clone, Copy)]
+// ppa_lint: allow(test-only-pub) the vertex view `KmerGraph::node` and `iter` return
+pub struct KmerRef<'a> {
+    kmer: Kmer,
+    bitmap: u32,
+    coverages: &'a [u32],
+}
+
+impl<'a> KmerRef<'a> {
     /// The vertex ID (the packed canonical k-mer, Figure 7a).
+    #[inline]
     pub fn id(&self) -> u64 {
         ids::kmer_id(&self.kmer)
     }
 
-    /// Expands the packed adjacency into the unified [`AsmNode`] form, with
-    /// exactly one edge allocated per occupied slot — the paper's
-    /// `convert(.)` step, which the pipeline takes only for the k-mers that
-    /// outlive merging.
+    /// The adjacency bitmap: bit [`EdgeSlot::bit`] is set for every
+    /// occupied slot.
+    pub fn bitmap(&self) -> u32 {
+        self.bitmap
+    }
+
+    /// One coverage counter per occupied slot, in bit order.
+    pub fn coverages(&self) -> &'a [u32] {
+        self.coverages
+    }
+
+    /// The occupied slots and their coverages, in bit order.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (EdgeSlot, u32)> + 'a {
+        let mut remaining = self.bitmap;
+        self.coverages.iter().map(move |&coverage| {
+            let bit = remaining.trailing_zeros();
+            remaining &= remaining - 1;
+            (EdgeSlot::from_bit(bit), coverage)
+        })
+    }
+
+    /// Expands the vertex into the unified [`AsmNode`] form, with exactly
+    /// one edge allocated per occupied slot — the paper's `convert(.)` step,
+    /// which the pipeline takes only for the k-mers that outlive merging.
     pub fn to_asm_node(&self) -> AsmNode {
-        let mut edges = Vec::with_capacity(self.adj.degree());
+        let mut edges = Vec::with_capacity(self.coverages.len());
         edges.extend(GraphNode::real_edges(self));
         AsmNode {
             id: self.id(),
@@ -321,41 +678,29 @@ impl KmerVertex {
             edges,
         }
     }
-
-    /// The edge an occupied slot stands for.
-    fn decode(&self, slot: EdgeSlot, coverage: u32) -> Edge {
-        Edge {
-            neighbor: ids::kmer_id(&slot.neighbor_of(&self.kmer)),
-            direction: slot.direction,
-            polarity: slot.polarity,
-            coverage,
-        }
-    }
-
-    /// Approximate memory footprint in bytes (ID + bitmap + counters), used to
-    /// quantify the benefit of the packed format over the expanded one.
-    pub fn footprint_bytes(&self) -> usize {
-        8 + self.adj.footprint_bytes()
-    }
 }
 
-impl GraphNode for KmerVertex {
+impl GraphNode for KmerRef<'_> {
     #[inline]
     fn id(&self) -> u64 {
-        KmerVertex::id(self)
+        KmerRef::id(self)
     }
 
     /// Decodes every occupied slot of the bitmap into an edge
     /// ([`EdgeSlot::neighbor_of`]), in bit order.
     fn real_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.adj
-            .iter()
-            .map(|(slot, coverage)| self.decode(slot, coverage))
+        let own = self.kmer;
+        self.slots().map(move |(slot, coverage)| Edge {
+            neighbor: ids::kmer_id(&slot.neighbor_of(&own)),
+            direction: slot.direction,
+            polarity: slot.polarity,
+            coverage,
+        })
     }
 
     /// The maximum incident edge coverage (`0` without edges).
     fn coverage(&self) -> u32 {
-        self.adj.iter().map(|(_, c)| c).max().unwrap_or(0)
+        self.coverages.iter().copied().max().unwrap_or(0)
     }
 
     #[inline]
@@ -494,7 +839,9 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             let kmer = Kmer::from_packed(state >> (64 - 2 * k), k).unwrap();
-            let vertex = KmerVertex::new(kmer.canonical().kmer);
+            let mut graph = KmerGraph::with_capacity(k, 1, 0);
+            graph.push_vertex(kmer.canonical().kmer.packed());
+            let vertex = graph.node(0);
             // Vary where the appended bases land in the output's last word.
             let prefix = DnaString::from_bases(
                 &(0..(k * 7) % 40)
@@ -502,7 +849,7 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
             let seq = NodeSeq::Kmer(vertex.kmer);
-            check_append(&vertex, &seq, &prefix, &format!("KmerVertex k={k}"));
+            check_append(&vertex, &seq, &prefix, &format!("KmerRef k={k}"));
         }
         // A contig member of round two, longer than a word.
         let contig = AsmNode::new_contig(
@@ -514,28 +861,28 @@ mod tests {
         check_append(&contig, &contig.seq, &prefix, "contig");
     }
 
+    /// A graph of the Figure 8(b) vertex "ACGG" with its two items.
+    fn figure_8b_graph() -> KmerGraph {
+        let mut graph = KmerGraph::with_capacity(4, 1, 2);
+        graph.push_vertex(km("ACGG").packed());
+        for (polarity, direction, base, coverage) in [
+            (Polarity::HH, Direction::In, Base::G, 7),
+            (Polarity::HL, Direction::Out, Base::A, 9),
+        ] {
+            let slot = EdgeSlot {
+                polarity,
+                direction,
+                base,
+            };
+            graph.add_slot(slot, coverage);
+        }
+        graph
+    }
+
     #[test]
-    fn kmer_vertex_expands_to_asm_node() {
-        // Vertex "AC" with two incident edges taken from the chain
-        // AT→TT→TG→... of Figure 4 is fiddly to set up by hand; instead use
-        // the Figure 8(b) vertex "ACGG" with its two items.
-        let mut v = KmerVertex::new(km("ACGG"));
-        v.adj.add(
-            EdgeSlot {
-                polarity: Polarity::HH,
-                direction: Direction::In,
-                base: Base::G,
-            },
-            7,
-        );
-        v.adj.add(
-            EdgeSlot {
-                polarity: Polarity::HL,
-                direction: Direction::Out,
-                base: Base::A,
-            },
-            9,
-        );
+    fn kmer_ref_expands_to_asm_node() {
+        let graph = figure_8b_graph();
+        let v = graph.node(0);
         let node = v.to_asm_node();
         assert_eq!(node.id, v.id());
         assert_eq!(node.edges.len(), 2);
@@ -550,6 +897,135 @@ mod tests {
         assert!(neighbors.contains(&"CGTA".to_string()));
         // One neighbour on each side → unambiguous.
         assert_eq!(node.vertex_type(), VertexType::OneOne);
-        assert!(v.footprint_bytes() < 8 + 4 + 4 * 32);
+        // Bit order: the out-slot ⟨H:L⟩ A is bit 20, the in-slot ⟨H:H⟩ G bit 26.
+        assert_eq!(v.bitmap(), 1 << 20 | 1 << 26);
+        assert_eq!(v.coverages(), &[9, 7]);
+        assert_eq!(graph.to_nodes(), vec![node]);
+    }
+
+    /// The canonical k-mer a seed stands for.
+    fn canonical_of(seed: u64, k: usize) -> u64 {
+        let kmer = Kmer::from_packed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - 2 * k), k);
+        kmer.unwrap().canonical().kmer.packed()
+    }
+
+    #[test]
+    fn concatenated_graphs_keep_their_slots_and_validate() {
+        let k = 9;
+        let mut kmers: Vec<u64> = (1..=40).map(|seed| canonical_of(seed, k)).collect();
+        kmers.sort_unstable();
+        kmers.dedup();
+        let (low, high) = kmers.split_at(kmers.len() / 2);
+        let build = |kmers: &[u64]| {
+            let mut graph = KmerGraph::with_capacity(k, kmers.len(), 0);
+            for &kmer in kmers {
+                graph.push_vertex(kmer);
+                for bit in (0..32).filter(|bit| (kmer >> (bit % 17)) & 1 == 1) {
+                    graph.add_slot(EdgeSlot::from_bit(bit), bit + 1);
+                }
+            }
+            graph.debug_validate();
+            graph
+        };
+        let joined = KmerGraph::concat(k, vec![build(low), build(&[]), build(high)]);
+        assert_eq!(joined, build(&kmers));
+        assert_eq!(KmerGraph::concat(k, Vec::new()), build(&[]));
+        assert_eq!(
+            joined.heap_bytes(),
+            8 * kmers.len() + 4 * (2 * kmers.len() + 1) + 4 * joined.adjacency_slots()
+        );
+        assert_eq!(joined.sorted_ids(), Some(&kmers[..]));
+        for (i, v) in joined.iter().enumerate() {
+            assert_eq!(v.id(), kmers[i]);
+            let bits: Vec<u32> = v.slots().map(|(slot, _)| slot.bit()).collect();
+            let coverages: Vec<u32> = bits.iter().map(|bit| bit + 1).collect();
+            assert_eq!(v.coverages(), coverages, "vertex {i}");
+            assert_eq!(v.bitmap().count_ones() as usize, bits.len());
+        }
+    }
+
+    #[test]
+    fn from_columns_names_what_is_wrong() {
+        let k = 9;
+        let columns = |kmers: Vec<u64>| {
+            let bitmaps = vec![0b101; kmers.len()];
+            let coverages = vec![3; 2 * kmers.len()];
+            KmerGraph::from_columns(k, kmers, bitmaps, coverages)
+        };
+        let (a, b) = (canonical_of(1, k), canonical_of(2, k));
+        let (a, b) = (a.min(b), a.max(b));
+        assert_eq!(columns(vec![a, b]).unwrap().validate(), Ok(()));
+        let descending = columns(vec![b, a]).unwrap_err();
+        assert!(descending.contains("strictly ascending"), "{descending}");
+        let repeated = columns(vec![a, a]).unwrap_err();
+        assert!(repeated.contains("strictly ascending"), "{repeated}");
+        let rc = Kmer::from_packed(a, k)
+            .unwrap()
+            .reverse_complement()
+            .packed();
+        if rc != a {
+            let flipped = columns(vec![rc]).unwrap_err();
+            assert!(flipped.contains("not canonical"), "{flipped}");
+        }
+        let wide = columns(vec![1 << (2 * k)]).unwrap_err();
+        assert!(wide.contains("vertex 0"), "{wide}");
+        let short = KmerGraph::from_columns(k, vec![a], vec![0b11], vec![1]).unwrap_err();
+        assert!(short.contains("do not span"), "{short}");
+        let unpaired = KmerGraph::from_columns(k, vec![a], vec![], vec![]).unwrap_err();
+        assert!(unpaired.contains("1 k-mers, 0 bitmaps"), "{unpaired}");
+        let mut graph = columns(vec![a, b]).unwrap();
+        graph.offsets[1] = 1;
+        assert!(graph.validate().unwrap_err().contains("slots 0..1"));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a k-mer graph")]
+    #[cfg(debug_assertions)]
+    fn debug_validate_panics_on_a_descending_column() {
+        let (a, b) = (canonical_of(1, 9), canonical_of(2, 9));
+        let mut graph = KmerGraph::with_capacity(9, 2, 0);
+        graph.push_vertex(a.max(b));
+        graph.push_vertex(a.min(b));
+        graph.debug_validate();
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_kmer_graph_slots_track_reference_map(
+            ops in proptest::collection::vec((0usize..3, 0u32..32, 1u32..100), 0..60)
+        ) {
+            use std::collections::BTreeMap;
+            // Three vertices; each op adds to one of them, in vertex order,
+            // as phase (ii) folds a sorted run of edge records.
+            let mut ops = ops;
+            ops.sort_by_key(|op| op.0);
+            let mut reference: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); 3];
+            let mut graph = KmerGraph::with_capacity(5, 3, 0);
+            for (vertex, kmer) in ["AAAAA", "AAAAC", "AAAAG"].into_iter().enumerate() {
+                graph.push_vertex(km(kmer).packed());
+                for &(_, bit, cov) in ops.iter().filter(|op| op.0 == vertex) {
+                    graph.add_slot(EdgeSlot::from_bit(bit), cov);
+                    *reference[vertex].entry(bit).or_insert(0) += cov;
+                }
+            }
+            for (vertex, want) in reference.iter().enumerate() {
+                let got: BTreeMap<u32, u32> =
+                    graph.node(vertex).slots().map(|(s, c)| (s.bit(), c)).collect();
+                proptest::prop_assert_eq!(&got, want);
+            }
+            proptest::prop_assert_eq!(
+                graph.adjacency_slots(),
+                reference.iter().map(BTreeMap::len).sum::<usize>()
+            );
+        }
+    }
+
+    #[test]
+    fn slot_counters_saturate() {
+        let mut graph = KmerGraph::with_capacity(4, 1, 1);
+        graph.push_vertex(km("ACGG").packed());
+        graph.add_slot(EdgeSlot::from_bit(3), u32::MAX - 1);
+        graph.add_slot(EdgeSlot::from_bit(3), 5);
+        assert_eq!(graph.node(0).coverages(), &[u32::MAX]);
     }
 }

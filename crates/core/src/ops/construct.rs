@@ -22,10 +22,15 @@
 //!   vertex (with the appropriate polarity, Figure 6/8). Each contribution
 //!   is scattered as a one-key record, `[k-mer, slot << 32 | coverage]`,
 //!   to the bucket the k-mer's own top bits address, so the buckets are key
-//!   ranges. The fold sorts each bucket's records by k-mer and folds every
-//!   run into one complete [`KmerVertex`]; the order of a run does not
-//!   matter, because [`PackedAdj::add`] sums per slot. The vertices come
-//!   out **sorted by k-mer** — by vertex ID — with no further sort.
+//!   ranges. The fold sorts each bucket's records by k-mer and appends every
+//!   run as one vertex to the worker's [`KmerGraph`] columns — k-mer,
+//!   bitmap, offset, and the run's slot coverages in bit order — reserved
+//!   once from the range's key count (a record occupies one slot at most),
+//!   with no allocation per vertex; the order of a run does not matter,
+//!   because a vertex's slot counters sum what the run adds. The workers'
+//!   columns are joined by growing the first worker's in place. The
+//!   vertices come out **sorted by k-mer** — by vertex ID — with no further
+//!   sort, which makes the k-mer column labeling's rank dictionary as it is.
 //!
 //! Under a [`SpillPolicy`](ppa_pregel::SpillPolicy) cap both passes spill
 //! over-budget buckets as segments and read each back once.
@@ -36,10 +41,10 @@
 //! here (scatter = shuffle, fold = reduce), but there is no general
 //! MapReduce and no `convert` job chaining: both phases run on the one
 //! keyed pass, whose records are two words wide, and the vertices are handed
-//! to labeling as a plain vector.
+//! to labeling as the graph's columns.
 
-use crate::adj::{edge_contributions, EdgeSlot, PackedAdj};
-use crate::node::KmerVertex;
+use crate::adj::{edge_contributions, EdgeSlot};
+use crate::node::KmerGraph;
 use ppa_pregel::keycount::{
     count_keys_on, fold_buckets_on, Buckets, KeySink, Record, Records, KEYS_SHIFT,
 };
@@ -111,8 +116,8 @@ pub struct ConstructStats {
 #[derive(Debug, Clone)]
 // ppa_lint: allow(test-only-pub) the return type of `build_dbg_on`
 pub struct ConstructOutcome {
-    /// The k-mer vertices with packed adjacency.
-    pub vertices: Vec<KmerVertex>,
+    /// The k-mer vertices as columns, sorted by ID.
+    pub vertices: KmerGraph,
     /// The k used.
     pub k: usize,
     /// Run statistics.
@@ -122,22 +127,20 @@ pub struct ConstructOutcome {
 impl ConstructOutcome {
     /// Expands every vertex into the unified [`crate::AsmNode`] representation,
     /// consuming the outcome. The pipeline does not take this step: labeling
-    /// and merging read the packed vertices through
-    /// [`GraphNode`](crate::node::GraphNode), and only the ambiguous k-mers
+    /// and merging read the graph's columns through
+    /// [`NodeSource`](crate::node::NodeSource), and only the ambiguous k-mers
     /// that merging parks are expanded. It serves callers that want the
     /// expanded graph whole (the baselines, reference comparisons). Use
     /// [`to_nodes`](ConstructOutcome::to_nodes) when the compact vertices are
     /// still needed afterwards.
     pub fn into_nodes(self) -> Vec<crate::AsmNode> {
-        // By value: each compact vertex (and its coverage vector) is freed as
-        // soon as it is expanded, instead of all of them after the last.
-        self.vertices.into_iter().map(|v| v.to_asm_node()).collect()
+        self.vertices.to_nodes()
     }
 
     /// Like [`into_nodes`](ConstructOutcome::into_nodes), but borrows the
     /// outcome so `vertices`/`stats` remain available.
     pub fn to_nodes(&self) -> Vec<crate::AsmNode> {
-        self.vertices.iter().map(|v| v.to_asm_node()).collect()
+        self.vertices.to_nodes()
     }
 }
 
@@ -185,10 +188,13 @@ pub fn count_kplus1_mers_on(
 /// spill cap a worker checks its buffered records after every task.
 const VERTEX_TASK: usize = 1 << 11;
 
-/// Phase (ii)'s fold: sorts each bucket's edge records by k-mer and folds
-/// every run into one vertex, so a worker's vertices leave sorted.
-fn fold_vertices(buckets: &mut Buckets<'_>, k: usize) -> Vec<KmerVertex> {
-    let mut vertices = Vec::new();
+/// Phase (ii)'s fold: sorts each bucket's edge records by k-mer and appends
+/// every run as one vertex, so a worker's vertices leave sorted.
+fn fold_vertices(buckets: &mut Buckets<'_>, k: usize) -> KmerGraph {
+    // A record stands for one key and occupies one slot at most, and a
+    // vertex occupies one slot at least: the range's keys bound both.
+    let keys = buckets.keys();
+    let mut graph = KmerGraph::with_capacity(k, keys, keys);
     let mut edges: Vec<Record> = Vec::new();
     buckets.each(|keys, records| {
         edges.clear();
@@ -198,32 +204,14 @@ fn fold_vertices(buckets: &mut Buckets<'_>, k: usize) -> Vec<KmerVertex> {
         }
         edges.sort_unstable_by_key(|edge| edge[0]);
         for run in edges.chunk_by(|a, b| a[0] == b[0]) {
-            let mut adj = PackedAdj::new();
+            graph.push_vertex(run[0][0]);
             for edge in run {
                 let slot = EdgeSlot::from_bit((edge[1] >> 32) as u32 & 0xFF);
-                adj.add(slot, edge[1] as u32);
+                graph.add_slot(slot, edge[1] as u32);
             }
-            let kmer = Kmer::from_packed(run[0][0], k).expect("valid k-mer key");
-            vertices.push(KmerVertex { kmer, adj });
         }
     });
-    vertices
-}
-
-/// The per-worker vectors one after the other, in one allocation of exactly
-/// their total length. The first vector is grown to take the rest, so the
-/// allocator can extend it in place instead of holding a second full copy
-/// while the parts are copied.
-fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
-    let total: usize = parts.iter().map(Vec::len).sum();
-    let mut parts = parts.into_iter();
-    let mut all = parts.next().unwrap_or_default();
-    all.reserve_exact(total - all.len());
-    for part in parts {
-        all.extend(part);
-    }
-    all.shrink_to_fit();
-    all
+    graph
 }
 
 /// Runs DBG construction on a caller-provided execution context: both
@@ -268,17 +256,17 @@ pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) ->
     );
     // The buckets are key ranges and the workers' ranges follow each other:
     // the vertices leave sorted by k-mer.
-    let vertices = concat(parts);
+    let vertices = KmerGraph::concat(k, parts);
+    vertices.debug_validate();
     phase2.input_records = kept_kplus1;
     phase2.groups = vertices.len() as u64;
     phase2.output_records = vertices.len() as u64;
 
-    let adjacency_slots: u64 = vertices.iter().map(|v| v.adj.degree() as u64).sum();
     let stats = ConstructStats {
         distinct_kplus1_mers: distinct_kplus1,
         kept_kplus1_mers: kept_kplus1,
         vertices: vertices.len() as u64,
-        adjacency_slots,
+        adjacency_slots: vertices.adjacency_slots() as u64,
         phase1,
         phase2,
         elapsed: start.elapsed(),
@@ -289,7 +277,7 @@ pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::VertexType;
+    use crate::node::{KmerRef, VertexType};
     use std::collections::HashMap;
 
     fn reads_from(seqs: &[&str]) -> ReadSet {
@@ -311,6 +299,11 @@ mod tests {
         build_dbg_on(&ExecCtx::new(3), reads, config)
     }
 
+    /// A vertex's canonical k-mer, from its ID.
+    fn kmer_of(v: &KmerRef<'_>, k: usize) -> Kmer {
+        Kmer::from_packed(v.id(), k).unwrap()
+    }
+
     #[test]
     fn figure9_example_builds_a_simple_path() {
         // The strand "CTGCCGTACA" of Figure 9, covered by two overlapping
@@ -321,7 +314,11 @@ mod tests {
         assert_eq!(out.k, 4);
         let nodes = out.to_nodes();
         assert_eq!(nodes.len(), 7);
-        let mut names: Vec<String> = out.vertices.iter().map(|v| v.kmer.to_string()).collect();
+        let mut names: Vec<String> = out
+            .vertices
+            .iter()
+            .map(|v| kmer_of(&v, 4).to_string())
+            .collect();
         names.sort();
         assert_eq!(
             names,
@@ -361,8 +358,8 @@ mod tests {
         assert_eq!(ids_a, ids_b);
         // Edge coverage must merge across strands too.
         let both = dbg(&reads_from(&["CTGCCGTACA", "TGTACGGCAG"]), &config(3, 0));
-        for v in &both.vertices {
-            for (_, cov) in v.adj.iter() {
+        for v in both.vertices.iter() {
+            for &cov in v.coverages() {
                 assert_eq!(cov, 2, "each edge is supported by both strands");
             }
         }
@@ -377,8 +374,8 @@ mod tests {
         assert!(strict.stats.kept_kplus1_mers < lenient.stats.kept_kplus1_mers);
         assert!(strict.stats.vertices < lenient.stats.vertices);
         // The filtered graph contains no low-coverage adjacency slot.
-        for v in &strict.vertices {
-            for (_, cov) in v.adj.iter() {
+        for v in strict.vertices.iter() {
+            for &cov in v.coverages() {
                 assert!(cov >= 2);
             }
         }
@@ -489,7 +486,11 @@ mod tests {
             assert!(counted.len() > 2_000);
             assert_eq!(counted.capacity(), counted.len(), "{workers} workers");
             let out = build_dbg_on(&ctx, &reads, &config);
-            assert_eq!(out.vertices.capacity(), out.vertices.len());
+            let (n, slots) = (out.vertices.len(), out.vertices.adjacency_slots());
+            assert_eq!(
+                out.vertices.heap_bytes(),
+                8 * n + 4 * (2 * n + 1) + 4 * slots
+            );
         }
     }
 
@@ -512,19 +513,18 @@ mod tests {
         // has a slot pointing back.
         let reads = reads_from(&["ATTGCAAGTC", "TGCAAGTCCA", "GACTTGCAAT"]);
         let out = dbg(&reads, &config(4, 0));
-        let by_id: HashMap<u64, &KmerVertex> = out.vertices.iter().map(|v| (v.id(), v)).collect();
-        for v in &out.vertices {
-            for (slot, _) in v.adj.iter() {
-                let neighbor = slot.neighbor_of(&v.kmer);
+        let by_id: HashMap<u64, KmerRef<'_>> = out.vertices.iter().map(|v| (v.id(), v)).collect();
+        for v in out.vertices.iter() {
+            let kmer = kmer_of(&v, 4);
+            for (slot, _) in v.slots() {
+                let neighbor = slot.neighbor_of(&kmer);
                 let n = by_id
                     .get(&neighbor.packed())
                     .unwrap_or_else(|| panic!("neighbour {} missing", neighbor));
-                let points_back = n.adj.iter().any(|(s, _)| s.neighbor_of(&n.kmer) == v.kmer);
-                assert!(
-                    points_back,
-                    "edge {} -> {} has no reverse slot",
-                    v.kmer, neighbor
-                );
+                let points_back = n
+                    .slots()
+                    .any(|(s, _)| s.neighbor_of(&kmer_of(n, 4)) == kmer);
+                assert!(points_back, "edge {kmer} -> {neighbor} has no reverse slot");
             }
         }
     }

@@ -29,7 +29,8 @@
 //! # Rank space
 //!
 //! The jobs do not run on the 64-bit vertex IDs. The node set is translated
-//! once into a rank dictionary (`ranks.rs`) — its sorted ID column — and both
+//! once into a rank dictionary (`ranks.rs`) — its sorted ID column, which
+//! for construct's k-mer graph is the graph's own k-mer column — and both
 //! the BPPA and its S-V fallback address vertices by their dense `u32`
 //! **rank** in it: a message record is 16 bytes, the flip bit is bit 31 of a
 //! rank and the per-vertex state is two pointers. Ranks order as IDs do, so
@@ -44,7 +45,7 @@
 //! unless a spill cap has to be honoured). Nothing here depends on that: a
 //! pointer update compares ranks, never arrival order.
 
-use crate::node::GraphNode;
+use crate::node::{GraphNode, NodeSource};
 use crate::polarity::Side;
 use crate::ranks::{RankDict, AMBIGUOUS, RANK_FLIP, UNRESOLVED};
 use ppa_pregel::aggregate::Count;
@@ -327,16 +328,16 @@ pub(crate) fn sole_neighbors(node: &impl GraphNode) -> Option<[Option<u64>; 2]> 
 /// translation into rank space, the list-ranking job (`RankDict::run_on`), its
 /// S-V cycle fallback and the translation back all run on `ctx`'s persistent
 /// pool (worker count = pool size). The nodes may be in either form
-/// ([`GraphNode`]); the outcome does not depend on which.
-pub fn label_contigs_lr_on<N: GraphNode + Sync>(ctx: &ExecCtx, nodes: &[N]) -> LabelOutcome {
+/// ([`NodeSource`]); the outcome does not depend on which.
+pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
     let config = PregelConfig::default().max_supersteps(4_000);
-    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id());
+    let dict = RankDict::of_nodes_on(ctx, nodes);
 
     // The states of the ranks each worker will hold, with the neighbour IDs
     // translated; an ambiguous vertex parks its broadcast list on the slab.
     let state_of = |rank: u32, slab: &mut Vec<u32>| {
-        let node = &nodes[dict.source(rank)];
-        Some(match sole_neighbors(node) {
+        let node = nodes.node(dict.source(rank));
+        Some(match sole_neighbors(&node) {
             None => {
                 let start = slab.len() as u32;
                 slab.extend(node.real_edges().map(|e| dict.rank(e.neighbor)));
@@ -368,7 +369,7 @@ pub fn label_contigs_lr_on<N: GraphNode + Sync>(ctx: &ExecCtx, nodes: &[N]) -> L
     let adjacency: Vec<(u32, Vec<u32>)> = (0..dict.len())
         .filter(|&rank| unresolved(rank))
         .map(|rank| {
-            let neighbors = sole_neighbors(&nodes[dict.source(rank)])
+            let neighbors = sole_neighbors(&nodes.node(dict.source(rank)))
                 .into_iter()
                 .flatten()
                 .flatten()
@@ -644,7 +645,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_input() {
-        let outcome = label_contigs_lr_on::<AsmNode>(&ExecCtx::new(2), &[]);
+        let outcome = label_contigs_lr_on::<[AsmNode]>(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
         assert!(outcome.ambiguous.is_empty());
         assert!(outcome.metrics.converged);

@@ -25,7 +25,7 @@
 //! own, so the order messages arrive in does not matter.
 
 use super::label::{sole_neighbors, LabelOutcome};
-use crate::node::GraphNode;
+use crate::node::{GraphNode, NodeSource};
 use crate::ranks::RankDict;
 use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
 use ppa_pregel::{ExecCtx, Metrics, PregelConfig};
@@ -43,15 +43,15 @@ fn assert_converged(metrics: &Metrics) {
 /// path, using the simplified S-V algorithm. The translation into rank space,
 /// the S-V job and the translation back all run on `ctx`'s persistent pool
 /// (worker count = pool size). The nodes may be in either form
-/// ([`GraphNode`]); the outcome does not depend on which.
+/// ([`NodeSource`]); the outcome does not depend on which.
 ///
 /// # Panics
 ///
 /// Panics if the job has not converged within its superstep budget.
-pub fn label_contigs_sv_on<N: GraphNode + Sync>(ctx: &ExecCtx, nodes: &[N]) -> LabelOutcome {
+pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
     let workers = ctx.workers();
     let config = PregelConfig::default().max_supersteps(4_000);
-    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id());
+    let dict = RankDict::of_nodes_on(ctx, nodes);
 
     // Per node, in node order, the ranks of its sole neighbours, or `None` for
     // an ambiguous vertex: every worker reads one contiguous share of the
@@ -59,19 +59,17 @@ pub fn label_contigs_sv_on<N: GraphNode + Sync>(ctx: &ExecCtx, nodes: &[N]) -> L
     let sides: Vec<Option<[Option<u32>; 2]>> = ctx
         .pool()
         .run_per_worker(vec![(); workers], |w, ()| {
-            nodes[nodes.len() * w / workers..nodes.len() * (w + 1) / workers]
-                .iter()
-                .map(|node| {
-                    sole_neighbors(node).map(|sole| sole.map(|n| n.map(|id| dict.rank(id))))
+            (nodes.len() * w / workers..nodes.len() * (w + 1) / workers)
+                .map(|i| {
+                    let sole = sole_neighbors(&nodes.node(i));
+                    sole.map(|sole| sole.map(|n| n.map(|id| dict.rank(id))))
                 })
                 .collect::<Vec<_>>()
         })
         .concat();
-    let ambiguous: Vec<u64> = nodes
-        .iter()
-        .zip(&sides)
-        .filter(|(_, sole)| sole.is_none())
-        .map(|(node, _)| node.id())
+    let ambiguous: Vec<u64> = (0..nodes.len())
+        .filter(|&i| sides[i].is_none())
+        .map(|i| nodes.node(i).id())
         .collect();
 
     // Ambiguous vertices take no part and are filtered from the neighbour
@@ -214,7 +212,7 @@ mod tests {
 
     #[test]
     fn sv_empty_input() {
-        let outcome = label_contigs_sv_on::<AsmNode>(&ExecCtx::new(2), &[]);
+        let outcome = label_contigs_sv_on::<[AsmNode]>(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
         assert!(outcome.ambiguous.is_empty());
     }

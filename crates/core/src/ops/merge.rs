@@ -15,8 +15,9 @@
 //!
 //! A label names one member of its group (list ranking's smaller end ID,
 //! S-V's smallest ID), so the node set's sorted ID column — the same rank
-//! dictionary labeling builds (`ranks.rs`) — turns every `(vertex, label)`
-//! pair into two dense `u32`s: the vertex's position in the node set and the
+//! dictionary labeling takes (`ranks.rs`): in round 1 construct's k-mer
+//! column itself, with nothing sorted — turns every `(vertex, label)` pair
+//! into two dense `u32`s: the vertex's position in the node set and the
 //! label's rank. One stable counting pass over the label
 //! ranks lays the members out group by group in a single CSR column, each
 //! group in the order of `labels`, and the dictionary is dropped before any
@@ -42,7 +43,7 @@
 //! paper's, byte for byte what the MapReduce formulation minted.
 
 use crate::ids::contig_id;
-use crate::node::{AsmNode, Edge, GraphNode};
+use crate::node::{AsmNode, Edge, GraphNode, NodeSource};
 use crate::polarity::{Direction, Polarity, Side};
 use crate::ranks::RankDict;
 use ppa_pregel::fxhash::{hash_one, FxHashMap};
@@ -173,15 +174,15 @@ impl Stitcher {
     /// Returns `None` if the group is a short dangling tip (paper: "exit
     /// reduce if the aggregated contig length is not above the tip-length
     /// threshold").
-    fn stitch<N: GraphNode>(
+    fn stitch<S: NodeSource + ?Sized>(
         &mut self,
-        nodes: &[N],
+        nodes: &S,
         members: &[u32],
         k: usize,
         tip_length_threshold: usize,
     ) -> Option<ContigDraft> {
         assert!(!members.is_empty());
-        let node = |at: u32| &nodes[members[at as usize] as usize];
+        let node = |at: u32| nodes.node(members[at as usize] as usize);
         let Stitcher { index, visited } = self;
         index.clear();
         index.extend((0..members.len() as u32).map(|at| (node(at).id(), at)));
@@ -190,7 +191,7 @@ impl Stitcher {
 
         // Locate a contig end: a member with a side that has no edge leading
         // back into the group.
-        let outer_side_of = |node: &N, side: Side| -> bool {
+        let outer_side_of = |node: S::Node<'_>, side: Side| -> bool {
             match node.sole_edge_on(side) {
                 None => true,
                 Some(e) => !index.contains_key(&e.neighbor),
@@ -240,7 +241,7 @@ impl Stitcher {
         };
         visited[start_at as usize] = true;
         let mut merged = 1usize;
-        let mut current: &N = start_node;
+        let mut current = start_node;
         let mut current_orientation = start_orientation;
         let mut out_neighbor: Option<(u64, Orientation, u32)> = None;
         let mut closed_cycle = false;
@@ -321,12 +322,12 @@ impl Group {
 /// The label groups in ascending label order, with their members — positions
 /// in `nodes` of the labelled vertices found there, each group in `labels`
 /// order — in one CSR column.
-fn group_on<N: GraphNode + Sync>(
+fn group_on<S: NodeSource + ?Sized>(
     ctx: &ExecCtx,
-    nodes: &[N],
+    nodes: &S,
     labels: &[(u64, u64)],
 ) -> (Vec<Group>, Vec<u32>) {
-    let dict = RankDict::build_on(ctx, nodes.len(), |i| nodes[i].id());
+    let dict = RankDict::of_nodes_on(ctx, nodes);
     let absent = dict.len();
     // (node position, label rank) of every labelled vertex in the set, one
     // contiguous share of `labels` per worker.
@@ -395,9 +396,9 @@ fn lpt_plan(groups: &[Group], workers: usize) -> Vec<Vec<u32>> {
 /// Stitches the groups on the pool, worker `w` taking `plan[w]`, and mints
 /// the contig IDs. The outcome is the same for every plan that deals each
 /// group once.
-fn stitch_on<N: GraphNode + Sync>(
+fn stitch_on<S: NodeSource + ?Sized>(
     ctx: &ExecCtx,
-    nodes: &[N],
+    nodes: &S,
     groups: &[Group],
     members: &[u32],
     plan: Vec<Vec<u32>>,
@@ -442,16 +443,16 @@ fn stitch_on<N: GraphNode + Sync>(
 
 /// Runs contig merging on `ctx`'s workers: groups the labelled vertices by
 /// label and stitches every group into a contig vertex (see the module
-/// docs). The nodes may be in either form ([`GraphNode`]); the outcome does
-/// not depend on which.
+/// docs). The nodes may be in either form ([`NodeSource`]); the outcome
+/// does not depend on which.
 ///
 /// # Panics
 ///
 /// Panics if a label of a vertex in `nodes` names no vertex of `nodes`:
 /// both labelings name a group by one of its members.
-pub fn merge_contigs_on<N: GraphNode + Sync>(
+pub fn merge_contigs_on<S: NodeSource + ?Sized>(
     ctx: &ExecCtx,
-    nodes: &[N],
+    nodes: &S,
     labels: &[(u64, u64)],
     config: &MergeConfig,
 ) -> MergeOutcome {

@@ -75,7 +75,7 @@
 //! ```
 
 use crate::checkpoint::{self, CheckpointError, CheckpointMeta, Fnv64};
-use crate::node::{AsmNode, GraphNode, KmerVertex};
+use crate::node::{AsmNode, KmerGraph, NodeSource};
 use crate::ops::bubble::{filter_bubbles_on, remove_pruned, BubbleConfig};
 use crate::ops::construct::{build_dbg_on, ConstructConfig, ConstructStats};
 use crate::ops::label::{label_contigs_lr_on, LabelOutcome};
@@ -100,9 +100,10 @@ use std::time::{Duration, Instant};
 /// that produced it left it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeSet {
-    /// The k-mer vertices exactly as [`Construct`] built them: canonical
-    /// k-mer plus packed adjacency (Figure 8), about 64 bytes per vertex.
-    Packed(Vec<KmerVertex>),
+    /// The k-mer vertices exactly as [`Construct`] built them: Figure 8's
+    /// canonical k-mer, adjacency bitmap and per-slot coverages as columns
+    /// sorted by ID, about 24 bytes per vertex.
+    Packed(KmerGraph),
     /// Expanded [`AsmNode`]s: the mixed k-mer + contig set [`Label`]
     /// rebuilds after [`RemoveTips`] rewired the graph.
     Expanded(Vec<AsmNode>),
@@ -715,7 +716,7 @@ impl Label {
         Label::new(LabelingAlgorithm::SimplifiedSV)
     }
 
-    fn label<N: GraphNode + Sync>(&self, ctx: &ExecCtx, nodes: &[N]) -> LabelOutcome {
+    fn label<S: NodeSource + ?Sized>(&self, ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
         match self.algorithm {
             LabelingAlgorithm::ListRanking => label_contigs_lr_on(ctx, nodes),
             LabelingAlgorithm::SimplifiedSV => label_contigs_sv_on(ctx, nodes),
@@ -812,10 +813,10 @@ impl Stage for Merge {
         // the only ones expanded.
         let ambiguous: FxHashSet<u64> = labels.ambiguous.iter().copied().collect();
         state.ambiguous_kmers = match std::mem::take(&mut state.nodes) {
-            NodeSet::Packed(nodes) => nodes
+            NodeSet::Packed(graph) => graph
                 .iter()
                 .filter(|v| ambiguous.contains(&v.id()))
-                .map(KmerVertex::to_asm_node)
+                .map(|v| v.to_asm_node())
                 .collect(),
             NodeSet::Expanded(nodes) => nodes
                 .into_iter()

@@ -8,15 +8,24 @@
 //! [`RankDict::len`], which is no vertex — a Pregel message sent there is
 //! dropped like one sent to the missing ID.
 //!
+//! Round 1's dictionary is construct's k-mer column itself: a
+//! [`KmerGraph`](crate::node::KmerGraph) keeps its k-mers — its vertex IDs —
+//! strictly ascending, so [`RankDict::of_nodes_on`] borrows the column, a
+//! vertex's rank is its position, and the only O(n) work is the prefix
+//! table. Nothing is sorted or merged. Only round 2's mixed set of
+//! ambiguous k-mers and contigs, which comes unsorted, is ranked by
+//! [`RankDict::build_on`]: every worker radix-sorts a share of the IDs and
+//! the shares are merged.
+//!
 //! Both contig labelings — list ranking ([`crate::ops::label`]) and simplified
 //! S-V ([`crate::ops::label_sv`]) — run in rank space and share the way in and
-//! out: [`RankDict::build_on`], [`RankDict::run_on`] (every pool worker builds
+//! out: [`RankDict::of_nodes_on`], [`RankDict::run_on`] (every pool worker builds
 //! the states of the ranks it will own, variable-length lists in one slab per
 //! worker; the job runs; one outcome per rank comes back) and
 //! [`RankDict::read_back_on`] (the outcomes back to `(id, label)` pairs, in
 //! the order a job over the IDs themselves would have left them).
 //!
-//! Contig merging ([`crate::ops::merge`]) builds the same dictionary to
+//! Contig merging ([`crate::ops::merge`]) takes the same dictionary to
 //! join its labels to node positions, and groups by the labels' ranks.
 //!
 //! `run_on` is also the one place that knows which of the engine's two
@@ -28,8 +37,10 @@
 //! store and spill its shuffle. Neither the labelings nor their callers see
 //! the difference: `read_back_on` orders the outcome by ID, not by owner.
 
+use crate::node::{GraphNode, NodeSource};
 use ppa_pregel::fxhash::hash_one;
 use ppa_pregel::{DenseSet, ExecCtx, Metrics, PregelConfig, VertexProgram, VertexSet};
+use std::borrow::Cow;
 
 /// Bit 31 of a rank: list ranking's contig-end *flip* mark, which is why a
 /// node set (and its one-past-the-end rank) has to stay below it.
@@ -38,6 +49,14 @@ pub(crate) const RANK_FLIP: u32 = 1 << 31;
 /// Checks that `nodes` vertices and the absent rank fit below [`RANK_FLIP`].
 pub(crate) fn fits_rank_space(nodes: usize) -> bool {
     nodes < RANK_FLIP as usize
+}
+
+/// Panics unless `nodes` vertices fit below [`RANK_FLIP`].
+fn assert_fits(nodes: usize) {
+    assert!(
+        fits_rank_space(nodes),
+        "{nodes} vertices do not fit the 31-bit rank space of contig labeling"
+    );
 }
 
 /// Outcome marks of [`RankDict::read_back_on`]; every label is a rank, and
@@ -52,10 +71,13 @@ fn owner<K: std::hash::Hash>(key: &K, workers: usize) -> usize {
 }
 
 /// The sorted IDs of a node set, with a prefix index for ID → rank lookups.
-pub(crate) struct RankDict {
-    /// Strictly ascending vertex IDs; the rank of `ids[r]` is `r`.
-    ids: Vec<u64>,
-    /// `source[r]`: position in the build input of the vertex of rank `r`.
+pub(crate) struct RankDict<'a> {
+    /// Strictly ascending vertex IDs; the rank of `ids[r]` is `r`. Borrowed
+    /// when the node set keeps its IDs sorted.
+    ids: Cow<'a, [u64]>,
+    /// `source[r]`: position in the build input of the vertex of rank `r`;
+    /// empty when the input was the sorted column itself, whose positions
+    /// are the ranks.
     source: Vec<u32>,
     /// IDs with `(id - ids[0]) >> shift == p` have the ranks
     /// `starts[p]..starts[p + 1]`: about one ID per prefix, so a lookup is a
@@ -64,7 +86,23 @@ pub(crate) struct RankDict {
     starts: Vec<u32>,
 }
 
-impl RankDict {
+impl<'a> RankDict<'a> {
+    /// The dictionary of a node set: its own ID column when it keeps one
+    /// sorted ([`NodeSource::sorted_ids`]), so that only the prefix table is
+    /// built and a rank is a position; otherwise [`build_on`] over its IDs.
+    ///
+    /// [`build_on`]: RankDict::build_on
+    pub(crate) fn of_nodes_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &'a S) -> RankDict<'a> {
+        match nodes.sorted_ids() {
+            Some(ids) => {
+                assert_fits(ids.len());
+                debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "unsorted ID column");
+                RankDict::indexed(Cow::Borrowed(ids), Vec::new())
+            }
+            None => RankDict::build_on(ctx, nodes.len(), |i| nodes.node(i).id()),
+        }
+    }
+
     /// Ranks the IDs `id_of(0..count)` on the context's pool: every worker
     /// radix-sorts one contiguous share, the shares are merged on the calling
     /// thread. An ID given twice keeps its last position, as
@@ -77,11 +115,8 @@ impl RankDict {
         ctx: &ExecCtx,
         count: usize,
         id_of: impl Fn(usize) -> u64 + Sync,
-    ) -> RankDict {
-        assert!(
-            fits_rank_space(count),
-            "{count} vertices do not fit the 31-bit rank space of contig labeling"
-        );
+    ) -> RankDict<'a> {
+        assert_fits(count);
         let workers = ctx.workers();
         let sorted: Vec<Vec<(u64, u32)>> = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
             let mut share: Vec<(u64, u32)> = (count * w / workers..count * (w + 1) / workers)
@@ -116,12 +151,17 @@ impl RankDict {
             }
         }
         drop(sorted);
+        RankDict::indexed(Cow::Owned(ids), source)
+    }
 
+    /// The dictionary of a strictly ascending ID column: builds the prefix
+    /// table, the one pass over the IDs a borrowed column costs.
+    fn indexed(ids: Cow<'a, [u64]>, source: Vec<u32>) -> RankDict<'a> {
         let span = ids.last().map_or(0, |last| last - ids[0]);
         let prefix_bits = ids.len().next_power_of_two().trailing_zeros();
         let shift = (u64::BITS - span.leading_zeros()).saturating_sub(prefix_bits);
         let mut starts = vec![0u32; (span >> shift) as usize + 2];
-        for id in &ids {
+        for id in ids.iter() {
             starts[((id - ids[0]) >> shift) as usize + 1] += 1;
         }
         for p in 1..starts.len() {
@@ -147,7 +187,10 @@ impl RankDict {
 
     /// Position in the build input of the vertex of rank `rank`.
     pub(crate) fn source(&self, rank: u32) -> usize {
-        self.source[rank as usize] as usize
+        match self.source.is_empty() {
+            true => rank as usize,
+            false => self.source[rank as usize] as usize,
+        }
     }
 
     /// The rank of `id`, or [`len`](RankDict::len) if the set does not hold it.
@@ -274,7 +317,7 @@ mod tests {
     use super::*;
     use crate::ids::contig_id;
 
-    fn dict(ids: &[u64]) -> RankDict {
+    fn dict(ids: &[u64]) -> RankDict<'static> {
         RankDict::build_on(&ExecCtx::new(3), ids.len(), |i| ids[i])
     }
 
@@ -338,12 +381,46 @@ mod tests {
     #[test]
     fn a_repeated_id_keeps_its_last_position() {
         let d = dict(&[9, 4, 9, 4, 4, 2]);
-        assert_eq!(d.ids, &[2, 4, 9]);
+        assert_eq!(&d.ids[..], &[2, 4, 9]);
         assert_eq!(
             [d.source(0), d.source(1), d.source(2)],
             [5, 4, 2],
             "later duplicates replace earlier ones"
         );
+    }
+
+    #[test]
+    fn a_kmer_graph_is_its_own_dictionary() {
+        use crate::node::KmerGraph;
+        let k = 11;
+        let mut kmers: Vec<u64> = (1..3_000u64)
+            .map(|i| {
+                let kmer = ppa_seq::Kmer::from_packed(i.wrapping_mul(0x9E37_79B9) & 0x3f_ffff, k);
+                kmer.unwrap().canonical().kmer.packed()
+            })
+            .collect();
+        kmers.sort_unstable();
+        kmers.dedup();
+        let mut graph = KmerGraph::with_capacity(k, kmers.len(), 0);
+        for &kmer in &kmers {
+            graph.push_vertex(kmer);
+        }
+        let ctx = ExecCtx::new(3);
+        let borrowed = RankDict::of_nodes_on(&ctx, &graph);
+        assert!(matches!(borrowed.ids, Cow::Borrowed(_)));
+        assert!(borrowed.source.is_empty(), "no source column");
+        let sorted = dict(&kmers);
+        assert_eq!(borrowed.len(), sorted.len());
+        for (at, &id) in kmers.iter().enumerate() {
+            assert_eq!(borrowed.rank(id), at as u32);
+            assert_eq!(borrowed.source(at as u32), at);
+            assert_eq!(borrowed.rank(id + 1), sorted.rank(id + 1), "{id:#x} + 1");
+        }
+        // Expanded nodes have no sorted column: they are ranked by sorting.
+        let nodes = graph.to_nodes();
+        let built = RankDict::of_nodes_on(&ctx, &nodes[..]);
+        assert!(matches!(built.ids, Cow::Owned(_)));
+        assert_eq!(built.ids, borrowed.ids);
     }
 
     #[test]

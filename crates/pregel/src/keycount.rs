@@ -435,6 +435,11 @@ impl<'a> Buckets<'a> {
         })
     }
 
+    /// The keys the range's records stand for, all buckets together.
+    pub fn keys(&self) -> usize {
+        self.totals[self.range.clone()].iter().sum::<u64>() as usize
+    }
+
     /// The most keys one bucket of the range holds.
     pub(crate) fn fullest(&self) -> usize {
         let most = self.totals[self.range.clone()].iter().copied().max();

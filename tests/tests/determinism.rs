@@ -11,7 +11,7 @@ use ppa_assembler::ops::construct::ConstructConfig;
 use ppa_assembler::ops::merge::MergeConfig;
 use ppa_assembler::ops::tip::TipConfig;
 use ppa_assembler::pipeline::{Construct, FilterBubbles, FilterLength, Label, Merge, RemoveTips};
-use ppa_assembler::{assemble, Assembly, AssemblyConfig, GraphState, KmerVertex};
+use ppa_assembler::{assemble, AsmNode, Assembly, AssemblyConfig, GraphState};
 use ppa_assembler::{LabelingAlgorithm, NodeSet, Pipeline};
 use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
@@ -90,11 +90,12 @@ fn pipeline_content_is_worker_count_independent() {
 }
 
 /// The FASTA bytes of `config`'s paper workflow over `reads`, with
-/// construct's vertex set put through `permute` before labeling.
+/// construct's k-mer graph expanded into `AsmNode`s, put through `permute`
+/// and handed to labeling as an expanded node set.
 fn fasta_with_permuted_vertices(
     reads: &ReadSet,
     config: &AssemblyConfig,
-    permute: fn(&mut Vec<KmerVertex>),
+    permute: fn(&mut Vec<AsmNode>),
 ) -> Vec<u8> {
     let ctx = ExecCtx::new(config.workers);
     let mut state = GraphState::new(reads);
@@ -105,10 +106,12 @@ fn fasta_with_permuted_vertices(
             batch_size: 1024,
         }))
         .run(&mut state, &ctx);
-    let NodeSet::Packed(vertices) = &mut state.nodes else {
-        panic!("construct leaves packed vertices");
+    let NodeSet::Packed(graph) = &state.nodes else {
+        panic!("construct leaves the k-mer graph");
     };
-    permute(vertices);
+    let mut nodes = graph.to_nodes();
+    permute(&mut nodes);
+    state.nodes = NodeSet::Expanded(nodes);
     let merge = MergeConfig {
         k: config.k,
         tip_length_threshold: config.tip_length_threshold,
@@ -146,11 +149,13 @@ fn fasta_with_permuted_vertices(
 
 #[test]
 fn contigs_do_not_depend_on_the_order_of_constructs_vertices() {
-    // Construct leaves its vertices sorted by k-mer. Labeling and merging
-    // must not rely on that: a reversed or rotated vertex set assembles to
-    // the same FASTA bytes, contig IDs included.
+    // Construct leaves its vertices as columns sorted by k-mer, which
+    // round 1 ranks by position and which cannot be permuted. Labeling and
+    // merging must not rely on that order: the graph's expanded copy, as it
+    // is, reversed or rotated, is ranked by sorting and assembles to the
+    // same FASTA bytes as the graph, contig IDs included.
     let reads = simulated_reads(97);
-    let permutations: [fn(&mut Vec<KmerVertex>); 3] = [
+    let permutations: [fn(&mut Vec<AsmNode>); 3] = [
         |_| {},
         |vertices| vertices.reverse(),
         |vertices| {

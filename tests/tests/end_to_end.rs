@@ -1,9 +1,17 @@
 //! End-to-end integration tests: simulate → assemble → assess, across crates.
 
+use ppa_assembler::ops::bubble::BubbleConfig;
+use ppa_assembler::ops::construct::ConstructConfig;
+use ppa_assembler::ops::merge::MergeConfig;
+use ppa_assembler::ops::tip::TipConfig;
+use ppa_assembler::pipeline::{Construct, FilterBubbles, FilterLength, Label, Merge, RemoveTips};
 use ppa_assembler::{assemble, AssemblyConfig, LabelingAlgorithm};
+use ppa_assembler::{AsmNode, GraphState, Stage, StageDetails};
+use ppa_pregel::ExecCtx;
 use ppa_quality::{AlignmentConfig, QuastReport};
 use ppa_readsim::{preset_by_name, GenomeConfig, ReadSimConfig};
-use ppa_tests::canonical_multiset;
+use ppa_tests::{canonical_multiset, fingerprint};
+use std::collections::HashSet;
 
 fn assembly_config(k: usize, workers: usize) -> AssemblyConfig {
     AssemblyConfig {
@@ -174,4 +182,104 @@ fn quality_tool_flags_a_deliberately_bad_assembly() {
     assert_eq!(good_metrics.misassemblies, 0);
     assert!(bad_metrics.misassemblies >= 1);
     assert!(bad_metrics.genome_fraction_percent < good_metrics.genome_fraction_percent);
+}
+
+/// Superstep 0 of tip removal: every ambiguous k-mer tells each of its
+/// neighbours that it survived, and every contig tells its end k-mers about
+/// itself. The announcements to IDs that are no longer in the node set —
+/// k-mers merging folded into contigs — are the job's only drops.
+fn tip_announcements_to_absent_ids(kmers: &[AsmNode], contigs: &[AsmNode]) -> u64 {
+    let present: HashSet<u64> = kmers.iter().chain(contigs).map(|n| n.id).collect();
+    let targets = kmers.iter().chain(contigs).flat_map(|n| n.real_edges());
+    targets.filter(|e| !present.contains(&e.neighbor)).count() as u64
+}
+
+#[test]
+fn the_paper_workflow_drops_only_tip_announcements() {
+    // Every message a labeling sends names a vertex of the node set it runs
+    // over: construct's adjacency is symmetric and tip removal rewires what
+    // merging and deleting took away. Tip removal itself learns which
+    // neighbours survived by announcing itself to all of them, so it drops
+    // exactly the announcements to vanished IDs, and its REQUEST/DELETE
+    // protocol drops nothing. The stages below are
+    // `Pipeline::paper_workflow`'s with two correction rounds, run one at a
+    // time to read each job's metrics; the FASTA check at the end keeps them
+    // that.
+    let dataset = preset_by_name("sim-hc2").unwrap().scaled(0.05).generate();
+    let reads = &dataset.reads;
+    for labeling in [
+        LabelingAlgorithm::ListRanking,
+        LabelingAlgorithm::SimplifiedSV,
+    ] {
+        for workers in 1..=4 {
+            let at = format!("{labeling:?}, {workers} workers");
+            let config = AssemblyConfig {
+                labeling,
+                error_correction_rounds: 2,
+                ..assembly_config(25, workers)
+            };
+            let merge = MergeConfig {
+                k: config.k,
+                tip_length_threshold: config.tip_length_threshold,
+            };
+            let mut stages: Vec<Box<dyn Stage>> = vec![
+                Box::new(Construct::new(ConstructConfig {
+                    k: config.k,
+                    min_coverage: config.min_kmer_coverage,
+                    batch_size: 1024,
+                })),
+                Box::new(Label::new(labeling)),
+                Box::new(Merge::new(merge.clone())),
+            ];
+            for _ in 0..config.error_correction_rounds {
+                stages.push(Box::new(FilterBubbles::new(BubbleConfig {
+                    max_edit_distance: config.bubble_edit_distance,
+                })));
+                stages.push(Box::new(RemoveTips::new(TipConfig {
+                    k: config.k,
+                    tip_length_threshold: config.tip_length_threshold,
+                })));
+                stages.push(Box::new(Label::new(labeling)));
+                stages.push(Box::new(Merge::new(merge.clone())));
+            }
+            stages.push(Box::new(FilterLength::new(config.min_contig_length)));
+
+            let ctx = ExecCtx::new(workers);
+            let mut state = GraphState::new(reads);
+            let (mut label_rounds, mut tip_jobs) = (0, 0);
+            for stage in &stages {
+                let absent =
+                    tip_announcements_to_absent_ids(&state.ambiguous_kmers, &state.contigs);
+                let report = stage.run(&mut state, &ctx);
+                match &report.details {
+                    StageDetails::Label(_) => {
+                        label_rounds += 1;
+                        let metrics = &state.labels.as_ref().expect("labels").metrics;
+                        if label_rounds == 1 {
+                            assert!(metrics.total_messages > 10_000, "{at}");
+                        }
+                        assert_eq!(metrics.total_dropped, 0, "label round {label_rounds}: {at}");
+                    }
+                    StageDetails::Tips { metrics, .. } => {
+                        tip_jobs += 1;
+                        assert!(tip_jobs > 1 || absent > 0, "nothing vanished: {at}");
+                        assert_eq!(metrics.total_dropped, absent, "tip job {tip_jobs}: {at}");
+                        // A superstep's drops are reported with the next one.
+                        let late: u64 = metrics.per_superstep[2..]
+                            .iter()
+                            .map(|s| s.messages_dropped)
+                            .sum();
+                        assert_eq!(late, 0, "REQUEST/DELETE drops, tip job {tip_jobs}: {at}");
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!((label_rounds, tip_jobs), (3, 2), "{at}");
+            assert_eq!(
+                fingerprint(&state.output),
+                fingerprint(&assemble(reads, &config).contigs),
+                "the stages are the paper workflow: {at}"
+            );
+        }
+    }
 }

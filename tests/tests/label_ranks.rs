@@ -27,7 +27,9 @@ use ppa_assembler::ops::label_sv::label_contigs_sv_on;
 use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
 use ppa_assembler::ops::tip::TipConfig;
 use ppa_assembler::pipeline::{Construct, FilterBubbles, Label, Merge, RemoveTips};
-use ppa_assembler::{AsmNode, Direction, Edge, GraphNode, GraphState, Pipeline, Polarity};
+use ppa_assembler::{
+    AsmNode, Direction, Edge, GraphNode, GraphState, NodeSource, Pipeline, Polarity,
+};
 use ppa_pregel::ExecCtx;
 use ppa_seq::{DnaString, Kmer, ReadSet};
 use ppa_tests::oracle::{self, ChainKind, Labels, Node};
@@ -148,7 +150,7 @@ fn ids_of(labels: &[(u64, u64)]) -> Vec<u64> {
 /// Both labelings of `nodes` at 1–4 workers against the oracle's `want`:
 /// labels, ambiguous IDs and their order. Returns the costs of list ranking
 /// and S-V, after checking that they do not depend on the worker count.
-fn check_labels<N: GraphNode + Sync>(nodes: &[N], want: &Labels, what: &str) -> (Costs, Costs) {
+fn check_labels<S: NodeSource + ?Sized>(nodes: &S, want: &Labels, what: &str) -> (Costs, Costs) {
     let fallback: HashSet<u64> = want
         .chains
         .iter()
@@ -189,9 +191,8 @@ fn check_labels<N: GraphNode + Sync>(nodes: &[N], want: &Labels, what: &str) -> 
         assert_eq!(ids_of(&sv.labels), sv_order, "S-V label order: {at}");
         let ambiguous = in_job_order(want.ambiguous.iter().copied(), workers);
         assert_eq!(lr.ambiguous, ambiguous, "LR ambiguous: {at}");
-        let in_node_order: Vec<u64> = nodes
-            .iter()
-            .map(|n| n.id())
+        let in_node_order: Vec<u64> = (0..nodes.len())
+            .map(|i| nodes.node(i).id())
             .filter(|id| want.ambiguous.contains(id))
             .collect();
         assert_eq!(sv.ambiguous, in_node_order, "S-V ambiguous: {at}");
@@ -326,8 +327,8 @@ fn ceil_log2(n: usize) -> usize {
 
 /// ② then ③ of `nodes` at 1–4 workers against the oracle's reading `want`
 /// of the same graph. Returns the oracle's labels and merge.
-fn check_label_and_merge<N: GraphNode + Sync>(
-    nodes: &[N],
+fn check_label_and_merge<S: NodeSource + ?Sized>(
+    nodes: &S,
     want: &[Node],
     merge: &MergeConfig,
     what: &str,

@@ -1,6 +1,6 @@
-//! Labeling and merging read construct's packed k-mer vertices directly
-//! (`GraphNode` over `KmerVertex`); the expanded `AsmNode` graph is the
-//! reference. On random read sets, at 1–4 workers, every operation on
+//! Labeling and merging read construct's columnar k-mer graph directly
+//! (`NodeSource` over `KmerGraph`, ranked by position); the expanded
+//! `AsmNode` graph, ranked by sorting, is the reference. On random read sets, at 1–4 workers, every operation on
 //! `outcome.vertices` must give exactly what it gives on
 //! `outcome.to_nodes()`: the labels in order, the ambiguous IDs, supersteps,
 //! messages and drops of both labelings, and the merged contigs with their

@@ -8,9 +8,11 @@
 //! grows with the job. The FASTA/FASTQ parser promises no per-read
 //! allocation: its columns grow geometrically and its line buffers are
 //! reused, so 10 000 reads cost a few reallocations more than 100.
-//! Construction hands its k-mer vertices on in their packed form (Figure 8):
-//! the node set `Construct` leaves in a `GraphState` holds at most 80 heap
-//! bytes per vertex, where the expanded `AsmNode` graph held about 136.
+//! Construction hands its k-mer vertices on as Figure 8's columns: the node
+//! set `Construct` leaves in a `GraphState` holds at most 28 heap bytes per
+//! vertex — a k-mer, a bitmap, an offset and about two coverage counters —
+//! and `KmerGraph::heap_bytes` reports them. Construction allocates nothing
+//! per vertex: 100 times the vertices cost a few reallocations more.
 //! Contig merging (③) groups the labelled vertices through one sorted ID
 //! index and a `u32` CSR column: its heap high-water over what was live at
 //! its entry stays under 48 bytes per labelled vertex, where the
@@ -20,7 +22,7 @@
 //! This file must stay a single-test binary: the counting allocator below is
 //! process-global, and a concurrently running test would pollute the count.
 
-use ppa_assembler::ops::construct::ConstructConfig;
+use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
 use ppa_assembler::ops::label::label_contigs_lr_on;
 use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
 use ppa_assembler::pipeline::{Construct, GraphState, NodeSet, Stage};
@@ -153,8 +155,13 @@ fn parse_allocations(reads: usize) -> (u64, u64) {
 
 /// 1 %-error reads of a simulated 20 kb genome.
 fn simulated_reads() -> ReadSet {
+    reads_of_a_genome(20_000)
+}
+
+/// 30x 1 %-error reads of a simulated genome of `length` bases.
+fn reads_of_a_genome(length: usize) -> ReadSet {
     let genome = GenomeConfig {
-        length: 20_000,
+        length,
         seed: 5,
         ..Default::default()
     }
@@ -171,21 +178,29 @@ fn simulated_reads() -> ReadSet {
     .simulate(&genome)
 }
 
-/// Heap bytes per k-mer vertex of the node set `Construct` leaves in a
-/// `GraphState`, on [`simulated_reads`] at k = 31: the live bytes that
-/// emptying the node set frees, over its vertex count.
-fn construct_bytes_per_vertex(ctx: &ExecCtx, reads: &ReadSet) -> f64 {
+/// The node set `Construct` leaves in a `GraphState`, on
+/// [`simulated_reads`] at k = 31: the live bytes that emptying it frees,
+/// what `KmerGraph::heap_bytes` said it held, and its vertex count.
+fn construct_heap(ctx: &ExecCtx, reads: &ReadSet) -> (u64, u64, usize) {
     let mut state = GraphState::new(reads);
     Construct::new(ConstructConfig::default()).run(&mut state, ctx);
-    let vertices = state.nodes.len();
-    assert!(
-        matches!(state.nodes, NodeSet::Packed(_)) && vertices > 15_000,
-        "{vertices} vertices"
-    );
+    let NodeSet::Packed(graph) = &state.nodes else {
+        panic!("Construct leaves the k-mer graph");
+    };
+    let (reported, vertices) = (graph.heap_bytes() as u64, graph.len());
+    assert!(vertices > 15_000, "{vertices} vertices");
     let held = LIVE_BYTES.load(Ordering::Relaxed);
     state.nodes = NodeSet::default();
     let freed = held - LIVE_BYTES.load(Ordering::Relaxed);
-    freed as f64 / vertices as f64
+    (freed, reported, vertices)
+}
+
+/// Heap allocations of `build_dbg_on` over `reads` (the reads not counted),
+/// and the vertices it built.
+fn construct_allocations(ctx: &ExecCtx, reads: &ReadSet) -> (u64, usize) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let graph = build_dbg_on(ctx, reads, &ConstructConfig::default()).vertices;
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, graph.len())
 }
 
 /// Contig merging's heap high-water, over the bytes live at its entry, per
@@ -269,13 +284,34 @@ fn steady_state_radix_sort_is_allocation_free() {
         );
     }
 
-    // The packed node set: a 48-byte `KmerVertex` plus its coverage counters,
-    // in a vector of exactly its length.
+    // The k-mer graph: four columns of exactly their length, and
+    // `heap_bytes` tells what they hold.
     let reads = simulated_reads();
-    let per_vertex = construct_bytes_per_vertex(&ctx, &reads);
+    let (freed, reported, vertices) = construct_heap(&ctx, &reads);
+    let per_vertex = freed as f64 / vertices as f64;
     assert!(
-        per_vertex <= 80.0,
+        per_vertex <= 28.0,
         "Construct left {per_vertex:.1} heap bytes per k-mer vertex"
+    );
+    assert!(
+        freed.abs_diff(reported) * 20 <= freed,
+        "heap_bytes says {reported}, the allocator freed {freed}"
+    );
+
+    // No allocation per vertex: every column is reserved from a count,
+    // never grown one vertex at a time. What 100 times the vertices add is
+    // the doubling of per-worker survivor and scratch vectors, about 30
+    // reallocations.
+    let (small, small_vertices) = construct_allocations(&ctx, &reads_of_a_genome(1_000));
+    let (large, large_vertices) = construct_allocations(&ctx, &reads_of_a_genome(100_000));
+    assert!(
+        large_vertices >= 90 * small_vertices,
+        "{large_vertices} vs {small_vertices} vertices"
+    );
+    assert!(
+        large <= small + 48,
+        "construct: {large_vertices} vertices cost {large} allocations, \
+         {small_vertices} vertices {small}"
     );
 
     // Contig merging: the sorted ID index, two `u32` columns and the
