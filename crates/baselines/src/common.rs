@@ -3,6 +3,7 @@
 use ppa_pregel::fxhash::hash_one;
 use ppa_pregel::keycount::{count_keys_on, KeySink, Record, Records, KEYS_SHIFT};
 use ppa_pregel::ExecCtx;
+use ppa_seq::fastx::BREAK;
 use ppa_seq::kmer::CanonicalScanner;
 use ppa_seq::{Base, Kmer, ReadSet};
 use std::ops::Range;
@@ -33,14 +34,13 @@ pub fn count_canonical_kmers_on(
         |batch, sink: &mut KeySink| {
             let mut scanner = CanonicalScanner::new(k).expect("baseline k in range");
             for read in reads.records.range(batch.clone()) {
-                for segment in read.acgt_segments() {
-                    scanner.reset();
-                    for &c in segment {
-                        let base = Base::from_ascii_checked(c).expect("ACGT segment");
-                        if let Some(canonical) = scanner.push(base) {
-                            let key = canonical.kmer.packed();
-                            sink.push(hash_one(&key), [key, 1 << KEYS_SHIFT]);
-                        }
+                scanner.reset();
+                for code in read.codes() {
+                    if code == BREAK {
+                        scanner.reset();
+                    } else if let Some(canonical) = scanner.push(Base::from_code(code)) {
+                        let key = canonical.kmer.packed();
+                        sink.push(hash_one(&key), [key, 1 << KEYS_SHIFT]);
                     }
                 }
             }

@@ -11,6 +11,8 @@
 
 use crate::{Assembler, BaselineAssembly, BaselineParams};
 use ppa_assembler::{edge_contributions, AsmNode, Edge, VertexType};
+use ppa_seq::fastx::BREAK;
+use ppa_seq::kmer::CanonicalScanner;
 use ppa_seq::{Base, DnaString, Kmer, Orientation, ReadSet};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -23,17 +25,14 @@ pub struct RayLike;
 fn build_graph(reads: &ReadSet, k: usize, min_coverage: u32) -> HashMap<u64, AsmNode> {
     // Count canonical (k+1)-mers sequentially (the coordinator does the work).
     let mut counts: HashMap<u64, u32> = HashMap::new();
+    let mut scanner = CanonicalScanner::new(k + 1).expect("baseline k in range");
     for read in &reads.records {
-        for segment in read.acgt_segments() {
-            if segment.len() < k + 1 {
-                continue;
-            }
-            let bases: Vec<Base> = segment
-                .iter()
-                .map(|&c| Base::from_ascii_checked(c).expect("ACGT segment"))
-                .collect();
-            for window in ppa_seq::kmer::kmers_of(&bases, k + 1) {
-                *counts.entry(window.canonical().kmer.packed()).or_insert(0) += 1;
+        scanner.reset();
+        for code in read.codes() {
+            if code == BREAK {
+                scanner.reset();
+            } else if let Some(window) = scanner.push(Base::from_code(code)) {
+                *counts.entry(window.kmer.packed()).or_insert(0) += 1;
             }
         }
     }

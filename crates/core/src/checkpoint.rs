@@ -44,10 +44,9 @@
 //! a fingerprint of the pipeline configuration and of the input reads, so
 //! resuming with a different config or a different read set is rejected with
 //! [`CheckpointError::Mismatch`] instead of silently producing garbage. The
-//! reads fingerprint digests the read slab's four columns
-//! ([`reads_fingerprint`]); a snapshot from before the slab, whose
-//! fingerprint digested per-read records with their qualities, is rejected
-//! the same way.
+//! reads fingerprint digests the read slab's columns ([`reads_fingerprint`]):
+//! the packed bases and their breaks since v6, the bytes as read before it.
+//! A snapshot from an older format is refused by its version.
 //!
 //! After a successful save the pipeline keeps only the newest snapshot:
 //! [`save_with_reads_fingerprint`] prunes every other `stage-*` subdirectory.
@@ -70,8 +69,9 @@ const MAGIC: [u8; 8] = *b"PPACKPT1";
 /// Format version stamped into and checked against every manifest.
 /// v3 added the cancellation-check counters to the metrics codec; v4 added
 /// the out-of-core spill counters; v5 added the node-set form, which selects
-/// the codec of `nodes.col`.
-const VERSION: u32 = 5;
+/// the codec of `nodes.col`; v6 fingerprints the reads by their packed 2-bit
+/// bases and break positions (the sections keep v5's bytes).
+const VERSION: u32 = 6;
 /// The manifest file name inside a snapshot directory.
 const MANIFEST_FILE: &str = "MANIFEST";
 
@@ -313,16 +313,17 @@ fn fold_lanes(lanes: [u64; 4], len: usize) -> u64 {
 }
 
 /// Fingerprint of an input read set: the read count plus one striped
-/// `checksum64` per column of its slab — bases, names and both end-offset
-/// columns, so a moved read boundary changes it even when the bases and
-/// names do not. A resumed run must present the same reads the checkpoint
-/// was taken from; this runs on every save *and* every load, so it must not
-/// re-hash megabytes of reads byte by byte.
+/// checksum per column of its slab — the packed bases, the break positions,
+/// the names and both end-offset columns, so a moved read boundary changes
+/// it even when the bases and names do not. A resumed run must present the
+/// same reads the checkpoint was taken from; this runs on every save *and*
+/// every load, so it hashes whole words, never a base at a time.
 pub fn reads_fingerprint(reads: &ReadSet) -> u64 {
     let slab = &reads.records;
     let mut h = Fnv64::new();
     h.write_u64(slab.len() as u64);
-    h.write_u64(checksum64(slab.bases()));
+    h.write_u64(checksum64_words(slab.words()));
+    h.write_u64(checksum64_words(slab.breaks()));
     h.write_u64(checksum64_words(slab.base_ends()));
     h.write_u64(checksum64(slab.names()));
     h.write_u64(checksum64_words(slab.name_ends()));
@@ -1523,27 +1524,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_version_4_snapshot_is_refused() {
+    /// Saves a snapshot, stamps its manifest with format `version` and
+    /// loads it back.
+    fn load_as_version(version: u32, tag: &str) -> Result<(), CheckpointError> {
         let reads = test_reads();
         let state = arb_state(&mut Mix(13), reads);
-        let dir = tmp_dir("v4");
+        let dir = tmp_dir(tag);
         let ckpt = save(&dir, &state, &meta(1)).unwrap();
         // The version follows the 8-byte magic.
         let path = ckpt.join(MANIFEST_FILE);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        let err = load_latest(&dir, reads).unwrap_err();
+        let outcome = load_latest(&dir, reads).map(|_| ());
+        fs::remove_dir_all(&dir).unwrap();
+        outcome
+    }
+
+    #[test]
+    fn a_version_4_snapshot_is_refused() {
         assert_eq!(
-            err,
-            CheckpointError::Mismatch {
+            load_as_version(4, "v4"),
+            Err(CheckpointError::Mismatch {
                 what: "format version".into(),
                 expected: "4".into(),
-                actual: "5".into(),
-            }
+                actual: "6".into(),
+            })
         );
-        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_version_5_snapshot_is_refused() {
+        // v5 fingerprinted the reads by the bytes as read, not the packed
+        // bases: its reads fingerprint means nothing to a v6 reader.
+        assert_eq!(
+            load_as_version(5, "v5"),
+            Err(CheckpointError::Mismatch {
+                what: "format version".into(),
+                expected: "5".into(),
+                actual: "6".into(),
+            })
+        );
     }
 
     #[test]
@@ -1564,7 +1585,6 @@ mod tests {
         ];
         for records in foreign {
             let other: ReadSet = records.iter().copied().collect();
-            assert_eq!(other.records.bases().len(), other.total_bases());
             let err = load_latest(&dir, &other).unwrap_err();
             assert!(
                 matches!(err, CheckpointError::Mismatch { ref what, .. } if what == "input reads"),
@@ -1795,6 +1815,8 @@ mod tests {
     fn the_packed_node_section_keeps_its_version_5_bytes() {
         // Figure 9's path, a fork off it and a cycle of 4-mers; the digest
         // was taken from the per-vertex encoding this format was defined by.
+        // Version 6 changed only the reads fingerprint in the manifest:
+        // `nodes.col` is still version 5's bytes.
         let reads: ReadSet = [
             ("path", "CTGCCGTACA"),
             ("fork", "CCGTACGGA"),

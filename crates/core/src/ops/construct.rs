@@ -8,8 +8,9 @@
 //! * **Phase (i)** ([`count_kplus1_mers_on`]): every read is cut into
 //!   (k+1)-mers with a sliding window (Figure 4) that restarts at every `N`,
 //!   and the canonical (k+1)-mers seen more than θ times are kept — the rest
-//!   are discarded as likely sequencing errors. One scan of the read bytes
-//!   ([`SuperKmerScanner::scan`]) cuts each read into super-k-mers — runs of
+//!   are discarded as likely sequencing errors. One scan of each read's
+//!   2-bit codes, straight from the read slab's packed words
+//!   ([`SuperKmerScanner::scan_codes`]), cuts it into super-k-mers — runs of
 //!   consecutive windows that share their minimizer, two words for up to
 //!   `k + 2 − m` windows — and scatters them into buckets addressed by the
 //!   minimizer's hash, about 1.5 bytes per window where a bare packed key
@@ -160,8 +161,8 @@ pub fn count_kplus1_mers_on(
     );
     let k = config.k;
     let scanner = SuperKmerScanner::new(k + 1).expect("k validated above");
-    // Tasks are runs of read indices; each scans its reads' slices of the
-    // one bases column.
+    // Tasks are runs of read indices; each scans its reads' codes in the
+    // one packed bases column.
     let batches: Vec<Range<usize>> = reads.records.chunk_ranges(config.batch_size).collect();
     count_keys_on(
         ctx,
@@ -173,7 +174,7 @@ pub fn count_kplus1_mers_on(
         },
         |batch, sink: &mut KeySink| {
             for read in reads.records.range(batch.clone()) {
-                scanner.scan(read.seq, |sk| sink.push(sk.minimizer_hash(), sk.record));
+                scanner.scan_codes(read.codes(), |sk| sink.push(sk.minimizer_hash(), sk.record));
             }
         },
         Records {

@@ -28,15 +28,18 @@ use super::label::{sole_neighbors, LabelOutcome};
 use crate::node::{GraphNode, NodeSource};
 use crate::ranks::RankDict;
 use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
-use ppa_pregel::{ExecCtx, Metrics, PregelConfig};
+use ppa_pregel::{EngineError, ExecCtx, Metrics, PregelConfig};
 
-/// Parents that are still being hooked are not contig labels.
-fn assert_converged(metrics: &Metrics) {
-    assert!(
-        metrics.converged,
-        "S-V labeling has not converged after {} supersteps",
-        metrics.supersteps
-    );
+/// Parents that are still being hooked are not contig labels: a job its
+/// superstep budget cut off is an error, not an outcome.
+fn converged(metrics: &Metrics) -> Result<(), EngineError> {
+    if metrics.converged {
+        Ok(())
+    } else {
+        Err(EngineError::NotConverged {
+            supersteps: metrics.supersteps,
+        })
+    }
 }
 
 /// Labels every maximal unambiguous path with the smallest vertex ID of the
@@ -45,9 +48,13 @@ fn assert_converged(metrics: &Metrics) {
 /// (worker count = pool size). The nodes may be in either form
 /// ([`NodeSource`]); the outcome does not depend on which.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the job has not converged within its superstep budget.
+/// A job that has not converged within its superstep budget raises
+/// [`EngineError::NotConverged`] as a typed panic payload on the calling
+/// thread, as a cancelled job raises [`EngineError::Cancelled`]; a
+/// [`Pipeline`](crate::pipeline::Pipeline) reports it as
+/// [`PipelineError::NotConverged`](crate::pipeline::PipelineError::NotConverged).
 pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
     let workers = ctx.workers();
     let config = PregelConfig::default().max_supersteps(4_000);
@@ -91,7 +98,9 @@ pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
         SvProgram::<u32, Spillable>::new,
         SvState::parent,
     );
-    assert_converged(&metrics);
+    if let Err(e) = converged(&metrics) {
+        std::panic::panic_any(e);
+    }
 
     let (labels, _) = dict.read_back_on(ctx, &outcome);
     LabelOutcome {
@@ -197,7 +206,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "S-V labeling has not converged after 6 supersteps")]
     fn a_job_cut_off_by_its_superstep_budget_is_loud() {
         // Seven vertices in a row need more than one round of hooking; six
         // supersteps stop the program in the middle of its second round.
@@ -207,7 +215,16 @@ mod tests {
         let config = PregelConfig::default().max_supersteps(6);
         let (_, metrics) =
             ppa_pregel::algorithms::connected_components(&ExecCtx::new(2), path, &config);
-        assert_converged(&metrics);
+        assert!(matches!(
+            converged(&metrics),
+            Err(EngineError::NotConverged { supersteps: 6 })
+        ));
+        let (_, metrics) = ppa_pregel::algorithms::connected_components(
+            &ExecCtx::new(2),
+            vec![(0u32, vec![])],
+            &config,
+        );
+        assert_eq!(converged(&metrics), Ok(()));
     }
 
     #[test]

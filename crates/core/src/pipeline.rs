@@ -209,6 +209,18 @@ pub enum PipelineError {
     },
     /// Saving or loading a checkpoint failed.
     Checkpoint(CheckpointError),
+    /// A stage's Pregel job used up its superstep budget before it
+    /// converged (S-V labeling raises it; see
+    /// [`EngineError::NotConverged`]). The job is deterministic, so a retry
+    /// would stop at the same superstep.
+    NotConverged {
+        /// Name of the failing stage.
+        stage: String,
+        /// 1-based per-stage-name round of the failing execution.
+        round: usize,
+        /// The supersteps the job ran.
+        supersteps: usize,
+    },
     /// The job's [`JobControl`](ppa_pregel::JobControl) tripped at a
     /// cooperative poll: an explicit cancel request, an expired deadline, or
     /// a memory budget overrun. Never retried by
@@ -230,13 +242,16 @@ pub enum PipelineError {
 impl PipelineError {
     /// Whether a retry can plausibly cure this failure. Stage panics and
     /// checkpoint I/O errors are transient (a crash can be re-run, a full
-    /// disk can recover); malformed input and cancellations are not —
-    /// [`Pipeline::try_run_with_retries`] fails fast on them.
+    /// disk can recover); malformed input, cancellations and a job that did
+    /// not converge are not — [`Pipeline::try_run_with_retries`] fails fast
+    /// on them.
     // ppa_lint: allow(test-only-pub) the retry policy's verdict, public so a caller retrying on its own can ask it
     pub fn is_transient(&self) -> bool {
         match self {
             PipelineError::Stage { .. } | PipelineError::Checkpoint(_) => true,
-            PipelineError::Input(_) | PipelineError::Cancelled { .. } => false,
+            PipelineError::Input(_)
+            | PipelineError::Cancelled { .. }
+            | PipelineError::NotConverged { .. } => false,
         }
     }
 }
@@ -251,6 +266,14 @@ impl std::fmt::Display for PipelineError {
                 message,
             } => write!(f, "stage {stage} (round {round}) failed: {message}"),
             PipelineError::Checkpoint(e) => write!(f, "{e}"),
+            PipelineError::NotConverged {
+                stage,
+                round,
+                supersteps,
+            } => write!(
+                f,
+                "stage {stage} (round {round}) did not converge within {supersteps} supersteps"
+            ),
             PipelineError::Cancelled {
                 reason,
                 stage,
@@ -273,7 +296,9 @@ impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PipelineError::Input(e) => Some(e),
-            PipelineError::Stage { .. } | PipelineError::Cancelled { .. } => None,
+            PipelineError::Stage { .. }
+            | PipelineError::Cancelled { .. }
+            | PipelineError::NotConverged { .. } => None,
             PipelineError::Checkpoint(e) => Some(e),
         }
     }
@@ -1254,17 +1279,25 @@ impl<'o> Pipeline<'o> {
                     // stage panic. The state is mid-stage and possibly
                     // inconsistent either way, so no emergency snapshot here:
                     // resume continues from the last policy snapshot.
-                    if let Some(&EngineError::Cancelled { reason, superstep }) =
-                        payload.downcast_ref::<EngineError>()
-                    {
-                        for obs in observers.iter_mut() {
-                            obs.on_cancelled(reason, &name);
+                    match payload.downcast_ref::<EngineError>() {
+                        Some(&EngineError::Cancelled { reason, superstep }) => {
+                            for obs in observers.iter_mut() {
+                                obs.on_cancelled(reason, &name);
+                            }
+                            return Err(PipelineError::Cancelled {
+                                reason,
+                                stage: name,
+                                superstep: Some(superstep),
+                            });
                         }
-                        return Err(PipelineError::Cancelled {
-                            reason,
-                            stage: name,
-                            superstep: Some(superstep),
-                        });
+                        Some(&EngineError::NotConverged { supersteps }) => {
+                            return Err(PipelineError::NotConverged {
+                                stage: name,
+                                round,
+                                supersteps,
+                            });
+                        }
+                        _ => {}
                     }
                     return Err(PipelineError::Stage {
                         stage: name,
@@ -1515,9 +1548,10 @@ impl<'o> Pipeline<'o> {
             result = self.execute(state, ctx, start_at, &mut rounds, true, &mut reports);
             match &result {
                 Ok(()) => break,
-                // Fail fast on non-transient failures: malformed input cannot
-                // be cured by re-running it, and a cancellation is a
-                // deliberate stop that a retry loop must honour.
+                // Fail fast on non-transient failures: malformed input and a
+                // job that did not converge cannot be cured by re-running
+                // them, and a cancellation is a deliberate stop that a retry
+                // loop must honour.
                 Err(e) if !e.is_transient() => break,
                 Err(_) => {}
             }
@@ -1838,6 +1872,53 @@ mod tests {
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(&small_config()).run(&mut state, &ctx);
         assert!(!state.output.is_empty());
+    }
+
+    #[test]
+    fn a_job_that_does_not_converge_is_a_typed_error_that_is_not_retried() {
+        // What S-V labeling raises when its superstep budget runs out.
+        struct Unconverged;
+        #[derive(Default)]
+        struct StageCounter(usize);
+        impl PipelineObserver for StageCounter {
+            fn on_stage_start(&mut self, _stage: &str) {
+                self.0 += 1;
+            }
+        }
+        impl Stage for Unconverged {
+            fn name(&self) -> &str {
+                "label"
+            }
+            fn run(&self, _state: &mut GraphState<'_>, _ctx: &ExecCtx) -> StageReport {
+                std::panic::panic_any(EngineError::NotConverged { supersteps: 4_000 })
+            }
+        }
+        let reads = ReadSet::new();
+        let ctx = ExecCtx::new(2);
+        let mut state = GraphState::new(&reads);
+        let want = PipelineError::NotConverged {
+            stage: "label".into(),
+            round: 1,
+            supersteps: 4_000,
+        };
+        let err = Pipeline::new()
+            .then(Unconverged)
+            .try_run(&mut state, &ctx)
+            .unwrap_err();
+        assert_eq!(err, want);
+        assert!(!err.is_transient());
+        assert_eq!(
+            err.to_string(),
+            "stage label (round 1) did not converge within 4000 supersteps"
+        );
+        let mut starts = StageCounter::default();
+        let err = Pipeline::new()
+            .then(Unconverged)
+            .observe(&mut starts)
+            .try_run_with_retries(&mut state, &ctx, 3)
+            .unwrap_err();
+        assert_eq!(err, want);
+        assert_eq!(starts.0, 1, "a job that did not converge is not retried");
     }
 
     #[test]

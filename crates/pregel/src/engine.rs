@@ -86,6 +86,14 @@ pub enum EngineError {
     /// reusable; the job's temp spill files are cleaned up by RAII during
     /// the unwind.
     Spill(crate::spill::SpillError),
+    /// A job whose result is only meaningful at convergence used up its
+    /// superstep budget first. Raised on the **coordinator** thread after
+    /// the job has returned, so the pool stays reusable. Rerunning the same
+    /// job would stop at the same superstep.
+    NotConverged {
+        /// The supersteps the job ran.
+        supersteps: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -98,6 +106,9 @@ impl fmt::Display for EngineError {
                 write!(f, "job cancelled at superstep {superstep}: {reason}")
             }
             EngineError::Spill(err) => write!(f, "spill failure: {err}"),
+            EngineError::NotConverged { supersteps } => {
+                write!(f, "job has not converged after {supersteps} supersteps")
+            }
         }
     }
 }

@@ -281,7 +281,7 @@ mod tests {
         assert_eq!(a.reads.len(), a.preset.expected_reads());
         assert_eq!(b.reads.len(), a.reads.len());
         for (ra, rb) in a.reads.records.iter().zip(b.reads.records.iter()) {
-            assert_eq!(ra.seq, rb.seq, "sim-xl must be deterministic");
+            assert_eq!(ra, rb, "sim-xl must be deterministic");
         }
         let cov = a.realized_coverage();
         assert!((cov - 25.0).abs() < 2.0, "coverage {cov}");

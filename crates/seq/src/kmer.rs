@@ -12,8 +12,16 @@
 //! needs: sliding-window extension, reverse complement, canonical form
 //! (lexicographically smaller of the k-mer and its reverse complement,
 //! Section III "Directionality") and prefix/suffix extraction of a (k+1)-mer.
+//!
+//! The scanners take a read in the same 2-bit code, as the read slab stores
+//! it: [`SuperKmerScanner::scan_codes`] consumes
+//! [`Read::codes`](crate::Read::codes), where any code above 3 — a
+//! [`BREAK`], an `N` of the read — restarts the
+//! window, and [`CanonicalScanner`] is pushed one [`Base`] at a time and
+//! reset at a break by its caller. Neither reads ASCII.
 
 use crate::base::Base;
+use crate::fastx::BREAK;
 use crate::{DnaString, SeqError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -458,7 +466,7 @@ impl SuperKmer {
 /// A window and its reverse complement contain the same canonical m-mers, so
 /// both strands of a k-mer have one minimizer. A super-k-mer is a run of
 /// consecutive windows with the same minimizer. It ends where the minimizer
-/// changes, at any byte that is not `A`/`C`/`G`/`T` (either case), or after
+/// changes, at a [`BREAK`] (an `N` of the read), or after
 /// [`max_windows`](SuperKmerScanner::max_windows) windows. The cap matters:
 /// a poly-A read keeps one minimizer for its whole length. Runs of a read
 /// shorter than k contribute nothing.
@@ -466,18 +474,21 @@ impl SuperKmer {
 /// [`decode_into`](SuperKmerScanner::decode_into) rolls the forward and
 /// reverse-complement words through a record's tail and yields the
 /// canonical form of each of its windows. Decoding what
-/// [`scan`](SuperKmerScanner::scan) emits gives, in order, the canonical
-/// k-mer of every window of the read.
+/// [`scan_codes`](SuperKmerScanner::scan_codes) emits gives, in order, the
+/// canonical k-mer of every window of the read.
 ///
 /// ```
 /// use ppa_seq::kmer::{SuperKmerScanner, MINIMIZER_LEN};
-/// use ppa_seq::Kmer;
+/// use ppa_seq::{Kmer, ReadSet};
 ///
 /// let scanner = SuperKmerScanner::new(15).unwrap();
 /// assert_eq!(scanner.max_windows(), 15 - MINIMIZER_LEN + 1);
 /// let cut = |read: &[u8]| {
+///     let reads: ReadSet = [("read", read)].into_iter().collect();
 ///     let mut records = Vec::new();
-///     scanner.scan(read, |sk| records.push(sk));
+///     for read in &reads.records {
+///         scanner.scan_codes(read.codes(), |sk| records.push(sk));
+///     }
 ///     records
 /// };
 ///
@@ -539,11 +550,12 @@ impl SuperKmerScanner {
         self.span
     }
 
-    /// Walks a read's raw ASCII bytes once and hands every super-k-mer to
-    /// `emit`, left to right: one table lookup per base, and one record per
-    /// run of windows instead of one key per window.
+    /// Walks a read's codes once — [`Read::codes`](crate::Read::codes):
+    /// 2-bit [`Base`] codes, and any code above 3 (a [`BREAK`]) where the
+    /// read has an `N` — and hands every super-k-mer to `emit`, left to
+    /// right: one record per run of windows instead of one key per window.
     #[inline]
-    pub fn scan(&self, seq: &[u8], mut emit: impl FnMut(SuperKmer)) {
+    pub fn scan_codes(&self, codes: impl IntoIterator<Item = u8>, mut emit: impl FnMut(SuperKmer)) {
         let (k, m, span) = (self.k, self.m, self.span);
         let (mut fwd, mut rc, mut filled) = (0u64, 0u64, 0usize);
         // The ranks of the latest m-mers, by the `filled` count at their end.
@@ -558,9 +570,9 @@ impl SuperKmerScanner {
             record: [head, tail | (windows as u64) << SuperKmer::WINDOWS_SHIFT],
             rank,
         };
-        for &c in seq {
-            let code = ASCII_CODE[c as usize] as u64;
-            if code > 3 {
+        // `for_each`, not `for`: a read's codes fold word by word.
+        codes.into_iter().for_each(|code| {
+            if code >= BREAK {
                 if windows > 0 {
                     emit(pack(head, tail, windows, open_rank));
                     windows = 0;
@@ -569,13 +581,14 @@ impl SuperKmerScanner {
                 // of them out of both words before the next window completes.
                 filled = 0;
                 min_rank = u64::MAX;
-                continue;
+                return;
             }
+            let code = u64::from(code);
             fwd = ((fwd << 2) | code) & self.mask;
             rc = (rc >> 2) | ((3 ^ code) << self.rc_shift);
             filled += 1;
             if filled < m {
-                continue;
+                return;
             }
             let r = rank((fwd & self.mmer_mask).min(rc >> self.mmer_rc_shift));
             ranks[filled % RANK_RING] = r;
@@ -593,7 +606,7 @@ impl SuperKmerScanner {
                 }
             }
             if filled < k {
-                continue;
+                return;
             }
             if windows > 0 && windows < span && min_rank == open_rank {
                 tail |= code << (2 * (windows - 1));
@@ -604,7 +617,7 @@ impl SuperKmerScanner {
                 }
                 (head, tail, windows, open_rank) = (fwd, 0, 1, min_rank);
             }
-        }
+        });
         if windows > 0 {
             emit(pack(head, tail, windows, open_rank));
         }
@@ -613,7 +626,7 @@ impl SuperKmerScanner {
     /// Appends the packed canonical form of every window of `records`, in
     /// order, to `keys`. Each record's window count must be within
     /// `1..=`[`max_windows`](SuperKmerScanner::max_windows), as
-    /// [`scan`](SuperKmerScanner::scan) makes them; a record read back from
+    /// [`scan_codes`](SuperKmerScanner::scan_codes) makes them; a record read back from
     /// storage must be checked first.
     #[inline]
     pub fn decode_into(&self, records: &[[u64; 2]], keys: &mut Vec<u64>) {
@@ -635,23 +648,13 @@ impl SuperKmerScanner {
     }
 }
 
-/// 2-bit code of every ASCII byte, 4 for bytes that are not a base.
-const ASCII_CODE: [u8; 256] = {
-    let mut table = [4u8; 256];
-    let mut c = 0usize;
-    while c < 256 {
-        if let Some(base) = Base::from_ascii_checked(c as u8) {
-            table[c] = base as u8;
-        }
-        c += 1;
-    }
-    table
-};
-
-/// Iterates over all k-mers of a base slice, left to right.
+/// Iterates over all k-mers of a base slice, left to right, one
+/// [`Kmer::extend_right`] at a time: the naive reference the scanners are
+/// tested against.
 ///
 /// Returns an empty iterator if the sequence is shorter than `k`.
-pub fn kmers_of(bases: &[Base], k: usize) -> impl Iterator<Item = Kmer> + '_ {
+#[cfg(test)]
+pub(crate) fn kmers_of(bases: &[Base], k: usize) -> impl Iterator<Item = Kmer> + '_ {
     let valid = (1..=MAX_K).contains(&k) && bases.len() >= k;
     let mut current = if valid {
         Kmer::from_bases(&bases[..k]).ok()
@@ -676,6 +679,7 @@ pub fn kmers_of(bases: &[Base], k: usize) -> impl Iterator<Item = Kmer> + '_ {
 mod tests {
     use super::*;
     use crate::base::parse_bases;
+    use crate::ReadSet;
     use proptest::prelude::*;
 
     fn km(s: &str) -> Kmer {
@@ -950,7 +954,10 @@ mod tests {
             for k in 1..=MAX_K {
                 let scanner = SuperKmerScanner::new(k).unwrap();
                 let mut records = Vec::new();
-                scanner.scan(&read, |sk| records.push(sk));
+                let reads: ReadSet = [("read", &read)].into_iter().collect();
+                for read in &reads.records {
+                    scanner.scan_codes(read.codes(), |sk| records.push(sk));
+                }
                 let naive = naive_windows(&read, k);
                 let raw: Vec<[u64; 2]> = records.iter().map(|sk| sk.record).collect();
                 let mut keys = Vec::new();

@@ -5,6 +5,7 @@
 //! and the engine ([`adversarial_reads`]), and small helpers — temp
 //! directories, contig fingerprints, spill-directory scans.
 
+pub mod heap;
 pub mod oracle;
 
 use ppa_assembler::workflow::Contig;
@@ -57,6 +58,20 @@ pub fn fingerprint(contigs: &[Contig]) -> Vec<(u64, u32, String)> {
     contigs
         .iter()
         .map(|c| (c.id, c.coverage, c.sequence.to_ascii()))
+        .collect()
+}
+
+/// Every read's sequence as uppercase ASCII, with `N` at its breaks: what
+/// the slab keeps of the bytes it was given.
+pub fn sequences(reads: &ReadSet) -> Vec<Vec<u8>> {
+    reads
+        .records
+        .iter()
+        .map(|read| {
+            let mut seq = Vec::new();
+            read.decode_into(&mut seq);
+            seq
+        })
         .collect()
 }
 
@@ -130,7 +145,10 @@ pub fn reverse_complement(seq: &[u8]) -> Vec<u8> {
 /// - reads of 1 to 70 bases, so some shorter than k+1;
 /// - one error-free read of a short unit repeated (a cycle of k-mers, which
 ///   stays unambiguous as long as no other read shares them).
-pub fn adversarial_reads(seed: u64) -> ReadSet {
+///
+/// These are the bytes as generated; [`adversarial_reads`] holds them
+/// packed, case folded.
+pub fn adversarial_sequences(seed: u64) -> Vec<Vec<u8>> {
     let mut rng = Rng(seed | 1);
     let repeat = rng.bases(14);
     let half = rng.bases(16);
@@ -173,6 +191,11 @@ pub fn adversarial_reads(seed: u64) -> ReadSet {
     let at = rng.below(reads.len());
     reads.insert(at, unit.iter().copied().cycle().take(len).collect());
     reads
+}
+
+/// [`adversarial_sequences`] as a read set, the `i`-th named `r<i>`.
+pub fn adversarial_reads(seed: u64) -> ReadSet {
+    adversarial_sequences(seed)
         .into_iter()
         .enumerate()
         .map(|(i, seq)| (format!("r{i}"), seq))

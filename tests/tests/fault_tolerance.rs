@@ -295,7 +295,8 @@ fn damaged_or_foreign_snapshots_error_without_panicking() {
 
     // The same reads with one name byte changed, or with the same bases and
     // names but the first read boundary moved one base → Mismatch as well.
-    let bases = reads.records.bases();
+    let seqs = ppa_tests::sequences(&reads);
+    let bases: Vec<u8> = seqs.concat();
     let mut ends: Vec<usize> = reads
         .records
         .base_ends()
@@ -316,17 +317,18 @@ fn damaged_or_foreign_snapshots_error_without_panicking() {
     let renamed: ReadSet = reads
         .records
         .iter()
+        .zip(&seqs)
         .enumerate()
-        .map(|(i, read)| {
+        .map(|(i, (read, seq))| {
             let mut name = read.name.to_vec();
             if i == 1 {
                 name[0] ^= 1;
             }
-            (name, read.seq)
+            (name, seq)
         })
         .collect();
     for (case, foreign) in [("moved boundary", &moved), ("renamed read", &renamed)] {
-        assert_eq!(foreign.records.bases().len(), bases.len(), "{case}");
+        assert_eq!(foreign.total_bases(), bases.len(), "{case}");
         let err = Pipeline::paper_workflow(&config())
             .resume(&tmp.0, foreign, &ctx)
             .expect_err(case);

@@ -11,7 +11,7 @@ use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::kmer::SuperKmerScanner;
 use ppa_seq::ReadSet;
 use ppa_tests::oracle::{self, Node};
-use ppa_tests::{adversarial_reads, our_spill_dirs, reverse_complement};
+use ppa_tests::{adversarial_reads, adversarial_sequences, our_spill_dirs, reverse_complement};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 
@@ -35,7 +35,8 @@ proptest! {
         let config = ConstructConfig { k, min_coverage: theta, batch_size };
         let (counted, metrics) = count_kplus1_mers_on(&ExecCtx::new(workers), &reads, &config);
 
-        let expected = oracle::construct(reads.records.iter().map(|r| r.seq), k, theta);
+        let seqs = adversarial_sequences(seed);
+        let expected = oracle::construct(seqs.iter().map(Vec::as_slice), k, theta);
         prop_assert_eq!(counted, expected.kept(theta), "in key order");
         prop_assert_eq!(metrics.groups, expected.counts.len() as u64);
         prop_assert_eq!(metrics.pairs_shuffled, expected.counts.values().sum::<u64>());
@@ -47,15 +48,14 @@ proptest! {
 fn the_generator_plants_what_it_promises() {
     // Guards the differentials against a generator that quietly stops
     // producing the hard cases.
-    let reads = adversarial_reads(7);
-    let seqs: Vec<&[u8]> = reads.records.iter().map(|r| r.seq).collect();
+    let seqs = adversarial_sequences(7);
     let has = |f: &dyn Fn(&[u8]) -> bool| seqs.iter().any(|s| f(s));
     assert!(has(&|s| s.contains(&b'N')));
     assert!(has(&|s| s.iter().any(u8::is_ascii_lowercase)));
     assert!(has(&|s| s.len() < 4), "a read shorter than k+1");
     assert!(seqs.iter().all(|s| (1..=70).contains(&s.len())));
     assert!(has(&|s| s.len() > 60));
-    let set: HashSet<&[u8]> = seqs.iter().copied().collect();
+    let set: HashSet<&[u8]> = seqs.iter().map(Vec::as_slice).collect();
     assert!(
         has(&|s| s.len() > 8 && set.contains(&reverse_complement(s)[..])),
         "no reverse-complement duplicate read"
@@ -146,7 +146,8 @@ fn counted_and_vertices_match_the_oracle_in_key_order() {
             min_coverage: theta,
             batch_size,
         };
-        let want = oracle::construct(reads.records.iter().map(|r| r.seq), k, theta);
+        let seqs = ppa_tests::sequences(&reads);
+        let want = oracle::construct(seqs.iter().map(Vec::as_slice), k, theta);
         let kept: BTreeMap<u64, u32> = want.kept(theta).into_iter().collect();
         assert!(kept.len() > 100, "k={k}: the pin must pin something");
         for workers in [1, 2, 3, 4] {
@@ -188,7 +189,7 @@ fn record_bytes(reads: &ReadSet, k: usize) -> u64 {
     let scanner = SuperKmerScanner::new(k + 1).unwrap();
     let mut records = 0u64;
     for read in &reads.records {
-        scanner.scan(read.seq, |_| records += 1);
+        scanner.scan_codes(read.codes(), |_| records += 1);
     }
     16 * records
 }
@@ -222,7 +223,7 @@ fn a_capped_construction_equals_the_resident_one_and_cleans_up() {
         (resident_p2.spilled_bytes, resident_p2.spilled_runs),
         (0, 0)
     );
-    let windows: u64 = reads.records.iter().map(|r| r.seq.len() as u64 - 21).sum();
+    let windows: u64 = reads.records.iter().map(|r| r.len() as u64 - 21).sum();
     assert_eq!(resident_phase1.pairs_shuffled, windows, "one per window");
     let records = record_bytes(&reads, config.k);
     assert!(

@@ -33,7 +33,7 @@ use ppa_assembler::{
 use ppa_pregel::ExecCtx;
 use ppa_seq::{DnaString, Kmer, ReadSet};
 use ppa_tests::oracle::{self, ChainKind, Labels, Node};
-use ppa_tests::{adversarial_reads, in_job_order};
+use ppa_tests::{adversarial_reads, adversarial_sequences, in_job_order};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 
@@ -380,7 +380,8 @@ fn oracle_case(seed: u64, k: usize) -> Exercised {
         k,
         tip_length_threshold: 2 * k,
     };
-    let want = oracle::construct(reads.records.iter().map(|r| r.seq), k, 0);
+    let seqs = adversarial_sequences(seed);
+    let want = oracle::construct(seqs.iter().map(Vec::as_slice), k, 0);
     for workers in 1..=4 {
         let dbg = build_dbg_on(&ExecCtx::new(workers), &reads, &construct);
         let got: BTreeMap<u64, Node> = dbg

@@ -7,7 +7,8 @@
 //! job, a superstep costs the pool's two phase hand-offs and nothing that
 //! grows with the job. The FASTA/FASTQ parser promises no per-read
 //! allocation: its columns grow geometrically and its line buffers are
-//! reused, so 10 000 reads cost a few reallocations more than 100.
+//! reused, so 10 000 reads cost a few reallocations more than 100; the
+//! FASTQ writer decodes every record into one reused buffer.
 //! Construction hands its k-mer vertices on as Figure 8's columns: the node
 //! set `Construct` leaves in a `GraphState` holds at most 28 heap bytes per
 //! vertex — a k-mer, a bitmap, an offset and about two coverage counters —
@@ -19,8 +20,9 @@
 //! MapReduce-based grouping (an all-node hash map, a copy of the labels and
 //! the shuffle buffers) took 60 on the same reads.
 //!
-//! This file must stay a single-test binary: the counting allocator below is
-//! process-global, and a concurrently running test would pollute the count.
+//! This file must stay a single-test binary: the counting allocator
+//! (`ppa_tests::heap`) is process-global, and a concurrently running test
+//! would pollute the count.
 
 use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
 use ppa_assembler::ops::label::label_contigs_lr_on;
@@ -30,41 +32,8 @@ use ppa_pregel::aggregate::NoAggregate;
 use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, PregelConfig, VertexProgram};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
-use std::alloc::{GlobalAlloc, Layout, System};
+use ppa_tests::heap::{self, CountingAlloc};
 use std::io::Cursor;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes requested and not yet freed.
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-/// The most `LIVE_BYTES` has reached since it was last reset.
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// `System`, plus a counter of every allocation/reallocation, of the live
-/// bytes and of their high-water mark.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        let live = LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        PEAK_BYTES.fetch_max(live + layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        let live = LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed) + new_size as u64;
-        PEAK_BYTES.fetch_max(live - layout.size() as u64, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -107,9 +76,9 @@ impl VertexProgram for Laps {
 fn dense_job_allocations(ctx: &ExecCtx, ranks: u32, laps: usize) -> u64 {
     let (mut set, _) = DenseSet::from_fn_on(ctx, ranks, |_, _: &mut ()| Some(0u64));
     let config = PregelConfig::default().track_supersteps(false);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = heap::allocations();
     let metrics = run_dense_on(ctx, &Laps(laps), &config, &mut set);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = heap::allocations() - before;
     assert_eq!(metrics.supersteps, laps + 1);
     assert_eq!(metrics.total_messages, ranks as u64 * laps as u64);
     allocations
@@ -134,23 +103,26 @@ fn reads_files(reads: usize) -> (String, String) {
     (fastq, fasta)
 }
 
-/// Heap allocations of parsing `reads` records, FASTQ and FASTA (input
-/// construction not counted).
-fn parse_allocations(reads: usize) -> (u64, u64) {
+/// Heap allocations of parsing `reads` records, FASTQ and FASTA, and of
+/// writing them back as FASTQ (input construction not counted).
+fn parse_allocations(reads: usize) -> (u64, u64, u64) {
     let (fastq, fasta) = reads_files(reads);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = heap::allocations();
     let parsed = ReadSet::new()
         .parse_fastq(Cursor::new(fastq.as_bytes()))
         .unwrap();
-    let fastq_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let fastq_allocations = heap::allocations() - before;
     assert_eq!(parsed.len(), reads);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = heap::allocations();
+    parsed.write_fastq(std::io::sink()).unwrap();
+    let write_allocations = heap::allocations() - before;
+    let before = heap::allocations();
     let parsed = ReadSet::new()
         .parse_fasta(Cursor::new(fasta.as_bytes()))
         .unwrap();
-    let fasta_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let fasta_allocations = heap::allocations() - before;
     assert_eq!(parsed.total_bases(), 150 * reads);
-    (fastq_allocations, fasta_allocations)
+    (fastq_allocations, fasta_allocations, write_allocations)
 }
 
 /// 1 %-error reads of a simulated 20 kb genome.
@@ -189,18 +161,18 @@ fn construct_heap(ctx: &ExecCtx, reads: &ReadSet) -> (u64, u64, usize) {
     };
     let (reported, vertices) = (graph.heap_bytes() as u64, graph.len());
     assert!(vertices > 15_000, "{vertices} vertices");
-    let held = LIVE_BYTES.load(Ordering::Relaxed);
+    let held = heap::live_bytes();
     state.nodes = NodeSet::default();
-    let freed = held - LIVE_BYTES.load(Ordering::Relaxed);
+    let freed = held - heap::live_bytes();
     (freed, reported, vertices)
 }
 
 /// Heap allocations of `build_dbg_on` over `reads` (the reads not counted),
 /// and the vertices it built.
 fn construct_allocations(ctx: &ExecCtx, reads: &ReadSet) -> (u64, usize) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = heap::allocations();
     let graph = build_dbg_on(ctx, reads, &ConstructConfig::default()).vertices;
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, graph.len())
+    (heap::allocations() - before, graph.len())
 }
 
 /// Contig merging's heap high-water, over the bytes live at its entry, per
@@ -219,10 +191,10 @@ fn merge_peak_bytes_per_labelled_vertex(ctx: &ExecCtx, reads: &ReadSet) -> f64 {
         k: 31,
         tip_length_threshold: 80,
     };
-    let entry = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(entry, Ordering::Relaxed);
+    let entry = heap::live_bytes();
+    heap::reset_peak();
     let merged = merge_contigs_on(ctx, nodes, &labels, &config);
-    let high_water = PEAK_BYTES.load(Ordering::Relaxed) - entry;
+    let high_water = heap::peak_bytes() - entry;
     assert!(!merged.contigs.is_empty());
     high_water as f64 / labels.len() as f64
 }
@@ -237,7 +209,7 @@ fn steady_state_radix_sort_is_allocation_free() {
     refill(&mut records, N, 0x9E37_79B9);
     ppa_pregel::radix::sort_pairs(&mut records, &mut scratch);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = heap::allocations();
     for round in 1..=10u64 {
         refill(&mut records, N, round.wrapping_mul(0x2545_F491_4F6C_DD1D));
         ppa_pregel::radix::sort_pairs(&mut records, &mut scratch);
@@ -246,7 +218,7 @@ fn steady_state_radix_sort_is_allocation_free() {
             "output sorted (round {round})"
         );
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = heap::allocations() - before;
     assert_eq!(
         allocations, 0,
         "steady-state radix sorting must not touch the heap"
@@ -269,14 +241,16 @@ fn steady_state_radix_sort_is_allocation_free() {
     );
     assert!(small <= 24, "two phase hand-offs, got {small} allocations");
 
-    // The read slab: four columns doubling from empty reallocate about
+    // The read slab: five columns doubling from empty reallocate about
     // log2(100) = 7 times more each for 100x the reads; one allocation per
-    // read would be ~10 000 more.
-    let (fastq_small, fasta_small) = parse_allocations(100);
-    let (fastq_large, fasta_large) = parse_allocations(10_000);
+    // read would be ~10 000 more. Writing decodes every record into one
+    // reused buffer, which grows once.
+    let (fastq_small, fasta_small, write_small) = parse_allocations(100);
+    let (fastq_large, fasta_large, write_large) = parse_allocations(10_000);
     for (format, small, large) in [
         ("FASTQ", fastq_small, fastq_large),
         ("FASTA", fasta_small, fasta_large),
+        ("writing FASTQ", write_small, write_large),
     ] {
         assert!(
             large <= small + 40,
