@@ -189,11 +189,13 @@ impl Assembler for AbyssLike {
             VertexSet::from_pairs(ctx.workers(), probe_pairs);
         let probe_metrics = ppa_pregel::run_on(&ctx, &ProbeProgram, &config, &mut probe_set);
 
-        let nodes: Vec<AsmNode> = probe_set
+        let mut nodes: Vec<AsmNode> = probe_set
             .into_pairs()
             .into_iter()
             .map(|(_, s)| s.node)
             .collect();
+        // Merging takes its nodes in ID order; the store lists them by partition.
+        nodes.sort_unstable_by_key(|node| node.id);
 
         // Unitig formation: one-hop-per-superstep label propagation.
         let prop_pairs = nodes.iter().map(|n| {

@@ -18,12 +18,12 @@
 //!
 //! | file            | contents                                             |
 //! |-----------------|------------------------------------------------------|
-//! | `nodes.col`     | [`GraphState::nodes`]: packed k-mer columns for [`NodeSet::Packed`], node columns for [`NodeSet::Expanded`] (the manifest records which) |
+//! | `nodes.col`     | [`GraphState::nodes`] as packed k-mer columns         |
 //! | `labels.col`    | [`GraphState::labels`]: labels, ambiguous IDs, Pregel metrics |
-//! | `contigs.col`   | [`GraphState::contigs`] as node columns              |
-//! | `ambiguous.col` | [`GraphState::ambiguous_kmers`] as node columns      |
+//! | `contigs.col`   | [`GraphState::contigs`] as node columns, IDs strictly ascending |
+//! | `ambiguous.col` | [`GraphState::ambiguous_kmers`] as node columns, IDs strictly ascending |
 //! | `output.col`    | [`GraphState::output`] contigs as flat columns       |
-//! | `MANIFEST`      | magic + version, pipeline position, repeat-loop round counters, config/reads fingerprints, worker count, the form of [`GraphState::nodes`], per-file `(length, striped checksum)` |
+//! | `MANIFEST`      | magic + version, pipeline position, repeat-loop round counters, config/reads fingerprints, worker count, per-file `(length, striped checksum)` |
 //!
 //! Sections are **column dumps**. Node columns are an ID column, a coverage
 //! column, a sequence-tag column, the packed k-mer and 2-bit contig-word
@@ -53,7 +53,7 @@
 
 use crate::node::{AsmNode, Edge, KmerGraph, NodeSeq};
 use crate::ops::label::LabelOutcome;
-use crate::pipeline::{GraphState, NodeSet};
+use crate::pipeline::GraphState;
 use crate::polarity::{Direction, Polarity};
 use crate::workflow::Contig;
 use ppa_pregel::{Metrics, SuperstepMetrics};
@@ -70,8 +70,10 @@ const MAGIC: [u8; 8] = *b"PPACKPT1";
 /// v3 added the cancellation-check counters to the metrics codec; v4 added
 /// the out-of-core spill counters; v5 added the node-set form, which selects
 /// the codec of `nodes.col`; v6 fingerprints the reads by their packed 2-bit
-/// bases and break positions (the sections keep v5's bytes).
-const VERSION: u32 = 6;
+/// bases and break positions (the sections keep v5's bytes); v7 drops the
+/// node-set form: `nodes.col` is always the k-mer section, and the node
+/// sections list their IDs strictly ascending.
+const VERSION: u32 = 7;
 /// The manifest file name inside a snapshot directory.
 const MANIFEST_FILE: &str = "MANIFEST";
 
@@ -362,9 +364,6 @@ pub struct Manifest {
     pub workers: usize,
     /// [`GraphState::rewired`] at the snapshot.
     pub rewired: bool,
-    /// Whether [`GraphState::nodes`] was [`NodeSet::Packed`], so `nodes.col`
-    /// holds packed k-mer columns rather than node columns.
-    packed_nodes: bool,
     /// Section files with their recorded lengths and checksums.
     files: Vec<FileEntry>,
 }
@@ -386,7 +385,6 @@ impl Manifest {
         w.u64(self.reads_fingerprint)?;
         w.u64(self.workers as u64)?;
         w.bool(self.rewired)?;
-        w.bool(self.packed_nodes)?;
         w.u64(self.files.len() as u64)?;
         for f in &self.files {
             w.str(&f.name)?;
@@ -426,7 +424,6 @@ impl Manifest {
         let reads_fp = r.u64().map_err(|e| bin_err(file, e))?;
         let workers = r.u64().map_err(|e| bin_err(file, e))? as usize;
         let rewired = r.bool().map_err(|e| bin_err(file, e))?;
-        let packed_nodes = r.bool().map_err(|e| bin_err(file, e))?;
         let n_files = r.u64().map_err(|e| bin_err(file, e))? as usize;
         let mut files = Vec::new();
         for _ in 0..n_files {
@@ -452,7 +449,6 @@ impl Manifest {
             reads_fingerprint: reads_fp,
             workers,
             rewired,
-            packed_nodes,
             files,
         })
     }
@@ -588,6 +584,14 @@ fn decode_nodes(file: &str, bytes: &[u8]) -> Result<Vec<AsmNode>, CheckpointErro
     let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
         ids.push(r.u64().map_err(e)?);
+    }
+    // A node set lists its nodes in strictly ascending ID order
+    // (`NodeSource`), and labeling refuses any other.
+    if let Some(at) = ids.iter().zip(ids.iter().skip(1)).position(|(a, b)| a >= b) {
+        return Err(CheckpointError::Corrupt {
+            file: file.into(),
+            detail: format!("node {}: IDs not strictly ascending", at + 1),
+        });
     }
     let mut coverages = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1047,12 +1051,8 @@ pub fn save_with_reads_fingerprint(
     let ckpt = dir.join(&name);
     fs::create_dir_all(&ckpt)?;
     let [s_nodes, s_labels, s_contigs, s_ambiguous, s_output] = SECTIONS;
-    let nodes = match &state.nodes {
-        NodeSet::Packed(graph) => encode_kmers(graph)?,
-        NodeSet::Expanded(nodes) => encode_nodes(nodes)?,
-    };
     let sections: [(&str, Vec<u8>); 5] = [
-        (s_nodes, nodes),
+        (s_nodes, encode_kmers(&state.nodes)?),
         (s_labels, encode_labels(state.labels.as_ref())?),
         (s_contigs, encode_nodes(&state.contigs)?),
         (s_ambiguous, encode_nodes(&state.ambiguous_kmers)?),
@@ -1074,7 +1074,6 @@ pub fn save_with_reads_fingerprint(
         reads_fingerprint,
         workers: meta.workers,
         rewired: state.rewired,
-        packed_nodes: matches!(state.nodes, NodeSet::Packed(_)),
         files,
     };
     fs::write(ckpt.join(MANIFEST_FILE), manifest.encode()?)?;
@@ -1196,11 +1195,7 @@ pub fn load<'r>(
         });
     };
     let [s_nodes, s_labels, s_contigs, s_ambiguous, s_output] = SECTIONS;
-    let nodes = if manifest.packed_nodes {
-        NodeSet::Packed(decode_kmers(s_nodes, &b_nodes)?)
-    } else {
-        NodeSet::Expanded(decode_nodes(s_nodes, &b_nodes)?)
-    };
+    let nodes = decode_kmers(s_nodes, &b_nodes)?;
     let labels = decode_labels(s_labels, &b_labels)?;
     let contigs = decode_nodes(s_contigs, &b_contigs)?;
     let ambiguous_kmers = decode_nodes(s_ambiguous, &b_ambiguous)?;
@@ -1319,14 +1314,12 @@ mod tests {
         KmerGraph::from_columns(k, kmers, bitmaps, coverages).unwrap()
     }
 
-    /// Either node-set form, with up to `max` nodes.
-    fn arb_node_set(mix: &mut Mix, max: u64) -> NodeSet {
-        let n = mix.below(max);
-        if mix.below(2) == 0 {
-            NodeSet::Packed(arb_kmer_graph(mix, n))
-        } else {
-            NodeSet::Expanded((0..n).map(|_| arb_node(mix)).collect())
-        }
+    /// Fewer than `max` arbitrary nodes, in strictly ascending ID order.
+    fn arb_nodes(mix: &mut Mix, max: u64) -> Vec<AsmNode> {
+        let mut nodes: Vec<AsmNode> = (0..mix.below(max)).map(|_| arb_node(mix)).collect();
+        nodes.sort_unstable_by_key(|node| node.id);
+        nodes.dedup_by_key(|node| node.id);
+        nodes
     }
 
     fn arb_metrics(mix: &mut Mix) -> Metrics {
@@ -1366,9 +1359,10 @@ mod tests {
     }
 
     fn arb_state(mix: &mut Mix, reads: &'static ReadSet) -> GraphState<'static> {
+        let vertices = mix.below(20);
         GraphState {
             reads,
-            nodes: arb_node_set(mix, 20),
+            nodes: arb_kmer_graph(mix, vertices),
             labels: if mix.below(2) == 0 {
                 Some(LabelOutcome {
                     labels: (0..mix.below(20))
@@ -1381,8 +1375,8 @@ mod tests {
             } else {
                 None
             },
-            contigs: (0..mix.below(10)).map(|_| arb_node(mix)).collect(),
-            ambiguous_kmers: (0..mix.below(10)).map(|_| arb_node(mix)).collect(),
+            contigs: arb_nodes(mix, 10),
+            ambiguous_kmers: arb_nodes(mix, 10),
             rewired: mix.below(2) == 0,
             output: (0..mix.below(10))
                 .map(|_| Contig {
@@ -1471,30 +1465,28 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A state with a non-empty node set, packed or expanded.
-    fn state_with_nodes(mix: &mut Mix, packed: bool) -> GraphState<'static> {
+    /// A state with a non-empty k-mer graph and at least one contig.
+    fn state_with_nodes(mix: &mut Mix) -> GraphState<'static> {
         let mut state = arb_state(mix, test_reads());
-        state.nodes = if packed {
-            NodeSet::Packed(arb_kmer_graph(mix, 2))
-        } else {
-            NodeSet::Expanded(vec![arb_node(mix)])
-        };
+        state.nodes = arb_kmer_graph(mix, 2);
+        state.contigs.push(arb_node(mix));
+        state.contigs.sort_unstable_by_key(|node| node.id);
         state
     }
 
     #[test]
     fn truncated_section_is_a_typed_error() {
         let reads = test_reads();
-        for (seed, packed) in [(9, false), (19, true)] {
-            let state = state_with_nodes(&mut Mix(seed), packed);
-            let dir = tmp_dir(&format!("truncate-{packed}"));
+        for (seed, file) in [(9, "contigs.col"), (19, "nodes.col")] {
+            let state = state_with_nodes(&mut Mix(seed));
+            let dir = tmp_dir(&format!("truncate-{file}"));
             let ckpt = save(&dir, &state, &meta(1)).unwrap();
-            let path = ckpt.join("nodes.col");
+            let path = ckpt.join(file);
             let bytes = fs::read(&path).unwrap();
             fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
             let err = load_latest(&dir, reads).unwrap_err();
             assert!(
-                matches!(err, CheckpointError::Truncated { ref file, .. } if file == "nodes.col"),
+                matches!(err, CheckpointError::Truncated { file: ref f, .. } if f == file),
                 "{err}"
             );
             fs::remove_dir_all(&dir).unwrap();
@@ -1505,9 +1497,7 @@ mod tests {
     fn corrupted_section_is_a_typed_error() {
         let reads = test_reads();
         for (seed, file) in [(10, "contigs.col"), (20, "nodes.col")] {
-            let mut mix = Mix(seed);
-            let mut state = state_with_nodes(&mut mix, true);
-            state.contigs.push(arb_node(&mut mix));
+            let state = state_with_nodes(&mut Mix(seed));
             let dir = tmp_dir(&format!("corrupt-{file}"));
             let ckpt = save(&dir, &state, &meta(1)).unwrap();
             let path = ckpt.join(file);
@@ -1548,7 +1538,7 @@ mod tests {
             Err(CheckpointError::Mismatch {
                 what: "format version".into(),
                 expected: "4".into(),
-                actual: "6".into(),
+                actual: "7".into(),
             })
         );
     }
@@ -1556,13 +1546,27 @@ mod tests {
     #[test]
     fn a_version_5_snapshot_is_refused() {
         // v5 fingerprinted the reads by the bytes as read, not the packed
-        // bases: its reads fingerprint means nothing to a v6 reader.
+        // bases: its reads fingerprint means nothing to a later reader.
         assert_eq!(
             load_as_version(5, "v5"),
             Err(CheckpointError::Mismatch {
                 what: "format version".into(),
                 expected: "5".into(),
-                actual: "6".into(),
+                actual: "7".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn a_version_6_snapshot_is_refused() {
+        // v6 recorded the form of `nodes.col` in the manifest and let a node
+        // section list its nodes in any order.
+        assert_eq!(
+            load_as_version(6, "v6"),
+            Err(CheckpointError::Mismatch {
+                what: "format version".into(),
+                expected: "6".into(),
+                actual: "7".into(),
             })
         );
     }
@@ -1702,18 +1706,17 @@ mod tests {
         let state = arb_state(&mut mix, reads);
 
         // In-memory round-trip of every section codec.
-        let (nodes, kmers) = match &state.nodes {
-            NodeSet::Expanded(nodes) => (nodes.clone(), KmerGraph::with_capacity(31, 0, 0)),
-            NodeSet::Packed(kmers) => (Vec::new(), kmers.clone()),
-        };
-        let decoded =
-            decode_nodes("nodes.col", &encode_nodes(&nodes).unwrap()).map_err(|e| e.to_string())?;
-        if decoded != nodes {
-            return Err(format!("node round-trip diverged for seed {seed}"));
+        for nodes in [&state.contigs, &state.ambiguous_kmers] {
+            let decoded = decode_nodes("contigs.col", &encode_nodes(nodes).unwrap())
+                .map_err(|e| e.to_string())?;
+            if decoded != *nodes {
+                return Err(format!("node round-trip diverged for seed {seed}"));
+            }
         }
+        let kmers = &state.nodes;
         let decoded =
-            decode_kmers("nodes.col", &encode_kmers(&kmers).unwrap()).map_err(|e| e.to_string())?;
-        if decoded != kmers {
+            decode_kmers("nodes.col", &encode_kmers(kmers).unwrap()).map_err(|e| e.to_string())?;
+        if decoded != *kmers {
             return Err(format!("packed k-mer round-trip diverged for seed {seed}"));
         }
         let labels = decode_labels("labels.col", &encode_labels(state.labels.as_ref()).unwrap())
@@ -1731,12 +1734,12 @@ mod tests {
         // error, and a flipped bit never panics: it decodes to a typed error
         // or to some other well-formed set (decoders must never panic on
         // malformed input; the manifest's checksum catches the flip).
-        let bytes = encode_nodes(&nodes).unwrap();
+        let bytes = encode_nodes(&state.contigs).unwrap();
         let cut = (seed as usize) % bytes.len().max(1);
-        if cut < bytes.len() && decode_nodes("nodes.col", &bytes[..cut]).is_ok() {
+        if cut < bytes.len() && decode_nodes("contigs.col", &bytes[..cut]).is_ok() {
             return Err(format!("truncation at {cut} not rejected for seed {seed}"));
         }
-        let mut bytes = encode_kmers(&kmers).unwrap();
+        let mut bytes = encode_kmers(kmers).unwrap();
         let cut = (seed as usize) % bytes.len().max(1);
         if cut < bytes.len() && decode_kmers("nodes.col", &bytes[..cut]).is_ok() {
             return Err(format!(
@@ -1746,33 +1749,58 @@ mod tests {
         let bit = (seed as usize / 7) % (8 * bytes.len());
         bytes[bit / 8] ^= 1 << (bit % 8);
         if let Ok(flipped) = decode_kmers("nodes.col", &bytes) {
-            if flipped == kmers {
+            if flipped == *kmers {
                 return Err(format!("bit flip {bit} went unseen for seed {seed}"));
             }
         }
-        // Two vertices swapped, or one k changed: the decoder itself names
-        // the broken column (on disk the checksum would refuse it first).
+        // Two vertices swapped, one repeated, or one k changed: the decoder
+        // itself names the broken column (on disk the checksum would refuse
+        // it first).
         for (mutation, want) in [
-            (swap_first_kmers as fn(&mut [u8]), "not strictly ascending"),
+            (swap_first_ids as fn(&mut [u8]), "not strictly ascending"),
+            (repeat_first_id, "not strictly ascending"),
             (change_second_k, "k column not constant"),
         ] {
             if kmers.len() < 2 {
                 break;
             }
-            let mut bytes = encode_kmers(&kmers).unwrap();
+            let mut bytes = encode_kmers(kmers).unwrap();
             mutation(&mut bytes);
             match decode_kmers("nodes.col", &bytes) {
                 Err(CheckpointError::Corrupt { detail, .. }) if detail.contains(want) => {}
                 other => return Err(format!("{want}: {other:?} for seed {seed}")),
             }
         }
+        // The same for two nodes of a node section.
+        for (file, nodes) in [
+            ("contigs.col", &state.contigs),
+            ("ambiguous.col", &state.ambiguous_kmers),
+        ] {
+            for mutation in [swap_first_ids as fn(&mut [u8]), repeat_first_id] {
+                if nodes.len() < 2 {
+                    break;
+                }
+                let mut bytes = encode_nodes(nodes).unwrap();
+                mutation(&mut bytes);
+                match decode_nodes(file, &bytes) {
+                    Err(CheckpointError::Corrupt { detail, .. })
+                        if detail.contains("not strictly ascending") => {}
+                    other => return Err(format!("{file}: {other:?} for seed {seed}")),
+                }
+            }
+        }
         Ok(())
     }
 
-    /// Swaps the first two entries of an encoded k-mer column.
-    fn swap_first_kmers(bytes: &mut [u8]) {
+    /// Swaps the first two entries of an encoded k-mer or node ID column.
+    fn swap_first_ids(bytes: &mut [u8]) {
         let (first, second) = bytes[8..24].split_at_mut(8);
         first.swap_with_slice(second);
+    }
+
+    /// Repeats the first entry of an encoded k-mer or node ID column.
+    fn repeat_first_id(bytes: &mut [u8]) {
+        bytes.copy_within(8..16, 16);
     }
 
     /// Gives the second vertex of an encoded k-mer graph another k.
@@ -1789,7 +1817,9 @@ mod tests {
         let bytes = encode_kmers(&graph).unwrap();
         assert_eq!(decode_kmers("nodes.col", &bytes), Ok(graph));
         for (mutation, want) in [
-            (swap_first_kmers as fn(&mut [u8]), "not strictly ascending"),
+            (swap_first_ids as fn(&mut [u8]), "not strictly ascending"),
+            // A repeated k-mer is no more ascending than a swapped pair.
+            (repeat_first_id, "not strictly ascending"),
             (change_second_k, "k column not constant"),
         ] {
             let mut bytes = bytes.clone();
@@ -1801,14 +1831,28 @@ mod tests {
                 "{err}"
             );
         }
-        // A repeated k-mer is no more ascending than a swapped pair.
-        let mut bytes = bytes.clone();
-        let first: [u8; 8] = bytes[8..16].try_into().unwrap();
-        bytes[16..24].copy_from_slice(&first);
-        assert!(matches!(
-            decode_kmers("nodes.col", &bytes),
-            Err(CheckpointError::Corrupt { ref detail, .. }) if detail.contains("ascending")
-        ));
+    }
+
+    #[test]
+    fn a_node_section_out_of_id_order_is_corrupt() {
+        let mut mix = Mix(22);
+        let mut nodes: Vec<AsmNode> = (0..4).map(|_| arb_node(&mut mix)).collect();
+        for (id, node) in nodes.iter_mut().enumerate() {
+            node.id = id as u64 + 1;
+        }
+        let bytes = encode_nodes(&nodes).unwrap();
+        assert_eq!(decode_nodes("ambiguous.col", &bytes), Ok(nodes));
+        for mutation in [swap_first_ids as fn(&mut [u8]), repeat_first_id] {
+            let mut bytes = bytes.clone();
+            mutation(&mut bytes);
+            assert_eq!(
+                decode_nodes("ambiguous.col", &bytes),
+                Err(CheckpointError::Corrupt {
+                    file: "ambiguous.col".into(),
+                    detail: "node 1: IDs not strictly ascending".into(),
+                })
+            );
+        }
     }
 
     #[test]

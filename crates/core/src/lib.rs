@@ -75,8 +75,8 @@ pub use checkpoint::{CheckpointError, CheckpointMeta, Manifest};
 pub use ids::NULL_ID;
 pub use node::{AsmNode, Edge, GraphNode, KmerGraph, KmerRef, NodeSeq, NodeSource, VertexType};
 pub use pipeline::{
-    CheckpointPolicy, GraphState, NodeSet, Pipeline, PipelineError, PipelineObserver, Stage,
-    StageDetails, StageReport,
+    CheckpointPolicy, GraphState, Pipeline, PipelineError, PipelineObserver, Stage, StageDetails,
+    StageReport,
 };
 pub use polarity::{Direction, Polarity, Side};
 pub use ppa_pregel::{CancelReason, JobControl};

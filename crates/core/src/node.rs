@@ -17,17 +17,25 @@
 //! the sorted ID column labeling ranks vertices by.
 //!
 //! Operations ② and ③ read a node set through [`NodeSource`] (indexed
-//! nodes, plus the sorted ID column when there is one) and a node through
-//! [`GraphNode`]. `[AsmNode]` and [`KmerGraph`] (whose nodes are
-//! [`KmerRef`] views) are the two sources, so construct's vertices reach ③
-//! as columns and only the ⟨m-n⟩ k-mers that ③ parks for tip removing are
-//! expanded into [`AsmNode`]s.
+//! nodes and their ID column) and a node through [`GraphNode`]. A node set
+//! lists its nodes in strictly ascending ID order, so a node's position is
+//! its rank and the ID column is labeling's rank dictionary as it is
+//! (`ranks.rs`, which refuses any other order). [`KmerGraph`] (whose nodes
+//! are [`KmerRef`] views) is round 1's source and lends its k-mer column;
+//! `[AsmNode]` and the two-slice view `MixedNodes` — round 2's ambiguous
+//! k-mers followed by the contigs, read where they lie — are the expanded
+//! sources. Construct's vertices reach ③ as columns, and only the ⟨m-n⟩
+//! k-mers that ③ parks for tip removing are expanded into [`AsmNode`]s.
+//! Bit 63, the contig mark of [`crate::ids`], puts every contig ID
+//! after every k-mer ID, so ascending k-mers followed by ascending contigs
+//! are ascending as a whole.
 
 use crate::adj::EdgeSlot;
 use crate::ids;
 use crate::polarity::{side_of, Direction, Polarity, Side};
 use ppa_seq::{DnaString, Kmer, Orientation};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The sequence payload of a node.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,8 +134,6 @@ pub enum VertexType {
     /// Type ⟨m-n⟩: any other configuration — an ambiguous (branching) vertex.
     Branch,
 }
-
-impl VertexType {}
 
 /// A node of the assembly graph: either a k-mer vertex or a contig vertex.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -310,11 +316,12 @@ pub trait NodeSource: Sync {
     /// The node at position `i`.
     fn node(&self, i: usize) -> Self::Node<'_>;
 
-    /// The node IDs in position order, if the set keeps them strictly
-    /// ascending: a node's position is then its rank, and the column is
-    /// labeling's rank dictionary as it is (`ranks.rs`).
-    fn sorted_ids(&self) -> Option<&[u64]> {
-        None
+    /// The node IDs in position order, which must be strictly ascending: a
+    /// node's position is its rank, and the column is labeling's rank
+    /// dictionary as it is (`ranks.rs`). Borrowed when the set keeps an ID
+    /// column, collected otherwise.
+    fn ids(&self) -> Cow<'_, [u64]> {
+        Cow::Owned((0..self.len()).map(|i| self.node(i).id()).collect())
     }
 }
 
@@ -342,6 +349,34 @@ impl NodeSource for Vec<AsmNode> {
     #[inline]
     fn node(&self, i: usize) -> &AsmNode {
         &self[i]
+    }
+}
+
+/// Two expanded node sets read as one, the first's nodes before the
+/// second's: the corrected graph of a correction round — the ambiguous
+/// k-mers, then the contigs — labelled and merged where it lies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MixedNodes<'a> {
+    pub(crate) kmers: &'a [AsmNode],
+    pub(crate) contigs: &'a [AsmNode],
+}
+
+impl NodeSource for MixedNodes<'_> {
+    type Node<'b>
+        = &'b AsmNode
+    where
+        Self: 'b;
+
+    fn len(&self) -> usize {
+        self.kmers.len() + self.contigs.len()
+    }
+
+    #[inline]
+    fn node(&self, i: usize) -> &AsmNode {
+        match self.kmers.get(i) {
+            Some(node) => node,
+            None => &self.contigs[i - self.kmers.len()],
+        }
     }
 }
 
@@ -402,6 +437,15 @@ impl PartialEq for KmerGraph {
             && self.bitmaps == other.bitmaps
             && self.offsets == other.offsets
             && self.coverages == other.coverages
+    }
+}
+
+/// The empty graph, whose k means nothing: what
+/// [`GraphState::nodes`](crate::pipeline::GraphState::nodes) holds before
+/// construction and after merging drains it.
+impl Default for KmerGraph {
+    fn default() -> KmerGraph {
+        KmerGraph::with_capacity(0, 0, 0)
     }
 }
 
@@ -622,8 +666,8 @@ impl NodeSource for KmerGraph {
         }
     }
 
-    fn sorted_ids(&self) -> Option<&[u64]> {
-        Some(&self.kmers)
+    fn ids(&self) -> Cow<'_, [u64]> {
+        Cow::Borrowed(&self.kmers)
     }
 }
 
@@ -880,6 +924,28 @@ mod tests {
     }
 
     #[test]
+    fn the_mixed_view_reads_the_kmers_then_the_contigs() {
+        let kmers = [AsmNode::new_kmer(km("ACGG")), AsmNode::new_kmer(km("CGGC"))];
+        let contig = |ordinal| {
+            let seq = DnaString::from_ascii("ACGGCA").unwrap();
+            AsmNode::new_contig(ids::contig_id(0, ordinal), seq, 3)
+        };
+        let contigs = [contig(1), contig(2)];
+        let mixed = MixedNodes {
+            kmers: &kmers,
+            contigs: &contigs,
+        };
+        assert_eq!(mixed.len(), 4);
+        let all: Vec<&AsmNode> = kmers.iter().chain(&contigs).collect();
+        for (i, node) in all.iter().enumerate() {
+            assert_eq!(mixed.node(i), *node, "node {i}");
+        }
+        // Every contig ID is above every k-mer ID: one ascending column.
+        let ids = mixed.ids();
+        assert!(ids.windows(2).all(|pair| pair[0] < pair[1]), "{ids:x?}");
+    }
+
+    #[test]
     fn kmer_ref_expands_to_asm_node() {
         let graph = figure_8b_graph();
         let v = graph.node(0);
@@ -934,7 +1000,7 @@ mod tests {
             joined.heap_bytes(),
             8 * kmers.len() + 4 * (2 * kmers.len() + 1) + 4 * joined.adjacency_slots()
         );
-        assert_eq!(joined.sorted_ids(), Some(&kmers[..]));
+        assert_eq!(joined.ids(), Cow::Borrowed(&kmers[..]));
         for (i, v) in joined.iter().enumerate() {
             assert_eq!(v.id(), kmers[i]);
             let bits: Vec<u32> = v.slots().map(|(slot, _)| slot.bit()).collect();

@@ -29,11 +29,12 @@
 //! # Rank space
 //!
 //! The jobs do not run on the 64-bit vertex IDs. The node set is translated
-//! once into a rank dictionary (`ranks.rs`) — its sorted ID column, which
-//! for construct's k-mer graph is the graph's own k-mer column — and both
-//! the BPPA and its S-V fallback address vertices by their dense `u32`
-//! **rank** in it: a message record is 16 bytes, the flip bit is bit 31 of a
-//! rank and the per-vertex state is two pointers. Ranks order as IDs do, so
+//! once into a rank dictionary (`ranks.rs`) — its ID column, ascending by
+//! contract, which for construct's k-mer graph is the graph's own k-mer
+//! column — and both the BPPA and its S-V fallback address vertices by their
+//! dense `u32` **rank**, their position in the node set: a message record is
+//! 16 bytes, the flip bit is bit 31 of a rank and the per-vertex state is
+//! two pointers. Ranks order as IDs do, so
 //! "the smaller end" and "the smallest ID of the cycle" are decided on ranks;
 //! a neighbour ID outside the node set becomes the one-past-the-end rank, and
 //! what is sent there is dropped as it would be for the missing ID. The
@@ -327,16 +328,20 @@ pub(crate) fn sole_neighbors(node: &impl GraphNode) -> Option<[Option<u64>; 2]> 
 /// falling back to the simplified S-V algorithm for unambiguous cycles. The
 /// translation into rank space, the list-ranking job (`RankDict::run_on`), its
 /// S-V cycle fallback and the translation back all run on `ctx`'s persistent
-/// pool (worker count = pool size). The nodes may be in either form
+/// pool (worker count = pool size). The nodes may be in any form
 /// ([`NodeSource`]); the outcome does not depend on which.
+///
+/// # Panics
+///
+/// Panics if the nodes are not listed in strictly ascending ID order.
 pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
     let config = PregelConfig::default().max_supersteps(4_000);
-    let dict = RankDict::of_nodes_on(ctx, nodes);
+    let dict = RankDict::new(nodes.ids());
 
     // The states of the ranks each worker will hold, with the neighbour IDs
     // translated; an ambiguous vertex parks its broadcast list on the slab.
     let state_of = |rank: u32, slab: &mut Vec<u32>| {
-        let node = nodes.node(dict.source(rank));
+        let node = nodes.node(rank as usize);
         Some(match sole_neighbors(&node) {
             None => {
                 let start = slab.len() as u32;
@@ -369,7 +374,7 @@ pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
     let adjacency: Vec<(u32, Vec<u32>)> = (0..dict.len())
         .filter(|&rank| unresolved(rank))
         .map(|rank| {
-            let neighbors = sole_neighbors(&nodes.node(dict.source(rank)))
+            let neighbors = sole_neighbors(&nodes.node(rank as usize))
                 .into_iter()
                 .flatten()
                 .flatten()
@@ -635,6 +640,7 @@ pub(crate) mod tests {
         // must still match the component oracle.
         let mut nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
         nodes.extend(synthetic_cycle(8));
+        nodes.sort_unstable_by_key(|node| node.id);
         let outcome = label_contigs_lr_on(&ExecCtx::new(3), &nodes);
         assert!(outcome.used_cycle_fallback);
         assert_eq!(

@@ -45,8 +45,12 @@ fn converged(metrics: &Metrics) -> Result<(), EngineError> {
 /// Labels every maximal unambiguous path with the smallest vertex ID of the
 /// path, using the simplified S-V algorithm. The translation into rank space,
 /// the S-V job and the translation back all run on `ctx`'s persistent pool
-/// (worker count = pool size). The nodes may be in either form
+/// (worker count = pool size). The nodes may be in any form
 /// ([`NodeSource`]); the outcome does not depend on which.
+///
+/// # Panics
+///
+/// Panics if the nodes are not listed in strictly ascending ID order.
 ///
 /// # Errors
 ///
@@ -58,11 +62,11 @@ fn converged(metrics: &Metrics) -> Result<(), EngineError> {
 pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
     let workers = ctx.workers();
     let config = PregelConfig::default().max_supersteps(4_000);
-    let dict = RankDict::of_nodes_on(ctx, nodes);
+    let dict = RankDict::new(nodes.ids());
 
-    // Per node, in node order, the ranks of its sole neighbours, or `None` for
-    // an ambiguous vertex: every worker reads one contiguous share of the
-    // nodes.
+    // Per rank (a node's position), the ranks of its sole neighbours, or
+    // `None` for an ambiguous vertex: every worker reads one contiguous share
+    // of the nodes.
     let sides: Vec<Option<[Option<u32>; 2]>> = ctx
         .pool()
         .run_per_worker(vec![(); workers], |w, ()| {
@@ -81,11 +85,9 @@ pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
 
     // Ambiguous vertices take no part and are filtered from the neighbour
     // lists; an ID outside the node set stays, as the absent rank.
-    let marked: Vec<bool> = (0..dict.len())
-        .map(|rank| sides[dict.source(rank)].is_none())
-        .collect();
+    let marked: Vec<bool> = sides.iter().map(Option::is_none).collect();
     let state_of = |rank: u32, slab: &mut Vec<u32>| {
-        let unambiguous = sides[dict.source(rank)]?
+        let unambiguous = sides[rank as usize]?
             .into_iter()
             .flatten()
             .filter(|&n| marked.get(n as usize) != Some(&true));

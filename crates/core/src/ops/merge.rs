@@ -14,10 +14,10 @@
 //! # Grouping
 //!
 //! A label names one member of its group (list ranking's smaller end ID,
-//! S-V's smallest ID), so the node set's sorted ID column — the same rank
+//! S-V's smallest ID), so the node set's ascending ID column — the same rank
 //! dictionary labeling takes (`ranks.rs`): in round 1 construct's k-mer
-//! column itself, with nothing sorted — turns every `(vertex, label)` pair
-//! into two dense `u32`s: the vertex's position in the node set and the
+//! column itself — turns every `(vertex, label)` pair into two dense `u32`s:
+//! the vertex's rank, which is its position in the node set, and the
 //! label's rank. One stable counting pass over the label
 //! ranks lays the members out group by group in a single CSR column, each
 //! group in the order of `labels`, and the dictionary is dropped before any
@@ -327,7 +327,7 @@ fn group_on<S: NodeSource + ?Sized>(
     nodes: &S,
     labels: &[(u64, u64)],
 ) -> (Vec<Group>, Vec<u32>) {
-    let dict = RankDict::of_nodes_on(ctx, nodes);
+    let dict = RankDict::new(nodes.ids());
     let absent = dict.len();
     // (node position, label rank) of every labelled vertex in the set, one
     // contiguous share of `labels` per worker.
@@ -344,7 +344,7 @@ fn group_on<S: NodeSource + ?Sized>(
                         group != absent,
                         "label {label:#x} of vertex {id:#x} names no vertex of the node set"
                     );
-                    (dict.source(rank) as u32, group)
+                    (rank, group)
                 })
             })
             .collect()
@@ -443,13 +443,14 @@ fn stitch_on<S: NodeSource + ?Sized>(
 
 /// Runs contig merging on `ctx`'s workers: groups the labelled vertices by
 /// label and stitches every group into a contig vertex (see the module
-/// docs). The nodes may be in either form ([`NodeSource`]); the outcome
-/// does not depend on which.
+/// docs). The nodes may be in any form ([`NodeSource`]); the outcome does
+/// not depend on which.
 ///
 /// # Panics
 ///
-/// Panics if a label of a vertex in `nodes` names no vertex of `nodes`:
-/// both labelings name a group by one of its members.
+/// Panics if the nodes are not listed in strictly ascending ID order, or if
+/// a label of a vertex in `nodes` names no vertex of `nodes`: both
+/// labelings name a group by one of its members.
 pub fn merge_contigs_on<S: NodeSource + ?Sized>(
     ctx: &ExecCtx,
     nodes: &S,

@@ -47,7 +47,10 @@ impl Default for TipConfig {
     }
 }
 
-/// Output of tip removing.
+/// Output of tip removing. Both node lists are in strictly ascending ID
+/// order, the order a node set keeps
+/// ([`NodeSource`](crate::node::NodeSource)), so that the next labeling
+/// round reads the k-mers followed by the contigs as they are.
 #[derive(Debug, Clone)]
 // ppa_lint: allow(test-only-pub) the return type of `remove_tips_on`
 pub struct TipOutcome {
@@ -505,6 +508,9 @@ pub fn remove_tips_on(
         }
     }
 
+    // The store lists its vertices partition by partition.
+    kmers.sort_unstable_by_key(|node| node.id);
+    contig_nodes.sort_unstable_by_key(|node| node.id);
     TipOutcome {
         kmers,
         contigs: contig_nodes,

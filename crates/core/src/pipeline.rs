@@ -75,7 +75,7 @@
 //! ```
 
 use crate::checkpoint::{self, CheckpointError, CheckpointMeta, Fnv64};
-use crate::node::{AsmNode, KmerGraph, NodeSource};
+use crate::node::{AsmNode, KmerGraph, MixedNodes, NodeSource};
 use crate::ops::bubble::{filter_bubbles_on, remove_pruned, BubbleConfig};
 use crate::ops::construct::{build_dbg_on, ConstructConfig, ConstructStats};
 use crate::ops::label::{label_contigs_lr_on, LabelOutcome};
@@ -96,40 +96,6 @@ use std::time::{Duration, Instant};
 // Graph state
 // ---------------------------------------------------------------------------
 
-/// The node set that labeling and merging operate on, in the form the stage
-/// that produced it left it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NodeSet {
-    /// The k-mer vertices exactly as [`Construct`] built them: Figure 8's
-    /// canonical k-mer, adjacency bitmap and per-slot coverages as columns
-    /// sorted by ID, about 24 bytes per vertex.
-    Packed(KmerGraph),
-    /// Expanded [`AsmNode`]s: the mixed k-mer + contig set [`Label`]
-    /// rebuilds after [`RemoveTips`] rewired the graph.
-    Expanded(Vec<AsmNode>),
-}
-
-impl Default for NodeSet {
-    fn default() -> Self {
-        NodeSet::Expanded(Vec::new())
-    }
-}
-
-impl NodeSet {
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        match self {
-            NodeSet::Packed(v) => v.len(),
-            NodeSet::Expanded(v) => v.len(),
-        }
-    }
-
-    /// Whether the set holds no node.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// The unified working state a [`Pipeline`] threads through its stages: what
 /// `assemble()` used to shuttle between operations as local variables.
 ///
@@ -139,25 +105,28 @@ impl NodeSet {
 pub struct GraphState<'r> {
     /// The input read set ([`Construct`] consumes it).
     pub reads: &'r ReadSet,
-    /// The current node set that labeling and merging operate on: the packed
-    /// k-mer vertices after [`Construct`] ([`NodeSet::Packed`]); the mixed
-    /// k-mer + contig set rebuilt by [`Label`] after a [`RemoveTips`] rewired
-    /// the graph ([`NodeSet::Expanded`]). [`Merge`] drains it (into
-    /// `ambiguous_kmers`, the only k-mers it expands, and `contigs`).
-    pub nodes: NodeSet,
+    /// Construct's k-mer vertices: Figure 8's canonical k-mer, adjacency
+    /// bitmap and per-slot coverages as columns sorted by ID, about 24 bytes
+    /// per vertex. Round 1's [`Label`] and [`Merge`] read it; [`Merge`]
+    /// drains it (into `ambiguous_kmers`, the only k-mers it expands, and
+    /// `contigs`), and it stays empty from then on: later rounds label and
+    /// merge `ambiguous_kmers` followed by `contigs`, where they lie.
+    pub nodes: KmerGraph,
     /// The most recent labeling outcome ([`Label`] sets it, [`Merge`] takes
     /// it).
     pub labels: Option<LabelOutcome>,
     /// The current contig vertices ([`Merge`] produces them,
-    /// [`FilterBubbles`]/[`RemoveTips`] correct them).
+    /// [`FilterBubbles`]/[`RemoveTips`] correct them), in strictly ascending
+    /// ID order.
     pub contigs: Vec<AsmNode>,
-    /// Ambiguous (⟨m-n⟩) k-mer vertices awaiting re-wiring by [`RemoveTips`].
+    /// Ambiguous (⟨m-n⟩) k-mer vertices awaiting re-wiring by [`RemoveTips`],
+    /// in strictly ascending ID order.
     pub ambiguous_kmers: Vec<AsmNode>,
     /// Whether `ambiguous_kmers`/`contigs` have had their adjacency rebuilt
-    /// by [`RemoveTips`] since the last [`Merge`]. Re-labeling a drained node
-    /// set requires this: straight after a merge, the k-mer adjacencies still
-    /// reference vertices that were folded into contigs, so [`Label`] refuses
-    /// to rebuild its working set from an un-rewired graph.
+    /// by [`RemoveTips`] since the last [`Merge`]. Re-labeling them requires
+    /// this: straight after a merge, the k-mer adjacencies still reference
+    /// vertices that were folded into contigs, so [`Label`] refuses to label
+    /// an un-rewired graph.
     pub rewired: bool,
     /// The final assembly output ([`FilterLength`] moves `contigs` here).
     pub output: Vec<Contig>,
@@ -168,12 +137,21 @@ impl<'r> GraphState<'r> {
     pub fn new(reads: &'r ReadSet) -> GraphState<'r> {
         GraphState {
             reads,
-            nodes: NodeSet::default(),
+            nodes: KmerGraph::default(),
             labels: None,
             contigs: Vec::new(),
             ambiguous_kmers: Vec::new(),
             rewired: false,
             output: Vec::new(),
+        }
+    }
+
+    /// The corrected graph as one node set, where it lies: the ambiguous
+    /// k-mers, then the contigs, ascending by ID as a whole.
+    fn mixed_nodes(&self) -> MixedNodes<'_> {
+        MixedNodes {
+            kmers: &self.ambiguous_kmers,
+            contigs: &self.contigs,
         }
     }
 }
@@ -678,7 +656,8 @@ pub trait Stage {
     }
 }
 
-/// Operation ① — DBG construction: `state.reads` → `state.nodes`, packed.
+/// Operation ① — DBG construction: `state.reads` → `state.nodes`, as
+/// columns sorted by ID.
 #[derive(Debug, Clone)]
 pub struct Construct {
     /// The construction parameters (k, θ, batch size).
@@ -700,7 +679,7 @@ impl Stage for Construct {
     fn run(&self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> StageReport {
         let outcome = build_dbg_on(ctx, state.reads, &self.config);
         let stats = outcome.stats.clone();
-        state.nodes = NodeSet::Packed(outcome.vertices);
+        state.nodes = outcome.vertices;
         state.labels = None;
         state.contigs.clear();
         state.ambiguous_kmers.clear();
@@ -718,7 +697,11 @@ impl Stage for Construct {
     }
 }
 
-/// Operation ② — contig labeling over `state.nodes`, with either algorithm.
+/// Operation ② — contig labeling, with either algorithm: over `state.nodes`
+/// in round 1, and once [`Merge`] has drained it over the rewired
+/// `state.ambiguous_kmers` followed by `state.contigs`, read in place (both
+/// ascending by ID, and every contig ID above every k-mer ID, so the two are
+/// one ascending node set).
 #[derive(Debug, Clone)]
 pub struct Label {
     /// Which labeling algorithm to run.
@@ -755,28 +738,19 @@ impl Stage for Label {
     }
 
     fn run(&self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> StageReport {
-        // A preceding Merge drained `nodes`; rebuild the mixed working set
-        // from the corrected graph — but only once RemoveTips has rewired the
-        // adjacency, otherwise labeling would run over stale k-mer edges.
-        if state.nodes.is_empty() && !(state.ambiguous_kmers.is_empty() && state.contigs.is_empty())
-        {
+        let outcome = if state.nodes.is_empty() {
+            // A preceding Merge drained `nodes`: label the corrected graph —
+            // but only once RemoveTips has rewired the adjacency, otherwise
+            // labeling would run over stale k-mer edges.
+            let mixed = state.mixed_nodes();
             assert!(
-                state.rewired,
+                state.rewired || mixed.is_empty(),
                 "the Label stage found a drained node set whose adjacency was not rebuilt: \
                  after Merge, run RemoveTips before re-labeling"
             );
-            state.nodes = NodeSet::Expanded(
-                state
-                    .ambiguous_kmers
-                    .iter()
-                    .cloned()
-                    .chain(state.contigs.iter().cloned())
-                    .collect(),
-            );
-        }
-        let outcome = match &state.nodes {
-            NodeSet::Packed(nodes) => self.label(ctx, nodes),
-            NodeSet::Expanded(nodes) => self.label(ctx, nodes),
+            self.label(ctx, &mixed)
+        } else {
+            self.label(ctx, &state.nodes)
         };
         let stats = LabelStats::from_metrics(
             &outcome.metrics,
@@ -798,9 +772,11 @@ impl Stage for Label {
     }
 }
 
-/// Operation ③ — contig merging: drains `state.nodes` + the pending labels
-/// into fresh `state.contigs`, parking the ambiguous k-mers in
-/// `state.ambiguous_kmers`.
+/// Operation ③ — contig merging: turns the node set [`Label`] labelled and
+/// the pending labels into fresh `state.contigs`. In round 1 it drains
+/// `state.nodes`, expanding the ambiguous k-mers into
+/// `state.ambiguous_kmers`; later it `retain`s the ambiguous ones of
+/// `state.ambiguous_kmers` in place.
 #[derive(Debug, Clone)]
 pub struct Merge {
     /// The merging parameters (k, tip-length threshold).
@@ -824,9 +800,10 @@ impl Stage for Merge {
             .labels
             .take()
             .expect("the Merge stage requires a preceding Label stage");
-        let merged = match &state.nodes {
-            NodeSet::Packed(nodes) => merge_contigs_on(ctx, nodes, &labels.labels, &self.config),
-            NodeSet::Expanded(nodes) => merge_contigs_on(ctx, nodes, &labels.labels, &self.config),
+        let merged = if state.nodes.is_empty() {
+            merge_contigs_on(ctx, &state.mixed_nodes(), &labels.labels, &self.config)
+        } else {
+            merge_contigs_on(ctx, &state.nodes, &labels.labels, &self.config)
         };
         let stats = MergeStats {
             groups: merged.groups,
@@ -835,19 +812,18 @@ impl Stage for Merge {
             mapreduce: merged.mapreduce.clone(),
         };
         // The ambiguous k-mers are the only ones that outlive the merge, and
-        // the only ones expanded.
+        // the only ones expanded. A contig is never ambiguous: it keeps at
+        // most one neighbour per side (Figure 9).
         let ambiguous: FxHashSet<u64> = labels.ambiguous.iter().copied().collect();
-        state.ambiguous_kmers = match std::mem::take(&mut state.nodes) {
-            NodeSet::Packed(graph) => graph
+        if state.nodes.is_empty() {
+            state.ambiguous_kmers.retain(|n| ambiguous.contains(&n.id));
+        } else {
+            state.ambiguous_kmers = std::mem::take(&mut state.nodes)
                 .iter()
                 .filter(|v| ambiguous.contains(&v.id()))
                 .map(|v| v.to_asm_node())
-                .collect(),
-            NodeSet::Expanded(nodes) => nodes
-                .into_iter()
-                .filter(|n| ambiguous.contains(&n.id))
-                .collect(),
-        };
+                .collect();
+        }
         state.contigs = merged.contigs;
         state.rewired = false;
         let nodes_after = state.ambiguous_kmers.len() + state.contigs.len();
@@ -911,8 +887,10 @@ impl Stage for FilterBubbles {
 }
 
 /// Operation ⑤ — tip removing: rewires `state.ambiguous_kmers` +
-/// `state.contigs` and marks the state rewired, so the next [`Label`] stage
-/// rebuilds the mixed k-mer + contig working set from them.
+/// `state.contigs`, leaves each sorted by ID ([`TipOutcome`]) and marks the
+/// state rewired, so the next [`Label`] stage labels them where they lie.
+///
+/// [`TipOutcome`]: crate::ops::tip::TipOutcome
 #[derive(Debug, Clone)]
 pub struct RemoveTips {
     /// The tip-removal parameters (k, tip-length threshold).
@@ -933,9 +911,8 @@ impl Stage for RemoveTips {
 
     fn run(&self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> StageReport {
         let tips = remove_tips_on(ctx, &state.ambiguous_kmers, &state.contigs, &self.config);
-        // The mixed working set is rebuilt lazily by the next Label stage, so
-        // consecutive tip rounds do not each materialise a full graph copy.
-        state.nodes = NodeSet::default();
+        // The next Label stage reads the rewired graph where it lies.
+        state.nodes = KmerGraph::default();
         state.ambiguous_kmers = tips.kmers;
         state.contigs = tips.contigs;
         state.rewired = true;

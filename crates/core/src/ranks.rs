@@ -8,18 +8,17 @@
 //! [`RankDict::len`], which is no vertex — a Pregel message sent there is
 //! dropped like one sent to the missing ID.
 //!
-//! Round 1's dictionary is construct's k-mer column itself: a
-//! [`KmerGraph`](crate::node::KmerGraph) keeps its k-mers — its vertex IDs —
-//! strictly ascending, so [`RankDict::of_nodes_on`] borrows the column, a
-//! vertex's rank is its position, and the only O(n) work is the prefix
-//! table. Nothing is sorted or merged. Only round 2's mixed set of
-//! ambiguous k-mers and contigs, which comes unsorted, is ranked by
-//! [`RankDict::build_on`]: every worker radix-sorts a share of the IDs and
-//! the shares are merged.
+//! A node set lists its nodes in strictly ascending ID order (the
+//! [`NodeSource`](crate::node::NodeSource) contract), so its ID column is
+//! the dictionary as it is and a vertex's rank is its position:
+//! [`RankDict::new`], the one constructor, only checks the order and builds
+//! the prefix table. Nothing is sorted or merged. Round 1's column is
+//! construct's k-mer column, borrowed; round 2's — the ambiguous k-mers,
+//! then the contigs, read where they lie — is collected.
 //!
 //! Both contig labelings — list ranking ([`crate::ops::label`]) and simplified
 //! S-V ([`crate::ops::label_sv`]) — run in rank space and share the way in and
-//! out: [`RankDict::of_nodes_on`], [`RankDict::run_on`] (every pool worker builds
+//! out: [`RankDict::new`], [`RankDict::run_on`] (every pool worker builds
 //! the states of the ranks it will own, variable-length lists in one slab per
 //! worker; the job runs; one outcome per rank comes back) and
 //! [`RankDict::read_back_on`] (the outcomes back to `(id, label)` pairs, in
@@ -37,7 +36,6 @@
 //! store and spill its shuffle. Neither the labelings nor their callers see
 //! the difference: `read_back_on` orders the outcome by ID, not by owner.
 
-use crate::node::{GraphNode, NodeSource};
 use ppa_pregel::fxhash::hash_one;
 use ppa_pregel::{DenseSet, ExecCtx, Metrics, PregelConfig, VertexProgram, VertexSet};
 use std::borrow::Cow;
@@ -49,14 +47,6 @@ pub(crate) const RANK_FLIP: u32 = 1 << 31;
 /// Checks that `nodes` vertices and the absent rank fit below [`RANK_FLIP`].
 pub(crate) fn fits_rank_space(nodes: usize) -> bool {
     nodes < RANK_FLIP as usize
-}
-
-/// Panics unless `nodes` vertices fit below [`RANK_FLIP`].
-fn assert_fits(nodes: usize) {
-    assert!(
-        fits_rank_space(nodes),
-        "{nodes} vertices do not fit the 31-bit rank space of contig labeling"
-    );
 }
 
 /// Outcome marks of [`RankDict::read_back_on`]; every label is a rank, and
@@ -72,13 +62,9 @@ fn owner<K: std::hash::Hash>(key: &K, workers: usize) -> usize {
 
 /// The sorted IDs of a node set, with a prefix index for ID → rank lookups.
 pub(crate) struct RankDict<'a> {
-    /// Strictly ascending vertex IDs; the rank of `ids[r]` is `r`. Borrowed
-    /// when the node set keeps its IDs sorted.
+    /// Strictly ascending vertex IDs; the rank of `ids[r]` is `r`, the
+    /// vertex's position in its node set.
     ids: Cow<'a, [u64]>,
-    /// `source[r]`: position in the build input of the vertex of rank `r`;
-    /// empty when the input was the sorted column itself, whose positions
-    /// are the ranks.
-    source: Vec<u32>,
     /// IDs with `(id - ids[0]) >> shift == p` have the ranks
     /// `starts[p]..starts[p + 1]`: about one ID per prefix, so a lookup is a
     /// table read and a search over a handful of neighbouring IDs.
@@ -87,76 +73,28 @@ pub(crate) struct RankDict<'a> {
 }
 
 impl<'a> RankDict<'a> {
-    /// The dictionary of a node set: its own ID column when it keeps one
-    /// sorted ([`NodeSource::sorted_ids`]), so that only the prefix table is
-    /// built and a rank is a position; otherwise [`build_on`] over its IDs.
-    ///
-    /// [`build_on`]: RankDict::build_on
-    pub(crate) fn of_nodes_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &'a S) -> RankDict<'a> {
-        match nodes.sorted_ids() {
-            Some(ids) => {
-                assert_fits(ids.len());
-                debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "unsorted ID column");
-                RankDict::indexed(Cow::Borrowed(ids), Vec::new())
-            }
-            None => RankDict::build_on(ctx, nodes.len(), |i| nodes.node(i).id()),
-        }
-    }
-
-    /// Ranks the IDs `id_of(0..count)` on the context's pool: every worker
-    /// radix-sorts one contiguous share, the shares are merged on the calling
-    /// thread. An ID given twice keeps its last position, as
-    /// `VertexSet::from_pairs` would.
+    /// The dictionary of a node set's ID column
+    /// ([`NodeSource::ids`](crate::node::NodeSource::ids)): builds the
+    /// prefix table, the one pass over the IDs a borrowed column costs.
     ///
     /// # Panics
     ///
-    /// Panics if `count` does not fit below [`RANK_FLIP`].
-    pub(crate) fn build_on(
-        ctx: &ExecCtx,
-        count: usize,
-        id_of: impl Fn(usize) -> u64 + Sync,
-    ) -> RankDict<'a> {
-        assert_fits(count);
-        let workers = ctx.workers();
-        let sorted: Vec<Vec<(u64, u32)>> = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
-            let mut share: Vec<(u64, u32)> = (count * w / workers..count * (w + 1) / workers)
-                .map(|i| (id_of(i), i as u32))
-                .collect();
-            ppa_pregel::radix::sort_pairs(&mut share, &mut Vec::new());
-            share
-        });
-
-        // Merge; on equal IDs the lower share goes first, so the entry that
-        // survives a run of duplicates is the input's last.
-        let mut ids: Vec<u64> = Vec::with_capacity(count);
-        let mut source: Vec<u32> = Vec::with_capacity(count);
-        let mut heads = vec![0usize; workers];
-        loop {
-            let mut next: Option<(u64, usize)> = None;
-            for (w, share) in sorted.iter().enumerate() {
-                if let Some(&(id, _)) = share.get(heads[w]) {
-                    if next.is_none_or(|(least, _)| id < least) {
-                        next = Some((id, w));
-                    }
-                }
-            }
-            let Some((id, w)) = next else { break };
-            let at = sorted[w][heads[w]].1;
-            heads[w] += 1;
-            if ids.last() == Some(&id) {
-                *source.last_mut().expect("parallel to ids") = at;
-            } else {
-                ids.push(id);
-                source.push(at);
-            }
+    /// Panics if the IDs are not strictly ascending, naming the first
+    /// position out of order, or do not fit below [`RANK_FLIP`].
+    pub(crate) fn new(ids: Cow<'a, [u64]>) -> RankDict<'a> {
+        assert!(
+            fits_rank_space(ids.len()),
+            "{} vertices do not fit the 31-bit rank space of contig labeling",
+            ids.len()
+        );
+        if let Some(at) = ids.windows(2).position(|pair| pair[0] >= pair[1]) {
+            panic!(
+                "node IDs not strictly ascending at position {}: {:#x} after {:#x}",
+                at + 1,
+                ids[at + 1],
+                ids[at]
+            );
         }
-        drop(sorted);
-        RankDict::indexed(Cow::Owned(ids), source)
-    }
-
-    /// The dictionary of a strictly ascending ID column: builds the prefix
-    /// table, the one pass over the IDs a borrowed column costs.
-    fn indexed(ids: Cow<'a, [u64]>, source: Vec<u32>) -> RankDict<'a> {
         let span = ids.last().map_or(0, |last| last - ids[0]);
         let prefix_bits = ids.len().next_power_of_two().trailing_zeros();
         let shift = (u64::BITS - span.leading_zeros()).saturating_sub(prefix_bits);
@@ -167,12 +105,7 @@ impl<'a> RankDict<'a> {
         for p in 1..starts.len() {
             starts[p] += starts[p - 1];
         }
-        RankDict {
-            ids,
-            source,
-            shift,
-            starts,
-        }
+        RankDict { ids, shift, starts }
     }
 
     /// Number of distinct IDs — also the rank of every ID outside the set.
@@ -183,14 +116,6 @@ impl<'a> RankDict<'a> {
     /// The ID of rank `rank`.
     pub(crate) fn id(&self, rank: u32) -> u64 {
         self.ids[rank as usize]
-    }
-
-    /// Position in the build input of the vertex of rank `rank`.
-    pub(crate) fn source(&self, rank: u32) -> usize {
-        match self.source.is_empty() {
-            true => rank as usize,
-            false => self.source[rank as usize] as usize,
-        }
     }
 
     /// The rank of `id`, or [`len`](RankDict::len) if the set does not hold it.
@@ -316,9 +241,10 @@ impl<'a> RankDict<'a> {
 mod tests {
     use super::*;
     use crate::ids::contig_id;
+    use crate::node::NodeSource;
 
-    fn dict(ids: &[u64]) -> RankDict<'static> {
-        RankDict::build_on(&ExecCtx::new(3), ids.len(), |i| ids[i])
+    fn dict(ids: &[u64]) -> RankDict<'_> {
+        RankDict::new(Cow::Borrowed(ids))
     }
 
     #[test]
@@ -332,23 +258,21 @@ mod tests {
 
     #[test]
     fn ranks_order_as_ids_and_absent_ids_share_one_rank() {
-        // Round-2 shape: k-mer IDs mixed with contig IDs, given unsorted.
+        // Round-2 shape: the ambiguous k-mers, then the contigs.
         let ids = [
-            contig_id(1, 2),
-            0x3fff_ffff_ffff_fff0,
-            7,
-            contig_id(0, 1),
             0,
-            contig_id(1, 1),
+            7,
             1 << 40,
+            0x3fff_ffff_ffff_fff0,
+            contig_id(0, 1),
+            contig_id(1, 1),
+            contig_id(1, 2),
         ];
         let d = dict(&ids);
         assert_eq!(d.len() as usize, ids.len());
-        assert!(d.ids.windows(2).all(|w| w[0] < w[1]));
         for (at, id) in ids.iter().enumerate() {
-            let rank = d.rank(*id);
-            assert_eq!(d.ids[rank as usize], *id);
-            assert_eq!(d.source(rank), at);
+            assert_eq!(d.rank(*id), at as u32);
+            assert_eq!(d.id(at as u32), *id);
         }
         for absent in [
             1,
@@ -365,28 +289,31 @@ mod tests {
     #[test]
     fn every_id_of_a_large_set_is_found_and_its_gaps_are_not() {
         // Multiples of a large odd number: spread over the whole 62-bit range.
-        let ids: Vec<u64> = (0..5_000u64)
+        let mut ids: Vec<u64> = (0..5_000u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 2)
             .collect();
+        ids.sort_unstable();
+        ids.dedup();
         let d = dict(&ids);
         assert_eq!(d.len(), 5_000);
         for (at, id) in ids.iter().enumerate() {
-            assert_eq!(d.source(d.rank(*id)), at);
-            if d.ids.binary_search(&(id + 1)).is_err() {
+            assert_eq!(d.rank(*id), at as u32);
+            if ids.binary_search(&(id + 1)).is_err() {
                 assert_eq!(d.rank(id + 1), d.len());
             }
         }
     }
 
     #[test]
-    fn a_repeated_id_keeps_its_last_position() {
-        let d = dict(&[9, 4, 9, 4, 4, 2]);
-        assert_eq!(&d.ids[..], &[2, 4, 9]);
-        assert_eq!(
-            [d.source(0), d.source(1), d.source(2)],
-            [5, 4, 2],
-            "later duplicates replace earlier ones"
-        );
+    fn a_descending_column_or_a_repeated_id_is_refused() {
+        for (ids, want) in [
+            (&[2u64, 9, 4][..], "at position 2: 0x4 after 0x9"),
+            (&[2, 4, 4, 9][..], "at position 2: 0x4 after 0x4"),
+        ] {
+            let refused = std::panic::catch_unwind(|| dict(ids).len()).expect_err("refused");
+            let message = ppa_pregel::engine::panic_message(&*refused);
+            assert!(message.contains(want), "{ids:?}: {message}");
+        }
     }
 
     #[test]
@@ -405,22 +332,20 @@ mod tests {
         for &kmer in &kmers {
             graph.push_vertex(kmer);
         }
-        let ctx = ExecCtx::new(3);
-        let borrowed = RankDict::of_nodes_on(&ctx, &graph);
+        let borrowed = RankDict::new(graph.ids());
         assert!(matches!(borrowed.ids, Cow::Borrowed(_)));
-        assert!(borrowed.source.is_empty(), "no source column");
-        let sorted = dict(&kmers);
-        assert_eq!(borrowed.len(), sorted.len());
+        assert_eq!(borrowed.len() as usize, kmers.len());
         for (at, &id) in kmers.iter().enumerate() {
             assert_eq!(borrowed.rank(id), at as u32);
-            assert_eq!(borrowed.source(at as u32), at);
-            assert_eq!(borrowed.rank(id + 1), sorted.rank(id + 1), "{id:#x} + 1");
+            if kmers.binary_search(&(id + 1)).is_err() {
+                assert_eq!(borrowed.rank(id + 1), borrowed.len(), "{id:#x} + 1");
+            }
         }
-        // Expanded nodes have no sorted column: they are ranked by sorting.
+        // Expanded nodes keep no ID column: theirs is collected, in order.
         let nodes = graph.to_nodes();
-        let built = RankDict::of_nodes_on(&ctx, &nodes[..]);
-        assert!(matches!(built.ids, Cow::Owned(_)));
-        assert_eq!(built.ids, borrowed.ids);
+        let collected = RankDict::new(nodes.ids());
+        assert!(matches!(collected.ids, Cow::Owned(_)));
+        assert_eq!(collected.ids, borrowed.ids);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use ppa_assembler::ops::merge::MergeConfig;
 use ppa_assembler::ops::tip::TipConfig;
 use ppa_assembler::pipeline::{Construct, FilterBubbles, FilterLength, Label, Merge, RemoveTips};
 use ppa_assembler::{assemble, AsmNode, Assembly, AssemblyConfig, GraphState};
-use ppa_assembler::{LabelingAlgorithm, NodeSet, Pipeline};
+use ppa_assembler::{LabelingAlgorithm, Pipeline, PipelineError};
 use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
@@ -89,14 +89,18 @@ fn pipeline_content_is_worker_count_independent() {
     }
 }
 
+/// A reordering of construct's expanded vertices.
+type Permutation = fn(&mut Vec<AsmNode>);
+
 /// The FASTA bytes of `config`'s paper workflow over `reads`, with
 /// construct's k-mer graph expanded into `AsmNode`s, put through `permute`
-/// and handed to labeling as an expanded node set.
+/// and handed to labeling where a correction round's rewired graph lies, as
+/// its ambiguous k-mers; or the error of the stage that refused them.
 fn fasta_with_permuted_vertices(
     reads: &ReadSet,
     config: &AssemblyConfig,
-    permute: fn(&mut Vec<AsmNode>),
-) -> Vec<u8> {
+    permute: Permutation,
+) -> Result<Vec<u8>, PipelineError> {
     let ctx = ExecCtx::new(config.workers);
     let mut state = GraphState::new(reads);
     Pipeline::new()
@@ -106,12 +110,10 @@ fn fasta_with_permuted_vertices(
             batch_size: 1024,
         }))
         .run(&mut state, &ctx);
-    let NodeSet::Packed(graph) = &state.nodes else {
-        panic!("construct leaves the k-mer graph");
-    };
-    let mut nodes = graph.to_nodes();
+    let mut nodes = std::mem::take(&mut state.nodes).to_nodes();
     permute(&mut nodes);
-    state.nodes = NodeSet::Expanded(nodes);
+    state.ambiguous_kmers = nodes;
+    state.rewired = true;
     let merge = MergeConfig {
         k: config.k,
         tip_length_threshold: config.tip_length_threshold,
@@ -134,7 +136,7 @@ fn fasta_with_permuted_vertices(
             ],
         )
         .then(FilterLength::new(config.min_contig_length))
-        .run(&mut state, &ctx);
+        .try_run(&mut state, &ctx)?;
     let assembly = Assembly {
         contigs: state.output,
         stats: Default::default(),
@@ -144,43 +146,52 @@ fn fasta_with_permuted_vertices(
         .to_fasta()
         .write_fasta(&mut fasta)
         .expect("write to memory");
-    fasta
+    Ok(fasta)
 }
 
 #[test]
-fn contigs_do_not_depend_on_the_order_of_constructs_vertices() {
-    // Construct leaves its vertices as columns sorted by k-mer, which
-    // round 1 ranks by position and which cannot be permuted. Labeling and
-    // merging must not rely on that order: the graph's expanded copy, as it
-    // is, reversed or rotated, is ranked by sorting and assembles to the
-    // same FASTA bytes as the graph, contig IDs included.
+fn a_node_set_out_of_id_order_is_refused() {
+    // A node set lists its nodes in strictly ascending ID order, and
+    // labeling ranks them by position. Construct's graph, expanded and
+    // labelled where a correction round's graph lies, assembles to the same
+    // FASTA bytes as the graph, contig IDs included; reversed or rotated, it
+    // is refused at the first position out of order.
     let reads = simulated_reads(97);
-    let permutations: [fn(&mut Vec<AsmNode>); 3] = [
-        |_| {},
-        |vertices| vertices.reverse(),
-        |vertices| {
-            let third = vertices.len() / 3;
-            vertices.rotate_left(third);
-        },
-    ];
+    let reverse: Permutation = |vertices| vertices.reverse();
+    let rotate: Permutation = |vertices| {
+        let third = vertices.len() / 3;
+        vertices.rotate_left(third);
+    };
     for labeling in [
         LabelingAlgorithm::ListRanking,
         LabelingAlgorithm::SimplifiedSV,
     ] {
         for workers in 1..=4 {
             let config = config(workers, labeling);
+            let assembly = assemble(&reads, &config);
             let mut direct = Vec::new();
-            assemble(&reads, &config)
+            assembly
                 .to_fasta()
                 .write_fasta(&mut direct)
                 .expect("write to memory");
             assert!(direct.len() > 1_000, "{} FASTA bytes", direct.len());
-            for (i, permute) in permutations.iter().enumerate() {
-                let fasta = fasta_with_permuted_vertices(&reads, &config, *permute);
-                assert!(
-                    fasta == direct,
-                    "permutation {i} changed the contigs ({labeling:?}, {workers} workers)"
-                );
+            let in_order = fasta_with_permuted_vertices(&reads, &config, |_| {});
+            assert!(
+                in_order.as_ref() == Ok(&direct),
+                "the expanded graph changed the contigs ({labeling:?}, {workers} workers)"
+            );
+            // Each with the first position out of order among n vertices.
+            let n = assembly.stats.construct.vertices as usize;
+            for (i, (permute, position)) in [(reverse, 1), (rotate, n - n / 3)].iter().enumerate() {
+                let want = format!("not strictly ascending at position {position}:");
+                match fasta_with_permuted_vertices(&reads, &config, *permute) {
+                    Err(PipelineError::Stage { stage, message, .. })
+                        if stage == "label" && message.contains(&want) => {}
+                    other => panic!(
+                        "permutation {i} ({labeling:?}, {workers} workers): {:?}",
+                        other.map(|fasta| fasta.len())
+                    ),
+                }
             }
         }
     }

@@ -201,7 +201,8 @@ fn the_paper_workflow_drops_only_tip_announcements() {
     // merging and deleting took away. Tip removal itself learns which
     // neighbours survived by announcing itself to all of them, so it drops
     // exactly the announcements to vanished IDs, and its REQUEST/DELETE
-    // protocol drops nothing. The stages below are
+    // protocol drops nothing. Every stage leaves the ambiguous k-mers and
+    // the contigs each strictly ascending by ID. The stages below are
     // `Pipeline::paper_workflow`'s with two correction rounds, run one at a
     // time to read each job's metrics; the FASTA check at the end keeps them
     // that.
@@ -251,6 +252,18 @@ fn the_paper_workflow_drops_only_tip_announcements() {
                 let absent =
                     tip_announcements_to_absent_ids(&state.ambiguous_kmers, &state.contigs);
                 let report = stage.run(&mut state, &ctx);
+                // Round 2 labels and merges the ambiguous k-mers followed by
+                // the contigs where they lie, ranked by position.
+                for (what, nodes) in [
+                    ("ambiguous k-mers", &state.ambiguous_kmers),
+                    ("contigs", &state.contigs),
+                ] {
+                    assert!(
+                        nodes.windows(2).all(|pair| pair[0].id < pair[1].id),
+                        "{what} out of ID order after {}: {at}",
+                        report.stage
+                    );
+                }
                 match &report.details {
                     StageDetails::Label(_) => {
                         label_rounds += 1;

@@ -112,15 +112,15 @@ fn round_two_nodes() -> Vec<AsmNode> {
     let mut nodes = kmer_nodes(3, 101);
     nodes.extend([
         contig(0, 1),
-        contig(1, 1),
         contig(0, 2),
+        contig(1, 1),
         contig(1, 2),
         contig(2, 1),
         contig(2, 7),
     ]);
     // contig 0/1 → k-mer 0 → contig 1/1 → k-mer 1 → contig 0/2 → k-mer 2,
     // which forks into contigs 1/2 and 2/1; contig 2/7 stands alone.
-    for (from, to) in [(3, 0), (0, 4), (4, 1), (1, 5), (5, 2), (2, 6), (2, 7)] {
+    for (from, to) in [(3, 0), (0, 5), (5, 1), (1, 4), (4, 2), (2, 6), (2, 7)] {
         link(&mut nodes, from, to);
     }
     nodes
@@ -264,6 +264,7 @@ fn a_path_and_two_cycles() {
     close_ring(&mut rings, &evens);
     close_ring(&mut rings, &odds);
     nodes.extend(rings);
+    nodes.sort_unstable_by_key(|node| node.id);
     let costs = check_against_oracle(&nodes, "path + two cycles");
     assert_eq!(costs, ((54, 4930, 0, true), (28, 2047, 0, false)));
 }

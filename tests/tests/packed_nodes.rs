@@ -1,6 +1,7 @@
 //! Labeling and merging read construct's columnar k-mer graph directly
-//! (`NodeSource` over `KmerGraph`, ranked by position); the expanded
-//! `AsmNode` graph, ranked by sorting, is the reference. On random read sets, at 1–4 workers, every operation on
+//! (`NodeSource` over `KmerGraph`, which lends its k-mer column as the rank
+//! dictionary); the expanded `AsmNode` graph, whose ID column is collected,
+//! is the reference. On random read sets, at 1–4 workers, every operation on
 //! `outcome.vertices` must give exactly what it gives on
 //! `outcome.to_nodes()`: the labels in order, the ambiguous IDs, supersteps,
 //! messages and drops of both labelings, and the merged contigs with their

@@ -27,7 +27,8 @@
 use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
 use ppa_assembler::ops::label::label_contigs_lr_on;
 use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
-use ppa_assembler::pipeline::{Construct, GraphState, NodeSet, Stage};
+use ppa_assembler::pipeline::{Construct, GraphState, Stage};
+use ppa_assembler::KmerGraph;
 use ppa_pregel::aggregate::NoAggregate;
 use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, PregelConfig, VertexProgram};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
@@ -156,13 +157,11 @@ fn reads_of_a_genome(length: usize) -> ReadSet {
 fn construct_heap(ctx: &ExecCtx, reads: &ReadSet) -> (u64, u64, usize) {
     let mut state = GraphState::new(reads);
     Construct::new(ConstructConfig::default()).run(&mut state, ctx);
-    let NodeSet::Packed(graph) = &state.nodes else {
-        panic!("Construct leaves the k-mer graph");
-    };
+    let graph = &state.nodes;
     let (reported, vertices) = (graph.heap_bytes() as u64, graph.len());
     assert!(vertices > 15_000, "{vertices} vertices");
     let held = heap::live_bytes();
-    state.nodes = NodeSet::default();
+    state.nodes = KmerGraph::default();
     let freed = held - heap::live_bytes();
     (freed, reported, vertices)
 }
@@ -182,9 +181,7 @@ fn construct_allocations(ctx: &ExecCtx, reads: &ReadSet) -> (u64, usize) {
 fn merge_peak_bytes_per_labelled_vertex(ctx: &ExecCtx, reads: &ReadSet) -> f64 {
     let mut state = GraphState::new(reads);
     Construct::new(ConstructConfig::default()).run(&mut state, ctx);
-    let NodeSet::Packed(nodes) = &state.nodes else {
-        panic!("Construct leaves the packed form");
-    };
+    let nodes = &state.nodes;
     let labels = label_contigs_lr_on(ctx, nodes).labels;
     assert!(labels.len() > 15_000, "{} labelled vertices", labels.len());
     let config = MergeConfig {
