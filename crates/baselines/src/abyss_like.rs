@@ -17,13 +17,19 @@
 //! Error correction (ABySS's erosion/bubble popping) is not modelled; the
 //! comparison focuses on the construction and unitig-growth differences the
 //! paper discusses.
+//!
+//! Both jobs run on the dense ranks of the counted k-mers: the counts come
+//! out in ascending k-mer order, so a k-mer's rank is its position in them,
+//! found by binary search. A probe to a k-mer that was not counted goes to
+//! the one-past-the-end rank, which is no vertex, and is dropped there.
 
 use crate::common::{count_canonical_kmers_on, kmer_of};
 use crate::{Assembler, BaselineAssembly, BaselineParams};
 use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
 use ppa_assembler::{edge_contributions, AsmNode, Edge, EdgeSlot, NodeSeq, VertexType};
 use ppa_pregel::aggregate::NoAggregate;
-use ppa_pregel::{Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};
+use ppa_pregel::fxhash::hash_one;
+use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, PregelConfig, VertexProgram};
 use ppa_seq::{Base, ReadSet};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -32,15 +38,16 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AbyssLike;
 
+/// The rank of k-mer `id` among the counted k-mers (ascending by k-mer), or
+/// the one-past-the-end rank if it was not counted.
+fn rank_of(counts: &[(u64, u32)], id: u64) -> u32 {
+    let at = counts.binary_search_by_key(&id, |&(kmer, _)| kmer);
+    at.unwrap_or(counts.len()) as u32
+}
+
 // ---------------------------------------------------------------------------
 // Phase 1: existence-based edge probing.
 // ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct ProbeState {
-    node: AsmNode,
-    count: u32,
-}
 
 #[derive(Debug, Clone)]
 struct Probe {
@@ -49,25 +56,29 @@ struct Probe {
     sender_count: u32,
 }
 
-struct ProbeProgram;
+/// Every vertex is a counted k-mer, its state the node it grows edges on.
+struct ProbeProgram<'a> {
+    counts: &'a [(u64, u32)],
+}
 
-impl VertexProgram for ProbeProgram {
-    type Id = u64;
-    type Value = ProbeState;
+impl VertexProgram for ProbeProgram<'_> {
+    type Id = u32;
+    type Value = AsmNode;
     type Message = Probe;
     type Aggregate = NoAggregate;
 
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
-        id: u64,
-        value: &mut ProbeState,
+        rank: u32,
+        node: &mut AsmNode,
         messages: &mut [Probe],
     ) {
-        let own = match &value.node.seq {
+        let own = match &node.seq {
             NodeSeq::Kmer(k) => *k,
             NodeSeq::Contig(_) => unreachable!("probe vertices are k-mers"),
         };
+        let (id, count) = self.counts[rank as usize];
         if ctx.superstep() == 0 {
             // Probe all eight hypothetical neighbours.
             for base_code in 0..4u8 {
@@ -87,10 +98,10 @@ impl VertexProgram for ProbeProgram {
                         continue; // self-loop probes are meaningless
                     }
                     ctx.send_message(
-                        other,
+                        rank_of(self.counts, other),
                         Probe {
                             slot_bit: other_slot.bit() as u8,
-                            sender_count: value.count,
+                            sender_count: count,
                         },
                     );
                 }
@@ -103,11 +114,11 @@ impl VertexProgram for ProbeProgram {
                 }
                 let slot = EdgeSlot::from_bit(probe.slot_bit as u32);
                 let neighbor = slot.neighbor_of(&own);
-                value.node.push_edge(Edge {
+                node.push_edge(Edge {
                     neighbor: neighbor.packed(),
                     direction: slot.direction,
                     polarity: slot.polarity,
-                    coverage: value.count.min(probe.sender_count),
+                    coverage: count.min(probe.sender_count),
                 });
             }
         }
@@ -122,24 +133,26 @@ impl VertexProgram for ProbeProgram {
 #[derive(Debug, Clone)]
 struct PropState {
     unambiguous: bool,
-    neighbors: Vec<u64>,
-    label: u64,
+    /// Neighbour ranks.
+    neighbors: Vec<u32>,
+    /// The smallest rank seen, so the smallest k-mer.
+    label: u32,
 }
 
 struct PropProgram;
 
 impl VertexProgram for PropProgram {
-    type Id = u64;
+    type Id = u32;
     type Value = PropState;
-    type Message = u64;
+    type Message = u32;
     type Aggregate = NoAggregate;
 
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
-        _id: u64,
+        _rank: u32,
         value: &mut PropState,
-        messages: &mut [u64],
+        messages: &mut [u32],
     ) {
         if !value.unambiguous {
             // Ambiguous vertices never adopt or forward labels, so labels only
@@ -173,51 +186,43 @@ impl Assembler for AbyssLike {
         // final merge.
         let ctx = ExecCtx::new(params.workers);
         let counts = count_canonical_kmers_on(&ctx, reads, k, params.min_kmer_coverage);
+        let ranks = counts.len() as u32;
 
         // Probe phase: existence-based edges.
         let config = PregelConfig::default().max_supersteps(2_000_000);
-        let probe_pairs = counts.iter().map(|&(packed, count)| {
-            (
-                packed,
-                ProbeState {
-                    node: AsmNode::new_kmer(kmer_of(packed, k)),
-                    count,
-                },
-            )
+        let (mut probe_set, _) = DenseSet::from_fn_on(&ctx, ranks, |rank, _: &mut ()| {
+            Some(AsmNode::new_kmer(kmer_of(counts[rank as usize].0, k)))
         });
-        let mut probe_set: VertexSet<u64, ProbeState> =
-            VertexSet::from_pairs(ctx.workers(), probe_pairs);
-        let probe_metrics = ppa_pregel::run_on(&ctx, &ProbeProgram, &config, &mut probe_set);
-
-        let mut nodes: Vec<AsmNode> = probe_set
-            .into_pairs()
-            .into_iter()
-            .map(|(_, s)| s.node)
-            .collect();
-        // Merging takes its nodes in ID order; the store lists them by partition.
-        nodes.sort_unstable_by_key(|node| node.id);
+        let probe = ProbeProgram { counts: &counts };
+        let probe_metrics = run_dense_on(&ctx, &probe, &config, &mut probe_set);
+        // In rank order, which is ID order, as merging takes them.
+        let nodes: Vec<AsmNode> = probe_set.iter().map(|(_, node)| node.clone()).collect();
+        drop(probe_set);
 
         // Unitig formation: one-hop-per-superstep label propagation.
-        let prop_pairs = nodes.iter().map(|n| {
-            (
-                n.id,
-                PropState {
-                    unambiguous: n.vertex_type() != VertexType::Branch,
-                    neighbors: n.neighbor_ids(),
-                    label: n.id,
-                },
-            )
+        let (mut prop_set, _) = DenseSet::from_fn_on(&ctx, ranks, |rank, _: &mut ()| {
+            let node = &nodes[rank as usize];
+            Some(PropState {
+                unambiguous: node.vertex_type() != VertexType::Branch,
+                neighbors: node
+                    .real_edges()
+                    .map(|e| rank_of(&counts, e.neighbor))
+                    .collect(),
+                label: rank,
+            })
         });
-        let mut prop_set: VertexSet<u64, PropState> =
-            VertexSet::from_pairs(ctx.workers(), prop_pairs);
-        let prop_metrics = ppa_pregel::run_on(&ctx, &PropProgram, &config, &mut prop_set);
+        let prop_metrics = run_dense_on(&ctx, &PropProgram, &config, &mut prop_set);
 
-        let labels: Vec<(u64, u64)> = prop_set
-            .into_pairs()
-            .into_iter()
+        // Merging orients a contig from its first member in `labels`: list
+        // them as a job over the k-mers themselves did, by owning worker
+        // (`hash_one(&id) % workers`), then by k-mer.
+        let workers = ctx.workers() as u64;
+        let mut labels: Vec<(u64, u64)> = prop_set
+            .iter()
             .filter(|(_, s)| s.unambiguous)
-            .map(|(id, s)| (id, s.label))
+            .map(|(rank, s)| (counts[rank as usize].0, counts[s.label as usize].0))
             .collect();
+        labels.sort_by_key(|(id, _)| hash_one(id) % workers);
 
         // Stitch groups into contigs (shared substrate).
         let merged = merge_contigs_on(
@@ -270,7 +275,13 @@ mod tests {
         let out = AbyssLike.assemble(&reads, &params);
         assert!(!out.contigs.is_empty());
         assert!(out.largest_contig() > 500);
-        assert!(out.notes.contains("unitig growth"));
+        // The costs and contig count the jobs had on the sorted,
+        // hash-partitioned store, before they ran on ranks.
+        assert_eq!(
+            out.notes,
+            "probe: 2 supersteps / 11784 msgs; unitig growth: 1279 supersteps / 23767 msgs"
+        );
+        assert_eq!(out.contigs.len(), 1);
     }
 
     #[test]
@@ -301,6 +312,11 @@ mod tests {
             abyss.largest_contig(),
             ppa.largest_contig()
         );
+        assert_eq!(
+            abyss.notes,
+            "probe: 2 supersteps / 46 msgs; unitig growth: 7 supersteps / 24 msgs"
+        );
+        assert_eq!(abyss.contigs.len(), 1);
     }
 
     #[test]
@@ -334,5 +350,10 @@ mod tests {
             growth_supersteps > 40,
             "expected linear superstep count, got {growth_supersteps}"
         );
+        assert_eq!(
+            out.notes,
+            "probe: 2 supersteps / 6224 msgs; unitig growth: 450 supersteps / 11102 msgs"
+        );
+        assert_eq!(out.contigs.len(), 1);
     }
 }

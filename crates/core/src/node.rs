@@ -214,11 +214,6 @@ impl AsmNode {
     pub fn push_edge(&mut self, edge: Edge) {
         self.edges.push(edge);
     }
-
-    /// IDs of all real neighbours (possibly with duplicates for parallel edges).
-    pub fn neighbor_ids(&self) -> Vec<u64> {
-        self.real_edges().map(|e| e.neighbor).collect()
-    }
 }
 
 /// Read access to an assembly-graph node, whichever form it is stored in:
@@ -842,7 +837,8 @@ mod tests {
         contig.push_edge(edge(77, Direction::Out, Polarity::LL, 103));
         // One real neighbour → type ⟨1⟩ (a dangling contig = tip candidate).
         assert_eq!(contig.vertex_type(), VertexType::One);
-        assert_eq!(contig.neighbor_ids(), vec![77]);
+        let real: Vec<u64> = contig.real_edges().map(|e| e.neighbor).collect();
+        assert_eq!(real, vec![77]);
         assert!(matches!(contig.seq, NodeSeq::Contig(_)));
     }
 

@@ -41,16 +41,19 @@
 //! outcome is translated back, in the order a job over the IDs themselves
 //! would have left it (see [`LabelOutcome::labels`]). The way in and out —
 //! dictionary, per-worker state build, running the job, read-back — is
-//! `ranks.rs`'s and shared with S-V labeling ([`super::label_sv`]); it also
-//! decides which of the engine's planes the BPPA runs on (the dense one,
-//! unless a spill cap has to be honoured). Nothing here depends on that: a
-//! pointer update compares ranks, never arrival order.
+//! `ranks.rs`'s and shared with S-V labeling ([`super::label_sv`]), whose
+//! job the fallback is: it runs over the unresolved ranks only, every other
+//! rank taking no part. `ranks.rs` also decides which of the engine's planes
+//! both jobs run on (the dense one, unless a spill cap has to be honoured).
+//! Nothing here depends on that: a pointer update compares ranks, never
+//! arrival order.
 
+use super::label_sv::{converged, sv_states};
 use crate::node::{GraphNode, NodeSource};
 use crate::polarity::Side;
 use crate::ranks::{RankDict, AMBIGUOUS, RANK_FLIP, UNRESOLVED};
 use ppa_pregel::aggregate::Count;
-use ppa_pregel::algorithms::connected_components;
+use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
 use ppa_pregel::{Context, ExecCtx, Metrics, PregelConfig, SpillCodec, SpillCodecs, VertexProgram};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -334,6 +337,12 @@ pub(crate) fn sole_neighbors(node: &impl GraphNode) -> Option<[Option<u64>; 2]> 
 /// # Panics
 ///
 /// Panics if the nodes are not listed in strictly ascending ID order.
+///
+/// # Errors
+///
+/// A cycle fallback its superstep budget cut off raises
+/// [`EngineError::NotConverged`](ppa_pregel::EngineError::NotConverged) as
+/// a typed panic payload, as S-V labeling does.
 pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
     let config = PregelConfig::default().max_supersteps(4_000);
     let dict = RankDict::new(nodes.ids());
@@ -364,37 +373,34 @@ pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
         LrState::Path { .. } => UNRESOLVED,
     };
     let program_of = |broadcast| LrProgram::new(nodes.len(), broadcast);
-    let (program, mut metrics, mut outcome) =
+    let (program, mut metrics, outcome) =
         dict.run_on(ctx, &config, state_of, program_of, outcome_of);
     let stalled = program.stalled.load(Ordering::Relaxed);
 
     // S-V fallback for unambiguous cycles (and any vertex the stall left
     // unresolved): label each with the smallest vertex of its component.
     let unresolved = |rank: u32| outcome.get(rank as usize) == Some(&UNRESOLVED);
-    let adjacency: Vec<(u32, Vec<u32>)> = (0..dict.len())
-        .filter(|&rank| unresolved(rank))
-        .map(|rank| {
-            let neighbors = sole_neighbors(&nodes.node(rank as usize))
-                .into_iter()
-                .flatten()
-                .flatten()
-                .map(|id| dict.rank(id))
-                .filter(|&n| unresolved(n))
-                .collect();
-            (rank, neighbors)
-        })
-        .collect();
-    let used_cycle_fallback = stalled || !adjacency.is_empty();
+    let cycles_left = (0..dict.len()).any(unresolved);
+    let used_cycle_fallback = stalled || cycles_left;
     let (mut labels, ambiguous) = dict.read_back_on(ctx, &outcome);
-    if !adjacency.is_empty() {
-        let (cycles, sv_metrics) = connected_components(ctx, adjacency, &config);
+    if cycles_left {
+        let sole = |rank: u32| {
+            let sole = sole_neighbors(&nodes.node(rank as usize))?;
+            Some(sole.map(|n| n.map(|id| dict.rank(id))))
+        };
+        let (_, sv_metrics, cycles) = dict.run_on(
+            ctx,
+            &config,
+            sv_states(sole, unresolved),
+            SvProgram::<u32, Spillable>::new,
+            SvState::parent,
+        );
+        if let Err(e) = converged(&sv_metrics) {
+            std::panic::panic_any(e);
+        }
         metrics.absorb(&sv_metrics);
         // The cycles after the paths, as a job over the IDs left them.
-        outcome.fill(UNRESOLVED);
-        for (rank, label) in cycles {
-            outcome[rank as usize] = label;
-        }
-        labels.extend(dict.read_back_on(ctx, &outcome).0);
+        labels.extend(dict.read_back_on(ctx, &cycles).0);
     }
 
     LabelOutcome {
@@ -559,7 +565,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn labels_agree_with_connected_components_oracle() {
+    fn labels_agree_with_the_unambiguous_component_oracle() {
         let nodes = nodes_from_reads(
             &[
                 "ACCTGACCGTTAGCAT",

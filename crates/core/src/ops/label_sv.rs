@@ -22,7 +22,8 @@
 //! plane or, when a `SpillPolicy` cap has to be honoured, on its sorted,
 //! spillable one (fixed-size states and bare-rank messages have codecs); every
 //! phase of S-V takes a minimum over its inbox or answers each message on its
-//! own, so the order messages arrive in does not matter.
+//! own, so the order messages arrive in does not matter. List ranking's cycle
+//! fallback runs the same job (`sv_states`) over the ranks it left unresolved.
 
 use super::label::{sole_neighbors, LabelOutcome};
 use crate::node::{GraphNode, NodeSource};
@@ -32,13 +33,31 @@ use ppa_pregel::{EngineError, ExecCtx, Metrics, PregelConfig};
 
 /// Parents that are still being hooked are not contig labels: a job its
 /// superstep budget cut off is an error, not an outcome.
-fn converged(metrics: &Metrics) -> Result<(), EngineError> {
+pub(crate) fn converged(metrics: &Metrics) -> Result<(), EngineError> {
     if metrics.converged {
         Ok(())
     } else {
         Err(EngineError::NotConverged {
             supersteps: metrics.supersteps,
         })
+    }
+}
+
+/// The states of an S-V job over the ranks `takes_part` accepts, for
+/// [`RankDict::run_on`]: each starts as its own parent, with those of its
+/// sole neighbours' ranks (`sole`; `None` for a vertex that takes no part)
+/// that take part. S-V labeling and list ranking's cycle fallback both build
+/// their job here.
+pub(crate) fn sv_states(
+    sole: impl Fn(u32) -> Option<[Option<u32>; 2]> + Sync,
+    takes_part: impl Fn(u32) -> bool + Sync,
+) -> impl Fn(u32, &mut Vec<u32>) -> Option<SvState<u32>> + Sync {
+    move |rank, slab| {
+        if !takes_part(rank) {
+            return None;
+        }
+        let edges = sole(rank)?.into_iter().flatten().filter(|&n| takes_part(n));
+        Some(SvState::push(slab, rank, edges))
     }
 }
 
@@ -86,13 +105,10 @@ pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
     // Ambiguous vertices take no part and are filtered from the neighbour
     // lists; an ID outside the node set stays, as the absent rank.
     let marked: Vec<bool> = sides.iter().map(Option::is_none).collect();
-    let state_of = |rank: u32, slab: &mut Vec<u32>| {
-        let unambiguous = sides[rank as usize]?
-            .into_iter()
-            .flatten()
-            .filter(|&n| marked.get(n as usize) != Some(&true));
-        Some(SvState::push(slab, rank, unambiguous))
-    };
+    let state_of = sv_states(
+        |rank| sides[rank as usize],
+        |rank| marked.get(rank as usize) != Some(&true),
+    );
     let (_, metrics, outcome) = dict.run_on(
         ctx,
         &config,
@@ -121,6 +137,7 @@ mod tests {
     };
     use super::*;
     use crate::node::AsmNode;
+    use std::borrow::Cow;
 
     #[test]
     fn sv_matches_oracle_on_simple_path() {
@@ -211,22 +228,26 @@ mod tests {
     fn a_job_cut_off_by_its_superstep_budget_is_loud() {
         // Seven vertices in a row need more than one round of hooking; six
         // supersteps stop the program in the middle of its second round.
-        let path: Vec<(u32, Vec<u32>)> = (0..7u32)
-            .map(|v| (v, (0..7u32).filter(|n| n.abs_diff(v) == 1).collect()))
-            .collect();
-        let config = PregelConfig::default().max_supersteps(6);
-        let (_, metrics) =
-            ppa_pregel::algorithms::connected_components(&ExecCtx::new(2), path, &config);
+        let ids: Vec<u64> = (0..7).collect();
+        let dict = RankDict::new(Cow::Borrowed(&ids));
+        let run = |n: u32, supersteps| {
+            let path =
+                move |rank: u32| Some([rank.checked_sub(1), (rank + 1 < n).then_some(rank + 1)]);
+            let config = PregelConfig::default().max_supersteps(supersteps);
+            let (_, metrics, _) = dict.run_on(
+                &ExecCtx::new(2),
+                &config,
+                sv_states(path, |rank| rank < n),
+                SvProgram::<u32, Spillable>::new,
+                SvState::parent,
+            );
+            metrics
+        };
         assert!(matches!(
-            converged(&metrics),
+            converged(&run(7, 6)),
             Err(EngineError::NotConverged { supersteps: 6 })
         ));
-        let (_, metrics) = ppa_pregel::algorithms::connected_components(
-            &ExecCtx::new(2),
-            vec![(0u32, vec![])],
-            &config,
-        );
-        assert_eq!(converged(&metrics), Ok(()));
+        assert_eq!(converged(&run(1, 6)), Ok(()));
     }
 
     #[test]

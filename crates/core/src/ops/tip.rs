@@ -18,13 +18,24 @@
 //! 3. a vertex whose type drops to ⟨1⟩ because of a deletion initiates a new
 //!    REQUEST, which implements the paper's multi-phase iteration inside a
 //!    single converging Pregel job.
+//!
+//! # Rank space
+//!
+//! The job runs on the dense ranks of the node set — the ambiguous k-mers,
+//! then the contigs, strictly ascending by ID, so a vertex's rank is its
+//! position (`ranks.rs`) — on the engine's dense plane. Messages carry
+//! ranks; the program reads each vertex's node where it lies, by position,
+//! and keeps only the protocol's bookkeeping per vertex. An edge to an ID
+//! outside the node set (a k-mer folded into a contig) leads to the
+//! one-past-the-end rank, and what is sent there is dropped and counted. The
+//! survivors are read back in rank order, which is ID order.
 
-use crate::ids::{is_null, NULL_ID};
-use crate::node::{AsmNode, Edge, VertexType};
+use crate::ids::NULL_ID;
+use crate::node::{AsmNode, Edge, MixedNodes, NodeSource, VertexType};
 use crate::polarity::Side;
-use ppa_pregel::aggregate::Count;
-use ppa_pregel::fxhash::FxHashSet;
-use ppa_pregel::{Context, ExecCtx, Metrics, PregelConfig, VertexProgram, VertexSet};
+use crate::ranks::RankDict;
+use ppa_pregel::aggregate::NoAggregate;
+use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, Metrics, PregelConfig, VertexProgram};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of tip removing.
@@ -49,7 +60,7 @@ impl Default for TipConfig {
 
 /// Output of tip removing. Both node lists are in strictly ascending ID
 /// order, the order a node set keeps
-/// ([`NodeSource`](crate::node::NodeSource)), so that the next labeling
+/// ([`NodeSource`]), so that the next labeling
 /// round reads the k-mers followed by the contigs as they are.
 #[derive(Debug, Clone)]
 // ppa_lint: allow(test-only-pub) the return type of `remove_tips_on`
@@ -70,14 +81,15 @@ pub struct TipOutcome {
 /// One rebuilt adjacency entry of a k-mer vertex during tip removal.
 #[derive(Debug, Clone)]
 struct TipAdj {
-    /// The k-mer vertex at the other end of this edge (NULL if the edge runs
-    /// through a contig whose far end dangles).
-    other: u64,
+    /// The rank of the k-mer vertex at the other end of this edge (`None` if
+    /// the edge runs through a contig whose far end dangles).
+    other: Option<u32>,
     /// The edge record from this k-mer's perspective (its `neighbor` is the
-    /// contig ID for contig-labelled edges, or `other` for direct edges).
+    /// contig ID for contig-labelled edges, or the other k-mer's for direct
+    /// edges).
     edge: Edge,
-    /// The contig sitting on this edge, if any.
-    via_contig: Option<u64>,
+    /// The rank of the contig sitting on this edge, if any.
+    via_contig: Option<u32>,
     /// Extra sequence length contributed by the contig on this edge
     /// (`contig length − (k−1)`), 0 for direct edges.
     extra_len: usize,
@@ -88,54 +100,54 @@ struct TipAdj {
 /// A relayed request remembered so that the DELETE can retrace the path.
 #[derive(Debug, Clone)]
 struct Pending {
-    origin: u64,
-    from: u64,
-    to: u64,
-    via_in: Option<u64>,
-    via_out: Option<u64>,
+    origin: u32,
+    from: u32,
+    to: u32,
+    via_in: Option<u32>,
+    via_out: Option<u32>,
 }
 
-#[derive(Debug, Clone)]
-enum TipState {
-    Kmer {
-        node: AsmNode,
-        adj: Vec<TipAdj>,
-        deleted: bool,
-        initiated: bool,
-        pending: Vec<Pending>,
-    },
-    Contig {
-        node: AsmNode,
-        deleted: bool,
-    },
+/// What the job keeps per vertex; its node stays where it lies. A contig
+/// uses only `deleted`.
+#[derive(Debug, Default)]
+struct TipState {
+    /// A k-mer's adjacency, rebuilt from the announcements of superstep 0.
+    adj: Vec<TipAdj>,
+    deleted: bool,
+    /// Whether the k-mer has sent its own REQUEST.
+    initiated: bool,
+    pending: Vec<Pending>,
 }
 
 #[derive(Debug, Clone)]
 enum TipMsg {
     /// "I am a surviving ambiguous k-mer" (superstep 0 → 1).
-    KmerPresent { from: u64 },
+    KmerPresent { from: u32 },
     /// A contig announcing itself to one of its end k-mers (superstep 0 → 1).
     ContigInfo {
-        contig: u64,
+        contig: u32,
         extra_len: usize,
-        other_end: u64,
+        other_end: Option<u32>,
         edge: Edge,
     },
     /// The tip probe.
     Request {
-        origin: u64,
-        from: u64,
+        origin: u32,
+        from: u32,
         cum_len: usize,
     },
     /// The deletion wave retracing the probe.
-    Delete { origin: u64, from: u64 },
+    Delete { origin: u32, from: u32 },
     /// Tells a contig that its edge belongs to a removed tip.
     DeleteContig,
 }
 
-struct TipProgram {
+struct TipProgram<'a> {
     k: usize,
     threshold: usize,
+    /// The node set the ranks index: the ambiguous k-mers, then the contigs.
+    nodes: MixedNodes<'a>,
+    dict: &'a RankDict<'a>,
 }
 
 /// Classifies a k-mer vertex from its live adjacency entries.
@@ -156,366 +168,309 @@ fn live_type(adj: &[TipAdj]) -> VertexType {
     }
 }
 
-impl TipProgram {
+impl TipProgram<'_> {
     /// Sends the initial REQUEST of a (newly) ⟨1⟩-typed k-mer vertex.
-    fn try_initiate(
-        &self,
-        ctx: &mut Context<'_, Self>,
-        id: u64,
-        adj: &[TipAdj],
-        initiated: &mut bool,
-        pending: &mut Vec<Pending>,
-    ) {
-        if *initiated || live_type(adj) != VertexType::One {
+    fn try_initiate(&self, ctx: &mut Context<'_, Self>, rank: u32, state: &mut TipState) {
+        if state.initiated || live_type(&state.adj) != VertexType::One {
             return;
         }
-        let entry = adj
+        let entry = state
+            .adj
             .iter()
             .find(|a| !a.deleted)
             .expect("type One has one live entry");
-        if is_null(entry.other) || entry.other == id {
+        let Some(to) = entry.other.filter(|&other| other != rank) else {
             return;
-        }
-        *initiated = true;
-        pending.push(Pending {
-            origin: id,
-            from: id,
-            to: entry.other,
+        };
+        state.initiated = true;
+        state.pending.push(Pending {
+            origin: rank,
+            from: rank,
+            to,
             via_in: None,
             via_out: entry.via_contig,
         });
         ctx.send_message(
-            entry.other,
+            to,
             TipMsg::Request {
-                origin: id,
-                from: id,
+                origin: rank,
+                from: rank,
                 cum_len: self.k + entry.extra_len,
             },
         );
     }
+
+    /// A contig announces itself, then waits to be deleted.
+    fn contig(&self, ctx: &mut Context<'_, Self>, rank: u32, deleted: &mut bool, msgs: &[TipMsg]) {
+        if ctx.superstep() > 0 {
+            *deleted |= msgs.iter().any(|m| matches!(m, TipMsg::DeleteContig));
+            return;
+        }
+        // Announce the contig to both end k-mers (Figure 9: a contig has
+        // exactly two neighbour slots, possibly NULL).
+        let node = self.nodes.node(rank as usize);
+        let extra_len = node.len().saturating_sub(self.k.saturating_sub(1));
+        let real: Vec<&Edge> = node.real_edges().collect();
+        for (idx, e) in real.iter().enumerate() {
+            let other_end = (real.len() == 2).then(|| self.dict.rank(real[1 - idx].neighbor));
+            // The edge as seen from the neighbouring k-mer: same polarity,
+            // opposite direction, pointing at the contig.
+            let edge = Edge {
+                neighbor: node.id,
+                direction: e.direction.reversed(),
+                polarity: e.polarity,
+                coverage: e.coverage,
+            };
+            ctx.send_message(
+                self.dict.rank(e.neighbor),
+                TipMsg::ContigInfo {
+                    contig: rank,
+                    extra_len,
+                    other_end,
+                    edge,
+                },
+            );
+        }
+    }
+
+    /// A k-mer rebuilds its adjacency, then runs the REQUEST/DELETE protocol.
+    fn kmer(&self, ctx: &mut Context<'_, Self>, rank: u32, state: &mut TipState, msgs: &[TipMsg]) {
+        let superstep = ctx.superstep();
+        let node = self.nodes.node(rank as usize);
+        if superstep == 0 {
+            for e in node.real_edges() {
+                ctx.send_message(
+                    self.dict.rank(e.neighbor),
+                    TipMsg::KmerPresent { from: rank },
+                );
+            }
+            return;
+        }
+        if superstep == 1 {
+            // Rebuild the adjacency from the announcements.
+            for msg in msgs {
+                match *msg {
+                    TipMsg::KmerPresent { from } => {
+                        let from_id = self.dict.id(from);
+                        for e in node.edges.iter().filter(|e| e.neighbor == from_id) {
+                            state.adj.push(TipAdj {
+                                other: Some(from),
+                                edge: *e,
+                                via_contig: None,
+                                extra_len: 0,
+                                deleted: false,
+                            });
+                        }
+                    }
+                    TipMsg::ContigInfo {
+                        contig,
+                        extra_len,
+                        other_end,
+                        edge,
+                    } => {
+                        state.adj.push(TipAdj {
+                            other: other_end,
+                            edge,
+                            via_contig: Some(contig),
+                            extra_len,
+                            deleted: false,
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            // Local check: a dangling contig hanging off this vertex (its far
+            // end is NULL) is itself a tip candidate — the one-hop case of
+            // the REQUEST protocol.
+            for a in state
+                .adj
+                .iter_mut()
+                .filter(|a| !a.deleted && a.other.is_none())
+            {
+                if let Some(contig) = a.via_contig {
+                    let contig_len = a.extra_len + self.k.saturating_sub(1);
+                    if contig_len <= self.threshold {
+                        a.deleted = true;
+                        ctx.send_message(contig, TipMsg::DeleteContig);
+                    }
+                }
+            }
+            self.try_initiate(ctx, rank, state);
+            return;
+        }
+
+        for msg in msgs {
+            match *msg {
+                TipMsg::Request {
+                    origin,
+                    from,
+                    cum_len,
+                } => {
+                    if state.deleted {
+                        continue;
+                    }
+                    let adj = &mut state.adj;
+                    match live_type(adj) {
+                        VertexType::OneOne => {
+                            // Relay towards the other neighbour.
+                            let incoming_idx =
+                                adj.iter().position(|a| !a.deleted && a.other == Some(from));
+                            let Some(i_in) = incoming_idx else {
+                                continue;
+                            };
+                            let outgoing_idx = adj
+                                .iter()
+                                .enumerate()
+                                .position(|(i, a)| !a.deleted && i != i_in);
+                            let Some(i_out) = outgoing_idx else {
+                                continue;
+                            };
+                            let out = &adj[i_out];
+                            let Some(to) = out.other.filter(|&other| other != rank) else {
+                                continue;
+                            };
+                            let new_len = cum_len + 1 + out.extra_len;
+                            state.pending.push(Pending {
+                                origin,
+                                from,
+                                to,
+                                via_in: adj[i_in].via_contig,
+                                via_out: out.via_contig,
+                            });
+                            ctx.send_message(
+                                to,
+                                TipMsg::Request {
+                                    origin,
+                                    from: rank,
+                                    cum_len: new_len,
+                                },
+                            );
+                        }
+                        _ => {
+                            // Terminal vertex: decide whether the path is a tip.
+                            if cum_len <= self.threshold {
+                                ctx.send_message(from, TipMsg::Delete { origin, from: rank });
+                                // Delete the edge towards the tip (and the
+                                // contig on it, if any).
+                                for a in adj
+                                    .iter_mut()
+                                    .filter(|a| !a.deleted && a.other == Some(from))
+                                {
+                                    a.deleted = true;
+                                    if let Some(c) = a.via_contig {
+                                        ctx.send_message(c, TipMsg::DeleteContig);
+                                    }
+                                }
+                                // Removing the edge may turn this vertex into a
+                                // new ⟨1⟩ dead end: start the next phase.
+                                self.try_initiate(ctx, rank, state);
+                            }
+                        }
+                    }
+                }
+                TipMsg::Delete { origin, from } => {
+                    // Retrace the recorded relay for this origin.
+                    if let Some(p) = state
+                        .pending
+                        .iter()
+                        .find(|p| p.origin == origin && p.to == from)
+                        .cloned()
+                    {
+                        state.deleted = true;
+                        for c in [p.via_in, p.via_out].into_iter().flatten() {
+                            ctx.send_message(c, TipMsg::DeleteContig);
+                        }
+                        if p.from != rank {
+                            ctx.send_message(p.from, TipMsg::Delete { origin, from: rank });
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
-impl VertexProgram for TipProgram {
-    type Id = u64;
+impl VertexProgram for TipProgram<'_> {
+    type Id = u32;
     type Value = TipState;
     type Message = TipMsg;
-    type Aggregate = Count;
+    type Aggregate = NoAggregate;
 
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
-        id: u64,
-        value: &mut TipState,
+        rank: u32,
+        state: &mut TipState,
         messages: &mut [TipMsg],
     ) {
-        let superstep = ctx.superstep();
-        match value {
-            TipState::Contig { node, deleted } => {
-                if superstep == 0 {
-                    // Announce the contig to both end k-mers (Figure 9: a
-                    // contig has exactly two neighbour slots, possibly NULL).
-                    let extra_len = node.len().saturating_sub(self.k.saturating_sub(1));
-                    let real: Vec<&Edge> = node.real_edges().collect();
-                    for (idx, e) in real.iter().enumerate() {
-                        let other_end = if real.len() == 2 {
-                            real[1 - idx].neighbor
-                        } else {
-                            NULL_ID
-                        };
-                        // The edge as seen from the neighbouring k-mer: same
-                        // polarity, opposite direction, pointing at the contig.
-                        let edge = Edge {
-                            neighbor: node.id,
-                            direction: e.direction.reversed(),
-                            polarity: e.polarity,
-                            coverage: e.coverage,
-                        };
-                        ctx.send_message(
-                            e.neighbor,
-                            TipMsg::ContigInfo {
-                                contig: node.id,
-                                extra_len,
-                                other_end,
-                                edge,
-                            },
-                        );
-                    }
-                } else {
-                    for msg in messages.iter() {
-                        if let TipMsg::DeleteContig = msg {
-                            if !*deleted {
-                                *deleted = true;
-                                ctx.aggregate(Count(1));
-                            }
-                        }
-                    }
-                }
-                ctx.vote_to_halt();
-            }
-            TipState::Kmer {
-                node,
-                adj,
-                deleted,
-                initiated,
-                pending,
-            } => {
-                if superstep == 0 {
-                    for e in node.real_edges() {
-                        ctx.send_message(e.neighbor, TipMsg::KmerPresent { from: id });
-                    }
-                    ctx.vote_to_halt();
-                    return;
-                }
-                if superstep == 1 {
-                    // Rebuild the adjacency from the announcements.
-                    for msg in messages.iter() {
-                        match msg {
-                            TipMsg::KmerPresent { from } => {
-                                for e in node.edges.iter().filter(|e| e.neighbor == *from) {
-                                    adj.push(TipAdj {
-                                        other: *from,
-                                        edge: *e,
-                                        via_contig: None,
-                                        extra_len: 0,
-                                        deleted: false,
-                                    });
-                                }
-                            }
-                            TipMsg::ContigInfo {
-                                contig,
-                                extra_len,
-                                other_end,
-                                edge,
-                            } => {
-                                adj.push(TipAdj {
-                                    other: *other_end,
-                                    edge: *edge,
-                                    via_contig: Some(*contig),
-                                    extra_len: *extra_len,
-                                    deleted: false,
-                                });
-                            }
-                            _ => {}
-                        }
-                    }
-                    // Local check: a dangling contig hanging off this vertex
-                    // (its far end is NULL) is itself a tip candidate — the
-                    // one-hop case of the REQUEST protocol.
-                    for a in adj.iter_mut().filter(|a| !a.deleted) {
-                        if let Some(contig) = a.via_contig {
-                            if is_null(a.other) {
-                                let contig_len = a.extra_len + self.k.saturating_sub(1);
-                                if contig_len <= self.threshold {
-                                    a.deleted = true;
-                                    ctx.send_message(contig, TipMsg::DeleteContig);
-                                }
-                            }
-                        }
-                    }
-                    self.try_initiate(ctx, id, adj, initiated, pending);
-                    ctx.vote_to_halt();
-                    return;
-                }
-
-                for msg in messages.iter() {
-                    match *msg {
-                        TipMsg::Request {
-                            origin,
-                            from,
-                            cum_len,
-                        } => {
-                            if *deleted {
-                                continue;
-                            }
-                            match live_type(adj) {
-                                VertexType::OneOne => {
-                                    // Relay towards the other neighbour.
-                                    let incoming_idx =
-                                        adj.iter().position(|a| !a.deleted && a.other == from);
-                                    let Some(i_in) = incoming_idx else {
-                                        continue;
-                                    };
-                                    let outgoing_idx = adj
-                                        .iter()
-                                        .enumerate()
-                                        .position(|(i, a)| !a.deleted && i != i_in);
-                                    let Some(i_out) = outgoing_idx else {
-                                        continue;
-                                    };
-                                    let out = &adj[i_out];
-                                    if is_null(out.other) || out.other == id {
-                                        continue;
-                                    }
-                                    let new_len = cum_len + 1 + out.extra_len;
-                                    pending.push(Pending {
-                                        origin,
-                                        from,
-                                        to: out.other,
-                                        via_in: adj[i_in].via_contig,
-                                        via_out: out.via_contig,
-                                    });
-                                    ctx.send_message(
-                                        out.other,
-                                        TipMsg::Request {
-                                            origin,
-                                            from: id,
-                                            cum_len: new_len,
-                                        },
-                                    );
-                                }
-                                _ => {
-                                    // Terminal vertex: decide whether the path is a tip.
-                                    if cum_len <= self.threshold {
-                                        ctx.send_message(from, TipMsg::Delete { origin, from: id });
-                                        // Delete the edge towards the tip (and the
-                                        // contig on it, if any).
-                                        for a in
-                                            adj.iter_mut().filter(|a| !a.deleted && a.other == from)
-                                        {
-                                            a.deleted = true;
-                                            if let Some(c) = a.via_contig {
-                                                ctx.send_message(c, TipMsg::DeleteContig);
-                                            }
-                                        }
-                                        // Removing the edge may turn this vertex into a
-                                        // new ⟨1⟩ dead end: start the next phase.
-                                        self.try_initiate(ctx, id, adj, initiated, pending);
-                                    }
-                                }
-                            }
-                        }
-                        TipMsg::Delete { origin, from } => {
-                            // Retrace the recorded relay for this origin.
-                            if let Some(p) = pending
-                                .iter()
-                                .find(|p| p.origin == origin && p.to == from)
-                                .cloned()
-                            {
-                                if !*deleted {
-                                    *deleted = true;
-                                    ctx.aggregate(Count(1));
-                                }
-                                for c in [p.via_in, p.via_out].into_iter().flatten() {
-                                    ctx.send_message(c, TipMsg::DeleteContig);
-                                }
-                                if p.from != id {
-                                    ctx.send_message(p.from, TipMsg::Delete { origin, from: id });
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                ctx.vote_to_halt();
-            }
+        if (rank as usize) < self.nodes.kmers.len() {
+            self.kmer(ctx, rank, state, messages);
+        } else {
+            self.contig(ctx, rank, &mut state.deleted, messages);
         }
+        ctx.vote_to_halt();
     }
 }
 
 /// Runs tip removing over the ambiguous k-mer vertices and the contig vertices
 /// produced by merging (after bubble filtering). The Pregel job executes on
 /// `ctx`'s persistent pool (worker count = pool size).
+///
+/// # Panics
+///
+/// Panics if the ambiguous k-mers followed by the contigs are not listed in
+/// strictly ascending ID order, the order of a node set.
 pub fn remove_tips_on(
     ctx: &ExecCtx,
     ambiguous_kmers: &[AsmNode],
     contigs: &[AsmNode],
     config: &TipConfig,
 ) -> TipOutcome {
-    let pregel_config = PregelConfig::default().max_supersteps(10_000);
+    let nodes = MixedNodes {
+        kmers: ambiguous_kmers,
+        contigs,
+    };
+    let dict = RankDict::new(nodes.ids());
     let program = TipProgram {
         k: config.k,
         threshold: config.tip_length_threshold,
+        nodes,
+        dict: &dict,
     };
+    let (mut set, _) =
+        DenseSet::from_fn_on(ctx, dict.len(), |_, _: &mut ()| Some(TipState::default()));
+    let pregel_config = PregelConfig::default().max_supersteps(10_000);
+    let metrics = run_dense_on(ctx, &program, &pregel_config, &mut set);
 
-    let pairs = ambiguous_kmers
-        .iter()
-        .map(|n| {
-            (
-                n.id,
-                TipState::Kmer {
-                    node: n.clone(),
-                    adj: Vec::new(),
-                    deleted: false,
-                    initiated: false,
-                    pending: Vec::new(),
-                },
-            )
-        })
-        .chain(contigs.iter().map(|n| {
-            (
-                n.id,
-                TipState::Contig {
-                    node: n.clone(),
-                    deleted: false,
-                },
-            )
-        }));
-    let mut set: VertexSet<u64, TipState> = VertexSet::from_pairs(ctx.workers(), pairs);
-    let metrics = ppa_pregel::run_on(ctx, &program, &pregel_config, &mut set);
-
-    // Collect survivors and rebuild their edges against the surviving set.
-    let mut surviving_ids: FxHashSet<u64> = FxHashSet::default();
-    for (id, state) in set.iter() {
-        let alive = match state {
-            TipState::Kmer { deleted, .. } => !*deleted,
-            TipState::Contig { deleted, .. } => !*deleted,
-        };
-        if alive {
-            surviving_ids.insert(id);
+    // The survivors in rank order, which is ID order. A k-mer keeps its live
+    // edges to survivors (`edge.neighbor` is the contig on the edge, or the
+    // other k-mer); a contig's edge to a vanished neighbour becomes NULL.
+    let mut alive = vec![false; nodes.len()];
+    set.read_on(ctx, &mut alive, |state| !state.deleted);
+    let survives = |rank: u32| alive.get(rank as usize) == Some(&true);
+    let (mut kmers, mut contig_nodes) = (Vec::new(), Vec::new());
+    for (rank, state) in set.iter().filter(|(_, state)| !state.deleted) {
+        let mut node = nodes.node(rank as usize).clone();
+        if (rank as usize) < ambiguous_kmers.len() {
+            let live = state.adj.iter().filter(|a| !a.deleted);
+            let kept = live.filter(|a| a.via_contig.or(a.other).is_some_and(survives));
+            node.edges = kept.map(|a| a.edge).collect();
+            kmers.push(node);
+        } else {
+            let vanished = |e: &&mut Edge| !e.is_null() && !survives(dict.rank(e.neighbor));
+            for e in node.edges.iter_mut().filter(vanished) {
+                e.neighbor = NULL_ID;
+                e.coverage = 0;
+            }
+            contig_nodes.push(node);
         }
     }
-
-    let mut kmers = Vec::new();
-    let mut contig_nodes = Vec::new();
-    let mut deleted_kmers = 0usize;
-    let mut deleted_contigs = 0usize;
-    for (_, state) in set.into_pairs() {
-        match state {
-            TipState::Kmer {
-                node, adj, deleted, ..
-            } => {
-                if deleted {
-                    deleted_kmers += 1;
-                    continue;
-                }
-                let mut rebuilt = AsmNode {
-                    id: node.id,
-                    seq: node.seq.clone(),
-                    coverage: node.coverage,
-                    edges: Vec::new(),
-                };
-                for a in adj.iter().filter(|a| !a.deleted) {
-                    if surviving_ids.contains(&a.edge.neighbor) {
-                        rebuilt.push_edge(a.edge);
-                    }
-                }
-                kmers.push(rebuilt);
-            }
-            TipState::Contig { mut node, deleted } => {
-                if deleted {
-                    deleted_contigs += 1;
-                    continue;
-                }
-                // Neighbours that vanished become NULL dead ends.
-                for e in node.edges.iter_mut() {
-                    if !e.is_null() && !surviving_ids.contains(&e.neighbor) {
-                        e.neighbor = NULL_ID;
-                        e.coverage = 0;
-                    }
-                }
-                contig_nodes.push(node);
-            }
-        }
-    }
-
-    // The store lists its vertices partition by partition.
-    kmers.sort_unstable_by_key(|node| node.id);
-    contig_nodes.sort_unstable_by_key(|node| node.id);
     TipOutcome {
+        deleted_kmers: ambiguous_kmers.len() - kmers.len(),
+        deleted_contigs: contigs.len() - contig_nodes.len(),
         kmers,
         contigs: contig_nodes,
-        deleted_kmers,
-        deleted_contigs,
         metrics,
     }
 }

@@ -16,13 +16,20 @@
 //! construct's k-mer column, borrowed; round 2's — the ambiguous k-mers,
 //! then the contigs, read where they lie — is collected.
 //!
-//! Both contig labelings — list ranking ([`crate::ops::label`]) and simplified
-//! S-V ([`crate::ops::label_sv`]) — run in rank space and share the way in and
-//! out: [`RankDict::new`], [`RankDict::run_on`] (every pool worker builds
+//! Every Pregel job of the assembler runs in rank space. Both contig
+//! labelings — list ranking ([`crate::ops::label`]), its S-V cycle fallback
+//! included, and simplified S-V ([`crate::ops::label_sv`]) — share the way in
+//! and out: [`RankDict::new`], [`RankDict::run_on`] (every pool worker builds
 //! the states of the ranks it will own, variable-length lists in one slab per
 //! worker; the job runs; one outcome per rank comes back) and
 //! [`RankDict::read_back_on`] (the outcomes back to `(id, label)` pairs, in
-//! the order a job over the IDs themselves would have left them).
+//! the order a job over the IDs themselves would have left them). The
+//! fallback is S-V's job over the ranks list ranking left unresolved, every
+//! other rank taking no part. Tip removing ([`crate::ops::tip`]) ranks the
+//! node set round 2 labels — the ambiguous k-mers, then the contigs — with
+//! the same constructor, and runs its own job on the dense plane: it reads
+//! back whole states, not one outcome per rank, and having no spill codecs
+//! it would get the dense plane from `run_on` as well.
 //!
 //! Contig merging ([`crate::ops::merge`]) takes the same dictionary to
 //! join its labels to node positions, and groups by the labels' ranks.
@@ -32,8 +39,9 @@
 //! resident job uses the dense plane ([`ppa_pregel::dense`]): range
 //! ownership, states in a plain array, a counting scatter for delivery. A job
 //! that has to honour a `SpillPolicy` cap keeps the sorted, spillable plane
-//! (hash ownership over a [`VertexSet`]), the only one that can seal its
-//! store and spill its shuffle. Neither the labelings nor their callers see
+//! (hash ownership over the sorted vertex store), the only one that can seal
+//! its store and spill its shuffle; its capped branch is the assembler's one
+//! way into the sorted runner. Neither the labelings nor their callers see
 //! the difference: `read_back_on` orders the outcome by ID, not by owner.
 
 use ppa_pregel::fxhash::hash_one;
@@ -54,7 +62,7 @@ pub(crate) fn fits_rank_space(nodes: usize) -> bool {
 pub(crate) const AMBIGUOUS: u32 = u32::MAX;
 pub(crate) const UNRESOLVED: u32 = u32::MAX - 1;
 
-/// The worker a vertex key hashes to, as `VertexSet` places it.
+/// The worker a vertex key hashes to, as the sorted vertex store places it.
 #[inline]
 fn owner<K: std::hash::Hash>(key: &K, workers: usize) -> usize {
     (hash_one(key) % workers as u64) as usize

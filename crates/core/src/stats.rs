@@ -46,7 +46,9 @@ pub struct LabelStats {
     /// supersteps.
     pub avg_frontier_density: f64,
     /// Peak estimated heap footprint of the Pregel vertex store's columns
-    /// during the labeling job (see `VertexSet::resident_bytes`).
+    /// during the labeling job: the dense store's value and halted columns
+    /// (`DenseSet::resident_bytes`), or, when a spill cap keeps the job on
+    /// the sorted plane, that store's resident columns.
     pub peak_store_resident_bytes: u64,
     /// Cooperative job-control polls performed at the labeling job's
     /// superstep boundaries (0 when no control handle was installed).

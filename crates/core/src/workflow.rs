@@ -59,12 +59,13 @@ pub struct AssemblyConfig {
     pub min_contig_length: usize,
     /// Out-of-core policy: with [`SpillPolicy::At`], the operations that
     /// honour the cap — both of construction's keyed passes, the phase (i)
-    /// key count and the phase (ii) vertex fold, and the labeling job (list
-    /// ranking or S-V, which then runs on the sorted plane) — may spill
-    /// records, sorted shuffle runs and sealed partition columns to disk
-    /// once their resident bytes exceed it, bounding peak memory at the cost
-    /// of extra I/O. Merging, bubble filtering and tip removing always run
-    /// resident. The default
+    /// key count and the phase (ii) vertex fold, and the labeling jobs (list
+    /// ranking and its S-V cycle fallback, or S-V, which then run on the
+    /// sorted plane) — may spill records, sorted shuffle runs and sealed
+    /// partition columns to disk once their resident bytes exceed it,
+    /// bounding peak memory at the cost of extra I/O. Merging, bubble
+    /// filtering and tip removing (a dense-plane job) always run resident.
+    /// The default
     /// [`SpillPolicy::Off`] keeps the run byte-identical to the purely
     /// resident engine.
     pub spill: SpillPolicy,

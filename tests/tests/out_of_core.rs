@@ -91,40 +91,70 @@ fn spilled_contigs_are_byte_identical_across_caps_and_worker_counts() {
     }
 }
 
+/// Reads around three circular genomes: every k-mer of a genome has one
+/// neighbour per side, so each genome is one unambiguous cycle of ≈ 3 000
+/// vertices.
+fn circular_reads() -> ReadSet {
+    let mut reads: Vec<(String, String)> = Vec::new();
+    for seed in 1..=3 {
+        let genome = GenomeConfig {
+            length: 3_000,
+            repeat_families: 0,
+            seed,
+            ..Default::default()
+        }
+        .generate()
+        .sequence
+        .to_ascii();
+        let ring = format!("{genome}{}", &genome[..99]);
+        for start in (0..genome.len()).step_by(10) {
+            reads.push((format!("g{seed}r{start}"), ring[start..start + 100].into()));
+        }
+    }
+    reads.into_iter().collect()
+}
+
 #[test]
 fn a_capped_list_ranking_job_spills_its_rank_space_plane() {
     // The labeling job alone: its `u32` state and 16-byte message records
     // must still outgrow the caps the sweep above uses, go through their
     // spill codecs both ways and label exactly as the resident job does.
-    let reads = simulated_reads();
+    // The second node set is all unambiguous cycles, which list ranking hands
+    // to its S-V fallback: that job honours the cap too.
     let ctx = ExecCtx::new(2);
     let construct = ConstructConfig {
         k: 21,
         min_coverage: 1,
         ..Default::default()
     };
-    let nodes = build_dbg_on(&ctx, &reads, &construct).into_nodes();
-    let resident = label_contigs_lr_on(&ctx, &nodes);
-    assert_eq!(resident.metrics.spilled_bytes, 0);
+    for (reads, cycles) in [(simulated_reads(), false), (circular_reads(), true)] {
+        let nodes = build_dbg_on(&ctx, &reads, &construct).into_nodes();
+        let resident = label_contigs_lr_on(&ctx, &nodes);
+        assert_eq!(resident.metrics.spilled_bytes, 0);
+        if cycles {
+            assert!(resident.used_cycle_fallback, "the rings take the fallback");
+        }
 
-    for cap in [64 * 1024, 16 * 1024] {
-        ctx.set_spill(SpillPolicy::At(cap));
-        let capped = label_contigs_lr_on(&ctx, &nodes);
-        ctx.clear_spill();
-        assert!(
-            capped.metrics.spilled_bytes > 0 && capped.metrics.spill_read_bytes > 0,
-            "cap={cap}: the list-ranking job must write and read back spill files, got {} / {}",
-            capped.metrics.spilled_bytes,
-            capped.metrics.spill_read_bytes
-        );
-        assert_eq!(capped.labels, resident.labels, "cap={cap}");
-        assert_eq!(capped.ambiguous, resident.ambiguous, "cap={cap}");
-        assert_eq!(capped.metrics.supersteps, resident.metrics.supersteps);
-        assert_eq!(
-            capped.metrics.total_messages,
-            resident.metrics.total_messages
-        );
-        assert_eq!(capped.metrics.total_dropped, 0);
+        for cap in [64 * 1024, 16 * 1024] {
+            ctx.set_spill(SpillPolicy::At(cap));
+            let capped = label_contigs_lr_on(&ctx, &nodes);
+            ctx.clear_spill();
+            assert!(
+                capped.metrics.spilled_bytes > 0 && capped.metrics.spill_read_bytes > 0,
+                "cap={cap}: the list-ranking job must write and read back spill files, got {} / {}",
+                capped.metrics.spilled_bytes,
+                capped.metrics.spill_read_bytes
+            );
+            assert_eq!(capped.labels, resident.labels, "cap={cap}");
+            assert_eq!(capped.ambiguous, resident.ambiguous, "cap={cap}");
+            assert_eq!(capped.used_cycle_fallback, resident.used_cycle_fallback);
+            assert_eq!(capped.metrics.supersteps, resident.metrics.supersteps);
+            assert_eq!(
+                capped.metrics.total_messages,
+                resident.metrics.total_messages
+            );
+            assert_eq!(capped.metrics.total_dropped, 0);
+        }
     }
 }
 

@@ -60,10 +60,10 @@ const BOUNDS: [(&str, usize, Unit, f64); 10] = [
     ("label", 1, Unit::Vertex, 155.0),
     ("merge", 1, Unit::Vertex, 90.0),
     ("filter_bubbles", 1, Unit::Round1Node, 1545.0),
-    ("remove_tips", 1, Unit::Round1Node, 2500.0),
-    ("label", 2, Unit::Round1Node, 2075.0),
-    ("merge", 2, Unit::Round1Node, 2015.0),
-    ("filter_length", 1, Unit::Round1Node, 1850.0),
+    ("remove_tips", 1, Unit::Round1Node, 1880.0),
+    ("label", 2, Unit::Round1Node, 1680.0),
+    ("merge", 2, Unit::Round1Node, 1600.0),
+    ("filter_length", 1, Unit::Round1Node, 1435.0),
     ("run", 0, Unit::InputBase, 15.8),
 ];
 

@@ -1,13 +1,15 @@
 //! Columnar-store equivalence pins: the sorted SoA vertex store, observed
-//! through the production engine at three levels.
+//! through the production engine, and the jobs that left it, at three
+//! levels.
 //!
 //! * **engine level** — a multi-round relay program run on the engine gives
 //!   the values, superstep and message counts of a plain sequential BSP
 //!   loop, across worker counts;
-//! * **operation level** — `remove_tips_on` over one fixed post-merge graph is
-//!   byte-identical for every worker count (the store's partitioning must
-//!   not leak into the REQUEST/DELETE protocol), exercising the
-//!   removal-heavy path;
+//! * **operation level** — `remove_tips_on` over one fixed post-merge graph
+//!   deletes, sends and drops exactly what it did on the sorted store before
+//!   it moved to the dense plane (literal counts), and is byte-identical for
+//!   every worker count: the dense plane's range partition must not leak
+//!   into the REQUEST/DELETE protocol, exercising the removal-heavy path;
 //! * **workflow level** — a full error-heavy assembly (bubbles + tips over
 //!   two correction rounds) yields the same contig content for every worker
 //!   count.
@@ -169,18 +171,27 @@ fn remove_tips_is_identical_across_worker_counts() {
             &state.contigs,
             &config,
         );
+        let metrics = &out.metrics;
+        let costs = (
+            out.deleted_kmers,
+            out.deleted_contigs,
+            metrics.supersteps,
+            metrics.total_messages,
+            metrics.total_dropped,
+        );
         let mut kmers: Vec<u64> = out.kmers.iter().map(|n| n.id).collect();
         let mut contigs: Vec<(u64, usize)> = out.contigs.iter().map(|c| (c.id, c.len())).collect();
         kmers.sort_unstable();
         contigs.sort_unstable();
-        (out.deleted_kmers, out.deleted_contigs, kmers, contigs)
+        (costs, kmers, contigs)
     };
 
     let reference = fingerprint(1);
-    assert!(
-        reference.0 + reference.1 > 0,
-        "the removal-heavy workload must actually delete something"
-    );
+    // Deleted k-mers and contigs, supersteps, messages and drops, as the job
+    // read on the sorted, hash-partitioned store at every worker count
+    // before it ran on ranks: the removal-heavy workload deletes 497
+    // vertices.
+    assert_eq!(reference.0, (3, 494, 7, 7_603, 3_139));
     for workers in [2usize, 3, 4, 7] {
         assert_eq!(fingerprint(workers), reference, "workers = {workers}");
     }
