@@ -236,8 +236,14 @@ pub trait GraphNode {
     /// Node coverage, as [`AsmNode::coverage`] defines it.
     fn coverage(&self) -> u32;
 
+    /// The k-mer of a k-mer vertex (canonical, as its ID packs it); `None`
+    /// for a contig.
+    fn kmer(&self) -> Option<Kmer>;
+
     /// Whether the node is a contig vertex.
-    fn is_contig(&self) -> bool;
+    fn is_contig(&self) -> bool {
+        self.kmer().is_none()
+    }
 
     /// Appends the node's sequence in `orientation` ([`NodeSeq::oriented`])
     /// from base `skip` on to `out` (nothing if `skip` reaches the end),
@@ -271,9 +277,11 @@ impl GraphNode for AsmNode {
         self.coverage
     }
 
-    #[inline]
-    fn is_contig(&self) -> bool {
-        matches!(self.seq, NodeSeq::Contig(_))
+    fn kmer(&self) -> Option<Kmer> {
+        match self.seq {
+            NodeSeq::Kmer(kmer) => Some(kmer),
+            NodeSeq::Contig(_) => None,
+        }
     }
 
     fn append_oriented(&self, orientation: Orientation, skip: usize, out: &mut DnaString) {
@@ -395,8 +403,8 @@ impl<N: GraphNode + ?Sized> GraphNode for &N {
     }
 
     #[inline]
-    fn is_contig(&self) -> bool {
-        (**self).is_contig()
+    fn kmer(&self) -> Option<Kmer> {
+        (**self).kmer()
     }
 
     fn append_oriented(&self, orientation: Orientation, skip: usize, out: &mut DnaString) {
@@ -743,8 +751,8 @@ impl GraphNode for KmerRef<'_> {
     }
 
     #[inline]
-    fn is_contig(&self) -> bool {
-        false
+    fn kmer(&self) -> Option<Kmer> {
+        Some(self.kmer)
     }
 
     fn append_oriented(&self, orientation: Orientation, skip: usize, out: &mut DnaString) {

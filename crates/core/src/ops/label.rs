@@ -47,11 +47,26 @@
 //! both jobs run on (the dense one, unless a spill cap has to be honoured).
 //! Nothing here depends on that: a pointer update compares ranks, never
 //! arrival order.
+//!
+//! # Blocks
+//!
+//! Deviation from Figure 11: the BPPA runs over minimizer-block fragments
+//! (`blocks.rs`, after Blogel's block-centric model: Yan, Cheng, Lu and Ng,
+//! *PVLDB* 2014), not over every vertex. Each run of a chain whose k-mers
+//! share their minimizer is contracted into one fragment without messages,
+//! and the job addresses fragments by **slot** (ascending smallest rank).
+//! A fragment's pointers start at the slots beyond its ends, so a flip
+//! marks the end *fragment* reached; the label is the smaller of the end
+//! fragments' terminal vertices, copied to every member. Labels, order,
+//! ambiguous IDs and the fallback flag are the vertex-level job's; the
+//! metrics count the physical job, a twelfth to a seventeenth of the
+//! messages at k = 31. At k ≤ 11 (m is clamped to k) every k-mer is its own
+//! block and the job is the vertex-level one, message for message.
 
+use super::blocks::Blocks;
 use super::label_sv::{converged, sv_states};
 use crate::node::{GraphNode, NodeSource};
-use crate::polarity::Side;
-use crate::ranks::{RankDict, AMBIGUOUS, RANK_FLIP, UNRESOLVED};
+use crate::ranks::{run_on, RankDict, AMBIGUOUS, RANK_FLIP, UNRESOLVED};
 use ppa_pregel::aggregate::Count;
 use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
 use ppa_pregel::{Context, ExecCtx, Metrics, PregelConfig, SpillCodec, SpillCodecs, VertexProgram};
@@ -311,25 +326,9 @@ impl VertexProgram for LrProgram {
     }
 }
 
-/// The one neighbour (if any) on each side (`[left, right]`) of an unambiguous
-/// node; `None` for an ambiguous one, which has a side with several.
-pub(crate) fn sole_neighbors(node: &impl GraphNode) -> Option<[Option<u64>; 2]> {
-    let mut sole = [None, None];
-    for edge in node.real_edges() {
-        let side = match edge.side() {
-            Side::Left => LEFT,
-            Side::Right => RIGHT,
-        };
-        if sole[side].replace(edge.neighbor).is_some() {
-            return None;
-        }
-    }
-    Some(sole)
-}
-
 /// Labels every maximal unambiguous path using bidirectional list ranking,
 /// falling back to the simplified S-V algorithm for unambiguous cycles. The
-/// translation into rank space, the list-ranking job (`RankDict::run_on`), its
+/// translation into rank space, the list-ranking job (`ranks::run_on`), its
 /// S-V cycle fallback and the translation back all run on `ctx`'s persistent
 /// pool (worker count = pool size). The nodes may be in any form
 /// ([`NodeSource`]); the outcome does not depend on which.
@@ -346,59 +345,69 @@ pub(crate) fn sole_neighbors(node: &impl GraphNode) -> Option<[Option<u64>; 2]> 
 pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
     let config = PregelConfig::default().max_supersteps(4_000);
     let dict = RankDict::new(nodes.ids());
+    let blocks = Blocks::build_on(ctx, nodes, &dict);
 
-    // The states of the ranks each worker will hold, with the neighbour IDs
-    // translated; an ambiguous vertex parks its broadcast list on the slab.
-    let state_of = |rank: u32, slab: &mut Vec<u32>| {
-        let node = nodes.node(rank as usize);
-        Some(match sole_neighbors(&node) {
-            None => {
-                let start = slab.len() as u32;
-                slab.extend(node.real_edges().map(|e| dict.rank(e.neighbor)));
-                LrState::Branch {
-                    start,
-                    end: slab.len() as u32,
-                }
-            }
-            // A side without a neighbour is a contig end from the start.
-            Some(sole) => LrState::Path {
-                ptr: sole.map(|n| n.map_or(flip(rank), |id| dict.rank(id))),
-            },
+    // The states of the slots each worker will hold; an ambiguous vertex
+    // parks its broadcast list, its neighbours' slots, on the slab.
+    let state_of = |slot: u32, slab: &mut Vec<u32>| {
+        if blocks.is_ambiguous(slot) {
+            let start = slab.len() as u32;
+            let node = nodes.node(blocks.rank(slot) as usize);
+            slab.extend(
+                node.real_edges()
+                    .map(|e| blocks.slot(dict.rank(e.neighbor))),
+            );
+            return Some(LrState::Branch {
+                start,
+                end: slab.len() as u32,
+            });
+        }
+        // A side without a neighbour is a contig end from the start.
+        let sides = blocks.sides(slot)?;
+        Some(LrState::Path {
+            ptr: sides.map(|n| n.unwrap_or(flip(slot))),
         })
     };
-    // Per rank: the rank of its label, or a mark.
+    // Per slot: the rank of its label — the smaller terminal vertex of the
+    // end fragments its pointers reached — or a mark.
     let outcome_of = |state: &LrState| match state {
         LrState::Branch { .. } => AMBIGUOUS,
-        LrState::Path { ptr } if finished(ptr) => unflip(ptr[LEFT]).min(unflip(ptr[RIGHT])),
+        LrState::Path { ptr } if finished(ptr) => blocks
+            .terminal(unflip(ptr[LEFT]))
+            .min(blocks.terminal(unflip(ptr[RIGHT]))),
         LrState::Path { .. } => UNRESOLVED,
     };
     let program_of = |broadcast| LrProgram::new(nodes.len(), broadcast);
     let (program, mut metrics, outcome) =
-        dict.run_on(ctx, &config, state_of, program_of, outcome_of);
+        run_on(ctx, &config, blocks.len(), state_of, program_of, outcome_of);
     let stalled = program.stalled.load(Ordering::Relaxed);
 
     // S-V fallback for unambiguous cycles (and any vertex the stall left
     // unresolved): label each with the smallest vertex of its component.
-    let unresolved = |rank: u32| outcome.get(rank as usize) == Some(&UNRESOLVED);
-    let cycles_left = (0..dict.len()).any(unresolved);
+    let unresolved = |slot: u32| outcome.get(slot as usize) == Some(&UNRESOLVED);
+    let cycles_left = (0..blocks.len()).any(unresolved);
     let used_cycle_fallback = stalled || cycles_left;
-    let (mut labels, ambiguous) = dict.read_back_on(ctx, &outcome);
+    let mut cycles = None;
     if cycles_left {
-        let sole = |rank: u32| {
-            let sole = sole_neighbors(&nodes.node(rank as usize))?;
-            Some(sole.map(|n| n.map(|id| dict.rank(id))))
-        };
-        let (_, sv_metrics, cycles) = dict.run_on(
+        let (_, sv_metrics, outcome) = run_on(
             ctx,
             &config,
-            sv_states(sole, unresolved),
+            blocks.len(),
+            sv_states(|slot| blocks.sides(slot), unresolved),
             SvProgram::<u32, Spillable>::new,
-            SvState::parent,
+            |state: &SvState<u32>| blocks.rank(state.parent()),
         );
         if let Err(e) = converged(&sv_metrics) {
             std::panic::panic_any(e);
         }
         metrics.absorb(&sv_metrics);
+        cycles = Some(blocks.spread_on(ctx, &outcome));
+    }
+    // Per rank from here on: the blocks go before the IDs come back.
+    let outcome = blocks.spread_on(ctx, &outcome);
+    drop(blocks);
+    let (mut labels, ambiguous) = dict.read_back_on(ctx, &outcome);
+    if let Some(cycles) = cycles {
         // The cycles after the paths, as a job over the IDs left them.
         labels.extend(dict.read_back_on(ctx, &cycles).0);
     }

@@ -18,16 +18,22 @@
 //! messages are dropped as they would be for the missing ID — and the
 //! component representative, the smallest rank and so the smallest ID, is
 //! translated back as the contig label. A shuffle record is 8 bytes.
-//! `RankDict::run_on` builds the store and runs the job, on the engine's dense
+//! `ranks::run_on` builds the store and runs the job, on the engine's dense
 //! plane or, when a `SpillPolicy` cap has to be honoured, on its sorted,
 //! spillable one (fixed-size states and bare-rank messages have codecs); every
 //! phase of S-V takes a minimum over its inbox or answers each message on its
 //! own, so the order messages arrive in does not matter. List ranking's cycle
 //! fallback runs the same job (`sv_states`) over the ranks it left unresolved.
+//!
+//! Like list ranking's, the job runs on the slots of minimizer-block
+//! fragments (`blocks.rs`, after Blogel: Yan, Cheng, Lu and Ng, *PVLDB*
+//! 2014): a component's smallest slot names its smallest vertex, and the
+//! metrics count that physical job.
 
-use super::label::{sole_neighbors, LabelOutcome};
-use crate::node::{GraphNode, NodeSource};
-use crate::ranks::RankDict;
+use super::blocks::Blocks;
+use super::label::LabelOutcome;
+use crate::node::NodeSource;
+use crate::ranks::{run_on, RankDict};
 use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
 use ppa_pregel::{EngineError, ExecCtx, Metrics, PregelConfig};
 
@@ -44,7 +50,7 @@ pub(crate) fn converged(metrics: &Metrics) -> Result<(), EngineError> {
 }
 
 /// The states of an S-V job over the ranks `takes_part` accepts, for
-/// [`RankDict::run_on`]: each starts as its own parent, with those of its
+/// [`run_on`]: each starts as its own parent, with those of its
 /// sole neighbours' ranks (`sole`; `None` for a vertex that takes no part)
 /// that take part. S-V labeling and list ranking's cycle fallback both build
 /// their job here.
@@ -79,47 +85,32 @@ pub(crate) fn sv_states(
 /// [`Pipeline`](crate::pipeline::Pipeline) reports it as
 /// [`PipelineError::NotConverged`](crate::pipeline::PipelineError::NotConverged).
 pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
-    let workers = ctx.workers();
     let config = PregelConfig::default().max_supersteps(4_000);
     let dict = RankDict::new(nodes.ids());
-
-    // Per rank (a node's position), the ranks of its sole neighbours, or
-    // `None` for an ambiguous vertex: every worker reads one contiguous share
-    // of the nodes.
-    let sides: Vec<Option<[Option<u32>; 2]>> = ctx
-        .pool()
-        .run_per_worker(vec![(); workers], |w, ()| {
-            (nodes.len() * w / workers..nodes.len() * (w + 1) / workers)
-                .map(|i| {
-                    let sole = sole_neighbors(&nodes.node(i));
-                    sole.map(|sole| sole.map(|n| n.map(|id| dict.rank(id))))
-                })
-                .collect::<Vec<_>>()
-        })
-        .concat();
-    let ambiguous: Vec<u64> = (0..nodes.len())
-        .filter(|&i| sides[i].is_none())
-        .map(|i| nodes.node(i).id())
+    let blocks = Blocks::build_on(ctx, nodes, &dict);
+    let ambiguous: Vec<u64> = (0..dict.len())
+        .filter(|&rank| blocks.is_ambiguous(blocks.slot(rank)))
+        .map(|rank| dict.id(rank))
         .collect();
 
-    // Ambiguous vertices take no part and are filtered from the neighbour
-    // lists; an ID outside the node set stays, as the absent rank.
-    let marked: Vec<bool> = sides.iter().map(Option::is_none).collect();
-    let state_of = sv_states(
-        |rank| sides[rank as usize],
-        |rank| marked.get(rank as usize) != Some(&true),
-    );
-    let (_, metrics, outcome) = dict.run_on(
+    // The fragments' slots: ambiguous vertices take no part and are filtered
+    // from the neighbour lists; an ID outside the node set stays, as the
+    // absent slot.
+    let state_of = sv_states(|slot| blocks.sides(slot), |slot| !blocks.is_ambiguous(slot));
+    let (_, metrics, outcome) = run_on(
         ctx,
         &config,
+        blocks.len(),
         state_of,
         SvProgram::<u32, Spillable>::new,
-        SvState::parent,
+        |state: &SvState<u32>| blocks.rank(state.parent()),
     );
     if let Err(e) = converged(&metrics) {
         std::panic::panic_any(e);
     }
 
+    let outcome = blocks.spread_on(ctx, &outcome);
+    drop(blocks);
     let (labels, _) = dict.read_back_on(ctx, &outcome);
     LabelOutcome {
         labels,
@@ -234,9 +225,10 @@ mod tests {
             let path =
                 move |rank: u32| Some([rank.checked_sub(1), (rank + 1 < n).then_some(rank + 1)]);
             let config = PregelConfig::default().max_supersteps(supersteps);
-            let (_, metrics, _) = dict.run_on(
+            let (_, metrics, _) = run_on(
                 &ExecCtx::new(2),
                 &config,
+                dict.len(),
                 sv_states(path, |rank| rank < n),
                 SvProgram::<u32, Spillable>::new,
                 SvState::parent,

@@ -234,7 +234,13 @@ impl TipProgram<'_> {
     }
 
     /// A k-mer rebuilds its adjacency, then runs the REQUEST/DELETE protocol.
-    fn kmer(&self, ctx: &mut Context<'_, Self>, rank: u32, state: &mut TipState, msgs: &[TipMsg]) {
+    fn kmer(
+        &self,
+        ctx: &mut Context<'_, Self>,
+        rank: u32,
+        state: &mut TipState,
+        msgs: &mut [TipMsg],
+    ) {
         let superstep = ctx.superstep();
         let node = self.nodes.node(rank as usize);
         if superstep == 0 {
@@ -299,7 +305,36 @@ impl TipProgram<'_> {
             return;
         }
 
-        for msg in msgs {
+        // Judge a superstep's requests shortest tip first, whatever order
+        // they arrived in: deleting one tip can turn this vertex ⟨1-1⟩, and
+        // it relays every request after that instead of judging it.
+        let request = |msg: &TipMsg| match *msg {
+            TipMsg::Request {
+                origin,
+                from,
+                cum_len,
+            } => Some((cum_len, origin, from)),
+            _ => None,
+        };
+        if msgs
+            .iter()
+            .filter(|m| request(m).is_some())
+            .nth(1)
+            .is_some()
+        {
+            let mut requests: Vec<TipMsg> = msgs
+                .iter()
+                .filter(|m| request(m).is_some())
+                .cloned()
+                .collect();
+            requests.sort_by_key(request);
+            let slots = msgs.iter_mut().filter(|m| request(m).is_some());
+            for (slot, msg) in slots.zip(requests) {
+                *slot = msg;
+            }
+        }
+
+        for msg in msgs.iter() {
             match *msg {
                 TipMsg::Request {
                     origin,
@@ -478,10 +513,13 @@ pub fn remove_tips_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::contig_id;
     use crate::ops::bubble::remove_pruned;
     use crate::ops::label::label_contigs_lr_on;
     use crate::ops::label::tests::nodes_from_reads;
     use crate::ops::merge::{merge_contigs_on, MergeConfig};
+    use crate::polarity::{Direction, Polarity};
+    use ppa_seq::{DnaString, Kmer};
     use std::collections::HashSet;
 
     /// Builds the post-merging graph (ambiguous k-mers + contigs) for a read set.
@@ -621,6 +659,67 @@ mod tests {
         remove_pruned(&mut contigs, &bubbles.pruned);
         let out = remove_tips_on(&ExecCtx::new(2), &ambiguous, &contigs, &tip_cfg(9, 30));
         assert!(out.metrics.converged);
+    }
+
+    #[test]
+    fn two_requests_at_one_vertex_are_judged_shortest_first() {
+        // H's left side is a long dangling contig; its right side holds two
+        // tips: the k-mer T2 directly, the k-mer T1 through a short contig.
+        // Both requests reach H in superstep 2, which deletes the shorter
+        // (T2), turns ⟨1-1⟩ and so keeps T1 whichever arrived first. The
+        // inbox is in sender order, so swapping the two tips' IDs delivers
+        // the requests in the other order.
+        let (k, threshold) = (9, 30);
+        let kmer = |s: &str| AsmNode::new_kmer(Kmer::from_str_exact(s).unwrap().canonical().kmer);
+        let mut ids: Vec<AsmNode> = ["AAAAACCCC", "AAAAAGGGG", "AAAAATTTT"]
+            .into_iter()
+            .map(kmer)
+            .collect();
+        ids.sort_unstable_by_key(|n| n.id);
+        let edge = |neighbor: u64, direction| Edge {
+            neighbor,
+            direction,
+            polarity: Polarity::LL,
+            coverage: 3,
+        };
+        let contig = |ordinal, bases: usize| {
+            let seq = DnaString::from_ascii(&"ACGT".repeat(bases)[..bases]).unwrap();
+            AsmNode::new_contig(contig_id(0, ordinal), seq, 3)
+        };
+        let survivors = |t1: usize, t2: usize| {
+            let (mut h, mut t1, mut t2) = (ids[2].clone(), ids[t1].clone(), ids[t2].clone());
+            let (mut c0, mut c1) = (contig(1, 40), contig(2, 12));
+            c0.push_edge(edge(h.id, Direction::Out));
+            c1.push_edge(edge(h.id, Direction::In));
+            c1.push_edge(edge(t1.id, Direction::Out));
+            h.push_edge(edge(c0.id, Direction::In));
+            h.push_edge(edge(t2.id, Direction::Out));
+            h.push_edge(edge(c1.id, Direction::Out));
+            t2.push_edge(edge(h.id, Direction::In));
+            t1.push_edge(edge(c1.id, Direction::In));
+            let roles = [(h.id, "H"), (t1.id, "T1"), (t2.id, "T2")];
+            let mut kmers = vec![h, t1, t2];
+            kmers.sort_unstable_by_key(|n| n.id);
+            (1..=3)
+                .map(|workers| {
+                    let ctx = ExecCtx::new(workers);
+                    let out = remove_tips_on(
+                        &ctx,
+                        &kmers,
+                        &[c0.clone(), c1.clone()],
+                        &tip_cfg(k, threshold),
+                    );
+                    let role = |id| roles.iter().find(|r| r.0 == id).map(|r| r.1);
+                    let mut kept: Vec<_> = out.kmers.iter().filter_map(|n| role(n.id)).collect();
+                    kept.sort_unstable();
+                    (kept, out.contigs.len())
+                })
+                .collect::<Vec<_>>()
+        };
+        let t1_first = survivors(0, 1);
+        let t2_first = survivors(1, 0);
+        assert_eq!(t1_first, t2_first);
+        assert_eq!(t1_first[0], (vec!["H", "T1"], 2));
     }
 
     #[test]

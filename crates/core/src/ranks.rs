@@ -19,17 +19,21 @@
 //! Every Pregel job of the assembler runs in rank space. Both contig
 //! labelings — list ranking ([`crate::ops::label`]), its S-V cycle fallback
 //! included, and simplified S-V ([`crate::ops::label_sv`]) — share the way in
-//! and out: [`RankDict::new`], [`RankDict::run_on`] (every pool worker builds
+//! and out: [`RankDict::new`], [`run_on`] (every pool worker builds
 //! the states of the ranks it will own, variable-length lists in one slab per
 //! worker; the job runs; one outcome per rank comes back) and
 //! [`RankDict::read_back_on`] (the outcomes back to `(id, label)` pairs, in
 //! the order a job over the IDs themselves would have left them). The
 //! fallback is S-V's job over the ranks list ranking left unresolved, every
-//! other rank taking no part. Tip removing ([`crate::ops::tip`]) ranks the
-//! node set round 2 labels — the ambiguous k-mers, then the contigs — with
-//! the same constructor, and runs its own job on the dense plane: it reads
-//! back whole states, not one outcome per rank, and having no spill codecs
-//! it would get the dense plane from `run_on` as well.
+//! other rank taking no part. Both labelings run on the slots of
+//! minimizer-block fragments (`ops/blocks.rs`), one per fragment in rank
+//! order, and copy each slot's outcome to its ranks before the read-back;
+//! `run_on` is told how many ranks it runs over. Tip removing
+//! ([`crate::ops::tip`]) ranks the node set round 2 labels — the ambiguous
+//! k-mers, then the contigs — with the same constructor, and runs its own
+//! job on the dense plane: it reads back whole states, not one outcome per
+//! rank, and having no spill codecs it would get the dense plane from
+//! `run_on` as well.
 //!
 //! Contig merging ([`crate::ops::merge`]) takes the same dictionary to
 //! join its labels to node positions, and groups by the labels' ranks.
@@ -143,75 +147,6 @@ impl<'a> RankDict<'a> {
         }
     }
 
-    /// Runs a labeling job over the ranks on the context's pool and returns
-    /// the program, the job's metrics and `outcome_of(final state)` per rank
-    /// ([`UNRESOLVED`] for a rank without a state).
-    ///
-    /// Every worker builds the states of the ranks its store will hold, in
-    /// ascending order: `state_of(rank, slab)` gives the vertex's state — it
-    /// may park a variable-length list on `slab`, its worker's, and keep the
-    /// bounds — or `None` for a rank that takes no part in the job.
-    /// `program_of` gets the slabs, one per worker, indexed as
-    /// `Context::worker` is when the vertex computes.
-    pub(crate) fn run_on<P>(
-        &self,
-        ctx: &ExecCtx,
-        config: &PregelConfig,
-        state_of: impl Fn(u32, &mut Vec<u32>) -> Option<P::Value> + Sync,
-        program_of: impl FnOnce(Vec<Vec<u32>>) -> P,
-        outcome_of: impl Fn(&P::Value) -> u32 + Sync,
-    ) -> (P, Metrics, Vec<u32>)
-    where
-        P: VertexProgram<Id = u32>,
-        P::Value: Sync,
-    {
-        let mut outcome = vec![UNRESOLVED; self.ids.len()];
-        // The choice of plane (see the module docs), from what the job can
-        // observe: a cap on the context that the program is able to honour.
-        let capped = ctx.spill().is_some_and(|policy| policy.cap().is_some());
-        if capped && P::spill_codecs().is_some() {
-            let (mut set, slabs) = self.sorted_store_on(ctx, state_of);
-            let program = program_of(slabs);
-            let metrics = ppa_pregel::run_on(ctx, &program, config, &mut set);
-            for (rank, state) in set.iter() {
-                outcome[rank as usize] = outcome_of(state);
-            }
-            (program, metrics, outcome)
-        } else {
-            let (mut set, slabs) = DenseSet::from_fn_on(ctx, self.len(), state_of);
-            let program = program_of(slabs);
-            let metrics = ppa_pregel::run_dense_on(ctx, &program, config, &mut set);
-            set.read_on(ctx, &mut outcome, outcome_of);
-            (program, metrics, outcome)
-        }
-    }
-
-    /// The hash-partitioned store of a capped job: worker `w` walks the ranks
-    /// a `VertexSet` places on it (`hash_one(&rank) % workers == w`) in
-    /// ascending order, so the store appends them straight onto its columns.
-    fn sorted_store_on<S: Send>(
-        &self,
-        ctx: &ExecCtx,
-        state_of: impl Fn(u32, &mut Vec<u32>) -> Option<S> + Sync,
-    ) -> (VertexSet<u32, S>, Vec<Vec<u32>>) {
-        let workers = ctx.workers();
-        let (parts, slabs): (Vec<_>, Vec<_>) = ctx
-            .pool()
-            .run_per_worker(vec![(); workers], |w, ()| {
-                let mut states: Vec<(u32, S)> = Vec::with_capacity(self.ids.len() / workers + 1);
-                let mut slab: Vec<u32> = Vec::new();
-                for rank in (0..self.len()).filter(|rank| owner(rank, workers) == w) {
-                    if let Some(state) = state_of(rank, &mut slab) {
-                        states.push((rank, state));
-                    }
-                }
-                (states, slab)
-            })
-            .into_iter()
-            .unzip();
-        (VertexSet::from_sorted_parts_on(ctx, parts), slabs)
-    }
-
     /// Back to IDs. `outcome[rank]` is the rank of the vertex's label,
     /// [`AMBIGUOUS`] or [`UNRESOLVED`] (no entry). Returns the `(id, label)`
     /// pairs and the ambiguous IDs in the order a job over the IDs would have
@@ -243,6 +178,77 @@ impl<'a> RankDict<'a> {
         let (labels, ambiguous): (Vec<_>, Vec<_>) = per_worker.into_iter().unzip();
         (labels.concat(), ambiguous.concat())
     }
+}
+
+/// Runs a labeling job over the ranks `0..ranks` on the context's pool and
+/// returns the program, the job's metrics and `outcome_of(final state)` per
+/// rank ([`UNRESOLVED`] for a rank without a state). The ranks are a
+/// dictionary's or, for both labelings, the slots of its minimizer-block
+/// fragments (`ops/blocks.rs`).
+///
+/// Every worker builds the states of the ranks its store will hold, in
+/// ascending order: `state_of(rank, slab)` gives the vertex's state — it
+/// may park a variable-length list on `slab`, its worker's, and keep the
+/// bounds — or `None` for a rank that takes no part in the job.
+/// `program_of` gets the slabs, one per worker, indexed as
+/// `Context::worker` is when the vertex computes.
+pub(crate) fn run_on<P>(
+    ctx: &ExecCtx,
+    config: &PregelConfig,
+    ranks: u32,
+    state_of: impl Fn(u32, &mut Vec<u32>) -> Option<P::Value> + Sync,
+    program_of: impl FnOnce(Vec<Vec<u32>>) -> P,
+    outcome_of: impl Fn(&P::Value) -> u32 + Sync,
+) -> (P, Metrics, Vec<u32>)
+where
+    P: VertexProgram<Id = u32>,
+    P::Value: Sync,
+{
+    let mut outcome = vec![UNRESOLVED; ranks as usize];
+    // The choice of plane (see the module docs), from what the job can
+    // observe: a cap on the context that the program is able to honour.
+    let capped = ctx.spill().is_some_and(|policy| policy.cap().is_some());
+    if capped && P::spill_codecs().is_some() {
+        let (mut set, slabs) = sorted_store_on(ctx, ranks, state_of);
+        let program = program_of(slabs);
+        let metrics = ppa_pregel::run_on(ctx, &program, config, &mut set);
+        for (rank, state) in set.iter() {
+            outcome[rank as usize] = outcome_of(state);
+        }
+        (program, metrics, outcome)
+    } else {
+        let (mut set, slabs) = DenseSet::from_fn_on(ctx, ranks, state_of);
+        let program = program_of(slabs);
+        let metrics = ppa_pregel::run_dense_on(ctx, &program, config, &mut set);
+        set.read_on(ctx, &mut outcome, outcome_of);
+        (program, metrics, outcome)
+    }
+}
+
+/// The hash-partitioned store of a capped job: worker `w` walks the ranks
+/// a `VertexSet` places on it (`hash_one(&rank) % workers == w`) in
+/// ascending order, so the store appends them straight onto its columns.
+fn sorted_store_on<S: Send>(
+    ctx: &ExecCtx,
+    ranks: u32,
+    state_of: impl Fn(u32, &mut Vec<u32>) -> Option<S> + Sync,
+) -> (VertexSet<u32, S>, Vec<Vec<u32>>) {
+    let workers = ctx.workers();
+    let (parts, slabs): (Vec<_>, Vec<_>) = ctx
+        .pool()
+        .run_per_worker(vec![(); workers], |w, ()| {
+            let mut states: Vec<(u32, S)> = Vec::with_capacity(ranks as usize / workers + 1);
+            let mut slab: Vec<u32> = Vec::new();
+            for rank in (0..ranks).filter(|rank| owner(rank, workers) == w) {
+                if let Some(state) = state_of(rank, &mut slab) {
+                    states.push((rank, state));
+                }
+            }
+            (states, slab)
+        })
+        .into_iter()
+        .unzip();
+    (VertexSet::from_sorted_parts_on(ctx, parts), slabs)
 }
 
 #[cfg(test)]

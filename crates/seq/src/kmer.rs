@@ -409,6 +409,40 @@ fn rank(mmer: u64) -> u64 {
     (mmer ^ ORDER_SALT).wrapping_mul(ORDER_MUL)
 }
 
+/// The minimizer of one window, given as its packed k-mer on either
+/// strand: the rank, in [`SuperKmerScanner`]'s m-mer order, of the smallest
+/// of its canonical m-mers (m = [`MINIMIZER_LEN`], clamped to k). Every
+/// window of a [`SuperKmer`] has its record's minimizer, so consecutive
+/// k-mers of a chain share it in runs, and k-mers of at most m bases are
+/// each their own. Word-parallel: one reverse complement of the window, then
+/// each m-mer of either strand is a shift and a mask.
+///
+/// ```
+/// use ppa_seq::kmer::minimizer_rank;
+/// use ppa_seq::Kmer;
+///
+/// let kmer = Kmer::from_str_exact("ACGTTGCAAGGCTTAACGGATCCATGACGTA").unwrap();
+/// let rc = kmer.reverse_complement();
+/// assert_eq!(minimizer_rank(kmer.packed(), 31), minimizer_rank(rc.packed(), 31));
+/// ```
+pub fn minimizer_rank(kmer: u64, k: usize) -> u64 {
+    debug_assert!((1..=MAX_K).contains(&k), "k = {k}");
+    let m = MINIMIZER_LEN.min(k);
+    let mmer_mask = Kmer::mask(m as u8);
+    let fwd = kmer & Kmer::mask(k as u8);
+    let rc = reverse_complement_packed(fwd, k);
+    // The m-mer ending i bases before the window's end, and its reverse
+    // complement, which starts i bases into the rc word.
+    (0..=k - m)
+        .map(|i| {
+            let forward = (fwd >> (2 * i)) & mmer_mask;
+            let reverse = (rc >> (2 * (k - m - i))) & mmer_mask;
+            rank(forward.min(reverse))
+        })
+        .min()
+        .unwrap_or(u64::MAX)
+}
+
 /// Ring of the latest m-mer ranks: a power of two above any window's m-mer
 /// count (at most `MAX_K − MINIMIZER_LEN + 1 = 22`).
 const RANK_RING: usize = 32;
@@ -980,6 +1014,11 @@ mod tests {
                             sk.rank,
                             "k = {}", k
                         );
+                        // Each window on its own, on either strand, has the
+                        // record's minimizer.
+                        let rc = window.reverse_complement().packed();
+                        prop_assert_eq!(minimizer_rank(window.packed(), k), sk.rank, "k = {}", k);
+                        prop_assert_eq!(minimizer_rank(rc, k), sk.rank, "k = {}", k);
                     }
                     if let Some((previous_run, previous)) = previous {
                         prop_assert!(

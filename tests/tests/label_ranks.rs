@@ -12,6 +12,12 @@
 //! - literal superstep, message and dropped-message counts and fallback
 //!   flag, the same at every worker count.
 //!
+//! These graphs use k ≤ 8, so every k-mer is a minimizer block of its own
+//! and the jobs are the vertex-level ones. The k = 31 cases contract chain
+//! fragments of up to 21 k-mers (forks, cycles inside and across blocks,
+//! missing neighbours, round two's mixed view) and are checked against the
+//! oracle the same way, without literal costs.
+//!
 //! On generated reads (`ppa_tests::adversarial_reads`) the property test
 //! checks ①②③ against the oracle, and ②③ again on the node set the paper
 //! workflow's first bubble filtering and tip removal leave for round two.
@@ -31,6 +37,7 @@ use ppa_assembler::{
     AsmNode, Direction, Edge, GraphNode, GraphState, NodeSource, Pipeline, Polarity,
 };
 use ppa_pregel::ExecCtx;
+use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::{DnaString, Kmer, ReadSet};
 use ppa_tests::oracle::{self, ChainKind, Labels, Node};
 use ppa_tests::{adversarial_reads, adversarial_sequences, in_job_order};
@@ -306,6 +313,208 @@ fn a_neighbour_missing_from_the_node_set() {
     nodes.retain(|n| n.edges.len() == 2);
     let costs = check_against_oracle(&nodes, "missing path ends");
     assert_eq!(costs, ((21, 102, 18, true), (12, 58, 6, false)));
+}
+
+// ---------------------------------------------------------------------------
+// Minimizer blocks at k = 31: fragments of up to 21 vertices contracted
+// ---------------------------------------------------------------------------
+
+/// `len` pseudo-random bases.
+fn random_bases(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            b"ACGT"[(state >> 32) as usize % 4]
+        })
+        .collect()
+}
+
+/// The k = 31 graph of `seqs`, every (k+1)-mer kept.
+fn graph_31(seqs: &[Vec<u8>]) -> Vec<AsmNode> {
+    let reads: ReadSet = seqs
+        .iter()
+        .enumerate()
+        .map(|(i, seq)| (format!("r{i}"), seq))
+        .collect();
+    let config = ConstructConfig {
+        k: 31,
+        min_coverage: 0,
+        batch_size: 8,
+    };
+    build_dbg_on(&ExecCtx::new(2), &reads, &config).into_nodes()
+}
+
+/// Simulated reads (150 bp, 20×, 0.5 % substitutions, both strands) of a
+/// 6 kb genome with two 80 bp repeat families: forks from the repeats and
+/// the errors, paths between them.
+fn simulated_31() -> ReadSet {
+    let genome = GenomeConfig {
+        length: 6_000,
+        repeat_families: 2,
+        repeat_copies: 2,
+        repeat_length: 80,
+        seed: 31,
+        ..GenomeConfig::default()
+    }
+    .generate();
+    ReadSimConfig {
+        read_length: 150,
+        coverage: 20.0,
+        substitution_rate: 0.005,
+        n_rate: 0.0,
+        seed: 31,
+        ..ReadSimConfig::default()
+    }
+    .simulate(&genome)
+}
+
+#[test]
+fn simulated_reads_with_forks_label_as_the_oracle_at_k_31() {
+    let reads = simulated_31();
+    let config = ConstructConfig {
+        k: 31,
+        min_coverage: 0,
+        batch_size: 8,
+    };
+    let nodes = build_dbg_on(&ExecCtx::new(2), &reads, &config).into_nodes();
+    let want = oracle::label(&nodes.iter().map(Node::from_asm).collect::<Vec<_>>());
+    assert!(want.ambiguous.len() > 10, "forks: {}", want.ambiguous.len());
+    let (lr, _) = check_labels(&nodes, &want, "simulated reads, k = 31");
+    // The BPPA sends about 39 messages per vertex here without blocks.
+    assert!(lr.1 < want.lr.len() as u64, "LR messages {lr:?}");
+
+    // A neighbour missing from the set: drop one mid-path vertex and one
+    // whole path end.
+    let ends: Vec<usize> = (0..nodes.len())
+        .filter(|&i| nodes[i].edges.len() == 1)
+        .collect();
+    let mid = (nodes.len() / 2..nodes.len())
+        .find(|&i| nodes[i].edges.len() == 2 && !want.ambiguous.contains(&nodes[i].id))
+        .expect("a mid-path vertex");
+    let mut holed = nodes.clone();
+    for at in [mid, ends[ends.len() / 2]]
+        .into_iter()
+        .rev()
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .rev()
+    {
+        holed.remove(at);
+    }
+    let (lr, sv) = check_against_oracle(&holed, "missing neighbours, k = 31");
+    assert!(lr.3 && lr.2 > 0 && sv.2 > 0, "{lr:?} {sv:?}");
+}
+
+#[test]
+fn cycles_inside_and_across_blocks_take_the_fallback_at_k_31() {
+    // A 20-base unit read round and round: its 20 rotations are the 31-mers,
+    // each holding every m-mer of the circle, so the ring is one block.
+    let unit = random_bases(20, 5);
+    let inside: Vec<u8> = unit.iter().cycle().take(90).copied().collect();
+    let nodes = graph_31(&[inside]);
+    assert_eq!(nodes.len(), 20);
+    let (lr, _) = check_against_oracle(&nodes, "ring inside one block");
+    assert!(lr.3, "the ring takes the fallback");
+
+    // A 400-base circle spans many blocks; beside it a path, which the
+    // fallback leaves alone.
+    let circle = random_bases(400, 6);
+    let wrapped: Vec<u8> = circle.iter().cycle().take(400 + 31).copied().collect();
+    let reads: Vec<Vec<u8>> = (0..wrapped.len() - 100)
+        .step_by(25)
+        .map(|at| wrapped[at..at + 100].to_vec())
+        .chain([
+            wrapped[wrapped.len() - 100..].to_vec(),
+            random_bases(300, 7),
+        ])
+        .collect();
+    let nodes = graph_31(&reads);
+    assert_eq!(nodes.len(), 400 + 300 - 30);
+    let (lr, _) = check_against_oracle(&nodes, "ring across blocks + a path");
+    assert!(lr.3, "the ring takes the fallback");
+}
+
+#[test]
+fn a_fragment_between_two_ambiguous_vertices_at_k_31() {
+    // A 38-base repeat twice: the few 31-mers inside it lie between the two
+    // forks it makes, one minimizer run or two.
+    let (a, r, b, c) = (
+        random_bases(200, 11),
+        random_bases(38, 12),
+        random_bases(200, 13),
+        random_bases(200, 14),
+    );
+    let genome = [a, r.clone(), b, r, c].concat();
+    let reads: Vec<Vec<u8>> = (0..genome.len() - 90)
+        .step_by(9)
+        .map(|at| genome[at..at + 90].to_vec())
+        .chain([genome[genome.len() - 90..].to_vec()])
+        .collect();
+    let nodes = graph_31(&reads);
+    let want = oracle::label(&nodes.iter().map(Node::from_asm).collect::<Vec<_>>());
+    assert_eq!(want.ambiguous.len(), 2, "the repeat's two forks");
+    let between = want.chains.iter().filter(|c| c.members.len() < 10).count();
+    assert_eq!(between, 1, "the repeat's inner path");
+    check_labels(&nodes, &want, "a path between two forks, k = 31");
+}
+
+#[test]
+fn round_two_labels_the_mixed_view_as_the_oracle_at_k_31() {
+    // Round two's ② reads the ambiguous k-mers and the contigs where they
+    // lie; both labelings must give the oracle's reading of that node set.
+    let reads = simulated_31();
+    let (k, tip) = (31, 80);
+    for workers in 1..=4 {
+        for lr in [true, false] {
+            let label = || {
+                if lr {
+                    Label::list_ranking()
+                } else {
+                    Label::simplified_sv()
+                }
+            };
+            let mut state = GraphState::new(&reads);
+            Pipeline::new()
+                .then(Construct::new(ConstructConfig {
+                    k,
+                    min_coverage: 0,
+                    batch_size: 8,
+                }))
+                .then(label())
+                .then(Merge::new(MergeConfig {
+                    k,
+                    tip_length_threshold: tip,
+                }))
+                .then(FilterBubbles::new(BubbleConfig::default()))
+                .then(RemoveTips::new(TipConfig {
+                    k,
+                    tip_length_threshold: tip,
+                }))
+                .then(label())
+                .run(&mut state, &ExecCtx::new(workers));
+            let nodes: Vec<Node> = state
+                .ambiguous_kmers
+                .iter()
+                .chain(&state.contigs)
+                .map(Node::from_asm)
+                .collect();
+            let want = oracle::label(&nodes);
+            let got = state.labels.expect("round two labelled");
+            let at = format!("round two, {workers} workers, LR = {lr}");
+            assert!(
+                !state.ambiguous_kmers.is_empty() && !want.lr.is_empty(),
+                "{at}"
+            );
+            let labels: BTreeMap<u64, u64> = got.labels.iter().copied().collect();
+            assert_eq!(labels, if lr { want.lr } else { want.sv }, "{at}");
+            let ambiguous: std::collections::BTreeSet<u64> =
+                got.ambiguous.iter().copied().collect();
+            assert_eq!(ambiguous, want.ambiguous, "{at}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
