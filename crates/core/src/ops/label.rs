@@ -43,10 +43,9 @@
 //! dictionary, per-worker state build, running the job, read-back — is
 //! `ranks.rs`'s and shared with S-V labeling ([`super::label_sv`]), whose
 //! job the fallback is: it runs over the unresolved ranks only, every other
-//! rank taking no part. `ranks.rs` also decides which of the engine's planes
-//! both jobs run on (the dense one, unless a spill cap has to be honoured).
-//! Nothing here depends on that: a pointer update compares ranks, never
-//! arrival order.
+//! rank taking no part. Both jobs run on the engine's dense plane, resident
+//! under any `SpillPolicy` (the cap binds construct's keyed pass), and a
+//! pointer update compares ranks, never arrival order.
 //!
 //! # Blocks
 //!
@@ -68,8 +67,8 @@ use super::label_sv::{converged, sv_states};
 use crate::node::{GraphNode, NodeSource};
 use crate::ranks::{run_on, RankDict, AMBIGUOUS, RANK_FLIP, UNRESOLVED};
 use ppa_pregel::aggregate::Count;
-use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
-use ppa_pregel::{Context, ExecCtx, Metrics, PregelConfig, SpillCodec, SpillCodecs, VertexProgram};
+use ppa_pregel::algorithms::{SvProgram, SvState};
+use ppa_pregel::{Context, ExecCtx, Metrics, PregelConfig, VertexProgram};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Result of a contig-labeling run (either algorithm).
@@ -142,51 +141,6 @@ enum LrMsg {
 const _: () = assert!(std::mem::size_of::<(u32, LrMsg)>() == 16);
 const _: () = assert!(std::mem::size_of::<LrState>() <= 32);
 
-// Spill codecs for the labeling job's state and messages, so list ranking can
-// opt into the engine's out-of-core execution (partition sealing and shuffle
-// run spilling) when a `SpillPolicy` cap is installed. Per the panic-free
-// codec contract, `decode` rejects malformed input with `None`.
-
-impl SpillCodec for LrState {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let (tag, a, b) = match *self {
-            LrState::Branch { start, end } => (0u8, start, end),
-            LrState::Path { ptr } => (1u8, ptr[LEFT], ptr[RIGHT]),
-        };
-        (tag, a, b).encode(buf);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        match <(u8, u32, u32)>::decode(buf)? {
-            (0, start, end) => Some(LrState::Branch { start, end }),
-            (1, left, right) => Some(LrState::Path { ptr: [left, right] }),
-            _ => None,
-        }
-    }
-}
-
-impl SpillCodec for LrMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match *self {
-            LrMsg::Ambiguous(rank) => (0u8, rank).encode(buf),
-            LrMsg::Request(rank) => (1u8, rank).encode(buf),
-            LrMsg::Response { responder, other } => (2u8, responder, other).encode(buf),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        match u8::decode(buf)? {
-            0 => Some(LrMsg::Ambiguous(u32::decode(buf)?)),
-            1 => Some(LrMsg::Request(u32::decode(buf)?)),
-            2 => Some(LrMsg::Response {
-                responder: u32::decode(buf)?,
-                other: u32::decode(buf)?,
-            }),
-            _ => None,
-        }
-    }
-}
-
 struct LrProgram {
     /// Superstep budget: `2⌈log₂(n+1)⌉ + slack`. Any vertex on a path finishes
     /// within this many supersteps; unfinished vertices past the budget are on
@@ -216,10 +170,6 @@ impl VertexProgram for LrProgram {
     type Value = LrState;
     type Message = LrMsg;
     type Aggregate = Count;
-
-    fn spill_codecs() -> Option<SpillCodecs<Self>> {
-        Some(SpillCodecs::new())
-    }
 
     fn compute(
         &self,
@@ -394,7 +344,7 @@ pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
             &config,
             blocks.len(),
             sv_states(|slot| blocks.sides(slot), unresolved),
-            SvProgram::<u32, Spillable>::new,
+            SvProgram::<u32>::new,
             |state: &SvState<u32>| blocks.rank(state.parent()),
         );
         if let Err(e) = converged(&sv_metrics) {
@@ -679,34 +629,5 @@ pub(crate) mod tests {
         let outcome = label_contigs_lr_on(&ExecCtx::new(1), &nodes);
         assert_eq!(groups_of(&outcome).len(), 1);
         assert_eq!(outcome.labels.len(), 2);
-    }
-
-    #[test]
-    fn spill_codecs_round_trip_and_reject_truncated_input() {
-        fn check<T: SpillCodec + PartialEq + std::fmt::Debug>(value: T) {
-            let mut buf = Vec::new();
-            value.encode(&mut buf);
-            let mut rest = buf.as_slice();
-            assert_eq!(T::decode(&mut rest), Some(value));
-            assert!(rest.is_empty());
-            for cut in 0..buf.len() {
-                assert_eq!(T::decode(&mut &buf[..cut]), None, "cut at {cut}");
-            }
-            buf[0] = 9; // no such variant
-            assert_eq!(T::decode(&mut buf.as_slice()), None);
-        }
-        check(LrState::Branch {
-            start: 3,
-            end: 70_000,
-        });
-        check(LrState::Path {
-            ptr: [flip(5), u32::MAX >> 1],
-        });
-        check(LrMsg::Ambiguous(7));
-        check(LrMsg::Request(RANK_FLIP - 1));
-        check(LrMsg::Response {
-            responder: 1,
-            other: flip(2),
-        });
     }
 }

@@ -18,12 +18,12 @@
 //! messages are dropped as they would be for the missing ID — and the
 //! component representative, the smallest rank and so the smallest ID, is
 //! translated back as the contig label. A shuffle record is 8 bytes.
-//! `ranks::run_on` builds the store and runs the job, on the engine's dense
-//! plane or, when a `SpillPolicy` cap has to be honoured, on its sorted,
-//! spillable one (fixed-size states and bare-rank messages have codecs); every
-//! phase of S-V takes a minimum over its inbox or answers each message on its
-//! own, so the order messages arrive in does not matter. List ranking's cycle
-//! fallback runs the same job (`sv_states`) over the ranks it left unresolved.
+//! `ranks::run_on` builds the store and runs the job on the engine's dense
+//! plane, resident under any `SpillPolicy` (the cap binds construct's keyed
+//! pass); every phase of S-V takes a minimum over its inbox or answers each
+//! message on its own, so the order messages arrive in does not matter.
+//! List ranking's cycle fallback runs the same job (`sv_states`) over the
+//! ranks it left unresolved.
 //!
 //! Like list ranking's, the job runs on the slots of minimizer-block
 //! fragments (`blocks.rs`, after Blogel: Yan, Cheng, Lu and Ng, *PVLDB*
@@ -34,7 +34,7 @@ use super::blocks::Blocks;
 use super::label::LabelOutcome;
 use crate::node::NodeSource;
 use crate::ranks::{run_on, RankDict};
-use ppa_pregel::algorithms::{Spillable, SvProgram, SvState};
+use ppa_pregel::algorithms::{SvProgram, SvState};
 use ppa_pregel::{EngineError, ExecCtx, Metrics, PregelConfig};
 
 /// Parents that are still being hooked are not contig labels: a job its
@@ -102,7 +102,7 @@ pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
         &config,
         blocks.len(),
         state_of,
-        SvProgram::<u32, Spillable>::new,
+        SvProgram::<u32>::new,
         |state: &SvState<u32>| blocks.rank(state.parent()),
     );
     if let Err(e) = converged(&metrics) {
@@ -230,7 +230,7 @@ mod tests {
                 &config,
                 dict.len(),
                 sv_states(path, |rank| rank < n),
-                SvProgram::<u32, Spillable>::new,
+                SvProgram::<u32>::new,
                 SvState::parent,
             );
             metrics

@@ -395,19 +395,9 @@ impl StageDetails {
                 } else {
                     String::new()
                 };
-                let spill = if s.spilled_bytes > 0 {
-                    format!(
-                        ", spilled {} / read back {} in {} runs",
-                        fmt_bytes(s.spilled_bytes),
-                        fmt_bytes(s.spill_read_bytes),
-                        s.spilled_runs
-                    )
-                } else {
-                    String::new()
-                };
                 format!(
                     "{} labeled / {} ambiguous in {} supersteps, {} msgs \
-                     (avg frontier {:.0}%, store {}{polls}{spill})",
+                     (avg frontier {:.0}%, store {}{polls})",
                     s.labeled_vertices,
                     s.ambiguous_vertices,
                     s.supersteps,

@@ -32,24 +32,22 @@
 //! ([`crate::ops::tip`]) ranks the node set round 2 labels — the ambiguous
 //! k-mers, then the contigs — with the same constructor, and runs its own
 //! job on the dense plane: it reads back whole states, not one outcome per
-//! rank, and having no spill codecs it would get the dense plane from
-//! `run_on` as well.
+//! rank.
 //!
 //! Contig merging ([`crate::ops::merge`]) takes the same dictionary to
 //! join its labels to node positions, and groups by the labels' ranks.
 //!
-//! `run_on` is also the one place that knows which of the engine's two
-//! planes a labeling job runs on. Ranks are consecutive integers, so a
-//! resident job uses the dense plane ([`ppa_pregel::dense`]): range
-//! ownership, states in a plain array, a counting scatter for delivery. A job
-//! that has to honour a `SpillPolicy` cap keeps the sorted, spillable plane
-//! (hash ownership over the sorted vertex store), the only one that can seal
-//! its store and spill its shuffle; its capped branch is the assembler's one
-//! way into the sorted runner. Neither the labelings nor their callers see
-//! the difference: `read_back_on` orders the outcome by ID, not by owner.
+//! Ranks are consecutive integers, so every job `run_on` runs takes the
+//! engine's dense plane ([`ppa_pregel::dense`]): range ownership, states in
+//! a plain array, a counting scatter for delivery. Like every Pregel job of
+//! the assembler it runs resident: a `SpillPolicy` cap binds construct's
+//! keyed pass, and the labeling jobs' stores — a few bytes per k-mer vertex
+//! after block contraction — run beside a k-mer graph no cap can spill.
+//! `read_back_on` orders the outcome by ID and by the worker a job over the
+//! IDs would have used, not by the dense plane's range owner.
 
 use ppa_pregel::fxhash::hash_one;
-use ppa_pregel::{DenseSet, ExecCtx, Metrics, PregelConfig, VertexProgram, VertexSet};
+use ppa_pregel::{DenseSet, ExecCtx, Metrics, PregelConfig, VertexProgram};
 use std::borrow::Cow;
 
 /// Bit 31 of a rank: list ranking's contig-end *flip* mark, which is why a
@@ -66,7 +64,8 @@ pub(crate) fn fits_rank_space(nodes: usize) -> bool {
 pub(crate) const AMBIGUOUS: u32 = u32::MAX;
 pub(crate) const UNRESOLVED: u32 = u32::MAX - 1;
 
-/// The worker a vertex key hashes to, as the sorted vertex store places it.
+/// The worker a vertex key hashes to, as the sorted vertex store would place
+/// it.
 #[inline]
 fn owner<K: std::hash::Hash>(key: &K, workers: usize) -> usize {
     (hash_one(key) % workers as u64) as usize
@@ -204,51 +203,12 @@ where
     P: VertexProgram<Id = u32>,
     P::Value: Sync,
 {
+    let (mut set, slabs) = DenseSet::from_fn_on(ctx, ranks, state_of);
+    let program = program_of(slabs);
+    let metrics = ppa_pregel::run_dense_on(ctx, &program, config, &mut set);
     let mut outcome = vec![UNRESOLVED; ranks as usize];
-    // The choice of plane (see the module docs), from what the job can
-    // observe: a cap on the context that the program is able to honour.
-    let capped = ctx.spill().is_some_and(|policy| policy.cap().is_some());
-    if capped && P::spill_codecs().is_some() {
-        let (mut set, slabs) = sorted_store_on(ctx, ranks, state_of);
-        let program = program_of(slabs);
-        let metrics = ppa_pregel::run_on(ctx, &program, config, &mut set);
-        for (rank, state) in set.iter() {
-            outcome[rank as usize] = outcome_of(state);
-        }
-        (program, metrics, outcome)
-    } else {
-        let (mut set, slabs) = DenseSet::from_fn_on(ctx, ranks, state_of);
-        let program = program_of(slabs);
-        let metrics = ppa_pregel::run_dense_on(ctx, &program, config, &mut set);
-        set.read_on(ctx, &mut outcome, outcome_of);
-        (program, metrics, outcome)
-    }
-}
-
-/// The hash-partitioned store of a capped job: worker `w` walks the ranks
-/// a `VertexSet` places on it (`hash_one(&rank) % workers == w`) in
-/// ascending order, so the store appends them straight onto its columns.
-fn sorted_store_on<S: Send>(
-    ctx: &ExecCtx,
-    ranks: u32,
-    state_of: impl Fn(u32, &mut Vec<u32>) -> Option<S> + Sync,
-) -> (VertexSet<u32, S>, Vec<Vec<u32>>) {
-    let workers = ctx.workers();
-    let (parts, slabs): (Vec<_>, Vec<_>) = ctx
-        .pool()
-        .run_per_worker(vec![(); workers], |w, ()| {
-            let mut states: Vec<(u32, S)> = Vec::with_capacity(ranks as usize / workers + 1);
-            let mut slab: Vec<u32> = Vec::new();
-            for rank in (0..ranks).filter(|rank| owner(rank, workers) == w) {
-                if let Some(state) = state_of(rank, &mut slab) {
-                    states.push((rank, state));
-                }
-            }
-            (states, slab)
-        })
-        .into_iter()
-        .unzip();
-    (VertexSet::from_sorted_parts_on(ctx, parts), slabs)
+    set.read_on(ctx, &mut outcome, outcome_of);
+    (program, metrics, outcome)
 }
 
 #[cfg(test)]

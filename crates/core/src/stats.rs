@@ -47,18 +47,21 @@ pub struct LabelStats {
     pub avg_frontier_density: f64,
     /// Peak estimated heap footprint of the Pregel vertex store's columns
     /// during the labeling job: the dense store's value and halted columns
-    /// (`DenseSet::resident_bytes`), or, when a spill cap keeps the job on
-    /// the sorted plane, that store's resident columns.
+    /// (`DenseSet::resident_bytes`).
     pub peak_store_resident_bytes: u64,
     /// Cooperative job-control polls performed at the labeling job's
     /// superstep boundaries (0 when no control handle was installed).
     pub cancellation_checks: u64,
-    /// Bytes the labeling job spilled to disk (shuffle runs + sealed
-    /// partition extents); 0 for a fully resident run.
+    /// Bytes the labeling job spilled to disk: 0 by construction, since
+    /// labeling runs resident under any `SpillPolicy`. Kept, with the two
+    /// fields below, because the benchmark sums every stage's spill counters
+    /// and the checkpoint format carries them.
     pub spilled_bytes: u64,
-    /// Bytes the labeling job read back from its spill files.
+    /// Bytes the labeling job read back from spill files (0, see
+    /// [`spilled_bytes`](LabelStats::spilled_bytes)).
     pub spill_read_bytes: u64,
-    /// Spill artefacts written (run files + extent images).
+    /// Spill artefacts the labeling job wrote (0, see
+    /// [`spilled_bytes`](LabelStats::spilled_bytes)).
     pub spilled_runs: u64,
 }
 
@@ -112,7 +115,10 @@ pub struct CorrectionStats {
     pub tip_kmers_deleted: usize,
     /// Contigs deleted by tip removing.
     pub tip_contigs_deleted: usize,
-    /// Pregel metrics of the tip-removal job.
+    /// Pregel metrics of the tip-removal job. Its spill counters read 0 by
+    /// construction — the job runs resident on the dense plane under any
+    /// `SpillPolicy` — and are kept because the benchmark sums them and the
+    /// checkpoint format carries them.
     pub tip_metrics: Metrics,
 }
 

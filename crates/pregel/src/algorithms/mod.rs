@@ -16,4 +16,4 @@ pub mod list_ranking;
 pub mod sv;
 
 pub use list_ranking::{list_ranking, ListItem};
-pub use sv::{connected_components, Spillable, SvProgram, SvState};
+pub use sv::{connected_components, SvProgram, SvState};

@@ -41,10 +41,8 @@ use crate::fxhash::hash_one;
 use crate::metrics::Metrics;
 use crate::radix::SortKey;
 use crate::runner::run_on;
-use crate::spill::{SpillCodec, SpillCodecs};
 use crate::vertex::{Context, VertexKey, VertexProgram};
 use crate::vertex_set::VertexSet;
-use std::marker::PhantomData;
 
 /// Per-vertex state of the S-V program: the parent pointer `D[v]` and the
 /// bounds of the vertex's neighbour list in its worker's slab.
@@ -87,70 +85,21 @@ impl<I: Copy> SvState<I> {
     }
 }
 
-impl<I: SpillCodec> SpillCodec for SvState<I> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.parent.encode(buf);
-        (self.start, self.end, self.changed_this_round).encode(buf);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let parent = I::decode(buf)?;
-        let (start, end, changed_this_round) = <(u32, u32, bool)>::decode(buf)?;
-        Some(SvState {
-            parent,
-            start,
-            end,
-            changed_this_round,
-        })
-    }
-}
-
-/// Whether an [`SvProgram`] job can run out of core. The engine asks the
-/// program *type* for its spill codecs and [`connected_components`] promises
-/// none for its ID type, so the choice is a type parameter of the program.
-// ppa_lint: allow(test-only-pub) the bound on the public `SvProgram`'s spill parameter
-pub trait SvSpill<I: VertexKey + SortKey>: Sized + Sync {
-    /// What [`VertexProgram::spill_codecs`] returns for the program.
-    fn codecs() -> Option<SpillCodecs<SvProgram<I, Self>>>;
-}
-
-/// The job stays in RAM whatever the context's `SpillPolicy`.
-pub struct Resident;
-
-/// The ID type has a [`SpillCodec`]: the job honours a `SpillPolicy` cap.
-pub struct Spillable;
-
-impl<I: VertexKey + SortKey> SvSpill<I> for Resident {
-    fn codecs() -> Option<SpillCodecs<SvProgram<I, Self>>> {
-        None
-    }
-}
-
-impl<I: VertexKey + SortKey + SpillCodec> SvSpill<I> for Spillable {
-    fn codecs() -> Option<SpillCodecs<SvProgram<I, Self>>> {
-        Some(SpillCodecs::new())
-    }
-}
-
 /// The simplified S-V vertex program over [`SvState`] values built with
 /// [`SvState::push`].
-pub struct SvProgram<I, S = Resident> {
+pub struct SvProgram<I> {
     /// Per worker, the neighbour lists of its vertices, one after the other.
     neighbors: Vec<Vec<I>>,
-    spill: PhantomData<S>,
 }
 
-impl<I, S> SvProgram<I, S> {
+impl<I> SvProgram<I> {
     /// `neighbors[w]` is the slab the states of worker `w`'s vertices were
     /// pushed onto — `w` being the worker whose store holds the vertex, the
     /// one [`Context::worker`] names when it computes: `hash_one(&id) %
     /// workers` in a [`VertexSet`], the owner of the rank's range in a
     /// [`DenseSet`](crate::DenseSet).
-    pub fn new(neighbors: Vec<Vec<I>>) -> SvProgram<I, S> {
-        SvProgram {
-            neighbors,
-            spill: PhantomData,
-        }
+    pub fn new(neighbors: Vec<Vec<I>>) -> SvProgram<I> {
+        SvProgram { neighbors }
     }
 }
 
@@ -161,15 +110,11 @@ const _: () = assert!(
         && std::mem::size_of::<SvState<u32>>() <= 16
 );
 
-impl<I: VertexKey + SortKey, S: SvSpill<I>> VertexProgram for SvProgram<I, S> {
+impl<I: VertexKey + SortKey> VertexProgram for SvProgram<I> {
     type Id = I;
     type Value = SvState<I>;
     type Message = I;
     type Aggregate = BoolOr;
-
-    fn spill_codecs() -> Option<SpillCodecs<Self>> {
-        S::codecs()
-    }
 
     fn compute(
         &self,
@@ -453,33 +398,6 @@ mod tests {
         let (sent, changed) = superstep(&program, &mut states, 7, &sent);
         assert_eq!(sent, vec![(5, 3), (9, 3)]);
         assert!(program.should_terminate(&changed, 7));
-    }
-
-    #[test]
-    fn a_resident_program_has_no_codecs_and_a_spillable_one_does() {
-        assert!(SvProgram::<u64>::spill_codecs().is_none());
-        assert!(SvProgram::<u32, Spillable>::spill_codecs().is_some());
-    }
-
-    #[test]
-    fn state_codec_round_trips_and_rejects_truncated_input() {
-        let mut slab = vec![0u32; 70_000];
-        let mut state = SvState::push(&mut slab, 41u32, [7, 9]);
-        state.changed_this_round = true;
-        let mut buf = Vec::new();
-        state.encode(&mut buf);
-        let mut rest = buf.as_slice();
-        assert_eq!(SvState::<u32>::decode(&mut rest), Some(state));
-        assert!(rest.is_empty());
-        for cut in 0..buf.len() {
-            assert_eq!(
-                SvState::<u32>::decode(&mut &buf[..cut]),
-                None,
-                "cut at {cut}"
-            );
-        }
-        *buf.last_mut().unwrap() = 2; // not a bool
-        assert_eq!(SvState::<u32>::decode(&mut buf.as_slice()), None);
     }
 
     proptest! {

@@ -32,10 +32,11 @@
 //!
 //! Outboxes, offsets and inboxes belong to the job: they reach their
 //! high-water capacity in the first supersteps, are reused by every later
-//! one, and are dropped when the job returns — nothing is parked in the
-//! [`ExecCtx`] scratch cache. The plane does not combine (a `USE_COMBINER`
-//! program does not compile against it) and does not spill: a job that must
-//! honour a [`SpillPolicy`](crate::SpillPolicy) cap runs on the sorted plane.
+//! one, and are dropped when the job returns, as the sorted plane's are. The
+//! plane does not combine (a `USE_COMBINER` program does not compile against
+//! it) and, like the sorted plane, runs resident: a
+//! [`SpillPolicy`](crate::SpillPolicy) cap on the [`ExecCtx`] binds the keyed
+//! pass, not a superstep runner.
 
 use crate::aggregate::Aggregate;
 use crate::config::PregelConfig;

@@ -1,6 +1,6 @@
 //! The persistent execution engine: a long-lived [`WorkerPool`] plus the
-//! [`ExecCtx`] handle that carries it (and the reusable shuffle planes)
-//! through every parallel entry point of the workspace.
+//! [`ExecCtx`] handle that carries it through every parallel entry point of
+//! the workspace.
 //!
 //! The paper's assembler chains many *short* supersteps across five
 //! Pregel/MapReduce operations, so per-superstep overhead sits on the
@@ -18,10 +18,11 @@
 //! * it owns the pool (shared via `Arc`, so cloning an `ExecCtx` shares the
 //!   same threads) and is the one way every job, pass and operation is told
 //!   where, and on how many workers, it runs;
-//! * it owns a typed **scratch cache** in which the superstep runner parks
-//!   its per-worker shuffle planes between jobs, so consecutive Pregel jobs
-//!   of the same message type reuse their buffers instead of reallocating
-//!   (extending PR 1's cross-superstep buffer reuse across *jobs*).
+//! * it carries the run-wide settings every job reads at its start: the
+//!   fault-injection plan (a testing hook), the [`JobControl`] handle and the
+//!   [`SpillPolicy`] of the keyed pass. It holds no buffers: both superstep
+//!   runners' message planes belong to their job and are dropped when it
+//!   returns.
 //!
 //! `workflow::assemble` in `ppa_assembler` builds one `ExecCtx` per run (or
 //! accepts one via `AssemblyConfig::exec`) and hands it down to all five
@@ -40,9 +41,8 @@
 
 use crate::control::{CancelReason, JobControl};
 use crate::fault::{ArmedFaults, FaultPlan};
-use crate::fxhash::FxHashMap;
 use crate::spill::SpillPolicy;
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,11 +80,11 @@ pub enum EngineError {
         /// hand-off, contig merging and bubble filtering).
         superstep: usize,
     },
-    /// An out-of-core spill operation failed (I/O error, or a truncated or
-    /// corrupt spill file). Raised on the **coordinator** thread after the
-    /// phase's barrier, like [`EngineError::Cancelled`], so the pool stays
-    /// reusable; the job's temp spill files are cleaned up by RAII during
-    /// the unwind.
+    /// A keyed pass's out-of-core spill operation failed (I/O error, or a
+    /// truncated or corrupt key-segment file). Raised on the **coordinator**
+    /// thread after the phase's barrier, like [`EngineError::Cancelled`], so
+    /// the pool stays reusable; the pass's temp spill files are cleaned up by
+    /// RAII during the unwind.
     Spill(crate::spill::SpillError),
     /// A job whose result is only meaningful at convergence used up its
     /// superstep budget first. Raised on the **coordinator** thread after
@@ -407,10 +407,9 @@ fn worker_main(shared: &PoolShared, w: usize) {
 }
 
 /// The execution context passed to every parallel entry point: one shared
-/// [`WorkerPool`] plus the scratch cache in which the superstep runner parks
-/// its shuffle planes between jobs.
+/// [`WorkerPool`] plus the run-wide settings its jobs read.
 ///
-/// Cloning is cheap and shares the pool (and scratch), so a workflow
+/// Cloning is cheap and shares the pool (and the settings), so a workflow
 /// constructs one `ExecCtx` and hands it to each operation. Equality is identity: two `ExecCtx`s are equal iff they
 /// share the same pool.
 #[derive(Clone)]
@@ -420,10 +419,6 @@ pub struct ExecCtx {
 
 struct CtxInner {
     pool: WorkerPool,
-    /// Reusable buffers keyed by their concrete type — e.g. the runner's
-    /// `Vec<WorkerPlane<Id, Message>>`. One slot per type: a job takes the
-    /// slot, uses the buffers, clears and returns them.
-    scratch: Mutex<FxHashMap<TypeId, Box<dyn Any + Send>>>,
     /// Armed fault-injection plan, if any (testing hook; `None` in
     /// production). Probed by the runner and pipeline at their crash points.
     faults: Mutex<Option<Arc<ArmedFaults>>>,
@@ -431,9 +426,9 @@ struct CtxInner {
     /// runner, the keyed pass, contig merging and bubble filtering at their
     /// BSP barriers, and by the pipeline at stage boundaries.
     control: Mutex<Option<JobControl>>,
-    /// Installed spill policy, if any. Read once per job by the runner and
-    /// the keyed pass; programs whose types provide spill
-    /// codecs then run in bounded-memory mode against the policy's byte cap.
+    /// Installed spill policy, if any. Read once per pass by the keyed pass,
+    /// which then runs in bounded-memory mode against the policy's byte cap;
+    /// the superstep runners do not read it.
     spill: Mutex<Option<SpillPolicy>>,
 }
 
@@ -443,7 +438,6 @@ impl ExecCtx {
         ExecCtx {
             inner: Arc::new(CtxInner {
                 pool: WorkerPool::new(workers),
-                scratch: Mutex::new(FxHashMap::default()),
                 faults: Mutex::new(None),
                 control: Mutex::new(None),
                 spill: Mutex::new(None),
@@ -533,9 +527,9 @@ impl ExecCtx {
         }
     }
 
-    /// Installs a [`SpillPolicy`] on this context: jobs run on the context
-    /// may spill shuffle runs and sealed partition columns to disk once the
-    /// policy's byte cap is exceeded, until
+    /// Installs a [`SpillPolicy`] on this context: keyed passes run on the
+    /// context may spill key segments to disk once the policy's byte cap is
+    /// exceeded (Pregel jobs stay resident), until
     /// [`clear_spill`](ExecCtx::clear_spill) removes it. Replaces any
     /// previously installed policy. Shared across clones, like the pool.
     pub fn set_spill(&self, policy: SpillPolicy) {
@@ -587,31 +581,6 @@ impl ExecCtx {
             "ExecCtx pool size ({}) must match {what} ({workers})",
             self.workers(),
         );
-    }
-
-    /// Takes the cached scratch value of type `T`, if one was stored. The
-    /// caller becomes its owner; store it back after use to keep the buffers
-    /// warm for the next job.
-    pub(crate) fn take_scratch<T: Any + Send>(&self) -> Option<T> {
-        let mut scratch = self
-            .inner
-            .scratch
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        scratch
-            .remove(&TypeId::of::<T>())
-            .map(|boxed| *boxed.downcast::<T>().expect("scratch keyed by TypeId"))
-    }
-
-    /// Stores `value` as the cached scratch of its type, replacing any
-    /// previous value of the same type.
-    pub(crate) fn store_scratch<T: Any + Send>(&self, value: T) {
-        let mut scratch = self
-            .inner
-            .scratch
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        scratch.insert(TypeId::of::<T>(), Box::new(value));
     }
 }
 
@@ -812,24 +781,6 @@ mod tests {
         assert_eq!(ctx, clone);
         assert_ne!(ctx, ExecCtx::new(2));
         assert!(std::ptr::eq(ctx.pool(), clone.pool()));
-    }
-
-    #[test]
-    fn scratch_cache_round_trips_by_type() {
-        let ctx = ExecCtx::new(1);
-        assert_eq!(ctx.take_scratch::<Vec<u64>>(), None);
-        ctx.store_scratch(vec![1u64, 2, 3]);
-        ctx.store_scratch(String::from("other type, other slot"));
-        assert_eq!(ctx.take_scratch::<Vec<u64>>(), Some(vec![1, 2, 3]));
-        assert_eq!(
-            ctx.take_scratch::<Vec<u64>>(),
-            None,
-            "take empties the slot"
-        );
-        assert_eq!(
-            ctx.take_scratch::<String>().as_deref(),
-            Some("other type, other slot")
-        );
     }
 
     #[test]

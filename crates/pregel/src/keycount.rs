@@ -43,8 +43,8 @@
 //! The job's [`JobControl`](crate::JobControl) is polled at the barrier
 //! between the phases, on the coordinator thread. Each record is held once,
 //! as sixteen bytes, in buffers sized up front from the caller's per-task key
-//! bound; they live for the duration of the call and are never parked in the
-//! [`ExecCtx`] scratch cache. The scan closure is dropped at the barrier, so
+//! bound; they live for the duration of the call. The scan closure is
+//! dropped at the barrier, so
 //! what it owns — phase (ii)'s survivors — is freed before the fold.
 //!
 //! # Under a spill cap

@@ -67,7 +67,7 @@
 //!   ranks by range and keeps states in a plain array, `send_message` routes
 //!   with a multiply–shift, and delivery is one stable counting scatter into
 //!   a CSR inbox — no hash, no presort, no k-way merge, no merge-join. The
-//!   sorted plane stays the general one (any ID type, combiners, spilling).
+//!   sorted plane stays the general one (any ID type, combiners).
 //! * **sender-side combining** — when a program sets
 //!   [`USE_COMBINER`](VertexProgram::USE_COMBINER), duplicate destinations are
 //!   folded in the sorted outbound buffers before the hand-off (and again
@@ -92,8 +92,17 @@
 //! `ExecCtx` as its first argument, and it is
 //! the only place a worker count lives (one level up, `AssemblyConfig::exec`
 //! in `ppa_assembler` carries it), so a whole multi-job workflow runs on one
-//! worker team. The `ExecCtx` also owns the runner's shuffle planes between
-//! jobs, extending buffer reuse across whole job chains.
+//! worker team.
+//!
+//! # Out-of-core execution
+//!
+//! Pregel+ keeps every vertex and message in memory, and so do both
+//! superstep runners here. A [`SpillPolicy`] byte cap on the [`ExecCtx`]
+//! binds the keyed pass alone: its scatter workers write the records they
+//! outgrow the cap with to key-segment files ([`spill`]), which the fold
+//! reads back. DBG construction runs both of its phases on the keyed pass,
+//! so that is where a capped assembly spills; contig labeling, tip removal
+//! and every other Pregel job run resident under any policy.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -125,6 +134,6 @@ pub use keycount::{count_keys_on, fold_buckets_on, KeySink, Record, Records};
 pub use metrics::{MapReduceMetrics, Metrics, SuperstepMetrics};
 pub use radix::SortKey;
 pub use runner::{run_on, try_run_on};
-pub use spill::{SpillCodec, SpillCodecs, SpillError, SpillPolicy};
+pub use spill::{SpillCodec, SpillError, SpillPolicy};
 pub use vertex::{Context, VertexKey, VertexProgram};
 pub use vertex_set::VertexSet;

@@ -50,15 +50,17 @@ pub struct SuperstepMetrics {
     /// 1 when a [`JobControl`](crate::control::JobControl) was installed on
     /// the context, 0 otherwise.
     pub cancellation_checks: u64,
-    /// Bytes written to disk by the spill layer during this superstep:
-    /// sorted outbox run files plus sealed-extent writebacks and compaction
-    /// rewrites. 0 unless a [`SpillPolicy`](crate::SpillPolicy) cap engaged.
+    /// Bytes written to disk by the spill layer during this superstep: 0 by
+    /// construction, since both superstep runners are resident under any
+    /// [`SpillPolicy`](crate::SpillPolicy). Kept, with the two fields below,
+    /// for their readers — the benchmark reports them and the checkpoint
+    /// format carries them.
     pub spilled_bytes: u64,
-    /// Bytes read back from spill files during this superstep (run merges
-    /// at delivery, extent fault-ins, compaction copies).
+    /// Bytes read back from spill files during this superstep (0, see
+    /// [`spilled_bytes`](SuperstepMetrics::spilled_bytes)).
     pub spill_read_bytes: u64,
-    /// Spill artefacts written this superstep: sorted run files plus extent
-    /// images (initial seals, writebacks, and compaction copies).
+    /// Spill artefacts written this superstep (0, see
+    /// [`spilled_bytes`](SuperstepMetrics::spilled_bytes)).
     pub spilled_runs: u64,
 }
 
@@ -93,10 +95,8 @@ pub struct Metrics {
     /// control handle was installed.
     pub total_cancellation_checks: u64,
     /// Total spill bytes written across the job (see
-    /// [`spilled_bytes`](SuperstepMetrics::spilled_bytes)); includes the
-    /// initial partition seal and the final unseal bookkeeping, which happen
-    /// outside any single superstep. Recorded even when per-superstep
-    /// tracking is disabled.
+    /// [`spilled_bytes`](SuperstepMetrics::spilled_bytes): 0 for a Pregel
+    /// job). Recorded even when per-superstep tracking is disabled.
     pub spilled_bytes: u64,
     /// Total spill bytes read back across the job (see
     /// [`spill_read_bytes`](SuperstepMetrics::spill_read_bytes)).

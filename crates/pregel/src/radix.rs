@@ -26,10 +26,8 @@
 //! * scatter passes **ping-pong** between the record buffer and one caller
 //!   supplied scratch buffer of the same type, so sorting allocates nothing
 //!   beyond that scratch — the superstep runner keeps the scratch in its
-//!   per-worker `WorkerPlane`, which the engine parks in the
-//!   [`ExecCtx`](crate::engine::ExecCtx) typed scratch cache between jobs,
-//!   making steady-state sorting allocation-free across supersteps *and*
-//!   jobs.
+//!   per-worker `WorkerPlane` for the whole job, making steady-state
+//!   sorting allocation-free across supersteps.
 //!
 //! # When radix wins
 //!

@@ -27,52 +27,39 @@
 //!    during the merge.
 //!
 //! All buffers — per-destination outboxes, the sorted `ids`/`messages` arrays
-//! and the combine scratch — live in per-worker `WorkerPlane`s reused
-//! across supersteps, so a steady-state superstep performs no per-vertex or
-//! per-superstep container allocation. This replaces the earlier hash-map
-//! grouping (one heap `Vec` per receiving vertex per superstep), which
-//! dominated the shuffle cost, and the earlier hash-partitioned vertex store
-//! (one hash probe per delivered run, a bucket-array walk per straggler
-//! scan).
+//! and the combine scratch — live in per-worker `WorkerPlane`s that belong to
+//! the job: they reach their high-water capacity in the first supersteps,
+//! are reused by every later one, and are dropped when the job returns, so a
+//! steady-state superstep performs no per-vertex or per-superstep container
+//! allocation. This replaces the earlier hash-map grouping (one heap `Vec`
+//! per receiving vertex per superstep), which dominated the shuffle cost, and
+//! the earlier hash-partitioned vertex store (one hash probe per delivered
+//! run, a bucket-array walk per straggler scan).
 //!
 //! Both phases are dispatched onto the persistent worker pool of the
-//! caller's [`ExecCtx`] (shared across a whole workflow, with the planes
-//! parked in the context between jobs); no per-superstep thread scope is
-//! created anywhere. See the `engine` module docs for the scoped-spawn
-//! comparison.
-//!
-//! # Out-of-core execution
-//!
-//! When the [`ExecCtx`] carries a [`SpillPolicy`](crate::SpillPolicy) byte
-//! cap and the program opts in via [`VertexProgram::spill_codecs`], both
-//! sides of the message plane become spillable (see [`crate::spill`]):
-//! outbox fragments that outgrow a per-worker budget are presorted and
-//! written out as sorted **run files**, which the shuffle phase k-way-merges
-//! with the in-RAM remainders (same key order, same source-index tie-breaks
-//! — spilled delivery is byte-identical to resident delivery), and a vertex
-//! store whose resident footprint exceeds the cap at job start is **sealed**
-//! into on-disk extents that the compute phase faults back one window at a
-//! time, in two ascending sweeps that reproduce the resident visit order
-//! exactly.
+//! caller's [`ExecCtx`] (shared across a whole workflow); no per-superstep
+//! thread scope is created anywhere. See the `engine` module docs for the
+//! scoped-spawn comparison.
 //!
 //! This mirrors the bulk-synchronous structure of Pregel+ with the network
-//! replaced by in-memory buffer handoff.
+//! replaced by in-memory buffer handoff. Like Pregel+, the runner is
+//! resident: a [`SpillPolicy`](crate::SpillPolicy) on the context does not
+//! reach it.
 //!
 //! # Two planes
 //!
 //! This module is the **sorted plane**: it serves every vertex ID type, at
 //! the price of finding each message's vertex by sorting — a presort per
 //! outbox, a k-way merge per inbox, a merge-join against the ID column — and
-//! it is the one plane that combines and that runs out of core, because
-//! sorted runs are what spill files hold and key-ordered extents what a
-//! sealed store faults in. [`crate::dense`] is the **dense plane** for jobs
-//! whose IDs are the consecutive ranks `0..n`: range ownership, states in a
-//! plain array, one counting scatter per inbox and nothing to sort, but
-//! resident only and without a combiner. The caller picks by constructing a
-//! [`VertexSet`] or a [`DenseSet`](crate::DenseSet) — contig labeling does so
-//! in one place, from whether the context carries a spill cap — and both
-//! runners share the superstep contract: fault probes, the control poll at
-//! every boundary (`poll_boundary`), termination, and [`Metrics`].
+//! it is the one plane that combines. [`crate::dense`] is the **dense plane**
+//! for jobs whose IDs are the consecutive ranks `0..n`: range ownership,
+//! states in a plain array, one counting scatter per inbox and nothing to
+//! sort, but without a combiner. The caller picks by constructing a
+//! [`VertexSet`] or a [`DenseSet`](crate::DenseSet) — every contig labeling
+//! job takes the dense one — and both runners share the superstep contract:
+//! fault probes, the control poll at every boundary (`poll_boundary`),
+//! termination, and [`Metrics`]. The sorted plane stays the general one
+//! ([`crate::algorithms`], the examples) and the dense plane's reference.
 
 use crate::aggregate::Aggregate;
 use crate::config::PregelConfig;
@@ -80,11 +67,7 @@ use crate::control::JobControl;
 use crate::engine::{EngineError, ExecCtx};
 use crate::fault::ArmedFaults;
 use crate::metrics::{Metrics, SuperstepMetrics};
-use crate::spill::{
-    merge_run_sources, write_run, DiskRun, MergeSource, PartSeal, RunReader, SpillCodecs, SpillDir,
-    SpillError,
-};
-use crate::vertex::{Context, Route, VertexKey, VertexProgram};
+use crate::vertex::{Context, Route, VertexProgram};
 use crate::vertex_set::{lower_bound_from, next_word_with_zero, set_bit, RunColumns, VertexSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -92,9 +75,8 @@ use std::time::{Duration, Instant};
 /// One `(destination vertex, message)` buffer per destination worker.
 type OutboxColumn<P> = Vec<Vec<(<P as VertexProgram>::Id, <P as VertexProgram>::Message)>>;
 
-/// Reusable per-worker message-plane buffers. Allocated once, reused across
-/// supersteps, and parked in the [`ExecCtx`] scratch cache between jobs so
-/// consecutive jobs with the same id/message types also reuse them.
+/// Reusable per-worker message-plane buffers, allocated once per job and
+/// reused across its supersteps.
 struct WorkerPlane<I, M> {
     /// Sorted vertex IDs of the inbound messages, parallel to `in_msgs`.
     in_ids: Vec<I>,
@@ -117,34 +99,6 @@ impl<I, M> WorkerPlane<I, M> {
             outbox: (0..workers).map(|_| Vec::new()).collect(),
         }
     }
-
-    /// Empties every buffer (keeping capacity) so the plane can be parked in
-    /// the scratch cache without holding user data.
-    fn clear(&mut self) {
-        self.in_ids.clear();
-        self.in_msgs.clear();
-        self.scratch.clear();
-        for buf in &mut self.outbox {
-            buf.clear();
-        }
-    }
-}
-
-/// Takes the parked planes for `(I, M)` out of the context, or builds fresh
-/// ones when none fit the current worker count.
-fn planes_from_ctx<I: VertexKey, M: Send + 'static>(
-    ctx: &ExecCtx,
-    workers: usize,
-) -> Vec<WorkerPlane<I, M>> {
-    if let Some(mut planes) = ctx.take_scratch::<Vec<WorkerPlane<I, M>>>() {
-        if planes.len() == workers && planes.iter().all(|p| p.outbox.len() == workers) {
-            for plane in &mut planes {
-                plane.clear();
-            }
-            return planes;
-        }
-    }
-    (0..workers).map(|_| WorkerPlane::new(workers)).collect()
 }
 
 /// Per-worker counters produced by one compute phase.
@@ -154,130 +108,6 @@ struct ComputeCounts<A> {
     messages_dropped: u64,
     active: usize,
     all_halted: bool,
-    /// Spill bytes written by this worker (outbox runs + extent writebacks).
-    spilled_bytes: u64,
-    /// Spill bytes read back by this worker (extent fault-ins, compaction).
-    spill_read_bytes: u64,
-    /// Spill artefacts written by this worker (run files + extent images).
-    spilled_runs: u64,
-}
-
-/// One destination's view of one source worker during a spilled shuffle:
-/// that source's sorted on-disk runs (in spill order) plus its sorted in-RAM
-/// outbox remainder.
-type SpillShuffleSources<P> = Vec<(
-    Vec<DiskRun>,
-    Vec<(<P as VertexProgram>::Id, <P as VertexProgram>::Message)>,
-)>;
-
-/// Per-worker outbox spill state, armed only while a
-/// [`SpillPolicy`](crate::SpillPolicy) byte cap is active and the program
-/// opted in via [`VertexProgram::spill_codecs`].
-///
-/// [`maybe_spill`](OutboxSpill::maybe_spill) is consulted after every
-/// `compute` invocation with the worker's running message count; the
-/// under-budget path is a subtraction and a compare. When the estimated RAM
-/// held by the outbox fragments crosses `budget`, every non-empty
-/// per-destination buffer is presorted (and pre-folded when the program
-/// combines — relying on the combiner associativity the resident plane
-/// already assumes for its sender-side fold + merge fold), written out as
-/// one sorted run file, and cleared. The shuffle phase later k-way-merges
-/// each destination's runs (in spill order) ahead of the RAM remainder, so
-/// the merged inbound stream is identical to the resident path's.
-struct OutboxSpill<P: VertexProgram> {
-    dir: Arc<SpillDir>,
-    codecs: SpillCodecs<P>,
-    /// RAM bytes of buffered outbox records this worker may hold.
-    budget: usize,
-    worker: usize,
-    /// Run files written this superstep, per destination worker.
-    runs: Vec<Vec<DiskRun>>,
-    /// Messages already spilled this superstep (excluded from the estimate).
-    spilled_messages: u64,
-    /// Run-file name sequence, unique per worker within the job.
-    seq: u64,
-    spilled_bytes: u64,
-    spilled_runs: u64,
-}
-
-impl<P: VertexProgram> OutboxSpill<P> {
-    fn new(
-        dir: Arc<SpillDir>,
-        codecs: SpillCodecs<P>,
-        budget: usize,
-        worker: usize,
-        workers: usize,
-    ) -> OutboxSpill<P> {
-        OutboxSpill {
-            dir,
-            codecs,
-            budget,
-            worker,
-            runs: (0..workers).map(|_| Vec::new()).collect(),
-            spilled_messages: 0,
-            seq: 0,
-            spilled_bytes: 0,
-            spilled_runs: 0,
-        }
-    }
-
-    /// Resets the per-superstep RAM estimate (the runner's message counter
-    /// restarts at zero each superstep).
-    fn begin_superstep(&mut self) {
-        self.spilled_messages = 0;
-    }
-
-    /// Spills every non-empty outbox buffer once the RAM estimate crosses
-    /// the budget; O(1) while under it.
-    fn maybe_spill(
-        &mut self,
-        messages_sent: u64,
-        program: &P,
-        outbox: &mut [Vec<(P::Id, P::Message)>],
-        scratch: &mut Vec<(P::Id, P::Message)>,
-    ) -> Result<(), SpillError> {
-        let buffered = messages_sent.saturating_sub(self.spilled_messages) as usize;
-        if buffered * std::mem::size_of::<(P::Id, P::Message)>() <= self.budget {
-            return Ok(());
-        }
-        for (dst, buf) in outbox.iter_mut().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            // Stable presort so the run file is in key order; duplicates are
-            // folded now — per-run prefix folds continued by the merge sink
-            // equal the resident path's single sender-side fold.
-            crate::radix::sort_pairs(buf, scratch);
-            if P::USE_COMBINER {
-                combine_buf(program, buf, scratch);
-            }
-            let name = format!("w{}-d{dst}-s{}.run", self.worker, self.seq);
-            self.seq += 1;
-            let run = write_run(&self.dir, &name, buf, &self.codecs.id, &self.codecs.message)?;
-            self.spilled_bytes += run.bytes;
-            self.spilled_runs += 1;
-            if let Some(slot) = self.runs.get_mut(dst) {
-                slot.push(run);
-            }
-            buf.clear();
-        }
-        self.spilled_messages = messages_sent;
-        Ok(())
-    }
-
-    /// Drains this superstep's run files, grouped by destination worker.
-    fn take_runs(&mut self) -> Vec<Vec<DiskRun>> {
-        let workers = self.runs.len();
-        std::mem::replace(&mut self.runs, (0..workers).map(|_| Vec::new()).collect())
-    }
-
-    /// Drains the write counters: `(bytes written, runs written)`.
-    fn take_counters(&mut self) -> (u64, u64) {
-        let out = (self.spilled_bytes, self.spilled_runs);
-        self.spilled_bytes = 0;
-        self.spilled_runs = 0;
-        out
-    }
 }
 
 /// Per-worker compute-phase state shared by both delivery passes.
@@ -326,102 +156,45 @@ impl<P: VertexProgram> WorkerEnv<'_, P> {
             messages_sent: &mut self.messages_sent,
             halt: false,
         };
-        let value = cols.values[slot].as_mut().expect("live vertex slot");
-        self.program.compute(&mut vctx, id, value, messages);
+        self.program
+            .compute(&mut vctx, id, &mut cols.values[slot], messages);
         set_bit(cols.halted, slot, vctx.halt);
         self.active += 1;
     }
-}
 
-/// The two delivery passes shared by the resident and sealed compute paths:
-/// the merge-join over the sorted inbound runs (pass 1) and the halted-bitset
-/// sweep (pass 2), plus the post-`compute` outbox spill check.
-///
-/// The struct borrows the plane's buffers as disjoint fields so `compute_slot`
-/// (which needs the outbox and a message slice) and `maybe_spill` (which needs
-/// the outbox and the scratch) can be called without re-borrowing the whole
-/// plane. `next_msg` is a monotone read cursor into the inbound arrays: the
-/// sealed path delivers extent window by extent window without ever rescanning
-/// the message stream.
-struct Delivery<'a, P: VertexProgram> {
-    in_ids: &'a [P::Id],
-    in_msgs: &'a mut [P::Message],
-    outbox: &'a mut Vec<Vec<(P::Id, P::Message)>>,
-    scratch: &'a mut Vec<(P::Id, P::Message)>,
-    ospill: &'a mut Option<OutboxSpill<P>>,
-    next_msg: usize,
-    dropped: u64,
-}
-
-impl<P: VertexProgram> Delivery<'_, P> {
-    /// The next undelivered inbound vertex ID, if any.
-    fn peek(&self) -> Option<P::Id> {
-        self.in_ids.get(self.next_msg).copied()
-    }
-
-    /// Counts inbound messages addressed below `first` as dropped (sealed
-    /// delivery: extent key ranges ascend, so IDs in the gap before an extent
-    /// belong to no vertex of this partition).
-    fn drop_below(&mut self, first: &P::Id) {
-        while self.in_ids.get(self.next_msg).is_some_and(|id| id < first) {
-            self.next_msg += 1;
-            self.dropped += 1;
-        }
-    }
-
-    /// Counts every remaining inbound message as dropped (sealed delivery:
-    /// IDs beyond the last extent belong to no vertex of this partition).
-    fn drop_remaining(&mut self) {
-        self.dropped += (self.in_ids.len() - self.next_msg) as u64;
-        self.next_msg = self.in_ids.len();
-    }
-
-    /// Outbox spill check after one `compute` invocation.
-    fn check_spill(&mut self, env: &WorkerEnv<'_, P>) -> Result<(), SpillError> {
-        if let Some(os) = self.ospill.as_mut() {
-            os.maybe_spill(env.messages_sent, env.program, self.outbox, self.scratch)?;
-        }
-        Ok(())
-    }
-
-    /// Pass 1: merge-joins the sorted inbound runs from the read cursor up to
-    /// `last` (inclusive; `None` = everything) against the sorted ID column.
-    /// Both sequences ascend, so one monotone galloping cursor visits each
-    /// side at most once — no hash probe per run, one contiguous slice per
-    /// vertex, nothing allocated.
+    /// Pass 1: merge-joins the sorted inbound runs against the sorted ID
+    /// column. Both sequences ascend, so one monotone galloping cursor visits
+    /// each side at most once — no hash probe per run, one contiguous slice
+    /// per vertex, nothing allocated. Returns the messages addressed to a
+    /// vertex this worker does not host, which are dropped.
     fn deliver(
         &mut self,
-        env: &mut WorkerEnv<'_, P>,
         cols: &mut RunColumns<'_, P::Id, P::Value>,
-        last: Option<P::Id>,
-    ) -> Result<(), SpillError> {
+        in_ids: &[P::Id],
+        in_msgs: &mut [P::Message],
+        outbox: &mut [Vec<(P::Id, P::Message)>],
+    ) -> u64 {
         // Copy the shared column slice out of `cols` so reading IDs does not
         // borrow the `&mut cols` that `compute_slot` takes.
         let ids = cols.ids;
-        let slots = ids.len();
+        let mut dropped = 0u64;
         let mut cursor = 0usize;
-        let n_in = self.in_ids.len();
-        while self.next_msg < n_in {
-            let id = self.in_ids[self.next_msg];
-            if last.is_some_and(|l| id > l) {
-                break;
-            }
-            let i = self.next_msg;
+        let mut i = 0usize;
+        while i < in_ids.len() {
+            let id = in_ids[i];
             let mut j = i + 1;
-            while j < n_in && self.in_ids[j] == id {
+            while j < in_ids.len() && in_ids[j] == id {
                 j += 1;
             }
-            self.next_msg = j;
             cursor = lower_bound_from(ids, cursor, &id);
-            if cursor < slots && ids[cursor] == id {
-                env.compute_slot(cols, cursor, id, self.outbox, &mut self.in_msgs[i..j]);
-                self.check_spill(env)?;
+            if cursor < ids.len() && ids[cursor] == id {
+                self.compute_slot(cols, cursor, id, outbox, &mut in_msgs[i..j]);
             } else {
-                // Addressed to a vertex this worker does not host.
-                self.dropped += (j - i) as u64;
+                dropped += (j - i) as u64;
             }
+            i = j;
         }
-        Ok(())
+        dropped
     }
 
     /// Pass 2: active vertices that received nothing — a word scan for
@@ -431,9 +204,9 @@ impl<P: VertexProgram> Delivery<'_, P> {
     /// forward scan never misses a regained zero.
     fn sweep(
         &mut self,
-        env: &mut WorkerEnv<'_, P>,
         cols: &mut RunColumns<'_, P::Id, P::Value>,
-    ) -> Result<(), SpillError> {
+        outbox: &mut [Vec<(P::Id, P::Message)>],
+    ) {
         let ids = cols.ids;
         let slots = ids.len();
         let mut wi = 0usize;
@@ -446,76 +219,19 @@ impl<P: VertexProgram> Delivery<'_, P> {
             while cand != 0 {
                 let slot = base + cand.trailing_zeros() as usize;
                 cand &= cand - 1;
-                if cols.stamps[slot] == env.stamp {
+                if cols.stamps[slot] == self.stamp {
                     continue;
                 }
-                env.compute_slot(cols, slot, ids[slot], self.outbox, &mut []);
-                self.check_spill(env)?;
+                self.compute_slot(cols, slot, ids[slot], outbox, &mut []);
             }
             wi = w + 1;
         }
-        Ok(())
     }
-}
-
-/// The sealed compute path: two ascending sweeps over the partition's on-disk
-/// extents. Pass 1 faults in only extents with inbound messages in their key
-/// range, runs the ordinary merge-join over each loaded window, and writes it
-/// back; pass 2 faults in only extents with unhalted slots for the straggler
-/// sweep. Because both the extent directory and the message stream ascend,
-/// the vertex visit order — and therefore the outbox emission order — is
-/// identical to the resident path's single pass 1 + pass 2 over the whole
-/// column. Returns partition quiescence.
-fn compute_sealed<P: VertexProgram>(
-    env: &mut WorkerEnv<'_, P>,
-    del: &mut Delivery<'_, P>,
-    seal: &mut PartSeal<P::Id, P::Value>,
-) -> Result<bool, SpillError> {
-    for e in 0..seal.extents.len() {
-        let (first, last) = match seal.extents.get(e) {
-            Some(m) => (m.first, m.last),
-            None => break,
-        };
-        del.drop_below(&first);
-        match del.peek() {
-            None => break,
-            Some(id) if id > last => continue,
-            _ => {}
-        }
-        seal.load_extent(e)?;
-        {
-            let mut cols = seal.window_columns();
-            del.deliver(env, &mut cols, Some(last))?;
-        }
-        seal.store_extent(e)?;
-    }
-    del.drop_remaining();
-    // Straggler sweep: extents touched by pass 1 wrote their halt bits back,
-    // so the directory's halted counts are current, and the stamp column
-    // filters out slots pass 1 already computed this superstep.
-    for e in 0..seal.extents.len() {
-        let quiescent = seal
-            .extents
-            .get(e)
-            .is_none_or(|m| m.halted == m.slots as u64);
-        if quiescent {
-            continue;
-        }
-        seal.load_extent(e)?;
-        {
-            let mut cols = seal.window_columns();
-            del.sweep(env, &mut cols)?;
-        }
-        seal.store_extent(e)?;
-    }
-    seal.maybe_compact()?;
-    Ok(seal.total_halted() == seal.total_slots() as u64)
 }
 
 /// Runs `program` over `vertices` on `ctx`'s persistent worker pool until
 /// convergence and returns the metrics. Inside a workflow all jobs share one
-/// context, so they share its pool and reuse the shuffle planes it parks
-/// between jobs.
+/// context, so they share its pool.
 ///
 /// The vertex set keeps the final vertex values; a typical operation runs a
 /// job and then reads the set back.
@@ -543,63 +259,14 @@ pub fn run_on<P: VertexProgram>(
     // Job-control handle, likewise grabbed once: the superstep loop pays one
     // Option check per boundary when no control plane is installed.
     let control = ctx.control();
-    let mut planes: Vec<WorkerPlane<P::Id, P::Message>> = planes_from_ctx(ctx, workers);
+    let mut planes: Vec<WorkerPlane<P::Id, P::Message>> =
+        (0..workers).map(|_| WorkerPlane::new(workers)).collect();
     let mut prev_aggregate = P::Aggregate::identity();
     let mut metrics = Metrics {
         converged: false,
         ..Metrics::default()
     };
     let mut superstep = 0usize;
-
-    // ---- out-of-core arming (job start) -------------------------------------
-    // A spill cap engages only for programs that opted in via
-    // `VertexProgram::spill_codecs`. Outbox spilling is always armed under a
-    // cap; the vertex store is additionally sealed to on-disk extents when its
-    // resident footprint already exceeds the cap. Everything spilled lives in
-    // one job-scoped temp directory whose `Drop` (and the per-file `Drop`s of
-    // runs and seals) removes it — a cancellation unwind through `run_on`
-    // cleans up exactly like normal completion does.
-    let spill_cfg: Option<(u64, SpillCodecs<P>)> =
-        match (ctx.spill().and_then(|p| p.cap()), P::spill_codecs()) {
-            (Some(cap), Some(codecs)) => Some((cap, codecs)),
-            _ => None,
-        };
-    let mut seals: Vec<Option<PartSeal<P::Id, P::Value>>> = (0..workers).map(|_| None).collect();
-    let mut ospills: Vec<Option<OutboxSpill<P>>> = (0..workers).map(|_| None).collect();
-    if let Some((cap, codecs)) = &spill_cfg {
-        let dir = SpillDir::create("job")
-            .unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)));
-        // Each worker may buffer a quarter of its even share of the cap in
-        // outbox records before writing a run.
-        let budget = ((*cap as usize) / (4 * workers)).max(1);
-        for (w, slot) in ospills.iter_mut().enumerate() {
-            *slot = Some(OutboxSpill::new(
-                Arc::clone(&dir),
-                *codecs,
-                budget,
-                w,
-                workers,
-            ));
-        }
-        if vertices.resident_bytes() as u64 > *cap {
-            let (id_codec, value_codec) = (codecs.id, codecs.value);
-            let inputs: Vec<_> = vertices.parts.iter_mut().enumerate().collect();
-            let sealed = ctx.pool().run_per_worker(inputs, |_w, (i, part)| {
-                part.seal_to(&dir, i, id_codec, value_codec)
-            });
-            for (slot, seal) in seals.iter_mut().zip(sealed) {
-                let mut seal =
-                    seal.unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)));
-                // The initial seal happens outside any superstep: its I/O
-                // lands in the job totals only.
-                let (written, read, images) = seal.take_counters();
-                metrics.spilled_bytes += written;
-                metrics.spill_read_bytes += read;
-                metrics.spilled_runs += images;
-                *slot = Some(seal);
-            }
-        }
-    }
 
     loop {
         if superstep >= config.max_supersteps {
@@ -612,21 +279,11 @@ pub fn run_on<P: VertexProgram>(
         // ---- compute phase (dispatched onto the persistent pool) ------------
         let counts: Vec<ComputeCounts<P::Aggregate>> = {
             let prev_agg = &prev_aggregate;
-            let worker_inputs: Vec<_> = vertices
-                .parts
-                .iter_mut()
-                .zip(planes.iter_mut())
-                .zip(seals.iter_mut())
-                .zip(ospills.iter_mut())
-                .collect();
-            let results: Vec<Result<ComputeCounts<P::Aggregate>, SpillError>> = ctx
-                .pool()
-                .run_per_worker(worker_inputs, |w, (((part, plane), seal), ospill)| {
+            let worker_inputs: Vec<_> = vertices.parts.iter_mut().zip(planes.iter_mut()).collect();
+            ctx.pool()
+                .run_per_worker(worker_inputs, |w, (part, plane)| {
                     if let Some(f) = &faults {
                         f.probe_superstep(superstep, w);
-                    }
-                    if let Some(os) = ospill.as_mut() {
-                        os.begin_superstep();
                     }
                     let mut env: WorkerEnv<'_, P> = WorkerEnv {
                         program,
@@ -643,38 +300,25 @@ pub fn run_on<P: VertexProgram>(
                         messages_sent: 0,
                         active: 0,
                     };
-                    let mut del: Delivery<'_, P> = Delivery {
-                        in_ids: &plane.in_ids,
-                        in_msgs: &mut plane.in_msgs,
-                        outbox: &mut plane.outbox,
-                        scratch: &mut plane.scratch,
-                        ospill: &mut *ospill,
-                        next_msg: 0,
-                        dropped: 0,
-                    };
-                    let all_halted = match seal.as_mut() {
-                        None => {
-                            // Resident path: both passes over the in-RAM
-                            // columns, then a popcount over the halted words
-                            // (bits beyond the slot count stay zero)
-                            // decides quiescence.
-                            let mut cols = part.run_columns();
-                            del.deliver(&mut env, &mut cols, None)?;
-                            del.sweep(&mut env, &mut cols)?;
-                            let halted: usize =
-                                cols.halted.iter().map(|w| w.count_ones() as usize).sum();
-                            halted == cols.ids.len()
-                        }
-                        Some(seal) => compute_sealed(&mut env, &mut del, seal)?,
-                    };
-                    let messages_dropped = del.dropped;
+                    // Both passes over the columns, then a popcount over the
+                    // halted words (bits beyond the slot count stay zero)
+                    // decides quiescence.
+                    let mut cols = part.run_columns();
+                    let messages_dropped = env.deliver(
+                        &mut cols,
+                        &plane.in_ids,
+                        &mut plane.in_msgs,
+                        &mut plane.outbox,
+                    );
+                    env.sweep(&mut cols, &mut plane.outbox);
+                    let halted: usize = cols.halted.iter().map(|w| w.count_ones() as usize).sum();
+                    let all_halted = halted == cols.ids.len();
 
                     // Presort every destination buffer (spreading the
                     // shuffle's sort work over the compute threads)
                     // and fold duplicates if the program combines. The
                     // radix scratch is the plane's combine scratch: both
-                    // uses leave it empty, and the plane is parked in the
-                    // ExecCtx between jobs, so steady-state sorting
+                    // uses leave it empty, so steady-state sorting
                     // allocates nothing.
                     for buf in plane.outbox.iter_mut() {
                         crate::radix::sort_pairs(buf, &mut plane.scratch);
@@ -682,34 +326,14 @@ pub fn run_on<P: VertexProgram>(
                     if P::USE_COMBINER {
                         combine_outbox(program, plane);
                     }
-                    let (mut spilled_bytes, mut spill_read_bytes, mut spilled_runs) =
-                        (0u64, 0u64, 0u64);
-                    if let Some(os) = ospill.as_mut() {
-                        let (written, files) = os.take_counters();
-                        spilled_bytes += written;
-                        spilled_runs += files;
-                    }
-                    if let Some(seal) = seal.as_mut() {
-                        let (written, read, images) = seal.take_counters();
-                        spilled_bytes += written;
-                        spill_read_bytes += read;
-                        spilled_runs += images;
-                    }
-                    Ok(ComputeCounts::<P::Aggregate> {
+                    ComputeCounts::<P::Aggregate> {
                         local_aggregate: env.local_aggregate,
                         messages_sent: env.messages_sent,
                         messages_dropped,
                         active: env.active,
                         all_halted,
-                        spilled_bytes,
-                        spill_read_bytes,
-                        spilled_runs,
-                    })
-                });
-            results
-                .into_iter()
-                .collect::<Result<Vec<_>, SpillError>>()
-                .unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)))
+                    }
+                })
         };
         let compute_elapsed = step_start.elapsed();
 
@@ -719,159 +343,70 @@ pub fn run_on<P: VertexProgram>(
         let mut dropped_this_step = 0u64;
         let mut active_this_step = 0usize;
         let mut all_halted = true;
-        let mut spilled_bytes_step = 0u64;
-        let mut spill_read_step = 0u64;
-        let mut spilled_runs_step = 0u64;
         for c in &counts {
             aggregate.combine(&c.local_aggregate);
             messages_this_step += c.messages_sent;
             dropped_this_step += c.messages_dropped;
             active_this_step += c.active;
             all_halted &= c.all_halted;
-            spilled_bytes_step += c.spilled_bytes;
-            spill_read_step += c.spill_read_bytes;
-            spilled_runs_step += c.spilled_runs;
         }
         let frontier_density = if total_vertices == 0 {
             0.0
         } else {
             active_this_step as f64 / total_vertices as f64
         };
-        // Sealed partitions keep only their extent windows and directory in
-        // RAM; that residue is what the memory budget must see.
-        let store_resident_bytes = (vertices.resident_bytes()
-            + seals
-                .iter()
-                .flatten()
-                .map(PartSeal::resident_bytes)
-                .sum::<usize>()) as u64;
+        let store_resident_bytes = vertices.resident_bytes() as u64;
         // ---- cooperative control poll (superstep boundary) ------------------
         let cancellation_checks = poll_boundary(&faults, &control, superstep, store_resident_bytes);
 
         // ---- shuffle phase (dispatched onto the persistent pool) ------------
         let shuffle_start = Instant::now();
-        // Runs spilled during this superstep's compute, per (source, dest).
-        let step_runs: Vec<Vec<Vec<DiskRun>>> = ospills
-            .iter_mut()
-            .map(|o| o.as_mut().map(OutboxSpill::take_runs).unwrap_or_default())
-            .collect();
-        let spill_shuffle = step_runs
-            .iter()
-            .any(|per| per.iter().any(|r| !r.is_empty()));
-        let mut spill_read_shuffle = 0u64;
-        if spill_shuffle {
-            // Spilled shuffle: each destination merges, per source worker,
-            // that source's disk runs (in spill order) followed by its RAM
-            // remainder. `merge_run_sources` breaks key ties by ascending
-            // source index, and a source's runs partition its emission
-            // sequence in time order, so the merged inbound stream is
-            // byte-identical to the resident k-way merge below.
-            let codecs = match &spill_cfg {
-                Some((_, codecs)) => *codecs,
-                None => unreachable!("spilled runs exist only when spilling is armed"),
-            };
-            let mut per_dst: Vec<SpillShuffleSources<P>> =
-                (0..workers).map(|_| Vec::with_capacity(workers)).collect();
-            for (mut runs_by_dst, plane) in step_runs.into_iter().zip(planes.iter_mut()) {
-                runs_by_dst.resize_with(workers, Vec::new);
-                for (dst, runs) in runs_by_dst.into_iter().enumerate() {
-                    per_dst[dst].push((runs, std::mem::take(&mut plane.outbox[dst])));
-                }
-            }
-            let shuffle_inputs: Vec<_> = planes.iter_mut().zip(per_dst).collect();
-            let merged: Vec<Result<u64, SpillError>> =
-                ctx.pool()
-                    .run_per_worker(shuffle_inputs, |_w, (plane, srcs)| {
-                        plane.in_ids.clear();
-                        plane.in_msgs.clear();
-                        let mut sources: Vec<MergeSource<P::Id, P::Message>> = Vec::new();
-                        // Keeps the consumed run files alive (and on disk) until
-                        // the merge finishes; dropping them afterwards deletes
-                        // the files.
-                        let mut consumed: Vec<DiskRun> = Vec::new();
-                        for (runs, ram) in srcs {
-                            for run in runs {
-                                sources.push(MergeSource::Disk(RunReader::open(
-                                    run.path(),
-                                    codecs.id,
-                                    codecs.message,
-                                )?));
-                                consumed.push(run);
-                            }
-                            sources.push(MergeSource::Ram(ram.into_iter()));
-                        }
-                        let (in_ids, in_msgs) = (&mut plane.in_ids, &mut plane.in_msgs);
-                        merge_run_sources(sources, |id, msg| {
-                            if P::USE_COMBINER {
-                                if let Some(last) = in_ids.last() {
-                                    if *last == id {
-                                        let acc = in_msgs.last_mut().expect("parallel arrays");
-                                        program.combine(acc, msg);
-                                        return;
-                                    }
-                                }
-                            }
-                            in_ids.push(id);
-                            in_msgs.push(msg);
-                        })
-                    });
-            for r in merged {
-                spill_read_shuffle +=
-                    r.unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)));
-            }
-            // The spilled path consumed the RAM remainders instead of
-            // borrowing them, so the (src, dst) buffer capacity is rebuilt
-            // next superstep — an accepted cost of spilling supersteps.
-        } else {
-            // Resident shuffle. Transpose outbox buffer ownership: worker
-            // `src` hands its buffer for destination `dst` to `dst`'s shuffle
-            // job. Only `Vec` headers move; the allocations travel to the
-            // shuffle and come back afterwards so their capacity is reused
-            // next superstep.
-            let mut columns: Vec<OutboxColumn<P>> =
-                (0..workers).map(|_| Vec::with_capacity(workers)).collect();
-            for plane in planes.iter_mut() {
-                for (dst, buf) in plane.outbox.iter_mut().enumerate() {
-                    columns[dst].push(std::mem::take(buf));
-                }
-            }
-            let shuffle_inputs: Vec<_> = planes.iter_mut().zip(columns).collect();
-            let returned: Vec<OutboxColumn<P>> =
-                ctx.pool()
-                    .run_per_worker(shuffle_inputs, |_w, (plane, mut bufs)| {
-                        // K-way merge of the pre-sorted source buffers into
-                        // the parallel id/message arrays (ties prefer the
-                        // lower source worker, so the merged order is a pure
-                        // function of the deterministic per-sender buffers).
-                        plane.in_ids.clear();
-                        plane.in_msgs.clear();
-                        let total: usize = bufs.iter().map(|b| b.len()).sum();
-                        plane.in_ids.reserve(total);
-                        plane.in_msgs.reserve(total);
-                        let (in_ids, in_msgs) = (&mut plane.in_ids, &mut plane.in_msgs);
-                        crate::kmerge::merge_sorted_buffers(&mut bufs, |id, msg| {
-                            if P::USE_COMBINER {
-                                if let Some(last) = in_ids.last() {
-                                    if *last == id {
-                                        let acc = in_msgs.last_mut().expect("parallel arrays");
-                                        program.combine(acc, msg);
-                                        return;
-                                    }
-                                }
-                            }
-                            in_ids.push(id);
-                            in_msgs.push(msg);
-                        });
-                        bufs
-                    });
-            // Give every (src, dst) buffer back to its owning worker.
-            for (dst, bufs) in returned.into_iter().enumerate() {
-                for (src, buf) in bufs.into_iter().enumerate() {
-                    planes[src].outbox[dst] = buf;
-                }
+        // Transpose outbox buffer ownership: worker `src` hands its buffer
+        // for destination `dst` to `dst`'s shuffle job. Only `Vec` headers
+        // move; the allocations travel to the shuffle and come back
+        // afterwards so their capacity is reused next superstep.
+        let mut columns: Vec<OutboxColumn<P>> =
+            (0..workers).map(|_| Vec::with_capacity(workers)).collect();
+        for plane in planes.iter_mut() {
+            for (dst, buf) in plane.outbox.iter_mut().enumerate() {
+                columns[dst].push(std::mem::take(buf));
             }
         }
-        spill_read_step += spill_read_shuffle;
+        let shuffle_inputs: Vec<_> = planes.iter_mut().zip(columns).collect();
+        let returned: Vec<OutboxColumn<P>> =
+            ctx.pool()
+                .run_per_worker(shuffle_inputs, |_w, (plane, mut bufs)| {
+                    // K-way merge of the pre-sorted source buffers into the
+                    // parallel id/message arrays (ties prefer the lower
+                    // source worker, so the merged order is a pure function
+                    // of the deterministic per-sender buffers).
+                    plane.in_ids.clear();
+                    plane.in_msgs.clear();
+                    let total: usize = bufs.iter().map(|b| b.len()).sum();
+                    plane.in_ids.reserve(total);
+                    plane.in_msgs.reserve(total);
+                    let (in_ids, in_msgs) = (&mut plane.in_ids, &mut plane.in_msgs);
+                    crate::kmerge::merge_sorted_buffers(&mut bufs, |id, msg| {
+                        if P::USE_COMBINER {
+                            if let Some(last) = in_ids.last() {
+                                if *last == id {
+                                    let acc = in_msgs.last_mut().expect("parallel arrays");
+                                    program.combine(acc, msg);
+                                    return;
+                                }
+                            }
+                        }
+                        in_ids.push(id);
+                        in_msgs.push(msg);
+                    });
+                    bufs
+                });
+        // Give every (src, dst) buffer back to its owning worker.
+        for (dst, bufs) in returned.into_iter().enumerate() {
+            for (src, buf) in bufs.into_iter().enumerate() {
+                planes[src].outbox[dst] = buf;
+            }
+        }
         let shuffle_elapsed = shuffle_start.elapsed();
 
         // ---- metrics & termination ------------------------------------------
@@ -893,9 +428,9 @@ pub fn run_on<P: VertexProgram>(
                 store_resident_bytes,
                 id_column_compression: 1.0,
                 cancellation_checks,
-                spilled_bytes: spilled_bytes_step,
-                spill_read_bytes: spill_read_step,
-                spilled_runs: spilled_runs_step,
+                spilled_bytes: 0,
+                spill_read_bytes: 0,
+                spilled_runs: 0,
             },
             config.track_supersteps,
         );
@@ -911,40 +446,6 @@ pub fn run_on<P: VertexProgram>(
         prev_aggregate = aggregate;
         superstep += 1;
     }
-
-    // ---- out-of-core teardown (normal completion) ---------------------------
-    // Unseal every sealed partition back into its resident columns; the run
-    // directory (and anything left in it) is removed when the last `Arc`
-    // drops. A cancellation unwind skips this block — the seals' and runs'
-    // `Drop` impls delete their files instead, and the mid-job vertex set is
-    // discarded like any cancelled job's.
-    if seals.iter().any(Option::is_some) {
-        let inputs: Vec<_> = vertices.parts.iter_mut().zip(seals.iter_mut()).collect();
-        let unsealed: Vec<Result<(u64, u64, u64), SpillError>> =
-            ctx.pool()
-                .run_per_worker(inputs, |_w, (part, seal)| match seal.as_mut() {
-                    Some(seal) => {
-                        part.unseal_from(seal)?;
-                        Ok(seal.take_counters())
-                    }
-                    None => Ok((0, 0, 0)),
-                });
-        for r in unsealed {
-            let (written, read, images) =
-                r.unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)));
-            metrics.spilled_bytes += written;
-            metrics.spill_read_bytes += read;
-            metrics.spilled_runs += images;
-        }
-        seals.clear();
-    }
-
-    // Park the (cleared) planes in the context so the next job with the same
-    // id/message types starts with warm buffers.
-    for plane in &mut planes {
-        plane.clear();
-    }
-    ctx.store_scratch(planes);
 
     metrics.elapsed = job_start.elapsed();
     metrics
@@ -989,30 +490,20 @@ pub(crate) fn pool_utilization(ctx: &ExecCtx, busy_before: u64, phase_wall: Dura
 /// (already sorted) destination buffers, so that at most one message per
 /// (sender worker, receiving vertex) crosses the shuffle.
 fn combine_outbox<P: VertexProgram>(program: &P, plane: &mut WorkerPlane<P::Id, P::Message>) {
+    let scratch = &mut plane.scratch;
     for buf in plane.outbox.iter_mut() {
-        combine_buf(program, buf, &mut plane.scratch);
-    }
-}
-
-/// Folds adjacent same-destination messages in one sorted buffer (the unit of
-/// work [`combine_outbox`] applies per destination and the outbox spill
-/// applies to each buffer before writing it out as a run).
-fn combine_buf<P: VertexProgram>(
-    program: &P,
-    buf: &mut Vec<(P::Id, P::Message)>,
-    scratch: &mut Vec<(P::Id, P::Message)>,
-) {
-    if buf.len() < 2 {
-        return;
-    }
-    scratch.clear();
-    for (id, msg) in buf.drain(..) {
-        match scratch.last_mut() {
-            Some(last) if last.0 == id => program.combine(&mut last.1, msg),
-            _ => scratch.push((id, msg)),
+        if buf.len() < 2 {
+            continue;
         }
+        scratch.clear();
+        for (id, msg) in buf.drain(..) {
+            match scratch.last_mut() {
+                Some(last) if last.0 == id => program.combine(&mut last.1, msg),
+                _ => scratch.push((id, msg)),
+            }
+        }
+        std::mem::swap(buf, scratch);
     }
-    std::mem::swap(buf, scratch);
 }
 
 /// Like [`run_on`], but catches a cooperative job-control trip and returns it
@@ -1021,10 +512,7 @@ fn combine_buf<P: VertexProgram>(
 /// On `Err(EngineError::Cancelled { .. })` the pool is clean and immediately
 /// reusable: the trip is raised on the coordinator thread at a superstep
 /// boundary, never inside a pool worker. The vertex set is left in its
-/// mid-job (barrier-consistent) state and should normally be discarded. The
-/// same applies to `Err(EngineError::Spill(..))` — spill I/O failures from
-/// the workers are collected at the phase barrier and re-raised on the
-/// coordinator, and every temporary spill file is removed by the unwind. Any
+/// mid-job (barrier-consistent) state and should normally be discarded. Any
 /// other panic — a program bug, an injected worker fault — is re-raised
 /// unchanged.
 // ppa_lint: allow(test-only-pub) the job entry that returns a control trip as a value, for callers outside a pipeline
@@ -1502,228 +990,41 @@ mod tests {
         );
     }
 
-    // ---- out-of-core spilling ------------------------------------------------
-
-    /// A bounded flood on a ring: each vertex seeds a distinct value that
-    /// travels `hops` steps, every visited vertex folding the max. The final
-    /// values differ per vertex (each sees only its predecessor window), so
-    /// any delivery reordering or loss under spilling changes the answer.
-    struct HopFlood {
-        n: u64,
-        hops: u64,
-    }
-
-    impl VertexProgram for HopFlood {
-        type Id = u64;
-        type Value = u64;
-        type Message = (u64, u64);
-        type Aggregate = NoAggregate;
-
-        fn compute(
-            &self,
-            ctx: &mut Context<'_, Self>,
-            id: u64,
-            value: &mut u64,
-            msgs: &mut [(u64, u64)],
-        ) {
-            if ctx.superstep() == 0 {
-                ctx.send_message((id + 1) % self.n, (*value, self.hops - 1));
-            }
-            for &mut (v, ttl) in msgs {
-                *value = (*value).max(v);
-                if ttl > 0 {
-                    ctx.send_message((id + 1) % self.n, (v, ttl - 1));
-                }
-            }
-            ctx.vote_to_halt();
-        }
-
-        fn spill_codecs() -> Option<crate::spill::SpillCodecs<Self>> {
-            Some(crate::spill::SpillCodecs::new())
-        }
-    }
-
-    /// Like [`SumToRoot`] but opted into spilling: every message targets
-    /// vertex 0, so spilled runs and the RAM remainder must fold together
-    /// across sources through the combiner during the merge.
-    struct SpillSum;
-
-    impl VertexProgram for SpillSum {
-        type Id = u64;
-        type Value = u64;
-        type Message = u64;
-        type Aggregate = NoAggregate;
-        const USE_COMBINER: bool = true;
-
-        fn compute(
-            &self,
-            ctx: &mut Context<'_, Self>,
-            _id: u64,
-            value: &mut u64,
-            msgs: &mut [u64],
-        ) {
-            if ctx.superstep() == 0 {
-                ctx.send_message(0, 1);
-            } else {
-                *value += msgs.iter().sum::<u64>();
-            }
-            ctx.vote_to_halt();
-        }
-
-        fn combine(&self, acc: &mut u64, incoming: u64) {
-            *acc += incoming;
-        }
-
-        fn spill_codecs() -> Option<crate::spill::SpillCodecs<Self>> {
-            Some(crate::spill::SpillCodecs::new())
-        }
-    }
-
-    /// Serializes the tests that scan the temp directory for the runner's
-    /// job-scoped spill dirs, so one test's live dir never trips another's
-    /// leak assertion.
-    static SPILL_TMP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// Counts this process's live runner spill directories.
-    fn job_spill_dirs() -> usize {
-        let prefix = format!("ppa-spill-{}-job-", std::process::id());
-        std::fs::read_dir(std::env::temp_dir())
-            .map(|rd| {
-                rd.filter_map(|e| e.ok())
-                    .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    fn hop_flood_snapshot(workers: usize, cap: Option<u64>) -> (Vec<(u64, u64)>, Metrics) {
-        // Large enough that every partition spans several 1024-slot extents,
-        // so sealing actually trades resident columns for faulted windows.
-        let program = HopFlood { n: 20_000, hops: 3 };
-        let ctx = ExecCtx::new(workers);
-        if let Some(cap) = cap {
-            ctx.set_spill(crate::spill::SpillPolicy::At(cap));
-        }
-        let config = PregelConfig::default();
-        let mut set: VertexSet<u64, u64> = VertexSet::from_pairs(
-            workers,
-            (0u64..20_000).map(|i| (i, i.wrapping_mul(2654435761) % 997)),
-        );
-        let metrics = run_on(&ctx, &program, &config, &mut set);
-        ctx.clear_spill();
-        let mut pairs: Vec<(u64, u64)> = set.iter().map(|(id, v)| (id, *v)).collect();
-        pairs.sort_unstable();
-        (pairs, metrics)
-    }
-
-    #[test]
-    fn spilled_execution_is_identical_across_caps_and_worker_counts() {
-        let _guard = SPILL_TMP_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (baseline, base_metrics) = hop_flood_snapshot(4, None);
-        assert_eq!(base_metrics.spilled_bytes, 0);
-        assert!(base_metrics.peak_store_resident_bytes > 2048);
-        for workers in [1usize, 2, 4] {
-            // A cap far above the store: armed but never exercised. A cap far
-            // below: sealed store + spilled outbox runs.
-            for cap in [1u64 << 24, 65536] {
-                let (pairs, metrics) = hop_flood_snapshot(workers, Some(cap));
-                assert_eq!(
-                    pairs, baseline,
-                    "workers={workers} cap={cap} diverged from the resident run"
-                );
-                assert_eq!(metrics.supersteps, base_metrics.supersteps);
-                assert_eq!(metrics.total_messages, base_metrics.total_messages);
-                if cap == 65536 {
-                    assert!(metrics.spilled_bytes > 0, "small cap must spill");
-                    assert!(metrics.spilled_runs > 0);
-                    assert!(metrics.spill_read_bytes > 0);
-                    // The sealed store keeps only its window + directory in
-                    // RAM, so the observed peak must undercut the resident
-                    // peak.
-                    assert!(
-                        metrics.peak_store_resident_bytes < base_metrics.peak_store_resident_bytes,
-                        "sealing must shrink the resident peak"
-                    );
-                } else {
-                    assert_eq!(metrics.spilled_bytes, 0, "huge cap must not spill");
-                }
-            }
-        }
-        assert_eq!(
-            job_spill_dirs(),
-            0,
-            "completed jobs must leave no spill dirs"
-        );
-    }
-
-    #[test]
-    fn spilled_combiner_folds_across_runs_like_resident_delivery() {
-        let _guard = SPILL_TMP_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let n = 2000u64;
-        for cap in [None, Some(256u64)] {
-            let ctx = ExecCtx::new(4);
-            if let Some(cap) = cap {
-                ctx.set_spill(crate::spill::SpillPolicy::At(cap));
-            }
-            let config = PregelConfig::default();
-            let mut set: VertexSet<u64, u64> = VertexSet::from_pairs(4, (0..n).map(|i| (i, 0u64)));
-            let metrics = run_on(&ctx, &SpillSum, &config, &mut set);
-            ctx.clear_spill();
-            assert_eq!(*set.get(&0).unwrap(), n);
-            assert!(metrics.converged);
-            if cap.is_some() {
-                assert!(metrics.spilled_runs > 0, "tiny cap must spill runs");
-            }
-        }
-        assert_eq!(job_spill_dirs(), 0);
-    }
+    // ---- spill policy ----------------------------------------------------------
 
     #[test]
     fn programs_without_codecs_ignore_the_spill_policy() {
+        // A cap far below the store changes nothing: the runner is resident,
+        // so values, supersteps and messages equal the uncapped job's.
+        let n = 2000u64;
+        let program = MaxFlood { ring: n as usize };
+        let pairs = || {
+            (0..n).map(move |i| {
+                (
+                    i,
+                    MaxState {
+                        value: i.wrapping_mul(2654435761) % 997,
+                        next: (i + 1) % n,
+                    },
+                )
+            })
+        };
+        let config = PregelConfig::default().max_supersteps(3 * n as usize);
+        let (resident, base) = run_pairs(&program, 2, &config, pairs());
         let ctx = ExecCtx::new(2);
         ctx.set_spill(crate::spill::SpillPolicy::At(1));
-        let config = PregelConfig::default().max_supersteps(3);
-        let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..16).map(|i| (i, ())));
-        let metrics = run_on(&ctx, &NeverHalts, &config, &mut set);
+        let mut capped = VertexSet::from_pairs(2, pairs());
+        let metrics = run_on(&ctx, &program, &config, &mut capped);
         ctx.clear_spill();
+        let values = |set: VertexSet<u64, MaxState>| -> Vec<(u64, u64)> {
+            set.iter().map(|(id, v)| (id, v.value)).collect()
+        };
+        assert_eq!(values(capped), values(resident));
+        assert_eq!(metrics.supersteps, base.supersteps);
+        assert_eq!(metrics.total_messages, base.total_messages);
         assert_eq!(metrics.spilled_bytes, 0);
+        assert_eq!(metrics.spill_read_bytes, 0);
         assert_eq!(metrics.spilled_runs, 0);
-    }
-
-    #[test]
-    fn cancellation_mid_spill_removes_all_temp_files() {
-        use crate::control::{CancelReason, JobControl};
-        let _guard = SPILL_TMP_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let ctx = ExecCtx::new(2);
-        // A cap small enough to seal the store and spill runs, plus a memory
-        // budget that trips at the first superstep boundary — the unwind runs
-        // while spill files are live on disk.
-        ctx.set_spill(crate::spill::SpillPolicy::At(2048));
-        ctx.set_control(JobControl::new().with_memory_budget(1));
-        let program = HopFlood { n: 512, hops: 6 };
-        let config = PregelConfig::default();
-        let mut set: VertexSet<u64, u64> = VertexSet::from_pairs(2, (0..512).map(|i| (i, i % 97)));
-        let err = try_run_on(&ctx, &program, &config, &mut set).unwrap_err();
-        ctx.clear_control();
-        ctx.clear_spill();
-        assert_eq!(
-            err,
-            EngineError::Cancelled {
-                reason: CancelReason::MemoryBudget,
-                superstep: 0,
-            }
-        );
-        assert_eq!(
-            job_spill_dirs(),
-            0,
-            "a cancellation unwind must delete every spill dir and file"
-        );
     }
 
     // ---- property tests: sorted slice delivery vs. hash-map grouping --------

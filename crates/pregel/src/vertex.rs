@@ -31,10 +31,8 @@ pub trait VertexProgram: Sync {
     /// Per-vertex state (including the adjacency list, following Pregel's
     /// "think like a vertex" model where the vertex owns its edges).
     type Value: Send;
-    /// Message type exchanged between vertices. (`'static` because the
-    /// engine parks the shuffle planes holding messages in the
-    /// [`ExecCtx`](crate::engine::ExecCtx) scratch cache between jobs.)
-    type Message: Send + 'static;
+    /// Message type exchanged between vertices.
+    type Message: Send;
     /// Global aggregator value.
     type Aggregate: Aggregate;
 
@@ -72,20 +70,6 @@ pub trait VertexProgram: Sync {
     /// algorithm to stop once no parent pointer changed in a round).
     fn should_terminate(&self, _aggregate: &Self::Aggregate, _superstep: usize) -> bool {
         false
-    }
-
-    /// Opt-in to bounded-memory (out-of-core) execution: the byte codecs the
-    /// engine needs to spill this program's IDs, values, and messages to
-    /// disk. The default `None` keeps the program fully in RAM even when a
-    /// [`SpillPolicy`](crate::SpillPolicy) cap is installed on the context —
-    /// only programs whose associated types implement
-    /// [`SpillCodec`](crate::SpillCodec) can run out of core, and they opt in
-    /// by returning `Some(SpillCodecs::new())`.
-    fn spill_codecs() -> Option<crate::spill::SpillCodecs<Self>>
-    where
-        Self: Sized,
-    {
-        None
     }
 }
 

@@ -7,9 +7,7 @@
 //!
 //! * `ids` — the sorted, strictly increasing ID column ("slot" order), one
 //!   plain `I` per slot;
-//! * `values` — the parallel value column (every slot holds `Some`; the
-//!   `Option` is the presence flag the sealed-extent format of
-//!   [`crate::spill`] encodes);
+//! * `values` — the parallel value column, one plain `V` per slot;
 //! * `halted` — one bit per slot, packed 64 slots to a word;
 //! * `stamps` — one `u32` compute stamp per slot.
 //!
@@ -29,14 +27,12 @@
 //! input set whole and hands its output set on whole, so nothing ever
 //! inserts or removes one vertex. [`from_pairs`](VertexSet::from_pairs)
 //! radix-sorts a narrow `(id, index)` key column per partition and gathers
-//! each winning payload once (later duplicates win);
-//! [`from_sorted_parts_on`](VertexSet::from_sorted_parts_on) appends
-//! caller-ordered lists straight onto the columns. Between jobs the set is
+//! each winning payload once (later duplicates win), and pairs staged in
+//! ascending ID order skip the sort. Between jobs the set is
 //! read-only — a point read is a binary search over the ID column — and
 //! during a job the runner rewrites only values, halt bits and stamps in
 //! place; the crate-internal `activate_all` zeroes the last two at job start.
 
-use crate::engine::ExecCtx;
 use crate::fxhash::hash_one;
 use crate::radix::SortKey;
 use crate::vertex::VertexKey;
@@ -72,12 +68,6 @@ pub(crate) fn get_bit(words: &[u64], slot: usize) -> bool {
     words[slot >> 6] & (1u64 << (slot & 63)) != 0
 }
 
-/// Number of `u64` words needed for `slots` bits.
-#[inline]
-fn words_for(slots: usize) -> usize {
-    slots.div_ceil(64)
-}
-
 /// First index `>= lo` at which `ids[index] >= *target` (i.e. the lower
 /// bound), assuming `ids` is sorted ascending and everything before `lo` is
 /// `< *target`.
@@ -109,12 +99,12 @@ pub(crate) fn lower_bound_from<I: Ord>(ids: &[I], mut lo: usize, target: &I) -> 
 /// One partition of a [`VertexSet`]: parallel columns sorted by vertex ID.
 ///
 /// Invariants: `ids` is strictly increasing; `values` and `stamps` have one
-/// entry per slot and every value is `Some`; `halted` has one bit per slot,
-/// with all bits beyond the slot count zero.
+/// entry per slot; `halted` has one bit per slot, with all bits beyond the
+/// slot count zero.
 #[derive(Debug, Clone)]
 pub(crate) struct Partition<I, V> {
     ids: Vec<I>,
-    values: Vec<Option<V>>,
+    values: Vec<V>,
     halted: Vec<u64>,
     stamps: Vec<u32>,
 }
@@ -125,8 +115,8 @@ pub(crate) struct Partition<I, V> {
 pub(crate) struct RunColumns<'a, I, V> {
     /// The sorted ID column.
     pub(crate) ids: &'a [I],
-    /// The value column; every slot is `Some`.
-    pub(crate) values: &'a mut [Option<V>],
+    /// The value column.
+    pub(crate) values: &'a mut [V],
     /// Halt bits, one per slot.
     pub(crate) halted: &'a mut [u64],
     /// Compute stamps, one per slot.
@@ -150,7 +140,7 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
     }
 
     /// Appends a vertex with an ID greater than every stored one — the bulk
-    /// build path (`from_unsorted`, `from_sorted_parts_on`).
+    /// build path of `from_sorted` and `from_unsorted`.
     fn push_sorted(&mut self, id: I, value: V) {
         debug_assert!(
             self.ids.last().is_none_or(|last| *last < id),
@@ -160,7 +150,7 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
             self.halted.push(0);
         }
         self.ids.push(id);
-        self.values.push(Some(value));
+        self.values.push(value);
         self.stamps.push(0);
     }
 
@@ -194,6 +184,7 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
             .collect();
         let mut scratch: Vec<(I, u32)> = Vec::new();
         crate::radix::sort_pairs(&mut keys, &mut scratch);
+        // The gather scratch: a payload is taken out once, by its winner.
         let mut values: Vec<Option<V>> = pairs.into_iter().map(|(_, v)| Some(v)).collect();
         let mut part = Partition::with_capacity(keys.len());
         let mut it = keys.into_iter().peekable();
@@ -215,24 +206,18 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
 
     fn get(&self, id: &I) -> Option<&V> {
         let slot = self.ids.binary_search(id).ok()?;
-        self.values[slot].as_ref()
+        Some(&self.values[slot])
     }
 
     /// `(id, value)` entries in ID order (IDs by value — [`VertexKey`] is
     /// `Copy`).
     fn iter(&self) -> impl Iterator<Item = (I, &V)> {
-        self.ids
-            .iter()
-            .zip(&self.values)
-            .filter_map(|(id, v)| v.as_ref().map(|v| (*id, v)))
+        self.ids.iter().copied().zip(&self.values)
     }
 
     /// Consumes the partition into its `(id, value)` pairs in ID order.
     fn into_entries(self) -> impl Iterator<Item = (I, V)> {
-        self.ids
-            .into_iter()
-            .zip(self.values)
-            .filter_map(|(id, v)| v.map(|v| (id, v)))
+        self.ids.into_iter().zip(self.values)
     }
 
     /// Zeroes the activity bookkeeping — the per-partition half of
@@ -252,75 +237,11 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
         }
     }
 
-    /// Drains the partition's columns into on-disk extents, leaving the
-    /// columns empty; the runner computes against the returned seal one
-    /// extent window at a time. On error the drained data is lost — the
-    /// caller abandons the job with a spill error, and recovery goes through
-    /// checkpoint/resume, not through the half-sealed store.
-    pub(crate) fn seal_to(
-        &mut self,
-        dir: &std::sync::Arc<crate::spill::SpillDir>,
-        part_index: usize,
-        id_codec: crate::spill::Codec<I>,
-        value_codec: crate::spill::Codec<V>,
-    ) -> Result<crate::spill::PartSeal<I, V>, crate::spill::SpillError> {
-        let mut seal = crate::spill::PartSeal::new(
-            std::sync::Arc::clone(dir),
-            part_index,
-            id_codec,
-            value_codec,
-        );
-        let ids = std::mem::take(&mut self.ids);
-        let values = std::mem::take(&mut self.values);
-        let words = std::mem::take(&mut self.halted);
-        let stamps = std::mem::take(&mut self.stamps);
-        seal.seal_slots(ids.into_iter().zip(values).zip(stamps).enumerate().map(
-            |(slot, ((id, value), stamp))| {
-                let halted = words
-                    .get(slot >> 6)
-                    .is_some_and(|w| (w >> (slot & 63)) & 1 == 1);
-                (id, value, halted, stamp)
-            },
-        ))?;
-        Ok(seal)
-    }
-
-    /// Rebuilds the partition's columns from a seal's extents (ascending ID
-    /// order, so they append directly), restoring the halt bits and compute
-    /// stamps each slot carried at its last writeback. The partition must be
-    /// empty (it is — [`Partition::seal_to`] drained it).
-    pub(crate) fn unseal_from(
-        &mut self,
-        seal: &mut crate::spill::PartSeal<I, V>,
-    ) -> Result<(), crate::spill::SpillError> {
-        debug_assert!(self.ids.is_empty(), "unsealing into a non-empty partition");
-        let total = seal.total_slots();
-        self.ids.reserve(total);
-        self.values.reserve(total);
-        self.stamps.reserve(total);
-        self.halted.clear();
-        self.halted.resize(words_for(total), 0);
-        let ids = &mut self.ids;
-        let values = &mut self.values;
-        let stamps = &mut self.stamps;
-        let words = &mut self.halted;
-        let mut slot = 0usize;
-        seal.drain_slots(|id, value, halted, stamp| {
-            ids.push(id);
-            values.push(value);
-            stamps.push(stamp);
-            set_bit(words, slot, halted);
-            slot += 1;
-        })?;
-        self.debug_validate();
-        Ok(())
-    }
-
     /// Estimated heap bytes held by the columns themselves (excluding any
     /// heap owned by the values).
     fn resident_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<I>()
-            + self.values.capacity() * std::mem::size_of::<Option<V>>()
+            + self.values.capacity() * std::mem::size_of::<V>()
             + self.halted.capacity() * std::mem::size_of::<u64>()
             + self.stamps.capacity() * std::mem::size_of::<u32>()
     }
@@ -334,7 +255,7 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
         assert_eq!(self.stamps.len(), len, "stamps column length != id count");
         assert_eq!(
             self.halted.len(),
-            words_for(len),
+            len.div_ceil(64),
             "halted bitset sized for the slot count"
         );
         let used = len % 64;
@@ -350,10 +271,6 @@ impl<I: VertexKey + SortKey, V: Send> Partition<I, V> {
         assert!(
             self.ids.windows(2).all(|w| w[0] < w[1]),
             "ids must be strictly increasing"
-        );
-        assert!(
-            self.values.iter().all(Option::is_some),
-            "every slot must hold a value"
         );
     }
 
@@ -394,35 +311,6 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
         VertexSet {
             parts: staged.into_iter().map(Partition::from_unsorted).collect(),
         }
-    }
-
-    /// Builds a vertex set from pairs the caller has already placed and
-    /// ordered: `parts[w]` holds exactly the vertices worker `w` owns
-    /// (`hash_one(&id) % workers == w`), in strictly ascending ID order. Each
-    /// pool worker appends its list straight onto its columns — no staging,
-    /// no sort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a list is out of order or holds an ID another worker owns:
-    /// message delivery relies on both.
-    pub fn from_sorted_parts_on(ctx: &ExecCtx, parts: Vec<Vec<(I, V)>>) -> VertexSet<I, V> {
-        let workers = parts.len();
-        ctx.assert_matches(workers, "VertexSet partitioning");
-        let parts = ctx.pool().run_per_worker(parts, |w, pairs| {
-            assert!(
-                pairs.windows(2).all(|p| p[0].0 < p[1].0),
-                "from_sorted_parts_on: partition {w} is not in strictly ascending ID order"
-            );
-            if let Some((id, _)) = pairs
-                .iter()
-                .find(|(id, _)| hash_one(id) % workers as u64 != w as u64)
-            {
-                panic!("from_sorted_parts_on: partition {w} does not own {id:?}");
-            }
-            Partition::from_sorted(pairs)
-        });
-        VertexSet { parts }
     }
 
     /// The number of workers (partitions).
@@ -476,8 +364,8 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
     /// Estimated heap bytes held by the store's columns across all
     /// partitions: the ID, value, halted and stamp arrays, by capacity. Heap
     /// owned by the values themselves (e.g. adjacency `Vec`s) is not visible
-    /// from here. The runner seals the store to disk when this exceeds a
-    /// spill cap at job start, and reports it per superstep.
+    /// from here. The runner reports it per superstep, and the memory budget
+    /// of a [`JobControl`](crate::JobControl) is held against it.
     pub fn resident_bytes(&self) -> usize {
         self.parts.iter().map(|p| p.resident_bytes()).sum()
     }
@@ -494,8 +382,8 @@ impl<I: VertexKey + SortKey, V: Send> VertexSet<I, V> {
     /// Checks the documented column invariants of every partition in debug
     /// builds — strictly increasing sorted IDs, one value and stamp per slot,
     /// a bitset sized for the slots with no bits beyond them — panicking on
-    /// the first violation. Runs after every bulk build, after unsealing and
-    /// at `activate_all` (job start); release builds compile it to nothing.
+    /// the first violation. Runs after every bulk build and at
+    /// `activate_all` (job start); release builds compile it to nothing.
     #[inline]
     fn debug_validate(&self) {
         for p in &self.parts {
@@ -537,34 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_parts_build_the_set_from_pairs_builds() {
-        let ctx = ExecCtx::new(3);
-        let mut parts: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 3];
-        for id in 0..1000u32 {
-            parts[(hash_one(&id) % 3) as usize].push((id, id * 2));
-        }
-        let built = VertexSet::from_sorted_parts_on(&ctx, parts);
-        let staged = VertexSet::from_pairs(3, (0..1000u32).map(|id| (id, id * 2)));
-        assert_eq!(built.into_pairs(), staged.into_pairs());
-    }
-
-    #[test]
-    #[should_panic(expected = "does not own")]
-    fn sorted_parts_reject_a_misplaced_id() {
-        let id = 7u32;
-        let wrong = (hash_one(&id) as usize + 1) % 2;
-        let mut parts: Vec<Vec<(u32, ())>> = vec![Vec::new(); 2];
-        parts[wrong].push((id, ()));
-        VertexSet::from_sorted_parts_on(&ExecCtx::new(2), parts);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending ID order")]
-    fn sorted_parts_reject_an_unsorted_list() {
-        VertexSet::from_sorted_parts_on(&ExecCtx::new(1), vec![vec![(2u32, ()), (1, ())]]);
-    }
-
-    #[test]
     fn columns_stream_in_sorted_id_order() {
         let s: VertexSet<u64, u64> =
             VertexSet::from_pairs(3, (0..500).rev().map(|i| (i * 7 % 501, i)));
@@ -583,11 +443,11 @@ mod tests {
         assert_eq!(empty.resident_bytes(), 0);
         let s: VertexSet<u64, u64> = VertexSet::from_pairs(2, (0..1000).map(|i| (i, i)));
         let bytes = s.resident_bytes();
-        // At least an 8-byte ID, a 16-byte `Option<u64>` value and a 4-byte
-        // stamp per vertex; far less than a hash map with per-entry overhead
-        // would need.
-        assert!(bytes >= 1000 * 28);
-        assert!(bytes < 1000 * 64);
+        // An 8-byte ID, an 8-byte `u64` value and a 4-byte stamp per vertex,
+        // plus one halt bit rounded up to whole words: far less than a hash
+        // map with per-entry overhead would need.
+        assert!(bytes >= 1000 * 20);
+        assert!(bytes < 1000 * 21);
     }
 
     #[test]
@@ -723,8 +583,8 @@ mod tests {
 
     /// `debug_validate` accepts every way a partition comes to be: pre-sorted
     /// pairs (the no-sort path), unsorted pairs (the radix path), duplicate
-    /// IDs, caller-placed lists, and the job-start reset after a run left
-    /// halt bits and stamps behind.
+    /// IDs, and the job-start reset after a run left halt bits and stamps
+    /// behind.
     #[test]
     fn debug_validate_accepts_every_lifecycle_phase() {
         // Stride 3 keeps the IDs sparse.
@@ -743,12 +603,8 @@ mod tests {
         assert_eq!(dups.len(), 1000);
         assert_eq!(dups.get(&7), Some(&2007));
 
-        let mut parts: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 2];
-        for id in 0..500u64 {
-            parts[(hash_one(&id) % 2) as usize].push((id, id));
-        }
-        let mut placed = VertexSet::from_sorted_parts_on(&ExecCtx::new(2), parts);
-        placed.debug_validate();
+        let mut placed: VertexSet<u64, u64> =
+            VertexSet::from_pairs(2, (0..500u64).map(|id| (id, id)));
         for p in &mut placed.parts {
             let cols = p.run_columns();
             for slot in 0..cols.ids.len() {

@@ -1,10 +1,10 @@
 //! Cancellation hygiene for the out-of-core data plane: a [`JobControl`]
-//! trip while spill files are live must unwind without leaving any spill
-//! artefact behind, and the worker pool must stay reusable.
+//! trip in a capped run must unwind without leaving any spill artefact
+//! behind, and the worker pool must stay reusable.
 //!
 //! This test lives in its own binary (one process) so scanning the system
-//! temp directory for this process's `ppa-spill-<pid>-*` job directories
-//! cannot race other spilling tests.
+//! temp directory for this process's `ppa-spill-<pid>-*` directories cannot
+//! race other spilling tests.
 
 use ppa_assembler::{assemble, try_assemble, AssemblyConfig, PipelineError};
 use ppa_pregel::{CancelReason, ExecCtx, JobControl, SpillPolicy};
@@ -50,8 +50,9 @@ fn a_cancelled_spilling_run_removes_its_temp_files() {
     };
 
     // A 1-byte memory budget trips at the first bookkept superstep of the
-    // label stage — after the capped job has created its spill directory and
-    // sealed the over-cap vertex store to disk.
+    // label stage — after construction's keyed passes, capped, have spilled
+    // their key segments to their `ppa-spill-<pid>-kc-*` directories and
+    // removed them again. The labeling job runs resident and makes none.
     ctx.set_control(JobControl::new().with_memory_budget(1));
     let err = try_assemble(&reads, &config).expect_err("the 1-byte budget must trip");
     ctx.clear_control();
@@ -76,8 +77,12 @@ fn a_cancelled_spilling_run_removes_its_temp_files() {
     let done = assemble(&reads, &config);
     assert!(!done.contigs.is_empty());
     assert!(
-        done.stats.construct.phase1.spilled_bytes + done.stats.label_round1.spilled_bytes > 0,
-        "the 16 KiB cap must force spilling"
+        done.stats.construct.phase1.spilled_bytes + done.stats.construct.phase2.spilled_bytes > 0,
+        "the 16 KiB cap must force construction to spill"
+    );
+    assert_eq!(
+        done.stats.label_round1.spilled_bytes, 0,
+        "labeling runs resident"
     );
     assert!(
         our_spill_dirs().is_empty(),

@@ -1,7 +1,7 @@
 //! Pins the `ppa_pregel::radix` zero-allocation contract: once the record
 //! buffer and the ping-pong scratch are warm, sorting performs **no** heap
 //! allocation — the property that makes the runner's steady-state presort
-//! (scratch parked in the `ExecCtx` via the per-worker planes) free of
+//! (scratch held for the whole job in the per-worker planes) free of
 //! per-superstep allocation. The dense plane makes the same promise for its
 //! job-local outboxes, CSR offsets and inbox: past the first supersteps of a
 //! job, a superstep costs the pool's two phase hand-offs and nothing that
