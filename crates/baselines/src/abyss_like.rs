@@ -25,10 +25,10 @@
 
 use crate::common::{count_canonical_kmers_on, kmer_of};
 use crate::{Assembler, BaselineAssembly, BaselineParams};
+use ppa_assembler::ops::label::AMBIGUOUS;
 use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
 use ppa_assembler::{edge_contributions, AsmNode, Edge, EdgeSlot, NodeSeq, VertexType};
 use ppa_pregel::aggregate::NoAggregate;
-use ppa_pregel::fxhash::hash_one;
 use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, PregelConfig, VertexProgram};
 use ppa_seq::{Base, ReadSet};
 use std::collections::HashSet;
@@ -213,16 +213,11 @@ impl Assembler for AbyssLike {
         });
         let prop_metrics = run_dense_on(&ctx, &PropProgram, &config, &mut prop_set);
 
-        // Merging orients a contig from its first member in `labels`: list
-        // them as a job over the k-mers themselves did, by owning worker
-        // (`hash_one(&id) % workers`), then by k-mer.
-        let workers = ctx.workers() as u64;
-        let mut labels: Vec<(u64, u64)> = prop_set
+        // Per rank, the rank of its label; a branch vertex takes none.
+        let labels: Vec<u32> = prop_set
             .iter()
-            .filter(|(_, s)| s.unambiguous)
-            .map(|(rank, s)| (counts[rank as usize].0, counts[s.label as usize].0))
+            .map(|(_, s)| if s.unambiguous { s.label } else { AMBIGUOUS })
             .collect();
-        labels.sort_by_key(|(id, _)| hash_one(id) % workers);
 
         // Stitch groups into contigs (shared substrate).
         let merged = merge_contigs_on(

@@ -19,7 +19,7 @@
 //! | file            | contents                                             |
 //! |-----------------|------------------------------------------------------|
 //! | `nodes.col`     | [`GraphState::nodes`] as packed k-mer columns         |
-//! | `labels.col`    | [`GraphState::labels`]: labels, ambiguous IDs, Pregel metrics |
+//! | `labels.col`    | [`GraphState::labels`]: the `u32` label column, the fallback flag, Pregel metrics |
 //! | `contigs.col`   | [`GraphState::contigs`] as node columns, IDs strictly ascending |
 //! | `ambiguous.col` | [`GraphState::ambiguous_kmers`] as node columns, IDs strictly ascending |
 //! | `output.col`    | [`GraphState::output`] contigs as flat columns       |
@@ -72,8 +72,10 @@ const MAGIC: [u8; 8] = *b"PPACKPT1";
 /// the codec of `nodes.col`; v6 fingerprints the reads by their packed 2-bit
 /// bases and break positions (the sections keep v5's bytes); v7 drops the
 /// node-set form: `nodes.col` is always the k-mer section, and the node
-/// sections list their IDs strictly ascending.
-const VERSION: u32 = 7;
+/// sections list their IDs strictly ascending; v8 stores the labels as one
+/// `u32` per node (the label's rank or the ambiguous mark) instead of
+/// `(id, label)` pairs and a list of ambiguous IDs.
+const VERSION: u32 = 8;
 /// The manifest file name inside a snapshot directory.
 const MANIFEST_FILE: &str = "MANIFEST";
 
@@ -876,15 +878,8 @@ fn encode_labels(labels: Option<&LabelOutcome>) -> Result<Vec<u8>, CheckpointErr
         Some(outcome) => {
             w.bool(true)?;
             w.u64(outcome.labels.len() as u64)?;
-            for (id, _) in &outcome.labels {
-                w.u64(*id)?;
-            }
-            for (_, label) in &outcome.labels {
-                w.u64(*label)?;
-            }
-            w.u64(outcome.ambiguous.len() as u64)?;
-            for id in &outcome.ambiguous {
-                w.u64(*id)?;
+            for &label in &outcome.labels {
+                w.u32(label)?;
             }
             w.bool(outcome.used_cycle_fallback)?;
             encode_metrics(&mut w, &outcome.metrics)?;
@@ -912,18 +907,9 @@ fn decode_labels(file: &str, bytes: &[u8]) -> Result<Option<LabelOutcome>, Check
             detail: format!("label count {n} exceeds file size {}", bytes.len()),
         });
     }
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ids.push(r.u64().map_err(e)?);
-    }
     let mut labels = Vec::with_capacity(n);
-    for id in ids {
-        labels.push((id, r.u64().map_err(e)?));
-    }
-    let n_amb = r.u64().map_err(e)? as usize;
-    let mut ambiguous = Vec::with_capacity(n_amb.min(bytes.len()));
-    for _ in 0..n_amb {
-        ambiguous.push(r.u64().map_err(e)?);
+    for _ in 0..n {
+        labels.push(r.u32().map_err(e)?);
     }
     let used_cycle_fallback = r.bool().map_err(e)?;
     let metrics = decode_metrics(file, &mut r)?;
@@ -935,7 +921,6 @@ fn decode_labels(file: &str, bytes: &[u8]) -> Result<Option<LabelOutcome>, Check
     }
     Ok(Some(LabelOutcome {
         labels,
-        ambiguous,
         metrics,
         used_cycle_fallback,
     }))
@@ -1365,10 +1350,7 @@ mod tests {
             nodes: arb_kmer_graph(mix, vertices),
             labels: if mix.below(2) == 0 {
                 Some(LabelOutcome {
-                    labels: (0..mix.below(20))
-                        .map(|_| (mix.next(), mix.next()))
-                        .collect(),
-                    ambiguous: (0..mix.below(10)).map(|_| mix.next()).collect(),
+                    labels: (0..mix.below(20)).map(|_| mix.next() as u32).collect(),
                     metrics: arb_metrics(mix),
                     used_cycle_fallback: mix.below(2) == 0,
                 })
@@ -1538,7 +1520,7 @@ mod tests {
             Err(CheckpointError::Mismatch {
                 what: "format version".into(),
                 expected: "4".into(),
-                actual: "7".into(),
+                actual: "8".into(),
             })
         );
     }
@@ -1552,7 +1534,7 @@ mod tests {
             Err(CheckpointError::Mismatch {
                 what: "format version".into(),
                 expected: "5".into(),
-                actual: "7".into(),
+                actual: "8".into(),
             })
         );
     }
@@ -1566,7 +1548,21 @@ mod tests {
             Err(CheckpointError::Mismatch {
                 what: "format version".into(),
                 expected: "6".into(),
-                actual: "7".into(),
+                actual: "8".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn a_version_7_snapshot_is_refused() {
+        // v7 stored `(id, label)` pairs and the ambiguous IDs, in an order
+        // that depended on the worker count, where v8 has the label column.
+        assert_eq!(
+            load_as_version(7, "v7"),
+            Err(CheckpointError::Mismatch {
+                what: "format version".into(),
+                expected: "7".into(),
+                actual: "8".into(),
             })
         );
     }
@@ -1719,10 +1715,16 @@ mod tests {
         if decoded != *kmers {
             return Err(format!("packed k-mer round-trip diverged for seed {seed}"));
         }
-        let labels = decode_labels("labels.col", &encode_labels(state.labels.as_ref()).unwrap())
-            .map_err(|e| e.to_string())?;
+        let label_bytes = encode_labels(state.labels.as_ref()).unwrap();
+        let labels = decode_labels("labels.col", &label_bytes).map_err(|e| e.to_string())?;
         if labels != state.labels {
             return Err(format!("label round-trip diverged for seed {seed}"));
+        }
+        let cut = (seed as usize) % label_bytes.len();
+        if decode_labels("labels.col", &label_bytes[..cut]).is_ok() {
+            return Err(format!(
+                "label truncation at {cut} not rejected for seed {seed}"
+            ));
         }
         let output = decode_output("output.col", &encode_output(&state.output).unwrap())
             .map_err(|e| e.to_string())?;

@@ -9,12 +9,8 @@
 //! * **NULL** (Figure 7b): the dummy neighbour that marks a dead end; only the
 //!   most significant bit is set.
 //! * **contig vertices** (Figure 7c): the most significant bit is set and the
-//!   remaining bits hold `worker ‖ ordinal`, because a contig's sequence can be
-//!   arbitrarily long and cannot be embedded in the ID. In the paper `worker`
-//!   is the reduce worker that stitched the contig. Here it is the worker
-//!   that owns the contig's label, `hash_one(&label) % workers`, whichever
-//!   pool worker stitched it; `ordinal` numbers that worker's contigs from 1
-//!   in ascending label order (see [`crate::ops::merge`]).
+//!   remaining bits hold an ordinal, because a contig's sequence can be
+//!   arbitrarily long and cannot be embedded in the ID.
 //!
 //! The paper has a fourth kind, *flipped* IDs: during contig labeling a
 //! contig end replaces its edge to an ambiguous vertex by a self-loop whose
@@ -23,10 +19,15 @@
 //! `ranks.rs` and [`crate::ops::label`]) and the flip bit is bit 31 of a
 //! rank; no 64-bit ID ever carries it.
 //!
-//! Deviation from the paper: the paper gives the worker field 32 bits; here it
-//! gets 30 bits (more than enough for any realistic worker count), which
-//! leaves bit 62 of a contig ID clear. Contig ordinals also start at 1 so that
-//! no contig ID equals NULL.
+//! Deviation from the paper: a contig ID has no worker field. In the paper
+//! it is `worker ‖ ordinal`, minted by the reduce worker that stitched the
+//! contig, so the IDs depend on how labels were hashed to workers. Here the
+//! ordinal alone names the contig: contig merging ([`crate::ops::merge`])
+//! numbers the groups it keeps 1, 2, … in ascending label order — the order
+//! of the labels' ranks in the node set, which no worker count changes — and
+//! continues above the largest contig ordinal of the node set it merges, so a
+//! correction round never reuses an earlier round's ID. Ordinals start at 1
+//! so that no contig ID equals NULL.
 
 use ppa_seq::Kmer;
 
@@ -35,12 +36,6 @@ pub const NULL_ID: u64 = 1 << 63;
 
 /// Bit marking contig (and NULL) IDs.
 const CONTIG_MARK: u64 = 1 << 63;
-
-/// Number of bits for the contig ordinal.
-const ORDINAL_BITS: u32 = 32;
-
-/// Mask for the worker field of a contig ID (30 bits).
-const WORKER_MASK: u64 = (1 << 30) - 1;
 
 /// Builds the vertex ID of a canonical k-mer.
 ///
@@ -55,24 +50,30 @@ pub fn kmer_id(kmer: &Kmer) -> u64 {
     kmer.packed()
 }
 
-/// Builds a contig vertex ID from the worker that created it and its ordinal
-/// on that worker (1-based).
+/// Builds the vertex ID of the contig numbered `ordinal` (1-based).
 ///
 /// # Panics
 ///
 /// Panics if `ordinal` is 0 (reserved so that no contig ID collides with
-/// [`NULL_ID`]) or if `worker` exceeds the 30-bit field.
+/// [`NULL_ID`]) or does not fit below the contig mark.
 #[inline]
-pub fn contig_id(worker: u32, ordinal: u32) -> u64 {
+pub fn contig_id(ordinal: u64) -> u64 {
     assert!(
         ordinal > 0,
         "contig ordinals are 1-based to avoid colliding with NULL"
     );
     assert!(
-        (worker as u64) <= WORKER_MASK,
-        "worker index {worker} exceeds the 30-bit worker field"
+        ordinal & CONTIG_MARK == 0,
+        "contig ordinal {ordinal:#x} does not fit below the contig mark"
     );
-    CONTIG_MARK | ((worker as u64) << ORDINAL_BITS) | ordinal as u64
+    CONTIG_MARK | ordinal
+}
+
+/// The ordinal of contig ID `id` ([`contig_id`]'s argument).
+#[inline]
+pub(crate) fn contig_ordinal(id: u64) -> u64 {
+    debug_assert!(is_contig_id(id), "{id:#x} is no contig ID");
+    id & !CONTIG_MARK
 }
 
 /// Whether `id` is the NULL dummy neighbour.
@@ -94,14 +95,6 @@ mod tests {
     /// Whether `id` identifies a k-mer vertex.
     fn is_kmer_id(id: u64) -> bool {
         id & CONTIG_MARK == 0
-    }
-
-    /// Extracts `(worker, ordinal)` from a contig ID.
-    fn contig_parts(id: u64) -> (u32, u32) {
-        (
-            ((id >> ORDINAL_BITS) & WORKER_MASK) as u32,
-            (id & 0xFFFF_FFFF) as u32,
-        )
     }
 
     #[test]
@@ -126,27 +119,34 @@ mod tests {
     }
 
     #[test]
-    fn contig_ids_combine_worker_and_ordinal() {
-        let id = contig_id(3, 17);
+    fn contig_ids_carry_their_ordinal() {
+        let id = contig_id(17);
         assert!(is_contig_id(id));
         assert!(!is_kmer_id(id));
         assert!(!is_null(id));
-        assert_eq!(contig_parts(id), (3, 17));
-        // Distinct workers/ordinals give distinct IDs.
-        assert_ne!(contig_id(3, 18), id);
-        assert_ne!(contig_id(4, 17), id);
+        assert_eq!(contig_ordinal(id), 17);
+        // Distinct ordinals give distinct IDs, ordered as the ordinals.
+        assert!(contig_id(18) > id);
+        let largest = contig_id(!CONTIG_MARK);
+        assert_eq!((largest, contig_ordinal(largest)), (u64::MAX, !CONTIG_MARK));
     }
 
     #[test]
     #[should_panic(expected = "1-based")]
     fn contig_ordinal_zero_rejected() {
-        contig_id(0, 0);
+        contig_id(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the contig mark")]
+    fn an_ordinal_on_the_contig_mark_is_rejected() {
+        contig_id(CONTIG_MARK);
     }
 
     #[test]
     fn id_spaces_are_disjoint() {
         let kmer = kmer_id(&Kmer::from_str_exact("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA").unwrap());
-        let contig = contig_id(0, 1);
+        let contig = contig_id(1);
         assert!(is_kmer_id(kmer) && !is_contig_id(kmer));
         assert!(is_contig_id(contig) && !is_kmer_id(contig));
         assert_ne!(contig, NULL_ID);

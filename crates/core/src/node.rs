@@ -138,7 +138,7 @@ pub enum VertexType {
 /// A node of the assembly graph: either a k-mer vertex or a contig vertex.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AsmNode {
-    /// Vertex ID (k-mer encoding or contig `worker ‖ ordinal`, Figure 7).
+    /// Vertex ID (k-mer encoding or contig ordinal, Figure 7).
     pub id: u64,
     /// The node's sequence.
     pub seq: NodeSeq,
@@ -837,7 +837,7 @@ mod tests {
     #[test]
     fn null_edges_do_not_count_as_neighbors() {
         let mut contig = AsmNode::new_contig(
-            ids::contig_id(0, 1),
+            ids::contig_id(1),
             DnaString::from_ascii("TGCCGTAC").unwrap(),
             98,
         );
@@ -901,7 +901,7 @@ mod tests {
         }
         // A contig member of round two, longer than a word.
         let contig = AsmNode::new_contig(
-            ids::contig_id(1, 7),
+            ids::contig_id(7),
             DnaString::from_ascii(&"GATTACACCGT".repeat(7)).unwrap(),
             3,
         );
@@ -932,7 +932,7 @@ mod tests {
         let kmers = [AsmNode::new_kmer(km("ACGG")), AsmNode::new_kmer(km("CGGC"))];
         let contig = |ordinal| {
             let seq = DnaString::from_ascii("ACGGCA").unwrap();
-            AsmNode::new_contig(ids::contig_id(0, ordinal), seq, 3)
+            AsmNode::new_contig(ids::contig_id(ordinal), seq, 3)
         };
         let contigs = [contig(1), contig(2)];
         let mixed = MixedNodes {

@@ -174,14 +174,14 @@ mod tests {
 
     /// Builds a contig node between two ambiguous endpoints.
     fn contig_between(
-        id_ordinal: u32,
+        id_ordinal: u64,
         seq: &str,
         coverage: u32,
         in_nbr: u64,
         out_nbr: u64,
     ) -> AsmNode {
         let mut node = AsmNode::new_contig(
-            contig_id(0, id_ordinal),
+            contig_id(id_ordinal),
             DnaString::from_ascii(seq).unwrap(),
             coverage,
         );
@@ -317,7 +317,7 @@ mod tests {
             contig_between(3, "GGCACTATTCGG", 2, END_A, END_B),
         ];
         let ids =
-            |ordinals: &[u32]| -> Vec<u64> { ordinals.iter().map(|&o| contig_id(0, o)).collect() };
+            |ordinals: &[u64]| -> Vec<u64> { ordinals.iter().map(|&o| contig_id(o)).collect() };
         for workers in [1, 2, 3] {
             let mut input = contigs.clone();
             for _ in 0..contigs.len() {

@@ -37,15 +37,20 @@
 //! two pointers. Ranks order as IDs do, so
 //! "the smaller end" and "the smallest ID of the cycle" are decided on ranks;
 //! a neighbour ID outside the node set becomes the one-past-the-end rank, and
-//! what is sent there is dropped as it would be for the missing ID. The
-//! outcome is translated back, in the order a job over the IDs themselves
-//! would have left it (see [`LabelOutcome::labels`]). The way in and out —
-//! dictionary, per-worker state build, running the job, read-back — is
+//! what is sent there is dropped as it would be for the missing ID. The way
+//! in — dictionary, per-worker state build, running the job — is
 //! `ranks.rs`'s and shared with S-V labeling ([`super::label_sv`]), whose
 //! job the fallback is: it runs over the unresolved ranks only, every other
 //! rank taking no part. Both jobs run on the engine's dense plane, resident
 //! under any `SpillPolicy` (the cap binds construct's keyed pass), and a
 //! pointer update compares ranks, never arrival order.
+//!
+//! The outcome stays in rank space: one `u32` per rank, the rank of the
+//! vertex's label or [`AMBIGUOUS`] ([`LabelOutcome::labels`]). The fallback's
+//! labels fill in the slots list ranking left unresolved, and the slots'
+//! outcome is copied to their fragments' ranks once. Contig merging groups
+//! that column as it is; no ID is looked up or hashed on the way out, so
+//! the outcome is the same at every worker count.
 //!
 //! # Blocks
 //!
@@ -56,8 +61,8 @@
 //! and the job addresses fragments by **slot** (ascending smallest rank).
 //! A fragment's pointers start at the slots beyond its ends, so a flip
 //! marks the end *fragment* reached; the label is the smaller of the end
-//! fragments' terminal vertices, copied to every member. Labels, order,
-//! ambiguous IDs and the fallback flag are the vertex-level job's; the
+//! fragments' terminal vertices, copied to every member. Labels and the
+//! fallback flag are the vertex-level job's; the
 //! metrics count the physical job, a twelfth to a seventeenth of the
 //! messages at k = 31. At k ≤ 11 (m is clamped to k) every k-mer is its own
 //! block and the job is the vertex-level one, message for message.
@@ -65,27 +70,35 @@
 use super::blocks::Blocks;
 use super::label_sv::{converged, sv_states};
 use crate::node::{GraphNode, NodeSource};
-use crate::ranks::{run_on, RankDict, AMBIGUOUS, RANK_FLIP, UNRESOLVED};
+use crate::ranks::{run_on, RankDict, RANK_FLIP, UNRESOLVED};
 use ppa_pregel::aggregate::Count;
 use ppa_pregel::algorithms::{SvProgram, SvState};
 use ppa_pregel::{Context, ExecCtx, Metrics, PregelConfig, VertexProgram};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+pub use crate::ranks::AMBIGUOUS;
+
 /// Result of a contig-labeling run (either algorithm).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelOutcome {
-    /// `(vertex id, label)` for every unambiguous vertex. Vertices sharing a
-    /// label belong to the same maximal unambiguous path (or cycle). Ordered
-    /// by owning worker (`hash_one(&id) % workers`), then by ID — contig IDs
-    /// are minted from this order.
-    pub labels: Vec<(u64, u64)>,
-    /// IDs of ambiguous (⟨m-n⟩) vertices, which receive no label.
-    pub ambiguous: Vec<u64>,
+    /// One entry per vertex of the labelled node set, at its position (its
+    /// rank): the rank of the vertex's label, or [`AMBIGUOUS`] for an
+    /// ambiguous (⟨m-n⟩) vertex, which receives none. Vertices sharing a
+    /// label belong to the same maximal unambiguous path (or cycle); the
+    /// label names one of them.
+    pub labels: Vec<u32>,
     /// Combined Pregel metrics of the labeling (including the S-V cycle
     /// fallback if it ran).
     pub metrics: Metrics,
     /// Whether the S-V fallback was needed (unambiguous cycles present).
     pub used_cycle_fallback: bool,
+}
+
+impl LabelOutcome {
+    /// The positions of the ambiguous vertices, ascending.
+    pub fn ambiguous(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.labels.len()).filter(|&at| self.labels[at] == AMBIGUOUS)
+    }
 }
 
 const LEFT: usize = 0;
@@ -279,9 +292,10 @@ impl VertexProgram for LrProgram {
 /// Labels every maximal unambiguous path using bidirectional list ranking,
 /// falling back to the simplified S-V algorithm for unambiguous cycles. The
 /// translation into rank space, the list-ranking job (`ranks::run_on`), its
-/// S-V cycle fallback and the translation back all run on `ctx`'s persistent
-/// pool (worker count = pool size). The nodes may be in any form
-/// ([`NodeSource`]); the outcome does not depend on which.
+/// S-V cycle fallback and the copy of the fragments' labels to their ranks
+/// all run on `ctx`'s persistent pool (worker count = pool size). The nodes
+/// may be in any form ([`NodeSource`]); the outcome depends neither on which
+/// nor on the worker count.
 ///
 /// # Panics
 ///
@@ -328,7 +342,7 @@ pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
         LrState::Path { .. } => UNRESOLVED,
     };
     let program_of = |broadcast| LrProgram::new(nodes.len(), broadcast);
-    let (program, mut metrics, outcome) =
+    let (program, mut metrics, mut outcome) =
         run_on(ctx, &config, blocks.len(), state_of, program_of, outcome_of);
     let stalled = program.stalled.load(Ordering::Relaxed);
 
@@ -337,9 +351,8 @@ pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
     let unresolved = |slot: u32| outcome.get(slot as usize) == Some(&UNRESOLVED);
     let cycles_left = (0..blocks.len()).any(unresolved);
     let used_cycle_fallback = stalled || cycles_left;
-    let mut cycles = None;
     if cycles_left {
-        let (_, sv_metrics, outcome) = run_on(
+        let (_, sv_metrics, cycles) = run_on(
             ctx,
             &config,
             blocks.len(),
@@ -351,20 +364,15 @@ pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
             std::panic::panic_any(e);
         }
         metrics.absorb(&sv_metrics);
-        cycles = Some(blocks.spread_on(ctx, &outcome));
-    }
-    // Per rank from here on: the blocks go before the IDs come back.
-    let outcome = blocks.spread_on(ctx, &outcome);
-    drop(blocks);
-    let (mut labels, ambiguous) = dict.read_back_on(ctx, &outcome);
-    if let Some(cycles) = cycles {
-        // The cycles after the paths, as a job over the IDs left them.
-        labels.extend(dict.read_back_on(ctx, &cycles).0);
+        for (label, cycle) in outcome.iter_mut().zip(cycles) {
+            if *label == UNRESOLVED {
+                *label = cycle;
+            }
+        }
     }
 
     LabelOutcome {
-        labels,
-        ambiguous,
+        labels: blocks.spread_on(ctx, &outcome),
         metrics,
         used_cycle_fallback,
     }
@@ -398,11 +406,22 @@ pub(crate) mod tests {
         .into_nodes()
     }
 
+    /// `(vertex ID, label ID)` of every labelled vertex of `nodes`.
+    pub(crate) fn labelled(nodes: &[AsmNode], outcome: &LabelOutcome) -> Vec<(u64, u64)> {
+        assert_eq!(outcome.labels.len(), nodes.len());
+        nodes
+            .iter()
+            .zip(&outcome.labels)
+            .filter(|(_, &label)| label != AMBIGUOUS)
+            .map(|(node, &label)| (node.id, nodes[label as usize].id))
+            .collect()
+    }
+
     /// Groups labels into sets of vertex IDs.
-    pub(crate) fn groups_of(outcome: &LabelOutcome) -> Vec<HashSet<u64>> {
+    pub(crate) fn groups_of(nodes: &[AsmNode], outcome: &LabelOutcome) -> Vec<HashSet<u64>> {
         let mut by_label: HashMap<u64, HashSet<u64>> = HashMap::new();
-        for (id, label) in &outcome.labels {
-            by_label.entry(*label).or_default().insert(*id);
+        for (id, label) in labelled(nodes, outcome) {
+            by_label.entry(label).or_default().insert(id);
         }
         by_label.into_values().collect()
     }
@@ -453,8 +472,8 @@ pub(crate) mod tests {
         out
     }
 
-    pub(crate) fn groups_sorted(outcome: &LabelOutcome) -> Vec<Vec<u64>> {
-        let mut got: Vec<Vec<u64>> = groups_of(outcome)
+    pub(crate) fn groups_sorted(nodes: &[AsmNode], outcome: &LabelOutcome) -> Vec<Vec<u64>> {
+        let mut got: Vec<Vec<u64>> = groups_of(nodes, outcome)
             .iter()
             .map(|g| {
                 let mut v: Vec<u64> = g.iter().copied().collect();
@@ -473,9 +492,9 @@ pub(crate) mod tests {
         let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
         assert_eq!(nodes.len(), 7);
         let outcome = label_contigs_lr_on(&ExecCtx::new(3), &nodes);
-        assert!(outcome.ambiguous.is_empty());
-        assert_eq!(outcome.labels.len(), 7);
-        let groups = groups_of(&outcome);
+        assert_eq!(outcome.ambiguous().count(), 0);
+        assert_eq!(labelled(&nodes, &outcome).len(), 7);
+        let groups = groups_of(&nodes, &outcome);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 7);
         assert!(!outcome.used_cycle_fallback);
@@ -494,7 +513,9 @@ pub(crate) mod tests {
             .map(|n| n.id)
             .collect();
         let expected_label = *end_ids.iter().min().unwrap();
-        assert!(outcome.labels.iter().all(|(_, l)| *l == expected_label));
+        assert!(labelled(&nodes, &outcome)
+            .iter()
+            .all(|(_, l)| *l == expected_label));
     }
 
     #[test]
@@ -503,11 +524,9 @@ pub(crate) mod tests {
         // must not be labelled, and the branches get distinct labels.
         let nodes = nodes_from_reads(&["TTACTTGATCCG", "TTACTTGAACGG"], 5);
         let outcome = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
-        assert!(
-            !outcome.ambiguous.is_empty(),
-            "the fork must create ambiguous vertices"
-        );
-        let groups = groups_of(&outcome);
+        let ambiguous = outcome.ambiguous().count();
+        assert!(ambiguous > 0, "the fork must create ambiguous vertices");
+        let groups = groups_of(&nodes, &outcome);
         assert!(
             groups.len() >= 2,
             "expected at least two labelled paths, got {}",
@@ -515,10 +534,10 @@ pub(crate) mod tests {
         );
         // Labels plus ambiguous vertices cover every vertex exactly once.
         let labelled: usize = groups.iter().map(|g| g.len()).sum();
-        assert_eq!(labelled + outcome.ambiguous.len(), nodes.len());
+        assert_eq!(labelled + ambiguous, nodes.len());
         // Groups must match the connected components of the unambiguous subgraph.
         assert_eq!(
-            groups_sorted(&outcome),
+            groups_sorted(&nodes, &outcome),
             unambiguous_component_oracle(&nodes)
         );
     }
@@ -536,7 +555,7 @@ pub(crate) mod tests {
         );
         let outcome = label_contigs_lr_on(&ExecCtx::new(3), &nodes);
         assert_eq!(
-            groups_sorted(&outcome),
+            groups_sorted(&nodes, &outcome),
             unambiguous_component_oracle(&nodes)
         );
     }
@@ -590,12 +609,12 @@ pub(crate) mod tests {
             outcome.used_cycle_fallback,
             "cycles require the S-V fallback"
         );
-        let groups = groups_of(&outcome);
+        let groups = groups_of(&nodes, &outcome);
         assert_eq!(groups.len(), 1, "the whole cycle is one contig");
         assert_eq!(groups[0].len(), nodes.len());
         // The cycle label is the smallest vertex ID in the cycle.
         let min_id = nodes.iter().map(|n| n.id).min().unwrap();
-        assert!(outcome.labels.iter().all(|(_, l)| *l == min_id));
+        assert!(labelled(&nodes, &outcome).iter().all(|(_, l)| *l == min_id));
     }
 
     #[test]
@@ -609,7 +628,7 @@ pub(crate) mod tests {
         let outcome = label_contigs_lr_on(&ExecCtx::new(3), &nodes);
         assert!(outcome.used_cycle_fallback);
         assert_eq!(
-            groups_sorted(&outcome),
+            groups_sorted(&nodes, &outcome),
             unambiguous_component_oracle(&nodes)
         );
     }
@@ -618,7 +637,6 @@ pub(crate) mod tests {
     fn empty_input() {
         let outcome = label_contigs_lr_on::<[AsmNode]>(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
-        assert!(outcome.ambiguous.is_empty());
         assert!(outcome.metrics.converged);
     }
 
@@ -627,7 +645,7 @@ pub(crate) mod tests {
         let nodes = nodes_from_reads(&["ACGGTC"], 5);
         assert_eq!(nodes.len(), 2);
         let outcome = label_contigs_lr_on(&ExecCtx::new(1), &nodes);
-        assert_eq!(groups_of(&outcome).len(), 1);
-        assert_eq!(outcome.labels.len(), 2);
+        assert_eq!(groups_of(&nodes, &outcome).len(), 1);
+        assert_eq!(labelled(&nodes, &outcome).len(), 2);
     }
 }

@@ -17,7 +17,8 @@
 //! neighbour ID outside the node set becomes the one-past-the-end rank, where
 //! messages are dropped as they would be for the missing ID — and the
 //! component representative, the smallest rank and so the smallest ID, is
-//! translated back as the contig label. A shuffle record is 8 bytes.
+//! the contig label, kept as a rank ([`LabelOutcome::labels`]). A shuffle
+//! record is 8 bytes.
 //! `ranks::run_on` builds the store and runs the job on the engine's dense
 //! plane, resident under any `SpillPolicy` (the cap binds construct's keyed
 //! pass); every phase of S-V takes a minimum over its inbox or answers each
@@ -28,12 +29,14 @@
 //! Like list ranking's, the job runs on the slots of minimizer-block
 //! fragments (`blocks.rs`, after Blogel: Yan, Cheng, Lu and Ng, *PVLDB*
 //! 2014): a component's smallest slot names its smallest vertex, and the
-//! metrics count that physical job.
+//! metrics count that physical job. An ambiguous vertex's slot, which takes
+//! no part, is marked [`AMBIGUOUS`] before the slots' outcome is copied to
+//! their fragments' ranks.
 
 use super::blocks::Blocks;
 use super::label::LabelOutcome;
 use crate::node::NodeSource;
-use crate::ranks::{run_on, RankDict};
+use crate::ranks::{run_on, RankDict, AMBIGUOUS};
 use ppa_pregel::algorithms::{SvProgram, SvState};
 use ppa_pregel::{EngineError, ExecCtx, Metrics, PregelConfig};
 
@@ -69,9 +72,10 @@ pub(crate) fn sv_states(
 
 /// Labels every maximal unambiguous path with the smallest vertex ID of the
 /// path, using the simplified S-V algorithm. The translation into rank space,
-/// the S-V job and the translation back all run on `ctx`'s persistent pool
-/// (worker count = pool size). The nodes may be in any form
-/// ([`NodeSource`]); the outcome does not depend on which.
+/// the S-V job and the copy of the fragments' labels to their ranks all run
+/// on `ctx`'s persistent pool (worker count = pool size). The nodes may be in
+/// any form ([`NodeSource`]); the outcome depends neither on which nor on the
+/// worker count.
 ///
 /// # Panics
 ///
@@ -88,16 +92,12 @@ pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
     let config = PregelConfig::default().max_supersteps(4_000);
     let dict = RankDict::new(nodes.ids());
     let blocks = Blocks::build_on(ctx, nodes, &dict);
-    let ambiguous: Vec<u64> = (0..dict.len())
-        .filter(|&rank| blocks.is_ambiguous(blocks.slot(rank)))
-        .map(|rank| dict.id(rank))
-        .collect();
 
     // The fragments' slots: ambiguous vertices take no part and are filtered
     // from the neighbour lists; an ID outside the node set stays, as the
     // absent slot.
     let state_of = sv_states(|slot| blocks.sides(slot), |slot| !blocks.is_ambiguous(slot));
-    let (_, metrics, outcome) = run_on(
+    let (_, metrics, mut outcome) = run_on(
         ctx,
         &config,
         blocks.len(),
@@ -109,12 +109,13 @@ pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
         std::panic::panic_any(e);
     }
 
-    let outcome = blocks.spread_on(ctx, &outcome);
-    drop(blocks);
-    let (labels, _) = dict.read_back_on(ctx, &outcome);
+    for (slot, label) in (0..).zip(outcome.iter_mut()) {
+        if blocks.is_ambiguous(slot) {
+            *label = AMBIGUOUS;
+        }
+    }
     LabelOutcome {
-        labels,
-        ambiguous,
+        labels: blocks.spread_on(ctx, &outcome),
         metrics,
         used_cycle_fallback: false,
     }
@@ -124,7 +125,7 @@ pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
 mod tests {
     use super::super::label::label_contigs_lr_on;
     use super::super::label::tests::{
-        groups_sorted, nodes_from_reads, unambiguous_component_oracle,
+        groups_sorted, labelled, nodes_from_reads, unambiguous_component_oracle,
     };
     use super::*;
     use crate::node::AsmNode;
@@ -135,13 +136,13 @@ mod tests {
         let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
         let outcome = label_contigs_sv_on(&ExecCtx::new(2), &nodes);
         assert_eq!(
-            groups_sorted(&outcome),
+            groups_sorted(&nodes, &outcome),
             unambiguous_component_oracle(&nodes)
         );
         assert!(outcome.metrics.converged);
         // S-V labels with the smallest vertex ID of the component.
         let min_id = nodes.iter().map(|n| n.id).min().unwrap();
-        assert!(outcome.labels.iter().all(|(_, l)| *l == min_id));
+        assert!(labelled(&nodes, &outcome).iter().all(|(_, l)| *l == min_id));
     }
 
     #[test]
@@ -156,15 +157,11 @@ mod tests {
             let lr = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
             let sv = label_contigs_sv_on(&ExecCtx::new(2), &nodes);
             assert_eq!(
-                groups_sorted(&lr),
-                groups_sorted(&sv),
+                groups_sorted(&nodes, &lr),
+                groups_sorted(&nodes, &sv),
                 "LR and S-V must group vertices identically for {seqs:?}"
             );
-            let mut lr_amb = lr.ambiguous.clone();
-            let mut sv_amb = sv.ambiguous.clone();
-            lr_amb.sort_unstable();
-            sv_amb.sort_unstable();
-            assert_eq!(lr_amb, sv_amb);
+            assert!(lr.ambiguous().eq(sv.ambiguous()));
         }
     }
 
@@ -200,7 +197,7 @@ mod tests {
         let lr = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
         let sv = label_contigs_sv_on(&ExecCtx::new(2), &nodes);
         assert!(!lr.used_cycle_fallback);
-        assert_eq!(groups_sorted(&lr), groups_sorted(&sv));
+        assert_eq!(groups_sorted(&nodes, &lr), groups_sorted(&nodes, &sv));
         assert!(
             sv.metrics.supersteps > lr.metrics.supersteps,
             "S-V ({}) should need more supersteps than LR ({})",
@@ -246,6 +243,5 @@ mod tests {
     fn sv_empty_input() {
         let outcome = label_contigs_sv_on::<[AsmNode]>(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
-        assert!(outcome.ambiguous.is_empty());
     }
 }

@@ -13,40 +13,41 @@
 //!
 //! # Grouping
 //!
-//! A label names one member of its group (list ranking's smaller end ID,
-//! S-V's smallest ID), so the node set's ascending ID column — the same rank
-//! dictionary labeling takes (`ranks.rs`): in round 1 construct's k-mer
-//! column itself — turns every `(vertex, label)` pair into two dense `u32`s:
-//! the vertex's rank, which is its position in the node set, and the
-//! label's rank. One stable counting pass over the label
-//! ranks lays the members out group by group in a single CSR column, each
-//! group in the order of `labels`, and the dictionary is dropped before any
-//! contig is stitched. The groups are then stitched on the pool, largest
-//! first, each on the least-loaded worker (longest processing time first),
-//! and each worker reuses one member map and one set of visited marks for
-//! all of its groups; a k-mer member's tail is written from its packed word,
-//! so no sequence is built per member.
+//! Labeling leaves one `u32` per vertex of the node set, at its position:
+//! the rank of its label — a label names one member of its group (list
+//! ranking's smaller end, S-V's smallest vertex) — or `AMBIGUOUS`. One
+//! stable counting pass over that column lays the members out group by
+//! group in a single CSR column, groups in ascending label rank and each
+//! group's members in ascending rank; no ID is looked up. The groups are
+//! then stitched on the pool, largest first, each on the least-loaded
+//! worker (longest processing time first), and each worker reuses one
+//! member map and one set of visited marks for all of its groups; a k-mer
+//! member's tail is written from its packed word, so no sequence is built
+//! per member.
 //!
-//! Contig IDs are minted afterwards as `worker ‖ ordinal` (Figure 7c): the
-//! worker of a group is `hash_one(&label) % workers`, and each worker numbers
-//! its kept groups from 1 in ascending label order, skipping dropped tips.
-//! The contigs come out in that (worker, label) order. Which pool worker
-//! stitched a group changes nothing.
+//! Contig IDs are minted afterwards (Figure 7c, without the worker field;
+//! see [`crate::ids`]): the kept groups are numbered 1, 2, … in ascending
+//! label rank, skipping dropped tips, above the largest contig ordinal of
+//! the node set — its last vertex's, which is a contig if the set holds
+//! any — so a correction round never reuses an ID. The contigs come out in
+//! ID order. Which pool worker stitched a group, and how many there are,
+//! changes nothing: names, order, orientation and sequence are the same at
+//! every worker count.
 //!
 //! **Deviation from the paper:** Yan et al. group the labelled vertices with
-//! a mini MapReduce keyed by label and mint the IDs in its reduce workers.
-//! Here there is no MapReduce: labels name vertices, so a sorted ID index
-//! groups them without a shuffle, and dealing groups by size balances the
-//! stitching by work where hashing labels to reduce workers balanced it by
-//! group count. The round structure (group by
-//! label, stitch every group, mint `worker ‖ ordinal`) and the IDs are the
-//! paper's, byte for byte what the MapReduce formulation minted.
+//! a mini MapReduce keyed by label and mint `worker ‖ ordinal` IDs in its
+//! reduce workers. Here there is no MapReduce: labels are ranks in the node
+//! set, so a counting sort groups them without a shuffle, and dealing groups
+//! by size balances the stitching by work where hashing labels to reduce
+//! workers balanced it by group count. The round structure (group by label,
+//! stitch every group, mint the IDs) is the paper's; the IDs no longer
+//! depend on how labels were hashed to workers.
 
-use crate::ids::contig_id;
+use crate::ids::{contig_id, contig_ordinal, is_contig_id};
 use crate::node::{AsmNode, Edge, GraphNode, NodeSource};
 use crate::polarity::{Direction, Polarity, Side};
-use crate::ranks::RankDict;
-use ppa_pregel::fxhash::{hash_one, FxHashMap};
+use crate::ranks::AMBIGUOUS;
+use ppa_pregel::fxhash::FxHashMap;
 use ppa_pregel::ExecCtx;
 use ppa_pregel::MapReduceMetrics;
 use ppa_seq::{DnaString, Orientation};
@@ -82,11 +83,10 @@ pub struct MergeOutcome {
     /// Number of label groups processed.
     pub groups: usize,
     /// The pass in the mini-MapReduce's terms, as the paper's formulation
-    /// would have counted it: `input_records` = labels given,
-    /// `pairs_shuffled` = labelled vertices found in the node set, `groups` =
-    /// `output_records` = label groups. `elapsed` is the whole pass, grouping
-    /// through minting. The spill fields are always 0: grouping never
-    /// spilled.
+    /// would have counted it: `input_records` = `pairs_shuffled` = labelled
+    /// vertices, `groups` = `output_records` = label groups. `elapsed` is the
+    /// whole pass, grouping through minting. The spill fields are always 0:
+    /// grouping never spilled.
     pub mapreduce: MapReduceMetrics,
 }
 
@@ -168,8 +168,8 @@ struct Stitcher {
 }
 
 impl Stitcher {
-    /// Stitches one label group — `members` are positions in `nodes` — into a
-    /// contig draft.
+    /// Stitches one label group — `members` are positions in `nodes`,
+    /// ascending — into a contig draft.
     ///
     /// Returns `None` if the group is a short dangling tip (paper: "exit
     /// reduce if the aggregated contig length is not above the tip-length
@@ -203,13 +203,8 @@ impl Stitcher {
                 .find(|side| outer_side_of(node(at), *side))
                 .map(|side| (at, side))
         });
-        let (start_at, entry_side) = start.unwrap_or_else(|| {
-            // Cycle: start from the smallest member ID for determinism.
-            let at = (0..members.len() as u32)
-                .min_by_key(|at| node(*at).id())
-                .expect("non-empty");
-            (at, Side::Left)
-        });
+        // Cycle: start from the first member, the smallest ID.
+        let (start_at, entry_side) = start.unwrap_or((0, Side::Left));
         let start_node = node(start_at);
 
         let start_orientation = if entry_side == Side::Left {
@@ -306,9 +301,8 @@ impl Stitcher {
     }
 }
 
-/// One label group: its label and its members' span of the CSR column.
+/// One label group: its members' span of the CSR column.
 struct Group {
-    label: u64,
     begin: u32,
     end: u32,
 }
@@ -319,67 +313,51 @@ impl Group {
     }
 }
 
-/// The label groups in ascending label order, with their members — positions
-/// in `nodes` of the labelled vertices found there, each group in `labels`
-/// order — in one CSR column.
-fn group_on<S: NodeSource + ?Sized>(
-    ctx: &ExecCtx,
-    nodes: &S,
-    labels: &[(u64, u64)],
-) -> (Vec<Group>, Vec<u32>) {
-    let dict = RankDict::new(nodes.ids());
-    let absent = dict.len();
-    // (node position, label rank) of every labelled vertex in the set, one
-    // contiguous share of `labels` per worker.
-    let workers = ctx.workers();
-    let shares: Vec<Vec<(u32, u32)>> = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
-        let share = &labels[labels.len() * w / workers..labels.len() * (w + 1) / workers];
-        share
-            .iter()
-            .filter_map(|&(id, label)| {
-                let rank = dict.rank(id);
-                (rank != absent).then(|| {
-                    let group = dict.rank(label);
-                    assert!(
-                        group != absent,
-                        "label {label:#x} of vertex {id:#x} names no vertex of the node set"
-                    );
-                    (rank, group)
-                })
-            })
-            .collect()
-    });
-
+/// The label groups of the column `labels` in ascending label rank, with
+/// their members — positions in the node set, ascending in each group — in
+/// one CSR column.
+///
+/// # Panics
+///
+/// Panics if a label is neither [`AMBIGUOUS`] nor a position in `labels`.
+fn group(labels: &[u32]) -> (Vec<Group>, Vec<u32>) {
     // Stable counting sort by label rank: `starts[g]` is where group `g`
     // begins, then its placement cursor.
-    let mut starts = vec![0u32; absent as usize + 1];
-    for &(_, group) in shares.iter().flatten() {
-        starts[group as usize + 1] += 1;
+    let n = labels.len();
+    let mut starts = vec![0u32; n + 1];
+    for (at, &label) in labels.iter().enumerate() {
+        if label != AMBIGUOUS {
+            assert!(
+                (label as usize) < n,
+                "label {label} of vertex {at} names no vertex of the {n} in the node set"
+            );
+            starts[label as usize + 1] += 1;
+        }
     }
     for g in 1..starts.len() {
         starts[g] += starts[g - 1];
     }
-    let groups: Vec<Group> = (0..absent)
-        .filter(|&g| starts[g as usize + 1] > starts[g as usize])
+    let groups: Vec<Group> = (0..n)
+        .filter(|&g| starts[g + 1] > starts[g])
         .map(|g| Group {
-            label: dict.id(g),
-            begin: starts[g as usize],
-            end: starts[g as usize + 1],
+            begin: starts[g],
+            end: starts[g + 1],
         })
         .collect();
-    drop(dict);
-    let mut members = vec![0u32; shares.iter().map(Vec::len).sum()];
-    for &(position, group) in shares.iter().flatten() {
-        let cursor = &mut starts[group as usize];
-        members[*cursor as usize] = position;
-        *cursor += 1;
+    let mut members = vec![0u32; starts[n] as usize];
+    for (at, &label) in (0..).zip(labels) {
+        if label != AMBIGUOUS {
+            let cursor = &mut starts[label as usize];
+            members[*cursor as usize] = at;
+            *cursor += 1;
+        }
     }
     (groups, members)
 }
 
 /// Longest processing time first: the groups by member count, largest first
-/// (ties by label), each dealt to the worker with the fewest members so far
-/// (ties to the lowest worker).
+/// (ties in group order), each dealt to the worker with the fewest members
+/// so far (ties to the lowest worker).
 fn lpt_plan(groups: &[Group], workers: usize) -> Vec<Vec<u32>> {
     let mut order: Vec<u32> = (0..groups.len() as u32).collect();
     order.sort_by_key(|&g| std::cmp::Reverse(groups[g as usize].len()));
@@ -394,8 +372,9 @@ fn lpt_plan(groups: &[Group], workers: usize) -> Vec<Vec<u32>> {
 }
 
 /// Stitches the groups on the pool, worker `w` taking `plan[w]`, and mints
-/// the contig IDs. The outcome is the same for every plan that deals each
-/// group once.
+/// the contig IDs, in group order above the node set's largest contig
+/// ordinal. The outcome is the same for every plan that deals each group
+/// once.
 fn stitch_on<S: NodeSource + ?Sized>(
     ctx: &ExecCtx,
     nodes: &S,
@@ -425,17 +404,14 @@ fn stitch_on<S: NodeSource + ?Sized>(
 
     let kept = drafts.iter().flatten().filter(|d| d.is_some()).count();
     let mut contigs = Vec::with_capacity(kept);
-    let workers = ctx.workers() as u64;
-    for owner in 0..workers {
-        let mut ordinal = 0u32;
-        for (group, &(w, i)) in groups.iter().zip(&at) {
-            if hash_one(&group.label) % workers != owner {
-                continue;
-            }
-            if let Some(draft) = drafts[w as usize][i as usize].take() {
-                ordinal += 1;
-                contigs.push(draft.into_node(contig_id(owner as u32, ordinal)));
-            }
+    let last = nodes.len().checked_sub(1).map(|at| nodes.node(at).id());
+    let mut ordinal = last
+        .filter(|&id| is_contig_id(id))
+        .map_or(0, contig_ordinal);
+    for &(w, i) in &at {
+        if let Some(draft) = drafts[w as usize][i as usize].take() {
+            ordinal += 1;
+            contigs.push(draft.into_node(contig_id(ordinal)));
         }
     }
     (contigs, groups.len() - kept)
@@ -443,22 +419,31 @@ fn stitch_on<S: NodeSource + ?Sized>(
 
 /// Runs contig merging on `ctx`'s workers: groups the labelled vertices by
 /// label and stitches every group into a contig vertex (see the module
-/// docs). The nodes may be in any form ([`NodeSource`]); the outcome does
-/// not depend on which.
+/// docs). `labels` is a labeling's column over `nodes`
+/// ([`LabelOutcome::labels`](super::label::LabelOutcome::labels)): per
+/// position, the position of its label, or `AMBIGUOUS`. The nodes may be in
+/// any form ([`NodeSource`]); the outcome does not depend on which, nor on
+/// the worker count.
 ///
 /// # Panics
 ///
-/// Panics if the nodes are not listed in strictly ascending ID order, or if
-/// a label of a vertex in `nodes` names no vertex of `nodes`: both
-/// labelings name a group by one of its members.
+/// Panics if `labels` does not have one entry per node, or if a label names
+/// no position of `nodes`: both labelings name a group by one of its members.
 pub fn merge_contigs_on<S: NodeSource + ?Sized>(
     ctx: &ExecCtx,
     nodes: &S,
-    labels: &[(u64, u64)],
+    labels: &[u32],
     config: &MergeConfig,
 ) -> MergeOutcome {
     let start = Instant::now();
-    let (groups, members) = group_on(ctx, nodes, labels);
+    assert_eq!(
+        labels.len(),
+        nodes.len(),
+        "a label column of {} entries for {} nodes",
+        labels.len(),
+        nodes.len()
+    );
+    let (groups, members) = group(labels);
     // The pass's one barrier, where the paper's map → reduce hand-off sits.
     ctx.poll_barrier();
     let plan = lpt_plan(&groups, ctx.workers());
@@ -468,7 +453,7 @@ pub fn merge_contigs_on<S: NodeSource + ?Sized>(
         dropped_tips,
         groups: groups.len(),
         mapreduce: MapReduceMetrics {
-            input_records: labels.len() as u64,
+            input_records: members.len() as u64,
             pairs_shuffled: members.len() as u64,
             groups: groups.len() as u64,
             output_records: groups.len() as u64,
@@ -573,7 +558,7 @@ mod tests {
         let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes);
         let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &labels.labels, &merge_cfg(5, 0));
         assert!(out.contigs.len() >= 2);
-        let ambiguous: HashSet<u64> = labels.ambiguous.iter().copied().collect();
+        let ambiguous: HashSet<u64> = labels.ambiguous().map(|at| nodes[at].id).collect();
         // At least one contig must have a real (ambiguous) neighbour, and all
         // real neighbours of contigs must be ambiguous vertices.
         let mut real_neighbor_seen = false;
@@ -626,8 +611,10 @@ mod tests {
 
     #[test]
     fn empty_labels_produce_no_contigs() {
+        // Every vertex ambiguous: no vertex is labelled.
         let nodes = nodes_from_reads(&["CTGCCGT"], 4);
-        let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &[], &merge_cfg(4, 0));
+        let labels = vec![AMBIGUOUS; nodes.len()];
+        let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &labels, &merge_cfg(4, 0));
         assert!(out.contigs.is_empty());
         assert_eq!(out.groups, 0);
     }
@@ -645,23 +632,23 @@ mod tests {
     ];
 
     /// The label of the path a read spells: that of its first k-mer.
-    fn label_of(labels: &[(u64, u64)], read: &str, k: usize) -> u64 {
+    fn label_of(nodes: &[AsmNode], labels: &[u32], read: &str, k: usize) -> u32 {
         let id = ppa_seq::Kmer::from_str_exact(&read[..k])
             .unwrap()
             .canonical()
             .kmer
             .packed();
-        labels.iter().find(|(v, _)| *v == id).expect("labelled").1
+        labels[nodes.iter().position(|n| n.id == id).expect("a vertex")]
     }
 
     #[test]
-    fn contig_ids_are_minted_by_label_owner_and_ascending_label() {
+    fn contig_ids_number_the_kept_groups_in_label_order() {
         let (k, tip) = (7, 15);
         let nodes = nodes_from_reads(&SIX_PATHS, k);
         let labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes).labels;
-        let mut paths: Vec<(u64, &str)> = SIX_PATHS
+        let mut paths: Vec<(u32, &str)> = SIX_PATHS
             .iter()
-            .map(|read| (label_of(&labels, read, k), *read))
+            .map(|read| (label_of(&nodes, &labels, read, k), *read))
             .collect();
         paths.sort();
         paths.dedup_by_key(|(label, _)| *label);
@@ -669,20 +656,19 @@ mod tests {
         // The dropped group is not the last one, so ordinals must skip it.
         let dropped_at = paths.iter().position(|(_, r)| r.len() <= tip).unwrap();
         assert!(dropped_at + 1 < paths.len(), "{paths:?}");
+        let expected: Vec<(u64, String)> = paths
+            .iter()
+            .filter(|(_, read)| read.len() > tip)
+            .zip(1..)
+            .map(|((_, read), ordinal)| {
+                let seq = DnaString::from_ascii(read).unwrap().canonical();
+                (contig_id(ordinal), seq.to_ascii())
+            })
+            .collect();
 
-        for workers in 1..=4u64 {
-            let mut expected = Vec::new();
-            for owner in 0..workers {
-                let mut ordinal = 0;
-                for (label, read) in &paths {
-                    if hash_one(label) % workers == owner && read.len() > tip {
-                        ordinal += 1;
-                        let seq = DnaString::from_ascii(read).unwrap().canonical();
-                        expected.push((contig_id(owner as u32, ordinal), seq.to_ascii()));
-                    }
-                }
-            }
-            let ctx = ExecCtx::new(workers as usize);
+        let mut first: Option<Vec<AsmNode>> = None;
+        for workers in 1..=4 {
+            let ctx = ExecCtx::new(workers);
             let out = merge_contigs_on(&ctx, &nodes, &labels, &merge_cfg(k, tip));
             let got: Vec<(u64, String)> = out
                 .contigs
@@ -690,6 +676,9 @@ mod tests {
                 .map(|c| (c.id, c.seq.to_dna().canonical().to_ascii()))
                 .collect();
             assert_eq!(got, expected, "{workers} workers");
+            // Orientation and edges too: the same contigs at every count.
+            let first = first.get_or_insert_with(|| out.contigs.clone());
+            assert_eq!(&out.contigs, first, "{workers} workers");
             assert_eq!((out.groups, out.dropped_tips), (6, 1));
             let mr = &out.mapreduce;
             assert_eq!(mr.input_records, labels.len() as u64);
@@ -703,16 +692,16 @@ mod tests {
             // Which worker stitches which group changes nothing: every group
             // on the last worker in descending label order, or dealt round
             // robin, mints what the size-balanced plan mints.
-            let (groups, members) = group_on(&ctx, &nodes, &labels);
+            let (groups, members) = group(&labels);
             let config = merge_cfg(k, tip);
             let stitch = |plan| stitch_on(&ctx, &nodes, &groups, &members, plan, &config);
-            let balanced = stitch(lpt_plan(&groups, workers as usize));
+            let balanced = stitch(lpt_plan(&groups, workers));
             assert_eq!(balanced.0, out.contigs);
-            let mut last: Vec<Vec<u32>> = vec![Vec::new(); workers as usize];
-            last[workers as usize - 1] = (0..groups.len() as u32).rev().collect();
-            let mut dealt: Vec<Vec<u32>> = vec![Vec::new(); workers as usize];
+            let mut last: Vec<Vec<u32>> = vec![Vec::new(); workers];
+            last[workers - 1] = (0..groups.len() as u32).rev().collect();
+            let mut dealt: Vec<Vec<u32>> = vec![Vec::new(); workers];
             for g in 0..groups.len() as u32 {
-                dealt[g as usize % workers as usize].push(g);
+                dealt[g as usize % workers].push(g);
             }
             for plan in [last, dealt] {
                 assert_eq!(stitch(plan), balanced, "{workers} workers");
@@ -721,19 +710,53 @@ mod tests {
     }
 
     #[test]
+    fn a_later_round_numbers_above_the_largest_contig_ordinal() {
+        let (k, tip) = (7, 15);
+        let ctx = ExecCtx::new(2);
+        let nodes = nodes_from_reads(&SIX_PATHS, k);
+        let labels = label_contigs_lr_on(&ctx, &nodes).labels;
+        let first = merge_contigs_on(&ctx, &nodes, &labels, &merge_cfg(k, tip)).contigs;
+        assert_eq!(first.last().map(|c| c.id), Some(contig_id(5)));
+        // The five contigs as a node set: each is a group of its own.
+        let labels = label_contigs_lr_on(&ctx, &first).labels;
+        let again = merge_contigs_on(&ctx, &first, &labels, &merge_cfg(k, 0)).contigs;
+        let ids: Vec<u64> = again.iter().map(|c| c.id).collect();
+        assert_eq!(ids, (6..=10).map(contig_id).collect::<Vec<_>>());
+        for (before, after) in first.iter().zip(&again) {
+            assert_eq!(before.seq, after.seq);
+        }
+    }
+
+    #[test]
+    fn a_label_column_that_does_not_fit_the_node_set_is_refused() {
+        let nodes = nodes_from_reads(&SIX_PATHS, 7);
+        let mut labels = label_contigs_lr_on(&ExecCtx::new(2), &nodes).labels;
+        let ctx = ExecCtx::new(2);
+        let short = catch_unwind(AssertUnwindSafe(|| {
+            merge_contigs_on(&ctx, &nodes[1..], &labels, &merge_cfg(7, 15))
+        }));
+        assert!(short.is_err(), "one label too many");
+        labels[3] = nodes.len() as u32;
+        let beyond = catch_unwind(AssertUnwindSafe(|| {
+            merge_contigs_on(&ctx, &nodes, &labels, &merge_cfg(7, 15))
+        }));
+        let message = ppa_pregel::engine::panic_message(&*beyond.expect_err("refused"));
+        assert!(message.contains("label"), "{message}");
+    }
+
+    #[test]
     fn lpt_deals_the_largest_groups_first_to_the_least_loaded_worker() {
         let sizes = [3u32, 9, 4, 4, 1, 8];
         let mut groups = Vec::new();
         let mut begin = 0;
-        for (label, size) in sizes.iter().enumerate() {
+        for size in sizes {
             groups.push(Group {
-                label: label as u64,
                 begin,
                 end: begin + size,
             });
             begin += size;
         }
-        // 9 → w0, 8 → w1, 4 (label 2) → w1 (8 < 9), 4 (label 3) → w0
+        // 9 → w0, 8 → w1, 4 (group 2) → w1 (8 < 9), 4 (group 3) → w0
         // (9 < 12), 3 → w1 (12 < 13), 1 → w0 (13 < 15).
         assert_eq!(lpt_plan(&groups, 2), vec![vec![1, 3, 4], vec![5, 2, 0]]);
         assert_eq!(lpt_plan(&groups, 1), vec![vec![1, 5, 2, 3, 0, 4]]);

@@ -537,8 +537,9 @@ mod tests {
         );
         let ambiguous: Vec<AsmNode> = nodes
             .iter()
-            .filter(|n| labels.ambiguous.contains(&n.id))
-            .cloned()
+            .zip(&labels.labels)
+            .filter(|(_, &label)| label == crate::ops::label::AMBIGUOUS)
+            .map(|(n, _)| n.clone())
             .collect();
         (ambiguous, merged.contigs)
     }
@@ -684,7 +685,7 @@ mod tests {
         };
         let contig = |ordinal, bases: usize| {
             let seq = DnaString::from_ascii(&"ACGT".repeat(bases)[..bases]).unwrap();
-            AsmNode::new_contig(contig_id(0, ordinal), seq, 3)
+            AsmNode::new_contig(contig_id(ordinal), seq, 3)
         };
         let survivors = |t1: usize, t2: usize| {
             let (mut h, mut t1, mut t2) = (ids[2].clone(), ids[t1].clone(), ids[t2].clone());

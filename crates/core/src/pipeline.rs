@@ -78,14 +78,14 @@ use crate::checkpoint::{self, CheckpointError, CheckpointMeta, Fnv64};
 use crate::node::{AsmNode, KmerGraph, MixedNodes, NodeSource};
 use crate::ops::bubble::{filter_bubbles_on, remove_pruned, BubbleConfig};
 use crate::ops::construct::{build_dbg_on, ConstructConfig, ConstructStats};
-use crate::ops::label::{label_contigs_lr_on, LabelOutcome};
+use crate::ops::label::{label_contigs_lr_on, LabelOutcome, AMBIGUOUS};
 use crate::ops::label_sv::label_contigs_sv_on;
 use crate::ops::merge::{merge_contigs_on, MergeConfig};
 use crate::ops::tip::{remove_tips_on, TipConfig};
 use crate::stats::{n50, CorrectionStats, LabelStats, MergeStats, WorkflowStats};
 use crate::workflow::{AssemblyConfig, Contig, LabelingAlgorithm};
 use ppa_pregel::engine::panic_message;
-use ppa_pregel::fxhash::{FxHashMap, FxHashSet};
+use ppa_pregel::fxhash::FxHashMap;
 use ppa_pregel::{CancelReason, EngineError, ExecCtx, Metrics};
 use ppa_seq::{ReadSet, SeqError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -742,10 +742,11 @@ impl Stage for Label {
         } else {
             self.label(ctx, &state.nodes)
         };
+        let ambiguous = outcome.ambiguous().count();
         let stats = LabelStats::from_metrics(
             &outcome.metrics,
-            outcome.labels.len(),
-            outcome.ambiguous.len(),
+            outcome.labels.len() - ambiguous,
+            ambiguous,
             outcome.used_cycle_fallback,
         );
         state.labels = Some(outcome);
@@ -802,16 +803,21 @@ impl Stage for Merge {
             mapreduce: merged.mapreduce.clone(),
         };
         // The ambiguous k-mers are the only ones that outlive the merge, and
-        // the only ones expanded. A contig is never ambiguous: it keeps at
-        // most one neighbour per side (Figure 9).
-        let ambiguous: FxHashSet<u64> = labels.ambiguous.iter().copied().collect();
+        // the only ones expanded; the label column marks them by position. A
+        // contig is never ambiguous: it keeps at most one neighbour per side
+        // (Figure 9), so the k-mers, which come first, are all there is to
+        // keep.
+        let mut column = labels.labels.iter();
         if state.nodes.is_empty() {
-            state.ambiguous_kmers.retain(|n| ambiguous.contains(&n.id));
+            state
+                .ambiguous_kmers
+                .retain(|_| column.next() == Some(&AMBIGUOUS));
         } else {
             state.ambiguous_kmers = std::mem::take(&mut state.nodes)
                 .iter()
-                .filter(|v| ambiguous.contains(&v.id()))
-                .map(|v| v.to_asm_node())
+                .zip(column)
+                .filter(|(_, &label)| label == AMBIGUOUS)
+                .map(|(v, _)| v.to_asm_node())
                 .collect();
         }
         state.contigs = merged.contigs;

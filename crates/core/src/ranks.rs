@@ -18,24 +18,24 @@
 //!
 //! Every Pregel job of the assembler runs in rank space. Both contig
 //! labelings — list ranking ([`crate::ops::label`]), its S-V cycle fallback
-//! included, and simplified S-V ([`crate::ops::label_sv`]) — share the way in
-//! and out: [`RankDict::new`], [`run_on`] (every pool worker builds
-//! the states of the ranks it will own, variable-length lists in one slab per
-//! worker; the job runs; one outcome per rank comes back) and
-//! [`RankDict::read_back_on`] (the outcomes back to `(id, label)` pairs, in
-//! the order a job over the IDs themselves would have left them). The
-//! fallback is S-V's job over the ranks list ranking left unresolved, every
-//! other rank taking no part. Both labelings run on the slots of
+//! included, and simplified S-V ([`crate::ops::label_sv`]) — share the way
+//! in, [`RankDict::new`] and [`run_on`] (every pool worker builds the states
+//! of the ranks it will own, variable-length lists in one slab per worker;
+//! the job runs; one outcome per rank comes back), and never leave rank
+//! space: their outcome is one `u32` per rank of the node set, the rank of
+//! the vertex's label or [`AMBIGUOUS`]. Both run on the slots of
 //! minimizer-block fragments (`ops/blocks.rs`), one per fragment in rank
-//! order, and copy each slot's outcome to its ranks before the read-back;
-//! `run_on` is told how many ranks it runs over. Tip removing
-//! ([`crate::ops::tip`]) ranks the node set round 2 labels — the ambiguous
-//! k-mers, then the contigs — with the same constructor, and runs its own
-//! job on the dense plane: it reads back whole states, not one outcome per
-//! rank.
+//! order, and copy each slot's outcome to its ranks once at the end; `run_on`
+//! is told how many ranks it runs over. The fallback is S-V's job over the
+//! slots list ranking left unresolved, every other slot taking no part. Tip
+//! removing ([`crate::ops::tip`]) ranks the node set round 2 labels — the
+//! ambiguous k-mers, then the contigs — with the same constructor, and runs
+//! its own job on the dense plane: it reads back whole states, not one
+//! outcome per rank.
 //!
-//! Contig merging ([`crate::ops::merge`]) takes the same dictionary to
-//! join its labels to node positions, and groups by the labels' ranks.
+//! Contig merging ([`crate::ops::merge`]) groups the node set's positions by
+//! that column as it is: a vertex's rank is its position, so it needs no
+//! dictionary and looks nothing up.
 //!
 //! Ranks are consecutive integers, so every job `run_on` runs takes the
 //! engine's dense plane ([`ppa_pregel::dense`]): range ownership, states in
@@ -43,10 +43,8 @@
 //! the assembler it runs resident: a `SpillPolicy` cap binds construct's
 //! keyed pass, and the labeling jobs' stores — a few bytes per k-mer vertex
 //! after block contraction — run beside a k-mer graph no cap can spill.
-//! `read_back_on` orders the outcome by ID and by the worker a job over the
-//! IDs would have used, not by the dense plane's range owner.
+//! Nothing of the outcome depends on which worker owned a rank.
 
-use ppa_pregel::fxhash::hash_one;
 use ppa_pregel::{DenseSet, ExecCtx, Metrics, PregelConfig, VertexProgram};
 use std::borrow::Cow;
 
@@ -59,17 +57,12 @@ pub(crate) fn fits_rank_space(nodes: usize) -> bool {
     nodes < RANK_FLIP as usize
 }
 
-/// Outcome marks of [`RankDict::read_back_on`]; every label is a rank, and
-/// ranks stay below [`RANK_FLIP`].
-pub(crate) const AMBIGUOUS: u32 = u32::MAX;
+/// The labeling outcome of an ambiguous (⟨m-n⟩) vertex, which takes no
+/// label. Every other outcome is the rank of a label, below bit 31.
+pub const AMBIGUOUS: u32 = u32::MAX;
+/// What [`run_on`] leaves for a rank without a final state; no labeling
+/// returns it.
 pub(crate) const UNRESOLVED: u32 = u32::MAX - 1;
-
-/// The worker a vertex key hashes to, as the sorted vertex store would place
-/// it.
-#[inline]
-fn owner<K: std::hash::Hash>(key: &K, workers: usize) -> usize {
-    (hash_one(key) % workers as u64) as usize
-}
 
 /// The sorted IDs of a node set, with a prefix index for ID → rank lookups.
 pub(crate) struct RankDict<'a> {
@@ -145,38 +138,6 @@ impl<'a> RankDict<'a> {
             Err(_) => absent,
         }
     }
-
-    /// Back to IDs. `outcome[rank]` is the rank of the vertex's label,
-    /// [`AMBIGUOUS`] or [`UNRESOLVED`] (no entry). Returns the `(id, label)`
-    /// pairs and the ambiguous IDs in the order a job over the IDs would have
-    /// left them — by the worker owning the ID, then by ID — each pool worker
-    /// emitting the share *it* would have owned.
-    pub(crate) fn read_back_on(
-        &self,
-        ctx: &ExecCtx,
-        outcome: &[u32],
-    ) -> (Vec<(u64, u64)>, Vec<u64>) {
-        let workers = ctx.workers();
-        let per_worker = ctx.pool().run_per_worker(vec![(); workers], |w, ()| {
-            let mut labels: Vec<(u64, u64)> = Vec::new();
-            let mut ambiguous: Vec<u64> = Vec::new();
-            for (id, label) in self
-                .ids
-                .iter()
-                .zip(outcome)
-                .filter(|(id, _)| owner(*id, workers) == w)
-            {
-                match *label {
-                    AMBIGUOUS => ambiguous.push(*id),
-                    UNRESOLVED => {}
-                    label => labels.push((*id, self.ids[label as usize])),
-                }
-            }
-            (labels, ambiguous)
-        });
-        let (labels, ambiguous): (Vec<_>, Vec<_>) = per_worker.into_iter().unzip();
-        (labels.concat(), ambiguous.concat())
-    }
 }
 
 /// Runs a labeling job over the ranks `0..ranks` on the context's pool and
@@ -238,9 +199,9 @@ mod tests {
             7,
             1 << 40,
             0x3fff_ffff_ffff_fff0,
-            contig_id(0, 1),
-            contig_id(1, 1),
-            contig_id(1, 2),
+            contig_id(1),
+            contig_id(2),
+            contig_id(3),
         ];
         let d = dict(&ids);
         assert_eq!(d.len() as usize, ids.len());
@@ -252,8 +213,8 @@ mod tests {
             1,
             8,
             (1 << 40) + 1,
-            contig_id(0, 2),
-            contig_id(2, 1),
+            contig_id(4),
+            contig_id(1 << 40),
             u64::MAX,
         ] {
             assert_eq!(d.rank(absent), d.len(), "{absent:#x}");

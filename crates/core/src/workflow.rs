@@ -641,7 +641,7 @@ mod tests {
     #[test]
     fn contig_accessors() {
         let c = Contig {
-            id: crate::ids::contig_id(0, 1),
+            id: crate::ids::contig_id(1),
             sequence: DnaString::from_ascii("ACGTACGT").unwrap(),
             coverage: 9,
         };

@@ -8,9 +8,10 @@
 pub mod heap;
 pub mod oracle;
 
+use ppa_assembler::ops::label::AMBIGUOUS;
 use ppa_assembler::workflow::Contig;
-use ppa_pregel::fxhash::hash_one;
 use ppa_seq::ReadSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 /// The `ppa-spill-<pid>-*` job directories of *this* process still present
@@ -75,24 +76,23 @@ pub fn sequences(reads: &ReadSet) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Worker-count-independent fingerprint: canonical sequences only, sorted
-/// (contig IDs encode the minting worker and orientation depends on group
-/// traversal order, so only sequence content is comparable across layouts).
-pub fn canonical_multiset(contigs: &[Contig]) -> Vec<String> {
-    let mut seqs: Vec<String> = contigs
-        .iter()
-        .map(|c| c.sequence.canonical().to_ascii())
-        .collect();
-    seqs.sort();
-    seqs
-}
-
-/// `ids` in the order a job over `u64` IDs leaves its per-vertex output: by
-/// owning worker (`hash_one(&id) % workers`), then ascending.
-pub fn in_job_order(ids: impl IntoIterator<Item = u64>, workers: usize) -> Vec<u64> {
-    let mut ids: Vec<u64> = ids.into_iter().collect();
-    ids.sort_unstable_by_key(|&id| (hash_one(&id) % workers as u64, id));
-    ids
+/// A labeling's column ([`LabelOutcome::labels`]) read through the IDs of
+/// the node set it labelled, in the oracle's form ([`oracle::Labels`]): the
+/// label ID of every labelled vertex by vertex ID, and the ambiguous IDs.
+///
+/// [`LabelOutcome::labels`]: ppa_assembler::ops::label::LabelOutcome::labels
+pub fn labels_by_id(ids: &[u64], labels: &[u32]) -> (BTreeMap<u64, u64>, BTreeSet<u64>) {
+    assert_eq!(ids.len(), labels.len(), "one label per node");
+    let mut by_id = BTreeMap::new();
+    let mut ambiguous = BTreeSet::new();
+    for (&id, &label) in ids.iter().zip(labels) {
+        if label == AMBIGUOUS {
+            ambiguous.insert(id);
+        } else {
+            by_id.insert(id, ids[label as usize]);
+        }
+    }
+    (by_id, ambiguous)
 }
 
 /// Deterministic xorshift stream for read generators.

@@ -3,8 +3,8 @@
 //! The runner delivers messages from flat sorted buffers and the keyed
 //! passes fold flat buckets; these tests pin down the user-visible contract:
 //! for a fixed configuration the full pipeline is byte-for-byte
-//! deterministic, and the assembled *content* does not depend on the worker
-//! count (only IDs/orientations may).
+//! deterministic, and its FASTA — contig names, order, orientation and
+//! sequences — does not depend on the worker count.
 
 use ppa_assembler::ops::bubble::BubbleConfig;
 use ppa_assembler::ops::construct::ConstructConfig;
@@ -16,7 +16,7 @@ use ppa_assembler::{LabelingAlgorithm, Pipeline, PipelineError};
 use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
-use ppa_tests::{canonical_multiset, fingerprint};
+use ppa_tests::fingerprint;
 
 fn simulated_reads(seed: u64) -> ReadSet {
     let reference = GenomeConfig {
@@ -75,17 +75,32 @@ fn pipeline_is_byte_identical_across_runs() {
     }
 }
 
+/// The assembly's FASTA bytes.
+fn fasta(assembly: &Assembly) -> Vec<u8> {
+    let mut fasta = Vec::new();
+    assembly
+        .to_fasta()
+        .write_fasta(&mut fasta)
+        .expect("write to memory");
+    fasta
+}
+
 #[test]
 fn pipeline_content_is_worker_count_independent() {
     let reads = simulated_reads(83);
-    let reference = assemble(&reads, &config(1, LabelingAlgorithm::ListRanking));
-    for workers in [2usize, 3, 7] {
-        let other = assemble(&reads, &config(workers, LabelingAlgorithm::ListRanking));
-        assert_eq!(
-            canonical_multiset(&reference.contigs),
-            canonical_multiset(&other.contigs),
-            "worker count {workers} changed the assembled sequences"
-        );
+    for labeling in [
+        LabelingAlgorithm::ListRanking,
+        LabelingAlgorithm::SimplifiedSV,
+    ] {
+        let reference = fasta(&assemble(&reads, &config(1, labeling)));
+        assert!(reference.len() > 1_000, "{} FASTA bytes", reference.len());
+        for workers in [2usize, 3, 4, 7] {
+            let other = fasta(&assemble(&reads, &config(workers, labeling)));
+            assert!(
+                other == reference,
+                "{workers} workers changed the FASTA bytes ({labeling:?})"
+            );
+        }
     }
 }
 
@@ -137,16 +152,10 @@ fn fasta_with_permuted_vertices(
         )
         .then(FilterLength::new(config.min_contig_length))
         .try_run(&mut state, &ctx)?;
-    let assembly = Assembly {
+    Ok(fasta(&Assembly {
         contigs: state.output,
         stats: Default::default(),
-    };
-    let mut fasta = Vec::new();
-    assembly
-        .to_fasta()
-        .write_fasta(&mut fasta)
-        .expect("write to memory");
-    Ok(fasta)
+    }))
 }
 
 #[test]
@@ -169,11 +178,7 @@ fn a_node_set_out_of_id_order_is_refused() {
         for workers in 1..=4 {
             let config = config(workers, labeling);
             let assembly = assemble(&reads, &config);
-            let mut direct = Vec::new();
-            assembly
-                .to_fasta()
-                .write_fasta(&mut direct)
-                .expect("write to memory");
+            let direct = fasta(&assembly);
             assert!(direct.len() > 1_000, "{} FASTA bytes", direct.len());
             let in_order = fasta_with_permuted_vertices(&reads, &config, |_| {});
             assert!(

@@ -10,7 +10,7 @@ use ppa_assembler::{AsmNode, GraphState, Stage, StageDetails};
 use ppa_pregel::ExecCtx;
 use ppa_quality::{AlignmentConfig, QuastReport};
 use ppa_readsim::{preset_by_name, GenomeConfig, ReadSimConfig};
-use ppa_tests::{canonical_multiset, fingerprint};
+use ppa_tests::fingerprint;
 use std::collections::HashSet;
 
 fn assembly_config(k: usize, workers: usize) -> AssemblyConfig {
@@ -129,8 +129,8 @@ fn worker_count_does_not_change_the_assembly() {
     let single = assemble(&reads, &assembly_config(25, 1));
     let many = assemble(&reads, &assembly_config(25, 8));
     assert_eq!(
-        canonical_multiset(&single.contigs),
-        canonical_multiset(&many.contigs),
+        fingerprint(&single.contigs),
+        fingerprint(&many.contigs),
         "assembly must be deterministic w.r.t. the worker count"
     );
 }
@@ -205,13 +205,15 @@ fn the_paper_workflow_drops_only_tip_announcements() {
     // the contigs each strictly ascending by ID. The stages below are
     // `Pipeline::paper_workflow`'s with two correction rounds, run one at a
     // time to read each job's metrics; the FASTA check at the end keeps them
-    // that.
+    // that. No contig ID is reused across rounds and none depends on the
+    // worker count, so neither do the drops.
     let dataset = preset_by_name("sim-hc2").unwrap().scaled(0.05).generate();
     let reads = &dataset.reads;
     for labeling in [
         LabelingAlgorithm::ListRanking,
         LabelingAlgorithm::SimplifiedSV,
     ] {
+        let mut first_drops = None;
         for workers in 1..=4 {
             let at = format!("{labeling:?}, {workers} workers");
             let config = AssemblyConfig {
@@ -248,6 +250,7 @@ fn the_paper_workflow_drops_only_tip_announcements() {
             let ctx = ExecCtx::new(workers);
             let mut state = GraphState::new(reads);
             let (mut label_rounds, mut tip_jobs) = (0, 0);
+            let mut drops = Vec::new();
             for stage in &stages {
                 let absent =
                     tip_announcements_to_absent_ids(&state.ambiguous_kmers, &state.contigs);
@@ -277,6 +280,7 @@ fn the_paper_workflow_drops_only_tip_announcements() {
                         tip_jobs += 1;
                         assert!(tip_jobs > 1 || absent > 0, "nothing vanished: {at}");
                         assert_eq!(metrics.total_dropped, absent, "tip job {tip_jobs}: {at}");
+                        drops.push(absent);
                         // A superstep's drops are reported with the next one.
                         let late: u64 = metrics.per_superstep[2..]
                             .iter()
@@ -288,6 +292,11 @@ fn the_paper_workflow_drops_only_tip_announcements() {
                 }
             }
             assert_eq!((label_rounds, tip_jobs), (3, 2), "{at}");
+            assert_eq!(
+                first_drops.get_or_insert_with(|| drops.clone()),
+                &drops,
+                "{at}"
+            );
             assert_eq!(
                 fingerprint(&state.output),
                 fingerprint(&assemble(reads, &config).contigs),

@@ -5,7 +5,7 @@
 
 use ppa_assembler::ops::bubble::{filter_bubbles_on, remove_pruned, BubbleConfig};
 use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
-use ppa_assembler::ops::label::label_contigs_lr_on;
+use ppa_assembler::ops::label::{label_contigs_lr_on, AMBIGUOUS};
 use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
 use ppa_assembler::ops::tip::{remove_tips_on, TipConfig};
 use ppa_assembler::{assemble, AsmNode, AssemblyConfig};
@@ -88,10 +88,11 @@ fn five_ops(reads: &ReadSet, shared: Option<&ExecCtx>) -> Vec<(u64, u32, String)
     remove_pruned(&mut contigs, &bubbles.pruned);
 
     // ⑤ tip removing.
-    let ambiguous: std::collections::HashSet<u64> = label.ambiguous.iter().copied().collect();
     let ambiguous_kmers: Vec<AsmNode> = nodes
         .into_iter()
-        .filter(|n| ambiguous.contains(&n.id))
+        .zip(&label.labels)
+        .filter(|(_, &label)| label == AMBIGUOUS)
+        .map(|(n, _)| n)
         .collect();
     let tips = remove_tips_on(&ctx_of(), &ambiguous_kmers, &contigs, &tip_cfg);
 

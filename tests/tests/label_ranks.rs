@@ -4,11 +4,8 @@
 //! `label_contigs_lr_on` (the BPPA and its S-V cycle fallback) and
 //! `label_contigs_sv_on` (simplified S-V) run in rank space on the engine.
 //! On every hand-made graph, at 1–4 workers, they must give:
-//! - the oracle's labels and ambiguous IDs;
-//! - the documented order, which contig IDs are minted from: by owning
-//!   worker (`hash_one(&id) % workers`), then by ID — list ranking's
-//!   fallback vertices after its path vertices, S-V's ambiguous IDs in node
-//!   order;
+//! - the oracle's labels and ambiguous IDs, read from the label column
+//!   through the node set's IDs, and the same column at every worker count;
 //! - literal superstep, message and dropped-message counts and fallback
 //!   flag, the same at every worker count.
 //!
@@ -33,16 +30,14 @@ use ppa_assembler::ops::label_sv::label_contigs_sv_on;
 use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
 use ppa_assembler::ops::tip::TipConfig;
 use ppa_assembler::pipeline::{Construct, FilterBubbles, Label, Merge, RemoveTips};
-use ppa_assembler::{
-    AsmNode, Direction, Edge, GraphNode, GraphState, NodeSource, Pipeline, Polarity,
-};
+use ppa_assembler::{AsmNode, Direction, Edge, GraphState, NodeSource, Pipeline, Polarity};
 use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::{DnaString, Kmer, ReadSet};
 use ppa_tests::oracle::{self, ChainKind, Labels, Node};
-use ppa_tests::{adversarial_reads, adversarial_sequences, in_job_order};
+use ppa_tests::{adversarial_reads, adversarial_sequences, labels_by_id};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Node sets
@@ -108,25 +103,18 @@ fn synthetic_cycle(n: usize) -> Vec<AsmNode> {
     nodes
 }
 
-/// What a second labeling round sees: contigs (`CONTIG_MARK | worker ‖
-/// ordinal` IDs, above every k-mer ID) chained through the k-mers that used
-/// to be ambiguous, and one k-mer that still is.
+/// What a second labeling round sees: contigs (`CONTIG_MARK | ordinal` IDs,
+/// above every k-mer ID) chained through the k-mers that used to be
+/// ambiguous, and one k-mer that still is.
 fn round_two_nodes() -> Vec<AsmNode> {
-    let contig = |worker, ordinal| {
+    let contig = |ordinal| {
         let seq = DnaString::from_ascii("ACGTACGTACGTAC").expect("valid bases");
-        AsmNode::new_contig(contig_id(worker, ordinal), seq, 9)
+        AsmNode::new_contig(contig_id(ordinal), seq, 9)
     };
     let mut nodes = kmer_nodes(3, 101);
-    nodes.extend([
-        contig(0, 1),
-        contig(0, 2),
-        contig(1, 1),
-        contig(1, 2),
-        contig(2, 1),
-        contig(2, 7),
-    ]);
-    // contig 0/1 → k-mer 0 → contig 1/1 → k-mer 1 → contig 0/2 → k-mer 2,
-    // which forks into contigs 1/2 and 2/1; contig 2/7 stands alone.
+    nodes.extend((1..=6).map(contig));
+    // contig 1 → k-mer 0 → contig 3 → k-mer 1 → contig 2 → k-mer 2, which
+    // forks into contigs 4 and 5; contig 6 stands alone.
     for (from, to) in [(3, 0), (0, 5), (5, 1), (1, 4), (4, 2), (2, 6), (2, 7)] {
         link(&mut nodes, from, to);
     }
@@ -150,64 +138,34 @@ fn costs_of(outcome: &LabelOutcome) -> Costs {
     )
 }
 
-fn ids_of(labels: &[(u64, u64)]) -> Vec<u64> {
-    labels.iter().map(|&(id, _)| id).collect()
-}
-
 /// Both labelings of `nodes` at 1–4 workers against the oracle's `want`:
-/// labels, ambiguous IDs and their order. Returns the costs of list ranking
-/// and S-V, after checking that they do not depend on the worker count.
+/// labels and ambiguous IDs. Returns the costs of list ranking and S-V,
+/// after checking that they and the label columns do not depend on the
+/// worker count.
 fn check_labels<S: NodeSource + ?Sized>(nodes: &S, want: &Labels, what: &str) -> (Costs, Costs) {
-    let fallback: HashSet<u64> = want
-        .chains
-        .iter()
-        .filter(|chain| chain.kind != ChainKind::Path)
-        .flat_map(|chain| chain.members.iter().copied())
-        .collect();
-    let mut costs = None;
+    let ids = nodes.ids();
+    let mut first = None;
     for workers in 1..=4 {
         let ctx = ExecCtx::new(workers);
         let at = format!("{what}, {workers} workers");
         let lr = label_contigs_lr_on(&ctx, nodes);
         let sv = label_contigs_sv_on(&ctx, nodes);
 
-        assert_eq!(lr.labels.len(), want.lr.len(), "LR labels: {at}");
-        assert_eq!(
-            lr.labels.iter().copied().collect::<BTreeMap<_, _>>(),
-            want.lr,
-            "LR labels: {at}"
-        );
-        assert_eq!(sv.labels.len(), want.sv.len(), "S-V labels: {at}");
-        assert_eq!(
-            sv.labels.iter().copied().collect::<BTreeMap<_, _>>(),
-            want.sv,
-            "S-V labels: {at}"
-        );
+        let (labels, ambiguous) = labels_by_id(&ids, &lr.labels);
+        assert_eq!(labels, want.lr, "LR labels: {at}");
+        assert_eq!(ambiguous, want.ambiguous, "LR ambiguous: {at}");
+        let (labels, ambiguous) = labels_by_id(&ids, &sv.labels);
+        assert_eq!(labels, want.sv, "S-V labels: {at}");
+        assert_eq!(ambiguous, want.ambiguous, "S-V ambiguous: {at}");
         assert_eq!(lr.used_cycle_fallback, want.used_cycle_fallback(), "{at}");
         assert!(lr.metrics.converged && sv.metrics.converged, "{at}");
         assert!(!sv.used_cycle_fallback, "{at}");
 
-        let paths = want.lr.keys().copied().filter(|id| !fallback.contains(id));
-        let lr_order = [
-            in_job_order(paths, workers),
-            in_job_order(fallback.iter().copied(), workers),
-        ]
-        .concat();
-        assert_eq!(ids_of(&lr.labels), lr_order, "LR label order: {at}");
-        let sv_order = in_job_order(want.sv.keys().copied(), workers);
-        assert_eq!(ids_of(&sv.labels), sv_order, "S-V label order: {at}");
-        let ambiguous = in_job_order(want.ambiguous.iter().copied(), workers);
-        assert_eq!(lr.ambiguous, ambiguous, "LR ambiguous: {at}");
-        let in_node_order: Vec<u64> = (0..nodes.len())
-            .map(|i| nodes.node(i).id())
-            .filter(|id| want.ambiguous.contains(id))
-            .collect();
-        assert_eq!(sv.ambiguous, in_node_order, "S-V ambiguous: {at}");
-
-        let these = (costs_of(&lr), costs_of(&sv));
-        assert_eq!(*costs.get_or_insert(these), these, "costs: {at}");
+        let these = (costs_of(&lr), costs_of(&sv), lr.labels, sv.labels);
+        assert_eq!(first.get_or_insert_with(|| these.clone()), &these, "{at}");
     }
-    costs.expect("the sweep runs")
+    let (lr, sv, _, _) = first.expect("the sweep runs");
+    (lr, sv)
 }
 
 /// [`check_labels`] against the oracle's reading of `nodes`.
@@ -508,10 +466,9 @@ fn round_two_labels_the_mixed_view_as_the_oracle_at_k_31() {
                 !state.ambiguous_kmers.is_empty() && !want.lr.is_empty(),
                 "{at}"
             );
-            let labels: BTreeMap<u64, u64> = got.labels.iter().copied().collect();
+            let ids: Vec<u64> = nodes.iter().map(|node| node.id).collect();
+            let (labels, ambiguous) = labels_by_id(&ids, &got.labels);
             assert_eq!(labels, if lr { want.lr } else { want.sv }, "{at}");
-            let ambiguous: std::collections::BTreeSet<u64> =
-                got.ambiguous.iter().copied().collect();
             assert_eq!(ambiguous, want.ambiguous, "{at}");
         }
     }
@@ -560,6 +517,7 @@ fn check_label_and_merge<S: NodeSource + ?Sized>(
     let (k, tip) = (merge.k, merge.tip_length_threshold);
     let merged = oracle::merge(want, &labels.lr, k, tip);
     let expected = oracle::contig_multiset(merged.contigs.iter().cloned(), k);
+    let mut first = None;
     for workers in 1..=4 {
         let ctx = ExecCtx::new(workers);
         let at = format!("{what}, {workers} workers");
@@ -572,6 +530,9 @@ fn check_label_and_merge<S: NodeSource + ?Sized>(
         assert_eq!(oracle::contig_multiset(contigs, k), expected, "{at}");
         assert_eq!(got.dropped_tips, merged.dropped_tips, "tips: {at}");
         assert_eq!(got.groups, merged.groups, "groups: {at}");
+        // IDs, orientation and order as well: the same at every count.
+        let first = first.get_or_insert_with(|| got.contigs.clone());
+        assert_eq!(&got.contigs, first, "contigs: {at}");
     }
     (labels, merged)
 }

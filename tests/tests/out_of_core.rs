@@ -175,7 +175,6 @@ fn capped_labeling_jobs_run_resident_and_label_as_the_resident_job() {
             ctx.clear_spill();
             for (capped, resident) in [(&lr, &lr_resident), (&sv, &sv_resident)] {
                 assert_eq!(capped.labels, resident.labels, "cap={cap}");
-                assert_eq!(capped.ambiguous, resident.ambiguous, "cap={cap}");
                 assert_eq!(capped.used_cycle_fallback, resident.used_cycle_fallback);
                 assert_eq!(capped.metrics.supersteps, resident.metrics.supersteps);
                 assert_eq!(

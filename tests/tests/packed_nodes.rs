@@ -3,9 +3,8 @@
 //! dictionary); the expanded `AsmNode` graph, whose ID column is collected,
 //! is the reference. On random read sets, at 1–4 workers, every operation on
 //! `outcome.vertices` must give exactly what it gives on
-//! `outcome.to_nodes()`: the labels in order, the ambiguous IDs, supersteps,
-//! messages and drops of both labelings, and the merged contigs with their
-//! IDs.
+//! `outcome.to_nodes()`: the label column, supersteps, messages and drops
+//! of both labelings, and the merged contigs with their IDs.
 
 use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig, ConstructOutcome};
 use ppa_assembler::ops::label::{label_contigs_lr_on, LabelOutcome};
@@ -18,7 +17,6 @@ use proptest::prelude::*;
 
 fn assert_same_labels(packed: &LabelOutcome, expanded: &LabelOutcome, at: &str) {
     assert_eq!(packed.labels, expanded.labels, "labels: {at}");
-    assert_eq!(packed.ambiguous, expanded.ambiguous, "ambiguous: {at}");
     assert_eq!(
         packed.used_cycle_fallback, expanded.used_cycle_fallback,
         "{at}"

@@ -57,12 +57,12 @@ enum Unit {
 const BOUNDS: [(&str, usize, Unit, f64); 10] = [
     ("construct", 1, Unit::InputBase, 15.8),
     ("construct", 1, Unit::KeptKplus1Mer, 433.0),
-    ("label", 1, Unit::Vertex, 103.0),
-    ("merge", 1, Unit::Vertex, 90.0),
+    ("label", 1, Unit::Vertex, 75.0),
+    ("merge", 1, Unit::Vertex, 61.0),
     ("filter_bubbles", 1, Unit::Round1Node, 1545.0),
     ("remove_tips", 1, Unit::Round1Node, 1880.0),
     ("label", 2, Unit::Round1Node, 1680.0),
-    ("merge", 2, Unit::Round1Node, 1600.0),
+    ("merge", 2, Unit::Round1Node, 1585.0),
     ("filter_length", 1, Unit::Round1Node, 1435.0),
     ("run", 0, Unit::InputBase, 15.8),
 ];

@@ -27,7 +27,7 @@ use ppa_assembler::{assemble, AssemblyConfig, GraphState, Pipeline};
 use ppa_pregel::{Context, ExecCtx, NoAggregate, PregelConfig, VertexProgram, VertexSet};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
-use ppa_tests::canonical_multiset;
+use ppa_tests::fingerprint;
 
 // ---------------------------------------------------------------------------
 // Engine level: the columnar engine vs a sequential BSP loop
@@ -238,11 +238,11 @@ fn removal_heavy_assembly_is_worker_count_independent() {
     assert!(density > 0.0 && density < 1.0, "density = {density}");
     assert!(reference.stats.label_round1.peak_store_resident_bytes > 0);
 
-    let expected = canonical_multiset(&reference.contigs);
+    let expected = fingerprint(&reference.contigs);
     for workers in [2usize, 4] {
         let assembly = assembly_for(workers);
         assert_eq!(
-            canonical_multiset(&assembly.contigs),
+            fingerprint(&assembly.contigs),
             expected,
             "workers = {workers}"
         );
