@@ -62,7 +62,6 @@ struct ProbeProgram<'a> {
 }
 
 impl VertexProgram for ProbeProgram<'_> {
-    type Id = u32;
     type Value = AsmNode;
     type Message = Probe;
     type Aggregate = NoAggregate;
@@ -142,7 +141,6 @@ struct PropState {
 struct PropProgram;
 
 impl VertexProgram for PropProgram {
-    type Id = u32;
     type Value = PropState;
     type Message = u32;
     type Aggregate = NoAggregate;

@@ -179,7 +179,6 @@ impl LrProgram {
 }
 
 impl VertexProgram for LrProgram {
-    type Id = u32;
     type Value = LrState;
     type Message = LrMsg;
     type Aggregate = Count;
@@ -357,8 +356,8 @@ pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
             &config,
             blocks.len(),
             sv_states(|slot| blocks.sides(slot), unresolved),
-            SvProgram::<u32>::new,
-            |state: &SvState<u32>| blocks.rank(state.parent()),
+            SvProgram::new,
+            |state: &SvState| blocks.rank(state.parent()),
         );
         if let Err(e) = converged(&sv_metrics) {
             std::panic::panic_any(e);

@@ -60,7 +60,7 @@ pub(crate) fn converged(metrics: &Metrics) -> Result<(), EngineError> {
 pub(crate) fn sv_states(
     sole: impl Fn(u32) -> Option<[Option<u32>; 2]> + Sync,
     takes_part: impl Fn(u32) -> bool + Sync,
-) -> impl Fn(u32, &mut Vec<u32>) -> Option<SvState<u32>> + Sync {
+) -> impl Fn(u32, &mut Vec<u32>) -> Option<SvState> + Sync {
     move |rank, slab| {
         if !takes_part(rank) {
             return None;
@@ -102,8 +102,8 @@ pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
         &config,
         blocks.len(),
         state_of,
-        SvProgram::<u32>::new,
-        |state: &SvState<u32>| blocks.rank(state.parent()),
+        SvProgram::new,
+        |state: &SvState| blocks.rank(state.parent()),
     );
     if let Err(e) = converged(&metrics) {
         std::panic::panic_any(e);
@@ -227,7 +227,7 @@ mod tests {
                 &config,
                 dict.len(),
                 sv_states(path, |rank| rank < n),
-                SvProgram::<u32>::new,
+                SvProgram::new,
                 SvState::parent,
             );
             metrics

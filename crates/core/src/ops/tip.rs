@@ -427,7 +427,6 @@ impl TipProgram<'_> {
 }
 
 impl VertexProgram for TipProgram<'_> {
-    type Id = u32;
     type Value = TipState;
     type Message = TipMsg;
     type Aggregate = NoAggregate;

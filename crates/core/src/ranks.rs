@@ -161,7 +161,7 @@ pub(crate) fn run_on<P>(
     outcome_of: impl Fn(&P::Value) -> u32 + Sync,
 ) -> (P, Metrics, Vec<u32>)
 where
-    P: VertexProgram<Id = u32>,
+    P: VertexProgram,
     P::Value: Sync,
 {
     let (mut set, slabs) = DenseSet::from_fn_on(ctx, ranks, state_of);

@@ -75,7 +75,7 @@ impl Rule {
             }
             Rule::CancellationPoints => {
                 "every `pub fn *_on` in core/src/ops must call a \
-                 control-polling runner entry point (run_on/try_run_on/run_dense_on/\
+                 control-polling runner entry point (run_on/run_dense_on/\
                  count_keys_on/fold_buckets_on/connected_components/poll_barrier)"
             }
             Rule::TestOnlyPub => {

@@ -43,8 +43,8 @@ const SURFACE_SCOPES: &[&str] = &["crates/pregel/src/", "crates/core/src/", "cra
 /// rather than a `*_on` suffix heuristic: method calls like
 /// `node.sole_edge_on(side)` must not satisfy the rule by accident.
 const POLLING_CALLEES: &[&str] = &[
+    // Core's `ranks::run_on`: the labeling jobs' way onto `run_dense_on`.
     "run_on",
-    "try_run_on",
     "run_dense_on",
     "count_keys_on",
     "fold_buckets_on",

@@ -246,7 +246,7 @@ pub fn run() {
     h.join().ok();
 }
 "#;
-    let diags = diags_for("crates/pregel/src/runner.rs", src);
+    let diags = diags_for("crates/pregel/src/dense.rs", src);
     assert_eq!(rules_of(&diags), vec![Rule::EngineOnlyThreading]);
     assert!(diags[0].message.contains("thread::spawn"));
 }
@@ -275,7 +275,7 @@ pub fn raw() -> &'static str {
     r#"thread::scope too"#
 }
 "##;
-    assert!(diags_for("crates/pregel/src/runner.rs", src).is_empty());
+    assert!(diags_for("crates/pregel/src/dense.rs", src).is_empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ fn std_hashset_fires_by_path_and_by_import() {
     assert_eq!(rules_of(&diags), vec![Rule::NoSiphashHotPath]);
     assert_eq!(diags[0].line, 2);
     let src = "use std::collections::HashSet;\npub type S = HashSet<u64>;\n";
-    let diags = diags_for("crates/pregel/src/runner.rs", src);
+    let diags = diags_for("crates/pregel/src/dense.rs", src);
     assert_eq!(rules_of(&diags), vec![Rule::NoSiphashHotPath]);
 }
 
@@ -376,10 +376,10 @@ pub fn grind_on(ctx: &ExecCtx, nodes: &[u64]) -> u64 {
 #[test]
 fn op_routed_through_polling_runners_is_quiet() {
     let srcs = [
-        "pub fn a_on(ctx: &ExecCtx) -> u64 { let m = ppa_pregel::run_on(ctx, &p, &c, &mut s); m }\n",
+        // Core's `ranks::run_on`, which every labeling job goes through.
+        "pub fn a_on(ctx: &ExecCtx) -> u64 { let (_, m, _) = ranks::run_on(ctx, &c, n, s, p, o); m }\n",
         "pub fn b_on(ctx: &ExecCtx) -> u64 { fold_buckets_on(ctx, &t, hint, scan, 1, fold).1.groups }\n",
-        "pub fn c_on(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(ctx, adj, &c); sv }\n",
-        "pub fn e_on(ctx: &ExecCtx) -> u64 { try_run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
+        "pub fn c_on(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(ctx, &adj, &c); sv }\n",
         "pub fn f_on(ctx: &ExecCtx) -> u64 { count_keys_on(ctx, &t, hint, scan, records, 1).1.groups }\n",
         // The dense plane's runner polls at every superstep boundary too.
         "pub fn g_on(ctx: &ExecCtx) -> u64 { run_dense_on(ctx, &p, &c, &mut ranks).supersteps as u64 }\n",
@@ -550,7 +550,7 @@ pub fn docs() -> Vec<&'static str> {
     ]
 }
 "####;
-    assert!(diags_for("crates/pregel/src/runner.rs", src).is_empty());
+    assert!(diags_for("crates/pregel/src/dense.rs", src).is_empty());
 }
 
 #[test]
@@ -562,7 +562,7 @@ pub fn f() -> u8 {
     0
 }
 "#;
-    assert!(diags_for("crates/pregel/src/runner.rs", src).is_empty());
+    assert!(diags_for("crates/pregel/src/dense.rs", src).is_empty());
 }
 
 #[test]
@@ -649,6 +649,6 @@ pub fn run() {
     std::thread::spawn(|| ()).join().ok();
 }
 "#;
-    let diags = diags_for("crates/pregel/src/runner.rs", src2);
+    let diags = diags_for("crates/pregel/src/dense.rs", src2);
     assert_eq!(rules_of(&diags), vec![Rule::EngineOnlyThreading]);
 }

@@ -13,55 +13,55 @@
 //! head. (The assembler's bidirectional variant detects this situation with an
 //! aggregator and falls back to S-V; the generic function here simply stops at
 //! the superstep cap and reports non-convergence.)
+//!
+//! Elements are named by rank, their position in the input, and the job runs
+//! over a [`DenseSet`] of those ranks.
 
 use crate::aggregate::NoAggregate;
 use crate::config::PregelConfig;
+use crate::dense::{run_dense_on, DenseSet};
 use crate::engine::ExecCtx;
 use crate::metrics::Metrics;
-use crate::radix::SortKey;
-use crate::runner::run_on;
-use crate::vertex::{Context, VertexKey, VertexProgram};
-use crate::vertex_set::VertexSet;
+use crate::vertex::{Context, VertexProgram};
 
-/// One element of a linked list to be ranked.
+/// One element of a linked list to be ranked. The element's rank is its
+/// position in the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ListItem<I> {
-    /// Element identifier.
-    pub id: I,
-    /// The predecessor element, or `None` if this element is the list head.
-    pub pred: Option<I>,
+pub struct ListItem {
+    /// The rank of the predecessor element, or `None` if this element is
+    /// the list head.
+    pub pred: Option<u32>,
     /// The element's own value.
     pub value: u64,
 }
 
 #[derive(Debug, Clone)]
-struct RankState<I> {
-    pred: Option<I>,
+struct RankState {
+    pred: Option<u32>,
     sum: u64,
 }
 
 #[derive(Debug, Clone)]
-enum RankMsg<I> {
-    /// "Send me your sum and predecessor" — carries the requester's ID.
-    Request(I),
+enum RankMsg {
+    /// "Send me your sum and predecessor" — carries the requester's rank.
+    Request(u32),
     /// The predecessor's reply: its sum and its own predecessor.
-    Response { sum: u64, pred: Option<I> },
+    Response { sum: u64, pred: Option<u32> },
 }
 
-struct ListRankingProgram<I>(std::marker::PhantomData<I>);
+struct ListRankingProgram;
 
-impl<I: VertexKey + SortKey> VertexProgram for ListRankingProgram<I> {
-    type Id = I;
-    type Value = RankState<I>;
-    type Message = RankMsg<I>;
+impl VertexProgram for ListRankingProgram {
+    type Value = RankState;
+    type Message = RankMsg;
     type Aggregate = NoAggregate;
 
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
-        id: I,
-        value: &mut RankState<I>,
-        messages: &mut [RankMsg<I>],
+        rank: u32,
+        value: &mut RankState,
+        messages: &mut [RankMsg],
     ) {
         // Responses are produced in odd supersteps and consumed in even ones;
         // requests are produced in even supersteps and consumed in odd ones.
@@ -88,7 +88,7 @@ impl<I: VertexKey + SortKey> VertexProgram for ListRankingProgram<I> {
         }
         if ctx.superstep().is_multiple_of(2) {
             match value.pred {
-                Some(p) => ctx.send_message(p, RankMsg::Request(id)),
+                Some(p) => ctx.send_message(p, RankMsg::Request(rank)),
                 None => ctx.vote_to_halt(),
             }
         } else {
@@ -97,75 +97,70 @@ impl<I: VertexKey + SortKey> VertexProgram for ListRankingProgram<I> {
     }
 }
 
-/// Runs list ranking over the given elements on `ctx`'s workers and returns
-/// `(id, sum)` pairs (in unspecified order) together with the job metrics.
-pub fn list_ranking<I: VertexKey + SortKey>(
+/// Runs list ranking over `items` on `ctx`'s workers and returns every
+/// element's sum, indexed by rank, together with the job metrics.
+///
+/// # Panics
+///
+/// Panics if there are more than `u32::MAX` items.
+pub fn list_ranking(
     ctx: &ExecCtx,
-    items: Vec<ListItem<I>>,
+    items: &[ListItem],
     config: &PregelConfig,
-) -> (Vec<(I, u64)>, Metrics) {
-    let program = ListRankingProgram::<I>(std::marker::PhantomData);
-    let pairs = items.into_iter().map(|item| {
-        (
-            item.id,
-            RankState {
-                pred: item.pred,
-                sum: item.value,
-            },
-        )
+) -> (Vec<u64>, Metrics) {
+    let ranks = u32::try_from(items.len()).expect("list ranking ranks fit u32");
+    let (mut set, _) = DenseSet::from_fn_on(ctx, ranks, |rank, _: &mut ()| {
+        let item = &items[rank as usize];
+        Some(RankState {
+            pred: item.pred,
+            sum: item.value,
+        })
     });
-    let mut set = VertexSet::from_pairs(ctx.workers(), pairs);
-    let metrics = run_on(ctx, &program, config, &mut set);
-    let out = set
-        .into_pairs()
-        .into_iter()
-        .map(|(id, st)| (id, st.sum))
-        .collect();
-    (out, metrics)
+    let metrics = run_dense_on(ctx, &ListRankingProgram, config, &mut set);
+    let mut sums = vec![0; items.len()];
+    set.read_on(ctx, &mut sums, |state| state.sum);
+    (sums, metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn config() -> PregelConfig {
         PregelConfig::default().max_supersteps(200)
     }
 
     /// Brute-force oracle: follow predecessor pointers to the head.
-    fn oracle<I: VertexKey + SortKey>(items: &[ListItem<I>]) -> HashMap<I, u64> {
-        let by_id: HashMap<I, &ListItem<I>> = items.iter().map(|i| (i.id, i)).collect();
+    fn oracle(items: &[ListItem]) -> Vec<u64> {
         items
             .iter()
             .map(|item| {
                 let mut sum = item.value;
                 let mut cur = item.pred;
                 while let Some(p) = cur {
-                    let pi = by_id[&p];
-                    sum += pi.value;
-                    cur = pi.pred;
+                    sum += items[p as usize].value;
+                    cur = items[p as usize].pred;
                 }
-                (item.id, sum)
+                sum
             })
             .collect()
+    }
+
+    /// A chain over `ranks`, head first, every element worth `value`.
+    fn chain(ranks: std::ops::Range<u32>, value: u64) -> impl Iterator<Item = ListItem> {
+        let head = ranks.start;
+        ranks.map(move |r| ListItem {
+            pred: (r > head).then(|| r - 1),
+            value,
+        })
     }
 
     #[test]
     fn paper_figure1_example() {
         // Five vertices v1..v5 in a chain, all values 1 → sums 1..5.
-        let items: Vec<ListItem<u64>> = (1..=5)
-            .map(|i| ListItem {
-                id: i,
-                pred: if i == 1 { None } else { Some(i - 1) },
-                value: 1,
-            })
-            .collect();
-        let (result, metrics) = list_ranking(&ExecCtx::new(4), items, &config());
-        let result: HashMap<u64, u64> = result.into_iter().collect();
-        for i in 1..=5u64 {
-            assert_eq!(result[&i], i);
-        }
+        let items: Vec<ListItem> = chain(0..5, 1).collect();
+        let (sums, metrics) = list_ranking(&ExecCtx::new(4), &items, &config());
+        assert_eq!(sums, [1, 2, 3, 4, 5]);
         assert!(metrics.converged);
         // log2(5) ≈ 2.3 → 3 doubling rounds of 2 supersteps, plus slack.
         assert!(
@@ -177,18 +172,11 @@ mod tests {
 
     #[test]
     fn long_chain_uses_logarithmic_supersteps() {
-        let n = 4096u64;
-        let items: Vec<ListItem<u64>> = (0..n)
-            .map(|i| ListItem {
-                id: i,
-                pred: if i == 0 { None } else { Some(i - 1) },
-                value: 1,
-            })
-            .collect();
-        let (result, metrics) = list_ranking(&ExecCtx::new(4), items, &config());
-        let result: HashMap<u64, u64> = result.into_iter().collect();
-        assert_eq!(result[&(n - 1)], n);
-        assert_eq!(result[&0], 1);
+        let n = 4096u32;
+        let items: Vec<ListItem> = chain(0..n, 1).collect();
+        let (sums, metrics) = list_ranking(&ExecCtx::new(4), &items, &config());
+        assert_eq!(sums[n as usize - 1], n as u64);
+        assert_eq!(sums[0], 1);
         assert!(metrics.converged);
         // 2 supersteps per doubling round, log2(4096) = 12 rounds, plus slack.
         assert!(
@@ -201,64 +189,60 @@ mod tests {
     #[test]
     fn multiple_lists_and_singletons() {
         // Two separate chains and an isolated head.
-        let mut items = vec![ListItem {
-            id: 100u64,
+        let mut items: Vec<ListItem> = chain(0..10, 2).collect();
+        items.push(ListItem {
             pred: None,
             value: 7,
-        }];
-        items.extend((0..10).map(|i| ListItem {
-            id: i,
-            pred: if i == 0 { None } else { Some(i - 1) },
-            value: 2,
+        });
+        items.extend((11..16).map(|r| ListItem {
+            pred: (r > 11).then(|| r - 1),
+            value: r as u64 + 189,
         }));
-        items.extend((200..205).map(|i| ListItem {
-            id: i,
-            pred: if i == 200 { None } else { Some(i - 1) },
-            value: i,
-        }));
-        let expected = oracle(&items);
-        let (result, metrics) = list_ranking(&ExecCtx::new(4), items, &config());
-        for (id, sum) in result {
-            assert_eq!(sum, expected[&id], "vertex {id}");
-        }
+        let (sums, metrics) = list_ranking(&ExecCtx::new(4), &items, &config());
+        assert_eq!(sums, oracle(&items));
         assert!(metrics.converged);
     }
 
     #[test]
     fn random_values_match_oracle() {
-        let n = 257u64;
-        let items: Vec<ListItem<u64>> = (0..n)
-            .map(|i| ListItem {
-                id: i * 13 + 5, // non-contiguous IDs
-                pred: if i == 0 { None } else { Some((i - 1) * 13 + 5) },
-                value: (i * 7919) % 101,
-            })
-            .collect();
-        let expected = oracle(&items);
-        let (result, _metrics) = list_ranking(&ExecCtx::new(4), items, &config());
-        for (id, sum) in result {
-            assert_eq!(sum, expected[&id]);
+        // The i-th element of one list sits at rank i · 13 + 5 (mod 257), so
+        // predecessors point across the rank space and across workers.
+        let n = 257u32;
+        let at = |i: u32| (i * 13 + 5) % n;
+        let mut items = vec![
+            ListItem {
+                pred: None,
+                value: 0
+            };
+            n as usize
+        ];
+        for i in 0..n {
+            items[at(i) as usize] = ListItem {
+                pred: (i > 0).then(|| at(i - 1)),
+                value: (i as u64 * 7919) % 101,
+            };
         }
+        let (sums, _metrics) = list_ranking(&ExecCtx::new(4), &items, &config());
+        assert_eq!(sums, oracle(&items));
     }
 
     #[test]
     fn cycle_is_detected_as_non_convergence() {
         // A 4-cycle has no head; the job must stop at the cap and say so.
-        let items: Vec<ListItem<u64>> = (0..4)
-            .map(|i| ListItem {
-                id: i,
-                pred: Some((i + 3) % 4),
+        let items: Vec<ListItem> = (0..4)
+            .map(|r| ListItem {
+                pred: Some((r + 3) % 4),
                 value: 1,
             })
             .collect();
         let cfg = PregelConfig::default().max_supersteps(40);
-        let (_, metrics) = list_ranking(&ExecCtx::new(2), items, &cfg);
+        let (_, metrics) = list_ranking(&ExecCtx::new(2), &items, &cfg);
         assert!(!metrics.converged);
     }
 
     #[test]
     fn empty_input() {
-        let (out, metrics) = list_ranking(&ExecCtx::new(4), Vec::<ListItem<u64>>::new(), &config());
+        let (out, metrics) = list_ranking(&ExecCtx::new(4), &[], &config());
         assert!(out.is_empty());
         assert!(metrics.converged);
     }

@@ -25,7 +25,7 @@
 //! is the phase it arrives in: in BSP everything sent in superstep `s` is
 //! delivered in superstep `s + 1` and nowhere else, and phase `p` sends
 //! exactly one kind of message, so phase `(p + 1) % 4` receives only that
-//! kind. A shuffle record is therefore `(I, I)` — 8 bytes on `u32` IDs.
+//! kind. A message record is therefore `(u32, u32)` — 8 bytes.
 //!
 //! Neighbour lists do not live in the vertex values either: they sit in one
 //! slab per worker on the [`SvProgram`], and a fixed-size [`SvState`] holds
@@ -36,33 +36,34 @@
 
 use crate::aggregate::BoolOr;
 use crate::config::PregelConfig;
+use crate::dense::{run_dense_on, DenseSet};
 use crate::engine::ExecCtx;
-use crate::fxhash::hash_one;
 use crate::metrics::Metrics;
-use crate::radix::SortKey;
-use crate::runner::run_on;
-use crate::vertex::{Context, VertexKey, VertexProgram};
-use crate::vertex_set::VertexSet;
+use crate::vertex::{Context, VertexProgram};
 
 /// Per-vertex state of the S-V program: the parent pointer `D[v]` and the
 /// bounds of the vertex's neighbour list in its worker's slab.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SvState<I> {
-    parent: I,
+pub struct SvState {
+    parent: u32,
     start: u32,
     end: u32,
     changed_this_round: bool,
 }
 
-impl<I: Copy> SvState<I> {
-    /// The state of vertex `id` before the first round — its own parent —
+impl SvState {
+    /// The state of vertex `rank` before the first round — its own parent —
     /// with `neighbors` appended to `slab`, the neighbour slab of the worker
-    /// that owns `id`.
+    /// that owns `rank`.
     ///
     /// # Panics
     ///
     /// Panics if the slab outgrows the state's `u32` offsets.
-    pub fn push(slab: &mut Vec<I>, id: I, neighbors: impl IntoIterator<Item = I>) -> SvState<I> {
+    pub fn push(
+        slab: &mut Vec<u32>,
+        rank: u32,
+        neighbors: impl IntoIterator<Item = u32>,
+    ) -> SvState {
         let start = slab.len() as u32;
         slab.extend(neighbors);
         assert!(
@@ -71,60 +72,59 @@ impl<I: Copy> SvState<I> {
             slab.len()
         );
         SvState {
-            parent: id,
+            parent: rank,
             start,
             end: slab.len() as u32,
             changed_this_round: false,
         }
     }
 
-    /// `D[v]`: once the job has converged, the smallest vertex ID of the
-    /// vertex's component.
-    pub fn parent(&self) -> I {
+    /// `D[v]`: once the job has converged, the smallest rank of the vertex's
+    /// component.
+    pub fn parent(&self) -> u32 {
         self.parent
     }
 }
 
 /// The simplified S-V vertex program over [`SvState`] values built with
 /// [`SvState::push`].
-pub struct SvProgram<I> {
+pub struct SvProgram {
     /// Per worker, the neighbour lists of its vertices, one after the other.
-    neighbors: Vec<Vec<I>>,
+    neighbors: Vec<Vec<u32>>,
 }
 
-impl<I> SvProgram<I> {
+impl SvProgram {
     /// `neighbors[w]` is the slab the states of worker `w`'s vertices were
-    /// pushed onto — `w` being the worker whose store holds the vertex, the
-    /// one [`Context::worker`] names when it computes: `hash_one(&id) %
-    /// workers` in a [`VertexSet`], the owner of the rank's range in a
-    /// [`DenseSet`](crate::DenseSet).
-    pub fn new(neighbors: Vec<Vec<I>>) -> SvProgram<I> {
+    /// pushed onto — `w` being the owner of the vertex's rank range in the
+    /// [`DenseSet`], the worker [`Context::worker`] names when the vertex
+    /// computes. [`DenseSet::from_fn_on`] hands back one such slab per
+    /// worker.
+    pub fn new(neighbors: Vec<Vec<u32>>) -> SvProgram {
         SvProgram { neighbors }
     }
 }
 
-// What the tagless, slab-backed layout buys on `u32` IDs: an 8-byte shuffle
-// record and a value-column slot of at most 16 bytes.
+// What the tagless, slab-backed layout buys: an 8-byte message record and a
+// value slot of at most 16 bytes.
 const _: () = assert!(
-    std::mem::size_of::<(u32, <SvProgram<u32> as VertexProgram>::Message)>() == 8
-        && std::mem::size_of::<SvState<u32>>() <= 16
+    std::mem::size_of::<(u32, <SvProgram as VertexProgram>::Message)>() == 8
+        && std::mem::size_of::<SvState>() <= 16
 );
 
-impl<I: VertexKey + SortKey> VertexProgram for SvProgram<I> {
-    type Id = I;
-    type Value = SvState<I>;
-    type Message = I;
+impl VertexProgram for SvProgram {
+    type Value = SvState;
+    type Message = u32;
     type Aggregate = BoolOr;
 
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
-        id: I,
-        value: &mut SvState<I>,
-        messages: &mut [I],
+        id: u32,
+        value: &mut SvState,
+        messages: &mut [u32],
     ) {
-        // Phases 0–2 act on the smallest ID they receive.
-        let least_below = |bound: I| messages.iter().copied().min().filter(|x| *x < bound);
+        // Phases 0–2 act on the smallest rank they receive.
+        let least_below = |bound: u32| messages.iter().copied().min().filter(|x| *x < bound);
         match ctx.superstep() % 4 {
             0 => {
                 // Apply the shortcut response from the previous round.
@@ -175,49 +175,48 @@ impl<I: VertexKey + SortKey> VertexProgram for SvProgram<I> {
     }
 }
 
-/// Computes connected components of an undirected graph.
+/// Computes connected components of an undirected graph over the ranks
+/// `0..adjacency.len()`.
 ///
-/// `adjacency` lists each vertex with its neighbours; for correct results
-/// every edge should be present in both endpoint's lists (the function does
-/// not symmetrise the input). Returns `(vertex, component)` pairs where the
-/// component representative is the smallest vertex ID in the component,
-/// together with the job metrics. The job runs on `ctx`'s workers.
-pub fn connected_components<I: VertexKey + SortKey>(
+/// `adjacency[v]` lists the neighbours of rank `v`; for correct results
+/// every edge should be present in both endpoints' lists (the function does
+/// not symmetrise the input). Returns every rank's component, represented by
+/// its smallest rank, together with the job metrics. The job runs on `ctx`'s
+/// workers.
+///
+/// # Panics
+///
+/// Panics if there are more than `u32::MAX` vertices.
+pub fn connected_components(
     ctx: &ExecCtx,
-    adjacency: Vec<(I, Vec<I>)>,
+    adjacency: &[Vec<u32>],
     config: &PregelConfig,
-) -> (Vec<(I, I)>, Metrics) {
-    let workers = ctx.workers();
-    let mut neighbors: Vec<Vec<I>> = (0..workers).map(|_| Vec::new()).collect();
-    let states = adjacency.into_iter().map(|(id, list)| {
-        let slab = &mut neighbors[(hash_one(&id) % workers as u64) as usize];
-        (id, SvState::push(slab, id, list))
+) -> (Vec<u32>, Metrics) {
+    let ranks = u32::try_from(adjacency.len()).expect("S-V ranks fit u32");
+    let (mut set, slabs) = DenseSet::from_fn_on(ctx, ranks, |rank, slab| {
+        let neighbors = adjacency[rank as usize].iter().copied();
+        Some(SvState::push(slab, rank, neighbors))
     });
-    let mut set = VertexSet::from_pairs(workers, states);
-    let program: SvProgram<I> = SvProgram::new(neighbors);
-    let metrics = run_on(ctx, &program, config, &mut set);
-    let out = set
-        .into_pairs()
-        .into_iter()
-        .map(|(id, st)| (id, st.parent))
-        .collect();
-    (out, metrics)
+    let metrics = run_dense_on(ctx, &SvProgram::new(slabs), config, &mut set);
+    let mut components = vec![0; adjacency.len()];
+    set.read_on(ctx, &mut components, SvState::parent);
+    (components, metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::RankRanges;
     use proptest::prelude::*;
-    use std::collections::HashMap;
 
     fn config() -> PregelConfig {
         PregelConfig::default().max_supersteps(400)
     }
 
-    /// Union-find oracle.
-    fn oracle(n: u64, edges: &[(u64, u64)]) -> HashMap<u64, u64> {
-        let mut parent: Vec<u64> = (0..n).collect();
-        fn find(parent: &mut [u64], x: u64) -> u64 {
+    /// Union-find oracle: every vertex's smallest component member.
+    fn oracle(n: u32, edges: &[(u32, u32)]) -> Vec<u32> {
+        let mut parent: Vec<u32> = (0..n).collect();
+        fn find(parent: &mut [u32], x: u32) -> u32 {
             let mut r = x;
             while parent[r as usize] != r {
                 r = parent[r as usize];
@@ -237,42 +236,30 @@ mod tests {
                 parent[hi as usize] = lo;
             }
         }
-        // Map every vertex to the minimum id in its component.
-        let mut min_of_root: HashMap<u64, u64> = HashMap::new();
-        for v in 0..n {
-            let r = find(&mut parent, v);
-            let e = min_of_root.entry(r).or_insert(v);
-            *e = (*e).min(v);
-        }
-        (0..n)
-            .map(|v| (v, min_of_root[&find(&mut parent, v)]))
-            .collect()
+        // Every root is its component's smallest vertex (hooks go low).
+        (0..n).map(|v| find(&mut parent, v)).collect()
     }
 
-    fn adjacency(n: u64, edges: &[(u64, u64)]) -> Vec<(u64, Vec<u64>)> {
-        let mut adj: HashMap<u64, Vec<u64>> = (0..n).map(|v| (v, vec![])).collect();
+    fn adjacency(n: u32, edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
+        let mut adj = vec![Vec::new(); n as usize];
         for &(a, b) in edges {
-            adj.get_mut(&a).unwrap().push(b);
-            adj.get_mut(&b).unwrap().push(a);
+            adj[a as usize].push(b);
+            adj[b as usize].push(a);
         }
-        adj.into_iter().collect()
+        adj
     }
 
-    fn run_and_check(n: u64, edges: &[(u64, u64)]) -> Metrics {
-        let expected = oracle(n, edges);
-        let (result, metrics) =
-            connected_components(&ExecCtx::new(4), adjacency(n, edges), &config());
-        assert_eq!(result.len() as u64, n);
-        for (v, comp) in result {
-            assert_eq!(comp, expected[&v], "vertex {v}");
-        }
+    fn run_and_check(n: u32, edges: &[(u32, u32)]) -> Metrics {
+        let (components, metrics) =
+            connected_components(&ExecCtx::new(4), &adjacency(n, edges), &config());
+        assert_eq!(components, oracle(n, edges));
         assert!(metrics.converged);
         metrics
     }
 
     #[test]
     fn path_graph() {
-        let edges: Vec<(u64, u64)> = (0..9).map(|i| (i, i + 1)).collect();
+        let edges: Vec<(u32, u32)> = (0..9).map(|i| (i, i + 1)).collect();
         run_and_check(10, &edges);
     }
 
@@ -284,7 +271,7 @@ mod tests {
 
     #[test]
     fn star_and_cycle() {
-        let mut edges: Vec<(u64, u64)> = (1..20).map(|i| (0, i)).collect();
+        let mut edges: Vec<(u32, u32)> = (1..20).map(|i| (0, i)).collect();
         edges.extend((20..30).map(|i| (i, if i == 29 { 20 } else { i + 1 })));
         run_and_check(30, &edges);
     }
@@ -297,8 +284,8 @@ mod tests {
 
     #[test]
     fn long_path_uses_logarithmic_rounds() {
-        let n = 2048u64;
-        let edges: Vec<(u64, u64)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let n = 2048u32;
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let metrics = run_and_check(n, &edges);
         // At most ~log2(n) + slack rounds of 4 supersteps each. This is the
         // qualitative contrast with list ranking: more supersteps per round
@@ -310,8 +297,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let (out, metrics) =
-            connected_components(&ExecCtx::new(4), Vec::<(u64, Vec<u64>)>::new(), &config());
+        let (out, metrics) = connected_components(&ExecCtx::new(4), &[], &config());
         assert!(out.is_empty());
         assert!(metrics.converged);
     }
@@ -320,22 +306,22 @@ mod tests {
     /// computes on what the previous phase sent it. Returns what was sent, as
     /// `(destination, payload)` in vertex order.
     fn superstep(
-        program: &SvProgram<u32>,
-        states: &mut [(u32, SvState<u32>)],
+        program: &SvProgram,
+        states: &mut [(u32, SvState)],
         superstep: usize,
         sent_before: &[(u32, u32)],
     ) -> (Vec<(u32, u32)>, BoolOr) {
         let prev = BoolOr(false);
         let mut local = BoolOr(false);
         let mut outbox = vec![Vec::new()];
-        let mut sent = 0u64;
+        let (mut sent, mut unrouted) = (0u64, 0u64);
         for (id, state) in states.iter_mut() {
             let mut inbox: Vec<u32> = sent_before
                 .iter()
                 .filter(|(to, _)| to == id)
                 .map(|&(_, payload)| payload)
                 .collect();
-            let mut ctx: Context<'_, SvProgram<u32>> = Context {
+            let mut ctx: Context<'_, SvProgram> = Context {
                 superstep,
                 worker: 0,
                 num_workers: 1,
@@ -343,7 +329,8 @@ mod tests {
                 prev_aggregate: &prev,
                 local_aggregate: &mut local,
                 outbox: &mut outbox,
-                route: crate::vertex::Route::Hash,
+                ranges: RankRanges::new(10, 1),
+                unrouted: &mut unrouted,
                 messages_sent: &mut sent,
                 halt: false,
             };
@@ -360,12 +347,12 @@ mod tests {
         // phase it arrives in: one full round (and the first phase of the
         // next), with what every phase sends spelled out.
         let mut slab = Vec::new();
-        let mut states: Vec<(u32, SvState<u32>)> = [(3, vec![5, 9]), (5, vec![3]), (9, vec![3])]
+        let mut states: Vec<(u32, SvState)> = [(3, vec![5, 9]), (5, vec![3]), (9, vec![3])]
             .into_iter()
             .map(|(id, neighbors)| (id, SvState::push(&mut slab, id, neighbors)))
             .collect();
-        let program: SvProgram<u32> = SvProgram::new(vec![slab]);
-        let parents = |states: &[(u32, SvState<u32>)]| -> Vec<u32> {
+        let program = SvProgram::new(vec![slab]);
+        let parents = |states: &[(u32, SvState)]| -> Vec<u32> {
             states.iter().map(|(_, st)| st.parent()).collect()
         };
 
@@ -404,20 +391,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
         fn prop_matches_union_find(
-            n in 1u64..60,
-            edge_seeds in proptest::collection::vec((0u64..60, 0u64..60), 0..120)
+            n in 1u32..60,
+            edge_seeds in proptest::collection::vec((0u32..60, 0u32..60), 0..120)
         ) {
-            let edges: Vec<(u64, u64)> = edge_seeds
+            let edges: Vec<(u32, u32)> = edge_seeds
                 .into_iter()
                 .map(|(a, b)| (a % n, b % n))
                 .filter(|(a, b)| a != b)
                 .collect();
-            let expected = oracle(n, &edges);
-            let (result, metrics) = connected_components(&ExecCtx::new(4), adjacency(n, &edges), &config());
+            let (components, metrics) =
+                connected_components(&ExecCtx::new(4), &adjacency(n, &edges), &config());
             prop_assert!(metrics.converged);
-            for (v, comp) in result {
-                prop_assert_eq!(comp, expected[&v]);
-            }
+            prop_assert_eq!(components, oracle(n, &edges));
         }
     }
 }

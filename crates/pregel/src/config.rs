@@ -2,7 +2,6 @@
 //!
 //! Where a job runs, and on how many workers, is not configuration: it is the
 //! [`ExecCtx`](crate::ExecCtx) the caller passes to
-//! [`run_on`](crate::run_on) / [`try_run_on`](crate::try_run_on) /
 //! [`run_dense_on`](crate::run_dense_on). A `PregelConfig` only bounds and
 //! instruments the job.
 
@@ -11,9 +10,10 @@ use serde::{Deserialize, Serialize};
 /// Configuration for a Pregel job.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PregelConfig {
-    /// Safety cap on the number of supersteps; the engine aborts with a panic
-    /// if a program exceeds it (all algorithms in this workspace are PPAs and
-    /// terminate in `O(log n)` supersteps, so hitting the cap indicates a bug).
+    /// Safety cap on the number of supersteps: a job that reaches it stops
+    /// there and reports `converged: false` in its metrics (all algorithms in
+    /// this workspace are PPAs and terminate in `O(log n)` supersteps, so
+    /// hitting the cap indicates a bug or, for list ranking, a cycle).
     pub max_supersteps: usize,
     /// Whether to record a per-superstep metrics breakdown in addition to the
     /// job totals.

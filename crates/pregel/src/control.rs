@@ -5,7 +5,7 @@
 //! [`cancel`](JobControl::cancel) the job, arm a wall-clock deadline, or cap
 //! the vertex store's resident bytes; the engine side polls the handle
 //! **cooperatively at BSP barriers only** — every superstep boundary of the
-//! [`runner`](crate::runner), the scatter→fold hand-off of the
+//! [superstep runner](crate::dense), the scatter→fold hand-off of the
 //! [keyed pass](crate::keycount), and the barriers contig merging and bubble
 //! filtering poll themselves through
 //! [`ExecCtx::poll_barrier`](crate::engine::ExecCtx::poll_barrier) — the

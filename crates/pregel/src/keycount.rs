@@ -600,8 +600,8 @@ where
 }
 
 /// Merges key-sorted runs that share no key into one key-sorted run,
-/// pairwise: ⌈log₂ runs⌉ linear passes. (The heap-driven
-/// `kmerge::merge_sorted_buffers` took twice as long on 250 k survivors.)
+/// pairwise: ⌈log₂ runs⌉ linear passes. (A heap-driven k-way merge took
+/// twice as long on 250 k survivors.)
 fn merge_disjoint_runs(mut runs: Vec<Vec<(u64, u32)>>) -> Vec<(u64, u32)> {
     while runs.len() > 1 {
         let mut pairs = runs.into_iter();

@@ -5,17 +5,16 @@
 //! Pregel model; here the same programming model is provided as a
 //! multi-threaded, single-process engine:
 //!
-//! * vertices are hash-partitioned over a configurable number of **workers**
-//!   (the stand-in for cluster machines), each driven by its own thread;
-//!   within a partition they live in struct-of-arrays **columns** sorted by
-//!   one plain ID column (see [`vertex_set`]), not a hash map, built in bulk
-//!   and handed from job to job whole;
+//! * vertices are the consecutive `u32` ranks `0..n`, range-partitioned over
+//!   a configurable number of **workers** (the stand-in for cluster
+//!   machines), each driven by its own thread; within a partition their
+//!   states live in one plain array indexed by rank (see [`dense`]), built in
+//!   bulk and read back whole;
 //! * computation proceeds in **supersteps**; in each superstep every active
 //!   vertex (or every vertex with incoming messages) executes a user-defined
 //!   [`VertexProgram::compute`] which may mutate its value, send messages to
 //!   other vertices and vote to halt;
-//! * messages are delivered at the start of the next superstep, optionally
-//!   merged through a **combiner**;
+//! * messages are delivered at the start of the next superstep;
 //! * a global **aggregator** value is combined across all vertices each
 //!   superstep and made available to every vertex in the next superstep;
 //! * the engine records [`Metrics`] (supersteps, messages, wall time, per-
@@ -42,53 +41,40 @@
 //!
 //! # Message-plane architecture
 //!
-//! The superstep engine moves data through a **sort-based, buffer-reusing
-//! shuffle** instead of hash-grouping into per-key containers:
+//! There is one message plane, and it never sorts to find a vertex. Because a
+//! vertex is a rank and every worker owns one contiguous range of ranks:
 //!
-//! * **sorted delivery** — senders append `(destination, payload)` records to
-//!   one flat buffer per destination worker and sort each buffer before the
-//!   hand-off; receivers k-way-merge the pre-sorted buffers (linear, ties
-//!   broken by source worker) and hand every destination its records as a
-//!   contiguous **slice** of a flat array. Every presort runs through
-//!   [`radix`]: a stable LSD radix sort over the packed integer keys
-//!   ([`SortKey`]), ping-ponging through reusable scratch buffers, with a
-//!   stable comparison fallback for keys without a monotone `u64` image.
-//!   [`VertexProgram::compute`] receives
-//!   `&mut [Message]` — no owned `Vec` per vertex.
-//! * **merge-join delivery into sorted columns** — each partition of a
-//!   [`VertexSet`] stores its vertices as ID-sorted struct-of-arrays
-//!   columns, so the sorted message runs meet the vertex store in a single
-//!   linear merge-join (a galloping cursor, no hash probe per run), and the
-//!   straggler scan walks a packed halted bitset instead of iterating a
-//!   hash map.
-//! * **dense ranks skip all of the above** — a job whose vertex IDs are the
-//!   consecutive `u32` ranks `0..n` (contig labeling, after its rank
-//!   dictionary) runs on the [`dense`] plane instead: a [`DenseSet`] owns
-//!   ranks by range and keeps states in a plain array, `send_message` routes
-//!   with a multiply–shift, and delivery is one stable counting scatter into
-//!   a CSR inbox — no hash, no presort, no k-way merge, no merge-join. The
-//!   sorted plane stays the general one (any ID type, combiners).
-//! * **sender-side combining** — when a program sets
-//!   [`USE_COMBINER`](VertexProgram::USE_COMBINER), duplicate destinations are
-//!   folded in the sorted outbound buffers before the hand-off (and again
-//!   across senders during the merge), so at most one physical message per
-//!   (sender, vertex) crosses the shuffle.
-//! * **buffer reuse** — outboxes, the merged id/message arrays and the
-//!   combine scratch live in per-worker planes allocated once per job; a
-//!   steady-state superstep performs no per-vertex or per-superstep container
-//!   allocation.
+//! * **send** — [`Context::send_message`] finds the destination worker with a
+//!   multiply–shift on a per-job constant and appends `(rank, payload)` to
+//!   one flat outbox per destination worker, unsorted. A rank no worker owns
+//!   is dropped at the sender and counted.
+//! * **exchange** — every worker takes the outboxes addressed to it, in
+//!   source-worker order, and runs one stable counting scatter over them (see
+//!   [`radix`]) into a CSR inbox: one contiguous run per receiving vertex, in
+//!   (source worker, send order). [`VertexProgram::compute`] receives that
+//!   run as `&mut [Message]` — no owned `Vec` per vertex.
+//! * **compute** — each worker walks its range twice: ascending vertices with
+//!   messages, then ascending active vertices without, the second pass
+//!   skipping 64 halted vertices per word of a packed halted bitset.
+//! * **buffer reuse** — outboxes, offsets and inboxes live in per-worker
+//!   planes allocated once per job; past the first supersteps a superstep
+//!   performs no per-vertex or per-superstep container allocation.
+//!
+//! Programs over arbitrary IDs (the assembler's 62-bit k-mers and contig
+//! IDs) translate them to ranks first; the assembler does so with a sorted
+//! rank dictionary.
 //!
 //! # Execution engine
 //!
 //! All of the parallel entry points — the superstep runner's compute and
-//! shuffle phases and the keyed pass's scatter and fold phases — execute on
+//! exchange phases and the keyed pass's scatter and fold phases — execute on
 //! the persistent worker pool of
 //! [`engine`] (per-superstep aggregate folding is a cheap O(workers) pass
 //! that stays on the dispatching thread): threads are spawned once per
 //! [`ExecCtx`] and phases are handed
 //! to the parked workers, instead of creating a fresh `std::thread::scope`
-//! team per superstep/phase. Every entry point — [`run_on`], [`try_run_on`],
-//! [`run_dense_on`], [`fold_buckets_on`], [`count_keys_on`] — takes the
+//! team per superstep/phase. Every entry point — [`run_dense_on`],
+//! [`fold_buckets_on`], [`count_keys_on`] — takes the
 //! `ExecCtx` as its first argument, and it is
 //! the only place a worker count lives (one level up, `AssemblyConfig::exec`
 //! in `ppa_assembler` carries it), so a whole multi-job workflow runs on one
@@ -96,8 +82,8 @@
 //!
 //! # Out-of-core execution
 //!
-//! Pregel+ keeps every vertex and message in memory, and so do both
-//! superstep runners here. A [`SpillPolicy`] byte cap on the [`ExecCtx`]
+//! Pregel+ keeps every vertex and message in memory, and so does the
+//! superstep runner here. A [`SpillPolicy`] byte cap on the [`ExecCtx`]
 //! binds the keyed pass alone: its scatter workers write the records they
 //! outgrow the cap with to key-segment files ([`spill`]), which the fold
 //! reads back. DBG construction runs both of its phases on the keyed pass,
@@ -116,10 +102,8 @@ pub mod engine;
 pub mod fault;
 pub mod fxhash;
 pub mod keycount;
-mod kmerge;
 pub mod metrics;
 pub mod radix;
-pub mod runner;
 pub mod spill;
 pub mod vertex;
 pub mod vertex_set;
@@ -133,7 +117,6 @@ pub use fault::{ArmedFaults, Fault, FaultPlan};
 pub use keycount::{count_keys_on, fold_buckets_on, KeySink, Record, Records};
 pub use metrics::{MapReduceMetrics, Metrics, SuperstepMetrics};
 pub use radix::SortKey;
-pub use runner::{run_on, try_run_on};
 pub use spill::{SpillCodec, SpillError, SpillPolicy};
-pub use vertex::{Context, VertexKey, VertexProgram};
+pub use vertex::{Context, VertexProgram};
 pub use vertex_set::VertexSet;

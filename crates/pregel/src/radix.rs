@@ -1,11 +1,11 @@
 //! Stable LSD radix sort for the message plane's fixed-width keys.
 //!
 //! Every sort in this workspace is by a packed integer key (vertex IDs,
-//! shuffle keys, canonical k-mers are all `u64`). The runner's
-//! per-destination outbox presort sorts `(key, payload)` records with
-//! [`sort_pairs`], and so does the bucketed key counter
-//! ([`crate::keycount`], construct phase (i)'s (k+1)-mer counting) for the
-//! `(key, count)`s its fold workers keep. [`sort_pairs`] is a **stable
+//! shuffle keys, canonical k-mers are all `u64`). The bucketed key counter
+//! ([`crate::keycount`], construct phase (i)'s (k+1)-mer counting) sorts the
+//! `(key, count)`s its fold workers keep with [`sort_pairs`], and
+//! [`VertexSet::from_pairs`](crate::VertexSet::from_pairs) its
+//! `(id, index)` key columns. [`sort_pairs`] is a **stable
 //! least-significant-digit radix sort**:
 //!
 //! * an **adaptive digit schedule**: a cheap envelope pass folds the bitwise
@@ -25,15 +25,14 @@
 //!   tiny);
 //! * scatter passes **ping-pong** between the record buffer and one caller
 //!   supplied scratch buffer of the same type, so sorting allocates nothing
-//!   beyond that scratch — the superstep runner keeps the scratch in its
-//!   per-worker `WorkerPlane` for the whole job, making steady-state
-//!   sorting allocation-free across supersteps.
+//!   beyond that scratch — a caller that keeps the scratch sorts
+//!   allocation-free in steady state.
 //!
 //! # When radix wins
 //!
 //! LSD radix is O(passes · n) with sequential reads and bucketed writes,
 //! versus pdqsort's O(n log n) comparisons with data-dependent branches. On
-//! the message plane's regime — tens of thousands to millions of 16-byte
+//! the regime it was built for — tens of thousands to millions of 16-byte
 //! `(u64, payload)` records per buffer, keys far narrower than 64 bits — the
 //! 2–4 skip-reduced passes beat the ~16–20 comparison levels of a large
 //! pdqsort. Comparison sorting remains the right tool for tiny buffers
@@ -44,8 +43,11 @@
 //!
 //! Keys opt in through [`SortKey`]: types with a monotone, injective `u64`
 //! image (`RADIX = true`) take the radix path; everything else (strings,
-//! wide tuples) falls back to a stable comparison sort, so generic shuffle
-//! code routes through this module unconditionally.
+//! wide tuples) falls back to a stable comparison sort, so generic code
+//! routes through this module unconditionally.
+//!
+//! The dense plane's exchange needs no sort at all: its keys are ranks, and
+//! `scatter_to_slots` places them with one stable counting pass.
 
 /// Inputs of at most this many records are sorted with an in-place insertion
 /// sort instead of counting passes.
@@ -122,14 +124,14 @@ fn digit_plan(or_acc: u64, and_acc: u64, allow_wide: bool) -> DigitPlan {
     plan
 }
 
-/// A sort key of the message plane.
+/// A sort key of [`sort_pairs`].
 ///
 /// Implementors either expose a **monotone, injective** `u64` image
 /// (`RADIX = true`: `a < b ⟺ a.radix_key() < b.radix_key()`, and equal
 /// images imply equal keys) and get the LSD radix path, or keep the default
 /// `RADIX = false` and get a stable comparison sort. The invariant matters:
-/// the downstream k-way merges compare keys with `Ord`, so a radix order
-/// that disagrees with `Ord` would silently corrupt grouping.
+/// the downstream merges and duplicate scans compare keys with `Ord`, so a
+/// radix order that disagrees with `Ord` would silently corrupt grouping.
 pub trait SortKey: Ord {
     /// Whether [`radix_key`](SortKey::radix_key) provides a monotone,
     /// injective `u64` image of this type.
@@ -199,8 +201,9 @@ impl<A: Ord, B: Ord, C: Ord> SortKey for (A, B, C) {}
 ///
 /// Radix keys take the LSD path using `scratch` as the ping-pong buffer;
 /// other keys use a stable comparison sort. Either way the sort is **stable**
-/// — records with equal keys keep their input order, which the per-sender
-/// delivery order of the runner relies on. On return `scratch` is empty (capacity
+/// — records with equal keys keep their input order, which "later
+/// duplicates win" in [`VertexSet::from_pairs`](crate::VertexSet::from_pairs)
+/// relies on. On return `scratch` is empty (capacity
 /// kept); reuse it across calls to keep steady-state sorting allocation-free.
 pub fn sort_pairs<K: SortKey, V>(records: &mut Vec<(K, V)>, scratch: &mut Vec<(K, V)>) {
     if !K::RADIX {

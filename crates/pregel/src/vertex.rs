@@ -2,32 +2,16 @@
 
 use crate::aggregate::Aggregate;
 use crate::dense::RankRanges;
-use crate::fxhash::hash_one;
-use crate::radix::SortKey;
-use std::fmt::Debug;
-use std::hash::Hash;
-
-/// Requirements for a vertex identifier.
-///
-/// The assembler uses 64-bit integers (Figure 7 of the paper); the framework
-/// only needs identifiers to be small, hashable, ordered and sendable.
-pub trait VertexKey: Copy + Eq + Hash + Ord + Send + Sync + Debug + 'static {}
-
-impl<T> VertexKey for T where T: Copy + Eq + Hash + Ord + Send + Sync + Debug + 'static {}
 
 /// A vertex-centric program in the Pregel model.
 ///
 /// Implementations define how a single vertex reacts to its incoming messages
 /// in a superstep: it may update its own value, send messages to any vertex by
-/// ID, contribute to the global aggregator and vote to halt. The engine calls
+/// rank, contribute to the global aggregator and vote to halt. The engine calls
 /// [`compute`](VertexProgram::compute) for every vertex that is active or has
-/// pending messages.
+/// pending messages. Vertices are named by their `u32` rank in a
+/// [`DenseSet`](crate::DenseSet).
 pub trait VertexProgram: Sync {
-    /// Vertex identifier type. The [`SortKey`] bound
-    /// lets the message plane presort outboxes with the LSD radix sort when
-    /// the ID has a monotone `u64` image (it does for the assembler's packed
-    /// 64-bit IDs), falling back to comparison sorting otherwise.
-    type Id: VertexKey + crate::radix::SortKey;
     /// Per-vertex state (including the adjacency list, following Pregel's
     /// "think like a vertex" model where the vertex owns its edges).
     type Value: Send;
@@ -36,33 +20,23 @@ pub trait VertexProgram: Sync {
     /// Global aggregator value.
     type Aggregate: Aggregate;
 
-    /// Whether messages destined to the same vertex should be merged with
-    /// [`combine`](VertexProgram::combine) before delivery.
-    const USE_COMBINER: bool = false;
-
     /// The per-vertex computation executed once per superstep for every active
     /// vertex (or any halted vertex that received messages, which reactivates
     /// it).
     ///
-    /// `messages` is a mutable view into the engine's sorted delivery buffer:
-    /// the contiguous run of messages addressed to this vertex. The slice is
-    /// only valid for the duration of the call — programs that need to keep a
-    /// message must copy it out. Handing out a slice (instead of an owned
-    /// `Vec` per vertex, as earlier revisions did) is what makes steady-state
+    /// `messages` is a mutable view into the worker's inbox: every message
+    /// addressed to this vertex, one contiguous run in (source worker, send
+    /// order). The slice is only valid for the duration of the call —
+    /// programs that need to keep a message must copy it out. Handing out a
+    /// slice instead of an owned `Vec` per vertex is what makes steady-state
     /// supersteps allocation-free on the delivery path.
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
-        id: Self::Id,
+        rank: u32,
         value: &mut Self::Value,
         messages: &mut [Self::Message],
     );
-
-    /// Merges `incoming` into `acc`. Only called when
-    /// [`USE_COMBINER`](VertexProgram::USE_COMBINER) is `true`.
-    fn combine(&self, _acc: &mut Self::Message, _incoming: Self::Message) {
-        unreachable!("combine() called but USE_COMBINER is false");
-    }
 
     /// Optional global termination check evaluated after every superstep with
     /// the aggregate produced by that superstep. Returning `true` stops the
@@ -71,17 +45,6 @@ pub trait VertexProgram: Sync {
     fn should_terminate(&self, _aggregate: &Self::Aggregate, _superstep: usize) -> bool {
         false
     }
-}
-
-/// How [`Context::send_message`] finds the worker that holds a vertex.
-pub(crate) enum Route<'a> {
-    /// `hash_one(&id) % workers`, where a [`VertexSet`](crate::VertexSet)
-    /// places it (the sorted plane).
-    Hash,
-    /// The owner of the ID's rank among a [`DenseSet`](crate::DenseSet)'s
-    /// ranges (the dense plane). An ID no worker owns is dropped at the
-    /// sender, not handed to the exchange, and counted here.
-    Range(RankRanges, &'a mut u64),
 }
 
 /// Per-superstep, per-worker execution context handed to
@@ -94,8 +57,12 @@ pub struct Context<'a, P: VertexProgram + ?Sized> {
     pub(crate) prev_aggregate: &'a P::Aggregate,
     pub(crate) local_aggregate: &'a mut P::Aggregate,
     /// One outgoing buffer per destination worker.
-    pub(crate) outbox: &'a mut [Vec<(P::Id, P::Message)>],
-    pub(crate) route: Route<'a>,
+    pub(crate) outbox: &'a mut [Vec<(u32, P::Message)>],
+    /// Which worker owns a rank.
+    pub(crate) ranges: RankRanges,
+    /// Messages sent to a rank no worker owns: dropped at the sender, not
+    /// handed to the exchange, and counted here.
+    pub(crate) unrouted: &'a mut u64,
     pub(crate) messages_sent: &'a mut u64,
     pub(crate) halt: bool,
 }
@@ -138,22 +105,15 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
         self.local_aggregate.combine(&value);
     }
 
-    /// Sends a message to the vertex identified by `to`, to be delivered at
-    /// the beginning of the next superstep.
+    /// Sends a message to the vertex of rank `to`, to be delivered at the
+    /// beginning of the next superstep.
     #[inline]
-    pub fn send_message(&mut self, to: P::Id, message: P::Message) {
+    pub fn send_message(&mut self, to: u32, message: P::Message) {
         *self.messages_sent += 1;
-        let dst = match &mut self.route {
-            Route::Hash => (hash_one(&to) % self.num_workers as u64) as usize,
-            Route::Range(ranges, unrouted) => match ranges.owner(to.radix_key()) {
-                Some(owner) => owner,
-                None => {
-                    **unrouted += 1;
-                    return;
-                }
-            },
-        };
-        self.outbox[dst].push((to, message));
+        match self.ranges.owner(to as u64) {
+            Some(owner) => self.outbox[owner].push((to, message)),
+            None => *self.unrouted += 1,
+        }
     }
 
     /// Votes to halt: the vertex becomes inactive until it receives a message.
@@ -170,14 +130,13 @@ mod tests {
 
     struct Dummy;
     impl VertexProgram for Dummy {
-        type Id = u64;
         type Value = ();
         type Message = u64;
         type Aggregate = Count;
         fn compute(
             &self,
             _ctx: &mut Context<'_, Self>,
-            _id: u64,
+            _rank: u32,
             _value: &mut (),
             _messages: &mut [u64],
         ) {
@@ -189,7 +148,7 @@ mod tests {
         let prev = Count(7);
         let mut local = Count(0);
         let mut outbox = vec![Vec::new(), Vec::new(), Vec::new()];
-        let mut sent = 0u64;
+        let (mut sent, mut unrouted) = (0u64, 0u64);
         let mut ctx: Context<'_, Dummy> = Context {
             superstep: 3,
             worker: 1,
@@ -198,7 +157,8 @@ mod tests {
             prev_aggregate: &prev,
             local_aggregate: &mut local,
             outbox: &mut outbox,
-            route: Route::Hash,
+            ranges: RankRanges::new(10, 3),
+            unrouted: &mut unrouted,
             messages_sent: &mut sent,
             halt: false,
         };
@@ -209,25 +169,20 @@ mod tests {
         assert_eq!(ctx.aggregated().0, 7);
         ctx.aggregate(Count(5));
         ctx.aggregate(Count(2));
-        ctx.send_message(42, 100);
-        ctx.send_message(43, 200);
+        ctx.send_message(0, 100);
+        ctx.send_message(9, 200);
+        ctx.send_message(10, 300); // one past the last rank: nobody owns it
         ctx.vote_to_halt();
         assert!(ctx.halt);
-        assert_eq!(sent, 2);
+        assert_eq!((sent, unrouted), (3, 1));
         assert_eq!(local.0, 7);
-        let total: usize = outbox.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 2);
+        assert_eq!(outbox[0], [(0, 100)]);
+        assert_eq!(outbox[2], [(9, 200)]);
+        assert!(outbox[1].is_empty());
     }
 
     #[test]
     fn default_should_terminate_is_false() {
         assert!(!Dummy.should_terminate(&Count(5), 10));
-    }
-
-    #[test]
-    #[should_panic]
-    fn default_combine_panics() {
-        let mut a = 1u64;
-        Dummy.combine(&mut a, 2);
     }
 }

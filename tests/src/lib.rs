@@ -1,10 +1,12 @@
 //! Integration test support crate; tests live in `../tests`.
 //!
 //! What the test binaries share: a naive reference of operations ①②③
-//! ([`oracle`]), the adversarial read generator the property tests feed it
-//! and the engine ([`adversarial_reads`]), and small helpers — temp
-//! directories, contig fingerprints, spill-directory scans.
+//! ([`oracle`]), a sequential BSP loop the superstep runner is compared
+//! against ([`bsp`]), the adversarial read generator the property tests feed
+//! the oracle and the engine ([`adversarial_reads`]), and small helpers —
+//! temp directories, contig fingerprints, spill-directory scans.
 
+pub mod bsp;
 pub mod heap;
 pub mod oracle;
 

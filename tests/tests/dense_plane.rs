@@ -1,20 +1,22 @@
-//! The dense-rank delivery plane against the sorted plane, on the public
-//! engine API.
+//! The engine's superstep runner against a sequential BSP loop, on the
+//! public engine API.
 //!
-//! `run_dense_on` over a `DenseSet` promises the superstep contract of
-//! `run_on` over a `VertexSet` with a different message plane underneath
-//! (range ownership, counting scatter). At one worker the two must agree
-//! message for message: same inbox contents in the same arrival order, same
-//! drops in the same supersteps. At several workers ownership differs, so
-//! only the order within an inbox may, and programs that do not read it must
-//! see no difference at all. The control plane (cancel, memory budget, worker
-//! faults) has to behave as it does on the sorted plane.
+//! `run_dense_on` over a `DenseSet` promises the Pregel model's superstep
+//! contract, which `ppa_tests::bsp::run` spells out on one thread with plain
+//! vectors. Every compared program is written once, as a `bsp::Step`, and
+//! runs on both. At one worker they must agree message for message: same
+//! inbox contents in the same arrival order, same drops in the same
+//! supersteps. At several workers an inbox arrives in (source worker, send
+//! order), so only the order within an inbox may differ, and programs that do
+//! not read it must see no difference at all. The control plane (cancel,
+//! memory budget, worker faults) is pinned on the engine alone.
 
 use ppa_pregel::aggregate::NoAggregate;
 use ppa_pregel::{
-    run_dense_on, run_on, CancelReason, Context, DenseSet, EngineError, ExecCtx, Fault, FaultPlan,
-    JobControl, Metrics, PregelConfig, VertexProgram, VertexSet,
+    run_dense_on, CancelReason, Context, DenseSet, EngineError, ExecCtx, Fault, FaultPlan,
+    JobControl, Metrics, PregelConfig, VertexProgram,
 };
+use ppa_tests::bsp::{self, Row, Step};
 use proptest::prelude::*;
 
 /// A directed graph over the ranks `0..states.len()`: the out-list of every
@@ -22,56 +24,102 @@ use proptest::prelude::*;
 /// ranks and ranks at or beyond the end.
 type Graph = Vec<Option<Vec<u32>>>;
 
-/// The final `(rank, state)` pairs of a job, ascending, and its metrics.
-type Outcome<V> = (Vec<(u32, V)>, Metrics);
+/// The superstep cap of every compared job.
+const MAX_SUPERSTEPS: usize = 200;
 
-/// Runs `program` over `graph` on both planes — the sorted one first — from
-/// the states `init` makes of the out-lists.
-fn on_both_planes<P>(
-    workers: usize,
-    program: &P,
-    graph: &Graph,
-    init: impl Fn(u32, &[u32]) -> P::Value + Sync,
-) -> [Outcome<P::Value>; 2]
-where
-    P: VertexProgram<Id = u32>,
-    P::Value: Clone,
-{
-    let ctx = ExecCtx::new(workers);
-    let config = PregelConfig::default().max_supersteps(200);
-    let state_of = |rank: u32| graph[rank as usize].as_deref().map(|out| init(rank, out));
+/// A step function run as a vertex program on the engine.
+struct OnEngine<'a, S>(&'a S);
 
-    let ranks = 0..graph.len() as u32;
-    let mut sorted = VertexSet::from_pairs(workers, ranks.filter_map(|r| Some((r, state_of(r)?))));
-    let sorted_metrics = run_on(&ctx, program, &config, &mut sorted);
-    let mut sorted = sorted.into_pairs();
-    sorted.sort_unstable_by_key(|(rank, _)| *rank);
+impl<S: Step> VertexProgram for OnEngine<'_, S> {
+    type Value = S::Value;
+    type Message = S::Message;
+    type Aggregate = NoAggregate;
 
-    let (mut dense, _) =
-        DenseSet::from_fn_on(&ctx, graph.len() as u32, |r, _: &mut ()| state_of(r));
-    assert_eq!(dense.len(), sorted.len());
-    let dense_metrics = run_dense_on(&ctx, program, &config, &mut dense);
-    let dense = dense.iter().map(|(r, v)| (r, v.clone())).collect();
-    [(sorted, sorted_metrics), (dense, dense_metrics)]
+    fn compute(
+        &self,
+        ctx: &mut Context<'_, Self>,
+        rank: u32,
+        value: &mut S::Value,
+        inbox: &mut [S::Message],
+    ) {
+        let superstep = ctx.superstep();
+        let halt = self.0.step(superstep, rank, value, inbox, &mut |to, m| {
+            ctx.send_message(to, m)
+        });
+        if halt {
+            ctx.vote_to_halt();
+        }
+    }
 }
 
-/// What no plane may change: the job-level counts.
-fn assert_same_counts(sorted: &Metrics, dense: &Metrics, at: &str) {
-    assert!(sorted.converged && dense.converged, "{at}");
-    assert_eq!(sorted.supersteps, dense.supersteps, "supersteps: {at}");
-    assert_eq!(
-        sorted.total_messages, dense.total_messages,
-        "messages: {at}"
-    );
-    assert_eq!(sorted.total_dropped, dense.total_dropped, "drops: {at}");
-    assert_eq!(
-        sorted.total_compute_calls, dense.total_compute_calls,
-        "compute calls: {at}"
-    );
-    assert_eq!(
-        sorted.avg_frontier_density, dense.avg_frontier_density,
-        "frontier density: {at}"
-    );
+/// The final states of a compared job, the engine's then the reference's,
+/// and the engine's metrics.
+type Outcome<V> = (Vec<Option<V>>, Vec<Option<V>>, Metrics);
+
+/// Runs `program` from `states` on the engine at `workers` workers and on
+/// the reference, and checks that their counts agree (`assert_same_counts`).
+fn against_reference<S: Step>(
+    workers: usize,
+    program: &S,
+    states: Vec<Option<S::Value>>,
+    at: &str,
+) -> Outcome<S::Value>
+where
+    S::Value: Clone + Sync,
+{
+    let ctx = ExecCtx::new(workers);
+    let config = PregelConfig::default().max_supersteps(MAX_SUPERSTEPS);
+    let (mut set, _) = DenseSet::from_fn_on(&ctx, states.len() as u32, |r, _: &mut ()| {
+        states[r as usize].clone()
+    });
+    let metrics = run_dense_on(&ctx, &OnEngine(program), &config, &mut set);
+    let mut engine = vec![None; states.len()];
+    for (rank, value) in set.iter() {
+        engine[rank as usize] = Some(value.clone());
+    }
+    let reference = bsp::run(program, states, MAX_SUPERSTEPS);
+    assert_same_counts(&reference, &metrics, at);
+    (engine, reference.states, metrics)
+}
+
+/// The states `init` makes of `graph`'s out-lists.
+fn states_of<V>(graph: &Graph, init: impl Fn(u32, &[u32]) -> V) -> Vec<Option<V>> {
+    (0..graph.len() as u32)
+        .map(|rank| graph[rank as usize].as_deref().map(|out| init(rank, out)))
+        .collect()
+}
+
+/// What the message plane may not change: per superstep, the vertices
+/// computed, the messages sent and dropped, and the frontier density; over
+/// the job, supersteps, messages, drops, compute calls and convergence.
+/// Drops land in the same supersteps whether the receiver counted them (an
+/// absent rank) or the sender did (a rank nobody owns).
+fn assert_same_counts<V>(reference: &bsp::Run<V>, metrics: &Metrics, at: &str) {
+    assert!(reference.converged && metrics.converged, "{at}");
+    let rows: Vec<Row> = metrics
+        .per_superstep
+        .iter()
+        .map(|s| Row {
+            computed: s.active_vertices,
+            sent: s.messages_sent,
+            dropped: s.messages_dropped,
+        })
+        .collect();
+    assert_eq!(rows, reference.rows, "per superstep: {at}");
+    assert_eq!(metrics.supersteps, rows.len(), "supersteps: {at}");
+    let total = |f: fn(&Row) -> u64| rows.iter().map(f).sum::<u64>();
+    assert_eq!(metrics.total_messages, total(|r| r.sent), "messages: {at}");
+    assert_eq!(metrics.total_dropped, total(|r| r.dropped), "drops: {at}");
+    let calls = total(|r| r.computed as u64);
+    assert_eq!(metrics.total_compute_calls, calls, "compute calls: {at}");
+    let present = reference.states.iter().flatten().count();
+    for (step, row) in metrics.per_superstep.iter().zip(&rows) {
+        let density = match present {
+            0 => 0.0,
+            _ => row.computed as f64 / present as f64,
+        };
+        assert_eq!(step.frontier_density, density, "frontier density: {at}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -92,50 +140,37 @@ struct Trace {
     calls: Vec<(usize, Vec<u32>)>,
 }
 
-impl VertexProgram for Recorder {
-    type Id = u32;
+impl Step for Recorder {
     type Value = Trace;
     type Message = u32;
-    type Aggregate = NoAggregate;
 
-    fn compute(&self, ctx: &mut Context<'_, Self>, id: u32, value: &mut Trace, inbox: &mut [u32]) {
-        let step = ctx.superstep();
-        value.calls.push((step, inbox.to_vec()));
-        let turn = id as usize + step;
-        if step < self.rounds && !turn.is_multiple_of(3) {
+    fn step(
+        &self,
+        superstep: usize,
+        rank: u32,
+        value: &mut Trace,
+        inbox: &[u32],
+        send: &mut dyn FnMut(u32, u32),
+    ) -> bool {
+        value.calls.push((superstep, inbox.to_vec()));
+        let turn = rank as usize + superstep;
+        if superstep < self.rounds && !turn.is_multiple_of(3) {
             for (nth, &to) in value.out.iter().enumerate() {
-                ctx.send_message(to, id * 1000 + (step * 10 + nth) as u32);
+                send(to, rank * 1000 + (superstep * 10 + nth) as u32);
             }
         }
-        if step >= self.rounds || turn.is_multiple_of(2) {
-            ctx.vote_to_halt();
-        }
+        superstep >= self.rounds || turn.is_multiple_of(2)
     }
 }
 
 fn assert_same_traces(graph: &Graph, what: &str) -> Metrics {
-    let program = Recorder { rounds: 6 };
-    let [(sorted, sorted_metrics), (dense, dense_metrics)] =
-        on_both_planes(1, &program, graph, |_, out| Trace {
-            out: out.to_vec(),
-            calls: Vec::new(),
-        });
-    assert_eq!(sorted, dense, "traces: {what}");
-    assert_same_counts(&sorted_metrics, &dense_metrics, what);
-    // Drops land in the same supersteps, whether the receiver counted them
-    // (an absent rank) or the sender did (a rank nobody owns).
-    let per_step = |m: &Metrics| -> Vec<(usize, u64, u64)> {
-        m.per_superstep
-            .iter()
-            .map(|s| (s.active_vertices, s.messages_sent, s.messages_dropped))
-            .collect()
-    };
-    assert_eq!(
-        per_step(&sorted_metrics),
-        per_step(&dense_metrics),
-        "{what}"
-    );
-    dense_metrics
+    let states = states_of(graph, |_, out| Trace {
+        out: out.to_vec(),
+        calls: Vec::new(),
+    });
+    let (engine, reference, metrics) = against_reference(1, &Recorder { rounds: 6 }, states, what);
+    assert_eq!(engine, reference, "traces: {what}");
+    metrics
 }
 
 /// A ring with chords, holes inside the range, and edges leaving it.
@@ -180,27 +215,26 @@ fn one_worker_traces_are_identical() {
 /// Floods the smallest rank seen along the out-lists; halts between changes.
 struct MinFlood;
 
-impl VertexProgram for MinFlood {
-    type Id = u32;
+impl Step for MinFlood {
     type Value = (u32, Vec<u32>);
     type Message = u32;
-    type Aggregate = NoAggregate;
 
-    fn compute(
+    fn step(
         &self,
-        ctx: &mut Context<'_, Self>,
-        _id: u32,
+        superstep: usize,
+        _rank: u32,
         (least, out): &mut (u32, Vec<u32>),
-        inbox: &mut [u32],
-    ) {
+        inbox: &[u32],
+        send: &mut dyn FnMut(u32, u32),
+    ) -> bool {
         let seen = inbox.iter().copied().min().unwrap_or(u32::MAX);
-        if ctx.superstep() == 0 || seen < *least {
+        if superstep == 0 || seen < *least {
             *least = (*least).min(seen);
             for &to in out.iter() {
-                ctx.send_message(to, *least);
+                send(to, *least);
             }
         }
-        ctx.vote_to_halt();
+        true
     }
 }
 
@@ -210,49 +244,40 @@ struct Summer {
     rounds: usize,
 }
 
-impl VertexProgram for Summer {
-    type Id = u32;
+impl Step for Summer {
     type Value = (u64, Vec<u32>);
     type Message = u64;
-    type Aggregate = NoAggregate;
 
-    fn compute(
+    fn step(
         &self,
-        ctx: &mut Context<'_, Self>,
-        id: u32,
+        superstep: usize,
+        rank: u32,
         (sum, out): &mut (u64, Vec<u32>),
-        inbox: &mut [u64],
-    ) {
+        inbox: &[u64],
+        send: &mut dyn FnMut(u32, u64),
+    ) -> bool {
         *sum = inbox.iter().fold(*sum, |acc, m| acc.wrapping_add(*m));
-        let step = ctx.superstep();
-        if step < self.rounds {
+        if superstep < self.rounds {
             for &to in out.iter() {
-                ctx.send_message(
-                    to,
-                    (*sum)
-                        .wrapping_mul(31)
-                        .wrapping_add(id as u64 + step as u64),
-                );
+                let payload = sum
+                    .wrapping_mul(31)
+                    .wrapping_add(rank as u64 + superstep as u64);
+                send(to, payload);
             }
         }
-        if step >= self.rounds || id.is_multiple_of(2) {
-            ctx.vote_to_halt();
-        }
+        superstep >= self.rounds || rank.is_multiple_of(2)
     }
 }
 
 fn assert_same_results(workers: usize, graph: &Graph, what: &str) {
     let at = format!("{what}, {workers} workers");
-    let [(sorted, sorted_metrics), (dense, dense_metrics)] =
-        on_both_planes(workers, &MinFlood, graph, |rank, out| (rank, out.to_vec()));
-    assert_eq!(sorted, dense, "min-flood values: {at}");
-    assert_same_counts(&sorted_metrics, &dense_metrics, &at);
+    let states = states_of(graph, |rank, out| (rank, out.to_vec()));
+    let (engine, reference, _) = against_reference(workers, &MinFlood, states, &at);
+    assert_eq!(engine, reference, "min-flood values: {at}");
 
-    let program = Summer { rounds: 5 };
-    let [(sorted, sorted_metrics), (dense, dense_metrics)] =
-        on_both_planes(workers, &program, graph, |_, out| (0, out.to_vec()));
-    assert_eq!(sorted, dense, "message sums: {at}");
-    assert_same_counts(&sorted_metrics, &dense_metrics, &at);
+    let states = states_of(graph, |_, out| (0, out.to_vec()));
+    let (engine, reference, _) = against_reference(workers, &Summer { rounds: 5 }, states, &at);
+    assert_eq!(engine, reference, "message sums: {at}");
 }
 
 #[test]
@@ -286,7 +311,7 @@ proptest! {
             graph[at % n] = None;
         }
         for (from, to) in edges {
-            // Targets reach past `n`: both planes must drop those.
+            // Targets reach past `n`: both sides must drop those.
             if let Some(out) = graph[from % n].as_mut() {
                 out.push(to);
             }
@@ -297,10 +322,55 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// (d) The control plane
+// (d) A multi-round relay over many ranks, at one to four workers
 // ---------------------------------------------------------------------------
 
-/// The typed error a job unwound with, as `try_run_on` recovers it.
+/// A multi-round scatter-and-fold program: for `rounds` supersteps every
+/// vertex folds what it received and sends `rank + 1` to a
+/// superstep-dependent target; it always votes to halt, so after superstep 0
+/// only a message wakes it.
+struct Relay {
+    n: u32,
+    rounds: usize,
+}
+
+impl Step for Relay {
+    type Value = u64;
+    type Message = u64;
+
+    fn step(
+        &self,
+        superstep: usize,
+        rank: u32,
+        value: &mut u64,
+        inbox: &[u64],
+        send: &mut dyn FnMut(u32, u64),
+    ) -> bool {
+        *value = value.wrapping_add(inbox.iter().sum::<u64>());
+        if superstep < self.rounds {
+            let to = (rank as u64 * 31 + superstep as u64 * 7 + 1) % self.n as u64;
+            send(to as u32, rank as u64 + 1);
+        }
+        true
+    }
+}
+
+#[test]
+fn relay_matches_the_reference() {
+    let relay = Relay { n: 999, rounds: 6 };
+    for workers in 1..=4 {
+        let states = (0..relay.n).map(|rank| Some(rank as u64)).collect();
+        let at = format!("relay, {workers} workers");
+        let (engine, reference, _) = against_reference(workers, &relay, states, &at);
+        assert_eq!(engine, reference, "{at}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (e) The control plane
+// ---------------------------------------------------------------------------
+
+/// The typed error a job unwound with.
 fn typed<T>(job: impl FnOnce() -> T) -> Result<T, EngineError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).map_err(|payload| {
         *payload
@@ -317,7 +387,6 @@ struct Ring {
 }
 
 impl VertexProgram for Ring {
-    type Id = u32;
     type Value = u64;
     type Message = u64;
     type Aggregate = NoAggregate;

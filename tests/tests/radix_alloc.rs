@@ -58,7 +58,6 @@ fn refill(records: &mut Vec<(u64, u64)>, n: u64, seed: u64) {
 struct Laps(usize);
 
 impl VertexProgram for Laps {
-    type Id = u32;
     type Value = u64;
     type Message = u64;
     type Aggregate = NoAggregate;

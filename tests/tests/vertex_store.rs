@@ -1,10 +1,6 @@
-//! Columnar-store equivalence pins: the sorted SoA vertex store, observed
-//! through the production engine, and the jobs that left it, at three
-//! levels.
+//! Equivalence pins for the jobs that left the sorted, hash-partitioned
+//! vertex store for the dense rank plane, at two levels.
 //!
-//! * **engine level** — a multi-round relay program run on the engine gives
-//!   the values, superstep and message counts of a plain sequential BSP
-//!   loop, across worker counts;
 //! * **operation level** — `remove_tips_on` over one fixed post-merge graph
 //!   deletes, sends and drops exactly what it did on the sorted store before
 //!   it moved to the dense plane (literal counts), and is byte-identical for
@@ -14,100 +10,19 @@
 //!   two correction rounds) yields the same contig content for every worker
 //!   count.
 //!
-//! (The store's bulk build and reads have their own hash-oracle property
-//! test inside `ppa_pregel::vertex_set`; delivery of an arbitrary send plan,
-//! out-of-range targets included, against a hash grouping, and halt-flag
-//! equivalence against a sequential BSP oracle live in `ppa_pregel::runner`.)
+//! (The superstep runner itself is pinned against a sequential BSP loop in
+//! `tests/dense_plane.rs`, and the store's bulk build against a hash map
+//! inside `ppa_pregel::vertex_set`.)
 
 use ppa_assembler::ops::construct::ConstructConfig;
 use ppa_assembler::ops::merge::MergeConfig;
 use ppa_assembler::ops::tip::{remove_tips_on, TipConfig};
 use ppa_assembler::pipeline::{Construct, Label, Merge};
 use ppa_assembler::{assemble, AssemblyConfig, GraphState, Pipeline};
-use ppa_pregel::{Context, ExecCtx, NoAggregate, PregelConfig, VertexProgram, VertexSet};
+use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
 use ppa_tests::fingerprint;
-
-// ---------------------------------------------------------------------------
-// Engine level: the columnar engine vs a sequential BSP loop
-// ---------------------------------------------------------------------------
-
-/// A multi-round scatter-and-fold program: for `rounds` supersteps every
-/// vertex folds what it received and sends `id + 1` to a
-/// superstep-dependent target.
-struct Relay {
-    n: u64,
-    rounds: usize,
-}
-
-impl Relay {
-    fn target(&self, id: u64, superstep: usize) -> u64 {
-        (id.wrapping_mul(31).wrapping_add(superstep as u64 * 7 + 1)) % self.n
-    }
-}
-
-impl VertexProgram for Relay {
-    type Id = u64;
-    type Value = u64;
-    type Message = u64;
-    type Aggregate = NoAggregate;
-    fn compute(&self, ctx: &mut Context<'_, Self>, id: u64, value: &mut u64, msgs: &mut [u64]) {
-        *value = value.wrapping_add(msgs.iter().sum::<u64>());
-        if ctx.superstep() < self.rounds {
-            ctx.send_message(self.target(id, ctx.superstep()), id + 1);
-        }
-        ctx.vote_to_halt();
-    }
-}
-
-/// [`Relay`] by hand, superstep by superstep: every vertex computes in
-/// superstep 0 and afterwards only when a message woke it (it always votes
-/// to halt); the job ends after the first superstep that sends nothing.
-/// Returns the final values, the supersteps and the messages.
-fn sequential_relay(relay: &Relay) -> (Vec<(u64, u64)>, usize, u64) {
-    let n = relay.n as usize;
-    let mut values: Vec<u64> = (0..relay.n).collect();
-    let mut inbox: Vec<Vec<u64>> = vec![Vec::new(); n];
-    let (mut superstep, mut messages) = (0, 0);
-    loop {
-        let mut next: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for id in 0..relay.n {
-            let received = std::mem::take(&mut inbox[id as usize]);
-            if superstep > 0 && received.is_empty() {
-                continue;
-            }
-            values[id as usize] = values[id as usize].wrapping_add(received.iter().sum::<u64>());
-            if superstep < relay.rounds {
-                next[relay.target(id, superstep) as usize].push(id + 1);
-            }
-        }
-        let sent: u64 = next.iter().map(|m| m.len() as u64).sum();
-        superstep += 1;
-        messages += sent;
-        inbox = next;
-        if sent == 0 {
-            let values = (0..relay.n).zip(values).collect();
-            return (values, superstep, messages);
-        }
-    }
-}
-
-#[test]
-fn relay_matches_a_sequential_bsp_loop() {
-    let relay = Relay { n: 999, rounds: 6 };
-    let (values, supersteps, messages) = sequential_relay(&relay);
-    for workers in 1..=4 {
-        let ctx = ExecCtx::new(workers);
-        let mut set = VertexSet::from_pairs(workers, (0..relay.n).map(|i| (i, i)));
-        let metrics = ppa_pregel::run_on(&ctx, &relay, &PregelConfig::default(), &mut set);
-        let mut got = set.into_pairs();
-        got.sort_unstable();
-        assert_eq!(got, values, "workers = {workers}");
-        assert_eq!(metrics.supersteps, supersteps, "workers = {workers}");
-        assert_eq!(metrics.total_messages, messages, "workers = {workers}");
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Operation level: tip removal over one fixed graph, across worker counts
