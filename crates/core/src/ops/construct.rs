@@ -15,9 +15,9 @@
 //!   `k + 2 − m` windows — and scatters them into buckets addressed by the
 //!   minimizer's hash, about 1.5 bytes per window where a bare packed key
 //!   took 8. The fold expands every bucket's super-k-mers back into
-//!   canonical (k+1)-mers and counts them in a hash table that stays in
-//!   cache; only the survivors are sorted, once, and they come out in key
-//!   order.
+//!   canonical (k+1)-mers and counts them in a hash table sized by the
+//!   bucket's distinct keys; only the survivors are sorted, once, after the
+//!   scatter's buffers are freed, and they come out in key order.
 //! * **Phase (ii)**: every surviving (k+1)-mer contributes one out-edge slot
 //!   to its prefix k-mer vertex and one in-edge slot to its suffix k-mer
 //!   vertex (with the appropriate polarity, Figure 6/8). Each contribution

@@ -32,20 +32,30 @@
 //!   [`Buckets::each`]: bucket by bucket, in ascending order, with the
 //!   records every scatter worker put there. [`count_keys_on`]'s fold
 //!   expands a bucket's records through the caller's [`Records::expand`] and
-//!   counts the keys in a flat open-addressing table sized from the bucket's
-//!   key count and small enough to stay in cache (counts saturate at
+//!   counts the keys in a flat open-addressing table. The table is sized by
+//!   distinct keys, not keys: a bucket starts at the slots the ratio of
+//!   distinct keys to keys over the buckets before it predicts and doubles
+//!   whenever a new key would fill more than half of them (counts saturate at
 //!   `u32::MAX`). Reading the table back yields the distinct keys. Only
-//!   those counted more than θ times are kept; each fold worker sorts its
-//!   survivors with [`crate::radix`], and the coordinator merges the
-//!   workers' runs. The keys the threshold discards — most of them — are
-//!   never sorted.
+//!   those counted more than θ times are kept, unsorted. Once the pass has
+//!   freed its buffers, each fold worker's survivors are sorted with
+//!   [`crate::radix`] on the pool and the coordinator merges the runs, so
+//!   neither the sort nor its scratch is stacked on the records. The keys
+//!   the threshold discards — most of them — are never sorted.
 //!
 //! The job's [`JobControl`](crate::JobControl) is polled at the barrier
 //! between the phases, on the coordinator thread. Each record is held once,
-//! as sixteen bytes, in buffers sized up front from the caller's per-task key
-//! bound; they live for the duration of the call. The scan closure is
-//! dropped at the barrier, so
-//! what it owns — phase (ii)'s survivors — is freed before the fold.
+//! as sixteen bytes, in one slab per scatter worker reserved up front from
+//! the caller's per-task key bound. The reservation is about ten times what
+//! the records fill, but its pages are mapped only on first write, and being
+//! that large it is its own mapping, which goes back to the kernel when the
+//! pass drops it at the end of the fold. (Page-sized blocks allocated on
+//! demand and freed group by group as the fold drains them hold only what
+//! was pushed, but the allocator keeps freed blocks in the scatter workers'
+//! arenas, where later stages do not reuse them: measured on the
+//! benchmark's workloads, the process peak rose.) The scan closure is
+//! dropped at the barrier, so what it owns — phase (ii)'s survivors — is
+//! freed before the fold.
 //!
 //! # Under a spill cap
 //!
@@ -109,13 +119,23 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// outnumber the TLB entries and cache lines that keep appending cheap.
 const MAX_BUCKET_BITS: u32 = 12;
 
-/// log2 of the records per buffer chunk: a cache line at least, a kibibyte
-/// at most (a bucket's unfilled chunk tail is then ≤ 1 KiB).
+/// log2 of the records per buffer chunk: a cache line at least, 256 bytes
+/// at most (a bucket's unfilled chunk tail is then < 256 bytes).
 const MIN_CHUNK_SHIFT: u32 = 2;
-const MAX_CHUNK_SHIFT: u32 = 6;
+const MAX_CHUNK_SHIFT: u32 = 4;
 
 /// Bytes of one record, buffered or in a spill segment.
 pub(crate) const RECORD_BYTES: usize = std::mem::size_of::<Record>();
+
+/// Keys the fold expands before counting them.
+const KEY_BATCH: usize = 4 << 10;
+
+/// The first table is sized as if this share of its bucket's keys were
+/// distinct (1 / 4: reads with 1 % errors give about that); every later one
+/// from the share over the buckets before it. (The previous bucket alone is
+/// a noisy guide: on 150× reads a quarter of the buckets then outgrew their
+/// table, and the arrays overshot to twice the slots.)
+const FIRST_DISTINCT: (usize, usize) = (1, 4);
 
 /// `NONE` in the chunk links.
 const NO_CHUNK: u32 = u32::MAX;
@@ -440,12 +460,6 @@ impl<'a> Buckets<'a> {
         self.totals[self.range.clone()].iter().sum::<u64>() as usize
     }
 
-    /// The most keys one bucket of the range holds.
-    pub(crate) fn fullest(&self) -> usize {
-        let most = self.totals[self.range.clone()].iter().copied().max();
-        most.unwrap_or(0) as usize
-    }
-
     /// Calls `fold` on every non-empty bucket of the range, in ascending
     /// order, with the keys the bucket's records stand for and the records
     /// themselves, a slice at a time: those read back from segments first,
@@ -494,57 +508,98 @@ impl<'a> Buckets<'a> {
     }
 }
 
-/// Slots of the table that counts a bucket of `keys` keys: a power of two
-/// at least twice the keys, so the load stays at most ½ however many of
-/// them are distinct, and the table never grows.
-fn table_slots(keys: usize) -> usize {
-    (2 * keys).next_power_of_two()
+/// Slots of the table that counts `distinct` distinct keys: a power of two
+/// at least twice as many, so the load stays at most ½.
+fn table_slots(distinct: usize) -> usize {
+    (2 * distinct).next_power_of_two()
 }
 
 /// One fold worker's flat open-addressing table: keys and `u32` counts in
 /// parallel arrays, linear probing from a multiply–shift hash. A count of 0
 /// marks an empty slot, so every `u64` is a legal key. A bucket uses the
-/// first [`table_slots`] slots, and [`drain`](CountTable::drain) empties
-/// each slot as it reads it, so the table is never cleared between buckets.
+/// first slots of the arrays, as many as [`table_slots`] gives for the
+/// distinct keys the ratio of the buckets before predicts, and doubles them
+/// when a new key would fill more than half; the arrays only grow, to the
+/// most slots a bucket used. [`drain`](CountTable::drain) empties each slot
+/// as it reads it, so the table is never cleared between buckets.
 struct CountTable {
     keys: Vec<u64>,
     counts: Vec<u32>,
     /// The slots filled since the last drain, in fill order. Most slots stay
-    /// empty — the table is sized by keys, not distinct keys — so the drain
-    /// visits these instead of scanning every slot.
+    /// empty, so the drain visits these instead of scanning every slot.
     filled: Vec<usize>,
     /// 64 − log2 of the slots in use: the hash keeps the product's top bits.
     shift: u32,
+    /// Distinct keys the slots in use hold before they double: half of them.
+    limit: usize,
+    /// Keys of the bucket being counted.
+    bucket_keys: usize,
+    /// Distinct keys and keys of every bucket drained so far, starting from
+    /// [`FIRST_DISTINCT`].
+    seen: (usize, usize),
+    /// The entries a doubling moves, kept for the next.
+    moved: Vec<(u64, u32)>,
 }
 
 impl CountTable {
-    /// An empty table for buckets of at most `keys` keys.
-    fn new(keys: usize) -> CountTable {
-        let slots = table_slots(keys);
+    fn new() -> CountTable {
         CountTable {
-            keys: vec![0; slots],
-            counts: vec![0; slots],
-            filled: Vec::with_capacity(slots / 2),
+            keys: Vec::new(),
+            counts: Vec::new(),
+            filled: Vec::new(),
             shift: 64,
+            limit: 0,
+            bucket_keys: 0,
+            seen: FIRST_DISTINCT,
+            moved: Vec::new(),
         }
     }
 
-    /// Sizes the slots in use for a bucket of `keys` keys (at least one, at
-    /// most the bound the table was built for).
+    /// Sizes the slots in use for a bucket of `keys` keys (at least one),
+    /// from the share of distinct keys the buckets before it had, plus a
+    /// quarter: buckets differ, and a doubling rehashes what is counted.
     fn start(&mut self, keys: usize) {
-        self.shift = 64 - table_slots(keys).trailing_zeros();
+        let (distinct, of) = self.seen;
+        let expected = (keys as u128 * distinct as u128).div_ceil(of as u128) as usize;
+        self.bucket_keys = keys;
+        self.use_slots(table_slots(expected + expected / 4 + 1));
+    }
+
+    fn use_slots(&mut self, slots: usize) {
+        if self.keys.len() < slots {
+            self.keys.resize(slots, 0);
+            self.counts.resize(slots, 0);
+            self.filled.reserve_exact(slots / 2 - self.filled.len());
+        }
+        self.shift = 64 - slots.trailing_zeros();
+        self.limit = slots / 2;
     }
 
     /// Counts one occurrence of every key of `keys`, saturating at
     /// `u32::MAX`.
     fn add_all(&mut self, keys: &[u64]) {
+        let mut done = self.add_until_half_full(keys);
+        while done < keys.len() {
+            self.double();
+            done += self.add_until_half_full(&keys[done..]);
+        }
+    }
+
+    /// Counts the keys of `keys` in order until a new key would fill more
+    /// than half the slots in use, and returns how many it counted. Only a
+    /// new key checks the load.
+    #[inline]
+    fn add_until_half_full(&mut self, keys: &[u64]) -> usize {
         let mask = (u64::MAX >> self.shift) as usize;
         let (table, counts) = (&mut self.keys[..=mask], &mut self.counts[..=mask]);
-        for &key in keys {
+        for (done, &key) in keys.iter().enumerate() {
             let mut slot = (key.wrapping_mul(HASH_MUL) >> self.shift) as usize;
             loop {
                 match counts[slot] {
                     0 => {
+                        if self.filled.len() == self.limit {
+                            return done;
+                        }
                         table[slot] = key;
                         counts[slot] = 1;
                         self.filled.push(slot);
@@ -558,44 +613,74 @@ impl CountTable {
                 }
             }
         }
+        keys.len()
+    }
+
+    /// Doubles the slots in use and puts every counted key back.
+    #[cold]
+    fn double(&mut self) {
+        let mut moved = std::mem::take(&mut self.moved);
+        moved.clear();
+        for &slot in &self.filled {
+            moved.push((self.keys[slot], std::mem::take(&mut self.counts[slot])));
+        }
+        self.filled.clear();
+        self.use_slots(2 << (64 - self.shift));
+        let mask = (u64::MAX >> self.shift) as usize;
+        for &(key, count) in &moved {
+            let mut slot = (key.wrapping_mul(HASH_MUL) >> self.shift) as usize;
+            while self.counts[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.keys[slot] = key;
+            self.counts[slot] = count;
+            self.filled.push(slot);
+        }
+        self.moved = moved;
     }
 
     /// Reads the filled slots back, emptying each: appends the keys counted
     /// more than `theta` times to `kept` (in fill order) and returns how
     /// many distinct keys there were.
     fn drain(&mut self, theta: u32, kept: &mut Vec<(u64, u32)>) -> u64 {
-        let distinct = self.filled.len() as u64;
+        let distinct = self.filled.len();
         for slot in self.filled.drain(..) {
             let count = std::mem::take(&mut self.counts[slot]);
             if count > theta {
                 kept.push((self.keys[slot], count));
             }
         }
-        distinct
+        self.seen = (self.seen.0 + distinct, self.seen.1 + self.bucket_keys);
+        distinct as u64
     }
 }
 
 /// Phase (i)'s fold: hash-counts the keys of every bucket of the range in
-/// one cache-sized table and keeps, key-sorted, those counted more than
-/// `theta` times. Returns them and the distinct keys seen.
+/// one table and keeps those counted more than `theta` times, unsorted (the
+/// pass sorts them once its buffers are freed). Returns them and the
+/// distinct keys seen.
 fn count_buckets<E>(buckets: &mut Buckets<'_>, expand: &E, theta: u32) -> (Vec<(u64, u32)>, u64)
 where
     E: Fn(&[Record], &mut Vec<u64>),
 {
-    let mut table = CountTable::new(buckets.fullest());
+    let mut table = CountTable::new();
     let mut keys: Vec<u64> = Vec::new();
     let mut kept = Vec::new();
     let mut distinct = 0u64;
     buckets.each(|bucket_keys, records| {
         table.start(bucket_keys);
+        // Fragments are a chunk at most: count their keys in batches.
         for fragment in records {
-            keys.clear();
             expand(fragment, &mut keys);
-            table.add_all(&keys);
+            if keys.len() >= KEY_BATCH {
+                table.add_all(&keys);
+                keys.clear();
+            }
         }
+        table.add_all(&keys);
+        keys.clear();
         distinct += table.drain(theta, &mut kept);
     });
-    crate::radix::sort_pairs(&mut kept, &mut Vec::new());
     (kept, distinct)
 }
 
@@ -825,8 +910,9 @@ where
 ///
 /// A [`fold_buckets_on`] pass (see there for `tasks`, `task_keys` and
 /// `scan`) whose fold is the count: `records` turns a bucket's records back
-/// into keys, each bucket's keys are counted in one cache-sized hash table,
-/// and each fold worker sorts its survivors; the sorted runs are merged.
+/// into keys and each bucket's keys are counted in one hash table sized by
+/// its distinct keys. Once the pass has freed its buffers, each fold
+/// worker's survivors are sorted on the pool and the sorted runs are merged.
 ///
 /// The returned [`MapReduceMetrics`] are the pass's, with `groups` =
 /// distinct keys and `output_records` = keys kept.
@@ -887,8 +973,13 @@ where
         runs.push(kept);
     }
     // The survivors — a few per cent of the distinct keys, the only keys
-    // ever sorted — left each fold worker sorted. A key lives in one bucket
-    // and so in one worker's share: merging the shares orders them all.
+    // ever sorted — are sorted here, once the pass has freed its buffers, one
+    // run per worker on the pool. A key lives in one bucket and so in one
+    // worker's share: merging the sorted runs orders them all.
+    let runs = ctx.pool().run_per_worker(runs, |_, mut run| {
+        crate::radix::sort_pairs(&mut run, &mut Vec::new());
+        run
+    });
     let kept = merge_disjoint_runs(runs);
     metrics.output_records = kept.len() as u64;
     metrics.elapsed = start.elapsed();
@@ -1093,7 +1184,7 @@ mod tests {
 
     #[test]
     fn a_drain_leaves_the_table_empty_for_the_next_bucket() {
-        let mut table = CountTable::new(100);
+        let mut table = CountTable::new();
         let mut kept = Vec::new();
         table.start(100);
         table.add_all(&[5, 0, 5, u64::MAX, 5]);
@@ -1175,14 +1266,14 @@ mod tests {
                 );
             }
         }
-        // Chunks: a kibibyte when there is room, a cache line when there is
+        // Chunks: 256 bytes when there is room, a cache line when there is
         // not.
         assert_eq!(
             Layout::plan(1 << 20, 1 << 20, None).chunk_shift,
             MAX_CHUNK_SHIFT
         );
         assert_eq!(Layout::plan(1 << 20, 0, None).chunk_shift, MIN_CHUNK_SHIFT);
-        assert_eq!((1 << MAX_CHUNK_SHIFT) * RECORD_BYTES, 1 << 10);
+        assert_eq!((1 << MAX_CHUNK_SHIFT) * RECORD_BYTES, 256);
         assert_eq!((1 << MIN_CHUNK_SHIFT) * RECORD_BYTES, 64);
     }
 
@@ -1283,6 +1374,100 @@ mod tests {
             assert_eq!(tiny.spilled_runs, 40 - workers as u64);
             assert_eq!(tiny.spill_read_bytes, tiny.spilled_bytes);
             assert!(tight.spilled_bytes < tiny.spilled_bytes);
+        }
+    }
+
+    /// Two buckets routed by the keys' top bit: `distinct` all-distinct keys
+    /// and one key `repeats` times, the single-key bucket first when
+    /// `single_first`. Spread over eight tasks.
+    fn distinct_and_single_key_buckets(
+        distinct: u64,
+        repeats: usize,
+        single_first: bool,
+    ) -> Vec<Vec<u64>> {
+        let (single, spread) = if single_first {
+            (0, 1u64 << 63)
+        } else {
+            (u64::MAX, 0)
+        };
+        let mut keys: Vec<u64> = (0..distinct)
+            .map(|i| spread | i.wrapping_mul(0x2545_F491))
+            .collect();
+        keys.extend(std::iter::repeat_n(single, repeats));
+        keys.chunks(keys.len().div_ceil(8))
+            .map(<[u64]>::to_vec)
+            .collect()
+    }
+
+    #[test]
+    fn a_table_grows_from_the_running_ratio_by_doubling() {
+        let mut table = CountTable::new();
+        let mut kept = Vec::new();
+        // One key 1 000 times: with the first table's guess, 2 distinct keys
+        // in 1 004.
+        table.start(1_000);
+        table.add_all(&[7; 1_000]);
+        assert_eq!(table.drain(0, &mut kept), 1);
+        assert_eq!(kept, vec![(7, 1_000)]);
+        assert_eq!(table.seen, (2, 1_004));
+        // 5 000 distinct keys planned as 10, plus a quarter: 32 slots,
+        // doubled nine times to the 16 Ki slots that keep the load at most ½.
+        table.start(5_000);
+        assert_eq!(64 - table.shift, 5);
+        let keys: Vec<u64> = (0..5_000u64).map(|i| i.wrapping_mul(HASH_MUL)).collect();
+        table.add_all(&keys[..2_500]);
+        table.add_all(&keys);
+        assert_eq!(64 - table.shift, 14);
+        kept.clear();
+        assert_eq!(table.drain(1, &mut kept), 5_000);
+        kept.sort_unstable();
+        let mut expected: Vec<(u64, u32)> = keys[..2_500].iter().map(|&k| (k, 2)).collect();
+        expected.sort_unstable();
+        assert_eq!(kept, expected);
+        assert!(table.counts.iter().all(|&c| c == 0), "a slot stayed filled");
+        // 5 002 distinct in 6 004 keys so far: a bucket of 100 is planned at
+        // 84 distinct, 106 with the quarter, 256 slots; the arrays keep
+        // their most.
+        table.start(100);
+        assert_eq!(64 - table.shift, 8);
+        assert_eq!(table.keys.len(), 1 << 14);
+    }
+
+    #[test]
+    fn counts_match_the_hash_map_when_a_bucket_outgrows_its_table() {
+        for single_first in [false, true] {
+            let tasks = distinct_and_single_key_buckets(30_000, 30_000, single_first);
+            for workers in 1..=4 {
+                for theta in [0, 1] {
+                    let (kept, metrics) =
+                        count_routed(&ExecCtx::new(workers), &tasks, prefix, theta);
+                    let (expected, distinct) = oracle(&tasks, theta);
+                    let at = format!("single_first={single_first} workers={workers} theta={theta}");
+                    assert_eq!(kept, expected, "{at}");
+                    assert_eq!(metrics.groups, distinct, "{at}");
+                    assert_eq!(metrics.groups, 30_001, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_capped_count_of_outgrown_tables_equals_the_resident_one_and_reads_every_spilled_byte_once()
+    {
+        let tasks = distinct_and_single_key_buckets(20_000, 20_000, true);
+        for workers in 1..=4 {
+            let ctx = ExecCtx::new(workers);
+            let (resident, resident_metrics) = count_routed(&ctx, &tasks, prefix, 0);
+            for cap in [64 << 10, 1 << 10] {
+                ctx.set_spill(SpillPolicy::At(cap));
+                let (capped, metrics) = count_routed(&ctx, &tasks, prefix, 0);
+                ctx.clear_spill();
+                let at = format!("workers={workers} cap={cap}");
+                assert_eq!(capped, resident, "{at}");
+                assert_eq!(metrics.groups, resident_metrics.groups, "{at}");
+                assert!(metrics.spilled_runs > 0, "{at}: {metrics:?}");
+                assert_eq!(metrics.spill_read_bytes, metrics.spilled_bytes, "{at}");
+            }
         }
     }
 

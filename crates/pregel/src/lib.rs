@@ -116,7 +116,6 @@ pub use engine::{EngineError, ExecCtx, WorkerPool};
 pub use fault::{ArmedFaults, Fault, FaultPlan};
 pub use keycount::{count_keys_on, fold_buckets_on, KeySink, Record, Records};
 pub use metrics::{MapReduceMetrics, Metrics, SuperstepMetrics};
-pub use radix::SortKey;
 pub use spill::{SpillCodec, SpillError, SpillPolicy};
 pub use vertex::{Context, VertexProgram};
 pub use vertex_set::VertexSet;

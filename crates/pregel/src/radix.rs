@@ -1,9 +1,8 @@
-//! Stable LSD radix sort for the message plane's fixed-width keys.
+//! Stable LSD radix sort for `u64` keys.
 //!
-//! Every sort in this workspace is by a packed integer key (vertex IDs,
-//! shuffle keys, canonical k-mers are all `u64`). The bucketed key counter
-//! ([`crate::keycount`], construct phase (i)'s (k+1)-mer counting) sorts the
-//! `(key, count)`s its fold workers keep with [`sort_pairs`], and
+//! Every sort in this workspace is by a packed `u64` key. The bucketed key
+//! counter ([`crate::keycount`], construct phase (i)'s (k+1)-mer counting)
+//! sorts the `(key, count)`s its fold workers keep with [`sort_pairs`], and
 //! [`VertexSet::from_pairs`](crate::VertexSet::from_pairs) its
 //! `(id, index)` key columns. [`sort_pairs`] is a **stable
 //! least-significant-digit radix sort**:
@@ -36,15 +35,8 @@
 //! `(u64, payload)` records per buffer, keys far narrower than 64 bits — the
 //! 2–4 skip-reduced passes beat the ~16–20 comparison levels of a large
 //! pdqsort. Comparison sorting remains the right tool for tiny buffers
-//! (hence the insertion cutoff),
-//! for keys without a cheap monotone integer image (hence the [`SortKey`]
-//! fallback), and for nearly-sorted data where pdqsort's run detection is
-//! hard to beat.
-//!
-//! Keys opt in through [`SortKey`]: types with a monotone, injective `u64`
-//! image (`RADIX = true`) take the radix path; everything else (strings,
-//! wide tuples) falls back to a stable comparison sort, so generic code
-//! routes through this module unconditionally.
+//! (hence the insertion cutoff) and for nearly-sorted data where pdqsort's
+//! run detection is hard to beat.
 //!
 //! The dense plane's exchange needs no sort at all: its keys are ranks, and
 //! `scatter_to_slots` places them with one stable counting pass.
@@ -124,93 +116,14 @@ fn digit_plan(or_acc: u64, and_acc: u64, allow_wide: bool) -> DigitPlan {
     plan
 }
 
-/// A sort key of [`sort_pairs`].
-///
-/// Implementors either expose a **monotone, injective** `u64` image
-/// (`RADIX = true`: `a < b ⟺ a.radix_key() < b.radix_key()`, and equal
-/// images imply equal keys) and get the LSD radix path, or keep the default
-/// `RADIX = false` and get a stable comparison sort. The invariant matters:
-/// the downstream merges and duplicate scans compare keys with `Ord`, so a
-/// radix order that disagrees with `Ord` would silently corrupt grouping.
-pub trait SortKey: Ord {
-    /// Whether [`radix_key`](SortKey::radix_key) provides a monotone,
-    /// injective `u64` image of this type.
-    const RADIX: bool = false;
-
-    /// The `u64` image used by the radix passes. Only called when
-    /// [`RADIX`](SortKey::RADIX) is `true`.
-    fn radix_key(&self) -> u64 {
-        debug_assert!(!Self::RADIX, "RADIX keys must override radix_key()");
-        0
-    }
-}
-
-macro_rules! radix_unsigned {
-    ($($t:ty),*) => {$(
-        impl SortKey for $t {
-            const RADIX: bool = true;
-            #[inline(always)]
-            fn radix_key(&self) -> u64 {
-                *self as u64
-            }
-        }
-    )*};
-}
-
-radix_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! radix_signed {
-    ($($t:ty),*) => {$(
-        impl SortKey for $t {
-            const RADIX: bool = true;
-            #[inline(always)]
-            fn radix_key(&self) -> u64 {
-                // Widen, then flip the sign bit: negative values map below
-                // positive ones, preserving `Ord`.
-                (*self as i64 as u64) ^ (1u64 << 63)
-            }
-        }
-    )*};
-}
-
-radix_signed!(i8, i16, i32, i64, isize);
-
-impl SortKey for bool {
-    const RADIX: bool = true;
-    #[inline(always)]
-    fn radix_key(&self) -> u64 {
-        *self as u64
-    }
-}
-
-impl SortKey for char {
-    const RADIX: bool = true;
-    #[inline(always)]
-    fn radix_key(&self) -> u64 {
-        *self as u64
-    }
-}
-
-// Comparison-sort fallbacks: no cheap monotone u64 image (or none that fits).
-impl SortKey for String {}
-impl SortKey for &'static str {}
-impl<A: Ord, B: Ord> SortKey for (A, B) {}
-impl<A: Ord, B: Ord, C: Ord> SortKey for (A, B, C) {}
-
-/// Stably sorts `(key, payload)` records by key.
-///
-/// Radix keys take the LSD path using `scratch` as the ping-pong buffer;
-/// other keys use a stable comparison sort. Either way the sort is **stable**
-/// — records with equal keys keep their input order, which "later
-/// duplicates win" in [`VertexSet::from_pairs`](crate::VertexSet::from_pairs)
-/// relies on. On return `scratch` is empty (capacity
-/// kept); reuse it across calls to keep steady-state sorting allocation-free.
-pub fn sort_pairs<K: SortKey, V>(records: &mut Vec<(K, V)>, scratch: &mut Vec<(K, V)>) {
-    if !K::RADIX {
-        records.sort_by(|a, b| a.0.cmp(&b.0));
-        return;
-    }
-    lsd_radix(records, scratch, |r: &(K, V)| r.0.radix_key());
+/// Stably sorts `(key, payload)` records by key, using `scratch` as the
+/// ping-pong buffer. The sort is **stable** — records with equal keys keep
+/// their input order, which "later duplicates win" in
+/// [`VertexSet::from_pairs`](crate::VertexSet::from_pairs) relies on. On
+/// return `scratch` is empty (capacity kept); reuse it across calls to keep
+/// steady-state sorting allocation-free.
+pub fn sort_pairs<V>(records: &mut Vec<(u64, V)>, scratch: &mut Vec<(u64, V)>) {
+    lsd_radix(records, scratch, |r: &(u64, V)| r.0);
 }
 
 /// Stable insertion sort by a `u64` image (used below the cutoff).
@@ -521,30 +434,6 @@ mod tests {
         let mut expected = records.clone();
         expected.sort_by_key(|r| r.0);
         assert_eq!(radix_sorted(records), expected);
-    }
-
-    #[test]
-    fn signed_keys_order_like_ord() {
-        let mut records: Vec<(i64, u64)> = (0..1000u64)
-            .map(|i| ((i as i64 % 7 - 3) * (1 << 40), i))
-            .collect();
-        let mut expected = records.clone();
-        expected.sort_by_key(|r| r.0);
-        let mut scratch = Vec::new();
-        sort_pairs(&mut records, &mut scratch);
-        assert_eq!(records, expected);
-    }
-
-    #[test]
-    fn non_radix_keys_fall_back_to_stable_comparison() {
-        let mut records: Vec<((u64, u64), u64)> =
-            vec![((2, 1), 0), ((1, 9), 1), ((2, 1), 2), ((1, 0), 3)];
-        let mut scratch = Vec::new();
-        sort_pairs(&mut records, &mut scratch);
-        assert_eq!(
-            records,
-            vec![((1, 0), 3), ((1, 9), 1), ((2, 1), 0), ((2, 1), 2)]
-        );
     }
 
     #[test]

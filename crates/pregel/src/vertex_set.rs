@@ -1,9 +1,9 @@
 //! A bulk-built, hash-partitioned vertex store sorted by ID.
 //!
-//! [`VertexSet::from_pairs`] places every `(id, value)` pair on worker
-//! `hash_one(&id) % workers`, the way Pregel+ distributes vertices over
-//! machines, and stores each partition as two parallel columns sorted by ID:
-//! the strictly increasing `ids` and their `values`. It radix-sorts a narrow
+//! [`VertexSet::from_pairs`] places every `(id, value)` pair, its ID a `u64`,
+//! on worker `hash_one(&id) % workers`, the way Pregel+ distributes vertices
+//! over machines, and stores each partition as two parallel columns sorted
+//! by ID: the strictly increasing `ids` and their `values`. It radix-sorts a narrow
 //! `(id, index)` key column per partition and gathers each winning payload
 //! once (later duplicates win); pairs staged in ascending ID order skip the
 //! sort.
@@ -14,23 +14,21 @@
 //! IDs, and goes when that probe does.
 
 use crate::fxhash::hash_one;
-use crate::radix::SortKey;
-use std::hash::Hash;
 
 /// One partition of a [`VertexSet`]: parallel columns sorted by vertex ID.
 #[derive(Debug)]
-struct Partition<I, V> {
+struct Partition<V> {
     /// Strictly increasing.
-    ids: Vec<I>,
+    ids: Vec<u64>,
     /// One value per ID.
     values: Vec<V>,
 }
 
-impl<I: Copy + SortKey, V> Partition<I, V> {
+impl<V> Partition<V> {
     /// Builds a partition from arbitrarily ordered pairs; later duplicates
     /// replace earlier ones. Sorts a narrow `(id, index)` key column with the
     /// radix plane, then gathers each winning payload once.
-    fn from_unsorted(pairs: Vec<(I, V)>) -> Partition<I, V> {
+    fn from_unsorted(pairs: Vec<(u64, V)>) -> Partition<V> {
         assert!(
             pairs.len() <= u32::MAX as usize,
             "a partition is capped at u32::MAX staged pairs"
@@ -41,7 +39,7 @@ impl<I: Copy + SortKey, V> Partition<I, V> {
             let (ids, values) = pairs.into_iter().unzip();
             return Partition { ids, values };
         }
-        let mut keys: Vec<(I, u32)> = pairs
+        let mut keys: Vec<(u64, u32)> = pairs
             .iter()
             .enumerate()
             .map(|(i, (id, _))| (*id, i as u32))
@@ -74,18 +72,18 @@ impl<I: Copy + SortKey, V> Partition<I, V> {
 /// A collection of vertices hash-partitioned over a fixed number of workers,
 /// each partition a pair of ID-sorted columns (see the module docs).
 #[derive(Debug)]
-pub struct VertexSet<I, V> {
+pub struct VertexSet<V> {
     // Built to be timed and dropped: only the tests read the columns back.
     #[allow(dead_code)]
-    parts: Vec<Partition<I, V>>,
+    parts: Vec<Partition<V>>,
 }
 
-impl<I: Copy + Hash + SortKey, V> VertexSet<I, V> {
+impl<V> VertexSet<V> {
     /// Builds a vertex set from `(id, value)` pairs over `workers` workers (at
     /// least one). Later duplicates replace earlier ones.
-    pub fn from_pairs(workers: usize, pairs: impl IntoIterator<Item = (I, V)>) -> VertexSet<I, V> {
+    pub fn from_pairs(workers: usize, pairs: impl IntoIterator<Item = (u64, V)>) -> VertexSet<V> {
         let workers = workers.max(1);
-        let mut staged: Vec<Vec<(I, V)>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut staged: Vec<Vec<(u64, V)>> = (0..workers).map(|_| Vec::new()).collect();
         for (id, value) in pairs {
             staged[(hash_one(&id) % workers as u64) as usize].push((id, value));
         }
@@ -102,7 +100,7 @@ mod tests {
 
     /// Every `(worker, id, value)` of the set, partition by partition, each
     /// in column order.
-    fn entries<V: Copy>(set: &VertexSet<u64, V>) -> Vec<(usize, u64, V)> {
+    fn entries<V: Copy>(set: &VertexSet<V>) -> Vec<(usize, u64, V)> {
         let mut out = Vec::new();
         for (w, part) in set.parts.iter().enumerate() {
             assert_eq!(part.ids.len(), part.values.len(), "one value per ID");
@@ -118,7 +116,7 @@ mod tests {
 
     #[test]
     fn partitioning_is_consistent() {
-        let s: VertexSet<u64, ()> = VertexSet::from_pairs(8, (0..1000).map(|i| (i, ())));
+        let s: VertexSet<()> = VertexSet::from_pairs(8, (0..1000).map(|i| (i, ())));
         let placed = entries(&s);
         assert_eq!(placed.len(), 1000);
         for (w, id, ()) in placed {
@@ -130,8 +128,7 @@ mod tests {
 
     #[test]
     fn columns_stream_in_sorted_id_order() {
-        let s: VertexSet<u64, u64> =
-            VertexSet::from_pairs(3, (0..500).rev().map(|i| (i * 7 % 501, i)));
+        let s: VertexSet<u64> = VertexSet::from_pairs(3, (0..500).rev().map(|i| (i * 7 % 501, i)));
         for p in &s.parts {
             assert!(
                 p.ids.windows(2).all(|w| w[0] < w[1]),
@@ -142,7 +139,7 @@ mod tests {
 
     #[test]
     fn zero_workers_clamped_to_one() {
-        let s: VertexSet<u64, ()> = VertexSet::from_pairs(0, std::iter::empty());
+        let s: VertexSet<()> = VertexSet::from_pairs(0, std::iter::empty());
         assert_eq!(s.parts.len(), 1);
     }
 
@@ -158,7 +155,7 @@ mod tests {
             pairs in proptest::collection::vec((0u64..300, 0u64..1_000), 0..300),
             workers in 1usize..6,
         ) {
-            let store: VertexSet<u64, u64> = VertexSet::from_pairs(workers, pairs.clone());
+            let store: VertexSet<u64> = VertexSet::from_pairs(workers, pairs.clone());
             let mut oracle: FxHashMap<u64, u64> = FxHashMap::default();
             for (k, v) in pairs {
                 oracle.insert(k, v);

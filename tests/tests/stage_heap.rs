@@ -22,15 +22,21 @@
 //!
 //! The read slab's `heap_bytes` is pinned here too: it is exact (what
 //! dropping the slab frees), and the packed bases column costs at most
-//! 0.26 bytes per base.
+//! 0.26 bytes per base. So is what phase (i)'s count stacks on its scatter's
+//! buffers, at 1 and 2 workers: its survivors (twice, as their vector
+//! doubles) and a fixed term per worker, because the count table grows with
+//! a bucket's distinct keys and the survivors are sorted only once the
+//! buffers are freed.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, and a concurrently running test would pollute the count.
 
+use ppa_assembler::ops::construct::{count_kplus1_mers_on, ConstructConfig};
 use ppa_assembler::pipeline::{GraphState, Pipeline, PipelineObserver, StageDetails, StageReport};
 use ppa_assembler::workflow::{read_input_path, AssemblyConfig, LabelingAlgorithm};
-use ppa_pregel::ExecCtx;
+use ppa_pregel::{fold_buckets_on, ExecCtx, KeySink};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
+use ppa_seq::kmer::SuperKmerScanner;
 use ppa_seq::ReadSet;
 use ppa_tests::heap::{self, CountingAlloc};
 use ppa_tests::TmpDir;
@@ -55,8 +61,8 @@ enum Unit {
 /// any of the four runs may reach during that stage. Round 0 is the whole
 /// run.
 const BOUNDS: [(&str, usize, Unit, f64); 10] = [
-    ("construct", 1, Unit::InputBase, 15.8),
-    ("construct", 1, Unit::KeptKplus1Mer, 433.0),
+    ("construct", 1, Unit::InputBase, 14.5),
+    ("construct", 1, Unit::KeptKplus1Mer, 398.0),
     ("label", 1, Unit::Vertex, 75.0),
     ("merge", 1, Unit::Vertex, 61.0),
     ("filter_bubbles", 1, Unit::Round1Node, 1545.0),
@@ -64,7 +70,7 @@ const BOUNDS: [(&str, usize, Unit, f64); 10] = [
     ("label", 2, Unit::Round1Node, 1680.0),
     ("merge", 2, Unit::Round1Node, 1585.0),
     ("filter_length", 1, Unit::Round1Node, 1435.0),
-    ("run", 0, Unit::InputBase, 15.8),
+    ("run", 0, Unit::InputBase, 14.5),
 ];
 
 /// One stage's high-water, in bytes over the run's starting point.
@@ -197,6 +203,46 @@ fn run(
     out
 }
 
+/// What phase (i)'s count may stack on its scatter, per fold worker: the
+/// count table and the fold's scratch.
+const COUNT_OVER_SCATTER_PER_WORKER: u64 = 256 << 10;
+
+/// Phase (i) on `workers` workers over the reads in `fastq`: the live-heap
+/// high-water, over what was live at its start, of a keyed pass with phase
+/// (i)'s scan and a fold that does nothing — what the scatter holds — and of
+/// the count itself, and the bytes of the survivors the count returns.
+fn phase1_heap(fastq: &std::path::Path, workers: usize) -> (u64, u64, u64) {
+    let reads = read_input_path(fastq).unwrap();
+    let ctx = ExecCtx::new(workers);
+    let config = ConstructConfig::default();
+    let k = config.k;
+    let scanner = SuperKmerScanner::new(k + 1).unwrap();
+    let batches: Vec<_> = reads.records.chunk_ranges(config.batch_size).collect();
+    let base = heap::live_bytes();
+    heap::reset_peak();
+    fold_buckets_on(
+        &ctx,
+        &batches,
+        |batch| {
+            let batch = reads.records.range(batch.clone());
+            batch.map(|r| r.len().saturating_sub(k)).sum()
+        },
+        |batch, sink: &mut KeySink| {
+            for read in reads.records.range(batch.clone()) {
+                scanner.scan_codes(read.codes(), |sk| sink.push(sk.minimizer_hash(), sk.record));
+            }
+        },
+        scanner.max_windows() as u32,
+        |_| (),
+    );
+    let scatter = heap::peak_bytes() - base;
+    let base = heap::live_bytes();
+    heap::reset_peak();
+    let (kept, _) = count_kplus1_mers_on(&ctx, &reads, &config);
+    let count = heap::peak_bytes() - base;
+    (scatter, count, std::mem::size_of_val(&kept[..]) as u64)
+}
+
 #[test]
 fn every_stage_of_the_paper_workflow_stays_under_its_heap_bound() {
     let tmp = TmpDir::new("stage-heap");
@@ -241,6 +287,26 @@ fn every_stage_of_the_paper_workflow_stays_under_its_heap_bound() {
                     ));
                 }
             }
+        }
+    }
+
+    // Phase (i)'s count stacks only its survivors — twice, as the vector
+    // doubles — and a fixed term per worker on its scatter's buffers: the
+    // table grows with a bucket's distinct keys, and the survivors are sorted
+    // once the buffers are freed.
+    for workers in [1, 2] {
+        let (scatter, count, survivors) = phase1_heap(&fastq, workers);
+        let over = count.saturating_sub(scatter + 2 * survivors);
+        eprintln!(
+            "phase (i) {workers}w: scatter {scatter} B, count {count} B, survivors {survivors} B: \
+             {over} B over"
+        );
+        if over > COUNT_OVER_SCATTER_PER_WORKER * workers as u64 {
+            failures.push(format!(
+                "phase (i) on {workers} workers peaked {over} bytes over its scatter and twice \
+                 its survivors, over the {} allowed per worker",
+                COUNT_OVER_SCATTER_PER_WORKER
+            ));
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
