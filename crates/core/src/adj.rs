@@ -39,6 +39,32 @@ pub struct EdgeSlot {
     pub base: Base,
 }
 
+/// The bitmap bits whose slots attach to the right side of the owning
+/// k-mer ([`Side::Right`](crate::polarity::Side)): an out-edge of ⟨L:L⟩ or
+/// ⟨L:H⟩ or an in-edge of ⟨L:H⟩ or ⟨H:H⟩. The other bits attach left.
+pub(crate) const RIGHT_SLOTS: u32 = 0x0F00_FFF0;
+
+/// [`EdgeSlot::neighbor_of`] for the slot at `bit`, given the owning
+/// k-mer `own` and its reverse complement `rc`: the slot's coordinates are
+/// read off the bit, so the slots of one vertex share one reverse
+/// complement and a decode takes no branch on them, nor on which strand of
+/// the neighbour is canonical (the smaller, as [`Kmer::canonical`]). The
+/// owning k-mer reads reverse-complemented when its label on the edge is
+/// H: the source's label (polarity bit 1) on an out-edge, the target's
+/// (polarity bit 0) on an in-edge.
+#[inline]
+pub(crate) fn neighbor_at(bit: u32, own: Kmer, rc: Kmer) -> Kmer {
+    let (polarity, out, base) = (bit / 8, bit & 4 != 0, Base::from_code((bit & 3) as u8));
+    let reversed = (if out { polarity >> 1 } else { polarity }) & 1 == 1;
+    let observed = if reversed { rc } else { own };
+    let slid = if out {
+        observed.extend_right(base)
+    } else {
+        observed.extend_left(base)
+    };
+    slid.min(slid.reverse_complement())
+}
+
 impl EdgeSlot {
     /// Bit index of this slot inside the 32-bit bitmap.
     #[inline]
@@ -76,22 +102,7 @@ impl EdgeSlot {
     /// the result.
     pub fn neighbor_of(&self, own: &Kmer) -> Kmer {
         debug_assert!(own.is_canonical());
-        match self.direction {
-            Direction::Out => {
-                let observed_source = match self.polarity.source_label() {
-                    ppa_seq::Orientation::Forward => *own,
-                    ppa_seq::Orientation::ReverseComplement => own.reverse_complement(),
-                };
-                observed_source.extend_right(self.base).canonical().kmer
-            }
-            Direction::In => {
-                let observed_target = match self.polarity.target_label() {
-                    ppa_seq::Orientation::Forward => *own,
-                    ppa_seq::Orientation::ReverseComplement => own.reverse_complement(),
-                };
-                observed_target.extend_left(self.base).canonical().kmer
-            }
-        }
+        neighbor_at(self.bit(), *own, own.reverse_complement())
     }
 
     /// Encodes the slot as the 8-bit adjacency item of Figure 8(b):
@@ -177,6 +188,56 @@ mod tests {
 
     fn km(s: &str) -> Kmer {
         Kmer::from_str_exact(s).unwrap()
+    }
+
+    #[test]
+    fn right_slots_are_the_bits_whose_edges_attach_right() {
+        for bit in 0..32 {
+            let slot = EdgeSlot::from_bit(bit);
+            let right = crate::polarity::side_of(slot.direction, slot.polarity)
+                == crate::polarity::Side::Right;
+            assert_eq!(RIGHT_SLOTS & (1 << bit) != 0, right, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn the_slot_arithmetic_equals_the_papers_derivation() {
+        // Figure 8(b)'s derivation spelled out on the slot's enums.
+        let derived = |slot: EdgeSlot, own: Kmer| {
+            let label = match slot.direction {
+                Direction::Out => slot.polarity.source_label(),
+                Direction::In => slot.polarity.target_label(),
+            };
+            let observed = match label {
+                ppa_seq::Orientation::Forward => own,
+                ppa_seq::Orientation::ReverseComplement => own.reverse_complement(),
+            };
+            let slid = match slot.direction {
+                Direction::Out => observed.extend_right(slot.base),
+                Direction::In => observed.extend_left(slot.base),
+            };
+            slid.canonical().kmer
+        };
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for k in [1usize, 2, 5, 11, 31, 32] {
+            for _ in 0..20 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let own = Kmer::from_packed(state >> (64 - 2 * k), k)
+                    .unwrap()
+                    .canonical()
+                    .kmer;
+                for bit in 0..32 {
+                    let slot = EdgeSlot::from_bit(bit);
+                    assert_eq!(
+                        slot.neighbor_of(&own),
+                        derived(slot, own),
+                        "k = {k}, bit {bit}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

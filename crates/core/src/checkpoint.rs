@@ -55,6 +55,7 @@ use crate::node::{AsmNode, Edge, KmerGraph, NodeSeq};
 use crate::ops::label::LabelOutcome;
 use crate::pipeline::GraphState;
 use crate::polarity::{Direction, Polarity};
+use crate::stats::PhaseTimes;
 use crate::workflow::Contig;
 use ppa_pregel::{Metrics, SuperstepMetrics};
 use ppa_seq::{DnaString, Kmer, ReadSet};
@@ -923,6 +924,7 @@ fn decode_labels(file: &str, bytes: &[u8]) -> Result<Option<LabelOutcome>, Check
         labels,
         metrics,
         used_cycle_fallback,
+        phases: PhaseTimes::default(),
     }))
 }
 
@@ -1353,6 +1355,7 @@ mod tests {
                     labels: (0..mix.below(20)).map(|_| mix.next() as u32).collect(),
                     metrics: arb_metrics(mix),
                     used_cycle_fallback: mix.below(2) == 0,
+                    phases: PhaseTimes::default(),
                 })
             } else {
                 None

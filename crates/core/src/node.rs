@@ -30,7 +30,7 @@
 //! after every k-mer ID, so ascending k-mers followed by ascending contigs
 //! are ascending as a whole.
 
-use crate::adj::EdgeSlot;
+use crate::adj::{neighbor_at, EdgeSlot, RIGHT_SLOTS};
 use crate::ids;
 use crate::polarity::{side_of, Direction, Polarity, Side};
 use ppa_seq::{DnaString, Kmer, Orientation};
@@ -226,11 +226,30 @@ pub trait GraphNode {
     /// The edges that lead to a real neighbour, decoded, in storage order.
     fn real_edges(&self) -> impl Iterator<Item = Edge> + '_;
 
-    /// The single real edge on a side, if there is exactly one.
-    fn sole_edge_on(&self, side: Side) -> Option<Edge> {
-        let mut on_side = self.real_edges().filter(|e| e.side() == side);
-        let first = on_side.next()?;
-        on_side.next().is_none().then_some(first)
+    /// The sole real edge on each side, `[left, right]` (`None` on a side
+    /// without one), decoded in one pass; `None` for an ambiguous node, one
+    /// with several edges on a side.
+    fn sole_edges(&self) -> Option<[Option<Edge>; 2]> {
+        let mut sole = [None; 2];
+        for edge in self.real_edges() {
+            let side = &mut sole[usize::from(edge.side() == Side::Right)];
+            if side.is_some() {
+                return None;
+            }
+            *side = Some(edge);
+        }
+        Some(sole)
+    }
+
+    /// The IDs of [`sole_edges`](GraphNode::sole_edges)' neighbours.
+    fn sole_neighbors(&self) -> Option<[Option<u64>; 2]> {
+        let sole = self.sole_edges()?;
+        Some(sole.map(|edge| edge.map(|e| e.neighbor)))
+    }
+
+    /// Whether a side of the node has several real edges: an ⟨m-n⟩ vertex.
+    fn is_ambiguous(&self) -> bool {
+        self.sole_edges().is_none()
     }
 
     /// Node coverage, as [`AsmNode::coverage`] defines it.
@@ -393,8 +412,16 @@ impl<N: GraphNode + ?Sized> GraphNode for &N {
         (**self).real_edges()
     }
 
-    fn sole_edge_on(&self, side: Side) -> Option<Edge> {
-        (**self).sole_edge_on(side)
+    fn sole_edges(&self) -> Option<[Option<Edge>; 2]> {
+        (**self).sole_edges()
+    }
+
+    fn sole_neighbors(&self) -> Option<[Option<u64>; 2]> {
+        (**self).sole_neighbors()
+    }
+
+    fn is_ambiguous(&self) -> bool {
+        (**self).is_ambiguous()
     }
 
     #[inline]
@@ -736,18 +763,63 @@ impl GraphNode for KmerRef<'_> {
     /// Decodes every occupied slot of the bitmap into an edge
     /// ([`EdgeSlot::neighbor_of`]), in bit order.
     fn real_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        let own = self.kmer;
+        let (own, rc) = (self.kmer, self.kmer.reverse_complement());
         self.slots().map(move |(slot, coverage)| Edge {
-            neighbor: ids::kmer_id(&slot.neighbor_of(&own)),
+            neighbor: ids::kmer_id(&neighbor_at(slot.bit(), own, rc)),
             direction: slot.direction,
             polarity: slot.polarity,
             coverage,
         })
     }
 
+    /// Sides read off the bitmap, so an ambiguous vertex decodes nothing.
+    fn sole_edges(&self) -> Option<[Option<Edge>; 2]> {
+        if self.is_ambiguous() {
+            return None;
+        }
+        let (own, rc) = (self.kmer, self.kmer.reverse_complement());
+        let mut sole = [None; 2];
+        let mut bits = self.bitmap;
+        for &coverage in self.coverages {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            let slot = EdgeSlot::from_bit(bit);
+            sole[usize::from(RIGHT_SLOTS >> bit & 1 == 1)] = Some(Edge {
+                neighbor: ids::kmer_id(&neighbor_at(bit, own, rc)),
+                direction: slot.direction,
+                polarity: slot.polarity,
+                coverage,
+            });
+        }
+        Some(sole)
+    }
+
+    /// [`sole_edges`](GraphNode::sole_edges) without reading a coverage.
+    fn sole_neighbors(&self) -> Option<[Option<u64>; 2]> {
+        if self.is_ambiguous() {
+            return None;
+        }
+        let (own, rc) = (self.kmer, self.kmer.reverse_complement());
+        let mut sole = [None; 2];
+        let mut bits = self.bitmap;
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            let neighbor = ids::kmer_id(&neighbor_at(bit, own, rc));
+            sole[usize::from(RIGHT_SLOTS >> bit & 1 == 1)] = Some(neighbor);
+        }
+        Some(sole)
+    }
+
+    /// From the bitmap alone: no neighbour is decoded.
+    fn is_ambiguous(&self) -> bool {
+        (self.bitmap & RIGHT_SLOTS).count_ones() > 1
+            || (self.bitmap & !RIGHT_SLOTS).count_ones() > 1
+    }
+
     /// The maximum incident edge coverage (`0` without edges).
     fn coverage(&self) -> u32 {
-        self.coverages.iter().copied().max().unwrap_or(0)
+        self.coverages().iter().copied().max().unwrap_or(0)
     }
 
     #[inline]
@@ -858,8 +930,31 @@ mod tests {
         node.push_edge(edge(12, Direction::In, Polarity::LH, 2)); // Right
         assert_eq!(node.edges_on(Side::Right).count(), 2);
         assert_eq!(node.edges_on(Side::Left).count(), 1);
-        assert_eq!(node.sole_edge_on(Side::Left).unwrap().neighbor, 11);
-        assert!(node.sole_edge_on(Side::Right).is_none());
+        // Two edges on the right: ambiguous, so no side has a sole edge.
+        assert_eq!(node.sole_edges(), None);
+        assert_eq!(node.sole_neighbors(), None);
+        assert!(node.is_ambiguous());
+        node.edges.pop();
+        let sole = node.sole_edges().unwrap();
+        assert_eq!(sole.map(|e| e.unwrap().neighbor), [11, 10]);
+        assert_eq!(node.sole_neighbors(), Some([Some(11), Some(10)]));
+        assert!(!node.is_ambiguous());
+    }
+
+    #[test]
+    fn a_vertex_reads_its_sides_off_its_bitmap_as_its_expanded_node_does() {
+        // The expanded node decodes every edge and sorts them by side (the
+        // trait's defaults); the vertex reads the sides off its bitmap.
+        let mut ambiguous = 0;
+        for (what, graph) in crate::ops::blocks::tests::kmer_cases() {
+            for (vertex, node) in graph.iter().zip(graph.to_nodes()) {
+                assert_eq!(vertex.sole_edges(), node.sole_edges(), "{what}: {node:?}");
+                assert_eq!(vertex.sole_neighbors(), node.sole_neighbors(), "{what}");
+                assert_eq!(vertex.is_ambiguous(), node.is_ambiguous(), "{what}");
+                ambiguous += usize::from(node.is_ambiguous());
+            }
+        }
+        assert!(ambiguous >= 4, "{ambiguous} ambiguous vertices");
     }
 
     /// `out` after `node.append_oriented(o, skip, ..)` must equal `prefix`

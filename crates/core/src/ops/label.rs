@@ -71,6 +71,7 @@ use super::blocks::Blocks;
 use super::label_sv::{converged, sv_states};
 use crate::node::{GraphNode, NodeSource};
 use crate::ranks::{run_on, RankDict, RANK_FLIP, UNRESOLVED};
+use crate::stats::{Phase, PhaseClock, PhaseTimes};
 use ppa_pregel::aggregate::Count;
 use ppa_pregel::algorithms::{SvProgram, SvState};
 use ppa_pregel::{Context, ExecCtx, Metrics, PregelConfig, VertexProgram};
@@ -92,6 +93,9 @@ pub struct LabelOutcome {
     pub metrics: Metrics,
     /// Whether the S-V fallback was needed (unambiguous cycles present).
     pub used_cycle_fallback: bool,
+    /// Where the labeling's time went: keys, contraction, job and spread.
+    /// Not part of a checkpoint: a restored outcome reads 0 throughout.
+    pub phases: PhaseTimes,
 }
 
 impl LabelOutcome {
@@ -306,9 +310,10 @@ impl VertexProgram for LrProgram {
 /// [`EngineError::NotConverged`](ppa_pregel::EngineError::NotConverged) as
 /// a typed panic payload, as S-V labeling does.
 pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
+    let mut clock = PhaseClock::start();
     let config = PregelConfig::default().max_supersteps(4_000);
     let dict = RankDict::new(nodes.ids());
-    let blocks = Blocks::build_on(ctx, nodes, &dict);
+    let blocks = Blocks::build_on(ctx, nodes, &dict, &mut clock);
 
     // The states of the slots each worker will hold; an ambiguous vertex
     // parks its broadcast list, its neighbours' slots, on the slab.
@@ -370,10 +375,14 @@ pub fn label_contigs_lr_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
         }
     }
 
+    clock.lap(Phase::Job);
+    let labels = blocks.spread_on(ctx, &outcome);
+    clock.lap(Phase::Spread);
     LabelOutcome {
-        labels: blocks.spread_on(ctx, &outcome),
+        labels,
         metrics,
         used_cycle_fallback,
+        phases: clock.times(),
     }
 }
 

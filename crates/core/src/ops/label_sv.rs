@@ -37,6 +37,7 @@ use super::blocks::Blocks;
 use super::label::LabelOutcome;
 use crate::node::NodeSource;
 use crate::ranks::{run_on, RankDict, AMBIGUOUS};
+use crate::stats::{Phase, PhaseClock};
 use ppa_pregel::algorithms::{SvProgram, SvState};
 use ppa_pregel::{EngineError, ExecCtx, Metrics, PregelConfig};
 
@@ -89,9 +90,10 @@ pub(crate) fn sv_states(
 /// [`Pipeline`](crate::pipeline::Pipeline) reports it as
 /// [`PipelineError::NotConverged`](crate::pipeline::PipelineError::NotConverged).
 pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> LabelOutcome {
+    let mut clock = PhaseClock::start();
     let config = PregelConfig::default().max_supersteps(4_000);
     let dict = RankDict::new(nodes.ids());
-    let blocks = Blocks::build_on(ctx, nodes, &dict);
+    let blocks = Blocks::build_on(ctx, nodes, &dict, &mut clock);
 
     // The fragments' slots: ambiguous vertices take no part and are filtered
     // from the neighbour lists; an ID outside the node set stays, as the
@@ -114,10 +116,14 @@ pub fn label_contigs_sv_on<S: NodeSource + ?Sized>(ctx: &ExecCtx, nodes: &S) -> 
             *label = AMBIGUOUS;
         }
     }
+    clock.lap(Phase::Job);
+    let labels = blocks.spread_on(ctx, &outcome);
+    clock.lap(Phase::Spread);
     LabelOutcome {
-        labels: blocks.spread_on(ctx, &outcome),
+        labels,
         metrics,
         used_cycle_fallback: false,
+        phases: clock.times(),
     }
 }
 

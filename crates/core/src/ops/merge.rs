@@ -20,10 +20,14 @@
 //! group in a single CSR column, groups in ascending label rank and each
 //! group's members in ascending rank; no ID is looked up. The groups are
 //! then stitched on the pool, largest first, each on the least-loaded
-//! worker (longest processing time first), and each worker reuses one
-//! member map and one set of visited marks for all of its groups; a k-mer
-//! member's tail is written from its packed word, so no sequence is built
-//! per member.
+//! worker (longest processing time first), each worker reusing its scratch
+//! for all of its groups.
+//!
+//! Stitching gathers, then walks: it reads the group's members in
+//! ascending rank (their views, then their sole edges decoded from them),
+//! finds where each edge leads among the group's IDs, and walks that copy,
+//! so no step waits on a read of the node set. A k-mer member's tail is
+//! written from its packed word, so no sequence is built per member.
 //!
 //! Contig IDs are minted afterwards (Figure 7c, without the worker field;
 //! see [`crate::ids`]): the kept groups are numbered 1, 2, … in ascending
@@ -45,9 +49,9 @@
 
 use crate::ids::{contig_id, contig_ordinal, is_contig_id};
 use crate::node::{AsmNode, Edge, GraphNode, NodeSource};
-use crate::polarity::{Direction, Polarity, Side};
+use crate::polarity::{Direction, Polarity};
 use crate::ranks::AMBIGUOUS;
-use ppa_pregel::fxhash::FxHashMap;
+use crate::stats::{Phase, PhaseClock, PhaseTimes};
 use ppa_pregel::ExecCtx;
 use ppa_pregel::MapReduceMetrics;
 use ppa_seq::{DnaString, Orientation};
@@ -88,6 +92,8 @@ pub struct MergeOutcome {
     /// whole pass, grouping through minting. The spill fields are always 0:
     /// grouping never spilled.
     pub mapreduce: MapReduceMetrics,
+    /// Where the merge's time went: grouping and stitching.
+    pub phases: PhaseTimes,
 }
 
 /// A stitched contig before an ID has been assigned.
@@ -158,98 +164,103 @@ fn outside_neighbor_label(edge: &Edge, member_orientation: Orientation) -> Orien
     }
 }
 
-/// Per-worker scratch of the stitching phase, reused across its groups.
-#[derive(Default)]
-struct Stitcher {
-    /// Member ID → position in the group's member list.
-    index: FxHashMap<u64, u32>,
-    /// Whether the walk has reached the member at that position.
+/// Per-worker scratch of the stitching phase, reused across its groups:
+/// per member of the group, in ascending rank and so ascending ID, its
+/// view, its ID, its sole real edge per side (`[left, right]`) and whether
+/// the walk has reached it.
+struct Stitcher<N> {
+    views: Vec<N>,
+    ids: Vec<u64>,
+    sides: Vec<[Option<Edge>; 2]>,
     visited: Vec<bool>,
 }
 
-impl Stitcher {
-    /// Stitches one label group — `members` are positions in `nodes`,
-    /// ascending — into a contig draft.
+impl<N: GraphNode + Copy> Stitcher<N> {
+    /// Stitches one label group — `nodes` are its members in ascending
+    /// rank, every one unambiguous — into a contig draft (see "Grouping").
     ///
     /// Returns `None` if the group is a short dangling tip (paper: "exit
     /// reduce if the aggregated contig length is not above the tip-length
     /// threshold").
-    fn stitch<S: NodeSource + ?Sized>(
+    fn stitch(
         &mut self,
-        nodes: &S,
-        members: &[u32],
+        nodes: impl Iterator<Item = N>,
         k: usize,
         tip_length_threshold: usize,
     ) -> Option<ContigDraft> {
-        assert!(!members.is_empty());
-        let node = |at: u32| nodes.node(members[at as usize] as usize);
-        let Stitcher { index, visited } = self;
-        index.clear();
-        index.extend((0..members.len() as u32).map(|at| (node(at).id(), at)));
+        let Stitcher {
+            views,
+            ids,
+            sides,
+            visited,
+        } = self;
+        views.clear();
+        views.extend(nodes);
+        assert!(!views.is_empty());
+        ids.clear();
+        ids.extend(views.iter().map(|node| node.id()));
+        sides.clear();
+        sides.extend(
+            views
+                .iter()
+                .map(|node| node.sole_edges().unwrap_or_default()),
+        );
+        // The member the sole edge on `side` of member `at` leads to, if the
+        // group holds it.
+        let next = |at: usize, side: usize| ids.binary_search(&sides[at][side]?.neighbor).ok();
         visited.clear();
-        visited.resize(members.len(), false);
+        visited.resize(views.len(), false);
 
-        // Locate a contig end: a member with a side that has no edge leading
-        // back into the group.
-        let outer_side_of = |node: S::Node<'_>, side: Side| -> bool {
-            match node.sole_edge_on(side) {
-                None => true,
-                Some(e) => !index.contains_key(&e.neighbor),
-            }
-        };
-        let start = (0..members.len() as u32).find_map(|at| {
-            [Side::Left, Side::Right]
-                .into_iter()
-                .find(|side| outer_side_of(node(at), *side))
-                .map(|side| (at, side))
+        // Locate a contig end: the first member with a side (left first)
+        // whose edge does not lead back into the group.
+        let start = (0..views.len()).find_map(|at| {
+            let side = (0..2).find(|&side| next(at, side).is_none())?;
+            Some((at, side))
         });
         // Cycle: start from the first member, the smallest ID.
-        let (start_at, entry_side) = start.unwrap_or((0, Side::Left));
-        let start_node = node(start_at);
-
-        let start_orientation = if entry_side == Side::Left {
+        let (start_at, entry_side) = start.unwrap_or((0, 0));
+        let start_node = views[start_at];
+        let start_orientation = if entry_side == 0 {
             Orientation::Forward
         } else {
             Orientation::ReverseComplement
         };
 
-        // In-neighbour: the outside edge on the entry side, if any.
-        let in_neighbor = start_node.sole_edge_on(entry_side).and_then(|e| {
-            if index.contains_key(&e.neighbor) {
-                None
-            } else {
-                Some((
-                    e.neighbor,
-                    outside_neighbor_label(&e, start_orientation),
-                    e.coverage,
-                ))
-            }
+        // In-neighbour: the outside edge on the entry side, if any (a
+        // cycle's leads back into the group).
+        let outside = sides[start_at][entry_side].filter(|_| next(start_at, entry_side).is_none());
+        let in_neighbor = outside.map(|e| {
+            (
+                e.neighbor,
+                outside_neighbor_label(&e, start_orientation),
+                e.coverage,
+            )
         });
 
         // Walk the path, stitching sequences (exact capacity for k-mers).
-        let mut sequence = DnaString::with_capacity(k + members.len() - 1);
+        let mut sequence = DnaString::with_capacity(k + views.len() - 1);
         start_node.append_oriented(start_orientation, 0, &mut sequence);
         let mut coverage: u32 = if start_node.is_contig() {
             start_node.coverage()
         } else {
             u32::MAX
         };
-        visited[start_at as usize] = true;
+        visited[start_at] = true;
         let mut merged = 1usize;
-        let mut current = start_node;
+        let mut current = start_at;
         let mut current_orientation = start_orientation;
         let mut out_neighbor: Option<(u64, Orientation, u32)> = None;
         let mut closed_cycle = false;
 
         loop {
             let exit_side = match current_orientation {
-                Orientation::Forward => Side::Right,
-                Orientation::ReverseComplement => Side::Left,
+                Orientation::Forward => 1,
+                Orientation::ReverseComplement => 0,
             };
-            let Some(edge) = current.sole_edge_on(exit_side) else {
+            let Some(edge) = sides[current][exit_side] else {
                 break; // dangling end
             };
-            let Some(&next_at) = index.get(&edge.neighbor) else {
+            let Some(next_at) = next(current, exit_side) else {
                 out_neighbor = Some((
                     edge.neighbor,
                     outside_neighbor_label(&edge, current_orientation),
@@ -257,11 +268,11 @@ impl Stitcher {
                 ));
                 break;
             };
-            if visited[next_at as usize] {
+            if visited[next_at] {
                 closed_cycle = true;
                 break;
             }
-            let next = node(next_at);
+            let next = &views[next_at];
             let next_or = next_orientation(&edge);
             coverage = coverage.min(edge.coverage);
             if next.is_contig() {
@@ -269,15 +280,15 @@ impl Stitcher {
             }
             // Consecutive members overlap by k-1 bases.
             next.append_oriented(next_or, k - 1, &mut sequence);
-            visited[next_at as usize] = true;
+            visited[next_at] = true;
             merged += 1;
-            current = next;
+            current = next_at;
             current_orientation = next_or;
         }
 
         debug_assert_eq!(
             merged,
-            members.len(),
+            views.len(),
             "label group does not form a single path/cycle"
         );
 
@@ -391,13 +402,19 @@ fn stitch_on<S: NodeSource + ?Sized>(
         }
     }
     let mut drafts: Vec<Vec<Option<ContigDraft>>> = ctx.pool().run_per_worker(plan, |_, share| {
-        let mut stitcher = Stitcher::default();
+        let mut stitcher = Stitcher {
+            views: Vec::new(),
+            ids: Vec::new(),
+            sides: Vec::new(),
+            visited: Vec::new(),
+        };
         share
             .into_iter()
             .map(|g| {
                 let group = &groups[g as usize];
                 let members = &members[group.begin as usize..group.end as usize];
-                stitcher.stitch(nodes, members, k, tip)
+                let members = members.iter().map(|&at| nodes.node(at as usize));
+                stitcher.stitch(members, k, tip)
             })
             .collect()
     });
@@ -443,15 +460,19 @@ pub fn merge_contigs_on<S: NodeSource + ?Sized>(
         labels.len(),
         nodes.len()
     );
+    let mut clock = PhaseClock::start();
     let (groups, members) = group(labels);
     // The pass's one barrier, where the paper's map → reduce hand-off sits.
     ctx.poll_barrier();
     let plan = lpt_plan(&groups, ctx.workers());
+    clock.lap(Phase::Group);
     let (contigs, dropped_tips) = stitch_on(ctx, nodes, &groups, &members, plan, config);
+    clock.lap(Phase::Stitch);
     MergeOutcome {
         contigs,
         dropped_tips,
         groups: groups.len(),
+        phases: clock.times(),
         mapreduce: MapReduceMetrics {
             input_records: members.len() as u64,
             pairs_shuffled: members.len() as u64,
@@ -470,6 +491,8 @@ mod tests {
     use crate::node::{NodeSeq, VertexType};
     use crate::ops::label::label_contigs_lr_on;
     use crate::ops::label::tests::nodes_from_reads;
+    use crate::polarity::Side;
+    use ppa_pregel::fxhash::FxHashMap;
     use ppa_pregel::{CancelReason, EngineError, JobControl};
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -487,6 +510,247 @@ mod tests {
         let out = merge_contigs_on(&ExecCtx::new(3), &nodes, &labels.labels, &merge_cfg(k, 0));
         assert_eq!(out.contigs.len(), 1, "expected exactly one contig");
         out.contigs.into_iter().next().unwrap()
+    }
+
+    /// The single real edge on a side, if there is exactly one.
+    fn sole_edge_on(node: &impl GraphNode, side: Side) -> Option<Edge> {
+        let mut on_side = node.real_edges().filter(|e| e.side() == side);
+        let first = on_side.next()?;
+        on_side.next().is_none().then_some(first)
+    }
+
+    /// The reference stitcher, the straightforward walk: a member map by
+    /// ID, and every step of the walk decodes the current member's edges.
+    #[derive(Default)]
+    struct ReferenceStitcher {
+        /// Member ID → position in the group's member list.
+        index: FxHashMap<u64, u32>,
+        /// Whether the walk has reached the member at that position.
+        visited: Vec<bool>,
+    }
+
+    impl ReferenceStitcher {
+        /// Stitches one label group — `members` are positions in `nodes`,
+        /// ascending — into a contig draft.
+        ///
+        /// Returns `None` if the group is a short dangling tip (paper: "exit
+        /// reduce if the aggregated contig length is not above the tip-length
+        /// threshold").
+        fn stitch<S: NodeSource + ?Sized>(
+            &mut self,
+            nodes: &S,
+            members: &[u32],
+            k: usize,
+            tip_length_threshold: usize,
+        ) -> Option<ContigDraft> {
+            assert!(!members.is_empty());
+            let node = |at: u32| nodes.node(members[at as usize] as usize);
+            let ReferenceStitcher { index, visited } = self;
+            index.clear();
+            index.extend((0..members.len() as u32).map(|at| (node(at).id(), at)));
+            visited.clear();
+            visited.resize(members.len(), false);
+
+            // Locate a contig end: a member with a side that has no edge leading
+            // back into the group.
+            let outer_side_of = |node: S::Node<'_>, side: Side| -> bool {
+                match sole_edge_on(&node, side) {
+                    None => true,
+                    Some(e) => !index.contains_key(&e.neighbor),
+                }
+            };
+            let start = (0..members.len() as u32).find_map(|at| {
+                [Side::Left, Side::Right]
+                    .into_iter()
+                    .find(|side| outer_side_of(node(at), *side))
+                    .map(|side| (at, side))
+            });
+            // Cycle: start from the first member, the smallest ID.
+            let (start_at, entry_side) = start.unwrap_or((0, Side::Left));
+            let start_node = node(start_at);
+
+            let start_orientation = if entry_side == Side::Left {
+                Orientation::Forward
+            } else {
+                Orientation::ReverseComplement
+            };
+
+            // In-neighbour: the outside edge on the entry side, if any.
+            let in_neighbor = sole_edge_on(&start_node, entry_side).and_then(|e| {
+                if index.contains_key(&e.neighbor) {
+                    None
+                } else {
+                    Some((
+                        e.neighbor,
+                        outside_neighbor_label(&e, start_orientation),
+                        e.coverage,
+                    ))
+                }
+            });
+
+            // Walk the path, stitching sequences (exact capacity for k-mers).
+            let mut sequence = DnaString::with_capacity(k + members.len() - 1);
+            start_node.append_oriented(start_orientation, 0, &mut sequence);
+            let mut coverage: u32 = if start_node.is_contig() {
+                start_node.coverage()
+            } else {
+                u32::MAX
+            };
+            visited[start_at as usize] = true;
+            let mut merged = 1usize;
+            let mut current = start_node;
+            let mut current_orientation = start_orientation;
+            let mut out_neighbor: Option<(u64, Orientation, u32)> = None;
+            let mut closed_cycle = false;
+
+            loop {
+                let exit_side = match current_orientation {
+                    Orientation::Forward => Side::Right,
+                    Orientation::ReverseComplement => Side::Left,
+                };
+                let Some(edge) = sole_edge_on(&current, exit_side) else {
+                    break; // dangling end
+                };
+                let Some(&next_at) = index.get(&edge.neighbor) else {
+                    out_neighbor = Some((
+                        edge.neighbor,
+                        outside_neighbor_label(&edge, current_orientation),
+                        edge.coverage,
+                    ));
+                    break;
+                };
+                if visited[next_at as usize] {
+                    closed_cycle = true;
+                    break;
+                }
+                let next = node(next_at);
+                let next_or = next_orientation(&edge);
+                coverage = coverage.min(edge.coverage);
+                if next.is_contig() {
+                    coverage = coverage.min(next.coverage());
+                }
+                // Consecutive members overlap by k-1 bases.
+                next.append_oriented(next_or, k - 1, &mut sequence);
+                visited[next_at as usize] = true;
+                merged += 1;
+                current = next;
+                current_orientation = next_or;
+            }
+
+            debug_assert_eq!(
+                merged,
+                members.len(),
+                "label group does not form a single path/cycle"
+            );
+
+            if coverage == u32::MAX {
+                // Single k-mer member with no internal edge: fall back to its own
+                // coverage.
+                coverage = start_node.coverage();
+            }
+
+            let dangling = !closed_cycle && (in_neighbor.is_none() || out_neighbor.is_none());
+            if dangling && sequence.len() <= tip_length_threshold {
+                return None;
+            }
+
+            Some(ContigDraft {
+                seq: sequence,
+                coverage,
+                in_neighbor,
+                out_neighbor,
+            })
+        }
+    }
+
+    /// Merging through the reference stitcher, one group after the other
+    /// in label order, minting as [`stitch_on`] does.
+    fn reference_merge<S: NodeSource + ?Sized>(
+        nodes: &S,
+        labels: &[u32],
+        config: &MergeConfig,
+    ) -> Vec<AsmNode> {
+        let (groups, members) = group(labels);
+        let mut stitcher = ReferenceStitcher::default();
+        let last = nodes.len().checked_sub(1).map(|at| nodes.node(at).id());
+        let first = last
+            .filter(|&id| is_contig_id(id))
+            .map_or(0, contig_ordinal)
+            + 1;
+        groups
+            .iter()
+            .filter_map(|g| {
+                let members = &members[g.begin as usize..g.end as usize];
+                stitcher.stitch(nodes, members, config.k, config.tip_length_threshold)
+            })
+            .zip(first..)
+            .map(|(draft, ordinal)| draft.into_node(contig_id(ordinal)))
+            .collect()
+    }
+
+    /// Pins `merge_contigs_on` to the reference merge of `nodes` labelled
+    /// by list ranking, at 1–4 workers, keeping and dropping short tips.
+    fn pinned<S: NodeSource + ?Sized>(nodes: &S, what: &str) -> Vec<u32> {
+        let labels = label_contigs_lr_on(&ExecCtx::new(2), nodes).labels;
+        for tip in [0, 80] {
+            let config = merge_cfg(31, tip);
+            let reference = reference_merge(nodes, &labels, &config);
+            for workers in 1..=4 {
+                let out = merge_contigs_on(&ExecCtx::new(workers), nodes, &labels, &config);
+                assert_eq!(
+                    out.contigs, reference,
+                    "{what}, tip {tip}: {workers} workers"
+                );
+            }
+        }
+        labels
+    }
+
+    #[test]
+    fn gathered_stitching_equals_the_reference_stitcher_at_every_worker_count() {
+        use crate::node::MixedNodes;
+        use crate::ops::blocks::tests::{kmer_cases, round_two};
+        for (what, graph) in kmer_cases() {
+            let labels = pinned(&graph, what);
+            if what == "a 20 kb genome" {
+                // Most groups start the walk past their smallest member,
+                // which lies inside the path.
+                let (groups, members) = group(&labels);
+                let interior = groups
+                    .iter()
+                    .filter(|g| {
+                        let first = members[g.begin as usize];
+                        let sides = graph.node(first as usize).sole_edges().unwrap();
+                        let ids = graph.ids();
+                        sides.iter().all(|edge| {
+                            edge.is_some_and(|e| {
+                                let at = ids.binary_search(&e.neighbor);
+                                at.is_ok_and(|at| labels[at] == labels[first as usize])
+                            })
+                        })
+                    })
+                    .count();
+                assert!(
+                    interior > 0,
+                    "{what}: no group with an interior smallest member"
+                );
+            }
+        }
+        let (kmers, contigs) = round_two();
+        pinned(
+            &MixedNodes {
+                kmers: &kmers,
+                contigs: &contigs,
+            },
+            "round two",
+        );
+        pinned(
+            &MixedNodes {
+                kmers: &kmers[1..],
+                contigs: &contigs,
+            },
+            "round two with an absent neighbour",
+        );
     }
 
     #[test]

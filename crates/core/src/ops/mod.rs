@@ -8,7 +8,7 @@
 //! through the [`crate::pipeline::Pipeline`] builder; the standard pipeline
 //! is assembled in [`crate::workflow`].
 
-mod blocks;
+pub(crate) mod blocks;
 pub mod bubble;
 pub mod construct;
 pub mod label;

@@ -82,7 +82,9 @@ use crate::ops::label::{label_contigs_lr_on, LabelOutcome, AMBIGUOUS};
 use crate::ops::label_sv::label_contigs_sv_on;
 use crate::ops::merge::{merge_contigs_on, MergeConfig};
 use crate::ops::tip::{remove_tips_on, TipConfig};
-use crate::stats::{n50, CorrectionStats, LabelStats, MergeStats, WorkflowStats};
+use crate::stats::{
+    n50, CorrectionStats, LabelStats, MergeStats, Phase, PhaseTimes, WorkflowStats,
+};
 use crate::workflow::{AssemblyConfig, Contig, LabelingAlgorithm};
 use ppa_pregel::engine::panic_message;
 use ppa_pregel::fxhash::FxHashMap;
@@ -381,6 +383,15 @@ fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
+/// The phases a stage passed, with their milliseconds.
+fn fmt_phases(phases: &PhaseTimes) -> String {
+    let passed = Phase::ALL.into_iter().filter(|&p| !phases.get(p).is_zero());
+    let laps: Vec<String> = passed
+        .map(|p| format!("{} {:.1} ms", p.name(), phases.get(p).as_secs_f64() * 1e3))
+        .collect();
+    laps.join(", ")
+}
+
 impl StageDetails {
     /// One-line human-readable summary (used by [`StageLogger`]).
     pub fn summary(&self) -> String {
@@ -397,20 +408,25 @@ impl StageDetails {
                 };
                 format!(
                     "{} labeled / {} ambiguous in {} supersteps, {} msgs \
-                     (avg frontier {:.0}%, store {}{polls})",
+                     (avg frontier {:.0}%, store {}{polls}; {})",
                     s.labeled_vertices,
                     s.ambiguous_vertices,
                     s.supersteps,
                     s.messages,
                     s.avg_frontier_density * 100.0,
-                    fmt_bytes(s.peak_store_resident_bytes)
+                    fmt_bytes(s.peak_store_resident_bytes),
+                    fmt_phases(&s.phases)
                 )
             }
             StageDetails::Merge {
                 stats, nodes_after, ..
             } => format!(
-                "{} contigs from {} groups ({} tips dropped), {} nodes remain",
-                stats.contigs, stats.groups, stats.dropped_tips, nodes_after
+                "{} contigs from {} groups ({} tips dropped), {} nodes remain ({})",
+                stats.contigs,
+                stats.groups,
+                stats.dropped_tips,
+                nodes_after,
+                fmt_phases(&stats.phases)
             ),
             StageDetails::Bubbles {
                 pruned,
@@ -728,7 +744,7 @@ impl Stage for Label {
     }
 
     fn run(&self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> StageReport {
-        let outcome = if state.nodes.is_empty() {
+        let mut outcome = if state.nodes.is_empty() {
             // A preceding Merge drained `nodes`: label the corrected graph —
             // but only once RemoveTips has rewired the adjacency, otherwise
             // labeling would run over stale k-mer edges.
@@ -743,12 +759,17 @@ impl Stage for Label {
             self.label(ctx, &state.nodes)
         };
         let ambiguous = outcome.ambiguous().count();
-        let stats = LabelStats::from_metrics(
-            &outcome.metrics,
-            outcome.labels.len() - ambiguous,
-            ambiguous,
-            outcome.used_cycle_fallback,
-        );
+        let stats = LabelStats {
+            // The stats keep the clocks; the pending labels read as a
+            // restored checkpoint's would.
+            phases: std::mem::take(&mut outcome.phases),
+            ..LabelStats::from_metrics(
+                &outcome.metrics,
+                outcome.labels.len() - ambiguous,
+                ambiguous,
+                outcome.used_cycle_fallback,
+            )
+        };
         state.labels = Some(outcome);
         StageReport::new(self.name(), StageDetails::Label(stats))
     }
@@ -801,6 +822,7 @@ impl Stage for Merge {
             contigs: merged.contigs.len(),
             dropped_tips: merged.dropped_tips,
             mapreduce: merged.mapreduce.clone(),
+            phases: merged.phases,
         };
         // The ambiguous k-mers are the only ones that outlive the merge, and
         // the only ones expanded; the label column marks them by position. A
@@ -813,11 +835,11 @@ impl Stage for Merge {
                 .ambiguous_kmers
                 .retain(|_| column.next() == Some(&AMBIGUOUS));
         } else {
-            state.ambiguous_kmers = std::mem::take(&mut state.nodes)
-                .iter()
+            let nodes = std::mem::take(&mut state.nodes);
+            state.ambiguous_kmers = (0..nodes.len())
                 .zip(column)
                 .filter(|(_, &label)| label == AMBIGUOUS)
-                .map(|(v, _)| v.to_asm_node())
+                .map(|(at, _)| nodes.node(at).to_asm_node())
                 .collect();
         }
         state.contigs = merged.contigs;
@@ -1613,6 +1635,55 @@ mod tests {
         assert_eq!(reports[5].round, 2);
         assert_eq!(reports[6].stage, "merge");
         assert_eq!(reports[6].round, 2);
+    }
+
+    #[test]
+    fn label_and_merge_phases_are_laps_of_their_own_stage() {
+        let reads = reads(2_000, 0.004, 19);
+        for labeling in [
+            LabelingAlgorithm::ListRanking,
+            LabelingAlgorithm::SimplifiedSV,
+        ] {
+            let config = AssemblyConfig {
+                min_kmer_coverage: 1,
+                labeling,
+                ..small_config()
+            };
+            let mut state = GraphState::new(&reads);
+            let reports = Pipeline::paper_workflow(&config).run(&mut state, &ExecCtx::new(2));
+            let mut timed = 0;
+            for report in &reports {
+                let (phases, passed) = match &report.details {
+                    StageDetails::Label(stats) => (
+                        stats.phases,
+                        &[Phase::Keys, Phase::Contract, Phase::Job, Phase::Spread][..],
+                    ),
+                    StageDetails::Merge { stats, .. } => {
+                        (stats.phases, &[Phase::Group, Phase::Stitch][..])
+                    }
+                    _ => continue,
+                };
+                timed += 1;
+                let what = format!("{labeling:?} {} round {}", report.stage, report.round);
+                for phase in Phase::ALL {
+                    assert_eq!(
+                        passed.contains(&phase),
+                        !phases.get(phase).is_zero(),
+                        "{what}: {}",
+                        phase.name()
+                    );
+                }
+                // One clock's laps: they never overlap, so they fit in the
+                // time measured around the stage.
+                let laps: Duration = Phase::ALL.iter().map(|&p| phases.get(p)).sum();
+                assert!(
+                    laps <= report.elapsed,
+                    "{what}: {laps:?} in {:?}",
+                    report.elapsed
+                );
+            }
+            assert_eq!(timed, 4, "{labeling:?}");
+        }
     }
 
     #[test]

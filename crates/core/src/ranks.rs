@@ -27,11 +27,14 @@
 //! minimizer-block fragments (`ops/blocks.rs`), one per fragment in rank
 //! order, and copy each slot's outcome to its ranks once at the end; `run_on`
 //! is told how many ranks it runs over. The fallback is S-V's job over the
-//! slots list ranking left unresolved, every other slot taking no part. Tip
-//! removing ([`crate::ops::tip`]) ranks the node set round 2 labels — the
-//! ambiguous k-mers, then the contigs — with the same constructor, and runs
-//! its own job on the dense plane: it reads back whole states, not one
-//! outcome per rank.
+//! slots list ranking left unresolved, every other slot taking no part.
+//! Contraction finds a fragment's members among its key group's IDs, so the
+//! dictionary serves only the fragments' boundaries: the ranks beyond their
+//! two ends, looked up in one batch per worker, and an ambiguous vertex's
+//! neighbours. Tip removing ([`crate::ops::tip`]) ranks the node set round 2
+//! labels — the ambiguous k-mers, then the contigs — with the same
+//! constructor, and runs its own job on the dense plane: it reads back
+//! whole states, not one outcome per rank.
 //!
 //! Contig merging ([`crate::ops::merge`]) groups the node set's positions by
 //! that column as it is: a vertex's rank is its position, so it needs no

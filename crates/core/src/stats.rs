@@ -9,7 +9,7 @@
 use ppa_pregel::MapReduceMetrics;
 use ppa_pregel::Metrics;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The N50 of a set of contig lengths — re-exported from [`ppa_quality`],
 /// the workspace's single Nx implementation (see [`ppa_quality::nx`]).
@@ -23,6 +23,92 @@ pub struct StageTiming {
     pub stage: String,
     /// Elapsed wall-clock time.
     pub elapsed: Duration,
+}
+
+/// A timed phase of contig labeling (②) or merging (③): the parts of a
+/// stage the phase clocks split its time into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// ②: the rank dictionary and every vertex's block key and ambiguity.
+    Keys,
+    /// ②: grouping the vertices by key and contracting each group's
+    /// fragments.
+    Contract,
+    /// ②: the labeling job over the fragments' slots, with its cycle
+    /// fallback.
+    Job,
+    /// ②: copying each slot's label to its fragment's vertices.
+    Spread,
+    /// ③: grouping the labelled vertices by label.
+    Group,
+    /// ③: stitching the groups into contigs and minting their IDs.
+    Stitch,
+}
+
+impl Phase {
+    /// Every phase, in the order a run passes them.
+    pub const ALL: [Phase; 6] = [
+        Phase::Keys,
+        Phase::Contract,
+        Phase::Job,
+        Phase::Spread,
+        Phase::Group,
+        Phase::Stitch,
+    ];
+
+    /// The phase's name, lower case.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Keys => "keys",
+            Phase::Contract => "contract",
+            Phase::Job => "job",
+            Phase::Spread => "spread",
+            Phase::Group => "group",
+            Phase::Stitch => "stitch",
+        }
+    }
+}
+
+/// Nanoseconds a stage spent in each [`Phase`], 0 for a phase it does not
+/// pass. One running clock fills it with consecutive laps, so the phases
+/// never overlap and sum to no more than the stage's wall-clock time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PhaseTimes([u64; Phase::ALL.len()]);
+
+impl PhaseTimes {
+    /// The time spent in `phase`.
+    pub fn get(&self, phase: Phase) -> Duration {
+        Duration::from_nanos(self.0[phase as usize])
+    }
+}
+
+/// A running clock whose laps fill a [`PhaseTimes`]: each lap is the time
+/// since the clock started or since the previous lap.
+pub(crate) struct PhaseClock {
+    times: PhaseTimes,
+    lap: Instant,
+}
+
+impl PhaseClock {
+    /// A clock started now.
+    pub(crate) fn start() -> PhaseClock {
+        PhaseClock {
+            times: PhaseTimes::default(),
+            lap: Instant::now(),
+        }
+    }
+
+    /// Ends a lap now and adds it to `phase`.
+    pub(crate) fn lap(&mut self, phase: Phase) {
+        let now = Instant::now();
+        self.times.0[phase as usize] += (now - self.lap).as_nanos() as u64;
+        self.lap = now;
+    }
+
+    /// The phases' times so far.
+    pub(crate) fn times(&self) -> PhaseTimes {
+        self.times
+    }
 }
 
 /// Statistics of one contig-labeling run, as reported in Tables II/III.
@@ -63,6 +149,8 @@ pub struct LabelStats {
     /// Spill artefacts the labeling job wrote (0, see
     /// [`spilled_bytes`](LabelStats::spilled_bytes)).
     pub spilled_runs: u64,
+    /// The labeling's [`Phase`]s: keys, contraction, job and spread.
+    pub phases: PhaseTimes,
 }
 
 impl LabelStats {
@@ -86,6 +174,7 @@ impl LabelStats {
             spilled_bytes: metrics.spilled_bytes,
             spill_read_bytes: metrics.spill_read_bytes,
             spilled_runs: metrics.spilled_runs,
+            phases: PhaseTimes::default(),
         }
     }
 }
@@ -102,6 +191,8 @@ pub struct MergeStats {
     /// The merging pass in mini-MapReduce terms
     /// ([`MergeOutcome::mapreduce`](crate::ops::MergeOutcome::mapreduce)).
     pub mapreduce: MapReduceMetrics,
+    /// The merge's [`Phase`]s: grouping and stitching.
+    pub phases: PhaseTimes,
 }
 
 /// Statistics of error correction (operations ④ and ⑤).
@@ -210,6 +301,22 @@ mod tests {
         assert_eq!(stats.timings.len(), 2);
         assert_eq!(stats.timings[1].elapsed, Duration::from_millis(3));
         assert_eq!(stats.timings[0].stage, "construct");
+    }
+
+    #[test]
+    fn a_clock_adds_each_lap_to_its_phase() {
+        let before = Instant::now();
+        let mut clock = PhaseClock::start();
+        clock.lap(Phase::Keys);
+        clock.lap(Phase::Job);
+        let first = clock.times().get(Phase::Keys);
+        clock.lap(Phase::Keys);
+        let times = clock.times();
+        let around = before.elapsed();
+        assert!(times.get(Phase::Keys) >= first);
+        assert!(times.get(Phase::Stitch).is_zero());
+        let laps: Duration = Phase::ALL.iter().map(|&p| times.get(p)).sum();
+        assert!(laps <= around, "{laps:?} in {around:?}");
     }
 
     #[test]

@@ -126,6 +126,14 @@ pub fn sort_pairs<V>(records: &mut Vec<(u64, V)>, scratch: &mut Vec<(u64, V)>) {
     lsd_radix(records, scratch, |r: &(u64, V)| r.0);
 }
 
+/// Stably sorts packed words by their high 32 bits alone, using `scratch`
+/// as the ping-pong buffer: words with equal high halves keep their input
+/// order whatever their low halves, so a `key << 32 | index` column filled
+/// in index order comes out grouped by key, each group in index order.
+pub fn sort_by_high_half(words: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    lsd_radix(words, scratch, |&word| word >> 32);
+}
+
 /// Stable insertion sort by a `u64` image (used below the cutoff).
 fn insertion_by_key<T>(v: &mut [T], key: &impl Fn(&T) -> u64) {
     for i in 1..v.len() {
@@ -328,6 +336,23 @@ mod tests {
         sort_pairs(&mut records, &mut scratch);
         assert!(scratch.is_empty(), "scratch is drained on return");
         records
+    }
+
+    #[test]
+    fn sorting_by_the_high_half_keeps_each_key_in_input_order() {
+        // Keys from a multiply, low halves descending: a stable sort by the
+        // key alone must keep them descending within each key.
+        for n in [10u64, 5_000] {
+            let mut words: Vec<u64> = (0..n)
+                .map(|i| ((i * 7 % 13).wrapping_mul(0x9E37_79B1) << 32) | (n - i))
+                .collect();
+            let mut expected = words.clone();
+            expected.sort_by_key(|&word| word >> 32);
+            let mut scratch = Vec::new();
+            sort_by_high_half(&mut words, &mut scratch);
+            assert_eq!(words, expected, "{n} words");
+            assert!(scratch.is_empty());
+        }
     }
 
     #[test]

@@ -425,6 +425,7 @@ fn rank(mmer: u64) -> u64 {
 /// let rc = kmer.reverse_complement();
 /// assert_eq!(minimizer_rank(kmer.packed(), 31), minimizer_rank(rc.packed(), 31));
 /// ```
+// ppa_lint: allow(test-only-pub) the one-window definition `minimizer_ranks` and the block keys' reference contraction are pinned to
 pub fn minimizer_rank(kmer: u64, k: usize) -> u64 {
     debug_assert!((1..=MAX_K).contains(&k), "k = {k}");
     let m = MINIMIZER_LEN.min(k);
@@ -441,6 +442,37 @@ pub fn minimizer_rank(kmer: u64, k: usize) -> u64 {
         })
         .min()
         .unwrap_or(u64::MAX)
+}
+
+/// [`minimizer_rank`] of eight packed k-mers of one k at once, the same
+/// values lane by lane. The lanes rank their m-mers in lockstep, so eight
+/// independent multiply-and-minimum chains overlap where one window's
+/// chain would wait on itself.
+///
+/// ```
+/// use ppa_seq::kmer::{minimizer_rank, minimizer_ranks};
+///
+/// let kmers = [1, 2, 3, 5, 8, 13, 21, 34].map(|x: u64| x.wrapping_mul(0x9E37_79B9) >> 2);
+/// let batched = minimizer_ranks(kmers, 31);
+/// for (kmer, rank) in kmers.iter().zip(batched) {
+///     assert_eq!(minimizer_rank(*kmer, 31), rank);
+/// }
+/// ```
+pub fn minimizer_ranks(kmers: [u64; 8], k: usize) -> [u64; 8] {
+    debug_assert!((1..=MAX_K).contains(&k), "k = {k}");
+    let m = MINIMIZER_LEN.min(k);
+    let mmer_mask = Kmer::mask(m as u8);
+    let fwd = kmers.map(|kmer| kmer & Kmer::mask(k as u8));
+    let rc = fwd.map(|kmer| reverse_complement_packed(kmer, k));
+    let mut best = [u64::MAX; 8];
+    for i in 0..=k - m {
+        for lane in 0..8 {
+            let forward = (fwd[lane] >> (2 * i)) & mmer_mask;
+            let reverse = (rc[lane] >> (2 * (k - m - i))) & mmer_mask;
+            best[lane] = best[lane].min(rank(forward.min(reverse)));
+        }
+    }
+    best
 }
 
 /// Ring of the latest m-mer ranks: a power of two above any window's m-mer
@@ -1030,6 +1062,21 @@ mod tests {
                     }
                     previous = Some((run, sk));
                     at += windows;
+                }
+            }
+        }
+
+        #[test]
+        fn prop_batched_minimizers_equal_minimizer_rank_lane_by_lane(
+            words in proptest::collection::vec(0u64..u64::MAX, 8..=8),
+        ) {
+            // Every k, those at or below m included; the bits above 2k are
+            // ignored by both.
+            for k in 1..=MAX_K {
+                let lanes: [u64; 8] = std::array::from_fn(|lane| words[lane]);
+                let batched = minimizer_ranks(lanes, k);
+                for (lane, &word) in lanes.iter().enumerate() {
+                    prop_assert_eq!(batched[lane], minimizer_rank(word, k), "k = {}, lane {}", k, lane);
                 }
             }
         }

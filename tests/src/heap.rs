@@ -27,6 +27,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.alloc(layout)
     }
 
+    // Forwarded so that a `vec![0; n]` under this allocator gets fresh zeroed
+    // pages as it does under `System`, instead of `alloc` plus a write of
+    // every byte, which would make the whole reservation resident.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let live = LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        PEAK_BYTES.fetch_max(live + layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract
+        // (a non-zero-sized layout), which is `System.alloc_zeroed`'s.
+        System.alloc_zeroed(layout)
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)

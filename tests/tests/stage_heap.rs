@@ -63,7 +63,7 @@ enum Unit {
 const BOUNDS: [(&str, usize, Unit, f64); 10] = [
     ("construct", 1, Unit::InputBase, 14.5),
     ("construct", 1, Unit::KeptKplus1Mer, 398.0),
-    ("label", 1, Unit::Vertex, 75.0),
+    ("label", 1, Unit::Vertex, 74.0),
     ("merge", 1, Unit::Vertex, 61.0),
     ("filter_bubbles", 1, Unit::Round1Node, 1545.0),
     ("remove_tips", 1, Unit::Round1Node, 1880.0),
