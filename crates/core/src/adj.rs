@@ -23,12 +23,11 @@
 
 use crate::polarity::{Direction, Polarity};
 use ppa_seq::{Base, Kmer};
-use serde::{Deserialize, Serialize};
 
 /// One of the 32 possible adjacency "slots" of a k-mer vertex: an edge with a
 /// given polarity and direction whose neighbour differs from the owning k-mer
 /// by one appended (out) or prepended (in) base.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeSlot {
     /// Edge polarity ⟨source:target⟩ in the edge's stored direction.
     pub polarity: Polarity,
@@ -121,7 +120,7 @@ impl EdgeSlot {
 /// The 8-bit per-neighbour adjacency item of Figure 8(b).
 ///
 /// The value `0b1000_0000` is the NULL marker indicating a dead end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 // ppa_lint: allow(test-only-pub) Figure 8(b)'s 8-bit adjacency item, the paper's documented per-neighbour format
 pub struct CompactNeighbor(pub u8);
 

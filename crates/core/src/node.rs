@@ -34,11 +34,10 @@ use crate::adj::{neighbor_at, EdgeSlot, RIGHT_SLOTS};
 use crate::ids;
 use crate::polarity::{side_of, Direction, Polarity, Side};
 use ppa_seq::{DnaString, Kmer, Orientation};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// The sequence payload of a node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeSeq {
     /// A k-mer vertex: the sequence is the canonical k-mer.
     Kmer(Kmer),
@@ -79,7 +78,7 @@ impl NodeSeq {
 }
 
 /// One incident edge of a node, stored from the owning node's perspective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// ID of the neighbour node ([`NULL_ID`](crate::ids::NULL_ID) marks a dead
     /// end, used by contig vertices).
@@ -121,7 +120,7 @@ impl Edge {
 }
 
 /// Vertex classification (Section IV-A "Vertex Types").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VertexType {
     /// No (real) neighbour at all. Only reachable through deletions or for an
     /// isolated contig whose both ends are dead.
@@ -136,7 +135,7 @@ pub enum VertexType {
 }
 
 /// A node of the assembly graph: either a k-mer vertex or a contig vertex.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsmNode {
     /// Vertex ID (k-mer encoding or contig ordinal, Figure 7).
     pub id: u64,

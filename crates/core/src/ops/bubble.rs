@@ -21,10 +21,9 @@ use crate::polarity::Direction;
 use ppa_pregel::fxhash::FxHashSet;
 use ppa_pregel::ExecCtx;
 use ppa_seq::{banded_edit_distance, DnaString};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of bubble filtering.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BubbleConfig {
     /// A contig may be pruned only if its edit distance to a higher-coverage
     /// sibling is strictly smaller than this threshold (the paper uses 5).

@@ -52,7 +52,6 @@ use ppa_pregel::keycount::{
 use ppa_pregel::{ExecCtx, MapReduceMetrics};
 use ppa_seq::kmer::{SuperKmer, SuperKmerScanner};
 use ppa_seq::{Kmer, ReadSet};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -60,7 +59,7 @@ use std::time::{Duration, Instant};
 const _: () = assert!(SuperKmer::WINDOWS_SHIFT == KEYS_SHIFT);
 
 /// Configuration of DBG construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstructConfig {
     /// k-mer size (the paper uses k = 31); (k+1)-mers are extracted from reads.
     pub k: usize,
@@ -84,7 +83,7 @@ impl Default for ConstructConfig {
 }
 
 /// Statistics of one DBG construction run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConstructStats {
     /// Distinct canonical (k+1)-mers observed before filtering.
     pub distinct_kplus1_mers: u64,

@@ -55,11 +55,10 @@ use crate::stats::{Phase, PhaseClock, PhaseTimes};
 use ppa_pregel::ExecCtx;
 use ppa_pregel::MapReduceMetrics;
 use ppa_seq::{DnaString, Orientation};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Configuration of contig merging.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeConfig {
     /// k-mer size used to build the DBG (consecutive members overlap by k−1).
     pub k: usize,

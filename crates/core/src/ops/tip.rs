@@ -36,10 +36,9 @@ use crate::polarity::Side;
 use crate::ranks::RankDict;
 use ppa_pregel::aggregate::NoAggregate;
 use ppa_pregel::{run_dense_on, Context, DenseSet, ExecCtx, Metrics, PregelConfig, VertexProgram};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of tip removing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TipConfig {
     /// k-mer size (a k-mer vertex contributes k bases when it starts a path
     /// and 1 base when it extends one).

@@ -22,7 +22,7 @@
 //!   inline code: the runner measures every stage and delivers a
 //!   [`StageReport`]; [`WorkflowStats`] *is* the built-in observer (it
 //!   rebuilds all the paper-table statistics from the reports), and
-//!   [`StageLogger`] prints per-stage progress for the bench harnesses.
+//!   [`StageLogger`] prints per-stage progress for `ppa assemble`.
 //!
 //! [`Pipeline::paper_workflow`] is the preset for the paper's evaluation
 //! workflow ①②③(④⑤②③)×r; [`crate::workflow::assemble`] is now a thin wrapper
@@ -602,31 +602,14 @@ impl PipelineObserver for WorkflowStats {
 }
 
 /// A [`PipelineObserver`] that prints one progress line per stage to stderr —
-/// the per-stage output of the bench harnesses.
+/// `ppa assemble`'s progress output.
 #[derive(Debug, Default)]
-pub struct StageLogger {
-    /// Prefix prepended to every line (e.g. the dataset or algorithm name).
-    pub prefix: String,
-}
-
-impl StageLogger {
-    /// A logger whose lines are prefixed with `prefix`.
-    pub fn with_prefix(prefix: impl Into<String>) -> StageLogger {
-        StageLogger {
-            prefix: prefix.into(),
-        }
-    }
-}
+pub struct StageLogger;
 
 impl PipelineObserver for StageLogger {
     fn on_stage_end(&mut self, report: &StageReport) {
-        let prefix = if self.prefix.is_empty() {
-            String::new()
-        } else {
-            format!("[{}] ", self.prefix)
-        };
         eprintln!(
-            "{prefix}{} (round {}): {:.3}s — {}",
+            "{} (round {}): {:.3}s — {}",
             report.stage,
             report.round,
             report.elapsed.as_secs_f64(),

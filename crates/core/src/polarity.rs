@@ -16,11 +16,10 @@
 //! one edge on each side.
 
 use ppa_seq::Orientation;
-use serde::{Deserialize, Serialize};
 
 /// Whether, in a given edge record, the owning vertex is the edge's source or
 /// target (i.e. the edge is an out-edge or in-edge of that vertex).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// The owning vertex is the source of the edge.
     Out,
@@ -40,7 +39,7 @@ impl Direction {
 }
 
 /// The side of a canonical k-mer (or contig) sequence that an edge attaches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// The edge extends the canonical sequence to the left (before its first base).
     Left,
@@ -49,7 +48,7 @@ pub enum Side {
 }
 
 /// Edge polarity ⟨source label : target label⟩ (Figure 6 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Polarity {
     /// ⟨L:L⟩ — both end k-mers observed in canonical orientation.
     LL,

@@ -1,6 +1,6 @@
 //! Workflow statistics: everything the paper's evaluation section reports.
 //!
-//! The bench harnesses regenerate the paper's tables directly from
+//! `ppa reproduce` regenerates the paper's tables directly from
 //! [`WorkflowStats`]: per-operation wall-clock times (Figure 12), the
 //! superstep/message/runtime metrics of the two contig-labeling rounds
 //! (Tables II and III), the vertex-count reduction across rounds and the N50
@@ -8,7 +8,6 @@
 
 use ppa_pregel::MapReduceMetrics;
 use ppa_pregel::Metrics;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// The N50 of a set of contig lengths — re-exported from [`ppa_quality`],
@@ -16,7 +15,7 @@ use std::time::{Duration, Instant};
 pub use ppa_quality::n50;
 
 /// Wall-clock timing of one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 // ppa_lint: allow(test-only-pub) the element type of the public `WorkflowStats::timings`
 pub struct StageTiming {
     /// Stage name (e.g. `"① DBG construction"`).
@@ -72,7 +71,7 @@ impl Phase {
 /// Nanoseconds a stage spent in each [`Phase`], 0 for a phase it does not
 /// pass. One running clock fills it with consecutive laps, so the phases
 /// never overlap and sum to no more than the stage's wall-clock time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes([u64; Phase::ALL.len()]);
 
 impl PhaseTimes {
@@ -112,7 +111,7 @@ impl PhaseClock {
 }
 
 /// Statistics of one contig-labeling run, as reported in Tables II/III.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LabelStats {
     /// Number of supersteps.
     pub supersteps: usize,
@@ -180,7 +179,7 @@ impl LabelStats {
 }
 
 /// Statistics of one merging round.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MergeStats {
     /// Label groups processed.
     pub groups: usize,
@@ -196,7 +195,7 @@ pub struct MergeStats {
 }
 
 /// Statistics of error correction (operations ④ and ⑤).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CorrectionStats {
     /// Contigs pruned by bubble filtering.
     pub bubbles_pruned: usize,
@@ -215,7 +214,7 @@ pub struct CorrectionStats {
 
 /// Graph sizes across the pipeline — the vertex-count reduction the paper
 /// highlights (46.97 M → 1.00 M → 68,264 for HC-2).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 // ppa_lint: allow(test-only-pub) the type of the public `WorkflowStats::node_counts`
 pub struct NodeCounts {
     /// k-mer vertices right after DBG construction.
@@ -227,7 +226,7 @@ pub struct NodeCounts {
 }
 
 /// Every statistic collected while running the standard workflow.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkflowStats {
     /// DBG-construction statistics.
     pub construct: crate::ops::construct::ConstructStats,

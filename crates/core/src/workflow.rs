@@ -11,7 +11,7 @@
 //! own. It is a thin wrapper over
 //! [`Pipeline::paper_workflow`](crate::pipeline::Pipeline::paper_workflow)
 //! with [`WorkflowStats`] attached as the
-//! observer, so the bench harnesses can regenerate the paper's tables and
+//! observer, so `ppa reproduce` can regenerate the paper's tables and
 //! figures from [`Assembly::stats`]. [`try_assemble`] is the fallible twin.
 //! Users who want a different strategy — or checkpointing, resuming and
 //! retries — compose their own [`crate::pipeline::Pipeline`] (or call the
@@ -23,12 +23,11 @@ use crate::pipeline::{GraphState, Pipeline, PipelineError};
 use crate::stats::{n50, WorkflowStats};
 use ppa_pregel::{ExecCtx, SpillPolicy};
 use ppa_seq::{DnaString, ReadSet, SeqError};
-use serde::{Deserialize, Serialize};
 use std::io::BufRead;
 use std::path::Path;
 
 /// Which algorithm performs contig labeling (operation ②).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LabelingAlgorithm {
     /// Bidirectional list ranking (the BPPA; the paper's recommended choice).
     ListRanking,
@@ -37,7 +36,7 @@ pub enum LabelingAlgorithm {
 }
 
 /// End-to-end assembly configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssemblyConfig {
     /// k-mer size (the paper uses 31).
     pub k: usize,
@@ -72,9 +71,8 @@ pub struct AssemblyConfig {
     /// (the default), [`assemble`] builds one context for the run — either
     /// way, all five operations of all rounds execute on a single long-lived
     /// worker pool. Supply a context to share the pool across several
-    /// assemblies (e.g. a parameter sweep). Runtime-only: not part of the
-    /// serialised configuration, and its pool size must match `workers`.
-    #[serde(skip)]
+    /// assemblies (e.g. a parameter sweep). Its pool size must match
+    /// `workers`.
     pub exec: Option<ExecCtx>,
 }
 
@@ -98,7 +96,7 @@ impl Default for AssemblyConfig {
 }
 
 /// One assembled contig.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Contig {
     /// Contig vertex ID (Figure 7c).
     pub id: u64,

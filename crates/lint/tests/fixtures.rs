@@ -323,7 +323,7 @@ fn std_hashset_fires_by_path_and_by_import() {
 fn std_hashmap_outside_hot_crates_is_quiet() {
     let src = "use std::collections::HashMap;\npub type M = HashMap<u64, u64>;\n";
     assert!(diags_for("crates/quality/src/lib.rs", src).is_empty());
-    assert!(diags_for("crates/bench/src/lib.rs", src).is_empty());
+    assert!(diags_for("crates/ppa/src/lib.rs", src).is_empty());
 }
 
 #[test]
@@ -510,7 +510,7 @@ mod tests {
 "#;
     let diags = analyze_pairs(&[
         ("crates/pregel/src/surface.rs", SURFACE),
-        ("crates/bench/src/lib.rs", caller),
+        ("crates/ppa/src/lib.rs", caller),
         ("tests/tests/probe.rs", "fn t() { only_tested(); }\n"),
     ]);
     // A `use` is no caller, nor are test regions and test files; a

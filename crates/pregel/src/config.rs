@@ -5,10 +5,8 @@
 //! [`run_dense_on`](crate::run_dense_on). A `PregelConfig` only bounds and
 //! instruments the job.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration for a Pregel job.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PregelConfig {
     /// Safety cap on the number of supersteps: a job that reaches it stops
     /// there and reports `converged: false` in its metrics (all algorithms in

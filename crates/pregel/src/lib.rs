@@ -31,9 +31,9 @@
 //! keeps the frequent ones. DBG construction runs both of its phases on it.
 //! Contig merging and bubble filtering group their few keys with a sort of
 //! their own, and the jobs hand their outputs to each other as plain vectors,
-//! so there is no general MapReduce and no `convert` (the `ablation_chaining`
-//! bench prices the storage round-trip the paper's `convert` avoids with the
-//! [`spill`] file format).
+//! so there is no general MapReduce and no `convert` (`ppa reproduce`'s
+//! job-chaining ablation prices the storage round-trip the paper's `convert`
+//! avoids with a checkpoint save and load).
 //!
 //! Finally, [`algorithms`] contains generic *Practical Pregel Algorithms*
 //! (list ranking and the simplified Shiloach–Vishkin connected components)
@@ -116,6 +116,6 @@ pub use engine::{EngineError, ExecCtx, WorkerPool};
 pub use fault::{ArmedFaults, Fault, FaultPlan};
 pub use keycount::{count_keys_on, fold_buckets_on, KeySink, Record, Records};
 pub use metrics::{MapReduceMetrics, Metrics, SuperstepMetrics};
-pub use spill::{SpillCodec, SpillError, SpillPolicy};
+pub use spill::{SpillError, SpillPolicy};
 pub use vertex::{Context, VertexProgram};
 pub use vertex_set::VertexSet;

@@ -3,13 +3,12 @@
 //! Tables II and III of the paper report, per contig-labeling algorithm and
 //! dataset, the number of supersteps, the number of messages and the running
 //! time. [`Metrics`] captures exactly those quantities (plus a per-superstep
-//! breakdown when enabled), so the bench harnesses simply print this struct.
+//! breakdown when enabled), and `ppa reproduce` prints those tables from it.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Metrics of a single superstep.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SuperstepMetrics {
     /// Superstep number (0-based).
     pub superstep: usize,
@@ -65,7 +64,7 @@ pub struct SuperstepMetrics {
 }
 
 /// Metrics of a whole Pregel job.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Number of supersteps executed.
     pub supersteps: usize,
@@ -182,7 +181,7 @@ impl std::fmt::Display for Metrics {
 /// input records are mapped to keyed pairs, the pairs are shuffled, and each
 /// key's group is reduced to outputs. Each caller documents what its records,
 /// pairs and groups are.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MapReduceMetrics {
     /// Number of input records fed to the pass.
     pub input_records: u64,

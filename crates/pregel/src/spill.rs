@@ -9,14 +9,9 @@
 //! both of its phases on the keyed pass, so a capped assembly spills there
 //! and nowhere else: the Pregel runners are resident, as Pregel+ is.
 //!
-//! The module also keeps the [`SpillCodec`] trait and the plain spill-file
-//! format ([`write_spill_file`], [`read_spill_file`] and their in-memory
-//! twins), which the `ablation_chaining` bench prices the storage round-trip
-//! of job chaining with.
-//!
-//! All file formats share one framing: an 8-byte magic (`PPASPIL1`), a
-//! `u32` format version, a `u64` record/segment count, then `u32`
-//! length-prefixed frames read back through the streaming
+//! A key-segment file is an 8-byte magic (`PPASPIL1`), a `u32` format
+//! version, a `u64` segment count, then `u32` length-prefixed frames, every
+//! integer little-endian; the header is read back through the streaming
 //! `serde::bin::FrameReader`. Per the PR 8 codec contract the entire module
 //! is panic-free outside tests: truncated or corrupt spill files surface as
 //! [`SpillError`] values, never as panics, and the `ppa_lint`
@@ -28,14 +23,12 @@
 
 use crate::keycount::{keys_of, Record, RECORD_BYTES};
 use serde::bin::{FrameError, FrameReader};
-use serde::{Deserialize, Serialize};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// File magic shared by key-segment files and spill round-trip files:
-/// `PPASPIL1` as a little-endian `u64`.
+/// File magic of key-segment files: `PPASPIL1` as a little-endian `u64`.
 const MAGIC: u64 = u64::from_le_bytes(*b"PPASPIL1");
 
 /// Format version written after the magic.
@@ -53,7 +46,7 @@ const MAX_FRAME: u32 = 1 << 30;
 /// either plane — contig labeling and tip removal among them — run resident
 /// whatever the policy. [`SpillPolicy::Off`] keeps every code path
 /// byte-for-byte identical to the pre-spill engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpillPolicy {
     /// Never spill; everything stays in RAM (the default).
     #[default]
@@ -152,109 +145,6 @@ fn frame_err(path: &Path, e: FrameError) -> SpillError {
     }
 }
 
-/// A minimal binary codec for the plain spill-file format
-/// ([`write_spill_file`], [`encode_spill_bytes`]).
-///
-/// Implementations must be able to reconstruct the value from the bytes they
-/// wrote; framing (length prefixes, headers) is handled by this module.
-/// `decode` returns `None` on truncated or invalid input — it must never
-/// panic, per the workspace's panic-free codec contract.
-pub trait SpillCodec: Sized {
-    /// Appends the binary encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
-    /// Decodes one value from the front of `buf`, advancing it.
-    fn decode(buf: &mut &[u8]) -> Option<Self>;
-}
-
-impl SpillCodec for u64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        if buf.len() < 8 {
-            return None;
-        }
-        let (head, rest) = buf.split_at(8);
-        *buf = rest;
-        Some(u64::from_le_bytes(head.try_into().ok()?))
-    }
-}
-
-impl SpillCodec for u32 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        if buf.len() < 4 {
-            return None;
-        }
-        let (head, rest) = buf.split_at(4);
-        *buf = rest;
-        Some(u32::from_le_bytes(head.try_into().ok()?))
-    }
-}
-
-impl SpillCodec for u8 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let (&head, rest) = buf.split_first()?;
-        *buf = rest;
-        Some(head)
-    }
-}
-
-impl SpillCodec for bool {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(*self));
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        match u8::decode(buf)? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-}
-
-impl SpillCodec for Vec<u8> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u64).encode(buf);
-        buf.extend_from_slice(self);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let len = u64::decode(buf)? as usize;
-        if buf.len() < len {
-            return None;
-        }
-        let (head, rest) = buf.split_at(len);
-        *buf = rest;
-        Some(head.to_vec())
-    }
-}
-
-impl<A: SpillCodec, B: SpillCodec> SpillCodec for (A, B) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        Some((A::decode(buf)?, B::decode(buf)?))
-    }
-}
-
-impl<A: SpillCodec, B: SpillCodec, C: SpillCodec> SpillCodec for (A, B, C) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-        self.2.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        Some((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
-    }
-}
-
 /// RAII temp directory holding every spill artefact of one keyed pass.
 ///
 /// Shared via `Arc` by the pass's key-segment files; removing it (with all
@@ -288,14 +178,27 @@ impl Drop for SpillDir {
     }
 }
 
-/// Writes the shared header (magic, version, record count) into `buf`.
+/// Writes the header (magic, version, segment count) into `buf`.
 fn encode_header(buf: &mut Vec<u8>, count: u64) {
-    MAGIC.encode(buf);
-    VERSION.encode(buf);
-    count.encode(buf);
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&count.to_le_bytes());
 }
 
-/// Reads and validates the shared header, returning the record count.
+/// Splits a little-endian `u32` off the front of `bytes`.
+fn take_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
+    let (head, rest) = bytes.split_first_chunk()?;
+    Some((u32::from_le_bytes(*head), rest))
+}
+
+/// Splits a [`Record`], two little-endian `u64`s, off the front of `bytes`.
+fn take_record(bytes: &[u8]) -> Option<(Record, &[u8])> {
+    let (head, rest) = bytes.split_first_chunk()?;
+    let (tail, rest) = rest.split_first_chunk()?;
+    Some(([u64::from_le_bytes(*head), u64::from_le_bytes(*tail)], rest))
+}
+
+/// Reads and validates the header, returning the segment count.
 fn read_header<R: Read>(frames: &mut FrameReader<R>, path: &Path) -> Result<u64, SpillError> {
     let magic = frames.u64().map_err(|e| frame_err(path, e))?;
     if magic != MAGIC {
@@ -312,76 +215,6 @@ fn read_header<R: Read>(frames: &mut FrameReader<R>, path: &Path) -> Result<u64,
         });
     }
     frames.u64().map_err(|e| frame_err(path, e))
-}
-
-/// Encodes `items` into the shared spill framing (header + one
-/// length-prefixed frame per item) entirely in memory.
-pub fn encode_spill_bytes<T: SpillCodec>(items: &[T]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_header(&mut buf, items.len() as u64);
-    let mut scratch = Vec::new();
-    for item in items {
-        scratch.clear();
-        item.encode(&mut scratch);
-        (scratch.len() as u32).encode(&mut buf);
-        buf.extend_from_slice(&scratch);
-    }
-    buf
-}
-
-/// Decodes a spill stream (as produced by [`encode_spill_bytes`] or
-/// [`write_spill_file`]) from any reader. `origin` names the source in
-/// errors (a path, or `"<memory>"`).
-pub fn decode_spill_stream<T: SpillCodec, R: Read>(
-    src: R,
-    origin: &str,
-) -> Result<Vec<T>, SpillError> {
-    let path = Path::new(origin);
-    let mut frames = FrameReader::new(src, MAX_FRAME);
-    let count = read_header(&mut frames, path)?;
-    let mut out = Vec::new();
-    out.try_reserve(usize::try_from(count).unwrap_or(usize::MAX).min(1 << 20))
-        .map_err(|_| SpillError::Corrupt {
-            path: origin.to_string(),
-            detail: format!("record count {count} exceeds available memory"),
-        })?;
-    for i in 0..count {
-        let mut frame = frames.frame().map_err(|e| frame_err(path, e))?;
-        let item = T::decode(&mut frame).ok_or_else(|| SpillError::Corrupt {
-            path: origin.to_string(),
-            detail: format!("record {i} failed to decode"),
-        })?;
-        if !frame.is_empty() {
-            return Err(SpillError::Corrupt {
-                path: origin.to_string(),
-                detail: format!(
-                    "record {i} left {} trailing bytes in its frame",
-                    frame.len()
-                ),
-            });
-        }
-        out.push(item);
-    }
-    Ok(out)
-}
-
-/// Writes `items` to `path` in the shared spill framing, returning the bytes
-/// written.
-pub fn write_spill_file<T: SpillCodec>(path: &Path, items: &[T]) -> Result<u64, SpillError> {
-    let bytes = encode_spill_bytes(items);
-    let file = std::fs::File::create(path).map_err(|e| io_err(path, "create spill file", e))?;
-    let mut w = BufWriter::new(file);
-    w.write_all(&bytes)
-        .map_err(|e| io_err(path, "write spill file", e))?;
-    w.flush().map_err(|e| io_err(path, "flush spill file", e))?;
-    Ok(bytes.len() as u64)
-}
-
-/// Reads back a file written by [`write_spill_file`], streaming record by
-/// record (the whole file is never buffered).
-pub fn read_spill_file<T: SpillCodec>(path: &Path) -> Result<Vec<T>, SpillError> {
-    let file = std::fs::File::open(path).map_err(|e| io_err(path, "open spill file", e))?;
-    decode_spill_stream(std::io::BufReader::new(file), &path.display().to_string())
 }
 
 /// Where one bucket-addressed key segment sits in a [`KeySegmentFile`].
@@ -401,8 +234,8 @@ pub(crate) struct KeySegment {
 /// finishes, since segments are appended flush by flush).
 const HEADER_COUNT_OFFSET: u64 = 12;
 
-/// Appends **unsorted** bucket-addressed record segments to one file in the
-/// shared spill framing: one frame per segment, its payload the bucket index
+/// Appends **unsorted** bucket-addressed record segments to one key-segment
+/// file: one frame per segment, its payload the bucket index
 /// (`u32`) followed by the segment's [`Record`]s (two `u64`s each). The
 /// bucketed key counter ([`crate::keycount`]) flushes its scatter buffers
 /// through this when they outgrow the spill budget; the segment index —
@@ -607,10 +440,10 @@ impl KeySegmentReader<'_> {
             detail: format!("segment at offset {}: {detail}", segment.offset),
         };
         let mut frames = FrameReader::new(&self.file, MAX_FRAME);
-        let mut frame = frames.frame().map_err(|e| frame_err(path, e))?;
+        let frame = frames.frame().map_err(|e| frame_err(path, e))?;
         self.bytes_read += 4 + frame.len() as u64;
-        let bucket =
-            u32::decode(&mut frame).ok_or_else(|| corrupt("bucket index missing".into()))?;
+        let (bucket, frame) =
+            take_u32(frame).ok_or_else(|| corrupt("bucket index missing".into()))?;
         if bucket != segment.bucket {
             return Err(corrupt(format!(
                 "holds bucket {bucket}, the index says {}",
@@ -627,8 +460,8 @@ impl KeySegmentReader<'_> {
         let start = out.len();
         let mut keys = 0u64;
         let mut rest = frame;
-        while let Some((head, tail)) = <(u64, u64)>::decode(&mut rest) {
-            let record = [head, tail];
+        while let Some((record, next)) = take_record(rest) {
+            rest = next;
             let n = keys_of(&record);
             if !(1..=max_keys).contains(&n) {
                 let at = out.len() - start;
@@ -662,54 +495,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn primitive_codecs_roundtrip() {
-        let mut buf = Vec::new();
-        42u64.encode(&mut buf);
-        7u32.encode(&mut buf);
-        vec![1u8, 2, 3].encode(&mut buf);
-        (5u64, 6u64).encode(&mut buf);
-        let mut s = buf.as_slice();
-        assert_eq!(u64::decode(&mut s), Some(42));
-        assert_eq!(u32::decode(&mut s), Some(7));
-        assert_eq!(Vec::<u8>::decode(&mut s), Some(vec![1, 2, 3]));
-        assert_eq!(<(u64, u64)>::decode(&mut s), Some((5, 6)));
-        assert!(u64::decode(&mut s).is_none());
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let mut buf = Vec::new();
-        1234u64.encode(&mut buf);
-        let mut s = &buf[..4];
-        assert!(u64::decode(&mut s).is_none());
-        let mut buf2 = Vec::new();
-        vec![9u8; 100].encode(&mut buf2);
-        let mut s2 = &buf2[..20];
-        assert!(Vec::<u8>::decode(&mut s2).is_none());
-    }
-
-    #[test]
-    fn spill_roundtrip_in_memory() {
-        let items: Vec<(u64, u64)> = (0..1000).map(|i| (i, i * i)).collect();
-        let bytes = encode_spill_bytes(&items);
-        assert!(bytes.len() >= 16_000);
-        let back: Vec<(u64, u64)> =
-            decode_spill_stream(bytes.as_slice(), "<memory>").expect("in-memory roundtrip");
-        assert_eq!(back, items);
-    }
-
-    #[test]
-    fn spill_roundtrip_on_disk() {
-        let dir = SpillDir::create("unit").expect("create spill dir");
-        let path = dir.file("items.bin");
-        let items: Vec<u64> = (0..100).collect();
-        let bytes = write_spill_file(&path, &items).expect("write spill file");
-        assert_eq!(bytes, std::fs::metadata(&path).expect("spill file").len());
-        let back: Vec<u64> = read_spill_file(&path).expect("on-disk roundtrip");
-        assert_eq!(back, items);
-    }
-
-    #[test]
     fn spill_dir_is_removed_on_drop() {
         let dir = SpillDir::create("unit").expect("create spill dir");
         let path = dir
@@ -722,28 +507,7 @@ mod tests {
         assert!(!path.exists(), "spill dir must vanish with its last handle");
     }
 
-    #[test]
-    fn truncated_run_is_a_typed_error() {
-        let dir = SpillDir::create("unit").expect("create spill dir");
-        let path = dir.file("t.bin");
-        let records: Vec<(u64, u64)> = (0..100).map(|i| (i, i)).collect();
-        write_spill_file(&path, &records).expect("write spill file");
-        let bytes = std::fs::read(&path).expect("read back");
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
-        let err = read_spill_file::<(u64, u64)>(&path).expect_err("a cut file must not read");
-        assert!(matches!(err, SpillError::Truncated { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn corrupt_magic_is_a_typed_error() {
-        let dir = SpillDir::create("unit").expect("create spill dir");
-        let path = dir.file("bad.bin");
-        std::fs::write(&path, b"NOTSPILLxxxxxxxxxxxxxxxx").expect("write garbage");
-        let err = read_spill_file::<u64>(&path).expect_err("garbage header must not open");
-        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
-    }
-
-    /// Bytes of the shared header: magic, version, record count.
+    /// Bytes of the header: magic, version, segment count.
     const HEADER_BYTES: usize = 20;
 
     /// A test record: `key` standing for `n` keys.

@@ -15,11 +15,10 @@
 //!    misassembled, contigs with no anchor hits as unaligned.
 
 use ppa_seq::{Base, DnaString};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration of the reference alignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlignmentConfig {
     /// Anchor k-mer size.
     pub anchor_k: usize,
@@ -44,7 +43,7 @@ impl Default for AlignmentConfig {
 }
 
 /// Reference-based metrics (the remaining rows of Table IV).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReferenceMetrics {
     /// Percentage of reference positions covered by at least one aligned block.
     pub genome_fraction_percent: f64,

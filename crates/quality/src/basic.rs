@@ -1,10 +1,9 @@
 //! Reference-free assembly statistics.
 
 use ppa_seq::DnaString;
-use serde::{Deserialize, Serialize};
 
 /// Reference-free assembly statistics (the metrics of Table V).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BasicStats {
     /// Number of contigs at least `min_contig_length` long.
     pub num_contigs: usize,

@@ -4,10 +4,9 @@
 use crate::align::{align_contigs, AlignmentConfig, ReferenceMetrics};
 use crate::basic::{basic_stats, BasicStats};
 use ppa_seq::DnaString;
-use serde::{Deserialize, Serialize};
 
 /// A QUAST-style quality report for one assembly.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QuastReport {
     /// Name of the assembler that produced the assembly.
     pub assembler: String,

@@ -13,10 +13,9 @@
 use ppa_seq::{Base, DnaString};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the reference generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenomeConfig {
     /// Total length of the reference in base pairs.
     pub length: usize,
@@ -105,7 +104,7 @@ impl GenomeConfig {
 }
 
 /// A generated reference sequence plus provenance information.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceGenome {
     /// The reference sequence.
     pub sequence: DnaString,

@@ -15,11 +15,10 @@
 use crate::genome::{GenomeConfig, ReferenceGenome};
 use crate::reads::ReadSimConfig;
 use ppa_seq::ReadSet;
-use serde::{Deserialize, Serialize};
 
 /// A named dataset recipe: a reference-genome configuration plus a read
 /// simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetPreset {
     /// Dataset name (`sim-hc2`, `sim-hcx`, `sim-hc14`, `sim-bi`).
     pub name: String,

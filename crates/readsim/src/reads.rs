@@ -20,11 +20,10 @@ use crate::genome::ReferenceGenome;
 use ppa_seq::{Base, ReadSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 /// Parameters of the read simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadSimConfig {
     /// Read length in base pairs (the paper's datasets use 100–155 bp).
     pub read_length: usize,

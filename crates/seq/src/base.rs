@@ -5,14 +5,13 @@
 //! complementation (`A↔T`, `C↔G`) and conversions to and from ASCII.
 
 use crate::SeqError;
-use serde::{Deserialize, Serialize};
 
 /// A single DNA nucleotide.
 ///
 /// The discriminant values are exactly the 2-bit codes used throughout the
 /// assembler's packed representations, so `base as u8` / [`Base::from_code`]
 /// are the canonical conversions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Base {
     /// Adenine (code `00`).

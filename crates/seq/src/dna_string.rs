@@ -10,7 +10,6 @@
 use crate::base::Base;
 use crate::kmer::{Kmer, MAX_K};
 use crate::SeqError;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -28,7 +27,7 @@ fn rc_word(w: u64) -> u64 {
 }
 
 /// A 2-bit packed DNA sequence of arbitrary length.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct DnaString {
     words: Vec<u64>,
     len: usize,

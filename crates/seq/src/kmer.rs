@@ -23,7 +23,6 @@
 use crate::base::Base;
 use crate::fastx::BREAK;
 use crate::{DnaString, SeqError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum supported k (the sequence must fit in a `u64`).
@@ -38,7 +37,7 @@ pub const MAX_K: usize = 32;
 ///
 /// The paper calls the canonical orientation label `L` and the
 /// reverse-complemented orientation label `H` (Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Orientation {
     /// The k-mer as observed equals the canonical (lexicographically smaller) form.
     Forward,
@@ -70,7 +69,7 @@ impl Orientation {
 ///
 /// The packing is right-aligned: the most recently pushed (right-most) base
 /// occupies bits 1..0, and the left-most base occupies bits `2k-1..2k-2`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Kmer {
     packed: u64,
     k: u8,
@@ -287,7 +286,7 @@ impl fmt::Debug for Kmer {
 /// `orientation` records whether the originally observed k-mer was already
 /// canonical (`Forward`, label `L`) or had to be reverse-complemented
 /// (`ReverseComplement`, label `H`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 // ppa_lint: allow(test-only-pub) the return type of the public `Kmer::canonical` and `CanonicalScanner::push`
 pub struct CanonicalKmer {
     /// The canonical k-mer.

@@ -1,10 +1,6 @@
-//! Offline serde shim: re-exports the no-op derive macros so that
-//! `use serde::{Deserialize, Serialize};` + `#[derive(Serialize, Deserialize)]`
-//! compile without the real crate, plus a small hand-rolled binary
-//! reader/writer ([`bin`]) used by the checkpoint subsystem. See
+//! Offline serde shim: a small hand-rolled binary reader/writer ([`bin`])
+//! used by the checkpoint subsystem and the keyed pass's spill files. See
 //! `shims/README.md`.
-
-pub use serde_derive::{Deserialize, Serialize};
 
 pub mod bin {
     //! Minimal little-endian binary encoding.
