@@ -159,4 +159,31 @@ mod tests {
         assert_eq!(a.total_length(), 11);
         assert_eq!(a.largest_contig(), 8);
     }
+
+    #[test]
+    fn every_assembler_writes_the_same_contigs_every_run_at_any_worker_count() {
+        // Table IV's reads at `ppa reproduce --scale 0.02` and its k: each
+        // assembler's contigs, base for base, from two runs at one worker
+        // and one run at each of 2, 3 and 4 workers.
+        let reads = ppa_readsim::presets::sim_hc2()
+            .scaled(0.02)
+            .generate()
+            .reads;
+        for name in ["ppa", "abyss", "ray", "swap", "spaler"] {
+            let assembler = assembler_by_name(name).unwrap();
+            let contigs = |workers: usize| {
+                let params = BaselineParams {
+                    k: 25,
+                    workers,
+                    ..BaselineParams::default()
+                };
+                assembler.assemble(&reads, &params).contigs
+            };
+            let first = contigs(1);
+            assert!(!first.is_empty(), "{name}: no contigs");
+            for workers in [1, 2, 3, 4] {
+                assert!(contigs(workers) == first, "{name}: {workers} workers");
+            }
+        }
+    }
 }

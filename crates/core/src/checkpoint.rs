@@ -31,7 +31,10 @@
 //! packed direction+polarity / coverage). Packed k-mer columns keep Figure
 //! 8's form: a packed canonical k-mer column, a k column, a 32-bit adjacency
 //! bitmap column and the flattened per-slot coverages. All integers are
-//! little-endian via the `serde::bin` shim.
+//! little-endian. The module owns its codec: a `Writer` appends values to a
+//! `Vec`, so encoding cannot fail, and a `Reader` is a cursor over one
+//! section that knows its file name, so a short or malformed value is a typed
+//! error at its offset.
 //!
 //! # Crash safety and validation
 //!
@@ -59,7 +62,6 @@ use crate::stats::PhaseTimes;
 use crate::workflow::Contig;
 use ppa_pregel::{Metrics, SuperstepMetrics};
 use ppa_seq::{DnaString, Kmer, ReadSet};
-use serde::bin::{BinError, Reader, Writer};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -165,21 +167,179 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Maps a binary-decoding error in `file` to a typed checkpoint error.
-fn bin_err(file: &str, e: BinError) -> CheckpointError {
-    match e {
-        BinError::Truncated {
-            offset,
-            needed,
-            remaining,
-        } => CheckpointError::Truncated {
-            file: file.to_string(),
-            detail: format!("offset {offset}: needed {needed} bytes, {remaining} remain"),
-        },
-        BinError::Invalid { offset, what } => CheckpointError::Corrupt {
-            file: file.to_string(),
-            detail: format!("offset {offset}: {what}"),
-        },
+// ---------------------------------------------------------------------------
+// The codec: little-endian values appended to a `Vec`, read back off a slice
+// ---------------------------------------------------------------------------
+
+/// Appends little-endian values to a section's bytes. Writing into a `Vec`
+/// cannot fail, so neither can an encoder.
+#[derive(Default)]
+struct Writer(Vec<u8>);
+
+impl Writer {
+    fn raw(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+
+    /// One byte, 0 or 1.
+    fn bool(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    /// The IEEE-754 bit pattern, so the value round-trips exactly.
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// A `u64` byte length, then the UTF-8 bytes.
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.raw(s.as_bytes());
+    }
+}
+
+/// Reads a section back: a cursor over its bytes that knows the section's
+/// file name, so a short or malformed value is a typed [`CheckpointError`]
+/// at its offset, never a panic.
+struct Reader<'a> {
+    file: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(file: &'a str, bytes: &'a [u8]) -> Reader<'a> {
+        Reader {
+            file,
+            bytes,
+            pos: 0,
+        }
+    }
+
+    /// The bytes not read yet.
+    fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
+    fn corrupt(&self, detail: impl fmt::Display) -> CheckpointError {
+        CheckpointError::Corrupt {
+            file: self.file.into(),
+            detail: detail.to_string(),
+        }
+    }
+
+    fn truncated(&self, needed: usize) -> CheckpointError {
+        CheckpointError::Truncated {
+            file: self.file.into(),
+            detail: format!(
+                "offset {}: needed {needed} bytes, {} remain",
+                self.pos,
+                self.rest().len()
+            ),
+        }
+    }
+
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+        let bytes = self.rest().get(..n).ok_or_else(|| self.truncated(n))?;
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let &head = self.rest().first_chunk().ok_or_else(|| self.truncated(N))?;
+        self.pos += N;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, CheckpointError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, CheckpointError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, CheckpointError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A `u64` read as a length or count (saturated where `usize` is
+    /// narrower, so it fails as truncation).
+    fn count(&mut self) -> Result<usize, CheckpointError> {
+        self.u64().map(|n| usize::try_from(n).unwrap_or(usize::MAX))
+    }
+
+    fn bool(&mut self) -> Result<bool, CheckpointError> {
+        let at = self.pos;
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(self.corrupt(format_args!(
+                "offset {at}: bool byte must be 0 or 1, got {b}"
+            ))),
+        }
+    }
+
+    fn str(&mut self) -> Result<&'a str, CheckpointError> {
+        let at = self.pos;
+        let len = self.count()?;
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|_| self.corrupt(format_args!("offset {at}: string is not valid UTF-8")))
+    }
+
+    /// A column of `n` values of `N` bytes each. Its bytes are taken before
+    /// anything is allocated, so a corrupt count fails as truncation instead
+    /// of reserving memory.
+    fn column<const N: usize, T>(
+        &mut self,
+        n: usize,
+        decode: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let bytes = self.take(n.saturating_mul(N))?;
+        Ok(bytes.as_chunks().0.iter().map(|&v| decode(v)).collect())
+    }
+
+    /// A `u64` count, then a [`column`](Reader::column) of that many values.
+    fn counted<const N: usize, T>(
+        &mut self,
+        decode: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let n = self.count()?;
+        self.column(n, decode)
+    }
+
+    /// A sequence of `len` bases: its 2-bit words, 32 bases to a word.
+    fn dna(&mut self, len: u64) -> Result<DnaString, CheckpointError> {
+        let at = self.pos;
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        let words = self.column(len.div_ceil(32), u64::from_le_bytes)?;
+        DnaString::from_raw_parts(words, len)
+            .map_err(|err| self.corrupt(format_args!("offset {at}: {err}")))
+    }
+
+    /// Refuses bytes after the last value.
+    fn finish(&self) -> Result<(), CheckpointError> {
+        match self.rest().len() {
+            0 => Ok(()),
+            n => Err(self.corrupt(format_args!("offset {}: {n} trailing bytes", self.pos))),
+        }
     }
 }
 
@@ -372,42 +532,36 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    fn encode(&self) -> Result<Vec<u8>, CheckpointError> {
-        // Writes into a Vec cannot fail in practice, but the codec rules ban
-        // `unwrap`, so the infallibility flows through `?` as an io error.
-        let mut w = Writer::new(Vec::new());
-        w.raw(&MAGIC)?;
-        w.u32(VERSION)?;
-        w.u64(self.completed_stages as u64)?;
-        w.u64(self.rounds.len() as u64)?;
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.raw(&MAGIC);
+        w.u32(VERSION);
+        w.u64(self.completed_stages as u64);
+        w.u64(self.rounds.len() as u64);
         for (name, round) in &self.rounds {
-            w.str(name)?;
-            w.u64(*round as u64)?;
+            w.str(name);
+            w.u64(*round as u64);
         }
-        w.u64(self.pipeline_fingerprint)?;
-        w.u64(self.reads_fingerprint)?;
-        w.u64(self.workers as u64)?;
-        w.bool(self.rewired)?;
-        w.u64(self.files.len() as u64)?;
+        w.u64(self.pipeline_fingerprint);
+        w.u64(self.reads_fingerprint);
+        w.u64(self.workers as u64);
+        w.bool(self.rewired);
+        w.u64(self.files.len() as u64);
         for f in &self.files {
-            w.str(&f.name)?;
-            w.u64(f.len)?;
-            w.u64(f.checksum)?;
+            w.str(&f.name);
+            w.u64(f.len);
+            w.u64(f.checksum);
         }
-        Ok(w.into_inner())
+        w.0
     }
 
     fn decode(bytes: &[u8]) -> Result<Manifest, CheckpointError> {
-        let file = MANIFEST_FILE;
-        let mut r = Reader::new(bytes);
-        let magic = r.take_magic().map_err(|e| bin_err(file, e))?;
+        let mut r = Reader::new(MANIFEST_FILE, bytes);
+        let magic: [u8; 8] = r.array()?;
         if magic != MAGIC {
-            return Err(CheckpointError::Corrupt {
-                file: file.into(),
-                detail: format!("bad magic {magic:02x?}"),
-            });
+            return Err(r.corrupt(format_args!("bad magic {magic:02x?}")));
         }
-        let version = r.u32().map_err(|e| bin_err(file, e))?;
+        let version = r.u32()?;
         if version != VERSION {
             return Err(CheckpointError::Mismatch {
                 what: "format version".into(),
@@ -415,60 +569,34 @@ impl Manifest {
                 actual: VERSION.to_string(),
             });
         }
-        let completed_stages = r.u64().map_err(|e| bin_err(file, e))? as usize;
-        let n_rounds = r.u64().map_err(|e| bin_err(file, e))? as usize;
+        let completed_stages = r.count()?;
+        // Rows are pushed as they are read: a corrupt count runs out of bytes.
         let mut rounds = Vec::new();
-        for _ in 0..n_rounds {
-            let name = r.str().map_err(|e| bin_err(file, e))?.to_string();
-            let round = r.u64().map_err(|e| bin_err(file, e))? as usize;
-            rounds.push((name, round));
+        for _ in 0..r.u64()? {
+            rounds.push((r.str()?.to_string(), r.count()?));
         }
-        let pipeline_fingerprint = r.u64().map_err(|e| bin_err(file, e))?;
-        let reads_fp = r.u64().map_err(|e| bin_err(file, e))?;
-        let workers = r.u64().map_err(|e| bin_err(file, e))? as usize;
-        let rewired = r.bool().map_err(|e| bin_err(file, e))?;
-        let n_files = r.u64().map_err(|e| bin_err(file, e))? as usize;
+        let pipeline_fingerprint = r.u64()?;
+        let reads_fingerprint = r.u64()?;
+        let workers = r.count()?;
+        let rewired = r.bool()?;
         let mut files = Vec::new();
-        for _ in 0..n_files {
-            let name = r.str().map_err(|e| bin_err(file, e))?.to_string();
-            let len = r.u64().map_err(|e| bin_err(file, e))?;
-            let checksum = r.u64().map_err(|e| bin_err(file, e))?;
+        for _ in 0..r.u64()? {
             files.push(FileEntry {
-                name,
-                len,
-                checksum,
+                name: r.str()?.to_string(),
+                len: r.u64()?,
+                checksum: r.u64()?,
             });
         }
-        if !r.is_empty() {
-            return Err(CheckpointError::Corrupt {
-                file: file.into(),
-                detail: format!("{} trailing bytes", r.remaining()),
-            });
-        }
+        r.finish()?;
         Ok(Manifest {
             completed_stages,
             rounds,
             pipeline_fingerprint,
-            reads_fingerprint: reads_fp,
+            reads_fingerprint,
             workers,
             rewired,
             files,
         })
-    }
-}
-
-/// Reads the fixed 8-byte magic.
-trait TakeMagic<'a> {
-    fn take_magic(&mut self) -> Result<[u8; 8], BinError>;
-}
-
-impl<'a> TakeMagic<'a> for Reader<'a> {
-    fn take_magic(&mut self) -> Result<[u8; 8], BinError> {
-        let mut out = [0u8; 8];
-        for b in &mut out {
-            *b = self.u8()?;
-        }
-        Ok(out)
     }
 }
 
@@ -488,222 +616,139 @@ fn pack_edge_meta(e: &Edge) -> u8 {
     (dir << 2) | e.polarity.index() as u8
 }
 
-fn unpack_edge_meta(
-    file: &str,
-    offset: usize,
-    byte: u8,
-) -> Result<(Direction, Polarity), CheckpointError> {
-    if byte > 0b111 {
-        return Err(CheckpointError::Corrupt {
-            file: file.into(),
-            detail: format!("offset {offset}: edge meta byte {byte:#04x} out of range"),
-        });
-    }
-    let direction = if byte >> 2 == 0 {
-        Direction::Out
-    } else {
-        Direction::In
+/// The direction and polarity packed in an edge meta byte, if it is one.
+fn unpack_edge_meta(byte: u8) -> Option<(Direction, Polarity)> {
+    let direction = match byte >> 2 {
+        0 => Direction::Out,
+        1 => Direction::In,
+        _ => return None,
     };
-    Ok((direction, Polarity::from_index(byte as usize & 0b11)))
+    Some((direction, Polarity::from_index(byte as usize & 0b11)))
 }
 
 /// Encodes a node slice as flat columns: ids, coverages, sequence tags,
 /// packed k-mers (+k), contig lengths + 2-bit words, edge counts, and
 /// flattened edge columns.
-fn encode_nodes(nodes: &[AsmNode]) -> Result<Vec<u8>, CheckpointError> {
-    let mut w = Writer::new(Vec::new());
-    w.u64(nodes.len() as u64)?;
+fn encode_nodes(nodes: &[AsmNode]) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u64(nodes.len() as u64);
+    nodes.iter().for_each(|n| w.u64(n.id));
+    nodes.iter().for_each(|n| w.u32(n.coverage));
     for n in nodes {
-        w.u64(n.id)?;
-    }
-    for n in nodes {
-        w.u32(n.coverage)?;
-    }
-    for n in nodes {
-        let tag = match &n.seq {
+        w.u8(match &n.seq {
             NodeSeq::Kmer(_) => TAG_KMER,
             NodeSeq::Contig(_) => TAG_CONTIG,
-        };
-        w.u8(tag)?;
+        });
     }
     // K-mer columns (packed bits, then k values), in node order.
-    for n in nodes {
-        if let NodeSeq::Kmer(k) = &n.seq {
-            w.u64(k.packed())?;
-        }
-    }
-    for n in nodes {
-        if let NodeSeq::Kmer(k) = &n.seq {
-            w.u8(k.k() as u8)?;
-        }
-    }
+    let kmers = || {
+        nodes.iter().filter_map(|n| match &n.seq {
+            NodeSeq::Kmer(k) => Some(k),
+            NodeSeq::Contig(_) => None,
+        })
+    };
+    kmers().for_each(|k| w.u64(k.packed()));
+    kmers().for_each(|k| w.u8(k.k() as u8));
     // Contig columns: base lengths, then all 2-bit words concatenated.
-    for n in nodes {
-        if let NodeSeq::Contig(s) = &n.seq {
-            w.u64(s.len() as u64)?;
-        }
-    }
-    for n in nodes {
-        if let NodeSeq::Contig(s) = &n.seq {
-            for &word in s.words() {
-                w.u64(word)?;
-            }
-        }
-    }
+    let contigs = || {
+        nodes.iter().filter_map(|n| match &n.seq {
+            NodeSeq::Kmer(_) => None,
+            NodeSeq::Contig(s) => Some(s),
+        })
+    };
+    contigs().for_each(|s| w.u64(s.len() as u64));
+    contigs()
+        .flat_map(DnaString::words)
+        .for_each(|&word| w.u64(word));
     // Edge columns.
-    for n in nodes {
-        w.u32(n.edges.len() as u32)?;
-    }
-    for n in nodes {
-        for e in &n.edges {
-            w.u64(e.neighbor)?;
-        }
-    }
-    for n in nodes {
-        for e in &n.edges {
-            w.u8(pack_edge_meta(e))?;
-        }
-    }
-    for n in nodes {
-        for e in &n.edges {
-            w.u32(e.coverage)?;
-        }
-    }
-    Ok(w.into_inner())
+    nodes.iter().for_each(|n| w.u32(n.edges.len() as u32));
+    let edges = || nodes.iter().flat_map(|n| &n.edges);
+    edges().for_each(|e| w.u64(e.neighbor));
+    edges().for_each(|e| w.u8(pack_edge_meta(e)));
+    edges().for_each(|e| w.u32(e.coverage));
+    w.0
 }
 
 fn decode_nodes(file: &str, bytes: &[u8]) -> Result<Vec<AsmNode>, CheckpointError> {
-    let mut r = Reader::new(bytes);
-    let e = |r: BinError| bin_err(file, r);
-    let n = r.u64().map_err(e)? as usize;
-    if n > bytes.len() {
-        // A node occupies far more than one byte; a count beyond the file
-        // size is certainly a corrupt header, not a plausible allocation.
-        return Err(CheckpointError::Corrupt {
-            file: file.into(),
-            detail: format!("node count {n} exceeds file size {}", bytes.len()),
-        });
-    }
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ids.push(r.u64().map_err(e)?);
-    }
+    let mut r = Reader::new(file, bytes);
+    let ids = r.counted(u64::from_le_bytes)?;
+    let n = ids.len();
     // A node set lists its nodes in strictly ascending ID order
     // (`NodeSource`), and labeling refuses any other.
     if let Some(at) = ids.iter().zip(ids.iter().skip(1)).position(|(a, b)| a >= b) {
-        return Err(CheckpointError::Corrupt {
-            file: file.into(),
-            detail: format!("node {}: IDs not strictly ascending", at + 1),
-        });
+        return Err(r.corrupt(format_args!("node {}: IDs not strictly ascending", at + 1)));
     }
-    let mut coverages = Vec::with_capacity(n);
-    for _ in 0..n {
-        coverages.push(r.u32().map_err(e)?);
-    }
-    let mut tags = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at = r.position();
-        let tag = r.u8().map_err(e)?;
-        if tag != TAG_KMER && tag != TAG_CONTIG {
-            return Err(CheckpointError::Corrupt {
-                file: file.into(),
-                detail: format!("offset {at}: unknown sequence tag {tag}"),
-            });
-        }
-        tags.push(tag);
+    let coverages = r.column(n, u32::from_le_bytes)?;
+    let tags_at = r.pos;
+    let tags = r.take(n)?;
+    if let Some((i, tag)) = tags
+        .iter()
+        .enumerate()
+        .find(|(_, &t)| !matches!(t, TAG_KMER | TAG_CONTIG))
+    {
+        let at = tags_at + i;
+        return Err(r.corrupt(format_args!("offset {at}: unknown sequence tag {tag}")));
     }
     let kmer_count = tags.iter().filter(|&&t| t == TAG_KMER).count();
-    let mut kmer_packed = Vec::with_capacity(kmer_count);
-    for _ in 0..kmer_count {
-        kmer_packed.push(r.u64().map_err(e)?);
-    }
-    let mut kmer_k = Vec::with_capacity(kmer_count);
-    for _ in 0..kmer_count {
-        kmer_k.push(r.u8().map_err(e)?);
-    }
-    let contig_count = n - kmer_count;
-    let mut contig_lens = Vec::with_capacity(contig_count);
-    for _ in 0..contig_count {
-        contig_lens.push(r.u64().map_err(e)? as usize);
-    }
-    let mut contig_words: Vec<Vec<u64>> = Vec::with_capacity(contig_count);
-    for &len in &contig_lens {
-        let words = len.div_ceil(32);
-        let mut v = Vec::with_capacity(words);
-        for _ in 0..words {
-            v.push(r.u64().map_err(e)?);
-        }
-        contig_words.push(v);
-    }
-    let mut edge_counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        edge_counts.push(r.u32().map_err(e)? as usize);
-    }
-    let total_edges: usize = edge_counts.iter().sum();
-    let mut edge_neighbors = Vec::with_capacity(total_edges);
-    for _ in 0..total_edges {
-        edge_neighbors.push(r.u64().map_err(e)?);
-    }
+    let kmer_packed = r.column(kmer_count, u64::from_le_bytes)?;
+    let kmer_k = r.take(kmer_count)?;
+    let contig_lens = r.column(n - kmer_count, u64::from_le_bytes)?;
+    let contig_seqs = contig_lens.into_iter().map(|len| r.dna(len));
+    let contig_seqs = contig_seqs.collect::<Result<Vec<_>, _>>()?;
+    let edge_counts = r.column(n, u32::from_le_bytes)?;
+    let total_edges = edge_counts.iter().map(|&c| c as usize).sum();
+    let edge_neighbors = r.column(total_edges, u64::from_le_bytes)?;
+    let meta_at = r.pos;
     let mut edge_meta = Vec::with_capacity(total_edges);
-    for _ in 0..total_edges {
-        let at = r.position();
-        edge_meta.push(unpack_edge_meta(file, at, r.u8().map_err(e)?)?);
+    for (i, &byte) in r.take(total_edges)?.iter().enumerate() {
+        let at = meta_at + i;
+        edge_meta.push(unpack_edge_meta(byte).ok_or_else(|| {
+            r.corrupt(format_args!(
+                "offset {at}: edge meta byte {byte:#04x} out of range"
+            ))
+        })?);
     }
-    let mut edge_coverages = Vec::with_capacity(total_edges);
-    for _ in 0..total_edges {
-        edge_coverages.push(r.u32().map_err(e)?);
-    }
-    if !r.is_empty() {
-        return Err(CheckpointError::Corrupt {
-            file: file.into(),
-            detail: format!("{} trailing bytes", r.remaining()),
-        });
-    }
+    let edge_coverages = r.column(total_edges, u32::from_le_bytes)?;
+    r.finish()?;
 
-    // Reassemble rows from the columns. Every column was filled with its
+    // Reassemble rows from the columns. Every column was read with its
     // exact counted length above, so consuming iterators (instead of
     // indexing, which the codec rules ban) can only underrun if the counts
     // themselves are inconsistent — which is reported as corruption.
-    let underrun = |what: &str| CheckpointError::Corrupt {
-        file: file.into(),
-        detail: format!("{what} column shorter than its counted entries"),
+    let underrun = |what: &str| {
+        r.corrupt(format_args!(
+            "{what} column shorter than its counted entries"
+        ))
     };
     let mut nodes = Vec::with_capacity(n);
     let mut kmers = kmer_packed.into_iter().zip(kmer_k);
-    let mut contigs = contig_lens.into_iter().zip(contig_words);
+    let mut contigs = contig_seqs.into_iter();
     let mut edge_cols = edge_neighbors
         .into_iter()
         .zip(edge_meta)
         .zip(edge_coverages);
     let rows = ids.into_iter().zip(coverages).zip(tags).zip(edge_counts);
-    for (i, (((id, coverage), tag), edge_count)) in rows.enumerate() {
+    for (i, (((id, coverage), &tag), edge_count)) in rows.enumerate() {
         let seq = if tag == TAG_KMER {
-            let (packed, k) = kmers.next().ok_or_else(|| underrun("k-mer"))?;
-            let kmer =
-                Kmer::from_packed(packed, k as usize).map_err(|err| CheckpointError::Corrupt {
-                    file: file.into(),
-                    detail: format!("k-mer column entry for node {i}: {err}"),
-                })?;
-            NodeSeq::Kmer(kmer)
+            let (packed, &k) = kmers.next().ok_or_else(|| underrun("k-mer"))?;
+            Kmer::from_packed(packed, k.into())
+                .map(NodeSeq::Kmer)
+                .map_err(|err| r.corrupt(format_args!("k-mer column entry for node {i}: {err}")))?
         } else {
-            let (len, words) = contigs.next().ok_or_else(|| underrun("contig"))?;
-            let s =
-                DnaString::from_raw_parts(words, len).map_err(|err| CheckpointError::Corrupt {
-                    file: file.into(),
-                    detail: format!("contig column entry for node {i}: {err}"),
-                })?;
-            NodeSeq::Contig(s)
+            NodeSeq::Contig(contigs.next().ok_or_else(|| underrun("contig"))?)
         };
-        let mut edges = Vec::with_capacity(edge_count);
-        for _ in 0..edge_count {
-            let ((neighbor, (direction, polarity)), coverage) =
-                edge_cols.next().ok_or_else(|| underrun("edge"))?;
-            edges.push(Edge {
+        let edges = edge_cols
+            .by_ref()
+            .take(edge_count as usize)
+            .map(|((neighbor, (direction, polarity)), coverage)| Edge {
                 neighbor,
                 direction,
                 polarity,
                 coverage,
-            });
+            })
+            .collect::<Vec<_>>();
+        if edges.len() != edge_count as usize {
+            return Err(underrun("edge"));
         }
         nodes.push(AsmNode {
             id,
@@ -718,141 +763,105 @@ fn decode_nodes(file: &str, bytes: &[u8]) -> Result<Vec<AsmNode>, CheckpointErro
 /// Encodes the k-mer graph as flat columns: packed canonical k-mers, the
 /// graph's k repeated per vertex, adjacency bitmaps, then every vertex's
 /// coverages in bit order — the coverage column as it is.
-fn encode_kmers(graph: &KmerGraph) -> Result<Vec<u8>, CheckpointError> {
-    let mut w = Writer::new(Vec::new());
-    w.u64(graph.len() as u64)?;
+fn encode_kmers(graph: &KmerGraph) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u64(graph.len() as u64);
+    graph.iter().for_each(|v| w.u64(v.id()));
+    (0..graph.len()).for_each(|_| w.u8(graph.k() as u8));
+    graph.iter().for_each(|v| w.u32(v.bitmap()));
     for v in graph.iter() {
-        w.u64(v.id())?;
+        v.coverages().iter().for_each(|&coverage| w.u32(coverage));
     }
-    for _ in 0..graph.len() {
-        w.u8(graph.k() as u8)?;
-    }
-    for v in graph.iter() {
-        w.u32(v.bitmap())?;
-    }
-    for v in graph.iter() {
-        for &coverage in v.coverages() {
-            w.u32(coverage)?;
-        }
-    }
-    Ok(w.into_inner())
+    w.0
 }
 
 fn decode_kmers(file: &str, bytes: &[u8]) -> Result<KmerGraph, CheckpointError> {
-    let mut r = Reader::new(bytes);
-    let e = |r: BinError| bin_err(file, r);
-    let corrupt = |detail: String| CheckpointError::Corrupt {
-        file: file.into(),
-        detail,
-    };
-    let n = r.u64().map_err(e)? as usize;
-    if n > bytes.len() {
-        return Err(corrupt(format!(
-            "vertex count {n} exceeds file size {}",
-            bytes.len()
+    let mut r = Reader::new(file, bytes);
+    let packed = r.counted(u64::from_le_bytes)?;
+    // One k for the whole graph, repeated per vertex.
+    let ks = r.take(packed.len())?;
+    let k = ks.first().copied().unwrap_or_default();
+    if let Some((i, ki)) = ks.iter().enumerate().find(|(_, &ki)| ki != k) {
+        return Err(r.corrupt(format_args!(
+            "k column not constant: vertex {i} has k = {ki}"
         )));
     }
-    let mut packed = Vec::with_capacity(n);
-    for _ in 0..n {
-        packed.push(r.u64().map_err(e)?);
-    }
-    // One k for the whole graph, repeated per vertex.
-    let mut k = None;
-    for i in 0..n {
-        let ki = r.u8().map_err(e)?;
-        if k.is_some_and(|k| k != ki) {
-            return Err(corrupt(format!(
-                "k column not constant: vertex {i} has k = {ki}"
-            )));
-        }
-        k = Some(ki);
-    }
-    let k = k.map_or(0, usize::from);
-    let mut bitmaps = Vec::with_capacity(n);
-    for _ in 0..n {
-        bitmaps.push(r.u32().map_err(e)?);
-    }
-    let slots: u64 = bitmaps.iter().map(|b| u64::from(b.count_ones())).sum();
-    let mut coverages = Vec::with_capacity(slots.min(bytes.len() as u64) as usize);
-    for _ in 0..slots {
-        coverages.push(r.u32().map_err(e)?);
-    }
-    if !r.is_empty() {
-        return Err(corrupt(format!("{} trailing bytes", r.remaining())));
-    }
+    let bitmaps = r.column(packed.len(), u32::from_le_bytes)?;
+    let slots = bitmaps.iter().map(|b| b.count_ones() as usize).sum();
+    let coverages = r.column(slots, u32::from_le_bytes)?;
+    r.finish()?;
     // Checks, in every build, what `KmerGraph::debug_validate` checks after
     // construction: canonical, strictly ascending k-mers (round 1 ranks by
     // position) and one counter per set bit.
-    KmerGraph::from_columns(k, packed, bitmaps, coverages).map_err(corrupt)
+    KmerGraph::from_columns(k.into(), packed, bitmaps, coverages).map_err(|e| r.corrupt(e))
 }
 
-fn encode_metrics(w: &mut Writer<Vec<u8>>, m: &Metrics) -> Result<(), CheckpointError> {
-    w.u64(m.supersteps as u64)?;
-    w.u64(m.total_messages)?;
-    w.u64(m.total_dropped)?;
-    w.u64(m.total_compute_calls)?;
-    w.u64(m.elapsed.as_nanos() as u64)?;
-    w.bool(m.converged)?;
-    w.f64(m.avg_frontier_density)?;
-    w.u64(m.peak_store_resident_bytes)?;
-    w.u64(m.total_cancellation_checks)?;
-    w.u64(m.spilled_bytes)?;
-    w.u64(m.spill_read_bytes)?;
-    w.u64(m.spilled_runs)?;
-    w.u64(m.per_superstep.len() as u64)?;
+fn encode_metrics(w: &mut Writer, m: &Metrics) {
+    w.u64(m.supersteps as u64);
+    w.u64(m.total_messages);
+    w.u64(m.total_dropped);
+    w.u64(m.total_compute_calls);
+    w.u64(m.elapsed.as_nanos() as u64);
+    w.bool(m.converged);
+    w.f64(m.avg_frontier_density);
+    w.u64(m.peak_store_resident_bytes);
+    w.u64(m.total_cancellation_checks);
+    w.u64(m.spilled_bytes);
+    w.u64(m.spill_read_bytes);
+    w.u64(m.spilled_runs);
+    w.u64(m.per_superstep.len() as u64);
     for s in &m.per_superstep {
-        w.u64(s.superstep as u64)?;
-        w.u64(s.active_vertices as u64)?;
-        w.u64(s.messages_sent)?;
-        w.u64(s.messages_dropped)?;
-        w.u64(s.elapsed.as_nanos() as u64)?;
-        w.u64(s.compute_elapsed.as_nanos() as u64)?;
-        w.u64(s.shuffle_elapsed.as_nanos() as u64)?;
-        w.f64(s.pool_utilization)?;
-        w.f64(s.frontier_density)?;
-        w.u64(s.store_resident_bytes)?;
-        w.f64(s.id_column_compression)?;
-        w.u64(s.cancellation_checks)?;
-        w.u64(s.spilled_bytes)?;
-        w.u64(s.spill_read_bytes)?;
-        w.u64(s.spilled_runs)?;
+        w.u64(s.superstep as u64);
+        w.u64(s.active_vertices as u64);
+        w.u64(s.messages_sent);
+        w.u64(s.messages_dropped);
+        w.u64(s.elapsed.as_nanos() as u64);
+        w.u64(s.compute_elapsed.as_nanos() as u64);
+        w.u64(s.shuffle_elapsed.as_nanos() as u64);
+        w.f64(s.pool_utilization);
+        w.f64(s.frontier_density);
+        w.u64(s.store_resident_bytes);
+        w.f64(s.id_column_compression);
+        w.u64(s.cancellation_checks);
+        w.u64(s.spilled_bytes);
+        w.u64(s.spill_read_bytes);
+        w.u64(s.spilled_runs);
     }
-    Ok(())
 }
 
-fn decode_metrics(file: &str, r: &mut Reader<'_>) -> Result<Metrics, CheckpointError> {
-    let e = |err: BinError| bin_err(file, err);
-    let supersteps = r.u64().map_err(e)? as usize;
-    let total_messages = r.u64().map_err(e)?;
-    let total_dropped = r.u64().map_err(e)?;
-    let total_compute_calls = r.u64().map_err(e)?;
-    let elapsed = Duration::from_nanos(r.u64().map_err(e)?);
-    let converged = r.bool().map_err(e)?;
-    let avg_frontier_density = r.f64().map_err(e)?;
-    let peak_store_resident_bytes = r.u64().map_err(e)?;
-    let total_cancellation_checks = r.u64().map_err(e)?;
-    let spilled_bytes = r.u64().map_err(e)?;
-    let spill_read_bytes = r.u64().map_err(e)?;
-    let spilled_runs = r.u64().map_err(e)?;
-    let n = r.u64().map_err(e)? as usize;
+fn decode_metrics(r: &mut Reader<'_>) -> Result<Metrics, CheckpointError> {
+    let nanos = |r: &mut Reader<'_>| r.u64().map(Duration::from_nanos);
+    let supersteps = r.count()?;
+    let total_messages = r.u64()?;
+    let total_dropped = r.u64()?;
+    let total_compute_calls = r.u64()?;
+    let elapsed = nanos(r)?;
+    let converged = r.bool()?;
+    let avg_frontier_density = r.f64()?;
+    let peak_store_resident_bytes = r.u64()?;
+    let total_cancellation_checks = r.u64()?;
+    let spilled_bytes = r.u64()?;
+    let spill_read_bytes = r.u64()?;
+    let spilled_runs = r.u64()?;
+    // Rows are pushed as they are read: a corrupt count runs out of bytes.
     let mut per_superstep = Vec::new();
-    for _ in 0..n {
+    for _ in 0..r.u64()? {
         per_superstep.push(SuperstepMetrics {
-            superstep: r.u64().map_err(e)? as usize,
-            active_vertices: r.u64().map_err(e)? as usize,
-            messages_sent: r.u64().map_err(e)?,
-            messages_dropped: r.u64().map_err(e)?,
-            elapsed: Duration::from_nanos(r.u64().map_err(e)?),
-            compute_elapsed: Duration::from_nanos(r.u64().map_err(e)?),
-            shuffle_elapsed: Duration::from_nanos(r.u64().map_err(e)?),
-            pool_utilization: r.f64().map_err(e)?,
-            frontier_density: r.f64().map_err(e)?,
-            store_resident_bytes: r.u64().map_err(e)?,
-            id_column_compression: r.f64().map_err(e)?,
-            cancellation_checks: r.u64().map_err(e)?,
-            spilled_bytes: r.u64().map_err(e)?,
-            spill_read_bytes: r.u64().map_err(e)?,
-            spilled_runs: r.u64().map_err(e)?,
+            superstep: r.count()?,
+            active_vertices: r.count()?,
+            messages_sent: r.u64()?,
+            messages_dropped: r.u64()?,
+            elapsed: nanos(r)?,
+            compute_elapsed: nanos(r)?,
+            shuffle_elapsed: nanos(r)?,
+            pool_utilization: r.f64()?,
+            frontier_density: r.f64()?,
+            store_resident_bytes: r.u64()?,
+            id_column_compression: r.f64()?,
+            cancellation_checks: r.u64()?,
+            spilled_bytes: r.u64()?,
+            spill_read_bytes: r.u64()?,
+            spilled_runs: r.u64()?,
         });
     }
     Ok(Metrics {
@@ -872,130 +881,63 @@ fn decode_metrics(file: &str, r: &mut Reader<'_>) -> Result<Metrics, CheckpointE
     })
 }
 
-fn encode_labels(labels: Option<&LabelOutcome>) -> Result<Vec<u8>, CheckpointError> {
-    let mut w = Writer::new(Vec::new());
-    match labels {
-        None => w.bool(false)?,
-        Some(outcome) => {
-            w.bool(true)?;
-            w.u64(outcome.labels.len() as u64)?;
-            for &label in &outcome.labels {
-                w.u32(label)?;
-            }
-            w.bool(outcome.used_cycle_fallback)?;
-            encode_metrics(&mut w, &outcome.metrics)?;
-        }
+fn encode_labels(labels: Option<&LabelOutcome>) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.bool(labels.is_some());
+    if let Some(outcome) = labels {
+        w.u64(outcome.labels.len() as u64);
+        outcome.labels.iter().for_each(|&label| w.u32(label));
+        w.bool(outcome.used_cycle_fallback);
+        encode_metrics(&mut w, &outcome.metrics);
     }
-    Ok(w.into_inner())
+    w.0
 }
 
 fn decode_labels(file: &str, bytes: &[u8]) -> Result<Option<LabelOutcome>, CheckpointError> {
-    let mut r = Reader::new(bytes);
-    let e = |err: BinError| bin_err(file, err);
-    if !r.bool().map_err(e)? {
-        if !r.is_empty() {
-            return Err(CheckpointError::Corrupt {
-                file: file.into(),
-                detail: format!("{} trailing bytes", r.remaining()),
-            });
-        }
-        return Ok(None);
-    }
-    let n = r.u64().map_err(e)? as usize;
-    if n > bytes.len() {
-        return Err(CheckpointError::Corrupt {
-            file: file.into(),
-            detail: format!("label count {n} exceeds file size {}", bytes.len()),
-        });
-    }
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        labels.push(r.u32().map_err(e)?);
-    }
-    let used_cycle_fallback = r.bool().map_err(e)?;
-    let metrics = decode_metrics(file, &mut r)?;
-    if !r.is_empty() {
-        return Err(CheckpointError::Corrupt {
-            file: file.into(),
-            detail: format!("{} trailing bytes", r.remaining()),
-        });
-    }
-    Ok(Some(LabelOutcome {
-        labels,
-        metrics,
-        used_cycle_fallback,
-        phases: PhaseTimes::default(),
-    }))
+    let mut r = Reader::new(file, bytes);
+    let outcome = if r.bool()? {
+        // Struct fields are read in the order they are written here.
+        Some(LabelOutcome {
+            labels: r.counted(u32::from_le_bytes)?,
+            used_cycle_fallback: r.bool()?,
+            metrics: decode_metrics(&mut r)?,
+            phases: PhaseTimes::default(),
+        })
+    } else {
+        None
+    };
+    r.finish()?;
+    Ok(outcome)
 }
 
-fn encode_output(output: &[Contig]) -> Result<Vec<u8>, CheckpointError> {
-    let mut w = Writer::new(Vec::new());
-    w.u64(output.len() as u64)?;
+fn encode_output(output: &[Contig]) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u64(output.len() as u64);
+    output.iter().for_each(|c| w.u64(c.id));
+    output.iter().for_each(|c| w.u32(c.coverage));
+    output.iter().for_each(|c| w.u64(c.sequence.len() as u64));
     for c in output {
-        w.u64(c.id)?;
+        c.sequence.words().iter().for_each(|&word| w.u64(word));
     }
-    for c in output {
-        w.u32(c.coverage)?;
-    }
-    for c in output {
-        w.u64(c.sequence.len() as u64)?;
-    }
-    for c in output {
-        for &word in c.sequence.words() {
-            w.u64(word)?;
-        }
-    }
-    Ok(w.into_inner())
+    w.0
 }
 
 fn decode_output(file: &str, bytes: &[u8]) -> Result<Vec<Contig>, CheckpointError> {
-    let mut r = Reader::new(bytes);
-    let e = |err: BinError| bin_err(file, err);
-    let n = r.u64().map_err(e)? as usize;
-    if n > bytes.len() {
-        return Err(CheckpointError::Corrupt {
-            file: file.into(),
-            detail: format!("contig count {n} exceeds file size {}", bytes.len()),
-        });
-    }
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ids.push(r.u64().map_err(e)?);
-    }
-    let mut coverages = Vec::with_capacity(n);
-    for _ in 0..n {
-        coverages.push(r.u32().map_err(e)?);
-    }
-    let mut lens = Vec::with_capacity(n);
-    for _ in 0..n {
-        lens.push(r.u64().map_err(e)? as usize);
-    }
-    // Row reassembly without indexing: all three columns were filled with
-    // exactly `n` entries, so the zip below visits every row.
-    let mut contigs = Vec::with_capacity(n);
-    for (i, ((id, coverage), len)) in ids.into_iter().zip(coverages).zip(lens).enumerate() {
-        let words = len.div_ceil(32);
-        let mut v = Vec::with_capacity(words);
-        for _ in 0..words {
-            v.push(r.u64().map_err(e)?);
-        }
-        let sequence =
-            DnaString::from_raw_parts(v, len).map_err(|err| CheckpointError::Corrupt {
-                file: file.into(),
-                detail: format!("contig {i}: {err}"),
-            })?;
+    let mut r = Reader::new(file, bytes);
+    let ids = r.counted(u64::from_le_bytes)?;
+    let coverages = r.column(ids.len(), u32::from_le_bytes)?;
+    let lens = r.column(ids.len(), u64::from_le_bytes)?;
+    // Row reassembly without indexing: all three columns hold exactly as
+    // many entries as the ID column, so the zip below visits every row.
+    let mut contigs = Vec::with_capacity(ids.len());
+    for ((id, coverage), len) in ids.into_iter().zip(coverages).zip(lens) {
         contigs.push(Contig {
             id,
-            sequence,
+            sequence: r.dna(len)?,
             coverage,
         });
     }
-    if !r.is_empty() {
-        return Err(CheckpointError::Corrupt {
-            file: file.into(),
-            detail: format!("{} trailing bytes", r.remaining()),
-        });
-    }
+    r.finish()?;
     Ok(contigs)
 }
 
@@ -1039,11 +981,11 @@ pub fn save_with_reads_fingerprint(
     fs::create_dir_all(&ckpt)?;
     let [s_nodes, s_labels, s_contigs, s_ambiguous, s_output] = SECTIONS;
     let sections: [(&str, Vec<u8>); 5] = [
-        (s_nodes, encode_kmers(&state.nodes)?),
-        (s_labels, encode_labels(state.labels.as_ref())?),
-        (s_contigs, encode_nodes(&state.contigs)?),
-        (s_ambiguous, encode_nodes(&state.ambiguous_kmers)?),
-        (s_output, encode_output(&state.output)?),
+        (s_nodes, encode_kmers(&state.nodes)),
+        (s_labels, encode_labels(state.labels.as_ref())),
+        (s_contigs, encode_nodes(&state.contigs)),
+        (s_ambiguous, encode_nodes(&state.ambiguous_kmers)),
+        (s_output, encode_output(&state.output)),
     ];
     let mut files = Vec::with_capacity(sections.len());
     for (file, bytes) in &sections {
@@ -1063,7 +1005,7 @@ pub fn save_with_reads_fingerprint(
         rewired: state.rewired,
         files,
     };
-    fs::write(ckpt.join(MANIFEST_FILE), manifest.encode()?)?;
+    fs::write(ckpt.join(MANIFEST_FILE), manifest.encode())?;
     // Keep only this snapshot: prune every other stage-* sibling.
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -1706,19 +1648,18 @@ mod tests {
 
         // In-memory round-trip of every section codec.
         for nodes in [&state.contigs, &state.ambiguous_kmers] {
-            let decoded = decode_nodes("contigs.col", &encode_nodes(nodes).unwrap())
-                .map_err(|e| e.to_string())?;
+            let decoded =
+                decode_nodes("contigs.col", &encode_nodes(nodes)).map_err(|e| e.to_string())?;
             if decoded != *nodes {
                 return Err(format!("node round-trip diverged for seed {seed}"));
             }
         }
         let kmers = &state.nodes;
-        let decoded =
-            decode_kmers("nodes.col", &encode_kmers(kmers).unwrap()).map_err(|e| e.to_string())?;
+        let decoded = decode_kmers("nodes.col", &encode_kmers(kmers)).map_err(|e| e.to_string())?;
         if decoded != *kmers {
             return Err(format!("packed k-mer round-trip diverged for seed {seed}"));
         }
-        let label_bytes = encode_labels(state.labels.as_ref()).unwrap();
+        let label_bytes = encode_labels(state.labels.as_ref());
         let labels = decode_labels("labels.col", &label_bytes).map_err(|e| e.to_string())?;
         if labels != state.labels {
             return Err(format!("label round-trip diverged for seed {seed}"));
@@ -1729,7 +1670,7 @@ mod tests {
                 "label truncation at {cut} not rejected for seed {seed}"
             ));
         }
-        let output = decode_output("output.col", &encode_output(&state.output).unwrap())
+        let output = decode_output("output.col", &encode_output(&state.output))
             .map_err(|e| e.to_string())?;
         if output != state.output {
             return Err(format!("output round-trip diverged for seed {seed}"));
@@ -1739,12 +1680,12 @@ mod tests {
         // error, and a flipped bit never panics: it decodes to a typed error
         // or to some other well-formed set (decoders must never panic on
         // malformed input; the manifest's checksum catches the flip).
-        let bytes = encode_nodes(&state.contigs).unwrap();
+        let bytes = encode_nodes(&state.contigs);
         let cut = (seed as usize) % bytes.len().max(1);
         if cut < bytes.len() && decode_nodes("contigs.col", &bytes[..cut]).is_ok() {
             return Err(format!("truncation at {cut} not rejected for seed {seed}"));
         }
-        let mut bytes = encode_kmers(kmers).unwrap();
+        let mut bytes = encode_kmers(kmers);
         let cut = (seed as usize) % bytes.len().max(1);
         if cut < bytes.len() && decode_kmers("nodes.col", &bytes[..cut]).is_ok() {
             return Err(format!(
@@ -1769,7 +1710,7 @@ mod tests {
             if kmers.len() < 2 {
                 break;
             }
-            let mut bytes = encode_kmers(kmers).unwrap();
+            let mut bytes = encode_kmers(kmers);
             mutation(&mut bytes);
             match decode_kmers("nodes.col", &bytes) {
                 Err(CheckpointError::Corrupt { detail, .. }) if detail.contains(want) => {}
@@ -1785,7 +1726,7 @@ mod tests {
                 if nodes.len() < 2 {
                     break;
                 }
-                let mut bytes = encode_nodes(nodes).unwrap();
+                let mut bytes = encode_nodes(nodes);
                 mutation(&mut bytes);
                 match decode_nodes(file, &bytes) {
                     Err(CheckpointError::Corrupt { detail, .. })
@@ -1819,7 +1760,7 @@ mod tests {
     fn a_descending_or_mixed_k_column_is_corrupt() {
         let graph = arb_kmer_graph(&mut Mix(21), 40);
         assert!(graph.len() > 2);
-        let bytes = encode_kmers(&graph).unwrap();
+        let bytes = encode_kmers(&graph);
         assert_eq!(decode_kmers("nodes.col", &bytes), Ok(graph));
         for (mutation, want) in [
             (swap_first_ids as fn(&mut [u8]), "not strictly ascending"),
@@ -1845,7 +1786,7 @@ mod tests {
         for (id, node) in nodes.iter_mut().enumerate() {
             node.id = id as u64 + 1;
         }
-        let bytes = encode_nodes(&nodes).unwrap();
+        let bytes = encode_nodes(&nodes);
         assert_eq!(decode_nodes("ambiguous.col", &bytes), Ok(nodes));
         for mutation in [swap_first_ids as fn(&mut [u8]), repeat_first_id] {
             let mut bytes = bytes.clone();
@@ -1860,31 +1801,355 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_packed_node_section_keeps_its_version_5_bytes() {
-        // Figure 9's path, a fork off it and a cycle of 4-mers; the digest
-        // was taken from the per-vertex encoding this format was defined by.
-        // Version 6 changed only the reads fingerprint in the manifest:
-        // `nodes.col` is still version 5's bytes.
-        let reads: ReadSet = [
+    /// Round 1 over Figure 9's path, a fork off it and a cycle of 4-mers:
+    /// construct's k-mer graph, ②'s label column (under fixed metrics, since
+    /// a run's own hold its clocks), ③'s contigs and ambiguous k-mers, and
+    /// those contigs as the output.
+    fn round_one_state(reads: &ReadSet) -> GraphState<'_> {
+        use crate::ops::construct::ConstructConfig;
+        use crate::ops::merge::MergeConfig;
+        use crate::pipeline::{Construct, FilterLength, Label, Merge, Stage};
+        let ctx = ppa_pregel::ExecCtx::new(2);
+        let mut state = GraphState::new(reads);
+        let construct = Construct::new(ConstructConfig {
+            k: 4,
+            min_coverage: 0,
+            batch_size: 1,
+        });
+        construct.run(&mut state, &ctx);
+        Label::list_ranking().run(&mut state, &ctx);
+        let nodes = state.nodes.clone();
+        let mut labels = state.labels.clone().unwrap();
+        labels.metrics = Metrics {
+            supersteps: 7,
+            total_messages: 123,
+            total_dropped: 4,
+            total_compute_calls: 56,
+            elapsed: Duration::from_nanos(1_234_567),
+            converged: true,
+            avg_frontier_density: 0.375,
+            peak_store_resident_bytes: 4096,
+            total_cancellation_checks: 3,
+            spilled_bytes: 0,
+            spill_read_bytes: 0,
+            spilled_runs: 0,
+            per_superstep: vec![SuperstepMetrics {
+                superstep: 0,
+                active_vertices: 13,
+                messages_sent: 20,
+                messages_dropped: 1,
+                elapsed: Duration::from_nanos(1000),
+                compute_elapsed: Duration::from_nanos(600),
+                shuffle_elapsed: Duration::from_nanos(300),
+                pool_utilization: 0.5,
+                frontier_density: 1.0,
+                store_resident_bytes: 2048,
+                id_column_compression: 0.25,
+                cancellation_checks: 1,
+                spilled_bytes: 0,
+                spill_read_bytes: 0,
+                spilled_runs: 0,
+            }],
+        };
+        let merge = Merge::new(MergeConfig {
+            k: 4,
+            tip_length_threshold: 0,
+        });
+        merge.run(&mut state, &ctx);
+        let mut filtered = state.clone();
+        FilterLength::new(0).run(&mut filtered, &ctx);
+        GraphState {
+            reads,
+            nodes,
+            labels: Some(labels),
+            contigs: state.contigs,
+            ambiguous_kmers: state.ambiguous_kmers,
+            rewired: false,
+            output: filtered.output,
+        }
+    }
+
+    fn figure_9_reads() -> ReadSet {
+        [
             ("path", "CTGCCGTACA"),
             ("fork", "CCGTACGGA"),
             ("cycle", "ATCGGAATCGGAATCG"),
         ]
         .into_iter()
-        .collect();
-        let config = crate::ops::construct::ConstructConfig {
-            k: 4,
-            min_coverage: 0,
-            batch_size: 1,
+        .collect()
+    }
+
+    /// Every file of `state`'s snapshot as `save_with_reads_fingerprint`
+    /// writes it, the sections in order and then the `MANIFEST`.
+    fn snapshot_files(state: &GraphState<'_>) -> Vec<(&'static str, Vec<u8>)> {
+        let [s_nodes, s_labels, s_contigs, s_ambiguous, s_output] = SECTIONS;
+        let mut files = vec![
+            (s_nodes, encode_kmers(&state.nodes)),
+            (s_labels, encode_labels(state.labels.as_ref())),
+            (s_contigs, encode_nodes(&state.contigs)),
+            (s_ambiguous, encode_nodes(&state.ambiguous_kmers)),
+            (s_output, encode_output(&state.output)),
+        ];
+        let manifest = Manifest {
+            completed_stages: 3,
+            rounds: vec![
+                ("construct".into(), 1),
+                ("label".into(), 1),
+                ("merge".into(), 1),
+            ],
+            pipeline_fingerprint: 0xfeed_beef,
+            reads_fingerprint: reads_fingerprint(state.reads),
+            workers: 2,
+            rewired: state.rewired,
+            files: files
+                .iter()
+                .map(|(name, bytes)| FileEntry {
+                    name: (*name).into(),
+                    len: bytes.len() as u64,
+                    checksum: checksum64(bytes),
+                })
+                .collect(),
         };
-        let ctx = ppa_pregel::ExecCtx::new(2);
-        let graph = crate::ops::construct::build_dbg_on(&ctx, &reads, &config).vertices;
-        assert_eq!(graph.len(), 13);
-        let bytes = encode_kmers(&graph).unwrap();
-        assert_eq!(bytes.len(), 281);
-        assert_eq!(fnv1a(&bytes), 0xf5c2_f8c1_baa0_3828);
-        assert_eq!(decode_kmers("nodes.col", &bytes), Ok(graph));
+        files.push((MANIFEST_FILE, manifest.encode()));
+        files
+    }
+
+    /// Decodes `bytes` with the decoder of `file`, past any checksum.
+    fn decode_file(file: &str, bytes: &[u8]) -> Result<(), CheckpointError> {
+        match file {
+            "nodes.col" => decode_kmers(file, bytes).map(drop),
+            "labels.col" => decode_labels(file, bytes).map(drop),
+            "contigs.col" | "ambiguous.col" => decode_nodes(file, bytes).map(drop),
+            "output.col" => decode_output(file, bytes).map(drop),
+            _ => Manifest::decode(bytes).map(drop),
+        }
+    }
+
+    #[test]
+    fn the_packed_node_section_keeps_its_version_5_bytes() {
+        // `nodes.col`'s digest was taken from the per-vertex encoding this
+        // format was defined by; version 6 changed only the reads
+        // fingerprint in the manifest, so it is still version 5's bytes. The
+        // other files' lengths and digests were recorded from version 8's
+        // encoders before this module took over its codec.
+        let reads = figure_9_reads();
+        let state = round_one_state(&reads);
+        assert_eq!(state.nodes.len(), 13);
+        assert_eq!((state.contigs.len(), state.ambiguous_kmers.len()), (3, 2));
+        assert_eq!(state.output.len(), 3);
+        let files = snapshot_files(&state);
+        let digests: Vec<(&str, usize, u64)> = files
+            .iter()
+            .map(|(file, bytes)| (*file, bytes.len(), fnv1a(bytes)))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                ("nodes.col", 281, 0xf5c2_f8c1_baa0_3828),
+                ("labels.col", 279, 0x06b4_3ef7_7928_c931),
+                ("contigs.col", 185, 0xd513_f790_bd72_abec),
+                ("ambiguous.col", 138, 0xc839_2b27_7daa_6f27),
+                ("output.col", 92, 0x655f_3b63_7b42_bc82),
+                ("MANIFEST", 301, 0x536c_8bba_abb8_dac3),
+            ]
+        );
+        let bytes = |i: usize| files[i].1.as_slice();
+        assert_eq!(decode_kmers("nodes.col", bytes(0)), Ok(state.nodes.clone()));
+        assert_eq!(
+            decode_labels("labels.col", bytes(1)),
+            Ok(state.labels.clone())
+        );
+        assert_eq!(
+            decode_nodes("contigs.col", bytes(2)),
+            Ok(state.contigs.clone())
+        );
+        assert_eq!(
+            decode_nodes("ambiguous.col", bytes(3)),
+            Ok(state.ambiguous_kmers.clone())
+        );
+        assert_eq!(decode_output("output.col", bytes(4)), Ok(state.output));
+        assert!(Manifest::decode(bytes(5)).is_ok());
+    }
+
+    /// The largest single allocation made by the current thread inside a
+    /// [`peak::largest_allocation`] call: the fuzz test's check that a
+    /// corrupt count reserves nothing it has not seen bytes for.
+    mod peak {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ARMED: Cell<bool> = const { Cell::new(false) };
+            static PEAK: Cell<usize> = const { Cell::new(0) };
+        }
+
+        fn note(size: usize) {
+            if ARMED.with(Cell::get) {
+                PEAK.with(|peak| peak.set(peak.get().max(size)));
+            }
+        }
+
+        /// The system allocator, noting each request's size.
+        pub(super) struct PeakAlloc;
+
+        // SAFETY: every call is forwarded to `System` with the caller's
+        // arguments, so `System`'s guarantees are this allocator's.
+        unsafe impl GlobalAlloc for PeakAlloc {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: forwarded under the caller's contract.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: forwarded under the caller's contract.
+                unsafe { System.alloc_zeroed(layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                // SAFETY: forwarded under the caller's contract.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: forwarded under the caller's contract.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+        }
+
+        /// Runs `f` and returns its value with the largest allocation it
+        /// made on this thread.
+        pub(super) fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+            PEAK.with(|peak| peak.set(0));
+            ARMED.with(|armed| armed.set(true));
+            let out = f();
+            ARMED.with(|armed| armed.set(false));
+            (out, PEAK.with(Cell::get))
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: peak::PeakAlloc = peak::PeakAlloc;
+
+    #[test]
+    fn mutated_files_decode_to_values_or_typed_errors() {
+        // Every file of round 1's snapshot, cut at every offset and with
+        // every bit of its first 64 bytes flipped, straight into its decoder:
+        // a value or a typed error, never a panic, and no allocation larger
+        // than one `AsmNode` (the largest row a decoder collects) per byte of
+        // the file. The error text itself takes a few dozen bytes, so the
+        // bound starts at 64 bytes of file.
+        let reads = figure_9_reads();
+        let files = snapshot_files(&round_one_state(&reads));
+        let check = |file: &str, bytes: &[u8], cut: bool| {
+            let (outcome, largest) =
+                peak::largest_allocation(|| std::panic::catch_unwind(|| decode_file(file, bytes)));
+            let what = format!("{file}, {} bytes", bytes.len());
+            let outcome = outcome.unwrap_or_else(|_| panic!("{what}: the decoder panicked"));
+            match outcome {
+                Ok(()) => assert!(!cut, "{what}: a cut file decoded"),
+                Err(CheckpointError::Truncated { .. })
+                | Err(CheckpointError::Corrupt { .. })
+                | Err(CheckpointError::Mismatch { .. }) => {}
+                Err(other) => panic!("{what}: untyped outcome {other:?}"),
+            }
+            let bound = bytes.len().max(64) * std::mem::size_of::<AsmNode>();
+            assert!(largest <= bound, "{what}: allocated {largest} bytes");
+        };
+        for (file, bytes) in &files {
+            for cut in 0..bytes.len() {
+                check(file, &bytes[..cut], true);
+            }
+            for bit in 0..8 * bytes.len().min(64) {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                check(file, &flipped, false);
+            }
+        }
+    }
+
+    #[test]
+    fn primitives_round_trip() {
+        let mut w = Writer::default();
+        w.u8(7);
+        w.bool(true);
+        w.u32(0xDEAD_BEEF);
+        w.u64(u64::MAX - 1);
+        w.f64(-0.125);
+        w.str("héllo");
+        w.u64(2);
+        w.u32(5);
+        w.u32(6);
+        let mut r = Reader::new("t.col", &w.0);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.bool(), Ok(true));
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64(), Ok(u64::MAX - 1));
+        assert_eq!(r.f64(), Ok(-0.125));
+        assert_eq!(r.str(), Ok("héllo"));
+        assert_eq!(r.counted(u32::from_le_bytes), Ok(vec![5, 6]));
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn truncated_reads_are_typed_errors() {
+        let bytes = 42u64.to_le_bytes();
+        for cut in 0..bytes.len() {
+            let err = Reader::new("t.col", &bytes[..cut]).u64().unwrap_err();
+            assert_eq!(
+                err,
+                CheckpointError::Truncated {
+                    file: "t.col".into(),
+                    detail: format!("offset 0: needed 8 bytes, {cut} remain"),
+                }
+            );
+        }
+        let err = Reader::new("t.col", &[1, 0, 9]).finish().unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_truncation_not_allocation() {
+        // A bogus length or count: refused before anything is reserved.
+        let bytes = u64::MAX.to_le_bytes();
+        let (err, largest) = peak::largest_allocation(|| {
+            let string = Reader::new("t.col", &bytes).str().unwrap_err();
+            let column = Reader::new("t.col", &bytes).counted(u64::from_le_bytes);
+            (string, column.unwrap_err())
+        });
+        assert!(matches!(err.0, CheckpointError::Truncated { .. }));
+        assert!(matches!(err.1, CheckpointError::Truncated { .. }));
+        assert!(largest < 1024, "allocated {largest} bytes");
+    }
+
+    #[test]
+    fn invalid_bool_and_utf8_rejected() {
+        let err = Reader::new("t.col", &[9]).bool().unwrap_err();
+        assert_eq!(
+            err,
+            CheckpointError::Corrupt {
+                file: "t.col".into(),
+                detail: "offset 0: bool byte must be 0 or 1, got 9".into(),
+            }
+        );
+        let mut w = Writer::default();
+        w.u64(2);
+        w.raw(&[0xFF, 0xFE]);
+        let err = Reader::new("t.col", &w.0).str().unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn errors_display_offsets() {
+        let mut r = Reader::new("labels.col", &[0, 0, 0]);
+        assert_eq!(r.take(2).map(<[u8]>::len), Ok(2));
+        let err = r.u32().unwrap_err().to_string();
+        assert!(
+            err.contains("labels.col") && err.contains("offset 2"),
+            "{err}"
+        );
     }
 
     proptest! {

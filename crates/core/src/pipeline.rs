@@ -1188,6 +1188,24 @@ impl<'o> Pipeline<'o> {
         let reads_fp = checkpoint
             .as_ref()
             .map(|_| checkpoint::reads_fingerprint(state.reads));
+        // The one way a snapshot is written: after `completed` flattened
+        // stages, with the round counters in name order.
+        let save = |dir: &Path,
+                    state: &GraphState<'_>,
+                    completed: usize,
+                    rounds: &FxHashMap<String, usize>| {
+            let mut round_list: Vec<(String, usize)> =
+                rounds.iter().map(|(n, r)| (n.clone(), *r)).collect();
+            round_list.sort();
+            let meta = CheckpointMeta {
+                completed_stages: completed,
+                rounds: round_list,
+                pipeline_fingerprint: fingerprint,
+                workers: ctx.workers(),
+            };
+            let reads_fp = reads_fp.expect("fingerprinted when checkpointing is on");
+            checkpoint::save_with_reads_fingerprint(dir, state, &meta, reads_fp)
+        };
         for (idx, stage) in flat.iter().enumerate().skip(start_at) {
             let stage: &dyn Stage = *stage;
             let name = stage.name().to_string();
@@ -1204,18 +1222,7 @@ impl<'o> Pipeline<'o> {
                     }
                     if let Some((dir, policy)) = checkpoint {
                         if !matches!(policy, CheckpointPolicy::Off) {
-                            let mut round_list: Vec<(String, usize)> =
-                                rounds.iter().map(|(n, r)| (n.clone(), *r)).collect();
-                            round_list.sort();
-                            let meta = CheckpointMeta {
-                                completed_stages: idx,
-                                rounds: round_list,
-                                pipeline_fingerprint: fingerprint,
-                                workers: ctx.workers(),
-                            };
-                            let reads_fp =
-                                reads_fp.expect("fingerprinted when checkpointing is on");
-                            checkpoint::save_with_reads_fingerprint(dir, state, &meta, reads_fp)?;
+                            save(dir, state, idx, rounds)?;
                         }
                     }
                     return Err(PipelineError::Cancelled {
@@ -1300,17 +1307,7 @@ impl<'o> Pipeline<'o> {
                             "injected fault: checkpoint write after stage {completed}"
                         ))));
                     }
-                    let mut round_list: Vec<(String, usize)> =
-                        rounds.iter().map(|(n, r)| (n.clone(), *r)).collect();
-                    round_list.sort();
-                    let meta = CheckpointMeta {
-                        completed_stages: completed,
-                        rounds: round_list,
-                        pipeline_fingerprint: fingerprint,
-                        workers: ctx.workers(),
-                    };
-                    let reads_fp = reads_fp.expect("fingerprinted when checkpointing is on");
-                    checkpoint::save_with_reads_fingerprint(dir, state, &meta, reads_fp)?;
+                    save(dir, state, completed, rounds)?;
                 }
             }
         }

@@ -66,7 +66,7 @@ impl Rule {
             }
             Rule::PanicFreeCodecs => {
                 "no unwrap/expect/panic!/slice-index in non-test code of \
-                 core/src/checkpoint.rs and shims/serde's bin codecs"
+                 core/src/checkpoint.rs, pregel/src/spill.rs and seq/src/fastx.rs"
             }
             Rule::EngineOnlyThreading => "thread::spawn/thread::scope only in pregel/src/engine.rs",
             Rule::NoSiphashHotPath => {

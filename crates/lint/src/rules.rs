@@ -18,7 +18,6 @@ const CODEC_FILES: &[&str] = &[
     "crates/core/src/checkpoint.rs",
     "crates/pregel/src/spill.rs",
     "crates/seq/src/fastx.rs",
-    "shims/serde/src/lib.rs",
 ];
 
 /// Files allowed to spawn OS threads: the persistent worker pool only.

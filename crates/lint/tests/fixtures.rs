@@ -164,7 +164,7 @@ pub fn decode(bytes: &[u8]) -> u8 {
 #[test]
 fn question_mark_indexing_fires() {
     let src = "fn f(b: &[u8]) -> Option<u8> { Some(b.first()?[0]) }\n";
-    let diags = diags_for("shims/serde/src/lib.rs", src);
+    let diags = diags_for("crates/pregel/src/spill.rs", src);
     assert_eq!(rules_of(&diags), vec![Rule::PanicFreeCodecs]);
 }
 

@@ -11,18 +11,18 @@
 //!
 //! A key-segment file is an 8-byte magic (`PPASPIL1`), a `u32` format
 //! version, a `u64` segment count, then `u32` length-prefixed frames, every
-//! integer little-endian; the header is read back through the streaming
-//! `serde::bin::FrameReader`. Per the PR 8 codec contract the entire module
-//! is panic-free outside tests: truncated or corrupt spill files surface as
-//! [`SpillError`] values, never as panics, and the `ppa_lint`
-//! `panic-free-codecs` rule enforces this at CI time.
+//! integer little-endian. The reader knows every segment's offset and length
+//! from the in-RAM index, so it reads the header and each frame whole with
+//! `read_exact` into one reused buffer and parses them off the slice. The
+//! entire module is panic-free outside tests: truncated or corrupt spill
+//! files surface as [`SpillError`] values, never as panics, and the
+//! `ppa_lint` `panic-free-codecs` rule enforces this at CI time.
 //!
 //! Temporary files live in a per-pass `SpillDir` under the system temp
 //! directory; the directory and every segment file are removed by RAII
 //! `Drop` impls, including on the cancellation unwind path.
 
 use crate::keycount::{keys_of, Record, RECORD_BYTES};
-use serde::bin::{FrameError, FrameReader};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,8 +34,7 @@ const MAGIC: u64 = u64::from_le_bytes(*b"PPASPIL1");
 /// Format version written after the magic.
 const VERSION: u32 = 1;
 
-/// Upper bound on a single frame; a corrupt length prefix fails fast as
-/// [`SpillError::Corrupt`] instead of triggering a gigantic allocation.
+/// Upper bound on a single frame, checked when a segment is written.
 const MAX_FRAME: u32 = 1 << 30;
 
 /// Whether the keyed pass may spill to disk, and at what threshold.
@@ -126,25 +125,6 @@ fn io_err(path: &Path, op: &'static str, e: std::io::Error) -> SpillError {
     }
 }
 
-fn frame_err(path: &Path, e: FrameError) -> SpillError {
-    let path = path.display().to_string();
-    match e {
-        FrameError::Io { op, message } => SpillError::Io { path, op, message },
-        FrameError::Truncated {
-            offset,
-            needed,
-            got,
-        } => SpillError::Truncated {
-            path,
-            detail: format!("at offset {offset}: needed {needed} bytes, got {got}"),
-        },
-        FrameError::Invalid { offset, what } => SpillError::Corrupt {
-            path,
-            detail: format!("at offset {offset}: {what}"),
-        },
-    }
-}
-
 /// RAII temp directory holding every spill artefact of one keyed pass.
 ///
 /// Shared via `Arc` by the pass's key-segment files; removing it (with all
@@ -191,30 +171,17 @@ fn take_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
     Some((u32::from_le_bytes(*head), rest))
 }
 
-/// Splits a [`Record`], two little-endian `u64`s, off the front of `bytes`.
-fn take_record(bytes: &[u8]) -> Option<(Record, &[u8])> {
+/// Splits a little-endian `u64` off the front of `bytes`.
+fn take_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
     let (head, rest) = bytes.split_first_chunk()?;
-    let (tail, rest) = rest.split_first_chunk()?;
-    Some(([u64::from_le_bytes(*head), u64::from_le_bytes(*tail)], rest))
+    Some((u64::from_le_bytes(*head), rest))
 }
 
-/// Reads and validates the header, returning the segment count.
-fn read_header<R: Read>(frames: &mut FrameReader<R>, path: &Path) -> Result<u64, SpillError> {
-    let magic = frames.u64().map_err(|e| frame_err(path, e))?;
-    if magic != MAGIC {
-        return Err(SpillError::Corrupt {
-            path: path.display().to_string(),
-            detail: format!("bad magic {magic:#018x}"),
-        });
-    }
-    let version = frames.u32().map_err(|e| frame_err(path, e))?;
-    if version != VERSION {
-        return Err(SpillError::Corrupt {
-            path: path.display().to_string(),
-            detail: format!("unsupported spill format version {version}"),
-        });
-    }
-    frames.u64().map_err(|e| frame_err(path, e))
+/// Splits a [`Record`], two little-endian `u64`s, off the front of `bytes`.
+fn take_record(bytes: &[u8]) -> Option<(Record, &[u8])> {
+    let (head, rest) = take_u64(bytes)?;
+    let (tail, rest) = take_u64(rest)?;
+    Some(([head, tail], rest))
 }
 
 /// Where one bucket-addressed key segment sits in a [`KeySegmentFile`].
@@ -233,6 +200,9 @@ pub(crate) struct KeySegment {
 /// Byte offset of the header's record count (patched when the writer
 /// finishes, since segments are appended flush by flush).
 const HEADER_COUNT_OFFSET: u64 = 12;
+
+/// Bytes of the header: magic, version, segment count.
+const HEADER_BYTES: usize = 20;
 
 /// Appends **unsorted** bucket-addressed record segments to one key-segment
 /// file: one frame per segment, its payload the bucket index
@@ -378,6 +348,7 @@ impl KeySegmentFile {
         Ok(KeySegmentReader {
             file,
             of: self,
+            buf: Vec::new(),
             bytes_read: 0,
         })
     }
@@ -393,33 +364,60 @@ impl Drop for KeySegmentFile {
 pub(crate) struct KeySegmentReader<'a> {
     file: std::fs::File,
     of: &'a KeySegmentFile,
+    /// The bytes last read: the header, or one segment's frame.
+    buf: Vec<u8>,
     bytes_read: u64,
 }
 
 impl KeySegmentReader<'_> {
-    fn seek(&mut self, offset: u64) -> Result<(), SpillError> {
+    /// Reads the `len` bytes at `offset` into the buffer; a file that ends
+    /// first is [`SpillError::Truncated`].
+    fn read_at(&mut self, offset: u64, len: usize) -> Result<&[u8], SpillError> {
+        let path = &self.of.path;
         self.file
             .seek(SeekFrom::Start(offset))
-            .map(|_| ())
-            .map_err(|e| io_err(&self.of.path, "seek in segment file", e))
+            .map_err(|e| io_err(path, "seek in segment file", e))?;
+        self.buf.resize(len, 0);
+        self.file.read_exact(&mut self.buf).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                SpillError::Truncated {
+                    path: path.display().to_string(),
+                    detail: format!("at offset {offset}: needed {len} bytes"),
+                }
+            } else {
+                io_err(path, "read segment file", e)
+            }
+        })?;
+        self.bytes_read += len as u64;
+        Ok(&self.buf)
     }
 
     /// Checks the header against the in-RAM index.
     pub(crate) fn validate_header(&mut self) -> Result<(), SpillError> {
-        self.seek(0)?;
-        let mut frames = FrameReader::new(&self.file, MAX_FRAME);
-        let count = read_header(&mut frames, &self.of.path)?;
-        self.bytes_read += frames.offset();
-        if count != self.of.segments.len() as u64 {
-            return Err(SpillError::Corrupt {
-                path: self.of.path.display().to_string(),
-                detail: format!(
-                    "header counts {count} segments, the index holds {}",
-                    self.of.segments.len()
-                ),
-            });
+        let of = self.of;
+        let segments = of.segments.len() as u64;
+        let header = self.read_at(0, HEADER_BYTES)?;
+        let corrupt = |detail: String| SpillError::Corrupt {
+            path: of.path.display().to_string(),
+            detail,
+        };
+        // `read_at` returned the whole header, so every split succeeds.
+        let (magic, rest) = take_u64(header).unwrap_or_default();
+        let (version, rest) = take_u32(rest).unwrap_or_default();
+        let (count, _) = take_u64(rest).unwrap_or_default();
+        if magic != MAGIC {
+            Err(corrupt(format!("bad magic {magic:#018x}")))
+        } else if version != VERSION {
+            Err(corrupt(format!(
+                "unsupported spill format version {version}"
+            )))
+        } else if count != segments {
+            Err(corrupt(format!(
+                "header counts {count} segments, the index holds {segments}"
+            )))
+        } else {
+            Ok(())
         }
-        Ok(())
     }
 
     /// Appends the records of `segment` to `out`, each checked to stand for
@@ -433,28 +431,27 @@ impl KeySegmentReader<'_> {
         max_keys: u32,
         out: &mut Vec<Record>,
     ) -> Result<(), SpillError> {
-        self.seek(segment.offset)?;
-        let path = &self.of.path;
+        // The length prefix, the bucket index, then the records.
+        let len = 4 + segment.records as usize * RECORD_BYTES;
+        let of = self.of;
         let corrupt = |detail: String| SpillError::Corrupt {
-            path: path.display().to_string(),
+            path: of.path.display().to_string(),
             detail: format!("segment at offset {}: {detail}", segment.offset),
         };
-        let mut frames = FrameReader::new(&self.file, MAX_FRAME);
-        let frame = frames.frame().map_err(|e| frame_err(path, e))?;
-        self.bytes_read += 4 + frame.len() as u64;
-        let (bucket, frame) =
-            take_u32(frame).ok_or_else(|| corrupt("bucket index missing".into()))?;
+        let frame = self.read_at(segment.offset, 4 + len)?;
+        // `read_at` returned the whole frame, so both splits succeed.
+        let (prefix, frame) = take_u32(frame).unwrap_or_default();
+        let (bucket, frame) = take_u32(frame).unwrap_or_default();
+        if prefix as usize != len {
+            return Err(corrupt(format!(
+                "holds {prefix} bytes, the index says {} records",
+                segment.records
+            )));
+        }
         if bucket != segment.bucket {
             return Err(corrupt(format!(
                 "holds bucket {bucket}, the index says {}",
                 segment.bucket
-            )));
-        }
-        if frame.len() != segment.records as usize * RECORD_BYTES {
-            return Err(corrupt(format!(
-                "holds {} record bytes, the index says {} records",
-                frame.len(),
-                segment.records
             )));
         }
         let start = out.len();
@@ -506,9 +503,6 @@ mod tests {
         drop(dir);
         assert!(!path.exists(), "spill dir must vanish with its last handle");
     }
-
-    /// Bytes of the header: magic, version, segment count.
-    const HEADER_BYTES: usize = 20;
 
     /// A test record: `key` standing for `n` keys.
     fn rec(key: u64, n: u64) -> Record {

@@ -92,6 +92,7 @@ fn ascii8(codes: u64) -> [u8; 8] {
 
 /// One read of a [`ReadSlab`], borrowed from its columns.
 #[derive(Clone, Copy)]
+// ppa_lint: allow(test-only-pub) the read `ReadSlab::get` and the slab's iterators return
 pub struct Read<'a> {
     /// Record name: the header's first word, without the leading `>` / `@`.
     pub name: &'a [u8],
