@@ -47,6 +47,7 @@ pub fn count_canonical_kmers_on(
         },
         Records {
             max_keys: 1,
+            slab: None,
             expand: |records: &[Record], keys: &mut Vec<u64>| {
                 keys.extend(records.iter().map(|record| record[0]));
             },

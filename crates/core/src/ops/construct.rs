@@ -11,12 +11,15 @@
 //!   are discarded as likely sequencing errors. One scan of each read's
 //!   2-bit codes, straight from the read slab's packed words
 //!   ([`SuperKmerScanner::scan_codes`]), cuts it into super-k-mers — runs of
-//!   consecutive windows that share their minimizer, two words for up to
-//!   `k + 2 − m` windows — and scatters them into buckets addressed by the
-//!   minimizer's hash, about 1.5 bytes per window where a bare packed key
-//!   took 8. The fold expands every bucket's super-k-mers back into
-//!   canonical (k+1)-mers and counts them in a hash table sized by the
-//!   bucket's distinct keys; only the survivors are sorted, once, after the
+//!   consecutive windows that share their minimizer, up to `k + 2 − m` of
+//!   them — and scatters them into buckets addressed by the minimizer's
+//!   hash. A super-k-mer crosses the scatter as one word that points back
+//!   into the slab: the slab position of its first base and its window
+//!   count. Its bases are already there, two bits each, so it costs about
+//!   0.75 bytes per window where a bare packed key took 8. The fold reads
+//!   every bucket's super-k-mers back from the slab as canonical
+//!   (k+1)-mers and counts them in a hash table sized by the bucket's
+//!   distinct keys; only the survivors are sorted, once, after the
 //!   scatter's buffers are freed, and they come out in key order.
 //! * **Phase (ii)**: every surviving (k+1)-mer contributes one out-edge slot
 //!   to its prefix k-mer vertex and one in-edge slot to its suffix k-mer
@@ -41,13 +44,14 @@
 //! the jobs that follow with their `convert` extension. The rounds are kept
 //! here (scatter = shuffle, fold = reduce), but there is no general
 //! MapReduce and no `convert` job chaining: both phases run on the one
-//! keyed pass, whose records are two words wide, and the vertices are handed
-//! to labeling as the graph's columns.
+//! keyed pass, whose records are one or two words wide, and the vertices are
+//! handed to labeling as the graph's columns.
 
 use crate::adj::{edge_contributions, EdgeSlot};
 use crate::node::KmerGraph;
+use crate::stats::{Phase, PhaseClock, PhaseTimes};
 use ppa_pregel::keycount::{
-    count_keys_on, fold_buckets_on, Buckets, KeySink, Record, Records, KEYS_SHIFT,
+    count_keys_on, fold_buckets_on, Buckets, KeySink, Record, Records, SlabExtent, KEYS_SHIFT,
 };
 use ppa_pregel::{ExecCtx, MapReduceMetrics};
 use ppa_seq::kmer::{SuperKmer, SuperKmerScanner};
@@ -97,11 +101,11 @@ pub struct ConstructStats {
     /// Metrics of the counting phase, in the mini-MapReduce shape:
     /// `input_records` = read batches, `pairs_shuffled` = (k+1)-mer
     /// occurrences scattered — one per window, though they cross the scatter
-    /// as 16-byte super-k-mers of about ten windows each, where the shuffle
-    /// this replaced moved 16-byte `(key, count)` pairs pre-aggregated per
-    /// batch — `groups` = distinct (k+1)-mers, `output_records` = (k+1)-mers
-    /// kept, `spilled_runs` = times a worker's scatter buffers were flushed
-    /// to disk under a spill cap.
+    /// as 8-byte super-k-mer references of about ten windows each, where the
+    /// shuffle this replaced moved 16-byte `(key, count)` pairs
+    /// pre-aggregated per batch — `groups` = distinct (k+1)-mers,
+    /// `output_records` = (k+1)-mers kept, `spilled_runs` = times a worker's
+    /// scatter buffers were flushed to disk under a spill cap.
     pub phase1: MapReduceMetrics,
     /// Metrics of the vertex-building phase: `input_records` = (k+1)-mers
     /// kept, `pairs_shuffled` = the edge records they scattered, two each,
@@ -110,6 +114,9 @@ pub struct ConstructStats {
     pub phase2: MapReduceMetrics,
     /// Wall-clock time of the whole operation.
     pub elapsed: Duration,
+    /// The operation's [`Phase`]s: each phase's scatter and fold, and the
+    /// sort of phase (i)'s survivors.
+    pub phases: PhaseTimes,
 }
 
 /// Output of DBG construction: the k-mer vertices in their compact form.
@@ -161,8 +168,9 @@ pub fn count_kplus1_mers_on(
     let k = config.k;
     let scanner = SuperKmerScanner::new(k + 1).expect("k validated above");
     // Tasks are runs of read indices; each scans its reads' codes in the
-    // one packed bases column.
+    // one packed bases column, and its records point back into it.
     let batches: Vec<Range<usize>> = reads.records.chunk_ranges(config.batch_size).collect();
+    let words = reads.records.words();
     count_keys_on(
         ctx,
         &batches,
@@ -171,14 +179,23 @@ pub fn count_kplus1_mers_on(
             let batch = reads.records.range(batch.clone());
             batch.map(|r| r.len().saturating_sub(k)).sum()
         },
-        |batch, sink: &mut KeySink| {
+        |batch, sink: &mut KeySink<1>| {
             for read in reads.records.range(batch.clone()) {
-                scanner.scan_codes(read.codes(), |sk| sink.push(sk.minimizer_hash(), sk.record));
+                let start = read.start();
+                scanner.scan_codes(read.codes(), |sk| {
+                    sink.push(sk.minimizer_hash(), [sk.reference(start)]);
+                });
             }
         },
         Records {
             max_keys: scanner.max_windows() as u32,
-            expand: |records: &[Record], keys: &mut Vec<u64>| scanner.decode_into(records, keys),
+            slab: Some(SlabExtent {
+                bases: reads.total_bases() as u64,
+                window: (k + 1) as u32,
+            }),
+            expand: |records: &[Record<1>], keys: &mut Vec<u64>| {
+                scanner.decode_into(words, records.as_flattened(), keys);
+            },
         },
         config.min_coverage,
     )
@@ -219,10 +236,18 @@ fn fold_vertices(buckets: &mut Buckets<'_>, k: usize) -> KmerGraph {
 /// the pool size.
 pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) -> ConstructOutcome {
     let start = Instant::now();
+    let mut clock = PhaseClock::start();
     let k = config.k;
 
     // ---- phase (i): count canonical (k+1)-mers ------------------------------
     let (counted, phase1) = count_kplus1_mers_on(ctx, reads, config);
+    clock.lap_split(
+        Phase::CountScatter,
+        &[
+            (Phase::CountFold, phase1.fold_elapsed),
+            (Phase::CountSort, phase1.sort_elapsed),
+        ],
+    );
     // `groups` counts every distinct (k+1)-mer, kept or not.
     let distinct_kplus1 = phase1.groups;
     let kept_kplus1 = counted.len() as u64;
@@ -254,10 +279,15 @@ pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) ->
         1,
         |buckets: &mut Buckets<'_>| fold_vertices(buckets, k),
     );
+    clock.lap_split(
+        Phase::BuildScatter,
+        &[(Phase::BuildFold, phase2.fold_elapsed)],
+    );
     // The buckets are key ranges and the workers' ranges follow each other:
     // the vertices leave sorted by k-mer.
     let vertices = KmerGraph::concat(k, parts);
     vertices.debug_validate();
+    clock.lap(Phase::BuildFold);
     phase2.input_records = kept_kplus1;
     phase2.groups = vertices.len() as u64;
     phase2.output_records = vertices.len() as u64;
@@ -270,6 +300,7 @@ pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) ->
         phase1,
         phase2,
         elapsed: start.elapsed(),
+        phases: clock.times(),
     };
     ConstructOutcome { vertices, k, stats }
 }
@@ -422,9 +453,10 @@ mod tests {
     }
 
     #[test]
-    fn the_scatter_holds_under_two_and_a_half_bytes_per_window() {
+    fn the_scatter_holds_under_one_and_a_quarter_bytes_per_window() {
         // Simulated 1 %-error reads from both strands at k = 31, the shape of
-        // the paper's input; a bare packed key took 8 bytes per window.
+        // the paper's input; a bare packed key took 8 bytes per window, a
+        // two-word super-k-mer about 1.5.
         let genome = ppa_readsim::GenomeConfig {
             length: 20_000,
             seed: 3,
@@ -464,7 +496,7 @@ mod tests {
         let per_window = phase1.spilled_bytes as f64 / windows as f64;
         assert!(windows > 200_000, "{windows} windows");
         assert!(
-            per_window <= 2.5,
+            per_window <= 1.25,
             "{per_window:.2} bytes per window left the sinks"
         );
     }

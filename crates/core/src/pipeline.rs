@@ -397,8 +397,10 @@ impl StageDetails {
     pub fn summary(&self) -> String {
         match self {
             StageDetails::Construct(s) => format!(
-                "{} k-mer vertices from {} kept (k+1)-mers",
-                s.vertices, s.kept_kplus1_mers
+                "{} k-mer vertices from {} kept (k+1)-mers ({})",
+                s.vertices,
+                s.kept_kplus1_mers,
+                fmt_phases(&s.phases)
             ),
             StageDetails::Label(s) => {
                 let polls = if s.cancellation_checks > 0 {
@@ -1664,6 +1666,84 @@ mod tests {
             }
             assert_eq!(timed, 4, "{labeling:?}");
         }
+    }
+
+    #[test]
+    fn construct_phases_are_laps_of_its_own_stage_and_cover_it() {
+        // The heap ratchet's input: 30x 1 %-error reads of a 40 kb genome
+        // with a few `N`s, 1.2 M bases.
+        let genome = GenomeConfig {
+            length: 40_000,
+            seed: 5,
+            ..Default::default()
+        }
+        .generate();
+        let reads = ReadSimConfig {
+            read_length: 100,
+            coverage: 30.0,
+            substitution_rate: 0.01,
+            indel_rate: 0.0,
+            n_rate: 0.0005,
+            both_strands: true,
+            seed: 6,
+        }
+        .simulate(&genome);
+        assert!(reads.total_bases() >= 1_200_000);
+        let config = AssemblyConfig {
+            workers: 2,
+            error_correction_rounds: 1,
+            ..AssemblyConfig::default()
+        };
+        let mut state = GraphState::new(&reads);
+        let reports = Pipeline::paper_workflow(&config).run(&mut state, &ExecCtx::new(2));
+        let StageDetails::Construct(stats) = &reports[0].details else {
+            panic!("the first stage is construct");
+        };
+        let own = [
+            Phase::CountScatter,
+            Phase::CountFold,
+            Phase::CountSort,
+            Phase::BuildScatter,
+            Phase::BuildFold,
+        ];
+        for phase in Phase::ALL {
+            assert_eq!(
+                own.contains(&phase),
+                !stats.phases.get(phase).is_zero(),
+                "{}",
+                phase.name()
+            );
+        }
+        // The keyed passes' own laps sum to their clocks.
+        for pass in [&stats.phase1, &stats.phase2] {
+            assert_eq!(
+                pass.scatter_elapsed + pass.fold_elapsed + pass.sort_elapsed,
+                pass.elapsed
+            );
+        }
+        assert!(stats.phase2.sort_elapsed.is_zero());
+        // One clock's laps, covering all but the stage's bookkeeping.
+        let laps: Duration = own.iter().map(|&p| stats.phases.get(p)).sum();
+        assert!(laps <= stats.elapsed, "{laps:?} in {:?}", stats.elapsed);
+        assert!(
+            laps.as_secs_f64() >= 0.98 * stats.elapsed.as_secs_f64(),
+            "{laps:?} of {:?}",
+            stats.elapsed
+        );
+        // Every other stage's phases are its own.
+        for report in &reports[1..] {
+            let phases = match &report.details {
+                StageDetails::Label(stats) => stats.phases,
+                StageDetails::Merge { stats, .. } => stats.phases,
+                _ => continue,
+            };
+            assert!(
+                own.iter().all(|&p| phases.get(p).is_zero()),
+                "{}",
+                report.stage
+            );
+        }
+        assert!(reports[0].details.summary().contains("count fold"));
     }
 
     #[test]

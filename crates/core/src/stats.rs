@@ -24,10 +24,23 @@ pub struct StageTiming {
     pub elapsed: Duration,
 }
 
-/// A timed phase of contig labeling (②) or merging (③): the parts of a
-/// stage the phase clocks split its time into.
+/// A timed phase of DBG construction (①), contig labeling (②) or merging
+/// (③): the parts of a stage the phase clocks split its time into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
+    /// ① phase (i): cutting the reads into super-k-mers and scattering
+    /// them into buckets.
+    CountScatter,
+    /// ① phase (i): counting each bucket's (k+1)-mers and freeing the
+    /// scatter's buffers.
+    CountFold,
+    /// ① phase (i): sorting the (k+1)-mers kept.
+    CountSort,
+    /// ① phase (ii): scattering each kept (k+1)-mer's two edge records.
+    BuildScatter,
+    /// ① phase (ii): folding each bucket's edge records into vertices and
+    /// joining the workers' columns.
+    BuildFold,
     /// ②: the rank dictionary and every vertex's block key and ambiguity.
     Keys,
     /// ②: grouping the vertices by key and contracting each group's
@@ -46,7 +59,12 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in the order a run passes them.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 11] = [
+        Phase::CountScatter,
+        Phase::CountFold,
+        Phase::CountSort,
+        Phase::BuildScatter,
+        Phase::BuildFold,
         Phase::Keys,
         Phase::Contract,
         Phase::Job,
@@ -58,6 +76,11 @@ impl Phase {
     /// The phase's name, lower case.
     pub fn name(self) -> &'static str {
         match self {
+            Phase::CountScatter => "count scatter",
+            Phase::CountFold => "count fold",
+            Phase::CountSort => "count sort",
+            Phase::BuildScatter => "build scatter",
+            Phase::BuildFold => "build fold",
             Phase::Keys => "keys",
             Phase::Contract => "contract",
             Phase::Job => "job",
@@ -99,8 +122,20 @@ impl PhaseClock {
 
     /// Ends a lap now and adds it to `phase`.
     pub(crate) fn lap(&mut self, phase: Phase) {
+        self.lap_split(phase, &[]);
+    }
+
+    /// Ends a lap now that a callee has timed parts of: each of `parts` is
+    /// added to its phase, and what is left of the lap to `rest`.
+    pub(crate) fn lap_split(&mut self, rest: Phase, parts: &[(Phase, Duration)]) {
         let now = Instant::now();
-        self.times.0[phase as usize] += (now - self.lap).as_nanos() as u64;
+        let mut left = (now - self.lap).as_nanos() as u64;
+        for &(phase, part) in parts {
+            let part = (part.as_nanos() as u64).min(left);
+            self.times.0[phase as usize] += part;
+            left -= part;
+        }
+        self.times.0[rest as usize] += left;
         self.lap = now;
     }
 

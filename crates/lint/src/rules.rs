@@ -7,7 +7,7 @@
 
 use crate::lexer::{lex, Lexed, Tok, Token};
 use crate::report::{Diagnostic, Rule};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Files where `unsafe` is architecturally permitted (the worker pool's
 /// lifetime erasure, the radix scatter).
@@ -467,10 +467,13 @@ const PUB_ITEM_KEYWORDS: &[&str] = &[
 /// Maps every identifier named in non-test code to the files naming it.
 /// `use` declarations do not count — a re-export is not a caller — and
 /// neither do comments, literals or test regions, which the lexer already
-/// keeps out of the code tokens or marks.
+/// keeps out of the code tokens or marks. Nor does a name the file imports
+/// from `std`: there it names the standard library's item (`Read` after
+/// `use std::io::Read;`), not a workspace item of that name.
 fn collect_mentions(files: &[AnalyzedFile]) -> HashMap<&str, Vec<&str>> {
     let mut mentions: HashMap<&str, Vec<&str>> = HashMap::new();
     for file in files.iter().filter(|f| !f.is_test_file) {
+        let from_std = std_imports(&file.lexed.tokens);
         let mut in_use = false;
         for tok in &file.lexed.tokens {
             if tok.is_ident("use") {
@@ -478,7 +481,10 @@ fn collect_mentions(files: &[AnalyzedFile]) -> HashMap<&str, Vec<&str>> {
             } else if in_use && tok.is_punct(';') {
                 in_use = false;
             }
-            let Some(name) = tok.ident().filter(|_| !tok.in_test && !in_use) else {
+            let Some(name) = tok
+                .ident()
+                .filter(|name| !tok.in_test && !in_use && !from_std.contains(name))
+            else {
                 continue;
             };
             let named_by = mentions.entry(name).or_default();
@@ -488,6 +494,41 @@ fn collect_mentions(files: &[AnalyzedFile]) -> HashMap<&str, Vec<&str>> {
         }
     }
     mentions
+}
+
+/// The names non-test `use` declarations of `std` paths bring into a file:
+/// each path's last segment, or the alias an `as` gives it (`self` adds
+/// nothing).
+fn std_imports(tokens: &[Token]) -> HashSet<&str> {
+    let mut names = HashSet::new();
+    let mut i = 0;
+    while i < tokens.len() {
+        if !tokens[i].is_ident("use") || tokens[i].in_test {
+            i += 1;
+            continue;
+        }
+        let end = tokens[i..]
+            .iter()
+            .position(|t| t.is_punct(';'))
+            .map_or(tokens.len(), |p| i + p);
+        // The first segment, past a leading `::`.
+        let first = tokens[i + 1..end].iter().find(|t| !t.is_punct(':'));
+        if first.is_some_and(|t| t.is_ident("std")) {
+            for (j, tok) in tokens.iter().enumerate().take(end).skip(i + 1) {
+                let leaf = tokens
+                    .get(j + 1)
+                    .is_none_or(|t| t.is_punct(',') || t.is_punct('}') || t.is_punct(';'));
+                match tok.ident() {
+                    Some(name) if leaf && name != "self" => {
+                        names.insert(name);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        i = end;
+    }
+    names
 }
 
 /// Qualifiers that may stand between `pub` and an item keyword.

@@ -522,6 +522,38 @@ mod tests {
 }
 
 #[test]
+fn a_name_imported_from_std_is_no_caller() {
+    // The importer's `Read` is `std::io::Read`: it calls no workspace
+    // `Read`, so a `pub struct Read` that nothing else names is flagged.
+    let surface = "pub struct Read;\npub fn named() -> u64 { 1 }\n";
+    let importer = r#"
+use std::io::{BufWriter, Read, Write as W};
+pub fn load<R: Read>(r: R) -> u64 { ppa_seq::surface::named() }
+pub fn sink<S: W>(_: BufWriter<S>) {}
+"#;
+    let diags = analyze_pairs(&[
+        ("crates/seq/src/surface.rs", surface),
+        ("crates/ppa/src/io.rs", importer),
+    ]);
+    assert_eq!(rules_of(&diags), vec![Rule::TestOnlyPub]);
+    assert_eq!(diags[0].file, "crates/seq/src/surface.rs");
+    assert!(diags[0].message.contains("`Read`"), "{}", diags[0].message);
+    // A file that names it without importing the std item is a caller, and
+    // so is one whose `std` import is an alias of another name.
+    for caller in [
+        "pub fn f(r: ppa_seq::fastx::Read) {}\n",
+        "use std::io::Read as IoRead;\npub fn f(r: Read) {}\n",
+    ] {
+        let diags = analyze_pairs(&[
+            ("crates/seq/src/surface.rs", surface),
+            ("crates/ppa/src/io.rs", importer),
+            ("crates/ppa/src/user.rs", caller),
+        ]);
+        assert!(diags.is_empty(), "{caller}: {diags:?}");
+    }
+}
+
+#[test]
 fn test_only_pub_needs_a_reasoned_suppression_and_stays_in_its_crates() {
     let reasoned = "// ppa_lint: allow(test-only-pub) the seam the kmer tests diff against\npub fn seam() {}\n";
     assert!(analyze_pairs(&[("crates/seq/src/seam.rs", reasoned)]).is_empty());

@@ -3,19 +3,22 @@
 //! aggregate keyed data outside a Pregel job — the paper's mini MapReduce,
 //! with the scatter as its shuffle and the fold as its reduce.
 //!
-//! A record is two `u64`s and stands for one or more keys. That is enough
-//! for what the assembler aggregates: DBG construction counts canonical
-//! (k+1)-mers (operation ①, phase (i)), whose keys carry no payload and
-//! mostly get thrown away, and folds each kept (k+1)-mer's two edge
-//! contributions into k-mer vertices (phase (ii)), one key and one packed
-//! slot-and-coverage word per record. Consecutive windows of a read share all
-//! but one base, so phase (i) packs a run of them into one [`Record`] and
-//! ships each base once instead of once per window: it scatters super-k-mers,
-//! runs of windows that share a minimizer
-//! (`ppa_seq::kmer::SuperKmerScanner`), at about 1.5 bytes per window instead
-//! of 8. [`fold_buckets_on`] never builds `(key, value)` pairs, never
-//! presorts and never merges. It runs two phases on the context's worker
-//! pool:
+//! A record is `W` `u64`s, a const generic, and stands for one or more
+//! keys; its last word's top byte counts them. That is enough for what the
+//! assembler aggregates. DBG construction counts canonical (k+1)-mers
+//! (operation ①, phase (i)), whose keys carry no payload and mostly get
+//! thrown away, and folds each kept (k+1)-mer's two edge contributions into
+//! k-mer vertices (phase (ii)), one key and one packed slot-and-coverage word
+//! per two-word record. Consecutive windows of a read share all but one
+//! base, so phase (i) scatters super-k-mers, runs of windows that share a
+//! minimizer (`ppa_seq::kmer::SuperKmerScanner`), and since their bases are
+//! already in the read slab at two bits each, a one-word [`Record`] only
+//! points at them: the slab position of the first base and the window count,
+//! about 0.75 bytes per window where a bare key took 8 (and a record that
+//! carried its bases, 1.5). The fold reads the bases back from the slab
+//! ([`Records::slab`]). [`fold_buckets_on`] never builds `(key, value)`
+//! pairs, never presorts and never merges. It runs two phases on the
+//! context's worker pool:
 //!
 //! * **scatter** — every worker walks its share of the scan tasks once and
 //!   appends each record to one of 2^b buckets addressed by the top b bits
@@ -45,11 +48,13 @@
 //!
 //! The job's [`JobControl`](crate::JobControl) is polled at the barrier
 //! between the phases, on the coordinator thread. Each record is held once,
-//! as sixteen bytes, in one slab per scatter worker reserved up front from
-//! the caller's per-task key bound. The reservation is about ten times what
-//! the records fill, but its pages are mapped only on first write, and being
-//! that large it is its own mapping, which goes back to the kernel when the
-//! pass drops it at the end of the fold. (Page-sized blocks allocated on
+//! as `8 × W` bytes, in one slab per scatter worker reserved up front from
+//! the caller's per-task key bound: one record per key, so for phase (i) 8
+//! bytes per window. Chunks are 64 to 256 bytes whatever the width, so they
+//! hold twice as many one-word records. The reservation is about ten times
+//! what the records fill, but its pages are mapped only on first write, and
+//! being that large it is its own mapping, which goes back to the kernel
+//! when the pass drops it at the end of the fold. (Page-sized blocks allocated on
 //! demand and freed group by group as the fold drains them hold only what
 //! was pushed, but the allocator keeps freed blocks in the scatter workers'
 //! arenas, where later stages do not reuse them: measured on the
@@ -67,9 +72,11 @@
 //! directory (`spill::KeySegmentWriter`), and the buffers start over. b is
 //! derived from the budget where that is tighter than the cache, so that a
 //! bucket's working set is planned to fit the budget in the fold, which
-//! reads a bucket's segments back ahead of its in-RAM records. Every record
-//! is written at most once and read at most once, and the read-back checks
-//! every record's key count before the fold sees it.
+//! reads a bucket's segments back ahead of its in-RAM records. The budget
+//! and the chunk ends are planned in records of the job's width. Every
+//! record is written at most once and read at most once, and the read-back
+//! checks every record's key count before the fold sees it, and a slab
+//! reference's bases against the slab.
 
 use crate::engine::{EngineError, ExecCtx};
 use crate::metrics::MapReduceMetrics;
@@ -78,18 +85,21 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One scattered record: two words standing for one or more keys. The
-/// caller packs them as it likes, except that the second word's top bits,
-/// from [`KEYS_SHIFT`] up, count the keys the record stands for.
-pub type Record = [u64; 2];
+/// One scattered record: `W` words standing for one or more keys. The
+/// caller packs them as it likes, except that the last word's top bits, from
+/// [`KEYS_SHIFT`] up, count the keys the record stands for. DBG
+/// construction's count scatters one-word references into the read slab;
+/// its vertex fold and the baselines' counter, two-word records (the
+/// default).
+pub type Record<const W: usize = 2> = [u64; W];
 
-/// Where a record's key count starts in its second word.
+/// Where a record's key count starts in its last word.
 pub const KEYS_SHIFT: u32 = 56;
 
 /// The number of keys `record` stands for.
 #[inline(always)]
-pub(crate) fn keys_of(record: &Record) -> u32 {
-    (record[1] >> KEYS_SHIFT) as u32
+pub(crate) fn keys_of<const W: usize>(record: &Record<W>) -> u32 {
+    record.last().map_or(0, |word| (word >> KEYS_SHIFT) as u32)
 }
 
 /// How a job's records turn back into keys.
@@ -97,9 +107,35 @@ pub struct Records<E> {
     /// The most keys one record stands for. A record read back from a spill
     /// segment that counts none or more than this is corrupt.
     pub max_keys: u32,
+    /// The slab the records point into, for records that reference their
+    /// bases instead of carrying them; `None` for records that carry them.
+    pub slab: Option<SlabExtent>,
     /// Appends the keys of every record of the slice, in order, to the
     /// vector — for each record as many as its count says.
     pub expand: E,
+}
+
+/// A slab of bases that records point into: the bits of a record's first
+/// word below [`KEYS_SHIFT`] are the slab position of its first base, and a
+/// record of n keys covers `window + n − 1` bases from there. A record read
+/// back from a spill segment whose bases do not all lie in the slab is
+/// corrupt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlabExtent {
+    /// Bases the slab holds.
+    pub bases: u64,
+    /// Bases of one key's window.
+    pub window: u32,
+}
+
+/// What the read-back checks of every record of a spill segment before the
+/// fold sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordCheck {
+    /// The most keys one record stands for.
+    pub(crate) max_keys: u32,
+    /// The slab the records point into, if they do.
+    pub(crate) slab: Option<SlabExtent>,
 }
 
 /// Bytes a bucket's counting table should take at most: half of a typical
@@ -119,16 +155,14 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// outnumber the TLB entries and cache lines that keep appending cheap.
 const MAX_BUCKET_BITS: u32 = 12;
 
-/// log2 of the records per buffer chunk: a cache line at least, 256 bytes
-/// at most (a bucket's unfilled chunk tail is then < 256 bytes).
-const MIN_CHUNK_SHIFT: u32 = 2;
-const MAX_CHUNK_SHIFT: u32 = 4;
+/// Bytes of a buffer chunk: a cache line at least, 256 at most (a bucket's
+/// unfilled chunk tail is then < 256 bytes), whatever the record width.
+const MIN_CHUNK_BYTES: usize = 64;
+const MAX_CHUNK_BYTES: usize = 256;
 
-/// Bytes of one record, buffered or in a spill segment.
-pub(crate) const RECORD_BYTES: usize = std::mem::size_of::<Record>();
-
-/// Keys the fold expands before counting them.
-const KEY_BATCH: usize = 4 << 10;
+/// Records the fold expands at once, and so keys it counts at once: a few
+/// thousand.
+const RECORD_BATCH: usize = 512;
 
 /// The first table is sized as if this share of its bucket's keys were
 /// distinct (1 / 4: reads with 1 % errors give about that); every later one
@@ -154,9 +188,15 @@ struct Layout {
 
 impl Layout {
     /// Plans the layout for `total_keys` keys, of which a scatter worker
-    /// holds at most `held_records` records — under a spill budget, when it
-    /// checks the budget — with an optional per-worker budget in bytes.
-    fn plan(total_keys: usize, held_records: usize, budget: Option<usize>) -> Layout {
+    /// holds at most `held_records` records of `record_bytes` bytes each —
+    /// under a spill budget, when it checks the budget — with an optional
+    /// per-worker budget in bytes.
+    fn plan(
+        total_keys: usize,
+        held_records: usize,
+        record_bytes: usize,
+        budget: Option<usize>,
+    ) -> Layout {
         // A bucket's table should fit the cache — or the spill budget, where
         // that is tighter: it holds at most half as many keys as the largest
         // power of two of slots that does. The mean bucket is planned at half
@@ -178,12 +218,13 @@ impl Layout {
         // Every bucket ends in a partly filled chunk: keep those ends to
         // about half of what the worker holds.
         let chunk_records = (held_records / (2 * buckets)).max(1);
+        let records_in = |bytes: usize| (bytes / record_bytes).max(1).ilog2();
         Layout {
             shift: 64 - bits,
             mask: buckets as u64 - 1,
             chunk_shift: chunk_records
                 .ilog2()
-                .clamp(MIN_CHUNK_SHIFT, MAX_CHUNK_SHIFT),
+                .clamp(records_in(MIN_CHUNK_BYTES), records_in(MAX_CHUNK_BYTES)),
         }
     }
 
@@ -207,10 +248,10 @@ impl Layout {
 /// key bound (a record stands for one key at least), and a bucket is the
 /// linked list of the chunks it filled. The slab's pages are mapped on
 /// first write, so what is resident is what was pushed.
-pub struct KeySink {
+pub struct KeySink<const W: usize = 2> {
     layout: Layout,
     /// `chunks × 2^chunk_shift` records; zero pages until written.
-    slab: Vec<Record>,
+    slab: Vec<Record<W>>,
     /// Chunks handed out since the last [`clear`](KeySink::clear).
     used_chunks: usize,
     /// Per bucket: slab index of its next record. On a chunk boundary — also
@@ -237,11 +278,11 @@ const EMPTY_CHAIN: Chain = Chain {
     chunks: 0,
 };
 
-impl KeySink {
-    fn new(layout: Layout, chunks: usize) -> KeySink {
+impl<const W: usize> KeySink<W> {
+    fn new(layout: Layout, chunks: usize) -> KeySink<W> {
         KeySink {
             layout,
-            slab: vec![[0; 2]; chunks << layout.chunk_shift],
+            slab: vec![[0; W]; chunks << layout.chunk_shift],
             used_chunks: 0,
             next: vec![0; layout.buckets()],
             keys: vec![0; layout.buckets()],
@@ -252,7 +293,7 @@ impl KeySink {
 
     /// Appends one record to the bucket `hash` addresses.
     #[inline(always)]
-    pub fn push(&mut self, hash: u64, record: Record) {
+    pub fn push(&mut self, hash: u64, record: Record<W>) {
         // `wrapping_shr` + mask: a single bucket shifts by 64, which must
         // yield 0.
         let bucket = (hash.wrapping_shr(self.layout.shift) & self.layout.mask) as usize;
@@ -274,7 +315,7 @@ impl KeySink {
         let at = chunk << self.layout.chunk_shift;
         if at == self.slab.len() {
             self.slab
-                .resize((2 * at).max(1 << self.layout.chunk_shift), [0; 2]);
+                .resize((2 * at).max(1 << self.layout.chunk_shift), [0; W]);
         }
         self.used_chunks += 1;
         self.link.push(NO_CHUNK);
@@ -301,7 +342,7 @@ impl KeySink {
     }
 
     /// The buffered records of `bucket`, chunk by chunk, in push order.
-    fn fragments(&self, bucket: usize) -> impl Iterator<Item = &[Record]> {
+    fn fragments(&self, bucket: usize) -> impl Iterator<Item = &[Record<W>]> {
         let chunk_records = 1usize << self.layout.chunk_shift;
         let mut chunk = self.chains[bucket].first;
         let mut left = self.len_of(bucket);
@@ -319,7 +360,7 @@ impl KeySink {
 
     /// Bytes of the chunks in use — what the spill budget is held against.
     fn buffered_bytes(&self) -> usize {
-        (self.used_chunks << self.layout.chunk_shift) * RECORD_BYTES
+        (self.used_chunks << self.layout.chunk_shift) * std::mem::size_of::<Record<W>>()
     }
 
     /// Forgets every buffered record; the slab is kept.
@@ -333,7 +374,7 @@ impl KeySink {
 
     /// Appends every non-empty bucket to `writer` as one segment and starts
     /// over. Returns the keys the written records stand for.
-    fn flush_to(&mut self, writer: &mut KeySegmentWriter) -> Result<u64, SpillError> {
+    fn flush_to(&mut self, writer: &mut KeySegmentWriter<W>) -> Result<u64, SpillError> {
         let mut keys = 0u64;
         for bucket in 0..self.layout.buckets() {
             let len = self.len_of(bucket);
@@ -352,10 +393,24 @@ impl KeySink {
     }
 }
 
+impl<const W: usize> Drop for KeySink<W> {
+    /// Shrinks the slab to one record before freeing it. glibc raises its
+    /// mmap threshold to the size of every mapped block freed below 32 MiB,
+    /// so freeing a slab of, say, 18 MB would have every later buffer under
+    /// that size come from the heap, whose freed pages stay resident: the
+    /// process peak rose by a quarter on the benchmark's `xl` inputs. A
+    /// mapped block shrunk in place is remapped to a page, whose free moves
+    /// nothing.
+    fn drop(&mut self) {
+        self.slab.clear();
+        self.slab.shrink_to(1);
+    }
+}
+
 /// What one scatter worker hands to the fold phase.
-struct Scattered {
+struct Scattered<const W: usize> {
     /// The records still in RAM.
-    sink: KeySink,
+    sink: KeySink<W>,
     /// The segments it spilled, if its budget tripped.
     spilled: Option<KeySegmentFile>,
     /// Keys its records stand for, spilled or not.
@@ -370,19 +425,19 @@ type SpillSetup = Option<(Arc<SpillDir>, usize)>;
 
 /// One scatter worker: scans its tasks into a sink, spilling when over
 /// budget.
-fn scatter<I, SF>(
+fn scatter<const W: usize, I, SF>(
     worker: usize,
     tasks: &[I],
     layout: Layout,
     chunks: usize,
     spill: &SpillSetup,
     scan: &SF,
-) -> Result<Scattered, SpillError>
+) -> Result<Scattered<W>, SpillError>
 where
-    SF: Fn(&I, &mut KeySink),
+    SF: Fn(&I, &mut KeySink<W>),
 {
     let mut sink = KeySink::new(layout, chunks);
-    let mut writer: Option<KeySegmentWriter> = None;
+    let mut writer: Option<KeySegmentWriter<W>> = None;
     let (mut keys, mut flushes) = (0u64, 0u64);
     for (done, task) in tasks.iter().enumerate() {
         scan(task, &mut sink);
@@ -415,28 +470,28 @@ where
 /// the records every scatter worker put there, spilled or still in RAM.
 /// [`each`](Buckets::each) hands them to the fold one bucket at a time; a
 /// bucket's segments are read back, and checked, only then.
-pub struct Buckets<'a> {
+pub struct Buckets<'a, const W: usize = 2> {
     range: Range<usize>,
-    sides: &'a [Scattered],
+    sides: &'a [Scattered<W>],
     /// Every bucket's keys.
     totals: &'a [u64],
     /// Per scatter worker: a reader of its segment file, if it spilled.
-    readers: Vec<Option<KeySegmentReader<'a>>>,
-    /// The most keys one record stands for.
-    max_keys: u32,
+    readers: Vec<Option<KeySegmentReader<'a, W>>>,
+    /// What every record read back must satisfy.
+    check: RecordCheck,
     /// The first read-back failure; [`each`](Buckets::each) stops at it.
     failed: Option<SpillError>,
 }
 
-impl<'a> Buckets<'a> {
+impl<'a, const W: usize> Buckets<'a, W> {
     fn open(
         worker: usize,
         range: Range<usize>,
-        sides: &'a [Scattered],
+        sides: &'a [Scattered<W>],
         totals: &'a [u64],
-        max_keys: u32,
-    ) -> Result<Buckets<'a>, SpillError> {
-        let mut readers: Vec<Option<KeySegmentReader<'a>>> = sides
+        check: RecordCheck,
+    ) -> Result<Buckets<'a, W>, SpillError> {
+        let mut readers: Vec<Option<KeySegmentReader<'a, W>>> = sides
             .iter()
             .map(|side| side.spilled.as_ref().map(KeySegmentFile::open).transpose())
             .collect::<Result<_, _>>()?;
@@ -450,7 +505,7 @@ impl<'a> Buckets<'a> {
             sides,
             totals,
             readers,
-            max_keys,
+            check,
             failed: None,
         })
     }
@@ -466,10 +521,10 @@ impl<'a> Buckets<'a> {
     /// then every scatter worker's in RAM, in worker order, each in push
     /// order. Stops at the first segment that does not read back; the pass
     /// then raises that error, whatever the fold returns.
-    pub fn each(&mut self, mut fold: impl FnMut(usize, &mut dyn Iterator<Item = &[Record]>)) {
+    pub fn each(&mut self, mut fold: impl FnMut(usize, &mut dyn Iterator<Item = &[Record<W>]>)) {
         let sides = self.sides;
         // Allocated only once a bucket has spilled segments to read back.
-        let mut spilled: Vec<Record> = Vec::new();
+        let mut spilled: Vec<Record<W>> = Vec::new();
         for bucket in self.range.clone() {
             if self.totals[bucket] == 0 {
                 continue;
@@ -487,12 +542,12 @@ impl<'a> Buckets<'a> {
 
     /// Appends the records `bucket`'s segments hold to `into`, checking each
     /// record's key count against `max_keys` and their sum against the
-    /// segment's.
-    fn read_back(&mut self, bucket: usize, into: &mut Vec<Record>) -> Result<(), SpillError> {
+    /// segment's, and a reference's bases against its slab.
+    fn read_back(&mut self, bucket: usize, into: &mut Vec<Record<W>>) -> Result<(), SpillError> {
         for (side, reader) in self.sides.iter().zip(&mut self.readers) {
             if let (Some(file), Some(reader)) = (&side.spilled, reader) {
                 for segment in file.segments_of(bucket as u32) {
-                    reader.read_into(segment, self.max_keys, into)?;
+                    reader.read_into(segment, &self.check, into)?;
                 }
             }
         }
@@ -659,24 +714,34 @@ impl CountTable {
 /// one table and keeps those counted more than `theta` times, unsorted (the
 /// pass sorts them once its buffers are freed). Returns them and the
 /// distinct keys seen.
-fn count_buckets<E>(buckets: &mut Buckets<'_>, expand: &E, theta: u32) -> (Vec<(u64, u32)>, u64)
+fn count_buckets<const W: usize, E>(
+    buckets: &mut Buckets<'_, W>,
+    expand: &E,
+    theta: u32,
+) -> (Vec<(u64, u32)>, u64)
 where
-    E: Fn(&[Record], &mut Vec<u64>),
+    E: Fn(&[Record<W>], &mut Vec<u64>),
 {
     let mut table = CountTable::new();
+    let mut batch: Vec<Record<W>> = Vec::with_capacity(RECORD_BATCH);
     let mut keys: Vec<u64> = Vec::new();
     let mut kept = Vec::new();
     let mut distinct = 0u64;
     buckets.each(|bucket_keys, records| {
         table.start(bucket_keys);
-        // Fragments are a chunk at most: count their keys in batches.
+        // Fragments are a chunk at most: expand their records, and count
+        // their keys, in batches.
         for fragment in records {
-            expand(fragment, &mut keys);
-            if keys.len() >= KEY_BATCH {
+            batch.extend_from_slice(fragment);
+            if batch.len() >= RECORD_BATCH {
+                expand(&batch, &mut keys);
+                batch.clear();
                 table.add_all(&keys);
                 keys.clear();
             }
         }
+        expand(&batch, &mut keys);
+        batch.clear();
         table.add_all(&keys);
         keys.clear();
         distinct += table.drain(theta, &mut kept);
@@ -749,18 +814,21 @@ fn raise(e: SpillError) -> ! {
 /// following the one before — and the pass's metrics.
 ///
 /// `tasks` are handed to the pool workers in contiguous runs; `scan` pushes
-/// a task's records into the worker's [`KeySink`], each with the hash that
-/// picks its bucket, and `task_keys` bounds how many keys those records
-/// stand for (the buffers are sized from it; a scan that exceeds its bound
-/// only costs a reallocation). No record may stand for more than `max_keys`
-/// keys. A task is also the granule of the spill-budget check when the
-/// context carries a [`SpillPolicy`](crate::SpillPolicy) cap — see the
-/// [module docs](self). `scan` is dropped once the scatter is done, so what
-/// it owns is freed before the fold starts.
+/// a task's records, `W` words each, into the worker's [`KeySink`], each
+/// with the hash that picks its bucket, and `task_keys` bounds how many keys
+/// those records stand for (the buffers are sized from it; a scan that
+/// exceeds its bound only costs a reallocation). No record may stand for
+/// more than `max_keys` keys. A task is also the granule of the
+/// spill-budget check when the context carries a
+/// [`SpillPolicy`](crate::SpillPolicy) cap — see the [module docs](self).
+/// `scan` is dropped once the scatter is done, so what it owns is freed
+/// before the fold starts.
 ///
 /// The metrics count `input_records` = tasks, `pairs_shuffled` = keys the
 /// scattered records stand for, the spill counters (`spilled_runs` = budget
-/// trips) and `elapsed`; `groups` and `output_records` are the caller's to
+/// trips), `elapsed` and its two laps: `scatter_elapsed` (planning, the
+/// scans and their pushes) and `fold_elapsed` (the barrier, the folds and
+/// freeing the buffers). `groups` and `output_records` are the caller's to
 /// fill.
 ///
 /// # Panics
@@ -769,7 +837,7 @@ fn raise(e: SpillError) -> ! {
 /// the scatter→fold barrier and [`EngineError::Spill`] if segment I/O fails
 /// or a segment reads back corrupt, both by panic on the calling thread
 /// (caught by `try_run`-style wrappers).
-pub fn fold_buckets_on<I, HF, SF, T, FF>(
+pub fn fold_buckets_on<const W: usize, I, HF, SF, T, FF>(
     ctx: &ExecCtx,
     tasks: &[I],
     task_keys: HF,
@@ -780,36 +848,41 @@ pub fn fold_buckets_on<I, HF, SF, T, FF>(
 where
     I: Sync,
     HF: Fn(&I) -> usize,
-    SF: Fn(&I, &mut KeySink) + Sync,
+    SF: Fn(&I, &mut KeySink<W>) + Sync,
     T: Send,
-    FF: Fn(&mut Buckets<'_>) -> T + Sync,
+    FF: Fn(&mut Buckets<'_, W>) -> T + Sync,
 {
-    fold_buckets_with_barrier(ctx, tasks, task_keys, scan, max_keys, fold, |_| {
+    let check = RecordCheck {
+        max_keys,
+        slab: None,
+    };
+    fold_buckets_with_barrier(ctx, tasks, task_keys, scan, check, fold, |_| {
         ctx.poll_barrier()
     })
 }
 
-/// [`fold_buckets_on`] with the coordinator's action at the scatter→fold
-/// barrier made explicit (production polls the job control there; tests
-/// damage segment files).
-fn fold_buckets_with_barrier<I, HF, SF, T, FF>(
+/// [`fold_buckets_on`] with the record check and the coordinator's action at
+/// the scatter→fold barrier made explicit (production polls the job control
+/// there; tests damage segment files).
+fn fold_buckets_with_barrier<const W: usize, I, HF, SF, T, FF>(
     ctx: &ExecCtx,
     tasks: &[I],
     task_keys: HF,
     scan: SF,
-    max_keys: u32,
+    check: RecordCheck,
     fold: FF,
-    barrier: impl FnOnce(&[Scattered]),
+    barrier: impl FnOnce(&[Scattered<W>]),
 ) -> (Vec<T>, MapReduceMetrics)
 where
     I: Sync,
     HF: Fn(&I) -> usize,
-    SF: Fn(&I, &mut KeySink) + Sync,
+    SF: Fn(&I, &mut KeySink<W>) + Sync,
     T: Send,
-    FF: Fn(&mut Buckets<'_>) -> T + Sync,
+    FF: Fn(&mut Buckets<'_, W>) -> T + Sync,
 {
     let start = Instant::now();
     let workers = ctx.workers();
+    let record_bytes = std::mem::size_of::<Record<W>>();
     let spill: SpillSetup = ctx.spill().and_then(|p| p.cap()).map(|cap| {
         let dir = SpillDir::create("kc").unwrap_or_else(|e| raise(e));
         (dir, ((cap as usize) / (4 * workers)).max(1))
@@ -830,7 +903,7 @@ where
         .map(|share| share.iter().sum())
         .collect();
     let held = |keys: usize, overshoot: usize| {
-        budget.map_or(keys, |budget| keys.min(budget / RECORD_BYTES + overshoot))
+        budget.map_or(keys, |budget| keys.min(budget / record_bytes + overshoot))
     };
     let layout = Layout::plan(
         total_keys,
@@ -839,6 +912,7 @@ where
             .map(|&keys| held(keys, 0))
             .max()
             .unwrap_or(0),
+        record_bytes,
         budget,
     );
 
@@ -847,7 +921,7 @@ where
         .chunks(per_worker)
         .zip(share_keys.iter().map(|&keys| held(keys, largest_task)))
         .collect();
-    let sides: Vec<Scattered> = ctx
+    let sides: Vec<Scattered<W>> = ctx
         .pool()
         .run_per_worker(inputs, |w, (tasks, records)| {
             scatter(w, tasks, layout, layout.chunks_for(records), &spill, &scan)
@@ -856,6 +930,7 @@ where
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| raise(e));
     drop(scan);
+    let scattered = Instant::now();
 
     // ---- barrier: balance the buckets over the fold workers ----------------
     let mut totals = vec![0u64; layout.buckets()];
@@ -875,7 +950,7 @@ where
     let folded: Vec<(T, u64)> = ctx
         .pool()
         .run_per_worker(ranges, |w, range| {
-            let mut buckets = Buckets::open(w, range, &sides, &totals, max_keys)?;
+            let mut buckets = Buckets::open(w, range, &sides, &totals, check)?;
             let out = fold(&mut buckets);
             Ok((out, buckets.finish()?))
         })
@@ -900,7 +975,10 @@ where
         metrics.spill_read_bytes += read_bytes;
         outs.push(out);
     }
-    metrics.elapsed = start.elapsed();
+    let end = Instant::now();
+    metrics.scatter_elapsed = scattered - start;
+    metrics.fold_elapsed = end - scattered;
+    metrics.elapsed = end - start;
     (outs, metrics)
 }
 
@@ -915,12 +993,13 @@ where
 /// worker's survivors are sorted on the pool and the sorted runs are merged.
 ///
 /// The returned [`MapReduceMetrics`] are the pass's, with `groups` =
-/// distinct keys and `output_records` = keys kept.
+/// distinct keys, `output_records` = keys kept, and the survivors' sort and
+/// merge as `sort_elapsed`, the third lap of `elapsed`.
 ///
 /// # Panics
 ///
 /// As [`fold_buckets_on`].
-pub fn count_keys_on<I, HF, SF, E>(
+pub fn count_keys_on<const W: usize, I, HF, SF, E>(
     ctx: &ExecCtx,
     tasks: &[I],
     task_keys: HF,
@@ -931,8 +1010,8 @@ pub fn count_keys_on<I, HF, SF, E>(
 where
     I: Sync,
     HF: Fn(&I) -> usize,
-    SF: Fn(&I, &mut KeySink) + Sync,
-    E: Fn(&[Record], &mut Vec<u64>) + Sync,
+    SF: Fn(&I, &mut KeySink<W>) + Sync,
+    E: Fn(&[Record<W>], &mut Vec<u64>) + Sync,
 {
     count_keys_with_barrier(ctx, tasks, task_keys, scan, records, theta, |_| {
         ctx.poll_barrier()
@@ -941,32 +1020,36 @@ where
 
 /// [`count_keys_on`] with an explicit barrier action, as
 /// [`fold_buckets_with_barrier`].
-fn count_keys_with_barrier<I, HF, SF, E>(
+fn count_keys_with_barrier<const W: usize, I, HF, SF, E>(
     ctx: &ExecCtx,
     tasks: &[I],
     task_keys: HF,
     scan: SF,
     records: Records<E>,
     theta: u32,
-    barrier: impl FnOnce(&[Scattered]),
+    barrier: impl FnOnce(&[Scattered<W>]),
 ) -> (Vec<(u64, u32)>, MapReduceMetrics)
 where
     I: Sync,
     HF: Fn(&I) -> usize,
-    SF: Fn(&I, &mut KeySink) + Sync,
-    E: Fn(&[Record], &mut Vec<u64>) + Sync,
+    SF: Fn(&I, &mut KeySink<W>) + Sync,
+    E: Fn(&[Record<W>], &mut Vec<u64>) + Sync,
 {
-    let start = Instant::now();
-    let Records { max_keys, expand } = records;
+    let Records {
+        max_keys,
+        slab,
+        expand,
+    } = records;
     let (parts, mut metrics) = fold_buckets_with_barrier(
         ctx,
         tasks,
         task_keys,
         scan,
-        max_keys,
+        RecordCheck { max_keys, slab },
         |buckets| count_buckets(buckets, &expand, theta),
         barrier,
     );
+    let folded = Instant::now();
     let mut runs = Vec::with_capacity(parts.len());
     for (kept, distinct) in parts {
         metrics.groups += distinct;
@@ -982,7 +1065,8 @@ where
     });
     let kept = merge_disjoint_runs(runs);
     metrics.output_records = kept.len() as u64;
-    metrics.elapsed = start.elapsed();
+    metrics.sort_elapsed = folded.elapsed();
+    metrics.elapsed += metrics.sort_elapsed;
     (kept, metrics)
 }
 
@@ -1014,32 +1098,50 @@ mod tests {
     /// The most keys a test record stands for.
     const RUN: u32 = 5;
 
-    /// The tests' record format: `[key, n << KEYS_SHIFT]` stands for `n`
-    /// copies of `key`.
-    fn expand_runs(records: &[Record], keys: &mut Vec<u64>) {
-        for record in records {
-            keys.extend(std::iter::repeat_n(record[0], keys_of(record) as usize));
+    /// The tests' record format: `n` copies of `key`, the key in the first
+    /// word and `n` in the last's top byte — `[key, n << KEYS_SHIFT]` two
+    /// words wide, `[key | n << KEYS_SHIFT]` one word wide, which holds keys
+    /// below 2^56 only.
+    fn rec<const W: usize>(key: u64, n: u64) -> Record<W> {
+        let mut record = [0; W];
+        record[0] = key;
+        record[W - 1] |= n << KEYS_SHIFT;
+        record
+    }
+
+    /// The key of a test record.
+    fn key_of<const W: usize>(record: &Record<W>) -> u64 {
+        match W {
+            1 => record[0] & ((1 << KEYS_SHIFT) - 1),
+            _ => record[0],
         }
     }
 
-    type Expand = fn(&[Record], &mut Vec<u64>);
+    fn expand_runs<const W: usize>(records: &[Record<W>], keys: &mut Vec<u64>) {
+        for record in records {
+            keys.extend(std::iter::repeat_n(
+                key_of(record),
+                keys_of(record) as usize,
+            ));
+        }
+    }
 
-    fn runs() -> Records<Expand> {
+    type Expand<const W: usize> = fn(&[Record<W>], &mut Vec<u64>);
+
+    fn runs<const W: usize>() -> Records<Expand<W>> {
         Records {
             max_keys: RUN,
+            slab: None,
             expand: expand_runs,
         }
     }
 
     /// Pushes a task's keys, up to [`RUN`] equal neighbours per record, each
     /// record to the bucket `route(key)` addresses.
-    fn push_runs(task: &[u64], sink: &mut KeySink, route: fn(u64) -> u64) {
+    fn push_runs<const W: usize>(task: &[u64], sink: &mut KeySink<W>, route: fn(u64) -> u64) {
         for run in task.chunk_by(|a, b| a == b) {
             for piece in run.chunks(RUN as usize) {
-                sink.push(
-                    route(piece[0]),
-                    [piece[0], (piece.len() as u64) << KEYS_SHIFT],
-                );
+                sink.push(route(piece[0]), rec(piece[0], piece.len() as u64));
             }
         }
     }
@@ -1069,7 +1171,7 @@ mod tests {
             tasks,
             Vec::len,
             |task, sink| push_runs(task, sink, route),
-            runs(),
+            runs::<2>(),
             theta,
         )
     }
@@ -1213,7 +1315,7 @@ mod tests {
     fn full_width_keys_and_a_single_bucket_shift_by_64() {
         // Few keys: one bucket, `shift == 64`.
         let tasks = vec![vec![u64::MAX, 0, u64::MAX, 1 << 63, 7, 0, u64::MAX]];
-        assert_eq!(Layout::plan(7, 7, None).shift, 64);
+        assert_eq!(Layout::plan(7, 7, 16, None).shift, 64);
         for route in [mixed, prefix] {
             let (kept, _) = count_routed(&ExecCtx::new(3), &tasks, route, 1);
             assert_eq!(kept, vec![(0, 2), (u64::MAX, 3)]);
@@ -1233,22 +1335,20 @@ mod tests {
 
     #[test]
     fn the_layout_follows_key_count_cache_and_budget() {
+        let plan = |keys, held, budget| Layout::plan(keys, held, 16, budget);
         // 512 KiB fit 32 Ki slots of 16 bytes, a table for 16 Ki keys: the
         // mean bucket is planned at 8 Ki keys, the fullest may be twice that.
-        assert_eq!(Layout::plan(8 << 10, 1 << 20, None).buckets(), 1);
-        assert_eq!(Layout::plan((8 << 10) + 1, 1 << 20, None).buckets(), 2);
-        assert_eq!(Layout::plan(10 << 20, 1 << 20, None).buckets(), 2048);
+        assert_eq!(plan(8 << 10, 1 << 20, None).buckets(), 1);
+        assert_eq!(plan((8 << 10) + 1, 1 << 20, None).buckets(), 2);
+        assert_eq!(plan(10 << 20, 1 << 20, None).buckets(), 2048);
         // Never more than 2^12 buckets, however many keys.
-        assert_eq!(Layout::plan(usize::MAX / 2, 1 << 20, None).buckets(), 4096);
+        assert_eq!(plan(usize::MAX / 2, 1 << 20, None).buckets(), 4096);
         // A 64 KiB budget shrinks the buckets eightfold, a huge one changes
         // nothing.
+        assert_eq!(plan(1 << 20, 1 << 20, Some(64 << 10)).buckets(), 1024);
         assert_eq!(
-            Layout::plan(1 << 20, 1 << 20, Some(64 << 10)).buckets(),
-            1024
-        );
-        assert_eq!(
-            Layout::plan(1 << 20, 1 << 20, Some(1 << 40)),
-            Layout::plan(1 << 20, 1 << 20, None)
+            plan(1 << 20, 1 << 20, Some(1 << 40)),
+            plan(1 << 20, 1 << 20, None)
         );
         // A mean bucket's table takes half of what the cache share, and
         // under a cap the per-worker budget, allows, wherever the bucket bits
@@ -1256,7 +1356,7 @@ mod tests {
         for budget in [None, Some(1 << 40), Some(64 << 10), Some(5_000)] {
             let fit = budget.map_or(BUCKET_CACHE_BYTES, |b: usize| b.min(BUCKET_CACHE_BYTES));
             for total in [1, 1_000, 8 << 10, (8 << 10) + 1, 100_000] {
-                let layout = Layout::plan(total, 1 << 20, budget);
+                let layout = plan(total, 1 << 20, budget);
                 let mean = total.div_ceil(layout.buckets());
                 assert!(layout.buckets() < 1 << MAX_BUCKET_BITS);
                 assert!(
@@ -1267,14 +1367,16 @@ mod tests {
             }
         }
         // Chunks: 256 bytes when there is room, a cache line when there is
-        // not.
-        assert_eq!(
-            Layout::plan(1 << 20, 1 << 20, None).chunk_shift,
-            MAX_CHUNK_SHIFT
-        );
-        assert_eq!(Layout::plan(1 << 20, 0, None).chunk_shift, MIN_CHUNK_SHIFT);
-        assert_eq!((1 << MAX_CHUNK_SHIFT) * RECORD_BYTES, 256);
-        assert_eq!((1 << MIN_CHUNK_SHIFT) * RECORD_BYTES, 64);
+        // not, whatever the record width — twice the one-word records in the
+        // bytes of the two-word ones. The record width moves nothing else.
+        for (record_bytes, chunk_records) in [(16, [4, 16]), (8, [8, 32])] {
+            let plan = |held| Layout::plan(1 << 20, held, record_bytes, None);
+            assert_eq!(1 << plan(0).chunk_shift, chunk_records[0]);
+            assert_eq!(1 << plan(1 << 20).chunk_shift, chunk_records[1]);
+            assert_eq!(chunk_records[0] * record_bytes, MIN_CHUNK_BYTES);
+            assert_eq!(chunk_records[1] * record_bytes, MAX_CHUNK_BYTES);
+            assert_eq!(plan(1 << 20).buckets(), plan(0).buckets());
+        }
     }
 
     #[test]
@@ -1282,11 +1384,11 @@ mod tests {
         let layout = Layout {
             shift: 62,
             mask: 3,
-            chunk_shift: MIN_CHUNK_SHIFT,
+            chunk_shift: 2,
         };
         // Room for one chunk per bucket only; 100 records per bucket follow,
         // the i-th standing for i % 3 + 1 keys.
-        let mut sink = KeySink::new(layout, 4);
+        let mut sink: KeySink = KeySink::new(layout, 4);
         let record = |i: u64| [i, (i % 3 + 1) << KEYS_SHIFT];
         for i in 0..400u64 {
             sink.push((i % 4) << 62, record(i));
@@ -1299,7 +1401,7 @@ mod tests {
             let keys: u64 = expected.iter().map(|r| u64::from(keys_of(r))).sum();
             assert_eq!(sink.keys[bucket], keys);
         }
-        assert_eq!(sink.buffered_bytes(), 4 * 25 * 4 * RECORD_BYTES);
+        assert_eq!(sink.buffered_bytes(), 4 * 25 * 4 * 16);
         sink.clear();
         assert_eq!(sink.buffered_bytes(), 0);
         assert_eq!(sink.len_of(2), 0);
@@ -1488,7 +1590,7 @@ mod tests {
                     scanned.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     push_runs(task, sink, mixed);
                 },
-                runs(),
+                runs::<2>(),
                 0,
             )
         }))
@@ -1508,10 +1610,10 @@ mod tests {
         assert_eq!(count(&ctx, &tasks, 0).0, oracle(&tasks, 0).0);
     }
 
-    /// Runs a spilling count of `tasks` whose barrier action rewrites worker
-    /// 0's segment file with `damage`, and returns the outcome: the kept
-    /// keys, or the typed error the count raised.
-    fn count_with_damaged_segments(
+    /// Runs a spilling count of `tasks` in `W`-word records whose barrier
+    /// action rewrites worker 0's segment file with `damage`, and returns
+    /// the outcome: the kept keys, or the typed error the count raised.
+    fn count_with_damaged_segments<const W: usize>(
         ctx: &ExecCtx,
         tasks: &[Vec<u64>],
         damage: impl FnOnce(Vec<u8>) -> Vec<u8>,
@@ -1522,8 +1624,8 @@ mod tests {
                 ctx,
                 tasks,
                 Vec::len,
-                |task: &Vec<u64>, sink: &mut KeySink| push_runs(task, sink, mixed),
-                runs(),
+                |task: &Vec<u64>, sink: &mut KeySink<W>| push_runs(task, sink, mixed),
+                runs::<W>(),
                 0,
                 |sides| {
                     let file = sides[0].spilled.as_ref().expect("the 1 KiB cap spills");
@@ -1542,16 +1644,16 @@ mod tests {
         })
     }
 
-    /// Bytes before worker 0's first record: the file header (20), the
+    /// Bytes before worker 0's first record: the file header (24), the
     /// first frame's length prefix (4) and its bucket index (4).
-    const FIRST_RECORD: usize = 28;
+    const FIRST_RECORD: usize = 32;
 
     #[test]
     fn damaged_segment_files_surface_as_engine_spill_errors() {
         let tasks = keyed_tasks(12, 1_000, 300, 30);
         let ctx = ExecCtx::new(2);
         let spill_error = |damage: fn(Vec<u8>) -> Vec<u8>| {
-            let err = count_with_damaged_segments(&ctx, &tasks, damage)
+            let err = count_with_damaged_segments::<2>(&ctx, &tasks, damage)
                 .expect_err("a damaged segment file must stop the count");
             // The failure crossed the pool as a value and was raised on the
             // coordinator: the same context counts again, resident.
@@ -1568,14 +1670,14 @@ mod tests {
         assert!(matches!(err, SpillError::Truncated { .. }), "got {err:?}");
         // The bucket index of the first frame.
         let err = spill_error(|mut bytes| {
-            bytes[24] ^= 0x40;
+            bytes[28] ^= 0x40;
             bytes
         });
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
         // A record that stands for no key, or for more than any record may:
         // caught before a key is expanded from it.
         for keys in [0, RUN as u8 + 1, 0xFF] {
-            let err = count_with_damaged_segments(&ctx, &tasks, |mut bytes| {
+            let err = count_with_damaged_segments::<2>(&ctx, &tasks, |mut bytes| {
                 bytes[FIRST_RECORD + 15] = keys;
                 bytes
             })
@@ -1597,18 +1699,30 @@ mod tests {
 
     #[test]
     fn a_mutated_segment_file_reads_back_typed_or_counts_never_panics() {
+        mutate_segment_file::<2>();
+        mutate_segment_file::<1>();
+    }
+
+    /// Truncates worker 0's segment file of `W`-word records at every
+    /// offset and flips every bit of its first 160 bytes: each count either
+    /// succeeds or raises a typed spill error.
+    fn mutate_segment_file<const W: usize>() {
         // Two tasks per worker, one flush each: worker 0's file holds its
         // first task's records.
         let tasks = keyed_tasks(4, 40, 30, 30);
         let ctx = ExecCtx::new(2);
         let intact = std::cell::RefCell::new(Vec::new());
-        count_with_damaged_segments(&ctx, &tasks, |bytes| {
+        count_with_damaged_segments::<W>(&ctx, &tasks, |bytes| {
             intact.replace(bytes.clone());
             bytes
         })
         .expect("an undamaged file counts");
         let intact = intact.into_inner();
-        assert!(intact.len() > 200, "{} bytes", intact.len());
+        assert!(
+            intact.len() > 160,
+            "{W}-word records: {} bytes",
+            intact.len()
+        );
         let mut outcomes = [0usize; 2];
         let mut tally = |outcome: Result<Vec<(u64, u32)>, EngineError>| match outcome {
             Ok(_) => outcomes[0] += 1,
@@ -1616,21 +1730,29 @@ mod tests {
             Err(other) => panic!("expected a spill error, got {other:?}"),
         };
         for cut in 0..intact.len() {
-            tally(count_with_damaged_segments(&ctx, &tasks, |mut bytes| {
-                bytes.truncate(cut);
-                bytes
-            }));
+            tally(count_with_damaged_segments::<W>(
+                &ctx,
+                &tasks,
+                |mut bytes| {
+                    bytes.truncate(cut);
+                    bytes
+                },
+            ));
         }
         // Every bit of the header and of the first frames.
         for bit in 0..8 * 160 {
-            tally(count_with_damaged_segments(&ctx, &tasks, |mut bytes| {
-                bytes[bit / 8] ^= 1 << (bit % 8);
-                bytes
-            }));
+            tally(count_with_damaged_segments::<W>(
+                &ctx,
+                &tasks,
+                |mut bytes| {
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                    bytes
+                },
+            ));
         }
         assert!(
             outcomes[0] > 0 && outcomes[1] > intact.len(),
-            "{outcomes:?}"
+            "{W}-word records: {outcomes:?}"
         );
         assert_eq!(count(&ctx, &tasks, 0).0, oracle(&tasks, 0).0);
     }

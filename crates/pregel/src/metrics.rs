@@ -188,8 +188,8 @@ pub struct MapReduceMetrics {
     /// Number of keyed pairs the pass shuffled. For a
     /// [`fold_buckets_on`](crate::keycount::fold_buckets_on) pass: the keys
     /// the scattered records stand for — one per (k+1)-mer window in DBG
-    /// construction's count, though a 16-byte record carries about ten of
-    /// them.
+    /// construction's count, though an 8-byte record, a reference into the
+    /// read slab, stands for about ten of them.
     pub pairs_shuffled: u64,
     /// Number of distinct keys (groups) reduced.
     pub groups: u64,
@@ -197,6 +197,18 @@ pub struct MapReduceMetrics {
     pub output_records: u64,
     /// Wall-clock time of the whole pass.
     pub elapsed: Duration,
+    /// The first lap of `elapsed` for a
+    /// [`fold_buckets_on`](crate::keycount::fold_buckets_on) pass: planning
+    /// the buckets, then every scan task and its pushes, spill flushes
+    /// included. 0 for any other pass.
+    pub scatter_elapsed: Duration,
+    /// The second lap: the barrier, every worker's fold of its bucket range
+    /// (spilled segments read back included), and freeing the buffers.
+    pub fold_elapsed: Duration,
+    /// The third lap, for a
+    /// [`count_keys_on`](crate::keycount::count_keys_on) pass only: sorting
+    /// and merging the survivors. The laps sum to `elapsed`.
+    pub sort_elapsed: Duration,
     /// Bytes written to disk: for a
     /// [`fold_buckets_on`](crate::keycount::fold_buckets_on) pass, the bytes
     /// of the record segments its scatter workers flushed under a

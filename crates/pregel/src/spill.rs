@@ -5,13 +5,19 @@
 //! it appends the records of every non-empty bucket, unsorted, as one
 //! bucket-addressed segment to its `KeySegmentWriter` file; the fold phase
 //! reads each bucket's segments back, once, by offset (`KeySegmentReader`),
-//! and checks every record's key count on the way. DBG construction runs
+//! and checks every record's key count on the way — and, for records that
+//! reference the read slab, that their bases lie inside it. DBG construction runs
 //! both of its phases on the keyed pass, so a capped assembly spills there
 //! and nowhere else: the Pregel runners are resident, as Pregel+ is.
 //!
 //! A key-segment file is an 8-byte magic (`PPASPIL1`), a `u32` format
-//! version, a `u64` segment count, then `u32` length-prefixed frames, every
-//! integer little-endian. The reader knows every segment's offset and length
+//! version, the `u32` width of its records in words, a `u64` segment count,
+//! then `u32` length-prefixed frames, every integer little-endian. A frame
+//! holds one segment: its bucket index (`u32`) and its records, each as its
+//! `u64` words in order. Records are one word wide in DBG construction's
+//! count (a read slab position and a window count, valid only in the
+//! process that wrote them: spill files are transient) and two wide in its
+//! vertex fold. The reader knows every segment's offset and length
 //! from the in-RAM index, so it reads the header and each frame whole with
 //! `read_exact` into one reused buffer and parses them off the slice. The
 //! entire module is panic-free outside tests: truncated or corrupt spill
@@ -22,7 +28,7 @@
 //! directory; the directory and every segment file are removed by RAII
 //! `Drop` impls, including on the cancellation unwind path.
 
-use crate::keycount::{keys_of, Record, RECORD_BYTES};
+use crate::keycount::{keys_of, Record, RecordCheck, KEYS_SHIFT};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,8 +37,8 @@ use std::sync::Arc;
 /// File magic of key-segment files: `PPASPIL1` as a little-endian `u64`.
 const MAGIC: u64 = u64::from_le_bytes(*b"PPASPIL1");
 
-/// Format version written after the magic.
-const VERSION: u32 = 1;
+/// Format version written after the magic: 2 since records have a width.
+const VERSION: u32 = 2;
 
 /// Upper bound on a single frame, checked when a segment is written.
 const MAX_FRAME: u32 = 1 << 30;
@@ -158,10 +164,12 @@ impl Drop for SpillDir {
     }
 }
 
-/// Writes the header (magic, version, segment count) into `buf`.
-fn encode_header(buf: &mut Vec<u8>, count: u64) {
+/// Writes the header (magic, version, record width, segment count) into
+/// `buf`.
+fn encode_header(buf: &mut Vec<u8>, width: u32, count: u64) {
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&width.to_le_bytes());
     buf.extend_from_slice(&count.to_le_bytes());
 }
 
@@ -177,11 +185,14 @@ fn take_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
     Some((u64::from_le_bytes(*head), rest))
 }
 
-/// Splits a [`Record`], two little-endian `u64`s, off the front of `bytes`.
-fn take_record(bytes: &[u8]) -> Option<(Record, &[u8])> {
-    let (head, rest) = take_u64(bytes)?;
-    let (tail, rest) = take_u64(rest)?;
-    Some(([head, tail], rest))
+/// Splits a [`Record`], `W` little-endian `u64`s, off the front of `bytes`.
+fn take_record<const W: usize>(bytes: &[u8]) -> Option<(Record<W>, &[u8])> {
+    let mut record = [0; W];
+    let mut rest = bytes;
+    for word in &mut record {
+        (*word, rest) = take_u64(rest)?;
+    }
+    Some((record, rest))
 }
 
 /// Where one bucket-addressed key segment sits in a [`KeySegmentFile`].
@@ -197,20 +208,20 @@ pub(crate) struct KeySegment {
     offset: u64,
 }
 
-/// Byte offset of the header's record count (patched when the writer
+/// Byte offset of the header's segment count (patched when the writer
 /// finishes, since segments are appended flush by flush).
-const HEADER_COUNT_OFFSET: u64 = 12;
+const HEADER_COUNT_OFFSET: u64 = 16;
 
-/// Bytes of the header: magic, version, segment count.
-const HEADER_BYTES: usize = 20;
+/// Bytes of the header: magic, version, record width, segment count.
+const HEADER_BYTES: usize = 24;
 
 /// Appends **unsorted** bucket-addressed record segments to one key-segment
 /// file: one frame per segment, its payload the bucket index
-/// (`u32`) followed by the segment's [`Record`]s (two `u64`s each). The
+/// (`u32`) followed by the segment's [`Record`]s (`W` `u64`s each). The
 /// bucketed key counter ([`crate::keycount`]) flushes its scatter buffers
 /// through this when they outgrow the spill budget; the segment index —
 /// with each segment's record and key counts — stays in RAM.
-pub(crate) struct KeySegmentWriter {
+pub(crate) struct KeySegmentWriter<const W: usize> {
     w: BufWriter<std::fs::File>,
     path: PathBuf,
     dir: Arc<SpillDir>,
@@ -218,7 +229,7 @@ pub(crate) struct KeySegmentWriter {
     segments: Vec<KeySegment>,
 }
 
-impl KeySegmentWriter {
+impl<const W: usize> KeySegmentWriter<W> {
     /// Creates `name` inside `dir` and writes the header.
     pub(crate) fn create(dir: &Arc<SpillDir>, name: &str) -> Result<Self, SpillError> {
         let path = dir.file(name);
@@ -226,7 +237,7 @@ impl KeySegmentWriter {
             std::fs::File::create(&path).map_err(|e| io_err(&path, "create segment file", e))?;
         let mut w = BufWriter::new(file);
         let mut head = Vec::new();
-        encode_header(&mut head, 0);
+        encode_header(&mut head, W as u32, 0);
         w.write_all(&head)
             .map_err(|e| io_err(&path, "write segment header", e))?;
         Ok(KeySegmentWriter {
@@ -245,7 +256,7 @@ impl KeySegmentWriter {
         bucket: u32,
         records: usize,
         keys: u64,
-        fragments: impl Iterator<Item = &'a [Record]>,
+        fragments: impl Iterator<Item = &'a [Record<W>]>,
     ) -> Result<(), SpillError> {
         let too_long = || SpillError::Corrupt {
             path: self.path.display().to_string(),
@@ -255,7 +266,7 @@ impl KeySegmentWriter {
         };
         let count = u32::try_from(records).map_err(|_| too_long())?;
         let len = count
-            .checked_mul(RECORD_BYTES as u32)
+            .checked_mul(8 * W as u32)
             .and_then(|n| n.checked_add(4))
             .filter(|len| *len <= MAX_FRAME)
             .ok_or_else(too_long)?;
@@ -267,11 +278,8 @@ impl KeySegmentWriter {
         };
         put(&len.to_le_bytes())?;
         put(&bucket.to_le_bytes())?;
-        for fragment in fragments {
-            for &[head, tail] in fragment {
-                put(&head.to_le_bytes())?;
-                put(&tail.to_le_bytes())?;
-            }
+        for word in fragments.flat_map(|fragment| fragment.iter().flatten()) {
+            put(&word.to_le_bytes())?;
         }
         self.segments.push(KeySegment {
             bucket,
@@ -341,8 +349,9 @@ impl KeySegmentFile {
         self.segments.get(start..end).unwrap_or(&[])
     }
 
-    /// Opens the file for segment reads (one handle, one cursor, per reader).
-    pub(crate) fn open(&self) -> Result<KeySegmentReader<'_>, SpillError> {
+    /// Opens the file for segment reads of `W`-word records (one handle,
+    /// one cursor, per reader).
+    pub(crate) fn open<const W: usize>(&self) -> Result<KeySegmentReader<'_, W>, SpillError> {
         let file = std::fs::File::open(&self.path)
             .map_err(|e| io_err(&self.path, "open segment file", e))?;
         Ok(KeySegmentReader {
@@ -360,8 +369,8 @@ impl Drop for KeySegmentFile {
     }
 }
 
-/// Random-access reader over one [`KeySegmentFile`].
-pub(crate) struct KeySegmentReader<'a> {
+/// Random-access reader of `W`-word records over one [`KeySegmentFile`].
+pub(crate) struct KeySegmentReader<'a, const W: usize> {
     file: std::fs::File,
     of: &'a KeySegmentFile,
     /// The bytes last read: the header, or one segment's frame.
@@ -369,7 +378,7 @@ pub(crate) struct KeySegmentReader<'a> {
     bytes_read: u64,
 }
 
-impl KeySegmentReader<'_> {
+impl<const W: usize> KeySegmentReader<'_, W> {
     /// Reads the `len` bytes at `offset` into the buffer; a file that ends
     /// first is [`SpillError::Truncated`].
     fn read_at(&mut self, offset: u64, len: usize) -> Result<&[u8], SpillError> {
@@ -404,12 +413,17 @@ impl KeySegmentReader<'_> {
         // `read_at` returned the whole header, so every split succeeds.
         let (magic, rest) = take_u64(header).unwrap_or_default();
         let (version, rest) = take_u32(rest).unwrap_or_default();
+        let (width, rest) = take_u32(rest).unwrap_or_default();
         let (count, _) = take_u64(rest).unwrap_or_default();
         if magic != MAGIC {
             Err(corrupt(format!("bad magic {magic:#018x}")))
         } else if version != VERSION {
             Err(corrupt(format!(
                 "unsupported spill format version {version}"
+            )))
+        } else if width as usize != W {
+            Err(corrupt(format!(
+                "holds {width}-word records, the reader reads {W}-word ones"
             )))
         } else if count != segments {
             Err(corrupt(format!(
@@ -423,16 +437,18 @@ impl KeySegmentReader<'_> {
     /// Appends the records of `segment` to `out`, each checked to stand for
     /// `1..=max_keys` keys and all of them together for the segment's keys —
     /// the count phase sizes a bucket's table from those, and expands a
-    /// record into as many keys as it counts. On an error `out` is left as
-    /// it was.
+    /// record into as many keys as it counts — and, for records that point
+    /// into a slab of bases, to cover only bases inside it, which the
+    /// expansion reads. On an error `out` is left as it was.
     pub(crate) fn read_into(
         &mut self,
         segment: &KeySegment,
-        max_keys: u32,
-        out: &mut Vec<Record>,
+        check: &RecordCheck,
+        out: &mut Vec<Record<W>>,
     ) -> Result<(), SpillError> {
+        let max_keys = check.max_keys;
         // The length prefix, the bucket index, then the records.
-        let len = 4 + segment.records as usize * RECORD_BYTES;
+        let len = 4 + segment.records as usize * 8 * W;
         let of = self.of;
         let corrupt = |detail: String| SpillError::Corrupt {
             path: of.path.display().to_string(),
@@ -457,15 +473,31 @@ impl KeySegmentReader<'_> {
         let start = out.len();
         let mut keys = 0u64;
         let mut rest = frame;
-        while let Some((record, next)) = take_record(rest) {
+        while let Some((record, next)) = take_record::<W>(rest) {
             rest = next;
             let n = keys_of(&record);
-            if !(1..=max_keys).contains(&n) {
-                let at = out.len() - start;
-                out.truncate(start);
-                return Err(corrupt(format!(
+            let at = out.len() - start;
+            let wrong = if !(1..=max_keys).contains(&n) {
+                Some(format!(
                     "record {at} stands for {n} keys, not 1..={max_keys}"
-                )));
+                ))
+            } else {
+                check.slab.and_then(|slab| {
+                    // The bits below the key count: the first base's slab
+                    // position.
+                    let first = record.first().map_or(0, |w| w & ((1 << KEYS_SHIFT) - 1));
+                    let end = first + u64::from(slab.window) + u64::from(n) - 1;
+                    (end > slab.bases).then(|| {
+                        format!(
+                            "record {at} references bases {first}..{end}, past the slab's {}",
+                            slab.bases
+                        )
+                    })
+                })
+            };
+            if let Some(detail) = wrong {
+                out.truncate(start);
+                return Err(corrupt(detail));
             }
             keys += u64::from(n);
             out.push(record);
@@ -506,12 +538,55 @@ mod tests {
 
     /// A test record: `key` standing for `n` keys.
     fn rec(key: u64, n: u64) -> Record {
-        [key, n << crate::keycount::KEYS_SHIFT]
+        [key, n << KEYS_SHIFT]
+    }
+
+    /// A reference to the bases from slab position `first` on, standing for
+    /// `n` windows.
+    fn reference(first: u64, n: u64) -> Record<1> {
+        [first | n << KEYS_SHIFT]
+    }
+
+    /// Records of at most `max_keys` keys each, which carry their keys.
+    fn carried(max_keys: u32) -> RecordCheck {
+        RecordCheck {
+            max_keys,
+            slab: None,
+        }
+    }
+
+    /// References of at most 4 windows of 32 bases into a slab of 100 bases.
+    const SLAB: RecordCheck = RecordCheck {
+        max_keys: 4,
+        slab: Some(crate::keycount::SlabExtent {
+            bases: 100,
+            window: 32,
+        }),
+    };
+
+    /// Reads every segment of `file` back in `W`-word records, bucket by
+    /// bucket, each checked by `check`; a failed read must append nothing.
+    fn read_all<const W: usize>(
+        file: &KeySegmentFile,
+        check: &RecordCheck,
+    ) -> Result<Vec<Record<W>>, SpillError> {
+        let mut reader = file.open::<W>()?;
+        reader.validate_header()?;
+        let mut records = Vec::new();
+        for segment in file.segments() {
+            let before = records.len();
+            reader
+                .read_into(segment, check, &mut records)
+                .inspect_err(|_| {
+                    assert_eq!(records.len(), before, "a failed read appends nothing")
+                })?;
+        }
+        Ok(records)
     }
 
     /// Three flushes over buckets {0, 2, 5}: bucket 2 is written twice.
     fn sample_segment_file(dir: &Arc<SpillDir>) -> KeySegmentFile {
-        let mut w = KeySegmentWriter::create(dir, "s.seg").expect("create segment file");
+        let mut w = KeySegmentWriter::<2>::create(dir, "s.seg").expect("create segment file");
         let a = [rec(20, 1), rec(21, 2), rec(22, 3)];
         let b = [rec(u64::MAX, 4)];
         let (c0, c1) = ([rec(1, 1)], [rec(0, 1)]);
@@ -538,13 +613,13 @@ mod tests {
                 .collect::<Vec<_>>(),
             [6, 2]
         );
-        let mut reader = file.open().expect("open");
+        let mut reader = file.open::<2>().expect("open");
         reader.validate_header().expect("header matches the index");
         let mut read = |bucket: u32| {
             let mut records = Vec::new();
             for segment in file.segments_of(bucket) {
                 reader
-                    .read_into(segment, 4, &mut records)
+                    .read_into(segment, &carried(4), &mut records)
                     .expect("read segment");
             }
             records
@@ -573,19 +648,8 @@ mod tests {
         let dir = SpillDir::create("unit").expect("create spill dir");
         let file = sample_segment_file(&dir);
         let intact = std::fs::read(file.path()).expect("read back");
-        let read_all = |file: &KeySegmentFile, max_keys: u32| -> Result<(), SpillError> {
-            let mut reader = file.open()?;
-            reader.validate_header()?;
-            let mut records = Vec::new();
-            for segment in file.segments() {
-                let before = records.len();
-                reader
-                    .read_into(segment, max_keys, &mut records)
-                    .inspect_err(|_| {
-                        assert_eq!(records.len(), before, "a failed read appends nothing")
-                    })?;
-            }
-            Ok(())
+        let read_all = |file: &KeySegmentFile, max_keys: u32| {
+            read_all::<2>(file, &carried(max_keys)).map(|_| ())
         };
         read_all(&file, 4).expect("intact file reads");
 
@@ -642,5 +706,93 @@ mod tests {
         std::fs::write(file.path(), &wrong_magic).expect("corrupt");
         let err = read_all(&file, 4).expect_err("bad magic");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn one_word_key_segments_roundtrip_by_bucket_in_flush_order() {
+        let dir = SpillDir::create("unit").expect("create spill dir");
+        let mut w = KeySegmentWriter::<1>::create(&dir, "r.seg").expect("create segment file");
+        // The first and the last bases of a 100-base slab, and in between.
+        let a = [reference(0, 1), reference(64, 4)];
+        let b = [reference(68, 1)];
+        let c = [reference(7, 2), reference(7, 3)];
+        w.append(3, 2, 5, std::iter::once(&a[..])).expect("append");
+        w.append(1, 1, 1, std::iter::once(&b[..])).expect("append");
+        w.append(3, 2, 5, std::iter::once(&c[..])).expect("append");
+        let file = w.finish().expect("finish");
+        // Eight bytes a record: the header, then per frame a length prefix,
+        // a bucket index and the records.
+        assert_eq!(file.bytes, (HEADER_BYTES + 3 * 8 + 5 * 8) as u64);
+        assert_eq!(read_all::<1>(&file, &SLAB), Ok([&b[..], &a, &c].concat()));
+        let mut reader = file.open::<1>().expect("open");
+        reader.validate_header().expect("header matches the index");
+        let mut bucket3 = Vec::new();
+        for segment in file.segments_of(3) {
+            reader
+                .read_into(segment, &SLAB, &mut bucket3)
+                .expect("read segment");
+        }
+        assert_eq!(bucket3, [a, c].concat());
+    }
+
+    #[test]
+    fn a_key_segment_file_of_another_record_width_is_corrupt() {
+        let dir = SpillDir::create("unit").expect("create spill dir");
+        let two_words = sample_segment_file(&dir);
+        let err = read_all::<1>(&two_words, &carried(4)).expect_err("width mismatch");
+        assert!(
+            matches!(&err, SpillError::Corrupt { detail, .. } if detail.contains("2-word")),
+            "got {err:?}"
+        );
+        let mut w = KeySegmentWriter::<1>::create(&dir, "r.seg").expect("create segment file");
+        w.append(0, 1, 1, std::iter::once(&[reference(0, 1)][..]))
+            .expect("append");
+        let one_word = w.finish().expect("finish");
+        let err = read_all::<2>(&one_word, &carried(4)).expect_err("width mismatch");
+        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+        // The header's width field, rewritten to claim 2-word records.
+        let mut bytes = std::fs::read(one_word.path()).expect("read back");
+        bytes[12] = 2;
+        std::fs::write(one_word.path(), &bytes).expect("corrupt");
+        let err = read_all::<1>(&one_word, &SLAB).expect_err("width mismatch");
+        assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn a_key_segment_reference_past_the_slab_end_is_corrupt() {
+        let dir = SpillDir::create("unit").expect("create spill dir");
+        // 35 bases from 65 end at the slab's last base, 99; one further is
+        // past it, and so is any position with a spare bit set above 48.
+        for (record, inside) in [
+            (reference(65, 4), true),
+            (reference(66, 4), false),
+            (reference(68, 1), true),
+            (reference(69, 1), false),
+            (reference(100, 1), false),
+            (reference(1 << 50, 1), false),
+        ] {
+            let mut w = KeySegmentWriter::<1>::create(&dir, "r.seg").expect("create segment file");
+            let n = u64::from(keys_of(&record));
+            w.append(
+                0,
+                2,
+                1 + n,
+                [&[reference(0, 1)][..], &[record][..]].into_iter(),
+            )
+            .expect("append");
+            let file = w.finish().expect("finish");
+            let outcome = read_all::<1>(&file, &SLAB);
+            if inside {
+                assert_eq!(outcome, Ok(vec![reference(0, 1), record]));
+            } else {
+                let err = outcome.expect_err("a reference past the slab");
+                assert!(
+                    matches!(&err, SpillError::Corrupt { detail, .. } if detail.contains("record 1 references")),
+                    "{record:?}: got {err:?}"
+                );
+            }
+            // Records that carry their keys are not checked against a slab.
+            assert!(read_all::<1>(&file, &carried(4)).is_ok());
+        }
     }
 }

@@ -116,6 +116,12 @@ impl<'a> Read<'a> {
         self.start == self.end
     }
 
+    /// The slab position of the read's first base: where its bases start in
+    /// [`ReadSlab::words`].
+    pub fn start(&self) -> u64 {
+        self.start
+    }
+
     /// The bases as 2-bit [`Base`] codes, left to right, with [`BREAK`] at
     /// every `N`. Reads the packed words directly: one word load per 32
     /// bases.

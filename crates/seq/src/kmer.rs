@@ -478,32 +478,59 @@ pub fn minimizer_ranks(kmers: [u64; 8], k: usize) -> [u64; 8] {
 /// count (at most `MAX_K − MINIMIZER_LEN + 1 = 22`).
 const RANK_RING: usize = 32;
 
+/// References whose bases [`SuperKmerScanner::decode_into`] loads before it
+/// decodes them.
+const GATHER: usize = 64;
+
+/// The most bases a slab may hold before [`SuperKmer::reference`] no longer
+/// fits a record's first base: 48 bits of offset.
+const MAX_OFFSET: u64 = 1 << 48;
+
 /// A super-k-mer: a run of consecutive windows of one read that share their
-/// minimizer, packed into two words.
+/// minimizer, given by where it starts in the read and how many windows it
+/// holds. It covers k + windows − 1 bases and never an `N` or a read end,
+/// because the scanner restarts there.
 ///
-/// `record[0]` is the first window's bases as read, packed like
-/// [`Kmer::packed`] (forward strand, not canonicalised). `record[1]` holds
-/// the base each further window adds — the i-th at bits `2i..2i + 2` — and
-/// the window count in its top bits, from [`SuperKmer::WINDOWS_SHIFT`] up. A
-/// record holds at most [`SuperKmerScanner::max_windows`] windows, so at most
-/// 21 tail bases, which never reach the count.
+/// Its bases stay where the read slab keeps them, two bits each:
+/// [`reference`](SuperKmer::reference) packs the record into one `u64`, the
+/// slab position of its first base in the low 48 bits and the window count
+/// from [`SuperKmer::WINDOWS_SHIFT`] up, and
+/// [`SuperKmerScanner::decode_into`] reads the bases back from the slab's
+/// words. A record holds at most [`SuperKmerScanner::max_windows`] windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperKmer {
-    /// The packed record: the first window, then the tail bases and the
-    /// window count.
-    pub record: [u64; 2],
+    /// Where the first window starts in the read: its index in the codes
+    /// the scanner walked.
+    start: usize,
+    /// Windows in the record, at least one.
+    windows: usize,
     /// The minimizer's rank in the m-mer order (one rank, one m-mer).
     rank: u64,
 }
 
 impl SuperKmer {
-    /// Where the window count starts in `record[1]`.
+    /// Where the window count starts in a [`reference`](SuperKmer::reference).
     pub const WINDOWS_SHIFT: u32 = 56;
 
     /// Windows in the record, at least one.
     #[inline]
     pub fn windows(&self) -> usize {
-        (self.record[1] >> Self::WINDOWS_SHIFT) as usize
+        self.windows
+    }
+
+    /// The record as one word, for a read whose first base sits at slab
+    /// position `read_start` ([`Read::start`](crate::Read::start)): the slab
+    /// position of the record's first base, then the window count from
+    /// [`WINDOWS_SHIFT`](SuperKmer::WINDOWS_SHIFT) up.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the position does not fit 48 bits.
+    #[inline]
+    pub fn reference(&self, read_start: u64) -> u64 {
+        let offset = read_start + self.start as u64;
+        debug_assert!(offset < MAX_OFFSET, "slab position {offset} past 48 bits");
+        offset | (self.windows as u64) << Self::WINDOWS_SHIFT
     }
 
     /// A hash of the minimizer whose top bits are evenly spread. The rank
@@ -536,11 +563,12 @@ impl SuperKmer {
 /// a poly-A read keeps one minimizer for its whole length. Runs of a read
 /// shorter than k contribute nothing.
 ///
-/// [`decode_into`](SuperKmerScanner::decode_into) rolls the forward and
-/// reverse-complement words through a record's tail and yields the
-/// canonical form of each of its windows. Decoding what
+/// [`decode_into`](SuperKmerScanner::decode_into) reads a record's bases
+/// back from the read slab's packed words and rolls the forward and
+/// reverse-complement words through them, yielding the canonical form of
+/// each of its windows. Decoding the references of what
 /// [`scan_codes`](SuperKmerScanner::scan_codes) emits gives, in order, the
-/// canonical k-mer of every window of the read.
+/// canonical k-mer of every window of the reads.
 ///
 /// ```
 /// use ppa_seq::kmer::{SuperKmerScanner, MINIMIZER_LEN};
@@ -548,22 +576,23 @@ impl SuperKmer {
 ///
 /// let scanner = SuperKmerScanner::new(15).unwrap();
 /// assert_eq!(scanner.max_windows(), 15 - MINIMIZER_LEN + 1);
-/// let cut = |read: &[u8]| {
-///     let reads: ReadSet = [("read", read)].into_iter().collect();
+/// // Every record of every read, as a reference into the slab.
+/// let cut = |reads: &ReadSet| {
 ///     let mut records = Vec::new();
 ///     for read in &reads.records {
-///         scanner.scan_codes(read.codes(), |sk| records.push(sk));
+///         scanner.scan_codes(read.codes(), |sk| records.push((sk.windows(), sk.reference(read.start()))));
 ///     }
 ///     records
 /// };
 ///
-/// // An N splits the read into runs of 30 and 18 bases, 16 and 4 windows:
-/// // no window spans it.
+/// // An N splits the second read into runs of 30 and 18 bases, 16 and 4
+/// // windows: no window spans it, nor the end of the first read.
 /// let read = b"ACGTTGCAAGGCTTAACGGATCCATGACGTNACGTTGCAAGGCTTAACG";
-/// let records = cut(read);
+/// let reads: ReadSet = [("first", &b"GATTACA"[..]), ("second", &read[..])].into_iter().collect();
+/// let records = cut(&reads);
+/// let references: Vec<u64> = records.iter().map(|&(_, reference)| reference).collect();
 /// let mut keys = Vec::new();
-/// let raw: Vec<[u64; 2]> = records.iter().map(|sk| sk.record).collect();
-/// scanner.decode_into(&raw, &mut keys);
+/// scanner.decode_into(reads.records.words(), &references, &mut keys);
 /// let naive: Vec<u64> = read
 ///     .split(|&c| c == b'N')
 ///     .flat_map(|run| run.windows(15))
@@ -571,10 +600,13 @@ impl SuperKmer {
 ///     .map(|w| w.canonical().kmer.packed())
 ///     .collect();
 /// assert_eq!(keys, naive);
-/// assert_eq!(records.iter().map(|sk| sk.windows()).sum::<usize>(), 16 + 4);
+/// assert_eq!(records.iter().map(|&(windows, _)| windows).sum::<usize>(), 16 + 4);
+/// // The second read starts at slab position 7.
+/// assert_eq!(references[0] & 0xFFFF, 7);
 ///
 /// // 40 A's: 26 windows with one minimizer, cut at 5 windows a record.
-/// let windows: Vec<usize> = cut(&[b'A'; 40]).iter().map(|sk| sk.windows()).collect();
+/// let poly_a: ReadSet = [("a", &[b'A'; 40][..])].into_iter().collect();
+/// let windows: Vec<usize> = cut(&poly_a).iter().map(|&(windows, _)| windows).collect();
 /// assert_eq!(windows, [5, 5, 5, 5, 5, 1]);
 /// ```
 #[derive(Debug, Clone)]
@@ -623,23 +655,27 @@ impl SuperKmerScanner {
     pub fn scan_codes(&self, codes: impl IntoIterator<Item = u8>, mut emit: impl FnMut(SuperKmer)) {
         let (k, m, span) = (self.k, self.m, self.span);
         let (mut fwd, mut rc, mut filled) = (0u64, 0u64, 0usize);
+        // Codes consumed so far, breaks included.
+        let mut read_at = 0usize;
         // The ranks of the latest m-mers, by the `filled` count at their end.
         let mut ranks = [0u64; RANK_RING];
         // The current window's smallest rank and where it ended (the latest
         // of equal ranks, so that it expires last).
         let (mut min_rank, mut min_at) = (u64::MAX, 0usize);
-        // The open record: first window, tail bases, windows (0 = none open)
-        // and minimizer rank.
-        let (mut head, mut tail, mut windows, mut open_rank) = (0u64, 0u64, 0usize, 0u64);
-        let pack = |head: u64, tail: u64, windows: usize, rank: u64| SuperKmer {
-            record: [head, tail | (windows as u64) << SuperKmer::WINDOWS_SHIFT],
+        // The open record: where its first window starts, its windows (0 =
+        // none open) and its minimizer rank.
+        let (mut start, mut windows, mut open_rank) = (0usize, 0usize, 0u64);
+        let pack = |start: usize, windows: usize, rank: u64| SuperKmer {
+            start,
+            windows,
             rank,
         };
         // `for_each`, not `for`: a read's codes fold word by word.
         codes.into_iter().for_each(|code| {
+            read_at += 1;
             if code >= BREAK {
                 if windows > 0 {
-                    emit(pack(head, tail, windows, open_rank));
+                    emit(pack(start, windows, open_rank));
                     windows = 0;
                 }
                 // Stale bits need no clearing: k fresh bases shift every one
@@ -674,41 +710,76 @@ impl SuperKmerScanner {
                 return;
             }
             if windows > 0 && windows < span && min_rank == open_rank {
-                tail |= code << (2 * (windows - 1));
                 windows += 1;
             } else {
                 if windows > 0 {
-                    emit(pack(head, tail, windows, open_rank));
+                    emit(pack(start, windows, open_rank));
                 }
-                (head, tail, windows, open_rank) = (fwd, 0, 1, min_rank);
+                (start, windows, open_rank) = (read_at - k, 1, min_rank);
             }
         });
         if windows > 0 {
-            emit(pack(head, tail, windows, open_rank));
+            emit(pack(start, windows, open_rank));
         }
     }
 
-    /// Appends the packed canonical form of every window of `records`, in
-    /// order, to `keys`. Each record's window count must be within
-    /// `1..=`[`max_windows`](SuperKmerScanner::max_windows), as
-    /// [`scan_codes`](SuperKmerScanner::scan_codes) makes them; a record read back from
-    /// storage must be checked first.
+    /// Appends the packed canonical form of every window of the records
+    /// `references` name, in order, to `keys`, reading their bases from
+    /// `words`: the read slab's packed bases
+    /// ([`ReadSlab::words`](crate::ReadSlab::words)), base `i` at bits
+    /// `2(i mod 32)..` of word `i / 32`. A reference is a
+    /// [`SuperKmer::reference`]: the bits below
+    /// [`WINDOWS_SHIFT`](SuperKmer::WINDOWS_SHIFT) are the slab position of
+    /// its first base, those above its window count, which must be within
+    /// `1..=`[`max_windows`](SuperKmerScanner::max_windows), with its bases
+    /// inside `words`, as [`scan_codes`](SuperKmerScanner::scan_codes) makes
+    /// them; a record read back from storage must be checked first. (One
+    /// that points past `words` decodes as if they went on in `A`s: wrong
+    /// keys, never a panic.)
+    ///
+    /// A record costs three word loads, which the decode issues a block of
+    /// references at a time, ahead of decoding them: in a bucket's order the
+    /// records point all over the slab.
     #[inline]
-    pub fn decode_into(&self, records: &[[u64; 2]], keys: &mut Vec<u64>) {
-        for &[head, tail] in records {
-            let mut fwd = head & self.mask;
-            let mut rc = reverse_complement_packed(fwd, self.k);
-            keys.push(fwd.min(rc));
-            let mut bases = tail;
-            // A range's length is known up front: `extend` reserves once
-            // instead of checking the capacity per key.
-            keys.extend((1..tail >> SuperKmer::WINDOWS_SHIFT).map(|_| {
-                let code = bases & 3;
-                bases >>= 2;
-                fwd = ((fwd << 2) | code) & self.mask;
-                rc = (rc >> 2) | ((3 ^ code) << self.rc_shift);
-                fwd.min(rc)
-            }));
+    pub fn decode_into(&self, words: &[u64], references: &[u64], keys: &mut Vec<u64>) {
+        // `(b << 1) << (63 − s)` is `b << (64 − s)`, and 0 for s = 0.
+        let funnel = |a: u64, b: u64, s: u32| a >> s | (b << 1) << (63 - s);
+        let mut loaded = [[0u64; 3]; GATHER];
+        for block in references.chunks(GATHER) {
+            // A record covers at most k + (k − m) bases, so from base
+            // `first` of its first word on they lie in three words. A
+            // block's loads come first: they do not depend on each other,
+            // so their cache misses overlap instead of each waiting for the
+            // decode before it.
+            for (words_of, &reference) in loaded.iter_mut().zip(block) {
+                let i = ((reference & ((1 << SuperKmer::WINDOWS_SHIFT) - 1)) / 32) as usize;
+                *words_of = match words.get(i..i + 3) {
+                    Some(&[a, b, c]) => [a, b, c],
+                    _ => std::array::from_fn(|j| words.get(i + j).copied().unwrap_or(0)),
+                };
+            }
+            for (&[w0, w1, w2], &reference) in loaded.iter().zip(block) {
+                // The slab position's low bits: 2^56 is a multiple of 32.
+                let first = (reference % 32) as u32;
+                // The first window's bases, the first lowest: complemented,
+                // they are its reverse complement as `Kmer` packs it.
+                let mut rc = !funnel(w0, w1, 2 * first) & self.mask;
+                let mut fwd = reverse_complement_packed(rc, self.k);
+                keys.push(fwd.min(rc));
+                // At most k − m further bases, the i-th at bits 2i..2i + 2.
+                let next = first + self.k as u32;
+                let (lo, hi) = if next < 32 { (w0, w1) } else { (w1, w2) };
+                let mut bases = funnel(lo, hi, 2 * (next % 32));
+                // A range's length is known up front: `extend` reserves once
+                // instead of checking the capacity per key.
+                keys.extend((1..reference >> SuperKmer::WINDOWS_SHIFT).map(|_| {
+                    let code = bases & 3;
+                    bases >>= 2;
+                    fwd = ((fwd << 2) | code) & self.mask;
+                    rc = (rc >> 2) | ((3 ^ code) << self.rc_shift);
+                    fwd.min(rc)
+                }));
+            }
         }
     }
 }
@@ -1013,31 +1084,54 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
         fn prop_super_kmers_decode_to_every_canonical_window_in_order(
-            pieces in proptest::collection::vec((0u8..9, 1usize..40, 0u64..u64::MAX), 0..10),
+            reads in proptest::collection::vec(
+                proptest::collection::vec((0u8..9, 1usize..40, 0u64..u64::MAX), 0..6),
+                1..5,
+            ),
         ) {
-            let read = pieced_read(&pieces);
+            // Several reads in one slab: references carry the later reads'
+            // starts, and a record's words may hold the bases of the reads
+            // on either side of it.
+            let reads: Vec<Vec<u8>> = reads.iter().map(|pieces| pieced_read(pieces)).collect();
+            let slab: ReadSet = reads
+                .iter()
+                .enumerate()
+                .map(|(i, read)| (format!("r{i}"), read))
+                .collect();
             for k in 1..=MAX_K {
                 let scanner = SuperKmerScanner::new(k).unwrap();
                 let mut records = Vec::new();
-                let reads: ReadSet = [("read", &read)].into_iter().collect();
-                for read in &reads.records {
-                    scanner.scan_codes(read.codes(), |sk| records.push(sk));
+                for (i, read) in slab.records.iter().enumerate() {
+                    scanner.scan_codes(read.codes(), |sk| {
+                        records.push((i, sk, sk.reference(read.start())));
+                    });
                 }
-                let naive = naive_windows(&read, k);
-                let raw: Vec<[u64; 2]> = records.iter().map(|sk| sk.record).collect();
+                // Each window with its read and its run between breaks.
+                let naive: Vec<((usize, usize), Kmer)> = reads
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, read)| {
+                        naive_windows(read, k).into_iter().map(move |(run, w)| ((i, run), w))
+                    })
+                    .collect();
+                let references: Vec<u64> = records.iter().map(|&(_, _, r)| r).collect();
                 let mut keys = Vec::new();
-                scanner.decode_into(&raw, &mut keys);
+                scanner.decode_into(slab.records.words(), &references, &mut keys);
                 let expected: Vec<u64> = naive.iter().map(|(_, w)| w.packed()).collect();
                 prop_assert_eq!(keys, expected, "k = {}", k);
 
                 // Record by record: within the cap, one run and one
                 // minimizer, and ended only where it had to end.
                 let mut at = 0;
-                let mut previous: Option<(usize, SuperKmer)> = None;
-                for sk in records {
+                let mut previous: Option<((usize, usize), SuperKmer)> = None;
+                for (i, sk, reference) in records {
                     let windows = sk.windows();
                     prop_assert!((1..=scanner.max_windows()).contains(&windows), "k = {}", k);
+                    prop_assert_eq!(reference >> SuperKmer::WINDOWS_SHIFT, windows as u64);
+                    let start = slab.records.get(i).unwrap().start();
+                    prop_assert_eq!(reference & 0xFFFF_FFFF, start + sk.start as u64);
                     let run = naive[at].0;
+                    prop_assert_eq!(run.0, i, "k = {}: a record left its read", k);
                     for &(r, window) in &naive[at..at + windows] {
                         prop_assert_eq!(r, run, "k = {}: a record spans a break", k);
                         prop_assert_eq!(

@@ -61,8 +61,8 @@ enum Unit {
 /// any of the four runs may reach during that stage. Round 0 is the whole
 /// run.
 const BOUNDS: [(&str, usize, Unit, f64); 10] = [
-    ("construct", 1, Unit::InputBase, 14.5),
-    ("construct", 1, Unit::KeptKplus1Mer, 398.0),
+    ("construct", 1, Unit::InputBase, 8.4),
+    ("construct", 1, Unit::KeptKplus1Mer, 230.0),
     ("label", 1, Unit::Vertex, 74.0),
     ("merge", 1, Unit::Vertex, 61.0),
     ("filter_bubbles", 1, Unit::Round1Node, 1545.0),
@@ -70,7 +70,7 @@ const BOUNDS: [(&str, usize, Unit, f64); 10] = [
     ("label", 2, Unit::Round1Node, 1680.0),
     ("merge", 2, Unit::Round1Node, 1585.0),
     ("filter_length", 1, Unit::Round1Node, 1435.0),
-    ("run", 0, Unit::InputBase, 14.5),
+    ("run", 0, Unit::InputBase, 8.4),
 ];
 
 /// One stage's high-water, in bytes over the run's starting point.
@@ -227,9 +227,12 @@ fn phase1_heap(fastq: &std::path::Path, workers: usize) -> (u64, u64, u64) {
             let batch = reads.records.range(batch.clone());
             batch.map(|r| r.len().saturating_sub(k)).sum()
         },
-        |batch, sink: &mut KeySink| {
+        |batch, sink: &mut KeySink<1>| {
             for read in reads.records.range(batch.clone()) {
-                scanner.scan_codes(read.codes(), |sk| sink.push(sk.minimizer_hash(), sk.record));
+                let start = read.start();
+                scanner.scan_codes(read.codes(), |sk| {
+                    sink.push(sk.minimizer_hash(), [sk.reference(start)]);
+                });
             }
         },
         scanner.max_windows() as u32,
