@@ -48,7 +48,8 @@ impl Assembler for PpaAssembler {
         let mut state = GraphState::new(reads);
         Pipeline::paper_workflow(&config)
             .observe(&mut stats)
-            .run(&mut state, &ctx);
+            .try_run(&mut state, &ctx)
+            .unwrap_or_else(|e| panic!("{e}"));
         let notes = format!(
             "label r1: {} supersteps / {} msgs; label r2: {} supersteps / {} msgs; N50 {} -> {}",
             stats.label_round1.supersteps,

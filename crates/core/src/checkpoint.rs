@@ -1021,6 +1021,7 @@ pub fn save_with_reads_fingerprint(
 /// The most advanced complete snapshot under `dir`: the highest-numbered
 /// `stage-*` subdirectory that contains a `MANIFEST`. Returns `Ok(None)` if
 /// the directory does not exist or holds no complete snapshot.
+// ppa_lint: allow(test-only-pub) the seam `tests/{cancellation,fault_tolerance}.rs` read which snapshot a failed run left with
 pub fn latest(dir: &Path) -> Result<Option<PathBuf>, CheckpointError> {
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,

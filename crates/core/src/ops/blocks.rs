@@ -581,7 +581,8 @@ pub(crate) mod tests {
                 k: 31,
                 tip_length_threshold: merge.tip_length_threshold,
             }))
-            .run(&mut state, &ExecCtx::new(2));
+            .try_run(&mut state, &ExecCtx::new(2))
+            .unwrap();
         (state.ambiguous_kmers, state.contigs)
     }
 

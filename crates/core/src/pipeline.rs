@@ -16,8 +16,10 @@
 //! * [`Pipeline`] — the builder: [`then`](Pipeline::then) appends a stage,
 //!   [`repeat`](Pipeline::repeat) loops a block of stages (the paper's
 //!   ④⑤⑥②③ error-correction rounds), [`observe`](Pipeline::observe) attaches
-//!   a [`PipelineObserver`], and [`run`](Pipeline::run) executes the stages
-//!   on an [`ExecCtx`] worker pool.
+//!   a [`PipelineObserver`], [`try_run`](Pipeline::try_run) executes the
+//!   stages on an [`ExecCtx`] worker pool, and [`resume`](Pipeline::resume)
+//!   continues a run from its last [`checkpoint_to`](Pipeline::checkpoint_to)
+//!   snapshot.
 //! * [`PipelineObserver`] — timing/stats instrumentation as a hook instead of
 //!   inline code: the runner measures every stage and delivers a
 //!   [`StageReport`]; [`WorkflowStats`] *is* the built-in observer (it
@@ -25,8 +27,17 @@
 //!   [`StageLogger`] prints per-stage progress for `ppa assemble`.
 //!
 //! [`Pipeline::paper_workflow`] is the preset for the paper's evaluation
-//! workflow ①②③(④⑤②③)×r; [`crate::workflow::assemble`] is now a thin wrapper
-//! over it.
+//! workflow ①②③(④⑤②③)×r; [`crate::workflow::try_assemble`] is a thin
+//! wrapper over it.
+//!
+//! # Failures
+//!
+//! A run is fallible and a failure is a typed value. Each stage runs inside
+//! the stage boundary's `catch_unwind`, the one place the pipeline catches a
+//! panic: a stage's own panic, or a worker's — which the engine raises as
+//! [`EngineError::WorkerPanic`] — comes back as [`PipelineError::Stage`],
+//! and the pool stays reusable. Recovery is what Pregel does: reload the last
+//! checkpoint and run the rest again, i.e. `try_run` → [`Pipeline::resume`].
 //!
 //! # Build your own workflow
 //!
@@ -68,7 +79,9 @@
 //!     .observe(&mut stats);
 //!
 //! let mut state = GraphState::new(&reads);
-//! let reports = pipeline.run(&mut state, &ExecCtx::new(workers));
+//! let reports = pipeline
+//!     .try_run(&mut state, &ExecCtx::new(workers))
+//!     .expect("error-free reads assemble");
 //! assert!(!state.output.is_empty());
 //! assert_eq!(reports.len(), 8); // construct, label, merge, 2 × tips, label, merge, filter
 //! assert!(stats.total_elapsed.as_nanos() > 0);
@@ -90,6 +103,7 @@ use ppa_pregel::engine::panic_message;
 use ppa_pregel::fxhash::FxHashMap;
 use ppa_pregel::{CancelReason, EngineError, ExecCtx, Metrics};
 use ppa_seq::{ReadSet, SeqError};
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -103,6 +117,9 @@ use std::time::{Duration, Instant};
 ///
 /// All fields are public so custom [`Stage`]s can transform the state freely;
 /// the invariants the built-in stages maintain are documented per field.
+/// After a failed stage the state may be partially mutated: discard it, and
+/// get a consistent one back from [`Pipeline::resume`] (or start over with
+/// [`GraphState::new`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphState<'r> {
     /// The input read set ([`Construct`] consumes it).
@@ -162,23 +179,22 @@ impl<'r> GraphState<'r> {
 // Pipeline errors and the checkpoint policy
 // ---------------------------------------------------------------------------
 
-/// A recoverable pipeline failure, as returned by [`Pipeline::try_run`],
-/// [`Pipeline::resume`] and [`Pipeline::try_run_with_retries`].
+/// A pipeline failure, as returned by [`Pipeline::try_run`] and
+/// [`Pipeline::resume`], the two ways to run a pipeline.
 ///
-/// [`Pipeline::run`] keeps the historical panicking contract; the `try_*`
-/// entry points catch stage panics at the stage boundary (worker panics
-/// already unwind cleanly to the dispatching thread, leaving the pool
-/// reusable) and convert them — together with checkpoint I/O failures and
-/// malformed input — into this type so a driver can retry from the last
-/// snapshot.
+/// The stage boundary catches every stage panic (a worker's reaches it as
+/// [`EngineError::WorkerPanic`], after the pool has drained and is reusable)
+/// and types it here, together with the engine's own typed stops, checkpoint
+/// I/O failures and malformed input. A caller that wants to try again
+/// resumes from the last snapshot: `try_run` → `resume`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
     /// The input reads could not be parsed (malformed FASTA/FASTQ).
     Input(SeqError),
-    /// A stage panicked: a worker panic surfaced at the superstep barrier, an
+    /// A stage panicked: a worker panic (its message names the worker), an
     /// injected fault, or a stage-invariant violation. The state may be
-    /// partially mutated; reload it from a checkpoint (or rebuild it fresh)
-    /// before retrying.
+    /// partially mutated; [`Pipeline::resume`] reloads it from the last
+    /// checkpoint.
     Stage {
         /// Name of the failing stage.
         stage: String,
@@ -203,10 +219,8 @@ pub enum PipelineError {
     },
     /// The job's [`JobControl`](ppa_pregel::JobControl) tripped at a
     /// cooperative poll: an explicit cancel request, an expired deadline, or
-    /// a memory budget overrun. Never retried by
-    /// [`Pipeline::try_run_with_retries`] — the stop is deliberate. When the
-    /// trip happened at a stage boundary with checkpointing armed, an
-    /// emergency snapshot was written first, so
+    /// a memory budget overrun. When the trip happened at a stage boundary
+    /// with checkpointing armed, an emergency snapshot was written first, so
     /// [`Pipeline::resume`] continues exactly from the cut point.
     Cancelled {
         /// Why the control plane stopped the run.
@@ -217,23 +231,6 @@ pub enum PipelineError {
         /// fired at the pipeline's own stage boundary.
         superstep: Option<usize>,
     },
-}
-
-impl PipelineError {
-    /// Whether a retry can plausibly cure this failure. Stage panics and
-    /// checkpoint I/O errors are transient (a crash can be re-run, a full
-    /// disk can recover); malformed input, cancellations and a job that did
-    /// not converge are not — [`Pipeline::try_run_with_retries`] fails fast
-    /// on them.
-    // ppa_lint: allow(test-only-pub) the retry policy's verdict, public so a caller retrying on its own can ask it
-    pub fn is_transient(&self) -> bool {
-        match self {
-            PipelineError::Stage { .. } | PipelineError::Checkpoint(_) => true,
-            PipelineError::Input(_)
-            | PipelineError::Cancelled { .. }
-            | PipelineError::NotConverged { .. } => false,
-        }
-    }
 }
 
 impl std::fmt::Display for PipelineError {
@@ -297,20 +294,20 @@ impl From<CheckpointError> for PipelineError {
 }
 
 /// When a [`Pipeline`] configured with [`Pipeline::checkpoint_to`] snapshots
-/// its [`GraphState`].
+/// its [`GraphState`]. A pipeline that should write nothing does not call
+/// `checkpoint_to`.
 ///
 /// Stages are counted in *flattened* execution order ([`Pipeline::repeat`]
-/// blocks unrolled), matching [`Pipeline::stage_count`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// blocks unrolled), matching [`Pipeline::stage_count`]. Under either policy
+/// a [`JobControl`](ppa_pregel::JobControl) trip at a stage boundary also
+/// writes one emergency snapshot, so [`Pipeline::resume`] continues from the
+/// cut point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointPolicy {
-    /// Never checkpoint (the default; `run` stays byte-identical to a
-    /// pipeline without a checkpoint directory).
-    #[default]
-    Off,
     /// Snapshot after every completed stage.
     EveryStage,
-    /// Snapshot after every Nth completed stage (`EveryN(0)` never saves).
-    EveryN(usize),
+    /// Snapshot after every Nth completed stage.
+    EveryN(NonZeroUsize),
 }
 
 impl CheckpointPolicy {
@@ -318,9 +315,8 @@ impl CheckpointPolicy {
     /// have finished.
     fn should_save(&self, completed: usize) -> bool {
         match self {
-            CheckpointPolicy::Off => false,
             CheckpointPolicy::EveryStage => true,
-            CheckpointPolicy::EveryN(n) => *n > 0 && completed.is_multiple_of(*n),
+            CheckpointPolicy::EveryN(n) => completed.is_multiple_of(n.get()),
         }
     }
 }
@@ -459,7 +455,7 @@ impl StageDetails {
 /// runner then fills in `round` (the 1-based occurrence of this stage name
 /// within the run) and `elapsed` (measured around the stage) before
 /// delivering it to the observers and returning it from
-/// [`Pipeline::run`].
+/// [`Pipeline::try_run`].
 #[derive(Debug, Clone)]
 pub struct StageReport {
     /// The stage's [`name`](Stage::name).
@@ -1023,19 +1019,22 @@ fn flattened(items: &[PipelineItem]) -> Vec<&dyn Stage> {
 /// A composed sequence of [`Stage`]s with attached [`PipelineObserver`]s.
 ///
 /// Built with [`then`](Pipeline::then) / [`repeat`](Pipeline::repeat) /
-/// [`observe`](Pipeline::observe); executed with [`run`](Pipeline::run). The
-/// lifetime parameter is the borrow of the attached observers.
+/// [`observe`](Pipeline::observe); executed with
+/// [`try_run`](Pipeline::try_run) or, from a snapshot,
+/// [`resume`](Pipeline::resume). The lifetime parameter is the borrow of the
+/// attached observers.
 ///
 /// # Fault tolerance
 ///
-/// [`checkpoint_to`](Pipeline::checkpoint_to) makes the pipeline snapshot its
-/// [`GraphState`] at stage boundaries (see [`crate::checkpoint`]);
-/// [`try_run`](Pipeline::try_run) converts stage panics and checkpoint
-/// failures into typed [`PipelineError`]s instead of unwinding;
-/// [`resume`](Pipeline::resume) fast-forwards past the stages a snapshot
-/// already completed; and
-/// [`try_run_with_retries`](Pipeline::try_run_with_retries) is the
-/// self-healing driver loop combining all three.
+/// The recovery of Pregel and Pregel+: reload the last checkpoint and run the
+/// rest again. [`checkpoint_to`](Pipeline::checkpoint_to) makes the pipeline
+/// snapshot its [`GraphState`] at stage boundaries (see
+/// [`crate::checkpoint`]); `try_run` returns every stage panic, worker
+/// panics included, and every checkpoint failure as a typed
+/// [`PipelineError`] and leaves the worker pool reusable; and `resume` loads
+/// the latest snapshot and runs the stages it had not completed. A caller
+/// that retries after a failure calls `resume` on the same directory, in the
+/// same process or a new one.
 pub struct Pipeline<'o> {
     items: Vec<PipelineItem>,
     observers: Vec<&'o mut dyn PipelineObserver>,
@@ -1072,7 +1071,8 @@ impl<'o> Pipeline<'o> {
     }
 
     /// Attaches an observer; every attached observer sees every stage
-    /// boundary of [`run`](Pipeline::run).
+    /// boundary of [`try_run`](Pipeline::try_run) and
+    /// [`resume`](Pipeline::resume).
     pub fn observe(mut self, observer: &'o mut dyn PipelineObserver) -> Pipeline<'o> {
         self.observers.push(observer);
         self
@@ -1081,8 +1081,7 @@ impl<'o> Pipeline<'o> {
     /// Enables stage-boundary checkpointing: snapshots of the [`GraphState`]
     /// are written under `dir` according to `policy` (see
     /// [`crate::checkpoint`] for the on-disk format). Only the most recent
-    /// snapshot is kept. With [`CheckpointPolicy::Off`] nothing is written
-    /// and execution is byte-identical to an unconfigured pipeline.
+    /// snapshot is kept.
     pub fn checkpoint_to(
         mut self,
         dir: impl Into<PathBuf>,
@@ -1092,7 +1091,7 @@ impl<'o> Pipeline<'o> {
         self
     }
 
-    /// The number of stage executions one `run` performs.
+    /// The number of stage executions one `try_run` performs.
     // ppa_lint: allow(test-only-pub) the seam `tests/{cancellation,fault_tolerance}.rs` walk every stage boundary with
     pub fn stage_count(&self) -> usize {
         self.items
@@ -1107,8 +1106,9 @@ impl<'o> Pipeline<'o> {
     /// The paper's evaluation workflow ①②③(④⑤②③)×r plus the final length
     /// filter, parameterised by an [`AssemblyConfig`].
     ///
-    /// [`crate::workflow::assemble`] runs exactly this pipeline; build it
-    /// yourself to attach extra observers or to splice in custom stages.
+    /// [`crate::workflow::try_assemble`] runs exactly this pipeline; build it
+    /// yourself to attach extra observers, to checkpoint, or to splice in
+    /// custom stages.
     pub fn paper_workflow(config: &AssemblyConfig) -> Pipeline<'o> {
         let merge_cfg = MergeConfig {
             k: config.k,
@@ -1157,21 +1157,20 @@ impl<'o> Pipeline<'o> {
         h.finish()
     }
 
-    /// The shared execution core: runs the flattened stages from `start_at`,
-    /// threading the per-stage-name round counters and appending one report
-    /// per completed stage. With `catch` set, a stage panic is caught at the
-    /// stage boundary and returned as [`PipelineError::Stage`]; without it,
-    /// panics propagate unchanged (the historical [`run`](Pipeline::run)
-    /// contract). Checkpoints are written per the configured policy; injected
-    /// checkpoint-write faults ([`ppa_pregel::FaultPlan`]) surface as
-    /// [`CheckpointError::Io`].
+    /// Runs the flattened stages from `start_at`, threading the
+    /// per-stage-name round counters and appending one report per completed
+    /// stage. Each stage runs inside the stage boundary's `catch_unwind`, and
+    /// its panic is returned typed: [`PipelineError::Cancelled`] or
+    /// [`PipelineError::NotConverged`] for the engine's typed stops,
+    /// [`PipelineError::Stage`] for everything else. Checkpoints are written
+    /// per the configured policy; injected checkpoint-write faults
+    /// ([`ppa_pregel::FaultPlan`]) surface as [`CheckpointError::Io`].
     fn execute(
         &mut self,
         state: &mut GraphState<'_>,
         ctx: &ExecCtx,
         start_at: usize,
         rounds: &mut FxHashMap<String, usize>,
-        catch: bool,
         reports: &mut Vec<StageReport>,
     ) -> Result<(), PipelineError> {
         let fingerprint = self.fingerprint();
@@ -1222,10 +1221,8 @@ impl<'o> Pipeline<'o> {
                     for obs in observers.iter_mut() {
                         obs.on_cancelled(reason, &name);
                     }
-                    if let Some((dir, policy)) = checkpoint {
-                        if !matches!(policy, CheckpointPolicy::Off) {
-                            save(dir, state, idx, rounds)?;
-                        }
+                    if let Some((dir, _)) = checkpoint {
+                        save(dir, state, idx, rounds)?;
                     }
                     return Err(PipelineError::Cancelled {
                         reason,
@@ -1242,30 +1239,24 @@ impl<'o> Pipeline<'o> {
                 f.enter_stage(idx);
             }
             // The state is only conditionally unwind-safe: a caught panic may
-            // leave it partially mutated. All `catch` callers either discard
-            // it or reload it from a checkpoint before retrying.
-            let outcome = if catch {
-                catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(f) = &faults {
-                        f.probe_stage_entry();
-                    }
-                    stage.run(state, ctx)
-                }))
-            } else {
+            // leave it partially mutated, which `PipelineError` documents;
+            // `resume` reloads a consistent one.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(f) = &faults {
                     f.probe_stage_entry();
                 }
-                Ok(stage.run(state, ctx))
-            };
+                stage.run(state, ctx)
+            }));
             let mut report = match outcome {
                 Ok(report) => report,
                 Err(payload) => {
                     // A mid-stage control trip unwinds as a typed payload
                     // raised at a superstep/shuffle barrier (see
-                    // `ppa_pregel::control`); everything else is a genuine
-                    // stage panic. The state is mid-stage and possibly
-                    // inconsistent either way, so no emergency snapshot here:
-                    // resume continues from the last policy snapshot.
+                    // `ppa_pregel::control`); everything else, the pool's
+                    // `EngineError::WorkerPanic` included, is a stage panic.
+                    // The state is mid-stage and possibly inconsistent either
+                    // way, so no emergency snapshot here: resume continues
+                    // from the last policy snapshot.
                     match payload.downcast_ref::<EngineError>() {
                         Some(&EngineError::Cancelled { reason, superstep }) => {
                             for obs in observers.iter_mut() {
@@ -1320,54 +1311,17 @@ impl<'o> Pipeline<'o> {
     /// context, returning the per-stage reports (also delivered to the
     /// attached observers).
     ///
-    /// Keeps the historical contract: stage panics propagate unchanged, and a
-    /// checkpoint failure (only possible with
-    /// [`checkpoint_to`](Pipeline::checkpoint_to) enabled) panics too. Use
-    /// [`try_run`](Pipeline::try_run) for typed errors.
-    pub fn run(&mut self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> Vec<StageReport> {
-        let total = Instant::now();
-        for obs in self.observers.iter_mut() {
-            obs.on_pipeline_start();
-        }
-        let mut rounds: FxHashMap<String, usize> = FxHashMap::default();
-        let mut reports: Vec<StageReport> = Vec::new();
-        if let Err(e) = self.execute(state, ctx, 0, &mut rounds, false, &mut reports) {
-            panic!("{e}");
-        }
-        let total = total.elapsed();
-        for obs in self.observers.iter_mut() {
-            obs.on_pipeline_end(total);
-        }
-        reports
-    }
-
-    /// Like [`run`](Pipeline::run), but recoverable: a stage panic (including
-    /// a worker panic propagated through the superstep barrier and injected
-    /// faults) or a checkpoint failure is returned as a [`PipelineError`]
-    /// instead of unwinding, leaving the [`ExecCtx`] worker pool reusable.
-    ///
-    /// On a [`PipelineError::Stage`], the state may be partially mutated —
-    /// reload it from the last checkpoint ([`resume`](Pipeline::resume)) or
-    /// rebuild it with [`GraphState::new`] before retrying;
-    /// [`try_run_with_retries`](Pipeline::try_run_with_retries) automates
-    /// exactly that loop.
+    /// A stage panic (a worker's included), a checkpoint failure or a
+    /// control-plane trip is returned as a [`PipelineError`], leaving the
+    /// [`ExecCtx`] worker pool reusable. The state may then be partially
+    /// mutated; with [`checkpoint_to`](Pipeline::checkpoint_to) set,
+    /// [`resume`](Pipeline::resume) continues from the last snapshot.
     pub fn try_run(
         &mut self,
         state: &mut GraphState<'_>,
         ctx: &ExecCtx,
     ) -> Result<Vec<StageReport>, PipelineError> {
-        let total = Instant::now();
-        for obs in self.observers.iter_mut() {
-            obs.on_pipeline_start();
-        }
-        let mut rounds: FxHashMap<String, usize> = FxHashMap::default();
-        let mut reports: Vec<StageReport> = Vec::new();
-        let result = self.execute(state, ctx, 0, &mut rounds, true, &mut reports);
-        let total = total.elapsed();
-        for obs in self.observers.iter_mut() {
-            obs.on_pipeline_end(total);
-        }
-        result.map(|()| reports)
+        self.drive(state, ctx, 0, FxHashMap::default())
     }
 
     /// Resumes from the latest snapshot under `dir`: validates that the
@@ -1375,12 +1329,13 @@ impl<'o> Pipeline<'o> {
     /// [`fingerprint`](Pipeline::fingerprint), the same worker count and the
     /// same read set, restores the [`GraphState`], fast-forwards to the
     /// recorded position (seeding the round counters so stage numbering
-    /// continues seamlessly) and replays the remaining stages with
-    /// [`try_run`](Pipeline::try_run) semantics.
+    /// continues seamlessly) and runs the remaining stages as
+    /// [`try_run`](Pipeline::try_run) does.
     ///
     /// Returns the restored-and-completed state plus the reports of the
     /// *replayed* stages only. Checkpointing stays active during the replay
-    /// when configured via [`checkpoint_to`](Pipeline::checkpoint_to).
+    /// when configured via [`checkpoint_to`](Pipeline::checkpoint_to), so a
+    /// failed resume can itself be resumed.
     pub fn resume<'r>(
         &mut self,
         dir: impl AsRef<Path>,
@@ -1389,26 +1344,33 @@ impl<'o> Pipeline<'o> {
     ) -> Result<(GraphState<'r>, Vec<StageReport>), PipelineError> {
         let (mut state, manifest) = checkpoint::load_latest(dir.as_ref(), reads)?;
         self.validate_manifest(&manifest, ctx)?;
+        let rounds = manifest.rounds.into_iter().collect();
+        let reports = self.drive(&mut state, ctx, manifest.completed_stages, rounds)?;
+        Ok((state, reports))
+    }
 
+    /// The one driver behind [`try_run`](Pipeline::try_run) and
+    /// [`resume`](Pipeline::resume): observer start, the stages from
+    /// flattened position `start_at` with the round counters seeded from
+    /// `rounds`, then observer end, after a failure too.
+    fn drive(
+        &mut self,
+        state: &mut GraphState<'_>,
+        ctx: &ExecCtx,
+        start_at: usize,
+        mut rounds: FxHashMap<String, usize>,
+    ) -> Result<Vec<StageReport>, PipelineError> {
         let total = Instant::now();
         for obs in self.observers.iter_mut() {
             obs.on_pipeline_start();
         }
-        let mut rounds: FxHashMap<String, usize> = manifest.rounds.iter().cloned().collect();
-        let mut reports: Vec<StageReport> = Vec::new();
-        let result = self.execute(
-            &mut state,
-            ctx,
-            manifest.completed_stages,
-            &mut rounds,
-            true,
-            &mut reports,
-        );
+        let mut reports = Vec::new();
+        let result = self.execute(state, ctx, start_at, &mut rounds, &mut reports);
         let total = total.elapsed();
         for obs in self.observers.iter_mut() {
             obs.on_pipeline_end(total);
         }
-        result.map(|()| (state, reports))
+        result.map(|()| reports)
     }
 
     /// Rejects a snapshot manifest that disagrees with this pipeline or the
@@ -1441,103 +1403,6 @@ impl<'o> Pipeline<'o> {
             }));
         }
         Ok(())
-    }
-
-    /// The self-healing driver loop: runs the pipeline, and on a failed
-    /// attempt rewinds to the latest checkpoint (or to a fresh
-    /// [`GraphState`] when none was saved) and retries the failed stage,
-    /// up to `max_attempts` total attempts. The error of the final attempt is
-    /// returned when every attempt fails.
-    ///
-    /// Only transient failures are retried (see
-    /// [`PipelineError::is_transient`]): stage panics and checkpoint I/O
-    /// errors re-run after a short deterministic backoff, while malformed
-    /// input and control-plane cancellations return immediately.
-    ///
-    /// On success the returned reports cover every flattened stage exactly
-    /// once — reports from work a failed attempt lost are replaced by the
-    /// retry's. Observers, however, see each boundary as it executes,
-    /// including re-executions.
-    // ppa_lint: allow(test-only-pub) the checkpointed, retrying way to run a pipeline
-    pub fn try_run_with_retries<'r>(
-        &mut self,
-        state: &mut GraphState<'r>,
-        ctx: &ExecCtx,
-        max_attempts: usize,
-    ) -> Result<Vec<StageReport>, PipelineError> {
-        assert!(max_attempts >= 1, "max_attempts must be at least 1");
-        let reads = state.reads;
-        let total = Instant::now();
-        for obs in self.observers.iter_mut() {
-            obs.on_pipeline_start();
-        }
-        let mut rounds: FxHashMap<String, usize> = FxHashMap::default();
-        let mut reports: Vec<StageReport> = Vec::new();
-        let mut start_at = 0;
-        let mut result = Ok(());
-        for attempt in 1..=max_attempts {
-            if attempt > 1 {
-                // Deterministic bounded backoff before retrying a transient
-                // failure: 5 ms doubling per attempt, capped at 80 ms. No
-                // randomness, so retry schedules replay identically.
-                std::thread::sleep(Duration::from_millis(5u64 << (attempt - 2).min(4)));
-                // Rewind: the failed attempt may have left the state partially
-                // mutated. Reports are truncated to the snapshot position so a
-                // successful run still yields exactly one report per stage. A
-                // failure while reloading (corrupt snapshot, foreign manifest)
-                // aborts the retry loop — retrying cannot cure it.
-                let rewind =
-                    || -> Result<Option<(GraphState<'r>, checkpoint::Manifest)>, PipelineError> {
-                        match &self.checkpoint {
-                            Some((dir, _)) => match checkpoint::latest(dir)? {
-                                Some(ckpt) => Ok(Some(checkpoint::load(&ckpt, reads)?)),
-                                None => Ok(None),
-                            },
-                            None => Ok(None),
-                        }
-                    };
-                let resumed = match rewind() {
-                    Ok(resumed) => resumed,
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                };
-                match resumed {
-                    Some((loaded, manifest)) => {
-                        if let Err(e) = self.validate_manifest(&manifest, ctx) {
-                            result = Err(e);
-                            break;
-                        }
-                        *state = loaded;
-                        start_at = manifest.completed_stages;
-                        rounds = manifest.rounds.into_iter().collect();
-                        reports.truncate(manifest.completed_stages);
-                    }
-                    None => {
-                        *state = GraphState::new(reads);
-                        start_at = 0;
-                        rounds.clear();
-                        reports.clear();
-                    }
-                }
-            }
-            result = self.execute(state, ctx, start_at, &mut rounds, true, &mut reports);
-            match &result {
-                Ok(()) => break,
-                // Fail fast on non-transient failures: malformed input and a
-                // job that did not converge cannot be cured by re-running
-                // them, and a cancellation is a deliberate stop that a retry
-                // loop must honour.
-                Err(e) if !e.is_transient() => break,
-                Err(_) => {}
-            }
-        }
-        let total = total.elapsed();
-        for obs in self.observers.iter_mut() {
-            obs.on_pipeline_end(total);
-        }
-        result.map(|()| reports)
     }
 }
 
@@ -1605,7 +1470,9 @@ mod tests {
         let reads = reads(2_000, 0.0, 7);
         let config = small_config();
         let mut state = GraphState::new(&reads);
-        let reports = Pipeline::paper_workflow(&config).run(&mut state, &ExecCtx::new(2));
+        let reports = Pipeline::paper_workflow(&config)
+            .try_run(&mut state, &ExecCtx::new(2))
+            .unwrap();
         assert!(!state.output.is_empty());
         // ① ② ③ + (④ ⑤ ② ③) + filter = 8 stage executions for 1 round.
         assert_eq!(reports.len(), 8);
@@ -1632,7 +1499,9 @@ mod tests {
                 ..small_config()
             };
             let mut state = GraphState::new(&reads);
-            let reports = Pipeline::paper_workflow(&config).run(&mut state, &ExecCtx::new(2));
+            let reports = Pipeline::paper_workflow(&config)
+                .try_run(&mut state, &ExecCtx::new(2))
+                .unwrap();
             let mut timed = 0;
             for report in &reports {
                 let (phases, passed) = match &report.details {
@@ -1695,7 +1564,9 @@ mod tests {
             ..AssemblyConfig::default()
         };
         let mut state = GraphState::new(&reads);
-        let reports = Pipeline::paper_workflow(&config).run(&mut state, &ExecCtx::new(2));
+        let reports = Pipeline::paper_workflow(&config)
+            .try_run(&mut state, &ExecCtx::new(2))
+            .unwrap();
         let StageDetails::Construct(stats) = &reports[0].details else {
             panic!("the first stage is construct");
         };
@@ -1757,7 +1628,8 @@ mod tests {
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .observe(&mut stats)
-            .run(&mut state, &ExecCtx::new(2));
+            .try_run(&mut state, &ExecCtx::new(2))
+            .unwrap();
         assert_eq!(stats.corrections.len(), 1);
         assert_eq!(stats.label_round2.len(), 1);
         assert_eq!(stats.merge_round2.len(), 1);
@@ -1797,22 +1669,22 @@ mod tests {
         let mut state = GraphState::new(&reads);
         let reports = Pipeline::paper_workflow(&config)
             .observe(&mut stats)
-            .run(&mut state, &ExecCtx::new(2));
+            .try_run(&mut state, &ExecCtx::new(2))
+            .unwrap();
         assert_eq!(reports.len(), 4); // construct, label, merge, filter
         assert!(stats.corrections.is_empty());
         assert_eq!(stats.n50_after_round1, stats.n50_final);
     }
 
     #[test]
-    #[should_panic(expected = "run RemoveTips before re-labeling")]
-    fn relabeling_an_unrewired_graph_panics() {
+    fn relabeling_an_unrewired_graph_is_a_typed_stage_error() {
         // Label after Merge without an intervening RemoveTips used to label
-        // an empty node set and silently discard the assembly; now it panics
-        // with guidance.
+        // an empty node set and silently discard the assembly; now the stage
+        // panics with guidance, and the run returns it typed.
         let reads = reads(2_000, 0.0, 43);
         let config = small_config();
         let mut state = GraphState::new(&reads);
-        Pipeline::new()
+        let err = Pipeline::new()
             .then(Construct::new(ConstructConfig {
                 k: config.k,
                 min_coverage: 0,
@@ -1824,17 +1696,19 @@ mod tests {
                 tip_length_threshold: config.tip_length_threshold,
             }))
             .then(Label::list_ranking())
-            .run(&mut state, &ExecCtx::new(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a preceding Label stage")]
-    fn merge_without_label_panics() {
-        let reads = ReadSet::new();
-        let mut state = GraphState::new(&reads);
-        Pipeline::new()
-            .then(Merge::new(MergeConfig::default()))
-            .run(&mut state, &ExecCtx::new(1));
+            .try_run(&mut state, &ExecCtx::new(2))
+            .unwrap_err();
+        match &err {
+            PipelineError::Stage {
+                stage,
+                round,
+                message,
+            } => {
+                assert_eq!((stage.as_str(), *round), ("label", 2));
+                assert!(message.contains("run RemoveTips before re-labeling"));
+            }
+            other => panic!("expected a Stage error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1868,7 +1742,7 @@ mod tests {
             .then(Halve)
             .then(FilterLength::new(0))
             .observe(&mut stats);
-        let reports = pipeline.run(&mut state, &ExecCtx::new(2));
+        let reports = pipeline.try_run(&mut state, &ExecCtx::new(2)).unwrap();
         assert_eq!(reports[3].stage, "halve");
         assert!(matches!(reports[3].details, StageDetails::Custom));
         assert!(stats.timings.iter().any(|t| t.stage == "halve"));
@@ -1894,33 +1768,24 @@ mod tests {
 
     #[test]
     fn try_run_matches_run() {
+        // The driver adds nothing to the state: `try_run` equals calling
+        // each flattened stage's own `Stage::run` in order.
         let reads = reads(2_000, 0.0, 71);
         let config = small_config();
         let ctx = ExecCtx::new(2);
-        let mut baseline = GraphState::new(&reads);
-        let baseline_reports = Pipeline::paper_workflow(&config).run(&mut baseline, &ctx);
+        let by_hand_pipeline = Pipeline::paper_workflow(&config);
+        let stages = flattened(&by_hand_pipeline.items);
+        let mut by_hand = GraphState::new(&reads);
+        for stage in &stages {
+            stage.run(&mut by_hand, &ctx);
+        }
         let mut state = GraphState::new(&reads);
         let reports = Pipeline::paper_workflow(&config)
             .try_run(&mut state, &ctx)
             .expect("fault-free try_run succeeds");
-        assert_eq!(state, baseline);
-        assert_eq!(reports.len(), baseline_reports.len());
-        for (a, b) in reports.iter().zip(&baseline_reports) {
-            assert_eq!((a.stage.as_str(), a.round), (b.stage.as_str(), b.round));
-        }
-    }
-
-    #[test]
-    fn checkpoint_policy_off_writes_nothing() {
-        let reads = reads(1_500, 0.0, 73);
-        let config = small_config();
-        let tmp = TmpDir::new("policy-off");
-        let mut state = GraphState::new(&reads);
-        Pipeline::paper_workflow(&config)
-            .checkpoint_to(&tmp.0, CheckpointPolicy::Off)
-            .run(&mut state, &ExecCtx::new(2));
-        assert!(!state.output.is_empty());
-        assert!(!tmp.0.exists(), "Off policy must not touch the directory");
+        assert_eq!(state, by_hand);
+        let names: Vec<&str> = reports.iter().map(|r| r.stage.as_str()).collect();
+        assert_eq!(names, stages.iter().map(|s| s.name()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1974,7 +1839,9 @@ mod tests {
         // The same context still drives a full workflow afterwards.
         let reads = reads(1_500, 0.0, 79);
         let mut state = GraphState::new(&reads);
-        Pipeline::paper_workflow(&small_config()).run(&mut state, &ctx);
+        Pipeline::paper_workflow(&small_config())
+            .try_run(&mut state, &ctx)
+            .unwrap();
         assert!(!state.output.is_empty());
     }
 
@@ -1982,13 +1849,6 @@ mod tests {
     fn a_job_that_does_not_converge_is_a_typed_error_that_is_not_retried() {
         // What S-V labeling raises when its superstep budget runs out.
         struct Unconverged;
-        #[derive(Default)]
-        struct StageCounter(usize);
-        impl PipelineObserver for StageCounter {
-            fn on_stage_start(&mut self, _stage: &str) {
-                self.0 += 1;
-            }
-        }
         impl Stage for Unconverged {
             fn name(&self) -> &str {
                 "label"
@@ -2000,29 +1860,22 @@ mod tests {
         let reads = ReadSet::new();
         let ctx = ExecCtx::new(2);
         let mut state = GraphState::new(&reads);
-        let want = PipelineError::NotConverged {
-            stage: "label".into(),
-            round: 1,
-            supersteps: 4_000,
-        };
         let err = Pipeline::new()
             .then(Unconverged)
             .try_run(&mut state, &ctx)
             .unwrap_err();
-        assert_eq!(err, want);
-        assert!(!err.is_transient());
+        assert_eq!(
+            err,
+            PipelineError::NotConverged {
+                stage: "label".into(),
+                round: 1,
+                supersteps: 4_000,
+            }
+        );
         assert_eq!(
             err.to_string(),
             "stage label (round 1) did not converge within 4000 supersteps"
         );
-        let mut starts = StageCounter::default();
-        let err = Pipeline::new()
-            .then(Unconverged)
-            .observe(&mut starts)
-            .try_run_with_retries(&mut state, &ctx, 3)
-            .unwrap_err();
-        assert_eq!(err, want);
-        assert_eq!(starts.0, 1, "a job that did not converge is not retried");
     }
 
     #[test]
@@ -2034,7 +1887,8 @@ mod tests {
         let mut baseline = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
-            .run(&mut baseline, &ctx);
+            .try_run(&mut baseline, &ctx)
+            .unwrap();
         let (resumed, reports) = Pipeline::paper_workflow(&config)
             .resume(&tmp.0, &reads, &ctx)
             .expect("resume from a completed run");
@@ -2051,7 +1905,8 @@ mod tests {
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
-            .run(&mut state, &ctx);
+            .try_run(&mut state, &ctx)
+            .unwrap();
         let other_config = AssemblyConfig {
             k: 19,
             ..small_config()
@@ -2076,72 +1931,6 @@ mod tests {
                 PipelineError::Checkpoint(CheckpointError::Mismatch { what, .. })
                     if what == "worker count"
             ),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn retries_recover_from_an_injected_stage_fault() {
-        let reads = reads(2_000, 0.0, 97);
-        let config = small_config();
-        let ctx = ExecCtx::new(2);
-        let mut baseline = GraphState::new(&reads);
-        Pipeline::paper_workflow(&config).run(&mut baseline, &ctx);
-
-        let tmp = TmpDir::new("retry-stage-fault");
-        let armed = ctx.inject_faults(ppa_pregel::FaultPlan::single(
-            ppa_pregel::Fault::StageEntry { stage: 5 },
-        ));
-        let mut state = GraphState::new(&reads);
-        let reports = Pipeline::paper_workflow(&config)
-            .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
-            .try_run_with_retries(&mut state, &ctx, 2)
-            .expect("the retry after the injected crash succeeds");
-        ctx.clear_faults();
-        assert!(armed.all_fired(), "the injected fault fired");
-        assert_eq!(reports.len(), 8, "one report per flattened stage");
-        assert_eq!(state.output, baseline.output, "resumed output is identical");
-    }
-
-    #[test]
-    fn retries_without_checkpoints_restart_from_scratch() {
-        let reads = reads(1_500, 0.0, 101);
-        let config = small_config();
-        let ctx = ExecCtx::new(2);
-        let mut baseline = GraphState::new(&reads);
-        Pipeline::paper_workflow(&config).run(&mut baseline, &ctx);
-
-        let armed = ctx.inject_faults(ppa_pregel::FaultPlan::single(
-            ppa_pregel::Fault::StageEntry { stage: 3 },
-        ));
-        let mut state = GraphState::new(&reads);
-        let reports = Pipeline::paper_workflow(&config)
-            .try_run_with_retries(&mut state, &ctx, 2)
-            .expect("the full restart succeeds");
-        ctx.clear_faults();
-        assert!(armed.all_fired());
-        assert_eq!(reports.len(), 8);
-        assert_eq!(state.output, baseline.output);
-    }
-
-    #[test]
-    fn bounded_retries_return_the_last_error() {
-        let reads = reads(1_500, 0.0, 103);
-        let config = small_config();
-        let ctx = ExecCtx::new(2);
-        // Two faults, one attempt: the first fault is fatal.
-        let _armed = ctx.inject_faults(
-            ppa_pregel::FaultPlan::new()
-                .with(ppa_pregel::Fault::StageEntry { stage: 2 })
-                .with(ppa_pregel::Fault::StageEntry { stage: 2 }),
-        );
-        let mut state = GraphState::new(&reads);
-        let err = Pipeline::paper_workflow(&config)
-            .try_run_with_retries(&mut state, &ctx, 1)
-            .unwrap_err();
-        ctx.clear_faults();
-        assert!(
-            matches!(&err, PipelineError::Stage { stage, .. } if stage == "merge"),
             "got {err:?}"
         );
     }

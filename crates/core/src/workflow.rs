@@ -1,7 +1,7 @@
 //! The assembly workflow: the paper's evaluation pipeline (Figure 10,
 //! workflow ①②③④⑤⑥②③) behind one function.
 //!
-//! [`assemble`] runs: DBG construction → contig labeling → contig merging →
+//! [`try_assemble`] runs: DBG construction → contig labeling → contig merging →
 //! (bubble filtering → tip removing → labeling → merging)×`error_correction_rounds`,
 //! with every intermediate hand-off performed in memory: each stage reads
 //! and writes the columns of one [`GraphState`], and the operations that
@@ -12,12 +12,13 @@
 //! [`Pipeline::paper_workflow`](crate::pipeline::Pipeline::paper_workflow)
 //! with [`WorkflowStats`] attached as the
 //! observer, so `ppa reproduce` can regenerate the paper's tables and
-//! figures from [`Assembly::stats`]. [`try_assemble`] is the fallible twin.
-//! Users who want a different strategy — or checkpointing, resuming and
-//! retries — compose their own [`crate::pipeline::Pipeline`] (or call the
-//! operations in [`crate::ops`] directly); a [`JobControl`](ppa_pregel::JobControl)
-//! installed on [`AssemblyConfig::exec`] with
-//! [`ExecCtx::set_control`] makes either entry point cancellable.
+//! figures from [`Assembly::stats`]; [`assemble`] is the same run for a
+//! caller that would rather panic on a failure. Users who want a different
+//! strategy — or checkpointing and resuming — compose their own
+//! [`crate::pipeline::Pipeline`] (or call the operations in [`crate::ops`]
+//! directly); a [`JobControl`](ppa_pregel::JobControl) installed on
+//! [`AssemblyConfig::exec`] with [`ExecCtx::set_control`] makes either entry
+//! point cancellable.
 
 use crate::pipeline::{GraphState, Pipeline, PipelineError};
 use crate::stats::{n50, WorkflowStats};
@@ -68,7 +69,7 @@ pub struct AssemblyConfig {
     /// resident engine, and so does any cap.
     pub spill: SpillPolicy,
     /// Persistent execution context to run every operation on. When `None`
-    /// (the default), [`assemble`] builds one context for the run — either
+    /// (the default), [`try_assemble`] builds one context for the run — either
     /// way, all five operations of all rounds execute on a single long-lived
     /// worker pool. Supply a context to share the pool across several
     /// assemblies (e.g. a parameter sweep). Its pool size must match
@@ -173,27 +174,10 @@ impl Assembly {
     }
 }
 
-/// Runs the standard PPA-assembler workflow over a read set.
-///
-/// Thin wrapper over the composable pipeline API: builds
-/// [`Pipeline::paper_workflow`] for `config`, attaches the run's
-/// [`WorkflowStats`] as the observer, and executes it. Every operation of
-/// every round — DBG construction, labeling, merging, bubble filtering, tip
-/// removing — executes on one persistent worker pool
-/// ([`AssemblyConfig::exec`], or a pool built here when unset): threads are
-/// spawned once per run, not once per superstep/phase.
+/// [`try_assemble`], panicking with the [`PipelineError`]'s message on a
+/// failure.
 pub fn assemble(reads: &ReadSet, config: &AssemblyConfig) -> Assembly {
-    let ctx = exec_ctx(config);
-    let mut stats = WorkflowStats::default();
-    let mut state = GraphState::new(reads);
-    Pipeline::paper_workflow(config)
-        .observe(&mut stats)
-        .run(&mut state, &ctx);
-
-    Assembly {
-        contigs: state.output,
-        stats,
-    }
+    try_assemble(reads, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The execution context an assembly entry point runs on: the configured one
@@ -252,9 +236,17 @@ pub fn read_input_path(path: impl AsRef<Path>) -> Result<ReadSet, PipelineError>
     )
 }
 
-/// Fallible [`assemble`]: a stage panic (including worker panics surfaced at
-/// the superstep barrier) is returned as a typed [`PipelineError`] instead of
-/// unwinding, leaving the worker pool reusable.
+/// Runs the standard PPA-assembler workflow over a read set.
+///
+/// Thin wrapper over the composable pipeline API: builds
+/// [`Pipeline::paper_workflow`] for `config`, attaches the run's
+/// [`WorkflowStats`] as the observer, and executes it with
+/// [`Pipeline::try_run`]. Every operation of every round — DBG construction,
+/// labeling, merging, bubble filtering, tip removing — executes on one
+/// persistent worker pool ([`AssemblyConfig::exec`], or a pool built here
+/// when unset): threads are spawned once per run, not once per
+/// superstep/phase. A stage panic, a worker's included, is returned as a
+/// typed [`PipelineError`], leaving the worker pool reusable.
 pub fn try_assemble(reads: &ReadSet, config: &AssemblyConfig) -> Result<Assembly, PipelineError> {
     let ctx = exec_ctx(config);
     let mut stats = WorkflowStats::default();
@@ -547,15 +539,28 @@ mod tests {
             ppa_pregel::Fault::StageEntry { stage: 6 },
         ));
         let mut state = GraphState::new(&reads);
-        Pipeline::paper_workflow(&config)
+        let err = Pipeline::paper_workflow(&config)
             .checkpoint_to(&dir, CheckpointPolicy::EveryStage)
-            .try_run_with_retries(&mut state, &ctx, 2)
-            .expect("the retry recovers the assembly");
+            .try_run(&mut state, &ctx)
+            .expect_err("the injected crash surfaces");
         ctx.clear_faults();
         assert!(armed.all_fired());
-        assert_eq!(state.output, baseline.contigs);
+        assert!(
+            matches!(&err, PipelineError::Stage { stage, .. } if stage == "merge"),
+            "got {err:?}"
+        );
 
-        // The completed run leaves a resumable snapshot behind.
+        // Resuming from the last snapshot recovers the assembly, and the
+        // completed run leaves a resumable snapshot behind.
+        let mut stats = WorkflowStats::default();
+        let (recovered, reports) = Pipeline::paper_workflow(&config)
+            .checkpoint_to(&dir, CheckpointPolicy::EveryStage)
+            .observe(&mut stats)
+            .resume(&dir, &reads, &ctx)
+            .expect("the resume recovers the assembly");
+        assert_eq!(reports.len(), 2, "merge and the length filter are left");
+        assert_eq!(recovered.output, baseline.contigs);
+        assert_eq!(stats.n50_final, baseline.stats.n50_final);
         let (resumed, _) = Pipeline::paper_workflow(&config)
             .resume(&dir, &reads, &ctx)
             .expect("resume from the final snapshot");
@@ -595,7 +600,6 @@ mod tests {
             }
             other => panic!("expected a Cancelled error, got {other:?}"),
         }
-        assert!(!err.is_transient());
         let again = assemble(&reads, &config);
         assert_eq!(again.contigs, baseline.contigs);
     }

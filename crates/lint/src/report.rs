@@ -3,8 +3,8 @@
 use std::fmt;
 
 /// The architectural rules: four launch rules, the job-control cancellation
-/// rule and the public-surface rule. Future invariants (spill-file codecs)
-/// get added here and in `rules.rs`.
+/// rule, the public-surface rule and the panic-boundary rule. Future
+/// invariants get added here and in `rules.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// `unsafe` only in allowlisted modules, always with a `// SAFETY:`
@@ -27,6 +27,9 @@ pub enum Rule {
     /// named by some non-test code outside its own file; surface that only
     /// tests reach is deleted, narrowed, or kept with a reasoned allow.
     TestOnlyPub,
+    /// `catch_unwind` only at the two panic boundaries: the worker pool's
+    /// dispatch and the pipeline's stage boundary.
+    CatchUnwindSites,
 }
 
 /// All rules, in reporting order.
@@ -37,6 +40,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::NoSiphashHotPath,
     Rule::CancellationPoints,
     Rule::TestOnlyPub,
+    Rule::CatchUnwindSites,
 ];
 
 impl Rule {
@@ -49,6 +53,7 @@ impl Rule {
             Rule::NoSiphashHotPath => "no-siphash-hot-path",
             Rule::CancellationPoints => "cancellation-points",
             Rule::TestOnlyPub => "test-only-pub",
+            Rule::CatchUnwindSites => "catch-unwind-sites",
         }
     }
 
@@ -81,6 +86,10 @@ impl Rule {
             Rule::TestOnlyPub => {
                 "a `pub` item of pregel/core/seq must be named by non-test code \
                  outside its own file (suppressions need a reason)"
+            }
+            Rule::CatchUnwindSites => {
+                "catch_unwind only in pregel/src/engine.rs (the pool's dispatch) \
+                 and core/src/pipeline.rs (the stage boundary)"
             }
         }
     }

@@ -23,6 +23,12 @@ const CODEC_FILES: &[&str] = &[
 /// Files allowed to spawn OS threads: the persistent worker pool only.
 const THREAD_ALLOWLIST: &[&str] = &["crates/pregel/src/engine.rs"];
 
+/// Files allowed to catch a panic: the worker pool, which holds a job's panic
+/// until the phase drains and raises it typed on the dispatching thread, and
+/// the pipeline's stage boundary, which turns it into a `PipelineError`.
+const CATCH_UNWIND_ALLOWLIST: &[&str] =
+    &["crates/pregel/src/engine.rs", "crates/core/src/pipeline.rs"];
+
 /// Path prefixes where the SipHash `HashMap`/`HashSet` are banned in favor of
 /// `FxHashMap`/`FxHashSet`.
 const SIPHASH_SCOPES: &[&str] = &["crates/pregel/", "crates/core/"];
@@ -107,6 +113,7 @@ pub fn analyze_sources(files: &[SourceSpec<'_>]) -> Vec<Diagnostic> {
         check_unsafe_audit(file, &mut diags);
         check_panic_free_codecs(file, &mut diags);
         check_engine_only_threading(file, &mut diags);
+        check_catch_unwind_sites(file, &mut diags);
         check_no_siphash(file, &mut diags);
         check_cancellation_points(file, &mut diags);
         check_test_only_pub(file, &mentions, &mut diags);
@@ -320,6 +327,31 @@ fn check_engine_only_threading(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>)
                 ),
             });
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// catch-unwind-sites
+// ---------------------------------------------------------------------------
+
+fn check_catch_unwind_sites(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
+    if CATCH_UNWIND_ALLOWLIST.contains(&file.path.as_str()) {
+        return;
+    }
+    for tok in &file.lexed.tokens {
+        if tok.in_test || !tok.is_ident("catch_unwind") {
+            continue;
+        }
+        diags.push(Diagnostic {
+            rule: Rule::CatchUnwindSites,
+            file: file.path.clone(),
+            line: tok.line,
+            col: tok.col,
+            message: format!(
+                "`catch_unwind` outside the two panic boundaries ({})",
+                CATCH_UNWIND_ALLOWLIST.join(", ")
+            ),
+        });
     }
 }
 

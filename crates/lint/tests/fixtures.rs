@@ -279,6 +279,49 @@ pub fn raw() -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
+// catch-unwind-sites
+// ---------------------------------------------------------------------------
+
+#[test]
+fn catch_unwind_outside_the_panic_boundaries_fires() {
+    let src = r#"
+use std::panic::{catch_unwind, AssertUnwindSafe};
+pub fn swallow(f: impl FnOnce()) -> bool {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).is_ok()
+}
+"#;
+    let diags = diags_for("crates/core/src/ops/merge.rs", src);
+    assert_eq!(
+        rules_of(&diags),
+        vec![Rule::CatchUnwindSites, Rule::CatchUnwindSites]
+    );
+    assert_eq!((diags[0].line, diags[1].line), (2, 4));
+    assert!(diags[1].message.contains("crates/core/src/pipeline.rs"));
+}
+
+#[test]
+fn catch_unwind_at_the_panic_boundaries_and_in_tests_is_quiet() {
+    let src = "pub fn f() -> bool { std::panic::catch_unwind(|| ()).is_ok() }\n";
+    assert!(diags_for("crates/pregel/src/engine.rs", src).is_empty());
+    assert!(diags_for("crates/core/src/pipeline.rs", src).is_empty());
+    let src = r#"
+//! Never call catch_unwind outside the engine and the pipeline.
+pub fn doc() -> &'static str {
+    "catch_unwind"
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn refused() {
+        assert!(std::panic::catch_unwind(|| panic!("no")).is_err());
+    }
+}
+"#;
+    assert!(diags_for("crates/pregel/src/dense.rs", src).is_empty());
+    assert!(diags_for("tests/tests/engine_pool.rs", src).is_empty());
+}
+
+// ---------------------------------------------------------------------------
 // no-siphash-hot-path
 // ---------------------------------------------------------------------------
 

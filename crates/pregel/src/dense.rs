@@ -262,13 +262,6 @@ struct StepCounts<A> {
     quiescent: bool,
 }
 
-/// The results of a pool phase; a worker's panic, which the pool hands back as
-/// a value once the phase has drained, is re-raised typed on this — the
-/// coordinator — thread.
-fn on_pool<T>(phase: Result<T, EngineError>) -> T {
-    phase.unwrap_or_else(|err| std::panic::panic_any(err))
-}
-
 /// The coordinator's stop at a superstep boundary: the store is
 /// barrier-consistent and `store_resident_bytes` fresh, so this is where the
 /// memory budget is checked. A `Stall` fault (testing hook) sleeps first,
@@ -319,8 +312,8 @@ fn pool_utilization(ctx: &ExecCtx, busy_before: u64, phase_wall: Duration) -> f6
 /// `compute_elapsed` covers delivery, compute and send, `shuffle_elapsed` the
 /// counting scatter, and `id_column_compression` is 1.0 — there is no ID
 /// column. A worker panic is raised on the calling thread as
-/// [`EngineError::WorkerPanic`], after the phase has drained, so the pool
-/// stays reusable.
+/// [`EngineError::WorkerPanic`] by the pool's dispatch, after the phase has
+/// drained, so the pool stays reusable.
 ///
 /// # Panics
 ///
@@ -370,7 +363,7 @@ pub fn run_dense_on<P: VertexProgram>(
 
         // ---- compute phase ---------------------------------------------------
         let inputs: Vec<_> = vertices.parts.iter_mut().zip(planes.iter_mut()).collect();
-        let counts = on_pool(ctx.pool().try_run_per_worker(inputs, |w, (part, plane)| {
+        let counts = ctx.pool().run_per_worker(inputs, |w, (part, plane)| {
             if let Some(f) = &faults {
                 f.probe_superstep(superstep, w);
             }
@@ -433,7 +426,7 @@ pub fn run_dense_on<P: VertexProgram>(
             }
             counts.quiescent = next_word_with_zero(halted, 0).is_none();
             counts
-        }));
+        });
         let compute_elapsed = step_start.elapsed();
 
         // ---- aggregate & control poll (superstep boundary) --------------------
@@ -471,10 +464,10 @@ pub fn run_dense_on<P: VertexProgram>(
         }
         let bases = vertices.parts.iter().map(|part| part.base);
         let inputs: Vec<_> = bases.zip(planes.iter_mut()).collect();
-        on_pool(ctx.pool().try_run_per_worker(inputs, |_w, (base, plane)| {
+        ctx.pool().run_per_worker(inputs, |_w, (base, plane)| {
             let (offsets, inbox) = (&mut plane.offsets, &mut plane.inbox);
             crate::radix::scatter_to_slots(&mut plane.column, base, offsets, inbox);
-        }));
+        });
         // The drained buffers go back to their senders, capacity kept.
         for src in 0..workers {
             for dst in 0..workers {

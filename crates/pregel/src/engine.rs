@@ -31,13 +31,14 @@
 //! # Dispatch contract
 //!
 //! Jobs run one-per-worker and the dispatching call blocks until every job
-//! has finished (even when one panics — the first panic payload is re-raised
-//! on the caller after the phase completes, mirroring what a scoped join
-//! would do). Dispatches are serialised: two threads may share an `ExecCtx`,
-//! but their phases run back to back, not interleaved. A job must **not**
-//! dispatch onto its own pool (the workers are busy running it — the nested
-//! dispatch would deadlock); every parallel entry point in this workspace
-//! dispatches from the job-driving thread only.
+//! has finished (even when one panics — the first panic is raised on the
+//! caller as [`EngineError::WorkerPanic`] after the phase completes, where a
+//! scoped join would re-raise the raw payload). Dispatches are serialised:
+//! two threads may share an `ExecCtx`, but their phases run back to back,
+//! not interleaved. A job must **not** dispatch onto its own pool (the
+//! workers are busy running it — the nested dispatch would deadlock); every
+//! parallel entry point in this workspace dispatches from the job-driving
+//! thread only.
 
 use crate::control::{CancelReason, JobControl};
 use crate::fault::{ArmedFaults, FaultPlan};
@@ -53,15 +54,17 @@ use std::time::Instant;
 /// A type-erased job: runs once on a pool worker.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A typed engine failure, produced by [`WorkerPool::try_run_per_worker`]
-/// instead of re-raising a worker panic. The phase still completed — every
-/// job ran to its end or panicked, the completion latch drained — so the pool
-/// is clean and immediately reusable for the next job. This is the
-/// cancellation seam a job server needs: a failed stage unwinds as a value,
+/// A typed engine failure. Every variant is raised as a panic payload on the
+/// dispatching — coordinator — thread, after the phase has completed: every
+/// job ran to its end or panicked and the completion latch drained, so the
+/// pool is clean and immediately reusable for the next job. The one place
+/// that catches it is the stage boundary of `ppa_assembler`'s pipeline, which
+/// turns it into a typed `PipelineError`: a failed stage unwinds as a value,
 /// not a process abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A worker job panicked during the phase.
+    /// A worker job panicked during the phase; raised by
+    /// [`WorkerPool::run_per_worker`] for every caller.
     WorkerPanic {
         /// Index of the first worker whose job panicked.
         worker: usize,
@@ -154,8 +157,8 @@ struct PoolShared {
 }
 
 /// Mutex locking that shrugs off poisoning: a panicking job is already
-/// captured in `PoolState::panic` and re-raised at the dispatch site, so the
-/// state itself is never left half-updated.
+/// captured in `PoolState::panic` and raised typed at the dispatch site, so
+/// the state itself is never left half-updated.
 fn lock(m: &Mutex<PoolState>) -> MutexGuard<'_, PoolState> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -215,50 +218,20 @@ impl WorkerPool {
     }
 
     /// Runs `f(worker_index, input)` for each input on its worker thread and
-    /// returns the results in worker order. Blocks until every job finished;
-    /// if a job panicked, the first panic is re-raised here (after all other
-    /// jobs of the phase completed, so borrowed data is no longer in use).
+    /// returns the results in worker order. Blocks until every job finished.
+    /// This is the one per-worker dispatch, so it makes the one decision
+    /// about a worker panic: once every other job of the phase completed (so
+    /// borrowed data is no longer in use) and the pool is clean again, the
+    /// first panic is raised here, on the dispatching thread, with an
+    /// [`EngineError::WorkerPanic`] payload naming the worker. It is raised
+    /// with `resume_unwind`, which skips the panic hook: the hook already
+    /// reported the panic on the worker. The stage boundary of
+    /// `ppa_assembler`'s pipeline downcasts it into a typed error; the pool
+    /// is immediately reusable either way.
     ///
     /// `inputs.len()` must not exceed [`workers`](WorkerPool::workers); phases
     /// dispatch exactly one job per worker.
     pub fn run_per_worker<T, R, F>(&self, inputs: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        match self.run_per_worker_inner(inputs, f) {
-            Ok(results) => results,
-            Err((_, payload)) => resume_unwind(payload),
-        }
-    }
-
-    /// Like [`run_per_worker`](WorkerPool::run_per_worker), but converts a
-    /// worker panic into a typed [`EngineError`] instead of re-raising it.
-    /// The phase completes either way (see the dispatch contract), so after
-    /// an `Err` the pool is clean and the next job runs as if on a fresh
-    /// pool. Callers that need crash-safe stage execution (the pipeline's
-    /// `try_run`) use this entry point.
-    pub fn try_run_per_worker<T, R, F>(&self, inputs: Vec<T>, f: F) -> Result<Vec<R>, EngineError>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.run_per_worker_inner(inputs, f)
-            .map_err(|(worker, payload)| EngineError::WorkerPanic {
-                worker,
-                message: panic_message(payload.as_ref()),
-            })
-    }
-
-    /// Shared core of the two `run_per_worker` entry points: `Err` carries
-    /// the first panicking worker's index and payload.
-    fn run_per_worker_inner<T, R, F>(
-        &self,
-        inputs: Vec<T>,
-        f: F,
-    ) -> Result<Vec<R>, (usize, Box<dyn Any + Send>)>
     where
         T: Send,
         R: Send,
@@ -285,21 +258,23 @@ impl WorkerPool {
                 .collect();
             self.dispatch(jobs)
         };
-        if let Some(panic) = panic {
-            return Err(panic);
+        if let Some((worker, payload)) = panic {
+            resume_unwind(Box::new(EngineError::WorkerPanic {
+                worker,
+                message: panic_message(payload.as_ref()),
+            }));
         }
-        Ok(results
+        results
             .into_iter()
             .map(|r| r.expect("pool job completed without a result"))
-            .collect())
+            .collect()
     }
 
     /// Hands one job to each of the first `jobs.len()` workers and blocks
     /// until all of them finished, returning the first panic (worker index +
     /// payload) if any job panicked. The pool's state is fully reset before
     /// returning — `remaining` is zero and the panic slot drained — so the
-    /// caller decides whether to re-raise or to convert the panic into a
-    /// typed error, and the next dispatch starts clean either way.
+    /// next dispatch starts clean whatever the caller raises.
     ///
     /// # Safety of the lifetime erasure
     ///
@@ -655,6 +630,16 @@ mod tests {
         let _ = pool.run_per_worker(vec![1, 2, 3], |_, x: i32| x);
     }
 
+    /// The typed error a dispatch unwound with.
+    fn worker_panic<T>(dispatch: impl FnOnce() -> T) -> EngineError {
+        let payload = catch_unwind(AssertUnwindSafe(dispatch))
+            .err()
+            .expect("the worker panic must cross the dispatch");
+        *payload
+            .downcast::<EngineError>()
+            .expect("a worker panic crosses the dispatch typed")
+    }
+
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
         let pool = WorkerPool::new(3);
@@ -673,16 +658,16 @@ mod tests {
     }
 
     #[test]
-    fn try_run_per_worker_returns_typed_error_and_pool_stays_clean() {
+    fn a_worker_panic_is_typed_and_the_pool_stays_clean() {
         let pool = WorkerPool::new(3);
-        let err = pool
-            .try_run_per_worker(vec![0u32, 1, 2], |_, x| {
+        let err = worker_panic(|| {
+            pool.run_per_worker(vec![0u32, 1, 2], |_, x| {
                 if x == 2 {
                     panic!("boom on {x}");
                 }
                 x * 10
             })
-            .unwrap_err();
+        });
         assert_eq!(
             err,
             EngineError::WorkerPanic {
@@ -691,10 +676,10 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("worker 2"));
-        // The pool is immediately reusable, both entry points.
+        // The pool is immediately reusable.
         assert_eq!(
-            pool.try_run_per_worker(vec![1u32, 2, 3], |_, x| x + 1),
-            Ok(vec![2, 3, 4])
+            pool.run_per_worker(vec![1u32, 2, 3], |_, x| x + 1),
+            vec![2, 3, 4]
         );
         assert_eq!(pool.run_per_worker(vec![7u32], |_, x| x), vec![7]);
     }
@@ -702,11 +687,11 @@ mod tests {
     #[test]
     fn worker_panic_reports_first_panicking_worker() {
         let pool = WorkerPool::new(2);
-        let err = pool
-            .try_run_per_worker(vec![(), ()], |w, ()| {
+        let err = worker_panic(|| {
+            pool.run_per_worker(vec![(), ()], |w, ()| {
                 panic!("worker {w} dies");
             })
-            .unwrap_err();
+        });
         match err {
             EngineError::WorkerPanic { worker, message } => {
                 assert!(worker < 2);

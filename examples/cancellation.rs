@@ -16,6 +16,7 @@ use ppa_assembler::stats::WorkflowStats;
 use ppa_assembler::{try_assemble, AssemblyConfig, JobControl};
 use ppa_pregel::{EngineError, ExecCtx};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
+use std::num::NonZeroUsize;
 
 /// A supervisor stand-in: cancels the shared handle once `after` stages of
 /// the workflow have completed.
@@ -90,7 +91,8 @@ fn main() {
     // 3. Run again with checkpointing armed, and an operator cancel fired
     //    after three completed stages. The trip lands on a stage boundary,
     //    so the pipeline writes one *emergency* snapshot pinning exactly the
-    //    completed prefix before returning the typed error.
+    //    completed prefix before returning the typed error — even though
+    //    `EveryN(4)` would not have saved after stage 3.
     let control = JobControl::new();
     let mut supervisor = CancelAfter {
         control: control.clone(),
@@ -101,7 +103,10 @@ fn main() {
     ctx.set_control(control.clone());
     let mut state = GraphState::new(&reads);
     let err = Pipeline::paper_workflow(&config)
-        .checkpoint_to(&dir, CheckpointPolicy::EveryN(4))
+        .checkpoint_to(
+            &dir,
+            CheckpointPolicy::EveryN(NonZeroUsize::new(4).expect("4 is not zero")),
+        )
         .observe(&mut supervisor)
         .observe(&mut stats)
         .try_run(&mut state, &ctx)
@@ -110,9 +115,9 @@ fn main() {
     println!("cancelled run: {err}");
     println!("workflow stats record it as: {:?}", stats.cancelled);
 
-    // 4. A fresh pipeline — think "new process after the operator's cancel"
-    //    — resumes from the emergency snapshot and replays only the five
-    //    remaining stages.
+    // 4. Recovery is a resume: a fresh pipeline — think "new process after
+    //    the operator's cancel" — loads the emergency snapshot and replays
+    //    only the five remaining stages.
     let (resumed, reports) = Pipeline::paper_workflow(&config)
         .resume(&dir, &reads, &ctx)
         .expect("resume from the emergency snapshot");

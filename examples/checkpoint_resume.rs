@@ -1,7 +1,9 @@
 //! Crash and resume: run the paper workflow with stage-boundary
 //! checkpointing, kill it with a deterministic injected fault, then resume
 //! from the snapshot on disk and verify the recovered assembly is identical
-//! to an uninterrupted run.
+//! to an uninterrupted run. `try_run` then `resume` is the one way to retry
+//! a failed pipeline, the recovery of Pregel: reload the last checkpoint and
+//! run the rest again.
 //!
 //! Run with: `cargo run -p ppa-examples --release --bin checkpoint_resume`
 
@@ -48,8 +50,9 @@ fn main() {
 
     // 3. Run again with checkpointing on — and a deterministic crash injected
     //    at the entry of flattened stage 5 (the second labeling), standing in
-    //    for a process kill. `try_run` surfaces it as a typed error instead
-    //    of unwinding, and the snapshots written so far stay on disk.
+    //    for a process kill. `try_run` returns it as a typed
+    //    `PipelineError::Stage`, as it does any stage or worker panic, and
+    //    the snapshots written so far stay on disk.
     ctx.inject_faults(FaultPlan::single(Fault::StageEntry { stage: 5 }));
     let mut state = GraphState::new(&reads);
     let err = Pipeline::paper_workflow(&config)

@@ -73,7 +73,9 @@ fn main() {
         .observe(&mut console);
 
     let mut state = GraphState::new(&reads);
-    pipeline.run(&mut state, &ExecCtx::new(workers));
+    pipeline
+        .try_run(&mut state, &ExecCtx::new(workers))
+        .expect("the simulated reads assemble");
 
     let lengths: Vec<usize> = state.output.iter().map(|c| c.len()).collect();
     println!(

@@ -65,7 +65,8 @@ fn main() {
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(config)
             .observe(&mut stats)
-            .run(&mut state, &ctx);
+            .try_run(&mut state, &ctx)
+            .expect("the simulated reads assemble");
         results.push((name, state.output, stats));
     }
 

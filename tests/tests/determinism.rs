@@ -124,7 +124,8 @@ fn fasta_with_permuted_vertices(
             min_coverage: config.min_kmer_coverage,
             batch_size: 1024,
         }))
-        .run(&mut state, &ctx);
+        .try_run(&mut state, &ctx)
+        .unwrap();
     let mut nodes = std::mem::take(&mut state.nodes).to_nodes();
     permute(&mut nodes);
     state.ambiguous_kmers = nodes;

@@ -1,12 +1,15 @@
 //! Crash-matrix integration tests for the fault-tolerance layer: at every
-//! stage boundary of the paper's ①②③(④⑤②③)×r workflow — and mid-stage, at
-//! superstep barriers inside the Pregel jobs — an injected crash followed by
-//! a resume from the last checkpoint must produce output byte-identical to an
-//! uninterrupted run. Corrupted, truncated or foreign snapshots must surface
-//! as typed errors, never panics, and a worker pool that propagated a panic
-//! must stay reusable.
+//! stage boundary of the paper's ①②③(④⑤②③)×r workflow — mid-stage, at
+//! superstep barriers inside the Pregel jobs, and at a failed checkpoint
+//! write — an injected crash is a typed error from `Pipeline::try_run`, and
+//! `Pipeline::resume` from the last checkpoint must then produce a state
+//! byte-identical to an uninterrupted run's. Corrupted, truncated or foreign
+//! snapshots must surface as typed errors, never panics, and a worker pool
+//! that propagated a panic must stay reusable.
 
-use ppa_assembler::pipeline::{CheckpointPolicy, GraphState, Pipeline, PipelineError};
+use ppa_assembler::pipeline::{
+    CheckpointPolicy, GraphState, Pipeline, PipelineError, Stage, StageDetails, StageReport,
+};
 use ppa_assembler::{checkpoint, AssemblyConfig, CheckpointError};
 use ppa_pregel::{ExecCtx, Fault, FaultPlan};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
@@ -54,7 +57,9 @@ fn simulated_reads() -> ReadSet {
 /// The uninterrupted reference run every crash scenario must reproduce.
 fn baseline<'r>(reads: &'r ReadSet, ctx: &ExecCtx) -> GraphState<'r> {
     let mut state = GraphState::new(reads);
-    Pipeline::paper_workflow(&config()).run(&mut state, ctx);
+    Pipeline::paper_workflow(&config())
+        .try_run(&mut state, ctx)
+        .unwrap();
     assert!(!state.output.is_empty(), "the baseline must assemble");
     state
 }
@@ -161,58 +166,121 @@ fn mid_stage_worker_crashes_recover_from_the_last_checkpoint() {
         },
     ];
     for (i, fault) in mid_stage_faults.into_iter().enumerate() {
+        let Fault::Superstep { stage, worker, .. } = fault else {
+            unreachable!("every fault above is a superstep fault")
+        };
         let tmp = TmpDir::new(&format!("ft-mid-{i}"));
         let armed = ctx.inject_faults(FaultPlan::single(fault));
         let mut state = GraphState::new(&reads);
-        let reports = Pipeline::paper_workflow(&config())
+        let err = Pipeline::paper_workflow(&config())
             .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
-            .try_run_with_retries(&mut state, &ctx, 2)
-            .expect("the retry from the last checkpoint succeeds");
+            .try_run(&mut state, &ctx)
+            .expect_err("the injected worker crash must surface");
         ctx.clear_faults();
         assert!(armed.all_fired(), "{fault:?} must fire");
-        assert_eq!(reports.len(), STAGES, "one report per stage after healing");
+        assert!(
+            matches!(&err, PipelineError::Stage { message, .. }
+                if message.contains(&format!("worker {worker} panicked"))
+                    && message.contains("injected fault")),
+            "{fault:?}: got {err:?}"
+        );
+
+        // The retry is a resume from the last checkpoint: the snapshot of
+        // the stages completed before the crashed one.
+        let (resumed, reports) = Pipeline::paper_workflow(&config())
+            .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
+            .resume(&tmp.0, &reads, &ctx)
+            .expect("the resume from the last checkpoint succeeds");
+        assert_eq!(reports.len(), STAGES - stage, "{fault:?}");
         assert_eq!(
-            state, expected,
-            "{fault:?}: healed state diverged from the uninterrupted run"
+            resumed, expected,
+            "{fault:?}: resumed state diverged from the uninterrupted run"
         );
     }
 }
 
 #[test]
-fn checkpoint_write_failure_is_typed_and_the_retry_recovers() {
+fn checkpoint_write_failure_is_typed_and_resume_recovers() {
     let reads = simulated_reads();
     let ctx = ExecCtx::new(WORKERS);
     let expected = baseline(&reads, &ctx);
 
-    // First: the failure is a typed checkpoint error, not a panic.
-    let tmp = TmpDir::new("ft-ckpt-write-err");
-    ctx.inject_faults(FaultPlan::single(Fault::CheckpointWrite { nth: 2 }));
+    // The failure is a typed checkpoint error, not a panic.
+    let tmp = TmpDir::new("ft-ckpt-write");
+    let armed = ctx.inject_faults(FaultPlan::single(Fault::CheckpointWrite { nth: 2 }));
     let mut state = GraphState::new(&reads);
     let err = Pipeline::paper_workflow(&config())
         .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
         .try_run(&mut state, &ctx)
         .expect_err("the injected write failure must surface");
     ctx.clear_faults();
+    assert!(armed.all_fired());
     assert!(
         matches!(&err, PipelineError::Checkpoint(CheckpointError::Io(msg))
             if msg.contains("injected fault")),
         "got {err:?}"
     );
 
-    // Second: the driver loop retries from the surviving snapshot (save #1)
-    // and completes; the once-per-fault semantics let save #2 succeed on the
-    // retry, exactly like a transient disk error.
-    let tmp = TmpDir::new("ft-ckpt-write-retry");
-    let armed = ctx.inject_faults(FaultPlan::single(Fault::CheckpointWrite { nth: 2 }));
-    let mut state = GraphState::new(&reads);
-    let reports = Pipeline::paper_workflow(&config())
+    // The surviving snapshot is save #1; resuming from it re-runs every
+    // later stage, writes save #2 this time, and completes.
+    let ckpt = checkpoint::latest(&tmp.0).unwrap().expect("save #1");
+    assert!(ckpt.ends_with("stage-0001"), "got {ckpt:?}");
+    let (resumed, reports) = Pipeline::paper_workflow(&config())
         .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
-        .try_run_with_retries(&mut state, &ctx, 2)
-        .expect("the retry past the failed write succeeds");
-    ctx.clear_faults();
-    assert!(armed.all_fired());
-    assert_eq!(reports.len(), STAGES);
-    assert_eq!(state, expected);
+        .resume(&tmp.0, &reads, &ctx)
+        .expect("the resume past the failed write succeeds");
+    assert_eq!(reports.len(), STAGES - 1);
+    assert_eq!(resumed, expected);
+}
+
+/// A custom stage whose pool phase panics on worker 1.
+struct PanicsOnWorkerOne;
+
+impl Stage for PanicsOnWorkerOne {
+    fn name(&self) -> &str {
+        "panics_on_worker_one"
+    }
+
+    fn run(&self, _state: &mut GraphState<'_>, ctx: &ExecCtx) -> StageReport {
+        ctx.pool().run_per_worker(vec![(); ctx.workers()], |w, ()| {
+            if w == 1 {
+                panic!("the custom stage gives up");
+            }
+        });
+        StageReport::new(self.name(), StageDetails::Custom)
+    }
+}
+
+#[test]
+fn a_worker_panic_in_a_custom_stage_is_a_typed_stage_error() {
+    let reads = simulated_reads();
+    let ctx = ExecCtx::new(WORKERS);
+    let mut state = GraphState::new(&reads);
+    let err = Pipeline::new()
+        .then(PanicsOnWorkerOne)
+        .try_run(&mut state, &ctx)
+        .expect_err("the worker panic must surface");
+    match &err {
+        PipelineError::Stage {
+            stage,
+            round,
+            message,
+        } => {
+            assert_eq!((stage.as_str(), *round), ("panics_on_worker_one", 1));
+            // The pool names the worker; the panic text follows.
+            assert_eq!(message, "worker 1 panicked: the custom stage gives up");
+        }
+        other => panic!("expected a Stage error, got {other:?}"),
+    }
+
+    // The pool drained before the panic crossed it: the paper workflow on
+    // the same context assembles the undisturbed contigs.
+    let mut reused = GraphState::new(&reads);
+    Pipeline::paper_workflow(&config())
+        .try_run(&mut reused, &ctx)
+        .unwrap();
+    let fresh = baseline(&reads, &ExecCtx::new(WORKERS));
+    assert_eq!(reused.output, fresh.output);
 }
 
 #[test]
@@ -223,7 +291,8 @@ fn damaged_or_foreign_snapshots_error_without_panicking() {
     let mut state = GraphState::new(&reads);
     Pipeline::paper_workflow(&config())
         .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
-        .run(&mut state, &ctx);
+        .try_run(&mut state, &ctx)
+        .unwrap();
     let ckpt = checkpoint::latest(&tmp.0).unwrap().expect("a snapshot");
     let section = ckpt.join("nodes.col");
     let pristine = std::fs::read(&section).unwrap();
@@ -392,7 +461,9 @@ fn a_pool_that_propagated_a_panic_stays_reusable_and_deterministic() {
     );
 
     let mut reused = GraphState::new(&reads);
-    Pipeline::paper_workflow(&config()).run(&mut reused, &ctx);
+    Pipeline::paper_workflow(&config())
+        .try_run(&mut reused, &ctx)
+        .unwrap();
     let fresh = baseline(&reads, &ExecCtx::new(WORKERS));
     assert_eq!(
         reused, fresh,

@@ -183,15 +183,15 @@ fn counted_and_vertices_match_the_oracle_in_key_order() {
 // (c) capped = resident, every key over the disk at most once, nothing left
 // ---------------------------------------------------------------------------
 
-/// The bytes construct phase (i) scatters for `reads`: one 16-byte record
-/// per super-k-mer of k+1 bases.
+/// The bytes construct phase (i) scatters for `reads`: one 8-byte record
+/// (a one-word reference into the read slab) per super-k-mer of k+1 bases.
 fn record_bytes(reads: &ReadSet, k: usize) -> u64 {
     let scanner = SuperKmerScanner::new(k + 1).unwrap();
     let mut records = 0u64;
     for read in &reads.records {
         scanner.scan_codes(read.codes(), |_| records += 1);
     }
-    16 * records
+    8 * records
 }
 
 /// The only spilling test of this binary, so its `our_spill_dirs` scans
@@ -227,20 +227,30 @@ fn a_capped_construction_equals_the_resident_one_and_cleans_up() {
     assert_eq!(resident_phase1.pairs_shuffled, windows, "one per window");
     let records = record_bytes(&reads, config.k);
     assert!(
-        records < 4 * windows,
-        "{records} record bytes for {windows} windows"
+        records < 2 * windows,
+        "{records} record bytes for {windows} windows: fewer than one super-k-mer per 4"
     );
 
-    // A scan task is 100 reads x 79 windows, cut into ~1.2 k super-k-mers of
-    // 16 bytes: ~20 kB. Under the 512 KiB cap (64 KiB budget per worker) a
-    // worker flushes every few tasks, in segments of tens of records
-    // (framing under 5 %); under the 16 KiB cap (2 KiB budget) it flushes
-    // after every task but its last, into 4096 buckets of a record or two
-    // each (framing up to 8 bytes per 16-byte record).
+    // What a capped phase (i) writes, in the version-2 key-segment layout:
+    // each worker's file opens with a 24-byte header (magic, version, record
+    // width, segment count); each segment is a frame of a `u32` length, a
+    // `u32` bucket and its 8-byte records, so it costs 8 bytes of framing,
+    // and a flush writes one segment per non-empty bucket. Every record is
+    // written at most once. A scan task is 100 reads x 79 windows, cut into
+    // ~1.3 k records: ~10 kB.
+    // - 512 KiB cap: a worker's budget is 64 KiB, planned as 256 buckets of
+    //   16-record (128-byte) chunks. It flushes once its chunks pass 512, of
+    //   which at most 256 (one per bucket) are partly filled, so a flush
+    //   holds at least 256 x 16 records in at most 256 segments: at most 8
+    //   bytes of framing per 16 records.
+    // - 16 KiB cap: a 2 KiB budget, 4096 buckets, a flush after every task
+    //   but its last, segments of a record or two: at most 8 bytes of
+    //   framing per record.
+    let headers = 24 * workers as u64;
     let mut flushes = Vec::new();
     for (cap, most_bytes) in [
-        (512 << 10, records + records / 20),
-        (16 << 10, records + records / 2 + 40),
+        (512 << 10, records + records / 16 + headers),
+        (16 << 10, 2 * records + headers),
     ] {
         ctx.set_spill(SpillPolicy::At(cap));
         let (counted, phase1) = count_kplus1_mers_on(&ctx, &reads, &config);
@@ -251,8 +261,8 @@ fn a_capped_construction_equals_the_resident_one_and_cleans_up() {
         assert_eq!(phase1.pairs_shuffled, resident_phase1.pairs_shuffled);
         assert_eq!(phase1.groups, resident_phase1.groups);
 
-        // Every record crosses the disk at most once, 16 bytes plus its
-        // share of an 8-byte segment frame, and comes back exactly once.
+        // Every record crosses the disk at most once, 8 bytes plus its share
+        // of an 8-byte segment frame, and comes back exactly once.
         let p1 = &capped.stats.phase1;
         assert!(p1.spilled_bytes > 0, "cap={cap} must spill");
         assert_eq!(p1.spill_read_bytes, p1.spilled_bytes, "cap={cap}");

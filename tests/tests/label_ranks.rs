@@ -452,7 +452,8 @@ fn round_two_labels_the_mixed_view_as_the_oracle_at_k_31() {
                     tip_length_threshold: tip,
                 }))
                 .then(label())
-                .run(&mut state, &ExecCtx::new(workers));
+                .try_run(&mut state, &ExecCtx::new(workers))
+                .unwrap();
             let nodes: Vec<Node> = state
                 .ambiguous_kmers
                 .iter()
@@ -580,7 +581,8 @@ fn oracle_case(seed: u64, k: usize) -> Exercised {
             k,
             tip_length_threshold: 2 * k,
         }))
-        .run(&mut state, &ExecCtx::new(2));
+        .try_run(&mut state, &ExecCtx::new(2))
+        .unwrap();
     let round_two: Vec<AsmNode> = state
         .ambiguous_kmers
         .iter()

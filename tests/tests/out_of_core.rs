@@ -271,7 +271,9 @@ fn a_crash_with_active_spill_files_resumes_byte_identically() {
 
     // Uninterrupted spilling reference.
     let mut expected = GraphState::new(&reads);
-    Pipeline::paper_workflow(&cfg).run(&mut expected, &ctx);
+    Pipeline::paper_workflow(&cfg)
+        .try_run(&mut expected, &ctx)
+        .unwrap();
     assert!(!expected.output.is_empty());
 
     // Crash a worker at a superstep barrier *inside* the first labeling job

@@ -93,7 +93,8 @@ fn assemble_is_byte_identical_to_hand_built_paper_workflow() {
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .observe(&mut stats)
-            .run(&mut state, &ExecCtx::new(config.workers));
+            .try_run(&mut state, &ExecCtx::new(config.workers))
+            .unwrap();
 
         assert!(
             !via_assemble.contigs.is_empty(),
@@ -174,11 +175,15 @@ fn explicit_stage_list_matches_the_preset() {
         .then(Merge::new(merge))
         .then(FilterLength::new(0));
     let mut state_hand = GraphState::new(&reads);
-    by_hand.run(&mut state_hand, &ExecCtx::new(config.workers));
+    by_hand
+        .try_run(&mut state_hand, &ExecCtx::new(config.workers))
+        .unwrap();
 
     let mut preset = Pipeline::paper_workflow(&config);
     let mut state_preset = GraphState::new(&reads);
-    preset.run(&mut state_preset, &ExecCtx::new(config.workers));
+    preset
+        .try_run(&mut state_preset, &ExecCtx::new(config.workers))
+        .unwrap();
 
     assert!(!state_preset.output.is_empty());
     assert_eq!(
@@ -226,7 +231,9 @@ fn observer_protocol_pairs_stages_and_times_them() {
     let mut recorder = Recorder::default();
     let mut pipeline = Pipeline::paper_workflow(&config).observe(&mut recorder);
     let mut state = GraphState::new(&reads);
-    let reports = pipeline.run(&mut state, &ExecCtx::new(config.workers));
+    let reports = pipeline
+        .try_run(&mut state, &ExecCtx::new(config.workers))
+        .unwrap();
 
     // Stage names of the paper workflow, in order.
     let expected = [

@@ -164,7 +164,8 @@ fn run(
     let mut state = GraphState::new(&reads);
     Pipeline::paper_workflow(&config)
         .observe(&mut observer)
-        .run(&mut state, &ctx);
+        .try_run(&mut state, &ctx)
+        .unwrap();
     assert!(!state.output.is_empty());
     let per = |unit: Unit| match unit {
         Unit::InputBase => input_bases,

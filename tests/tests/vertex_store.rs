@@ -69,7 +69,8 @@ fn remove_tips_is_identical_across_worker_counts() {
             k: 21,
             tip_length_threshold: 0,
         }))
-        .run(&mut state, &ExecCtx::new(2));
+        .try_run(&mut state, &ExecCtx::new(2))
+        .unwrap();
     assert!(
         !state.ambiguous_kmers.is_empty(),
         "error-heavy reads must create branches"
